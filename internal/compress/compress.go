@@ -61,17 +61,6 @@ func (RLE) Name() string { return "rle" }
 func (RLE) Compress(src []byte) []byte {
 	out := make([]byte, 0, len(src)/2+16)
 	litStart := 0
-	flushLit := func(end int) {
-		for litStart < end {
-			n := end - litStart
-			if n > 128 {
-				n = 128
-			}
-			out = append(out, byte(n-1))
-			out = append(out, src[litStart:litStart+n]...)
-			litStart += n
-		}
-	}
 	i := 0
 	for i < len(src) {
 		j := i + 1
@@ -79,15 +68,24 @@ func (RLE) Compress(src []byte) []byte {
 			j++
 		}
 		if run := j - i; run >= 4 {
-			flushLit(i)
+			out = appendLiterals(out, src[litStart:i])
 			out = append(out, byte(0x80+run-4), src[i])
-			i = j
-			litStart = i
-		} else {
-			i = j
+			litStart = j
 		}
+		i = j
 	}
-	flushLit(len(src))
+	return appendLiterals(out, src[litStart:])
+}
+
+// appendLiterals appends lit as literal blocks of at most 128 bytes, each
+// headed by its length-minus-one tag — the literal token RLE and LZ share.
+func appendLiterals(out, lit []byte) []byte {
+	for len(lit) > 0 {
+		n := min(len(lit), 128)
+		out = append(out, byte(n-1))
+		out = append(out, lit[:n]...)
+		lit = lit[n:]
+	}
 	return out
 }
 
@@ -148,44 +146,34 @@ func load32(b []byte, i int) uint32 {
 // 2-byte little-endian offset back.
 func (LZ) Compress(src []byte) []byte {
 	out := make([]byte, 0, len(src)/2+16)
-	var table [1 << lzHashBits]int32
-	for i := range table {
-		table[i] = -1
-	}
+	// Each slot holds the last sequence with its hash and where it began
+	// (position+1, 0 = none), so a candidate is checked without going back
+	// to src.
+	var table [1 << lzHashBits]struct{ seq, pos uint32 }
 	litStart := 0
-	flushLit := func(end int) {
-		for litStart < end {
-			n := end - litStart
-			if n > 128 {
-				n = 128
-			}
-			out = append(out, byte(n-1))
-			out = append(out, src[litStart:litStart+n]...)
-			litStart += n
-		}
-	}
 	i := 0
 	for i+lzMinMatch <= len(src) {
-		h := lzHash(load32(src, i))
-		cand := int(table[h])
-		table[h] = int32(i)
-		if cand >= 0 && i-cand < lzWindow && load32(src, cand) == load32(src, i) {
-			// Extend the match.
-			length := lzMinMatch
-			for i+length < len(src) && length < lzMaxMatch && src[cand+length] == src[i+length] {
-				length++
-			}
-			flushLit(i)
-			off := i - cand
-			out = append(out, byte(0x80+length-lzMinMatch), byte(off), byte(off>>8))
-			i += length
-			litStart = i
-		} else {
+		cur := load32(src, i)
+		slot := &table[lzHash(cur)]
+		cand := int(slot.pos) - 1
+		hit := slot.seq == cur
+		slot.seq, slot.pos = cur, uint32(i+1)
+		if !hit || cand < 0 || i-cand >= lzWindow {
 			i++
+			continue
 		}
+		// Extend the match.
+		length := lzMinMatch
+		for i+length < len(src) && length < lzMaxMatch && src[cand+length] == src[i+length] {
+			length++
+		}
+		out = appendLiterals(out, src[litStart:i])
+		off := i - cand
+		out = append(out, byte(0x80+length-lzMinMatch), byte(off), byte(off>>8))
+		i += length
+		litStart = i
 	}
-	flushLit(len(src))
-	return out
+	return appendLiterals(out, src[litStart:])
 }
 
 // Decompress implements Codec.
@@ -213,10 +201,13 @@ func (LZ) Decompress(src []byte) ([]byte, error) {
 		if off == 0 || off > len(out) {
 			return nil, fmt.Errorf("%w: match offset %d out of range", ErrCorrupt, off)
 		}
-		// Byte-at-a-time copy: matches may overlap their own output.
-		pos := len(out) - off
-		for k := 0; k < length; k++ {
-			out = append(out, out[pos+k])
+		// A match that overlaps its own output repeats with period off, so
+		// everything from pos on is a valid source: each pass copies all
+		// that is there, doubling the next one.
+		for pos := len(out) - off; length > 0; {
+			n := min(length, len(out)-pos)
+			out = append(out, out[pos:pos+n]...)
+			length -= n
 		}
 	}
 	return out, nil

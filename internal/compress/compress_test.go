@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bytes"
+	"hash/fnv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -123,6 +124,38 @@ func TestLZOverlappingMatch(t *testing.T) {
 	got, err := (LZ{}).Decompress((LZ{}).Compress(data))
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatal("overlapping match round trip failed")
+	}
+}
+
+// TestOutputBytesPinned holds the RLE and LZ token streams still: blocks
+// on the wire, the BENCH shape sections and E2's wire-bytes columns all
+// depend on the exact bytes, not just on a clean round trip.
+func TestOutputBytesPinned(t *testing.T) {
+	r := rng.New(11)
+	mixed := make([]byte, 1<<16) // random bytes with phrases, runs and far repeats spliced in
+	r.Bytes(mixed)
+	for i := 0; i+200 < len(mixed); i += 100 + r.Intn(400) {
+		switch r.Intn(3) {
+		case 0:
+			copy(mixed[i:], "a repeated phrase, longer than the 131-byte match cap when doubled up; a repeated phrase, longer than the 131-byte match cap when doubled up; ...")
+		case 1:
+			copy(mixed[i:], bytes.Repeat([]byte{byte(i)}, 3+r.Intn(150)))
+		case 2:
+			copy(mixed[i:], mixed[i/2:i/2+20])
+		}
+	}
+	inputs := [][]byte{{}, {7}, []byte("abc"), []byte("abcabcabcabcabcabcab"), benchData()[:1<<15], make([]byte, 70000), mixed}
+	want := map[string]uint64{"rle": 0x48c277b8fa2b1c60, "lz": 0x5fa6d2a7cdbffeb8}
+	for _, c := range []Codec{RLE{}, LZ{}} {
+		h := fnv.New64a()
+		for _, in := range inputs {
+			out := c.Compress(in)
+			_, _ = h.Write([]byte{byte(len(out)), byte(len(out) >> 8), byte(len(out) >> 16)})
+			_, _ = h.Write(out)
+		}
+		if got := h.Sum64(); got != want[c.Name()] {
+			t.Errorf("%s output changed: digest %#x, want %#x", c.Name(), got, want[c.Name()])
+		}
 	}
 }
 

@@ -19,6 +19,10 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte("hello hello hello hello"))
 	f.Add(bytes.Repeat([]byte{0xAB}, 300))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 251, 252, 253, 254, 255})
+	// LZ.Decompress copies a match in one step when it lies wholly behind
+	// the output (offset >= length) and in doubling steps when it overlaps.
+	f.Add([]byte("far match|0123456789|far match")) // offset 21, length 9
+	f.Add([]byte("abcabcabcabcabcabcabcabcabcabc")) // offset 3, length 27
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, c := range fuzzCodecs() {
 			enc := c.Compress(data)

@@ -1143,13 +1143,16 @@ func (e *Engine) readShuffle(p *Plan, ctx *TaskContext) ([]Row, error) {
 			e.Reg.Counter("partition_blocked_fetches").Inc()
 			return nil, &fetchError{planID: p.id, mapPart: mapPart, unreachable: true}
 		}
+		label := "" // only a traced fetch shows it
+		if ctx.Trace.Valid() {
+			label = fmt.Sprintf("fetch s%d m%d", p.id, mapPart)
+		}
 		for _, b := range st.outputs[mapPart] {
 			if b.Partition != ctx.Partition {
 				continue
 			}
 			blocks = append(blocks, b)
-			cost := fabric.CostCtx(owner, ctx.Node, int64(len(b.Data)), ctx.Trace,
-				fmt.Sprintf("fetch s%d m%d", p.id, mapPart))
+			cost := fabric.CostCtx(owner, ctx.Node, int64(len(b.Data)), ctx.Trace, label)
 			e.Reg.Counter("net_time_ns").Add(int64(cost))
 			e.Reg.Counter("shuffle_bytes_fetched").Add(int64(len(b.Data)))
 		}

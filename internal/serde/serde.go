@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 )
 
 // ErrCorrupt is returned when a stream fails structural validation.
@@ -21,7 +22,7 @@ type Record struct {
 	Key, Value []byte
 }
 
-// Writer encodes records as [varint keyLen][key][varint valLen][value].
+// Writer encodes records as [varint keyLen][varint valLen][key][value].
 type Writer struct {
 	w   io.Writer
 	buf [2 * binary.MaxVarintLen64]byte
@@ -101,6 +102,45 @@ func (r *Reader) Read() (Record, error) {
 		return Record{}, fmt.Errorf("%w: truncated record body", ErrCorrupt)
 	}
 	return Record{Key: r.buf[:kl], Value: r.buf[kl:need]}, nil
+}
+
+// AppendRecord appends one record to dst in Writer's framing — the
+// in-memory form of Writer.Write for callers that own the buffer.
+func AppendRecord(dst, key, value []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	dst = binary.AppendUvarint(dst, uint64(len(value)))
+	dst = append(dst, key...)
+	return append(dst, value...)
+}
+
+// FramedLen returns how many bytes AppendRecord adds for a key and value
+// of the given lengths.
+func FramedLen(klen, vlen int) int {
+	return uvarintLen(uint64(klen)) + uvarintLen(uint64(vlen)) + klen + vlen
+}
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// Next decodes the first record of buf in place — the in-memory form of
+// Reader.Read. Key and Value alias buf, capacity-clipped so appending to
+// one cannot reach its neighbour; rest is what follows the record. An
+// empty buf is the caller's end of stream, not Next's: it reports
+// ErrCorrupt like any other short frame.
+func Next(buf []byte) (rec Record, rest []byte, err error) {
+	kl, n := binary.Uvarint(buf)
+	if n <= 0 {
+		return Record{}, nil, fmt.Errorf("%w: bad key length", ErrCorrupt)
+	}
+	vl, m := binary.Uvarint(buf[n:])
+	if m <= 0 {
+		return Record{}, nil, fmt.Errorf("%w: truncated value length", ErrCorrupt)
+	}
+	body := buf[n+m:]
+	if kl > uint64(len(body)) || vl > uint64(len(body))-kl {
+		return Record{}, nil, fmt.Errorf("%w: truncated record body", ErrCorrupt)
+	}
+	end := int(kl + vl)
+	return Record{Key: body[:kl:kl], Value: body[kl:end:end]}, body[end:], nil
 }
 
 // AppendUint64 appends v in little-endian fixed width.

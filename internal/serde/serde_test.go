@@ -2,6 +2,7 @@ package serde
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 	"testing/quick"
@@ -64,6 +65,47 @@ func TestRecordRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInMemoryFramingMatchesStream: AppendRecord writes Writer's bytes,
+// FramedLen predicts them, and Next reads them back as clipped views.
+func TestInMemoryFramingMatchesStream(t *testing.T) {
+	f := func(pairs [][2][]byte, long uint16) bool {
+		pairs = append(pairs, [2][]byte{make([]byte, 128+int(long)), nil}) // a multi-byte length prefix
+		var stream bytes.Buffer
+		w := NewWriter(&stream)
+		var buf []byte
+		for _, p := range pairs {
+			_ = w.Write(p[0], p[1])
+			before := len(buf)
+			buf = AppendRecord(buf, p[0], p[1])
+			if FramedLen(len(p[0]), len(p[1])) != len(buf)-before {
+				return false
+			}
+		}
+		if !bytes.Equal(buf, stream.Bytes()) {
+			return false
+		}
+		for _, p := range pairs {
+			rec, rest, err := Next(buf)
+			if err != nil || !bytes.Equal(rec.Key, p[0]) || !bytes.Equal(rec.Value, p[1]) ||
+				cap(rec.Key) != len(rec.Key) || cap(rec.Value) != len(rec.Value) {
+				return false
+			}
+			buf = rest
+		}
+		return len(buf) == 0
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	var frame []byte
+	frame = AppendRecord(frame, []byte("key"), []byte("a long enough value"))
+	for cut := 0; cut < len(frame); cut++ {
+		if _, _, err := Next(frame[:cut]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Next on a frame cut at %d: %v, want ErrCorrupt", cut, err)
+		}
 	}
 }
 

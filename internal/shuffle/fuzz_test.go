@@ -1,0 +1,89 @@
+package shuffle
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"sort"
+	"testing"
+
+	"repro/internal/compress"
+	"repro/internal/serde"
+)
+
+// FuzzReadBlocks feeds arbitrary bytes to ReadBlocks as the data of two
+// blocks for one partition, flagged sorted or not, with a record count that
+// may lie. It must agree with serde.Reader over the same bytes — the same
+// records, or an error wrapping serde.ErrCorrupt — never panic, and never
+// size its result from the count rather than from the data.
+func FuzzReadBlocks(f *testing.F) {
+	for name, mk := range writers(Config{}) {
+		w, _ := mk(Config{Partitions: 1})
+		for _, r := range identityInput(5)[:40] {
+			_ = w.Write(r.k, r.v)
+		}
+		blocks, _, err := w.Close()
+		if err != nil {
+			f.Fatal(err)
+		}
+		b := blocks[0]
+		f.Add(b.Data, b.Records, name == "sort")
+		f.Add(b.Data, -1, true)
+		f.Add(b.Data, 1<<62, false)
+		f.Add(b.Data[:len(b.Data)-3], b.Records, true) // truncated body
+	}
+	f.Add([]byte{}, 1<<40, true)
+	f.Add([]byte{0x05, 0x01, 'a'}, 1, false)                                              // frame longer than the data
+	f.Add([]byte{0x01}, 1, false)                                                         // value length missing
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0}, 1, true) // 2^63-ish key length
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, 1, true)
+
+	f.Fuzz(func(t *testing.T, data []byte, records int, sorted bool) {
+		var want []Record
+		var wantErr error
+		for r := serde.NewReader(bytes.NewReader(data)); ; {
+			rec, err := r.Read()
+			if err != nil {
+				if err != io.EOF {
+					wantErr = err
+				}
+				break
+			}
+			want = append(want, Record{append([]byte{}, rec.Key...), append([]byte{}, rec.Value...)})
+		}
+		wire := append([]byte(nil), data...)
+		block := Block{Data: data, Records: records, Sorted: sorted}
+		got, err := ReadBlocks(compress.None{}, []Block{block, block})
+		if !bytes.Equal(data, wire) {
+			t.Fatal("ReadBlocks wrote to Block.Data")
+		}
+		if wantErr != nil {
+			if !errors.Is(err, serde.ErrCorrupt) {
+				t.Fatalf("serde.Reader rejects the block (%v), ReadBlocks returned %v", wantErr, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("serde.Reader accepts the block, ReadBlocks returned %v", err)
+		}
+		if len(got) != 2*len(want) {
+			t.Fatalf("%d records from two copies of a %d-record block", len(got), len(want))
+		}
+		if cap(got) > 2*len(data)+4 {
+			t.Fatalf("result capacity %d from %d data bytes and a Records hint of %d", cap(got), len(data), records)
+		}
+		expect := append(append([]Record(nil), want...), want...) // block order
+		if sorted {
+			if !sort.SliceIsSorted(want, func(i, j int) bool { return bytes.Compare(want[i].Key, want[j].Key) < 0 }) {
+				return // "sorted" was a lie; any interleaving of the two copies will do
+			}
+			// Merging with ties to the first block is a stable sort of the two in a row.
+			sort.SliceStable(expect, func(i, j int) bool { return bytes.Compare(expect[i].Key, expect[j].Key) < 0 })
+		}
+		for i, r := range got {
+			if w := expect[i]; !bytes.Equal(r.Key, w.Key) || !bytes.Equal(r.Value, w.Value) {
+				t.Fatalf("record %d = %q/%q, want %q/%q", i, r.Key, r.Value, w.Key, w.Value)
+			}
+		}
+	})
+}

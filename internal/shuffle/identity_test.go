@@ -1,0 +1,244 @@
+package shuffle
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"sort"
+	"testing"
+
+	"repro/internal/compress"
+	"repro/internal/rng"
+	"repro/internal/serde"
+)
+
+type kv struct{ k, v []byte }
+
+// referenceSort is the sort writer's contract written the slow way: cut the
+// input into spill runs (combining within a run), stable-sort everything by
+// (partition, key) so equal keys stay in run order, and frame each partition
+// with serde.Writer.
+func referenceSort(cfg Config, input []kv) ([]Block, Stats) {
+	_ = cfg.fill()
+	st := Stats{
+		RecordsIn:        len(input),
+		PartitionRecords: make([]int, cfg.Partitions),
+		PartitionBytes:   make([]int64, cfg.Partitions),
+	}
+	var recs []kv
+	var buffered int64
+	run := map[string][]byte{} // combiner state of the current run
+	endRun := func() {
+		keys := make([]string, 0, len(run))
+		for k := range run {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			recs = append(recs, kv{[]byte(k), run[k]})
+		}
+		run, buffered = map[string][]byte{}, 0
+	}
+	for _, r := range input {
+		prev, seen := run[string(r.k)]
+		switch {
+		case cfg.Combiner == nil:
+			recs = append(recs, r)
+			buffered += int64(len(r.k) + len(r.v))
+		case seen:
+			run[string(r.k)] = cfg.Combiner(prev, r.v)
+		default:
+			run[string(r.k)] = r.v
+			buffered += int64(len(r.k) + len(r.v))
+		}
+		if buffered >= cfg.SpillThreshold {
+			endRun()
+			st.Spills++
+		}
+	}
+	endRun()
+	sort.SliceStable(recs, func(i, j int) bool {
+		if pi, pj := cfg.Partitioner(recs[i].k), cfg.Partitioner(recs[j].k); pi != pj {
+			return pi < pj
+		}
+		return bytes.Compare(recs[i].k, recs[j].k) < 0
+	})
+	bufs := make([]bytes.Buffer, cfg.Partitions)
+	for _, r := range recs {
+		p := cfg.Partitioner(r.k)
+		_ = serde.NewWriter(&bufs[p]).Write(r.k, r.v)
+		st.PartitionRecords[p]++
+	}
+	var blocks []Block
+	for p := range bufs {
+		raw := bufs[p].Bytes()
+		if len(raw) == 0 {
+			continue
+		}
+		data := cfg.Codec.Compress(raw)
+		st.RecordsOut += st.PartitionRecords[p]
+		st.RawBytes += int64(len(raw))
+		st.WireBytes += int64(len(data))
+		st.PartitionBytes[p] = int64(len(raw))
+		blocks = append(blocks, Block{Partition: p, Data: data, Records: st.PartitionRecords[p], RawBytes: int64(len(raw)), Sorted: true})
+	}
+	return blocks, st
+}
+
+// identityInput mixes seeded records over a small key space (duplicates in
+// and across runs) with the keys a cached 8-byte prefix cannot tell apart:
+// the empty key, "a" zero-extended one byte at a time, keys differing only
+// past byte 8, and empty values.
+func identityInput(seed uint64) []kv {
+	gen := rng.New(seed)
+	tricky := [][]byte{{}, []byte("abcdefgh"), []byte("abcdefgh1"), []byte("abcdefgh2"), []byte("abcdefgh\x00")}
+	for n := 0; n <= 9; n++ {
+		tricky = append(tricky, append([]byte("a"), make([]byte, n)...))
+	}
+	var in []kv
+	for i := 0; i < 600; i++ {
+		var r kv
+		if gen.Intn(3) == 0 {
+			r.k = tricky[gen.Intn(len(tricky))]
+		} else {
+			r.k = []byte(fmt.Sprintf("%c%c-key-%d", 'a'+gen.Intn(20), 'a'+gen.Intn(3), gen.Intn(40)))
+		}
+		if gen.Intn(8) != 0 {
+			r.v = []byte(fmt.Sprintf("value-%d-%d", i, gen.Intn(1000)))
+		}
+		in = append(in, r)
+	}
+	return in
+}
+
+func TestSortWriterByteIdentity(t *testing.T) {
+	input := identityInput(7)
+	var total int64
+	for _, r := range input {
+		total += int64(len(r.k) + len(r.v))
+	}
+	concat := func(a, b []byte) []byte { return append(append([]byte(nil), a...), b...) } // order-sensitive on purpose
+	rp := NewRangePartitioner([][]byte{[]byte("a\x00"), []byte("abcdefgh1"), []byte("k")})
+	for _, part := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"hash", Config{Partitions: 5}},
+		{"range", Config{Partitions: rp.Partitions(), Partitioner: rp.Partition}},
+	} {
+		for _, spill := range []struct {
+			name      string
+			threshold int64
+		}{{"0spills", 0}, {"1spill", total/2 + 64}, {"8spills", total / 8}} {
+			for _, combiner := range []func(a, b []byte) []byte{nil, concat} {
+				for _, codec := range []compress.Codec{compress.None{}, compress.LZ{}} {
+					cfg := part.cfg
+					cfg.SpillThreshold, cfg.Combiner, cfg.Codec = spill.threshold, combiner, codec
+					name := fmt.Sprintf("%s/%s/combiner=%t/%s", part.name, spill.name, combiner != nil, codec.Name())
+					t.Run(name, func(t *testing.T) {
+						w, err := NewSortWriter(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, r := range input {
+							if err := w.Write(r.k, r.v); err != nil {
+								t.Fatal(err)
+							}
+						}
+						blocks, stats, err := w.Close()
+						if err != nil {
+							t.Fatal(err)
+						}
+						wantBlocks, wantStats := referenceSort(cfg, input)
+						if combiner == nil && spill.threshold > 0 && wantStats.Spills == 0 {
+							t.Fatal("case meant to spill did not")
+						}
+						if !reflect.DeepEqual(stats, wantStats) {
+							t.Fatalf("stats\n got %+v\nwant %+v", stats, wantStats)
+						}
+						if len(blocks) != len(wantBlocks) {
+							t.Fatalf("%d blocks, want %d", len(blocks), len(wantBlocks))
+						}
+						for i, b := range blocks {
+							if !reflect.DeepEqual(b, wantBlocks[i]) {
+								t.Fatalf("block %d (partition %d) differs from the reference: %d records / %d raw bytes, want %d / %d",
+									i, b.Partition, b.Records, b.RawBytes, wantBlocks[i].Records, wantBlocks[i].RawBytes)
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestReadBlocksRecordsAreCallerOwned: records are views into buffers
+// ReadBlocks allocated, so a caller may append to and overwrite every one
+// of them without touching a neighbour, a block, or a later read.
+func TestReadBlocksRecordsAreCallerOwned(t *testing.T) {
+	input := identityInput(3)
+	for _, codec := range []compress.Codec{compress.None{}, compress.RLE{}, compress.LZ{}, compress.Flate{}} {
+		for name, mk := range writers(Config{}) {
+			t.Run(codec.Name()+"/"+name, func(t *testing.T) {
+				var blocks []Block // two map outputs for one reduce partition: the sorted ones merge
+				for m := 0; m < 2; m++ {
+					w, _ := mk(Config{Partitions: 1, Codec: codec})
+					for _, r := range input[m*300 : (m+1)*300] {
+						_ = w.Write(r.k, r.v)
+					}
+					bs, _, err := w.Close()
+					if err != nil {
+						t.Fatal(err)
+					}
+					blocks = append(blocks, bs...)
+				}
+				var wire [][]byte
+				for _, b := range blocks {
+					wire = append(wire, append([]byte(nil), b.Data...))
+				}
+				snapshot := func(recs []Record) []Record {
+					out := make([]Record, len(recs))
+					for i, r := range recs {
+						out[i] = Record{append([]byte{}, r.Key...), append([]byte{}, r.Value...)}
+					}
+					return out
+				}
+				recs, err := ReadBlocks(codec, blocks)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(recs) != len(input) {
+					t.Fatalf("read %d records, want %d", len(recs), len(input))
+				}
+				want := snapshot(recs)
+				for i := range recs {
+					_ = append(recs[i].Key, "overrun"...)
+					_ = append(recs[i].Value, "overrun"...)
+				}
+				if !reflect.DeepEqual(snapshot(recs), want) {
+					t.Fatal("appending to one record's slices overwrote another record")
+				}
+				for _, r := range recs {
+					for i := range r.Key {
+						r.Key[i] ^= 0xff
+					}
+					for i := range r.Value {
+						r.Value[i] ^= 0xff
+					}
+				}
+				for i, b := range blocks {
+					if !bytes.Equal(b.Data, wire[i]) {
+						t.Fatalf("mutating records changed Block.Data of block %d", i)
+					}
+				}
+				again, err := ReadBlocks(codec, blocks)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(snapshot(again), want) {
+					t.Fatal("second ReadBlocks does not return the original records")
+				}
+			})
+		}
+	}
+}

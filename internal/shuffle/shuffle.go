@@ -9,10 +9,12 @@ package shuffle
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/compress"
@@ -123,20 +125,44 @@ func (c *Config) fill() error {
 	return nil
 }
 
-// record is an owned key/value pair.
-type record struct {
-	key, value []byte
+// newStats returns Stats with its per-partition slices allocated.
+func newStats(cfg *Config) Stats {
+	return Stats{
+		PartitionRecords: make([]int, cfg.Partitions),
+		PartitionBytes:   make([]int64, cfg.Partitions),
+	}
+}
+
+// sealBlocks compresses each non-empty partition stream into a block and
+// folds its size into st; st.PartitionRecords must already hold the counts.
+func sealBlocks(cfg *Config, raws [][]byte, sorted bool, st *Stats) []Block {
+	var blocks []Block
+	for p, raw := range raws {
+		if len(raw) == 0 {
+			continue
+		}
+		data := cfg.Codec.Compress(raw)
+		n := st.PartitionRecords[p]
+		st.RecordsOut += n
+		st.RawBytes += int64(len(raw))
+		st.WireBytes += int64(len(data))
+		st.PartitionBytes[p] = int64(len(raw))
+		blocks = append(blocks, Block{
+			Partition: p, Data: data, Records: n,
+			RawBytes: int64(len(raw)), Sorted: sorted,
+		})
+	}
+	return blocks
 }
 
 // ---------------------------------------------------------------------------
 // Hash shuffle
 
-// hashWriter appends records to one buffer per partition, spilling segments
-// when memory crosses the threshold. Output blocks are unsorted.
+// hashWriter appends framed records to one buffer per partition, spilling
+// segments when memory crosses the threshold. Output blocks are unsorted.
 type hashWriter struct {
 	cfg      Config
-	bufs     []bytes.Buffer
-	writers  []*serde.Writer
+	bufs     [][]byte
 	combine  []map[string][]byte // per-partition combiner state
 	buffered int64
 	segments [][][]byte // partition -> spilled segments
@@ -151,12 +177,9 @@ func NewHashWriter(cfg Config) (Writer, error) {
 	}
 	w := &hashWriter{
 		cfg:      cfg,
-		bufs:     make([]bytes.Buffer, cfg.Partitions),
-		writers:  make([]*serde.Writer, cfg.Partitions),
+		bufs:     make([][]byte, cfg.Partitions),
 		segments: make([][][]byte, cfg.Partitions),
-	}
-	for i := range w.bufs {
-		w.writers[i] = serde.NewWriter(&w.bufs[i])
+		stats:    newStats(&cfg),
 	}
 	if cfg.Combiner != nil {
 		w.combine = make([]map[string][]byte, cfg.Partitions)
@@ -182,9 +205,7 @@ func (w *hashWriter) Write(key, value []byte) error {
 			w.buffered += int64(len(key) + len(value))
 		}
 	} else {
-		if err := w.writers[p].Write(key, value); err != nil {
-			return err
-		}
+		w.emit(p, key, value)
 		w.buffered += int64(len(key) + len(value))
 	}
 	if w.buffered >= w.cfg.SpillThreshold {
@@ -193,17 +214,20 @@ func (w *hashWriter) Write(key, value []byte) error {
 	return nil
 }
 
+// emit frames one record into partition p's buffer.
+func (w *hashWriter) emit(p int, key, value []byte) {
+	w.bufs[p] = serde.AppendRecord(w.bufs[p], key, value)
+	w.stats.PartitionRecords[p]++
+}
+
 // spill moves buffered data into per-partition segments.
 func (w *hashWriter) spill() {
 	w.flushCombiner()
-	for p := range w.bufs {
-		if w.bufs[p].Len() == 0 {
-			continue
+	for p, buf := range w.bufs {
+		if len(buf) > 0 {
+			w.segments[p] = append(w.segments[p], buf)
+			w.bufs[p] = nil
 		}
-		seg := append([]byte(nil), w.bufs[p].Bytes()...)
-		w.segments[p] = append(w.segments[p], seg)
-		w.bufs[p].Reset()
-		w.writers[p] = serde.NewWriter(&w.bufs[p])
 	}
 	w.buffered = 0
 	w.stats.Spills++
@@ -224,8 +248,7 @@ func (w *hashWriter) flushCombiner() {
 		}
 		sort.Strings(keys) // determinism
 		for _, k := range keys {
-			_ = w.writers[p].Write([]byte(k), m[k])
-			w.stats.RecordsOut++
+			w.emit(p, []byte(k), m[k])
 		}
 		w.combine[p] = map[string][]byte{}
 	}
@@ -237,56 +260,74 @@ func (w *hashWriter) Close() ([]Block, Stats, error) {
 	}
 	w.closed = true
 	w.flushCombiner()
-	w.stats.PartitionRecords = make([]int, w.cfg.Partitions)
-	w.stats.PartitionBytes = make([]int64, w.cfg.Partitions)
-	var blocks []Block
-	for p := range w.bufs {
-		var raw []byte
-		for _, seg := range w.segments[p] {
-			raw = append(raw, seg...)
+	for p, segs := range w.segments {
+		if len(segs) > 0 {
+			w.bufs[p] = bytes.Join(append(segs, w.bufs[p]), nil)
 		}
-		raw = append(raw, w.bufs[p].Bytes()...)
-		if len(raw) == 0 {
-			continue
-		}
-		n := countRecords(raw)
-		if w.combine == nil {
-			w.stats.RecordsOut += n
-		}
-		data := w.cfg.Codec.Compress(raw)
-		w.stats.RawBytes += int64(len(raw))
-		w.stats.WireBytes += int64(len(data))
-		w.stats.PartitionRecords[p] = n
-		w.stats.PartitionBytes[p] = int64(len(raw))
-		blocks = append(blocks, Block{Partition: p, Data: data, Records: n, RawBytes: int64(len(raw))})
 	}
+	blocks := sealBlocks(&w.cfg, w.bufs, false, &w.stats)
+	w.bufs, w.segments = nil, nil
 	return blocks, w.stats, nil
-}
-
-func countRecords(stream []byte) int {
-	r := serde.NewReader(bytes.NewReader(stream))
-	n := 0
-	for {
-		if _, err := r.Read(); err != nil {
-			return n
-		}
-		n++
-	}
 }
 
 // ---------------------------------------------------------------------------
 // Sort shuffle
 
-// sortWriter buffers whole records, sorting each spill run by (partition,
-// key) and merging runs at close — the Spark "sort shuffle" design. Output
-// blocks are key-sorted, which lets downstream merges stream.
+// sortEntry locates one buffered record in its run's arena — the key at
+// off, the value right behind it — beside everything the sort compares, so
+// ordering a run neither calls the partitioner nor, usually, reads the key.
+type sortEntry struct {
+	prefix     uint64 // first 8 key bytes, big-endian, zero-padded
+	off        int
+	klen, vlen int
+	part       int
+}
+
+// sortRun is one spill's worth of records: key‖value bytes back to back in
+// arena, one entry each.
+type sortRun struct {
+	arena   []byte
+	entries []sortEntry
+}
+
+func (r *sortRun) key(e sortEntry) []byte { return r.arena[e.off : e.off+e.klen] }
+
+// frame appends e's record to dst in the block format.
+func (r *sortRun) frame(dst []byte, e sortEntry) []byte {
+	kv := r.arena[e.off : e.off+e.klen+e.vlen]
+	return serde.AppendRecord(dst, kv[:e.klen], kv[e.klen:])
+}
+
+// keyPrefix returns the first 8 bytes of key, zero-padded, as a big-endian
+// integer: prefixes that differ order like the keys they come from.
+func keyPrefix(key []byte) uint64 {
+	var b [8]byte
+	copy(b[:], key)
+	return binary.BigEndian.Uint64(b[:])
+}
+
+// compareEntries orders by (partition, key).
+func compareEntries(ra *sortRun, a sortEntry, rb *sortRun, b sortEntry) int {
+	if a.part != b.part {
+		return cmp.Compare(a.part, b.part)
+	}
+	if a.prefix != b.prefix {
+		return cmp.Compare(a.prefix, b.prefix)
+	}
+	return bytes.Compare(ra.key(a), rb.key(b))
+}
+
+// sortWriter copies each record once into the current run's arena, sorts
+// every spill run by (partition, key) with equal keys in arrival order, and
+// merges the runs at close — the Spark "sort shuffle" design. Output blocks
+// are key-sorted, which lets downstream merges stream.
 type sortWriter struct {
 	cfg      Config
-	buf      []record
+	cur      sortRun
 	buffered int64
-	runs     [][]record // each run sorted by (partition, key)
+	runs     []sortRun // each sorted by (partition, key)
 	combine  map[string][]byte
-	stats    Stats
+	stats    Stats // PartitionBytes is kept current so Close can size its output
 	closed   bool
 }
 
@@ -295,7 +336,7 @@ func NewSortWriter(cfg Config) (Writer, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	w := &sortWriter{cfg: cfg}
+	w := &sortWriter{cfg: cfg, stats: newStats(&cfg)}
 	if cfg.Combiner != nil {
 		w.combine = map[string][]byte{}
 	}
@@ -315,10 +356,7 @@ func (w *sortWriter) Write(key, value []byte) error {
 			w.buffered += int64(len(key) + len(value))
 		}
 	} else {
-		w.buf = append(w.buf, record{
-			key:   append([]byte(nil), key...),
-			value: append([]byte(nil), value...),
-		})
+		w.add(key, value)
 		w.buffered += int64(len(key) + len(value))
 	}
 	if w.buffered >= w.cfg.SpillThreshold {
@@ -327,37 +365,55 @@ func (w *sortWriter) Write(key, value []byte) error {
 	return nil
 }
 
-func (w *sortWriter) drainCombiner() {
-	if w.combine == nil {
-		return
-	}
-	for k, v := range w.combine {
-		w.buf = append(w.buf, record{key: []byte(k), value: v})
-	}
-	w.combine = map[string][]byte{}
+// add copies one record into the current run and partitions it.
+func (w *sortWriter) add(key, value []byte) {
+	p := w.cfg.Partitioner(key)
+	w.cur.entries = append(grow(w.cur.entries, 1), sortEntry{
+		prefix: keyPrefix(key),
+		off:    len(w.cur.arena), klen: len(key), vlen: len(value), part: p,
+	})
+	w.cur.arena = append(append(grow(w.cur.arena, len(key)+len(value)), key...), value...)
+	w.stats.PartitionRecords[p]++
+	w.stats.PartitionBytes[p] += int64(serde.FramedLen(len(key), len(value)))
 }
 
-func (w *sortWriter) sortRun(run []record) {
-	part := w.cfg.Partitioner
-	sort.SliceStable(run, func(i, j int) bool {
-		pi, pj := part(run[i].key), part(run[j].key)
-		if pi != pj {
-			return pi < pj
+// grow makes room for n more elements by at least doubling: a run reaches
+// megabytes, where append's 1.25x steps would copy and allocate it five
+// times over.
+func grow[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return slices.Grow(s, max(n, cap(s)))
+}
+
+// sealRun sorts the buffered records into a finished run and reports
+// whether there were any.
+func (w *sortWriter) sealRun() bool {
+	for k, v := range w.combine {
+		w.add([]byte(k), v)
+	}
+	clear(w.combine)
+	run := &w.cur
+	if len(run.entries) == 0 {
+		return false
+	}
+	slices.SortFunc(run.entries, func(a, b sortEntry) int {
+		if c := compareEntries(run, a, run, b); c != 0 {
+			return c
 		}
-		return bytes.Compare(run[i].key, run[j].key) < 0
+		return cmp.Compare(a.off, b.off)
 	})
+	w.runs = append(w.runs, w.cur)
+	w.cur = sortRun{}
+	return true
 }
 
 func (w *sortWriter) spill() {
-	w.drainCombiner()
-	if len(w.buf) == 0 {
-		return
+	if w.sealRun() {
+		w.buffered = 0
+		w.stats.Spills++
 	}
-	w.sortRun(w.buf)
-	w.runs = append(w.runs, w.buf)
-	w.buf = nil
-	w.buffered = 0
-	w.stats.Spills++
 }
 
 func (w *sortWriter) Close() ([]Block, Stats, error) {
@@ -365,137 +421,110 @@ func (w *sortWriter) Close() ([]Block, Stats, error) {
 		return nil, w.stats, ErrClosed
 	}
 	w.closed = true
-	w.drainCombiner()
-	if len(w.buf) > 0 {
-		w.sortRun(w.buf)
-		w.runs = append(w.runs, w.buf)
-		w.buf = nil
+	w.sealRun()
+	raws := make([][]byte, w.cfg.Partitions)
+	for p, n := range w.stats.PartitionBytes {
+		raws[p] = make([]byte, 0, n)
 	}
-	// K-way merge of sorted runs, split into per-partition streams.
-	bufs := make([]bytes.Buffer, w.cfg.Partitions)
-	writers := make([]*serde.Writer, w.cfg.Partitions)
-	counts := make([]int, w.cfg.Partitions)
-	for i := range bufs {
-		writers[i] = serde.NewWriter(&bufs[i])
-	}
-	idx := make([]int, len(w.runs))
-	part := w.cfg.Partitioner
-	for {
-		best := -1
-		bestPart := 0
-		var bestKey []byte
-		for r := range w.runs {
-			if idx[r] >= len(w.runs[r]) {
-				continue
+	if len(w.runs) == 1 {
+		run := &w.runs[0]
+		for _, e := range run.entries {
+			raws[e.part] = run.frame(raws[e.part], e)
+		}
+	} else {
+		// K-way merge of the sorted runs; equal records go to the lowest run.
+		heads := make([]int, len(w.runs))
+		for {
+			best := -1
+			for r := range w.runs {
+				run := &w.runs[r]
+				if heads[r] < len(run.entries) && (best < 0 || compareEntries(run,
+					run.entries[heads[r]], &w.runs[best], w.runs[best].entries[heads[best]]) < 0) {
+					best = r
+				}
 			}
-			rec := w.runs[r][idx[r]]
-			p := part(rec.key)
-			if best < 0 || p < bestPart || (p == bestPart && bytes.Compare(rec.key, bestKey) < 0) {
-				best = r
-				bestPart = p
-				bestKey = rec.key
+			if best < 0 {
+				break
 			}
+			run := &w.runs[best]
+			e := run.entries[heads[best]]
+			heads[best]++
+			raws[e.part] = run.frame(raws[e.part], e)
 		}
-		if best < 0 {
-			break
-		}
-		rec := w.runs[best][idx[best]]
-		idx[best]++
-		if err := writers[bestPart].Write(rec.key, rec.value); err != nil {
-			return nil, w.stats, err
-		}
-		counts[bestPart]++
-	}
-	w.stats.PartitionRecords = make([]int, w.cfg.Partitions)
-	w.stats.PartitionBytes = make([]int64, w.cfg.Partitions)
-	var blocks []Block
-	for p := range bufs {
-		if bufs[p].Len() == 0 {
-			continue
-		}
-		raw := bufs[p].Bytes()
-		data := w.cfg.Codec.Compress(raw)
-		w.stats.RawBytes += int64(len(raw))
-		w.stats.WireBytes += int64(len(data))
-		w.stats.RecordsOut += counts[p]
-		w.stats.PartitionRecords[p] = counts[p]
-		w.stats.PartitionBytes[p] = int64(len(raw))
-		blocks = append(blocks, Block{
-			Partition: p, Data: data, Records: counts[p],
-			RawBytes: int64(len(raw)), Sorted: true,
-		})
 	}
 	w.runs = nil
-	return blocks, w.stats, nil
+	return sealBlocks(&w.cfg, raws, true, &w.stats), w.stats, nil
 }
 
 // ---------------------------------------------------------------------------
 // Reader
 
-// Record is a decoded shuffle record with owned buffers.
+// Record is a decoded shuffle record. Key and Value are capacity-clipped
+// views into a buffer ReadBlocks allocated for their block: the caller may
+// keep, mutate and append to them, and a kept record keeps its block's
+// buffer alive.
 type Record struct {
 	Key, Value []byte
 }
 
 // ReadBlocks decodes the records of the given blocks (all for the same
-// reduce partition). When every block is sorted, the result is a streaming
+// reduce partition) in place over each freshly decompressed block; no
+// record aliases Block.Data. When every block is sorted, the result is a
 // k-way merge preserving global key order; otherwise records appear in
-// block order.
+// block order. Block.Records only pre-sizes the result.
 func ReadBlocks(codec compress.Codec, blocks []Block) ([]Record, error) {
 	if codec == nil {
 		codec = compress.None{}
 	}
-	decoded := make([][]Record, len(blocks))
-	allSorted := true
-	total := 0
+	raws := make([][]byte, len(blocks))
+	merge := len(blocks) > 1
+	hint := 0
 	for i, b := range blocks {
 		raw, err := codec.Decompress(b.Data)
 		if err != nil {
 			return nil, fmt.Errorf("shuffle: block %d: %w", i, err)
 		}
-		r := serde.NewReader(bytes.NewReader(raw))
-		for {
-			rec, err := r.Read()
-			if err == io.EOF {
-				break
-			}
+		raws[i] = raw
+		hint += max(0, min(b.Records, len(raw)/2)) // a framed record is at least 2 bytes
+		merge = merge && b.Sorted
+	}
+	recs := make([]Record, 0, hint)
+	ends := make([]int, len(blocks)) // block i is recs[ends[i-1]:ends[i]]
+	for i, raw := range raws {
+		for len(raw) > 0 {
+			rec, rest, err := serde.Next(raw)
 			if err != nil {
 				return nil, fmt.Errorf("shuffle: block %d: %w", i, err)
 			}
-			decoded[i] = append(decoded[i], Record{
-				Key:   append([]byte(nil), rec.Key...),
-				Value: append([]byte(nil), rec.Value...),
-			})
+			recs = append(recs, Record(rec))
+			raw = rest
 		}
-		total += len(decoded[i])
-		if !b.Sorted {
-			allSorted = false
+		ends[i] = len(recs)
+	}
+	if !merge {
+		return recs, nil
+	}
+	// Merge the sorted blocks; equal keys go to the lowest block.
+	heads := append([]int{0}, ends[:len(ends)-1]...)
+	prefix := make([]uint64, len(heads)) // keyPrefix of each block's head record
+	for i, h := range heads {
+		if h < ends[i] {
+			prefix[i] = keyPrefix(recs[h].Key)
 		}
 	}
-	out := make([]Record, 0, total)
-	if !allSorted || len(blocks) <= 1 {
-		for _, recs := range decoded {
-			out = append(out, recs...)
-		}
-		return out, nil
-	}
-	// Streaming merge of sorted blocks.
-	idx := make([]int, len(decoded))
-	for {
+	out := make([]Record, 0, len(recs))
+	for len(out) < len(recs) {
 		best := -1
-		for i := range decoded {
-			if idx[i] >= len(decoded[i]) {
-				continue
-			}
-			if best < 0 || bytes.Compare(decoded[i][idx[i]].Key, decoded[best][idx[best]].Key) < 0 {
+		for i, h := range heads {
+			if h < ends[i] && (best < 0 || prefix[i] < prefix[best] ||
+				prefix[i] == prefix[best] && bytes.Compare(recs[h].Key, recs[heads[best]].Key) < 0) {
 				best = i
 			}
 		}
-		if best < 0 {
-			break
+		out = append(out, recs[heads[best]])
+		if heads[best]++; heads[best] < ends[best] {
+			prefix[best] = keyPrefix(recs[heads[best]].Key)
 		}
-		out = append(out, decoded[best][idx[best]])
-		idx[best]++
 	}
 	return out, nil
 }

@@ -321,17 +321,24 @@ func TestHashVsSortEquivalence(t *testing.T) {
 	}
 }
 
-func benchWrite(b *testing.B, mk func(Config) (Writer, error), codec compress.Codec) {
-	gen := rng.New(1)
-	keys := make([][]byte, 1000)
+// benchRecords returns n seeded 100-byte records: a 10-byte random key and
+// a 90-byte value.
+func benchRecords(seed uint64, n int) (keys [][]byte, val []byte) {
+	gen := rng.New(seed)
+	keys = make([][]byte, n)
 	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("key-%06d", gen.Intn(100000)))
+		keys[i] = make([]byte, 10)
+		gen.Bytes(keys[i])
 	}
-	val := bytes.Repeat([]byte("v"), 90)
-	b.SetBytes(100 * 1000)
+	return keys, bytes.Repeat([]byte("v"), 90)
+}
+
+func benchWrite(b *testing.B, mk func(Config) (Writer, error), cfg Config, keys [][]byte, val []byte) {
+	b.ReportAllocs()
+	b.SetBytes(int64(len(keys) * (len(keys[0]) + len(val))))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w, _ := mk(Config{Partitions: 16, Codec: codec})
+		w, _ := mk(cfg)
 		for _, k := range keys {
 			_ = w.Write(k, val)
 		}
@@ -339,7 +346,60 @@ func benchWrite(b *testing.B, mk func(Config) (Writer, error), codec compress.Co
 	}
 }
 
-func BenchmarkHashWriter(b *testing.B)      { benchWrite(b, NewHashWriter, compress.None{}) }
-func BenchmarkSortWriter(b *testing.B)      { benchWrite(b, NewSortWriter, compress.None{}) }
-func BenchmarkHashWriterLZ(b *testing.B)    { benchWrite(b, NewHashWriter, compress.LZ{}) }
-func BenchmarkSortWriterFlate(b *testing.B) { benchWrite(b, NewSortWriter, compress.Flate{}) }
+func benchWrite16(b *testing.B, mk func(Config) (Writer, error), codec compress.Codec) {
+	gen := rng.New(1)
+	keys := make([][]byte, 1000)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%06d", gen.Intn(100000)))
+	}
+	benchWrite(b, mk, Config{Partitions: 16, Codec: codec}, keys, bytes.Repeat([]byte("v"), 90))
+}
+
+func BenchmarkHashWriter(b *testing.B)      { benchWrite16(b, NewHashWriter, compress.None{}) }
+func BenchmarkSortWriter(b *testing.B)      { benchWrite16(b, NewSortWriter, compress.None{}) }
+func BenchmarkHashWriterLZ(b *testing.B)    { benchWrite16(b, NewHashWriter, compress.LZ{}) }
+func BenchmarkSortWriterFlate(b *testing.B) { benchWrite16(b, NewSortWriter, compress.Flate{}) }
+
+// rangeConfig splits the first key byte evenly eight ways.
+func rangeConfig() Config {
+	var splits [][]byte
+	for i := 1; i < 8; i++ {
+		splits = append(splits, []byte{byte(i * 32)})
+	}
+	rp := NewRangePartitioner(splits)
+	return Config{Partitions: rp.Partitions(), Partitioner: rp.Partition}
+}
+
+// BenchmarkSortWriterRange is one map task of a range-partitioned sort:
+// 25 000 100-byte records into 8 sorted blocks, in a single run.
+func BenchmarkSortWriterRange(b *testing.B) {
+	keys, val := benchRecords(1, 25000)
+	benchWrite(b, NewSortWriter, rangeConfig(), keys, val)
+}
+
+// BenchmarkReadBlocksSorted is one reduce task of the same sort: decode and
+// merge the sorted blocks 8 map tasks wrote for one partition.
+func BenchmarkReadBlocksSorted(b *testing.B) {
+	var blocks []Block
+	var records, size int64
+	for m := uint64(0); m < 8; m++ {
+		w, _ := NewSortWriter(rangeConfig())
+		keys, val := benchRecords(m, 25000)
+		for _, k := range keys {
+			_ = w.Write(k, val)
+		}
+		bs, _, _ := w.Close()
+		blocks = append(blocks, bs[0])
+		records += int64(bs[0].Records)
+		size += bs[0].RawBytes
+	}
+	b.ReportAllocs()
+	b.SetBytes(size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		recs, err := ReadBlocks(compress.None{}, blocks)
+		if err != nil || int64(len(recs)) != records {
+			b.Fatalf("read %d records, want %d: %v", len(recs), records, err)
+		}
+	}
+}

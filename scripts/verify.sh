@@ -54,6 +54,7 @@ if [ "${FUZZ:-0}" = "1" ]; then
     go test -fuzz=FuzzIntColumnDecode -fuzztime=2s -run '^$' ./internal/serde
     go test -fuzz=FuzzRoundTrip -fuzztime=3s -run '^$' ./internal/compress
     go test -fuzz=FuzzDecompress -fuzztime=2s -run '^$' ./internal/compress
+    go test -fuzz=FuzzReadBlocks -fuzztime=3s -run '^$' ./internal/shuffle
     go test -fuzz=FuzzPlanEquivalence -fuzztime=5s -run '^$' ./internal/query
     go test -fuzz=FuzzParseSchedule -fuzztime=3s -run '^$' ./internal/chaos
 fi
