@@ -169,9 +169,9 @@ type compiler struct {
 	needs map[*Logical][]string
 }
 
-// counted wraps a node's table so every row flowing out bumps the
-// node's actual counter — EXPLAIN's "actual" column, measured with the
-// public Table API rather than engine hooks.
+// counted wraps a node's table so the rows of every partition flowing
+// out are added to the node's actual counter — EXPLAIN's "actual" column,
+// measured with the public Table API rather than engine hooks.
 func (c *compiler) counted(n *Node, build func() (*table.Table, error)) func() (*table.Table, error) {
 	return func() (*table.Table, error) {
 		t, err := build()
@@ -179,10 +179,7 @@ func (c *compiler) counted(n *Node, build func() (*table.Table, error)) func() (
 			return nil, err
 		}
 		n.ran.Store(true)
-		return t.Where(func(table.Row) bool {
-			atomic.AddInt64(&n.actual, 1)
-			return true
-		}), nil
+		return t.Peek(func(rows int) { atomic.AddInt64(&n.actual, int64(rows)) }), nil
 	}
 }
 

@@ -3,6 +3,8 @@ package table
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/serde"
@@ -65,17 +67,6 @@ func (t *Table) GroupBy(keys ...string) *Grouped {
 	return &Grouped{t: t, keys: keys}
 }
 
-// aggState is one group's partial aggregate: one slot per Agg spec.
-type aggState struct {
-	sumI  []int64   // Sum over Int64
-	sumF  []float64 // Sum over Float64, Avg sums
-	count []int64   // Count, Avg counts
-	mmSet []bool    // Min/Max present
-	mmI   []int64
-	mmF   []float64
-	mmS   []string
-}
-
 // aggPlan is the resolved execution info per spec.
 type aggPlan struct {
 	spec   Agg
@@ -83,8 +74,11 @@ type aggPlan struct {
 	typ    Type // column type (Int64 for Count)
 }
 
-// Agg executes the grouped aggregation with map-side partial aggregation
-// (the combiner merges encoded states before the shuffle).
+// Agg executes the grouped aggregation in three steps: each map task
+// pre-aggregates its partition into typed per-group slots (aggTable), the
+// shuffle carries one (composite key, appendState bytes) record per group
+// per map task, and each reduce task merges the records it fetched into
+// slots of the same kind and renders one row per group.
 func (g *Grouped) Agg(parts int, aggs ...Agg) (*Table, error) {
 	t := g.t
 	if len(aggs) == 0 {
@@ -130,321 +124,302 @@ func (g *Grouped) Agg(parts int, aggs ...Agg) (*Table, error) {
 	outSchema := Schema{Cols: outCols}
 	schema := t.schema
 
-	combiner := func(a, b []byte) []byte {
-		sa, err := decodeState(plans, a)
-		if err != nil {
-			panic(fmt.Sprintf("table: agg state decode: %v", err))
+	pre := t.eng.NewNarrow(t.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
+		tab := newAggTable(plans)
+		var key []byte
+		for _, r := range rows {
+			row := r.(Row)
+			key = appendCompositeKey(key[:0], schema, keyIdx, row)
+			slots := tab.group(key)
+			for i := range plans {
+				plans[i].merge(&slots[i], plans[i].partial(row))
+			}
 		}
-		sb, err := decodeState(plans, b)
-		if err != nil {
-			panic(fmt.Sprintf("table: agg state decode: %v", err))
-		}
-		mergeState(plans, sa, sb)
-		return encodeState(plans, sa)
-	}
-
-	plan := t.eng.NewShuffled(t.plan, core.ShuffleDep{
+		return tab.records()
+	})
+	plan := t.eng.NewShuffled(pre, core.ShuffleDep{
 		Partitions: parts,
-		KeyOf:      func(r core.Row) []byte { return compositeKey(schema, keyIdx, r.(Row)) },
-		ValueOf: func(r core.Row) []byte {
-			return encodeState(plans, initState(plans, r.(Row)))
-		},
-		Combiner: combiner,
+		KeyOf:      recordKey,
+		ValueOf:    recordValue,
 		Post: func(_ *core.TaskContext, recs []shuffle.Record) []core.Row {
-			merged := map[string]*aggState{}
-			var order []string
-			for _, rec := range recs {
-				k := string(rec.Key)
-				st, err := decodeState(plans, rec.Value)
-				if err != nil {
+			tab := newAggTable(plans)
+			for _, rec := range recs { // arrival order: float sums depend on it
+				if err := mergeEncoded(plans, tab.group(rec.Key), rec.Value); err != nil {
 					panic(fmt.Sprintf("table: agg state decode: %v", err))
 				}
-				if cur, ok := merged[k]; ok {
-					mergeState(plans, cur, st)
-				} else {
-					merged[k] = st
-					order = append(order, k)
-				}
 			}
-			out := make([]core.Row, 0, len(merged))
-			for _, k := range order {
-				keyVals, err := decodeCompositeKey(schema, keyIdx, []byte(k))
-				if err != nil {
-					panic(fmt.Sprintf("table: group key decode: %v", err))
-				}
-				row := make(Row, 0, len(keyVals)+len(plans))
-				row = append(row, keyVals...)
-				row = append(row, finalize(plans, merged[k])...)
-				out = append(out, row)
-			}
-			return out
+			return tab.rows(schema, keyIdx)
 		},
 	})
 	return &Table{eng: t.eng, plan: plan, schema: outSchema}, nil
 }
 
-func newState(n int) *aggState {
-	return &aggState{
-		sumI:  make([]int64, n),
-		sumF:  make([]float64, n),
-		count: make([]int64, n),
-		mmSet: make([]bool, n),
-		mmI:   make([]int64, n),
-		mmF:   make([]float64, n),
-		mmS:   make([]string, n),
-	}
+// aggSlot is one (group, spec) partial aggregate. Which fields a spec uses
+// follows from its operator and column type.
+type aggSlot struct {
+	i int64   // Sum/Min/Max over Int64
+	f float64 // Sum/Min/Max over Float64; Avg's sum
+	n int64   // Count; Avg's row count; Min/Max: 0 until a value is present
+	s string  // Min/Max over String
 }
 
-// initState builds the state of a single-row group.
-func initState(plans []aggPlan, r Row) *aggState {
-	st := newState(len(plans))
-	for i, p := range plans {
-		switch p.spec.Op {
-		case Count:
-			st.count[i] = 1
-		case Sum:
-			if p.typ == Int64 {
-				st.sumI[i] = r[p.colIdx].(int64)
-			} else {
-				st.sumF[i] = r[p.colIdx].(float64)
-			}
-		case Avg:
-			st.count[i] = 1
-			if p.typ == Int64 {
-				st.sumF[i] = float64(r[p.colIdx].(int64))
-			} else {
-				st.sumF[i] = r[p.colIdx].(float64)
-			}
-		case Min, Max:
-			st.mmSet[i] = true
-			switch p.typ {
-			case Int64:
-				st.mmI[i] = r[p.colIdx].(int64)
-			case Float64:
-				st.mmF[i] = r[p.colIdx].(float64)
-			default:
-				st.mmS[i] = r[p.colIdx].(string)
-			}
+// negZero is the additive identity that keeps a sum of only -0.0 at -0.0,
+// as folding the values into each other without a starting zero would.
+var negZero = math.Copysign(0, -1)
+
+// aggTable folds rows or encoded partial states into typed per-group
+// slots: one hash lookup per input and no allocation unless the group is
+// new. Groups are numbered in order of first appearance.
+type aggTable struct {
+	plans []aggPlan
+	index map[string]int // composite key -> group number
+	keys  []string       // group number -> composite key
+	slots []aggSlot      // group g owns slots[g*len(plans):][:len(plans)]
+}
+
+func newAggTable(plans []aggPlan) *aggTable {
+	return &aggTable{plans: plans, index: map[string]int{}}
+}
+
+// group returns the slots of key's group, adding the group if it is new.
+func (t *aggTable) group(key []byte) []aggSlot {
+	n := len(t.plans)
+	g, ok := t.index[string(key)] // no allocation: the conversion is only a lookup
+	if !ok {
+		g = len(t.keys)
+		k := string(key)
+		t.index[k] = g
+		t.keys = append(t.keys, k)
+		for range t.plans {
+			t.slots = append(t.slots, aggSlot{f: negZero})
 		}
 	}
-	return st
+	return t.slots[g*n : (g+1)*n]
 }
 
-// mergeState folds b into a.
-func mergeState(plans []aggPlan, a, b *aggState) {
+// partial is the state of the single-row group {r}.
+func (p *aggPlan) partial(r Row) aggSlot {
+	s := aggSlot{n: 1}
+	if p.spec.Op == Count {
+		return s
+	}
+	switch v := r[p.colIdx].(type) {
+	case int64:
+		s.i = v
+		if p.spec.Op == Avg {
+			s.f = float64(v)
+		}
+	case float64:
+		s.f = v
+	case string:
+		s.s = v
+	}
+	return s
+}
+
+// merge folds the partial state src into dst.
+func (p *aggPlan) merge(dst *aggSlot, src aggSlot) {
+	switch p.spec.Op {
+	case Count:
+		dst.n += src.n
+	case Sum:
+		dst.i += src.i
+		dst.f += src.f
+	case Avg:
+		dst.f += src.f
+		dst.n += src.n
+	case Min, Max:
+		if src.n == 0 {
+			return
+		}
+		if dst.n != 0 {
+			var less, greater bool
+			switch p.typ {
+			case Int64:
+				less, greater = src.i < dst.i, src.i > dst.i
+			case Float64:
+				less, greater = src.f < dst.f, src.f > dst.f
+			default:
+				less, greater = src.s < dst.s, src.s > dst.s
+			}
+			if (p.spec.Op == Min && !less) || (p.spec.Op == Max && !greater) {
+				return
+			}
+		}
+		*dst = src
+	}
+}
+
+// value renders the slot's output column value.
+func (p *aggPlan) value(s *aggSlot) any {
+	switch {
+	case p.spec.Op == Count:
+		return s.n
+	case p.spec.Op == Avg:
+		if s.n == 0 {
+			return math.NaN()
+		}
+		return s.f / float64(s.n)
+	case p.typ == Int64:
+		return s.i
+	case p.typ == Float64:
+		return s.f
+	default:
+		return s.s
+	}
+}
+
+// appendState serializes one group's slots, spec by spec: Count a varint;
+// Sum a varint (Int64) or the 8 fixed bytes of the float's bits; Avg the
+// sum's 8 bytes then the count varint; Min/Max a presence byte followed,
+// when 1, by the value as a varint, 8 fixed bytes, or varint length + bytes.
+func appendState(dst []byte, plans []aggPlan, slots []aggSlot) []byte {
 	for i, p := range plans {
+		s := &slots[i]
 		switch p.spec.Op {
 		case Count:
-			a.count[i] += b.count[i]
+			dst = serde.AppendInt64(dst, s.n)
 		case Sum:
-			a.sumI[i] += b.sumI[i]
-			a.sumF[i] += b.sumF[i]
+			dst = appendScalar(dst, p.typ, s)
 		case Avg:
-			a.count[i] += b.count[i]
-			a.sumF[i] += b.sumF[i]
+			dst = serde.AppendUint64(dst, math.Float64bits(s.f))
+			dst = serde.AppendInt64(dst, s.n)
 		case Min, Max:
-			if !b.mmSet[i] {
+			if s.n == 0 {
+				dst = append(dst, 0)
 				continue
 			}
-			if !a.mmSet[i] {
-				a.mmSet[i] = true
-				a.mmI[i], a.mmF[i], a.mmS[i] = b.mmI[i], b.mmF[i], b.mmS[i]
-				continue
-			}
-			cmp := 0
-			switch p.typ {
-			case Int64:
-				switch {
-				case b.mmI[i] < a.mmI[i]:
-					cmp = -1
-				case b.mmI[i] > a.mmI[i]:
-					cmp = 1
-				}
-			case Float64:
-				switch {
-				case b.mmF[i] < a.mmF[i]:
-					cmp = -1
-				case b.mmF[i] > a.mmF[i]:
-					cmp = 1
-				}
-			default:
-				switch {
-				case b.mmS[i] < a.mmS[i]:
-					cmp = -1
-				case b.mmS[i] > a.mmS[i]:
-					cmp = 1
-				}
-			}
-			if (p.spec.Op == Min && cmp < 0) || (p.spec.Op == Max && cmp > 0) {
-				a.mmI[i], a.mmF[i], a.mmS[i] = b.mmI[i], b.mmF[i], b.mmS[i]
-			}
+			dst = appendScalar(append(dst, 1), p.typ, s)
 		}
+	}
+	return dst
+}
+
+func appendScalar(dst []byte, typ Type, s *aggSlot) []byte {
+	switch typ {
+	case Int64:
+		return serde.AppendInt64(dst, s.i)
+	case Float64:
+		return serde.AppendUint64(dst, math.Float64bits(s.f))
+	default:
+		return append(serde.AppendInt64(dst, int64(len(s.s))), s.s...)
 	}
 }
 
-// finalize renders output values.
-func finalize(plans []aggPlan, st *aggState) []any {
-	out := make([]any, len(plans))
-	for i, p := range plans {
-		switch p.spec.Op {
-		case Count:
-			out[i] = st.count[i]
-		case Sum:
-			if p.typ == Int64 {
-				out[i] = st.sumI[i]
-			} else {
-				out[i] = st.sumF[i]
-			}
-		case Avg:
-			if st.count[i] == 0 {
-				out[i] = math.NaN()
-			} else {
-				out[i] = st.sumF[i] / float64(st.count[i])
-			}
-		case Min, Max:
-			switch p.typ {
-			case Int64:
-				out[i] = st.mmI[i]
-			case Float64:
-				out[i] = st.mmF[i]
-			default:
-				out[i] = st.mmS[i]
-			}
-		}
-	}
-	return out
-}
-
-// encodeState serializes per-spec slots.
-func encodeState(plans []aggPlan, st *aggState) []byte {
-	var out []byte
-	for i, p := range plans {
-		switch p.spec.Op {
-		case Count:
-			out = serde.AppendInt64(out, st.count[i])
-		case Sum:
-			if p.typ == Int64 {
-				out = serde.AppendInt64(out, st.sumI[i])
-			} else {
-				out = serde.AppendUint64(out, floatBits(st.sumF[i]))
-			}
-		case Avg:
-			out = serde.AppendUint64(out, floatBits(st.sumF[i]))
-			out = serde.AppendInt64(out, st.count[i])
-		case Min, Max:
-			if !st.mmSet[i] {
-				out = append(out, 0)
-				continue
-			}
-			out = append(out, 1)
-			switch p.typ {
-			case Int64:
-				out = serde.AppendInt64(out, st.mmI[i])
-			case Float64:
-				out = serde.AppendUint64(out, floatBits(st.mmF[i]))
-			default:
-				out = serde.AppendInt64(out, int64(len(st.mmS[i])))
-				out = append(out, st.mmS[i]...)
-			}
-		}
-	}
-	return out
-}
-
-// decodeState inverts encodeState.
-func decodeState(plans []aggPlan, b []byte) (*aggState, error) {
-	st := newState(len(plans))
-	readI := func() (int64, error) {
-		v, n, err := serde.Int64(b)
-		if err != nil {
-			return 0, err
-		}
-		b = b[n:]
-		return v, nil
-	}
-	readF := func() (float64, error) {
-		u, err := serde.Uint64(b)
-		if err != nil {
-			return 0, err
-		}
-		b = b[8:]
-		return serde.DecodeFloat64(serde.AppendUint64(nil, u))
-	}
-	for i, p := range plans {
+// mergeEncoded folds one appendState encoding into slots.
+func mergeEncoded(plans []aggPlan, slots []aggSlot, b []byte) error {
+	for i := range plans {
+		p := &plans[i]
+		var src aggSlot
 		var err error
 		switch p.spec.Op {
 		case Count:
-			st.count[i], err = readI()
+			src.n, b, err = readInt(b)
 		case Sum:
-			if p.typ == Int64 {
-				st.sumI[i], err = readI()
-			} else {
-				st.sumF[i], err = readF()
-			}
+			b, err = readScalar(b, p.typ, &src)
 		case Avg:
-			if st.sumF[i], err = readF(); err == nil {
-				st.count[i], err = readI()
+			if src.f, b, err = readFloat(b); err == nil {
+				src.n, b, err = readInt(b)
 			}
 		case Min, Max:
 			if len(b) == 0 {
-				return nil, serde.ErrCorrupt
+				return serde.ErrCorrupt
 			}
 			present := b[0]
-			b = b[1:]
-			if present == 0 {
-				continue
-			}
-			st.mmSet[i] = true
-			switch p.typ {
-			case Int64:
-				st.mmI[i], err = readI()
-			case Float64:
-				st.mmF[i], err = readF()
-			default:
-				var l int64
-				if l, err = readI(); err == nil {
-					if int64(len(b)) < l {
-						return nil, serde.ErrCorrupt
-					}
-					st.mmS[i] = string(b[:l])
-					b = b[l:]
-				}
+			if b = b[1:]; present != 0 {
+				src.n = 1
+				b, err = readScalar(b, p.typ, &src)
 			}
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
+		p.merge(&slots[i], src)
 	}
-	return st, nil
+	return nil
 }
 
-// decodeCompositeKey inverts compositeKey for the group-key columns.
-func decodeCompositeKey(s Schema, idx []int, key []byte) ([]any, error) {
-	out := make([]any, len(idx))
+func readScalar(b []byte, typ Type, s *aggSlot) (rest []byte, err error) {
+	switch typ {
+	case Int64:
+		s.i, rest, err = readInt(b)
+	case Float64:
+		s.f, rest, err = readFloat(b)
+	default:
+		s.s, rest, err = readString(b)
+	}
+	return rest, err
+}
+
+// records renders one shuffle record per group — composite key, encoded
+// state — in ascending key order, which is the order a map-side combiner
+// flushes its groups in.
+func (t *aggTable) records() []core.Row {
+	order := make([]int, len(t.keys))
+	for g := range order {
+		order[g] = g
+	}
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(t.keys[a], t.keys[b]) })
+	n := len(t.plans)
+	var buf []byte
+	ends := make([]int, 0, 2*len(order))
+	for _, g := range order {
+		buf = append(buf, t.keys[g]...)
+		ends = append(ends, len(buf))
+		buf = appendState(buf, t.plans, t.slots[g*n:(g+1)*n])
+		ends = append(ends, len(buf))
+	}
+	return sliceRecords(buf, ends)
+}
+
+// rows renders one output row per group, in order of first appearance:
+// the decoded key columns, then each spec's value.
+func (t *aggTable) rows(s Schema, keyIdx []int) []core.Row {
+	n, width := len(t.plans), len(keyIdx)+len(t.plans)
+	vals := make([]any, len(t.keys)*width)
+	out := make([]core.Row, len(t.keys))
+	var key []byte
+	for g := range out {
+		row := vals[g*width : (g+1)*width : (g+1)*width]
+		key = append(key[:0], t.keys[g]...)
+		if err := decodeCompositeKey(row, s, keyIdx, key); err != nil {
+			panic(fmt.Sprintf("table: group key decode: %v", err))
+		}
+		for i := range t.plans {
+			row[len(keyIdx)+i] = t.plans[i].value(&t.slots[g*n+i])
+		}
+		out[g] = Row(row)
+	}
+	return out
+}
+
+// decodeCompositeKey inverts appendCompositeKey for the group-key
+// columns, writing their values to dst[:len(idx)].
+func decodeCompositeKey(dst []any, s Schema, idx []int, key []byte) error {
 	for k, i := range idx {
 		switch s.Cols[i].Type {
 		case Int64:
 			v, err := serde.FromSortableInt64Key(key)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			out[k] = v
+			dst[k] = v
 			key = key[8:]
 		case Float64:
 			v, err := serde.FromSortableFloat64Key(key)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			out[k] = v
+			dst[k] = v
 			key = key[8:]
 		default:
 			v, n, err := serde.FromSortableStringKey(key)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			out[k] = v
+			dst[k] = v
 			key = key[n:]
 		}
 	}
-	return out, nil
+	return nil
 }

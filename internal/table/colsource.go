@@ -242,7 +242,7 @@ func (c *ColumnarTable) Scan(eng *core.Engine, preds []ColPredicate, needed []in
 		rowsScanned.Add(int64(cp.rows))
 
 		// Filter pass over the predicate columns' encoded chunks.
-		touched := make(map[int]bool)
+		touched := make([]bool, len(cp.cols))
 		var sel []bool
 		nSel := cp.rows
 		for _, p := range preds {
@@ -290,69 +290,58 @@ func (c *ColumnarTable) Scan(eng *core.Engine, preds []ColPredicate, needed []in
 		}
 		rowsOut.Add(int64(nSel))
 
-		// Decode pass: only needed columns, only selected positions.
-		colVals := make(map[int][]any, len(needed))
-		for _, idx := range needed {
-			if _, ok := colVals[idx]; ok {
-				continue
-			}
+		// Decode pass: only needed columns, only selected positions, each
+		// typed column written straight into its place in one slab that
+		// the output rows are cut from.
+		width := len(needed)
+		slab := make([]any, nSel*width)
+		for k, idx := range needed {
+			chunk := cp.cols[idx]
 			if nSel == 0 {
 				if !touched[idx] {
 					touched[idx] = true
-					bytesSkip.Add(int64(len(cp.cols[idx])))
+					bytesSkip.Add(int64(len(chunk)))
 				}
-				colVals[idx] = nil
 				continue
 			}
 			if !touched[idx] {
 				touched[idx] = true
-				bytesDecoded.Add(int64(len(cp.cols[idx])))
+				bytesDecoded.Add(int64(len(chunk)))
 			}
-			vals := make([]any, 0, nSel)
 			var err error
 			switch schema.Cols[idx].Type {
 			case Int64:
 				var vs []int64
-				if vs, err = serde.SelectIntColumn(cp.cols[idx], sel); err == nil {
-					for _, v := range vs {
-						vals = append(vals, v)
-					}
+				vs, err = serde.SelectIntColumn(chunk, sel)
+				for i, v := range vs {
+					slab[i*width+k] = v
 				}
 			case Float64:
 				var vs []float64
-				if vs, err = serde.SelectFloatColumn(cp.cols[idx], sel); err == nil {
-					for _, v := range vs {
-						vals = append(vals, v)
-					}
+				vs, err = serde.SelectFloatColumn(chunk, sel)
+				for i, v := range vs {
+					slab[i*width+k] = v
 				}
 			case String:
 				var vs []string
-				if vs, err = serde.SelectStringColumn(cp.cols[idx], sel); err == nil {
-					for _, v := range vs {
-						vals = append(vals, v)
-					}
+				vs, err = serde.SelectStringColumn(chunk, sel)
+				for i, v := range vs {
+					slab[i*width+k] = v
 				}
 			}
 			if err != nil {
 				panic(fmt.Sprintf("table: columnar decode: %v", err))
 			}
-			colVals[idx] = vals
 		}
 		// Untouched columns were neither filtered nor needed.
 		for i, col := range cp.cols {
 			if !touched[i] {
-				if _, isNeeded := colVals[i]; !isNeeded {
-					bytesSkip.Add(int64(len(col)))
-				}
+				bytesSkip.Add(int64(len(col)))
 			}
 		}
 		out := make([]core.Row, nSel)
-		for i := 0; i < nSel; i++ {
-			row := make(Row, len(needed))
-			for k, idx := range needed {
-				row[k] = colVals[idx][i]
-			}
-			out[i] = row
+		for i := range out {
+			out[i] = Row(slab[i*width : (i+1)*width : (i+1)*width])
 		}
 		return out
 	}, nil)

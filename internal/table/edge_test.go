@@ -156,7 +156,7 @@ func TestBroadcastJoinMatchesHashJoin(t *testing.T) {
 	count := func(rows []Row) map[string]int {
 		m := map[string]int{}
 		for _, r := range rows {
-			m[string(encodeRow(h.Schema(), r))]++
+			m[string(appendRow(nil, h.Schema(), r))]++
 		}
 		return m
 	}

@@ -44,19 +44,23 @@ func (t *Table) BroadcastJoin(right *Table, leftCol, rightCol string) (*Table, e
 	keyType := t.schema.Cols[li].Type
 	build := make(map[string][]Row, len(buildRows))
 	var size int64
+	var scratch []byte
 	for _, r := range buildRows {
-		k := string(equalityKey(keyType, r[ri]))
+		k := string(appendEqualityKey(scratch[:0], keyType, r[ri]))
 		build[k] = append(build[k], r)
-		size += int64(len(encodeRow(right.schema, r)))
+		scratch = appendRow(scratch[:0], right.schema, r)
+		size += int64(len(scratch))
 	}
 	bcast := t.eng.Broadcast(build, size)
 
 	plan := t.eng.NewNarrow(t.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
 		m := bcast.Value().(map[string][]Row)
 		var out []core.Row
+		var key []byte
 		for _, r := range rows {
 			lrow := r.(Row)
-			for _, rrow := range m[string(equalityKey(keyType, lrow[li]))] {
+			key = appendEqualityKey(key[:0], keyType, lrow[li])
+			for _, rrow := range m[string(key)] {
 				joined := make(Row, 0, len(lrow)+len(rrow))
 				joined = append(joined, lrow...)
 				joined = append(joined, rrow...)
@@ -99,7 +103,7 @@ func (t *Table) OrderByCols(cols []string, desc []bool, parts int) (*Table, erro
 	keyOf := func(r Row) []byte {
 		var out []byte
 		for k, j := range idx {
-			out = append(out, sortableKey(schema.Cols[j].Type, r[j], desc[k])...)
+			out = appendSortableKey(out, schema.Cols[j].Type, r[j], desc[k])
 		}
 		return out
 	}
@@ -128,7 +132,7 @@ func (t *Table) OrderByCols(cols []string, desc []bool, parts int) (*Table, erro
 		Partitioner: rp.Partition,
 		Sorted:      true,
 		KeyOf:       func(r core.Row) []byte { return keyOf(r.(Row)) },
-		ValueOf:     func(r core.Row) []byte { return encodeRow(schema, r.(Row)) },
+		ValueOf:     func(r core.Row) []byte { return appendRow(nil, schema, r.(Row)) },
 		Post: func(_ *core.TaskContext, recs []shuffle.Record) []core.Row {
 			out := make([]core.Row, len(recs))
 			for i, rec := range recs {

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/serde"
@@ -220,6 +221,17 @@ func (t *Table) Where(pred func(Row) bool) *Table {
 	return &Table{eng: t.eng, plan: plan, schema: t.schema}
 }
 
+// Peek reports each computed partition's row count to f and passes the
+// rows through untouched. f runs on the workers, once per partition per
+// computation.
+func (t *Table) Peek(f func(rows int)) *Table {
+	plan := t.eng.NewNarrow(t.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
+		f(len(rows))
+		return rows
+	})
+	return &Table{eng: t.eng, plan: plan, schema: t.schema}
+}
+
 // WithColumn appends a derived column computed by f from each row.
 func (t *Table) WithColumn(name string, typ Type, f func(Row) any) (*Table, error) {
 	if t.schema.Index(name) >= 0 {
@@ -243,110 +255,142 @@ func (t *Table) WithColumn(name string, typ Type, f func(Row) any) (*Table, erro
 // ---------------------------------------------------------------------------
 // Row and key encodings
 
-// encodeRow serializes a row against its schema.
-func encodeRow(s Schema, r Row) []byte {
-	var out []byte
+// appendRow serializes a row against its schema: Int64 as a zig-zag
+// varint, Float64 as the 8 fixed bytes of its bits, String as a varint
+// length followed by the bytes.
+func appendRow(dst []byte, s Schema, r Row) []byte {
 	for i, c := range s.Cols {
 		switch c.Type {
 		case Int64:
-			out = serde.AppendInt64(out, r[i].(int64))
+			dst = serde.AppendInt64(dst, r[i].(int64))
 		case Float64:
-			out = serde.AppendUint64(out, floatBits(r[i].(float64)))
+			dst = serde.AppendUint64(dst, math.Float64bits(r[i].(float64)))
 		case String:
 			str := r[i].(string)
-			out = serde.AppendInt64(out, int64(len(str)))
-			out = append(out, str...)
+			dst = append(serde.AppendInt64(dst, int64(len(str))), str...)
 		}
 	}
-	return out
+	return dst
 }
 
-func floatBits(f float64) uint64 {
-	b := serde.EncodeFloat64(f)
-	v, _ := serde.Uint64(b)
-	return v
-}
-
-// decodeRow inverts encodeRow.
+// decodeRow inverts appendRow.
 func decodeRow(s Schema, b []byte) (Row, error) {
 	out := make(Row, len(s.Cols))
 	for i, c := range s.Cols {
+		var err error
 		switch c.Type {
 		case Int64:
-			v, n, err := serde.Int64(b)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-			b = b[n:]
+			out[i], b, err = readInt(b)
 		case Float64:
-			u, err := serde.Uint64(b)
-			if err != nil {
-				return nil, err
-			}
-			f, err := serde.DecodeFloat64(serde.AppendUint64(nil, u))
-			if err != nil {
-				return nil, err
-			}
-			out[i] = f
-			b = b[8:]
+			out[i], b, err = readFloat(b)
 		case String:
-			l, n, err := serde.Int64(b)
-			if err != nil || int64(len(b)-n) < l {
-				return nil, serde.ErrCorrupt
-			}
-			out[i] = string(b[n : n+int(l)])
-			b = b[n+int(l):]
+			out[i], b, err = readString(b)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// sortableKey encodes one column value order-preservingly.
-func sortableKey(typ Type, v any, desc bool) []byte {
-	var key []byte
+// readInt, readFloat and readString take one appendRow-encoded value off
+// the front of b.
+func readInt(b []byte) (int64, []byte, error) {
+	v, n, err := serde.Int64(b)
+	if err != nil {
+		return 0, nil, err
+	}
+	return v, b[n:], nil
+}
+
+func readFloat(b []byte) (float64, []byte, error) {
+	u, err := serde.Uint64(b)
+	if err != nil {
+		return 0, nil, err
+	}
+	return math.Float64frombits(u), b[8:], nil
+}
+
+func readString(b []byte) (string, []byte, error) {
+	l, b, err := readInt(b)
+	if err != nil || l < 0 || int64(len(b)) < l {
+		return "", nil, serde.ErrCorrupt
+	}
+	return string(b[:l]), b[l:], nil
+}
+
+// appendSortableKey appends one column value's order-preserving,
+// self-delimiting encoding (serde's Sortable*Key forms; bytes inverted
+// when desc).
+func appendSortableKey(dst []byte, typ Type, v any, desc bool) []byte {
+	start := len(dst)
 	switch typ {
 	case Int64:
-		key = serde.SortableInt64Key(v.(int64))
+		dst = append(dst, serde.SortableInt64Key(v.(int64))...)
 	case Float64:
-		key = serde.SortableFloat64Key(v.(float64))
+		dst = append(dst, serde.SortableFloat64Key(v.(float64))...)
 	default:
-		key = serde.SortableStringKey(v.(string))
+		// serde.SortableStringKey, written in place: 0x00 escaped as
+		// 0x00 0xFF, terminated by 0x00 0x01.
+		for s, i := v.(string), 0; i < len(s); i++ {
+			if s[i] == 0x00 {
+				dst = append(dst, 0x00, 0xFF)
+			} else {
+				dst = append(dst, s[i])
+			}
+		}
+		dst = append(dst, 0x00, 0x01)
 	}
 	if desc {
-		inv := make([]byte, len(key))
-		for i, b := range key {
-			inv[i] = ^b
+		for i := start; i < len(dst); i++ {
+			dst[i] = ^dst[i]
 		}
-		return inv
 	}
-	return key
+	return dst
 }
 
-// equalityKey encodes one column value for equality grouping (compact,
-// need not preserve order).
-func equalityKey(typ Type, v any) []byte {
+// appendEqualityKey appends one column value's encoding for equality
+// grouping (compact, need not preserve order).
+func appendEqualityKey(dst []byte, typ Type, v any) []byte {
 	switch typ {
 	case Int64:
-		return serde.AppendInt64(nil, v.(int64))
+		return serde.AppendInt64(dst, v.(int64))
 	case Float64:
-		return serde.AppendUint64(nil, floatBits(v.(float64)))
+		return serde.AppendUint64(dst, math.Float64bits(v.(float64)))
 	default:
-		return append([]byte(nil), v.(string)...)
+		return append(dst, v.(string)...)
 	}
 }
 
-// compositeKey concatenates self-delimiting sortable keys for the given
-// column indexes.
-func compositeKey(s Schema, idx []int, r Row) []byte {
-	var out []byte
+// appendCompositeKey concatenates the sortable keys of the given column
+// indexes: the encodings are self-delimiting (fixed width or terminated),
+// so the concatenation is unambiguous and ordered.
+func appendCompositeKey(dst []byte, s Schema, idx []int, r Row) []byte {
 	for _, i := range idx {
-		// Sortable encodings are self-delimiting (fixed width or
-		// terminated), so concatenation is unambiguous and ordered.
-		out = append(out, sortableKey(s.Cols[i].Type, r[i], false)...)
+		dst = appendSortableKey(dst, s.Cols[i].Type, r[i], false)
+	}
+	return dst
+}
+
+// sliceRecords cuts buf, which holds key‖value for one record after the
+// other with ends listing where each key and each value stops, into
+// shuffle records; the rows point into one slab of them. recordKey and
+// recordValue are the ShuffleDep accessors for such rows.
+func sliceRecords(buf []byte, ends []int) []core.Row {
+	recs := make([]shuffle.Record, len(ends)/2)
+	out := make([]core.Row, len(recs))
+	off := 0
+	for i := range recs {
+		k, v := ends[2*i], ends[2*i+1]
+		recs[i] = shuffle.Record{Key: buf[off:k:k], Value: buf[k:v:v]}
+		out[i] = &recs[i]
+		off = v
 	}
 	return out
 }
+
+func recordKey(r core.Row) []byte   { return r.(*shuffle.Record).Key }
+func recordValue(r core.Row) []byte { return r.(*shuffle.Record).Value }
 
 // ---------------------------------------------------------------------------
 // Join
@@ -381,65 +425,54 @@ func (t *Table) HashJoin(right *Table, leftCol, rightCol string, parts int) (*Ta
 	outSchema := Schema{Cols: outCols}
 
 	leftSchema, rightSchema := t.schema, right.schema
-	keyType := t.schema.Cols[li].Type
-	// Tag rows: 'L' + encoded left row / 'R' + encoded right row.
-	tagL := t.eng.NewNarrow(t.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
-		out := make([]core.Row, len(rows))
-		for i, r := range rows {
-			out[i] = taggedRow{left: true, key: equalityKey(keyType, r.(Row)[li]), payload: encodeRow(leftSchema, r.(Row))}
-		}
-		return out
-	})
-	tagR := t.eng.NewNarrow(right.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
-		out := make([]core.Row, len(rows))
-		for i, r := range rows {
-			out[i] = taggedRow{left: false, key: equalityKey(keyType, r.(Row)[ri]), payload: encodeRow(rightSchema, r.(Row))}
-		}
-		return out
-	})
-	both := t.eng.NewUnion(tagL, tagR)
+	// Each side's rows become records: equality key, then 'L' or 'R' and
+	// the encoded row.
+	tagged := func(plan *core.Plan, schema Schema, keyCol int, tag byte) *core.Plan {
+		keyType := schema.Cols[keyCol].Type
+		return t.eng.NewNarrow(plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
+			var buf []byte
+			ends := make([]int, 0, 2*len(rows))
+			for _, r := range rows {
+				buf = appendEqualityKey(buf, keyType, r.(Row)[keyCol])
+				ends = append(ends, len(buf))
+				buf = appendRow(append(buf, tag), schema, r.(Row))
+				ends = append(ends, len(buf))
+			}
+			return sliceRecords(buf, ends)
+		})
+	}
+	both := t.eng.NewUnion(tagged(t.plan, leftSchema, li, 'L'), tagged(right.plan, rightSchema, ri, 'R'))
 	plan := t.eng.NewShuffled(both, core.ShuffleDep{
 		Partitions: parts,
-		KeyOf:      func(r core.Row) []byte { return r.(taggedRow).key },
-		ValueOf: func(r core.Row) []byte {
-			tr := r.(taggedRow)
-			tag := byte('R')
-			if tr.left {
-				tag = 'L'
-			}
-			return append([]byte{tag}, tr.payload...)
-		},
+		KeyOf:      recordKey,
+		ValueOf:    recordValue,
 		Post: func(_ *core.TaskContext, recs []shuffle.Record) []core.Row {
-			type bucket struct{ lefts, rights [][]byte }
-			groups := map[string]*bucket{}
-			var order []string
+			// Decode every row once into its key's bucket; buckets keep the
+			// order their keys arrived in.
+			type bucket struct{ lefts, rights []Row }
+			index := map[string]int{}
+			var groups []bucket
 			for _, rec := range recs {
-				k := string(rec.Key)
-				g, ok := groups[k]
+				g, ok := index[string(rec.Key)]
 				if !ok {
-					g = &bucket{}
-					groups[k] = g
-					order = append(order, k)
+					g = len(groups)
+					index[string(rec.Key)] = g
+					groups = append(groups, bucket{})
 				}
+				schema, side := rightSchema, &groups[g].rights
 				if rec.Value[0] == 'L' {
-					g.lefts = append(g.lefts, rec.Value[1:])
-				} else {
-					g.rights = append(g.rights, rec.Value[1:])
+					schema, side = leftSchema, &groups[g].lefts
 				}
+				row, err := decodeRow(schema, rec.Value[1:])
+				if err != nil {
+					panic(fmt.Sprintf("table: join decode: %v", err))
+				}
+				*side = append(*side, row)
 			}
 			var out []core.Row
-			for _, k := range order {
-				g := groups[k]
-				for _, lb := range g.lefts {
-					lrow, err := decodeRow(leftSchema, lb)
-					if err != nil {
-						panic(fmt.Sprintf("table: join decode: %v", err))
-					}
-					for _, rb := range g.rights {
-						rrow, err := decodeRow(rightSchema, rb)
-						if err != nil {
-							panic(fmt.Sprintf("table: join decode: %v", err))
-						}
+			for _, g := range groups {
+				for _, lrow := range g.lefts {
+					for _, rrow := range g.rights {
 						joined := make(Row, 0, len(lrow)+len(rrow))
 						joined = append(joined, lrow...)
 						joined = append(joined, rrow...)
@@ -451,12 +484,6 @@ func (t *Table) HashJoin(right *Table, leftCol, rightCol string, parts int) (*Ta
 		},
 	})
 	return &Table{eng: t.eng, plan: plan, schema: outSchema}, nil
-}
-
-type taggedRow struct {
-	left    bool
-	key     []byte
-	payload []byte
 }
 
 // ---------------------------------------------------------------------------

@@ -14,10 +14,14 @@ import (
 	"repro/internal/topology"
 )
 
-func testEngine() *core.Engine {
+func testEngine() *core.Engine { return spillingEngine(0) }
+
+// spillingEngine is the test engine with the given shuffle spill
+// threshold in bytes (0 = the engine's default).
+func spillingEngine(threshold int64) *core.Engine {
 	fab := netsim.NewFabric(topology.TwoTier(2, 2, 2), netsim.RDMA40G)
 	cl := cluster.New(cluster.Config{Fabric: fab, SlotsPerNode: 2})
-	return core.NewEngine(core.Config{Cluster: cl})
+	return core.NewEngine(core.Config{Cluster: cl, SpillThreshold: threshold})
 }
 
 func salesSchema() Schema {
@@ -372,7 +376,7 @@ func TestRowCodecRoundTrip(t *testing.T) {
 			return true
 		}
 		row := Row{region, product, units, price}
-		got, err := decodeRow(schema, encodeRow(schema, row))
+		got, err := decodeRow(schema, appendRow(nil, schema, row))
 		if err != nil {
 			return false
 		}
@@ -441,6 +445,7 @@ func BenchmarkGroupByAgg(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := tb.GroupBy("region", "product").Agg(4,
@@ -449,6 +454,58 @@ func BenchmarkGroupByAgg(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := res.Collect(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHashJoinDupKeys joins two 10 000-row sides on 2 000 keys, five
+// rows a side per key: 50 000 output rows.
+func BenchmarkHashJoinDupKeys(b *testing.B) {
+	eng := testEngine()
+	schema := Schema{Cols: []Col{{Name: "k", Type: Int64}, {Name: "tag", Type: String}, {Name: "v", Type: Float64}}}
+	rows := make([]Row, 10000)
+	for i := range rows {
+		rows[i] = Row{int64(i % 2000), "row", float64(i) / 4}
+	}
+	left, err := FromSlice(eng, schema, rows, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	right, err := FromSlice(eng, schema, rows, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j, err := left.HashJoin(right, "k", "k", 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n, err := j.Count(); err != nil || n != 50000 {
+			b.Fatalf("count = %d, %v", n, err)
+		}
+	}
+}
+
+// BenchmarkColumnarScan scans three of four columns of 20 000 rows under
+// one pushed predicate.
+func BenchmarkColumnarScan(b *testing.B) {
+	eng := testEngine()
+	ct, err := BuildColumnar(salesSchema(), salesRows(20000, 1), 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	preds := []ColPredicate{{Col: 2, Keep: func(v any) bool { return v.(int64) > 3 }}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tb, err := ct.Scan(eng, preds, []int{0, 2, 3}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := tb.Collect(); err != nil {
 			b.Fatal(err)
 		}
 	}

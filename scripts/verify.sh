@@ -55,6 +55,8 @@ if [ "${FUZZ:-0}" = "1" ]; then
     go test -fuzz=FuzzRoundTrip -fuzztime=3s -run '^$' ./internal/compress
     go test -fuzz=FuzzDecompress -fuzztime=2s -run '^$' ./internal/compress
     go test -fuzz=FuzzReadBlocks -fuzztime=3s -run '^$' ./internal/shuffle
+    go test -fuzz=FuzzDecodeRow -fuzztime=2s -run '^$' ./internal/table
+    go test -fuzz=FuzzAggMerge -fuzztime=2s -run '^$' ./internal/table
     go test -fuzz=FuzzPlanEquivalence -fuzztime=5s -run '^$' ./internal/query
     go test -fuzz=FuzzParseSchedule -fuzztime=3s -run '^$' ./internal/chaos
 fi
