@@ -10,7 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	hpbdc "repro"
 	"repro/internal/experiments"
+	"repro/internal/rng"
 )
 
 // runExperiment drives one experiment per b.N iteration and sanity-checks
@@ -142,4 +144,88 @@ func BenchmarkESFTStream(b *testing.B) {
 		}
 	}
 	b.ReportMetric(cell(t, 4, 6), "replayed-ckpt-1crash")
+}
+
+// The three typed-layer benchmarks below are shaped like the repository
+// benchmark's agg_combine workload, its core.row_box_ns_per_rec probe and
+// its sort_wide workload (bench/README.md), at a tenth of their size.
+
+func benchCtx(codec string) *hpbdc.Context {
+	return hpbdc.New(hpbdc.Config{Racks: 2, NodesPerRack: 4, SlotsPerNode: 2, ShuffleCodec: codec, Seed: 42})
+}
+
+// benchTokens is 8 partitions of random tokens, n in all.
+func benchTokens(n int) [][]int64 {
+	gen := rng.New(42)
+	parts := make([][]int64, 8)
+	for p := range parts {
+		parts[p] = make([]int64, n/len(parts))
+		for i := range parts[p] {
+			parts[p][i] = gen.Int63()
+		}
+	}
+	return parts
+}
+
+func BenchmarkReduceByKey(b *testing.B) {
+	const tokens, keys = 200000, 5000
+	in := benchTokens(tokens)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src := hpbdc.SourceFunc(benchCtx("none"), len(in), func(part int) []int64 { return in[part] })
+		pairs := hpbdc.Map(src, func(tok int64) hpbdc.Pair[int64, int64] {
+			return hpbdc.Pair[int64, int64]{Key: tok % keys, Value: 1}
+		})
+		out, err := hpbdc.ReduceByKey(pairs, hpbdc.Int64Codec, hpbdc.Int64Codec, 4,
+			func(a, b int64) int64 { return a + b }).Collect()
+		if err != nil || len(out) != keys {
+			b.Fatalf("%d keys, %v", len(out), err)
+		}
+	}
+	b.ReportMetric(float64(tokens)*float64(b.N)/b.Elapsed().Seconds(), "rec/s")
+}
+
+func BenchmarkMapCount(b *testing.B) {
+	const tokens = 200000
+	in := benchTokens(tokens)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src := hpbdc.SourceFunc(benchCtx("none"), len(in), func(part int) []int64 { return in[part] })
+		n, err := hpbdc.Map(src, func(v int64) int64 { return v }).Count()
+		if err != nil || n != tokens {
+			b.Fatalf("count %d, %v", n, err)
+		}
+	}
+	b.ReportMetric(float64(tokens)*float64(b.N)/b.Elapsed().Seconds(), "rec/s")
+}
+
+func BenchmarkSortByKey(b *testing.B) {
+	const records = 20000
+	type rec = hpbdc.Pair[string, string]
+	gen := rng.New(42)
+	in := make([][]rec, 8)
+	for p := range in {
+		in[p] = make([]rec, records/len(in))
+		for i := range in[p] {
+			key := make([]byte, 10)
+			gen.Bytes(key)
+			in[p][i] = rec{Key: string(key), Value: strings.Repeat("v", 90)}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src := hpbdc.SourceFunc(benchCtx("lz"), len(in), func(part int) []rec { return in[part] })
+		sorted, err := hpbdc.SortByKey(src, hpbdc.StringCodec, hpbdc.StringCodec, 8, 128)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, err := sorted.CollectPartitions()
+		if err != nil || len(out) != 8 {
+			b.Fatalf("%d partitions, %v", len(out), err)
+		}
+	}
+	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "rec/s")
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/serde"
 	"repro/internal/topology"
 )
 
@@ -21,12 +22,34 @@ type Dataset[T any] struct {
 // Context returns the dataset's owning context.
 func (d *Dataset[T]) Context() *Context { return d.ctx }
 
-// Plan exposes the underlying logical plan (for engine-level operations
-// such as core.Engine.Checkpoint).
+// Plan exposes the underlying logical plan. Its partitions hold at most
+// one row each, the partition's []T batch (see batchOf), so engine-level
+// row operations (core.Engine.Count, Checkpoint) see batches, not
+// elements: use the Dataset methods for those.
 func (d *Dataset[T]) Plan() *core.Plan { return d.plan }
 
 // Partitions returns the dataset's partition count.
 func (d *Dataset[T]) Partitions() int { return d.plan.Partitions() }
+
+// batchOf returns a partition's elements. Every plan of the typed layer
+// has zero or one row per partition, and that row is the partition's whole
+// []T batch: elements are never boxed one by one. A batch is read-only to
+// everyone once handed on — it may be the user's own slice or a cached
+// partition — so operators build fresh outputs and actions return copies.
+func batchOf[T any](rows []core.Row) []T {
+	if len(rows) == 0 {
+		return nil
+	}
+	return rows[0].([]T)
+}
+
+// sourceOf wraps a batch-producing function as a source plan.
+func sourceOf[T any](c *Context, parts int, fn func(ctx *core.TaskContext, part int) []T, prefs func(int) []topology.NodeID) *Dataset[T] {
+	plan := c.engine.NewSource(parts, func(ctx *core.TaskContext, part int) []core.Row {
+		return []core.Row{fn(ctx, part)}
+	}, prefs)
+	return &Dataset[T]{ctx: c, plan: plan}
+}
 
 // Parallelize distributes data across parts partitions round-robin.
 func Parallelize[T any](c *Context, data []T, parts int) *Dataset[T] {
@@ -34,87 +57,75 @@ func Parallelize[T any](c *Context, data []T, parts int) *Dataset[T] {
 		parts = c.cluster.Size()
 	}
 	owned := append([]T(nil), data...)
-	plan := c.engine.NewSource(parts, func(_ *core.TaskContext, part int) []core.Row {
-		var rows []core.Row
+	return sourceOf(c, parts, func(_ *core.TaskContext, part int) []T {
+		var out []T
 		for i := part; i < len(owned); i += parts {
-			rows = append(rows, owned[i])
+			out = append(out, owned[i])
 		}
-		return rows
+		return out
 	}, nil)
-	return &Dataset[T]{ctx: c, plan: plan}
 }
 
 // SourceFunc builds a dataset whose partitions are generated on demand by
 // fn — the entry point for synthetic workloads. fn must be deterministic
-// per partition: it may be re-invoked for lineage recovery.
+// per partition: it may be re-invoked for lineage recovery. The slice fn
+// returns is the partition downstream operators read: it is read-only
+// from then on, for fn's owner too.
 func SourceFunc[T any](c *Context, parts int, fn func(part int) []T) *Dataset[T] {
-	plan := c.engine.NewSource(parts, func(_ *core.TaskContext, part int) []core.Row {
-		data := fn(part)
-		rows := make([]core.Row, len(data))
-		for i, v := range data {
-			rows[i] = v
-		}
-		return rows
-	}, nil)
-	return &Dataset[T]{ctx: c, plan: plan}
+	return sourceOf(c, parts, func(_ *core.TaskContext, part int) []T { return fn(part) }, nil)
 }
 
 // Map applies f to every element.
 func Map[T, U any](d *Dataset[T], f func(T) U) *Dataset[U] {
-	plan := d.ctx.engine.NewNarrow(d.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
-		out := make([]core.Row, len(rows))
-		for i, r := range rows {
-			out[i] = f(r.(T))
+	return MapPartitions(d, func(_ int, in []T) []U {
+		out := make([]U, len(in))
+		for i, t := range in {
+			out[i] = f(t)
 		}
 		return out
 	})
-	return &Dataset[U]{ctx: d.ctx, plan: plan}
 }
 
 // FlatMap applies f and flattens the results.
 func FlatMap[T, U any](d *Dataset[T], f func(T) []U) *Dataset[U] {
-	plan := d.ctx.engine.NewNarrow(d.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
-		var out []core.Row
-		for _, r := range rows {
-			for _, u := range f(r.(T)) {
-				out = append(out, u)
-			}
+	return MapPartitions(d, func(_ int, in []T) []U {
+		var out []U
+		for _, t := range in {
+			out = append(out, f(t)...)
 		}
 		return out
 	})
-	return &Dataset[U]{ctx: d.ctx, plan: plan}
 }
 
 // Filter keeps elements where f is true.
 func (d *Dataset[T]) Filter(f func(T) bool) *Dataset[T] {
-	plan := d.ctx.engine.NewNarrow(d.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
-		var out []core.Row
-		for _, r := range rows {
-			if f(r.(T)) {
-				out = append(out, r)
+	return MapPartitions(d, func(_ int, in []T) []T {
+		var out []T
+		for _, t := range in {
+			if f(t) {
+				out = append(out, t)
 			}
 		}
 		return out
 	})
-	return &Dataset[T]{ctx: d.ctx, plan: plan}
 }
 
 // MapPartitions applies f to whole partitions at once (for per-partition
-// setup such as building a local index).
+// setup such as building a local index). rows is the upstream partition
+// itself, not a copy: f must not modify it, and whatever f returns is
+// read-only from then on.
 func MapPartitions[T, U any](d *Dataset[T], f func(part int, rows []T) []U) *Dataset[U] {
-	plan := d.ctx.engine.NewNarrow(d.plan, func(ctx *core.TaskContext, rows []core.Row) []core.Row {
-		in := make([]T, len(rows))
-		for i, r := range rows {
-			in[i] = r.(T)
-		}
-		outs := f(ctx.Partition, in)
-		out := make([]core.Row, len(outs))
-		for i, u := range outs {
-			out[i] = u
-		}
-		return out
+	return &Dataset[U]{ctx: d.ctx, plan: narrowOf(d, func(ctx *core.TaskContext, in []T) []core.Row {
+		return []core.Row{f(ctx.Partition, in)}
+	})}
+}
+
+// narrowOf adds a narrow step over d's batches; fn returns the step's rows
+// (one batch, or the records a shuffle is about to read).
+func narrowOf[T any](d *Dataset[T], fn func(ctx *core.TaskContext, in []T) []core.Row) *core.Plan {
+	return d.ctx.engine.NewNarrow(d.plan, func(ctx *core.TaskContext, rows []core.Row) []core.Row {
+		return fn(ctx, batchOf[T](rows))
 	})
-	return &Dataset[U]{ctx: d.ctx, plan: plan}
 }
 
 // Union concatenates datasets of the same type.
@@ -126,7 +137,8 @@ func Union[T any](a *Dataset[T], more ...*Dataset[T]) *Dataset[T] {
 	return &Dataset[T]{ctx: a.ctx, plan: a.ctx.engine.NewUnion(plans...)}
 }
 
-// Cache memoizes computed partitions in memory for reuse across jobs.
+// Cache memoizes computed partitions in memory for reuse across jobs. The
+// cached slices are what later jobs' operators read, never copies.
 func (d *Dataset[T]) Cache() *Dataset[T] {
 	d.plan.Cache()
 	return d
@@ -134,15 +146,34 @@ func (d *Dataset[T]) Cache() *Dataset[T] {
 
 // Collect computes the dataset and returns all elements.
 func (d *Dataset[T]) Collect() ([]T, error) {
-	rows, err := d.ctx.engine.Collect(d.plan)
+	parts, err := d.ctx.engine.Run(d.plan)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]T, len(rows))
-	for i, r := range rows {
-		out[i] = r.(T)
+	return flatten[T](parts), nil
+}
+
+// flatten concatenates the partitions' batches into a slice the caller owns.
+func flatten[T any](parts [][]core.Row) []T {
+	n := 0
+	for _, rows := range parts {
+		n += len(batchOf[T](rows))
 	}
-	return out, nil
+	out := make([]T, 0, n)
+	for _, rows := range parts {
+		out = append(out, batchOf[T](rows)...)
+	}
+	return out
+}
+
+// copyPartitions copies each partition's batch into a slice the caller owns.
+func copyPartitions[T any](parts [][]core.Row) [][]T {
+	out := make([][]T, len(parts))
+	for i, rows := range parts {
+		batch := batchOf[T](rows)
+		out[i] = append(make([]T, 0, len(batch)), batch...)
+	}
+	return out
 }
 
 // CollectPartitions computes the dataset preserving partition boundaries.
@@ -151,19 +182,20 @@ func (d *Dataset[T]) CollectPartitions() ([][]T, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]T, len(parts))
-	for i, rows := range parts {
-		out[i] = make([]T, len(rows))
-		for j, r := range rows {
-			out[i][j] = r.(T)
-		}
-	}
-	return out, nil
+	return copyPartitions[T](parts), nil
 }
 
 // Count returns the number of elements.
 func (d *Dataset[T]) Count() (int64, error) {
-	return d.ctx.engine.Count(d.plan)
+	parts, err := d.ctx.engine.Run(d.plan)
+	if err != nil {
+		return 0, err
+	}
+	var n int64
+	for _, rows := range parts {
+		n += int64(len(batchOf[T](rows)))
+	}
+	return n, nil
 }
 
 // Reduce folds all elements with f (which must be associative and
@@ -198,11 +230,28 @@ func (d *Dataset[T]) Reduce(f func(T, T) T) (T, error) {
 
 // Checkpoint materializes the dataset to the DFS, truncating its lineage:
 // failures after the checkpoint restore from storage instead of
-// recomputing upstream stages.
+// recomputing upstream stages. A partition is stored as one record whose
+// value frames the batch's elements one after the other.
 func (d *Dataset[T]) Checkpoint(path string, codec Codec[T]) error {
 	return d.ctx.engine.Checkpoint(d.plan, path,
-		func(r core.Row) []byte { return codec.Encode(r.(T)) },
-		func(b []byte) core.Row { return codec.Decode(b) },
+		func(r core.Row) []byte {
+			var buf []byte
+			for _, t := range r.([]T) {
+				buf = serde.AppendRecord(buf, nil, codec.Encode(t))
+			}
+			return buf
+		},
+		func(b []byte) core.Row {
+			var out []T
+			for len(b) > 0 {
+				rec, rest, err := serde.Next(b)
+				if err != nil {
+					panic(fmt.Sprintf("hpbdc: checkpoint: %v", err))
+				}
+				out, b = append(out, codec.Decode(rec.Value)), rest
+			}
+			return out
+		},
 	)
 }
 
@@ -214,15 +263,15 @@ func (d *Dataset[T]) Checkpoint(path string, codec Codec[T]) error {
 // It is an action.
 func SaveAsTextFile(d *Dataset[string], prefix string) error {
 	fs := d.ctx.fs
-	sink := d.ctx.engine.NewNarrow(d.plan, func(ctx *core.TaskContext, rows []core.Row) []core.Row {
+	sink := narrowOf(d, func(ctx *core.TaskContext, lines []string) []core.Row {
 		path := fmt.Sprintf("%s/part-%05d", prefix, ctx.Partition)
 		_ = fs.Delete(path) // idempotence under task retry
 		w, err := fs.CreateWith(path, 0, ctx.Node)
 		if err != nil {
 			panic(fmt.Sprintf("hpbdc: SaveAsTextFile: %v", err))
 		}
-		for _, r := range rows {
-			if _, err := io.WriteString(w, r.(string)); err != nil {
+		for _, line := range lines {
+			if _, err := io.WriteString(w, line); err != nil {
 				panic(err)
 			}
 			if _, err := w.Write([]byte{'\n'}); err != nil {
@@ -253,7 +302,7 @@ func TextFile(c *Context, prefix string) *Dataset[string] {
 		}
 		return locs[0].Replicas
 	}
-	plan := c.engine.NewSource(len(files), func(ctx *core.TaskContext, part int) []core.Row {
+	return sourceOf(c, len(files), func(ctx *core.TaskContext, part int) []string {
 		locs, err := c.fs.BlockLocations(files[part])
 		if err != nil {
 			panic(fmt.Sprintf("hpbdc: TextFile: %v", err))
@@ -269,13 +318,12 @@ func TextFile(c *Context, prefix string) *Dataset[string] {
 			c.engine.Reg.Counter("input_bytes").Add(b.Length)
 			data = append(data, blockData...)
 		}
-		var rows []core.Row
+		var lines []string
 		for _, line := range strings.Split(string(data), "\n") {
 			if line != "" {
-				rows = append(rows, line)
+				lines = append(lines, line)
 			}
 		}
-		return rows
+		return lines
 	}, prefs)
-	return &Dataset[string]{ctx: c, plan: plan}
 }

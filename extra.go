@@ -1,37 +1,41 @@
 package hpbdc
 
 import (
+	"encoding/binary"
+
 	"repro/internal/core"
 	"repro/internal/rng"
 	"repro/internal/shuffle"
 )
 
 // Distinct removes duplicates (by codec-encoded identity) with one
-// shuffle.
+// shuffle. Each map task drops its own duplicates first, so a value moves
+// at most once per map partition.
 func Distinct[T comparable](d *Dataset[T], codec Codec[T], parts int) *Dataset[T] {
 	if parts <= 0 {
 		parts = d.Partitions()
 	}
-	plan := d.ctx.engine.NewShuffled(d.plan, core.ShuffleDep{
-		Partitions: parts,
-		KeyOf:      func(r core.Row) []byte { return codec.Encode(r.(T)) },
-		ValueOf:    func(core.Row) []byte { return nil },
-		// Map-side combiner collapses duplicates before they move.
-		Combiner: func(a, b []byte) []byte { return a },
-		Post: func(_ *core.TaskContext, recs []shuffle.Record) []core.Row {
-			seen := map[string]bool{}
-			var out []core.Row
-			for _, rec := range recs {
-				k := string(rec.Key)
-				if !seen[k] {
-					seen[k] = true
-					out = append(out, codec.Decode(rec.Key))
-				}
+	unique := recordsOf(d, func(_ *core.TaskContext, in []T) []shuffle.Record {
+		seen := map[T]struct{}{}
+		var recs []shuffle.Record
+		for _, t := range in {
+			if _, dup := seen[t]; !dup {
+				seen[t] = struct{}{}
+				recs = append(recs, shuffle.Record{Key: codec.Encode(t)})
 			}
-			return out
-		},
+		}
+		return byKey(recs)
 	})
-	return &Dataset[T]{ctx: d.ctx, plan: plan}
+	return shuffleOf(d.ctx, unique, core.ShuffleDep{Partitions: parts}, func(recs []shuffle.Record) []T {
+		g := newKeyGroups()
+		var out []T
+		for _, rec := range recs {
+			if _, first := g.group(rec.Key); first {
+				out = append(out, codec.Decode(rec.Key))
+			}
+		}
+		return out
+	})
 }
 
 // Sample keeps each element independently with probability frac,
@@ -41,23 +45,16 @@ func (d *Dataset[T]) Sample(frac float64, seed uint64) *Dataset[T] {
 	if frac >= 1 {
 		return d
 	}
-	plan := d.ctx.engine.NewNarrow(d.plan, func(ctx *core.TaskContext, rows []core.Row) []core.Row {
-		gen := rng.New(seed + uint64(ctx.Partition)*0x9e3779b9)
-		var out []core.Row
-		for _, r := range rows {
+	return MapPartitions(d, func(part int, in []T) []T {
+		gen := rng.New(seed + uint64(part)*0x9e3779b9)
+		var out []T
+		for _, t := range in {
 			if gen.Float64() < frac {
-				out = append(out, r)
+				out = append(out, t)
 			}
 		}
 		return out
 	})
-	return &Dataset[T]{ctx: d.ctx, plan: plan}
-}
-
-// indexedRow carries a deterministic spread key alongside the row.
-type indexedRow struct {
-	key uint64
-	row core.Row
 }
 
 // Repartition redistributes the dataset into `parts` partitions via a
@@ -70,35 +67,22 @@ func Repartition[T any](d *Dataset[T], codec Codec[T], parts int) *Dataset[T] {
 	if parts <= 0 {
 		parts = d.ctx.cluster.Size()
 	}
-	indexed := d.ctx.engine.NewNarrow(d.plan, func(ctx *core.TaskContext, rows []core.Row) []core.Row {
-		out := make([]core.Row, len(rows))
-		for i, r := range rows {
+	indexed := recordsOf(d, func(ctx *core.TaskContext, in []T) []shuffle.Record {
+		recs := make([]shuffle.Record, len(in))
+		keys := make([]byte, 0, 8*len(in))
+		for i, t := range in {
 			// Golden-ratio stride decorrelates partition and position so
 			// hash partitioning spreads evenly.
-			key := uint64(ctx.Partition)*0x9E3779B97F4A7C15 + uint64(i)
-			out[i] = indexedRow{key: key, row: r}
+			keys = binary.LittleEndian.AppendUint64(keys, uint64(ctx.Partition)*0x9E3779B97F4A7C15+uint64(i))
+			recs[i] = shuffle.Record{Key: keys[8*i : 8*i+8 : 8*i+8], Value: codec.Encode(t)}
+		}
+		return recs
+	})
+	return shuffleOf(d.ctx, indexed, core.ShuffleDep{Partitions: parts}, func(recs []shuffle.Record) []T {
+		out := make([]T, len(recs))
+		for i, rec := range recs {
+			out[i] = codec.Decode(rec.Value)
 		}
 		return out
 	})
-	plan := d.ctx.engine.NewShuffled(indexed, core.ShuffleDep{
-		Partitions: parts,
-		KeyOf: func(r core.Row) []byte {
-			v := r.(indexedRow).key
-			var b [8]byte
-			for k := 0; k < 8; k++ {
-				b[k] = byte(v)
-				v >>= 8
-			}
-			return b[:]
-		},
-		ValueOf: func(r core.Row) []byte { return codec.Encode(r.(indexedRow).row.(T)) },
-		Post: func(_ *core.TaskContext, recs []shuffle.Record) []core.Row {
-			out := make([]core.Row, len(recs))
-			for i, rec := range recs {
-				out[i] = codec.Decode(rec.Value)
-			}
-			return out
-		},
-	})
-	return &Dataset[T]{ctx: d.ctx, plan: plan}
 }

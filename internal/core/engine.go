@@ -598,7 +598,6 @@ func (e *Engine) newWriter(dep *ShuffleDep) (shuffle.Writer, error) {
 		Partitioner:    dep.Partitioner,
 		Codec:          e.cfg.Codec,
 		SpillThreshold: e.cfg.SpillThreshold,
-		Combiner:       dep.Combiner,
 	}
 	if dep.Sorted || e.cfg.ForceSortShuffle {
 		return shuffle.NewSortWriter(cfg)

@@ -144,16 +144,10 @@ func wordCountPlan(e *Engine, lines []string, parts, reducers int) *Plan {
 		}
 		return rows
 	}, nil)
-	add := func(a, b []byte) []byte {
-		x, _ := serde.DecodeInt64(a)
-		y, _ := serde.DecodeInt64(b)
-		return serde.EncodeInt64(x + y)
-	}
 	return e.NewShuffled(src, ShuffleDep{
 		Partitions: reducers,
 		KeyOf:      func(r Row) []byte { return []byte(r.(string)) },
 		ValueOf:    func(r Row) []byte { return serde.EncodeInt64(1) },
-		Combiner:   add,
 		Post: func(ctx *TaskContext, recs []shuffle.Record) []Row {
 			counts := map[string]int64{}
 			for _, rec := range recs {

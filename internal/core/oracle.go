@@ -7,10 +7,9 @@
 // *spec* but almost no execution code, so agreement is strong evidence
 // the engine moved and transformed the data correctly.
 //
-// The oracle deliberately skips the map-side combiner: combiners are an
-// optimization that must not change results for associative, commutative
-// merge functions, so evaluating without one checks that contract too.
-// Record order within a reduce partition is only guaranteed to match the
+// A plan's narrow steps are user functions to the oracle, so a map-side
+// fold written as one (hpbdc.ReduceByKey's) runs here too; tests that want
+// an oracle independent of it compare against a plain loop. Record order within a reduce partition is only guaranteed to match the
 // engine for Sorted shuffles; order-sensitive comparisons of unsorted
 // shuffles should compare multisets (check.DiffMultiset).
 package core

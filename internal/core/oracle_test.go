@@ -124,53 +124,6 @@ func TestReferenceShuffledMatchesEngine(t *testing.T) {
 	}
 }
 
-func TestReferenceSkipsCombiner(t *testing.T) {
-	// A correct (associative, commutative) combiner must not change the
-	// result; the oracle evaluating without it checks that contract.
-	e := testEngine(t, 4, Config{})
-	dep := refCountDep(3, 7, false)
-	dep.Combiner = func(a, b []byte) []byte {
-		x, _ := strconv.Atoi(string(a))
-		y, _ := strconv.Atoi(string(b))
-		return []byte(strconv.Itoa(x + y))
-	}
-	// Post must understand combined values: re-sum the encoded counts.
-	dep.Post = func(ctx *TaskContext, recs []shuffle.Record) []Row {
-		counts := map[string]int{}
-		for _, rec := range recs {
-			n, _ := strconv.Atoi(string(rec.Value))
-			counts[string(rec.Key)] += n
-		}
-		keys := make([]string, 0, len(counts))
-		for k := range counts {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var out []Row
-		for _, k := range keys {
-			out = append(out, k+":"+strconv.Itoa(counts[k]))
-		}
-		return out
-	}
-	p := e.NewShuffled(sliceSource(e, ints(100), 4), dep)
-	ref := flatten(Reference(p))
-	rows, err := e.Collect(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := make([][]Row, 1)
-	parts[0] = rows
-	got := flatten(parts)
-	if len(got) != len(ref) {
-		t.Fatalf("%d vs %d rows", len(got), len(ref))
-	}
-	for i := range got {
-		if got[i] != ref[i] {
-			t.Fatalf("row %d: %s vs %s", i, got[i], ref[i])
-		}
-	}
-}
-
 func TestReferenceCustomPartitionerAndMemo(t *testing.T) {
 	e := testEngine(t, 4, Config{})
 	// The source fn runs sequentially under Reference but concurrently

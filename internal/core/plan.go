@@ -48,8 +48,6 @@ type ShuffleDep struct {
 	// Post converts one reduce partition's records into output rows;
 	// required. Records arrive key-sorted when Sorted is set.
 	Post func(ctx *TaskContext, recs []shuffle.Record) []Row
-	// Combiner optionally merges encoded values with equal keys map-side.
-	Combiner func(a, b []byte) []byte
 	// Sorted selects the sort-based shuffle writer and a merged,
 	// key-ordered reduce-side read.
 	Sorted bool

@@ -41,9 +41,15 @@ func TestFamiliesShapeDeterminism(t *testing.T) {
 			if !reflect.DeepEqual(a.Params, b.Params) {
 				t.Fatalf("params differ: %v vs %v", a.Params, b.Params)
 			}
-			// And the differ agrees the two runs are comparable.
-			if rep := Diff(a, b, DiffOptions{}); !rep.OK() {
-				t.Fatalf("self-diff failed:\n%s", rep)
+			// And the differ agrees the two runs are comparable. Only its
+			// shape findings count here: the wall-clock Metrics of two
+			// back-to-back parallel runs differ by more than any threshold
+			// on a loaded box, and comparing those is scripts/bench.sh's job.
+			rep := Diff(a, b, DiffOptions{})
+			for _, f := range rep.Findings {
+				if f.Kind == KindShape {
+					t.Fatalf("self-diff failed:\n%s", rep)
+				}
 			}
 		})
 	}

@@ -1,6 +1,10 @@
 package hpbdc
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -41,44 +45,136 @@ func Values[K comparable, V any](d *Dataset[Pair[K, V]]) *Dataset[V] {
 	return Map(d, func(p Pair[K, V]) V { return p.Value })
 }
 
+// recordsOf adds the map side of a shuffle: one narrow step that cuts a
+// partition's batch into a slab of shuffle records. The step's rows point
+// into the slab, and shuffleOf's KeyOf/ValueOf just read the fields.
+func recordsOf[T any](d *Dataset[T], cut func(ctx *core.TaskContext, in []T) []shuffle.Record) *core.Plan {
+	return narrowOf(d, func(ctx *core.TaskContext, in []T) []core.Row {
+		recs := cut(ctx, in)
+		rows := make([]core.Row, len(recs))
+		for i := range recs {
+			rows[i] = &recs[i]
+		}
+		return rows
+	})
+}
+
+// shuffleOf shuffles the records plan; post turns one reduce partition's
+// records into its batch.
+func shuffleOf[U any](c *Context, records *core.Plan, dep core.ShuffleDep, post func(recs []shuffle.Record) []U) *Dataset[U] {
+	dep.KeyOf = func(r core.Row) []byte { return r.(*shuffle.Record).Key }
+	dep.ValueOf = func(r core.Row) []byte { return r.(*shuffle.Record).Value }
+	dep.Post = func(_ *core.TaskContext, recs []shuffle.Record) []core.Row { return []core.Row{post(recs)} }
+	return &Dataset[U]{ctx: c, plan: c.engine.NewShuffled(records, dep)}
+}
+
+// pairRecords encodes every pair as one record, in batch order.
+func pairRecords[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Codec[V]) *core.Plan {
+	return recordsOf(d, func(_ *core.TaskContext, in []Pair[K, V]) []shuffle.Record {
+		recs := make([]shuffle.Record, len(in))
+		for i, p := range in {
+			recs[i] = shuffle.Record{Key: kc.Encode(p.Key), Value: vc.Encode(p.Value)}
+		}
+		return recs
+	})
+}
+
+// keyOrder returns 0..n-1 arranged so that key(i) ascends bytewise — the
+// order sort.Strings gives the keys' string forms. Like the sort shuffle
+// writer it compares cached 8-byte prefixes and reads a key only on a tie.
+func keyOrder(n int, key func(i int) []byte) []int32 {
+	prefix, order := make([]uint64, n), make([]int32, n)
+	for i := range order {
+		var b [8]byte
+		copy(b[:], key(i))
+		prefix[i], order[i] = binary.BigEndian.Uint64(b[:]), int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(prefix[a], prefix[b]); c != 0 {
+			return c
+		}
+		return bytes.Compare(key(int(a)), key(int(b)))
+	})
+	return order
+}
+
+// byKey returns the records in ascending key order.
+func byKey(recs []shuffle.Record) []shuffle.Record {
+	out := make([]shuffle.Record, len(recs))
+	for j, i := range keyOrder(len(recs), func(i int) []byte { return recs[i].Key }) {
+		out[j] = recs[i]
+	}
+	return out
+}
+
+// keyGroups numbers the distinct keys of a reduce partition in order of
+// first arrival; a key's identity is its encoded bytes.
+type keyGroups struct {
+	index map[string]int32
+	keys  [][]byte
+}
+
+func newKeyGroups() *keyGroups { return &keyGroups{index: map[string]int32{}} }
+
+// group returns key's group number and whether this is its first record.
+func (g *keyGroups) group(key []byte) (int32, bool) {
+	i, ok := g.index[string(key)] // no allocation: the conversion is only a lookup
+	if !ok {
+		i = int32(len(g.keys))
+		g.index[string(key)] = i
+		g.keys = append(g.keys, key)
+	}
+	return i, !ok
+}
+
+// ascending returns the group numbers in ascending key order, which keeps
+// reduce output deterministic.
+func (g *keyGroups) ascending() []int32 {
+	return keyOrder(len(g.keys), func(i int) []byte { return g.keys[i] })
+}
+
 // ReduceByKey shuffles pairs into `parts` partitions and merges values
-// with equal keys using `merge` (associative and commutative). A map-side
-// combiner runs before the shuffle, so highly repetitive keys move once.
+// with equal keys using `merge` (associative and commutative). Each map
+// task folds its partition in K/V space first and encodes one record per
+// distinct key, so highly repetitive keys move once.
 func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Codec[V], parts int, merge func(V, V) V) *Dataset[Pair[K, V]] {
 	if parts <= 0 {
 		parts = d.Partitions()
 	}
-	combiner := func(a, b []byte) []byte {
-		return vc.Encode(merge(vc.Decode(a), vc.Decode(b)))
-	}
-	plan := d.ctx.engine.NewShuffled(d.plan, core.ShuffleDep{
-		Partitions: parts,
-		KeyOf:      func(r core.Row) []byte { return kc.Encode(r.(Pair[K, V]).Key) },
-		ValueOf:    func(r core.Row) []byte { return vc.Encode(r.(Pair[K, V]).Value) },
-		Combiner:   combiner,
-		Post: func(_ *core.TaskContext, recs []shuffle.Record) []core.Row {
-			acc := map[string][]byte{}
-			for _, rec := range recs {
-				k := string(rec.Key)
-				if prev, ok := acc[k]; ok {
-					acc[k] = combiner(prev, rec.Value)
-				} else {
-					acc[k] = append([]byte(nil), rec.Value...)
-				}
+	folded := recordsOf(d, func(_ *core.TaskContext, in []Pair[K, V]) []shuffle.Record {
+		index := map[K]int32{}
+		var slots []Pair[K, V] // one per distinct key, values merged in arrival order
+		for _, p := range in {
+			if i, ok := index[p.Key]; ok {
+				slots[i].Value = merge(slots[i].Value, p.Value)
+			} else {
+				index[p.Key] = int32(len(slots))
+				slots = append(slots, p)
 			}
-			keys := make([]string, 0, len(acc))
-			for k := range acc {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys) // deterministic output order
-			out := make([]core.Row, 0, len(acc))
-			for _, k := range keys {
-				out = append(out, Pair[K, V]{Key: kc.Decode([]byte(k)), Value: vc.Decode(acc[k])})
-			}
-			return out
-		},
+		}
+		recs := make([]shuffle.Record, len(slots))
+		for i, s := range slots {
+			recs[i] = shuffle.Record{Key: kc.Encode(s.Key), Value: vc.Encode(s.Value)}
+		}
+		return byKey(recs)
 	})
-	return &Dataset[Pair[K, V]]{ctx: d.ctx, plan: plan}
+	return shuffleOf(d.ctx, folded, core.ShuffleDep{Partitions: parts}, func(recs []shuffle.Record) []Pair[K, V] {
+		g := newKeyGroups()
+		var vals []V
+		for _, rec := range recs { // arrival order: float sums depend on it
+			v := vc.Decode(rec.Value)
+			if i, first := g.group(rec.Key); first {
+				vals = append(vals, v)
+			} else {
+				vals[i] = merge(vals[i], v)
+			}
+		}
+		out := make([]Pair[K, V], 0, len(vals))
+		for _, i := range g.ascending() {
+			out = append(out, Pair[K, V]{Key: kc.Decode(g.keys[i]), Value: vals[i]})
+		}
+		return out
+	})
 }
 
 // GroupByKey shuffles pairs and gathers each key's values into a slice.
@@ -88,29 +184,22 @@ func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Cod
 	if parts <= 0 {
 		parts = d.Partitions()
 	}
-	plan := d.ctx.engine.NewShuffled(d.plan, core.ShuffleDep{
-		Partitions: parts,
-		KeyOf:      func(r core.Row) []byte { return kc.Encode(r.(Pair[K, V]).Key) },
-		ValueOf:    func(r core.Row) []byte { return vc.Encode(r.(Pair[K, V]).Value) },
-		Post: func(_ *core.TaskContext, recs []shuffle.Record) []core.Row {
-			groups := map[string][]V{}
-			for _, rec := range recs {
-				k := string(rec.Key)
-				groups[k] = append(groups[k], vc.Decode(rec.Value))
+	return shuffleOf(d.ctx, pairRecords(d, kc, vc), core.ShuffleDep{Partitions: parts}, func(recs []shuffle.Record) []Pair[K, []V] {
+		g := newKeyGroups()
+		var groups [][]V
+		for _, rec := range recs {
+			i, first := g.group(rec.Key)
+			if first {
+				groups = append(groups, nil)
 			}
-			keys := make([]string, 0, len(groups))
-			for k := range groups {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			out := make([]core.Row, 0, len(groups))
-			for _, k := range keys {
-				out = append(out, Pair[K, []V]{Key: kc.Decode([]byte(k)), Value: groups[k]})
-			}
-			return out
-		},
+			groups[i] = append(groups[i], vc.Decode(rec.Value))
+		}
+		out := make([]Pair[K, []V], 0, len(groups))
+		for _, i := range g.ascending() {
+			out = append(out, Pair[K, []V]{Key: kc.Decode(g.keys[i]), Value: groups[i]})
+		}
+		return out
 	})
-	return &Dataset[Pair[K, []V]]{ctx: d.ctx, plan: plan}
 }
 
 // CountByKey is an action: the number of occurrences of each key.
@@ -129,76 +218,46 @@ func CountByKey[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], parts 
 }
 
 // Join inner-joins two pair datasets on key, emitting one Joined per
-// matching (left, right) combination. Implementation: tagged union of both
-// sides, one shuffle, reduce-side hash join.
+// matching (left, right) combination. Implementation: both sides' records
+// carry a side tag in front of the value, one shuffle over their union,
+// reduce-side hash join.
 func Join[K comparable, V, W any](a *Dataset[Pair[K, V]], b *Dataset[Pair[K, W]], kc Codec[K], vc Codec[V], wc Codec[W], parts int) *Dataset[Pair[K, Joined[V, W]]] {
 	if parts <= 0 {
 		parts = a.Partitions()
 	}
-	type tagged struct {
-		key   K
-		left  bool
-		value []byte
-	}
-	left := Map(a, func(p Pair[K, V]) tagged {
-		return tagged{key: p.Key, left: true, value: vc.Encode(p.Value)}
-	})
-	right := Map(b, func(p Pair[K, W]) tagged {
-		return tagged{key: p.Key, left: false, value: wc.Encode(p.Value)}
-	})
-	both := Union(left, right)
-	plan := a.ctx.engine.NewShuffled(both.plan, core.ShuffleDep{
-		Partitions: parts,
-		KeyOf:      func(r core.Row) []byte { return kc.Encode(r.(tagged).key) },
-		ValueOf: func(r core.Row) []byte {
-			t := r.(tagged)
-			tag := byte(0)
-			if t.left {
-				tag = 1
+	const leftTag, rightTag = 1, 0
+	left := pairRecords(a, kc, Codec[V]{Encode: func(v V) []byte { return append([]byte{leftTag}, vc.Encode(v)...) }})
+	right := pairRecords(b, kc, Codec[W]{Encode: func(w W) []byte { return append([]byte{rightTag}, wc.Encode(w)...) }})
+	both := a.ctx.engine.NewUnion(left, right)
+	return shuffleOf(a.ctx, both, core.ShuffleDep{Partitions: parts}, func(recs []shuffle.Record) []Pair[K, Joined[V, W]] {
+		type sides struct{ lefts, rights [][]byte }
+		g := newKeyGroups()
+		var groups []sides
+		for _, rec := range recs {
+			i, first := g.group(rec.Key)
+			if first {
+				groups = append(groups, sides{})
 			}
-			return append([]byte{tag}, t.value...)
-		},
-		Post: func(_ *core.TaskContext, recs []shuffle.Record) []core.Row {
-			type sides struct {
-				lefts  [][]byte
-				rights [][]byte
+			if rec.Value[0] == leftTag {
+				groups[i].lefts = append(groups[i].lefts, rec.Value[1:])
+			} else {
+				groups[i].rights = append(groups[i].rights, rec.Value[1:])
 			}
-			groups := map[string]*sides{}
-			for _, rec := range recs {
-				k := string(rec.Key)
-				g, ok := groups[k]
-				if !ok {
-					g = &sides{}
-					groups[k] = g
-				}
-				if rec.Value[0] == 1 {
-					g.lefts = append(g.lefts, rec.Value[1:])
-				} else {
-					g.rights = append(g.rights, rec.Value[1:])
+		}
+		var out []Pair[K, Joined[V, W]]
+		for _, i := range g.ascending() {
+			key := kc.Decode(g.keys[i])
+			for _, l := range groups[i].lefts {
+				for _, r := range groups[i].rights {
+					out = append(out, Pair[K, Joined[V, W]]{
+						Key:   key,
+						Value: Joined[V, W]{Left: vc.Decode(l), Right: wc.Decode(r)},
+					})
 				}
 			}
-			keys := make([]string, 0, len(groups))
-			for k := range groups {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			var out []core.Row
-			for _, k := range keys {
-				g := groups[k]
-				key := kc.Decode([]byte(k))
-				for _, l := range g.lefts {
-					for _, r := range g.rights {
-						out = append(out, Pair[K, Joined[V, W]]{
-							Key:   key,
-							Value: Joined[V, W]{Left: vc.Decode(l), Right: wc.Decode(r)},
-						})
-					}
-				}
-			}
-			return out
-		},
+		}
+		return out
 	})
-	return &Dataset[Pair[K, Joined[V, W]]]{ctx: a.ctx, plan: plan}
 }
 
 // BroadcastJoin inner-joins a large dataset against a small one without a
@@ -256,23 +315,15 @@ func SortByKey[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Code
 	if err != nil {
 		return nil, err
 	}
-	splits := splitPoints(keys, parts)
-	rp := shuffle.NewRangePartitioner(splits)
-	plan := d.ctx.engine.NewShuffled(d.plan, core.ShuffleDep{
-		Partitions:  rp.Partitions(),
-		Partitioner: rp.Partition,
-		Sorted:      true,
-		KeyOf:       func(r core.Row) []byte { return kc.Encode(r.(Pair[K, V]).Key) },
-		ValueOf:     func(r core.Row) []byte { return vc.Encode(r.(Pair[K, V]).Value) },
-		Post: func(_ *core.TaskContext, recs []shuffle.Record) []core.Row {
-			out := make([]core.Row, len(recs))
-			for i, rec := range recs {
-				out[i] = Pair[K, V]{Key: kc.Decode(rec.Key), Value: vc.Decode(rec.Value)}
-			}
-			return out
-		},
-	})
-	return &Dataset[Pair[K, V]]{ctx: d.ctx, plan: plan}, nil
+	rp := shuffle.NewRangePartitioner(splitPoints(keys, parts))
+	dep := core.ShuffleDep{Partitions: rp.Partitions(), Partitioner: rp.Partition, Sorted: true}
+	return shuffleOf(d.ctx, pairRecords(d, kc, vc), dep, func(recs []shuffle.Record) []Pair[K, V] {
+		out := make([]Pair[K, V], len(recs))
+		for i, rec := range recs {
+			out[i] = Pair[K, V]{Key: kc.Decode(rec.Key), Value: vc.Decode(rec.Value)}
+		}
+		return out
+	}), nil
 }
 
 // splitPoints picks parts-1 ascending split keys from the sample.

@@ -3,38 +3,24 @@ package hpbdc
 import "repro/internal/core"
 
 // ReferenceCollect evaluates the dataset's plan with the sequential
-// single-node reference oracle (core.Reference) and returns all rows in
-// partition order. It shares the job spec — the user functions captured
-// in the plan — with the distributed engine but none of its execution
-// machinery (stages, tasks, shuffle writers, caching, recovery), so
-// comparing it against Collect is a differential correctness test: see
-// internal/check and DESIGN.md "Correctness checking".
+// single-node reference oracle (core.Reference) and returns all elements
+// in partition order, copied out of the plan's batches. It shares the job
+// spec — the functions captured in the plan, the typed layer's own narrow
+// steps (record cutting, ReduceByKey's fold) included — with the
+// distributed engine but none of its execution machinery (stages, tasks,
+// shuffle writers, caching, recovery), so comparing it against Collect is
+// a differential correctness test: see internal/check and DESIGN.md
+// "Correctness checking".
 //
 // Record order matches CollectPartitions only where the engine
 // guarantees one (sorted shuffles, narrow pipelines); compare unsorted
 // shuffle output as a multiset.
 func ReferenceCollect[T any](d *Dataset[T]) []T {
-	parts := core.Reference(d.Plan())
-	var out []T
-	for _, rows := range parts {
-		for _, r := range rows {
-			out = append(out, r.(T))
-		}
-	}
-	return out
+	return flatten[T](core.Reference(d.Plan()))
 }
 
 // ReferenceCollectPartitions is ReferenceCollect keeping the partition
 // structure, aligned with CollectPartitions.
 func ReferenceCollectPartitions[T any](d *Dataset[T]) [][]T {
-	parts := core.Reference(d.Plan())
-	out := make([][]T, len(parts))
-	for i, rows := range parts {
-		typed := make([]T, len(rows))
-		for j, r := range rows {
-			typed[j] = r.(T)
-		}
-		out[i] = typed
-	}
-	return out
+	return copyPartitions[T](core.Reference(d.Plan()))
 }

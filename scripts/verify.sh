@@ -22,6 +22,12 @@ go build ./...
 echo "== go test =="
 go test ./...
 
+echo "== benchmark module (vet, test) =="
+# bench/ is its own module, outside ./...: this is where a change that
+# breaks an API the benchmark pins shows up before the benchmark runs.
+go -C bench vet .
+go -C bench test .
+
 echo "== go test -race (concurrent instrumentation) =="
 go test -race ./internal/metrics/... ./internal/trace/... \
     ./internal/obs/... ./internal/core/... ./internal/shuffle/... \
