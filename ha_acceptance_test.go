@@ -122,7 +122,8 @@ func TestHADeterministicReplay(t *testing.T) {
 		snap := map[string]int64{}
 		for _, name := range []string{
 			"ha_failovers", "ha_member_crashes", "ha_member_restarts",
-			"ha_proposals", "coord_crashes", "coord_stages_resumed",
+			"ha_proposals", "ha_compactions", "ha_snapshots_built",
+			"ha_snapshot_bytes", "coord_crashes", "coord_stages_resumed",
 			"coord_stages_restarted", "stages_run",
 		} {
 			snap[name] = reg.Counter(name).Value()

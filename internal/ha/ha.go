@@ -19,7 +19,7 @@ package ha
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -72,7 +72,8 @@ type Config struct {
 	// Metrics, when non-nil, receives the group's counters: ha_proposals,
 	// ha_queries, ha_redirects, ha_failovers, the ha_failover_ticks
 	// histogram (ticks from leader loss to the next leader), member
-	// crash/restart counts and snapshot restores. Optional.
+	// crash/restart counts, snapshot restores, and compaction's cost:
+	// ha_compactions, ha_snapshots_built, ha_snapshot_bytes. Optional.
 	Metrics *metrics.Registry
 }
 
@@ -86,12 +87,16 @@ type groupMetrics struct {
 	crashes       *metrics.Counter
 	restarts      *metrics.Counter
 	snapRestores  *metrics.Counter
+	compactions   *metrics.Counter
+	snapsBuilt    *metrics.Counter
+	snapBytes     *metrics.Counter
 }
 
 // replica is one member's set of state machines plus the command-dedup
 // session state that makes re-proposed commands apply exactly once.
 type replica struct {
 	machines map[string]StateMachine
+	names    []string                       // machine names, sorted (snapshot order)
 	dynamic  func(name string) StateMachine // fallback factory (may be nil)
 	applied  uint64                         // log index of the last applied entry
 	lastSeq  uint64                         // highest command sequence applied
@@ -103,9 +108,8 @@ type replica struct {
 // virtual time advances deterministically relative to the operation
 // order.
 type Group struct {
-	mu    sync.Mutex
-	cfg   Config
-	names []string // machine names, sorted (snapshot order)
+	mu  sync.Mutex
+	cfg Config
 
 	nodes   []*consensus.Node
 	reps    []*replica
@@ -113,6 +117,10 @@ type Group struct {
 	part    map[int]int     // nil = fully connected
 	cut     map[[2]int]bool // directed member-link cuts (gray faults)
 	inbox   []consensus.Message
+
+	// The last compaction snapshot built and the applied index it is of.
+	snapAt uint64
+	snap   []byte
 
 	// seenStepDowns mirrors the sum of member StepDowns() already counted
 	// into the ha_leader_stepdowns metric.
@@ -150,18 +158,12 @@ func NewGroup(cfg Config) *Group {
 	if len(cfg.Machines) == 0 && cfg.Dynamic == nil {
 		panic("ha: Config.Machines or Config.Dynamic is required")
 	}
-	names := make([]string, 0, len(cfg.Machines))
-	for name := range cfg.Machines {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	peers := make([]int, cfg.Members)
 	for i := range peers {
 		peers[i] = i
 	}
 	g := &Group{
 		cfg:          cfg,
-		names:        names,
 		nodes:        make([]*consensus.Node, cfg.Members),
 		reps:         make([]*replica, cfg.Members),
 		crashed:      make([]bool, cfg.Members),
@@ -190,6 +192,9 @@ func NewGroup(cfg Config) *Group {
 			crashes:       reg.Counter("ha_member_crashes"),
 			restarts:      reg.Counter("ha_member_restarts"),
 			snapRestores:  reg.Counter("ha_snapshot_restores"),
+			compactions:   reg.Counter("ha_compactions"),
+			snapsBuilt:    reg.Counter("ha_snapshots_built"),
+			snapBytes:     reg.Counter("ha_snapshot_bytes"),
 		}
 	}
 	for t := 0; t < cfg.MaxOpTicks && g.leaderLocked() < 0; t++ {
@@ -205,7 +210,9 @@ func (g *Group) newReplica() *replica {
 	}
 	for name, factory := range g.cfg.Machines {
 		r.machines[name] = factory()
+		r.names = append(r.names, name)
 	}
+	slices.Sort(r.names)
 	return r
 }
 
@@ -320,9 +327,24 @@ func (g *Group) applyCommittedLocked() {
 			rep.applied = e.Index
 		}
 		if n.LogLen() > g.cfg.CompactEvery {
-			_ = n.Compact(rep.applied, rep.snapshot())
+			_ = n.Compact(rep.applied, g.snapshotLocked(rep))
+			g.m.compactions.Inc()
 		}
 	}
+}
+
+// snapshotLocked returns rep's serialized state, building it only if the
+// last one built was of another applied index: replicas that applied the
+// same log prefix hold the same state, so members compacting at one index
+// share one never-written buffer. A lagging, partitioned or revived
+// member just misses and builds its own.
+func (g *Group) snapshotLocked(rep *replica) []byte {
+	if g.snap == nil || g.snapAt != rep.applied {
+		g.snapAt, g.snap = rep.applied, rep.snapshot()
+		g.m.snapsBuilt.Inc()
+		g.m.snapBytes.Add(int64(len(g.snap)))
+	}
+	return g.snap
 }
 
 // trackFailoverLocked records leader-loss -> next-leader intervals and
@@ -654,23 +676,26 @@ func (r *replica) machine(name string) StateMachine {
 	}
 	sm := r.dynamic(name)
 	r.machines[name] = sm
+	i, _ := slices.BinarySearch(r.names, name)
+	r.names = slices.Insert(r.names, i, name)
 	return sm
 }
 
-// snapshot serializes the replica: dedup session state plus every
-// machine's snapshot in sorted-name order.
+// snapshot serializes the replica into one exactly sized buffer: dedup
+// session state plus every machine's snapshot in sorted-name order.
 func (r *replica) snapshot() []byte {
-	names := make([]string, 0, len(r.machines))
-	for name := range r.machines {
-		names = append(names, name)
+	snaps := make([][]byte, len(r.names))
+	size := 8 + 4 + len(r.lastResp) + 4
+	for i, name := range r.names {
+		snaps[i] = r.machines[name].Snapshot()
+		size += 4 + len(name) + 4 + len(snaps[i])
 	}
-	sort.Strings(names)
-	buf := binary.BigEndian.AppendUint64(nil, r.lastSeq)
+	buf := binary.BigEndian.AppendUint64(make([]byte, 0, size), r.lastSeq)
 	buf = appendBytes(buf, r.lastResp)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(names)))
-	for _, name := range names {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(r.names)))
+	for i, name := range r.names {
 		buf = appendBytes(buf, []byte(name))
-		buf = appendBytes(buf, r.machines[name].Snapshot())
+		buf = appendBytes(buf, snaps[i])
 	}
 	return buf
 }

@@ -169,6 +169,10 @@ func TestReviveRebuildsFromDurableState(t *testing.T) {
 		t.Errorf("ha_member_restarts = %d, want 1",
 			reg.Counter("ha_member_restarts").Value())
 	}
+	// While the follower was down the other two still shared snapshots.
+	if c, b := reg.Counter("ha_compactions").Value(), reg.Counter("ha_snapshots_built").Value(); c < 4 || b >= c {
+		t.Errorf("ha_compactions = %d, ha_snapshots_built = %d; want compactions, fewer built", c, b)
+	}
 }
 
 func TestPartitionedLeaderReproposesExactlyOnce(t *testing.T) {

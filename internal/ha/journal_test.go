@@ -3,6 +3,8 @@ package ha
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 func journalGroup(t *testing.T, cfg Config) (*Group, *Journal) {
@@ -87,7 +89,8 @@ func TestJournalSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestJournalCompactionKeepsHistory(t *testing.T) {
-	g, j := journalGroup(t, Config{CompactEvery: 8})
+	reg := metrics.NewRegistry()
+	g, j := journalGroup(t, Config{CompactEvery: 8, Metrics: reg})
 	for i := 0; i < 30; i++ {
 		if err := j.Append([]byte(fmt.Sprintf("rec %d", i))); err != nil {
 			t.Fatalf("Append: %v", err)
@@ -105,6 +108,9 @@ func TestJournalCompactionKeepsHistory(t *testing.T) {
 	g.mu.Unlock()
 	if !compacted {
 		t.Fatal("no member compacted its log; CompactEvery not honored")
+	}
+	if c, b := reg.Counter("ha_compactions").Value(), reg.Counter("ha_snapshots_built").Value(); c < 3 || b < 1 || b >= c {
+		t.Fatalf("ha_compactions = %d, ha_snapshots_built = %d; want every member compacting off shared snapshots", c, b)
 	}
 	got, err := j.Replay()
 	if err != nil {

@@ -16,7 +16,10 @@
 // idempotent, so recovery simply replays the remaining phases.
 package kvstore
 
-import "sort"
+import (
+	"slices"
+	"strings"
+)
 
 const (
 	dirMachineName = "dir"
@@ -167,7 +170,7 @@ func (m *dirMachine) Apply(cmd []byte) []byte {
 		m.ranges = append(m.ranges, RangeInfo{
 			ID: p.New, Start: p.Key, End: oldEnd, Group: int(p.New % uint64(m.groups)),
 		})
-		sort.Slice(m.ranges, func(a, b int) bool { return m.ranges[a].Start < m.ranges[b].Start })
+		slices.SortFunc(m.ranges, func(a, b RangeInfo) int { return strings.Compare(a.Start, b.Start) })
 		p.Committed = true
 		m.epoch++
 		return []byte{rspOK}

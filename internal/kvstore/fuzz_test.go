@@ -1,0 +1,126 @@
+package kvstore
+
+import (
+	"bytes"
+	"testing"
+)
+
+// The replicated machines decode bytes that came out of a Raft log or a
+// snapshot: whatever they are, every replica must survive them and land
+// in a state that serializes canonically.
+
+// frames packs commands as one fuzz input: a length byte, then the
+// command (the seed commands are all shorter than 256 bytes).
+func frames(cmds ...[]byte) []byte {
+	var out []byte
+	for _, c := range cmds {
+		out = append(append(out, byte(len(c))), c...)
+	}
+	return out
+}
+
+// eachFrame undoes frames, tolerating any input.
+func eachFrame(data []byte, fn func(cmd []byte)) {
+	for len(data) > 0 {
+		n := min(int(data[0]), len(data)-1)
+		fn(data[1 : 1+n])
+		data = data[1+n:]
+	}
+}
+
+// checkRangeRoundTrip asserts Restore(Snapshot(m)) re-snapshots to the
+// same bytes, and that the snapshot buffer was sized exactly.
+func checkRangeRoundTrip(t *testing.T, m *rangeMachine) {
+	t.Helper()
+	snap := m.Snapshot()
+	if len(snap) != cap(snap) {
+		t.Fatalf("snapshot buffer: len %d, cap %d; want sized exactly", len(snap), cap(snap))
+	}
+	r := newRangeMachine()
+	r.Restore(snap)
+	if again := r.Snapshot(); !bytes.Equal(again, snap) {
+		t.Fatalf("Restore(Snapshot(m)) re-snapshots differently:\n% x\n% x", snap, again)
+	}
+}
+
+func FuzzRangeMachineApply(f *testing.F) {
+	pairs := []kvPair{{key: "b", rval: rval{val: []byte("vb"), ver: 3}}, {key: "x", rval: rval{ver: 4, dead: true}}}
+	writes := []rmWrite{{Key: "a", Val: []byte("w")}, {Key: "b", Del: true}}
+	f.Add(frames(encRmAdopt("", "", nil), encRmPut("a", []byte("v"), 1), encRmPut("a", []byte("v2"), 2),
+		encRmGet("a", false), encRmGet("a", true), encRmDel("a", 9)))
+	f.Add(frames(encRmAdopt("a", "m", pairs), encRmPrepare(7, 7, false, []string{"a", "b"}, []string{"b"}),
+		encRmApply(7, 7, 5, writes), encRmPrepare(9, 9, true, []string{"c"}, nil), encRmAbort(9, 9),
+		encRmPrepare(8, 8, false, []string{"d"}, nil), encRmApply(7, 0, 6, writes)))
+	f.Add(frames(encRmAdopt("", "", pairs), encRmFreeze("k"), encRmTrim("k"), encRmMigrate(pairs),
+		encRmTrimKeys(pairs), encRmPut("zz", nil, 2)))
+	f.Add([]byte{3, rmOpAbort, 0, 0, 1, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := newRangeMachine()
+		eachFrame(data, func(cmd []byte) {
+			if resp := m.Apply(cmd); len(resp) == 0 {
+				t.Fatalf("Apply(% x) returned no status", cmd)
+			}
+		})
+		for id := range m.done {
+			if id < m.closed {
+				t.Fatalf("done remembers txn %d below the watermark %d", id, m.closed)
+			}
+		}
+		checkRangeRoundTrip(t, m)
+	})
+}
+
+func FuzzRangeMachineRestore(f *testing.F) {
+	m := newRangeMachine()
+	f.Add(m.Snapshot())
+	m.Apply(encRmAdopt("a", "q", []kvPair{{key: "b", rval: rval{val: []byte("vb"), ver: 3}}}))
+	m.Apply(encRmPut("b", []byte("newer"), 4))
+	m.Apply(encRmDel("c", 5))
+	m.Apply(encRmPrepare(7, 6, false, []string{"d", "e"}, nil))
+	m.Apply(encRmAbort(6, 6))
+	m.Apply(encRmFreeze("k"))
+	f.Add(m.Snapshot())
+	f.Add(m.Snapshot()[:20])
+	f.Fuzz(func(t *testing.T, snap []byte) {
+		m := newRangeMachine()
+		m.Restore(snap)
+		m.Apply(encRmGet("b", true))
+		checkRangeRoundTrip(t, m)
+	})
+}
+
+func FuzzTxnMachineApply(f *testing.F) {
+	writes := []rmWrite{{Key: "a", Val: []byte("w")}, {Key: "b", Del: true}}
+	f.Add(frames(encTxBegin(1, []uint64{0, 1}, writes), encTxCommit(1, 10), encTxAbort(1), encTxDone(1)))
+	f.Add(frames(encTxBegin(5, []uint64{2}, nil), encTxBegin(3, nil, nil), encTxAbort(5), encTxCommit(5, 2),
+		encTxBegin(6, nil, writes), encTxDone(5), encTxBegin(5, nil, nil)))
+	f.Add([]byte{2, txOpBegin, 0, 9, txOpDone, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := newTxnMachine()
+		var low uint64
+		eachFrame(data, func(cmd []byte) {
+			if resp := m.Apply(cmd); len(resp) == 0 {
+				t.Fatalf("Apply(% x) returned no status", cmd)
+			}
+			now := m.closedBelow()
+			if now < low {
+				t.Fatalf("closedBelow fell from %d to %d after % x", low, now, cmd)
+			}
+			low = now
+		})
+		snap := m.Snapshot()
+		r := newTxnMachine()
+		r.Restore(snap)
+		if again := r.Snapshot(); !bytes.Equal(again, snap) {
+			t.Fatalf("Restore(Snapshot(m)) re-snapshots differently:\n% x\n% x", snap, again)
+		}
+	})
+}
+
+func TestSingleKeyEncodersSizeExactly(t *testing.T) {
+	for _, cmd := range [][]byte{encRmPut("key", []byte("value"), 7), encRmPut("", nil, 0), encRmGet("key", true), encRmDel("key", 9)} {
+		if len(cmd) != cap(cmd) {
+			t.Errorf("command % x: len %d, cap %d; want sized exactly", cmd, len(cmd), cap(cmd))
+		}
+	}
+}

@@ -13,14 +13,21 @@
 // accepted by a non-owner.
 package kvstore
 
-// Range command opcodes (first byte of every Apply payload).
+import (
+	"maps"
+	"slices"
+	"strings"
+)
+
+// Range command opcodes (first byte of every Apply payload). closed is
+// the txn table's closedBelow as of the transaction's begin.
 const (
 	rmOpPut      = 0x01 // key, ver, val
 	rmOpGet      = 0x02 // key, dirty
 	rmOpDel      = 0x03 // key, ver
-	rmOpPrepare  = 0x04 // txn, dirty, lockKeys, readKeys
-	rmOpApply    = 0x05 // txn, ver, writes
-	rmOpAbort    = 0x06 // txn
+	rmOpPrepare  = 0x04 // txn, closed, dirty, lockKeys, readKeys
+	rmOpApply    = 0x05 // txn, closed, ver, writes
+	rmOpAbort    = 0x06 // txn, closed
 	rmOpAdopt    = 0x07 // lo, hi, pairs — set bounds + LWW upsert
 	rmOpFreeze   = 0x08 // from — fence [from, +inf), return its pairs
 	rmOpTrim     = 0x09 // from — delete [from, +inf), shrink hi
@@ -37,6 +44,7 @@ const (
 	rspConflict  = 0x03 // prepare/freeze/reserve lost a conflict check
 	rspAborted   = 0x04 // transaction already finished as aborted
 	rspCommitted = 0x05 // transaction already finished as committed
+	rspStale     = 0x06 // put/del version not above the cell's: retry with a fresh one
 )
 
 // Transaction terminal states recorded per range (dedup + late-message
@@ -61,6 +69,13 @@ type kvPair struct {
 	rval
 }
 
+// cell is one key's state: its value and (dirty reads) the one before.
+type cell struct {
+	kvPair
+	old    rval
+	hasOld bool
+}
+
 // rmWrite is one write inside a transaction.
 type rmWrite struct {
 	Key string
@@ -81,19 +96,44 @@ type rangeMachine struct {
 	fenced bool   // split/merge in progress: [fence, +inf) refused
 	fence  string
 
-	data  map[string]rval
-	prev  map[string]rval   // last overwritten cell per key (dirty reads)
+	data  map[string]*cell
+	order []*cell           // data in key order; nil once the key set changes
 	locks map[string]uint64 // key -> owning txn id
-	done  map[uint64]byte   // txn id -> txnApplied | txnAborted
+	// The txn table retired every id below closed (the highest closedBelow
+	// a command carried); done keeps outcomes from there up.
+	closed uint64
+	done   map[uint64]byte // txn id -> txnApplied | txnAborted
 }
 
 func newRangeMachine() *rangeMachine {
 	return &rangeMachine{
-		data:  map[string]rval{},
-		prev:  map[string]rval{},
+		data:  map[string]*cell{},
 		locks: map[string]uint64{},
 		done:  map[uint64]byte{},
 	}
+}
+
+// sorted returns the cells in ascending key order, a cache rebuilt only
+// after the key set changed (queries may fill it: no snapshot shows it).
+func (m *rangeMachine) sorted() []*cell {
+	if m.order == nil && len(m.data) > 0 {
+		m.order = make([]*cell, 0, len(m.data))
+		for _, c := range m.data {
+			m.order = append(m.order, c)
+		}
+		slices.SortFunc(m.order, func(a, b *cell) int { return strings.Compare(a.key, b.key) })
+	}
+	return m.order
+}
+
+// finished folds a command's closedBelow into the watermark and reports
+// whether txn is below it: retired, so nothing may lock or write for it.
+func (m *rangeMachine) finished(txn, closed uint64) bool {
+	if closed > m.closed {
+		m.closed = closed
+		maps.DeleteFunc(m.done, func(id uint64, _ byte) bool { return id < closed })
+	}
+	return txn < m.closed
 }
 
 // owns reports whether key is inside the machine's current bounds and
@@ -108,18 +148,31 @@ func (m *rangeMachine) owns(key string) bool {
 	return true
 }
 
-// upsert installs a cell if it is newer than the current one, retaining
-// the overwritten cell in prev. Returns whether it was installed.
+// upsert installs a value if it is newer than the current one, retaining
+// the overwritten one. Returns whether it was installed.
 func (m *rangeMachine) upsert(key string, v rval) bool {
-	cur, ok := m.data[key]
-	if ok && v.ver <= cur.ver {
+	c := m.data[key]
+	switch {
+	case c == nil:
+		m.data[key] = &cell{kvPair: kvPair{key: key, rval: v}}
+		m.order = nil
+	case v.ver <= c.ver:
 		return false
+	default:
+		c.old, c.hasOld, c.rval = c.rval, true, v
 	}
-	if ok {
-		m.prev[key] = cur
-	}
-	m.data[key] = v
 	return true
+}
+
+// install upserts migrated cells and answers how many were newer.
+func (m *rangeMachine) install(pairs []kvPair) []byte {
+	installed := uint32(0)
+	for _, p := range pairs {
+		if m.upsert(p.key, p.rval) {
+			installed++
+		}
+	}
+	return wAppendU32([]byte{rspOK}, installed)
 }
 
 func (m *rangeMachine) Apply(cmd []byte) []byte {
@@ -142,7 +195,11 @@ func (m *rangeMachine) Apply(cmd []byte) []byte {
 		if owner, locked := m.locks[key]; locked {
 			return wAppendU64([]byte{rspLocked}, owner)
 		}
-		m.upsert(key, rval{val: val, ver: ver, dead: op == rmOpDel})
+		if !m.upsert(key, rval{val: val, ver: ver, dead: op == rmOpDel}) {
+			// Dropping it silently would let a transaction that ran since
+			// the version was drawn both miss this write and bury it.
+			return []byte{rspStale}
+		}
 		return []byte{rspOK}
 
 	case rmOpGet:
@@ -164,15 +221,18 @@ func (m *rangeMachine) Apply(cmd []byte) []byte {
 	case rmOpApply:
 		return m.applyCommit(d)
 	case rmOpAbort:
-		txn := d.u64()
+		txn, closed := d.u64(), d.u64()
 		if d.err {
 			return []byte{rspConflict}
 		}
-		if m.done[txn] == txnApplied {
-			return []byte{rspCommitted}
+		if !m.finished(txn, closed) {
+			if m.done[txn] == txnApplied {
+				return []byte{rspCommitted}
+			}
+			m.done[txn] = txnAborted
 		}
+		// Below the watermark too: a lock a lost abort left behind goes.
 		m.releaseLocks(txn)
-		m.done[txn] = txnAborted
 		return []byte{rspOK}
 
 	case rmOpAdopt:
@@ -182,13 +242,7 @@ func (m *rangeMachine) Apply(cmd []byte) []byte {
 			return []byte{rspConflict}
 		}
 		m.lo, m.hi, m.init = lo, hi, true
-		installed := uint32(0)
-		for _, p := range pairs {
-			if m.upsert(p.key, p.rval) {
-				installed++
-			}
-		}
-		return wAppendU32([]byte{rspOK}, installed)
+		return m.install(pairs)
 
 	case rmOpFreeze:
 		from := d.str()
@@ -204,8 +258,7 @@ func (m *rangeMachine) Apply(cmd []byte) []byte {
 			}
 		}
 		m.fenced, m.fence = true, from
-		resp := []byte{rspOK}
-		return appendPairs(resp, m.pairsFrom(from))
+		return appendPairs([]byte{rspOK}, m.pairsFrom(from))
 
 	case rmOpTrim:
 		from := d.str()
@@ -216,13 +269,8 @@ func (m *rangeMachine) Apply(cmd []byte) []byte {
 		for k := range m.data {
 			if k >= from {
 				delete(m.data, k)
-				delete(m.prev, k)
+				m.order = nil
 				n++
-			}
-		}
-		for k := range m.prev {
-			if k >= from {
-				delete(m.prev, k)
 			}
 		}
 		m.hi = from
@@ -236,13 +284,7 @@ func (m *rangeMachine) Apply(cmd []byte) []byte {
 		if d.err {
 			return []byte{rspConflict}
 		}
-		installed := uint32(0)
-		for _, p := range pairs {
-			if m.upsert(p.key, p.rval) {
-				installed++
-			}
-		}
-		return wAppendU32([]byte{rspOK}, installed)
+		return m.install(pairs)
 
 	case rmOpTrimKeys:
 		n := int(d.u32())
@@ -253,9 +295,9 @@ func (m *rangeMachine) Apply(cmd []byte) []byte {
 			if d.err {
 				break
 			}
-			if cur, ok := m.data[key]; ok && cur.ver <= maxVer {
+			if cur := m.data[key]; cur != nil && cur.ver <= maxVer {
 				delete(m.data, key)
-				delete(m.prev, key)
+				m.order = nil
 				removed++
 			}
 		}
@@ -269,12 +311,15 @@ func (m *rangeMachine) Apply(cmd []byte) []byte {
 // no lock waiting, so cross-range deadlock is impossible by
 // construction and contention resolves by coordinator retry.
 func (m *rangeMachine) applyPrepare(d *wdec) []byte {
-	txn := d.u64()
+	txn, closed := d.u64(), d.u64()
 	dirty := d.boolv()
 	lockKeys := decodeStrs(d)
 	readKeys := decodeStrs(d)
 	if d.err {
 		return []byte{rspConflict}
+	}
+	if m.finished(txn, closed) {
+		return []byte{rspAborted} // retired: a lock taken now would never be released
 	}
 	switch m.done[txn] {
 	case txnAborted:
@@ -305,13 +350,13 @@ func (m *rangeMachine) applyPrepare(d *wdec) []byte {
 // applyCommit installs a committed txn's writes at the commit version
 // and releases its locks. Idempotent: recovery may replay it.
 func (m *rangeMachine) applyCommit(d *wdec) []byte {
-	txn := d.u64()
+	txn, closed := d.u64(), d.u64()
 	ver := d.u64()
 	writes := decodeWrites(d)
 	if d.err {
 		return []byte{rspConflict}
 	}
-	if m.done[txn] == txnApplied {
+	if m.finished(txn, closed) || m.done[txn] == txnApplied {
 		return []byte{rspOK}
 	}
 	for _, w := range writes {
@@ -334,31 +379,30 @@ func (m *rangeMachine) releaseLocks(txn uint64) {
 // the retained overwritten cell when one exists — the deliberately
 // broken isolation mode that proves the txn checker has teeth.
 func (m *rangeMachine) readResp(key string, dirty bool) []byte {
-	cell, ok := m.data[key]
-	if dirty {
-		if p, stale := m.prev[key]; stale {
-			cell, ok = p, true
+	var v rval
+	c := m.data[key]
+	if c != nil {
+		v = c.rval
+		if dirty && c.hasOld {
+			v = c.old
 		}
 	}
-	resp := []byte{rspOK}
-	found := ok && !cell.dead
-	resp = wAppendBool(resp, found)
-	if found {
-		return wAppendBlob(resp, cell.val)
+	found := c != nil && !v.dead
+	if !found {
+		v.val = nil
 	}
-	return wAppendBlob(resp, nil)
+	return wAppendBlob(wAppendBool([]byte{rspOK}, found), v.val)
 }
 
 // pairsFrom returns the cells (tombstones included) at or above from,
 // in sorted key order.
 func (m *rangeMachine) pairsFrom(from string) []kvPair {
-	var pairs []kvPair
-	for k, v := range m.data {
-		if k >= from {
-			pairs = append(pairs, kvPair{key: k, rval: v})
-		}
+	cells := m.sorted()
+	i, _ := slices.BinarySearchFunc(cells, from, func(c *cell, k string) int { return strings.Compare(c.key, k) })
+	pairs := make([]kvPair, 0, len(cells)-i)
+	for _, c := range cells[i:] {
+		pairs = append(pairs, c.kvPair)
 	}
-	sortPairs(pairs)
 	return pairs
 }
 
@@ -384,46 +428,49 @@ func (m *rangeMachine) liveSize() int {
 // liveKeys returns the sorted live keys (split-point selection).
 func (m *rangeMachine) liveKeys() []string {
 	keys := make([]string, 0, len(m.data))
-	for k, v := range m.data {
-		if !v.dead {
-			keys = append(keys, k)
+	for _, c := range m.sorted() {
+		if !c.dead {
+			keys = append(keys, c.key)
 		}
 	}
-	sortStrs(keys)
 	return keys
 }
 
 // Snapshot/Restore: deterministic serialization in sorted order, so all
-// replicas produce identical snapshots for identical state.
+// replicas produce identical snapshots for identical state. The buffer
+// is sized exactly and filled straight from the cached key order.
 
 func (m *rangeMachine) Snapshot() []byte {
-	buf := wAppendStr(nil, m.lo)
+	cells, lockKeys, doneIDs := m.sorted(), sortedKeys(m.locks), sortedKeys(m.done)
+	size := 4 + len(m.lo) + 4 + len(m.hi) + 2 + 4 + len(m.fence) + 4 + 4 + 8 + 4 + 9*len(doneIDs)
+	for _, c := range cells {
+		size += pairLen(c.kvPair) + 1
+		if c.hasOld {
+			size += rvalLen(c.old)
+		}
+	}
+	for _, k := range lockKeys {
+		size += 4 + len(k) + 8
+	}
+	buf := wAppendStr(make([]byte, 0, size), m.lo)
 	buf = wAppendStr(buf, m.hi)
 	buf = wAppendBool(buf, m.init)
 	buf = wAppendBool(buf, m.fenced)
 	buf = wAppendStr(buf, m.fence)
-	buf = appendPairs(buf, m.allPairs())
-	prevPairs := make([]kvPair, 0, len(m.prev))
-	for k, v := range m.prev {
-		prevPairs = append(prevPairs, kvPair{key: k, rval: v})
+	buf = wAppendU32(buf, uint32(len(cells)))
+	for _, c := range cells {
+		buf = appendPair(buf, c.kvPair)
+		buf = wAppendBool(buf, c.hasOld)
+		if c.hasOld {
+			buf = appendRval(buf, c.old)
+		}
 	}
-	sortPairs(prevPairs)
-	buf = appendPairs(buf, prevPairs)
-	lockKeys := make([]string, 0, len(m.locks))
-	for k := range m.locks {
-		lockKeys = append(lockKeys, k)
-	}
-	sortStrs(lockKeys)
 	buf = wAppendU32(buf, uint32(len(lockKeys)))
 	for _, k := range lockKeys {
 		buf = wAppendStr(buf, k)
 		buf = wAppendU64(buf, m.locks[k])
 	}
-	doneIDs := make([]uint64, 0, len(m.done))
-	for id := range m.done {
-		doneIDs = append(doneIDs, id)
-	}
-	sortU64s(doneIDs)
+	buf = wAppendU64(buf, m.closed)
 	buf = wAppendU32(buf, uint32(len(doneIDs)))
 	for _, id := range doneIDs {
 		buf = wAppendU64(buf, id)
@@ -439,21 +486,26 @@ func (m *rangeMachine) Restore(snap []byte) {
 	m.init = d.boolv()
 	m.fenced = d.boolv()
 	m.fence = d.str()
-	m.data = map[string]rval{}
-	m.prev = map[string]rval{}
+	m.data, m.order = map[string]*cell{}, nil
 	m.locks = map[string]uint64{}
 	m.done = map[uint64]byte{}
-	for _, p := range decodePairs(d) {
-		m.data[p.key] = p.rval
-	}
-	for _, p := range decodePairs(d) {
-		m.prev[p.key] = p.rval
-	}
 	n := int(d.u32())
+	for i := 0; i < n && !d.err; i++ {
+		c := &cell{kvPair: decodePair(d)}
+		if c.hasOld = d.boolv(); c.hasOld {
+			c.old = decodeRval(d)
+		}
+		if d.err {
+			break
+		}
+		m.data[c.key] = c
+	}
+	n = int(d.u32())
 	for i := 0; i < n && !d.err; i++ {
 		k := d.str()
 		m.locks[k] = d.u64()
 	}
+	m.closed = d.u64()
 	n = int(d.u32())
 	for i := 0; i < n && !d.err; i++ {
 		id := d.u64()
@@ -463,36 +515,41 @@ func (m *rangeMachine) Restore(snap []byte) {
 
 // Command encoders (coordinator side).
 
+// The single-key encoders size their buffer exactly: one allocation.
 func encRmPut(key string, val []byte, ver uint64) []byte {
-	b := wAppendStr([]byte{rmOpPut}, key)
+	b := wAppendStr(append(make([]byte, 0, 17+len(key)+len(val)), rmOpPut), key)
 	b = wAppendU64(b, ver)
 	return wAppendBlob(b, val)
 }
 
 func encRmGet(key string, dirty bool) []byte {
-	b := wAppendStr([]byte{rmOpGet}, key)
+	b := wAppendStr(append(make([]byte, 0, 6+len(key)), rmOpGet), key)
 	return wAppendBool(b, dirty)
 }
 
 func encRmDel(key string, ver uint64) []byte {
-	b := wAppendStr([]byte{rmOpDel}, key)
+	b := wAppendStr(append(make([]byte, 0, 13+len(key)), rmOpDel), key)
 	return wAppendU64(b, ver)
 }
 
-func encRmPrepare(txn uint64, dirty bool, lockKeys, readKeys []string) []byte {
+func encRmPrepare(txn, closed uint64, dirty bool, lockKeys, readKeys []string) []byte {
 	b := wAppendU64([]byte{rmOpPrepare}, txn)
+	b = wAppendU64(b, closed)
 	b = wAppendBool(b, dirty)
 	b = appendStrs(b, lockKeys)
 	return appendStrs(b, readKeys)
 }
 
-func encRmApply(txn, ver uint64, writes []rmWrite) []byte {
+func encRmApply(txn, closed, ver uint64, writes []rmWrite) []byte {
 	b := wAppendU64([]byte{rmOpApply}, txn)
+	b = wAppendU64(b, closed)
 	b = wAppendU64(b, ver)
 	return appendWrites(b, writes)
 }
 
-func encRmAbort(txn uint64) []byte { return wAppendU64([]byte{rmOpAbort}, txn) }
+func encRmAbort(txn, closed uint64) []byte {
+	return wAppendU64(wAppendU64([]byte{rmOpAbort}, txn), closed)
+}
 
 func encRmAdopt(lo, hi string, pairs []kvPair) []byte {
 	b := wAppendStr([]byte{rmOpAdopt}, lo)
@@ -516,13 +573,24 @@ func encRmTrimKeys(pairs []kvPair) []byte {
 
 // Shared sub-encodings.
 
+func rvalLen(v rval) int   { return 8 + 1 + 4 + len(v.val) }
+func pairLen(p kvPair) int { return 4 + len(p.key) + rvalLen(p.rval) }
+
+func appendRval(b []byte, v rval) []byte {
+	return wAppendBlob(wAppendBool(wAppendU64(b, v.ver), v.dead), v.val)
+}
+
+// Calls in a composite literal run left to right: ver, dead, val.
+func decodeRval(d *wdec) rval { return rval{ver: d.u64(), dead: d.boolv(), val: d.blob()} }
+
+func appendPair(b []byte, p kvPair) []byte { return appendRval(wAppendStr(b, p.key), p.rval) }
+
+func decodePair(d *wdec) kvPair { return kvPair{key: d.str(), rval: decodeRval(d)} }
+
 func appendPairs(b []byte, pairs []kvPair) []byte {
 	b = wAppendU32(b, uint32(len(pairs)))
 	for _, p := range pairs {
-		b = wAppendStr(b, p.key)
-		b = wAppendU64(b, p.ver)
-		b = wAppendBool(b, p.dead)
-		b = wAppendBlob(b, p.val)
+		b = appendPair(b, p)
 	}
 	return b
 }
@@ -531,10 +599,7 @@ func decodePairs(d *wdec) []kvPair {
 	n := int(d.u32())
 	var pairs []kvPair
 	for i := 0; i < n && !d.err; i++ {
-		p := kvPair{key: d.str()}
-		p.ver = d.u64()
-		p.dead = d.boolv()
-		p.val = d.blob()
+		p := decodePair(d)
 		if d.err {
 			break
 		}

@@ -279,128 +279,80 @@ func (b *opBudget) charge(c time.Duration) error {
 func (b *opBudget) exhausted() bool { return b.has && b.remaining <= 0 }
 
 // Single-key operations. Each is one replicated command on the owning
-// range, retried through directory refreshes (rspMoved) and transaction
-// locks (rspLocked) up to MaxOpAttempts.
+// range, retried up to MaxOpAttempts through directory refreshes
+// (rspMoved), transaction locks (rspLocked) and lost version races
+// (rspStale). cmd encodes one attempt, so each carries a fresh version.
+// Returns the response after its status byte.
+func (s *Sharded) keyOp(ctx context.Context, op, key string, cmd func() []byte) ([]byte, error) {
+	b, err := newOpBudget(ctx)
+	if err != nil {
+		s.Reg.Counter("deadline_exceeded").Inc()
+		return nil, err
+	}
+	for attempt := 0; attempt < s.cfg.MaxOpAttempts; attempt++ {
+		r, err := s.locate(key)
+		if err != nil {
+			return nil, err
+		}
+		resp, c, err := s.propose(s.groupOf(r.ID), rangeName(r.ID), cmd())
+		if err != nil {
+			return nil, fmt.Errorf("kvstore: %s %q: %w", op, key, err)
+		}
+		if cerr := b.charge(c); cerr != nil {
+			s.Reg.Counter("deadline_exceeded").Inc()
+			return nil, cerr
+		}
+		switch resp[0] {
+		case rspOK:
+			return resp[1:], nil
+		case rspMoved:
+			s.Reg.Counter("sharded_moved_retries").Inc()
+			if err := s.refreshDir(); err != nil {
+				return nil, err
+			}
+		case rspLocked:
+			s.Reg.Counter("sharded_lock_retries").Inc()
+		case rspStale:
+			s.Reg.Counter("sharded_stale_retries").Inc()
+		default:
+			return nil, fmt.Errorf("kvstore: %s %q: unexpected status %d", op, key, resp[0])
+		}
+	}
+	return nil, fmt.Errorf("kvstore: %s %q: %w", op, key, ErrKeyLocked)
+}
 
 // Put writes key=value. An ErrDeadlineExceeded return may still have
 // applied (the command committed before the budget check, mirroring
 // PutCtx on the quorum store); ErrKeyLocked guarantees no effect.
 func (s *Sharded) Put(ctx context.Context, key string, value []byte) error {
-	b, err := newOpBudget(ctx)
-	if err != nil {
-		s.Reg.Counter("deadline_exceeded").Inc()
-		return err
+	_, err := s.keyOp(ctx, "put", key, func() []byte { return encRmPut(key, value, s.nextVersion()) })
+	if err == nil {
+		s.Reg.Counter("sharded_puts").Inc()
 	}
-	for attempt := 0; attempt < s.cfg.MaxOpAttempts; attempt++ {
-		r, err := s.locate(key)
-		if err != nil {
-			return err
-		}
-		resp, c, err := s.propose(s.groupOf(r.ID), rangeName(r.ID), encRmPut(key, value, s.nextVersion()))
-		if err != nil {
-			return fmt.Errorf("kvstore: put %q: %w", key, err)
-		}
-		if cerr := b.charge(c); cerr != nil {
-			s.Reg.Counter("deadline_exceeded").Inc()
-			return cerr
-		}
-		switch resp[0] {
-		case rspOK:
-			s.Reg.Counter("sharded_puts").Inc()
-			return nil
-		case rspMoved:
-			s.Reg.Counter("sharded_moved_retries").Inc()
-			if err := s.refreshDir(); err != nil {
-				return err
-			}
-		case rspLocked:
-			s.Reg.Counter("sharded_lock_retries").Inc()
-		default:
-			return fmt.Errorf("kvstore: put %q: unexpected status %d", key, resp[0])
-		}
-	}
-	return fmt.Errorf("kvstore: put %q: %w", key, ErrKeyLocked)
+	return err
 }
 
 // Get reads key. Absent keys return found=false with a nil error.
 func (s *Sharded) Get(ctx context.Context, key string) ([]byte, bool, error) {
-	b, err := newOpBudget(ctx)
+	dirty := s.dirtyReads()
+	resp, err := s.keyOp(ctx, "get", key, func() []byte { return encRmGet(key, dirty) })
 	if err != nil {
-		s.Reg.Counter("deadline_exceeded").Inc()
 		return nil, false, err
 	}
-	dirty := s.dirtyReads()
-	for attempt := 0; attempt < s.cfg.MaxOpAttempts; attempt++ {
-		r, err := s.locate(key)
-		if err != nil {
-			return nil, false, err
-		}
-		resp, c, err := s.propose(s.groupOf(r.ID), rangeName(r.ID), encRmGet(key, dirty))
-		if err != nil {
-			return nil, false, fmt.Errorf("kvstore: get %q: %w", key, err)
-		}
-		if cerr := b.charge(c); cerr != nil {
-			s.Reg.Counter("deadline_exceeded").Inc()
-			return nil, false, cerr
-		}
-		switch resp[0] {
-		case rspOK:
-			d := &wdec{buf: resp[1:]}
-			found := d.boolv()
-			val := d.blob()
-			s.Reg.Counter("sharded_gets").Inc()
-			return val, found, nil
-		case rspMoved:
-			s.Reg.Counter("sharded_moved_retries").Inc()
-			if err := s.refreshDir(); err != nil {
-				return nil, false, err
-			}
-		case rspLocked:
-			s.Reg.Counter("sharded_lock_retries").Inc()
-		default:
-			return nil, false, fmt.Errorf("kvstore: get %q: unexpected status %d", key, resp[0])
-		}
-	}
-	return nil, false, fmt.Errorf("kvstore: get %q: %w", key, ErrKeyLocked)
+	d := &wdec{buf: resp}
+	found := d.boolv()
+	s.Reg.Counter("sharded_gets").Inc()
+	return d.blob(), found, nil
 }
 
 // Delete removes key (a versioned tombstone, so deletions survive
 // migration and anti-entropy like any other write).
 func (s *Sharded) Delete(ctx context.Context, key string) error {
-	b, err := newOpBudget(ctx)
-	if err != nil {
-		s.Reg.Counter("deadline_exceeded").Inc()
-		return err
+	_, err := s.keyOp(ctx, "delete", key, func() []byte { return encRmDel(key, s.nextVersion()) })
+	if err == nil {
+		s.Reg.Counter("sharded_deletes").Inc()
 	}
-	for attempt := 0; attempt < s.cfg.MaxOpAttempts; attempt++ {
-		r, err := s.locate(key)
-		if err != nil {
-			return err
-		}
-		resp, c, err := s.propose(s.groupOf(r.ID), rangeName(r.ID), encRmDel(key, s.nextVersion()))
-		if err != nil {
-			return fmt.Errorf("kvstore: delete %q: %w", key, err)
-		}
-		if cerr := b.charge(c); cerr != nil {
-			s.Reg.Counter("deadline_exceeded").Inc()
-			return cerr
-		}
-		switch resp[0] {
-		case rspOK:
-			s.Reg.Counter("sharded_deletes").Inc()
-			return nil
-		case rspMoved:
-			s.Reg.Counter("sharded_moved_retries").Inc()
-			if err := s.refreshDir(); err != nil {
-				return err
-			}
-		case rspLocked:
-			s.Reg.Counter("sharded_lock_retries").Inc()
-		default:
-			return fmt.Errorf("kvstore: delete %q: unexpected status %d", key, resp[0])
-		}
-	}
-	return fmt.Errorf("kvstore: delete %q: %w", key, ErrKeyLocked)
+	return err
 }
 
 // Fault-injection and chaos surface.
@@ -495,15 +447,9 @@ func (s *Sharded) Groups() int { return s.cfg.Groups }
 func (s *Sharded) LockCount() (int, error) {
 	total := 0
 	for _, r := range s.rangesSnapshot() {
-		n := 0
-		err := s.groups[s.groupOf(r.ID)].Query(rangeName(r.ID), func(sm ha.StateMachine) error {
-			n = sm.(*rangeMachine).lockCount()
-			return nil
-		})
-		if err != nil {
+		if err := s.queryRange(r.ID, func(m *rangeMachine) { total += m.lockCount() }); err != nil {
 			return 0, err
 		}
-		total += n
 	}
 	return total, nil
 }
@@ -521,9 +467,14 @@ func (s *Sharded) PendingTxnRecords() (int, error) {
 // rangeSize returns a range's live key count.
 func (s *Sharded) rangeSize(r RangeInfo) (int, error) {
 	n := 0
-	err := s.groups[s.groupOf(r.ID)].Query(rangeName(r.ID), func(sm ha.StateMachine) error {
-		n = sm.(*rangeMachine).liveSize()
+	err := s.queryRange(r.ID, func(m *rangeMachine) { n = m.liveSize() })
+	return n, err
+}
+
+// queryRange runs fn against the leader's replica of one range machine.
+func (s *Sharded) queryRange(id uint64, fn func(*rangeMachine)) error {
+	return s.groups[s.groupOf(id)].Query(rangeName(id), func(sm ha.StateMachine) error {
+		fn(sm.(*rangeMachine))
 		return nil
 	})
-	return n, err
 }

@@ -17,6 +17,8 @@ package kvstore
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/ha"
 )
@@ -240,11 +242,7 @@ func (s *Sharded) AntiEntropy() (moved, trimmed int, err error) {
 	}
 	for _, r := range s.rangesSnapshot() {
 		var pairs []kvPair
-		qerr := s.groups[s.groupOf(r.ID)].Query(rangeName(r.ID), func(sm ha.StateMachine) error {
-			pairs = sm.(*rangeMachine).allPairs()
-			return nil
-		})
-		if qerr != nil {
+		if qerr := s.queryRange(r.ID, func(m *rangeMachine) { pairs = m.allPairs() }); qerr != nil {
 			return moved, trimmed, qerr
 		}
 		var stray []kvPair
@@ -269,13 +267,8 @@ func (s *Sharded) AntiEntropy() (moved, trimmed int, err error) {
 			}
 			byOwner[owner.ID] = append(byOwner[owner.ID], p)
 		}
-		ownerIDs := make([]uint64, 0, len(byOwner))
-		for id := range byOwner {
-			ownerIDs = append(ownerIDs, id)
-		}
-		sortU64s(ownerIDs)
 		var delivered []kvPair
-		for _, oid := range ownerIDs {
+		for _, oid := range sortedKeys(byOwner) {
 			if _, _, perr := s.propose(s.groupOf(oid), rangeName(oid), encRmMigrate(byOwner[oid])); perr != nil {
 				return moved, trimmed, perr
 			}
@@ -287,7 +280,7 @@ func (s *Sharded) AntiEntropy() (moved, trimmed int, err error) {
 		}
 		// Trim only what we delivered, guarded by version: a newer cell
 		// that raced in since the query survives.
-		sortPairs(delivered)
+		slices.SortFunc(delivered, func(a, b kvPair) int { return strings.Compare(a.key, b.key) })
 		resp, _, perr := s.propose(s.groupOf(r.ID), rangeName(r.ID), encRmTrimKeys(delivered))
 		if perr != nil {
 			return moved, trimmed, perr
@@ -322,11 +315,7 @@ func (s *Sharded) MaybeSplit(threshold int) (bool, error) {
 		return false, nil
 	}
 	var keys []string
-	err := s.groups[s.groupOf(best.ID)].Query(rangeName(best.ID), func(sm ha.StateMachine) error {
-		keys = sm.(*rangeMachine).liveKeys()
-		return nil
-	})
-	if err != nil {
+	if err := s.queryRange(best.ID, func(m *rangeMachine) { keys = m.liveKeys() }); err != nil {
 		return false, err
 	}
 	mid := keys[len(keys)/2]

@@ -75,17 +75,12 @@ func (s *Sharded) partition(reads []string, writes map[string][]byte) (map[uint6
 	for k := range writes {
 		keys[k] = true
 	}
-	sorted := make([]string, 0, len(keys))
-	for k := range keys {
-		sorted = append(sorted, k)
-	}
-	sortStrs(sorted)
 	readSet := map[string]bool{}
 	for _, k := range reads {
 		readSet[k] = true
 	}
 	parts := map[uint64]*txnPart{}
-	for _, k := range sorted {
+	for _, k := range sortedKeys(keys) {
 		r, err := s.locate(k)
 		if err != nil {
 			return nil, nil, err
@@ -103,12 +98,7 @@ func (s *Sharded) partition(reads []string, writes map[string][]byte) (map[uint6
 			p.writes = append(p.writes, rmWrite{Key: k, Val: v, Del: v == nil})
 		}
 	}
-	ids := make([]uint64, 0, len(parts))
-	for id := range parts {
-		ids = append(ids, id)
-	}
-	sortU64s(ids)
-	return parts, ids, nil
+	return parts, sortedKeys(parts), nil
 }
 
 func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) (map[string][]byte, error) {
@@ -133,11 +123,17 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 		// and nothing can commit it — recovery retires it as aborted.
 		return nil, fmt.Errorf("kvstore: txn %d begin: %w", id, ErrTxnOrphaned)
 	}
+	// The table's closedBelow rides on this transaction's range commands.
+	closed := (&wdec{buf: resp[1:]}).u64()
+	if resp[0] == rspAborted {
+		// A later id began first, closing this one: retry under a fresh id.
+		return nil, errRetryTxn
+	}
 	if resp[0] != rspOK {
 		return nil, fmt.Errorf("kvstore: txn %d begin: status %d", id, resp[0])
 	}
 	if cerr := b.charge(c); cerr != nil {
-		s.abortTxn(id, nil)
+		s.abortTxn(id, closed, nil)
 		s.Reg.Counter("deadline_exceeded").Inc()
 		return nil, cerr
 	}
@@ -151,7 +147,7 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 	var prepared []uint64
 	for _, rid := range partIDs {
 		p := parts[rid]
-		resp, c, err := s.propose(s.groupOf(rid), rangeName(rid), encRmPrepare(id, s.dirtyReads(), p.lockKeys, p.readKeys))
+		resp, c, err := s.propose(s.groupOf(rid), rangeName(rid), encRmPrepare(id, closed, s.dirtyReads(), p.lockKeys, p.readKeys))
 		if err != nil {
 			// Unknown outcome: this range may hold our locks.
 			s.Reg.Counter("txn_orphaned").Inc()
@@ -168,11 +164,11 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 			prepared = append(prepared, rid)
 		case rspConflict, rspLocked:
 			s.Reg.Counter("txn_conflicts").Inc()
-			s.abortTxn(id, prepared)
+			s.abortTxn(id, closed, prepared)
 			return nil, errRetryTxn
 		case rspMoved:
 			s.Reg.Counter("txn_moved").Inc()
-			s.abortTxn(id, prepared)
+			s.abortTxn(id, closed, prepared)
 			if err := s.refreshDir(); err != nil {
 				return nil, err
 			}
@@ -182,11 +178,11 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 			// are already released by its rAbort pass.
 			return nil, ErrTxnAborted
 		default:
-			s.abortTxn(id, prepared)
+			s.abortTxn(id, closed, prepared)
 			return nil, fmt.Errorf("kvstore: txn %d prepare range %d: status %d", id, rid, resp[0])
 		}
 		if cerr := b.charge(c); cerr != nil {
-			s.abortTxn(id, prepared)
+			s.abortTxn(id, closed, prepared)
 			s.Reg.Counter("deadline_exceeded").Inc()
 			return nil, cerr
 		}
@@ -201,7 +197,7 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 	}
 	if b.exhausted() {
 		// Last budget check before the point of no return: abort clean.
-		s.abortTxn(id, prepared)
+		s.abortTxn(id, closed, prepared)
 		s.Reg.Counter("deadline_exceeded").Inc()
 		return nil, ErrDeadlineExceeded
 	}
@@ -230,7 +226,7 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 	// 4. Apply on every participant, then retire the record. Failures
 	// here leave a committed record that recovery re-drives.
 	for _, rid := range partIDs {
-		resp, _, err := s.propose(s.groupOf(rid), rangeName(rid), encRmApply(id, ver, parts[rid].writes))
+		resp, _, err := s.propose(s.groupOf(rid), rangeName(rid), encRmApply(id, closed, ver, parts[rid].writes))
 		if err != nil || resp[0] != rspOK {
 			s.Reg.Counter("txn_orphaned").Inc()
 			return nil, fmt.Errorf("kvstore: txn %d apply range %d: %w", id, rid, ErrTxnOrphaned)
@@ -249,14 +245,16 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 }
 
 // abortTxn cleanly aborts an attempt: mark the record aborted, release
-// locks on every prepared range, retire the record. Errors are ignored
-// — recovery finishes whatever this pass could not.
-func (s *Sharded) abortTxn(id uint64, prepared []uint64) {
+// locks on every prepared range and, once all acknowledged, retire the
+// record. Errors are ignored — recovery finishes what this pass could not.
+func (s *Sharded) abortTxn(id, closed uint64, prepared []uint64) {
 	if resp, _, err := s.propose(0, txnMachineName, encTxAbort(id)); err != nil || resp[0] == rspCommitted {
 		return // unreachable record or already committed: recovery's job
 	}
 	for _, rid := range prepared {
-		s.propose(s.groupOf(rid), rangeName(rid), encRmAbort(id)) //nolint:errcheck
+		if _, _, err := s.propose(s.groupOf(rid), rangeName(rid), encRmAbort(id, closed)); err != nil {
+			return
+		}
 	}
 	s.propose(0, txnMachineName, encTxDone(id)) //nolint:errcheck
 	s.Reg.Counter("txn_aborted").Inc()
@@ -306,15 +304,9 @@ func (s *Sharded) RecoverTxns() (TxnRecovery, error) {
 				out.Resumed++
 				continue
 			}
-			for _, rid := range rec.Parts {
-				if _, _, err := s.propose(s.groupOf(rid), rangeName(rid), encRmAbort(rec.ID)); err != nil {
-					return out, fmt.Errorf("kvstore: recover txn %d abort range %d: %w", rec.ID, rid, err)
-				}
-			}
-			if _, _, err := s.propose(0, txnMachineName, encTxDone(rec.ID)); err != nil {
+			if err := s.finishAbort(rec); err != nil {
 				return out, err
 			}
-			s.Reg.Counter("txn_recovered_aborted").Inc()
 			out.Aborted++
 		case txnStCommitted:
 			if err := s.resumeTxn(rec); err != nil {
@@ -323,19 +315,28 @@ func (s *Sharded) RecoverTxns() (TxnRecovery, error) {
 			out.Resumed++
 		case txnStAborted:
 			// A previous recovery pass crashed mid-abort: finish it.
-			for _, rid := range rec.Parts {
-				if _, _, err := s.propose(s.groupOf(rid), rangeName(rid), encRmAbort(rec.ID)); err != nil {
-					return out, err
-				}
-			}
-			if _, _, err := s.propose(0, txnMachineName, encTxDone(rec.ID)); err != nil {
+			if err := s.finishAbort(rec); err != nil {
 				return out, err
 			}
-			s.Reg.Counter("txn_recovered_aborted").Inc()
 			out.Aborted++
 		}
 	}
 	return out, nil
+}
+
+// finishAbort releases an aborted record's locks on every participant
+// and retires it. Recovery ran no begin, so it sends no watermark (0).
+func (s *Sharded) finishAbort(rec txnRecSnap) error {
+	for _, rid := range rec.Parts {
+		if _, _, err := s.propose(s.groupOf(rid), rangeName(rid), encRmAbort(rec.ID, 0)); err != nil {
+			return fmt.Errorf("kvstore: recover txn %d abort range %d: %w", rec.ID, rid, err)
+		}
+	}
+	if _, _, err := s.propose(0, txnMachineName, encTxDone(rec.ID)); err != nil {
+		return err
+	}
+	s.Reg.Counter("txn_recovered_aborted").Inc()
+	return nil
 }
 
 // resumeTxn re-drives a committed transaction to completion. The write
@@ -355,7 +356,7 @@ func (s *Sharded) resumeTxn(rec txnRecSnap) error {
 	// Apply to every recorded participant — including read-only ones,
 	// whose locks must be released too.
 	for _, rid := range rec.Parts {
-		resp, _, err := s.propose(s.groupOf(rid), rangeName(rid), encRmApply(rec.ID, rec.Ver, byRange[rid]))
+		resp, _, err := s.propose(s.groupOf(rid), rangeName(rid), encRmApply(rec.ID, 0, rec.Ver, byRange[rid]))
 		if err != nil {
 			return fmt.Errorf("kvstore: resume txn %d range %d: %w", rec.ID, rid, err)
 		}

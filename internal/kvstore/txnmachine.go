@@ -6,11 +6,17 @@
 // orphaned transaction purely from this table: pending → abort
 // everywhere, committed → re-apply everywhere. A coordinator crash can
 // therefore delay a transaction but never leave it dangling.
+//
+// The table also bounds what ranges remember about finished
+// transactions: closedBelow = min(live record ids ∪ {next}) only grows,
+// every id below it is retired (or never begun, and a begin that late is
+// refused), and each begin's response carries it to that transaction's
+// range commands.
 package kvstore
 
 // Transaction record opcodes.
 const (
-	txOpBegin  = 0x01 // id, participant range ids, writes
+	txOpBegin  = 0x01 // id, participant range ids, writes; answers closedBelow
 	txOpCommit = 0x02 // id, commit version
 	txOpAbort  = 0x03 // id
 	txOpDone   = 0x04 // id — record retired after cleanup
@@ -42,6 +48,15 @@ type txnRecSnap struct {
 
 type txnMachine struct {
 	recs map[uint64]*txnRec
+	next uint64 // 1 + highest id begun
+}
+
+func (m *txnMachine) closedBelow() uint64 {
+	low := m.next
+	for id := range m.recs {
+		low = min(low, id)
+	}
+	return low
 }
 
 func newTxnMachine() *txnMachine { return &txnMachine{recs: map[uint64]*txnRec{}} }
@@ -57,11 +72,16 @@ func (m *txnMachine) Apply(cmd []byte) []byte {
 		if d.err {
 			return []byte{rspConflict}
 		}
-		if _, ok := m.recs[id]; ok {
-			return []byte{rspOK}
+		if _, ok := m.recs[id]; !ok {
+			if low := m.closedBelow(); id < low {
+				// Ranges may already count id as finished: the coordinator
+				// must take a fresh one.
+				return wAppendU64([]byte{rspAborted}, low)
+			}
+			m.recs[id] = &txnRec{status: txnStPending, parts: parts, writes: writes}
+			m.next = max(m.next, id+1)
 		}
-		m.recs[id] = &txnRec{status: txnStPending, parts: parts, writes: writes}
-		return []byte{rspOK}
+		return wAppendU64([]byte{rspOK}, m.closedBelow())
 
 	case txOpCommit:
 		ver := d.u64()
@@ -113,13 +133,8 @@ func (m *txnMachine) Apply(cmd []byte) []byte {
 // Query-side accessors.
 
 func (m *txnMachine) snapshotRecs() []txnRecSnap {
-	ids := make([]uint64, 0, len(m.recs))
-	for id := range m.recs {
-		ids = append(ids, id)
-	}
-	sortU64s(ids)
-	out := make([]txnRecSnap, 0, len(ids))
-	for _, id := range ids {
+	out := make([]txnRecSnap, 0, len(m.recs))
+	for _, id := range sortedKeys(m.recs) {
 		r := m.recs[id]
 		out = append(out, txnRecSnap{
 			ID: id, Status: r.status, Ver: r.ver,
@@ -134,7 +149,7 @@ func (m *txnMachine) recordCount() int { return len(m.recs) }
 
 func (m *txnMachine) Snapshot() []byte {
 	recs := m.snapshotRecs()
-	buf := wAppendU32(nil, uint32(len(recs)))
+	buf := wAppendU32(wAppendU64(nil, m.next), uint32(len(recs)))
 	for _, r := range recs {
 		buf = wAppendU64(buf, r.ID)
 		buf = append(buf, r.Status)
@@ -148,6 +163,7 @@ func (m *txnMachine) Snapshot() []byte {
 func (m *txnMachine) Restore(snap []byte) {
 	d := &wdec{buf: snap}
 	m.recs = map[uint64]*txnRec{}
+	m.next = d.u64()
 	n := int(d.u32())
 	for i := 0; i < n && !d.err; i++ {
 		id := d.u64()

@@ -7,15 +7,20 @@
 package kvstore
 
 import (
+	"cmp"
 	"encoding/binary"
-	"sort"
+	"slices"
 )
 
-func sortStrs(ss []string) { sort.Strings(ss) }
-
-func sortU64s(vs []uint64) { sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] }) }
-
-func sortPairs(ps []kvPair) { sort.Slice(ps, func(i, j int) bool { return ps[i].key < ps[j].key }) }
+// sortedKeys flattens a map's key set the one way encodings may.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
 
 func wAppendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
 func wAppendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }

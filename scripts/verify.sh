@@ -37,6 +37,11 @@ go test -race ./internal/metrics/... ./internal/trace/... \
     ./internal/consensus/... ./internal/perf/... ./internal/admission/... \
     ./internal/query/... ./internal/table/...
 
+echo "== log compaction + txn watermark (race, count=3) =="
+# Count-based protocol tests: bounded finished-txn table, shared
+# compaction snapshots. No wall clock, so -count=3 on two cores is cheap.
+go test -race -count=3 -run 'TestWatermark|TestCompaction' ./internal/kvstore ./internal/ha
+
 echo "== overload acceptance (race) =="
 go test -race -run 'TestOverloadAcceptance' . -count=1
 
@@ -54,7 +59,7 @@ sh scripts/coverage.sh
 
 if [ "${FUZZ:-0}" = "1" ]; then
     echo "== fuzz smoke (FUZZ=1) =="
-    # ~10s of wall clock spread over the decode/round-trip targets; the
+    # ~30s of wall clock spread over the decode/round-trip targets; the
     # checked-in corpora under testdata/fuzz run on every plain `go test`.
     go test -fuzz=FuzzReaderDecode -fuzztime=3s -run '^$' ./internal/serde
     go test -fuzz=FuzzIntColumnDecode -fuzztime=2s -run '^$' ./internal/serde
@@ -65,6 +70,9 @@ if [ "${FUZZ:-0}" = "1" ]; then
     go test -fuzz=FuzzAggMerge -fuzztime=2s -run '^$' ./internal/table
     go test -fuzz=FuzzPlanEquivalence -fuzztime=5s -run '^$' ./internal/query
     go test -fuzz=FuzzParseSchedule -fuzztime=3s -run '^$' ./internal/chaos
+    go test -fuzz=FuzzRangeMachineApply -fuzztime=3s -run '^$' ./internal/kvstore
+    go test -fuzz=FuzzRangeMachineRestore -fuzztime=2s -run '^$' ./internal/kvstore
+    go test -fuzz=FuzzTxnMachineApply -fuzztime=2s -run '^$' ./internal/kvstore
 fi
 
 if [ "${CHAOS:-0}" = "1" ]; then
