@@ -502,10 +502,14 @@ func (c *Controller) apply(e Event) {
 		kept := c.flaps[:0]
 		for _, f := range c.flaps {
 			if nodesEqual(f.srcs, e.Group[0]) && nodesEqual(f.dsts, e.Group[1]) {
-				// Heal whatever the coin currently holds cut.
-				for key, cut := range f.state {
-					if cut {
-						c.healPair(topology.NodeID(key[0]), topology.NodeID(key[1]))
+				// Heal whatever the coin currently holds cut, in roll order
+				// (srcs x dsts): ranging over the state map would make the
+				// transition log follow Go's map order, not the seed.
+				for _, src := range f.srcs {
+					for _, dst := range f.dsts {
+						if f.state[[2]int{int(src), int(dst)}] {
+							c.healPair(src, dst)
+						}
 					}
 				}
 				continue

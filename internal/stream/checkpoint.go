@@ -1,5 +1,5 @@
 // Checkpointing and recovery for the stream engine: aligned barriers flow
-// through the worker queues like watermarks, each worker snapshots its
+// through the worker lanes like watermarks, each worker snapshots its
 // state when the barrier arrives, and the coordinator commits a
 // checkpoint only once every worker has acked. On failure the Runner
 // rolls every worker back to the last committed checkpoint, rewinds the
@@ -16,6 +16,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/admission"
@@ -32,9 +33,9 @@ const (
 )
 
 // control is one control-plane message. It rides the same per-worker
-// queues as events and watermarks, which is what makes barrier alignment
-// trivial here: each worker has exactly one ordered input channel, so a
-// barrier cleanly splits the stream into pre- and post-checkpoint events.
+// lane as events and watermarks, which is what makes barrier alignment
+// trivial here: each worker has exactly one ordered input, so a barrier
+// cleanly splits the stream into pre- and post-checkpoint events.
 type control struct {
 	op   ctlOp
 	id   int64  // checkpoint id (barrier)
@@ -77,199 +78,214 @@ func appendU64(b []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(b, v)
 }
 
-func readU64(b []byte) (uint64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, fmt.Errorf("stream: truncated snapshot")
-	}
-	return binary.LittleEndian.Uint64(b), b[8:], nil
+// snapReader takes values off a snapshot blob. The first short read sticks
+// in err and every later read returns zero, so decoders check err once per
+// record; counts inside a blob are never trusted beyond the bytes left.
+type snapReader struct {
+	b   []byte
+	err error
 }
 
-func readString(b []byte) (string, []byte, error) {
-	n, rest, err := readU64(b)
-	if err != nil {
-		return "", nil, err
+var errTruncated = errors.New("stream: truncated snapshot")
+
+func (r *snapReader) u64() uint64 {
+	if r.err != nil || len(r.b) < 8 {
+		r.err = errTruncated
+		return 0
 	}
-	if uint64(len(rest)) < n {
-		return "", nil, fmt.Errorf("stream: truncated snapshot string")
+	v := binary.LittleEndian.Uint64(r.b)
+	r.b = r.b[8:]
+	return v
+}
+
+func (r *snapReader) str() string {
+	n := r.u64()
+	if r.err != nil || uint64(len(r.b)) < n {
+		r.err = errTruncated
+		return ""
 	}
-	return string(rest[:n]), rest[n:], nil
+	s := string(r.b[:n])
+	r.b = r.b[n:]
+	return s
 }
 
 func (st *pipeState) encode() []byte {
-	keys := make([]paneKey, 0, len(st.panes))
-	for pk := range st.panes {
-		keys = append(keys, pk)
+	type pane struct {
+		start time.Duration
+		key   string
+		agg   *paneAgg
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].start != keys[j].start {
-			return keys[i].start < keys[j].start
+	var panes []pane
+	for start, win := range st.windows {
+		for key, agg := range win {
+			panes = append(panes, pane{start, key, agg})
 		}
-		return keys[i].key < keys[j].key
+	}
+	sort.Slice(panes, func(i, j int) bool {
+		if panes[i].start != panes[j].start {
+			return panes[i].start < panes[j].start
+		}
+		return panes[i].key < panes[j].key
 	})
-	b := make([]byte, 0, 24+len(keys)*40)
+	b := make([]byte, 0, 24+len(panes)*40)
 	b = appendU64(b, uint64(st.watermark))
 	b = appendU64(b, uint64(st.seq))
-	b = appendU64(b, uint64(len(keys)))
-	for _, pk := range keys {
-		agg := st.panes[pk]
-		b = appendU64(b, uint64(pk.start))
-		b = appendU64(b, uint64(len(pk.key)))
-		b = append(b, pk.key...)
-		b = appendU64(b, math.Float64bits(agg.sum))
-		b = appendU64(b, uint64(agg.count))
+	b = appendU64(b, uint64(len(panes)))
+	for _, p := range panes {
+		b = appendU64(b, uint64(p.start))
+		b = appendU64(b, uint64(len(p.key)))
+		b = append(b, p.key...)
+		b = appendU64(b, math.Float64bits(p.agg.sum))
+		b = appendU64(b, uint64(p.agg.count))
 	}
 	return b
 }
 
 func decodePipeState(b []byte) (*pipeState, error) {
+	r := snapReader{b: b}
 	st := newPipeState()
-	var v uint64
-	var err error
-	if v, b, err = readU64(b); err != nil {
-		return nil, err
+	st.watermark = time.Duration(r.u64())
+	st.seq = int64(r.u64())
+	for n := r.u64(); n > 0 && r.err == nil; n-- {
+		start := time.Duration(r.u64())
+		key := r.str()
+		sum := math.Float64frombits(r.u64())
+		st.window(start)[key] = &paneAgg{sum: sum, count: int64(r.u64())}
 	}
-	st.watermark = time.Duration(v)
-	if v, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	st.seq = int64(v)
-	var n uint64
-	if n, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < n; i++ {
-		var start uint64
-		if start, b, err = readU64(b); err != nil {
-			return nil, err
-		}
-		var key string
-		if key, b, err = readString(b); err != nil {
-			return nil, err
-		}
-		var sum, count uint64
-		if sum, b, err = readU64(b); err != nil {
-			return nil, err
-		}
-		if count, b, err = readU64(b); err != nil {
-			return nil, err
-		}
-		st.panes[paneKey{start: time.Duration(start), key: key}] = &paneAgg{
-			sum:   math.Float64frombits(sum),
-			count: int64(count),
-		}
+	if r.err != nil {
+		return nil, r.err
 	}
 	return st, nil
 }
 
-// ---- coordinator methods on Pipeline --------------------------------------
+// ---- coordinator -----------------------------------------------------------
 
-// sendCtl injects one control message per target queue under the
-// lifecycle read lock, so the injection can never race Close closing the
-// channels. The acks arrive on mk's channel after the lock is released.
-func sendCtl(mu *sync.RWMutex, closed *bool, queues []chan message, targets []int, mk func(i int) *control) error {
-	mu.RLock()
-	defer mu.RUnlock()
-	if *closed {
-		return ErrClosed
+// gather injects one control message per lane — mk's, completed with the
+// ack channel — and collects every worker's ack, indexed by worker, with
+// the first error any reported. If a concurrent Close cuts the injection
+// short it returns ErrClosed and no acks; workers already reached ack
+// into the channel's buffer and nobody waits on them.
+func (g *lanes) gather(mk func(worker int) control) ([]workerAck, error) {
+	ack := make(chan workerAck, len(g.ls)) // one slot per send
+	if err := g.broadcast(func(i int) message {
+		c := mk(i)
+		c.ack = ack
+		return message{watermark: -1, ctl: &c}
+	}); err != nil {
+		return nil, err
 	}
-	for _, i := range targets {
-		queues[i] <- message{watermark: -1, ctl: mk(i)}
+	acks := make([]workerAck, len(g.ls))
+	var firstErr error
+	for range g.ls {
+		a := <-ack
+		acks[a.worker] = a
+		if a.err != nil && firstErr == nil {
+			firstErr = a.err
+		}
 	}
+	return acks, firstErr
+}
+
+// checkpoint injects an aligned barrier into every lane and blocks until
+// all workers ack with their snapshots, then commits. The coordinator's
+// checkpoint span parents under the caller (normally the Runner's
+// run-root span), and the barrier carries the checkpoint span's context
+// to every worker, whose snapshot spans parent under it.
+func (g *lanes) checkpoint(offset int64, wm time.Duration, parent trace.TraceContext) (*Checkpoint, error) {
+	id := g.nextCkpt.Add(1)
+	start := time.Now()
+	end, ckptTC := g.tracer.BeginCtx(fmt.Sprintf("checkpoint-%d", id), "checkpoint", "stream-coordinator", parent)
+	acks, err := g.gather(func(int) control { return control{op: ctlBarrier, id: id, tc: ckptTC} })
+	if err != nil {
+		if acks != nil { // a worker declined, as opposed to the lanes being closed
+			g.reg.Counter("checkpoints_aborted").Inc()
+		}
+		end(map[string]string{"aborted": err.Error()})
+		return nil, err
+	}
+	ck := &Checkpoint{ID: id, Offset: offset, Watermark: wm, States: make([][]byte, len(acks))}
+	for i, a := range acks {
+		ck.States[i] = a.state
+		ck.Bytes += int64(len(a.state))
+	}
+	g.reg.Counter("checkpoints_committed").Inc()
+	g.reg.Counter("checkpoint_bytes").Add(ck.Bytes)
+	g.reg.Histogram("checkpoint_duration_ns").ObserveDuration(time.Since(start))
+	end(map[string]string{"bytes": fmt.Sprint(ck.Bytes), "offset": fmt.Sprint(offset)})
+	return ck, nil
+}
+
+// crash tells worker i to drop its state and stop processing until
+// restore, and blocks until the worker has acked the transition.
+func (g *lanes) crash(i int) error {
+	if i < 0 || i >= len(g.ls) {
+		return fmt.Errorf("stream: no worker %d (have %d)", i, len(g.ls))
+	}
+	ack := make(chan workerAck, 1)
+	if err := g.ls[i].push(message{watermark: -1, ctl: &control{op: ctlCrash, ack: ack}}); err != nil {
+		return err
+	}
+	<-ack
+	g.reg.Counter("stream_worker_crashes").Inc()
 	return nil
 }
 
-func allWorkers(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
+// restore rolls every worker — crashed or healthy — back to its snapshot
+// in ck and out of dead mode. The restore span parents under the caller's
+// recovery span, and each worker's restore under the restore span.
+func (g *lanes) restore(ck *Checkpoint, parent trace.TraceContext) error {
+	if len(ck.States) != len(g.ls) {
+		return fmt.Errorf("stream: checkpoint has %d worker states, have %d workers",
+			len(ck.States), len(g.ls))
 	}
-	return out
+	end, restTC := g.tracer.BeginCtx(fmt.Sprintf("restore-ckpt-%d", ck.ID), "recovery", "stream-coordinator", parent)
+	if _, err := g.gather(func(i int) control {
+		return control{op: ctlRestore, snap: ck.States[i], tc: restTC}
+	}); err != nil {
+		end(map[string]string{"error": err.Error()})
+		return err
+	}
+	g.reg.Counter("stream_recoveries").Inc()
+	end(map[string]string{"offset": fmt.Sprint(ck.Offset)})
+	return nil
 }
 
-// TriggerCheckpoint injects an aligned barrier into every worker queue
+// genesis is the implicit empty checkpoint every run starts from:
+// recovery before the first commit rolls back to empty state and offset
+// zero (replay from the beginning).
+func (g *lanes) genesis() *Checkpoint {
+	states := make([][]byte, len(g.ls))
+	for i := range states {
+		states[i] = g.empty
+	}
+	return &Checkpoint{States: states}
+}
+
+// TriggerCheckpoint injects an aligned barrier into every worker lane
 // and blocks until all workers ack with their snapshots, then commits.
 // offset and wm are the driver-side cut (source offset and watermark
 // high-water at injection time). A barrier reaching a crashed worker
 // aborts the whole checkpoint — a down task cannot snapshot — and counts
 // checkpoints_aborted; the caller keeps its previous committed checkpoint.
 func (p *Pipeline) TriggerCheckpoint(offset int64, wm time.Duration) (*Checkpoint, error) {
-	return p.TriggerCheckpointCtx(offset, wm, trace.TraceContext{})
+	return p.in.checkpoint(offset, wm, trace.TraceContext{})
 }
 
 // TriggerCheckpointCtx is TriggerCheckpoint with causal linkage: the
-// coordinator's checkpoint span parents under the caller (normally the
-// Runner's run-root span), and the barrier carries the checkpoint
-// span's context to every worker, whose snapshot spans parent under it.
+// checkpoint span parents under parent.
 func (p *Pipeline) TriggerCheckpointCtx(offset int64, wm time.Duration, parent trace.TraceContext) (*Checkpoint, error) {
-	p.ckptMu.Lock()
-	p.nextCkpt++
-	id := p.nextCkpt
-	p.ckptMu.Unlock()
-
-	start := time.Now()
-	end, ckptTC := p.cfg.Tracer.BeginCtx(fmt.Sprintf("checkpoint-%d", id), "checkpoint", "stream-coordinator", parent)
-	ack := make(chan workerAck, len(p.queues))
-	if err := sendCtl(&p.mu, &p.closed, p.queues, allWorkers(len(p.queues)), func(int) *control {
-		return &control{op: ctlBarrier, id: id, ack: ack, tc: ckptTC}
-	}); err != nil {
-		end(map[string]string{"error": err.Error()})
-		return nil, err
-	}
-	states := make([][]byte, len(p.queues))
-	var total int64
-	var firstErr error
-	for range p.queues {
-		a := <-ack
-		if a.err != nil {
-			if firstErr == nil {
-				firstErr = a.err
-			}
-			continue
-		}
-		states[a.worker] = a.state
-		total += int64(len(a.state))
-	}
-	if firstErr != nil {
-		p.Reg.Counter("checkpoints_aborted").Inc()
-		end(map[string]string{"aborted": firstErr.Error()})
-		return nil, firstErr
-	}
-	p.Reg.Counter("checkpoints_committed").Inc()
-	p.Reg.Counter("checkpoint_bytes").Add(total)
-	p.Reg.Histogram("checkpoint_duration_ns").ObserveDuration(time.Since(start))
-	end(map[string]string{"bytes": fmt.Sprint(total), "offset": fmt.Sprint(offset)})
-	return &Checkpoint{ID: id, Offset: offset, Watermark: wm, States: states, Bytes: total}, nil
+	return p.in.checkpoint(offset, wm, parent)
 }
 
 // GenesisCheckpoint is the implicit empty checkpoint every run starts
-// from: recovery before the first commit rolls back to empty state and
-// offset zero (replay from the beginning).
-func (p *Pipeline) GenesisCheckpoint() *Checkpoint {
-	states := make([][]byte, len(p.queues))
-	for i := range states {
-		states[i] = newPipeState().encode()
-	}
-	return &Checkpoint{States: states}
-}
+// from.
+func (p *Pipeline) GenesisCheckpoint() *Checkpoint { return p.in.genesis() }
 
 // CrashWorker simulates the loss of one worker process: its in-memory
 // pane state is dropped and it stops processing events and watermarks
 // (replay after RestoreFrom re-reads what it misses from the source).
 // The call blocks until the worker has acked the transition.
-func (p *Pipeline) CrashWorker(i int) error {
-	if i < 0 || i >= len(p.queues) {
-		return fmt.Errorf("stream: no worker %d (have %d)", i, len(p.queues))
-	}
-	ack := make(chan workerAck, 1)
-	if err := sendCtl(&p.mu, &p.closed, p.queues, []int{i}, func(int) *control {
-		return &control{op: ctlCrash, ack: ack}
-	}); err != nil {
-		return err
-	}
-	<-ack
-	p.Reg.Counter("stream_worker_crashes").Inc()
-	return nil
-}
+func (p *Pipeline) CrashWorker(i int) error { return p.in.crash(i) }
 
 // RestoreFrom rolls every worker back to the given committed checkpoint
 // (a global rollback, like Flink's full-restart strategy): each worker —
@@ -277,38 +293,13 @@ func (p *Pipeline) CrashWorker(i int) error {
 // dead mode. The result sink's sequence high-waters are deliberately NOT
 // rolled back; they are what dedups the re-fired panes during replay.
 func (p *Pipeline) RestoreFrom(ck *Checkpoint) error {
-	return p.RestoreFromCtx(ck, trace.TraceContext{})
+	return p.in.restore(ck, trace.TraceContext{})
 }
 
 // RestoreFromCtx is RestoreFrom with causal linkage: the restore span
-// parents under the caller's recovery span, and each worker's restore
-// parents under the coordinator restore span.
+// parents under parent.
 func (p *Pipeline) RestoreFromCtx(ck *Checkpoint, parent trace.TraceContext) error {
-	if len(ck.States) != len(p.queues) {
-		return fmt.Errorf("stream: checkpoint has %d worker states, pipeline has %d workers",
-			len(ck.States), len(p.queues))
-	}
-	end, restTC := p.cfg.Tracer.BeginCtx(fmt.Sprintf("restore-ckpt-%d", ck.ID), "recovery", "stream-coordinator", parent)
-	ack := make(chan workerAck, len(p.queues))
-	if err := sendCtl(&p.mu, &p.closed, p.queues, allWorkers(len(p.queues)), func(i int) *control {
-		return &control{op: ctlRestore, snap: ck.States[i], ack: ack, tc: restTC}
-	}); err != nil {
-		end(map[string]string{"error": err.Error()})
-		return err
-	}
-	var firstErr error
-	for range p.queues {
-		if a := <-ack; a.err != nil && firstErr == nil {
-			firstErr = a.err
-		}
-	}
-	if firstErr != nil {
-		end(map[string]string{"error": firstErr.Error()})
-		return firstErr
-	}
-	p.Reg.Counter("stream_recoveries").Inc()
-	end(map[string]string{"offset": fmt.Sprint(ck.Offset)})
-	return nil
+	return p.in.restore(ck, parent)
 }
 
 // ---- Runner ----------------------------------------------------------------
@@ -349,6 +340,9 @@ type Runner struct {
 	mu             sync.Mutex
 	pendingCrash   []int
 	pendingRestore bool
+	// faults is set (under mu) whenever a fault is pending, so the driver
+	// loop checks one atomic per record, not the mutex.
+	faults atomic.Bool
 
 	dead   map[int]bool
 	last   *Checkpoint // latest committed checkpoint (genesis at start)
@@ -385,6 +379,7 @@ func (r *Runner) CrashWorker(i int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.pendingCrash = append(r.pendingCrash, i)
+	r.faults.Store(true)
 	return nil
 }
 
@@ -397,6 +392,7 @@ func (r *Runner) RestoreWorker(int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.pendingRestore = true
+	r.faults.Store(true)
 	return nil
 }
 
@@ -443,9 +439,9 @@ func (r *Runner) RunCtx(ctx context.Context) ([]Result, error) {
 }
 
 // gate reports whether the run may process another record: real
-// cancellation and deadline from ctx, plus the virtual budget measured
-// against how far the run's event time has advanced.
-func (r *Runner) gate(ctx context.Context) error {
+// cancellation and deadline from ctx, plus the virtual budget (if any)
+// measured against how far the run's event time has advanced.
+func (r *Runner) gate(ctx context.Context, budget time.Duration, budgeted bool) error {
 	select {
 	case <-ctx.Done():
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
@@ -454,21 +450,24 @@ func (r *Runner) gate(ctx context.Context) error {
 		return ctx.Err()
 	default:
 	}
-	if b, ok := admission.Budget(ctx); ok && r.wmHigh > b {
+	if budgeted && r.wmHigh > budget {
 		return ErrRunDeadline
 	}
 	return nil
 }
 
 func (r *Runner) run(ctx context.Context) ([]Result, error) {
+	budget, budgeted := admission.Budget(ctx)
 	for {
-		if err := r.gate(ctx); err != nil {
+		if err := r.gate(ctx, budget, budgeted); err != nil {
 			r.p.Reg.Counter("stream_run_aborted").Inc()
 			r.p.Close()
 			return nil, err
 		}
-		if err := r.applyPending(); err != nil {
-			return nil, err
+		if r.faults.Load() {
+			if err := r.applyPending(); err != nil {
+				return nil, err
+			}
 		}
 		ev, ok := r.src.Next()
 		if !ok {
@@ -515,6 +514,7 @@ func (r *Runner) applyPending() error {
 	crashes := r.pendingCrash
 	restore := r.pendingRestore
 	r.pendingCrash, r.pendingRestore = nil, false
+	r.faults.Store(false)
 	r.mu.Unlock()
 	for _, i := range crashes {
 		if i < 0 || i >= r.p.Workers() || r.dead[i] {

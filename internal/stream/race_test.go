@@ -8,15 +8,15 @@ import (
 	"time"
 )
 
-// These tests exist for the -race build: the old Send/Advance checked
-// closed, released the lock, then sent — a concurrent Close could close
-// the channel first and panic the send. Senders now hold the read lock
-// across the send, so the only acceptable outcomes here are success or
-// ErrClosed.
+// These tests exist for the -race build: Close races Send, Advance and
+// TriggerCheckpoint. A lane checks closed under the same lock as the
+// append, so the only acceptable outcomes are success or ErrClosed — and
+// with Buffer 1 the senders are mostly blocked on a full lane when Close
+// arrives, so none of them may be left stranded there.
 
 func TestPipelineCloseRace(t *testing.T) {
 	for iter := 0; iter < 40; iter++ {
-		p := New(Config{Workers: 2, Window: 10 * time.Millisecond})
+		p := New(Config{Workers: 2, Buffer: iter % 2, Window: 10 * time.Millisecond})
 		var wg sync.WaitGroup
 		start := make(chan struct{})
 		for g := 0; g < 4; g++ {
@@ -66,7 +66,7 @@ func TestPipelineCloseRace(t *testing.T) {
 
 func TestSessionizerCloseRace(t *testing.T) {
 	for iter := 0; iter < 40; iter++ {
-		s := NewSessionizer(SessionConfig{Gap: 10 * time.Millisecond, Workers: 2})
+		s := NewSessionizer(SessionConfig{Gap: 10 * time.Millisecond, Workers: 2, Buffer: iter % 2})
 		var wg sync.WaitGroup
 		start := make(chan struct{})
 		for g := 0; g < 4; g++ {

@@ -1,13 +1,12 @@
 package stream
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 // SessionResult is one closed session: a burst of activity for a key with
@@ -25,8 +24,8 @@ type SessionConfig struct {
 	Gap time.Duration
 	// Workers is the keyed parallelism. Default 4.
 	Workers int
-	// Buffer is each worker's queue capacity (<= 0: effectively
-	// unbounded).
+	// Buffer bounds each worker lane's pending events (<= 0: effectively
+	// unbounded); see Config.Buffer.
 	Buffer int
 }
 
@@ -34,33 +33,20 @@ type SessionConfig struct {
 // time: events within Gap of an open session extend it (in any arrival
 // order, merging sessions that a late event bridges); watermarks close
 // sessions whose end precedes wm - Gap. This is the sessionization
-// workload behind funnel/engagement analytics. Like Pipeline, it
-// supports aligned checkpoint barriers, worker crash/restore, and
-// exactly-once output via per-worker sequence dedup at the sink — a
-// session's identity is not unique (the same (key, start) can close
-// twice in one run), so sequences, not content, are the dedup key.
+// workload behind funnel/engagement analytics. It runs on the same lanes
+// as Pipeline (lane.go), so it supports aligned checkpoint barriers,
+// worker crash/restore, and exactly-once output via per-worker sequence
+// dedup at the sink — a session's identity is not unique (the same
+// (key, start) can close twice in one run), so sequences, not content,
+// are the dedup key.
 type Sessionizer struct {
-	cfg    SessionConfig
-	queues []chan message
-	wg     sync.WaitGroup
-	mu     sync.RWMutex // queue lifecycle; see Pipeline.mu
-	closed bool
-
-	nextCkpt int64
-	ckptMu   sync.Mutex
-
-	out struct {
-		sync.Mutex
-		sessions []SessionResult
-		hwm      []int64 // per-worker delivered sequence high-water
-	}
+	cfg SessionConfig
+	in  *lanes
+	out sink[SessionResult]
 
 	// Reg exposes the sessionizer's fault-tolerance counters
 	// (sessions_deduped, checkpoints_committed, checkpoint_bytes, ...).
 	Reg *metrics.Registry
-
-	deduped        *metrics.Counter
-	crashedDropped *metrics.Counter
 }
 
 type session struct {
@@ -88,73 +74,30 @@ func NewSessionizer(cfg SessionConfig) *Sessionizer {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
-	buf := cfg.Buffer
-	if buf <= 0 {
-		buf = 1 << 20
-	}
 	s := &Sessionizer{cfg: cfg, Reg: metrics.NewRegistry()}
-	s.deduped = s.Reg.Counter("sessions_deduped")
-	s.crashedDropped = s.Reg.Counter("crashed_dropped_events")
-	s.queues = make([]chan message, cfg.Workers)
 	s.out.hwm = make([]int64, cfg.Workers)
-	for i := range s.queues {
-		s.queues[i] = make(chan message, buf)
-		s.wg.Add(1)
-		go s.worker(i, s.queues[i])
-	}
+	s.out.deduped = s.Reg.Counter("sessions_deduped")
+	s.in = startLanes(cfg.Workers, cfg.Buffer, s.Reg, nil, func(worker int) operator {
+		return &sessioner{s: s, worker: worker, st: newSessState()}
+	})
 	return s
 }
 
 // Workers returns the keyed parallelism.
-func (s *Sessionizer) Workers() int { return len(s.queues) }
+func (s *Sessionizer) Workers() int { return len(s.in.ls) }
 
 // Send routes one event to its key's worker.
-func (s *Sessionizer) Send(ev Event) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	q := s.queues[int(hashKey(ev.Key))%len(s.queues)]
-	q <- message{ev: ev, watermark: -1}
-	return nil
-}
+func (s *Sessionizer) Send(ev Event) error { return s.in.send(ev) }
 
 // Advance broadcasts a watermark: sessions whose last event precedes
 // wm - Gap can no longer be extended and are emitted.
-func (s *Sessionizer) Advance(wm time.Duration) error {
-	if wm < 0 {
-		wm = 0
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	for _, q := range s.queues {
-		q <- message{watermark: wm}
-	}
-	return nil
-}
+func (s *Sessionizer) Advance(wm time.Duration) error { return s.in.advance(wm) }
 
 // Close flushes every open session and returns all sessions, ordered by
 // (key, start).
 func (s *Sessionizer) Close() []SessionResult {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-	} else {
-		s.closed = true
-		s.mu.Unlock()
-		for _, q := range s.queues {
-			q <- message{watermark: 1<<62 - 1}
-			close(q)
-		}
-		s.wg.Wait()
-	}
-	s.out.Lock()
-	defer s.out.Unlock()
-	out := append([]SessionResult(nil), s.out.sessions...)
+	s.in.close()
+	out := s.out.snapshot()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Key != out[j].Key {
 			return out[i].Key < out[j].Key
@@ -167,176 +110,79 @@ func (s *Sessionizer) Close() []SessionResult {
 // TriggerCheckpoint injects an aligned barrier and commits once every
 // worker acked its snapshot; see Pipeline.TriggerCheckpoint.
 func (s *Sessionizer) TriggerCheckpoint(offset int64, wm time.Duration) (*Checkpoint, error) {
-	s.ckptMu.Lock()
-	s.nextCkpt++
-	id := s.nextCkpt
-	s.ckptMu.Unlock()
-
-	start := time.Now()
-	ack := make(chan workerAck, len(s.queues))
-	if err := sendCtl(&s.mu, &s.closed, s.queues, allWorkers(len(s.queues)), func(int) *control {
-		return &control{op: ctlBarrier, id: id, ack: ack}
-	}); err != nil {
-		return nil, err
-	}
-	states := make([][]byte, len(s.queues))
-	var total int64
-	var firstErr error
-	for range s.queues {
-		a := <-ack
-		if a.err != nil {
-			if firstErr == nil {
-				firstErr = a.err
-			}
-			continue
-		}
-		states[a.worker] = a.state
-		total += int64(len(a.state))
-	}
-	if firstErr != nil {
-		s.Reg.Counter("checkpoints_aborted").Inc()
-		return nil, firstErr
-	}
-	s.Reg.Counter("checkpoints_committed").Inc()
-	s.Reg.Counter("checkpoint_bytes").Add(total)
-	s.Reg.Histogram("checkpoint_duration_ns").ObserveDuration(time.Since(start))
-	return &Checkpoint{ID: id, Offset: offset, Watermark: wm, States: states, Bytes: total}, nil
+	return s.in.checkpoint(offset, wm, trace.TraceContext{})
 }
 
 // GenesisCheckpoint is the empty checkpoint a run implicitly starts from.
-func (s *Sessionizer) GenesisCheckpoint() *Checkpoint {
-	states := make([][]byte, len(s.queues))
-	for i := range states {
-		states[i] = newSessState().encode()
-	}
-	return &Checkpoint{States: states}
-}
+func (s *Sessionizer) GenesisCheckpoint() *Checkpoint { return s.in.genesis() }
 
 // CrashWorker drops one worker's open sessions and stops it processing
 // until RestoreFrom; see Pipeline.CrashWorker.
-func (s *Sessionizer) CrashWorker(i int) error {
-	if i < 0 || i >= len(s.queues) {
-		return fmt.Errorf("stream: no worker %d (have %d)", i, len(s.queues))
-	}
-	ack := make(chan workerAck, 1)
-	if err := sendCtl(&s.mu, &s.closed, s.queues, []int{i}, func(int) *control {
-		return &control{op: ctlCrash, ack: ack}
-	}); err != nil {
-		return err
-	}
-	<-ack
-	s.Reg.Counter("stream_worker_crashes").Inc()
-	return nil
-}
+func (s *Sessionizer) CrashWorker(i int) error { return s.in.crash(i) }
 
 // RestoreFrom rolls every worker back to the checkpoint; the sink's
 // sequence high-waters stay put and dedup the replay. See
 // Pipeline.RestoreFrom.
 func (s *Sessionizer) RestoreFrom(ck *Checkpoint) error {
-	if len(ck.States) != len(s.queues) {
-		return fmt.Errorf("stream: checkpoint has %d worker states, sessionizer has %d workers",
-			len(ck.States), len(s.queues))
-	}
-	ack := make(chan workerAck, len(s.queues))
-	if err := sendCtl(&s.mu, &s.closed, s.queues, allWorkers(len(s.queues)), func(i int) *control {
-		return &control{op: ctlRestore, snap: ck.States[i], ack: ack}
-	}); err != nil {
-		return err
-	}
-	var firstErr error
-	for range s.queues {
-		if a := <-ack; a.err != nil && firstErr == nil {
-			firstErr = a.err
-		}
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	s.Reg.Counter("stream_recoveries").Inc()
-	return nil
+	return s.in.restore(ck, trace.TraceContext{})
 }
 
-func (s *Sessionizer) worker(idx int, q chan message) {
-	defer s.wg.Done()
-	st := newSessState()
-	dead := false
-	for m := range q {
-		if m.ctl != nil {
-			st, dead = s.handleControl(idx, st, dead, m.ctl)
-			continue
-		}
-		if dead {
-			if m.watermark < 0 {
-				s.crashedDropped.Inc()
-			}
-			continue
-		}
-		if m.watermark >= 0 {
-			if m.watermark > st.watermark {
-				st.watermark = m.watermark
-				s.fire(idx, st)
-			}
-			continue
-		}
-		ev := m.ev
-		sess := st.open[ev.Key]
-		// Find all sessions this event touches ([start-Gap, end+Gap]).
-		var touched []*session
-		var rest []*session
-		for _, x := range sess {
-			if ev.EventTime >= x.start-s.cfg.Gap && ev.EventTime <= x.end+s.cfg.Gap {
-				touched = append(touched, x)
-			} else {
-				rest = append(rest, x)
-			}
-		}
+// sessioner is the Sessionizer's operator: one worker's open sessions.
+type sessioner struct {
+	s      *Sessionizer
+	worker int
+	st     *sessState
+	fired  []SessionResult // one firing's results, reused
+}
+
+func (o *sessioner) snapshot() []byte { return o.st.encode() }
+
+func (o *sessioner) restore(snap []byte) error {
+	st, err := decodeSessState(snap)
+	if err == nil {
+		o.st = st
+	}
+	return err
+}
+
+func (o *sessioner) events(ms []message) int {
+	gap, st := o.s.cfg.Gap, o.st
+	n := 0
+	for ; n < len(ms) && ms[n].isEvent(); n++ {
+		ev := &ms[n].ev
+		// Merge every session this event touches ([start-Gap, end+Gap])
+		// into one; the untouched ones stay as they are.
 		merged := &session{start: ev.EventTime, end: ev.EventTime, sum: ev.Value, count: 1}
-		for _, x := range touched {
-			if x.start < merged.start {
-				merged.start = x.start
+		var rest []*session
+		for _, x := range st.open[ev.Key] {
+			if ev.EventTime < x.start-gap || ev.EventTime > x.end+gap {
+				rest = append(rest, x)
+				continue
 			}
-			if x.end > merged.end {
-				merged.end = x.end
-			}
+			merged.start = min(merged.start, x.start)
+			merged.end = max(merged.end, x.end)
 			merged.sum += x.sum
 			merged.count += x.count
 		}
 		st.open[ev.Key] = append(rest, merged)
 	}
+	return n
 }
 
-func (s *Sessionizer) handleControl(idx int, st *sessState, dead bool, c *control) (*sessState, bool) {
-	switch c.op {
-	case ctlBarrier:
-		if dead {
-			c.ack <- workerAck{worker: idx, err: errWorkerDown}
-			return st, dead
-		}
-		c.ack <- workerAck{worker: idx, state: st.encode()}
-	case ctlCrash:
-		c.ack <- workerAck{worker: idx}
-		return newSessState(), true
-	case ctlRestore:
-		ns, err := decodeSessState(c.snap)
-		if err != nil {
-			c.ack <- workerAck{worker: idx, err: err}
-			return st, dead
-		}
-		c.ack <- workerAck{worker: idx}
-		return ns, false
+// advance emits sessions that can no longer grow, each carrying the
+// worker's next output sequence for sink-side dedup.
+func (o *sessioner) advance(wm time.Duration) {
+	st := o.st
+	if wm <= st.watermark {
+		return
 	}
-	return st, dead
-}
-
-// fire emits sessions that can no longer grow, each carrying the worker's
-// next output sequence for sink-side dedup.
-func (s *Sessionizer) fire(worker int, st *sessState) {
+	st.watermark = wm
+	out := o.fired[:0]
 	for key, sess := range st.open {
 		var keep []*session
 		for _, x := range sess {
-			if x.end+s.cfg.Gap <= st.watermark {
-				st.seq++
-				s.emit(worker, st.seq, SessionResult{
+			if x.end+o.s.cfg.Gap <= wm {
+				out = append(out, SessionResult{
 					Key: key, Start: x.start, End: x.end, Sum: x.sum, Count: x.count,
 				})
 			} else {
@@ -349,17 +195,9 @@ func (s *Sessionizer) fire(worker int, st *sessState) {
 			st.open[key] = keep
 		}
 	}
-}
-
-func (s *Sessionizer) emit(worker int, seq int64, r SessionResult) {
-	s.out.Lock()
-	defer s.out.Unlock()
-	if seq <= s.out.hwm[worker] {
-		s.deduped.Inc()
-		return
-	}
-	s.out.hwm[worker] = seq
-	s.out.sessions = append(s.out.sessions, r)
+	st.seq += int64(len(out))
+	o.s.out.deliver(o.worker, st.seq, out)
+	o.fired = out
 }
 
 // encode serializes a session worker's state; keys and sessions are
@@ -391,53 +229,23 @@ func (st *sessState) encode() []byte {
 }
 
 func decodeSessState(b []byte) (*sessState, error) {
+	r := snapReader{b: b}
 	st := newSessState()
-	var v uint64
-	var err error
-	if v, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	st.watermark = time.Duration(v)
-	if v, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	st.seq = int64(v)
-	var nKeys uint64
-	if nKeys, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nKeys; i++ {
-		var key string
-		if key, b, err = readString(b); err != nil {
-			return nil, err
-		}
-		var n uint64
-		if n, b, err = readU64(b); err != nil {
-			return nil, err
-		}
-		sess := make([]*session, 0, n)
-		for j := uint64(0); j < n; j++ {
-			var start, end, sum, count uint64
-			if start, b, err = readU64(b); err != nil {
-				return nil, err
-			}
-			if end, b, err = readU64(b); err != nil {
-				return nil, err
-			}
-			if sum, b, err = readU64(b); err != nil {
-				return nil, err
-			}
-			if count, b, err = readU64(b); err != nil {
-				return nil, err
-			}
-			sess = append(sess, &session{
-				start: time.Duration(start),
-				end:   time.Duration(end),
-				sum:   math.Float64frombits(sum),
-				count: int64(count),
-			})
+	st.watermark = time.Duration(r.u64())
+	st.seq = int64(r.u64())
+	for nKeys := r.u64(); nKeys > 0 && r.err == nil; nKeys-- {
+		key := r.str()
+		var sess []*session
+		for n := r.u64(); n > 0 && r.err == nil; n-- {
+			x := &session{start: time.Duration(r.u64()), end: time.Duration(r.u64())}
+			x.sum = math.Float64frombits(r.u64())
+			x.count = int64(r.u64())
+			sess = append(sess, x)
 		}
 		st.open[key] = sess
+	}
+	if r.err != nil {
+		return nil, r.err
 	}
 	return st, nil
 }

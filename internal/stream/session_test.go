@@ -67,10 +67,7 @@ func TestWatermarkClosesOnlyExpiredSessions(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		s.out.Lock()
-		n := len(s.out.sessions)
-		s.out.Unlock()
-		if n == 1 {
+		if len(s.out.snapshot()) == 1 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -1,8 +1,8 @@
 // Package stream is an event-time stream processing engine: keyed events
 // flow through hash-partitioned parallel workers into tumbling or sliding
 // windows; low watermarks drive window firing; allowed lateness bounds how
-// long closed windows accept stragglers; and bounded worker queues provide
-// backpressure (the ablation of experiment E7 — unbounded queues let
+// long closed windows accept stragglers; and bounded worker lanes (lane.go)
+// provide backpressure (the ablation of experiment E7 — unbounded lanes let
 // latency grow without limit as offered load approaches capacity).
 //
 // The engine is fault tolerant with exactly-once output: aligned
@@ -11,15 +11,12 @@
 // failure, and per-worker output sequence numbers let the result sink
 // deduplicate panes re-fired during replay, so a run that crashes and
 // recovers produces output byte-identical to a fault-free run. See
-// DESIGN.md "Exactly-once streaming fault tolerance".
+// DESIGN.md "Stream ingest lanes and exactly-once fault tolerance".
 package stream
 
 import (
 	"errors"
-	"fmt"
-	"hash/fnv"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/metrics"
@@ -46,8 +43,9 @@ type Result struct {
 type Config struct {
 	// Workers is the keyed parallelism. Default 4.
 	Workers int
-	// Buffer is each worker's queue capacity. Values <= 0 mean effectively
-	// unbounded (the no-backpressure ablation).
+	// Buffer bounds the events pending in each worker's lane (Send blocks
+	// at it); the worker may hold one more batch it already took. Values
+	// <= 0 mean effectively unbounded (the no-backpressure ablation).
 	Buffer int
 	// Window is the window width; required.
 	Window time.Duration
@@ -72,18 +70,6 @@ var ErrClosed = errors.New("stream: pipeline closed")
 // must not commit (mirrors Flink's checkpoint-decline path).
 var errWorkerDown = errors.New("stream: worker is down, checkpoint aborted")
 
-type message struct {
-	ev        Event
-	watermark time.Duration // >= 0 means watermark message, ev ignored
-	ingest    time.Time
-	ctl       *control // non-nil: control-plane message (barrier/crash/restore)
-}
-
-type paneKey struct {
-	start time.Duration
-	key   string
-}
-
 type paneAgg struct {
 	sum   float64
 	count int64
@@ -95,11 +81,29 @@ type paneAgg struct {
 type pipeState struct {
 	watermark time.Duration
 	seq       int64
-	panes     map[paneKey]*paneAgg
+	// windows holds the open panes by window start, then key: an event
+	// costs one small integer lookup and one plain string lookup, and a
+	// window fires as a whole.
+	windows map[time.Duration]map[string]*paneAgg
+	// minStart is the earliest open window start (maxWatermark when no
+	// pane is open). It is derived from windows and never serialized; it
+	// lets a watermark that closes nothing return without a scan.
+	minStart time.Duration
 }
 
 func newPipeState() *pipeState {
-	return &pipeState{panes: map[paneKey]*paneAgg{}}
+	return &pipeState{windows: map[time.Duration]map[string]*paneAgg{}, minStart: maxWatermark}
+}
+
+// window returns the open window starting at start, opening it if needed.
+func (st *pipeState) window(start time.Duration) map[string]*paneAgg {
+	win := st.windows[start]
+	if win == nil {
+		win = map[string]*paneAgg{}
+		st.windows[start] = win
+		st.minStart = min(st.minStart, start)
+	}
+	return win
 }
 
 // Pipeline is a running streaming job. Create with New, feed with Send and
@@ -107,37 +111,16 @@ func newPipeState() *pipeState {
 // (checkpoint.go), which layers checkpointing and recovery on top.
 type Pipeline struct {
 	cfg     Config
-	queues  []chan message
-	wg      sync.WaitGroup
-	results struct {
-		mu  sync.Mutex
-		out []Result
-		// hwm is the per-worker delivered output sequence high-water.
-		// It models a durable, idempotent sink: it survives worker
-		// crash/rollback, so panes re-fired during replay (seq <= hwm)
-		// are recognized as duplicates and dropped.
-		hwm []int64
-	}
-	closed bool
-	// mu guards the queue lifecycle: senders (Send/Advance/control
-	// injection) hold the read lock across the channel send, Close takes
-	// the write lock to flip closed, so a send can never race the channel
-	// close (the old TOCTOU released the lock before `q <-` and a
-	// concurrent Close could panic the send).
-	mu sync.RWMutex
+	in      *lanes
+	results sink[Result]
 
-	nextCkpt int64 // checkpoint id allocator (guarded by ckptMu)
-	ckptMu   sync.Mutex
-
-	// Reg exposes latency/lateness metrics (sojourn_ns, late_dropped,
-	// events_processed) plus the fault-tolerance counters:
+	// Reg exposes latency/lateness metrics (sojourn_ns — a 1-in-64
+	// systematic sample per worker lane, first event included —
+	// late_dropped, events_processed) plus the fault-tolerance counters:
 	// checkpoints_committed, checkpoints_aborted, checkpoint_bytes,
 	// checkpoint_duration_ns, panes_deduped, stream_worker_crashes,
 	// stream_recoveries, crashed_dropped_events.
 	Reg *metrics.Registry
-
-	deduped        *metrics.Counter
-	crashedDropped *metrics.Counter
 }
 
 // New starts a pipeline's workers.
@@ -148,90 +131,38 @@ func New(cfg Config) *Pipeline {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
-	buf := cfg.Buffer
-	if buf <= 0 {
-		buf = 1 << 20 // "unbounded": larger than any test load
-	}
 	p := &Pipeline{cfg: cfg, Reg: metrics.NewRegistry()}
-	p.deduped = p.Reg.Counter("panes_deduped")
-	p.crashedDropped = p.Reg.Counter("crashed_dropped_events")
-	p.queues = make([]chan message, cfg.Workers)
 	p.results.hwm = make([]int64, cfg.Workers)
-	for i := range p.queues {
-		p.queues[i] = make(chan message, buf)
-		p.wg.Add(1)
-		go p.worker(i, p.queues[i])
-	}
+	p.results.deduped = p.Reg.Counter("panes_deduped")
+	p.in = startLanes(cfg.Workers, cfg.Buffer, p.Reg, cfg.Tracer, func(worker int) operator {
+		return &windower{
+			p: p, worker: worker, st: newPipeState(),
+			sojourn:   p.Reg.Histogram("sojourn_ns"),
+			late:      p.Reg.Counter("late_dropped"),
+			processed: p.Reg.Counter("events_processed"),
+		}
+	})
 	return p
 }
 
 // Workers returns the keyed parallelism the pipeline runs with.
-func (p *Pipeline) Workers() int { return len(p.queues) }
-
-func hashKey(k string) uint32 {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(k))
-	return h.Sum32()
-}
+func (p *Pipeline) Workers() int { return len(p.in.ls) }
 
 // Send routes one event to its key's worker. With a bounded buffer this
 // blocks when the worker is saturated — that wait is the backpressure the
-// experiments measure (it is included in the event's sojourn time).
-func (p *Pipeline) Send(ev Event) error {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return ErrClosed
-	}
-	q := p.queues[int(hashKey(ev.Key))%len(p.queues)]
-	q <- message{ev: ev, watermark: -1, ingest: time.Now()}
-	return nil
-}
+// experiments measure (it is included in a sampled event's sojourn time).
+func (p *Pipeline) Send(ev Event) error { return p.in.send(ev) }
 
 // Advance broadcasts a low watermark: every window whose end is at or
-// before wm fires on each worker. Negative watermarks are clamped to zero
-// (they carry no information and would collide with the event encoding).
-func (p *Pipeline) Advance(wm time.Duration) error {
-	if wm < 0 {
-		wm = 0
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return ErrClosed
-	}
-	for _, q := range p.queues {
-		q <- message{watermark: wm, ingest: time.Now()}
-	}
-	return nil
-}
+// before wm fires on each worker. Negative watermarks are clamped to zero.
+func (p *Pipeline) Advance(wm time.Duration) error { return p.in.advance(wm) }
 
 // Close flushes all remaining windows (as if a final +inf watermark
 // arrived), stops the workers, and returns every result fired over the
 // pipeline's lifetime, ordered by (window start, key).
 func (p *Pipeline) Close() []Result {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return p.snapshotResults()
-	}
-	p.closed = true
-	// The write lock was held until every in-flight sender (read lock)
-	// drained, and new senders observe closed, so closing the channels
-	// below cannot race a send.
-	p.mu.Unlock()
-	for _, q := range p.queues {
-		q <- message{watermark: 1<<62 - 1, ingest: time.Now()}
-		close(q)
-	}
-	p.wg.Wait()
-	return p.snapshotResults()
-}
-
-func (p *Pipeline) snapshotResults() []Result {
-	p.results.mu.Lock()
-	defer p.results.mu.Unlock()
-	out := append([]Result(nil), p.results.out...)
+	p.in.close()
+	out := p.results.snapshot()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].WindowStart != out[j].WindowStart {
 			return out[i].WindowStart < out[j].WindowStart
@@ -241,173 +172,131 @@ func (p *Pipeline) snapshotResults() []Result {
 	return out
 }
 
-// panesFor returns the window starts an event-time belongs to.
-func (p *Pipeline) panesFor(t time.Duration) []time.Duration {
-	w := p.cfg.Window
-	if p.cfg.Slide <= 0 || p.cfg.Slide >= w {
-		return []time.Duration{(t / w) * w}
-	}
-	s := p.cfg.Slide
-	var starts []time.Duration
-	first := (t / s) * s
-	for start := first; start > t-w && start >= 0; start -= s {
-		if t >= start && t < start+w {
-			starts = append(starts, start)
-		}
-		if start == 0 {
-			break
-		}
-	}
-	return starts
+// QueueDepth reports the total messages pending across worker lanes (for
+// the backpressure experiments).
+func (p *Pipeline) QueueDepth() int { return p.in.depth() }
+
+// windower is the Pipeline's operator: one worker's pane state and the
+// scratch it reuses between batches.
+type windower struct {
+	p      *Pipeline
+	worker int
+	st     *pipeState
+
+	sojourn         *metrics.Histogram
+	late, processed *metrics.Counter
+
+	slab     []paneAgg // new panes are carved from here
+	fired    []Result  // one firing's results, reused
+	spinSink int
 }
 
-func (p *Pipeline) worker(idx int, q chan message) {
-	defer p.wg.Done()
-	st := newPipeState()
-	dead := false
-	sojourn := p.Reg.Histogram("sojourn_ns")
-	late := p.Reg.Counter("late_dropped")
-	processed := p.Reg.Counter("events_processed")
+func (w *windower) snapshot() []byte { return w.st.encode() }
 
-	spinSink := 0
-	for m := range q {
-		if m.ctl != nil {
-			st, dead = p.handleControl(idx, st, dead, m.ctl)
-			continue
-		}
-		if dead {
-			// A crashed worker loses everything delivered to it; the
-			// replay after recovery re-reads these events from the
-			// source, so dropping here is safe (and counted).
-			if m.watermark < 0 {
-				p.crashedDropped.Inc()
-			}
-			continue
-		}
-		if m.watermark >= 0 {
-			if m.watermark > st.watermark {
-				st.watermark = m.watermark
-				p.fire(idx, st)
-			}
-			continue
-		}
+func (w *windower) restore(snap []byte) error {
+	st, err := decodePipeState(snap)
+	if err == nil {
+		w.st = st
+	}
+	return err
+}
+
+// events folds the leading events of ms into their panes. Counters are
+// added once per batch, and only sampled events (ingest != 0) read the
+// clock.
+func (w *windower) events(ms []message) int {
+	cfg, st := &w.p.cfg, w.st
+	tumbling := cfg.Slide <= 0 || cfg.Slide >= cfg.Window
+	n, late, dropped := 0, 0, 0
+	for ; n < len(ms) && ms[n].isEvent(); n++ {
+		ev := &ms[n].ev
 		// Simulated per-event processing cost.
-		for i := 0; i < p.cfg.WorkSpin; i++ {
-			spinSink += i ^ (spinSink << 1)
+		for i := 0; i < cfg.WorkSpin; i++ {
+			w.spinSink += i ^ (w.spinSink << 1)
 		}
-		ev := m.ev
-		if ev.EventTime+p.cfg.AllowedLateness < st.watermark-p.cfg.Window {
-			// Beyond lateness horizon for every possible pane: drop.
-			late.Inc()
-			sojourn.ObserveDuration(time.Since(m.ingest))
-			continue
-		}
-		accepted := false
-		for _, start := range p.panesFor(ev.EventTime) {
-			end := start + p.cfg.Window
-			if end+p.cfg.AllowedLateness <= st.watermark {
-				continue // this pane is closed for good
+		t, accepted := ev.EventTime, false
+		switch {
+		case t+cfg.AllowedLateness < st.watermark-cfg.Window:
+			dropped++ // beyond the lateness horizon of every possible pane
+		case tumbling:
+			accepted = w.add((t/cfg.Window)*cfg.Window, ev)
+		default:
+			for start := (t / cfg.Slide) * cfg.Slide; start >= 0 && start > t-cfg.Window; start -= cfg.Slide {
+				if t >= start && w.add(start, ev) {
+					accepted = true
+				}
 			}
-			pk := paneKey{start: start, key: ev.Key}
-			agg, ok := st.panes[pk]
-			if !ok {
-				agg = &paneAgg{}
-				st.panes[pk] = agg
-			}
-			agg.sum += ev.Value
-			agg.count++
-			accepted = true
 		}
 		if !accepted {
-			late.Inc()
+			late++
 		}
-		processed.Inc()
-		sojourn.ObserveDuration(time.Since(m.ingest))
+		if at := ms[n].ingest; at != 0 {
+			w.sojourn.ObserveDuration(time.Since(epoch) - at)
+		}
 	}
-	_ = spinSink
+	w.processed.Add(int64(n - dropped))
+	if late > 0 {
+		w.late.Add(int64(late))
+	}
+	return n
 }
 
-// handleControl processes a control-plane message on the worker
-// goroutine, so snapshots and restores are naturally serialized against
-// event processing: a barrier snapshot reflects exactly the events queued
-// before it (aligned-barrier semantics with one input channel per worker).
-func (p *Pipeline) handleControl(idx int, st *pipeState, dead bool, c *control) (*pipeState, bool) {
-	switch c.op {
-	case ctlBarrier:
-		if dead {
-			c.ack <- workerAck{worker: idx, err: errWorkerDown}
-			return st, dead
-		}
-		// The snapshot span parents under the coordinator's checkpoint
-		// span carried on the barrier, so each worker's contribution is
-		// causally visible in the run timeline.
-		end, _ := p.cfg.Tracer.BeginCtx(fmt.Sprintf("snapshot ckpt-%d", c.id),
-			"checkpoint", fmt.Sprintf("stream-worker-%02d", idx), c.tc)
-		state := st.encode()
-		end(map[string]string{"bytes": fmt.Sprint(len(state))})
-		c.ack <- workerAck{worker: idx, state: state}
-	case ctlCrash:
-		c.ack <- workerAck{worker: idx}
-		return newPipeState(), true
-	case ctlRestore:
-		end, _ := p.cfg.Tracer.BeginCtx("restore state",
-			"recovery", fmt.Sprintf("stream-worker-%02d", idx), c.tc)
-		ns, err := decodePipeState(c.snap)
-		if err != nil {
-			end(map[string]string{"error": err.Error()})
-			c.ack <- workerAck{worker: idx, err: err}
-			return st, dead
-		}
-		end(map[string]string{"bytes": fmt.Sprint(len(c.snap))})
-		c.ack <- workerAck{worker: idx}
-		return ns, false
+// add folds ev into the pane starting at start, unless that pane is
+// closed for good.
+func (w *windower) add(start time.Duration, ev *Event) bool {
+	st := w.st
+	if start+w.p.cfg.Window+w.p.cfg.AllowedLateness <= st.watermark {
+		return false
 	}
-	return st, dead
+	win := st.window(start)
+	agg := win[ev.Key]
+	if agg == nil {
+		if len(w.slab) == 0 {
+			w.slab = make([]paneAgg, 256)
+		}
+		agg, w.slab = &w.slab[0], w.slab[1:]
+		win[ev.Key] = agg
+	}
+	agg.sum += ev.Value
+	agg.count++
+	return true
 }
 
-// fire emits panes whose lateness horizon passed; each carries the
-// worker's next output sequence number. Within one firing batch the map
+// advance fires the panes whose lateness horizon wm passed; each carries
+// the worker's next output sequence number. Within one firing the map
 // iteration order is random, but the sink dedups whole rolled-back
-// batches by sequence count, so replay correctness does not depend on
-// intra-batch order (see DESIGN.md).
-func (p *Pipeline) fire(worker int, st *pipeState) {
-	for pk, agg := range st.panes {
-		end := pk.start + p.cfg.Window
-		if end+p.cfg.AllowedLateness <= st.watermark {
-			st.seq++
-			p.emit(worker, st.seq, Result{
-				WindowStart: pk.start,
-				WindowEnd:   end,
-				Key:         pk.key,
+// firings by sequence count, so replay correctness does not depend on
+// intra-firing order (see DESIGN.md).
+func (w *windower) advance(wm time.Duration) {
+	st := w.st
+	if wm <= st.watermark {
+		return
+	}
+	st.watermark = wm
+	// A pane fires once start+Window+AllowedLateness <= wm.
+	horizon := wm - w.p.cfg.Window - w.p.cfg.AllowedLateness
+	if st.minStart > horizon {
+		return
+	}
+	out := w.fired[:0]
+	st.minStart = maxWatermark
+	for start, win := range st.windows {
+		if start > horizon {
+			st.minStart = min(st.minStart, start)
+			continue
+		}
+		for key, agg := range win {
+			out = append(out, Result{
+				WindowStart: start,
+				WindowEnd:   start + w.p.cfg.Window,
+				Key:         key,
 				Sum:         agg.sum,
 				Count:       agg.count,
 			})
-			delete(st.panes, pk)
 		}
+		delete(st.windows, start)
 	}
-}
-
-// emit delivers one fired pane to the result sink. The sink is durable
-// and idempotent: a pane whose sequence is at or below the worker's
-// delivered high-water was already emitted before a rollback, so the
-// replayed copy (identical by determinism) is dropped and counted.
-func (p *Pipeline) emit(worker int, seq int64, r Result) {
-	p.results.mu.Lock()
-	defer p.results.mu.Unlock()
-	if seq <= p.results.hwm[worker] {
-		p.deduped.Inc()
-		return
-	}
-	p.results.hwm[worker] = seq
-	p.results.out = append(p.results.out, r)
-}
-
-// QueueDepth reports the total buffered events across workers (for the
-// backpressure experiments).
-func (p *Pipeline) QueueDepth() int {
-	total := 0
-	for _, q := range p.queues {
-		total += len(q)
-	}
-	return total
+	st.seq += int64(len(out))
+	w.p.results.deliver(w.worker, st.seq, out)
+	w.fired = out
 }

@@ -50,7 +50,7 @@ func TestWatermarkFiresWindows(t *testing.T) {
 	// moment, then check without closing.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		got := p.snapshotResults()
+		got := p.results.snapshot()
 		if len(got) == 1 {
 			if got[0].Sum != 5 {
 				t.Fatalf("fired %+v", got[0])
@@ -219,12 +219,79 @@ func TestSojournLatencyLowerWithBackpressureAtOverload(t *testing.T) {
 	}
 }
 
+// benchKeys interns the benchmark keys so the timed loops measure the
+// pipeline, not fmt.Sprintf.
+func benchKeys(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%03d", i)
+	}
+	return keys
+}
+
 func BenchmarkPipelineThroughput(b *testing.B) {
+	keys := benchKeys(64)
 	p := New(Config{Workers: 4, Buffer: 1024, Window: time.Second})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = p.Send(Event{Key: fmt.Sprintf("k%d", i%64), Value: 1, EventTime: time.Duration(i) * time.Microsecond})
+		_ = p.Send(Event{Key: keys[i%64], Value: 1, EventTime: time.Duration(i) * time.Microsecond})
 	}
-	b.StopTimer()
 	p.Close()
+}
+
+// ringSource is a replayable source of n events cycling through a
+// pre-generated ring of (key, value, jitter), with interned keys.
+type ringSource struct {
+	ring   []Event // EventTime holds the jitter
+	step   time.Duration
+	off, n int64
+}
+
+func (s *ringSource) Next() (Event, bool) {
+	if s.off >= s.n {
+		return Event{}, false
+	}
+	ev := s.ring[s.off%int64(len(s.ring))]
+	ev.EventTime += time.Duration(s.off) * s.step
+	s.off++
+	return ev, true
+}
+
+func (s *ringSource) Offset() int64 { return s.off }
+
+func (s *ringSource) SeekTo(off int64) error { s.off = off; return nil }
+
+// BenchmarkRunnerWindow drives a Runner at the repository benchmark's
+// stream_window parameters (bench/sut.go), so
+// `go test -bench RunnerWindow -cpuprofile` profiles what that workload
+// runs.
+func BenchmarkRunnerWindow(b *testing.B) {
+	keys := benchKeys(256)
+	gen := NewGeneratorSource(42, 1<<16, len(keys), time.Millisecond, 4*time.Millisecond)
+	src := &ringSource{step: time.Millisecond, n: int64(b.N)}
+	for i := int64(0); i < 1<<16; i++ {
+		ev := gen.At(i)
+		ev.EventTime -= time.Duration(i) * time.Millisecond
+		ev.Key = keys[i%256]
+		src.ring = append(src.ring, ev)
+	}
+	r := NewRunner(RunConfig{
+		Pipeline:        Config{Workers: 4, Buffer: 256, Window: 2 * time.Second},
+		CheckpointEvery: 20_000,
+		WatermarkEvery:  256,
+		WatermarkLag:    5 * time.Millisecond,
+		// Like the repository benchmark, stop timing at the last record:
+		// Close's one-off sort of every result is not the steady state.
+		TickEvery: b.N,
+		Tick:      b.StopTimer,
+	}, src)
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := r.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if late := r.Metrics().Counter("late_dropped").Value(); late != 0 {
+		b.Fatalf("%d late events", late)
+	}
 }

@@ -42,6 +42,15 @@ echo "== log compaction + txn watermark (race, count=3) =="
 # compaction snapshots. No wall clock, so -count=3 on two cores is cheap.
 go test -race -count=3 -run 'TestWatermark|TestCompaction' ./internal/kvstore ./internal/ha
 
+echo "== stream lanes (race, count=5) =="
+# Lane handoff, Close races and crash-inside-a-batch recovery are
+# schedule-sensitive: one -race pass is not enough to trust them.
+go test -race -count=5 ./internal/stream/
+
+echo "== chaos flap determinism (count=50) =="
+# The transition log must follow the seed, never Go's map order.
+go test -count=50 -run 'TestFlapDeterminismAndUnflap' ./internal/chaos/
+
 echo "== overload acceptance (race) =="
 go test -race -run 'TestOverloadAcceptance' . -count=1
 
@@ -73,6 +82,8 @@ if [ "${FUZZ:-0}" = "1" ]; then
     go test -fuzz=FuzzRangeMachineApply -fuzztime=3s -run '^$' ./internal/kvstore
     go test -fuzz=FuzzRangeMachineRestore -fuzztime=2s -run '^$' ./internal/kvstore
     go test -fuzz=FuzzTxnMachineApply -fuzztime=2s -run '^$' ./internal/kvstore
+    go test -fuzz=FuzzDecodePipeState -fuzztime=2s -run '^$' ./internal/stream
+    go test -fuzz=FuzzDecodeSessState -fuzztime=2s -run '^$' ./internal/stream
 fi
 
 if [ "${CHAOS:-0}" = "1" ]; then
