@@ -14,7 +14,7 @@ import (
 type Cluster struct {
 	nodes   map[int]*Node
 	crashed map[int]bool
-	inbox   []Message
+	mail    Mailbox
 	applied map[int][]Entry
 
 	// partition: nil means fully connected; otherwise group index per node,
@@ -94,11 +94,6 @@ func (c *Cluster) blocked(from, to int) bool {
 	return c.group[from] != c.group[to]
 }
 
-// send enqueues messages for the next delivery round.
-func (c *Cluster) send(msgs []Message) {
-	c.inbox = append(c.inbox, msgs...)
-}
-
 // Tick advances logical time one unit on every live node, then runs
 // delivery rounds until the network is quiet.
 func (c *Cluster) Tick() {
@@ -106,35 +101,36 @@ func (c *Cluster) Tick() {
 		if c.crashed[id] {
 			continue
 		}
-		c.send(c.nodes[id].Tick())
+		c.mail.Out = c.nodes[id].Tick(c.mail.Out)
 	}
 	c.drain()
 }
 
 // drain delivers message rounds until no messages remain in flight.
 func (c *Cluster) drain() {
-	for len(c.inbox) > 0 {
-		c.DeliverRound()
+	for c.DeliverRound() {
 	}
 }
 
 // DeliverRound delivers every currently in-flight message (one network
-// round trip) and collects responses for the next round.
-func (c *Cluster) DeliverRound() {
-	batch := c.inbox
-	c.inbox = nil
+// round trip), collects the responses for the next round, and reports
+// whether there was anything to deliver.
+func (c *Cluster) DeliverRound() bool {
+	batch := c.mail.Swap()
 	if len(batch) == 0 {
-		return
+		return false
 	}
 	c.Rounds++
-	for _, m := range batch {
+	for i := range batch {
+		m := &batch[i]
 		if c.blocked(m.From, m.To) {
 			continue
 		}
 		c.MessagesDelivered++
-		c.send(c.nodes[m.To].Step(m))
+		c.mail.Out = c.nodes[m.To].Step(m, c.mail.Out)
 	}
 	c.collectApplied()
+	return true
 }
 
 func (c *Cluster) collectApplied() {
@@ -187,11 +183,10 @@ func (c *Cluster) Propose(data []byte) bool {
 	if l < 0 {
 		return false
 	}
-	_, msgs, ok := c.nodes[l].Propose(data)
-	if !ok {
+	var ok bool
+	if _, c.mail.Out, ok = c.nodes[l].Propose(data, c.mail.Out); !ok {
 		return false
 	}
-	c.send(msgs)
 	c.drain()
 	return true
 }
@@ -205,13 +200,11 @@ func (c *Cluster) ProposeAndCountRounds(data []byte) (rounds int, ok bool) {
 	if l < 0 {
 		return 0, false
 	}
-	idx, msgs, ok := c.nodes[l].Propose(data)
-	if !ok {
+	var idx uint64
+	if idx, c.mail.Out, ok = c.nodes[l].Propose(data, c.mail.Out); !ok {
 		return 0, false
 	}
-	c.send(msgs)
-	for rounds = 0; len(c.inbox) > 0; {
-		c.DeliverRound()
+	for rounds = 0; c.DeliverRound(); {
 		rounds++
 		if c.nodes[l].commit >= idx {
 			c.drain()
@@ -234,11 +227,10 @@ func (c *Cluster) TransferLeadership(to, maxRounds int) bool {
 			c.Tick()
 			continue
 		}
-		msgs, _ := c.nodes[l].TransferLeadership(to)
-		if len(msgs) == 0 {
+		sent := len(c.mail.Out)
+		if c.mail.Out, _ = c.nodes[l].TransferLeadership(to, c.mail.Out); len(c.mail.Out) == sent {
 			return false // invalid target
 		}
-		c.send(msgs)
 		c.drain()
 		c.Tick()
 	}

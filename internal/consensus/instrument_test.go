@@ -14,7 +14,7 @@ func TestMetricsSingleNodeLifecycle(t *testing.T) {
 	n := NewNode(Config{ID: 0, Peers: []int{0}, Seed: 3, Metrics: reg})
 
 	for i := 0; i < 100 && n.State() != Leader; i++ {
-		n.Tick()
+		n.Tick(nil)
 	}
 	if n.State() != Leader {
 		t.Fatal("single node never won its election")
@@ -29,7 +29,7 @@ func TestMetricsSingleNodeLifecycle(t *testing.T) {
 		t.Fatalf("term gauge = %d, want %d", got, n.Term())
 	}
 
-	idx, _, ok := n.Propose([]byte("x"))
+	idx, _, ok := n.Propose([]byte("x"), nil)
 	if !ok {
 		t.Fatal("leader rejected proposal")
 	}
@@ -52,10 +52,10 @@ func TestMetricsSingleNodeLifecycle(t *testing.T) {
 func TestSnapshotInstallCounted(t *testing.T) {
 	reg := metrics.NewRegistry()
 	follower := NewNode(Config{ID: 1, Peers: []int{0, 1}, Metrics: reg})
-	follower.Step(Message{
+	follower.Step(&Message{
 		Type: MsgSnap, From: 0, To: 1, Term: 1,
 		SnapIndex: 5, SnapTerm: 1, SnapData: []byte("state"),
-	})
+	}, nil)
 	if got := reg.Counter("raft_snapshots_installed").Value(); got != 1 {
 		t.Fatalf("snapshots counter = %d, want 1", got)
 	}

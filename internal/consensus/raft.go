@@ -9,6 +9,7 @@ package consensus
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/rng"
@@ -142,6 +143,10 @@ type Node struct {
 	leader   int // -1 = unknown
 
 	// Log with snapshot-based compaction: entries[0] has index offset+1.
+	// A slot, once written, is never rewritten: appends fill fresh slots,
+	// Compact and snapshot install start a new array, and the one place
+	// that replaces entries (conflict truncation in handleApp) reallocates
+	// first. So entriesFrom hands out views of the log, not copies.
 	entries  []Entry
 	offset   uint64 // index of the last compacted entry (0 = nothing compacted)
 	snapTerm uint64
@@ -235,18 +240,26 @@ func (n *Node) termAt(index uint64) (uint64, bool) {
 	return n.entries[index-n.offset-1].Term, true
 }
 
+// entriesFrom returns up to max entries starting at index as a view of
+// the log, capacity cut to length so an append by the holder reallocates.
+// Slots are write-once (see Node.entries): the view never changes.
 func (n *Node) entriesFrom(index uint64, max int) []Entry {
 	if index <= n.offset || index > n.lastIndex() {
 		return nil
 	}
 	out := n.entries[index-n.offset-1:]
-	if len(out) > max {
-		out = out[:max]
+	k := min(len(out), max)
+	return out[:k:k]
+}
+
+// dropNoops returns raw without leader-change no-ops: raw itself when it
+// holds none, else a filtered copy (raw may be a view of the log).
+func dropNoops(raw []Entry) []Entry {
+	noop := func(e Entry) bool { return e.Data == nil }
+	if !slices.ContainsFunc(raw, noop) {
+		return raw
 	}
-	// Copy so the harness can't alias internal state.
-	cp := make([]Entry, len(out))
-	copy(cp, out)
-	return cp
+	return slices.Clip(slices.DeleteFunc(slices.Clone(raw), noop))
 }
 
 func (n *Node) resetElectionTimeout() {
@@ -262,9 +275,11 @@ func (n *Node) resetElectionTimeout() {
 	n.electionTimeout = n.cfg.ElectionTicks + n.rand.Intn(spread)
 }
 
-// Tick advances logical time by one unit and returns messages to send:
-// election timeouts fire for followers/candidates; heartbeats for leaders.
-func (n *Node) Tick() []Message {
+// Tick advances logical time by one unit and appends the messages to send
+// to out: election timeouts fire for followers/candidates; heartbeats for
+// leaders. Like Step, Propose and TransferLeadership it returns the
+// extended slice; the caller owns the buffer, the node keeps no reference.
+func (n *Node) Tick(out []Message) []Message {
 	n.elapsed++
 	switch n.state {
 	case Leader:
@@ -277,19 +292,19 @@ func (n *Node) Tick() []Message {
 				n.stepDowns++
 				n.m.stepdowns.Inc()
 				n.becomeFollower(n.term, -1)
-				return nil
+				return out
 			}
 		}
 		if n.elapsed >= n.cfg.HeartbeatTicks {
 			n.elapsed = 0
-			return n.broadcastAppend()
+			return n.broadcastAppend(out)
 		}
 	default:
 		if n.elapsed >= n.electionTimeout {
-			return n.campaign()
+			return n.campaign(out)
 		}
 	}
-	return nil
+	return out
 }
 
 // quorumActive reports whether a quorum (counting self) sent us anything
@@ -307,43 +322,42 @@ func (n *Node) quorumActive() bool {
 
 // campaign is the election-timeout path: grow the backoff window, then
 // either probe via PreVote or (vanilla) campaign for real immediately.
-func (n *Node) campaign() []Message {
+func (n *Node) campaign(out []Message) []Message {
 	if n.cfg.PreVote || n.cfg.CheckQuorum {
 		if n.backoff < 5 {
 			n.backoff++
 		}
 	}
 	if n.cfg.PreVote {
-		return n.startPreVote()
+		return n.startPreVote(out)
 	}
-	return n.startElection(false)
+	return n.startElection(false, out)
 }
 
 // startPreVote asks every peer whether a campaign at term+1 would win,
 // without touching term, votedFor, or role.
-func (n *Node) startPreVote() []Message {
+func (n *Node) startPreVote(out []Message) []Message {
 	n.preVotes = map[int]bool{n.cfg.ID: true}
 	n.resetElectionTimeout()
 	if n.quorum(len(n.preVotes)) {
 		// Single-node cluster: no probe needed.
 		n.preVotes = nil
-		return n.startElection(false)
+		return n.startElection(false, out)
 	}
 	lastTerm, _ := n.termAt(n.lastIndex())
-	var msgs []Message
 	for _, p := range n.cfg.Peers {
 		if p == n.cfg.ID {
 			continue
 		}
-		msgs = append(msgs, Message{
+		out = append(out, Message{
 			Type: MsgPreVote, From: n.cfg.ID, To: p, Term: n.term + 1,
 			LastLogIndex: n.lastIndex(), LastLogTerm: lastTerm,
 		})
 	}
-	return msgs
+	return out
 }
 
-func (n *Node) startElection(force bool) []Message {
+func (n *Node) startElection(force bool, out []Message) []Message {
 	n.state = Candidate
 	n.term++
 	n.m.elections.Inc()
@@ -354,26 +368,25 @@ func (n *Node) startElection(force bool) []Message {
 	n.preVotes = nil
 	n.resetElectionTimeout()
 	lastTerm, _ := n.termAt(n.lastIndex())
-	var msgs []Message
 	for _, p := range n.cfg.Peers {
 		if p == n.cfg.ID {
 			continue
 		}
-		msgs = append(msgs, Message{
+		out = append(out, Message{
 			Type: MsgVoteReq, From: n.cfg.ID, To: p, Term: n.term,
 			LastLogIndex: n.lastIndex(), LastLogTerm: lastTerm, Force: force,
 		})
 	}
 	if n.quorum(len(n.votes)) {
 		// Single-node cluster: win immediately.
-		return append(msgs, n.becomeLeader()...)
+		return n.becomeLeader(out)
 	}
-	return msgs
+	return out
 }
 
 func (n *Node) quorum(count int) bool { return count*2 > len(n.cfg.Peers) }
 
-func (n *Node) becomeLeader() []Message {
+func (n *Node) becomeLeader(out []Message) []Message {
 	n.state = Leader
 	n.leader = n.cfg.ID
 	n.m.leaderships.Inc()
@@ -395,7 +408,7 @@ func (n *Node) becomeLeader() []Message {
 	n.entries = append(n.entries, noop)
 	n.matchIndex[n.cfg.ID] = n.lastIndex()
 	n.maybeCommit()
-	return n.broadcastAppend()
+	return n.broadcastAppend(out)
 }
 
 func (n *Node) becomeFollower(term uint64, leader int) {
@@ -409,28 +422,28 @@ func (n *Node) becomeFollower(term uint64, leader int) {
 	n.resetElectionTimeout()
 }
 
-// Propose appends data to the leader's log, returning its index. ok is
-// false when this node is not the leader.
-func (n *Node) Propose(data []byte) (index uint64, msgs []Message, ok bool) {
+// Propose appends data to the leader's log, returning its index and out
+// extended by the appends to send. ok is false when this node is not the
+// leader. The log keeps data itself, not a copy, and every replica's
+// state machine is handed that same slice: nobody may write it again.
+func (n *Node) Propose(data []byte, out []Message) (index uint64, msgs []Message, ok bool) {
 	if n.state != Leader {
-		return 0, nil, false
+		return 0, out, false
 	}
 	e := Entry{Term: n.term, Index: n.lastIndex() + 1, Data: data}
 	n.entries = append(n.entries, e)
 	n.matchIndex[n.cfg.ID] = e.Index
 	n.maybeCommit()
-	return e.Index, n.broadcastAppend(), true
+	return e.Index, n.broadcastAppend(out), true
 }
 
-func (n *Node) broadcastAppend() []Message {
-	var msgs []Message
+func (n *Node) broadcastAppend(out []Message) []Message {
 	for _, p := range n.cfg.Peers {
-		if p == n.cfg.ID {
-			continue
+		if p != n.cfg.ID {
+			out = append(out, n.appendTo(p))
 		}
-		msgs = append(msgs, n.appendTo(p))
 	}
-	return msgs
+	return out
 }
 
 // appendTo builds the AppendEntries (or InstallSnapshot) for one follower.
@@ -467,8 +480,11 @@ func (n *Node) leaseActive(force bool) bool {
 	return n.state == Follower && n.leader >= 0 && n.elapsed < n.cfg.ElectionTicks
 }
 
-// Step processes one inbound message and returns messages to send.
-func (n *Node) Step(m Message) []Message {
+// Step processes one inbound message and appends the messages to send to
+// out, which must not be the buffer m lives in. It reads m only during the
+// call; what it keeps of it (entries, snapshot data) is immutable by the
+// rules on Node.entries and Propose.
+func (n *Node) Step(m *Message, out []Message) []Message {
 	// Any inbound traffic proves the peer->us link for CheckQuorum.
 	if n.state == Leader && m.From != n.cfg.ID {
 		if n.recentActive == nil {
@@ -480,7 +496,7 @@ func (n *Node) Step(m Message) []Message {
 	// must not depose anything while we have a live leader, so drop it
 	// before the newer-term conversion below can touch our state.
 	if m.Type == MsgVoteReq && n.leaseActive(m.Force) {
-		return nil
+		return out
 	}
 	// Term handling: newer term always converts us to follower first.
 	// PreVote traffic is exempt by design — probes carry term+1 without
@@ -494,27 +510,27 @@ func (n *Node) Step(m Message) []Message {
 	}
 	switch m.Type {
 	case MsgVoteReq:
-		return n.handleVoteReq(m)
+		return n.handleVoteReq(m, out)
 	case MsgVoteResp:
-		return n.handleVoteResp(m)
+		return n.handleVoteResp(m, out)
 	case MsgApp:
-		return n.handleApp(m)
+		return n.handleApp(m, out)
 	case MsgAppResp:
-		return n.handleAppResp(m)
+		return n.handleAppResp(m, out)
 	case MsgSnap:
-		return n.handleSnap(m)
+		return n.handleSnap(m, out)
 	case MsgPreVote:
-		return n.handlePreVote(m)
+		return n.handlePreVote(m, out)
 	case MsgPreVoteResp:
-		return n.handlePreVoteResp(m)
+		return n.handlePreVoteResp(m, out)
 	case MsgTimeoutNow:
 		// Leadership transfer: campaign immediately, skipping the election
 		// timeout (and, via Force, the peers' leases), provided the request
 		// is current.
 		if m.Term >= n.term && n.state != Leader {
-			return n.startElection(true)
+			return n.startElection(true, out)
 		}
-		return nil
+		return out
 	default:
 		panic(fmt.Sprintf("consensus: unknown message type %d", m.Type))
 	}
@@ -523,7 +539,7 @@ func (n *Node) Step(m Message) []Message {
 // handlePreVote answers a PreVote probe without mutating any local state:
 // grant only if the probed term beats ours, the candidate's log is
 // up-to-date, and we are not under a leader lease.
-func (n *Node) handlePreVote(m Message) []Message {
+func (n *Node) handlePreVote(m *Message, out []Message) []Message {
 	resp := Message{Type: MsgPreVoteResp, From: n.cfg.ID, To: m.From, Term: n.term}
 	lastTerm, _ := n.termAt(n.lastIndex())
 	upToDate := m.LastLogTerm > lastTerm ||
@@ -532,55 +548,46 @@ func (n *Node) handlePreVote(m Message) []Message {
 		resp.Granted = true
 		resp.Term = m.Term
 	}
-	return []Message{resp}
+	return append(out, resp)
 }
 
-func (n *Node) handlePreVoteResp(m Message) []Message {
+func (n *Node) handlePreVoteResp(m *Message, out []Message) []Message {
 	if !m.Granted {
 		// A rejection carrying a newer term means we are behind: catch up
 		// now (we provably have connectivity to the rejecting peer).
 		if m.Term > n.term {
 			n.becomeFollower(m.Term, -1)
 		}
-		return nil
+		return out
 	}
 	if n.state == Leader || n.preVotes == nil || m.Term != n.term+1 {
-		return nil
+		return out
 	}
 	n.preVotes[m.From] = true
 	if n.quorum(len(n.preVotes)) {
 		n.preVotes = nil
-		return n.startElection(false)
+		return n.startElection(false, out)
 	}
-	return nil
+	return out
 }
 
 // TransferLeadership begins moving leadership to peer `to`. Per the Raft
 // dissertation (§3.10): bring the target's log up to date, then tell it to
-// time out immediately so it wins the next election. It returns the
-// messages to send and whether the TimeoutNow was issued (false means the
-// target still needs log entries — the caller delivers the returned
-// append and calls again).
-func (n *Node) TransferLeadership(to int) (msgs []Message, issued bool) {
-	if n.state != Leader || to == n.cfg.ID {
-		return nil, false
-	}
-	known := false
-	for _, p := range n.cfg.Peers {
-		if p == to {
-			known = true
-		}
-	}
-	if !known {
-		return nil, false
+// time out immediately so it wins the next election. It returns out
+// extended by the message to send (unchanged for an invalid target) and
+// whether the TimeoutNow was issued (false means the target still needs
+// log entries — the caller delivers that append and calls again).
+func (n *Node) TransferLeadership(to int, out []Message) (msgs []Message, issued bool) {
+	if n.state != Leader || to == n.cfg.ID || !slices.Contains(n.cfg.Peers, to) {
+		return out, false
 	}
 	if n.matchIndex[to] < n.lastIndex() {
-		return []Message{n.appendTo(to)}, false
+		return append(out, n.appendTo(to)), false
 	}
-	return []Message{{Type: MsgTimeoutNow, From: n.cfg.ID, To: to, Term: n.term}}, true
+	return append(out, Message{Type: MsgTimeoutNow, From: n.cfg.ID, To: to, Term: n.term}), true
 }
 
-func (n *Node) handleVoteReq(m Message) []Message {
+func (n *Node) handleVoteReq(m *Message, out []Message) []Message {
 	granted := false
 	if m.Term >= n.term && (n.votedFor == -1 || n.votedFor == m.From) {
 		// Up-to-date check (§5.4.1): candidate's log must not be behind.
@@ -593,26 +600,26 @@ func (n *Node) handleVoteReq(m Message) []Message {
 			n.resetElectionTimeout()
 		}
 	}
-	return []Message{{
+	return append(out, Message{
 		Type: MsgVoteResp, From: n.cfg.ID, To: m.From, Term: n.term, Granted: granted,
-	}}
+	})
 }
 
-func (n *Node) handleVoteResp(m Message) []Message {
+func (n *Node) handleVoteResp(m *Message, out []Message) []Message {
 	if n.state != Candidate || m.Term != n.term || !m.Granted {
-		return nil
+		return out
 	}
 	n.votes[m.From] = true
 	if n.quorum(len(n.votes)) {
-		return n.becomeLeader()
+		return n.becomeLeader(out)
 	}
-	return nil
+	return out
 }
 
-func (n *Node) handleApp(m Message) []Message {
+func (n *Node) handleApp(m *Message, out []Message) []Message {
 	reject := Message{Type: MsgAppResp, From: n.cfg.ID, To: m.From, Term: n.term, Success: false}
 	if m.Term < n.term {
-		return []Message{reject}
+		return append(out, reject)
 	}
 	// Valid leader for our term.
 	n.state = Follower
@@ -632,7 +639,7 @@ func (n *Node) handleApp(m Message) []Message {
 			hint--
 		}
 		reject.Index = hint
-		return []Message{reject}
+		return append(out, reject)
 	}
 	// Append, truncating conflicts.
 	for _, e := range m.Entries {
@@ -642,8 +649,12 @@ func (n *Node) handleApp(m Message) []Message {
 		if e.Index <= n.offset {
 			continue // covered by snapshot
 		}
-		// Truncate from e.Index on, then append.
-		n.entries = n.entries[:e.Index-n.offset-1]
+		if k := e.Index - n.offset - 1; k < uint64(len(n.entries)) {
+			// Conflict: drop our entries from e.Index on. The capped
+			// capacity makes the append below move the log to a new array,
+			// so the dropped slots stay as they are for holders of views.
+			n.entries = n.entries[:k:k]
+		}
 		n.entries = append(n.entries, e)
 	}
 	if m.Commit > n.commit {
@@ -655,15 +666,15 @@ func (n *Node) handleApp(m Message) []Message {
 		}
 	}
 	match := m.PrevIndex + uint64(len(m.Entries))
-	return []Message{{
+	return append(out, Message{
 		Type: MsgAppResp, From: n.cfg.ID, To: m.From, Term: n.term,
 		Success: true, Index: match,
-	}}
+	})
 }
 
-func (n *Node) handleAppResp(m Message) []Message {
+func (n *Node) handleAppResp(m *Message, out []Message) []Message {
 	if n.state != Leader || m.Term != n.term {
-		return nil
+		return out
 	}
 	if m.Success {
 		if m.Index > n.matchIndex[m.From] {
@@ -675,9 +686,9 @@ func (n *Node) handleAppResp(m Message) []Message {
 		n.maybeCommit()
 		// Keep streaming if the follower is still behind.
 		if n.nextIndex[m.From] <= n.lastIndex() {
-			return []Message{n.appendTo(m.From)}
+			return append(out, n.appendTo(m.From))
 		}
-		return nil
+		return out
 	}
 	// Rejected: back off using the follower's hint and retry.
 	next := m.Index + 1
@@ -689,12 +700,12 @@ func (n *Node) handleAppResp(m Message) []Message {
 	} else if n.nextIndex[m.From] > 1 {
 		n.nextIndex[m.From]--
 	}
-	return []Message{n.appendTo(m.From)}
+	return append(out, n.appendTo(m.From))
 }
 
-func (n *Node) handleSnap(m Message) []Message {
+func (n *Node) handleSnap(m *Message, out []Message) []Message {
 	if m.Term < n.term {
-		return []Message{{Type: MsgAppResp, From: n.cfg.ID, To: m.From, Term: n.term, Success: false}}
+		return append(out, Message{Type: MsgAppResp, From: n.cfg.ID, To: m.From, Term: n.term, Success: false})
 	}
 	n.state = Follower
 	n.leader = m.From
@@ -714,10 +725,10 @@ func (n *Node) handleSnap(m Message) []Message {
 			n.applied = m.SnapIndex
 		}
 	}
-	return []Message{{
+	return append(out, Message{
 		Type: MsgAppResp, From: n.cfg.ID, To: m.From, Term: n.term,
 		Success: true, Index: n.lastIndex(),
-	}}
+	})
 }
 
 // maybeCommit advances commitIndex to the highest index replicated on a
@@ -743,18 +754,13 @@ func (n *Node) maybeCommit() {
 
 // CommittedEntries returns entries newly committed since the last call, in
 // order, excluding leader-change no-ops. The state machine applies them.
+// The result is read-only and may be a view of the log (see entriesFrom).
 func (n *Node) CommittedEntries() []Entry {
 	if n.applied >= n.commit {
 		return nil
 	}
-	raw := n.entriesFrom(n.applied+1, int(n.commit-n.applied))
+	out := dropNoops(n.entriesFrom(n.applied+1, int(n.commit-n.applied)))
 	n.applied = n.commit
-	out := raw[:0]
-	for _, e := range raw {
-		if e.Data != nil {
-			out = append(out, e)
-		}
-	}
 	n.m.entriesCommitted.Add(int64(len(out)))
 	return out
 }
@@ -771,14 +777,7 @@ func (n *Node) CommittedSince(from uint64) []Entry {
 	if n.commit <= from {
 		return nil
 	}
-	raw := n.entriesFrom(from+1, int(n.commit-from))
-	out := raw[:0]
-	for _, e := range raw {
-		if e.Data != nil {
-			out = append(out, e)
-		}
-	}
-	return out
+	return dropNoops(n.entriesFrom(from+1, int(n.commit-from)))
 }
 
 // Compact discards log entries up to and including index, recording the

@@ -143,8 +143,7 @@ func TestMinorityPartitionCannotCommit(t *testing.T) {
 
 	// Old leader can still append locally but must not commit.
 	before := c.Node(l).commit
-	_, msgs, _ := c.Node(l).Propose([]byte("doomed"))
-	c.send(msgs)
+	_, c.mail.Out, _ = c.Node(l).Propose([]byte("doomed"), c.mail.Out)
 	c.drain()
 	if c.Node(l).commit != before {
 		t.Fatal("minority leader advanced commit index")
@@ -262,7 +261,7 @@ func TestProposeOnFollowerFails(t *testing.T) {
 	c := NewCluster(3, 9)
 	l := c.RunUntilLeader(200)
 	follower := (l + 1) % 3
-	if _, _, ok := c.Node(follower).Propose([]byte("x")); ok {
+	if _, _, ok := c.Node(follower).Propose([]byte("x"), nil); ok {
 		t.Fatal("follower accepted a proposal")
 	}
 }

@@ -58,14 +58,14 @@ func TestTransferCatchesUpLaggingTarget(t *testing.T) {
 func TestTransferToSelfOrUnknownRejected(t *testing.T) {
 	c := NewCluster(3, 23)
 	l := c.RunUntilLeader(300)
-	if msgs, ok := c.Node(l).TransferLeadership(l); ok || msgs != nil {
+	if msgs, ok := c.Node(l).TransferLeadership(l, nil); ok || msgs != nil {
 		t.Fatal("transfer to self accepted")
 	}
-	if msgs, ok := c.Node(l).TransferLeadership(99); ok || msgs != nil {
+	if msgs, ok := c.Node(l).TransferLeadership(99, nil); ok || msgs != nil {
 		t.Fatal("transfer to unknown peer accepted")
 	}
 	follower := (l + 1) % 3
-	if msgs, ok := c.Node(follower).TransferLeadership(l); ok || msgs != nil {
+	if msgs, ok := c.Node(follower).TransferLeadership(l, nil); ok || msgs != nil {
 		t.Fatal("non-leader issued a transfer")
 	}
 }

@@ -34,6 +34,11 @@ import (
 // sequence and must land in the same state. Snapshot serializes the full
 // state; Restore replaces the state from a snapshot. Apply's return
 // value is the client response, computed identically on every replica.
+//
+// cmd and snap are views of a log entry and of a snapshot that every
+// replica shares and nothing ever writes: a machine may keep views of
+// them (and answer with one) but must not modify them. The response is
+// read-only too, for the group and for the client.
 type StateMachine interface {
 	Apply(cmd []byte) []byte
 	Snapshot() []byte
@@ -116,7 +121,7 @@ type Group struct {
 	crashed []bool
 	part    map[int]int     // nil = fully connected
 	cut     map[[2]int]bool // directed member-link cuts (gray faults)
-	inbox   []consensus.Message
+	mail    consensus.Mailbox
 
 	// The last compaction snapshot built and the applied index it is of.
 	snapAt uint64
@@ -270,10 +275,6 @@ func (g *Group) blocked(from, to int) bool {
 	return g.part[from] != g.part[to]
 }
 
-func (g *Group) sendLocked(msgs []consensus.Message) {
-	g.inbox = append(g.inbox, msgs...)
-}
-
 // tickLocked advances virtual time one unit on every live member, then
 // drains the network and updates failover accounting.
 func (g *Group) tickLocked() {
@@ -282,7 +283,7 @@ func (g *Group) tickLocked() {
 		if g.crashed[i] {
 			continue
 		}
-		g.sendLocked(n.Tick())
+		g.mail.Out = n.Tick(g.mail.Out)
 	}
 	g.drainLocked()
 }
@@ -290,14 +291,11 @@ func (g *Group) tickLocked() {
 // drainLocked delivers message rounds until quiet, applying newly
 // committed entries to the replicas after every round.
 func (g *Group) drainLocked() {
-	for len(g.inbox) > 0 {
-		batch := g.inbox
-		g.inbox = nil
-		for _, m := range batch {
-			if g.blocked(m.From, m.To) {
-				continue
+	for batch := g.mail.Swap(); len(batch) > 0; batch = g.mail.Swap() {
+		for i := range batch {
+			if m := &batch[i]; !g.blocked(m.From, m.To) {
+				g.mail.Out = g.nodes[m.To].Step(m, g.mail.Out)
 			}
-			g.sendLocked(g.nodes[m.To].Step(m))
 		}
 		g.applyCommittedLocked()
 	}
@@ -454,12 +452,12 @@ func (g *Group) propose(machine string, payload []byte) ([]byte, error) {
 			return resp, nil
 		}
 		if l := g.leaderLocked(); l >= 0 && (proposedTo != l || proposedTerm != g.nodes[l].Term()) {
-			if _, msgs, ok := g.nodes[l].Propose(cmd); ok {
+			var ok bool
+			if _, g.mail.Out, ok = g.nodes[l].Propose(cmd, g.mail.Out); ok {
 				if proposedTo >= 0 && proposedTo != l {
 					g.m.redirects.Inc()
 				}
 				proposedTo, proposedTerm = l, g.nodes[l].Term()
-				g.sendLocked(msgs)
 				g.drainLocked()
 				continue
 			}
@@ -645,7 +643,7 @@ func (g *Group) StepDowns() uint64 {
 // machine, deduplicating by sequence number: a command re-proposed
 // around a failover commits twice in the log but applies once.
 func (r *replica) apply(cmd []byte) {
-	seq, machine, payload, err := decodeEnvelope(cmd)
+	seq, name, payload, err := decodeEnvelope(cmd)
 	if err != nil {
 		// A corrupt envelope would mean the log itself is corrupt;
 		// applying nothing keeps replicas consistent (they all see the
@@ -655,8 +653,13 @@ func (r *replica) apply(cmd []byte) {
 	if seq <= r.lastSeq {
 		return
 	}
+	// A lookup by the name's bytes makes no string; only a miss does.
+	sm := r.machines[string(name)]
+	if sm == nil {
+		sm = r.machine(string(name))
+	}
 	var resp []byte
-	if sm := r.machine(machine); sm != nil {
+	if sm != nil {
 		resp = sm.Apply(payload)
 	}
 	r.lastSeq = seq
@@ -721,17 +724,18 @@ func (r *replica) restore(snap []byte) {
 // Command envelope: sequence number, machine name, payload.
 
 func encodeEnvelope(seq uint64, machine string, payload []byte) []byte {
-	buf := binary.BigEndian.AppendUint64(nil, seq)
-	buf = appendBytes(buf, []byte(machine))
-	return append(buf, payload...)
+	buf := binary.BigEndian.AppendUint64(make([]byte, 0, 8+4+len(machine)+len(payload)), seq)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(machine)))
+	return append(append(buf, machine...), payload...)
 }
 
-func decodeEnvelope(cmd []byte) (seq uint64, machine string, payload []byte, err error) {
+// decodeEnvelope splits an envelope into views of cmd.
+func decodeEnvelope(cmd []byte) (seq uint64, machine, payload []byte, err error) {
 	d := &decoder{buf: cmd}
 	seq = d.u64()
-	machine = string(d.bytes())
+	machine = d.bytes()
 	if d.err != nil {
-		return 0, "", nil, d.err
+		return 0, nil, nil, d.err
 	}
 	return seq, machine, d.buf[d.off:], nil
 }

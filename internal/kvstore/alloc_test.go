@@ -1,0 +1,135 @@
+package kvstore
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"repro/internal/rng"
+)
+
+// txnMix is the kv_txn benchmark's shape without bench/: 1 024 keys over
+// 3 splits on 2 groups, 64-byte values, zipf-chosen keys. One iteration
+// is a 2-key Txn, a Put and a Get.
+type txnMix struct {
+	s    *Sharded
+	keys []string
+	pool [][]byte
+	r    *rng.RNG
+	z    *rng.Zipf
+}
+
+func newTxnMix(tb testing.TB) *txnMix {
+	x := &txnMix{keys: make([]string, 1024), pool: make([][]byte, 16), r: rng.New(11)}
+	for i := range x.keys {
+		x.keys[i] = fmt.Sprintf("key-%08d", i)
+	}
+	for i := range x.pool {
+		x.pool[i] = make([]byte, 64)
+		x.r.Bytes(x.pool[i])
+	}
+	x.z = rng.NewZipf(x.r, len(x.keys), 0.9)
+	x.s = NewSharded(ShardedConfig{Seed: 11, Groups: 2, InitialSplits: []string{x.keys[256], x.keys[512], x.keys[768]}})
+	for i, k := range x.keys {
+		if err := x.s.Put(context.Background(), k, x.pool[i%len(x.pool)]); err != nil {
+			tb.Fatalf("preload %s: %v", k, err)
+		}
+	}
+	return x
+}
+
+func (x *txnMix) iter(tb testing.TB) {
+	ctx := context.Background()
+	a := x.z.Next()
+	b := (a + 1 + x.r.Intn(len(x.keys)-1)) % len(x.keys)
+	k1, k2, v := x.keys[a], x.keys[b], x.pool[x.r.Intn(len(x.pool))]
+	if got, err := x.s.Txn(ctx, []string{k1, k2}, map[string][]byte{k1: v, k2: v}); err != nil || len(got) != 2 {
+		tb.Fatalf("txn %s,%s: read %d keys, err %v", k1, k2, len(got), err)
+	}
+	if err := x.s.Put(ctx, x.keys[x.z.Next()], v); err != nil {
+		tb.Fatal(err)
+	}
+	if _, found, err := x.s.Get(ctx, x.keys[x.z.Next()]); err != nil || !found {
+		tb.Fatalf("get: found %v, err %v", found, err)
+	}
+}
+
+// BenchmarkShardedTxnMix gives the kv_txn before/after profile from go
+// test: -cpuprofile/-memprofile here, no bench/ involved.
+func BenchmarkShardedTxnMix(b *testing.B) {
+	x := newTxnMix(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x.iter(b)
+	}
+}
+
+// The ceilings below are what the replication path is allowed to cost,
+// so that a regression fails loudly here instead of drifting into the
+// benchmark. Commands are encoded before measuring: an encoder's one
+// allocation is the coordinator's, not the machine's.
+
+const allocRuns = 200
+
+func requireAllocs(t *testing.T, what string, ceiling float64, f func()) {
+	t.Helper()
+	if got := testing.AllocsPerRun(allocRuns, f); got > ceiling {
+		t.Errorf("%s: %.0f allocs per run, ceiling %.0f", what, got, ceiling)
+	}
+}
+
+// eachRun returns a function applying the next of allocRuns+1 commands
+// (AllocsPerRun warms up once) and failing on any status but rspOK.
+func eachRun(t *testing.T, apply func([]byte) []byte, enc func(i uint64) []byte) func() {
+	cmds := make([][]byte, allocRuns+1)
+	for i := range cmds {
+		cmds[i] = enc(uint64(i))
+	}
+	next := 0
+	return func() {
+		if resp := apply(cmds[next]); resp[0] != rspOK {
+			t.Fatalf("run %d: status %d", next, resp[0])
+		}
+		next++
+	}
+}
+
+func TestRangeMachineAllocCeilings(t *testing.T) {
+	m := newRangeMachine()
+	m.Apply(encRmAdopt("", "", nil))
+	val := make([]byte, 64)
+	m.Apply(encRmPut("a", val, 1))
+	m.Apply(encRmPut("b", val, 1))
+	writes := []rmWrite{{Key: "a", Val: val}, {Key: "b", Val: val}}
+
+	requireAllocs(t, "put on an existing key", 1, eachRun(t, m.Apply, func(i uint64) []byte {
+		return encRmPut("a", val, 2+i)
+	}))
+	requireAllocs(t, "get of an existing key", 1, eachRun(t, m.Apply, func(uint64) []byte {
+		return encRmGet("a", false)
+	}))
+	// Re-preparing under one txn id re-takes its own locks: the full
+	// check, lock and read walk every time.
+	requireAllocs(t, "prepare of a 2-key txn", 2, eachRun(t, m.Apply, func(uint64) []byte {
+		return encRmPrepare(1000, 0, false, []string{"a", "b"}, []string{"a", "b"})
+	}))
+	requireAllocs(t, "apply of a 2-key txn", 2, eachRun(t, m.Apply, func(i uint64) []byte {
+		return encRmApply(1000+i, 1000+i, 1000+i, writes)
+	}))
+}
+
+func TestTxnMachineBeginAllocCeiling(t *testing.T) {
+	m := newTxnMachine()
+	writes := []rmWrite{{Key: "a", Val: make([]byte, 64)}, {Key: "b", Val: make([]byte, 64)}}
+	begin := eachRun(t, m.Apply, func(i uint64) []byte { return encTxBegin(1+i, []uint64{0, 1}, writes) })
+	done := eachRun(t, m.Apply, func(i uint64) []byte { return encTxDone(1 + i) })
+	// Retiring the record keeps the table at the benchmark's size; done
+	// answers with a shared status and allocates nothing of its own.
+	requireAllocs(t, "txn begin (+done)", 3, func() { begin(); done() })
+}
+
+func TestShardedTxnMixAllocCeiling(t *testing.T) {
+	x := newTxnMix(t)
+	requireAllocs(t, "Txn+Put+Get at the benchmark's shape", 75, func() { x.iter(t) })
+}

@@ -3,6 +3,8 @@ package kvstore
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/ha"
 )
 
 // The replicated machines decode bytes that came out of a Raft log or a
@@ -43,6 +45,49 @@ func checkRangeRoundTrip(t *testing.T, m *rangeMachine) {
 	}
 }
 
+// applyOnReplicas applies data's frames to a machine and holds two more
+// to it, frame by frame: a second fresh machine, and one that is rebuilt
+// by Restore(Snapshot()) before every frame. All three must give the same
+// responses and end in the same snapshot: replicas answer with shared
+// status slices and keep views of their commands and snapshots, and none
+// of that may show. It returns the first machine; after, if not nil,
+// inspects it following each frame.
+func applyOnReplicas[M ha.StateMachine](t *testing.T, data []byte, fresh func() M, after func(m M, cmd []byte)) M {
+	t.Helper()
+	m, twin, rebuilt := fresh(), fresh(), fresh()
+	eachFrame(data, func(cmd []byte) {
+		resp := m.Apply(cmd)
+		if len(resp) == 0 {
+			t.Fatalf("Apply(% x) returned no status", cmd)
+		}
+		if got := twin.Apply(cmd); !bytes.Equal(got, resp) {
+			t.Fatalf("Apply(% x): a second replica answered % x, the first % x", cmd, got, resp)
+		}
+		snap := rebuilt.Snapshot()
+		rebuilt = fresh()
+		rebuilt.Restore(snap)
+		if got := rebuilt.Apply(cmd); !bytes.Equal(got, resp) {
+			t.Fatalf("Apply(% x): a restored replica answered % x, the first % x", cmd, got, resp)
+		}
+		if after != nil {
+			after(m, cmd)
+		}
+	})
+	snap := m.Snapshot()
+	if other := twin.Snapshot(); !bytes.Equal(other, snap) {
+		t.Fatalf("replicas of one command sequence snapshot differently:\n% x\n% x", snap, other)
+	}
+	if other := rebuilt.Snapshot(); !bytes.Equal(other, snap) {
+		t.Fatalf("a replica restored along the way snapshots differently:\n% x\n% x", snap, other)
+	}
+	for code, resp := range status {
+		if len(resp) != 1 || resp[0] != byte(code) {
+			t.Fatalf("shared status response %d was written: now % x", code, resp)
+		}
+	}
+	return m
+}
+
 func FuzzRangeMachineApply(f *testing.F) {
 	pairs := []kvPair{{key: "b", rval: rval{val: []byte("vb"), ver: 3}}, {key: "x", rval: rval{ver: 4, dead: true}}}
 	writes := []rmWrite{{Key: "a", Val: []byte("w")}, {Key: "b", Del: true}}
@@ -55,12 +100,7 @@ func FuzzRangeMachineApply(f *testing.F) {
 		encRmTrimKeys(pairs), encRmPut("zz", nil, 2)))
 	f.Add([]byte{3, rmOpAbort, 0, 0, 1, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := newRangeMachine()
-		eachFrame(data, func(cmd []byte) {
-			if resp := m.Apply(cmd); len(resp) == 0 {
-				t.Fatalf("Apply(% x) returned no status", cmd)
-			}
-		})
+		m := applyOnReplicas(t, data, newRangeMachine, nil)
 		for id := range m.done {
 			if id < m.closed {
 				t.Fatalf("done remembers txn %d below the watermark %d", id, m.closed)
@@ -96,29 +136,30 @@ func FuzzTxnMachineApply(f *testing.F) {
 		encTxBegin(6, nil, writes), encTxDone(5), encTxBegin(5, nil, nil)))
 	f.Add([]byte{2, txOpBegin, 0, 9, txOpDone, 0, 0, 0, 0, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := newTxnMachine()
 		var low uint64
-		eachFrame(data, func(cmd []byte) {
-			if resp := m.Apply(cmd); len(resp) == 0 {
-				t.Fatalf("Apply(% x) returned no status", cmd)
-			}
+		applyOnReplicas(t, data, newTxnMachine, func(m *txnMachine, cmd []byte) {
 			now := m.closedBelow()
 			if now < low {
 				t.Fatalf("closedBelow fell from %d to %d after % x", low, now, cmd)
 			}
 			low = now
 		})
-		snap := m.Snapshot()
-		r := newTxnMachine()
-		r.Restore(snap)
-		if again := r.Snapshot(); !bytes.Equal(again, snap) {
-			t.Fatalf("Restore(Snapshot(m)) re-snapshots differently:\n% x\n% x", snap, again)
-		}
 	})
 }
 
+// Every command is one allocation, exactly its size: the single-key
+// encoders and all the others.
 func TestSingleKeyEncodersSizeExactly(t *testing.T) {
-	for _, cmd := range [][]byte{encRmPut("key", []byte("value"), 7), encRmPut("", nil, 0), encRmGet("key", true), encRmDel("key", 9)} {
+	pairs := []kvPair{{key: "b", rval: rval{val: []byte("vb"), ver: 3}}, {key: "x", rval: rval{ver: 4, dead: true}}}
+	writes := []rmWrite{{Key: "a", Val: []byte("w")}, {Key: "bb", Del: true}}
+	for _, cmd := range [][]byte{
+		encRmPut("key", []byte("value"), 7), encRmPut("", nil, 0), encRmGet("key", true), encRmDel("key", 9),
+		encRmPrepare(7, 6, true, []string{"a", "bb"}, []string{"bb"}), encRmPrepare(7, 6, false, nil, nil),
+		encRmApply(7, 6, 5, writes), encRmApply(7, 6, 5, nil), encRmAbort(7, 6),
+		encRmAdopt("a", "m", pairs), encRmAdopt("", "", nil), encRmFreeze("k"), encRmTrim("k"),
+		encRmMigrate(pairs), encRmMigrate(nil), encRmTrimKeys(pairs), encRmTrimKeys(nil),
+		encTxBegin(1, []uint64{0, 1}, writes), encTxBegin(1, nil, nil), encTxCommit(1, 10), encTxAbort(1), encTxDone(1),
+	} {
 		if len(cmd) != cap(cmd) {
 			t.Errorf("command % x: len %d, cap %d; want sized exactly", cmd, len(cmd), cap(cmd))
 		}

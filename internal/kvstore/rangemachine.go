@@ -47,6 +47,19 @@ const (
 	rspStale     = 0x06 // put/del version not above the cell's: retry with a fresh one
 )
 
+// status holds the one-byte response for each status code. Every replica
+// of every machine answers with these same slices and the coordinator
+// reads them in place: nothing may write one. Responses with a payload
+// are built fresh, in one allocation.
+var status = [...][]byte{{rspOK}, {rspMoved}, {rspLocked}, {rspConflict}, {rspAborted}, {rspCommitted}, {rspStale}}
+
+func statusU64(code byte, v uint64) []byte { return wAppendU64(frame(code, 9), v) }
+func okCount(n uint32) []byte              { return wAppendU32(frame(rspOK, 5), n) }
+
+// frame starts a command or response of exactly size bytes with its
+// first byte, the opcode or status.
+func frame(first byte, size int) []byte { return append(make([]byte, 0, size), first) }
+
 // Transaction terminal states recorded per range (dedup + late-message
 // guard: a prepare arriving after recovery aborted the txn is refused).
 const (
@@ -81,13 +94,6 @@ type rmWrite struct {
 	Key string
 	Val []byte
 	Del bool
-}
-
-// rmRead is one observed value from a prepare.
-type rmRead struct {
-	Key   string
-	Val   []byte
-	Found bool
 }
 
 type rangeMachine struct {
@@ -137,12 +143,15 @@ func (m *rangeMachine) finished(txn, closed uint64) bool {
 }
 
 // owns reports whether key is inside the machine's current bounds and
-// not fenced by an in-progress split/merge.
-func (m *rangeMachine) owns(key string) bool {
-	if !m.init || key < m.lo || (m.hi != "" && key >= m.hi) {
+// not fenced by an in-progress split/merge. Keys stay views of the
+// command: comparing or looking up string(key) allocates nothing. A key
+// becomes a string once, when its cell is inserted (upsert), and that
+// string serves the lock table too.
+func (m *rangeMachine) owns(key []byte) bool {
+	if !m.init || string(key) < m.lo || (m.hi != "" && string(key) >= m.hi) {
 		return false
 	}
-	if m.fenced && key >= m.fence {
+	if m.fenced && string(key) >= m.fence {
 		return false
 	}
 	return true
@@ -150,11 +159,12 @@ func (m *rangeMachine) owns(key string) bool {
 
 // upsert installs a value if it is newer than the current one, retaining
 // the overwritten one. Returns whether it was installed.
-func (m *rangeMachine) upsert(key string, v rval) bool {
-	c := m.data[key]
+func (m *rangeMachine) upsert(key []byte, v rval) bool {
+	c := m.data[string(key)]
 	switch {
 	case c == nil:
-		m.data[key] = &cell{kvPair: kvPair{key: key, rval: v}}
+		k := string(key)
+		m.data[k] = &cell{kvPair: kvPair{key: k, rval: v}}
 		m.order = nil
 	case v.ver <= c.ver:
 		return false
@@ -168,11 +178,11 @@ func (m *rangeMachine) upsert(key string, v rval) bool {
 func (m *rangeMachine) install(pairs []kvPair) []byte {
 	installed := uint32(0)
 	for _, p := range pairs {
-		if m.upsert(p.key, p.rval) {
+		if m.upsert([]byte(p.key), p.rval) {
 			installed++
 		}
 	}
-	return wAppendU32([]byte{rspOK}, installed)
+	return okCount(installed)
 }
 
 func (m *rangeMachine) Apply(cmd []byte) []byte {
@@ -180,41 +190,42 @@ func (m *rangeMachine) Apply(cmd []byte) []byte {
 	op := d.u8()
 	switch op {
 	case rmOpPut, rmOpDel:
-		key := d.str()
+		key := d.blob()
 		ver := d.u64()
 		var val []byte
 		if op == rmOpPut {
 			val = d.blob()
 		}
 		if d.err {
-			return []byte{rspConflict}
+			return status[rspConflict]
 		}
 		if !m.owns(key) {
-			return []byte{rspMoved}
+			return status[rspMoved]
 		}
-		if owner, locked := m.locks[key]; locked {
-			return wAppendU64([]byte{rspLocked}, owner)
+		if owner, locked := m.locks[string(key)]; locked {
+			return statusU64(rspLocked, owner)
 		}
 		if !m.upsert(key, rval{val: val, ver: ver, dead: op == rmOpDel}) {
 			// Dropping it silently would let a transaction that ran since
 			// the version was drawn both miss this write and bury it.
-			return []byte{rspStale}
+			return status[rspStale]
 		}
-		return []byte{rspOK}
+		return status[rspOK]
 
 	case rmOpGet:
-		key := d.str()
+		key := d.blob()
 		dirty := d.boolv()
 		if d.err {
-			return []byte{rspConflict}
+			return status[rspConflict]
 		}
 		if !m.owns(key) {
-			return []byte{rspMoved}
+			return status[rspMoved]
 		}
-		if _, locked := m.locks[key]; locked && !dirty {
-			return []byte{rspLocked}
+		if _, locked := m.locks[string(key)]; locked && !dirty {
+			return status[rspLocked]
 		}
-		return m.readResp(key, dirty)
+		val, found := m.read(key, dirty)
+		return appendRead(frame(rspOK, 1+readLen(val)), val, found)
 
 	case rmOpPrepare:
 		return m.applyPrepare(d)
@@ -223,23 +234,23 @@ func (m *rangeMachine) Apply(cmd []byte) []byte {
 	case rmOpAbort:
 		txn, closed := d.u64(), d.u64()
 		if d.err {
-			return []byte{rspConflict}
+			return status[rspConflict]
 		}
 		if !m.finished(txn, closed) {
 			if m.done[txn] == txnApplied {
-				return []byte{rspCommitted}
+				return status[rspCommitted]
 			}
 			m.done[txn] = txnAborted
 		}
 		// Below the watermark too: a lock a lost abort left behind goes.
 		m.releaseLocks(txn)
-		return []byte{rspOK}
+		return status[rspOK]
 
 	case rmOpAdopt:
 		lo, hi := d.str(), d.str()
 		pairs := decodePairs(d)
 		if d.err {
-			return []byte{rspConflict}
+			return status[rspConflict]
 		}
 		m.lo, m.hi, m.init = lo, hi, true
 		return m.install(pairs)
@@ -247,14 +258,14 @@ func (m *rangeMachine) Apply(cmd []byte) []byte {
 	case rmOpFreeze:
 		from := d.str()
 		if d.err {
-			return []byte{rspConflict}
+			return status[rspConflict]
 		}
 		if m.fenced && m.fence != from {
-			return []byte{rspConflict}
+			return status[rspConflict]
 		}
 		for k := range m.locks {
 			if k >= from {
-				return []byte{rspConflict} // in-flight txn holds the span
+				return status[rspConflict] // in-flight txn holds the span
 			}
 		}
 		m.fenced, m.fence = true, from
@@ -263,7 +274,7 @@ func (m *rangeMachine) Apply(cmd []byte) []byte {
 	case rmOpTrim:
 		from := d.str()
 		if d.err {
-			return []byte{rspConflict}
+			return status[rspConflict]
 		}
 		n := uint32(0)
 		for k := range m.data {
@@ -277,12 +288,12 @@ func (m *rangeMachine) Apply(cmd []byte) []byte {
 		if m.fenced && m.fence == from {
 			m.fenced, m.fence = false, ""
 		}
-		return wAppendU32([]byte{rspOK}, n)
+		return okCount(n)
 
 	case rmOpMigrate:
 		pairs := decodePairs(d)
 		if d.err {
-			return []byte{rspConflict}
+			return status[rspConflict]
 		}
 		return m.install(pairs)
 
@@ -301,48 +312,62 @@ func (m *rangeMachine) Apply(cmd []byte) []byte {
 				removed++
 			}
 		}
-		return wAppendU32([]byte{rspOK}, removed)
+		return okCount(removed)
 	}
-	return []byte{rspConflict}
+	return status[rspConflict]
 }
 
 // applyPrepare locks the txn's keys (all-or-nothing within this range)
 // and returns the observed read values. Conflicts abort immediately —
 // no lock waiting, so cross-range deadlock is impossible by
-// construction and contention resolves by coordinator retry.
+// construction and contention resolves by coordinator retry. The whole
+// command is validated before any state changes; the key lists are then
+// walked where they lie.
 func (m *rangeMachine) applyPrepare(d *wdec) []byte {
 	txn, closed := d.u64(), d.u64()
 	dirty := d.boolv()
-	lockKeys := decodeStrs(d)
-	readKeys := decodeStrs(d)
+	nLock, lockKeys := d.list(false)
+	nRead, readKeys := d.list(false)
 	if d.err {
-		return []byte{rspConflict}
+		return status[rspConflict]
 	}
 	if m.finished(txn, closed) {
-		return []byte{rspAborted} // retired: a lock taken now would never be released
+		return status[rspAborted] // retired: a lock taken now would never be released
 	}
 	switch m.done[txn] {
 	case txnAborted:
 		// Recovery already aborted this txn (coordinator presumed dead);
 		// refusing the late prepare keeps its locks from resurrecting.
-		return []byte{rspAborted}
+		return status[rspAborted]
 	case txnApplied:
-		return []byte{rspCommitted}
+		return status[rspCommitted]
 	}
-	for _, k := range lockKeys {
+	for w, i := lockKeys, 0; i < nLock; i++ {
+		k := w.blob()
 		if !m.owns(k) {
-			return []byte{rspMoved}
+			return status[rspMoved]
 		}
-		if owner, locked := m.locks[k]; locked && owner != txn {
-			return []byte{rspConflict}
+		if owner, locked := m.locks[string(k)]; locked && owner != txn {
+			return status[rspConflict]
 		}
 	}
-	for _, k := range lockKeys {
-		m.locks[k] = txn
+	for w, i := lockKeys, 0; i < nLock; i++ {
+		k := w.blob()
+		if c := m.data[string(k)]; c != nil {
+			m.locks[c.key] = txn
+		} else {
+			m.locks[string(k)] = txn
+		}
 	}
-	resp := wAppendU32([]byte{rspOK}, uint32(len(readKeys)))
-	for _, k := range readKeys {
-		resp = append(resp, m.readResp(k, dirty)[1:]...)
+	size := 1 + 4
+	for w, i := readKeys, 0; i < nRead; i++ {
+		val, _ := m.read(w.blob(), dirty)
+		size += readLen(val)
+	}
+	resp := wAppendU32(frame(rspOK, size), uint32(nRead))
+	for w, i := readKeys, 0; i < nRead; i++ {
+		val, found := m.read(w.blob(), dirty)
+		resp = appendRead(resp, val, found)
 	}
 	return resp
 }
@@ -352,19 +377,20 @@ func (m *rangeMachine) applyPrepare(d *wdec) []byte {
 func (m *rangeMachine) applyCommit(d *wdec) []byte {
 	txn, closed := d.u64(), d.u64()
 	ver := d.u64()
-	writes := decodeWrites(d)
+	n, w := d.list(true)
 	if d.err {
-		return []byte{rspConflict}
+		return status[rspConflict]
 	}
 	if m.finished(txn, closed) || m.done[txn] == txnApplied {
-		return []byte{rspOK}
+		return status[rspOK]
 	}
-	for _, w := range writes {
-		m.upsert(w.Key, rval{val: w.Val, ver: ver, dead: w.Del})
+	for ; n > 0; n-- {
+		key, del, val := w.blob(), w.boolv(), w.blob()
+		m.upsert(key, rval{val: val, ver: ver, dead: del})
 	}
 	m.releaseLocks(txn)
 	m.done[txn] = txnApplied
-	return []byte{rspOK}
+	return status[rspOK]
 }
 
 func (m *rangeMachine) releaseLocks(txn uint64) {
@@ -375,24 +401,28 @@ func (m *rangeMachine) releaseLocks(txn uint64) {
 	}
 }
 
-// readResp renders a cell as status+found+value. A dirty read serves
-// the retained overwritten cell when one exists — the deliberately
-// broken isolation mode that proves the txn checker has teeth.
-func (m *rangeMachine) readResp(key string, dirty bool) []byte {
-	var v rval
-	c := m.data[key]
-	if c != nil {
-		v = c.rval
-		if dirty && c.hasOld {
-			v = c.old
-		}
+// read returns key's live value. A dirty read serves the retained
+// overwritten cell when one exists — the deliberately broken isolation
+// mode that proves the txn checker has teeth.
+func (m *rangeMachine) read(key []byte, dirty bool) (val []byte, found bool) {
+	c := m.data[string(key)]
+	if c == nil {
+		return nil, false
 	}
-	found := c != nil && !v.dead
-	if !found {
-		v.val = nil
+	v := c.rval
+	if dirty && c.hasOld {
+		v = c.old
 	}
-	return wAppendBlob(wAppendBool([]byte{rspOK}, found), v.val)
+	if v.dead {
+		return nil, false
+	}
+	return v.val, true
 }
+
+// appendRead renders one read as found+value, readLen bytes of it: the
+// body of a get response and each element of a prepare's.
+func appendRead(b, val []byte, found bool) []byte { return wAppendBlob(wAppendBool(b, found), val) }
+func readLen(val []byte) int                      { return 1 + 4 + len(val) }
 
 // pairsFrom returns the cells (tombstones included) at or above from,
 // in sorted key order.
@@ -513,27 +543,25 @@ func (m *rangeMachine) Restore(snap []byte) {
 	}
 }
 
-// Command encoders (coordinator side).
+// Command encoders (coordinator side). Each sizes its buffer exactly:
+// one allocation per command.
 
-// The single-key encoders size their buffer exactly: one allocation.
 func encRmPut(key string, val []byte, ver uint64) []byte {
-	b := wAppendStr(append(make([]byte, 0, 17+len(key)+len(val)), rmOpPut), key)
+	b := wAppendStr(frame(rmOpPut, 17+len(key)+len(val)), key)
 	b = wAppendU64(b, ver)
 	return wAppendBlob(b, val)
 }
 
 func encRmGet(key string, dirty bool) []byte {
-	b := wAppendStr(append(make([]byte, 0, 6+len(key)), rmOpGet), key)
-	return wAppendBool(b, dirty)
+	return wAppendBool(wAppendStr(frame(rmOpGet, 6+len(key)), key), dirty)
 }
 
 func encRmDel(key string, ver uint64) []byte {
-	b := wAppendStr(append(make([]byte, 0, 13+len(key)), rmOpDel), key)
-	return wAppendU64(b, ver)
+	return wAppendU64(wAppendStr(frame(rmOpDel, 13+len(key)), key), ver)
 }
 
 func encRmPrepare(txn, closed uint64, dirty bool, lockKeys, readKeys []string) []byte {
-	b := wAppendU64([]byte{rmOpPrepare}, txn)
+	b := wAppendU64(frame(rmOpPrepare, 18+listLen(lockKeys, strLen)+listLen(readKeys, strLen)), txn)
 	b = wAppendU64(b, closed)
 	b = wAppendBool(b, dirty)
 	b = appendStrs(b, lockKeys)
@@ -541,29 +569,32 @@ func encRmPrepare(txn, closed uint64, dirty bool, lockKeys, readKeys []string) [
 }
 
 func encRmApply(txn, closed, ver uint64, writes []rmWrite) []byte {
-	b := wAppendU64([]byte{rmOpApply}, txn)
+	b := wAppendU64(frame(rmOpApply, 25+listLen(writes, writeLen)), txn)
 	b = wAppendU64(b, closed)
 	b = wAppendU64(b, ver)
 	return appendWrites(b, writes)
 }
 
 func encRmAbort(txn, closed uint64) []byte {
-	return wAppendU64(wAppendU64([]byte{rmOpAbort}, txn), closed)
+	return wAppendU64(wAppendU64(frame(rmOpAbort, 17), txn), closed)
 }
 
 func encRmAdopt(lo, hi string, pairs []kvPair) []byte {
-	b := wAppendStr([]byte{rmOpAdopt}, lo)
+	b := wAppendStr(frame(rmOpAdopt, 9+len(lo)+len(hi)+listLen(pairs, pairLen)), lo)
 	b = wAppendStr(b, hi)
 	return appendPairs(b, pairs)
 }
 
-func encRmFreeze(from string) []byte { return wAppendStr([]byte{rmOpFreeze}, from) }
-func encRmTrim(from string) []byte   { return wAppendStr([]byte{rmOpTrim}, from) }
+func encRmFreeze(from string) []byte { return wAppendStr(frame(rmOpFreeze, 5+len(from)), from) }
+func encRmTrim(from string) []byte   { return wAppendStr(frame(rmOpTrim, 5+len(from)), from) }
 
-func encRmMigrate(pairs []kvPair) []byte { return appendPairs([]byte{rmOpMigrate}, pairs) }
+func encRmMigrate(pairs []kvPair) []byte {
+	return appendPairs(frame(rmOpMigrate, 1+listLen(pairs, pairLen)), pairs)
+}
 
 func encRmTrimKeys(pairs []kvPair) []byte {
-	b := wAppendU32([]byte{rmOpTrimKeys}, uint32(len(pairs)))
+	size := 1 + listLen(pairs, func(p kvPair) int { return 4 + len(p.key) + 8 })
+	b := wAppendU32(frame(rmOpTrimKeys, size), uint32(len(pairs)))
 	for _, p := range pairs {
 		b = wAppendStr(b, p.key)
 		b = wAppendU64(b, p.ver)
@@ -573,8 +604,19 @@ func encRmTrimKeys(pairs []kvPair) []byte {
 
 // Shared sub-encodings.
 
-func rvalLen(v rval) int   { return 8 + 1 + 4 + len(v.val) }
-func pairLen(p kvPair) int { return 4 + len(p.key) + rvalLen(p.rval) }
+func rvalLen(v rval) int     { return 8 + 1 + 4 + len(v.val) }
+func pairLen(p kvPair) int   { return 4 + len(p.key) + rvalLen(p.rval) }
+func writeLen(w rmWrite) int { return 4 + len(w.Key) + 1 + 4 + len(w.Val) }
+func strLen(s string) int    { return 4 + len(s) }
+
+// listLen is the encoded size of a counted list of xs.
+func listLen[T any](xs []T, each func(T) int) int {
+	n := 4
+	for _, x := range xs {
+		n += each(x)
+	}
+	return n
+}
 
 func appendRval(b []byte, v rval) []byte {
 	return wAppendBlob(wAppendBool(wAppendU64(b, v.ver), v.dead), v.val)
@@ -648,20 +690,4 @@ func decodeWrites(d *wdec) []rmWrite {
 		ws = append(ws, w)
 	}
 	return ws
-}
-
-// decodeReads parses the prepare response payload after its status byte.
-func decodeReads(d *wdec, keys []string) []rmRead {
-	n := int(d.u32())
-	var rs []rmRead
-	for i := 0; i < n && i < len(keys) && !d.err; i++ {
-		r := rmRead{Key: keys[i]}
-		r.Found = d.boolv()
-		r.Val = d.blob()
-		if d.err {
-			break
-		}
-		rs = append(rs, r)
-	}
-	return rs
 }

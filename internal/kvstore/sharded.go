@@ -19,7 +19,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -86,7 +88,9 @@ type Sharded struct {
 	dirty     bool   // dirty-read fault injection
 	crashNext string // one-shot coordinator crash point
 	cost      time.Duration
-	ranges    []RangeInfo // directory cache; refreshed on rspMoved
+	// ranges is the directory cache. refreshDir (on rspMoved) replaces it
+	// wholesale and nothing writes an element: readers share the slice.
+	ranges []RangeInfo
 }
 
 // NewSharded builds the groups, initializes the directory and adopts
@@ -141,7 +145,7 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 	return s
 }
 
-func rangeName(id uint64) string { return fmt.Sprintf("range-%d", id) }
+func rangeName(id uint64) string { return "range-" + strconv.FormatUint(id, 10) }
 
 // groupOf maps a range id to its hosting Raft group.
 func (s *Sharded) groupOf(id uint64) int { return int(id % uint64(s.cfg.Groups)) }
@@ -213,14 +217,16 @@ func (s *Sharded) refreshDir() error {
 	return nil
 }
 
+// rangesSnapshot returns the cached routing table, read-only.
 func (s *Sharded) rangesSnapshot() []RangeInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]RangeInfo(nil), s.ranges...)
+	return s.ranges
 }
 
-// Ranges returns the current routing table (diagnostics and tests).
-func (s *Sharded) Ranges() []RangeInfo { return s.rangesSnapshot() }
+// Ranges returns a copy of the current routing table (diagnostics and
+// tests).
+func (s *Sharded) Ranges() []RangeInfo { return slices.Clone(s.rangesSnapshot()) }
 
 // RangeCount returns the number of ranges in the cached directory.
 func (s *Sharded) RangeCount() int {
@@ -255,12 +261,9 @@ type opBudget struct {
 	has       bool
 }
 
-func newOpBudget(ctx context.Context) (*opBudget, error) {
+func newOpBudget(ctx context.Context) (opBudget, error) {
 	budget, has, err := ctxGate(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &opBudget{remaining: budget, has: has}, nil
+	return opBudget{remaining: budget, has: has}, err
 }
 
 // charge burns virtual cost; once the budget is exhausted it returns

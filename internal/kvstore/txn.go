@@ -21,9 +21,11 @@
 package kvstore
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/ha"
 )
@@ -34,6 +36,7 @@ var errRetryTxn = errors.New("kvstore: retry transaction")
 
 // txnPart groups one range's share of a transaction.
 type txnPart struct {
+	rid      uint64
 	lockKeys []string // every touched key, sorted
 	readKeys []string // subset to observe
 	writes   []rmWrite
@@ -55,7 +58,7 @@ func (s *Sharded) Txn(ctx context.Context, reads []string, writes map[string][]b
 		return nil, err
 	}
 	for attempt := 0; attempt < s.cfg.MaxTxnAttempts; attempt++ {
-		res, err := s.tryTxn(b, reads, writes)
+		res, err := s.tryTxn(&b, reads, writes)
 		if errors.Is(err, errRetryTxn) {
 			s.Reg.Counter("txn_retries").Inc()
 			continue
@@ -66,39 +69,38 @@ func (s *Sharded) Txn(ctx context.Context, reads []string, writes map[string][]b
 	return nil, ErrTxnConflict
 }
 
-// partition routes the transaction's keys into per-range parts.
-func (s *Sharded) partition(reads []string, writes map[string][]byte) (map[uint64]*txnPart, []uint64, error) {
-	keys := map[string]bool{}
-	for _, k := range reads {
-		keys[k] = true
-	}
+// partition routes the transaction's keys into per-range parts, in
+// ascending range-id order (the order every coordinator prepares in).
+func (s *Sharded) partition(reads []string, writes map[string][]byte) ([]txnPart, error) {
+	keys := append(make([]string, 0, len(reads)+len(writes)), reads...)
 	for k := range writes {
-		keys[k] = true
+		keys = append(keys, k)
 	}
-	readSet := map[string]bool{}
-	for _, k := range reads {
-		readSet[k] = true
-	}
-	parts := map[uint64]*txnPart{}
-	for _, k := range sortedKeys(keys) {
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	readSet := slices.Clone(reads)
+	slices.Sort(readSet)
+	var parts []txnPart
+	for _, k := range keys {
 		r, err := s.locate(k)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		p := parts[r.ID]
-		if p == nil {
-			p = &txnPart{}
-			parts[r.ID] = p
+		i := slices.IndexFunc(parts, func(p txnPart) bool { return p.rid == r.ID })
+		if i < 0 {
+			i, parts = len(parts), append(parts, txnPart{rid: r.ID})
 		}
+		p := &parts[i]
 		p.lockKeys = append(p.lockKeys, k)
-		if readSet[k] {
+		if _, read := slices.BinarySearch(readSet, k); read {
 			p.readKeys = append(p.readKeys, k)
 		}
 		if v, ok := writes[k]; ok {
 			p.writes = append(p.writes, rmWrite{Key: k, Val: v, Del: v == nil})
 		}
 	}
-	return parts, sortedKeys(parts), nil
+	slices.SortFunc(parts, func(a, b txnPart) int { return cmp.Compare(a.rid, b.rid) })
+	return parts, nil
 }
 
 func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) (map[string][]byte, error) {
@@ -106,13 +108,15 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 		s.Reg.Counter("deadline_exceeded").Inc()
 		return nil, ErrDeadlineExceeded
 	}
-	parts, partIDs, err := s.partition(reads, writes)
+	parts, err := s.partition(reads, writes)
 	if err != nil {
 		return nil, err
 	}
-	var flatWrites []rmWrite
-	for _, id := range partIDs {
-		flatWrites = append(flatWrites, parts[id].writes...)
+	partIDs := make([]uint64, len(parts))
+	flatWrites := make([]rmWrite, 0, len(writes))
+	for i, p := range parts {
+		partIDs[i] = p.rid
+		flatWrites = append(flatWrites, p.writes...)
 	}
 	id := s.nextTxnID()
 
@@ -143,10 +147,9 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 	}
 
 	// 2. Prepare every participant in sorted range order.
-	readVals := map[string][]byte{}
-	var prepared []uint64
-	for _, rid := range partIDs {
-		p := parts[rid]
+	readVals := make(map[string][]byte, len(reads))
+	for i, p := range parts {
+		rid, prepared := p.rid, partIDs[:i]
 		resp, c, err := s.propose(s.groupOf(rid), rangeName(rid), encRmPrepare(id, closed, s.dirtyReads(), p.lockKeys, p.readKeys))
 		if err != nil {
 			// Unknown outcome: this range may hold our locks.
@@ -156,12 +159,11 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 		switch resp[0] {
 		case rspOK:
 			d := &wdec{buf: resp[1:]}
-			for _, r := range decodeReads(d, p.readKeys) {
-				if r.Found {
-					readVals[r.Key] = r.Val
+			for _, k := range p.readKeys[:min(int(d.u32()), len(p.readKeys))] {
+				if found, val := d.boolv(), d.blob(); found && !d.err {
+					readVals[k] = val
 				}
 			}
-			prepared = append(prepared, rid)
 		case rspConflict, rspLocked:
 			s.Reg.Counter("txn_conflicts").Inc()
 			s.abortTxn(id, closed, prepared)
@@ -182,7 +184,7 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 			return nil, fmt.Errorf("kvstore: txn %d prepare range %d: status %d", id, rid, resp[0])
 		}
 		if cerr := b.charge(c); cerr != nil {
-			s.abortTxn(id, closed, prepared)
+			s.abortTxn(id, closed, partIDs[:i+1])
 			s.Reg.Counter("deadline_exceeded").Inc()
 			return nil, cerr
 		}
@@ -197,7 +199,7 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 	}
 	if b.exhausted() {
 		// Last budget check before the point of no return: abort clean.
-		s.abortTxn(id, closed, prepared)
+		s.abortTxn(id, closed, partIDs)
 		s.Reg.Counter("deadline_exceeded").Inc()
 		return nil, ErrDeadlineExceeded
 	}
@@ -225,8 +227,9 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 
 	// 4. Apply on every participant, then retire the record. Failures
 	// here leave a committed record that recovery re-drives.
-	for _, rid := range partIDs {
-		resp, _, err := s.propose(s.groupOf(rid), rangeName(rid), encRmApply(id, closed, ver, parts[rid].writes))
+	for _, p := range parts {
+		rid := p.rid
+		resp, _, err := s.propose(s.groupOf(rid), rangeName(rid), encRmApply(id, closed, ver, p.writes))
 		if err != nil || resp[0] != rspOK {
 			s.Reg.Counter("txn_orphaned").Inc()
 			return nil, fmt.Errorf("kvstore: txn %d apply range %d: %w", id, rid, ErrTxnOrphaned)

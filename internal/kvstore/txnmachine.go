@@ -29,12 +29,25 @@ const (
 	txnStAborted   byte = 3
 )
 
-// txnRec is one transaction's replicated record.
+// txnRec is one transaction's replicated record. body is the participant
+// list and write set as begin encoded them, a validated view of that
+// command: only recovery and Snapshot decode it, and most records retire
+// before either looks.
 type txnRec struct {
 	status byte
 	ver    uint64 // commit version (set at commit)
-	parts  []uint64
-	writes []rmWrite
+	body   []byte
+}
+
+// txnBody reads past a participant list and write set and returns the
+// bytes that held them; d.err tells whether they were well formed.
+func txnBody(d *wdec) []byte {
+	body := d.buf
+	for n := int(d.u32()); n > 0 && !d.err; n-- {
+		d.u64()
+	}
+	d.list(true)
+	return body[:len(body)-len(d.buf)]
 }
 
 // txnRecSnap is the query-side copy handed to recovery.
@@ -67,67 +80,66 @@ func (m *txnMachine) Apply(cmd []byte) []byte {
 	id := d.u64()
 	switch op {
 	case txOpBegin:
-		parts := decodeU64s(d)
-		writes := decodeWrites(d)
+		body := txnBody(d)
 		if d.err {
-			return []byte{rspConflict}
+			return status[rspConflict]
 		}
 		if _, ok := m.recs[id]; !ok {
 			if low := m.closedBelow(); id < low {
 				// Ranges may already count id as finished: the coordinator
 				// must take a fresh one.
-				return wAppendU64([]byte{rspAborted}, low)
+				return statusU64(rspAborted, low)
 			}
-			m.recs[id] = &txnRec{status: txnStPending, parts: parts, writes: writes}
+			m.recs[id] = &txnRec{status: txnStPending, body: body}
 			m.next = max(m.next, id+1)
 		}
-		return wAppendU64([]byte{rspOK}, m.closedBelow())
+		return statusU64(rspOK, m.closedBelow())
 
 	case txOpCommit:
 		ver := d.u64()
 		if d.err {
-			return []byte{rspConflict}
+			return status[rspConflict]
 		}
 		rec, ok := m.recs[id]
 		if !ok {
 			// Unknown id: the record was aborted and retired (recovery
 			// raced the coordinator). The txn must not apply.
-			return []byte{rspAborted}
+			return status[rspAborted]
 		}
 		switch rec.status {
 		case txnStAborted:
-			return []byte{rspAborted}
+			return status[rspAborted]
 		case txnStPending:
 			rec.status = txnStCommitted
 			rec.ver = ver
 		}
-		return []byte{rspOK}
+		return status[rspOK]
 
 	case txOpAbort:
 		if d.err {
-			return []byte{rspConflict}
+			return status[rspConflict]
 		}
 		rec, ok := m.recs[id]
 		if !ok {
-			return []byte{rspOK} // already retired
+			return status[rspOK] // already retired
 		}
 		switch rec.status {
 		case txnStCommitted:
 			// Too late: the commit record is the point of no return.
-			return wAppendU64([]byte{rspCommitted}, rec.ver)
+			return statusU64(rspCommitted, rec.ver)
 		case txnStPending:
 			rec.status = txnStAborted
 		}
-		return []byte{rspOK}
+		return status[rspOK]
 
 	case txOpDone:
 		if d.err {
-			return []byte{rspConflict}
+			return status[rspConflict]
 		}
 		delete(m.recs, id)
-		return []byte{rspOK}
+		return status[rspOK]
 	}
-	return []byte{rspConflict}
+	return status[rspConflict]
 }
 
 // Query-side accessors.
@@ -136,10 +148,10 @@ func (m *txnMachine) snapshotRecs() []txnRecSnap {
 	out := make([]txnRecSnap, 0, len(m.recs))
 	for _, id := range sortedKeys(m.recs) {
 		r := m.recs[id]
+		d := &wdec{buf: r.body}
 		out = append(out, txnRecSnap{
 			ID: id, Status: r.status, Ver: r.ver,
-			Parts:  append([]uint64(nil), r.parts...),
-			Writes: append([]rmWrite(nil), r.writes...),
+			Parts: decodeU64s(d), Writes: decodeWrites(d),
 		})
 	}
 	return out
@@ -168,8 +180,7 @@ func (m *txnMachine) Restore(snap []byte) {
 	for i := 0; i < n && !d.err; i++ {
 		id := d.u64()
 		rec := &txnRec{status: d.u8(), ver: d.u64()}
-		rec.parts = decodeU64s(d)
-		rec.writes = decodeWrites(d)
+		rec.body = txnBody(d)
 		if d.err {
 			break
 		}
@@ -180,18 +191,17 @@ func (m *txnMachine) Restore(snap []byte) {
 // Command encoders.
 
 func encTxBegin(id uint64, parts []uint64, writes []rmWrite) []byte {
-	b := wAppendU64([]byte{txOpBegin}, id)
+	b := wAppendU64(frame(txOpBegin, 13+8*len(parts)+listLen(writes, writeLen)), id)
 	b = appendU64s(b, parts)
 	return appendWrites(b, writes)
 }
 
 func encTxCommit(id, ver uint64) []byte {
-	b := wAppendU64([]byte{txOpCommit}, id)
-	return wAppendU64(b, ver)
+	return wAppendU64(wAppendU64(frame(txOpCommit, 17), id), ver)
 }
 
-func encTxAbort(id uint64) []byte { return wAppendU64([]byte{txOpAbort}, id) }
-func encTxDone(id uint64) []byte  { return wAppendU64([]byte{txOpDone}, id) }
+func encTxAbort(id uint64) []byte { return wAppendU64(frame(txOpAbort, 9), id) }
+func encTxDone(id uint64) []byte  { return wAppendU64(frame(txOpDone, 9), id) }
 
 func appendU64s(b []byte, vs []uint64) []byte {
 	b = wAppendU32(b, uint32(len(vs)))

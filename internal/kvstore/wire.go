@@ -83,6 +83,21 @@ func (d *wdec) u64() uint64 {
 
 func (d *wdec) str() string { return string(d.blob()) }
 
+// list reads past a counted list of blobs, or of writes (key, del, val
+// each). It returns the count and a decoder at the first element: once
+// err is known to be clear, copies of that walk the list in place.
+func (d *wdec) list(writes bool) (int, wdec) {
+	n, first := int(d.u32()), *d
+	for i := 0; i < n && !d.err; i++ {
+		d.blob()
+		if writes {
+			d.u8()
+			d.blob()
+		}
+	}
+	return n, first
+}
+
 func (d *wdec) blob() []byte {
 	n := int(d.u32())
 	if d.err || len(d.buf) < n {

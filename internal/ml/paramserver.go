@@ -78,8 +78,8 @@ type Result struct {
 	// pays under stragglers).
 	WallTime time.Duration
 	WaitTime time.Duration
-	// LossCurve samples the full-data loss after each global round
-	// (minimum worker clock advancing).
+	// LossCurve is the full-data loss after each global round (the
+	// minimum worker clock advancing): one point per round.
 	LossCurve []float64
 }
 
@@ -89,6 +89,9 @@ type server struct {
 	cond   *sync.Cond
 	w      []float64
 	clocks []int
+	// rounds[r-1] is w as of global round r, the push that brought the
+	// slowest worker's clock to r.
+	rounds [][]float64
 }
 
 func newServer(dim, workers int) *server {
@@ -133,6 +136,9 @@ func (s *server) push(me int, grad []float64, lr float64) {
 		s.w[i] -= lr * g
 	}
 	s.clocks[me]++
+	if s.minClock() > len(s.rounds) {
+		s.rounds = append(s.rounds, append([]float64(nil), s.w...))
+	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
@@ -219,39 +225,6 @@ func Train(data workload.LogisticData, cfg Config) Result {
 		shards[w] = append(shards[w], i)
 	}
 
-	// Loss sampler: watch the global round (min clock) advance.
-	var lossMu sync.Mutex
-	var lossCurve []float64
-	stopSampler := make(chan struct{})
-	samplerDone := make(chan struct{})
-	go func() {
-		defer close(samplerDone)
-		lastRound := -1
-		ticker := time.NewTicker(200 * time.Microsecond)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stopSampler:
-				return
-			case <-ticker.C:
-				srv.mu.Lock()
-				round := srv.minClock()
-				var snapshot []float64
-				if round > lastRound {
-					lastRound = round
-					snapshot = append([]float64(nil), srv.w...)
-				}
-				srv.mu.Unlock()
-				if snapshot != nil {
-					l := Loss(data, snapshot)
-					lossMu.Lock()
-					lossCurve = append(lossCurve, l)
-					lossMu.Unlock()
-				}
-			}
-		}
-	}()
-
 	start := time.Now()
 	var wg sync.WaitGroup
 	waits := make([]time.Duration, cfg.Workers)
@@ -294,17 +267,16 @@ func Train(data workload.LogisticData, cfg Config) Result {
 	}
 	wg.Wait()
 	wall := time.Since(start)
-	close(stopSampler)
-	<-samplerDone
 
 	final := append([]float64(nil), srv.w...)
 	var totalWait time.Duration
 	for _, w := range waits {
 		totalWait += w
 	}
-	lossMu.Lock()
-	curve := append([]float64(nil), lossCurve...)
-	lossMu.Unlock()
+	curve := make([]float64, len(srv.rounds))
+	for i, w := range srv.rounds {
+		curve[i] = Loss(data, w)
+	}
 	return Result{
 		Weights:   final,
 		FinalLoss: Loss(data, final),

@@ -36,8 +36,8 @@ func TestAllModesConverge(t *testing.T) {
 func TestLossCurveDecreases(t *testing.T) {
 	data := dataset()
 	res := Train(data, Config{Workers: 2, Mode: BSP, Steps: 200, Seed: 3})
-	if len(res.LossCurve) < 3 {
-		t.Fatalf("loss curve has %d points", len(res.LossCurve))
+	if len(res.LossCurve) != 200 {
+		t.Fatalf("loss curve has %d points, want one per global round (200)", len(res.LossCurve))
 	}
 	first := res.LossCurve[0]
 	last := res.LossCurve[len(res.LossCurve)-1]

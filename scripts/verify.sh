@@ -42,6 +42,18 @@ echo "== log compaction + txn watermark (race, count=3) =="
 # compaction snapshots. No wall clock, so -count=3 on two cores is cheap.
 go test -race -count=3 -run 'TestWatermark|TestCompaction' ./internal/kvstore ./internal/ha
 
+echo "== shared log views (race, count=3) + allocation ceilings =="
+# Raft hands out views of its log instead of copies: the aliasing tests
+# hold them across truncation, compaction and a seeded fault schedule.
+# The ceilings pin what one proposal may allocate, layer by layer; they
+# run without -race, which changes allocation counts.
+go test -race -count=3 -run 'Survives|TestHandedOut|TestDrainedMailbox|TestAppliedSequences' ./internal/consensus/
+go test -count=1 -run 'AllocCeiling' ./internal/ha ./internal/kvstore
+
+echo "== parameter-server loss curve (count=20) =="
+# One point per global round, whatever the wall clock did.
+go test -count=20 -run 'TestLossCurveDecreases' ./internal/ml/
+
 echo "== stream lanes (race, count=5) =="
 # Lane handoff, Close races and crash-inside-a-batch recovery are
 # schedule-sensitive: one -race pass is not enough to trust them.
