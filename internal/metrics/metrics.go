@@ -85,12 +85,14 @@ func (g *Gauge) Value() int64 {
 // is ample for the shape-level comparisons the experiments report.
 // Histogram is safe for concurrent use.
 type Histogram struct {
-	buckets [126]atomic.Int64
+	buckets [numBuckets]atomic.Int64
 	count   atomic.Int64
 	sum     atomic.Int64
 	min     atomic.Int64
 	max     atomic.Int64
 }
+
+const numBuckets = 126
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
@@ -198,49 +200,63 @@ func (h *Histogram) Max() int64 {
 	return h.max.Load()
 }
 
+// bucketCounts is one copy of a histogram's buckets, with the total and the
+// maximum that go with it. Quantiles computed from the same copy are
+// consistent with each other whatever concurrent writers do: the rank is
+// taken from the very counts the walk adds up, and they are monotone in q.
+type bucketCounts struct {
+	n          [numBuckets]int64
+	total, max int64
+}
+
+func (h *Histogram) load() (c bucketCounts) {
+	if h == nil {
+		return c
+	}
+	for i := range h.buckets {
+		c.n[i] = h.buckets[i].Load()
+		c.total += c.n[i]
+	}
+	c.max = h.max.Load()
+	return c
+}
+
+func (c *bucketCounts) quantile(q float64) int64 {
+	if c.total == 0 {
+		return 0
+	}
+	rank := int64(math.Ceil(min(max(q, 0), 1) * float64(c.total)))
+	var cum int64
+	for i, n := range c.n {
+		cum += n
+		if cum >= max(rank, 1) {
+			return min(bucketUpper(i), c.max)
+		}
+	}
+	return c.max
+}
+
 // Quantile returns an upper-bound estimate of the q-quantile (0 <= q <= 1).
 // It returns 0 with no observations.
 func (h *Histogram) Quantile(q float64) int64 {
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		if cum >= rank {
-			u := bucketUpper(i)
-			if mx := h.Max(); u > mx {
-				return mx
-			}
-			return u
-		}
-	}
-	return h.Max()
+	c := h.load()
+	return c.quantile(q)
 }
 
-// Snapshot summarizes the histogram.
+// Snapshot summarizes the histogram; the four quantiles come from one copy
+// of the buckets, so P50 <= P95 <= P99 <= P999 even while writers run.
 func (h *Histogram) Snapshot() HistogramSnapshot {
+	c := h.load()
 	return HistogramSnapshot{
 		Count: h.Count(),
 		Sum:   h.Sum(),
 		Mean:  h.Mean(),
 		Min:   h.Min(),
 		Max:   h.Max(),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
-		P999:  h.Quantile(0.999),
+		P50:   c.quantile(0.50),
+		P95:   c.quantile(0.95),
+		P99:   c.quantile(0.99),
+		P999:  c.quantile(0.999),
 	}
 }
 

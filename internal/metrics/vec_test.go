@@ -86,22 +86,17 @@ func TestQuantileMonotonicUnderConcurrentObserve(t *testing.T) {
 			}
 		}(int64(i + 1))
 	}
-	qs := []float64{0, 0.25, 0.5, 0.9, 0.99, 1}
+	// Monotone within one snapshot: across separate calls the distribution
+	// legitimately moves under the writers.
 	for iter := 0; iter < 200; iter++ {
-		prev := int64(-1)
-		for _, q := range qs {
-			est := h.Quantile(q)
-			if est < prev {
+		s := h.Snapshot()
+		ests := []int64{h.Quantile(0), s.P50, s.P95, s.P99, s.P999}
+		for k, est := range ests {
+			if est < 0 || est > 150_000 || (k > 1 && est < ests[k-1]) {
 				close(stop)
 				wg.Wait()
-				t.Fatalf("iter %d: Quantile(%v) = %d < previous %d", iter, q, est, prev)
+				t.Fatalf("iter %d: quantiles %v out of order or range", iter, ests)
 			}
-			if est < 0 || est > 150_000 {
-				close(stop)
-				wg.Wait()
-				t.Fatalf("iter %d: Quantile(%v) = %d out of range", iter, q, est)
-			}
-			prev = est
 		}
 	}
 	close(stop)

@@ -193,104 +193,156 @@ func coerce(typ table.Type, val any) (any, error) {
 	return nil, fmt.Errorf("query: literal %v (%T) does not match column type %v", val, val, typ)
 }
 
-// keepFunc builds the per-value predicate for a comparison leaf against
-// an already-coerced literal. Float comparisons use Go semantics (every
+// scalar is the set of column value types.
+type scalar interface{ int64 | float64 | string }
+
+// compare evaluates v <op> lit. Float comparisons use Go semantics (every
 // comparison with NaN is false except col != NaN, which is true for
-// non-NaN values) — the oracle evaluates predicates through this same
-// function, so both sides agree by construction.
-func keepFunc(op CmpOp, typ table.Type, lit any) func(v any) bool {
-	switch typ {
-	case table.Int64:
-		l := lit.(int64)
-		switch op {
-		case Eq:
-			return func(v any) bool { return v.(int64) == l }
-		case Ne:
-			return func(v any) bool { return v.(int64) != l }
-		case Lt:
-			return func(v any) bool { return v.(int64) < l }
-		case Le:
-			return func(v any) bool { return v.(int64) <= l }
-		case Gt:
-			return func(v any) bool { return v.(int64) > l }
-		default:
-			return func(v any) bool { return v.(int64) >= l }
-		}
-	case table.Float64:
-		l := lit.(float64)
-		switch op {
-		case Eq:
-			return func(v any) bool { return v.(float64) == l }
-		case Ne:
-			return func(v any) bool { return v.(float64) != l }
-		case Lt:
-			return func(v any) bool { return v.(float64) < l }
-		case Le:
-			return func(v any) bool { return v.(float64) <= l }
-		case Gt:
-			return func(v any) bool { return v.(float64) > l }
-		default:
-			return func(v any) bool { return v.(float64) >= l }
-		}
+// non-NaN values). It is the one comparison behind the row filter the
+// oracle evaluates (Bind), the vectorized filter (BindBatch) and the
+// pushed column predicates, so all three agree by construction.
+func compare[T scalar](op CmpOp, v, lit T) bool {
+	switch op {
+	case Eq:
+		return v == lit
+	case Ne:
+		return v != lit
+	case Lt:
+		return v < lit
+	case Le:
+		return v <= lit
+	case Gt:
+		return v > lit
 	default:
-		l := lit.(string)
-		switch op {
-		case Eq:
-			return func(v any) bool { return v.(string) == l }
-		case Ne:
-			return func(v any) bool { return v.(string) != l }
-		case Lt:
-			return func(v any) bool { return v.(string) < l }
-		case Le:
-			return func(v any) bool { return v.(string) <= l }
-		case Gt:
-			return func(v any) bool { return v.(string) > l }
-		default:
-			return func(v any) bool { return v.(string) >= l }
-		}
+		return v >= lit
 	}
 }
 
-// Bind resolves the predicate against a schema and returns a row
-// filter. Errors on unknown columns or literal/column type mismatches.
+// literal coerces a comparison leaf's literal to column type typ, whose
+// values are Ts.
+func literal[T scalar](e *Expr, typ table.Type) (T, error) {
+	lit, err := coerce(typ, e.Val)
+	if err != nil {
+		var zero T
+		return zero, fmt.Errorf("query: %s: %w", e.Col, err)
+	}
+	return lit.(T), nil
+}
+
+// fold builds a predicate's compiled form bottom-up: leaf compiles a
+// comparison, both combines the two sides of an AND (and = true) or an OR.
+func fold[F any](e *Expr, leaf func(*Expr) (F, error), both func(and bool, l, r F) F) (F, error) {
+	if e.Kind == ExprCmp {
+		return leaf(e)
+	}
+	l, err := fold(e.Left, leaf, both)
+	if err != nil {
+		return l, err
+	}
+	r, err := fold(e.Right, leaf, both)
+	if err != nil {
+		return r, err
+	}
+	return both(e.Kind == ExprAnd, l, r), nil
+}
+
+// Bind resolves the predicate against a schema and returns a row filter
+// — the row-at-a-time form the reference evaluator runs. Errors on
+// unknown columns or literal/column type mismatches.
 func (e *Expr) Bind(s table.Schema) (func(table.Row) bool, error) {
 	if e == nil {
 		return func(table.Row) bool { return true }, nil
 	}
-	switch e.Kind {
-	case ExprCmp:
+	return fold(e, func(e *Expr) (func(table.Row) bool, error) {
 		i, err := s.MustIndex(e.Col)
 		if err != nil {
 			return nil, err
 		}
-		typ := s.Cols[i].Type
-		lit, err := coerce(typ, e.Val)
-		if err != nil {
-			return nil, fmt.Errorf("query: %s: %w", e.Col, err)
+		switch typ := s.Cols[i].Type; typ {
+		case table.Int64:
+			return rowLeaf[int64](e, typ, i)
+		case table.Float64:
+			return rowLeaf[float64](e, typ, i)
+		default:
+			return rowLeaf[string](e, typ, i)
 		}
-		keep := keepFunc(e.Cmp, typ, lit)
-		return func(r table.Row) bool { return keep(r[i]) }, nil
-	case ExprAnd:
-		l, err := e.Left.Bind(s)
-		if err != nil {
-			return nil, err
+	}, func(and bool, l, r func(table.Row) bool) func(table.Row) bool {
+		if and {
+			return func(row table.Row) bool { return l(row) && r(row) }
 		}
-		r, err := e.Right.Bind(s)
-		if err != nil {
-			return nil, err
-		}
-		return func(row table.Row) bool { return l(row) && r(row) }, nil
-	default:
-		l, err := e.Left.Bind(s)
-		if err != nil {
-			return nil, err
-		}
-		r, err := e.Right.Bind(s)
-		if err != nil {
-			return nil, err
-		}
-		return func(row table.Row) bool { return l(row) || r(row) }, nil
+		return func(row table.Row) bool { return l(row) || r(row) }
+	})
+}
+
+func rowLeaf[T scalar](e *Expr, typ table.Type, i int) (func(table.Row) bool, error) {
+	lit, err := literal[T](e, typ)
+	op := e.Cmp
+	return func(r table.Row) bool { return compare(op, r[i].(T), lit) }, err
+}
+
+// BindBatch resolves the predicate against a schema and returns a
+// selection function for table.Filter: one typed loop over a column
+// vector per comparison leaf, AND/OR combining whole selections.
+func (e *Expr) BindBatch(s table.Schema) (func(b *table.Batch, keep []bool), error) {
+	if e == nil {
+		return func(_ *table.Batch, keep []bool) {
+			for k := range keep {
+				keep[k] = true
+			}
+		}, nil
 	}
+	return fold(e, func(e *Expr) (func(*table.Batch, []bool), error) {
+		i, err := s.MustIndex(e.Col)
+		if err != nil {
+			return nil, err
+		}
+		switch typ := s.Cols[i].Type; typ {
+		case table.Int64:
+			return batchLeaf(e, typ, func(b *table.Batch) []int64 { return b.Cols[i].Ints })
+		case table.Float64:
+			return batchLeaf(e, typ, func(b *table.Batch) []float64 { return b.Cols[i].Floats })
+		default:
+			return batchLeaf(e, typ, func(b *table.Batch) []string { return b.Cols[i].Strings })
+		}
+	}, func(and bool, l, r func(*table.Batch, []bool)) func(*table.Batch, []bool) {
+		return func(b *table.Batch, keep []bool) {
+			l(b, keep)
+			right := make([]bool, len(keep))
+			r(b, right)
+			for k := range keep {
+				if and {
+					keep[k] = keep[k] && right[k]
+				} else {
+					keep[k] = keep[k] || right[k]
+				}
+			}
+		}
+	})
+}
+
+func batchLeaf[T scalar](e *Expr, typ table.Type, col func(*table.Batch) []T) (func(*table.Batch, []bool), error) {
+	lit, err := literal[T](e, typ)
+	op := e.Cmp
+	return func(b *table.Batch, keep []bool) {
+		for k, v := range col(b) {
+			keep[k] = compare(op, v, lit)
+		}
+	}, err
+}
+
+// valuePredicate compiles a single-column predicate (possibly an AND/OR
+// tree over one column) of column type typ into a test on its values.
+func valuePredicate[T scalar](e *Expr, typ table.Type) (func(T) bool, error) {
+	return fold(e, func(e *Expr) (func(T) bool, error) {
+		lit, err := literal[T](e, typ)
+		op := e.Cmp
+		return func(v T) bool { return compare(op, v, lit) }, err
+	}, func(and bool, l, r func(T) bool) func(T) bool {
+		if and {
+			return func(v T) bool { return l(v) && r(v) }
+		}
+		return func(v T) bool { return l(v) || r(v) }
+	})
 }
 
 // cmpAny totally orders two same-typed values (floats by value with

@@ -203,6 +203,31 @@ func (g *fuzzGen) plan(scan *query.Logical, schema table.Schema, joinable *query
 	return lp
 }
 
+// planSeed composes a corpus entry: two-column tables (int64, string) of the
+// given row and partition counts, joined — t0 with itself if selfJoin —
+// then filtered, projected, aggregated, sorted and limited.
+func planSeed(rows0, parts0, rows1, parts1 int, selfJoin bool) []byte {
+	seed := []byte{0, 0, 0, 0, 0, 0} // both schemas
+	for _, n := range []int{rows0, rows1} {
+		seed = append(seed, byte(n))
+		for i := 0; i < 2*n; i++ {
+			seed = append(seed, byte(i*7))
+		}
+	}
+	join := byte(parts1 - 1)
+	if selfJoin {
+		join += 128
+	}
+	seed = append(seed, byte(parts0-1), join)
+	return append(seed,
+		3,    // three steps:
+		2, 0, // join on the int64 columns,
+		0, 1, 0, 5, 0, // keep a >= -4,
+		1, 0, 1, 0, 0, 1, // project three columns;
+		0, 1, 1, 0, 1, 2, 1, 3, // count, sum and avg by the last column,
+		0, 1, 0, 0, 3) // top 3 by the second column, descending
+}
+
 // FuzzPlanEquivalence generates random schemas, rows and logical plans
 // and checks three-way agreement: optimizer-on output == optimizer-off
 // output == the naive reference evaluator, as multisets (ordered when
@@ -213,6 +238,11 @@ func FuzzPlanEquivalence(f *testing.F) {
 	f.Add([]byte{7, 0, 7, 0, 7, 0, 7, 0, 200, 100, 50, 25, 12, 6, 3, 1, 7, 0, 7, 0})
 	f.Add([]byte{255, 254, 253, 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4, 6})
 	f.Add([]byte{42, 42, 42, 42, 0, 0, 0, 0, 42, 42, 42, 42, 17, 17, 17, 17, 99, 99})
+	// Partitions of 0 and 1 rows joined with one partition holding all of
+	// the other side's 2; one partition holding all 24 rows; a self-join.
+	f.Add(planSeed(1, 4, 2, 1, false))
+	f.Add(planSeed(24, 1, 12, 4, false))
+	f.Add(planSeed(5, 3, 0, 2, true))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &fuzzGen{data: data}
 		s0 := g.schema("")
@@ -224,13 +254,18 @@ func FuzzPlanEquivalence(f *testing.F) {
 		if err := env.Register("t0", s0, r0, 1+g.intn(4)); err != nil {
 			t.Fatal(err)
 		}
-		if err := env.Register("t1", s1, r1, 1+g.intn(4)); err != nil {
+		// The byte that picks t1's partition count also picks, in its top
+		// bit, a self-join: t0 joined with itself, two consumers of the same
+		// scan's batches.
+		b := int(g.byte())
+		if err := env.Register("t1", s1, r1, 1+b%4); err != nil {
 			t.Fatal(err)
 		}
-		lp := g.plan(query.Scan("t0"), s0, query.Scan("t1"), s1)
-		if _, err := lp.OutSchema(env.Schema); err != nil {
-			return // generator built an invalid plan (duplicate aliases etc.)
+		right, rightSchema := query.Scan("t1"), s1
+		if b >= 128 {
+			right, rightSchema = query.Scan("t0"), s0
 		}
+		lp := g.plan(query.Scan("t0"), s0, right, rightSchema)
 
 		var outputs [][]table.Row
 		for _, optimize := range []bool{false, true} {

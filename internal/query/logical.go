@@ -125,20 +125,6 @@ func aggOutType(a table.Agg, in table.Type) table.Type {
 	}
 }
 
-// joinSchema reproduces table.HashJoin's output schema: left columns
-// then right columns, "right_"-prefixed on name collisions.
-func joinSchema(left, right table.Schema) table.Schema {
-	out := append([]table.Col(nil), left.Cols...)
-	for _, c := range right.Cols {
-		name := c.Name
-		if (table.Schema{Cols: out}).Index(name) >= 0 {
-			name = "right_" + name
-		}
-		out = append(out, table.Col{Name: name, Type: c.Type})
-	}
-	return table.Schema{Cols: out}
-}
-
 // OutSchema computes the plan's output schema against a resolver for
 // base-table schemas, validating column references along the way. The
 // differential oracle and the planner share it so both agree on shape.
@@ -200,7 +186,7 @@ func (l *Logical) OutSchema(base func(name string) (table.Schema, error)) (table
 			return table.Schema{}, fmt.Errorf("query: join column types differ: %v vs %v",
 				left.Cols[li].Type, right.Cols[ri].Type)
 		}
-		return joinSchema(left, right), nil
+		return table.JoinSchema(left, right), nil
 	case OpAgg:
 		in, err := l.Input.OutSchema(base)
 		if err != nil {

@@ -37,32 +37,26 @@ type Node struct {
 	Est      float64
 	Children []*Node
 
-	actual int64
-	ran    atomic.Bool
-	exec   func() (*table.Table, error)
+	// rows holds, per output partition, the row count its last computation
+	// produced; nil until the node has been compiled onto the engine.
+	rows []atomic.Int64
+	exec func() (*table.Table, error)
 }
 
 // Actual returns the rows observed flowing out of this operator in the
-// last execution (counted on the workers; retried tasks can overcount
-// under fault injection).
-func (n *Node) Actual() int64 { return atomic.LoadInt64(&n.actual) }
+// last execution. Workers store each partition's count rather than add it,
+// so a partition computed twice — by a sort's sampling job and the real
+// pass, by a retried or speculative task — counts once.
+func (n *Node) Actual() int64 {
+	var sum int64
+	for i := range n.rows {
+		sum += n.rows[i].Load()
+	}
+	return sum
+}
 
 // Ran reports whether the node has executed at least once.
-func (n *Node) Ran() bool { return n.ran.Load() }
-
-func (n *Node) snapshotActuals(into map[*Node]int64) {
-	into[n] = atomic.LoadInt64(&n.actual)
-	for _, c := range n.Children {
-		c.snapshotActuals(into)
-	}
-}
-
-func (n *Node) restoreActuals(from map[*Node]int64) {
-	atomic.StoreInt64(&n.actual, from[n])
-	for _, c := range n.Children {
-		c.restoreActuals(from)
-	}
-}
+func (n *Node) Ran() bool { return n.rows != nil }
 
 // Plan is a compiled query ready to execute.
 type Plan struct {
@@ -139,8 +133,7 @@ func (e *Env) Build(lp *Logical, opts Options) (*Plan, error) {
 func (p *Plan) Execute() ([]table.Row, error) {
 	var reset func(n *Node)
 	reset = func(n *Node) {
-		atomic.StoreInt64(&n.actual, 0)
-		n.ran.Store(false)
+		n.rows = nil
 		for _, c := range n.Children {
 			reset(c)
 		}
@@ -169,17 +162,19 @@ type compiler struct {
 	needs map[*Logical][]string
 }
 
-// counted wraps a node's table so the rows of every partition flowing
-// out are added to the node's actual counter — EXPLAIN's "actual" column,
-// measured with the public Table API rather than engine hooks.
+// counted wraps a node's table so the row count of every partition
+// flowing out lands in the node's slot for that partition — EXPLAIN's
+// "actual" column, measured with the public Table API rather than engine
+// hooks.
 func (c *compiler) counted(n *Node, build func() (*table.Table, error)) func() (*table.Table, error) {
 	return func() (*table.Table, error) {
 		t, err := build()
 		if err != nil {
 			return nil, err
 		}
-		n.ran.Store(true)
-		return t.Peek(func(rows int) { atomic.AddInt64(&n.actual, int64(rows)) }), nil
+		rows := make([]atomic.Int64, t.Partitions())
+		n.rows = rows
+		return t.Peek(func(part, count int) { rows[part].Store(int64(count)) }), nil
 	}
 }
 
@@ -213,7 +208,7 @@ func (c *compiler) compile(l *Logical) (*Node, table.Schema, error) {
 		if err != nil {
 			return nil, table.Schema{}, err
 		}
-		pred, err := l.Pred.Bind(childSchema)
+		sel, err := l.Pred.BindBatch(childSchema)
 		if err != nil {
 			return nil, table.Schema{}, err
 		}
@@ -223,7 +218,7 @@ func (c *compiler) compile(l *Logical) (*Node, table.Schema, error) {
 			if err != nil {
 				return nil, err
 			}
-			return t.Where(pred), nil
+			return t.Filter(sel), nil
 		})
 		return n, childSchema, nil
 	case OpProject:
@@ -297,7 +292,7 @@ func (c *compiler) compile(l *Logical) (*Node, table.Schema, error) {
 			}
 			return lt.HashJoin(rt, leftCol, rightCol, parts)
 		})
-		return n, joinSchema(leftSchema, rightSchema), nil
+		return n, table.JoinSchema(leftSchema, rightSchema), nil
 	case OpAgg:
 		child, _, err := c.compile(l.Input)
 		if err != nil {
@@ -360,17 +355,7 @@ func (c *compiler) compile(l *Logical) (*Node, table.Schema, error) {
 			if t, err = conform(t, inWant, childSchema); err != nil {
 				return nil, err
 			}
-			// OrderByCols runs an eager range-sampling job over the child
-			// before the sorted shuffle; roll the subtree's actual counters
-			// back so they report the real pass only.
-			saved := map[*Node]int64{}
-			child.snapshotActuals(saved)
-			sorted, err := t.OrderByCols(cols, desc, parts)
-			if err != nil {
-				return nil, err
-			}
-			child.restoreActuals(saved)
-			return sorted, nil
+			return t.OrderByCols(cols, desc, parts)
 		})
 		return n, schema, nil
 	case OpLimit:
@@ -415,10 +400,8 @@ func (c *compiler) compileScan(l *Logical, pred *Expr) (*Node, table.Schema, err
 
 	var colPreds []table.ColPredicate
 	var residual []*Expr
-	if pred != nil {
-		if _, err := pred.Bind(schema); err != nil {
-			return nil, table.Schema{}, err
-		}
+	if _, err := pred.BindBatch(schema); err != nil {
+		return nil, table.Schema{}, err
 	}
 	for _, conj := range pred.conjuncts() {
 		cols := conj.Cols()
@@ -431,12 +414,19 @@ func (c *compiler) compileScan(l *Logical, pred *Expr) (*Node, table.Schema, err
 			return nil, table.Schema{}, err
 		}
 		typ := schema.Cols[idx].Type
-		keep, err := valuePredicate(conj, typ)
+		cp := table.ColPredicate{Col: idx}
+		switch typ {
+		case table.Int64:
+			cp.Keep, err = valuePredicate[int64](conj, typ)
+		case table.Float64:
+			cp.Keep, err = valuePredicate[float64](conj, typ)
+		default:
+			cp.Keep, err = valuePredicate[string](conj, typ)
+		}
 		if err != nil {
 			residual = append(residual, conj)
 			continue
 		}
-		cp := table.ColPredicate{Col: idx, Keep: keep}
 		if conj.Kind == ExprCmp {
 			cp.SkipAll = skipAllFunc(conj.Cmp, typ, conj.Val)
 		}
@@ -473,11 +463,10 @@ func (c *compiler) compileScan(l *Logical, pred *Expr) (*Node, table.Schema, err
 	}
 	outSchema := table.Schema{Cols: outCols}
 	residualPred := conjoin(residual)
-	var residualFn func(table.Row) bool
+	var residualSel func(*table.Batch, []bool)
 	if residualPred != nil {
 		var err error
-		residualFn, err = residualPred.Bind(outSchema)
-		if err != nil {
+		if residualSel, err = residualPred.BindBatch(outSchema); err != nil {
 			return nil, table.Schema{}, err
 		}
 	}
@@ -506,45 +495,12 @@ func (c *compiler) compileScan(l *Logical, pred *Expr) (*Node, table.Schema, err
 		if err != nil {
 			return nil, err
 		}
-		if residualFn != nil {
-			t = t.Where(residualFn)
+		if residualSel != nil {
+			t = t.Filter(residualSel)
 		}
 		return t, nil
 	})
 	return n, outSchema, nil
-}
-
-// valuePredicate compiles a single-column predicate (possibly an
-// AND/OR tree over one column) into a typed value test.
-func valuePredicate(e *Expr, typ table.Type) (func(any) bool, error) {
-	switch e.Kind {
-	case ExprCmp:
-		lit, err := coerce(typ, e.Val)
-		if err != nil {
-			return nil, err
-		}
-		return keepFunc(e.Cmp, typ, lit), nil
-	case ExprAnd:
-		l, err := valuePredicate(e.Left, typ)
-		if err != nil {
-			return nil, err
-		}
-		r, err := valuePredicate(e.Right, typ)
-		if err != nil {
-			return nil, err
-		}
-		return func(v any) bool { return l(v) && r(v) }, nil
-	default:
-		l, err := valuePredicate(e.Left, typ)
-		if err != nil {
-			return nil, err
-		}
-		r, err := valuePredicate(e.Right, typ)
-		if err != nil {
-			return nil, err
-		}
-		return func(v any) bool { return l(v) || r(v) }, nil
-	}
 }
 
 // scanNeeds computes, for every scan in the plan, the column set the

@@ -1,0 +1,220 @@
+package query_test
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"testing"
+
+	"repro/internal/check"
+	"repro/internal/query"
+	"repro/internal/table"
+)
+
+// fingerprint digests the rows' canonical form in order.
+func fingerprint(rows []table.Row) uint64 {
+	h := fnv.New64a()
+	for _, r := range rows {
+		h.Write([]byte(check.FormatRow(r)))
+		h.Write([]byte{'\n'})
+	}
+	return h.Sum64()
+}
+
+// pinnedCounters are the engine and scan counters a query may not move.
+var pinnedCounters = []string{
+	"shuffle_wire_bytes", "shuffle_records_written",
+	table.CtrRowsScanned, table.CtrRowsPruned, table.CtrRowsOut,
+	table.CtrBytesDecoded, table.CtrBytesSkipped, table.CtrPredEvals,
+}
+
+func counterValues(env *query.Env) []int64 {
+	out := make([]int64, len(pinnedCounters))
+	for i, name := range pinnedCounters {
+		out[i] = env.Reg.Counter(name).Value()
+	}
+	return out
+}
+
+func actuals(n *query.Node, into []int64) []int64 {
+	into = append(into, n.Actual())
+	for _, c := range n.Children {
+		into = actuals(c, into)
+	}
+	return into
+}
+
+// starPin is what one star query answered and moved on the row-at-a-time
+// implementation (the commit before typed column batches): the ordered
+// result fingerprint, the deltas of pinnedCounters, and every node's actual
+// row count depth-first — 0 where that implementation lost the count of a
+// subtree below a shuffle under a sort.
+type starPin struct {
+	print    uint64
+	counters [8]int64
+	actuals  []int64
+}
+
+var starPins = map[bool][]starPin{
+	true: {
+		{0x5abf56858247231f, [8]int64{0, 0, 4000, 0, 1195, 10872, 40082, 4000}, []int64{1195, 1195}},
+		{0xe35b264574b28c4f, [8]int64{37542, 1867, 4000, 0, 4000, 38740, 12214, 0}, []int64{40, 400, 400, 400, 0}},
+		{0x57d40fe08cf6a3ce, [8]int64{339, 25, 4080, 0, 4080, 8498, 42931, 0}, []int64{5, 5, 5, 0, 0, 80}},
+		{0xd86e0f7c3e2a3763, [8]int64{2686, 100, 4480, 0, 3684, 48321, 4548, 4029}, []int64{20, 20, 20, 20, 0, 0, 0, 0, 69, 400}},
+		{0x9e30224fbb1784e, [8]int64{74416, 6798, 6000, 0, 6000, 26226, 46170, 0}, []int64{40, 399, 399, 399, 0, 0, 0}},
+		{0xcb7342e9ef53a57b, [8]int64{354, 15, 4436, 12, 4412, 15942, 36660, 9}, []int64{3, 3, 3, 0, 0, 0, 12, 400}},
+		{0xd8d4d2f953aefa95, [8]int64{44263, 1223, 8000, 0, 8000, 80164, 21744, 0}, []int64{80, 1223, 1223, 1223}},
+		{0x95b1258db35ceae5, [8]int64{64, 4, 4000, 0, 3909, 42752, 8202, 4000}, []int64{1, 1, 3909}},
+	},
+	false: {
+		{0x5abf56858247231f, [8]int64{0, 0, 4000, 0, 4000, 50954, 0, 0}, []int64{1195, 1195, 4000}},
+		{0xe35b264574b28c4f, [8]int64{37542, 1867, 4000, 0, 4000, 50954, 0, 0}, []int64{40, 400, 400, 400, 0}},
+		{0x57d40fe08cf6a3ce, [8]int64{70393, 4104, 4080, 0, 4080, 51429, 0, 0}, []int64{5, 5, 5, 0, 0, 0}},
+		{0xd86e0f7c3e2a3763, [8]int64{222522, 8572, 4480, 0, 4480, 52869, 0, 0}, []int64{20, 20, 20, 20, 0, 0, 0, 0, 0, 0}},
+		{0x9e30224fbb1784e, [8]int64{129231, 6798, 6000, 0, 6000, 72396, 0, 0}, []int64{40, 399, 399, 399, 0, 0, 0}},
+		{0xcb7342e9ef53a57b, [8]int64{169384, 8463, 4448, 0, 4448, 52602, 0, 0}, []int64{3, 3, 3, 0, 0, 0, 0, 0, 0}},
+		{0xd8d4d2f953aefa95, [8]int64{44263, 1223, 8000, 0, 8000, 101908, 0, 0}, []int64{80, 1223, 1223, 1223, 4000}},
+		{0x95b1258db35ceae5, [8]int64{64, 4, 4000, 0, 4000, 50954, 0, 0}, []int64{1, 1, 3909, 4000}},
+	},
+}
+
+// TestStarSuiteIdentity runs the benchmark's eight texts, optimized and
+// naive, and pins results (row order included), shuffle traffic and scan
+// counters to the parent's. Actual row counts the parent printed non-zero
+// are unchanged; where a scan runs once and feeds no residual filter, the
+// scans' actuals add up to the rows the scans emitted.
+func TestStarSuiteIdentity(t *testing.T) {
+	for _, optimize := range []bool{true, false} {
+		env := query.NewEnv(testEngine(), nil)
+		if err := query.RegisterStar(env, query.GenStar(42, 4000, 400, 80, 48), 4); err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range query.StarQueries() {
+			pin := starPins[optimize][i]
+			before := counterValues(env)
+			plan, rows := runSQL(t, env, q.SQL, query.Options{Optimize: optimize, Parts: 4, BroadcastRows: 1000})
+			var delta [8]int64
+			for k, v := range counterValues(env) {
+				delta[k] = v - before[k]
+			}
+			if p := fingerprint(rows); p != pin.print || delta != pin.counters {
+				t.Errorf("optimize=%v %s: print %#x counters %v, pinned %#x %v", optimize, q.ID, p, delta, pin.print, pin.counters)
+			}
+			got := actuals(plan.Root, nil)
+			for k, want := range pin.actuals {
+				if k >= len(got) || got[k] == 0 || (want != 0 && got[k] != want) {
+					t.Errorf("optimize=%v %s: actuals %v, parent's %v\n%s", optimize, q.ID, got, pin.actuals, plan.Explain())
+					break
+				}
+			}
+			var scanned int64
+			for _, n := range plan.FindNodes("scan") {
+				scanned += n.Actual()
+			}
+			if rowsOut := delta[4]; optimize && q.ID != "q7_residual_or" && scanned != rowsOut {
+				t.Errorf("%s: scan actuals sum to %d, scans emitted %d rows\n%s", q.ID, scanned, rowsOut, plan.Explain())
+			}
+		}
+	}
+}
+
+// floatEdgeEnv registers two small tables whose float columns hold NaN,
+// both zeros and both infinities next to ordinary values.
+func floatEdgeEnv(t *testing.T) *query.Env {
+	t.Helper()
+	edge := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 1.5, -2.25, 1.5}
+	env := query.NewEnv(testEngine(), nil)
+	es := table.Schema{Cols: []table.Col{
+		{Name: "k", Type: table.Float64}, {Name: "v", Type: table.Float64},
+		{Name: "s", Type: table.String}, {Name: "i", Type: table.Int64},
+	}}
+	var rows []table.Row
+	for i := 0; i < 48; i++ {
+		rows = append(rows, table.Row{edge[i%len(edge)], edge[(i/3)%len(edge)], string(rune('a' + i%3)), int64(i % 5)})
+	}
+	if err := env.Register("e", es, rows, 3); err != nil {
+		t.Fatal(err)
+	}
+	ds := table.Schema{Cols: []table.Col{{Name: "dk", Type: table.Float64}, {Name: "name", Type: table.String}}}
+	var dims []table.Row
+	for i, f := range edge[:6] {
+		dims = append(dims, table.Row{f, fmt.Sprintf("d%d", i)})
+	}
+	if err := env.Register("d", ds, dims, 2); err != nil {
+		t.Fatal(err)
+	}
+	return env
+}
+
+// floatEdgeModes: optimized with broadcast joins, optimized with shuffle
+// joins only, naive.
+var floatEdgeModes = []query.Options{
+	{Optimize: true, Parts: 3, BroadcastRows: 1000},
+	{Optimize: true, Parts: 3, BroadcastRows: -1},
+	{Parts: 3},
+}
+
+// TestFloatEdgeIdentity pins NaN, both zeros and both infinities in every
+// position a float can take — predicate operand, join key, group key,
+// MIN/MAX/SUM/AVG input, sort key — to the parent's answers, and to the
+// reference evaluator's wherever the parent agreed with it.
+func TestFloatEdgeIdentity(t *testing.T) {
+	operands := []float64{math.NaN(), math.Copysign(0, -1), math.Inf(1), math.Inf(-1)}
+	var preds []*query.Logical
+	for op := query.Eq; op <= query.Ge; op++ {
+		for _, x := range operands {
+			// Two columns, so the optimizer leaves a residual as well.
+			preds = append(preds, query.Scan("e").Where(query.Or(query.Cmp("v", op, x), query.Cmp("i", query.Eq, int64(4)))))
+			preds = append(preds, query.Scan("e").Where(query.Cmp("k", op, x)))
+		}
+	}
+	cases := []struct {
+		name  string
+		plans []*query.Logical
+		// Recorded on the row-at-a-time implementation, per mode: fingerprint
+		// over all plans' rows, and how many plans check.ReferenceQuery
+		// disagreed with.
+		print    [3]uint64
+		disagree [3]int
+	}{
+		// Optimized, 4 of the 48 plans lose rows: a chunk whose first value is
+		// NaN gets a NaN zone map, and < and > prune on it.
+		{"predicate operand", preds, [3]uint64{0xf5ff937ae5662fb3, 0xf5ff937ae5662fb3, 0xfd59d9b59890bcff}, [3]int{4, 4, 0}},
+		{"join key", []*query.Logical{query.Scan("e").Join(query.Scan("d"), "k", "dk")},
+			[3]uint64{0xc5937132fa580959, 0xeda1457e42261261, 0xeda1457e42261261}, [3]int{}},
+		{"group key", []*query.Logical{query.Scan("e").GroupBy([]string{"k"},
+			table.Agg{Op: table.Count}, table.Agg{Op: table.Sum, Col: "i"})},
+			[3]uint64{0xf40dd2d4ea221753, 0xf40dd2d4ea221753, 0xf40dd2d4ea221753}, [3]int{}},
+		{"min/max input", []*query.Logical{query.Scan("e").GroupBy([]string{"s"},
+			table.Agg{Op: table.Min, Col: "v"}, table.Agg{Op: table.Max, Col: "v"},
+			table.Agg{Op: table.Sum, Col: "v"}, table.Agg{Op: table.Avg, Col: "v"})},
+			// MIN/MAX compare with < and >, which skip NaN; the reference orders it.
+			[3]uint64{0x8468526a1591c68f, 0x8468526a1591c68f, 0x8468526a1591c68f}, [3]int{1, 1, 1}},
+		{"sort key", []*query.Logical{query.Scan("e").OrderBy("v", false), query.Scan("e").OrderBy("k", true).Limit(7)},
+			[3]uint64{0x2e099f5d86dbcfa9, 0x2e099f5d86dbcfa9, 0x2e099f5d86dbcfa9}, [3]int{}},
+	}
+	for _, c := range cases {
+		for m, opts := range floatEdgeModes {
+			env := floatEdgeEnv(t)
+			var all []table.Row
+			disagree := 0
+			for _, lp := range c.plans {
+				plan, err := env.Build(lp, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows, err := plan.Execute()
+				if err != nil {
+					t.Fatal(err)
+				}
+				all = append(all, rows...)
+				if !check.DiffQueryEnv(c.name, rows, lp, env).OK {
+					disagree++
+				}
+			}
+			if p := fingerprint(all); p != c.print[m] || disagree != c.disagree[m] {
+				t.Errorf("%s mode %d: print %#x, oracle disagrees on %d plans, pinned %#x %d", c.name, m, p, disagree, c.print[m], c.disagree[m])
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package query_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -151,6 +152,42 @@ func TestExplainShape(t *testing.T) {
 	scans := plan.FindNodes("scan")
 	if len(scans) != 1 || scans[0].Actual() == 0 {
 		t.Fatalf("scan actuals missing:\n%s", after)
+	}
+}
+
+// TestActualsCountEachPartitionOnce: below a sort, the sampling job is the
+// only job that runs the map stages, and fault injection reruns tasks; the
+// actuals must come out as if every partition had been computed once.
+func TestActualsCountEachPartitionOnce(t *testing.T) {
+	q4 := query.StarQueries()[3]
+	var runs [][]int64
+	for _, failProb := range []float64{0, 0.3} {
+		fab := netsim.NewFabric(topology.TwoTier(2, 2, 2), netsim.RDMA40G)
+		cl := cluster.New(cluster.Config{Fabric: fab, SlotsPerNode: 2})
+		eng := core.NewEngine(core.Config{Cluster: cl, TaskFailProb: failProb, Seed: 5, MaxTaskRetries: 50, RetryBackoff: -1})
+		env := query.NewEnv(eng, nil)
+		if err := query.RegisterStar(env, query.GenStar(7, 800, 60, 25, 48), 4); err != nil {
+			t.Fatal(err)
+		}
+		plan, _ := runSQL(t, env, q4.SQL, query.Options{Optimize: true})
+		if retries := eng.Reg.Counter("task_retries").Value(); (retries > 0) != (failProb > 0) {
+			t.Fatalf("fail probability %v: %d task retries", failProb, retries)
+		}
+		runs = append(runs, actuals(plan.Root, nil))
+
+		sales, _ := env.Rows("sales")
+		want := int64(0)
+		for _, r := range sales {
+			if r[3].(int64) >= 3 {
+				want++
+			}
+		}
+		if scan := plan.FindNodes("scan")[0]; !strings.HasPrefix(scan.Detail, "sales ") || scan.Actual() != want {
+			t.Fatalf("scan %q reports %d rows, %d sales rows have units >= 3\n%s", scan.Detail, scan.Actual(), want, plan.Explain())
+		}
+	}
+	if fmt.Sprint(runs[0]) != fmt.Sprint(runs[1]) {
+		t.Fatalf("actuals differ under task failures: clean %v, faulty %v", runs[0], runs[1])
 	}
 }
 

@@ -2,6 +2,7 @@ package serde
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 )
 
@@ -24,65 +25,91 @@ type FilterStats struct {
 	PredEvals int
 }
 
+// columnHeader takes the encoding tag and the row count off the front of
+// an encoded column.
+func columnHeader(b []byte) (tag byte, n uint64, rest []byte, err error) {
+	if len(b) == 0 {
+		return 0, 0, nil, ErrCorrupt
+	}
+	n, sz := binary.Uvarint(b[1:])
+	if sz <= 0 || n > maxColumnRows {
+		return 0, 0, nil, ErrCorrupt
+	}
+	return b[0], n, b[1+sz:], nil
+}
+
+// selectionCount checks sel against a column of n rows and returns how many
+// positions it selects; a nil sel selects all of them.
+func selectionCount(sel []bool, n uint64) (int, error) {
+	if sel == nil {
+		return int(n), nil
+	}
+	if uint64(len(sel)) != n {
+		return 0, ErrCorrupt
+	}
+	count := 0
+	for _, s := range sel {
+		if s {
+			count++
+		}
+	}
+	return count, nil
+}
+
+// rleRun takes one (value, run length) pair off an RLE column that has n
+// rows, at of them already consumed.
+func rleRun(b []byte, at, n uint64) (v int64, run uint64, rest []byte, err error) {
+	v, used, err := Int64(b)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	run, sz := binary.Uvarint(b[used:])
+	if sz <= 0 || run == 0 || at+run > n {
+		return 0, 0, nil, ErrCorrupt
+	}
+	return v, run, b[used+sz:], nil
+}
+
 // FilterIntColumn evaluates keep over an encoded int column and returns
 // the selection vector. RLE runs are evaluated once per run.
 func FilterIntColumn(b []byte, keep func(int64) bool) ([]bool, FilterStats, error) {
 	var st FilterStats
-	if len(b) == 0 {
-		return nil, st, ErrCorrupt
+	tag, n, b, err := columnHeader(b)
+	if err != nil {
+		return nil, st, err
 	}
-	tag := b[0]
-	b = b[1:]
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > maxColumnRows {
-		return nil, st, ErrCorrupt
-	}
-	b = b[sz:]
 	sel := make([]bool, n)
 	st.Rows = int(n)
 	switch tag {
-	case encPlainInt:
-		for i := uint64(0); i < n; i++ {
+	case encPlainInt, encDeltaInt:
+		prev := int64(0)
+		for i := range sel {
 			v, used, err := Int64(b)
 			if err != nil {
 				return nil, st, err
 			}
 			b = b[used:]
-			st.PredEvals++
+			if tag == encDeltaInt {
+				prev += v
+				v = prev
+			}
 			sel[i] = keep(v)
 		}
+		st.PredEvals = len(sel)
 	case encRLEInt:
-		at := uint64(0)
-		for at < n {
-			v, used, err := Int64(b)
+		for at := uint64(0); at < n; {
+			v, run, rest, err := rleRun(b, at, n)
 			if err != nil {
 				return nil, st, err
 			}
-			b = b[used:]
-			run, sz := binary.Uvarint(b)
-			if sz <= 0 || run == 0 || at+run > n {
-				return nil, st, ErrCorrupt
-			}
-			b = b[sz:]
+			b = rest
 			st.PredEvals++
 			if keep(v) {
-				for k := uint64(0); k < run; k++ {
-					sel[at+k] = true
+				for k := at; k < at+run; k++ {
+					sel[k] = true
 				}
 			}
 			at += run
-		}
-	case encDeltaInt:
-		prev := int64(0)
-		for i := uint64(0); i < n; i++ {
-			d, used, err := Int64(b)
-			if err != nil {
-				return nil, st, err
-			}
-			b = b[used:]
-			prev += d
-			st.PredEvals++
-			sel[i] = keep(prev)
 		}
 	default:
 		return nil, st, ErrCorrupt
@@ -90,74 +117,63 @@ func FilterIntColumn(b []byte, keep func(int64) bool) ([]bool, FilterStats, erro
 	return sel, st, nil
 }
 
-// SelectIntColumn decodes only the selected positions of an encoded int
-// column, in position order. RLE runs with no selected position are
-// skipped without materializing their values. sel must have the column's
-// length.
-func SelectIntColumn(b []byte, sel []bool) ([]int64, error) {
-	if len(b) == 0 {
-		return nil, ErrCorrupt
+// selectInts decodes the positions of an encoded int column that sel marks
+// (nil = every position; otherwise sel must have the column's length), in
+// position order, into a slice sized from the selection count. conv maps a
+// stored value to its T. RLE runs with no selected position cost nothing
+// per value.
+func selectInts[T int64 | float64](b []byte, sel []bool, conv func(int64) T) ([]T, error) {
+	tag, n, b, err := columnHeader(b)
+	if err != nil {
+		return nil, err
 	}
-	tag := b[0]
-	b = b[1:]
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > maxColumnRows {
-		return nil, ErrCorrupt
+	count, err := selectionCount(sel, n)
+	if err != nil {
+		return nil, err
 	}
-	b = b[sz:]
-	if uint64(len(sel)) != n {
-		return nil, ErrCorrupt
-	}
-	var out []int64
+	out := make([]T, 0, count)
 	switch tag {
-	case encPlainInt:
+	case encPlainInt, encDeltaInt:
+		prev := int64(0)
 		for i := uint64(0); i < n; i++ {
 			v, used, err := Int64(b)
 			if err != nil {
 				return nil, err
 			}
 			b = b[used:]
-			if sel[i] {
-				out = append(out, v)
+			if tag == encDeltaInt {
+				prev += v
+				v = prev
+			}
+			if sel == nil || sel[i] {
+				out = append(out, conv(v))
 			}
 		}
 	case encRLEInt:
-		at := uint64(0)
-		for at < n {
-			v, used, err := Int64(b)
+		for at := uint64(0); at < n; {
+			v, run, rest, err := rleRun(b, at, n)
 			if err != nil {
 				return nil, err
 			}
-			b = b[used:]
-			run, sz := binary.Uvarint(b)
-			if sz <= 0 || run == 0 || at+run > n {
-				return nil, ErrCorrupt
-			}
-			b = b[sz:]
-			for k := uint64(0); k < run; k++ {
-				if sel[at+k] {
-					out = append(out, v)
+			b = rest
+			cv := conv(v)
+			for k := at; k < at+run; k++ {
+				if sel == nil || sel[k] {
+					out = append(out, cv)
 				}
 			}
 			at += run
 		}
-	case encDeltaInt:
-		prev := int64(0)
-		for i := uint64(0); i < n; i++ {
-			d, used, err := Int64(b)
-			if err != nil {
-				return nil, err
-			}
-			b = b[used:]
-			prev += d
-			if sel[i] {
-				out = append(out, prev)
-			}
-		}
 	default:
-		return nil, ErrCorrupt
+		return nil, fmt.Errorf("%w: unknown int encoding %d", ErrCorrupt, tag)
 	}
 	return out, nil
+}
+
+// SelectIntColumn decodes only the selected positions of an encoded int
+// column (nil sel = all), in position order.
+func SelectIntColumn(b []byte, sel []bool) ([]int64, error) {
+	return selectInts(b, sel, func(v int64) int64 { return v })
 }
 
 // FloatColumn is a chunk of float64 values, stored as the IEEE-754 bit
@@ -174,39 +190,49 @@ func (c FloatColumn) Encode() []byte {
 	return ints.Encode()
 }
 
+func floatOfBits(v int64) float64 { return math.Float64frombits(uint64(v)) }
+
 // DecodeFloatColumn inverts FloatColumn.Encode.
-func DecodeFloatColumn(b []byte) (FloatColumn, error) {
-	ints, err := DecodeIntColumn(b)
-	if err != nil {
-		return nil, err
-	}
-	out := make(FloatColumn, len(ints))
-	for i, v := range ints {
-		out[i] = math.Float64frombits(uint64(v))
-	}
-	return out, nil
-}
+func DecodeFloatColumn(b []byte) (FloatColumn, error) { return selectInts(b, nil, floatOfBits) }
 
 // FilterFloatColumn evaluates keep over an encoded float column,
 // RLE-aware like FilterIntColumn.
 func FilterFloatColumn(b []byte, keep func(float64) bool) ([]bool, FilterStats, error) {
-	return FilterIntColumn(b, func(v int64) bool {
-		return keep(math.Float64frombits(uint64(v)))
-	})
+	return FilterIntColumn(b, func(v int64) bool { return keep(floatOfBits(v)) })
 }
 
 // SelectFloatColumn decodes only the selected positions of an encoded
-// float column.
+// float column (nil sel = all), straight into floats.
 func SelectFloatColumn(b []byte, sel []bool) ([]float64, error) {
-	ints, err := SelectIntColumn(b, sel)
-	if err != nil {
-		return nil, err
+	return selectInts(b, sel, floatOfBits)
+}
+
+// columnString takes one length-prefixed string's bytes off the front of b.
+func columnString(b []byte) (s, rest []byte, err error) {
+	l, sz := binary.Uvarint(b)
+	if sz <= 0 || uint64(len(b)-sz) < l {
+		return nil, nil, ErrCorrupt
 	}
-	out := make([]float64, len(ints))
-	for i, v := range ints {
-		out[i] = math.Float64frombits(uint64(v))
+	return b[sz : sz+int(l)], b[sz+int(l):], nil
+}
+
+// dictIndex takes one dictionary index below dn off the front of b.
+func dictIndex(b []byte, dn uint64) (idx uint64, rest []byte, err error) {
+	idx, sz := binary.Uvarint(b)
+	if sz <= 0 || idx >= dn {
+		return 0, nil, ErrCorrupt
 	}
-	return out, nil
+	return idx, b[sz:], nil
+}
+
+// dictHeader takes the entry count off the front of a dictionary column
+// of n rows.
+func dictHeader(b []byte, n uint64) (dn uint64, rest []byte, err error) {
+	dn, sz := binary.Uvarint(b)
+	if sz <= 0 || dn > n {
+		return 0, nil, ErrCorrupt
+	}
+	return dn, b[sz:], nil
 }
 
 // FilterStringColumn evaluates keep over an encoded string column. On a
@@ -215,58 +241,44 @@ func SelectFloatColumn(b []byte, sel []bool) ([]float64, error) {
 // evaluation per row — and the per-row pass only tests a bit per index.
 func FilterStringColumn(b []byte, keep func(string) bool) ([]bool, FilterStats, error) {
 	var st FilterStats
-	if len(b) == 0 {
-		return nil, st, ErrCorrupt
+	tag, n, b, err := columnHeader(b)
+	if err != nil {
+		return nil, st, err
 	}
-	tag := b[0]
-	b = b[1:]
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > maxColumnRows {
-		return nil, st, ErrCorrupt
-	}
-	b = b[sz:]
 	sel := make([]bool, n)
 	st.Rows = int(n)
-	readStr := func() (string, error) {
-		l, sz := binary.Uvarint(b)
-		if sz <= 0 || uint64(len(b)-sz) < l {
-			return "", ErrCorrupt
-		}
-		s := string(b[sz : sz+int(l)])
-		b = b[sz+int(l):]
-		return s, nil
+	// evalNext runs keep on the next length-prefixed string.
+	evalNext := func() (bool, error) {
+		s, rest, err := columnString(b)
+		b = rest
+		st.PredEvals++
+		return err == nil && keep(string(s)), err
 	}
 	switch tag {
 	case encPlainStr:
-		for i := uint64(0); i < n; i++ {
-			s, err := readStr()
-			if err != nil {
+		for i := range sel {
+			if sel[i], err = evalNext(); err != nil {
 				return nil, st, err
 			}
-			st.PredEvals++
-			sel[i] = keep(s)
 		}
 	case encDictStr:
-		dn, sz := binary.Uvarint(b)
-		if sz <= 0 || dn > n {
-			return nil, st, ErrCorrupt
+		dn, rest, err := dictHeader(b, n)
+		if err != nil {
+			return nil, st, err
 		}
-		b = b[sz:]
+		b = rest
 		keepIdx := make([]bool, dn)
-		for d := uint64(0); d < dn; d++ {
-			s, err := readStr()
+		for d := range keepIdx {
+			if keepIdx[d], err = evalNext(); err != nil {
+				return nil, st, err
+			}
+		}
+		for i := range sel {
+			idx, rest, err := dictIndex(b, dn)
 			if err != nil {
 				return nil, st, err
 			}
-			st.PredEvals++
-			keepIdx[d] = keep(s)
-		}
-		for i := uint64(0); i < n; i++ {
-			idx, sz := binary.Uvarint(b)
-			if sz <= 0 || idx >= dn {
-				return nil, st, ErrCorrupt
-			}
-			b = b[sz:]
+			b = rest
 			sel[i] = keepIdx[idx]
 		}
 	default:
@@ -276,69 +288,58 @@ func FilterStringColumn(b []byte, keep func(string) bool) ([]bool, FilterStats, 
 }
 
 // SelectStringColumn decodes only the selected positions of an encoded
-// string column. On a dictionary column, dictionary entries are decoded
-// once and selected rows share them.
+// string column (nil sel = all) into a slice sized from the selection
+// count. On a dictionary column, dictionary entries are decoded once and
+// selected rows share them; on a plain column, unselected strings are
+// never built.
 func SelectStringColumn(b []byte, sel []bool) ([]string, error) {
-	if len(b) == 0 {
-		return nil, ErrCorrupt
+	tag, n, b, err := columnHeader(b)
+	if err != nil {
+		return nil, err
 	}
-	tag := b[0]
-	b = b[1:]
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > maxColumnRows {
-		return nil, ErrCorrupt
+	count, err := selectionCount(sel, n)
+	if err != nil {
+		return nil, err
 	}
-	b = b[sz:]
-	if uint64(len(sel)) != n {
-		return nil, ErrCorrupt
-	}
-	readStr := func() (string, error) {
-		l, sz := binary.Uvarint(b)
-		if sz <= 0 || uint64(len(b)-sz) < l {
-			return "", ErrCorrupt
-		}
-		s := string(b[sz : sz+int(l)])
-		b = b[sz+int(l):]
-		return s, nil
-	}
-	var out []string
+	out := make([]string, 0, count)
 	switch tag {
 	case encPlainStr:
 		for i := uint64(0); i < n; i++ {
-			s, err := readStr()
+			s, rest, err := columnString(b)
 			if err != nil {
 				return nil, err
 			}
-			if sel[i] {
-				out = append(out, s)
+			b = rest
+			if sel == nil || sel[i] {
+				out = append(out, string(s))
 			}
 		}
 	case encDictStr:
-		dn, sz := binary.Uvarint(b)
-		if sz <= 0 || dn > n {
-			return nil, ErrCorrupt
+		dn, rest, err := dictHeader(b, n)
+		if err != nil {
+			return nil, err
 		}
-		b = b[sz:]
-		dict := make([]string, 0, dn)
-		for uint64(len(dict)) < dn {
-			s, err := readStr()
+		b = rest
+		dict := make([]string, dn)
+		for d := range dict {
+			s, rest, err := columnString(b)
 			if err != nil {
 				return nil, err
 			}
-			dict = append(dict, s)
+			dict[d], b = string(s), rest
 		}
 		for i := uint64(0); i < n; i++ {
-			idx, sz := binary.Uvarint(b)
-			if sz <= 0 || idx >= dn {
-				return nil, ErrCorrupt
+			idx, rest, err := dictIndex(b, dn)
+			if err != nil {
+				return nil, err
 			}
-			b = b[sz:]
-			if sel[i] {
+			b = rest
+			if sel == nil || sel[i] {
 				out = append(out, dict[idx])
 			}
 		}
 	default:
-		return nil, ErrCorrupt
+		return nil, fmt.Errorf("%w: unknown string encoding %d", ErrCorrupt, tag)
 	}
 	return out, nil
 }

@@ -1,9 +1,6 @@
 package serde
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // Column encodings. The encoder picks the smallest representation per
 // column chunk; the decoder dispatches on the tag byte.
@@ -72,60 +69,7 @@ func (c IntColumn) encodeDelta() []byte {
 }
 
 // DecodeIntColumn inverts IntColumn.Encode.
-func DecodeIntColumn(b []byte) (IntColumn, error) {
-	if len(b) == 0 {
-		return nil, ErrCorrupt
-	}
-	tag := b[0]
-	b = b[1:]
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > maxColumnRows {
-		return nil, ErrCorrupt
-	}
-	b = b[sz:]
-	out := make(IntColumn, 0, n)
-	switch tag {
-	case encPlainInt:
-		for uint64(len(out)) < n {
-			v, used, err := Int64(b)
-			if err != nil {
-				return nil, err
-			}
-			b = b[used:]
-			out = append(out, v)
-		}
-	case encRLEInt:
-		for uint64(len(out)) < n {
-			v, used, err := Int64(b)
-			if err != nil {
-				return nil, err
-			}
-			b = b[used:]
-			run, sz := binary.Uvarint(b)
-			if sz <= 0 || run == 0 || uint64(len(out))+run > n {
-				return nil, ErrCorrupt
-			}
-			b = b[sz:]
-			for k := uint64(0); k < run; k++ {
-				out = append(out, v)
-			}
-		}
-	case encDeltaInt:
-		prev := int64(0)
-		for uint64(len(out)) < n {
-			d, used, err := Int64(b)
-			if err != nil {
-				return nil, err
-			}
-			b = b[used:]
-			prev += d
-			out = append(out, prev)
-		}
-	default:
-		return nil, fmt.Errorf("%w: unknown int encoding %d", ErrCorrupt, tag)
-	}
-	return out, nil
-}
+func DecodeIntColumn(b []byte) (IntColumn, error) { return SelectIntColumn(b, nil) }
 
 // StringColumn is a chunk of string values with adaptive plain/dictionary
 // encoding. Low-cardinality columns (country, event type) dict-encode to a
@@ -179,60 +123,4 @@ func (c StringColumn) encodeDict() []byte {
 }
 
 // DecodeStringColumn inverts StringColumn.Encode.
-func DecodeStringColumn(b []byte) (StringColumn, error) {
-	if len(b) == 0 {
-		return nil, ErrCorrupt
-	}
-	tag := b[0]
-	b = b[1:]
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > maxColumnRows {
-		return nil, ErrCorrupt
-	}
-	b = b[sz:]
-	readStr := func() (string, error) {
-		l, sz := binary.Uvarint(b)
-		if sz <= 0 || uint64(len(b)-sz) < l {
-			return "", ErrCorrupt
-		}
-		s := string(b[sz : sz+int(l)])
-		b = b[sz+int(l):]
-		return s, nil
-	}
-	out := make(StringColumn, 0, n)
-	switch tag {
-	case encPlainStr:
-		for uint64(len(out)) < n {
-			s, err := readStr()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, s)
-		}
-	case encDictStr:
-		dn, sz := binary.Uvarint(b)
-		if sz <= 0 || dn > n {
-			return nil, ErrCorrupt
-		}
-		b = b[sz:]
-		dict := make([]string, 0, dn)
-		for uint64(len(dict)) < dn {
-			s, err := readStr()
-			if err != nil {
-				return nil, err
-			}
-			dict = append(dict, s)
-		}
-		for uint64(len(out)) < n {
-			idx, sz := binary.Uvarint(b)
-			if sz <= 0 || idx >= uint64(len(dict)) {
-				return nil, ErrCorrupt
-			}
-			b = b[sz:]
-			out = append(out, dict[idx])
-		}
-	default:
-		return nil, fmt.Errorf("%w: unknown string encoding %d", ErrCorrupt, tag)
-	}
-	return out, nil
-}
+func DecodeStringColumn(b []byte) (StringColumn, error) { return SelectStringColumn(b, nil) }

@@ -1,6 +1,7 @@
 package serde
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 )
@@ -75,6 +76,10 @@ func SortableStringKey(s string) []byte {
 // FromSortableStringKey decodes the next SortableStringKey from b,
 // returning the string and the bytes consumed.
 func FromSortableStringKey(b []byte) (string, int, error) {
+	// A string without 0x00 bytes is stored as it is before its terminator.
+	if i := bytes.IndexByte(b, 0x00); i >= 0 && i+1 < len(b) && b[i+1] == 0x01 {
+		return string(b[:i]), i + 2, nil
+	}
 	var out []byte
 	for i := 0; i < len(b); {
 		if b[i] != 0x00 {

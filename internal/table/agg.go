@@ -125,14 +125,17 @@ func (g *Grouped) Agg(parts int, aggs ...Agg) (*Table, error) {
 	schema := t.schema
 
 	pre := t.eng.NewNarrow(t.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
-		tab := newAggTable(plans)
+		b := batchOf(schema, rows)
+		tab := &aggTable{plans: plans}
 		var key []byte
-		for _, r := range rows {
-			row := r.(Row)
-			key = appendCompositeKey(key[:0], schema, keyIdx, row)
+		for i := 0; i < b.n; i++ {
+			key = key[:0]
+			for _, j := range keyIdx { // self-delimiting encodings: the concatenation is unambiguous and ordered
+				key = appendSortableKey(key, schema.Cols[j].Type, &b.Cols[j], i, false)
+			}
 			slots := tab.group(key)
-			for i := range plans {
-				plans[i].merge(&slots[i], plans[i].partial(row))
+			for k := range plans {
+				plans[k].fold(&slots[k], b, i)
 			}
 		}
 		return tab.records()
@@ -142,13 +145,13 @@ func (g *Grouped) Agg(parts int, aggs ...Agg) (*Table, error) {
 		KeyOf:      recordKey,
 		ValueOf:    recordValue,
 		Post: func(_ *core.TaskContext, recs []shuffle.Record) []core.Row {
-			tab := newAggTable(plans)
+			tab := &aggTable{plans: plans}
 			for _, rec := range recs { // arrival order: float sums depend on it
 				if err := mergeEncoded(plans, tab.group(rec.Key), rec.Value); err != nil {
 					panic(fmt.Sprintf("table: agg state decode: %v", err))
 				}
 			}
-			return tab.rows(schema, keyIdx)
+			return []core.Row{tab.batch(outSchema, len(keyIdx))}
 		},
 	})
 	return &Table{eng: t.eng, plan: plan, schema: outSchema}, nil
@@ -171,25 +174,16 @@ var negZero = math.Copysign(0, -1)
 // slots: one hash lookup per input and no allocation unless the group is
 // new. Groups are numbered in order of first appearance.
 type aggTable struct {
-	plans []aggPlan
-	index map[string]int // composite key -> group number
-	keys  []string       // group number -> composite key
-	slots []aggSlot      // group g owns slots[g*len(plans):][:len(plans)]
-}
-
-func newAggTable(plans []aggPlan) *aggTable {
-	return &aggTable{plans: plans, index: map[string]int{}}
+	plans    []aggPlan
+	keyIndex           // composite key -> group number
+	slots    []aggSlot // group g owns slots[g*len(plans):][:len(plans)]
 }
 
 // group returns the slots of key's group, adding the group if it is new.
 func (t *aggTable) group(key []byte) []aggSlot {
 	n := len(t.plans)
-	g, ok := t.index[string(key)] // no allocation: the conversion is only a lookup
-	if !ok {
-		g = len(t.keys)
-		k := string(key)
-		t.index[k] = g
-		t.keys = append(t.keys, k)
+	g := t.id(key)
+	if g*n == len(t.slots) {
 		for range t.plans {
 			t.slots = append(t.slots, aggSlot{f: negZero})
 		}
@@ -197,24 +191,23 @@ func (t *aggTable) group(key []byte) []aggSlot {
 	return t.slots[g*n : (g+1)*n]
 }
 
-// partial is the state of the single-row group {r}.
-func (p *aggPlan) partial(r Row) aggSlot {
-	s := aggSlot{n: 1}
-	if p.spec.Op == Count {
-		return s
-	}
-	switch v := r[p.colIdx].(type) {
-	case int64:
-		s.i = v
+// fold folds row i of b into dst: the state of the single-row group {i},
+// read straight from the aggregated column, merged in.
+func (p *aggPlan) fold(dst *aggSlot, b *Batch, i int) {
+	src := aggSlot{n: 1}
+	switch {
+	case p.spec.Op == Count:
+	case p.typ == Int64:
+		src.i = b.Cols[p.colIdx].Ints[i]
 		if p.spec.Op == Avg {
-			s.f = float64(v)
+			src.f = float64(src.i)
 		}
-	case float64:
-		s.f = v
-	case string:
-		s.s = v
+	case p.typ == Float64:
+		src.f = b.Cols[p.colIdx].Floats[i]
+	default:
+		src.s = b.Cols[p.colIdx].Strings[i]
 	}
-	return s
+	p.merge(dst, src)
 }
 
 // merge folds the partial state src into dst.
@@ -250,22 +243,21 @@ func (p *aggPlan) merge(dst *aggSlot, src aggSlot) {
 	}
 }
 
-// value renders the slot's output column value.
-func (p *aggPlan) value(s *aggSlot) any {
+// render appends the slot's output value to the aggregate's output column.
+func (p *aggPlan) render(v *Vector, s *aggSlot) {
 	switch {
 	case p.spec.Op == Count:
-		return s.n
+		v.Ints = append(v.Ints, s.n)
+	case p.spec.Op == Avg && s.n == 0:
+		v.Floats = append(v.Floats, math.NaN())
 	case p.spec.Op == Avg:
-		if s.n == 0 {
-			return math.NaN()
-		}
-		return s.f / float64(s.n)
+		v.Floats = append(v.Floats, s.f/float64(s.n))
 	case p.typ == Int64:
-		return s.i
+		v.Ints = append(v.Ints, s.i)
 	case p.typ == Float64:
-		return s.f
+		v.Floats = append(v.Floats, s.f)
 	default:
-		return s.s
+		v.Strings = append(v.Strings, s.s)
 	}
 }
 
@@ -346,7 +338,9 @@ func readScalar(b []byte, typ Type, s *aggSlot) (rest []byte, err error) {
 	case Float64:
 		s.f, rest, err = readFloat(b)
 	default:
-		s.s, rest, err = readString(b)
+		var str []byte
+		str, rest, err = readBytes(b)
+		s.s = string(str)
 	}
 	return rest, err
 }
@@ -361,65 +355,52 @@ func (t *aggTable) records() []core.Row {
 	}
 	slices.SortFunc(order, func(a, b int) int { return strings.Compare(t.keys[a], t.keys[b]) })
 	n := len(t.plans)
-	var buf []byte
-	ends := make([]int, 0, 2*len(order))
-	for _, g := range order {
-		buf = append(buf, t.keys[g]...)
-		ends = append(ends, len(buf))
-		buf = appendState(buf, t.plans, t.slots[g*n:(g+1)*n])
-		ends = append(ends, len(buf))
-	}
-	return sliceRecords(buf, ends)
+	return cutRecords(len(order), func(dst []byte, i int) []byte { return append(dst, t.keys[order[i]]...) },
+		func(dst []byte, i int) []byte { return appendState(dst, t.plans, t.slots[order[i]*n:][:n]) })
 }
 
-// rows renders one output row per group, in order of first appearance:
-// the decoded key columns, then each spec's value.
-func (t *aggTable) rows(s Schema, keyIdx []int) []core.Row {
-	n, width := len(t.plans), len(keyIdx)+len(t.plans)
-	vals := make([]any, len(t.keys)*width)
-	out := make([]core.Row, len(t.keys))
+// batch renders one output row per group, in order of first appearance:
+// the key columns decoded from the composite key, then each spec's value.
+func (t *aggTable) batch(out Schema, nKeys int) *Batch {
+	n := len(t.plans)
+	b := newBatch(out, len(t.keys))
 	var key []byte
-	for g := range out {
-		row := vals[g*width : (g+1)*width : (g+1)*width]
+	for g := range t.keys {
 		key = append(key[:0], t.keys[g]...)
-		if err := decodeCompositeKey(row, s, keyIdx, key); err != nil {
+		if err := decodeCompositeKey(b.Cols[:nKeys], out, key); err != nil {
 			panic(fmt.Sprintf("table: group key decode: %v", err))
 		}
 		for i := range t.plans {
-			row[len(keyIdx)+i] = t.plans[i].value(&t.slots[g*n+i])
+			t.plans[i].render(&b.Cols[nKeys+i], &t.slots[g*n+i])
 		}
-		out[g] = Row(row)
 	}
-	return out
+	b.n = len(t.keys)
+	return b
 }
 
-// decodeCompositeKey inverts appendCompositeKey for the group-key
-// columns, writing their values to dst[:len(idx)].
-func decodeCompositeKey(dst []any, s Schema, idx []int, key []byte) error {
-	for k, i := range idx {
-		switch s.Cols[i].Type {
+// decodeCompositeKey takes the sortable encodings of one group's key
+// values apart, appending value k to dst[k]; s.Cols[k] gives its type.
+func decodeCompositeKey(dst []Vector, s Schema, key []byte) error {
+	for k := range dst {
+		n, err := 8, error(nil)
+		switch s.Cols[k].Type {
 		case Int64:
-			v, err := serde.FromSortableInt64Key(key)
-			if err != nil {
-				return err
-			}
-			dst[k] = v
-			key = key[8:]
+			var v int64
+			v, err = serde.FromSortableInt64Key(key)
+			dst[k].Ints = append(dst[k].Ints, v)
 		case Float64:
-			v, err := serde.FromSortableFloat64Key(key)
-			if err != nil {
-				return err
-			}
-			dst[k] = v
-			key = key[8:]
+			var v float64
+			v, err = serde.FromSortableFloat64Key(key)
+			dst[k].Floats = append(dst[k].Floats, v)
 		default:
-			v, n, err := serde.FromSortableStringKey(key)
-			if err != nil {
-				return err
-			}
-			dst[k] = v
-			key = key[n:]
+			var v string
+			v, n, err = serde.FromSortableStringKey(key)
+			dst[k].Strings = append(dst[k].Strings, v)
 		}
+		if err != nil {
+			return err
+		}
+		key = key[n:]
 	}
 	return nil
 }

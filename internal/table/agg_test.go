@@ -169,9 +169,10 @@ func TestGroupedAggMatchesNaiveFold(t *testing.T) {
 
 func TestAvgOfNothingIsNaN(t *testing.T) {
 	plans := []aggPlan{{spec: Agg{Op: Avg, Col: "vf"}, colIdx: 4, typ: Float64}}
-	tab := newAggTable(plans)
-	if v := plans[0].value(&tab.group(nil)[0]).(float64); !math.IsNaN(v) {
-		t.Fatalf("avg over zero rows = %v, want NaN", v)
+	tab := &aggTable{plans: plans}
+	var out Vector
+	if plans[0].render(&out, &tab.group(nil)[0]); !math.IsNaN(out.Floats[0]) {
+		t.Fatalf("avg over zero rows = %v, want NaN", out.Floats[0])
 	}
 }
 
@@ -263,55 +264,39 @@ func TestHashJoinDupKeysMatchesNestedLoop(t *testing.T) {
 	}
 }
 
-func groupedRows(n, regions, products int) []Row {
-	rows := make([]Row, n)
-	for i := range rows {
-		rows[i] = Row{fmt.Sprintf("region-%d", i%regions), fmt.Sprintf("product-%d", i/regions%products),
-			int64(i % 17), float64(i%1000) / 8}
-	}
-	return rows
-}
-
-// TestGroupByAggAllocBudget keeps per-row aggregate state from creeping
-// back: the map-side-combiner implementation spent about 40 allocations
-// per input row here.
-func TestGroupByAggAllocBudget(t *testing.T) {
-	const n = 10000
-	tb := mustTable(t, testEngine(), salesSchema(), groupedRows(n, 10, 10), 8)
-	allocs := testing.AllocsPerRun(3, func() {
-		res, err := tb.GroupBy("region", "product").Agg(4, Agg{Op: Sum, Col: "units"}, Agg{Op: Avg, Col: "price"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rows, err := res.Collect(); err != nil || len(rows) != 100 {
-			t.Fatalf("%d groups, %v", len(rows), err)
-		}
-	})
-	if perRow := allocs / n; perRow > 3 {
-		t.Fatalf("%.1f allocations per input row, budget 3", perRow)
-	}
-}
-
 // negativeLen is a zig-zag varint string length of -1.
 const negativeLen = "\x01"
 
+// FuzzDecodeRow feeds arbitrary records to the decode-into-builders
+// routine: anything but a clean decode is ErrCorrupt and leaves the builder
+// as it was, with no half-appended row in any vector.
 func FuzzDecodeRow(f *testing.F) {
 	schema := Schema{Cols: []Col{{Name: "i", Type: Int64}, {Name: "f", Type: Float64}, {Name: "s", Type: String}, {Name: "t", Type: String}}}
-	f.Add(appendRow(nil, schema, Row{int64(-3), 2.5, "a\x00b", ""}))
+	seed := batchFromRows(schema, []Row{{int64(-3), 2.5, "a\x00b", ""}}, 0, 1)
+	f.Add(seed.appendRow(nil, schema, 0))
 	f.Add([]byte("\x02" + "12345678" + negativeLen))
 	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		row, err := decodeRow(schema, b)
+	f.Fuzz(func(t *testing.T, rec []byte) {
+		b := batchFromRows(schema, []Row{{int64(1), 0.5, "kept", "row"}}, 0, 1)
+		err := b.decodeRow(schema, rec)
+		want := 2
 		if err != nil {
 			if !errors.Is(err, serde.ErrCorrupt) {
 				t.Fatalf("error %v is not ErrCorrupt", err)
 			}
+			want = 1
+		}
+		for k, v := range b.Cols {
+			if n := len(v.Ints) + len(v.Floats) + len(v.Strings); b.n != want || n != want {
+				t.Fatalf("after err=%v: batch has %d rows, column %d has %d values, want %d", err, b.n, k, n, want)
+			}
+		}
+		if err != nil {
 			return
 		}
-		enc := appendRow(nil, schema, row)
-		again, err := decodeRow(schema, enc)
-		if err != nil || !bytes.Equal(appendRow(nil, schema, again), enc) {
-			t.Fatalf("round trip of %q: %v, %v", enc, again, err)
+		enc := b.appendRow(nil, schema, 1)
+		if err := b.decodeRow(schema, enc); err != nil || !bytes.Equal(b.appendRow(nil, schema, 2), enc) {
+			t.Fatalf("round trip of %q: %v", enc, err)
 		}
 	})
 }
@@ -328,10 +313,10 @@ func FuzzAggMerge(f *testing.F) {
 		plans = append(plans, p)
 	}
 	state := func(rows []Row) []byte {
-		tab := newAggTable(plans)
-		for _, r := range rows {
+		tab, b := &aggTable{plans: plans}, batchFromRows(schema, rows, 0, 1)
+		for r := range rows {
 			for i := range plans {
-				plans[i].merge(&tab.group(nil)[i], plans[i].partial(r))
+				plans[i].fold(&tab.group(nil)[i], b, r)
 			}
 		}
 		return appendState(nil, plans, tab.group(nil))
@@ -343,7 +328,7 @@ func FuzzAggMerge(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		merged := func(b []byte) ([]byte, error) {
-			tab := newAggTable(plans)
+			tab := &aggTable{plans: plans}
 			if err := mergeEncoded(plans, tab.group(nil), b); err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 
@@ -45,78 +46,48 @@ func BuildColumnar(schema Schema, rows []Row, parts int) (*ColumnarTable, error)
 		}
 	}
 	ct := &ColumnarTable{schema: schema, parts: make([]colPart, parts)}
-	for p := 0; p < parts; p++ {
-		var prows []Row
-		for i := p; i < len(rows); i += parts {
-			prows = append(prows, rows[i])
-		}
+	for p := range ct.parts {
+		b := batchFromRows(schema, rows, p, parts)
 		cp := colPart{
-			rows: len(prows),
+			rows: b.n,
 			cols: make([][]byte, len(schema.Cols)),
 			mins: make([]any, len(schema.Cols)),
 			maxs: make([]any, len(schema.Cols)),
 		}
 		for c, col := range schema.Cols {
-			switch col.Type {
+			switch v := b.Cols[c]; col.Type {
 			case Int64:
-				vals := make(serde.IntColumn, len(prows))
-				for i, r := range prows {
-					vals[i] = r[c].(int64)
-				}
-				cp.cols[c] = vals.Encode()
-				if len(vals) > 0 {
-					mn, mx := vals[0], vals[0]
-					for _, v := range vals[1:] {
-						if v < mn {
-							mn = v
-						}
-						if v > mx {
-							mx = v
-						}
-					}
-					cp.mins[c], cp.maxs[c] = mn, mx
-				}
+				cp.cols[c] = serde.IntColumn(v.Ints).Encode()
+				cp.mins[c], cp.maxs[c] = zone(v.Ints)
 			case Float64:
-				vals := make(serde.FloatColumn, len(prows))
-				for i, r := range prows {
-					vals[i] = r[c].(float64)
-				}
-				cp.cols[c] = vals.Encode()
-				if len(vals) > 0 {
-					mn, mx := vals[0], vals[0]
-					for _, v := range vals[1:] {
-						if v < mn {
-							mn = v
-						}
-						if v > mx {
-							mx = v
-						}
-					}
-					cp.mins[c], cp.maxs[c] = mn, mx
-				}
+				cp.cols[c] = serde.FloatColumn(v.Floats).Encode()
+				cp.mins[c], cp.maxs[c] = zone(v.Floats)
 			case String:
-				vals := make(serde.StringColumn, len(prows))
-				for i, r := range prows {
-					vals[i] = r[c].(string)
-				}
-				cp.cols[c] = vals.Encode()
-				if len(vals) > 0 {
-					mn, mx := vals[0], vals[0]
-					for _, v := range vals[1:] {
-						if v < mn {
-							mn = v
-						}
-						if v > mx {
-							mx = v
-						}
-					}
-					cp.mins[c], cp.maxs[c] = mn, mx
-				}
+				cp.cols[c] = serde.StringColumn(v.Strings).Encode()
+				cp.mins[c], cp.maxs[c] = zone(v.Strings)
 			}
 		}
 		ct.parts[p] = cp
 	}
 	return ct, nil
+}
+
+// zone returns a chunk's zone-map entry: its least and greatest value, nil
+// for an empty chunk.
+func zone[T cmp.Ordered](vals []T) (least, greatest any) {
+	if len(vals) == 0 {
+		return nil, nil
+	}
+	mn, mx := vals[0], vals[0]
+	for _, v := range vals[1:] {
+		if v < mn {
+			mn = v
+		}
+		if v > mx {
+			mx = v
+		}
+	}
+	return mn, mx
 }
 
 // Schema returns the table's schema.
@@ -149,9 +120,10 @@ func (c *ColumnarTable) EncodedBytes() int64 {
 type ColPredicate struct {
 	// Col is the schema column index the predicate reads.
 	Col int
-	// Keep reports whether a value passes; it receives int64, float64
-	// or string per the column type. Required.
-	Keep func(v any) bool
+	// Keep reports whether a value passes: a func(int64) bool,
+	// func(float64) bool or func(string) bool, per the column's type, so
+	// evaluating it boxes nothing. Required.
+	Keep any
 	// SkipAll optionally reports, from the partition's zone map, that no
 	// value in [min, max] can pass — the whole partition is then pruned
 	// without decoding anything. Nil when the predicate has no usable
@@ -200,8 +172,17 @@ func (c *ColumnarTable) Scan(eng *core.Engine, preds []ColPredicate, needed []in
 		if p.Col < 0 || p.Col >= len(c.schema.Cols) {
 			return nil, fmt.Errorf("table: predicate column index %d out of range", p.Col)
 		}
-		if p.Keep == nil {
-			return nil, errors.New("table: ColPredicate.Keep is required")
+		ok := false
+		switch c.schema.Cols[p.Col].Type {
+		case Int64:
+			_, ok = p.Keep.(func(int64) bool)
+		case Float64:
+			_, ok = p.Keep.(func(float64) bool)
+		default:
+			_, ok = p.Keep.(func(string) bool)
+		}
+		if !ok {
+			return nil, fmt.Errorf("table: ColPredicate.Keep on %v column %d is a %T", c.schema.Cols[p.Col].Type, p.Col, p.Keep)
 		}
 	}
 	var (
@@ -216,48 +197,44 @@ func (c *ColumnarTable) Scan(eng *core.Engine, preds []ColPredicate, needed []in
 		bytesSkip = reg.Counter(CtrBytesSkipped)
 		predEval = reg.Counter(CtrPredEvals)
 	}
-	schema := c.schema
+	schema, outSchema := c.schema, Schema{Cols: outCols}
 	parts := c.parts
-	plan := eng.NewSource(len(parts), func(_ *core.TaskContext, part int) []core.Row {
+	return fromBatches(eng, outSchema, len(parts), func(part int) *Batch {
 		cp := parts[part]
+		out := &Batch{Cols: make([]Vector, len(needed))}
 		if cp.rows == 0 {
-			return nil
-		}
-		partBytes := func() int64 {
-			var n int64
-			for _, col := range cp.cols {
-				n += int64(len(col))
-			}
-			return n
+			return out
 		}
 		// Zone-map pruning: any pushed predicate proving the partition
 		// empty skips every chunk in it.
 		for _, p := range preds {
 			if p.SkipAll != nil && p.SkipAll(cp.mins[p.Col], cp.maxs[p.Col]) {
 				rowsPruned.Add(int64(cp.rows))
-				bytesSkip.Add(partBytes())
-				return nil
+				for _, col := range cp.cols {
+					bytesSkip.Add(int64(len(col)))
+				}
+				return out
 			}
 		}
 		rowsScanned.Add(int64(cp.rows))
 
-		// Filter pass over the predicate columns' encoded chunks.
+		// Filter pass over the predicate columns' encoded chunks; a nil sel
+		// selects every row.
 		touched := make([]bool, len(cp.cols))
 		var sel []bool
-		nSel := cp.rows
 		for _, p := range preds {
 			var (
 				psel []bool
 				st   serde.FilterStats
 				err  error
 			)
-			switch schema.Cols[p.Col].Type {
-			case Int64:
-				psel, st, err = serde.FilterIntColumn(cp.cols[p.Col], func(v int64) bool { return p.Keep(v) })
-			case Float64:
-				psel, st, err = serde.FilterFloatColumn(cp.cols[p.Col], func(v float64) bool { return p.Keep(v) })
-			case String:
-				psel, st, err = serde.FilterStringColumn(cp.cols[p.Col], func(v string) bool { return p.Keep(v) })
+			switch keep := p.Keep.(type) {
+			case func(int64) bool:
+				psel, st, err = serde.FilterIntColumn(cp.cols[p.Col], keep)
+			case func(float64) bool:
+				psel, st, err = serde.FilterFloatColumn(cp.cols[p.Col], keep)
+			case func(string) bool:
+				psel, st, err = serde.FilterStringColumn(cp.cols[p.Col], keep)
 			}
 			if err != nil {
 				panic(fmt.Sprintf("table: columnar filter: %v", err))
@@ -275,59 +252,40 @@ func (c *ColumnarTable) Scan(eng *core.Engine, preds []ColPredicate, needed []in
 				}
 			}
 		}
-		if sel == nil {
-			sel = make([]bool, cp.rows)
-			for i := range sel {
-				sel[i] = true
-			}
-		} else {
-			nSel = 0
+		out.n = cp.rows
+		if sel != nil {
+			out.n = 0
 			for _, s := range sel {
 				if s {
-					nSel++
+					out.n++
 				}
 			}
 		}
-		rowsOut.Add(int64(nSel))
+		rowsOut.Add(int64(out.n))
 
 		// Decode pass: only needed columns, only selected positions, each
-		// typed column written straight into its place in one slab that
-		// the output rows are cut from.
-		width := len(needed)
-		slab := make([]any, nSel*width)
+		// typed column straight into its vector.
 		for k, idx := range needed {
 			chunk := cp.cols[idx]
-			if nSel == 0 {
-				if !touched[idx] {
-					touched[idx] = true
-					bytesSkip.Add(int64(len(chunk)))
-				}
-				continue
-			}
 			if !touched[idx] {
 				touched[idx] = true
-				bytesDecoded.Add(int64(len(chunk)))
+				if out.n == 0 {
+					bytesSkip.Add(int64(len(chunk)))
+				} else {
+					bytesDecoded.Add(int64(len(chunk)))
+				}
 			}
-			var err error
+			if out.n == 0 {
+				continue
+			}
+			v, err := &out.Cols[k], error(nil)
 			switch schema.Cols[idx].Type {
 			case Int64:
-				var vs []int64
-				vs, err = serde.SelectIntColumn(chunk, sel)
-				for i, v := range vs {
-					slab[i*width+k] = v
-				}
+				v.Ints, err = serde.SelectIntColumn(chunk, sel)
 			case Float64:
-				var vs []float64
-				vs, err = serde.SelectFloatColumn(chunk, sel)
-				for i, v := range vs {
-					slab[i*width+k] = v
-				}
+				v.Floats, err = serde.SelectFloatColumn(chunk, sel)
 			case String:
-				var vs []string
-				vs, err = serde.SelectStringColumn(chunk, sel)
-				for i, v := range vs {
-					slab[i*width+k] = v
-				}
+				v.Strings, err = serde.SelectStringColumn(chunk, sel)
 			}
 			if err != nil {
 				panic(fmt.Sprintf("table: columnar decode: %v", err))
@@ -339,11 +297,6 @@ func (c *ColumnarTable) Scan(eng *core.Engine, preds []ColPredicate, needed []in
 				bytesSkip.Add(int64(len(col)))
 			}
 		}
-		out := make([]core.Row, nSel)
-		for i := range out {
-			out[i] = Row(slab[i*width : (i+1)*width : (i+1)*width])
-		}
 		return out
-	}, nil)
-	return &Table{eng: eng, plan: plan, schema: Schema{Cols: outCols}}, nil
+	}), nil
 }

@@ -5,6 +5,8 @@ package table
 // keys than partitions, broadcast joins, Head and Renamed.
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/metrics"
@@ -156,7 +158,7 @@ func TestBroadcastJoinMatchesHashJoin(t *testing.T) {
 	count := func(rows []Row) map[string]int {
 		m := map[string]int{}
 		for _, r := range rows {
-			m[string(appendRow(nil, h.Schema(), r))]++
+			m[fmt.Sprintf("%q", []any(r))]++
 		}
 		return m
 	}
@@ -297,7 +299,7 @@ func TestColumnarScanPushdown(t *testing.T) {
 	reg := metrics.NewRegistry()
 	pred := ColPredicate{
 		Col:  2,
-		Keep: func(v any) bool { return v.(int64) >= 5 },
+		Keep: func(v int64) bool { return v >= 5 },
 		SkipAll: func(min, max any) bool {
 			return max.(int64) < 5
 		},
@@ -353,7 +355,7 @@ func TestColumnarZonePruning(t *testing.T) {
 	reg := metrics.NewRegistry()
 	pred := ColPredicate{
 		Col:     0,
-		Keep:    func(v any) bool { return v.(int64) >= 3000 },
+		Keep:    func(v int64) bool { return v >= 3000 },
 		SkipAll: func(min, max any) bool { return max.(int64) < 3000 },
 	}
 	scan, err := ct.Scan(eng, []ColPredicate{pred}, []int{0, 1}, reg)
@@ -398,10 +400,109 @@ func TestColumnarEmptyAndBadArgs(t *testing.T) {
 	if _, err := ct.Scan(eng, nil, []int{99}, nil); err == nil {
 		t.Fatal("out-of-range needed column accepted")
 	}
-	if _, err := ct.Scan(eng, []ColPredicate{{Col: 99, Keep: func(any) bool { return true }}}, nil, nil); err == nil {
+	if _, err := ct.Scan(eng, []ColPredicate{{Col: 99, Keep: func(int64) bool { return true }}}, nil, nil); err == nil {
 		t.Fatal("out-of-range predicate column accepted")
 	}
 	if _, err := ct.Scan(eng, []ColPredicate{{Col: 0}}, nil, nil); err == nil {
 		t.Fatal("nil Keep accepted")
+	}
+	if _, err := ct.Scan(eng, []ColPredicate{{Col: 0, Keep: func(int64) bool { return true }}}, nil, nil); err == nil {
+		t.Fatal("int64 Keep on a string column accepted")
+	}
+}
+
+// batchCopy deep-copies the partitions' vectors.
+func batchCopy(parts []*Batch) [][]Vector {
+	out := make([][]Vector, len(parts))
+	for i, b := range parts {
+		for _, v := range b.Cols {
+			out[i] = append(out[i], Vector{
+				Ints:    append([]int64(nil), v.Ints...),
+				Floats:  append([]float64(nil), v.Floats...),
+				Strings: append([]string(nil), v.Strings...),
+			})
+		}
+	}
+	return out
+}
+
+// TestBatchesAreReadOnly runs plan A, then plan B, which reaches the same
+// source batches through header-only Select and Head, then A again: the
+// answers match and no operator has written into the shared vectors.
+func TestBatchesAreReadOnly(t *testing.T) {
+	eng := testEngine()
+	sales := mustTable(t, eng, salesSchema(), salesRows(400, 77), 4)
+	dims := mustTable(t, eng, Schema{Cols: []Col{
+		{Name: "region", Type: String}, {Name: "manager", Type: String},
+	}}, []Row{{"emea", "ada"}, {"apac", "grace"}, {"amer", "katherine"}}, 1)
+	source, err := sales.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := batchCopy(source)
+
+	planA := func() []Row {
+		joined, err := sales.Where(func(r Row) bool { return r[2].(int64) > 2 }).HashJoin(dims, "region", "region", 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg, err := joined.GroupBy("manager", "product").Agg(2, Agg{Op: Sum, Col: "price"}, Agg{Op: Max, Col: "units"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sorted, err := agg.OrderByCols([]string{"manager", "product"}, nil, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := sorted.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	first := planA()
+
+	proj, err := sales.Select("price", "region", "units")
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := proj.Head(60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := head.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, b := range shared { // header-only: the very memory of the source
+		if &b.Cols[0].Floats[0] != &source[p].Cols[3].Floats[0] || &b.Cols[1].Strings[0] != &source[p].Cols[0].Strings[0] || b.Len() != 60 {
+			t.Fatalf("partition %d: Select/Head copied their input", p)
+		}
+	}
+	doubled, err := head.WithColumn("double", Float64, func(r Row) any { return 2 * r[0].(float64) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	bj, err := doubled.Filter(func(_ *Batch, keep []bool) {
+		for i := range keep {
+			keep[i] = i%3 != 0
+		}
+	}).BroadcastJoin(dims, "region", "region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorted, err := bj.OrderByCols([]string{"double", "units"}, []bool{true, false}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := sorted.Collect(); err != nil || len(rows) != 4*40 {
+		t.Fatalf("plan B: %d rows, %v", len(rows), err)
+	}
+
+	if again := planA(); fmt.Sprintf("%q", again) != fmt.Sprintf("%q", first) {
+		t.Fatalf("plan A changed its answer after plan B ran:\n%q\n%q", first, again)
+	}
+	if after := batchCopy(source); !reflect.DeepEqual(after, before) {
+		t.Fatal("an operator wrote into the source's vectors")
 	}
 }

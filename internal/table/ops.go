@@ -16,60 +16,61 @@ import (
 // memory — the query optimizer picks it when table statistics say a
 // dimension is small.
 func (t *Table) BroadcastJoin(right *Table, leftCol, rightCol string) (*Table, error) {
-	li, err := t.schema.MustIndex(leftCol)
+	li, ri, err := joinCols(t.schema, right.schema, leftCol, rightCol)
 	if err != nil {
 		return nil, err
 	}
-	ri, err := right.schema.MustIndex(rightCol)
+	parts, err := right.run()
 	if err != nil {
 		return nil, err
 	}
-	if t.schema.Cols[li].Type != right.schema.Cols[ri].Type {
-		return nil, fmt.Errorf("table: join column types differ: %v vs %v",
-			t.schema.Cols[li].Type, right.schema.Cols[ri].Type)
-	}
-	outCols := append([]Col(nil), t.schema.Cols...)
-	for _, c := range right.schema.Cols {
-		name := c.Name
-		if (Schema{Cols: outCols}).Index(name) >= 0 {
-			name = "right_" + name
-		}
-		outCols = append(outCols, Col{Name: name, Type: c.Type})
-	}
-
-	buildRows, err := right.Collect()
-	if err != nil {
-		return nil, err
-	}
+	// The build side: the right partitions' vectors end to end, each row
+	// threaded onto its key's list in that order.
 	keyType := t.schema.Cols[li].Type
-	build := make(map[string][]Row, len(buildRows))
+	build := &buildSide{rows: newBatch(right.schema, 0)}
 	var size int64
 	var scratch []byte
-	for _, r := range buildRows {
-		k := string(appendEqualityKey(scratch[:0], keyType, r[ri]))
-		build[k] = append(build[k], r)
-		scratch = appendRow(scratch[:0], right.schema, r)
-		size += int64(len(scratch))
+	for _, b := range parts {
+		for k, v := range b.Cols {
+			dst := &build.rows.Cols[k]
+			dst.Ints, dst.Floats, dst.Strings = append(dst.Ints, v.Ints...), append(dst.Floats, v.Floats...), append(dst.Strings, v.Strings...)
+		}
+		build.rows.n += b.n
+		for i := 0; i < b.n; i++ {
+			scratch = appendEqualityKey(scratch[:0], keyType, &b.Cols[ri], i)
+			g := build.index.id(scratch)
+			if g == len(build.lists.head) {
+				build.lists.grow()
+			}
+			build.lists.add(g)
+			scratch = b.appendRow(scratch[:0], right.schema, i)
+			size += int64(len(scratch))
+		}
 	}
 	bcast := t.eng.Broadcast(build, size)
 
-	plan := t.eng.NewNarrow(t.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
-		m := bcast.Value().(map[string][]Row)
-		var out []core.Row
+	return t.derive(JoinSchema(t.schema, right.schema), func(_ *core.TaskContext, b *Batch) *Batch {
+		build := bcast.Value().(*buildSide)
+		lidx, ridx := make([]int32, 0, b.n), make([]int32, 0, b.n)
 		var key []byte
-		for _, r := range rows {
-			lrow := r.(Row)
-			key = appendEqualityKey(key[:0], keyType, lrow[li])
-			for _, rrow := range m[string(key)] {
-				joined := make(Row, 0, len(lrow)+len(rrow))
-				joined = append(joined, lrow...)
-				joined = append(joined, rrow...)
-				out = append(out, joined)
+		for i := 0; i < b.n; i++ {
+			key = appendEqualityKey(key[:0], keyType, &b.Cols[li], i)
+			if g, ok := build.index.ids[string(key)]; ok {
+				for r := build.lists.head[g]; r >= 0; r = build.lists.next[r] {
+					lidx, ridx = append(lidx, int32(i)), append(ridx, r)
+				}
 			}
 		}
-		return out
-	})
-	return &Table{eng: t.eng, plan: plan, schema: Schema{Cols: outCols}}, nil
+		return &Batch{n: len(lidx), Cols: append(b.gather(lidx), build.rows.gather(ridx)...)}
+	}), nil
+}
+
+// buildSide is what a BroadcastJoin replicates: the right rows, the group
+// number of each join key, and each group's rows.
+type buildSide struct {
+	rows  *Batch
+	index keyIndex
+	lists chains
 }
 
 // OrderByCols globally sorts by the named columns in order: cols[0] is
@@ -100,20 +101,20 @@ func (t *Table) OrderByCols(cols []string, desc []bool, parts int) (*Table, erro
 		parts = t.Partitions()
 	}
 	schema := t.schema
-	keyOf := func(r Row) []byte {
-		var out []byte
+	appendKey := func(dst []byte, b *Batch, i int) []byte {
 		for k, j := range idx {
-			out = appendSortableKey(out, schema.Cols[j].Type, r[j], desc[k])
+			dst = appendSortableKey(dst, schema.Cols[j].Type, &b.Cols[j], i, desc[k])
 		}
-		return out
+		return dst
 	}
 
 	// Sampling job for range split points.
 	sample := t.eng.NewNarrow(t.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
-		stride := len(rows)/32 + 1
+		b := batchOf(schema, rows)
+		stride := b.n/32 + 1
 		var out []core.Row
-		for i := 0; i < len(rows); i += stride {
-			out = append(out, keyOf(rows[i].(Row)))
+		for i := 0; i < b.n; i += stride {
+			out = append(out, appendKey(nil, b, i))
 		}
 		return out
 	})
@@ -127,22 +128,25 @@ func (t *Table) OrderByCols(cols []string, desc []bool, parts int) (*Table, erro
 	}
 	rp := shuffle.NewRangePartitioner(pickSplits(keys, parts))
 
-	plan := t.eng.NewShuffled(t.plan, core.ShuffleDep{
+	records := t.eng.NewNarrow(t.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
+		b := batchOf(schema, rows)
+		return cutRecords(b.n, func(dst []byte, i int) []byte { return appendKey(dst, b, i) },
+			func(dst []byte, i int) []byte { return b.appendRow(dst, schema, i) })
+	})
+	plan := t.eng.NewShuffled(records, core.ShuffleDep{
 		Partitions:  rp.Partitions(),
 		Partitioner: rp.Partition,
 		Sorted:      true,
-		KeyOf:       func(r core.Row) []byte { return keyOf(r.(Row)) },
-		ValueOf:     func(r core.Row) []byte { return appendRow(nil, schema, r.(Row)) },
+		KeyOf:       recordKey,
+		ValueOf:     recordValue,
 		Post: func(_ *core.TaskContext, recs []shuffle.Record) []core.Row {
-			out := make([]core.Row, len(recs))
-			for i, rec := range recs {
-				row, err := decodeRow(schema, rec.Value)
-				if err != nil {
+			out := newBatch(schema, len(recs))
+			for _, rec := range recs {
+				if err := out.decodeRow(schema, rec.Value); err != nil {
 					panic(fmt.Sprintf("table: orderby decode: %v", err))
 				}
-				out[i] = row
 			}
-			return out
+			return []core.Row{out}
 		},
 	})
 	return &Table{eng: t.eng, plan: plan, schema: schema}, nil
@@ -151,18 +155,21 @@ func (t *Table) OrderByCols(cols []string, desc []bool, parts int) (*Table, erro
 // Head keeps at most n rows per partition (the partition-local half of
 // LIMIT: after an OrderByCols, partition k's first n rows are the only
 // candidates for the global first n, so the driver truncates the
-// concatenation).
+// concatenation). The output's vectors are prefixes of the input's.
 func (t *Table) Head(n int) (*Table, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("table: Head(%d)", n)
 	}
-	plan := t.eng.NewNarrow(t.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
-		if len(rows) > n {
-			rows = rows[:n]
+	return t.derive(t.schema, func(_ *core.TaskContext, b *Batch) *Batch {
+		if b.n <= n {
+			return b
 		}
-		return rows
-	})
-	return &Table{eng: t.eng, plan: plan, schema: t.schema}, nil
+		out := &Batch{n: n, Cols: make([]Vector, len(b.Cols))}
+		for k, v := range b.Cols {
+			out.Cols[k] = v.head(n)
+		}
+		return out
+	}), nil
 }
 
 // Renamed returns the same relation with columns renamed per mapping

@@ -4,17 +4,16 @@
 // BY via range-partitioned sort — the SQL-shaped workloads (reporting,
 // sessionization, star joins) that big-data engines exist to serve.
 // Operations are lazy plans on the engine; Collect/Count execute them
-// with the engine's locality scheduling and fault tolerance.
+// with the engine's locality scheduling and fault tolerance. Between
+// operators a partition is one typed column Batch, never boxed rows.
 package table
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/core"
-	"repro/internal/serde"
 	"repro/internal/shuffle"
 )
 
@@ -77,11 +76,11 @@ func (s Schema) Names() []string {
 	return out
 }
 
-// Row is one record: values in schema order. Int64 columns hold int64,
-// Float64 columns float64, String columns string.
+// Row is one record as callers see it: values in schema order. Int64
+// columns hold int64, Float64 columns float64, String columns string.
 type Row []any
 
-// Table is a lazily evaluated relation.
+// Table is a lazily evaluated relation: a plan of one *Batch per partition.
 type Table struct {
 	eng    *core.Engine
 	plan   *core.Plan
@@ -100,26 +99,41 @@ func (s Schema) validate(r Row) error {
 		return fmt.Errorf("table: row has %d values, schema has %d columns", len(r), len(s.Cols))
 	}
 	for i, c := range s.Cols {
+		ok := false
 		switch c.Type {
 		case Int64:
-			if _, ok := r[i].(int64); !ok {
-				return fmt.Errorf("table: column %q wants int64, got %T", c.Name, r[i])
-			}
+			_, ok = r[i].(int64)
 		case Float64:
-			if _, ok := r[i].(float64); !ok {
-				return fmt.Errorf("table: column %q wants float64, got %T", c.Name, r[i])
-			}
+			_, ok = r[i].(float64)
 		case String:
-			if _, ok := r[i].(string); !ok {
-				return fmt.Errorf("table: column %q wants string, got %T", c.Name, r[i])
-			}
+			_, ok = r[i].(string)
+		}
+		if !ok {
+			return fmt.Errorf("table: column %q wants %v, got %T", c.Name, c.Type, r[i])
 		}
 	}
 	return nil
 }
 
+// derive adds a narrow step that maps each partition's batch through fn.
+func (t *Table) derive(schema Schema, fn func(ctx *core.TaskContext, b *Batch) *Batch) *Table {
+	in := t.schema
+	plan := t.eng.NewNarrow(t.plan, func(ctx *core.TaskContext, rows []core.Row) []core.Row {
+		return []core.Row{fn(ctx, batchOf(in, rows))}
+	})
+	return &Table{eng: t.eng, plan: plan, schema: schema}
+}
+
+// fromBatches builds a table over a source of one batch per partition.
+func fromBatches(eng *core.Engine, schema Schema, parts int, fn func(part int) *Batch) *Table {
+	plan := eng.NewSource(parts, func(_ *core.TaskContext, part int) []core.Row {
+		return []core.Row{fn(part)}
+	}, nil)
+	return &Table{eng: eng, plan: plan, schema: schema}
+}
+
 // FromSlice builds a table from in-memory rows, validating each against
-// the schema.
+// the schema. The rows are unboxed into the partitions' batches once, here.
 func FromSlice(eng *core.Engine, schema Schema, rows []Row, parts int) (*Table, error) {
 	if len(schema.Cols) == 0 {
 		return nil, errors.New("table: empty schema")
@@ -132,20 +146,16 @@ func FromSlice(eng *core.Engine, schema Schema, rows []Row, parts int) (*Table, 
 			return nil, fmt.Errorf("row %d: %w", i, err)
 		}
 	}
-	owned := append([]Row(nil), rows...)
-	plan := eng.NewSource(parts, func(_ *core.TaskContext, part int) []core.Row {
-		var out []core.Row
-		for i := part; i < len(owned); i += parts {
-			out = append(out, owned[i])
-		}
-		return out
-	}, nil)
-	return &Table{eng: eng, plan: plan, schema: schema}, nil
+	batches := make([]*Batch, parts)
+	for part := range batches {
+		batches[part] = batchFromRows(schema, rows, part, parts)
+	}
+	return fromBatches(eng, schema, parts, func(part int) *Batch { return batches[part] }), nil
 }
 
 // FromSource builds a table whose partitions are generated on demand (fn
-// must be deterministic per partition for lineage recovery). Rows are not
-// validated; the generator is trusted.
+// must be deterministic per partition for lineage recovery). The generator
+// is trusted: a value of the wrong type panics in the task that unboxes it.
 func FromSource(eng *core.Engine, schema Schema, parts int, fn func(part int) []Row) (*Table, error) {
 	if len(schema.Cols) == 0 {
 		return nil, errors.New("table: empty schema")
@@ -153,34 +163,57 @@ func FromSource(eng *core.Engine, schema Schema, parts int, fn func(part int) []
 	if parts <= 0 {
 		return nil, errors.New("table: parts must be positive")
 	}
-	plan := eng.NewSource(parts, func(_ *core.TaskContext, part int) []core.Row {
-		rows := fn(part)
-		out := make([]core.Row, len(rows))
-		for i, r := range rows {
-			out[i] = r
-		}
-		return out
-	}, nil)
-	return &Table{eng: eng, plan: plan, schema: schema}, nil
+	return fromBatches(eng, schema, parts, func(part int) *Batch { return batchFromRows(schema, fn(part), 0, 1) }), nil
 }
 
-// Collect executes the plan and returns all rows.
-func (t *Table) Collect() ([]Row, error) {
-	raw, err := t.eng.Collect(t.plan)
+// run executes the plan and returns each partition's batch.
+func (t *Table) run() ([]*Batch, error) {
+	parts, err := t.eng.Run(t.plan)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Row, len(raw))
-	for i, r := range raw {
-		out[i] = r.(Row)
+	out := make([]*Batch, len(parts))
+	for i, rows := range parts {
+		out[i] = batchOf(t.schema, rows)
+	}
+	return out, nil
+}
+
+// Collect executes the plan and returns all rows. This is where values are
+// boxed: each partition's rows are cut from one []any slab.
+func (t *Table) Collect() ([]Row, error) {
+	batches, err := t.run()
+	if err != nil {
+		return nil, err
+	}
+	total, width := 0, len(t.schema.Cols)
+	for _, b := range batches {
+		total += b.n
+	}
+	out := make([]Row, 0, total)
+	for _, b := range batches {
+		slab := make([]any, b.n*width)
+		for i := 0; i < b.n; i++ {
+			row := Row(slab[i*width : (i+1)*width : (i+1)*width])
+			b.readRow(t.schema, i, row)
+			out = append(out, row)
+		}
 	}
 	return out, nil
 }
 
 // Count executes the plan and returns the row count.
-func (t *Table) Count() (int64, error) { return t.eng.Count(t.plan) }
+func (t *Table) Count() (int64, error) {
+	batches, err := t.run()
+	var n int64
+	for _, b := range batches {
+		n += int64(b.n)
+	}
+	return n, err
+}
 
-// Select projects the named columns, in the given order.
+// Select projects the named columns, in the given order. Only the batch
+// header is new: the output shares its input's vectors.
 func (t *Table) Select(names ...string) (*Table, error) {
 	idx := make([]int, len(names))
 	cols := make([]Col, len(names))
@@ -192,298 +225,213 @@ func (t *Table) Select(names ...string) (*Table, error) {
 		idx[i] = j
 		cols[i] = t.schema.Cols[j]
 	}
-	plan := t.eng.NewNarrow(t.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
-		out := make([]core.Row, len(rows))
-		for i, r := range rows {
-			row := r.(Row)
-			proj := make(Row, len(idx))
-			for k, j := range idx {
-				proj[k] = row[j]
-			}
-			out[i] = proj
+	return t.derive(Schema{Cols: cols}, func(_ *core.TaskContext, b *Batch) *Batch {
+		out := &Batch{n: b.n, Cols: make([]Vector, len(idx))}
+		for k, j := range idx {
+			out.Cols[k] = b.Cols[j]
 		}
 		return out
-	})
-	return &Table{eng: t.eng, plan: plan, schema: Schema{Cols: cols}}, nil
+	}), nil
 }
 
-// Where keeps rows for which pred returns true.
+// Filter is the one filtering operator: sel sets keep[i] for every row i it
+// wants of the batch it is handed (keep arrives all false). Where and the
+// query layer's vectorized predicates are two ways to produce a selection.
+// A batch that keeps every row is passed on as it is, otherwise the kept
+// positions are gathered into new vectors.
+func (t *Table) Filter(sel func(b *Batch, keep []bool)) *Table {
+	return t.derive(t.schema, func(_ *core.TaskContext, b *Batch) *Batch {
+		keep := make([]bool, b.n)
+		sel(b, keep)
+		idx := make([]int32, 0, b.n)
+		for i, k := range keep {
+			if k {
+				idx = append(idx, int32(i))
+			}
+		}
+		if len(idx) == b.n {
+			return b
+		}
+		return &Batch{n: len(idx), Cols: b.gather(idx)}
+	})
+}
+
+// Where keeps rows for which pred returns true. pred sees each row through
+// one scratch Row that is overwritten for the next: boxing a row's values
+// is the adapter's cost, one allocation per float, string or large int.
 func (t *Table) Where(pred func(Row) bool) *Table {
-	plan := t.eng.NewNarrow(t.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
-		var out []core.Row
-		for _, r := range rows {
-			if pred(r.(Row)) {
-				out = append(out, r)
-			}
+	schema := t.schema
+	return t.Filter(func(b *Batch, keep []bool) {
+		row := make(Row, len(schema.Cols))
+		for i := range keep {
+			b.readRow(schema, i, row)
+			keep[i] = pred(row)
 		}
-		return out
 	})
-	return &Table{eng: t.eng, plan: plan, schema: t.schema}
 }
 
-// Peek reports each computed partition's row count to f and passes the
-// rows through untouched. f runs on the workers, once per partition per
-// computation.
-func (t *Table) Peek(f func(rows int)) *Table {
-	plan := t.eng.NewNarrow(t.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
-		f(len(rows))
-		return rows
+// Peek reports each computed partition's index and row count to f and
+// passes the batch through untouched. f runs on the workers, once per
+// partition per computation.
+func (t *Table) Peek(f func(part, rows int)) *Table {
+	return t.derive(t.schema, func(ctx *core.TaskContext, b *Batch) *Batch {
+		f(ctx.Partition, b.n)
+		return b
 	})
-	return &Table{eng: t.eng, plan: plan, schema: t.schema}
 }
 
-// WithColumn appends a derived column computed by f from each row.
+// WithColumn appends a derived column computed by f from each row, which f
+// sees through a scratch Row like Where's pred.
 func (t *Table) WithColumn(name string, typ Type, f func(Row) any) (*Table, error) {
 	if t.schema.Index(name) >= 0 {
 		return nil, fmt.Errorf("table: column %q already exists", name)
 	}
-	schema := Schema{Cols: append(append([]Col(nil), t.schema.Cols...), Col{Name: name, Type: typ})}
-	plan := t.eng.NewNarrow(t.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
-		out := make([]core.Row, len(rows))
-		for i, r := range rows {
-			row := r.(Row)
-			next := make(Row, len(row)+1)
-			copy(next, row)
-			next[len(row)] = f(row)
-			out[i] = next
+	in := t.schema
+	schema := Schema{Cols: append(in.Cols[:len(in.Cols):len(in.Cols)], Col{Name: name, Type: typ})}
+	return t.derive(schema, func(_ *core.TaskContext, b *Batch) *Batch {
+		row, derived := make(Row, len(in.Cols)), newVector(typ, b.n)
+		for i := 0; i < b.n; i++ {
+			b.readRow(in, i, row)
+			derived.push(typ, f(row))
 		}
-		return out
-	})
-	return &Table{eng: t.eng, plan: plan, schema: schema}, nil
+		return &Batch{n: b.n, Cols: append(b.Cols[:len(b.Cols):len(b.Cols)], derived)}
+	}), nil
 }
-
-// ---------------------------------------------------------------------------
-// Row and key encodings
-
-// appendRow serializes a row against its schema: Int64 as a zig-zag
-// varint, Float64 as the 8 fixed bytes of its bits, String as a varint
-// length followed by the bytes.
-func appendRow(dst []byte, s Schema, r Row) []byte {
-	for i, c := range s.Cols {
-		switch c.Type {
-		case Int64:
-			dst = serde.AppendInt64(dst, r[i].(int64))
-		case Float64:
-			dst = serde.AppendUint64(dst, math.Float64bits(r[i].(float64)))
-		case String:
-			str := r[i].(string)
-			dst = append(serde.AppendInt64(dst, int64(len(str))), str...)
-		}
-	}
-	return dst
-}
-
-// decodeRow inverts appendRow.
-func decodeRow(s Schema, b []byte) (Row, error) {
-	out := make(Row, len(s.Cols))
-	for i, c := range s.Cols {
-		var err error
-		switch c.Type {
-		case Int64:
-			out[i], b, err = readInt(b)
-		case Float64:
-			out[i], b, err = readFloat(b)
-		case String:
-			out[i], b, err = readString(b)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// readInt, readFloat and readString take one appendRow-encoded value off
-// the front of b.
-func readInt(b []byte) (int64, []byte, error) {
-	v, n, err := serde.Int64(b)
-	if err != nil {
-		return 0, nil, err
-	}
-	return v, b[n:], nil
-}
-
-func readFloat(b []byte) (float64, []byte, error) {
-	u, err := serde.Uint64(b)
-	if err != nil {
-		return 0, nil, err
-	}
-	return math.Float64frombits(u), b[8:], nil
-}
-
-func readString(b []byte) (string, []byte, error) {
-	l, b, err := readInt(b)
-	if err != nil || l < 0 || int64(len(b)) < l {
-		return "", nil, serde.ErrCorrupt
-	}
-	return string(b[:l]), b[l:], nil
-}
-
-// appendSortableKey appends one column value's order-preserving,
-// self-delimiting encoding (serde's Sortable*Key forms; bytes inverted
-// when desc).
-func appendSortableKey(dst []byte, typ Type, v any, desc bool) []byte {
-	start := len(dst)
-	switch typ {
-	case Int64:
-		dst = append(dst, serde.SortableInt64Key(v.(int64))...)
-	case Float64:
-		dst = append(dst, serde.SortableFloat64Key(v.(float64))...)
-	default:
-		// serde.SortableStringKey, written in place: 0x00 escaped as
-		// 0x00 0xFF, terminated by 0x00 0x01.
-		for s, i := v.(string), 0; i < len(s); i++ {
-			if s[i] == 0x00 {
-				dst = append(dst, 0x00, 0xFF)
-			} else {
-				dst = append(dst, s[i])
-			}
-		}
-		dst = append(dst, 0x00, 0x01)
-	}
-	if desc {
-		for i := start; i < len(dst); i++ {
-			dst[i] = ^dst[i]
-		}
-	}
-	return dst
-}
-
-// appendEqualityKey appends one column value's encoding for equality
-// grouping (compact, need not preserve order).
-func appendEqualityKey(dst []byte, typ Type, v any) []byte {
-	switch typ {
-	case Int64:
-		return serde.AppendInt64(dst, v.(int64))
-	case Float64:
-		return serde.AppendUint64(dst, math.Float64bits(v.(float64)))
-	default:
-		return append(dst, v.(string)...)
-	}
-}
-
-// appendCompositeKey concatenates the sortable keys of the given column
-// indexes: the encodings are self-delimiting (fixed width or terminated),
-// so the concatenation is unambiguous and ordered.
-func appendCompositeKey(dst []byte, s Schema, idx []int, r Row) []byte {
-	for _, i := range idx {
-		dst = appendSortableKey(dst, s.Cols[i].Type, r[i], false)
-	}
-	return dst
-}
-
-// sliceRecords cuts buf, which holds key‖value for one record after the
-// other with ends listing where each key and each value stops, into
-// shuffle records; the rows point into one slab of them. recordKey and
-// recordValue are the ShuffleDep accessors for such rows.
-func sliceRecords(buf []byte, ends []int) []core.Row {
-	recs := make([]shuffle.Record, len(ends)/2)
-	out := make([]core.Row, len(recs))
-	off := 0
-	for i := range recs {
-		k, v := ends[2*i], ends[2*i+1]
-		recs[i] = shuffle.Record{Key: buf[off:k:k], Value: buf[k:v:v]}
-		out[i] = &recs[i]
-		off = v
-	}
-	return out
-}
-
-func recordKey(r core.Row) []byte   { return r.(*shuffle.Record).Key }
-func recordValue(r core.Row) []byte { return r.(*shuffle.Record).Value }
 
 // ---------------------------------------------------------------------------
 // Join
+
+// JoinSchema is the output schema of both joins: the left columns followed
+// by the right columns; name collisions on the right gain a "right_" prefix.
+func JoinSchema(left, right Schema) Schema {
+	cols := append([]Col(nil), left.Cols...)
+	for _, c := range right.Cols {
+		name := c.Name
+		if (Schema{Cols: cols}).Index(name) >= 0 {
+			name = "right_" + name
+		}
+		cols = append(cols, Col{Name: name, Type: c.Type})
+	}
+	return Schema{Cols: cols}
+}
+
+// joinCols resolves and type-checks the join columns of both joins.
+func joinCols(left, right Schema, leftCol, rightCol string) (li, ri int, err error) {
+	if li, err = left.MustIndex(leftCol); err != nil {
+		return 0, 0, err
+	}
+	if ri, err = right.MustIndex(rightCol); err != nil {
+		return 0, 0, err
+	}
+	if left.Cols[li].Type != right.Cols[ri].Type {
+		return 0, 0, fmt.Errorf("table: join column types differ: %v vs %v", left.Cols[li].Type, right.Cols[ri].Type)
+	}
+	return li, ri, nil
+}
+
+// chains threads the rows of one join side onto per-group lists without a
+// slice per group: head and tail are each group's first and last row (-1
+// for none), next links a row to the following row of its group.
+type chains struct{ head, tail, next []int32 }
+
+// grow adds an empty group, numbered len(head).
+func (c *chains) grow() { c.head, c.tail = append(c.head, -1), append(c.tail, -1) }
+
+// add appends the side's next row — rows are numbered in the order they
+// are added — to group g's list.
+func (c *chains) add(g int) {
+	row := int32(len(c.next))
+	c.next = append(c.next, -1)
+	if c.head[g] < 0 {
+		c.head[g] = row
+	} else {
+		c.next[c.tail[g]] = row
+	}
+	c.tail[g] = row
+}
+
+// size returns the number of rows on group g's list.
+func (c *chains) size(g int) (n int) {
+	for r := c.head[g]; r >= 0; r = c.next[r] {
+		n++
+	}
+	return n
+}
 
 // HashJoin inner-joins t with right on t.leftCol == right.rightCol. The
 // result schema is t's columns followed by right's columns; name
 // collisions on the right gain a "right_" prefix.
 func (t *Table) HashJoin(right *Table, leftCol, rightCol string, parts int) (*Table, error) {
-	li, err := t.schema.MustIndex(leftCol)
+	li, ri, err := joinCols(t.schema, right.schema, leftCol, rightCol)
 	if err != nil {
 		return nil, err
-	}
-	ri, err := right.schema.MustIndex(rightCol)
-	if err != nil {
-		return nil, err
-	}
-	if t.schema.Cols[li].Type != right.schema.Cols[ri].Type {
-		return nil, fmt.Errorf("table: join column types differ: %v vs %v",
-			t.schema.Cols[li].Type, right.schema.Cols[ri].Type)
 	}
 	if parts <= 0 {
 		parts = t.Partitions()
 	}
-	outCols := append([]Col(nil), t.schema.Cols...)
-	for _, c := range right.schema.Cols {
-		name := c.Name
-		if (Schema{Cols: outCols}).Index(name) >= 0 {
-			name = "right_" + name
-		}
-		outCols = append(outCols, Col{Name: name, Type: c.Type})
-	}
-	outSchema := Schema{Cols: outCols}
-
 	leftSchema, rightSchema := t.schema, right.schema
 	// Each side's rows become records: equality key, then 'L' or 'R' and
 	// the encoded row.
-	tagged := func(plan *core.Plan, schema Schema, keyCol int, tag byte) *core.Plan {
+	tagged := func(side *Table, keyCol int, tag byte) *core.Plan {
+		schema := side.schema
 		keyType := schema.Cols[keyCol].Type
-		return t.eng.NewNarrow(plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
-			var buf []byte
-			ends := make([]int, 0, 2*len(rows))
-			for _, r := range rows {
-				buf = appendEqualityKey(buf, keyType, r.(Row)[keyCol])
-				ends = append(ends, len(buf))
-				buf = appendRow(append(buf, tag), schema, r.(Row))
-				ends = append(ends, len(buf))
-			}
-			return sliceRecords(buf, ends)
+		return t.eng.NewNarrow(side.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
+			b := batchOf(schema, rows)
+			return cutRecords(b.n, func(dst []byte, i int) []byte {
+				return appendEqualityKey(dst, keyType, &b.Cols[keyCol], i)
+			}, func(dst []byte, i int) []byte {
+				return b.appendRow(append(dst, tag), schema, i)
+			})
 		})
 	}
-	both := t.eng.NewUnion(tagged(t.plan, leftSchema, li, 'L'), tagged(right.plan, rightSchema, ri, 'R'))
+	both := t.eng.NewUnion(tagged(t, li, 'L'), tagged(right, ri, 'R'))
 	plan := t.eng.NewShuffled(both, core.ShuffleDep{
 		Partitions: parts,
 		KeyOf:      recordKey,
 		ValueOf:    recordValue,
 		Post: func(_ *core.TaskContext, recs []shuffle.Record) []core.Row {
-			// Decode every row once into its key's bucket; buckets keep the
-			// order their keys arrived in.
-			type bucket struct{ lefts, rights []Row }
-			index := map[string]int{}
-			var groups []bucket
+			// Decode every row once into its side's builder and thread it
+			// onto its key's list; keys keep the order they arrived in.
+			nl := 0
 			for _, rec := range recs {
-				g, ok := index[string(rec.Key)]
-				if !ok {
-					g = len(groups)
-					index[string(rec.Key)] = g
-					groups = append(groups, bucket{})
-				}
-				schema, side := rightSchema, &groups[g].rights
 				if rec.Value[0] == 'L' {
-					schema, side = leftSchema, &groups[g].lefts
+					nl++
 				}
-				row, err := decodeRow(schema, rec.Value[1:])
-				if err != nil {
+			}
+			lefts, rights := newBatch(leftSchema, nl), newBatch(rightSchema, len(recs)-nl)
+			var lrows, rrows chains
+			var index keyIndex
+			for _, rec := range recs {
+				g := index.id(rec.Key)
+				if g == len(lrows.head) {
+					lrows.grow()
+					rrows.grow()
+				}
+				side, schema, rows := rights, rightSchema, &rrows
+				if rec.Value[0] == 'L' {
+					side, schema, rows = lefts, leftSchema, &lrows
+				}
+				rows.add(g)
+				if err := side.decodeRow(schema, rec.Value[1:]); err != nil {
 					panic(fmt.Sprintf("table: join decode: %v", err))
 				}
-				*side = append(*side, row)
 			}
-			var out []core.Row
-			for _, g := range groups {
-				for _, lrow := range g.lefts {
-					for _, rrow := range g.rights {
-						joined := make(Row, 0, len(lrow)+len(rrow))
-						joined = append(joined, lrow...)
-						joined = append(joined, rrow...)
-						out = append(out, joined)
+			total := 0
+			for g := range index.keys {
+				total += lrows.size(g) * rrows.size(g)
+			}
+			lidx, ridx := make([]int32, 0, total), make([]int32, 0, total)
+			for g := range index.keys {
+				for l := lrows.head[g]; l >= 0; l = lrows.next[l] {
+					for r := rrows.head[g]; r >= 0; r = rrows.next[r] {
+						lidx, ridx = append(lidx, l), append(ridx, r)
 					}
 				}
 			}
-			return out
+			return []core.Row{&Batch{n: len(lidx), Cols: append(lefts.gather(lidx), rights.gather(ridx)...)}}
 		},
 	})
-	return &Table{eng: t.eng, plan: plan, schema: outSchema}, nil
+	return &Table{eng: t.eng, plan: plan, schema: JoinSchema(leftSchema, rightSchema)}, nil
 }
 
 // ---------------------------------------------------------------------------

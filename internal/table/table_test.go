@@ -325,15 +325,13 @@ func TestOrderByAscDesc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts, err := res.eng.Run(res.plan)
+		parts, err := res.run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		var prices []float64
 		for _, part := range parts {
-			for _, r := range part {
-				prices = append(prices, r.(Row)[3].(float64))
-			}
+			prices = append(prices, part.Cols[3].Floats...)
 		}
 		if len(prices) != 400 {
 			t.Fatalf("ordered %d rows", len(prices))
@@ -375,11 +373,12 @@ func TestRowCodecRoundTrip(t *testing.T) {
 		if math.IsNaN(price) {
 			return true
 		}
-		row := Row{region, product, units, price}
-		got, err := decodeRow(schema, appendRow(nil, schema, row))
-		if err != nil {
+		b := batchFromRows(schema, []Row{{region, product, units, price}}, 0, 1)
+		if err := b.decodeRow(schema, b.appendRow(nil, schema, 0)); err != nil {
 			return false
 		}
+		got := make(Row, 4)
+		b.readRow(schema, 1, got)
 		return got[0] == region && got[1] == product && got[2] == units && got[3] == price
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -497,7 +496,7 @@ func BenchmarkColumnarScan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	preds := []ColPredicate{{Col: 2, Keep: func(v any) bool { return v.(int64) > 3 }}}
+	preds := []ColPredicate{{Col: 2, Keep: func(v int64) bool { return v > 3 }}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

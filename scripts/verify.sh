@@ -50,6 +50,16 @@ echo "== shared log views (race, count=3) + allocation ceilings =="
 go test -race -count=3 -run 'Survives|TestHandedOut|TestDrainedMailbox|TestAppliedSequences' ./internal/consensus/
 go test -count=1 -run 'AllocCeiling' ./internal/ha ./internal/kvstore
 
+echo "== table/query batches: identity pins + allocation ceilings =="
+# The pins hold wire bytes, counters, split points and row order to what
+# the row-at-a-time operators produced; the ceilings (no -race: it changes
+# allocation counts) keep per-row boxing from coming back.
+go test -count=1 -run 'Identity|TestBatchesAreReadOnly|TestVectorizedFilter|TestActualsCount' ./internal/table ./internal/query
+go test -count=1 -run 'AllocCeiling|AllocBudget' ./internal/table
+
+echo "== histogram quantiles under concurrent writers (count=200) =="
+go test -count=200 -run 'TestQuantileMonotonic' ./internal/metrics/
+
 echo "== parameter-server loss curve (count=20) =="
 # One point per global round, whatever the wall clock did.
 go test -count=20 -run 'TestLossCurveDecreases' ./internal/ml/
