@@ -1,6 +1,9 @@
 package hpbdc
 
 import (
+	"encoding/binary"
+	"math"
+
 	"repro/internal/serde"
 )
 
@@ -12,18 +15,43 @@ import (
 type Codec[T any] struct {
 	Encode func(T) []byte
 	Decode func([]byte) T
+	// Append, optional, appends v's encoding — the bytes Encode returns —
+	// to dst. Shuffles encode through it into one reused buffer; a codec
+	// without it pays Encode's allocation for every value.
+	Append func(dst []byte, v T) []byte
+	// decodeIn, set by codecs whose values can share memory, is Decode
+	// with the result cut from arena instead of allocated.
+	decodeIn func(arena *serde.Arena, b []byte) T
 }
 
-// StringCodec encodes strings as raw bytes (order-preserving).
+// forShuffle fills in what a shuffle calls and the codec left out, so the
+// operators have one encode path (Append) and one decode path (decodeIn).
+func (c Codec[T]) forShuffle() Codec[T] {
+	if c.Append == nil {
+		c.Append = func(dst []byte, v T) []byte { return append(dst, c.Encode(v)...) }
+	}
+	if c.decodeIn == nil {
+		c.decodeIn = func(_ *serde.Arena, b []byte) T { return c.Decode(b) }
+	}
+	return c
+}
+
+// StringCodec encodes strings as raw bytes (order-preserving). The strings
+// a shuffle decodes are cut from one arena per reduce partition, so
+// keeping one of them keeps its whole partition's strings in memory; clone
+// a string that is to outlive its partition.
 var StringCodec = Codec[string]{
-	Encode: func(s string) []byte { return []byte(s) },
-	Decode: func(b []byte) string { return string(b) },
+	Encode:   func(s string) []byte { return []byte(s) },
+	Decode:   func(b []byte) string { return string(b) },
+	Append:   func(dst []byte, s string) []byte { return append(dst, s...) },
+	decodeIn: (*serde.Arena).String,
 }
 
 // BytesCodec passes byte slices through (order-preserving).
 var BytesCodec = Codec[[]byte]{
 	Encode: func(b []byte) []byte { return b },
 	Decode: func(b []byte) []byte { return append([]byte(nil), b...) },
+	Append: func(dst []byte, b []byte) []byte { return append(dst, b...) },
 }
 
 // Int64Codec encodes int64 as zigzag varints (compact, NOT
@@ -37,12 +65,14 @@ var Int64Codec = Codec[int64]{
 		}
 		return v
 	},
+	Append: serde.AppendInt64,
 }
 
 // IntCodec encodes int via Int64Codec.
 var IntCodec = Codec[int]{
 	Encode: func(v int) []byte { return serde.EncodeInt64(int64(v)) },
 	Decode: func(b []byte) int { return int(Int64Codec.Decode(b)) },
+	Append: func(dst []byte, v int) []byte { return serde.AppendInt64(dst, int64(v)) },
 }
 
 // Float64Codec encodes float64 as fixed 8 bytes (not order-preserving).
@@ -55,6 +85,7 @@ var Float64Codec = Codec[float64]{
 		}
 		return v
 	},
+	Append: func(dst []byte, v float64) []byte { return serde.AppendUint64(dst, math.Float64bits(v)) },
 }
 
 // Uint64SortableCodec encodes uint64 big-endian so byte order equals
@@ -68,4 +99,5 @@ var Uint64SortableCodec = Codec[uint64]{
 		}
 		return v
 	},
+	Append: binary.BigEndian.AppendUint64,
 }

@@ -121,7 +121,7 @@ func MapPartitions[T, U any](d *Dataset[T], f func(part int, rows []T) []U) *Dat
 }
 
 // narrowOf adds a narrow step over d's batches; fn returns the step's rows
-// (one batch, or the records a shuffle is about to read).
+// (one batch, or the recordSource a shuffle is about to drain).
 func narrowOf[T any](d *Dataset[T], fn func(ctx *core.TaskContext, in []T) []core.Row) *core.Plan {
 	return d.ctx.engine.NewNarrow(d.plan, func(ctx *core.TaskContext, rows []core.Row) []core.Row {
 		return fn(ctx, batchOf[T](rows))

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rng"
+	"repro/internal/serde"
 	"repro/internal/shuffle"
 )
 
@@ -15,23 +16,27 @@ func Distinct[T comparable](d *Dataset[T], codec Codec[T], parts int) *Dataset[T
 	if parts <= 0 {
 		parts = d.Partitions()
 	}
-	unique := recordsOf(d, func(_ *core.TaskContext, in []T) []shuffle.Record {
+	codec = codec.forShuffle()
+	emit := func(row core.Row, w shuffle.Writer) error {
 		seen := map[T]struct{}{}
-		var recs []shuffle.Record
-		for _, t := range in {
+		var unique []T
+		for _, t := range row.([]T) {
 			if _, dup := seen[t]; !dup {
 				seen[t] = struct{}{}
-				recs = append(recs, shuffle.Record{Key: codec.Encode(t)})
+				unique = append(unique, t)
 			}
 		}
-		return byKey(recs)
-	})
-	return shuffleOf(d.ctx, unique, core.ShuffleDep{Partitions: parts}, func(recs []shuffle.Record) []T {
+		return writeByKey(w, len(unique),
+			func(dst []byte, i int) []byte { return codec.Append(dst, unique[i]) },
+			func(dst []byte, _ int) []byte { return dst })
+	}
+	return shuffleOf(d.ctx, d.plan, core.ShuffleDep{Partitions: parts}, emit, func(recs shuffle.Records) []T {
 		g := newKeyGroups()
 		var out []T
-		for _, rec := range recs {
-			if _, first := g.group(rec.Key); first {
-				out = append(out, codec.Decode(rec.Key))
+		arena := serde.NewArena(recs.Bytes())
+		for r := 0; r < recs.Len(); r++ {
+			if _, first := g.group(recs.Key(r)); first {
+				out = append(out, codec.decodeIn(arena, recs.Key(r)))
 			}
 		}
 		return out
@@ -67,21 +72,22 @@ func Repartition[T any](d *Dataset[T], codec Codec[T], parts int) *Dataset[T] {
 	if parts <= 0 {
 		parts = d.ctx.cluster.Size()
 	}
-	indexed := recordsOf(d, func(ctx *core.TaskContext, in []T) []shuffle.Record {
-		recs := make([]shuffle.Record, len(in))
-		keys := make([]byte, 0, 8*len(in))
-		for i, t := range in {
-			// Golden-ratio stride decorrelates partition and position so
-			// hash partitioning spreads evenly.
-			keys = binary.LittleEndian.AppendUint64(keys, uint64(ctx.Partition)*0x9E3779B97F4A7C15+uint64(i))
-			recs[i] = shuffle.Record{Key: keys[8*i : 8*i+8 : 8*i+8], Value: codec.Encode(t)}
-		}
-		return recs
+	codec = codec.forShuffle()
+	indexed := narrowOf(d, func(ctx *core.TaskContext, in []T) []core.Row {
+		// Golden-ratio stride decorrelates partition and position so hash
+		// partitioning spreads evenly.
+		base := uint64(ctx.Partition) * 0x9E3779B97F4A7C15
+		return []core.Row{recordSource(func(w shuffle.Writer) error {
+			return shuffle.WriteRecords(w, len(in),
+				func(dst []byte, i int) []byte { return binary.LittleEndian.AppendUint64(dst, base+uint64(i)) },
+				func(dst []byte, i int) []byte { return codec.Append(dst, in[i]) })
+		})}
 	})
-	return shuffleOf(d.ctx, indexed, core.ShuffleDep{Partitions: parts}, func(recs []shuffle.Record) []T {
-		out := make([]T, len(recs))
-		for i, rec := range recs {
-			out[i] = codec.Decode(rec.Value)
+	return shuffleOf(d.ctx, indexed, core.ShuffleDep{Partitions: parts}, emitSource, func(recs shuffle.Records) []T {
+		out := make([]T, recs.Len())
+		arena := serde.NewArena(recs.Bytes())
+		for i := range out {
+			out[i] = codec.decodeIn(arena, recs.Value(i))
 		}
 		return out
 	})

@@ -537,59 +537,63 @@ func (e *Engine) runMapStage(ctx context.Context, p *Plan) error {
 	if len(pending) == 0 {
 		return nil
 	}
-	e.Reg.Counter("stages_run").Inc()
-	stage := fmt.Sprintf("map s%d", p.id)
-	endStage, stageTC := e.tracerRef().BeginCtx(stage, "stage", "driver", jobTraceFrom(ctx))
 	shuffleID := strconv.Itoa(p.id)
 	partBytes := e.Reg.CounterVec("shuffle_partition_bytes", "shuffle", "partition")
 	partRecords := e.Reg.CounterVec("shuffle_partition_records", "shuffle", "partition")
-	err := e.runTasks(ctx, stage, stageTC, pending, e.prefsOf(p.parent), func(tc *TaskContext) error {
+	stageTC, err := e.runTasks(ctx, fmt.Sprintf("map s%d", p.id), pending, e.prefsOf(p.parent), func(tc *TaskContext) (any, error) {
 		rows, err := e.computePartition(p.parent, tc)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		w, err := e.newWriter(p.dep)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		dep := p.dep
 		for _, row := range rows {
-			if err := w.Write(dep.KeyOf(row), dep.ValueOf(row)); err != nil {
-				return err
+			if err := p.dep.Emit(row, w); err != nil {
+				return nil, err
 			}
 		}
 		blocks, stats, err := w.Close()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		e.Reg.Counter("shuffle_records_written").Add(int64(stats.RecordsOut))
-		e.Reg.Counter("shuffle_raw_bytes").Add(stats.RawBytes)
-		e.Reg.Counter("shuffle_wire_bytes").Add(stats.WireBytes)
-		e.Reg.Counter("shuffle_spills").Add(int64(stats.Spills))
+		return mapOutput{blocks, stats}, nil
+	}, func(part int, node topology.NodeID, effect any) {
+		out := effect.(mapOutput)
+		e.Reg.Counter("shuffle_records_written").Add(int64(out.stats.RecordsOut))
+		e.Reg.Counter("shuffle_raw_bytes").Add(out.stats.RawBytes)
+		e.Reg.Counter("shuffle_wire_bytes").Add(out.stats.WireBytes)
+		e.Reg.Counter("shuffle_spills").Add(int64(out.stats.Spills))
 		// Per-reduce-partition distribution, labeled by shuffle and
 		// partition — the signal obs reads for skew analysis. Empty
 		// partitions are recorded too so the partition count stays honest.
-		for part, b := range stats.PartitionBytes {
-			partBytes.With(shuffleID, strconv.Itoa(part)).Add(b)
+		for reducePart, b := range out.stats.PartitionBytes {
+			partBytes.With(shuffleID, strconv.Itoa(reducePart)).Add(b)
 		}
-		for part, n := range stats.PartitionRecords {
-			partRecords.With(shuffleID, strconv.Itoa(part)).Add(int64(n))
+		for reducePart, n := range out.stats.PartitionRecords {
+			partRecords.With(shuffleID, strconv.Itoa(reducePart)).Add(int64(n))
 		}
 		// The blocks live with the executor (they survive a coordinator
 		// crash); st is the driver's volatile view of them.
-		e.exec.put(p.id, tc.Partition, p.parent.parts, blocks)
+		e.exec.put(p.id, part, p.parent.parts, out.blocks)
 		st.mu.Lock()
-		st.outputs[tc.Partition] = blocks
-		st.owner[tc.Partition] = tc.Node
-		st.done[tc.Partition] = true
+		st.outputs[part] = out.blocks
+		st.owner[part] = node
+		st.done[part] = true
 		st.mu.Unlock()
-		return nil
 	})
-	endStage(map[string]string{"tasks": strconv.Itoa(len(pending))})
 	if err == nil {
 		e.journalStage(p, st, stageTC)
 	}
 	return err
+}
+
+// mapOutput is what one map task computed: its blocks and what writing
+// them counted.
+type mapOutput struct {
+	blocks []shuffle.Block
+	stats  shuffle.Stats
 }
 
 func (e *Engine) newWriter(dep *ShuffleDep) (shuffle.Writer, error) {
@@ -608,25 +612,15 @@ func (e *Engine) newWriter(dep *ShuffleDep) (shuffle.Writer, error) {
 // runResult executes the final stage, returning partition rows.
 func (e *Engine) runResult(ctx context.Context, p *Plan) ([][]Row, error) {
 	out := make([][]Row, p.parts)
-	var outMu sync.Mutex
 	parts := make([]int, p.parts)
 	for i := range parts {
 		parts[i] = i
 	}
-	e.Reg.Counter("stages_run").Inc()
-	stage := fmt.Sprintf("result s%d", p.id)
-	endStage, stageTC := e.tracerRef().BeginCtx(stage, "stage", "driver", jobTraceFrom(ctx))
-	err := e.runTasks(ctx, stage, stageTC, parts, e.prefsOf(p), func(tc *TaskContext) error {
-		rows, err := e.computePartition(p, tc)
-		if err != nil {
-			return err
-		}
-		outMu.Lock()
-		out[tc.Partition] = rows
-		outMu.Unlock()
-		return nil
+	_, err := e.runTasks(ctx, fmt.Sprintf("result s%d", p.id), parts, e.prefsOf(p), func(tc *TaskContext) (any, error) {
+		return e.computePartition(p, tc)
+	}, func(part int, _ topology.NodeID, effect any) {
+		out[part] = effect.([]Row)
 	})
-	endStage(map[string]string{"tasks": strconv.Itoa(len(parts))})
 	if err != nil {
 		return nil, err
 	}
@@ -653,39 +647,55 @@ func (e *Engine) prefsOf(p *Plan) func(part int) []topology.NodeID {
 	}
 }
 
-// runTasks executes fn once per partition on the cluster in scheduling
-// waves, honouring locality preferences, retrying transient failures with
-// exponential backoff, quarantining flaky nodes, optionally launching
-// speculative backups for stragglers, and failing fast on fetch errors
-// (which the caller converts into lineage recomputation). stage labels
-// the spans recorded for each task; panics inside fn are converted into
-// task errors with the span still recorded. ctx cancellation stops the
-// retry loop promptly — including mid-backoff and mid-wave.
-func (e *Engine) runTasks(ctx context.Context, stage string, stageTC trace.TraceContext, parts []int, prefs func(int) []topology.NodeID, fn func(*TaskContext) error) error {
+// taskFunc computes one partition on an executor and returns its effect —
+// the rows, or the map output — without publishing anything: with
+// speculation on, two copies of a task run it and one of them loses.
+// commitFunc publishes the effect of a partition's first successful copy.
+// It runs on the driver goroutine inside runWave, so what it writes is
+// settled before the stage returns; a later copy's effect is dropped unseen.
+type (
+	taskFunc   func(*TaskContext) (any, error)
+	commitFunc func(part int, node topology.NodeID, effect any)
+)
+
+// runTasks runs one stage: fn once per partition on the cluster in
+// scheduling waves, honouring locality preferences, retrying transient
+// failures with exponential backoff, quarantining flaky nodes, optionally
+// launching speculative backups for stragglers, and failing fast on fetch
+// errors (which the caller converts into lineage recomputation); commit
+// gets each partition's effect exactly once. stage names the stage's span,
+// whose context is returned, and labels the span of each task; panics
+// inside fn are converted into task errors with the span still recorded.
+// ctx cancellation stops the retry loop promptly — including mid-backoff
+// and mid-wave.
+func (e *Engine) runTasks(ctx context.Context, stage string, parts []int, prefs func(int) []topology.NodeID, fn taskFunc, commit commitFunc) (trace.TraceContext, error) {
+	e.Reg.Counter("stages_run").Inc()
+	endStage, stageTC := e.tracerRef().BeginCtx(stage, "stage", "driver", jobTraceFrom(ctx))
+	defer endStage(map[string]string{"tasks": strconv.Itoa(len(parts))})
 	attempts := map[int]int{}
 	pending := append([]int(nil), parts...)
 	for len(pending) > 0 {
 		if err := ctx.Err(); err != nil {
-			return err
+			return stageTC, err
 		}
 		e.tickWave()
 		if e.coordDown() {
-			return errCoordCrashed
+			return stageTC, errCoordCrashed
 		}
 		if err := e.backoff(ctx, pending, attempts); err != nil {
-			return err
+			return stageTC, err
 		}
 		live := e.placementNodes()
 		if len(live) == 0 {
-			return ErrNoLiveNodes
+			return stageTC, ErrNoLiveNodes
 		}
-		failed, err := e.runWave(ctx, stage, stageTC, pending, attempts, live, prefs, fn)
+		failed, err := e.runWave(ctx, stage, stageTC, pending, attempts, live, prefs, fn, commit)
 		if err != nil {
-			return err
+			return stageTC, err
 		}
 		pending = failed
 	}
-	return nil
+	return stageTC, nil
 }
 
 // tickWave advances chaos virtual time and the wave counter, releasing
@@ -780,6 +790,7 @@ type copyResult struct {
 	idx    int // index into the wave's pending slice
 	backup bool
 	node   topology.NodeID
+	effect any // what the copy computed, when err is nil
 	err    error
 }
 
@@ -797,9 +808,11 @@ type taskState struct {
 
 // runWave launches one wave of tasks, monitors for stragglers when
 // speculation is on, and resolves outcomes deterministically in partition
-// index order once every copy has reported. It returns the partitions
-// that must retry.
-func (e *Engine) runWave(ctx context.Context, stage string, stageTC trace.TraceContext, pending []int, attempts map[int]int, live []topology.NodeID, prefs func(int) []topology.NodeID, fn func(*TaskContext) error) ([]int, error) {
+// index order once every task has an outcome. A task's effect is committed
+// from its first successful copy; a copy still running when the wave ends
+// finishes on its own and its result is never read. It returns the
+// partitions that must retry.
+func (e *Engine) runWave(ctx context.Context, stage string, stageTC trace.TraceContext, pending []int, attempts map[int]int, live []topology.NodeID, prefs func(int) []topology.NodeID, fn taskFunc, commit commitFunc) ([]int, error) {
 	n := len(pending)
 	liveSet := map[topology.NodeID]bool{}
 	for _, nd := range live {
@@ -820,6 +833,7 @@ func (e *Engine) runWave(ctx context.Context, stage string, stageTC trace.TraceC
 		injected := e.injectFailure(node)
 		start := time.Now()
 		tracer := e.tracerRef()
+		var effect any
 		fut := e.cfg.Cluster.Submit(node, func() (err error) {
 			end, taskTC := tracer.BeginCtx(
 				fmt.Sprintf("task p%d a%d", tc.Partition, tc.Attempt),
@@ -838,7 +852,7 @@ func (e *Engine) runWave(ctx context.Context, stage string, stageTC trace.TraceC
 				end(map[string]string{"outcome": "injected-failure", "stage": stage})
 				return errInjected
 			}
-			err = fn(tc)
+			effect, err = fn(tc)
 			outcome := "ok"
 			if err != nil {
 				outcome = err.Error()
@@ -847,7 +861,8 @@ func (e *Engine) runWave(ctx context.Context, stage string, stageTC trace.TraceC
 			return err
 		})
 		go func() {
-			results <- copyResult{idx: i, backup: backup, node: node, err: fut.Wait()}
+			err := fut.Wait() // orders the read of effect after the task's write
+			results <- copyResult{idx: i, backup: backup, node: node, effect: effect, err: err}
 		}()
 	}
 
@@ -886,6 +901,7 @@ func (e *Engine) runWave(ctx context.Context, stage string, stageTC trace.TraceC
 					st.succeeded = true
 					unresolved--
 					durations = append(durations, time.Since(st.start))
+					commit(pending[r.idx], r.node, r.effect)
 					e.recordTaskSuccess(r.node)
 					if st.backupLaunched {
 						if r.backup {
@@ -1157,7 +1173,7 @@ func (e *Engine) readShuffle(p *Plan, ctx *TaskContext) ([]Row, error) {
 		}
 	}
 	st.mu.Unlock()
-	recs, err := shuffle.ReadBlocks(e.cfg.Codec, blocks)
+	recs, err := shuffle.ReadRecords(e.cfg.Codec, blocks)
 	if err != nil {
 		return nil, err
 	}

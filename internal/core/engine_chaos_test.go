@@ -3,12 +3,16 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/netsim"
+	"repro/internal/shuffle"
 	"repro/internal/topology"
 )
 
@@ -145,4 +149,111 @@ func TestPartitionBlocksFetchesUntilHeal(t *testing.T) {
 	if v := e.Reg.Counter("fetch_failures").Value(); v != 0 {
 		t.Fatalf("fetch_failures = %d, want 0 (outputs were never lost)", v)
 	}
+}
+
+// stallFirst wraps a source so that the first copy of partition 0's task
+// blocks until release is closed; every later copy runs straight through.
+func stallFirst(e *Engine, parts int, release <-chan struct{}, rows func(part int) []Row) *Plan {
+	var calls atomic.Int32
+	return e.NewSource(parts, func(_ *TaskContext, part int) []Row {
+		if part == 0 && calls.Add(1) == 1 {
+			<-release
+		}
+		return rows(part)
+	}, nil)
+}
+
+// awaitLateCopies releases the stalled primary and returns once every task
+// the engine launched has run to its end on the cluster.
+func awaitLateCopies(t *testing.T, e *Engine, release chan struct{}) {
+	t.Helper()
+	close(release)
+	launched := e.Reg.Counter("tasks_launched").Value()
+	for deadline := time.Now().Add(5 * time.Second); e.Cluster().Reg.Counter("tasks_completed").Value() < launched; {
+		if time.Now().After(deadline) {
+			t.Fatal("stalled copy never finished")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestSpeculativeLoserIsFenced stalls a primary past its backup's finish.
+// The job returns on the backup's result; the primary then runs to its end
+// and nothing it computes may land — not in the result the caller now owns,
+// not in the shuffle counters, which must read what a run with speculation
+// off reads.
+func TestSpeculativeLoserIsFenced(t *testing.T) {
+	spec := Config{Speculation: true, SpeculationMin: time.Millisecond}
+	rows := func(part int) []Row {
+		out := make([]Row, 50)
+		for i := range out {
+			out[i] = fmt.Sprintf("w%02d", (part*7+i)%23)
+		}
+		return out
+	}
+	countWords := func(e *Engine, src *Plan) *Plan {
+		return e.NewShuffled(src, ShuffleDep{
+			Partitions: 3,
+			Emit:       perRow(func(r Row) []byte { return []byte(r.(string)) }, func(Row) []byte { return []byte{1} }),
+			Post: func(_ *TaskContext, recs shuffle.Records) []Row {
+				return []Row{recs.Len()}
+			},
+		})
+	}
+
+	t.Run("result stage", func(t *testing.T) {
+		e := testEngine(t, 4, spec)
+		release := make(chan struct{})
+		out, err := e.Run(stallFirst(e, 6, release, rows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Reg.Counter("speculative_wins").Value() != 1 {
+			t.Fatalf("speculative_wins = %d, want 1", e.Reg.Counter("speculative_wins").Value())
+		}
+		out[0] = nil // the result is the caller's now
+		awaitLateCopies(t, e, release)
+		if out[0] != nil {
+			t.Fatal("the losing copy wrote the job's result after Run returned")
+		}
+	})
+
+	t.Run("map stage", func(t *testing.T) {
+		read := func(e *Engine, shuffled *Plan) string {
+			s := fmt.Sprint(e.Reg.Counter("shuffle_records_written").Value(), e.Reg.Counter("shuffle_raw_bytes").Value(),
+				e.Reg.Counter("shuffle_wire_bytes").Value(), e.Reg.Counter("shuffle_spills").Value())
+			for _, vec := range []string{"shuffle_partition_bytes", "shuffle_partition_records"} {
+				for part := 0; part < 3; part++ {
+					s += fmt.Sprint(" ", e.Reg.CounterVec(vec, "shuffle", "partition").With(fmt.Sprint(shuffled.ID()), fmt.Sprint(part)).Value())
+				}
+			}
+			return s
+		}
+		plain := testEngine(t, 4, Config{})
+		idle := make(chan struct{})
+		close(idle)
+		plainPlan := countWords(plain, stallFirst(plain, 6, idle, rows))
+		want, err := plain.Run(plainPlan)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		e := testEngine(t, 4, spec)
+		release := make(chan struct{})
+		plan := countWords(e, stallFirst(e, 6, release, rows))
+		got, err := e.Run(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Reg.Counter("speculative_wins").Value() != 1 {
+			t.Fatalf("speculative_wins = %d, want 1", e.Reg.Counter("speculative_wins").Value())
+		}
+		awaitLateCopies(t, e, release)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("result %v, without speculation %v", got, want)
+		}
+		if g, w := read(e, plan), read(plain, plainPlan); g != w || strings.HasPrefix(g, "0 ") {
+			t.Fatalf("shuffle counters with a fenced loser: %s\nwithout speculation:              %s", g, w)
+		}
+	})
 }

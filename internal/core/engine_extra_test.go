@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/compress"
 	"repro/internal/serde"
 	"repro/internal/shuffle"
 	"repro/internal/topology"
@@ -49,11 +53,10 @@ func TestShuffleOverUnionMixedParents(t *testing.T) {
 	u := e.NewUnion(a, doubled)
 	counted := e.NewShuffled(u, ShuffleDep{
 		Partitions: 2,
-		KeyOf:      func(r Row) []byte { return serde.EncodeInt64(int64(r.(int) % 2)) },
-		ValueOf:    func(r Row) []byte { return serde.EncodeInt64(int64(r.(int))) },
-		Post: func(_ *TaskContext, recs []shuffle.Record) []Row {
+		Emit:       perRow(func(r Row) []byte { return serde.EncodeInt64(int64(r.(int) % 2)) }, func(r Row) []byte { return serde.EncodeInt64(int64(r.(int))) }),
+		Post: func(_ *TaskContext, recs shuffle.Records) []Row {
 			sum := int64(0)
-			for _, rec := range recs {
+			for _, rec := range materialize(recs) {
 				v, _ := serde.DecodeInt64(rec.Value)
 				sum += v
 			}
@@ -124,11 +127,10 @@ func TestEmptyPartitionsFlowThroughShuffle(t *testing.T) {
 	}, nil)
 	shuffled := e.NewShuffled(src, ShuffleDep{
 		Partitions: 3,
-		KeyOf:      func(r Row) []byte { return []byte(r.(string)) },
-		ValueOf:    func(Row) []byte { return nil },
-		Post: func(_ *TaskContext, recs []shuffle.Record) []Row {
-			out := make([]Row, len(recs))
-			for i, rec := range recs {
+		Emit:       perRow(func(r Row) []byte { return []byte(r.(string)) }, func(Row) []byte { return nil }),
+		Post: func(_ *TaskContext, recs shuffle.Records) []Row {
+			out := make([]Row, recs.Len())
+			for i, rec := range materialize(recs) {
 				out[i] = string(rec.Key)
 			}
 			return out
@@ -140,5 +142,89 @@ func TestEmptyPartitionsFlowThroughShuffle(t *testing.T) {
 	}
 	if len(rows) != 1 || rows[0].(string) != "only" {
 		t.Fatalf("rows = %v", rows)
+	}
+}
+
+// TestPostOwnsItsRecordsView: every read of a reduce partition — first run,
+// retried task, rerun over recomputed map outputs — hands Post a view
+// nothing else writes or reads again. Views kept across all of that still
+// hold what they held when they were handed over, and a Post that scribbles
+// over its view changes no later read.
+func TestPostOwnsItsRecordsView(t *testing.T) {
+	for _, codec := range []compress.Codec{compress.None{}, compress.LZ{}} {
+		e := testEngine(t, 4, Config{TaskFailProb: 0.25, Seed: 9, Codec: codec, RetryBackoff: -1})
+		type kept struct {
+			view shuffle.Records
+			was  []shuffle.Record // deep copy taken inside Post
+		}
+		var mu sync.Mutex
+		var views []kept
+		scribble := false
+		src := e.NewSource(4, func(_ *TaskContext, part int) []Row {
+			rows := make([]Row, 60)
+			for i := range rows {
+				rows[i] = fmt.Sprintf("key-%02d", (part*5+i)%17)
+			}
+			return rows
+		}, nil)
+		plan := e.NewShuffled(src, ShuffleDep{
+			Partitions: 3,
+			Sorted:     true,
+			Emit:       perRow(func(r Row) []byte { return []byte(r.(string)) }, func(r Row) []byte { return []byte(r.(string))[4:] }),
+			Post: func(_ *TaskContext, recs shuffle.Records) []Row {
+				k := kept{view: recs}
+				out := make([]Row, recs.Len())
+				for i, rec := range materialize(recs) {
+					k.was = append(k.was, shuffle.Record{Key: bytes.Clone(rec.Key), Value: bytes.Clone(rec.Value)})
+					out[i] = string(rec.Key) + string(rec.Value)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if scribble {
+					for _, rec := range materialize(recs) {
+						clear(rec.Key)
+						clear(rec.Value)
+					}
+				} else {
+					views = append(views, k)
+				}
+				return out
+			},
+		})
+		run := func() string {
+			t.Helper()
+			parts, err := e.Run(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Sprint(parts)
+		}
+		want := run()
+		if err := e.Cluster().Kill(1); err != nil { // lose map outputs: the next run recomputes them
+			t.Fatal(err)
+		}
+		if got := run(); got != want {
+			t.Fatalf("%s: rerun after a node loss\n got %s\nwant %s", codec.Name(), got, want)
+		}
+		mu.Lock()
+		scribble = true
+		mu.Unlock()
+		run()
+		mu.Lock()
+		scribble = false
+		mu.Unlock()
+		if got := run(); got != want {
+			t.Fatalf("%s: run after a Post overwrote its view\n got %s\nwant %s", codec.Name(), got, want)
+		}
+		if len(views) < 9 {
+			t.Fatalf("%s: kept %d views from three runs of three partitions", codec.Name(), len(views))
+		}
+		for n, k := range views {
+			for i, rec := range materialize(k.view) {
+				if !bytes.Equal(rec.Key, k.was[i].Key) || !bytes.Equal(rec.Value, k.was[i].Value) {
+					t.Fatalf("%s: kept view %d, record %d is now %q/%q, was %q/%q", codec.Name(), n, i, rec.Key, rec.Value, k.was[i].Key, k.was[i].Value)
+				}
+			}
+		}
 	}
 }

@@ -30,6 +30,21 @@ func testEngine(t *testing.T, nodes int, cfg Config) *Engine {
 	return NewEngine(cfg)
 }
 
+// perRow is the Emit of a dependency whose rows are single elements: one
+// record per row, cut by key and value.
+func perRow(key, value func(Row) []byte) func(Row, shuffle.Writer) error {
+	return func(r Row, w shuffle.Writer) error { return w.Write(key(r), value(r)) }
+}
+
+// materialize returns a view's records as a slice to range over.
+func materialize(view shuffle.Records) []shuffle.Record {
+	recs := make([]shuffle.Record, view.Len())
+	for i := range recs {
+		recs[i] = shuffle.Record{Key: view.Key(i), Value: view.Value(i)}
+	}
+	return recs
+}
+
 // sliceSource builds a source plan over fixed data split into parts.
 func sliceSource(e *Engine, data []int, parts int) *Plan {
 	return e.NewSource(parts, func(ctx *TaskContext, part int) []Row {
@@ -146,11 +161,10 @@ func wordCountPlan(e *Engine, lines []string, parts, reducers int) *Plan {
 	}, nil)
 	return e.NewShuffled(src, ShuffleDep{
 		Partitions: reducers,
-		KeyOf:      func(r Row) []byte { return []byte(r.(string)) },
-		ValueOf:    func(r Row) []byte { return serde.EncodeInt64(1) },
-		Post: func(ctx *TaskContext, recs []shuffle.Record) []Row {
+		Emit:       perRow(func(r Row) []byte { return []byte(r.(string)) }, func(r Row) []byte { return serde.EncodeInt64(1) }),
+		Post: func(ctx *TaskContext, recs shuffle.Records) []Row {
 			counts := map[string]int64{}
-			for _, rec := range recs {
+			for _, rec := range materialize(recs) {
 				v, _ := serde.DecodeInt64(rec.Value)
 				counts[string(rec.Key)] += v
 			}
@@ -217,11 +231,10 @@ func TestSortedShuffleGlobalOrder(t *testing.T) {
 		Partitions:  rp.Partitions(),
 		Partitioner: rp.Partition,
 		Sorted:      true,
-		KeyOf:       func(r Row) []byte { return serde.SortableUint64Key(uint64(r.(int))) },
-		ValueOf:     func(r Row) []byte { return nil },
-		Post: func(ctx *TaskContext, recs []shuffle.Record) []Row {
-			out := make([]Row, 0, len(recs))
-			for _, rec := range recs {
+		Emit:        perRow(func(r Row) []byte { return serde.SortableUint64Key(uint64(r.(int))) }, func(r Row) []byte { return nil }),
+		Post: func(ctx *TaskContext, recs shuffle.Records) []Row {
+			out := make([]Row, 0, recs.Len())
+			for _, rec := range materialize(recs) {
 				v, _ := serde.FromSortableUint64Key(rec.Key)
 				out = append(out, int(v))
 			}
@@ -255,11 +268,10 @@ func TestChainedShuffles(t *testing.T) {
 	wc := wordCountPlan(e, lines, 2, 3)
 	byFreq := e.NewShuffled(wc, ShuffleDep{
 		Partitions: 2,
-		KeyOf:      func(r Row) []byte { return serde.EncodeInt64(r.([2]any)[1].(int64)) },
-		ValueOf:    func(r Row) []byte { return serde.EncodeInt64(1) },
-		Post: func(ctx *TaskContext, recs []shuffle.Record) []Row {
+		Emit:       perRow(func(r Row) []byte { return serde.EncodeInt64(r.([2]any)[1].(int64)) }, func(r Row) []byte { return serde.EncodeInt64(1) }),
+		Post: func(ctx *TaskContext, recs shuffle.Records) []Row {
 			counts := map[int64]int64{}
-			for _, rec := range recs {
+			for _, rec := range materialize(recs) {
 				f, _ := serde.DecodeInt64(rec.Key)
 				counts[f]++
 			}
@@ -336,9 +348,8 @@ func TestUserErrorAbortsWithoutRetry(t *testing.T) {
 	src := e.NewSource(1, func(ctx *TaskContext, part int) []Row { return []Row{1} }, nil)
 	shuffled := e.NewShuffled(src, ShuffleDep{
 		Partitions: 1,
-		KeyOf:      func(Row) []byte { return []byte("k") },
-		ValueOf:    func(Row) []byte { return nil },
-		Post:       func(*TaskContext, []shuffle.Record) []Row { return nil },
+		Emit:       perRow(func(Row) []byte { return []byte("k") }, func(Row) []byte { return nil }),
+		Post:       func(*TaskContext, shuffle.Records) []Row { return nil },
 	})
 	_ = shuffled
 	// A narrow fn returning an error isn't expressible; simulate via task
@@ -369,11 +380,10 @@ func TestLineageRecoveryAfterNodeDeath(t *testing.T) {
 	})
 	wc := e.NewShuffled(words, ShuffleDep{
 		Partitions: 2,
-		KeyOf:      func(r Row) []byte { return []byte(r.(string)) },
-		ValueOf:    func(r Row) []byte { return serde.EncodeInt64(1) },
-		Post: func(ctx *TaskContext, recs []shuffle.Record) []Row {
+		Emit:       perRow(func(r Row) []byte { return []byte(r.(string)) }, func(r Row) []byte { return serde.EncodeInt64(1) }),
+		Post: func(ctx *TaskContext, recs shuffle.Records) []Row {
 			counts := map[string]int64{}
-			for _, rec := range recs {
+			for _, rec := range materialize(recs) {
 				counts[string(rec.Key)]++
 			}
 			var out []Row

@@ -54,11 +54,10 @@ func twoStagePlan(e *Engine, lines []string) *Plan {
 	counts := wordCountPlan(e, lines, 4, 3)
 	return e.NewShuffled(counts, ShuffleDep{
 		Partitions: 2,
-		KeyOf:      func(r Row) []byte { return serde.EncodeInt64(r.([2]any)[1].(int64)) },
-		ValueOf:    func(r Row) []byte { return []byte(r.([2]any)[0].(string)) },
-		Post: func(ctx *TaskContext, recs []shuffle.Record) []Row {
+		Emit:       perRow(func(r Row) []byte { return serde.EncodeInt64(r.([2]any)[1].(int64)) }, func(r Row) []byte { return []byte(r.([2]any)[0].(string)) }),
+		Post: func(ctx *TaskContext, recs shuffle.Records) []Row {
 			group := map[int64][]string{}
-			for _, rec := range recs {
+			for _, rec := range materialize(recs) {
 				c, _ := serde.DecodeInt64(rec.Key)
 				group[c] = append(group[c], string(rec.Value))
 			}

@@ -7,15 +7,18 @@
 // *spec* but almost no execution code, so agreement is strong evidence
 // the engine moved and transformed the data correctly.
 //
-// A plan's narrow steps are user functions to the oracle, so a map-side
-// fold written as one (hpbdc.ReduceByKey's) runs here too; tests that want
-// an oracle independent of it compare against a plain loop. Record order within a reduce partition is only guaranteed to match the
-// engine for Sorted shuffles; order-sensitive comparisons of unsorted
-// shuffles should compare multisets (check.DiffMultiset).
+// A plan's narrow steps and a dependency's Emit and Post are user functions
+// to the oracle, so a map-side fold written in Emit (hpbdc.ReduceByKey's)
+// runs here too; tests that want an oracle independent of it compare
+// against a plain loop. Record order within a reduce partition is only
+// guaranteed to match the engine for Sorted shuffles; order-sensitive
+// comparisons of unsorted shuffles should compare multisets
+// (check.DiffMultiset).
 package core
 
 import (
 	"bytes"
+	"fmt"
 	"sort"
 
 	"repro/internal/shuffle"
@@ -24,7 +27,7 @@ import (
 // Reference computes every output partition of p sequentially. The
 // result has p.Partitions() entries, aligned with CollectPartitions.
 func Reference(p *Plan) [][]Row {
-	e := &refEval{shuffles: map[int][][]shuffle.Record{}}
+	e := &refEval{shuffles: map[int][]shuffle.Records{}}
 	out := make([][]Row, p.parts)
 	for i := 0; i < p.parts; i++ {
 		out[i] = e.partition(p, i)
@@ -35,7 +38,7 @@ func Reference(p *Plan) [][]Row {
 // refEval memoizes shuffle groupings so a plan's map side runs once per
 // shuffle boundary, not once per reduce partition.
 type refEval struct {
-	shuffles map[int][][]shuffle.Record // plan id -> reduce partition -> records
+	shuffles map[int][]shuffle.Records // plan id -> reduce partition -> records
 }
 
 func (e *refEval) partition(p *Plan, part int) []Row {
@@ -55,35 +58,54 @@ func (e *refEval) partition(p *Plan, part int) []Row {
 }
 
 // shuffleRecords evaluates the map side of a shuffle boundary: every
-// parent row becomes a (key, value) record routed by the dependency's
-// partitioner, and Sorted partitions are stable-sorted by key — the
-// "stable sort + concat" reference the real writers are checked against.
-func (e *refEval) shuffleRecords(p *Plan) [][]shuffle.Record {
+// parent row's Emit writes into a collector that routes each record by the
+// dependency's partitioner, and Sorted partitions are stable-sorted by key
+// — the "stable sort + concat" reference the real writers are checked
+// against.
+func (e *refEval) shuffleRecords(p *Plan) []shuffle.Records {
 	if recs, ok := e.shuffles[p.id]; ok {
 		return recs
 	}
 	dep := p.dep
-	route := dep.Partitioner
-	if route == nil {
-		n := dep.Partitions
-		route = func(key []byte) int { return shuffle.Partition(key, n) }
+	w := &refWriter{route: dep.Partitioner, parts: make([][]shuffle.Record, dep.Partitions)}
+	if w.route == nil {
+		w.route = func(key []byte) int { return shuffle.Partition(key, dep.Partitions) }
 	}
-	out := make([][]shuffle.Record, dep.Partitions)
 	for mp := 0; mp < p.parent.parts; mp++ {
 		for _, row := range e.partition(p.parent, mp) {
-			key := dep.KeyOf(row)
-			tgt := route(key)
-			out[tgt] = append(out[tgt], shuffle.Record{Key: key, Value: dep.ValueOf(row)})
+			if err := dep.Emit(row, w); err != nil {
+				panic(fmt.Sprintf("core: reference emit: %v", err))
+			}
 		}
 	}
-	if dep.Sorted {
-		for i := range out {
-			recs := out[i]
+	out := make([]shuffle.Records, dep.Partitions)
+	for i, recs := range w.parts {
+		if dep.Sorted {
 			sort.SliceStable(recs, func(a, b int) bool {
 				return bytes.Compare(recs[a].Key, recs[b].Key) < 0
 			})
 		}
+		out[i] = shuffle.RecordsOf(recs)
 	}
 	e.shuffles[p.id] = out
 	return out
+}
+
+// refWriter is the shuffle.Writer the reference hands to Emit: it keeps a
+// copy of every record on its partition's list, in arrival order.
+type refWriter struct {
+	route func(key []byte) int
+	parts [][]shuffle.Record
+}
+
+func (w *refWriter) Reserve(int, int64) {}
+
+func (w *refWriter) Write(key, value []byte) error {
+	p := w.route(key)
+	w.parts[p] = append(w.parts[p], shuffle.Record{Key: bytes.Clone(key), Value: bytes.Clone(value)})
+	return nil
+}
+
+func (w *refWriter) Close() ([]shuffle.Block, shuffle.Stats, error) {
+	return nil, shuffle.Stats{}, nil
 }

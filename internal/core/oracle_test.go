@@ -16,12 +16,11 @@ func refCountDep(parts, buckets int, sorted bool) ShuffleDep {
 	return ShuffleDep{
 		Partitions: parts,
 		Sorted:     sorted,
-		KeyOf:      func(r Row) []byte { return []byte(fmt.Sprintf("k%02d", r.(int)%buckets)) },
-		ValueOf:    func(r Row) []byte { return []byte("1") },
-		Post: func(ctx *TaskContext, recs []shuffle.Record) []Row {
+		Emit:       perRow(func(r Row) []byte { return []byte(fmt.Sprintf("k%02d", r.(int)%buckets)) }, func(r Row) []byte { return []byte("1") }),
+		Post: func(ctx *TaskContext, recs shuffle.Records) []Row {
 			counts := map[string]int{}
 			var order []string
-			for _, rec := range recs {
+			for _, rec := range materialize(recs) {
 				k := string(rec.Key)
 				if counts[k] == 0 {
 					order = append(order, k)

@@ -41,13 +41,16 @@ type TaskContext struct {
 type ShuffleDep struct {
 	// Partitions is the reduce-side partition count; required.
 	Partitions int
-	// KeyOf extracts the shuffle key bytes from a parent row; required.
-	KeyOf func(Row) []byte
-	// ValueOf serializes the row's value payload; required.
-	ValueOf func(Row) []byte
+	// Emit writes one parent row's records to w; required. The map task
+	// calls it once per row, so a row that is a whole batch is encoded in
+	// one call: size the writer with Reserve, then Write each record from
+	// scratch Emit owns and reuses — the writer copies what it is handed.
+	// Emit must not keep w.
+	Emit func(row Row, w shuffle.Writer) error
 	// Post converts one reduce partition's records into output rows;
-	// required. Records arrive key-sorted when Sorted is set.
-	Post func(ctx *TaskContext, recs []shuffle.Record) []Row
+	// required. Records arrive key-sorted when Sorted is set. The view is
+	// Post's alone (see shuffle.Records): rows may keep slices of it.
+	Post func(ctx *TaskContext, recs shuffle.Records) []Row
 	// Sorted selects the sort-based shuffle writer and a merged,
 	// key-ordered reduce-side read.
 	Sorted bool
@@ -146,8 +149,8 @@ func (e *Engine) NewShuffled(parent *Plan, dep ShuffleDep) *Plan {
 	if parent == nil {
 		panic("core: shuffle requires a parent")
 	}
-	if dep.Partitions <= 0 || dep.KeyOf == nil || dep.ValueOf == nil || dep.Post == nil {
-		panic("core: ShuffleDep requires Partitions, KeyOf, ValueOf and Post")
+	if dep.Partitions <= 0 || dep.Emit == nil || dep.Post == nil {
+		panic("core: ShuffleDep requires Partitions, Emit and Post")
 	}
 	d := dep
 	return &Plan{id: e.nextPlanID(), kind: kindShuffled, parts: dep.Partitions, parent: parent, dep: &d}

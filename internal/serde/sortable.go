@@ -32,15 +32,19 @@ func FromSortableInt64Key(b []byte) (int64, error) {
 // bits flipped. Byte order then matches numeric order (with -0 < +0 and
 // NaNs ordered by payload at the extremes).
 func SortableFloat64Key(v float64) []byte {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], SortableFloat64Bits(v))
+	return b[:]
+}
+
+// SortableFloat64Bits is SortableFloat64Key as an integer: the total order
+// compares as unsigned numbers.
+func SortableFloat64Bits(v float64) uint64 {
 	bits := math.Float64bits(v)
 	if bits&(1<<63) != 0 {
-		bits = ^bits
-	} else {
-		bits |= 1 << 63
+		return ^bits
 	}
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], bits)
-	return b[:]
+	return bits | 1<<63
 }
 
 // FromSortableFloat64Key inverts SortableFloat64Key.

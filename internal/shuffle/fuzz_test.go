@@ -15,7 +15,9 @@ import (
 // blocks for one partition, flagged sorted or not, with a record count that
 // may lie. It must agree with serde.Reader over the same bytes — the same
 // records, or an error wrapping serde.ErrCorrupt — never panic, and never
-// size its result from the count rather than from the data.
+// size its result from the count rather than from the data. The Records
+// view ReadRecords builds over the same blocks must say the same thing as
+// the slice, record for record and error for error.
 func FuzzReadBlocks(f *testing.F) {
 	for name, mk := range writers(Config{}) {
 		w, _ := mk(Config{Partitions: 1})
@@ -54,8 +56,25 @@ func FuzzReadBlocks(f *testing.F) {
 		wire := append([]byte(nil), data...)
 		block := Block{Data: data, Records: records, Sorted: sorted}
 		got, err := ReadBlocks(compress.None{}, []Block{block, block})
+		view, viewErr := ReadRecords(compress.None{}, []Block{block, block})
 		if !bytes.Equal(data, wire) {
 			t.Fatal("ReadBlocks wrote to Block.Data")
+		}
+		if (err == nil) != (viewErr == nil) || errors.Is(err, serde.ErrCorrupt) != errors.Is(viewErr, serde.ErrCorrupt) {
+			t.Fatalf("ReadBlocks returned %v, ReadRecords %v", err, viewErr)
+		}
+		if view.Len() != len(got) || cap(view.refs) > 2*len(data)+4 {
+			t.Fatalf("view of %d records (index capacity %d), slice of %d, from %d data bytes", view.Len(), cap(view.refs), len(got), len(data))
+		}
+		size := 0
+		for i, r := range got {
+			if !bytes.Equal(view.Key(i), r.Key) || !bytes.Equal(view.Value(i), r.Value) {
+				t.Fatalf("record %d: view %q/%q, slice %q/%q", i, view.Key(i), view.Value(i), r.Key, r.Value)
+			}
+			size += len(r.Key) + len(r.Value)
+		}
+		if view.Bytes() != size {
+			t.Fatalf("view.Bytes() = %d, records hold %d", view.Bytes(), size)
 		}
 		if wantErr != nil {
 			if !errors.Is(err, serde.ErrCorrupt) {

@@ -135,37 +135,47 @@ func TestSortWriterByteIdentity(t *testing.T) {
 					cfg := part.cfg
 					cfg.SpillThreshold, cfg.Combiner, cfg.Codec = spill.threshold, combiner, codec
 					name := fmt.Sprintf("%s/%s/combiner=%t/%s", part.name, spill.name, combiner != nil, codec.Name())
-					t.Run(name, func(t *testing.T) {
-						w, err := NewSortWriter(cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for _, r := range input {
-							if err := w.Write(r.k, r.v); err != nil {
+					// A size hint — none, exact, or wrong and repeated — moves
+					// no byte, no spill and no run boundary.
+					for _, reserve := range []string{"", "/reserve=exact", "/reserve=wild"} {
+						t.Run(name+reserve, func(t *testing.T) {
+							w, err := NewSortWriter(cfg)
+							if err != nil {
 								t.Fatal(err)
 							}
-						}
-						blocks, stats, err := w.Close()
-						if err != nil {
-							t.Fatal(err)
-						}
-						wantBlocks, wantStats := referenceSort(cfg, input)
-						if combiner == nil && spill.threshold > 0 && wantStats.Spills == 0 {
-							t.Fatal("case meant to spill did not")
-						}
-						if !reflect.DeepEqual(stats, wantStats) {
-							t.Fatalf("stats\n got %+v\nwant %+v", stats, wantStats)
-						}
-						if len(blocks) != len(wantBlocks) {
-							t.Fatalf("%d blocks, want %d", len(blocks), len(wantBlocks))
-						}
-						for i, b := range blocks {
-							if !reflect.DeepEqual(b, wantBlocks[i]) {
-								t.Fatalf("block %d (partition %d) differs from the reference: %d records / %d raw bytes, want %d / %d",
-									i, b.Partition, b.Records, b.RawBytes, wantBlocks[i].Records, wantBlocks[i].RawBytes)
+							if reserve == "/reserve=exact" {
+								w.Reserve(len(input), total)
 							}
-						}
-					})
+							for i, r := range input {
+								if reserve == "/reserve=wild" && i%97 == 0 {
+									w.Reserve([]int{1 << 20, 3, 0, -1}[i/97%4], []int64{1 << 40, 1, 1 << 20, 5}[i/97%4])
+								}
+								if err := w.Write(r.k, r.v); err != nil {
+									t.Fatal(err)
+								}
+							}
+							blocks, stats, err := w.Close()
+							if err != nil {
+								t.Fatal(err)
+							}
+							wantBlocks, wantStats := referenceSort(cfg, input)
+							if combiner == nil && spill.threshold > 0 && wantStats.Spills == 0 {
+								t.Fatal("case meant to spill did not")
+							}
+							if !reflect.DeepEqual(stats, wantStats) {
+								t.Fatalf("stats\n got %+v\nwant %+v", stats, wantStats)
+							}
+							if len(blocks) != len(wantBlocks) {
+								t.Fatalf("%d blocks, want %d", len(blocks), len(wantBlocks))
+							}
+							for i, b := range blocks {
+								if !reflect.DeepEqual(b, wantBlocks[i]) {
+									t.Fatalf("block %d (partition %d) differs from the reference: %d records / %d raw bytes, want %d / %d",
+										i, b.Partition, b.Records, b.RawBytes, wantBlocks[i].Records, wantBlocks[i].RawBytes)
+								}
+							}
+						})
+					}
 				}
 			}
 		}

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"slices"
 	"sort"
 
@@ -46,6 +47,21 @@ func NewRangePartitioner(splits [][]byte) *RangePartitioner {
 		cp[i] = append([]byte(nil), s...)
 	}
 	return &RangePartitioner{splits: cp}
+}
+
+// SplitPoints picks up to parts-1 distinct ascending split keys from a
+// sample of keys, evenly spaced through the sample in sorted order.
+func SplitPoints(sample [][]byte, parts int) [][]byte {
+	sorted := slices.Clone(sample)
+	slices.SortFunc(sorted, bytes.Compare)
+	var out [][]byte
+	for i := 1; i < parts && len(sorted) > 0; i++ {
+		s := sorted[min(i*len(sorted)/parts, len(sorted)-1)]
+		if len(out) == 0 || !bytes.Equal(out[len(out)-1], s) { // skewed samples repeat keys
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // Partitions returns the partition count.
@@ -84,7 +100,12 @@ type Stats struct {
 
 // Writer receives a map task's records and produces per-partition blocks.
 type Writer interface {
-	// Write adds one record.
+	// Reserve hints that records more records of bytes key and value bytes
+	// in all are coming. It sizes buffers and nothing else: what is written
+	// and where the writer spills do not depend on it.
+	Reserve(records int, bytes int64)
+	// Write adds one record, copying key and value before it returns: the
+	// caller may reuse both buffers for the next record.
 	Write(key, value []byte) error
 	// Close seals the writer and returns one block per non-empty
 	// partition plus statistics.
@@ -189,6 +210,10 @@ func NewHashWriter(cfg Config) (Writer, error) {
 	}
 	return w, nil
 }
+
+// Reserve does nothing: how a batch spreads over the partitions' buffers is
+// not known before it is partitioned.
+func (w *hashWriter) Reserve(int, int64) {}
 
 func (w *hashWriter) Write(key, value []byte) error {
 	if w.closed {
@@ -300,10 +325,52 @@ func (r *sortRun) frame(dst []byte, e sortEntry) []byte {
 
 // keyPrefix returns the first 8 bytes of key, zero-padded, as a big-endian
 // integer: prefixes that differ order like the keys they come from.
-func keyPrefix(key []byte) uint64 {
+func keyPrefix[K ~string | ~[]byte](key K) uint64 {
 	var b [8]byte
 	copy(b[:], key)
 	return binary.BigEndian.Uint64(b[:])
+}
+
+// KeyOrder returns 0..len(keys)-1 arranged so that the keys ascend
+// bytewise, the order sort.Strings gives their string forms. Like the sort
+// writer it compares cached 8-byte prefixes and reads a key only on a tie.
+func KeyOrder[K ~string | ~[]byte](keys []K) []int32 {
+	prefix, order := make([]uint64, len(keys)), make([]int32, len(keys))
+	for i, key := range keys {
+		prefix[i], order[i] = keyPrefix(key), int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(prefix[a], prefix[b]); c != 0 {
+			return c
+		}
+		switch ka, kb := keys[a], keys[b]; { // no copy: the conversions only feed comparisons
+		case string(ka) < string(kb):
+			return -1
+		case string(ka) > string(kb):
+			return 1
+		}
+		return 0
+	})
+	return order
+}
+
+// WriteRecords writes n records to w in index order. key and value append
+// record i's key and value to the scratch they are handed, which is reused
+// from record to record; the first record sizes the writer for all n.
+func WriteRecords(w Writer, n int, key, value func(dst []byte, i int) []byte) error {
+	var buf []byte
+	for i := 0; i < n; i++ {
+		buf = key(buf[:0], i)
+		klen := len(buf)
+		buf = value(buf, i)
+		if i == 0 {
+			w.Reserve(n, int64(n)*int64(len(buf)))
+		}
+		if err := w.Write(buf[:klen], buf[klen:]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // compareEntries orders by (partition, key).
@@ -341,6 +408,20 @@ func NewSortWriter(cfg Config) (Writer, error) {
 		w.combine = map[string][]byte{}
 	}
 	return w, nil
+}
+
+// Reserve grows the current run for what is coming, or for as much of it as
+// the run takes before it is sealed at the spill threshold.
+func (w *sortWriter) Reserve(records int, bytes int64) {
+	if w.combine != nil || records <= 0 || bytes <= 0 {
+		return
+	}
+	per := (bytes + int64(records) - 1) / int64(records)
+	if room := w.cfg.SpillThreshold - w.buffered + per; bytes > room { // the record that crosses the threshold is still this run's
+		records, bytes = int(room/per), room
+	}
+	w.cur.entries = slices.Grow(w.cur.entries, records)
+	w.cur.arena = slices.Grow(w.cur.arena, int(bytes))
 }
 
 func (w *sortWriter) Write(key, value []byte) error {
@@ -460,71 +541,140 @@ func (w *sortWriter) Close() ([]Block, Stats, error) {
 // Reader
 
 // Record is a decoded shuffle record. Key and Value are capacity-clipped
-// views into a buffer ReadBlocks allocated for their block: the caller may
-// keep, mutate and append to them, and a kept record keeps its block's
-// buffer alive.
+// views into a buffer allocated for their block: the caller may keep,
+// mutate and append to them, and a kept record keeps its block's buffer
+// alive.
 type Record struct {
 	Key, Value []byte
 }
 
-// ReadBlocks decodes the records of the given blocks (all for the same
+// recordRef locates one record of a Records view: its block buffer, where
+// its key starts — the value follows — and both lengths. It holds no
+// pointer, so the collector never scans an index.
+type recordRef struct{ buf, off, klen, vlen uint32 }
+
+// Records is one reduce partition's records as ReadRecords found them:
+// the decompressed block buffers and an index into them, in reading order.
+// A view is read-only and belongs to whoever it was handed to: the engine
+// builds a fresh one for every read, retried and recomputed tasks
+// included, and never writes one. Key and Value return capacity-clipped
+// slices of the buffers; a kept slice keeps its block's buffer alive.
+type Records struct {
+	bufs  [][]byte
+	refs  []recordRef
+	bytes int
+}
+
+// Len returns the number of records, Bytes the size of their keys and
+// values together.
+func (r Records) Len() int   { return len(r.refs) }
+func (r Records) Bytes() int { return r.bytes }
+
+// Key returns record i's key.
+func (r Records) Key(i int) []byte {
+	e := r.refs[i]
+	return r.bufs[e.buf][e.off : e.off+e.klen : e.off+e.klen]
+}
+
+// Value returns record i's value.
+func (r Records) Value(i int) []byte {
+	e := r.refs[i]
+	return r.bufs[e.buf][e.off+e.klen : e.off+e.klen+e.vlen : e.off+e.klen+e.vlen]
+}
+
+// RecordsOf copies recs into a view of their own, for callers that have
+// records but no blocks (the sequential reference).
+func RecordsOf(recs []Record) Records {
+	var out Records
+	var buf []byte
+	for _, rec := range recs {
+		out.refs = append(out.refs, recordRef{off: uint32(len(buf)), klen: uint32(len(rec.Key)), vlen: uint32(len(rec.Value))})
+		buf = append(append(buf, rec.Key...), rec.Value...)
+	}
+	out.bufs, out.bytes = [][]byte{buf}, len(buf)
+	return out
+}
+
+// ReadRecords decodes the records of the given blocks (all for the same
 // reduce partition) in place over each freshly decompressed block; no
-// record aliases Block.Data. When every block is sorted, the result is a
+// record aliases Block.Data. When every block is sorted, the view is a
 // k-way merge preserving global key order; otherwise records appear in
-// block order. Block.Records only pre-sizes the result.
-func ReadBlocks(codec compress.Codec, blocks []Block) ([]Record, error) {
+// block order. Block.Records only pre-sizes the index.
+func ReadRecords(codec compress.Codec, blocks []Block) (Records, error) {
 	if codec == nil {
 		codec = compress.None{}
 	}
-	raws := make([][]byte, len(blocks))
+	out := Records{bufs: make([][]byte, len(blocks))}
 	merge := len(blocks) > 1
 	hint := 0
 	for i, b := range blocks {
 		raw, err := codec.Decompress(b.Data)
 		if err != nil {
-			return nil, fmt.Errorf("shuffle: block %d: %w", i, err)
+			return Records{}, fmt.Errorf("shuffle: block %d: %w", i, err)
 		}
-		raws[i] = raw
+		if uint64(len(raw)) > math.MaxUint32 {
+			return Records{}, fmt.Errorf("shuffle: block %d: %d bytes decompressed, more than a record index addresses", i, len(raw))
+		}
+		out.bufs[i] = raw
 		hint += max(0, min(b.Records, len(raw)/2)) // a framed record is at least 2 bytes
 		merge = merge && b.Sorted
 	}
-	recs := make([]Record, 0, hint)
-	ends := make([]int, len(blocks)) // block i is recs[ends[i-1]:ends[i]]
-	for i, raw := range raws {
-		for len(raw) > 0 {
-			rec, rest, err := serde.Next(raw)
+	refs := make([]recordRef, 0, hint)
+	ends := make([]int, len(blocks)) // block i is refs[ends[i-1]:ends[i]]
+	for i, raw := range out.bufs {
+		for rest := raw; len(rest) > 0; {
+			rec, tail, err := serde.Next(rest)
 			if err != nil {
-				return nil, fmt.Errorf("shuffle: block %d: %w", i, err)
+				return Records{}, fmt.Errorf("shuffle: block %d: %w", i, err)
 			}
-			recs = append(recs, Record(rec))
-			raw = rest
+			klen, vlen := len(rec.Key), len(rec.Value)
+			refs = append(refs, recordRef{uint32(i), uint32(len(raw) - len(tail) - klen - vlen), uint32(klen), uint32(vlen)})
+			out.bytes += klen + vlen
+			rest = tail
 		}
-		ends[i] = len(recs)
+		ends[i] = len(refs)
 	}
+	out.refs = refs
 	if !merge {
-		return recs, nil
+		return out, nil
 	}
 	// Merge the sorted blocks; equal keys go to the lowest block.
 	heads := append([]int{0}, ends[:len(ends)-1]...)
 	prefix := make([]uint64, len(heads)) // keyPrefix of each block's head record
 	for i, h := range heads {
 		if h < ends[i] {
-			prefix[i] = keyPrefix(recs[h].Key)
+			prefix[i] = keyPrefix(out.Key(h))
 		}
 	}
-	out := make([]Record, 0, len(recs))
-	for len(out) < len(recs) {
+	merged := make([]recordRef, 0, len(refs))
+	for len(merged) < len(refs) {
 		best := -1
 		for i, h := range heads {
 			if h < ends[i] && (best < 0 || prefix[i] < prefix[best] ||
-				prefix[i] == prefix[best] && bytes.Compare(recs[h].Key, recs[heads[best]].Key) < 0) {
+				prefix[i] == prefix[best] && bytes.Compare(out.Key(h), out.Key(heads[best])) < 0) {
 				best = i
 			}
 		}
-		out = append(out, recs[heads[best]])
+		merged = append(merged, refs[heads[best]])
 		if heads[best]++; heads[best] < ends[best] {
-			prefix[best] = keyPrefix(recs[heads[best]].Key)
+			prefix[best] = keyPrefix(out.Key(heads[best]))
 		}
 	}
+	out.refs = merged
 	return out, nil
+}
+
+// ReadBlocks is ReadRecords with every record materialised, for callers
+// that keep or compare records as a slice: the differential checkers, the
+// experiments and the benchmark's probe.
+func ReadBlocks(codec compress.Codec, blocks []Block) ([]Record, error) {
+	view, err := ReadRecords(codec, blocks)
+	if err != nil {
+		return nil, err
+	}
+	recs := make([]Record, view.Len())
+	for i := range recs {
+		recs[i] = Record{Key: view.Key(i), Value: view.Value(i)}
+	}
+	return recs, nil
 }

@@ -3,6 +3,7 @@ package shuffle
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -401,5 +402,119 @@ func BenchmarkReadBlocksSorted(b *testing.B) {
 		if err != nil || int64(len(recs)) != records {
 			b.Fatalf("read %d records, want %d: %v", len(recs), records, err)
 		}
+	}
+}
+
+// TestWritersCopyScratch: a caller may encode every record into the same
+// scratch buffer. Both writers, with and without a combiner, must have
+// copied what Write was handed by the time it returns: scribbling over the
+// scratch after each Write changes no block.
+func TestWritersCopyScratch(t *testing.T) {
+	input := identityInput(11)
+	concat := func(a, b []byte) []byte { return append(append([]byte(nil), a...), b...) }
+	for name, mk := range writers(Config{}) {
+		for _, combiner := range []func(a, b []byte) []byte{nil, concat} {
+			cfg := Config{Partitions: 3, Combiner: combiner, SpillThreshold: 2048}
+			stable, _ := mk(cfg)
+			reused, _ := mk(cfg)
+			var scratch []byte
+			for _, r := range input {
+				if err := stable.Write(r.k, r.v); err != nil {
+					t.Fatal(err)
+				}
+				scratch = append(append(scratch[:0], r.k...), r.v...)
+				if err := reused.Write(scratch[:len(r.k)], scratch[len(r.k):]); err != nil {
+					t.Fatal(err)
+				}
+				for i := range scratch {
+					scratch[i] = 0xEE
+				}
+			}
+			want, wantStats, err := stable.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotStats, err := reused.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotStats, wantStats) {
+				t.Errorf("%s writer, combiner=%t: blocks written from reused scratch differ", name, combiner != nil)
+			}
+		}
+	}
+}
+
+// TestWriteRecordsReservesThenWrites: WriteRecords hands the writer the same
+// records a Write loop does, through one scratch buffer, after one Reserve
+// sized from the first record.
+func TestWriteRecordsReservesThenWrites(t *testing.T) {
+	input := identityInput(5)
+	for name, mk := range writers(Config{}) {
+		loop, _ := mk(Config{Partitions: 4})
+		for _, r := range input {
+			_ = loop.Write(r.k, r.v)
+		}
+		want, _, _ := loop.Close()
+		batch, _ := mk(Config{Partitions: 4})
+		err := WriteRecords(batch, len(input),
+			func(dst []byte, i int) []byte { return append(dst, input[i].k...) },
+			func(dst []byte, i int) []byte { return append(dst, input[i].v...) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _, _ := batch.Close(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s writer: WriteRecords wrote different blocks", name)
+		}
+	}
+}
+
+// TestKeyOrder: the order is sort.Strings' for both key forms, and neither
+// form pays a copy per comparison (two allocations: prefixes and order).
+func TestKeyOrder(t *testing.T) {
+	var keys [][]byte
+	for _, r := range identityInput(9) {
+		keys = append(keys, r.k)
+	}
+	strs := make([]string, len(keys))
+	for i, k := range keys {
+		strs[i] = string(k)
+	}
+	want := append([]string(nil), strs...)
+	sort.Strings(want)
+	for j, i := range KeyOrder(keys) {
+		if string(keys[i]) != want[j] {
+			t.Fatalf("[]byte keys: position %d holds %q, want %q", j, keys[i], want[j])
+		}
+	}
+	for j, i := range KeyOrder(strs) {
+		if strs[i] != want[j] {
+			t.Fatalf("string keys: position %d holds %q, want %q", j, strs[i], want[j])
+		}
+	}
+	if n := testing.AllocsPerRun(5, func() { KeyOrder(keys) }); n > 2 {
+		t.Errorf("KeyOrder over []byte keys: %v allocations, want 2", n)
+	}
+	if n := testing.AllocsPerRun(5, func() { KeyOrder(strs) }); n > 2 {
+		t.Errorf("KeyOrder over string keys: %v allocations, want 2", n)
+	}
+}
+
+// TestRecordsOf: the view built from a slice holds the slice's records, in
+// order, in memory of its own.
+func TestRecordsOf(t *testing.T) {
+	recs := []Record{{Key: []byte("b"), Value: []byte("2")}, {Key: nil, Value: nil}, {Key: []byte("a"), Value: []byte("111")}}
+	view := RecordsOf(recs)
+	recs[0].Key[0] = 'x'
+	if view.Len() != 3 || view.Bytes() != 6 {
+		t.Fatalf("Len %d Bytes %d", view.Len(), view.Bytes())
+	}
+	for i, want := range []string{"b=2", "=", "a=111"} {
+		if got := string(view.Key(i)) + "=" + string(view.Value(i)); got != want {
+			t.Errorf("record %d = %q, want %q", i, got, want)
+		}
+	}
+	if k := view.Key(2); cap(k) != len(k) {
+		t.Errorf("key capacity %d over length %d: an append would reach the value", cap(k), len(k))
 	}
 }

@@ -3,8 +3,6 @@ package table
 import (
 	"fmt"
 	"math"
-	"slices"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/serde"
@@ -124,30 +122,28 @@ func (g *Grouped) Agg(parts int, aggs ...Agg) (*Table, error) {
 	outSchema := Schema{Cols: outCols}
 	schema := t.schema
 
-	pre := t.eng.NewNarrow(t.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
-		b := batchOf(schema, rows)
-		tab := &aggTable{plans: plans}
-		var key []byte
-		for i := 0; i < b.n; i++ {
-			key = key[:0]
-			for _, j := range keyIdx { // self-delimiting encodings: the concatenation is unambiguous and ordered
-				key = appendSortableKey(key, schema.Cols[j].Type, &b.Cols[j], i, false)
-			}
-			slots := tab.group(key)
-			for k := range plans {
-				plans[k].fold(&slots[k], b, i)
-			}
-		}
-		return tab.records()
-	})
-	plan := t.eng.NewShuffled(pre, core.ShuffleDep{
+	plan := t.eng.NewShuffled(t.plan, core.ShuffleDep{
 		Partitions: parts,
-		KeyOf:      recordKey,
-		ValueOf:    recordValue,
-		Post: func(_ *core.TaskContext, recs []shuffle.Record) []core.Row {
+		Emit: func(row core.Row, w shuffle.Writer) error {
+			b := row.(*Batch)
 			tab := &aggTable{plans: plans}
-			for _, rec := range recs { // arrival order: float sums depend on it
-				if err := mergeEncoded(plans, tab.group(rec.Key), rec.Value); err != nil {
+			var key []byte
+			for i := 0; i < b.n; i++ {
+				key = key[:0]
+				for _, j := range keyIdx { // self-delimiting encodings: the concatenation is unambiguous and ordered
+					key = appendSortableKey(key, schema.Cols[j].Type, &b.Cols[j], i, false)
+				}
+				slots := tab.group(key)
+				for k := range plans {
+					plans[k].fold(&slots[k], b, i)
+				}
+			}
+			return tab.emit(w)
+		},
+		Post: func(_ *core.TaskContext, recs shuffle.Records) []core.Row {
+			tab := &aggTable{plans: plans}
+			for r := 0; r < recs.Len(); r++ { // arrival order: float sums depend on it
+				if err := mergeEncoded(plans, tab.group(recs.Key(r)), recs.Value(r)); err != nil {
 					panic(fmt.Sprintf("table: agg state decode: %v", err))
 				}
 			}
@@ -230,8 +226,9 @@ func (p *aggPlan) merge(dst *aggSlot, src aggSlot) {
 			switch p.typ {
 			case Int64:
 				less, greater = src.i < dst.i, src.i > dst.i
-			case Float64:
-				less, greater = src.f < dst.f, src.f > dst.f
+			case Float64: // the sort key's total order: NaN and the zeros have a place in it
+				so, do := serde.SortableFloat64Bits(src.f), serde.SortableFloat64Bits(dst.f)
+				less, greater = so < do, so > do
 			default:
 				less, greater = src.s < dst.s, src.s > dst.s
 			}
@@ -345,18 +342,14 @@ func readScalar(b []byte, typ Type, s *aggSlot) (rest []byte, err error) {
 	return rest, err
 }
 
-// records renders one shuffle record per group — composite key, encoded
-// state — in ascending key order, which is the order a map-side combiner
-// flushes its groups in.
-func (t *aggTable) records() []core.Row {
-	order := make([]int, len(t.keys))
-	for g := range order {
-		order[g] = g
-	}
-	slices.SortFunc(order, func(a, b int) int { return strings.Compare(t.keys[a], t.keys[b]) })
-	n := len(t.plans)
-	return cutRecords(len(order), func(dst []byte, i int) []byte { return append(dst, t.keys[order[i]]...) },
-		func(dst []byte, i int) []byte { return appendState(dst, t.plans, t.slots[order[i]*n:][:n]) })
+// emit writes one shuffle record per group — composite key, encoded state
+// — in ascending key order, which is the order a map-side combiner flushes
+// its groups in.
+func (t *aggTable) emit(w shuffle.Writer) error {
+	order, n := shuffle.KeyOrder(t.keys), len(t.plans)
+	return shuffle.WriteRecords(w, len(order),
+		func(dst []byte, i int) []byte { return append(dst, t.keys[order[i]]...) },
+		func(dst []byte, i int) []byte { return appendState(dst, t.plans, t.slots[int(order[i])*n:][:n]) })
 }
 
 // batch renders one output row per group, in order of first appearance:

@@ -2,12 +2,9 @@ package table
 
 import (
 	"math"
-	"slices"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/serde"
-	"repro/internal/shuffle"
 )
 
 // Vector is one column of a Batch: the slice matching the column's type
@@ -29,7 +26,7 @@ type Vector struct {
 type Batch struct {
 	n     int
 	Cols  []Vector
-	arena strings.Builder // backs the strings decodeRow appended
+	arena serde.Arena // backs the strings decodeRow appended
 }
 
 // Len returns the number of rows.
@@ -170,7 +167,7 @@ func (b *Batch) decodeRow(s Schema, rec []byte) error {
 		default:
 			var x []byte
 			x, rec, err = readBytes(rec)
-			v.Strings = append(v.Strings, intern(&b.arena, x))
+			v.Strings = append(v.Strings, b.arena.String(x))
 		}
 		if err != nil {
 			for j := 0; j <= k; j++ { // drop the half-appended row
@@ -181,15 +178,6 @@ func (b *Batch) decodeRow(s Schema, rec []byte) error {
 	}
 	b.n++
 	return nil
-}
-
-// intern copies b to the end of the arena and returns the copy as a string.
-// A strings.Builder only ever appends, so strings cut from it stay valid,
-// and cutting one costs no allocation of its own.
-func intern(arena *strings.Builder, b []byte) string {
-	arena.Write(b)
-	all := arena.String()
-	return all[len(all)-len(b):]
 }
 
 // readInt, readFloat and readBytes take one appendRow-encoded value off
@@ -266,7 +254,7 @@ func appendEqualityKey(dst []byte, typ Type, v *Vector, i int) []byte {
 type keyIndex struct {
 	ids   map[string]int
 	keys  []string // number -> key
-	arena strings.Builder
+	arena serde.Arena
 	last  int
 }
 
@@ -281,37 +269,10 @@ func (x *keyIndex) id(key []byte) int {
 			x.ids = map[string]int{}
 		}
 		id = len(x.keys)
-		k := intern(&x.arena, key)
+		k := x.arena.String(key)
 		x.ids[k] = id
 		x.keys = append(x.keys, k)
 	}
 	x.last = id
 	return id
 }
-
-// cutRecords encodes n shuffle records into one buffer — key(i) then
-// value(i), each appending to what it is handed — sized from the first
-// record, and returns rows that point into one slab of records over it. A
-// record cut before the buffer had to grow keeps its bytes in the old
-// array, which nothing writes again. recordKey and recordValue are the
-// ShuffleDep accessors for such rows.
-func cutRecords(n int, key, value func(dst []byte, i int) []byte) []core.Row {
-	var buf []byte
-	recs := make([]shuffle.Record, n)
-	out := make([]core.Row, n)
-	for i := range recs {
-		start := len(buf)
-		buf = key(buf, i)
-		mid := len(buf)
-		buf = value(buf, i)
-		if i == 0 {
-			buf = slices.Grow(buf, n*len(buf))
-		}
-		recs[i] = shuffle.Record{Key: buf[start:mid:mid], Value: buf[mid:len(buf):len(buf)]}
-		out[i] = &recs[i]
-	}
-	return out
-}
-
-func recordKey(r core.Row) []byte   { return r.(*shuffle.Record).Key }
-func recordValue(r core.Row) []byte { return r.(*shuffle.Record).Value }

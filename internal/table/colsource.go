@@ -27,7 +27,7 @@ type ColumnarTable struct {
 type colPart struct {
 	rows int
 	cols [][]byte // encoded chunk per schema column
-	mins []any    // zone map; nil values when rows == 0
+	mins []any    // zone map; nil for a column with no ordered value (see zone)
 	maxs []any
 }
 
@@ -72,20 +72,27 @@ func BuildColumnar(schema Schema, rows []Row, parts int) (*ColumnarTable, error)
 	return ct, nil
 }
 
-// zone returns a chunk's zone-map entry: its least and greatest value, nil
-// for an empty chunk.
+// zone returns a chunk's zone-map entry: the least and greatest of its
+// values that order at all. NaN compares false with everything, so no
+// range predicate keeps it and it stays out of the range; a chunk with
+// nothing else (or nothing) has no entry, nil.
 func zone[T cmp.Ordered](vals []T) (least, greatest any) {
-	if len(vals) == 0 {
-		return nil, nil
-	}
-	mn, mx := vals[0], vals[0]
-	for _, v := range vals[1:] {
-		if v < mn {
+	var mn, mx T
+	seen := false
+	for _, v := range vals {
+		if v != v {
+			continue
+		}
+		if !seen || v < mn {
 			mn = v
 		}
-		if v > mx {
+		if !seen || v > mx {
 			mx = v
 		}
+		seen = true
+	}
+	if !seen {
+		return nil, nil
 	}
 	return mn, mx
 }
@@ -208,7 +215,7 @@ func (c *ColumnarTable) Scan(eng *core.Engine, preds []ColPredicate, needed []in
 		// Zone-map pruning: any pushed predicate proving the partition
 		// empty skips every chunk in it.
 		for _, p := range preds {
-			if p.SkipAll != nil && p.SkipAll(cp.mins[p.Col], cp.maxs[p.Col]) {
+			if p.SkipAll != nil && cp.mins[p.Col] != nil && p.SkipAll(cp.mins[p.Col], cp.maxs[p.Col]) {
 				rowsPruned.Add(int64(cp.rows))
 				for _, col := range cp.cols {
 					bytesSkip.Add(int64(len(col)))

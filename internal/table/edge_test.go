@@ -6,6 +6,7 @@ package table
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -374,6 +375,46 @@ func TestColumnarZonePruning(t *testing.T) {
 	}
 	if reg.Counter(CtrRowsScanned).Value() != 100 {
 		t.Fatalf("scanned %d rows, want 100", reg.Counter(CtrRowsScanned).Value())
+	}
+}
+
+// TestZoneMapLeavesNaNOut: a chunk that starts with NaN is pruned by what
+// its other values say, never by the NaN; a chunk of nothing but NaN has no
+// zone entry and is scanned.
+func TestZoneMapLeavesNaNOut(t *testing.T) {
+	nan := math.NaN()
+	schema := Schema{Cols: []Col{{Name: "v", Type: Float64}}}
+	// Round-robin over 3 parts: {NaN, 1, 9}, {NaN, NaN, NaN}, {NaN, 2, 3}.
+	rows := []Row{{nan}, {nan}, {nan}, {1.0}, {nan}, {2.0}, {9.0}, {nan}, {3.0}}
+	ct, err := BuildColumnar(schema, rows, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mn, mx := ct.parts[0].mins[0], ct.parts[0].maxs[0]; mn != 1.0 || mx != 9.0 {
+		t.Fatalf("zone of {NaN, 1, 9} = [%v, %v]", mn, mx)
+	}
+	if mn, mx := ct.parts[1].mins[0], ct.parts[1].maxs[0]; mn != nil || mx != nil {
+		t.Fatalf("zone of an all-NaN chunk = [%v, %v], want none", mn, mx)
+	}
+	reg := metrics.NewRegistry()
+	pred := ColPredicate{
+		Col:     0,
+		Keep:    func(v float64) bool { return v > 5 },
+		SkipAll: func(_, max any) bool { return max.(float64) <= 5 },
+	}
+	scan, err := ct.Scan(testEngine(), []ColPredicate{pred}, nil, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := scan.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0][0] != 9.0 {
+		t.Fatalf("v > 5 kept %v, want [[9]]", got)
+	}
+	if pruned := reg.Counter(CtrRowsPruned).Value(); pruned != 3 {
+		t.Fatalf("pruned %d rows, want the 3 of {NaN, 2, 3}", pruned)
 	}
 }
 

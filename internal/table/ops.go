@@ -126,23 +126,22 @@ func (t *Table) OrderByCols(cols []string, desc []bool, parts int) (*Table, erro
 	for i, r := range raw {
 		keys[i] = r.([]byte)
 	}
-	rp := shuffle.NewRangePartitioner(pickSplits(keys, parts))
+	rp := shuffle.NewRangePartitioner(shuffle.SplitPoints(keys, parts))
 
-	records := t.eng.NewNarrow(t.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
-		b := batchOf(schema, rows)
-		return cutRecords(b.n, func(dst []byte, i int) []byte { return appendKey(dst, b, i) },
-			func(dst []byte, i int) []byte { return b.appendRow(dst, schema, i) })
-	})
-	plan := t.eng.NewShuffled(records, core.ShuffleDep{
+	plan := t.eng.NewShuffled(t.plan, core.ShuffleDep{
 		Partitions:  rp.Partitions(),
 		Partitioner: rp.Partition,
 		Sorted:      true,
-		KeyOf:       recordKey,
-		ValueOf:     recordValue,
-		Post: func(_ *core.TaskContext, recs []shuffle.Record) []core.Row {
-			out := newBatch(schema, len(recs))
-			for _, rec := range recs {
-				if err := out.decodeRow(schema, rec.Value); err != nil {
+		Emit: func(row core.Row, w shuffle.Writer) error {
+			b := row.(*Batch)
+			return shuffle.WriteRecords(w, b.n,
+				func(dst []byte, i int) []byte { return appendKey(dst, b, i) },
+				func(dst []byte, i int) []byte { return b.appendRow(dst, schema, i) })
+		},
+		Post: func(_ *core.TaskContext, recs shuffle.Records) []core.Row {
+			out := newBatch(schema, recs.Len())
+			for r := 0; r < recs.Len(); r++ {
+				if err := out.decodeRow(schema, recs.Value(r)); err != nil {
 					panic(fmt.Sprintf("table: orderby decode: %v", err))
 				}
 			}

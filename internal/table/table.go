@@ -9,7 +9,6 @@
 package table
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
@@ -371,48 +370,49 @@ func (t *Table) HashJoin(right *Table, leftCol, rightCol string, parts int) (*Ta
 	}
 	leftSchema, rightSchema := t.schema, right.schema
 	// Each side's rows become records: equality key, then 'L' or 'R' and
-	// the encoded row.
+	// the encoded row. The shuffle cannot tell the sides' batches apart, so
+	// a narrow step hands it a row that writes itself.
 	tagged := func(side *Table, keyCol int, tag byte) *core.Plan {
 		schema := side.schema
 		keyType := schema.Cols[keyCol].Type
 		return t.eng.NewNarrow(side.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
 			b := batchOf(schema, rows)
-			return cutRecords(b.n, func(dst []byte, i int) []byte {
-				return appendEqualityKey(dst, keyType, &b.Cols[keyCol], i)
-			}, func(dst []byte, i int) []byte {
-				return b.appendRow(append(dst, tag), schema, i)
-			})
+			return []core.Row{func(w shuffle.Writer) error {
+				return shuffle.WriteRecords(w, b.n,
+					func(dst []byte, i int) []byte { return appendEqualityKey(dst, keyType, &b.Cols[keyCol], i) },
+					func(dst []byte, i int) []byte { return b.appendRow(append(dst, tag), schema, i) })
+			}}
 		})
 	}
 	both := t.eng.NewUnion(tagged(t, li, 'L'), tagged(right, ri, 'R'))
 	plan := t.eng.NewShuffled(both, core.ShuffleDep{
 		Partitions: parts,
-		KeyOf:      recordKey,
-		ValueOf:    recordValue,
-		Post: func(_ *core.TaskContext, recs []shuffle.Record) []core.Row {
+		Emit:       func(row core.Row, w shuffle.Writer) error { return row.(func(shuffle.Writer) error)(w) },
+		Post: func(_ *core.TaskContext, recs shuffle.Records) []core.Row {
 			// Decode every row once into its side's builder and thread it
 			// onto its key's list; keys keep the order they arrived in.
 			nl := 0
-			for _, rec := range recs {
-				if rec.Value[0] == 'L' {
+			for r := 0; r < recs.Len(); r++ {
+				if recs.Value(r)[0] == 'L' {
 					nl++
 				}
 			}
-			lefts, rights := newBatch(leftSchema, nl), newBatch(rightSchema, len(recs)-nl)
+			lefts, rights := newBatch(leftSchema, nl), newBatch(rightSchema, recs.Len()-nl)
 			var lrows, rrows chains
 			var index keyIndex
-			for _, rec := range recs {
-				g := index.id(rec.Key)
+			for r := 0; r < recs.Len(); r++ {
+				g := index.id(recs.Key(r))
 				if g == len(lrows.head) {
 					lrows.grow()
 					rrows.grow()
 				}
+				value := recs.Value(r)
 				side, schema, rows := rights, rightSchema, &rrows
-				if rec.Value[0] == 'L' {
+				if value[0] == 'L' {
 					side, schema, rows = lefts, leftSchema, &lrows
 				}
 				rows.add(g)
-				if err := side.decodeRow(schema, rec.Value[1:]); err != nil {
+				if err := side.decodeRow(schema, value[1:]); err != nil {
 					panic(fmt.Sprintf("table: join decode: %v", err))
 				}
 			}
@@ -444,25 +444,4 @@ func (t *Table) HashJoin(right *Table, leftCol, rightCol string, parts int) (*Ta
 // OrderByCols with tiebreak columns for a deterministic total order.
 func (t *Table) OrderBy(col string, desc bool, parts int) (*Table, error) {
 	return t.OrderByCols([]string{col}, []bool{desc}, parts)
-}
-
-func pickSplits(sample [][]byte, parts int) [][]byte {
-	sorted := append([][]byte(nil), sample...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && bytes.Compare(sorted[j], sorted[j-1]) < 0; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	var out [][]byte
-	for i := 1; i < parts && len(sorted) > 0; i++ {
-		idx := i * len(sorted) / parts
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		s := sorted[idx]
-		if len(out) == 0 || !bytes.Equal(out[len(out)-1], s) {
-			out = append(out, s)
-		}
-	}
-	return out
 }

@@ -1,13 +1,8 @@
 package hpbdc
 
 import (
-	"bytes"
-	"cmp"
-	"encoding/binary"
-	"slices"
-	"sort"
-
 	"repro/internal/core"
+	"repro/internal/serde"
 	"repro/internal/shuffle"
 )
 
@@ -45,66 +40,49 @@ func Values[K comparable, V any](d *Dataset[Pair[K, V]]) *Dataset[V] {
 	return Map(d, func(p Pair[K, V]) V { return p.Value })
 }
 
-// recordsOf adds the map side of a shuffle: one narrow step that cuts a
-// partition's batch into a slab of shuffle records. The step's rows point
-// into the slab, and shuffleOf's KeyOf/ValueOf just read the fields.
-func recordsOf[T any](d *Dataset[T], cut func(ctx *core.TaskContext, in []T) []shuffle.Record) *core.Plan {
-	return narrowOf(d, func(ctx *core.TaskContext, in []T) []core.Row {
-		recs := cut(ctx, in)
-		rows := make([]core.Row, len(recs))
-		for i := range recs {
-			rows[i] = &recs[i]
-		}
-		return rows
-	})
+// shuffleOf adds a shuffle boundary over parent. emit writes the records of
+// one parent row — a partition's whole batch — and post turns one reduce
+// partition's records into its batch.
+func shuffleOf[U any](c *Context, parent *core.Plan, dep core.ShuffleDep, emit func(row core.Row, w shuffle.Writer) error, post func(recs shuffle.Records) []U) *Dataset[U] {
+	dep.Emit = emit
+	dep.Post = func(_ *core.TaskContext, recs shuffle.Records) []core.Row { return []core.Row{post(recs)} }
+	return &Dataset[U]{ctx: c, plan: c.engine.NewShuffled(parent, dep)}
 }
 
-// shuffleOf shuffles the records plan; post turns one reduce partition's
-// records into its batch.
-func shuffleOf[U any](c *Context, records *core.Plan, dep core.ShuffleDep, post func(recs []shuffle.Record) []U) *Dataset[U] {
-	dep.KeyOf = func(r core.Row) []byte { return r.(*shuffle.Record).Key }
-	dep.ValueOf = func(r core.Row) []byte { return r.(*shuffle.Record).Value }
-	dep.Post = func(_ *core.TaskContext, recs []shuffle.Record) []core.Row { return []core.Row{post(recs)} }
-	return &Dataset[U]{ctx: c, plan: c.engine.NewShuffled(records, dep)}
+// writePairs writes every pair as one record, in batch order. Both codecs
+// append into scratch the writer copies from.
+func writePairs[K comparable, V any](w shuffle.Writer, in []Pair[K, V], kc Codec[K], vc Codec[V]) error {
+	return shuffle.WriteRecords(w, len(in),
+		func(dst []byte, i int) []byte { return kc.Append(dst, in[i].Key) },
+		func(dst []byte, i int) []byte { return vc.Append(dst, in[i].Value) })
 }
 
-// pairRecords encodes every pair as one record, in batch order.
-func pairRecords[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Codec[V]) *core.Plan {
-	return recordsOf(d, func(_ *core.TaskContext, in []Pair[K, V]) []shuffle.Record {
-		recs := make([]shuffle.Record, len(in))
-		for i, p := range in {
-			recs[i] = shuffle.Record{Key: kc.Encode(p.Key), Value: vc.Encode(p.Value)}
-		}
-		return recs
-	})
+// emitPairs is the emit of a shuffle whose parent's batches are pairs.
+func emitPairs[K comparable, V any](kc Codec[K], vc Codec[V]) func(core.Row, shuffle.Writer) error {
+	return func(row core.Row, w shuffle.Writer) error { return writePairs(w, row.([]Pair[K, V]), kc, vc) }
 }
 
-// keyOrder returns 0..n-1 arranged so that key(i) ascends bytewise — the
-// order sort.Strings gives the keys' string forms. Like the sort shuffle
-// writer it compares cached 8-byte prefixes and reads a key only on a tie.
-func keyOrder(n int, key func(i int) []byte) []int32 {
-	prefix, order := make([]uint64, n), make([]int32, n)
-	for i := range order {
-		var b [8]byte
-		copy(b[:], key(i))
-		prefix[i], order[i] = binary.BigEndian.Uint64(b[:]), int32(i)
+// recordSource is a row that writes its own records: what a narrow step
+// hands a shuffle when the batch alone does not say how to encode it (which
+// side of a join it is, which partition it came from).
+type recordSource func(w shuffle.Writer) error
+
+func emitSource(row core.Row, w shuffle.Writer) error { return row.(recordSource)(w) }
+
+// writeByKey writes n records in ascending key order — the order a map-side
+// combiner flushes in. key and value append record i's encodings to dst.
+func writeByKey(w shuffle.Writer, n int, key, value func(dst []byte, i int) []byte) error {
+	var arena []byte
+	keys := make([][]byte, n)
+	for i := range keys { // a key cut before arena grew stays in the old array, which nothing writes again
+		start := len(arena)
+		arena = key(arena, i)
+		keys[i] = arena[start:]
 	}
-	slices.SortFunc(order, func(a, b int32) int {
-		if c := cmp.Compare(prefix[a], prefix[b]); c != 0 {
-			return c
-		}
-		return bytes.Compare(key(int(a)), key(int(b)))
-	})
-	return order
-}
-
-// byKey returns the records in ascending key order.
-func byKey(recs []shuffle.Record) []shuffle.Record {
-	out := make([]shuffle.Record, len(recs))
-	for j, i := range keyOrder(len(recs), func(i int) []byte { return recs[i].Key }) {
-		out[j] = recs[i]
-	}
-	return out
+	order := shuffle.KeyOrder(keys)
+	return shuffle.WriteRecords(w, n,
+		func(dst []byte, j int) []byte { return append(dst, keys[order[j]]...) },
+		func(dst []byte, j int) []byte { return value(dst, int(order[j])) })
 }
 
 // keyGroups numbers the distinct keys of a reduce partition in order of
@@ -129,9 +107,7 @@ func (g *keyGroups) group(key []byte) (int32, bool) {
 
 // ascending returns the group numbers in ascending key order, which keeps
 // reduce output deterministic.
-func (g *keyGroups) ascending() []int32 {
-	return keyOrder(len(g.keys), func(i int) []byte { return g.keys[i] })
-}
+func (g *keyGroups) ascending() []int32 { return shuffle.KeyOrder(g.keys) }
 
 // ReduceByKey shuffles pairs into `parts` partitions and merges values
 // with equal keys using `merge` (associative and commutative). Each map
@@ -141,10 +117,11 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Co
 	if parts <= 0 {
 		parts = d.Partitions()
 	}
-	folded := recordsOf(d, func(_ *core.TaskContext, in []Pair[K, V]) []shuffle.Record {
+	kc, vc = kc.forShuffle(), vc.forShuffle()
+	emit := func(row core.Row, w shuffle.Writer) error {
 		index := map[K]int32{}
 		var slots []Pair[K, V] // one per distinct key, values merged in arrival order
-		for _, p := range in {
+		for _, p := range row.([]Pair[K, V]) {
 			if i, ok := index[p.Key]; ok {
 				slots[i].Value = merge(slots[i].Value, p.Value)
 			} else {
@@ -152,18 +129,17 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Co
 				slots = append(slots, p)
 			}
 		}
-		recs := make([]shuffle.Record, len(slots))
-		for i, s := range slots {
-			recs[i] = shuffle.Record{Key: kc.Encode(s.Key), Value: vc.Encode(s.Value)}
-		}
-		return byKey(recs)
-	})
-	return shuffleOf(d.ctx, folded, core.ShuffleDep{Partitions: parts}, func(recs []shuffle.Record) []Pair[K, V] {
+		return writeByKey(w, len(slots),
+			func(dst []byte, i int) []byte { return kc.Append(dst, slots[i].Key) },
+			func(dst []byte, i int) []byte { return vc.Append(dst, slots[i].Value) })
+	}
+	return shuffleOf(d.ctx, d.plan, core.ShuffleDep{Partitions: parts}, emit, func(recs shuffle.Records) []Pair[K, V] {
 		g := newKeyGroups()
 		var vals []V
-		for _, rec := range recs { // arrival order: float sums depend on it
-			v := vc.Decode(rec.Value)
-			if i, first := g.group(rec.Key); first {
+		arena := serde.NewArena(0)        // what survives the merge is not known ahead
+		for r := 0; r < recs.Len(); r++ { // arrival order: float sums depend on it
+			v := vc.decodeIn(arena, recs.Value(r))
+			if i, first := g.group(recs.Key(r)); first {
 				vals = append(vals, v)
 			} else {
 				vals[i] = merge(vals[i], v)
@@ -171,7 +147,7 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Co
 		}
 		out := make([]Pair[K, V], 0, len(vals))
 		for _, i := range g.ascending() {
-			out = append(out, Pair[K, V]{Key: kc.Decode(g.keys[i]), Value: vals[i]})
+			out = append(out, Pair[K, V]{Key: kc.decodeIn(arena, g.keys[i]), Value: vals[i]})
 		}
 		return out
 	})
@@ -184,19 +160,21 @@ func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Cod
 	if parts <= 0 {
 		parts = d.Partitions()
 	}
-	return shuffleOf(d.ctx, pairRecords(d, kc, vc), core.ShuffleDep{Partitions: parts}, func(recs []shuffle.Record) []Pair[K, []V] {
+	kc, vc = kc.forShuffle(), vc.forShuffle()
+	return shuffleOf(d.ctx, d.plan, core.ShuffleDep{Partitions: parts}, emitPairs(kc, vc), func(recs shuffle.Records) []Pair[K, []V] {
 		g := newKeyGroups()
 		var groups [][]V
-		for _, rec := range recs {
-			i, first := g.group(rec.Key)
+		arena := serde.NewArena(recs.Bytes())
+		for r := 0; r < recs.Len(); r++ {
+			i, first := g.group(recs.Key(r))
 			if first {
 				groups = append(groups, nil)
 			}
-			groups[i] = append(groups[i], vc.Decode(rec.Value))
+			groups[i] = append(groups[i], vc.decodeIn(arena, recs.Value(r)))
 		}
 		out := make([]Pair[K, []V], 0, len(groups))
 		for _, i := range g.ascending() {
-			out = append(out, Pair[K, []V]{Key: kc.Decode(g.keys[i]), Value: groups[i]})
+			out = append(out, Pair[K, []V]{Key: kc.decodeIn(arena, g.keys[i]), Value: groups[i]})
 		}
 		return out
 	})
@@ -226,32 +204,40 @@ func Join[K comparable, V, W any](a *Dataset[Pair[K, V]], b *Dataset[Pair[K, W]]
 		parts = a.Partitions()
 	}
 	const leftTag, rightTag = 1, 0
-	left := pairRecords(a, kc, Codec[V]{Encode: func(v V) []byte { return append([]byte{leftTag}, vc.Encode(v)...) }})
-	right := pairRecords(b, kc, Codec[W]{Encode: func(w W) []byte { return append([]byte{rightTag}, wc.Encode(w)...) }})
+	kc, vc, wc = kc.forShuffle(), vc.forShuffle(), wc.forShuffle()
+	leftc := Codec[V]{Append: func(dst []byte, v V) []byte { return vc.Append(append(dst, leftTag), v) }}
+	rightc := Codec[W]{Append: func(dst []byte, w W) []byte { return wc.Append(append(dst, rightTag), w) }}
+	left := narrowOf(a, func(_ *core.TaskContext, in []Pair[K, V]) []core.Row {
+		return []core.Row{recordSource(func(w shuffle.Writer) error { return writePairs(w, in, kc, leftc) })}
+	})
+	right := narrowOf(b, func(_ *core.TaskContext, in []Pair[K, W]) []core.Row {
+		return []core.Row{recordSource(func(w shuffle.Writer) error { return writePairs(w, in, kc, rightc) })}
+	})
 	both := a.ctx.engine.NewUnion(left, right)
-	return shuffleOf(a.ctx, both, core.ShuffleDep{Partitions: parts}, func(recs []shuffle.Record) []Pair[K, Joined[V, W]] {
+	return shuffleOf(a.ctx, both, core.ShuffleDep{Partitions: parts}, emitSource, func(recs shuffle.Records) []Pair[K, Joined[V, W]] {
 		type sides struct{ lefts, rights [][]byte }
 		g := newKeyGroups()
 		var groups []sides
-		for _, rec := range recs {
-			i, first := g.group(rec.Key)
+		for r := 0; r < recs.Len(); r++ {
+			i, first := g.group(recs.Key(r))
 			if first {
 				groups = append(groups, sides{})
 			}
-			if rec.Value[0] == leftTag {
-				groups[i].lefts = append(groups[i].lefts, rec.Value[1:])
+			if value := recs.Value(r); value[0] == leftTag {
+				groups[i].lefts = append(groups[i].lefts, value[1:])
 			} else {
-				groups[i].rights = append(groups[i].rights, rec.Value[1:])
+				groups[i].rights = append(groups[i].rights, value[1:])
 			}
 		}
 		var out []Pair[K, Joined[V, W]]
+		arena := serde.NewArena(0) // every match decodes again: nothing to size it from
 		for _, i := range g.ascending() {
-			key := kc.Decode(g.keys[i])
+			key := kc.decodeIn(arena, g.keys[i])
 			for _, l := range groups[i].lefts {
 				for _, r := range groups[i].rights {
 					out = append(out, Pair[K, Joined[V, W]]{
 						Key:   key,
-						Value: Joined[V, W]{Left: vc.Decode(l), Right: wc.Decode(r)},
+						Value: Joined[V, W]{Left: vc.decodeIn(arena, l), Right: wc.decodeIn(arena, r)},
 					})
 				}
 			}
@@ -315,36 +301,15 @@ func SortByKey[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Code
 	if err != nil {
 		return nil, err
 	}
-	rp := shuffle.NewRangePartitioner(splitPoints(keys, parts))
+	rp := shuffle.NewRangePartitioner(shuffle.SplitPoints(keys, parts))
 	dep := core.ShuffleDep{Partitions: rp.Partitions(), Partitioner: rp.Partition, Sorted: true}
-	return shuffleOf(d.ctx, pairRecords(d, kc, vc), dep, func(recs []shuffle.Record) []Pair[K, V] {
-		out := make([]Pair[K, V], len(recs))
-		for i, rec := range recs {
-			out[i] = Pair[K, V]{Key: kc.Decode(rec.Key), Value: vc.Decode(rec.Value)}
+	kc, vc = kc.forShuffle(), vc.forShuffle()
+	return shuffleOf(d.ctx, d.plan, dep, emitPairs(kc, vc), func(recs shuffle.Records) []Pair[K, V] {
+		out := make([]Pair[K, V], recs.Len())
+		arena := serde.NewArena(recs.Bytes())
+		for i := range out {
+			out[i] = Pair[K, V]{Key: kc.decodeIn(arena, recs.Key(i)), Value: vc.decodeIn(arena, recs.Value(i))}
 		}
 		return out
 	}), nil
-}
-
-// splitPoints picks parts-1 ascending split keys from the sample.
-func splitPoints(sample [][]byte, parts int) [][]byte {
-	sort.Slice(sample, func(i, j int) bool {
-		return string(sample[i]) < string(sample[j])
-	})
-	var splits [][]byte
-	for i := 1; i < parts && len(sample) > 0; i++ {
-		idx := i * len(sample) / parts
-		if idx >= len(sample) {
-			idx = len(sample) - 1
-		}
-		splits = append(splits, sample[idx])
-	}
-	// Deduplicate adjacent equal splits (skewed samples).
-	var out [][]byte
-	for _, s := range splits {
-		if len(out) == 0 || string(out[len(out)-1]) != string(s) {
-			out = append(out, s)
-		}
-	}
-	return out
 }

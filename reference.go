@@ -5,8 +5,8 @@ import "repro/internal/core"
 // ReferenceCollect evaluates the dataset's plan with the sequential
 // single-node reference oracle (core.Reference) and returns all elements
 // in partition order, copied out of the plan's batches. It shares the job
-// spec — the functions captured in the plan, the typed layer's own narrow
-// steps (record cutting, ReduceByKey's fold) included — with the
+// spec — the functions captured in the plan, the typed layer's own emit
+// and post functions (ReduceByKey's fold) included — with the
 // distributed engine but none of its execution machinery (stages, tasks,
 // shuffle writers, caching, recovery), so comparing it against Collect is
 // a differential correctness test: see internal/check and DESIGN.md
