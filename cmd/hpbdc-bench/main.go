@@ -1,18 +1,18 @@
 // Command hpbdc-bench runs the reconstructed evaluation suite (DESIGN.md,
 // experiments E1..E12) and prints each experiment's table. With -bench it
-// instead runs the perf-trajectory families and reads/writes the
-// BENCH_<family>.json baselines.
+// instead regenerates the seed-deterministic BENCH_<family>.json files
+// (internal/perf) and writes or compares them.
 //
 //	hpbdc-bench                 # run everything at full scale
 //	hpbdc-bench -small          # quick pass (CI-sized inputs)
 //	hpbdc-bench -run E1,E5,E12  # a subset
 //	hpbdc-bench -metrics-addr :9090 -trace-out run.json
 //	                            # scrapeable /metrics + Perfetto trace file
-//	hpbdc-bench -bench all -bench-quick -bench-out .
-//	                            # regenerate the committed quick baselines
-//	hpbdc-bench -bench all -bench-quick -bench-diff .
+//	hpbdc-bench -bench all -bench-out .
+//	                            # regenerate the committed files
+//	hpbdc-bench -bench all -bench-diff .
 //	                            # compare a fresh run against them; exit 1
-//	                            # on any shape break or regression
+//	                            # naming every field that differs
 package main
 
 import (
@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -54,23 +55,17 @@ func main() {
 	checkFlag := flag.Bool("check", false,
 		"after the run, print the oracle/linearizability harness verdict and exit nonzero on any mismatch")
 	bench := flag.String("bench", "",
-		"run perf-trajectory families instead of experiments: a comma list of "+
+		"regenerate BENCH_<family>.json files instead of running experiments: a comma list of "+
 			strings.Join(perf.Families(), ",")+" or 'all'")
 	benchOut := flag.String("bench-out", "",
 		"directory to write BENCH_<family>.json results into (with -bench)")
 	benchDiff := flag.String("bench-diff", "",
-		"directory holding baseline BENCH_<family>.json files to diff against; exit 1 on regression (with -bench)")
-	benchQuick := flag.Bool("bench-quick", false, "CI-sized bench inputs (quick baselines only diff against quick runs)")
-	benchSeed := flag.Uint64("bench-seed", 42, "workload seed for -bench")
-	benchThreshold := flag.Float64("bench-threshold", perf.DefaultThreshold,
-		"relative metric change treated as a regression by -bench-diff")
-	benchInject := flag.Float64("bench-inject", 0,
-		"TESTING: scale measured throughput metrics by this factor before diffing "+
-			"(e.g. 0.3 fakes a 70% slowdown so the gate can be self-tested)")
+		"directory holding BENCH_<family>.json files to compare against, exactly; exit 1 on any difference (with -bench)")
+	benchSeed := flag.Uint64("bench-seed", 42, "workload seed for -bench (the committed files are seed 42)")
 	flag.Parse()
 
 	if *bench != "" {
-		os.Exit(runBench(*bench, *benchOut, *benchDiff, *benchQuick, *benchSeed, *benchThreshold, *benchInject))
+		os.Exit(runBench(*bench, *benchOut, *benchDiff, *benchSeed))
 	}
 
 	if *haFlag {
@@ -205,37 +200,24 @@ func main() {
 	}
 }
 
-// runBench executes the selected perf families, optionally writes their
-// BENCH_<family>.json files and/or diffs them against a baseline
-// directory. Returns the process exit code: 0 clean, 1 on regression or
-// shape break, 2 on usage/run errors.
-func runBench(list, outDir, diffDir string, quickMode bool, seed uint64, threshold, inject float64) int {
-	var fams []string
-	if list == "all" {
-		fams = perf.Families()
-	} else {
-		for _, f := range strings.Split(list, ",") {
-			fams = append(fams, strings.TrimSpace(f))
-		}
+// runBench regenerates the selected perf families, optionally writes
+// their BENCH_<family>.json files and/or compares them with the files in
+// a baseline directory. Returns the process exit code: 0 clean, 1 on any
+// differing field, 2 on usage/run errors.
+func runBench(list, outDir, diffDir string, seed uint64) int {
+	fams := perf.Families()
+	if list != "all" {
+		fams = strings.Split(list, ",")
 	}
 	failed := false
 	for _, fam := range fams {
-		t0 := time.Now()
-		res, err := perf.Run(fam, perf.Options{Quick: quickMode, Seed: seed})
+		fam = strings.TrimSpace(fam)
+		res, err := perf.Run(fam, perf.Options{Seed: seed})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench %s: %v\n", fam, err)
+			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
 			return 2
 		}
-		fmt.Fprintf(os.Stderr, "bench %s: %d windows in %v\n",
-			fam, len(res.Windows), time.Since(t0).Round(time.Millisecond))
-		if inject > 0 && inject != 1 {
-			for k, v := range res.Metrics {
-				if strings.HasSuffix(k, "_per_sec") {
-					res.Metrics[k] = v * inject
-				}
-			}
-			fmt.Fprintf(os.Stderr, "bench %s: throughput metrics scaled by %g (-bench-inject)\n", fam, inject)
-		}
+		fmt.Fprintf(os.Stderr, "bench %s: %d windows\n", fam, res.Shape["windows"])
 		if outDir != "" {
 			path, err := res.WriteFile(outDir)
 			if err != nil {
@@ -245,17 +227,14 @@ func runBench(list, outDir, diffDir string, quickMode bool, seed uint64, thresho
 			fmt.Fprintf(os.Stderr, "bench %s: wrote %s\n", fam, path)
 		}
 		if diffDir != "" {
-			basePath := diffDir + string(os.PathSeparator) + perf.Filename(fam)
-			base, err := perf.Load(basePath)
+			base, err := perf.Load(filepath.Join(diffDir, perf.Filename(fam)))
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "bench %s: baseline: %v\n", fam, err)
 				return 2
 			}
-			rep := perf.Diff(base, res, perf.DiffOptions{Threshold: threshold})
+			rep := perf.Diff(base, res)
 			fmt.Print(rep.String())
-			if !rep.OK() {
-				failed = true
-			}
+			failed = failed || !rep.OK()
 		}
 	}
 	if failed {

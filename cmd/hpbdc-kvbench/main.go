@@ -3,8 +3,6 @@
 // activity.
 //
 //	hpbdc-kvbench -ops 500000 -r 2 -w 2 -skew 0.99 -transport tcp
-//	hpbdc-kvbench -json -ops 20000 > kv.json   # perf-schema result JSON
-//	hpbdc-kvbench -json -bench-diff .          # diff against BENCH_kv.json
 //	hpbdc-kvbench -txn -ops 2000 -check        # sharded 2PC mix + strict serializability
 //	hpbdc-kvbench -txn -txn-chaos -check       # same, under the "txn" chaos preset
 package main
@@ -16,7 +14,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/admission"
@@ -24,13 +21,12 @@ import (
 	"repro/internal/check"
 	"repro/internal/kvstore"
 	"repro/internal/netsim"
-	"repro/internal/perf"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
 func main() {
-	ops := flag.Int("ops", 200_000, "operations to run")
+	ops := flag.Int("ops", 0, "operations to run (0: 200000, or 2000 with -txn)")
 	keys := flag.Int("keys", 100_000, "distinct keys")
 	n := flag.Int("n", 3, "replication factor")
 	r := flag.Int("r", 2, "read quorum")
@@ -48,14 +44,7 @@ func main() {
 		"after the benchmark, capture a concurrent client history and verify linearizability; exit nonzero on violation")
 	stale := flag.Bool("stale", false,
 		"enable the stale-read fault injection (with -check, demonstrates the checker catching the violation)")
-	jsonOut := flag.Bool("json", false,
-		"run through the perf harness and print a BENCH-schema result JSON instead of the human summary "+
-			"(uses the shared perf topology and quorum so results are comparable to BENCH_kv.json)")
-	benchSeed := flag.Uint64("seed", 42, "workload seed (with -json)")
-	quick := flag.Bool("quick", false, "CI-sized workload defaults (with -json)")
-	benchOut := flag.String("bench-out", "", "also write BENCH_kv.json into this directory (with -json)")
-	benchDiff := flag.String("bench-diff", "",
-		"diff the result against BENCH_kv.json in this directory; exit 1 on regression (with -json)")
+	seed := flag.Uint64("seed", 42, "workload seed (with -txn)")
 	txnMode := flag.Bool("txn", false,
 		"drive the range-sharded transactional plane instead of the quorum store: multi-key 2PC mix "+
 			"with a mid-run split and merge; -check verifies strict serializability, -stale injects dirty reads")
@@ -69,7 +58,10 @@ func main() {
 	flag.Parse()
 
 	if *txnMode {
-		runTxn(*ops, *keys, *skew, *valueSize, *txnSpan, *txnGroups, *benchSeed, *txnChaos, *gray, *checkFlag, *stale)
+		if *ops == 0 {
+			*ops = 2000 // 2PC through the raft sim is heavier than a quorum op
+		}
+		runTxn(*ops, *keys, *skew, *valueSize, *txnSpan, *txnGroups, *seed, *txnChaos, *gray, *checkFlag, *stale)
 		return
 	}
 	if *gray {
@@ -77,30 +69,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *jsonOut {
-		// Workload-shaping flags only carry over when the user set them
-		// explicitly; otherwise the perf harness defaults apply, keeping the
-		// result comparable to the committed baseline.
-		opts := perf.Options{Quick: *quick, Seed: *benchSeed}
-		if flagWasSet("ops") {
-			opts.Ops = *ops
-		}
-		if flagWasSet("keys") {
-			opts.Keys = *keys
-		}
-		if flagWasSet("skew") {
-			opts.Skew = *skew
-		}
-		if flagWasSet("reads") {
-			opts.ReadFrac = *readFrac
-		}
-		if flagWasSet("value") {
-			opts.ValueSize = *valueSize
-		}
-		if flagWasSet("transport") {
-			opts.Transport = *transport
-		}
-		os.Exit(emitPerfResult("kv", opts, *benchOut, *benchDiff))
+	if *ops == 0 {
+		*ops = 200_000
 	}
 
 	runClassic(ops, keys, n, r, w, skew, readFrac, valueSize, transport, nodes, checkFlag, stale,
@@ -115,9 +85,6 @@ func main() {
 // multi-client history and verdicts strict serializability.
 func runTxn(ops, keys int, skew float64, valueSize, span, groups int, seed uint64,
 	withChaos, gray, checkFlag, dirty bool) {
-	if !flagWasSet("ops") {
-		ops = 2000 // 2PC through the raft sim is heavier than a quorum op
-	}
 	s := kvstore.NewSharded(kvstore.ShardedConfig{
 		Seed: seed, Groups: groups,
 		InitialSplits: []string{fmt.Sprintf("key-%08d", keys/2)},
@@ -257,53 +224,6 @@ func runTxn(ops, keys int, skew float64, valueSize, span, groups int, seed uint6
 			os.Exit(1)
 		}
 	}
-}
-
-// flagWasSet reports whether the named flag was passed explicitly.
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
-// emitPerfResult runs a perf family and prints its BENCH-schema JSON to
-// stdout; optionally writes/diffs the baseline file. Returns the exit
-// code.
-func emitPerfResult(family string, opts perf.Options, outDir, diffDir string) int {
-	res, err := perf.Run(family, opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	b, err := res.Encode()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	os.Stdout.Write(b)
-	if outDir != "" {
-		if _, err := res.WriteFile(outDir); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-	}
-	if diffDir != "" {
-		base, err := perf.Load(filepath.Join(diffDir, perf.Filename(family)))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		rep := perf.Diff(base, res, perf.DiffOptions{})
-		fmt.Fprint(os.Stderr, rep.String())
-		if !rep.OK() {
-			return 1
-		}
-	}
-	return 0
 }
 
 func runClassic(ops, keys, n, r, w *int, skew, readFrac *float64, valueSize *int,

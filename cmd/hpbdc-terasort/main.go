@@ -3,8 +3,6 @@
 //
 //	hpbdc-terasort -records 1000000 -nodes 16 -transport rdma
 //	hpbdc-terasort -report -trace-out sort.json
-//	hpbdc-terasort -json > terasort.json       # perf-schema result JSON
-//	hpbdc-terasort -json -bench-diff .         # diff vs BENCH_terasort.json
 package main
 
 import (
@@ -12,12 +10,10 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"time"
 
 	hpbdc "repro"
 	"repro/internal/chaos"
-	"repro/internal/perf"
 	"repro/internal/workload"
 )
 
@@ -33,30 +29,7 @@ func main() {
 	speculation := flag.Bool("speculation", false, "launch speculative backups for straggler tasks")
 	report := flag.Bool("report", false, "print the job report (stage breakdown, stragglers, shuffle skew)")
 	traceOut := flag.String("trace-out", "", "write a Chrome/Perfetto trace JSON to this file")
-	jsonOut := flag.Bool("json", false,
-		"run through the perf harness and print a BENCH-schema result JSON instead of the human summary "+
-			"(uses the shared perf topology so results are comparable to BENCH_terasort.json)")
-	quick := flag.Bool("quick", false, "CI-sized workload defaults (with -json)")
-	benchOut := flag.String("bench-out", "", "also write BENCH_terasort.json into this directory (with -json)")
-	benchDiff := flag.String("bench-diff", "",
-		"diff the result against BENCH_terasort.json in this directory; exit 1 on regression (with -json)")
 	flag.Parse()
-
-	if *jsonOut {
-		// Workload-shaping flags only carry over when set explicitly, so a
-		// bare -json run stays comparable to the committed baseline.
-		opts := perf.Options{Quick: *quick}
-		if flagWasSet("seed") {
-			opts.Seed = *seed
-		}
-		if flagWasSet("records") {
-			opts.Records = *records
-		}
-		if flagWasSet("transport") {
-			opts.Transport = *transport
-		}
-		os.Exit(emitPerfResult("terasort", opts, *benchOut, *benchDiff))
-	}
 
 	racks := *nodes / 4
 	if racks < 1 {
@@ -148,51 +121,4 @@ func main() {
 		}
 		fmt.Printf("wrote trace to %s\n", *traceOut)
 	}
-}
-
-// flagWasSet reports whether the named flag was passed explicitly.
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
-// emitPerfResult runs a perf family and prints its BENCH-schema JSON to
-// stdout; optionally writes/diffs the baseline file. Returns the exit
-// code.
-func emitPerfResult(family string, opts perf.Options, outDir, diffDir string) int {
-	res, err := perf.Run(family, opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	b, err := res.Encode()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	os.Stdout.Write(b)
-	if outDir != "" {
-		if _, err := res.WriteFile(outDir); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-	}
-	if diffDir != "" {
-		base, err := perf.Load(filepath.Join(diffDir, perf.Filename(family)))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		rep := perf.Diff(base, res, perf.DiffOptions{})
-		fmt.Fprint(os.Stderr, rep.String())
-		if !rep.OK() {
-			return 1
-		}
-	}
-	return 0
 }

@@ -1,61 +1,29 @@
-// The trajectory differ: compares a fresh benchmark result against the
-// committed baseline and classifies every divergence. Shape fields and
-// workload params must match exactly — a mismatch means the two runs
-// measured different work and no speed comparison is valid. Metrics
-// are compared with a relative noise threshold, directionally: a
-// throughput ("*_per_sec") only regresses when it drops, a latency
-// ("*_ns") only when it rises. Improvements and in-threshold drift
-// pass silently; CI runs with a generous threshold because shared
-// runners are noisy, while local runs can tighten it.
+// The differ: compares a fresh result against a committed file field by
+// field and names every one that moved. Every comparison is exact — a
+// result is a pure function of the seed, so there is no noise to allow
+// for. The byte comparison in TestCommittedBaselines is the gate; Diff is
+// what turns a failed one into a list of fields a reader can act on.
 package perf
 
 import (
 	"fmt"
-	"math"
+	"reflect"
 	"sort"
 	"strings"
 )
 
-// DefaultThreshold is the relative change beyond which a metric counts
-// as a regression. Generous by design: the harness measures a simulated
-// cluster on real, shared hardware.
-const DefaultThreshold = 0.5
-
-// DiffOptions configures a comparison.
-type DiffOptions struct {
-	// Threshold is the allowed relative change in a Metrics field
-	// (0.5 = 50%). <= 0 uses DefaultThreshold.
-	Threshold float64
-}
-
-// FindingKind classifies one divergence.
-type FindingKind string
-
-const (
-	// KindShape is a hard failure: params or shape fields differ, so the
-	// runs are not comparable (or determinism broke).
-	KindShape FindingKind = "shape"
-	// KindRegression is a metric past the noise threshold in the bad
-	// direction.
-	KindRegression FindingKind = "regression"
-)
-
-// Finding is one divergence between baseline and current.
+// Finding is one field that differs between baseline and current.
 type Finding struct {
-	Kind  FindingKind
+	// Field is the JSON path: "shape.records", "windows[3].p99_ns".
 	Field string
-	Base  float64
-	Cur   float64
-	// Rel is the relative change (cur-base)/base, NaN-safe.
-	Rel float64
-	Msg string
+	Msg   string
 }
 
 // Report is the outcome of one Diff call.
 type Report struct {
 	Family   string
-	Findings []Finding // failures only, sorted by field
-	// Checked counts the comparisons performed (shape + metric fields).
+	Findings []Finding // in file order: params, shape, metrics, windows
+	// Checked counts the comparisons performed.
 	Checked int
 }
 
@@ -64,141 +32,65 @@ func (r *Report) OK() bool { return len(r.Findings) == 0 }
 
 // String renders the report for terminal output.
 func (r *Report) String() string {
-	var b strings.Builder
 	if r.OK() {
-		fmt.Fprintf(&b, "perf[%s]: ok (%d fields checked)\n", r.Family, r.Checked)
-		return b.String()
+		return fmt.Sprintf("perf[%s]: ok (%d fields checked)\n", r.Family, r.Checked)
 	}
+	var b strings.Builder
 	fmt.Fprintf(&b, "perf[%s]: %d finding(s) across %d fields:\n", r.Family, len(r.Findings), r.Checked)
 	for _, f := range r.Findings {
-		fmt.Fprintf(&b, "  %-10s %s: %s\n", f.Kind, f.Field, f.Msg)
+		fmt.Fprintf(&b, "  %s: %s\n", f.Field, f.Msg)
 	}
 	return b.String()
 }
 
-// regressionDirection returns +1 if the metric regresses when it rises
-// (latencies), -1 if it regresses when it falls (throughputs), 0 if
-// unknown (then any move past threshold in either direction flags).
-func regressionDirection(name string) int {
-	switch {
-	case strings.HasSuffix(name, "_per_sec") || strings.Contains(name, "throughput"):
-		return -1
-	case strings.HasSuffix(name, "_ns") || strings.Contains(name, "latency"):
-		return +1
-	default:
-		return 0
+// check counts one comparison and records a finding unless same holds.
+func (r *Report) check(same bool, field, format string, args ...any) {
+	r.Checked++
+	if !same {
+		r.Findings = append(r.Findings, Finding{Field: field, Msg: fmt.Sprintf(format, args...)})
 	}
 }
 
-// Diff compares cur against base. Any schema/family/params/shape
-// mismatch yields KindShape findings; metric moves past the threshold
-// in the regressing direction yield KindRegression findings. Metric
-// fields present on only one side are shape findings too — a vanished
-// metric usually means the harness silently stopped measuring it.
-func Diff(base, cur *Result, opts DiffOptions) *Report {
-	th := opts.Threshold
-	if th <= 0 {
-		th = DefaultThreshold
-	}
+// Diff compares cur against base: family, schema, every param, shape
+// field and metric in both directions, the window count and every field
+// of every window. A field present on only one side is a finding too — a
+// vanished metric usually means a family silently stopped reporting it.
+func Diff(base, cur *Result) *Report {
 	rep := &Report{Family: cur.Family}
-	fail := func(kind FindingKind, field string, b, c float64, msg string) {
-		rel := math.NaN()
-		if b != 0 {
-			rel = (c - b) / b
-		}
-		rep.Findings = append(rep.Findings, Finding{Kind: kind, Field: field, Base: b, Cur: c, Rel: rel, Msg: msg})
-	}
+	rep.check(base.Family == cur.Family, "family", "baseline %q vs current %q", base.Family, cur.Family)
+	rep.check(base.Schema == cur.Schema, "schema", "baseline %d vs current %d", base.Schema, cur.Schema)
+	diffMap(rep, "params", base.Params, cur.Params)
+	diffMap(rep, "shape", base.Shape, cur.Shape)
+	diffMap(rep, "metrics", base.Metrics, cur.Metrics)
 
-	if base.Family != cur.Family {
-		fail(KindShape, "family", 0, 0, fmt.Sprintf("baseline %q vs current %q", base.Family, cur.Family))
-	}
-	if base.Schema != cur.Schema {
-		fail(KindShape, "schema", float64(base.Schema), float64(cur.Schema),
-			fmt.Sprintf("baseline schema %d vs current %d", base.Schema, cur.Schema))
-	}
-
-	// Params: exact match both ways.
-	for _, k := range sortedKeys(base.Params) {
-		rep.Checked++
-		if cv, ok := cur.Params[k]; !ok || cv != base.Params[k] {
-			fail(KindShape, "params."+k, 0, 0,
-				fmt.Sprintf("baseline %q vs current %q — different workloads are not comparable", base.Params[k], cv))
+	rep.check(len(base.Windows) == len(cur.Windows), "windows",
+		"baseline has %d windows, current %d", len(base.Windows), len(cur.Windows))
+	for i := 0; i < len(base.Windows) && i < len(cur.Windows); i++ {
+		bw, cw := reflect.ValueOf(base.Windows[i]), reflect.ValueOf(cur.Windows[i])
+		for f := 0; f < bw.NumField(); f++ {
+			bv, cv := bw.Field(f).Interface(), cw.Field(f).Interface()
+			rep.check(bv == cv, fmt.Sprintf("windows[%d].%s", i, bw.Type().Field(f).Tag.Get("json")),
+				"baseline %v vs current %v", bv, cv)
 		}
 	}
-	for _, k := range sortedKeys(cur.Params) {
-		if _, ok := base.Params[k]; !ok {
-			rep.Checked++
-			fail(KindShape, "params."+k, 0, 0, fmt.Sprintf("param %q absent from baseline", k))
-		}
-	}
-
-	// Shape: exact match, both directions, plus the window count (a run
-	// that stalled into extra/missing windows changed shape, not speed).
-	for _, k := range sortedKeys(base.Shape) {
-		rep.Checked++
-		cv, ok := cur.Shape[k]
-		if !ok {
-			fail(KindShape, "shape."+k, float64(base.Shape[k]), 0, "field missing from current run")
-			continue
-		}
-		if cv != base.Shape[k] {
-			fail(KindShape, "shape."+k, float64(base.Shape[k]), float64(cv),
-				fmt.Sprintf("%d vs %d — same seed must reproduce the same workload", base.Shape[k], cv))
-		}
-	}
-	for _, k := range sortedKeys(cur.Shape) {
-		if _, ok := base.Shape[k]; !ok {
-			rep.Checked++
-			fail(KindShape, "shape."+k, 0, float64(cur.Shape[k]), "field absent from baseline")
-		}
-	}
-	rep.Checked++
-	if len(base.Windows) != len(cur.Windows) {
-		fail(KindShape, "windows", float64(len(base.Windows)), float64(len(cur.Windows)),
-			fmt.Sprintf("%d windows vs %d", len(base.Windows), len(cur.Windows)))
-	}
-
-	// Metrics: threshold compare in the regressing direction.
-	for _, k := range sortedKeys(base.Metrics) {
-		rep.Checked++
-		bv := base.Metrics[k]
-		cv, ok := cur.Metrics[k]
-		if !ok {
-			fail(KindShape, "metrics."+k, bv, 0, "metric missing from current run")
-			continue
-		}
-		if bv == 0 {
-			// Nothing sane to compare against; only flag appearing-from-zero.
-			continue
-		}
-		rel := (cv - bv) / bv
-		switch regressionDirection(k) {
-		case -1: // throughput: lower is worse
-			if rel < -th {
-				fail(KindRegression, k, bv, cv,
-					fmt.Sprintf("%.4g -> %.4g (%.0f%%, threshold %.0f%%)", bv, cv, rel*100, th*100))
-			}
-		case +1: // latency: higher is worse
-			if rel > th {
-				fail(KindRegression, k, bv, cv,
-					fmt.Sprintf("%.4g -> %.4g (+%.0f%%, threshold %.0f%%)", bv, cv, rel*100, th*100))
-			}
-		default:
-			if math.Abs(rel) > th {
-				fail(KindRegression, k, bv, cv,
-					fmt.Sprintf("%.4g -> %.4g (%.0f%%, threshold %.0f%%)", bv, cv, rel*100, th*100))
-			}
-		}
-	}
-	for _, k := range sortedKeys(cur.Metrics) {
-		if _, ok := base.Metrics[k]; !ok {
-			rep.Checked++
-			fail(KindShape, "metrics."+k, 0, cur.Metrics[k], "metric absent from baseline — refresh baselines")
-		}
-	}
-
-	sort.Slice(rep.Findings, func(i, j int) bool { return rep.Findings[i].Field < rep.Findings[j].Field })
 	return rep
+}
+
+// diffMap compares one of a result's maps key by key, both ways.
+func diffMap[V comparable](rep *Report, section string, base, cur map[string]V) {
+	for _, k := range sortedKeys(base) {
+		cv, ok := cur[k]
+		if !ok {
+			rep.check(false, section+"."+k, "baseline %v, missing from current run", base[k])
+			continue
+		}
+		rep.check(cv == base[k], section+"."+k, "baseline %v vs current %v", base[k], cv)
+	}
+	for _, k := range sortedKeys(cur) {
+		if _, ok := base[k]; !ok {
+			rep.check(false, section+"."+k, "current %v, absent from baseline", cur[k])
+		}
+	}
 }
 
 func sortedKeys[V any](m map[string]V) []string {

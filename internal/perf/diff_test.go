@@ -20,7 +20,7 @@ func baseResult() *Result {
 }
 
 func TestDiffIdenticalPasses(t *testing.T) {
-	rep := Diff(baseResult(), baseResult(), DiffOptions{})
+	rep := Diff(baseResult(), baseResult())
 	if !rep.OK() {
 		t.Fatalf("identical results should pass:\n%s", rep)
 	}
@@ -29,75 +29,52 @@ func TestDiffIdenticalPasses(t *testing.T) {
 	}
 }
 
+// The comparison is exact: any moved throughput is a finding, however
+// small and in either direction.
 func TestDiffFlagsThroughputRegression(t *testing.T) {
-	cur := baseResult()
-	cur.Metrics["ops_per_sec"] = 400 // -60%, past the 50% threshold
-	rep := Diff(baseResult(), cur, DiffOptions{})
-	if rep.OK() {
-		t.Fatal("60% throughput drop must be flagged")
-	}
-	if len(rep.Findings) != 1 || rep.Findings[0].Kind != KindRegression ||
-		rep.Findings[0].Field != "ops_per_sec" {
-		t.Fatalf("findings = %+v", rep.Findings)
+	for _, moved := range []float64{400, 999.999, 1000.001, 5000} {
+		cur := baseResult()
+		cur.Metrics["ops_per_sec"] = moved
+		rep := Diff(baseResult(), cur)
+		if len(rep.Findings) != 1 || rep.Findings[0].Field != "metrics.ops_per_sec" {
+			t.Fatalf("ops_per_sec 1000 -> %v: findings = %+v", moved, rep.Findings)
+		}
 	}
 }
 
 func TestDiffFlagsLatencyRegression(t *testing.T) {
-	cur := baseResult()
-	cur.Metrics["get_p99_ns"] = 9000 // +80%
-	rep := Diff(baseResult(), cur, DiffOptions{})
-	if rep.OK() || rep.Findings[0].Field != "get_p99_ns" {
-		t.Fatalf("latency rise must be flagged: %+v", rep.Findings)
+	for _, moved := range []float64{9000, 5001, 4999, 0} {
+		cur := baseResult()
+		cur.Metrics["get_p99_ns"] = moved
+		rep := Diff(baseResult(), cur)
+		if len(rep.Findings) != 1 || rep.Findings[0].Field != "metrics.get_p99_ns" {
+			t.Fatalf("get_p99_ns 5000 -> %v: findings = %+v", moved, rep.Findings)
+		}
 	}
-}
-
-func TestDiffImprovementsPass(t *testing.T) {
-	cur := baseResult()
-	cur.Metrics["ops_per_sec"] = 5000 // 5x faster
-	cur.Metrics["get_p99_ns"] = 100   // 50x lower latency
-	rep := Diff(baseResult(), cur, DiffOptions{})
-	if !rep.OK() {
-		t.Fatalf("improvements must pass silently:\n%s", rep)
-	}
-}
-
-func TestDiffInThresholdDriftPasses(t *testing.T) {
-	cur := baseResult()
-	cur.Metrics["ops_per_sec"] = 700 // -30%, inside 50%
-	cur.Metrics["get_p99_ns"] = 7000 // +40%, inside 50%
-	rep := Diff(baseResult(), cur, DiffOptions{})
-	if !rep.OK() {
-		t.Fatalf("in-threshold drift must pass:\n%s", rep)
-	}
-}
-
-func TestDiffThresholdOption(t *testing.T) {
-	cur := baseResult()
-	cur.Metrics["ops_per_sec"] = 850 // -15%
-	if rep := Diff(baseResult(), cur, DiffOptions{Threshold: 0.10}); rep.OK() {
-		t.Fatal("tightened threshold must flag a 15% drop")
-	}
-	if rep := Diff(baseResult(), cur, DiffOptions{Threshold: 0.20}); !rep.OK() {
-		t.Fatal("15% drop is inside a 20% threshold")
+	// A zero baseline is compared like any other value.
+	base := baseResult()
+	base.Metrics["get_p99_ns"] = 0
+	if rep := Diff(base, baseResult()); rep.OK() {
+		t.Fatal("a latency appearing from a zero baseline must be flagged")
 	}
 }
 
 func TestDiffShapeMismatchFails(t *testing.T) {
 	cur := baseResult()
 	cur.Shape["checksum"] = 78
-	rep := Diff(baseResult(), cur, DiffOptions{})
+	rep := Diff(baseResult(), cur)
 	if rep.OK() {
 		t.Fatal("shape mismatch must fail")
 	}
-	if rep.Findings[0].Kind != KindShape {
-		t.Fatalf("kind = %q, want shape", rep.Findings[0].Kind)
+	if rep.Findings[0].Field != "shape.checksum" {
+		t.Fatalf("field = %q, want shape.checksum", rep.Findings[0].Field)
 	}
 }
 
 func TestDiffParamMismatchFails(t *testing.T) {
 	cur := baseResult()
 	cur.Params["ops"] = "2000"
-	rep := Diff(baseResult(), cur, DiffOptions{})
+	rep := Diff(baseResult(), cur)
 	if rep.OK() {
 		t.Fatal("param mismatch must fail — different workloads are not comparable")
 	}
@@ -110,30 +87,33 @@ func TestDiffMissingAndExtraFields(t *testing.T) {
 	cur := baseResult()
 	delete(cur.Metrics, "get_p99_ns")
 	cur.Metrics["brand_new_ns"] = 1
-	rep := Diff(baseResult(), cur, DiffOptions{})
-	if len(rep.Findings) != 2 {
+	rep := Diff(baseResult(), cur)
+	if len(rep.Findings) != 2 || rep.Findings[0].Field != "metrics.get_p99_ns" ||
+		rep.Findings[1].Field != "metrics.brand_new_ns" {
 		t.Fatalf("findings = %+v, want missing + extra", rep.Findings)
-	}
-	for _, f := range rep.Findings {
-		if f.Kind != KindShape {
-			t.Fatalf("asymmetric metric sets are shape findings, got %q", f.Kind)
-		}
 	}
 }
 
 func TestDiffWindowCountMismatch(t *testing.T) {
 	cur := baseResult()
 	cur.Windows = cur.Windows[:1]
-	rep := Diff(baseResult(), cur, DiffOptions{})
+	rep := Diff(baseResult(), cur)
 	if rep.OK() {
-		t.Fatal("window count change must fail as shape")
+		t.Fatal("window count change must fail")
+	}
+	// And so does any one field of any one window.
+	cur = baseResult()
+	cur.Windows[1].P99Ns++
+	rep = Diff(baseResult(), cur)
+	if len(rep.Findings) != 1 || rep.Findings[0].Field != "windows[1].p99_ns" {
+		t.Fatalf("findings = %+v, want windows[1].p99_ns", rep.Findings)
 	}
 }
 
 func TestDiffSchemaMismatch(t *testing.T) {
 	cur := baseResult()
 	cur.Schema = SchemaVersion + 1
-	if rep := Diff(baseResult(), cur, DiffOptions{}); rep.OK() {
+	if rep := Diff(baseResult(), cur); rep.OK() {
 		t.Fatal("schema mismatch must fail")
 	}
 }

@@ -1,33 +1,33 @@
-// The benchmark families. Each runs a fixed-seed workload against the
-// simulated cluster and reduces it to a Result: a per-window trajectory
-// plus Shape (seed-deterministic invariants, exact-matched by the
-// differ) and Metrics (wall- or cost-model-dependent numbers, threshold
-// compared). Families:
+// The families. Each runs a fixed-size, fixed-seed workload against the
+// simulated cluster and reduces it to a Result: Shape (counts, checksums),
+// Metrics (the cost model's numbers) and, where the run's clock is the
+// simulator's, a per-window trajectory. Families:
 //
 //	shuffle  — ShuffleBench-style matching records: generate records,
 //	           select the ~1/16 that match a rule, key by rule, count
-//	           per rule through a full shuffle. One window per round.
-//	stream   — sustained-throughput run of the checkpointed stream
-//	           engine over a replayable generator source, measuring
-//	           event throughput and checkpoint cost.
-//	kv       — YCSB-ish zipf read/write mix against the quorum KV
-//	           store. Latencies are fully simulated (deterministic), so
-//	           the trajectory is windowed by accumulated virtual time.
+//	           per rule through a full shuffle, round after round.
+//	stream   — the checkpointed stream engine run to exhaustion over a
+//	           replayable generator source: results and committed
+//	           checkpoint bytes.
+//	kv       — YCSB-ish zipf read/write mix against the quorum KV store,
+//	           then an open-loop overload segment through the admission
+//	           stack, then 2PC transactions across a split and a merge.
+//	           Latencies are fully simulated, so the trajectory is
+//	           windowed by accumulated virtual time.
 //	terasort — rounds of TeraGen + sampled range-partitioned sort.
 //	query    — the E-SQL star-schema suite through the cost-based
-//	           planner: one round per window, outputs checksummed and
-//	           the columnar pushdown counters pinned as shape.
+//	           planner: outputs checksummed and the columnar pushdown
+//	           counters pinned.
 //	avail    — the E-GRAY gray-failure sweep as a trajectory: asymmetric
 //	           fault schedules against control and hardened Raft
 //	           clusters, one commit-confirmed probe per virtual tick.
-//	           Every availability stat is a pure function of the seed,
-//	           so the whole sweep gates as shape.
 package perf
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"sort"
 	"time"
@@ -49,84 +49,77 @@ import (
 	"repro/internal/workload"
 )
 
-// Options configures a family run. Zero values take family defaults;
-// the binaries map their flags here so all three share one harness.
+// Options configures a family run.
 type Options struct {
-	// Quick shrinks the workload for CI (same shape of measurement,
-	// smaller sizes — quick results diff only against quick baselines,
-	// enforced through Params).
-	Quick bool
-	// Seed drives all workload randomness. Default 42.
+	// Seed drives all workload randomness. Default 42, the seed of the
+	// committed files.
 	Seed uint64
-	// Transport is the netsim model name ("rdma", "tcp", "ipoib").
-	// Default "rdma".
-	Transport string
+}
 
-	// KV family: operation count, key-space size, zipf skew, read
-	// fraction, value size.
-	Ops, Keys int
-	Skew      float64
-	ReadFrac  float64
-	ValueSize int
-
-	// Shuffle/terasort: rounds and records per round.
-	Rounds, Records int
-
-	// Stream: total events and barrier cadence.
-	Events          int64
-	CheckpointEvery int
+// families is the one table of what can run, in canonical order. A run
+// function fills in the Result that Run hands it.
+var families = []struct {
+	name string
+	run  func(r *Result, seed uint64) error
+}{
+	{"shuffle", runShuffle},
+	{"stream", runStream},
+	{"kv", runKV},
+	{"terasort", runTerasort},
+	{"query", runQuery},
+	{"avail", runAvail},
 }
 
 // Families lists the runnable family names in canonical order.
-func Families() []string { return []string{"shuffle", "stream", "kv", "terasort", "query", "avail"} }
+func Families() []string {
+	names := make([]string, len(families))
+	for i, f := range families {
+		names[i] = f.name
+	}
+	return names
+}
+
+// Every family runs the RDMA fabric model on a 2-rack, 8-node topology.
+const transport = "rdma"
+
+var fabricModel = netsim.RDMA40G
 
 // Run executes one named family and returns its result.
 func Run(family string, o Options) (*Result, error) {
 	if o.Seed == 0 {
 		o.Seed = 42
 	}
-	if o.Transport == "" {
-		o.Transport = "rdma"
+	for _, f := range families {
+		if f.name != family {
+			continue
+		}
+		r := &Result{
+			Schema:  SchemaVersion,
+			Family:  family,
+			Params:  map[string]string{"seed": fmt.Sprint(o.Seed), "transport": transport},
+			Shape:   map[string]int64{},
+			Metrics: map[string]float64{},
+		}
+		if err := f.run(r, o.Seed); err != nil {
+			return nil, fmt.Errorf("perf: %s: %w", family, err)
+		}
+		return r, nil
 	}
-	switch family {
-	case "shuffle":
-		return runShuffle(o)
-	case "stream":
-		return runStream(o)
-	case "kv":
-		return runKV(o)
-	case "terasort":
-		return runTerasort(o)
-	case "query":
-		return runQuery(o)
-	case "avail":
-		return runAvail(o)
-	default:
-		return nil, fmt.Errorf("perf: unknown family %q (have %v)", family, Families())
+	return nil, fmt.Errorf("perf: unknown family %q (have %v)", family, Families())
+}
+
+// setParams records the workload's sizes in their printed form.
+func (r *Result) setParams(params map[string]any) {
+	for k, v := range params {
+		r.Params[k] = fmt.Sprint(v)
 	}
 }
 
-// newResult stamps the invariant header fields.
-func newResult(family string, o Options, params map[string]string) *Result {
-	params["seed"] = fmt.Sprint(o.Seed)
-	params["transport"] = o.Transport
-	params["quick"] = fmt.Sprint(o.Quick)
-	return &Result{
-		Schema:  SchemaVersion,
-		Family:  family,
-		Params:  params,
-		Env:     CaptureEnv(),
-		Shape:   map[string]int64{},
-		Metrics: map[string]float64{},
-	}
-}
-
-// windowsFromSamples converts a WindowedHistogram series.
-func windowsFromSamples(samples []metrics.WindowSample) []Window {
-	out := make([]Window, len(samples))
-	for i, s := range samples {
-		out[i] = Window{
-			StartNs: int64(s.Start),
+// addWindows appends a WindowedHistogram series, shifted by offset.
+func (r *Result) addWindows(samples []metrics.WindowSample, offset time.Duration) {
+	for _, s := range samples {
+		r.Windows = append(r.Windows, Window{
+			StartNs: int64(s.Start + offset),
 			Count:   s.Count,
 			PerSec:  s.PerSec,
 			MeanNs:  s.Mean,
@@ -135,58 +128,67 @@ func windowsFromSamples(samples []metrics.WindowSample) []Window {
 			P99Ns:   s.P99,
 			P999Ns:  s.P999,
 			MaxNs:   s.Max,
+		})
+	}
+}
+
+// checksum folds a hash into a shape field (>>1: stay positive in JSON).
+func checksum(h hash.Hash64) int64 { return int64(h.Sum64() >> 1) }
+
+// batchRounds runs body once per round, each on a fresh context seeded
+// seed+round, counts the rounds as the family's windows and reports the
+// last round's mean simulated shuffle-fetch time — a pure function of
+// (topology, model, placement), read from the context registry.
+func batchRounds(r *Result, seed uint64, rounds int, body func(round int, ctx *hpbdc.Context) error) error {
+	var ctx *hpbdc.Context
+	for round := 0; round < rounds; round++ {
+		ctx = hpbdc.New(hpbdc.Config{
+			Racks: 2, NodesPerRack: 4,
+			Transport: transport,
+			Seed:      seed + uint64(round),
+		})
+		if err := body(round, ctx); err != nil {
+			return fmt.Errorf("round %d: %w", round, err)
 		}
 	}
-	return out
+	r.Shape["windows"] = int64(rounds)
+	reg := ctx.Metrics()
+	if q := reg.Counter("net_cost_queries").Value(); q > 0 {
+		r.Metrics["sim_fetch_mean_ns"] = float64(reg.Counter("net_cost_time_ns").Value()) / float64(q)
+	}
+	return nil
 }
 
 // ---- kv --------------------------------------------------------------------
+
+// The kv family's sizes. Windows advance by accumulated virtual time, at
+// a width that gives each segment a useful handful of them.
+const (
+	kvOps       = 5_000
+	kvKeys      = 512
+	kvSkew      = 0.99
+	kvReadFrac  = 0.8
+	kvValueSize = 128
+	kvWindow    = 2 * time.Millisecond
+	kvOverload  = 200 * time.Millisecond
+	kvTxns      = 200
+)
 
 // runKV replays a zipf-skewed read/write mix against the quorum store.
 // Every operation's latency is computed by the fabric cost model, so
 // the whole trajectory — windows included — is a pure function of the
 // seed: windows advance by accumulated virtual time, not wall clock.
-func runKV(o Options) (*Result, error) {
-	if o.Ops <= 0 {
-		o.Ops = 20_000
-		if o.Quick {
-			o.Ops = 5_000
-		}
-	}
-	if o.Keys <= 0 {
-		o.Keys = 512
-	}
-	if o.Skew == 0 {
-		o.Skew = 0.99
-	}
-	if o.ReadFrac == 0 {
-		o.ReadFrac = 0.8
-	}
-	if o.ValueSize <= 0 {
-		o.ValueSize = 128
-	}
-	model, err := transportModel(o.Transport)
-	if err != nil {
-		return nil, err
-	}
+func runKV(r *Result, seed uint64) error {
 	top := topology.TwoTier(2, 4, 2)
-	fabric := netsim.NewFabric(top, model)
-	store, err := kvstore.New(kvstore.Config{Fabric: fabric, N: 3, R: 2, W: 2})
+	store, err := kvstore.New(kvstore.Config{Fabric: netsim.NewFabric(top, fabricModel), N: 3, R: 2, W: 2})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ops := workload.KVOps(o.Ops, o.Keys, o.Skew, o.ReadFrac, o.ValueSize, o.Seed)
+	ops := workload.KVOps(kvOps, kvKeys, kvSkew, kvReadFrac, kvValueSize, seed)
 
-	// Window by virtual time so the series is deterministic. Width is
-	// sized to the op count so both modes produce a useful handful of
-	// windows; it is pinned in Params, so baselines stay comparable.
-	width := 5 * time.Millisecond
-	if o.Quick {
-		width = 2 * time.Millisecond
-	}
-	reads := metrics.NewWindowedHistogram(width)
-	writes := metrics.NewWindowedHistogram(width)
-	all := metrics.NewWindowedHistogram(width)
+	reads := metrics.NewWindowedHistogram(kvWindow)
+	writes := metrics.NewWindowedHistogram(kvWindow)
+	all := metrics.NewWindowedHistogram(kvWindow)
 
 	var virtual time.Duration
 	var nGet, nPut, hits, misses int64
@@ -198,7 +200,7 @@ func runKV(o Options) (*Result, error) {
 		case workload.OpPut:
 			lat, err := store.Put(coord, op.Key, op.Value)
 			if err != nil {
-				return nil, fmt.Errorf("perf: kv put: %w", err)
+				return fmt.Errorf("put: %w", err)
 			}
 			virtual += lat
 			writes.ObserveDuration(virtual, lat)
@@ -214,7 +216,7 @@ func runKV(o Options) (*Result, error) {
 			case err == kvstore.ErrNotFound:
 				misses++
 			default:
-				return nil, fmt.Errorf("perf: kv get: %w", err)
+				return fmt.Errorf("get: %w", err)
 			}
 			virtual += lat
 			reads.ObserveDuration(virtual, lat)
@@ -223,23 +225,26 @@ func runKV(o Options) (*Result, error) {
 		}
 	}
 
-	r := newResult("kv", o, map[string]string{
-		"ops":        fmt.Sprint(o.Ops),
-		"keys":       fmt.Sprint(o.Keys),
-		"skew":       fmt.Sprint(o.Skew),
-		"read_frac":  fmt.Sprint(o.ReadFrac),
-		"value_size": fmt.Sprint(o.ValueSize),
-		"window_ms":  fmt.Sprint(width.Milliseconds()),
-		"quorum":     "n3r2w2",
+	r.setParams(map[string]any{
+		"ops":           kvOps,
+		"keys":          kvKeys,
+		"skew":          kvSkew,
+		"read_frac":     kvReadFrac,
+		"value_size":    kvValueSize,
+		"window_ms":     kvWindow.Milliseconds(),
+		"quorum":        "n3r2w2",
+		"overload_mult": 2,
+		"overload_ms":   kvOverload.Milliseconds(),
+		"txn_ops":       kvTxns,
+		"txn_span":      2,
 	})
-	r.Windows = windowsFromSamples(all.Series())
-	r.Shape["ops"] = int64(o.Ops)
+	r.addWindows(all.Series(), 0)
+	r.Shape["ops"] = kvOps
 	r.Shape["reads"] = nGet
 	r.Shape["writes"] = nPut
 	r.Shape["hits"] = hits
 	r.Shape["misses"] = misses
-	r.Shape["read_checksum"] = int64(sum.Sum64() >> 1) // >>1: stay positive in JSON
-	r.Shape["windows"] = int64(len(r.Windows))
+	r.Shape["read_checksum"] = checksum(sum)
 	rt, wt := reads.Total(), writes.Total()
 	r.Metrics["get_p50_ns"] = float64(rt.P50)
 	r.Metrics["get_p99_ns"] = float64(rt.P99)
@@ -248,35 +253,21 @@ func runKV(o Options) (*Result, error) {
 	r.Metrics["put_p99_ns"] = float64(wt.P99)
 	r.Metrics["put_p999_ns"] = float64(wt.P999)
 	r.Metrics["virtual_elapsed_ns"] = float64(virtual)
-	if virtual > 0 {
-		r.Metrics["ops_per_sec"] = float64(o.Ops) / virtual.Seconds()
-	}
+	r.Metrics["ops_per_sec"] = kvOps / virtual.Seconds()
 
 	// Overload segment: drive the same store build at 2x its measured
 	// closed-loop capacity through the admission stack, open-loop. The
 	// whole segment is virtual time, so goodput-at-saturation and the
 	// admitted tail are seed-deterministic; its windows are appended
 	// after the mix's, offset by the mix's virtual elapsed time.
-	mean := virtual / time.Duration(o.Ops)
-	if mean <= 0 {
-		mean = time.Microsecond
-	}
+	mean := virtual / kvOps
 	capacity := float64(time.Second) / float64(mean)
-	ovlDur := 500 * time.Millisecond
-	if o.Quick {
-		ovlDur = 200 * time.Millisecond
-	}
-	ovlStore, err := kvstore.New(kvstore.Config{Fabric: netsim.NewFabric(top, model), N: 3, R: 2, W: 2})
+	ovlStore, err := kvstore.New(kvstore.Config{Fabric: netsim.NewFabric(top, fabricModel), N: 3, R: 2, W: 2})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ovl := admission.NewSim(overloadSimConfig(ovlStore, nodes, capacity, mean, ovlDur, o.Seed)).Run()
-	for _, w := range windowsFromSamples(ovl.Windows) {
-		w.StartNs += int64(virtual)
-		r.Windows = append(r.Windows, w)
-	}
-	r.Params["overload_mult"] = "2"
-	r.Params["overload_ms"] = fmt.Sprint(ovlDur.Milliseconds())
+	ovl := admission.NewSim(overloadSimConfig(ovlStore, nodes, capacity, mean, seed)).Run()
+	r.addWindows(ovl.Windows, virtual)
 	r.Shape["overload_offered"] = ovl.Offered
 	r.Shape["overload_goodput"] = ovl.Goodput
 	r.Shape["overload_shed"] = ovl.ShedQuota + ovl.ShedQueue + ovl.ShedSojourn
@@ -289,20 +280,15 @@ func runKV(o Options) (*Result, error) {
 	// the trajectory crosses topology changes. The plane's virtual cost
 	// model is the clock, so windows, counters and the read checksum are
 	// all seed-deterministic; windows append after the overload segment's.
-	txnN := 600
-	if o.Quick {
-		txnN = 200
-	}
 	sh := kvstore.NewSharded(kvstore.ShardedConfig{
-		Seed: o.Seed, Groups: 2, InitialSplits: []string{"key-00000040"},
+		Seed: seed, Groups: 2, InitialSplits: []string{"key-00000040"},
 		MaxOpAttempts: 16, MaxTxnAttempts: 8,
 	})
 	txns := workload.TxnOps(workload.TxnSpec{
-		N: txnN, Keys: 128, Span: 2, Skew: o.Skew, ValueSize: 32, Seed: o.Seed,
+		N: kvTxns, Keys: 128, Span: 2, Skew: kvSkew, ValueSize: 32, Seed: seed,
 	})
-	txnWindows := metrics.NewWindowedHistogram(width)
+	txnWindows := metrics.NewWindowedHistogram(kvWindow)
 	txnSum := fnv.New64a()
-	txnBase := int64(virtual) + int64(ovlDur)
 	prevCost := sh.VirtualCost()
 	ctx := context.Background()
 	for i, tx := range txns {
@@ -314,7 +300,7 @@ func runKV(o Options) (*Result, error) {
 			if errors.Is(err, kvstore.ErrTxnConflict) || errors.Is(err, kvstore.ErrTxnAborted) {
 				continue // clean aborts are part of the measured mix
 			}
-			return nil, fmt.Errorf("perf: kv txn %d: %w", i, err)
+			return fmt.Errorf("txn %d: %w", i, err)
 		}
 		keys := make([]string, 0, len(got))
 		for k := range got {
@@ -327,39 +313,34 @@ func runKV(o Options) (*Result, error) {
 		}
 		txnWindows.ObserveDuration(cost, lat)
 		switch i {
-		case txnN / 3:
+		case kvTxns / 3:
 			if err := sh.Split("key-00000020"); err != nil && !errors.Is(err, kvstore.ErrRangeBusy) {
-				return nil, fmt.Errorf("perf: kv txn split: %w", err)
+				return fmt.Errorf("txn split: %w", err)
 			}
-		case 2 * txnN / 3:
+		case 2 * kvTxns / 3:
 			if err := sh.Merge("key-00000020"); err != nil && !errors.Is(err, kvstore.ErrRangeBusy) {
-				return nil, fmt.Errorf("perf: kv txn merge: %w", err)
+				return fmt.Errorf("txn merge: %w", err)
 			}
 		}
 	}
-	for _, w := range windowsFromSamples(txnWindows.Series()) {
-		w.StartNs += txnBase
-		r.Windows = append(r.Windows, w)
-	}
-	r.Params["txn_ops"] = fmt.Sprint(txnN)
-	r.Params["txn_span"] = "2"
+	r.addWindows(txnWindows.Series(), virtual+kvOverload)
 	r.Shape["txn_committed"] = sh.Reg.Counter("txn_committed").Value()
 	r.Shape["txn_conflicts"] = sh.Reg.Counter("txn_conflicts").Value()
-	r.Shape["txn_checksum"] = int64(txnSum.Sum64() >> 1)
+	r.Shape["txn_checksum"] = checksum(txnSum)
 	r.Shape["txn_ranges"] = int64(sh.RangeCount())
-	r.Shape["windows"] = int64(len(r.Windows)) // recount: overload + txn windows included
+	r.Shape["windows"] = int64(len(r.Windows))
 	txnTotal := txnWindows.Total()
 	r.Metrics["txn_p50_ns"] = float64(txnTotal.P50)
 	r.Metrics["txn_p99_ns"] = float64(txnTotal.P99)
 	r.Metrics["txn_virtual_elapsed_ns"] = float64(sh.VirtualCost())
-	return r, nil
+	return nil
 }
 
 // overloadSimConfig assembles the kv family's fixed overload run: three
 // equal-weight YCSB tenants at twice the measured capacity, quotas at
 // 95% of capacity, CoDel and deadline knobs scaled off the measured
 // mean service latency (the same sizing rule E-OVL uses).
-func overloadSimConfig(store *kvstore.Store, nodes int, capacity float64, mean, dur time.Duration, seed uint64) admission.SimConfig {
+func overloadSimConfig(store *kvstore.Store, nodes int, capacity float64, mean time.Duration, seed uint64) admission.SimConfig {
 	tenants := make([]workload.TenantSpec, 3)
 	for i, m := range []string{"A", "B", "C"} {
 		rf, _ := workload.YCSBMix(m)
@@ -369,9 +350,9 @@ func overloadSimConfig(store *kvstore.Store, nodes int, capacity float64, mean, 
 			Weight:     1,
 			Priority:   i,
 			ReadFrac:   rf,
-			Keys:       512,
-			Skew:       0.99,
-			ValueSize:  128,
+			Keys:       kvKeys,
+			Skew:       kvSkew,
+			ValueSize:  kvValueSize,
 		}
 	}
 	ids := make([]string, len(tenants))
@@ -386,14 +367,14 @@ func overloadSimConfig(store *kvstore.Store, nodes int, capacity float64, mean, 
 	}
 	return admission.SimConfig{
 		Tenants:     tenants,
-		Duration:    dur,
+		Duration:    kvOverload,
 		Seed:        seed,
 		Nodes:       nodes,
 		Deadline:    50 * mean,
 		MaxAttempts: 3,
 		Backoff:     5 * mean,
 		RetryRatio:  0.1,
-		WindowWidth: dur / 8,
+		WindowWidth: kvOverload / 8,
 		Admission: &admission.Config{
 			Tenants:  quotas,
 			Target:   4 * mean,
@@ -413,58 +394,26 @@ func overloadSimConfig(store *kvstore.Store, nodes int, capacity float64, mean, 
 	}
 }
 
-func transportModel(name string) (netsim.Model, error) {
-	switch name {
-	case "rdma", "":
-		return netsim.RDMA40G, nil
-	case "tcp":
-		return netsim.TCP40G, nil
-	case "ipoib":
-		return netsim.IPoIB40G, nil
-	default:
-		return netsim.Model{}, fmt.Errorf("perf: unknown transport %q", name)
-	}
-}
-
 // ---- shuffle ---------------------------------------------------------------
 
 // runShuffle is the matching-records workload: each round generates
 // seeded records across source partitions, keeps the ~1/16 that match,
 // keys the matches by rule id and counts per rule through a full
-// shuffle. One round = one window; the checksum folds every round's
-// sorted (rule, count) pairs, so any change in what got shuffled is a
-// shape break.
-func runShuffle(o Options) (*Result, error) {
-	if o.Rounds <= 0 {
-		o.Rounds = 5
-		if o.Quick {
-			o.Rounds = 3
-		}
-	}
-	if o.Records <= 0 {
-		o.Records = 48_000
-		if o.Quick {
-			o.Records = 16_000
-		}
-	}
-	const parts = 8
-	const reduceParts = 4
-	const rules = 64
-
-	var windows []Window
-	var totalRecords, totalMatched, totalGroups int64
+// shuffle. The checksum folds every round's sorted (rule, count) pairs,
+// so any change in what got shuffled moves it.
+func runShuffle(r *Result, seed uint64) error {
+	const (
+		rounds      = 3
+		records     = 16_000
+		parts       = 8
+		reduceParts = 4
+		rules       = 64
+		perPart     = records / parts
+	)
+	var totalMatched, totalGroups int64
 	sum := fnv.New64a()
-	var totalWall time.Duration
-	var lastFetches fetchCost
-
-	for round := 0; round < o.Rounds; round++ {
-		ctx := hpbdc.New(hpbdc.Config{
-			Racks: 2, NodesPerRack: 4,
-			Transport: o.Transport,
-			Seed:      o.Seed + uint64(round),
-		})
-		roundSeed := o.Seed + uint64(round)*1_000_003
-		perPart := o.Records / parts
+	err := batchRounds(r, seed, rounds, func(round int, ctx *hpbdc.Context) error {
+		roundSeed := seed + uint64(round)*1_000_003
 		src := hpbdc.SourceFunc(ctx, parts, func(part int) []uint64 {
 			out := make([]uint64, perPart)
 			// SplitMix-style stream decorrelated per (round, partition).
@@ -486,141 +435,67 @@ func runShuffle(o Options) (*Result, error) {
 		})
 		counts := hpbdc.ReduceByKey(matched, hpbdc.Int64Codec, hpbdc.Int64Codec, reduceParts,
 			func(a, b int64) int64 { return a + b })
-
-		start := time.Now()
 		got, err := counts.Collect()
 		if err != nil {
-			return nil, fmt.Errorf("perf: shuffle round %d: %w", round, err)
+			return err
 		}
-		wall := time.Since(start)
-		totalWall += wall
-
 		sort.Slice(got, func(i, j int) bool { return got[i].Key < got[j].Key })
-		var matchedN int64
 		for _, p := range got {
-			matchedN += p.Value
+			totalMatched += p.Value
 			fmt.Fprintf(sum, "%d=%d;", p.Key, p.Value)
 		}
-		roundRecords := int64(perPart * parts)
-		totalRecords += roundRecords
-		totalMatched += matchedN
 		totalGroups += int64(len(got))
-
-		lastFetches = readFetchCost(ctx)
-		lastTasks := ctx.Metrics().Histogram("task_duration_ns").Snapshot()
-		windows = append(windows, Window{
-			StartNs: int64(totalWall - wall),
-			Count:   roundRecords,
-			PerSec:  float64(roundRecords) / wall.Seconds(),
-			MeanNs:  lastTasks.Mean,
-			P50Ns:   lastTasks.P50,
-			P95Ns:   lastTasks.P95,
-			P99Ns:   lastTasks.P99,
-			P999Ns:  lastTasks.P999,
-			MaxNs:   lastTasks.Max,
-		})
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-
-	r := newResult("shuffle", o, map[string]string{
-		"rounds":       fmt.Sprint(o.Rounds),
-		"records":      fmt.Sprint(o.Records),
-		"parts":        fmt.Sprint(parts),
-		"reduce_parts": fmt.Sprint(reduceParts),
-		"rules":        fmt.Sprint(rules),
+	r.setParams(map[string]any{
+		"rounds":       rounds,
+		"records":      records,
+		"parts":        parts,
+		"reduce_parts": reduceParts,
+		"rules":        rules,
 		"selectivity":  "1/16",
 	})
-	r.Windows = windows
-	r.Shape["records"] = totalRecords
+	r.Shape["records"] = rounds * perPart * parts
 	r.Shape["matched"] = totalMatched
 	r.Shape["groups"] = totalGroups
-	r.Shape["match_checksum"] = int64(sum.Sum64() >> 1)
-	r.Shape["windows"] = int64(len(windows))
-	// Summary metrics are the robust ones: wall throughput (threshold-
-	// compared) and the cost model's simulated per-fetch time (stable).
-	// Task wall percentiles live in Windows only — at microsecond task
-	// sizes they carry too much scheduler noise to gate CI on.
-	r.Metrics["records_per_sec"] = float64(totalRecords) / totalWall.Seconds()
-	if q := lastFetches.queries; q > 0 {
-		r.Metrics["sim_fetch_mean_ns"] = float64(lastFetches.timeNs) / float64(q)
-	}
-	return r, nil
-}
-
-// fetchCost is the fabric's simulated shuffle-fetch aggregate for one
-// round, read from the context registry. Simulated time is a pure
-// function of (topology, model, placement), so it is far more stable
-// across runs than any wall-clock latency.
-type fetchCost struct {
-	queries, timeNs int64
-}
-
-func readFetchCost(ctx *hpbdc.Context) fetchCost {
-	reg := ctx.Metrics()
-	return fetchCost{
-		queries: reg.Counter("net_cost_queries").Value(),
-		timeNs:  reg.Counter("net_cost_time_ns").Value(),
-	}
+	r.Shape["match_checksum"] = checksum(sum)
+	return nil
 }
 
 // ---- stream ----------------------------------------------------------------
 
-// runStream drives the checkpointed stream engine to source exhaustion
-// and measures sustained event throughput alongside checkpoint cost.
-// Wall throughput is windowed by event blocks via the Runner's tick
-// hook; the result set, its checksum and the committed checkpoint
-// bytes are seed-deterministic shape.
-func runStream(o Options) (*Result, error) {
-	if o.Events <= 0 {
-		o.Events = 60_000
-		if o.Quick {
-			o.Events = 20_000
-		}
-	}
-	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 2_000
-	}
-	const keys = 64
-	const workers = 4
-	src := stream.NewGeneratorSource(o.Seed, o.Events, keys, time.Millisecond, 4*time.Millisecond)
-
-	blockEvery := int(o.Events / 12)
-	if blockEvery < 1 {
-		blockEvery = 1
-	}
-	var windows []Window
-	start := time.Now()
-	lastBoundary := time.Duration(0)
+// runStream drives the checkpointed stream engine to source exhaustion.
+// The Runner's tick hook counts event blocks; the result set, its
+// checksum and the committed checkpoint bytes are the shape.
+func runStream(r *Result, seed uint64) error {
+	const (
+		events          = 20_000
+		checkpointEvery = 2_000
+		keys            = 64
+		workers         = 4
+	)
+	src := stream.NewGeneratorSource(seed, events, keys, time.Millisecond, 4*time.Millisecond)
+	var blocks int64
 	runner := stream.NewRunner(stream.RunConfig{
 		Pipeline: stream.Config{
 			Workers: workers,
 			Buffer:  256,
 			Window:  50 * time.Millisecond,
 		},
-		CheckpointEvery: o.CheckpointEvery,
+		CheckpointEvery: checkpointEvery,
 		WatermarkEvery:  256,
 		WatermarkLag:    5 * time.Millisecond,
-		TickEvery:       blockEvery,
-		Tick: func() {
-			now := time.Since(start)
-			wall := now - lastBoundary
-			if wall <= 0 {
-				wall = time.Nanosecond
-			}
-			windows = append(windows, Window{
-				StartNs: int64(lastBoundary),
-				Count:   int64(blockEvery),
-				PerSec:  float64(blockEvery) / wall.Seconds(),
-			})
-			lastBoundary = now
-		},
+		TickEvery:       events / 12,
+		Tick:            func() { blocks++ },
 	}, src)
 
 	results, err := runner.Run()
 	if err != nil {
-		return nil, fmt.Errorf("perf: stream: %w", err)
+		return err
 	}
-	totalWall := time.Since(start)
-
 	sort.Slice(results, func(i, j int) bool {
 		if results[i].WindowStart != results[j].WindowStart {
 			return results[i].WindowStart < results[j].WindowStart
@@ -633,28 +508,20 @@ func runStream(o Options) (*Result, error) {
 	}
 
 	reg := runner.Metrics()
-	ckpt := reg.Histogram("checkpoint_duration_ns").Snapshot()
-
-	r := newResult("stream", o, map[string]string{
-		"events":           fmt.Sprint(o.Events),
-		"keys":             fmt.Sprint(keys),
-		"workers":          fmt.Sprint(workers),
-		"checkpoint_every": fmt.Sprint(o.CheckpointEvery),
-		"window_ms":        "50",
+	r.setParams(map[string]any{
+		"events":           events,
+		"keys":             keys,
+		"workers":          workers,
+		"checkpoint_every": checkpointEvery,
+		"window_ms":        50,
 	})
-	r.Windows = windows
-	r.Shape["events"] = o.Events
+	r.Shape["events"] = events
 	r.Shape["results"] = int64(len(results))
-	r.Shape["results_checksum"] = int64(sum.Sum64() >> 1)
+	r.Shape["results_checksum"] = checksum(sum)
 	r.Shape["checkpoints_committed"] = reg.Counter("checkpoints_committed").Value()
 	r.Shape["checkpoint_bytes"] = reg.Counter("checkpoint_bytes").Value()
-	r.Shape["windows"] = int64(len(windows))
-	// Throughput gates; checkpoint encode time is wall-measured over few
-	// samples, so only its mean is summarized (percentiles stay in the
-	// run's histogram for interactive inspection).
-	r.Metrics["events_per_sec"] = float64(o.Events) / totalWall.Seconds()
-	r.Metrics["checkpoint_mean_ns"] = ckpt.Mean
-	return r, nil
+	r.Shape["windows"] = blocks
+	return nil
 }
 
 // ---- terasort --------------------------------------------------------------
@@ -662,57 +529,32 @@ func runStream(o Options) (*Result, error) {
 // runTerasort runs rounds of TeraGen + sampled range-partitioned sort.
 // The checksum folds the first and last key of every output partition
 // — enough to pin both the partition boundaries and the sort order.
-func runTerasort(o Options) (*Result, error) {
-	if o.Rounds <= 0 {
-		o.Rounds = 3
-		if o.Quick {
-			o.Rounds = 2
-		}
-	}
-	if o.Records <= 0 {
-		o.Records = 60_000
-		if o.Quick {
-			o.Records = 24_000
-		}
-	}
-	const parts = 8
-
-	var windows []Window
+func runTerasort(r *Result, seed uint64) error {
+	const (
+		rounds  = 2
+		records = 24_000
+		parts   = 8
+	)
 	var totalRecords int64
 	sum := fnv.New64a()
-	var totalWall time.Duration
-	var lastFetches fetchCost
-
-	for round := 0; round < o.Rounds; round++ {
-		ctx := hpbdc.New(hpbdc.Config{
-			Racks: 2, NodesPerRack: 4,
-			Transport: o.Transport,
-			Seed:      o.Seed + uint64(round),
-		})
-		perPart := o.Records / parts
-		roundSeed := o.Seed + uint64(round)*7_919
+	err := batchRounds(r, seed, rounds, func(round int, ctx *hpbdc.Context) error {
+		roundSeed := seed + uint64(round)*7_919
 		gen := hpbdc.SourceFunc(ctx, parts, func(part int) []hpbdc.Pair[string, string] {
-			recs := workload.TeraGen(perPart, roundSeed+uint64(part))
+			recs := workload.TeraGen(records/parts, roundSeed+uint64(part))
 			out := make([]hpbdc.Pair[string, string], len(recs))
 			for i, rec := range recs {
 				out[i] = hpbdc.Pair[string, string]{Key: string(rec.Key), Value: string(rec.Value)}
 			}
 			return out
 		})
-
-		start := time.Now()
 		sorted, err := hpbdc.SortByKey(gen, hpbdc.StringCodec, hpbdc.StringCodec, parts, 128)
 		if err != nil {
-			return nil, fmt.Errorf("perf: terasort round %d: %w", round, err)
+			return err
 		}
 		out, err := sorted.CollectPartitions()
 		if err != nil {
-			return nil, fmt.Errorf("perf: terasort round %d: %w", round, err)
+			return err
 		}
-		wall := time.Since(start)
-		totalWall += wall
-
-		var n int64
 		prev := ""
 		for _, part := range out {
 			if len(part) > 0 {
@@ -720,109 +562,74 @@ func runTerasort(o Options) (*Result, error) {
 			}
 			for _, p := range part {
 				if p.Key < prev {
-					return nil, fmt.Errorf("perf: terasort round %d: output not sorted", round)
+					return errors.New("output not sorted")
 				}
 				prev = p.Key
-				n++
+				totalRecords++
 			}
 		}
-		totalRecords += n
-
-		lastFetches = readFetchCost(ctx)
-		lastTasks := ctx.Metrics().Histogram("task_duration_ns").Snapshot()
-		windows = append(windows, Window{
-			StartNs: int64(totalWall - wall),
-			Count:   n,
-			PerSec:  float64(n) / wall.Seconds(),
-			MeanNs:  lastTasks.Mean,
-			P50Ns:   lastTasks.P50,
-			P95Ns:   lastTasks.P95,
-			P99Ns:   lastTasks.P99,
-			P999Ns:  lastTasks.P999,
-			MaxNs:   lastTasks.Max,
-		})
-	}
-
-	r := newResult("terasort", o, map[string]string{
-		"rounds":  fmt.Sprint(o.Rounds),
-		"records": fmt.Sprint(o.Records),
-		"parts":   fmt.Sprint(parts),
+		return nil
 	})
-	r.Windows = windows
-	r.Shape["records"] = totalRecords
-	r.Shape["order_checksum"] = int64(sum.Sum64() >> 1)
-	r.Shape["windows"] = int64(len(windows))
-	r.Metrics["records_per_sec"] = float64(totalRecords) / totalWall.Seconds()
-	if q := lastFetches.queries; q > 0 {
-		r.Metrics["sim_fetch_mean_ns"] = float64(lastFetches.timeNs) / float64(q)
+	if err != nil {
+		return err
 	}
-	return r, nil
+	r.setParams(map[string]any{"rounds": rounds, "records": records, "parts": parts})
+	r.Shape["records"] = totalRecords
+	r.Shape["order_checksum"] = checksum(sum)
+	return nil
 }
 
 // ---- query -----------------------------------------------------------------
 
 // runQuery executes the E-SQL star-schema suite through the cost-based
-// planner, one round (fresh engine + regenerated star data) per window.
-// The result rows fold into a checksum — any planner change that alters
-// a relational answer is a shape break, caught without the oracle in
-// the loop — and the columnar scan counters (rows pruned, bytes
-// decoded/skipped) pin pushdown behavior, which is a pure function of
-// the seed. Wall throughput is threshold-compared.
-func runQuery(o Options) (*Result, error) {
-	if o.Rounds <= 0 {
-		o.Rounds = 3
-		if o.Quick {
-			o.Rounds = 2
-		}
-	}
-	if o.Records <= 0 {
-		o.Records = 6_000
-		if o.Quick {
-			o.Records = 2_000
-		}
-	}
-	model, err := transportModel(o.Transport)
-	if err != nil {
-		return nil, err
-	}
-	const parts = 4
+// planner, each round on a fresh engine and regenerated star data. The
+// result rows fold into a checksum — any planner change that alters a
+// relational answer moves it, without the oracle in the loop — and the
+// columnar scan counters (rows pruned, bytes decoded/skipped) pin
+// pushdown behavior: encoding and plans are pure functions of the
+// generated data.
+func runQuery(r *Result, seed uint64) error {
+	const (
+		rounds        = 2
+		factRows      = 2_000
+		parts         = 4
+		broadcastRows = factRows / 4
+	)
 	custN, prodN, dateN := 120, 40, 48
-	broadcastRows := int64(o.Records / 4)
+	scanCounters := []struct{ shape, counter string }{
+		{"rows_scanned", qtable.CtrRowsScanned},
+		{"rows_pruned", qtable.CtrRowsPruned},
+		{"bytes_decoded", qtable.CtrBytesDecoded},
+		{"bytes_skipped", qtable.CtrBytesSkipped},
+	}
 
-	var windows []Window
-	var totalRows, totalQueries int64
-	var scans perfScanCost
+	var totalRows int64
 	sum := fnv.New64a()
-	var totalWall time.Duration
-
 	suite := query.StarQueries()
-	for round := 0; round < o.Rounds; round++ {
-		fab := netsim.NewFabric(topology.TwoTier(2, 4, 2), model)
+	for round := 0; round < rounds; round++ {
+		fab := netsim.NewFabric(topology.TwoTier(2, 4, 2), fabricModel)
 		cl := cluster.New(cluster.Config{Fabric: fab, SlotsPerNode: 2})
-		eng := core.NewEngine(core.Config{Cluster: cl, Seed: o.Seed})
+		eng := core.NewEngine(core.Config{Cluster: cl, Seed: seed})
 		env := query.NewEnv(eng, nil)
-		rels := query.GenStar(o.Seed+uint64(round)*1_000_003, o.Records, custN, prodN, dateN)
+		rels := query.GenStar(seed+uint64(round)*1_000_003, factRows, custN, prodN, dateN)
 		if err := query.RegisterStar(env, rels, parts); err != nil {
-			return nil, fmt.Errorf("perf: query round %d: %w", round, err)
+			return fmt.Errorf("round %d: %w", round, err)
 		}
-
-		start := time.Now()
-		var roundRows int64
 		for _, q := range suite {
 			plan, err := env.SQL(q.SQL, query.Options{Optimize: true, Parts: parts, BroadcastRows: broadcastRows})
 			if err != nil {
-				return nil, fmt.Errorf("perf: query %s: %w", q.ID, err)
+				return fmt.Errorf("%s: %w", q.ID, err)
 			}
 			rows, err := plan.Execute()
 			if err != nil {
-				return nil, fmt.Errorf("perf: query %s: %w", q.ID, err)
+				return fmt.Errorf("%s: %w", q.ID, err)
 			}
-			roundRows += int64(len(rows))
+			totalRows += int64(len(rows))
 			// Ordered plans have one valid order; unordered ones are
 			// multisets — sort the encoded rows so the fold is stable.
 			enc := make([]string, len(rows))
-			for i, r := range rows {
-				enc[i] = check.FormatRow(r)
+			for i, row := range rows {
+				enc[i] = check.FormatRow(row)
 			}
 			if !plan.Ordered() {
 				sort.Strings(enc)
@@ -832,45 +639,23 @@ func runQuery(o Options) (*Result, error) {
 				fmt.Fprintf(sum, "%s;", e)
 			}
 		}
-		wall := time.Since(start)
-		totalWall += wall
-		totalRows += roundRows
-		totalQueries += int64(len(suite))
-		scans = scans.add(readScanCost(eng.Reg))
-
-		tasks := eng.Reg.Histogram("task_duration_ns").Snapshot()
-		windows = append(windows, Window{
-			StartNs: int64(totalWall - wall),
-			Count:   int64(len(suite)),
-			PerSec:  float64(len(suite)) / wall.Seconds(),
-			MeanNs:  tasks.Mean,
-			P50Ns:   tasks.P50,
-			P95Ns:   tasks.P95,
-			P99Ns:   tasks.P99,
-			P999Ns:  tasks.P999,
-			MaxNs:   tasks.Max,
-		})
+		for _, c := range scanCounters {
+			r.Shape[c.shape] += eng.Reg.Counter(c.counter).Value()
+		}
 	}
 
-	r := newResult("query", o, map[string]string{
-		"rounds":         fmt.Sprint(o.Rounds),
-		"fact_rows":      fmt.Sprint(o.Records),
-		"parts":          fmt.Sprint(parts),
-		"queries":        fmt.Sprint(len(suite)),
-		"broadcast_rows": fmt.Sprint(broadcastRows),
+	r.setParams(map[string]any{
+		"rounds":         rounds,
+		"fact_rows":      factRows,
+		"parts":          parts,
+		"queries":        len(suite),
+		"broadcast_rows": broadcastRows,
 	})
-	r.Windows = windows
-	r.Shape["queries"] = totalQueries
+	r.Shape["queries"] = int64(rounds * len(suite))
 	r.Shape["result_rows"] = totalRows
-	r.Shape["result_checksum"] = int64(sum.Sum64() >> 1)
-	r.Shape["rows_scanned"] = scans.scanned
-	r.Shape["rows_pruned"] = scans.pruned
-	r.Shape["bytes_decoded"] = scans.decoded
-	r.Shape["bytes_skipped"] = scans.skipped
-	r.Shape["windows"] = int64(len(windows))
-	r.Metrics["queries_per_sec"] = float64(totalQueries) / totalWall.Seconds()
-	r.Metrics["result_rows_per_sec"] = float64(totalRows) / totalWall.Seconds()
-	return r, nil
+	r.Shape["result_checksum"] = checksum(sum)
+	r.Shape["windows"] = rounds
+	return nil
 }
 
 // ---- avail -----------------------------------------------------------------
@@ -881,12 +666,11 @@ func runQuery(o Options) (*Result, error) {
 // cluster, control (vanilla) vs defended (PreVote + CheckQuorum +
 // randomized backoff). One commit-confirmed proposal probes every
 // virtual tick; check.Availability charges only failures that coincide
-// with a connected majority. Everything but the wall probe rate is a
-// pure function of the seed, so the unavailability windows, term growth
-// and step-down counts all gate as exact-match shape — a liveness
-// regression (say, a PreVote bug reintroducing term inflation) breaks
-// the baseline the same way a lost record breaks the shuffle checksum.
-func runAvail(o Options) (*Result, error) {
+// with a connected majority. The unavailability windows, term growth and
+// step-down counts are all pure functions of the seed — a liveness
+// regression (say, a PreVote bug reintroducing term inflation) moves the
+// committed file the same way a lost record moves the shuffle checksum.
+func runAvail(r *Result, seed uint64) error {
 	const nodes = 5
 	const horizon = 300
 	// One virtual tick is modeled as 1ms for window bookkeeping.
@@ -898,31 +682,27 @@ func runAvail(o Options) (*Result, error) {
 		{"flap", "4 flap 0-4 0-4 0.25\n104 unflap 0-4 0-4\n105 heal\n"},
 	}
 
-	r := newResult("avail", o, map[string]string{
-		"nodes":   fmt.Sprint(nodes),
-		"horizon": fmt.Sprint(horizon),
-	})
-	start := time.Now()
+	r.setParams(map[string]any{"nodes": nodes, "horizon": horizon})
 	var offset, totalProbes, totalFailed int64
 	for _, sc := range schedules {
 		sched, err := chaos.Parse(sc.text)
 		if err != nil {
-			return nil, fmt.Errorf("perf: avail %s: %w", sc.name, err)
+			return fmt.Errorf("%s: %w", sc.name, err)
 		}
 		for _, mode := range []string{"control", "defended"} {
 			var c *consensus.Cluster
 			if mode == "defended" {
-				c = consensus.NewHardenedCluster(nodes, o.Seed)
+				c = consensus.NewHardenedCluster(nodes, seed)
 			} else {
-				c = consensus.NewCluster(nodes, o.Seed)
+				c = consensus.NewCluster(nodes, seed)
 			}
 			if l := c.RunUntilLeader(400); l < 0 {
-				return nil, fmt.Errorf("perf: avail %s/%s: no boot leader", sc.name, mode)
+				return fmt.Errorf("%s/%s: no boot leader", sc.name, mode)
 			}
 			if !c.TransferLeadership(0, 80) {
-				return nil, fmt.Errorf("perf: avail %s/%s: could not rig leader", sc.name, mode)
+				return fmt.Errorf("%s/%s: could not rig leader", sc.name, mode)
 			}
-			ctl := chaos.New(sched, o.Seed, chaos.Targets{Nodes: nodes, Consensus: c}, nil)
+			ctl := chaos.New(sched, seed, chaos.Targets{Nodes: nodes, Consensus: c}, nil)
 			boot := c.MaxTerm()
 
 			pts := make([]check.AvailPoint, 0, horizon)
@@ -962,32 +742,8 @@ func runAvail(o Options) (*Result, error) {
 			offset += horizon * tickNs
 		}
 	}
-	wall := time.Since(start)
-
 	r.Shape["probes"] = totalProbes
 	r.Shape["failed"] = totalFailed
 	r.Shape["windows"] = int64(len(r.Windows))
-	// The only wall-clock number: probe throughput, threshold-compared.
-	r.Metrics["probes_per_sec"] = float64(totalProbes) / wall.Seconds()
-	return r, nil
-}
-
-// perfScanCost aggregates the columnar scan counters across rounds; all
-// four are seed-deterministic (encoding and plans are pure functions of
-// the generated data), so they gate as shape.
-type perfScanCost struct {
-	scanned, pruned, decoded, skipped int64
-}
-
-func (a perfScanCost) add(b perfScanCost) perfScanCost {
-	return perfScanCost{a.scanned + b.scanned, a.pruned + b.pruned, a.decoded + b.decoded, a.skipped + b.skipped}
-}
-
-func readScanCost(reg *metrics.Registry) perfScanCost {
-	return perfScanCost{
-		scanned: reg.Counter(qtable.CtrRowsScanned).Value(),
-		pruned:  reg.Counter(qtable.CtrRowsPruned).Value(),
-		decoded: reg.Counter(qtable.CtrBytesDecoded).Value(),
-		skipped: reg.Counter(qtable.CtrBytesSkipped).Value(),
-	}
+	return nil
 }

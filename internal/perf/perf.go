@@ -1,34 +1,31 @@
-// Package perf is the benchmark-trajectory subsystem: it runs named
-// workload families (shuffle matching-records in the ShuffleBench
-// style, stream sustained-throughput with checkpoint cost, a YCSB-ish
-// KV read/write mix, terasort) under fixed seeds, samples time-windowed
-// throughput and latency percentiles, and writes versioned
-// BENCH_<family>.json files that CI diffs against the committed
-// trajectory. The split that makes this workable is Shape vs Metrics:
-// Shape fields (record counts, checksums, checkpoint bytes, window
-// counts) are pure functions of the seed and must match exactly — a
-// mismatch means the workload changed, not its speed — while Metrics
-// fields (throughput, latency percentiles) carry wall-clock noise and
-// are compared against a relative threshold by the differ (diff.go).
+// Package perf generates the repository's reference transcripts: it runs
+// named workload families (shuffle matching-records in the ShuffleBench
+// style, a checkpointed stream, a YCSB-ish KV mix with overload and 2PC
+// segments, terasort, the SQL star suite, a gray-failure availability
+// sweep) at fixed sizes under one seed and reduces each to a
+// BENCH_<family>.json file. Everything in a file is a pure function of the
+// seed — counts, checksums, and the latencies and windows of the families
+// whose clock is the simulator's — so the committed files are compared
+// byte for byte by a tier-1 test, and a difference is always a change in
+// what the code does, never in how fast the machine ran it. Nothing here
+// reads the wall clock: timed numbers come from bench/ (bash bench/run.sh).
 package perf
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"runtime"
-	"strings"
 )
 
 // SchemaVersion identifies the BENCH_*.json layout. Bump on any
 // incompatible change; the differ refuses to compare across versions.
 const SchemaVersion = 1
 
-// Window is one time-window of the trajectory. StartNs is the window's
-// offset from the run epoch (wall or virtual, per family); latency
-// fields are nanoseconds.
+// Window is one window of a virtual-time trajectory. StartNs is the
+// window's offset from the run epoch on the simulator's clock; latency
+// fields are simulated nanoseconds.
 type Window struct {
 	StartNs int64   `json:"start_ns"`
 	Count   int64   `json:"count"`
@@ -41,61 +38,26 @@ type Window struct {
 	MaxNs   int64   `json:"max_ns"`
 }
 
-// Env records where a result was produced. The differ ignores it — it
-// exists so a surprising number in a committed baseline can be traced
-// to the toolchain and revision that produced it.
-type Env struct {
-	GoVersion string `json:"go_version"`
-	GitRev    string `json:"git_rev"`
-	OS        string `json:"os"`
-	Arch      string `json:"arch"`
-}
-
-// Result is one benchmark run of one family, the unit BENCH_<family>.json
-// stores.
+// Result is one run of one family, the unit BENCH_<family>.json stores.
 type Result struct {
 	Schema int    `json:"schema"`
 	Family string `json:"family"`
 	// Params pin the workload configuration (sizes, seed, transport).
-	// The differ hard-fails on any mismatch: comparing runs of different
-	// workloads is meaningless.
 	Params map[string]string `json:"params"`
-	Env    Env               `json:"env"`
-	// Windows is the per-window series — the trajectory proper.
-	Windows []Window `json:"windows"`
-	// Shape holds seed-deterministic workload invariants (record counts,
-	// checksums, committed checkpoints). Exact-match in the differ.
+	// Windows is the per-window series of the families that run on virtual
+	// time (kv, avail); the others only count their rounds in Shape.
+	Windows []Window `json:"windows,omitempty"`
+	// Shape holds the workload's invariants: record counts, checksums,
+	// committed checkpoints, window counts.
 	Shape map[string]int64 `json:"shape"`
-	// Metrics holds wall-noisy summary numbers (throughput, latency
-	// percentiles). Threshold-compared in the differ; names ending in
-	// "_per_sec" regress downward, names ending in "_ns" regress upward.
-	Metrics map[string]float64 `json:"metrics"`
+	// Metrics holds the cost model's summary numbers: simulated latency
+	// percentiles, virtual throughput, mean simulated fetch time.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Filename returns the canonical baseline file name for a family.
+// Filename returns the canonical file name for a family.
 func Filename(family string) string {
 	return fmt.Sprintf("BENCH_%s.json", family)
-}
-
-// CaptureEnv fills an Env from the running toolchain. The git revision
-// comes from BENCH_GIT_REV when set (CI exports it), else best-effort
-// `git rev-parse`; "unknown" when neither works.
-func CaptureEnv() Env {
-	rev := os.Getenv("BENCH_GIT_REV")
-	if rev == "" {
-		if out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output(); err == nil {
-			rev = strings.TrimSpace(string(out))
-		}
-	}
-	if rev == "" {
-		rev = "unknown"
-	}
-	return Env{
-		GoVersion: runtime.Version(),
-		GitRev:    rev,
-		OS:        runtime.GOOS,
-		Arch:      runtime.GOARCH,
-	}
 }
 
 // Encode renders the result as stable, indented JSON (struct field
@@ -128,16 +90,24 @@ func Load(path string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var r Result
-	if err := json.Unmarshal(b, &r); err != nil {
+	r, err := decode(b)
+	if err != nil {
 		return nil, fmt.Errorf("perf: %s: %w", path, err)
 	}
+	return r, nil
+}
+
+// decode parses and validates the bytes of a result file.
+func decode(b []byte) (*Result, error) {
+	var r Result
+	if err := json.Unmarshal(b, &r); err != nil {
+		return nil, err
+	}
 	if r.Schema != SchemaVersion {
-		return nil, fmt.Errorf("perf: %s: schema %d, this build speaks %d",
-			path, r.Schema, SchemaVersion)
+		return nil, fmt.Errorf("schema %d, this build speaks %d", r.Schema, SchemaVersion)
 	}
 	if r.Family == "" {
-		return nil, fmt.Errorf("perf: %s: missing family", path)
+		return nil, errors.New("missing family")
 	}
 	return &r, nil
 }

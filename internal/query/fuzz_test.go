@@ -293,3 +293,24 @@ func FuzzPlanEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParse feeds the SQL front end arbitrary text: it must return a plan
+// or an error, never both or neither, and never panic.
+func FuzzParse(f *testing.F) {
+	for _, q := range query.StarQueries() {
+		f.Add(q.SQL)
+	}
+	f.Add("SELECT * FROM t WHERE (a < 1.5 OR b <> 'it''s') AND c != -2 ORDER BY a DESC LIMIT 0")
+	f.Add("SELECT COUNT(*) AS n, AVG(t.x) FROM t JOIN u ON t.k = u.k GROUP BY")
+	f.Add("SELECT 'unterminated FROM t")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, sql string) {
+		lp, err := query.Parse(sql)
+		if (lp == nil) == (err == nil) {
+			t.Fatalf("Parse(%q) = %v, %v", sql, lp, err)
+		}
+		if lp != nil {
+			lp.Ordered()
+		}
+	})
+}

@@ -38,6 +38,53 @@ func columnHeader(b []byte) (tag byte, n uint64, rest []byte, err error) {
 	return b[0], n, b[1+sz:], nil
 }
 
+// intColumnHeader is columnHeader for an int column, and the point where a
+// row count read from the input becomes one a caller may size its output
+// from: a plain or delta column spends at least one byte on every row, so
+// its body bounds n; an RLE column may expand, so its runs are walked —
+// without allocating — and must add up to exactly n.
+func intColumnHeader(b []byte) (tag byte, n uint64, rest []byte, err error) {
+	tag, n, rest, err = columnHeader(b)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	switch tag {
+	case encPlainInt, encDeltaInt:
+		if n > uint64(len(rest)) {
+			return 0, 0, nil, ErrCorrupt
+		}
+	case encRLEInt:
+		runs := rest
+		for at := uint64(0); at < n; {
+			_, run, after, err := rleRun(runs, at, n)
+			if err != nil {
+				return 0, 0, nil, err
+			}
+			runs, at = after, at+run
+		}
+	default:
+		return 0, 0, nil, fmt.Errorf("%w: unknown int encoding %d", ErrCorrupt, tag)
+	}
+	return tag, n, rest, nil
+}
+
+// strColumnHeader is columnHeader for a string column: plain strings and
+// dictionary indexes both spend at least one byte per row, so the body
+// bounds n (and dictHeader bounds the dictionary the same way).
+func strColumnHeader(b []byte) (tag byte, n uint64, rest []byte, err error) {
+	tag, n, rest, err = columnHeader(b)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	if tag != encPlainStr && tag != encDictStr {
+		return 0, 0, nil, fmt.Errorf("%w: unknown string encoding %d", ErrCorrupt, tag)
+	}
+	if n > uint64(len(rest)) {
+		return 0, 0, nil, ErrCorrupt
+	}
+	return tag, n, rest, nil
+}
+
 // selectionCount checks sel against a column of n rows and returns how many
 // positions it selects; a nil sel selects all of them.
 func selectionCount(sel []bool, n uint64) (int, error) {
@@ -74,7 +121,7 @@ func rleRun(b []byte, at, n uint64) (v int64, run uint64, rest []byte, err error
 // the selection vector. RLE runs are evaluated once per run.
 func FilterIntColumn(b []byte, keep func(int64) bool) ([]bool, FilterStats, error) {
 	var st FilterStats
-	tag, n, b, err := columnHeader(b)
+	tag, n, b, err := intColumnHeader(b)
 	if err != nil {
 		return nil, st, err
 	}
@@ -111,8 +158,6 @@ func FilterIntColumn(b []byte, keep func(int64) bool) ([]bool, FilterStats, erro
 			}
 			at += run
 		}
-	default:
-		return nil, st, ErrCorrupt
 	}
 	return sel, st, nil
 }
@@ -123,7 +168,7 @@ func FilterIntColumn(b []byte, keep func(int64) bool) ([]bool, FilterStats, erro
 // stored value to its T. RLE runs with no selected position cost nothing
 // per value.
 func selectInts[T int64 | float64](b []byte, sel []bool, conv func(int64) T) ([]T, error) {
-	tag, n, b, err := columnHeader(b)
+	tag, n, b, err := intColumnHeader(b)
 	if err != nil {
 		return nil, err
 	}
@@ -164,8 +209,6 @@ func selectInts[T int64 | float64](b []byte, sel []bool, conv func(int64) T) ([]
 			}
 			at += run
 		}
-	default:
-		return nil, fmt.Errorf("%w: unknown int encoding %d", ErrCorrupt, tag)
 	}
 	return out, nil
 }
@@ -226,10 +269,11 @@ func dictIndex(b []byte, dn uint64) (idx uint64, rest []byte, err error) {
 }
 
 // dictHeader takes the entry count off the front of a dictionary column
-// of n rows.
+// of n rows. The rest must hold dn entries and n indexes, a byte or more
+// each.
 func dictHeader(b []byte, n uint64) (dn uint64, rest []byte, err error) {
 	dn, sz := binary.Uvarint(b)
-	if sz <= 0 || dn > n {
+	if sz <= 0 || dn > n || dn+n > uint64(len(b)-sz) {
 		return 0, nil, ErrCorrupt
 	}
 	return dn, b[sz:], nil
@@ -241,7 +285,7 @@ func dictHeader(b []byte, n uint64) (dn uint64, rest []byte, err error) {
 // evaluation per row — and the per-row pass only tests a bit per index.
 func FilterStringColumn(b []byte, keep func(string) bool) ([]bool, FilterStats, error) {
 	var st FilterStats
-	tag, n, b, err := columnHeader(b)
+	tag, n, b, err := strColumnHeader(b)
 	if err != nil {
 		return nil, st, err
 	}
@@ -281,8 +325,6 @@ func FilterStringColumn(b []byte, keep func(string) bool) ([]bool, FilterStats, 
 			b = rest
 			sel[i] = keepIdx[idx]
 		}
-	default:
-		return nil, st, ErrCorrupt
 	}
 	return sel, st, nil
 }
@@ -293,7 +335,7 @@ func FilterStringColumn(b []byte, keep func(string) bool) ([]bool, FilterStats, 
 // selected rows share them; on a plain column, unselected strings are
 // never built.
 func SelectStringColumn(b []byte, sel []bool) ([]string, error) {
-	tag, n, b, err := columnHeader(b)
+	tag, n, b, err := strColumnHeader(b)
 	if err != nil {
 		return nil, err
 	}
@@ -338,8 +380,6 @@ func SelectStringColumn(b []byte, sel []bool) ([]string, error) {
 				out = append(out, dict[idx])
 			}
 		}
-	default:
-		return nil, fmt.Errorf("%w: unknown string encoding %d", ErrCorrupt, tag)
 	}
 	return out, nil
 }

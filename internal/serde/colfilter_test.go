@@ -1,7 +1,9 @@
 package serde
 
 import (
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -178,5 +180,53 @@ func TestFilterCorruptColumns(t *testing.T) {
 	enc := IntColumn{7, 7, 7, 7}.encodeRLE()
 	if _, _, err := FilterIntColumn(enc[:3], func(int64) bool { return true }); err == nil {
 		t.Fatal("truncated RLE accepted")
+	}
+}
+
+// allocated returns the heap bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// Six-byte columns whose header claims 2^28 rows: the decoders must turn
+// them down before sizing anything from that count. (They used to
+// allocate 2 GiB, 4 GiB and 256 MiB respectively on the way to
+// ErrCorrupt.)
+var rowCountBombs = []struct {
+	name   string
+	data   []byte
+	decode func([]byte) error
+}{
+	{"plain int", []byte{encPlainInt, 0x80, 0x80, 0x80, 0x80, 0x01},
+		func(b []byte) error { _, err := DecodeIntColumn(b); return err }},
+	{"plain string", []byte{encPlainStr, 0x80, 0x80, 0x80, 0x80, 0x01},
+		func(b []byte) error { _, err := DecodeStringColumn(b); return err }},
+	{"unknown tag", []byte{0x09, 0x80, 0x80, 0x80, 0x80, 0x01},
+		func(b []byte) error { _, _, err := FilterIntColumn(b, func(int64) bool { return true }); return err }},
+}
+
+func TestRowCountBombsRejectedBeforeAllocating(t *testing.T) {
+	for _, bomb := range rowCountBombs {
+		var err error
+		got := allocated(func() { err = bomb.decode(bomb.data) })
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", bomb.name, err)
+		}
+		if got >= 4<<10 {
+			t.Errorf("%s: allocated %d bytes rejecting a %d-byte input", bomb.name, got, len(bomb.data))
+		}
+	}
+	// An RLE column is the one encoding whose row count may exceed its
+	// size, so its runs are checked before the output is sized: this one
+	// claims 2^28 rows and delivers a single run of three.
+	rle := append([]byte{encRLEInt, 0x80, 0x80, 0x80, 0x80, 0x01}, AppendInt64(nil, 7)...)
+	rle = append(rle, 3)
+	var err error
+	if got := allocated(func() { _, err = DecodeFloatColumn(rle) }); !errors.Is(err, ErrCorrupt) || got >= 4<<10 {
+		t.Errorf("short RLE: err = %v after allocating %d bytes", err, got)
 	}
 }

@@ -1,51 +1,28 @@
 #!/usr/bin/env sh
-# Perf-trajectory driver: regenerates or checks the committed
-# BENCH_<family>.json baselines (internal/perf). Run from the repo root.
+# Regenerates or checks the committed BENCH_<family>.json files
+# (internal/perf): seed-deterministic transcripts of six workload
+# families, compared exactly. Run from anywhere.
 #
-#   scripts/bench.sh                regenerate the quick baselines in-place
-#   scripts/bench.sh --diff         run fresh and diff against the committed
-#                                   baselines; exit 1 on any shape break or
-#                                   regression past the noise threshold
-#   scripts/bench.sh --selftest     prove the gate can fail: inject a
-#                                   synthetic 70% throughput regression and
-#                                   require the diff to reject it
+#   scripts/bench.sh          regenerate the committed files in place
+#   scripts/bench.sh --diff   run fresh and compare with the committed
+#                             files; exit 1 naming every field that differs
 #
-# BENCH_THRESHOLD overrides the relative noise threshold (default 0.5);
-# BENCH_SEED overrides the workload seed (default 42). Baselines are
-# quick-mode: the differ pins mode via Params, so quick runs only ever
-# compare against quick baselines.
+# `go test ./internal/perf/` makes the same comparison byte for byte on
+# every tier-1 run. For wall-clock numbers use `bash bench/run.sh`.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-mode="${1:-generate}"
-threshold="${BENCH_THRESHOLD:-0.5}"
-seed="${BENCH_SEED:-42}"
-
-case "$mode" in
+case "${1:-generate}" in
 generate)
-    echo "== bench: regenerating quick baselines =="
-    go run ./cmd/hpbdc-bench -bench all -bench-quick \
-        -bench-seed "$seed" -bench-out .
-    echo "baselines written; review and commit BENCH_*.json"
+    go run ./cmd/hpbdc-bench -bench all -bench-out .
+    echo "files written; explain what moved and commit BENCH_*.json"
     ;;
 --diff)
-    echo "== bench: diffing against committed baselines (threshold ${threshold}) =="
-    go run ./cmd/hpbdc-bench -bench all -bench-quick \
-        -bench-seed "$seed" -bench-threshold "$threshold" -bench-diff .
-    ;;
---selftest)
-    echo "== bench: gate selftest (injected 70% throughput regression must fail) =="
-    if go run ./cmd/hpbdc-bench -bench all -bench-quick \
-        -bench-seed "$seed" -bench-threshold "$threshold" \
-        -bench-diff . -bench-inject 0.3 >/dev/null 2>&1; then
-        echo "selftest FAILED: injected regression passed the gate" >&2
-        exit 1
-    fi
-    echo "selftest ok: injected regression was rejected"
+    go run ./cmd/hpbdc-bench -bench all -bench-diff .
     ;;
 *)
-    echo "usage: scripts/bench.sh [--diff|--selftest]" >&2
+    echo "usage: scripts/bench.sh [--diff]" >&2
     exit 2
     ;;
 esac

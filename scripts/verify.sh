@@ -82,22 +82,14 @@ sh scripts/coverage.sh
 
 if [ "${FUZZ:-0}" = "1" ]; then
     echo "== fuzz smoke (FUZZ=1) =="
-    # ~30s of wall clock spread over the decode/round-trip targets; the
-    # checked-in corpora under testdata/fuzz run on every plain `go test`.
-    go test -fuzz=FuzzReaderDecode -fuzztime=3s -run '^$' ./internal/serde
-    go test -fuzz=FuzzIntColumnDecode -fuzztime=2s -run '^$' ./internal/serde
-    go test -fuzz=FuzzRoundTrip -fuzztime=3s -run '^$' ./internal/compress
-    go test -fuzz=FuzzDecompress -fuzztime=2s -run '^$' ./internal/compress
-    go test -fuzz=FuzzReadBlocks -fuzztime=3s -run '^$' ./internal/shuffle
-    go test -fuzz=FuzzDecodeRow -fuzztime=2s -run '^$' ./internal/table
-    go test -fuzz=FuzzAggMerge -fuzztime=2s -run '^$' ./internal/table
-    go test -fuzz=FuzzPlanEquivalence -fuzztime=5s -run '^$' ./internal/query
-    go test -fuzz=FuzzParseSchedule -fuzztime=3s -run '^$' ./internal/chaos
-    go test -fuzz=FuzzRangeMachineApply -fuzztime=3s -run '^$' ./internal/kvstore
-    go test -fuzz=FuzzRangeMachineRestore -fuzztime=2s -run '^$' ./internal/kvstore
-    go test -fuzz=FuzzTxnMachineApply -fuzztime=2s -run '^$' ./internal/kvstore
-    go test -fuzz=FuzzDecodePipeState -fuzztime=2s -run '^$' ./internal/stream
-    go test -fuzz=FuzzDecodeSessState -fuzztime=2s -run '^$' ./internal/stream
+    # Every Fuzz target in the module, 3s each (about a minute), found by
+    # asking the packages rather than kept by hand; the checked-in corpora
+    # under testdata/fuzz run on every plain `go test`.
+    for pkg in $(go list ./...); do
+        for target in $(go test -list '^Fuzz' "$pkg" | grep '^Fuzz' || true); do
+            go test -fuzz="^${target}\$" -fuzztime=3s -run '^$' "$pkg"
+        done
+    done
 fi
 
 if [ "${CHAOS:-0}" = "1" ]; then
