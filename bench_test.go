@@ -17,11 +17,11 @@ import (
 
 // runExperiment drives one experiment per b.N iteration and sanity-checks
 // that it produced a table.
-func runExperiment(b *testing.B, fn func(experiments.Scale) *experiments.Table) *experiments.Table {
+func runExperiment(b *testing.B, fn func(experiments.Params) *experiments.Table) *experiments.Table {
 	b.Helper()
 	var last *experiments.Table
 	for i := 0; i < b.N; i++ {
-		last = fn(experiments.Small)
+		last = fn(experiments.Params{})
 		if len(last.Rows) == 0 {
 			b.Fatalf("%s produced no rows", last.ID)
 		}

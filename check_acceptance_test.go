@@ -66,43 +66,104 @@ func checkedWordCount(t *testing.T, sched chaos.Schedule, seed uint64) ([]Pair[s
 	return rows, counts
 }
 
-// TestChaosCheckedSweep runs every compute chaos preset under every
-// sweep seed and diffs each run's output against the sequential
-// single-node reference evaluation of the same plan. Recovery may
-// permute records across partitions, so the comparison is a multiset.
-// This is the tentpole claim: chaos never changes answers, and now a
-// reference oracle — not a second distributed run — says so.
-func TestChaosCheckedSweep(t *testing.T) {
-	encode := func(p Pair[string, int64]) string {
-		return fmt.Sprintf("%s=%d", p.Key, p.Value)
-	}
-	// The reference is computed once, from the clean run's plan: the
-	// corpus and transforms are identical across presets and seeds.
-	rows, counts := checkedWordCount(t, nil, 1)
-	want := ReferenceCollect(counts)
-	if len(want) == 0 {
-		t.Fatal("reference evaluation produced no rows")
-	}
-	harness := check.NewHarness()
-	harness.Record(check.DiffMultiset("clean", rows, want, encode))
+// checkedJob runs one plan under (sched, seed) and diffs its output
+// against the sequential single-node reference evaluation of that plan.
+type checkedJob func(t *testing.T, name string, sched chaos.Schedule, seed uint64) check.Diff
 
+// wordCountJob is the hash-shuffle job. The reference is computed once,
+// from the first run's plan: the corpus and transforms are identical
+// across presets and seeds. Recovery may permute records across
+// partitions, so the comparison is a multiset.
+func wordCountJob() checkedJob {
+	var want []Pair[string, int64]
+	return func(t *testing.T, name string, sched chaos.Schedule, seed uint64) check.Diff {
+		rows, counts := checkedWordCount(t, sched, seed)
+		if want == nil {
+			want = ReferenceCollect(counts)
+		}
+		return check.DiffMultiset(name, rows, want, func(p Pair[string, int64]) string {
+			return fmt.Sprintf("%s=%d", p.Key, p.Value)
+		})
+	}
+}
+
+// teraSortJob is the sort-shuffle job: 20 000 TeraGen records through
+// the range-partitioned, lz-compressed SortByKey (sampling job included)
+// with speculation on. The output must be the reference's multiset and
+// globally sorted.
+func teraSortJob() checkedJob {
+	const records, parts = 20_000, 16
+	var want []Pair[string, string]
+	return func(t *testing.T, name string, sched chaos.Schedule, seed uint64) check.Diff {
+		ctx := New(Config{
+			Racks: 2, NodesPerRack: 4, ShuffleCodec: "lz",
+			Seed: seed, Speculation: true, Chaos: sched,
+		})
+		gen := SourceFunc(ctx, parts, func(part int) []Pair[string, string] {
+			recs := workload.TeraGen(records/parts, uint64(part)+100)
+			out := make([]Pair[string, string], len(recs))
+			for i, r := range recs {
+				out[i] = Pair[string, string]{Key: string(r.Key), Value: string(r.Value)}
+			}
+			return out
+		})
+		sorted, err := SortByKey(gen, StringCodec, StringCodec, parts, 128)
+		if err != nil {
+			t.Fatalf("%s: sampling job under chaos failed: %v", name, err)
+		}
+		rows, err := sorted.Collect()
+		if err != nil {
+			t.Fatalf("%s: sort under chaos failed: %v", name, err)
+		}
+		if want == nil {
+			want = ReferenceCollect(sorted)
+		}
+		d := check.DiffMultiset(name, rows, want, func(p Pair[string, string]) string {
+			return p.Key + "=" + p.Value
+		})
+		for i := 1; i < len(rows); i++ {
+			if rows[i].Key < rows[i-1].Key {
+				d.OK = false
+				d.Details = append(d.Details, fmt.Sprintf("output not sorted at record %d", i))
+				break
+			}
+		}
+		return d
+	}
+}
+
+// TestChaosCheckedSweep runs both shuffle paths — the hash-shuffled
+// wordcount and the sort-shuffled TeraSort — clean and then under every
+// compute chaos preset and every sweep seed, each run diffed against the
+// reference. This is the tentpole claim: chaos never changes answers,
+// and a reference oracle — not a second distributed run — says so.
+func TestChaosCheckedSweep(t *testing.T) {
 	presets := chaos.PresetNames()
 	if len(presets) < 5 {
 		t.Fatalf("preset sweep too small: %v", presets)
 	}
 	seeds := chaosSeeds(t)
-	for _, name := range presets {
-		sched, err := chaos.Preset(name, 8)
-		if err != nil {
-			t.Fatal(err)
+	jobs := []struct {
+		name string
+		run  checkedJob
+	}{{"wordcount", wordCountJob()}, {"terasort", teraSortJob()}}
+
+	harness := check.NewHarness()
+	for _, job := range jobs {
+		if d := harness.Record(job.run(t, job.name+"/clean", nil, 1)); d.Compared == 0 {
+			t.Fatalf("%s: clean run produced no rows", job.name)
 		}
-		for _, seed := range seeds {
-			job := fmt.Sprintf("%s/seed-%d", name, seed)
-			rows, _ := checkedWordCount(t, sched, seed)
-			harness.Record(check.DiffMultiset(job, rows, want, encode))
+		for _, name := range presets {
+			sched, err := chaos.Preset(name, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, seed := range seeds {
+				harness.Record(job.run(t, fmt.Sprintf("%s/%s/seed-%d", job.name, name, seed), sched, seed))
+			}
 		}
 	}
-	if wantRuns := 1 + len(presets)*len(seeds); harness.Len() != wantRuns {
+	if wantRuns := len(jobs) * (1 + len(presets)*len(seeds)); harness.Len() != wantRuns {
 		t.Fatalf("harness recorded %d diffs, want %d", harness.Len(), wantRuns)
 	}
 	if !harness.OK() {

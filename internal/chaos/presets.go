@@ -23,8 +23,7 @@ import (
 // "gray" (directed link cuts, link flapping, and a non-transitive
 // partial partition — the asymmetric faults E-GRAY sweeps). Those are
 // kept out of PresetNames so the compute-preset sweeps (EFT, chaos.sh)
-// skip them; E-SFT/E-HA/E-OVL/E-TXN and the -stream-chaos/-ha flags use
-// them.
+// skip them; E-SFT/E-HA/E-OVL/E-TXN use them.
 func Preset(name string, n int) (Schedule, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("chaos: preset needs >= 2 nodes, got %d", n)

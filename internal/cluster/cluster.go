@@ -159,9 +159,6 @@ func (c *Cluster) SetSlowdown(id topology.NodeID, d time.Duration) error {
 	return nil
 }
 
-// Slowdown returns the node's current straggler delay.
-func (n *Node) Slowdown() time.Duration { return time.Duration(n.slowNs.Load()) }
-
 // LiveNodes returns the IDs of nodes currently up.
 func (c *Cluster) LiveNodes() []topology.NodeID {
 	var out []topology.NodeID

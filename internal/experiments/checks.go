@@ -1,29 +1,14 @@
 package experiments
 
-import (
-	"sync"
+import "repro/internal/check"
 
-	"repro/internal/check"
-)
-
-// checkHub is the process-wide oracle harness: every chaos-bearing
-// experiment (EFT, E-SFT, E5) records its oracle diffs and
-// linearizability verdicts here as it runs, in addition to printing a
-// verdict column in its table. The bench CLIs' -check flag reads the
-// accumulated verdict after a run and exits nonzero on any mismatch, so
-// a chaos sweep cannot silently "pass" with wrong output.
-var checkHub = struct {
-	mu sync.Mutex
-	h  *check.Harness
-}{h: check.NewHarness()}
-
-// recordCheck adds one oracle verdict to the process-wide harness and
-// returns it for chaining into a table cell.
-func recordCheck(d check.Diff) check.Diff {
-	checkHub.mu.Lock()
-	h := checkHub.h
-	checkHub.mu.Unlock()
-	return h.Record(d)
+// recordCheck appends one oracle verdict to the table — hpbdc-bench
+// -check folds the Checks of every table it printed and exits nonzero on
+// any mismatch, so a chaos sweep cannot silently "pass" with wrong
+// output — and returns it for chaining into a table cell.
+func (t *Table) recordCheck(d check.Diff) check.Diff {
+	t.Checks = append(t.Checks, d)
+	return d
 }
 
 // verdictCell renders a Diff as a table cell.
@@ -32,27 +17,4 @@ func verdictCell(d check.Diff) string {
 		return "ok"
 	}
 	return "FAIL"
-}
-
-// CheckReport returns the harness summary and whether every oracle
-// comparison recorded so far matched.
-func CheckReport() (string, bool) {
-	checkHub.mu.Lock()
-	h := checkHub.h
-	checkHub.mu.Unlock()
-	return h.Summary(), h.OK()
-}
-
-// CheckCount returns how many oracle comparisons have been recorded.
-func CheckCount() int {
-	checkHub.mu.Lock()
-	defer checkHub.mu.Unlock()
-	return checkHub.h.Len()
-}
-
-// ResetChecks clears the harness (each bench invocation starts fresh).
-func ResetChecks() {
-	checkHub.mu.Lock()
-	defer checkHub.mu.Unlock()
-	checkHub.h = check.NewHarness()
 }

@@ -15,14 +15,14 @@ import (
 
 // E2Shuffle compares hash vs sort shuffle writers across codecs and spill
 // regimes: write+read throughput, wire bytes, spill counts.
-func E2Shuffle(s Scale) *Table {
+func E2Shuffle(p Params) *Table {
 	t := &Table{
 		ID:    "E2",
 		Title: "Shuffle throughput: hash vs sort writer, by codec and spill regime",
 		Note:  "single map task, 16 reduce partitions, ~70-byte log records",
 		Cols:  []string{"writer", "codec", "records", "spills", "wire-bytes", "write+read MB/s"},
 	}
-	records := pick(s, 20_000, 200_000)
+	records := pick(p.Scale, 20_000, 200_000)
 	// Keys are random (they drive partitioning); values are log-like text
 	// so the codec ablation runs in the compressible regime real shuffle
 	// payloads live in (TeraGen's random values would be incompressible).
@@ -94,7 +94,7 @@ func E2Shuffle(s Scale) *Table {
 
 // E3TeraSort runs weak-scaling TeraSort: fixed records per node, growing
 // node counts; reports wall time, simulated network time and efficiency.
-func E3TeraSort(s Scale) *Table {
+func E3TeraSort(p Params) *Table {
 	t := &Table{
 		ID:    "E3",
 		Title: "TeraSort weak scaling (fixed records per node)",
@@ -105,7 +105,7 @@ func E3TeraSort(s Scale) *Table {
 	t.Note += "; single-host harness: per-record throughput staying flat as data " +
 		"and nodes grow is ideal weak scaling — the drop at high node counts is " +
 		"shuffle fan-in overhead (n^2 blocks)"
-	perNode := pick(s, 4_000, 40_000)
+	perNode := pick(p.Scale, 4_000, 40_000)
 	var baseRate float64
 	for _, nodes := range []int{2, 4, 8, 16} {
 		racks := nodes / 4
@@ -163,7 +163,7 @@ func E3TeraSort(s Scale) *Table {
 		)
 		if nodes == 8 {
 			// One representative report keeps the table readable.
-			observe(t, fmt.Sprintf("E3/terasort-%dnodes", nodes), ctx)
+			p.Obs.observe(t, fmt.Sprintf("E3/terasort-%dnodes", nodes), ctx)
 		}
 	}
 	return t
@@ -172,14 +172,14 @@ func E3TeraSort(s Scale) *Table {
 // E4WordCount compares the single-pass dataflow pipeline (map-side
 // combine, pipelined stages) against a materializing two-phase MapReduce
 // baseline (map output written to the DFS, reduce reads it back).
-func E4WordCount(s Scale) *Table {
+func E4WordCount(p Params) *Table {
 	t := &Table{
 		ID:    "E4",
 		Title: "WordCount: dataflow engine vs 2-pass materializing MapReduce",
 		Note:  "same cluster, same input; baseline pays DFS materialization and no combiner",
 		Cols:  []string{"system", "lines", "wall", "shuffle/DFS bytes", "speedup"},
 	}
-	lines := pick(s, 2_000, 20_000)
+	lines := pick(p.Scale, 2_000, 20_000)
 	corpus := workload.Text(lines, 10, 1000, 1.0, 7)
 
 	// Dataflow: pipelined with combiner.
@@ -234,22 +234,22 @@ func E4WordCount(s Scale) *Table {
 		mrWall.Round(time.Millisecond).String(),
 		fmt.Sprintf("%d", mrBytes),
 		fmt.Sprintf("%.2fx", float64(dataflowWall)/float64(mrWall)))
-	observe(t, "E4/dataflow", ctx1)
-	observe(t, "E4/mapreduce", ctx2)
+	p.Obs.observe(t, "E4/dataflow", ctx1)
+	p.Obs.observe(t, "E4/mapreduce", ctx2)
 	return t
 }
 
 // E9Recovery measures fault recovery: a shuffled job is run, executor
 // nodes are killed, and the job re-runs under (a) lineage recomputation
 // and (b) checkpoint restore.
-func E9Recovery(s Scale) *Table {
+func E9Recovery(p Params) *Table {
 	t := &Table{
 		ID:    "E9",
 		Title: "Fault recovery: lineage recomputation vs checkpoint restore",
 		Note:  "kill 2 of 8 executors after first run; re-run the job",
 		Cols:  []string{"variant", "first-run", "recovery-run", "tasks-rerun", "recovery/first"},
 	}
-	lines := pick(s, 1_000, 10_000)
+	lines := pick(p.Scale, 1_000, 10_000)
 	corpus := workload.Text(lines, 10, 500, 0.9, 3)
 
 	run := func(job string, checkpoint bool) (time.Duration, time.Duration, int64) {
@@ -291,7 +291,7 @@ func E9Recovery(s Scale) *Table {
 		}
 		recovery := time.Since(start)
 		rerun := ctx.Engine().Reg.Counter("tasks_launched").Value() - tasksBefore
-		observe(t, job, ctx)
+		p.Obs.observe(t, job, ctx)
 		return first, recovery, rerun
 	}
 

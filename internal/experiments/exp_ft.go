@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	hpbdc "repro"
@@ -12,27 +11,21 @@ import (
 	"repro/internal/workload"
 )
 
-// faultCfg carries the CLI fault-injection overrides (-seed, -fail-prob,
-// -chaos) into the E-FT experiment.
-var faultCfg = struct {
-	mu       sync.Mutex
-	seed     uint64
-	failProb float64
-	spec     string
-}{seed: 11}
+// chaosEntry is one named schedule of an experiment's chaos sweep.
+type chaosEntry struct {
+	name  string
+	sched chaos.Schedule
+}
 
-// SetFaultConfig overrides the E-FT experiment's fault injection: the
-// chaos/jitter seed, a global transient task failure probability, and an
-// optional chaos schedule (a preset name or schedule text) that replaces
-// the default preset sweep. Zero values keep the defaults.
-func SetFaultConfig(seed uint64, failProb float64, spec string) {
-	faultCfg.mu.Lock()
-	defer faultCfg.mu.Unlock()
-	if seed != 0 {
-		faultCfg.seed = seed
+// customChaos resolves a Params.Chaos override (a preset name or schedule
+// text) against the experiment's cluster size into the single "custom"
+// entry that replaces its default sweep.
+func customChaos(id, spec string, nodes int) []chaosEntry {
+	sched, err := chaos.Load(spec, nodes)
+	if err != nil {
+		panic(fmt.Sprintf("%s: -chaos: %v", id, err))
 	}
-	faultCfg.failProb = failProb
-	faultCfg.spec = spec
+	return []chaosEntry{{"custom", sched}}
 }
 
 // EFTChaos measures graceful degradation under scheduled faults: the same
@@ -40,11 +33,8 @@ func SetFaultConfig(seed uint64, failProb float64, spec string) {
 // off and on, against a clean baseline. Slowdown is wall clock relative
 // to the clean run; recovery effort shows up as retries, speculative
 // wins, quarantined nodes and partition-blocked fetches.
-func EFTChaos(s Scale) *Table {
-	faultCfg.mu.Lock()
-	seed, failProb, spec := faultCfg.seed, faultCfg.failProb, faultCfg.spec
-	faultCfg.mu.Unlock()
-
+func EFTChaos(p Params) *Table {
+	seed := p.seedOr(11)
 	t := &Table{
 		ID:    "EFT",
 		Title: "Fault tolerance: chaos schedules vs recovery machinery",
@@ -52,7 +42,7 @@ func EFTChaos(s Scale) *Table {
 		Cols: []string{"schedule", "spec", "wall", "vs-clean", "retries",
 			"spec-wins", "quarantined", "blocked-fetch", "chaos-events", "oracle"},
 	}
-	lines := pick(s, 1_000, 10_000)
+	lines := pick(p.Scale, 1_000, 10_000)
 	corpus := workload.Text(lines, 10, 500, 0.9, 3)
 	const nodes = 8
 
@@ -70,7 +60,7 @@ func EFTChaos(s Scale) *Table {
 			Racks:         2,
 			NodesPerRack:  4,
 			Seed:          seed,
-			TaskFailProb:  failProb,
+			TaskFailProb:  p.FailProb,
 			Speculation:   speculation,
 			Chaos:         sched,
 			EnableTracing: true,
@@ -89,7 +79,7 @@ func EFTChaos(s Scale) *Table {
 		if want == nil {
 			want = hpbdc.ReferenceCollect(counts)
 		}
-		diff := recordCheck(check.DiffMultiset(job, rows, want, encodePair))
+		diff := t.recordCheck(check.DiffMultiset(job, rows, want, encodePair))
 		return wall, ctx, diff
 	}
 
@@ -97,24 +87,16 @@ func EFTChaos(s Scale) *Table {
 	t.AddRow("none", "off", clean.Round(time.Millisecond).String(), "1.00x",
 		"0", "0", "0", "0", "0", verdictCell(cleanDiff))
 
-	type entry struct {
-		name  string
-		sched chaos.Schedule
-	}
-	var entries []entry
-	if spec != "" {
-		sched, err := chaos.Load(spec, nodes)
-		if err != nil {
-			panic(fmt.Sprintf("EFT: -chaos: %v", err))
-		}
-		entries = []entry{{"custom", sched}}
+	var entries []chaosEntry
+	if p.Chaos != "" {
+		entries = customChaos(t.ID, p.Chaos, nodes)
 	} else {
 		for _, name := range chaos.PresetNames() {
 			sched, err := chaos.Preset(name, nodes)
 			if err != nil {
 				panic(err)
 			}
-			entries = append(entries, entry{name, sched})
+			entries = append(entries, chaosEntry{name, sched})
 		}
 	}
 
@@ -137,7 +119,7 @@ func EFTChaos(s Scale) *Table {
 				fmt.Sprintf("%d", ctx.Chaos().Applied()),
 				verdictCell(diff))
 			if speculation {
-				observe(t, job, ctx)
+				p.Obs.observe(t, job, ctx)
 			}
 		}
 	}

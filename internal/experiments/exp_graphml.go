@@ -11,8 +11,8 @@ import (
 
 // E8PageRank measures strong scaling of BSP PageRank on a fixed R-MAT
 // graph as worker parallelism grows.
-func E8PageRank(s Scale) *Table {
-	scale := pick(s, 12, 16)
+func E8PageRank(p Params) *Table {
+	scale := pick(p.Scale, 12, 16)
 	t := &Table{
 		ID:    "E8",
 		Title: "PageRank strong scaling on an R-MAT graph",
@@ -45,18 +45,18 @@ func E8PageRank(s Scale) *Table {
 
 // E10ParamServer compares BSP/ASP/SSP time-to-quality under transient
 // stragglers.
-func E10ParamServer(s Scale) *Table {
+func E10ParamServer(p Params) *Table {
 	t := &Table{
 		ID:    "E10",
 		Title: "Parameter server: BSP vs ASP vs SSP under transient stragglers",
 		Note:  "logistic regression, 8 workers, 10% of steps hiccup for 1ms",
 		Cols:  []string{"mode", "wall", "sync-wait", "final-loss", "accuracy"},
 	}
-	n := pick(s, 4_000, 20_000)
+	n := pick(p.Scale, 4_000, 20_000)
 	data := workload.Logistic(n, 20, 5)
 	base := ml.Config{
 		Workers:         8,
-		Steps:           pick(s, 60, 150),
+		Steps:           pick(p.Scale, 60, 150),
 		BatchSize:       64,
 		LearningRate:    0.2,
 		Staleness:       4,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/chaos"
@@ -15,25 +14,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/topology"
 )
-
-// grayCfg carries the CLI overrides (-gray with -seed/-chaos) into the
-// E-GRAY experiment.
-var grayCfg = struct {
-	mu   sync.Mutex
-	seed uint64
-	spec string
-}{}
-
-// SetGrayConfig overrides the E-GRAY sweep: a nonzero seed replaces the
-// default seed sweep with that single seed, and a non-empty chaos spec (a
-// preset name or schedule text) replaces the gray schedule sweep. Zero
-// values keep the defaults.
-func SetGrayConfig(seed uint64, spec string) {
-	grayCfg.mu.Lock()
-	defer grayCfg.mu.Unlock()
-	grayCfg.seed = seed
-	grayCfg.spec = spec
-}
 
 const (
 	grayNodes   = 5
@@ -112,11 +92,7 @@ func grayRun(hardened bool, sched chaos.Schedule, seed uint64) (check.AvailRepor
 // must bound both — each gated by a recorded oracle verdict. A final row
 // captures a concurrent register history against a default-hardened
 // ha.Group under one-way cuts and checks it linearizable.
-func EGRAYGrayFailures(s Scale) *Table {
-	grayCfg.mu.Lock()
-	seedOverride, spec := grayCfg.seed, grayCfg.spec
-	grayCfg.mu.Unlock()
-
+func EGRAYGrayFailures(p Params) *Table {
 	t := &Table{
 		ID:    "E-GRAY",
 		Title: "Gray-failure tolerance: asymmetric partitions vs Raft liveness hardening",
@@ -125,29 +101,21 @@ func EGRAYGrayFailures(s Scale) *Table {
 			"longest", "unavail", "term-delta", "stepdowns", "verdict"},
 	}
 
-	type entry struct {
-		name  string
-		sched chaos.Schedule
-	}
-	var entries []entry
-	if spec != "" {
-		sched, err := chaos.Load(spec, grayNodes)
-		if err != nil {
-			panic(fmt.Sprintf("E-GRAY: -chaos: %v", err))
-		}
-		entries = []entry{{"custom", sched}}
+	var entries []chaosEntry
+	if p.Chaos != "" {
+		entries = customChaos(t.ID, p.Chaos, grayNodes)
 	} else {
 		for _, gs := range graySchedules() {
 			sched, err := chaos.Parse(gs.text)
 			if err != nil {
 				panic(fmt.Sprintf("E-GRAY: %s: %v", gs.name, err))
 			}
-			entries = append(entries, entry{gs.name, sched})
+			entries = append(entries, chaosEntry{gs.name, sched})
 		}
 	}
-	seeds := pick(s, []uint64{7}, []uint64{1, 7, 42})
-	if seedOverride != 0 {
-		seeds = []uint64{seedOverride}
+	seeds := pick(p.Scale, []uint64{7}, []uint64{1, 7, 42})
+	if p.Seed != 0 {
+		seeds = []uint64{p.Seed}
 	}
 
 	for _, e := range entries {
@@ -166,7 +134,7 @@ func EGRAYGrayFailures(s Scale) *Table {
 						diff.Details = append(diff.Details,
 							fmt.Sprintf("term growth %d > bound %d", termDelta, grayMaxTermDelta))
 					}
-					diff = recordCheck(diff)
+					diff = t.recordCheck(diff)
 				case e.name == "flap":
 					// Flap control runs are informational: vanilla Raft may or
 					// may not livelock under a given coin, so nothing is gated.
@@ -180,7 +148,7 @@ func EGRAYGrayFailures(s Scale) *Table {
 						diff.Details = []string{fmt.Sprintf(
 							"control shows no livelock: term growth %d, unavailable %d", termDelta, rep.Total)}
 					}
-					diff = recordCheck(diff)
+					diff = t.recordCheck(diff)
 				}
 				t.AddRow(e.name, mode, fmt.Sprintf("%d", seed),
 					fmt.Sprintf("%d", rep.Probes),
@@ -225,7 +193,7 @@ func EGRAYGrayFailures(s Scale) *Table {
 		if !verdict.OK {
 			diff.Details = []string{verdict.String()}
 		}
-		diff = recordCheck(diff)
+		diff = t.recordCheck(diff)
 		t.AddRow("ha-register", "defended", fmt.Sprintf("%d", seed),
 			fmt.Sprintf("%d", verdict.Ops), "-", "-", "-", "-",
 			"-", fmt.Sprintf("%d", g.StepDowns()), verdictCell(diff))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	hpbdc "repro"
@@ -12,25 +11,6 @@ import (
 	"repro/internal/check"
 	"repro/internal/workload"
 )
-
-// haCfg carries the CLI overrides (-ha with -seed/-chaos) into the E-HA
-// experiment.
-var haCfg = struct {
-	mu   sync.Mutex
-	seed uint64
-	spec string
-}{}
-
-// SetHAConfig overrides the E-HA experiment sweep: a nonzero seed
-// replaces the default seed sweep with that single seed, and a non-empty
-// chaos spec (a preset name or schedule text) replaces the control-plane
-// preset sweep. Zero values keep the defaults.
-func SetHAConfig(seed uint64, spec string) {
-	haCfg.mu.Lock()
-	defer haCfg.mu.Unlock()
-	haCfg.seed = seed
-	haCfg.spec = spec
-}
 
 // EHAControlPlane measures control-plane high availability: a two-stage
 // shuffled job (wordcount, then regroup-by-count) runs with the namenode
@@ -40,11 +20,7 @@ func SetHAConfig(seed uint64, spec string) {
 // crash to replacement election; resumed vs restarted counts show how
 // much journaled work a coordinator crash salvaged; the oracle compares
 // the post-failover output to the sequential reference.
-func EHAControlPlane(s Scale) *Table {
-	haCfg.mu.Lock()
-	seedOverride, spec := haCfg.seed, haCfg.spec
-	haCfg.mu.Unlock()
-
+func EHAControlPlane(p Params) *Table {
 	t := &Table{
 		ID:    "E-HA",
 		Title: "Control-plane HA: namenode failover and coordinator crash-resume",
@@ -52,7 +28,7 @@ func EHAControlPlane(s Scale) *Table {
 		Cols: []string{"schedule", "seed", "wall", "failovers", "failover-ticks",
 			"redirects", "coord-crashes", "resumed", "restarted", "oracle"},
 	}
-	lines := pick(s, 400, 4_000)
+	lines := pick(p.Scale, 400, 4_000)
 	corpus := workload.Text(lines, 10, 500, 0.9, 3)
 	const nodes = 8
 
@@ -95,33 +71,25 @@ func EHAControlPlane(s Scale) *Table {
 		if want == nil {
 			want = hpbdc.ReferenceCollect(byCount)
 		}
-		diff := recordCheck(check.DiffMultiset(job, rows, want, encodeGroup))
+		diff := t.recordCheck(check.DiffMultiset(job, rows, want, encodeGroup))
 		return wall, ctx, diff
 	}
 
-	type entry struct {
-		name  string
-		sched chaos.Schedule
-	}
-	var entries []entry
-	if spec != "" {
-		sched, err := chaos.Load(spec, nodes)
-		if err != nil {
-			panic(fmt.Sprintf("E-HA: -chaos: %v", err))
-		}
-		entries = []entry{{"custom", sched}}
+	var entries []chaosEntry
+	if p.Chaos != "" {
+		entries = customChaos(t.ID, p.Chaos, nodes)
 	} else {
 		for _, name := range []string{"nn-crash", "coord-crash", "ha"} {
 			sched, err := chaos.Preset(name, nodes)
 			if err != nil {
 				panic(err)
 			}
-			entries = append(entries, entry{name, sched})
+			entries = append(entries, chaosEntry{name, sched})
 		}
 	}
 	seeds := []uint64{1, 7, 42}
-	if seedOverride != 0 {
-		seeds = []uint64{seedOverride}
+	if p.Seed != 0 {
+		seeds = []uint64{p.Seed}
 	}
 
 	for _, e := range entries {
@@ -144,7 +112,7 @@ func EHAControlPlane(s Scale) *Table {
 				fmt.Sprintf("%d", reg.Counter("coord_stages_restarted").Value()),
 				verdictCell(diff))
 			if name == entries[len(entries)-1].name && seed == seeds[len(seeds)-1] {
-				observe(t, job, ctx)
+				p.Obs.observe(t, job, ctx)
 			}
 		}
 	}

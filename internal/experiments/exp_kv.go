@@ -14,7 +14,7 @@ import (
 // E5KVQuorum sweeps quorum configurations and key skew on the Dynamo-style
 // store: real ops/sec plus simulated mean and p99 latency, and the
 // consistency machinery's activity (read repairs).
-func E5KVQuorum(s Scale) *Table {
+func E5KVQuorum(p Params) *Table {
 	t := &Table{
 		ID:    "E5",
 		Title: "KV store: throughput and latency vs (R,W) quorum and skew",
@@ -22,7 +22,7 @@ func E5KVQuorum(s Scale) *Table {
 			"linear is a per-config linearizability verdict over a captured concurrent history",
 		Cols: []string{"R", "W", "zipf-s", "ops/s", "get-mean", "get-p99", "put-mean", "repairs", "linear"},
 	}
-	ops := pick(s, 5_000, 50_000)
+	ops := pick(p.Scale, 5_000, 50_000)
 	quorums := [][2]int{{1, 1}, {1, 3}, {2, 2}, {3, 1}}
 	for _, rw := range quorums {
 		for _, skew := range []float64{0, 0.99} {
@@ -67,7 +67,7 @@ func E5KVQuorum(s Scale) *Table {
 			if !verdict.OK {
 				diff.Details = []string{verdict.String()}
 			}
-			recordCheck(diff)
+			t.recordCheck(diff)
 
 			t.AddRow(
 				fmt.Sprintf("%d", rw[0]), fmt.Sprintf("%d", rw[1]),

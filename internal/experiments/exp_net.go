@@ -12,7 +12,7 @@ import (
 // E1Transport measures one-way latency and achievable goodput for each
 // transport model across message sizes — the standard RDMA-vs-TCP
 // microbenchmark curve.
-func E1Transport(s Scale) *Table {
+func E1Transport(p Params) *Table {
 	t := &Table{
 		ID:    "E1",
 		Title: "Transport microbenchmark: latency and goodput vs message size",
@@ -25,7 +25,7 @@ func E1Transport(s Scale) *Table {
 		netsim.NewFabric(top, netsim.IPoIB40G),
 		netsim.NewFabric(top, netsim.RDMA40G),
 	}
-	sizes := pick(s,
+	sizes := pick(p.Scale,
 		[]int64{64, 4096, 1 << 20},
 		[]int64{64, 512, 4096, 64 << 10, 1 << 20, 4 << 20})
 	for _, size := range sizes {
@@ -47,14 +47,14 @@ func E1Transport(s Scale) *Table {
 
 // E12Raft measures Raft commit latency (protocol rounds x transport RTT)
 // and in-process proposal throughput versus cluster size and transport.
-func E12Raft(s Scale) *Table {
+func E12Raft(p Params) *Table {
 	t := &Table{
 		ID:    "E12",
 		Title: "Raft commit latency vs cluster size and transport",
 		Note:  "latency = commit round trips x cross-rack RTT of the model",
 		Cols:  []string{"nodes", "rounds", "tcp-commit", "rdma-commit", "proposals/s"},
 	}
-	proposals := pick(s, 200, 2000)
+	proposals := pick(p.Scale, 200, 2000)
 	for _, n := range []int{3, 5, 7} {
 		c := consensus.NewCluster(n, uint64(n))
 		if c.RunUntilLeader(500) < 0 {

@@ -165,9 +165,9 @@ func ovlConfig(c *ovlCluster, mult float64, capacity float64, mean, dur time.Dur
 // after clients stopped caring. A chaos row replays the "overload"
 // preset (burst + tenant flood + degraded node) against the defended
 // stack, and the store's linearizability is checked after shedding.
-func EOVLOverload(s Scale) *Table {
+func EOVLOverload(p Params) *Table {
 	mean, capacity := ovlCalibrate()
-	dur := pick(s, 300*time.Millisecond, time.Second)
+	dur := pick(p.Scale, 300*time.Millisecond, time.Second)
 	t := &Table{
 		ID:    "E-OVL",
 		Title: "Overload: goodput vs offered load, admission stack on/off",
@@ -211,7 +211,7 @@ func EOVLOverload(s Scale) *Table {
 		if !verdict.OK {
 			diff.Details = []string{verdict.String()}
 		}
-		recordCheck(diff)
+		t.recordCheck(diff)
 		addRow(label, "admission", res, verdictCell(diff))
 
 		// Control run: same arrivals, no defense stack.
@@ -245,7 +245,7 @@ func EOVLOverload(s Scale) *Table {
 	if !verdict.OK {
 		diff.Details = []string{verdict.String()}
 	}
-	recordCheck(diff)
+	t.recordCheck(diff)
 	addRow("1.0x", "adm+chaos", res, verdictCell(diff))
 
 	return t

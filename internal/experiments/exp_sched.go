@@ -14,14 +14,14 @@ import (
 // E6Scheduler compares FIFO, Fair, Capacity and delay scheduling on a
 // mixed workload of large batch jobs and small interactive jobs with
 // data-locality preferences.
-func E6Scheduler(s Scale) *Table {
+func E6Scheduler(p Params) *Table {
 	t := &Table{
 		ID:    "E6",
 		Title: "Cluster scheduling policies on a mixed batch/interactive workload",
 		Note:  "16 nodes x 2 slots; remote tasks run 1.6x longer",
 		Cols:  []string{"policy", "makespan", "mean-job", "small-job-mean", "node-local", "fairness"},
 	}
-	nJobs := pick(s, 24, 80)
+	nJobs := pick(p.Scale, 24, 80)
 	top := topology.TwoTier(4, 4, 2)
 	gen := rng.New(6)
 	var jobs []sched.JobSpec
@@ -77,14 +77,14 @@ func E6Scheduler(s Scale) *Table {
 // E11Autoscale compares the utilization-targeting autoscaler against
 // static provisioning baselines on a two-day diurnal trace, with and
 // without spot preemptions.
-func E11Autoscale(s Scale) *Table {
+func E11Autoscale(p Params) *Table {
 	t := &Table{
 		ID:    "E11",
 		Title: "Elasticity: autoscaler vs static provisioning on a diurnal trace",
 		Note:  "2 days at 5-minute steps, 100-1000 req/s cycle, 50 req/s per node",
 		Cols:  []string{"strategy", "node-steps", "avg-util", "SLO-viol%", "peak-nodes", "preempted"},
 	}
-	steps := pick(s, 288, 576)
+	steps := pick(p.Scale, 288, 576)
 	trace := workload.DiurnalTrace(steps, 5*time.Minute, 100, 1000, 2.5, 11)
 	cfg := elastic.Config{PerNodeCapacity: 50, Seed: 11}
 	peak := elastic.PeakNodesFor(trace, 50, 0.65)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"reflect"
-	"sync"
 	"time"
 
 	"repro/internal/chaos"
@@ -11,29 +10,6 @@ import (
 	"repro/internal/stream"
 	"repro/internal/trace"
 )
-
-// streamCfg carries the CLI overrides (-seed, -ckpt-interval, -stream-chaos)
-// into the E-SFT experiment.
-var streamCfg = struct {
-	mu       sync.Mutex
-	seed     uint64
-	interval int
-	spec     string
-}{seed: 11}
-
-// SetStreamFaultConfig overrides the E-SFT experiment's sweep: the chaos
-// seed, a fixed checkpoint interval replacing the interval sweep, and a
-// chaos schedule (preset name or schedule text) replacing the crash-count
-// sweep. Zero values keep the defaults.
-func SetStreamFaultConfig(seed uint64, interval int, spec string) {
-	streamCfg.mu.Lock()
-	defer streamCfg.mu.Unlock()
-	if seed != 0 {
-		streamCfg.seed = seed
-	}
-	streamCfg.interval = interval
-	streamCfg.spec = spec
-}
 
 // ESFTStream measures exactly-once streaming recovery: the same generated
 // event stream runs under a sweep of checkpoint intervals crossed with
@@ -43,13 +19,10 @@ func SetStreamFaultConfig(seed uint64, interval int, spec string) {
 // replayed from the source, duplicate panes suppressed at the sink):
 // frequent checkpoints pay bytes to shrink replay, sparse ones the
 // reverse, and interval 0 falls back to full replay from offset zero.
-func ESFTStream(s Scale) *Table {
-	streamCfg.mu.Lock()
-	seed, fixedInterval, spec := streamCfg.seed, streamCfg.interval, streamCfg.spec
-	streamCfg.mu.Unlock()
-
+func ESFTStream(p Params) *Table {
+	seed := p.seedOr(11)
 	const workers = 4
-	events := int64(pick(s, 6_000, 48_000))
+	events := int64(pick(p.Scale, 6_000, 48_000))
 	t := &Table{
 		ID:    "E-SFT",
 		Title: "Streaming fault tolerance: checkpoint interval vs recovery cost",
@@ -75,28 +48,20 @@ func ESFTStream(s Scale) *Table {
 			d.OK = false
 			d.Details = append(d.Details, fmt.Sprintf("%d late events dropped (lag must cover jitter)", late))
 		}
-		return recordCheck(d)
+		return t.recordCheck(d)
 	}
 
-	intervals := []int{0, pick(s, 500, 4_000), pick(s, 2_000, 16_000)}
-	if fixedInterval > 0 {
-		intervals = []int{fixedInterval}
+	intervals := []int{0, pick(p.Scale, 500, 4_000), pick(p.Scale, 2_000, 16_000)}
+	if p.CkptInterval > 0 {
+		intervals = []int{p.CkptInterval}
 	}
-	type entry struct {
-		name  string
-		sched chaos.Schedule
-	}
-	entries := []entry{
+	entries := []chaosEntry{
 		{"0", nil},
 		{"1", streamCrashSchedule(1)},
 		{"3", streamCrashSchedule(3)},
 	}
-	if spec != "" {
-		sched, err := chaos.Load(spec, workers)
-		if err != nil {
-			panic(fmt.Sprintf("E-SFT: -stream-chaos: %v", err))
-		}
-		entries = []entry{{"custom", sched}}
+	if p.Chaos != "" {
+		entries = customChaos(t.ID, p.Chaos, workers)
 	}
 
 	run := func(interval int, sched chaos.Schedule) ([]stream.Result, *stream.Runner, time.Duration) {
@@ -130,7 +95,7 @@ func ESFTStream(s Scale) *Table {
 	// clean run itself was wrong.
 	baseline, baseRunner, cleanWall := run(0, nil)
 	cleanDiff := oracle("E-SFT/clean", baseline, baseRunner)
-	publishStream("E-SFT/clean", baseRunner)
+	p.Obs.publish("E-SFT/clean", baseRunner.Metrics(), baseRunner.Tracer())
 
 	for _, interval := range intervals {
 		for _, e := range entries {
@@ -145,7 +110,8 @@ func ESFTStream(s Scale) *Table {
 			if !reflect.DeepEqual(out, baseline) {
 				identical = "NO"
 			}
-			diff := oracle(fmt.Sprintf("E-SFT/ckpt-%d/crashes-%s", interval, e.name), out, r)
+			job := fmt.Sprintf("E-SFT/ckpt-%d/crashes-%s", interval, e.name)
+			diff := oracle(job, out, r)
 			t.AddRow(
 				fmt.Sprintf("%d", interval),
 				e.name,
@@ -158,7 +124,7 @@ func ESFTStream(s Scale) *Table {
 				identical,
 				verdictCell(diff),
 			)
-			publishStream(fmt.Sprintf("E-SFT/ckpt-%d/crashes-%s", interval, e.name), r)
+			p.Obs.publish(job, reg, r.Tracer())
 		}
 	}
 	return t
@@ -175,34 +141,4 @@ func streamCrashSchedule(c int) chaos.Schedule {
 		)
 	}
 	return sched
-}
-
-// publishStream merges one stream run's counters, gauges and spans into
-// the observability hub (job-labeled), mirroring observe() for runs that
-// have no batch job context.
-func publishStream(job string, r *stream.Runner) {
-	hub.mu.Lock()
-	reg, rec := hub.reg, hub.rec
-	hub.mu.Unlock()
-	if reg != nil {
-		snap := r.Metrics().Snapshot()
-		for _, c := range snap.Counters {
-			keys, vals := labelArgs(c.Labels, job)
-			reg.CounterVec(c.Name, keys...).With(vals...).Add(c.Value)
-		}
-		for _, g := range snap.Gauges {
-			keys, vals := labelArgs(g.Labels, job)
-			reg.GaugeVec(g.Name, keys...).With(vals...).Set(g.Value)
-		}
-	}
-	if rec != nil && r.Tracer() != nil {
-		for _, s := range r.Tracer().Spans() {
-			if s.Args == nil {
-				s.Args = map[string]string{}
-			}
-			s.Args["job"] = job
-			s.Track = job + "/" + s.Track
-			rec.Add(s)
-		}
-	}
 }

@@ -84,10 +84,10 @@ func joinKinds(p *query.Plan) string {
 // the outputs stay identical. A final row replays one star query under
 // the "crash" chaos preset (a worker killed mid-job and revived later)
 // to show the planner's output survives recovery, still oracle-exact.
-func ESQLPlanner(s Scale) *Table {
-	factRows := pick(s, 800, 8000)
-	custN := pick(s, 60, 400)
-	prodN := pick(s, 25, 80)
+func ESQLPlanner(p Params) *Table {
+	factRows := pick(p.Scale, 800, 8000)
+	custN := pick(p.Scale, 60, 400)
+	prodN := pick(p.Scale, 25, 80)
 	const parts = 4
 	// Broadcast threshold scaled to the fact size: dimensions (<= custN
 	// rows) stay under it, the half-fact shipments table lands over it —
@@ -126,7 +126,7 @@ func ESQLPlanner(s Scale) *Table {
 			if err != nil {
 				panic(fmt.Sprintf("%s: %v", name, err))
 			}
-			d := recordCheck(check.DiffQueryEnv(name, rows, plan.Logical, env))
+			d := t.recordCheck(check.DiffQueryEnv(name, rows, plan.Logical, env))
 			return plan, rows, snapSQLCounters(reg).delta(before), d
 		}
 		_, _, naiveC, naiveDiff := run(false)
@@ -186,7 +186,7 @@ func ESQLPlanner(s Scale) *Table {
 	if err != nil {
 		panic(fmt.Sprintf("E-SQL/chaos: %v", err))
 	}
-	diff := recordCheck(check.DiffQueryEnv("E-SQL/"+q.ID+"/chaos-crash", rows, plan.Logical, chaosEnv))
+	diff := t.recordCheck(check.DiffQueryEnv("E-SQL/"+q.ID+"/chaos-crash", rows, plan.Logical, chaosEnv))
 	t.AddRow(q.ID+"/chaos-crash",
 		fmt.Sprintf("%d", len(rows)),
 		joinKinds(plan),

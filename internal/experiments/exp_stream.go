@@ -10,7 +10,7 @@ import (
 // E7Stream sweeps offered load against the streaming pipeline's measured
 // capacity and reports sojourn latency with and without backpressure —
 // the load/latency hockey stick, and how bounded buffers tame its tail.
-func E7Stream(s Scale) *Table {
+func E7Stream(p Params) *Table {
 	t := &Table{
 		ID:    "E7",
 		Title: "Streaming: sojourn latency vs offered load, with/without backpressure",
@@ -19,7 +19,7 @@ func E7Stream(s Scale) *Table {
 	}
 	const workers = 2
 	const spin = 1500
-	events := pick(s, 20_000, 100_000)
+	events := pick(p.Scale, 20_000, 100_000)
 
 	// Calibrate: drive one pipeline flat-out to find capacity.
 	capacity := measureCapacity(workers, spin, events/4)

@@ -28,19 +28,22 @@ type txnScenario struct {
 	// wantOK is the expected verdict — false only for the deliberate
 	// dirty-read injection, which exists to prove the checker has teeth.
 	wantOK bool
+	// wantStepDown fails the row unless the fault deposed a leader.
+	wantStepDown bool
 }
 
 // ETXNTransactions drives concurrent cross-range transactions through
 // coordinator crashes at every 2PC protocol point, a replication-group
 // partition spanning the commit point, range splits racing in-flight
-// transactions, and a deliberate dirty-read injection. After every run
+// transactions, a gray one-way cut that inbound-isolates every group's
+// leader, and a deliberate dirty-read injection. After every run
 // the orphan recovery path is drained and three invariants are scored:
 // the history is strictly serializable (except the dirty-read row, which
 // must be caught), no participant lock survives, and no transaction
 // record dangles.
-func ETXNTransactions(s Scale) *Table {
-	waves := pick(s, 8, 20)
-	clients := pick(s, 4, 6)
+func ETXNTransactions(p Params) *Table {
+	waves := pick(p.Scale, 8, 20)
+	clients := pick(p.Scale, 4, 6)
 	t := &Table{
 		ID:    "E-TXN",
 		Title: "Sharded KV transactions under chaos: strict serializability + recovery",
@@ -99,9 +102,60 @@ func ETXNTransactions(s Scale) *Table {
 				_ = sh.Merge("k02")
 			}
 		}},
+		{name: "gray-leader-cut", wantOK: true, wantStepDown: true, hook: func(sh *kvstore.Sharded, wave int) {
+			// Every follower stops reaching its leader while the leader
+			// still reaches them: CheckQuorum must depose it, and the
+			// history is judged after the links heal.
+			for g := 0; g < sh.Groups(); g++ {
+				switch wave {
+				case 2:
+					for m, lead := 0, sh.GroupLeader(g); m < sh.GroupMembers(g); m++ {
+						if m != lead {
+							sh.CutGroupLink(g, m, lead)
+						}
+					}
+				case 6:
+					sh.HealGroup(g)
+				}
+			}
+			if wave == 6 {
+				_ = sh.Recover()
+			}
+		}},
 		{name: "dirty-read", wantOK: false, hook: func(sh *kvstore.Sharded, wave int) {
 			sh.SetDirtyReads(wave >= 2)
 		}},
+	}
+
+	// score drains orphan recovery, checks the invariants and adds the row.
+	score := func(name string, sh *kvstore.Sharded, ops []check.TxnOp, wantOK, fired bool) {
+		if err := sh.Recover(); err != nil {
+			panic(fmt.Sprintf("E-TXN %s: recover: %v", name, err))
+		}
+		locks, err := sh.LockCount()
+		if err != nil {
+			panic(err)
+		}
+		pending, err := sh.PendingTxnRecords()
+		if err != nil {
+			panic(err)
+		}
+		verdict := check.CheckTxns(ops)
+		diff := check.Diff{Name: "E-TXN/" + name, Compared: verdict.Ops,
+			OK: verdict.OK == wantOK && locks == 0 && pending == 0 && fired}
+		if !diff.OK {
+			diff.Details = []string{fmt.Sprintf("verdict=%v want=%v locks=%d pending=%d fault-fired=%v: %s",
+				verdict.OK, wantOK, locks, pending, fired, verdict.Detail)}
+		}
+		t.recordCheck(diff)
+		t.AddRow(name,
+			fmt.Sprintf("%d", len(ops)),
+			fmt.Sprintf("%d", sh.Reg.Counter("txn_committed").Value()),
+			fmt.Sprintf("%d", sh.Reg.Counter("txn_aborted").Value()),
+			fmt.Sprintf("%d", sh.Reg.Counter("txn_recovered_aborted").Value()+sh.Reg.Counter("txn_recovered_resumed").Value()),
+			fmt.Sprintf("%d", locks),
+			fmt.Sprintf("%d", pending),
+			verdictCell(diff))
 	}
 
 	for _, sc := range scenarios {
@@ -122,34 +176,16 @@ func ETXNTransactions(s Scale) *Table {
 			},
 		})
 		sh.SetDirtyReads(false)
-		if err := sh.Recover(); err != nil {
-			panic(fmt.Sprintf("E-TXN %s: recover: %v", sc.name, err))
+		fired := true
+		if sc.wantStepDown {
+			var n uint64
+			for g := 0; g < sh.Groups(); g++ {
+				n += sh.GroupStepDowns(g)
+			}
+			t.AddObs(fmt.Sprintf("%s: %d CheckQuorum step-downs", sc.name, n))
+			fired = n > 0
 		}
-		locks, err := sh.LockCount()
-		if err != nil {
-			panic(err)
-		}
-		pending, err := sh.PendingTxnRecords()
-		if err != nil {
-			panic(err)
-		}
-		verdict := check.CheckTxns(ops)
-		ok := verdict.OK == sc.wantOK && locks == 0 && pending == 0
-		name := "E-TXN/" + sc.name
-		diff := check.Diff{Name: name, OK: ok, Compared: verdict.Ops}
-		if !ok {
-			diff.Details = []string{fmt.Sprintf("verdict=%v want=%v locks=%d pending=%d: %s",
-				verdict.OK, sc.wantOK, locks, pending, verdict.Detail)}
-		}
-		recordCheck(diff)
-		t.AddRow(sc.name,
-			fmt.Sprintf("%d", len(ops)),
-			fmt.Sprintf("%d", sh.Reg.Counter("txn_committed").Value()),
-			fmt.Sprintf("%d", sh.Reg.Counter("txn_aborted").Value()),
-			fmt.Sprintf("%d", sh.Reg.Counter("txn_recovered_aborted").Value()+sh.Reg.Counter("txn_recovered_resumed").Value()),
-			fmt.Sprintf("%d", locks),
-			fmt.Sprintf("%d", pending),
-			verdictCell(diff))
+		score(sc.name, sh, ops, sc.wantOK, fired)
 	}
 
 	// Chaos-preset row: the "txn" preset replayed through the controller,
@@ -171,27 +207,6 @@ func ETXNTransactions(s Scale) *Table {
 		NoEffect:     txnNoEffect,
 		BetweenWaves: func(wave int) { ctl.Tick() },
 	})
-	if err := sh.Recover(); err != nil {
-		panic(err)
-	}
-	locks, _ := sh.LockCount()
-	pending, _ := sh.PendingTxnRecords()
-	verdict := check.CheckTxns(ops)
-	ok := verdict.OK && locks == 0 && pending == 0 && ctl.Done()
-	diff := check.Diff{Name: "E-TXN/chaos-preset", OK: ok, Compared: verdict.Ops}
-	if !ok {
-		diff.Details = []string{fmt.Sprintf("verdict=%v locks=%d pending=%d chaosDone=%v: %s",
-			verdict.OK, locks, pending, ctl.Done(), verdict.Detail)}
-	}
-	recordCheck(diff)
-	t.AddRow("chaos-preset",
-		fmt.Sprintf("%d", len(ops)),
-		fmt.Sprintf("%d", sh.Reg.Counter("txn_committed").Value()),
-		fmt.Sprintf("%d", sh.Reg.Counter("txn_aborted").Value()),
-		fmt.Sprintf("%d", sh.Reg.Counter("txn_recovered_aborted").Value()+sh.Reg.Counter("txn_recovered_resumed").Value()),
-		fmt.Sprintf("%d", locks),
-		fmt.Sprintf("%d", pending),
-		verdictCell(diff))
-
+	score("chaos-preset", sh, ops, true, ctl.Done())
 	return t
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -11,9 +12,13 @@ import (
 // run at Small scale, produce a well-formed table, and exhibit the
 // headline shape DESIGN.md claims for it.
 
-func runAndCheck(t *testing.T, fn func(Scale) *Table) *Table {
+func runAndCheck(t *testing.T, fn func(Params) *Table) *Table {
 	t.Helper()
-	table := fn(Small)
+	return checkTable(t, fn(Params{}))
+}
+
+func checkTable(t *testing.T, table *Table) *Table {
+	t.Helper()
 	if table.ID == "" || table.Title == "" {
 		t.Fatal("table missing ID/title")
 	}
@@ -229,7 +234,6 @@ func TestE7Runs(t *testing.T) {
 }
 
 func TestEFTShapes(t *testing.T) {
-	ResetChecks()
 	table := runAndCheck(t, EFTChaos)
 	// Clean run + every chaos preset x speculation off/on.
 	if len(table.Rows) < 3 {
@@ -242,12 +246,14 @@ func TestEFTShapes(t *testing.T) {
 			t.Fatalf("row %v failed the oracle diff", row)
 		}
 	}
-	// The diffs also land in the process-wide harness for the -check CLIs.
-	if CheckCount() != len(table.Rows) {
-		t.Fatalf("harness recorded %d verdicts for %d rows", CheckCount(), len(table.Rows))
+	// The diffs also land in the table for hpbdc-bench -check.
+	if len(table.Checks) != len(table.Rows) {
+		t.Fatalf("table recorded %d verdicts for %d rows", len(table.Checks), len(table.Rows))
 	}
-	if summary, ok := CheckReport(); !ok {
-		t.Fatalf("harness verdict: %s", summary)
+	for _, d := range table.Checks {
+		if !d.OK {
+			t.Fatalf("recorded verdict: %s", d)
+		}
 	}
 }
 
@@ -351,9 +357,9 @@ func TestEOVLShapes(t *testing.T) {
 
 func TestETXNShapes(t *testing.T) {
 	table := runAndCheck(t, ETXNTransactions)
-	// 5 scenarios + the chaos-preset row.
-	if len(table.Rows) != 6 {
-		t.Fatalf("rows = %d, want 6", len(table.Rows))
+	// 6 scenarios + the chaos-preset row.
+	if len(table.Rows) != 7 {
+		t.Fatalf("rows = %d, want 7", len(table.Rows))
 	}
 	for _, row := range table.Rows {
 		// Every row — the dirty-read one included, whose check asserts
@@ -380,6 +386,16 @@ func TestETXNShapes(t *testing.T) {
 	}
 	if recovered["chaos-preset"] == 0 {
 		t.Fatal("chaos-preset scenario recovered no transactions")
+	}
+	// The gray cut must have deposed a leader (its row is FAIL otherwise).
+	var stepDowns float64
+	for _, o := range table.Obs {
+		if rest, ok := strings.CutPrefix(o, "gray-leader-cut: "); ok {
+			stepDowns = parse(t, strings.Fields(rest)[0])
+		}
+	}
+	if stepDowns < 1 {
+		t.Fatalf("gray-leader-cut recorded no step-down: %v", table.Obs)
 	}
 }
 
@@ -466,5 +482,95 @@ func TestEGRAYShapes(t *testing.T) {
 	if unavail["partial/control"] <= 2*unavail["partial/defended"] {
 		t.Fatalf("partial: control %v not clearly worse than defended %v",
 			unavail["partial/control"], unavail["partial/defended"])
+	}
+}
+
+// TestParamsOverride drives the four experiments that read overrides
+// through Params alone: one seed and one schedule in, the
+// single-schedule/single-seed table out, every recorded check ok.
+func TestParamsOverride(t *testing.T) {
+	const oneWay = "4 link-cut 0-3 4\n154 link-heal 0-3 4\n"
+	for _, tc := range []struct {
+		id       string
+		run      func(Params) *Table
+		p        Params
+		rows     int
+		schedule int // column holding the schedule name
+		seedCol  int // column holding the seed, or -1 when it is in the note
+	}{
+		// clean + custom x speculation off/on
+		{"EFT", EFTChaos, Params{Seed: 5, Chaos: "crash", FailProb: 0.01}, 3, 0, -1},
+		// one interval x one schedule
+		{"E-SFT", ESFTStream, Params{Seed: 5, Chaos: "stream", CkptInterval: 700}, 1, 1, -1},
+		{"E-HA", EHAControlPlane, Params{Seed: 5, Chaos: "2 nn-crash leader"}, 1, 0, 1},
+		// control + defended + the ha-register row
+		{"E-GRAY", EGRAYGrayFailures, Params{Seed: 5, Chaos: oneWay}, 3, 0, 2},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			table := checkTable(t, tc.run(tc.p))
+			if len(table.Rows) != tc.rows {
+				t.Fatalf("rows = %d, want %d: %v", len(table.Rows), tc.rows, table.Rows)
+			}
+			custom := 0
+			for _, row := range table.Rows {
+				if row[tc.schedule] == "custom" {
+					custom++
+				}
+				if tc.seedCol >= 0 && row[tc.seedCol] != "5" {
+					t.Fatalf("row %v ran under seed %s, want 5", row, row[tc.seedCol])
+				}
+			}
+			if custom == 0 {
+				t.Fatalf("no row ran the custom schedule: %v", table.Rows)
+			}
+			if tc.seedCol < 0 && !strings.Contains(table.Note, "seed 5") {
+				t.Fatalf("note %q does not name seed 5", table.Note)
+			}
+			if len(table.Checks) < tc.rows {
+				t.Fatalf("%d checks for %d rows", len(table.Checks), tc.rows)
+			}
+			for _, d := range table.Checks {
+				if !d.OK {
+					t.Fatalf("check failed: %s", d)
+				}
+			}
+		})
+	}
+}
+
+// TestExperimentsShareNoState runs two check-recording experiments at
+// once: each table's Checks must be exactly its own verdicts, in row
+// order — what a process-wide harness could not give.
+func TestExperimentsShareNoState(t *testing.T) {
+	runs := []struct {
+		run    func(Params) *Table
+		prefix string
+		table  *Table
+	}{
+		{run: EFTChaos, prefix: "EFT/"},
+		{run: ETXNTransactions, prefix: "E-TXN/"},
+	}
+	var wg sync.WaitGroup
+	for i := range runs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			runs[i].table = runs[i].run(Params{})
+		}(i)
+	}
+	wg.Wait()
+	for _, r := range runs {
+		table := checkTable(t, r.table)
+		if len(table.Checks) != len(table.Rows) {
+			t.Fatalf("%s: %d checks for %d rows", table.ID, len(table.Checks), len(table.Rows))
+		}
+		for i, d := range table.Checks {
+			if !strings.HasPrefix(d.Name, r.prefix) {
+				t.Fatalf("%s recorded a foreign check %q", table.ID, d.Name)
+			}
+			if got := table.Rows[i][len(table.Cols)-1]; got != verdictCell(d) {
+				t.Fatalf("%s row %d shows %q, its check says %q", table.ID, i, got, verdictCell(d))
+			}
+		}
 	}
 }

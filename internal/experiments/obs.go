@@ -2,75 +2,49 @@ package experiments
 
 import (
 	"strings"
-	"sync"
 
 	hpbdc "repro"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
-// The observability hub collects what individual experiments record into
-// one place that cmd/hpbdc-bench can serve: a job-labeled merged registry
-// for /metrics, a combined span recorder for /debug/trace, and a report
-// store for /debug/jobs. Experiments run fine with the hub disabled (the
-// default); observe() then only annotates the experiment's table.
-var hub struct {
-	mu    sync.Mutex
-	reg   *metrics.Registry
-	rec   *trace.Recorder
-	store *obs.ReportStore
-}
-
-// EnableObservability routes per-experiment metrics, spans and job reports
-// into the given sinks. Any argument may be nil to skip that sink. Call
-// before running experiments; cmd/hpbdc-bench does when -metrics-addr or
-// -trace-out is set.
-func EnableObservability(reg *metrics.Registry, rec *trace.Recorder, store *obs.ReportStore) {
-	hub.mu.Lock()
-	defer hub.mu.Unlock()
-	hub.reg = reg
-	hub.rec = rec
-	hub.store = store
-}
-
 // observe analyzes one finished job context: the report is appended to the
 // experiment's table (so tables include the per-stage breakdown and skew
-// analysis) and everything is published to the hub when one is attached.
-// Counters and gauges merge into the hub registry with a "job" label;
-// histograms are skipped because their raw observations cannot be
-// reconstructed from a snapshot.
-func observe(t *Table, job string, ctx *hpbdc.Context) {
+// analysis) and everything is published to the sinks that are attached.
+func (o Obs) observe(t *Table, job string, ctx *hpbdc.Context) {
 	rep := ctx.Report(job)
 	for _, line := range strings.Split(strings.TrimRight(rep.String(), "\n"), "\n") {
 		t.AddObs(line)
 	}
-
-	hub.mu.Lock()
-	reg, rec, store := hub.reg, hub.rec, hub.store
-	hub.mu.Unlock()
-	if store != nil {
-		store.Add(rep)
+	if o.Store != nil {
+		o.Store.Add(rep)
 	}
-	if reg != nil {
-		snap := ctx.Metrics().Snapshot()
+	o.publish(job, ctx.Metrics(), ctx.Tracer())
+}
+
+// publish merges one run's counters, gauges and spans into the sinks
+// under a "job" label. Histograms are skipped because their raw
+// observations cannot be reconstructed from a snapshot.
+func (o Obs) publish(job string, reg *metrics.Registry, rec *trace.Recorder) {
+	if o.Reg != nil {
+		snap := reg.Snapshot()
 		for _, c := range snap.Counters {
 			keys, vals := labelArgs(c.Labels, job)
-			reg.CounterVec(c.Name, keys...).With(vals...).Add(c.Value)
+			o.Reg.CounterVec(c.Name, keys...).With(vals...).Add(c.Value)
 		}
 		for _, g := range snap.Gauges {
 			keys, vals := labelArgs(g.Labels, job)
-			reg.GaugeVec(g.Name, keys...).With(vals...).Set(g.Value)
+			o.Reg.GaugeVec(g.Name, keys...).With(vals...).Set(g.Value)
 		}
 	}
-	if rec != nil {
-		for _, s := range ctx.Tracer().Spans() {
+	if o.Rec != nil {
+		for _, s := range rec.Spans() {
 			if s.Args == nil {
 				s.Args = map[string]string{}
 			}
 			s.Args["job"] = job
 			s.Track = job + "/" + s.Track
-			rec.Add(s)
+			o.Rec.Add(s)
 		}
 	}
 }

@@ -1,13 +1,16 @@
 // Package experiments implements the reconstructed evaluation suite
-// E1..E12 described in DESIGN.md: each function runs one experiment at a
-// configurable scale and returns a printable table. cmd/hpbdc-bench prints
-// them; the root bench_test.go wraps each in a testing.B benchmark.
+// E1..E12 described in DESIGN.md: each experiment is a function of its
+// Params that returns a printable table and shares no state with any
+// other run. cmd/hpbdc-bench prints the tables; the root bench_test.go
+// wraps each in a testing.B benchmark.
 package experiments
 
 import (
 	"fmt"
 	"io"
 	"strings"
+
+	"repro/internal/check"
 )
 
 // Table is one experiment's result, shaped like a paper table.
@@ -20,6 +23,8 @@ type Table struct {
 	// Obs holds observability annotations (job report lines: stage
 	// breakdowns, stragglers, shuffle skew) printed after the rows.
 	Obs []string
+	// Checks holds every oracle verdict the run recorded, in row order.
+	Checks []check.Diff
 }
 
 // AddRow appends a formatted row.

@@ -412,14 +412,8 @@ func (s *Sharded) HealGroup(group int) { s.groups[group].Heal() }
 
 // CutGroupLink severs the directed from -> to link inside one group's
 // Raft cluster (gray one-way fault); the reverse direction stays up.
+// HealGroup restores it.
 func (s *Sharded) CutGroupLink(group, from, to int) { s.groups[group].CutLink(from, to) }
-
-// HealGroupLink restores a directed link cut by CutGroupLink.
-func (s *Sharded) HealGroupLink(group, from, to int) { s.groups[group].HealLink(from, to) }
-
-// GroupMaxTerm returns one group's highest consensus term — the
-// gray-failure livelock telltale.
-func (s *Sharded) GroupMaxTerm(group int) uint64 { return s.groups[group].MaxTerm() }
 
 // GroupStepDowns sums one group's CheckQuorum leader abdications.
 func (s *Sharded) GroupStepDowns(group int) uint64 { return s.groups[group].StepDowns() }

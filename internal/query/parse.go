@@ -36,15 +36,6 @@ func Parse(sql string) (*Logical, error) {
 	return lp, nil
 }
 
-// MustParse is Parse for static query text; it panics on error.
-func MustParse(sql string) *Logical {
-	lp, err := Parse(sql)
-	if err != nil {
-		panic(err)
-	}
-	return lp
-}
-
 // SQL parses, optimizes and compiles a query in one call.
 func (e *Env) SQL(sql string, opts Options) (*Plan, error) {
 	lp, err := Parse(sql)

@@ -141,13 +141,7 @@ func (tl *Timeline) PathToRoot(id uint64) []*Node {
 	return path
 }
 
-// Walk visits every node depth-first in deterministic order.
-func (tl *Timeline) Walk(fn func(n *Node, depth int)) {
-	for _, r := range tl.Roots {
-		walkNode(r, 0, fn)
-	}
-}
-
+// walkNode visits n's subtree depth-first in deterministic order.
 func walkNode(n *Node, depth int, fn func(n *Node, depth int)) {
 	fn(n, depth)
 	for _, c := range n.Children {
@@ -160,13 +154,15 @@ func walkNode(n *Node, depth int, fn func(n *Node, depth int)) {
 func (tl *Timeline) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace %d (%d spans)\n", tl.Trace, len(tl.byID))
-	tl.Walk(func(n *Node, depth int) {
-		fmt.Fprintf(&b, "%s%s [%s] on %s +%v dur=%v\n",
-			strings.Repeat("  ", depth+1),
-			n.Span.Name, n.Span.Category, n.Span.Track,
-			n.Span.Start.Round(time.Microsecond),
-			n.Span.Duration.Round(time.Microsecond))
-	})
+	for _, r := range tl.Roots {
+		walkNode(r, 0, func(n *Node, depth int) {
+			fmt.Fprintf(&b, "%s%s [%s] on %s +%v dur=%v\n",
+				strings.Repeat("  ", depth+1),
+				n.Span.Name, n.Span.Category, n.Span.Track,
+				n.Span.Start.Round(time.Microsecond),
+				n.Span.Duration.Round(time.Microsecond))
+		})
+	}
 	for _, a := range tl.Annotations {
 		fmt.Fprintf(&b, "  ! %s [%s] on %s +%v\n",
 			a.Name, a.Category, a.Track, a.Start.Round(time.Microsecond))

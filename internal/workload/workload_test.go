@@ -238,7 +238,7 @@ func BenchmarkRMAT(b *testing.B) {
 	}
 }
 
-// TestKVOpsSkewZeroUniform verifies the hpbdc-kvbench `-skew 0` claim:
+// TestKVOpsSkewZeroUniform verifies what E5's zipf-s 0.00 rows assume:
 // a zero Zipf exponent must produce near-uniform key frequencies.
 func TestKVOpsSkewZeroUniform(t *testing.T) {
 	cases := []struct {

@@ -288,6 +288,9 @@ func SortByKey[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Code
 	if sampleSize <= 0 {
 		sampleSize = 64
 	}
+	// Before the sampling closure captures kc: a speculative loser of the
+	// sampling job may still be reading it after Collect has returned.
+	kc, vc = kc.forShuffle(), vc.forShuffle()
 	// Sampling job: up to sampleSize encoded keys per partition.
 	samples := MapPartitions(d, func(_ int, rows []Pair[K, V]) [][]byte {
 		stride := len(rows)/sampleSize + 1
@@ -303,7 +306,6 @@ func SortByKey[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Code
 	}
 	rp := shuffle.NewRangePartitioner(shuffle.SplitPoints(keys, parts))
 	dep := core.ShuffleDep{Partitions: rp.Partitions(), Partitioner: rp.Partition, Sorted: true}
-	kc, vc = kc.forShuffle(), vc.forShuffle()
 	return shuffleOf(d.ctx, d.plan, dep, emitPairs(kc, vc), func(recs shuffle.Records) []Pair[K, V] {
 		out := make([]Pair[K, V], recs.Len())
 		arena := serde.NewArena(recs.Bytes())
