@@ -1,30 +1,34 @@
 package consensus
 
-import (
-	"sort"
-)
-
-// Cluster is a deterministic in-process test/measurement harness: it owns a
-// set of nodes, carries their messages, and can crash nodes or partition
-// the network. Message delivery happens in "rounds": each round every
-// in-flight message is handed to its destination and the responses join the
-// next round. Rounds map directly onto network round trips, which is how
-// experiment E12 converts protocol behaviour into commit latency under a
-// transport model.
+// Cluster is a deterministic in-process Raft harness: it owns nodes 0..n-1,
+// carries their messages, and can crash nodes, partition the network or
+// cut single directed links. It is the only transport in the module: the
+// tests and probes drive it directly and ha.Group hosts its members on it.
+// Message delivery happens in "rounds": each round every in-flight message
+// is handed to its destination and the responses join the next round.
+// Rounds map directly onto network round trips, which is how experiment
+// E12 converts protocol behaviour into commit latency under a transport
+// model.
 type Cluster struct {
-	nodes   map[int]*Node
-	crashed map[int]bool
+	nodes   []*Node
+	crashed []bool
 	mail    Mailbox
-	applied map[int][]Entry
+	applied [][]Entry
 
-	// partition: nil means fully connected; otherwise group index per node,
-	// and messages cross groups only if allowed.
-	group map[int]int
+	// group is the partition: nil means fully connected; otherwise the
+	// group of each node, and messages cross groups only if allowed.
+	group []int
 
 	// cut holds directed {from, to} link cuts — the gray-failure layer:
 	// one-way cuts and non-transitive partial partitions that the group
 	// partition above cannot express.
 	cut map[[2]int]bool
+
+	// AfterRound runs after every delivery round once per live node, in id
+	// order: the host's hook for consuming newly committed entries. The
+	// constructors install the recorder behind Applied; ha.Group installs
+	// its replicas' apply and compaction instead.
+	AfterRound func(id int)
 
 	// Rounds counts delivery rounds executed (for latency accounting).
 	Rounds int
@@ -50,34 +54,34 @@ func newCluster(n int, seed uint64, hardened bool) *Cluster {
 		peers[i] = i
 	}
 	c := &Cluster{
-		nodes:   map[int]*Node{},
-		crashed: map[int]bool{},
-		applied: map[int][]Entry{},
+		nodes:   make([]*Node, n),
+		crashed: make([]bool, n),
+		applied: make([][]Entry, n),
 	}
-	for i := 0; i < n; i++ {
+	for i := range c.nodes {
 		c.nodes[i] = NewNode(Config{
 			ID: i, Peers: peers, Seed: seed,
 			PreVote: hardened, CheckQuorum: hardened,
 		})
 	}
+	c.AfterRound = c.record
 	return c
 }
 
 // Node returns the node with the given ID.
 func (c *Cluster) Node(id int) *Node { return c.nodes[id] }
 
-// Applied returns the entries node id has applied, in order.
+// Applied returns the entries node id has applied, in order, while the
+// default AfterRound is installed.
 func (c *Cluster) Applied(id int) []Entry { return c.applied[id] }
 
-// ids returns node IDs in deterministic order.
-func (c *Cluster) ids() []int {
-	out := make([]int, 0, len(c.nodes))
-	for id := range c.nodes {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
+// record is the default AfterRound.
+func (c *Cluster) record(id int) {
+	c.applied[id] = append(c.applied[id], c.nodes[id].CommittedEntries()...)
 }
+
+// has reports whether id names a node; fault hooks ignore ids that do not.
+func (c *Cluster) has(id int) bool { return id >= 0 && id < len(c.nodes) }
 
 // blocked reports whether a message from -> to is currently undeliverable.
 // Directed cuts and group partitions compose: either layer blocks.
@@ -88,20 +92,16 @@ func (c *Cluster) blocked(from, to int) bool {
 	if c.cut != nil && c.cut[[2]int{from, to}] {
 		return true
 	}
-	if c.group == nil {
-		return false
-	}
-	return c.group[from] != c.group[to]
+	return c.group != nil && c.group[from] != c.group[to]
 }
 
 // Tick advances logical time one unit on every live node, then runs
 // delivery rounds until the network is quiet.
 func (c *Cluster) Tick() {
-	for _, id := range c.ids() {
-		if c.crashed[id] {
-			continue
+	for id, n := range c.nodes {
+		if !c.crashed[id] {
+			c.mail.Out = n.Tick(c.mail.Out)
 		}
-		c.mail.Out = c.nodes[id].Tick(c.mail.Out)
 	}
 	c.drain()
 }
@@ -113,8 +113,8 @@ func (c *Cluster) drain() {
 }
 
 // DeliverRound delivers every currently in-flight message (one network
-// round trip), collects the responses for the next round, and reports
-// whether there was anything to deliver.
+// round trip), collects the responses for the next round, runs AfterRound
+// and reports whether there was anything to deliver.
 func (c *Cluster) DeliverRound() bool {
 	batch := c.mail.Swap()
 	if len(batch) == 0 {
@@ -129,33 +129,21 @@ func (c *Cluster) DeliverRound() bool {
 		c.MessagesDelivered++
 		c.mail.Out = c.nodes[m.To].Step(m, c.mail.Out)
 	}
-	c.collectApplied()
+	for id := range c.nodes {
+		if !c.crashed[id] {
+			c.AfterRound(id)
+		}
+	}
 	return true
 }
 
-func (c *Cluster) collectApplied() {
-	for _, id := range c.ids() {
-		if c.crashed[id] {
-			continue
-		}
-		if ents := c.nodes[id].CommittedEntries(); len(ents) > 0 {
-			c.applied[id] = append(c.applied[id], ents...)
-		}
-	}
-}
-
-// Leader returns the unique live leader at the highest term, or -1 when
-// there is none (or more than one at that term, which would be a bug that
-// tests assert against separately).
+// Leader returns the live leader at the highest term (the highest id on a
+// tie, which would be a bug that tests assert against separately), or -1.
 func (c *Cluster) Leader() int {
 	leader := -1
 	var topTerm uint64
-	for _, id := range c.ids() {
-		if c.crashed[id] {
-			continue
-		}
-		n := c.nodes[id]
-		if n.State() == Leader && n.Term() >= topTerm {
+	for id, n := range c.nodes {
+		if !c.crashed[id] && n.State() == Leader && n.Term() >= topTerm {
 			topTerm = n.Term()
 			leader = id
 		}
@@ -240,24 +228,36 @@ func (c *Cluster) TransferLeadership(to, maxRounds int) bool {
 // Crash stops a node: it receives nothing and sends nothing until Restart.
 // Its durable state (term, vote, log) survives, per Raft's persistence
 // assumption.
-func (c *Cluster) Crash(id int) { c.crashed[id] = true }
+func (c *Cluster) Crash(id int) {
+	if c.has(id) {
+		c.crashed[id] = true
+	}
+}
 
 // Restart revives a crashed node with its durable state intact.
-func (c *Cluster) Restart(id int) { delete(c.crashed, id) }
+func (c *Cluster) Restart(id int) {
+	if c.has(id) {
+		c.crashed[id] = false
+	}
+}
 
 // Partition splits the cluster into the given groups; nodes not mentioned
 // are isolated in their own group.
 func (c *Cluster) Partition(groups ...[]int) {
-	c.group = map[int]int{}
-	next := 0
+	c.group = make([]int, len(c.nodes))
+	for id := range c.group {
+		c.group[id] = -1
+	}
 	for gi, g := range groups {
 		for _, id := range g {
-			c.group[id] = gi
+			if c.has(id) {
+				c.group[id] = gi
+			}
 		}
-		next = gi + 1
 	}
-	for id := range c.nodes {
-		if _, ok := c.group[id]; !ok {
+	next := len(groups)
+	for id, gi := range c.group {
+		if gi < 0 {
 			c.group[id] = next
 			next++
 		}
@@ -273,7 +273,7 @@ func (c *Cluster) Heal() {
 // CutLink blocks messages in the from -> to direction only; to -> from
 // keeps flowing. Idempotent.
 func (c *Cluster) CutLink(from, to int) {
-	if from == to {
+	if from == to || !c.has(from) || !c.has(to) {
 		return
 	}
 	if c.cut == nil {
@@ -290,6 +290,18 @@ func (c *Cluster) HealLink(from, to int) {
 	}
 }
 
+// quorumLinked reports whether live node l has bidirectional links to a
+// quorum of the cluster, counting itself.
+func (c *Cluster) quorumLinked(l int) bool {
+	count := 1
+	for f := range c.nodes {
+		if f != l && !c.blocked(l, f) && !c.blocked(f, l) {
+			count++
+		}
+	}
+	return count*2 > len(c.nodes)
+}
+
 // HasConnectedMajority reports whether some live node has bidirectional
 // links to a quorum of the cluster (counting itself) — i.e. whether the
 // current fault pattern still admits a functioning leader. Availability
@@ -297,21 +309,8 @@ func (c *Cluster) HealLink(from, to int) {
 // exists) from liveness failures (a quorum exists but the protocol cannot
 // use it).
 func (c *Cluster) HasConnectedMajority() bool {
-	n := len(c.nodes)
-	for _, l := range c.ids() {
-		if c.crashed[l] {
-			continue
-		}
-		count := 1
-		for _, f := range c.ids() {
-			if f == l || c.crashed[f] {
-				continue
-			}
-			if !c.blocked(l, f) && !c.blocked(f, l) {
-				count++
-			}
-		}
-		if count*2 > n {
+	for l := range c.nodes {
+		if !c.crashed[l] && c.quorumLinked(l) {
 			return true
 		}
 	}
@@ -323,22 +322,9 @@ func (c *Cluster) HasConnectedMajority() bool {
 // serve stale reads. CheckQuorum exists to drive this to zero within an
 // election timeout.
 func (c *Cluster) StaleLeaders() []int {
-	n := len(c.nodes)
 	var out []int
-	for _, l := range c.ids() {
-		if c.crashed[l] || c.nodes[l].State() != Leader {
-			continue
-		}
-		count := 1
-		for _, f := range c.ids() {
-			if f == l || c.crashed[f] {
-				continue
-			}
-			if !c.blocked(l, f) && !c.blocked(f, l) {
-				count++
-			}
-		}
-		if count*2 <= n {
+	for l, n := range c.nodes {
+		if !c.crashed[l] && n.State() == Leader && !c.quorumLinked(l) {
 			out = append(out, l)
 		}
 	}
@@ -350,12 +336,9 @@ func (c *Cluster) StaleLeaders() []int {
 // isolated node inflating terms.
 func (c *Cluster) MaxTerm() uint64 {
 	var top uint64
-	for _, id := range c.ids() {
-		if c.crashed[id] {
-			continue
-		}
-		if t := c.nodes[id].Term(); t > top {
-			top = t
+	for id, n := range c.nodes {
+		if !c.crashed[id] && n.Term() > top {
+			top = n.Term()
 		}
 	}
 	return top
@@ -364,8 +347,8 @@ func (c *Cluster) MaxTerm() uint64 {
 // StepDowns sums CheckQuorum abdications across all nodes.
 func (c *Cluster) StepDowns() uint64 {
 	var total uint64
-	for _, id := range c.ids() {
-		total += c.nodes[id].StepDowns()
+	for _, n := range c.nodes {
+		total += n.StepDowns()
 	}
 	return total
 }

@@ -237,6 +237,34 @@ func TestConnectivityProbes(t *testing.T) {
 	}
 }
 
+// TestClusterIgnoresUnknownIDs: fault hooks take ids from outside input
+// (chaos schedules pass node ids straight through), so an id that names
+// no node is a no-op, never a panic, and never disturbs the real nodes.
+func TestClusterIgnoresUnknownIDs(t *testing.T) {
+	c := NewHardenedCluster(3, 5)
+	l := c.RunUntilLeader(200)
+	for _, id := range []int{-1, 3, 9} {
+		c.Crash(id)
+		c.Restart(id)
+		c.CutLink(id, l)
+		c.CutLink(l, id)
+		c.HealLink(id, l)
+	}
+	if c.cut != nil {
+		t.Fatalf("cuts recorded for unknown nodes: %v", c.cut)
+	}
+	c.Partition([]int{0, 1, 2, 9}, []int{-1, 3})
+	if c.group[0] != c.group[1] || c.group[1] != c.group[2] {
+		t.Fatalf("unknown ids split the cluster: %v", c.group)
+	}
+	for i := 0; i < 20; i++ {
+		c.Tick()
+	}
+	if c.Leader() != l || !c.Propose([]byte("x")) || !c.HasConnectedMajority() {
+		t.Fatalf("leader %d lost its footing to unknown ids (leader now %d)", l, c.Leader())
+	}
+}
+
 // TestDeterministicGrayReplay: the same (faults, seed) must produce
 // bit-identical trajectories — the property every E-GRAY verdict and the
 // avail perf family lean on.

@@ -1,10 +1,10 @@
 package consensus
 
-// Mailbox carries one Raft group's messages between delivery rounds, for
-// whichever harness pumps the group (Cluster here, ha.Group). Two buffers
-// trade places: nodes append what they send to Out, through Node.Tick,
-// Step, Propose and TransferLeadership, while the harness delivers the
-// batch Swap returned. A warm group sends and delivers without allocating.
+// Mailbox carries one Cluster's messages between delivery rounds. Two
+// buffers trade places: nodes append what they send to Out, through
+// Node.Tick, Step, Propose and TransferLeadership, while the Cluster
+// delivers the batch Swap returned. A warm group sends and delivers
+// without allocating.
 type Mailbox struct {
 	Out  []Message // sent since the last Swap
 	back []Message // the batch the last Swap returned

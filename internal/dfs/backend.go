@@ -272,7 +272,7 @@ func encodeMoves(plan []moveRef) []byte {
 
 func decodeMoves(payload []byte) ([]moveRef, error) {
 	d := &mreader{buf: payload}
-	n := int(d.u32())
+	n := d.count(32)
 	plan := make([]moveRef, 0, n)
 	for i := 0; i < n; i++ {
 		mv := moveRef{
@@ -285,6 +285,9 @@ func decodeMoves(payload []byte) ([]moveRef, error) {
 			return nil, d.err
 		}
 		plan = append(plan, mv)
+	}
+	if d.err != nil {
+		return nil, d.err
 	}
 	return plan, nil
 }
@@ -318,11 +321,15 @@ func (r *raftMeta) seal(path string, hint topology.NodeID, length int64) (BlockI
 	if err != nil {
 		return 0, nil, err
 	}
+	return decodeSealed(payload)
+}
+
+func decodeSealed(payload []byte) (BlockID, []topology.NodeID, error) {
 	d := &mreader{buf: payload}
 	id := BlockID(d.u64())
-	n := int(d.u32())
+	n := d.count(8)
 	replicas := make([]topology.NodeID, 0, n)
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && d.err == nil; i++ {
 		replicas = append(replicas, topology.NodeID(int64(d.u64())))
 	}
 	if d.err != nil {
@@ -336,19 +343,26 @@ func (r *raftMeta) deleteFile(path string) ([]blockRef, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeFreed(payload)
+}
+
+func decodeFreed(payload []byte) ([]blockRef, error) {
 	d := &mreader{buf: payload}
-	n := int(d.u32())
+	n := d.count(12)
 	freed := make([]blockRef, 0, n)
 	for i := 0; i < n; i++ {
 		ref := blockRef{id: BlockID(d.u64())}
-		m := int(d.u32())
-		for j := 0; j < m; j++ {
+		m := d.count(8)
+		for j := 0; j < m && d.err == nil; j++ {
 			ref.replicas = append(ref.replicas, topology.NodeID(int64(d.u64())))
 		}
 		if d.err != nil {
 			return nil, d.err
 		}
 		freed = append(freed, ref)
+	}
+	if d.err != nil {
+		return nil, d.err
 	}
 	return freed, nil
 }

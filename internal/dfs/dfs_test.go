@@ -19,7 +19,7 @@ func newTestDFS(blockSize int64, repl int) *DFS {
 	})
 }
 
-func writeFile(t *testing.T, d *DFS, path string, data []byte) {
+func writeFile(t testing.TB, d *DFS, path string, data []byte) {
 	t.Helper()
 	w, err := d.Create(path)
 	if err != nil {

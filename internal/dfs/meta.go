@@ -479,30 +479,29 @@ func (st *nameState) restore(snap []byte) {
 		rs[i] = d.u64()
 	}
 	st.rand.SetState(rs)
-	n := int(d.u32())
-	st.alive = make([]bool, n)
-	for i := 0; i < n; i++ {
+	st.alive = make([]bool, d.count(1))
+	for i := range st.alive {
 		st.alive[i] = d.u8() == 1
 	}
 	st.files = map[string]*fileMeta{}
-	nf := int(d.u32())
+	nf := d.count(20) // path length, repl, size, block count
 	for i := 0; i < nf && d.err == nil; i++ {
 		f := &fileMeta{path: d.str()}
 		f.repl = int(d.u32())
 		f.size = int64(d.u64())
-		nb := int(d.u32())
-		for j := 0; j < nb; j++ {
+		nb := d.count(8)
+		for j := 0; j < nb && d.err == nil; j++ {
 			f.blocks = append(f.blocks, BlockID(d.u64()))
 		}
 		st.files[f.path] = f
 	}
 	st.blocks = map[BlockID]*blockMeta{}
-	nb := int(d.u32())
+	nb := d.count(20) // id, length, replica count
 	for i := 0; i < nb && d.err == nil; i++ {
 		bm := &blockMeta{id: BlockID(d.u64())}
 		bm.length = int64(d.u64())
-		nr := int(d.u32())
-		for j := 0; j < nr; j++ {
+		nr := d.count(8)
+		for j := 0; j < nr && d.err == nil; j++ {
 			bm.replicas = append(bm.replicas, topology.NodeID(d.u64()))
 		}
 		st.blocks[bm.id] = bm
@@ -555,6 +554,18 @@ func (d *mreader) u64() uint64 {
 	v := binary.BigEndian.Uint64(d.buf[d.off:])
 	d.off += 8
 	return v
+}
+
+// count reads an element count, failing (and returning 0) when the bytes
+// left cannot hold that many elements of at least size bytes each: a
+// corrupt count must never size an allocation.
+func (d *mreader) count(size int) int {
+	n := int(d.u32())
+	if d.err == nil && n > (len(d.buf)-d.off)/size {
+		d.fail()
+		return 0
+	}
+	return n
 }
 
 func (d *mreader) str() string {

@@ -72,16 +72,16 @@ func ETXNTransactions(p Params) *Table {
 			// leader vs followers across two waves, then heal + recover.
 			switch wave {
 			case 2, 8:
-				leader := sh.GroupLeader(0)
+				leader := sh.Group(0).Leader()
 				rest := make([]int, 0, 2)
 				for id := 0; id < 3; id++ {
 					if id != leader {
 						rest = append(rest, id)
 					}
 				}
-				sh.PartitionGroup(0, []int{leader}, rest)
+				sh.Group(0).Partition([]int{leader}, rest)
 			case 4, 10:
-				sh.HealGroup(0)
+				sh.Group(0).Heal()
 				_ = sh.Recover()
 			}
 		}},
@@ -107,15 +107,16 @@ func ETXNTransactions(p Params) *Table {
 			// still reaches them: CheckQuorum must depose it, and the
 			// history is judged after the links heal.
 			for g := 0; g < sh.Groups(); g++ {
+				grp := sh.Group(g)
 				switch wave {
 				case 2:
-					for m, lead := 0, sh.GroupLeader(g); m < sh.GroupMembers(g); m++ {
+					for m, lead := 0, grp.Leader(); m < grp.Members(); m++ {
 						if m != lead {
-							sh.CutGroupLink(g, m, lead)
+							grp.CutLink(m, lead)
 						}
 					}
 				case 6:
-					sh.HealGroup(g)
+					grp.Heal()
 				}
 			}
 			if wave == 6 {
@@ -180,7 +181,7 @@ func ETXNTransactions(p Params) *Table {
 		if sc.wantStepDown {
 			var n uint64
 			for g := 0; g < sh.Groups(); g++ {
-				n += sh.GroupStepDowns(g)
+				n += sh.Group(g).StepDowns()
 			}
 			t.AddObs(fmt.Sprintf("%s: %d CheckQuorum step-downs", sc.name, n))
 			fired = n > 0

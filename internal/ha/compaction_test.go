@@ -32,8 +32,8 @@ func blobGroup(reg *metrics.Registry) *Group {
 func stored(g *Group) (offs []uint64, snaps [][]byte) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for _, n := range g.nodes {
-		off, snap := n.Snapshot()
+	for id := range g.reps {
+		off, snap := g.net.Node(id).Snapshot()
 		offs = append(offs, off)
 		snaps = append(snaps, append([]byte(nil), snap...))
 	}
@@ -55,9 +55,9 @@ func TestCompactionStoresWhatTheMemberWouldBuild(t *testing.T) {
 	check := func() {
 		g.mu.Lock()
 		defer g.mu.Unlock()
-		for i, n := range g.nodes {
-			own[i][g.reps[i].applied] = g.reps[i].snapshot()
-			off, snap := n.Snapshot()
+		for i, rep := range g.reps {
+			own[i][rep.applied] = rep.snapshot()
+			off, snap := g.net.Node(i).Snapshot()
 			if want, ok := own[i][off]; ok && off != lastOff[i] {
 				if !bytes.Equal(snap, want) {
 					t.Fatalf("member %d at index %d stores a snapshot that is not its own state", i, off)
@@ -65,8 +65,8 @@ func TestCompactionStoresWhatTheMemberWouldBuild(t *testing.T) {
 				verified[i]++
 			}
 			lastOff[i] = off
-			for j, m := range g.nodes[:i] {
-				if o, s := m.Snapshot(); o == off && !bytes.Equal(s, snap) {
+			for j := 0; j < i; j++ {
+				if o, s := g.net.Node(j).Snapshot(); o == off && !bytes.Equal(s, snap) {
 					t.Fatalf("members %d and %d both compacted at %d with different payloads", j, i, off)
 				}
 			}
@@ -143,7 +143,7 @@ func TestCompactionSharedSnapshotIsNeverWritten(t *testing.T) {
 	settle(g, 20)
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	want := g.reps[g.leaderLocked()].snapshot()
+	want := g.reps[g.net.Leader()].snapshot()
 	for i, rep := range g.reps {
 		if !bytes.Equal(rep.snapshot(), want) {
 			t.Errorf("member %d diverged from the leader after revival from a shared snapshot", i)

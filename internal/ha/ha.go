@@ -69,10 +69,10 @@ type Config struct {
 	// MaxOpTicks bounds how many virtual ticks one Propose or Query may
 	// spend waiting out elections before giving up. Default 500.
 	MaxOpTicks int
-	// DisableHardening turns off the Raft liveness hardening (PreVote,
-	// CheckQuorum leader leases, randomized election backoff) that groups
-	// run with by default. Only the gray-failure experiments set this, to
-	// measure the undefended control.
+	// DisableHardening runs the group on consensus.NewCluster instead of
+	// NewHardenedCluster, turning off the Raft liveness hardening. Only
+	// the gray-failure experiments set this, to measure the undefended
+	// control.
 	DisableHardening bool
 	// Metrics, when non-nil, receives the group's counters: ha_proposals,
 	// ha_queries, ha_redirects, ha_failovers, the ha_failover_ticks
@@ -116,12 +116,10 @@ type Group struct {
 	mu  sync.Mutex
 	cfg Config
 
-	nodes   []*consensus.Node
-	reps    []*replica
-	crashed []bool
-	part    map[int]int     // nil = fully connected
-	cut     map[[2]int]bool // directed member-link cuts (gray faults)
-	mail    consensus.Mailbox
+	// net carries the members' messages: crashes, partitions and directed
+	// link cuts are its state. reps[id] is nil while member id is crashed.
+	net  *consensus.Cluster
+	reps []*replica
 
 	// The last compaction snapshot built and the applied index it is of.
 	snapAt uint64
@@ -163,27 +161,21 @@ func NewGroup(cfg Config) *Group {
 	if len(cfg.Machines) == 0 && cfg.Dynamic == nil {
 		panic("ha: Config.Machines or Config.Dynamic is required")
 	}
-	peers := make([]int, cfg.Members)
-	for i := range peers {
-		peers[i] = i
-	}
 	g := &Group{
 		cfg:          cfg,
-		nodes:        make([]*consensus.Node, cfg.Members),
 		reps:         make([]*replica, cfg.Members),
-		crashed:      make([]bool, cfg.Members),
 		lastCrashed:  -1,
 		failingSince: -1,
 	}
-	for i := 0; i < cfg.Members; i++ {
-		g.nodes[i] = consensus.NewNode(consensus.Config{
-			ID: i, Peers: peers, Seed: cfg.Seed,
-			// Gray-failure liveness hardening is on by default: every ha
-			// consumer (sharded KV, DFS namenode, coordinator journal)
-			// inherits PreVote + CheckQuorum + election backoff for free.
-			PreVote:     !cfg.DisableHardening,
-			CheckQuorum: !cfg.DisableHardening,
-		})
+	// Gray-failure liveness hardening is on by default: every ha consumer
+	// (sharded KV, DFS namenode, coordinator journal) inherits it for free.
+	if cfg.DisableHardening {
+		g.net = consensus.NewCluster(cfg.Members, cfg.Seed)
+	} else {
+		g.net = consensus.NewHardenedCluster(cfg.Members, cfg.Seed)
+	}
+	g.net.AfterRound = g.applyCommittedLocked
+	for i := range g.reps {
 		g.reps[i] = g.newReplica()
 	}
 	if reg := cfg.Metrics; reg != nil {
@@ -202,7 +194,7 @@ func NewGroup(cfg Config) *Group {
 			snapBytes:     reg.Counter("ha_snapshot_bytes"),
 		}
 	}
-	for t := 0; t < cfg.MaxOpTicks && g.leaderLocked() < 0; t++ {
+	for t := 0; t < cfg.MaxOpTicks && g.net.Leader() < 0; t++ {
 		g.tickLocked()
 	}
 	return g
@@ -231,13 +223,13 @@ func (g *Group) SetTracer(r *trace.Recorder) {
 }
 
 // Members returns the group size.
-func (g *Group) Members() int { return len(g.nodes) }
+func (g *Group) Members() int { return len(g.reps) }
 
 // Leader returns the current leader's member id, or -1.
 func (g *Group) Leader() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.leaderLocked()
+	return g.net.Leader()
 }
 
 // Ticks returns the virtual time the group has consumed.
@@ -247,87 +239,36 @@ func (g *Group) Ticks() int64 {
 	return g.ticks
 }
 
-func (g *Group) leaderLocked() int {
-	leader := -1
-	var topTerm uint64
-	for i, n := range g.nodes {
-		if g.crashed[i] {
-			continue
-		}
-		if n.State() == consensus.Leader && n.Term() >= topTerm {
-			topTerm = n.Term()
-			leader = i
-		}
-	}
-	return leader
-}
-
-func (g *Group) blocked(from, to int) bool {
-	if g.crashed[from] || g.crashed[to] {
-		return true
-	}
-	if g.cut != nil && g.cut[[2]int{from, to}] {
-		return true
-	}
-	if g.part == nil {
-		return false
-	}
-	return g.part[from] != g.part[to]
-}
-
-// tickLocked advances virtual time one unit on every live member, then
-// drains the network and updates failover accounting.
+// tickLocked advances virtual time one unit on every live member, lets
+// the network drain, and updates failover accounting.
 func (g *Group) tickLocked() {
 	g.ticks++
-	for i, n := range g.nodes {
-		if g.crashed[i] {
-			continue
-		}
-		g.mail.Out = n.Tick(g.mail.Out)
-	}
-	g.drainLocked()
-}
-
-// drainLocked delivers message rounds until quiet, applying newly
-// committed entries to the replicas after every round.
-func (g *Group) drainLocked() {
-	for batch := g.mail.Swap(); len(batch) > 0; batch = g.mail.Swap() {
-		for i := range batch {
-			if m := &batch[i]; !g.blocked(m.From, m.To) {
-				g.mail.Out = g.nodes[m.To].Step(m, g.mail.Out)
-			}
-		}
-		g.applyCommittedLocked()
-	}
+	g.net.Tick()
 	g.trackFailoverLocked()
 }
 
-// applyCommittedLocked feeds each live member's newly committed entries
-// (or an installed snapshot) into its replica, then compacts long logs.
-func (g *Group) applyCommittedLocked() {
-	for i, n := range g.nodes {
-		if g.crashed[i] {
+// applyCommittedLocked is the network's AfterRound: it feeds live member
+// id's newly committed entries (or an installed snapshot) into its
+// replica, then compacts a long log.
+func (g *Group) applyCommittedLocked(id int) {
+	n, rep := g.net.Node(id), g.reps[id]
+	if off, snap := n.Snapshot(); off > rep.applied {
+		// The log below off was compacted away and a snapshot installed:
+		// replace the replica state wholesale.
+		rep.restore(snap)
+		rep.applied = off
+		g.m.snapRestores.Inc()
+	}
+	for _, e := range n.CommittedEntries() {
+		if e.Index <= rep.applied {
 			continue
 		}
-		rep := g.reps[i]
-		if off, snap := n.Snapshot(); off > rep.applied {
-			// The log below off was compacted away and a snapshot
-			// installed: replace the replica state wholesale.
-			rep.restore(snap)
-			rep.applied = off
-			g.m.snapRestores.Inc()
-		}
-		for _, e := range n.CommittedEntries() {
-			if e.Index <= rep.applied {
-				continue
-			}
-			rep.apply(e.Data)
-			rep.applied = e.Index
-		}
-		if n.LogLen() > g.cfg.CompactEvery {
-			_ = n.Compact(rep.applied, g.snapshotLocked(rep))
-			g.m.compactions.Inc()
-		}
+		rep.apply(e.Data)
+		rep.applied = e.Index
+	}
+	if n.LogLen() > g.cfg.CompactEvery {
+		_ = n.Compact(rep.applied, g.snapshotLocked(rep))
+		g.m.compactions.Inc()
 	}
 }
 
@@ -349,15 +290,12 @@ func (g *Group) snapshotLocked(rep *replica) []byte {
 // rolls member CheckQuorum abdications into the ha_leader_stepdowns
 // counter.
 func (g *Group) trackFailoverLocked() {
-	var total uint64
-	for _, n := range g.nodes {
-		total += n.StepDowns()
-	}
+	total := g.net.StepDowns()
 	if d := total - g.seenStepDowns; d > 0 {
 		g.m.stepdowns.Add(int64(d))
 		g.seenStepDowns = total
 	}
-	l := g.leaderLocked()
+	l := g.net.Leader()
 	if l >= 0 {
 		if g.failingSince >= 0 {
 			ticks := g.ticks - g.failingSince
@@ -387,11 +325,8 @@ func (g *Group) trackFailoverLocked() {
 // live replica, returning its response. Commands are serialized under
 // the group mutex, so a replica whose lastSeq matches holds the answer.
 func (g *Group) responseLocked(seq uint64) ([]byte, bool) {
-	for i, rep := range g.reps {
-		if g.crashed[i] {
-			continue
-		}
-		if rep.lastSeq == seq {
+	for _, rep := range g.reps {
+		if rep != nil && rep.lastSeq == seq {
 			return rep.lastResp, true
 		}
 	}
@@ -451,14 +386,13 @@ func (g *Group) propose(machine string, payload []byte) ([]byte, error) {
 			g.m.proposals.Inc()
 			return resp, nil
 		}
-		if l := g.leaderLocked(); l >= 0 && (proposedTo != l || proposedTerm != g.nodes[l].Term()) {
-			var ok bool
-			if _, g.mail.Out, ok = g.nodes[l].Propose(cmd, g.mail.Out); ok {
+		if l := g.net.Leader(); l >= 0 {
+			if term := g.net.Node(l).Term(); (proposedTo != l || proposedTerm != term) && g.net.Propose(cmd) {
 				if proposedTo >= 0 && proposedTo != l {
 					g.m.redirects.Inc()
 				}
-				proposedTo, proposedTerm = l, g.nodes[l].Term()
-				g.drainLocked()
+				proposedTo, proposedTerm = l, term
+				g.trackFailoverLocked()
 				continue
 			}
 		}
@@ -475,7 +409,7 @@ func (g *Group) Query(machine string, fn func(StateMachine) error) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for t := 0; t < g.cfg.MaxOpTicks; t++ {
-		if l := g.leaderLocked(); l >= 0 {
+		if l := g.net.Leader(); l >= 0 {
 			sm, ok := g.reps[l].machines[machine]
 			if !ok {
 				if g.cfg.Dynamic == nil {
@@ -503,22 +437,17 @@ func (g *Group) CrashMember(id int) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if id < 0 {
-		if id = g.leaderLocked(); id < 0 {
-			for i := range g.nodes {
-				if !g.crashed[i] {
-					id = i
-					break
-				}
-			}
+		if id = g.net.Leader(); id < 0 {
+			id = slices.IndexFunc(g.reps, func(r *replica) bool { return r != nil })
 		}
 	}
-	if id < 0 || id >= len(g.nodes) {
+	if id < 0 || id >= len(g.reps) {
 		return fmt.Errorf("ha: unknown member %d", id)
 	}
-	if g.crashed[id] {
+	if g.reps[id] == nil {
 		return nil
 	}
-	g.crashed[id] = true
+	g.net.Crash(id)
 	g.lastCrashed = id
 	// Volatile state dies with the process; ReviveMember rebuilds it
 	// from the durable snapshot + log.
@@ -537,14 +466,14 @@ func (g *Group) ReviveMember(id int) error {
 	if id < 0 {
 		id = g.lastCrashed
 	}
-	if id < 0 || id >= len(g.nodes) {
+	if id < 0 || id >= len(g.reps) {
 		return fmt.Errorf("ha: unknown member %d", id)
 	}
-	if !g.crashed[id] {
+	if g.reps[id] != nil {
 		return nil
 	}
 	rep := g.newReplica()
-	n := g.nodes[id]
+	n := g.net.Node(id)
 	if off, snap := n.Snapshot(); off > 0 {
 		rep.restore(snap)
 		rep.applied = off
@@ -554,90 +483,36 @@ func (g *Group) ReviveMember(id int) error {
 		rep.applied = e.Index
 	}
 	g.reps[id] = rep
-	g.crashed[id] = false
+	g.net.Restart(id)
 	g.m.restarts.Inc()
 	return nil
 }
 
 // Partition splits the members into groups (members not listed are
-// isolated); Heal reconnects everyone. Test and chaos hooks.
+// isolated). It and the hooks below forward to the network under the
+// group lock, for tests, chaos and the gray-failure experiments;
+// out-of-range member ids are ignored.
 func (g *Group) Partition(groups ...[]int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.part = map[int]int{}
-	next := 0
-	for gi, grp := range groups {
-		for _, id := range grp {
-			g.part[id] = gi
-		}
-		next = gi + 1
-	}
-	for id := range g.nodes {
-		if _, ok := g.part[id]; !ok {
-			g.part[id] = next
-			next++
-		}
-	}
+	g.net.Partition(groups...)
 }
 
 // Heal removes all partitions and directed member-link cuts.
-func (g *Group) Heal() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.part = nil
-	g.cut = nil
-}
+func (g *Group) Heal() { g.mu.Lock(); defer g.mu.Unlock(); g.net.Heal() }
 
-// CutLink blocks consensus traffic in the from -> to direction only — the
-// gray-failure hook mirroring consensus.Cluster.CutLink. Out-of-range
-// member ids are ignored.
-func (g *Group) CutLink(from, to int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if from == to || from < 0 || to < 0 || from >= len(g.nodes) || to >= len(g.nodes) {
-		return
-	}
-	if g.cut == nil {
-		g.cut = map[[2]int]bool{}
-	}
-	g.cut[[2]int{from, to}] = true
-}
+// CutLink blocks consensus traffic in the from -> to direction only.
+func (g *Group) CutLink(from, to int) { g.mu.Lock(); defer g.mu.Unlock(); g.net.CutLink(from, to) }
 
 // HealLink removes a directed from -> to member-link cut.
-func (g *Group) HealLink(from, to int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	delete(g.cut, [2]int{from, to})
-	if len(g.cut) == 0 {
-		g.cut = nil
-	}
-}
+func (g *Group) HealLink(from, to int) { g.mu.Lock(); defer g.mu.Unlock(); g.net.HealLink(from, to) }
 
-// MaxTerm returns the highest consensus term across members — the
-// gray-failure livelock telltale (unbounded growth means a partially
-// isolated member keeps inflating terms).
-func (g *Group) MaxTerm() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	var top uint64
-	for _, n := range g.nodes {
-		if t := n.Term(); t > top {
-			top = t
-		}
-	}
-	return top
-}
+// MaxTerm returns the highest consensus term across live members — the
+// gray-failure livelock telltale.
+func (g *Group) MaxTerm() uint64 { g.mu.Lock(); defer g.mu.Unlock(); return g.net.MaxTerm() }
 
 // StepDowns sums CheckQuorum leader abdications across all members.
-func (g *Group) StepDowns() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	var total uint64
-	for _, n := range g.nodes {
-		total += n.StepDowns()
-	}
-	return total
-}
+func (g *Group) StepDowns() uint64 { g.mu.Lock(); defer g.mu.Unlock(); return g.net.StepDowns() }
 
 // apply decodes one committed envelope and applies it to the named
 // machine, deduplicating by sequence number: a command re-proposed
@@ -708,7 +583,7 @@ func (r *replica) restore(snap []byte) {
 	d := &decoder{buf: snap}
 	r.lastSeq = d.u64()
 	r.lastResp = d.bytes()
-	n := int(d.u32())
+	n := d.count(8) // a machine is at least two length prefixes
 	for i := 0; i < n && d.err == nil; i++ {
 		name := string(d.bytes())
 		smSnap := d.bytes()
@@ -772,6 +647,18 @@ func (d *decoder) u32() uint32 {
 	v := binary.BigEndian.Uint32(d.buf[d.off:])
 	d.off += 4
 	return v
+}
+
+// count reads an element count, failing (and returning 0) when the bytes
+// left cannot hold that many elements of at least size bytes each: a
+// corrupt count must never size an allocation.
+func (d *decoder) count(size int) int {
+	n := int(d.u32())
+	if d.err == nil && n > (len(d.buf)-d.off)/size {
+		d.fail()
+		return 0
+	}
+	return n
 }
 
 func (d *decoder) bytes() []byte {

@@ -37,7 +37,7 @@ func (j *JournalMachine) Snapshot() []byte {
 // Restore replaces the log from a snapshot.
 func (j *JournalMachine) Restore(snap []byte) {
 	d := &decoder{buf: snap}
-	n := int(d.u32())
+	n := d.count(4) // each record is at least its length prefix
 	recs := make([][]byte, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		b := d.bytes()

@@ -100,8 +100,8 @@ func TestJournalCompactionKeepsHistory(t *testing.T) {
 	// history must still be complete via the snapshot.
 	g.mu.Lock()
 	compacted := false
-	for i, n := range g.nodes {
-		if off, _ := n.Snapshot(); off > 0 && !g.crashed[i] {
+	for i, rep := range g.reps {
+		if off, _ := g.net.Node(i).Snapshot(); off > 0 && rep != nil {
 			compacted = true
 		}
 	}

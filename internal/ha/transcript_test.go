@@ -1,0 +1,107 @@
+package ha
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"testing"
+
+	"repro/internal/metrics"
+	"repro/internal/rng"
+)
+
+// groupTranscript drives a group through a seeded script of proposals to
+// two static machines and one dynamic machine minted mid-run, leader
+// crashes, revivals, partitions and one-way link cuts, and returns a
+// SHA-256 over everything the group's delivery order decides: every
+// response, the tick count, each member's term, known leader, applied
+// index and stored snapshot, and the ha_* counters.
+func groupTranscript(members int, vanilla bool, seed uint64) string {
+	reg := metrics.NewRegistry()
+	g := NewGroup(Config{
+		Members: members, Seed: seed, CompactEvery: 8, MaxOpTicks: 60,
+		DisableHardening: vanilla, Metrics: reg,
+		Machines: map[string]func() StateMachine{"a": newAddSM, "b": newAddSM},
+		Dynamic:  func(string) StateMachine { return &addSM{} },
+	})
+	r := rng.New(seed)
+	h := sha256.New()
+	u64 := func(v uint64) { h.Write(binary.BigEndian.AppendUint64(nil, v)) }
+	for step := 0; step < 300; step++ {
+		switch x := r.Intn(100); {
+		case x < 4:
+			g.CrashMember(-1)
+		case x < 10:
+			g.ReviveMember(r.Intn(members))
+		case x < 13:
+			split := 1 + r.Intn(members-1)
+			var lo, hi []int
+			for id := 0; id < members; id++ {
+				if id < split {
+					lo = append(lo, id)
+				} else {
+					hi = append(hi, id)
+				}
+			}
+			g.Partition(lo, hi)
+		case x < 17:
+			g.Heal()
+		case x < 23:
+			g.CutLink(r.Intn(members), r.Intn(members))
+		case x < 29:
+			g.HealLink(r.Intn(members), r.Intn(members))
+		}
+		name := []string{"a", "b"}[r.Intn(2)]
+		if step >= 150 && r.Intn(3) == 0 {
+			name = "range-9"
+		}
+		resp, err := g.Propose(name, encAdd(uint64(step)))
+		if err != nil {
+			h.Write([]byte(err.Error()))
+		}
+		u64(uint64(len(resp)))
+		h.Write(resp)
+	}
+	g.mu.Lock()
+	u64(uint64(g.ticks))
+	for id := 0; id < members; id++ {
+		n := g.net.Node(id)
+		u64(n.Term())
+		u64(uint64(int64(n.Leader())))
+		applied := ^uint64(0)
+		if g.reps[id] != nil {
+			applied = g.reps[id].applied
+		}
+		u64(applied)
+		off, snap := n.Snapshot()
+		u64(off)
+		u64(uint64(len(snap)))
+		h.Write(snap)
+	}
+	g.mu.Unlock()
+	reg.WritePrometheus(h)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGroupTranscriptMatchesParent pins ha.Group's own delivery order —
+// the same seed gives a byte-identical transcript — to the commit before
+// the group moved onto consensus.Cluster: the constants were recorded
+// there.
+func TestGroupTranscriptMatchesParent(t *testing.T) {
+	for _, tc := range []struct {
+		members int
+		vanilla bool
+		want    string
+	}{
+		{3, false, "1a679ceba3e7bd1139bd775fb980a3763c523c274d88ae919d76d00da6fdd83d"},
+		{3, true, "b9b75834f3029792f131e6819156f1e870c3ffbb831918b33e27ba6388868ddf"},
+		{5, false, "ce1cdb5bde3b466867ff46ef3637fc0d9b78670ff7f3b00f729c3b6bf6c4517f"},
+		{5, true, "f656a5db27805dd6194319e7529c899a3874ad2617fc03adc25ca395a14ffaad"},
+	} {
+		name := fmt.Sprintf("members=%d vanilla=%v", tc.members, tc.vanilla)
+		if got := groupTranscript(tc.members, tc.vanilla, 100+uint64(tc.members)); got != tc.want {
+			t.Errorf("%s: transcript = %s, want %s", name, got, tc.want)
+		}
+	}
+}

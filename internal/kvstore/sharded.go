@@ -404,35 +404,9 @@ func (s *Sharded) Recover() error {
 	return err
 }
 
-// PartitionGroup splits a Raft group's members into isolated sides.
-func (s *Sharded) PartitionGroup(group int, sides ...[]int) { s.groups[group].Partition(sides...) }
-
-// HealGroup removes a group's partition.
-func (s *Sharded) HealGroup(group int) { s.groups[group].Heal() }
-
-// CutGroupLink severs the directed from -> to link inside one group's
-// Raft cluster (gray one-way fault); the reverse direction stays up.
-// HealGroup restores it.
-func (s *Sharded) CutGroupLink(group, from, to int) { s.groups[group].CutLink(from, to) }
-
-// GroupStepDowns sums one group's CheckQuorum leader abdications.
-func (s *Sharded) GroupStepDowns(group int) uint64 { return s.groups[group].StepDowns() }
-
-// CrashGroupMember crashes one member of a group (-1 = current leader).
-func (s *Sharded) CrashGroupMember(group, id int) error {
-	return s.groups[group].CrashMember(id)
-}
-
-// ReviveGroupMember revives a crashed member (snapshot + log catch-up).
-func (s *Sharded) ReviveGroupMember(group, id int) error {
-	return s.groups[group].ReviveMember(id)
-}
-
-// GroupLeader returns a group's current leader member id, or -1.
-func (s *Sharded) GroupLeader(group int) int { return s.groups[group].Leader() }
-
-// GroupMembers returns one group's consensus cluster size.
-func (s *Sharded) GroupMembers(group int) int { return s.groups[group].Members() }
+// Group returns Raft group i: tests and the experiments crash,
+// partition and cut its members through it.
+func (s *Sharded) Group(i int) *ha.Group { return s.groups[i] }
 
 // Groups returns the number of Raft groups.
 func (s *Sharded) Groups() int { return s.cfg.Groups }

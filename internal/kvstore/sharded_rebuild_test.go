@@ -53,18 +53,18 @@ func TestShardedMemberRebuildFromSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	leader := s.GroupLeader(0)
+	leader := s.Group(0).Leader()
 	victim := (leader + 1) % 3
-	if err := s.CrashGroupMember(0, victim); err != nil {
+	if err := s.Group(0).CrashMember(victim); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ { // traffic the rebuilt member must catch up on
 		mustPut(t, s, fmt.Sprintf("c%02d", i), fmt.Sprintf("mid%d", i))
 	}
-	if err := s.ReviveGroupMember(0, victim); err != nil {
+	if err := s.Group(0).ReviveMember(victim); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CrashGroupMember(0, -1); err != nil { // failover off the old leader
+	if err := s.Group(0).CrashMember(-1); err != nil { // failover off the old leader
 		t.Fatal(err)
 	}
 

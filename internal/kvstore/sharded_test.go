@@ -220,8 +220,8 @@ func TestShardedGroupMemberCrashTolerated(t *testing.T) {
 	mustPut(t, s, "aa", "1")
 	mustPut(t, s, "zz", "2")
 	for g := 0; g < s.Groups(); g++ {
-		if err := s.CrashGroupMember(g, -1); err != nil {
-			t.Fatalf("CrashGroupMember(%d, leader): %v", g, err)
+		if err := s.Group(g).CrashMember(-1); err != nil {
+			t.Fatalf("Group(%d).CrashMember(leader): %v", g, err)
 		}
 	}
 	// One member down per group: quorum holds, ops keep flowing.
@@ -232,7 +232,7 @@ func TestShardedGroupMemberCrashTolerated(t *testing.T) {
 	}
 	for g := 0; g < s.Groups(); g++ {
 		for id := 0; id < 3; id++ {
-			s.ReviveGroupMember(g, id) //nolint:errcheck — only one is crashed
+			s.Group(g).ReviveMember(id) //nolint:errcheck — only one is crashed
 		}
 	}
 	mustPut(t, s, "ac", "5")

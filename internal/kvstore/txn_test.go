@@ -152,7 +152,7 @@ func TestTxnPartitionSpanningCommitPoint(t *testing.T) {
 	mustPut(t, s, "aa", "old")
 	mustPut(t, s, "zz", "old")
 
-	leader := s.GroupLeader(0)
+	leader := s.Group(0).Leader()
 	var rest []int
 	for id := 0; id < 3; id++ {
 		if id != leader {
@@ -165,7 +165,7 @@ func TestTxnPartitionSpanningCommitPoint(t *testing.T) {
 	// partition and let recovery race the resolution.
 	orphanTxn(t, s, "before-commit", []string{"aa", "zz"},
 		map[string][]byte{"aa": []byte("new"), "zz": []byte("new")})
-	s.PartitionGroup(0, []int{leader}, rest)
+	s.Group(0).Partition([]int{leader}, rest)
 
 	// With the old leader isolated, the rest elect a new one; recovery
 	// reads the replicated record (still pending: no commit ever made it)
@@ -177,7 +177,7 @@ func TestTxnPartitionSpanningCommitPoint(t *testing.T) {
 	if rec.Aborted != 1 {
 		t.Fatalf("recovery = %+v, want 1 aborted", rec)
 	}
-	s.HealGroup(0)
+	s.Group(0).Heal()
 	if v, _ := mustGet(t, s, "aa"); v != "old" {
 		t.Fatalf("aa = %q, want old", v)
 	}

@@ -293,15 +293,15 @@ func TestWatermarkSurvivesSnapshotRebuildAndSplit(t *testing.T) {
 		}
 	})
 
-	victim := (s.GroupLeader(0) + 1) % 3
-	if err := s.CrashGroupMember(0, victim); err != nil {
+	victim := (s.Group(0).Leader() + 1) % 3
+	if err := s.Group(0).CrashMember(victim); err != nil {
 		t.Fatal(err)
 	}
 	mustTxn(t, s, "k10", "k60", "while-down") // txn 41
-	if err := s.ReviveGroupMember(0, victim); err != nil {
+	if err := s.Group(0).ReviveMember(victim); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CrashGroupMember(0, -1); err != nil { // fail over, possibly onto the rebuilt member
+	if err := s.Group(0).CrashMember(-1); err != nil { // fail over, possibly onto the rebuilt member
 		t.Fatal(err)
 	}
 	for _, r := range s.Ranges() {

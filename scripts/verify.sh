@@ -48,7 +48,8 @@ echo "== shared log views (race, count=3) + allocation ceilings =="
 # hold them across truncation, compaction and a seeded fault schedule.
 # The ceilings pin what one proposal may allocate, layer by layer; they
 # run without -race, which changes allocation counts.
-go test -race -count=3 -run 'Survives|TestHandedOut|TestDrainedMailbox|TestAppliedSequences' ./internal/consensus/
+go test -race -count=3 -run 'Survives|TestHandedOut|TestDrainedMailbox|TestAppliedSequences|TestClusterIgnoresUnknownIDs' ./internal/consensus/
+go test -race -count=3 -run 'TestGroupTranscriptMatchesParent' ./internal/ha/
 go test -count=1 -run 'AllocCeiling' ./internal/ha ./internal/kvstore
 
 echo "== batches and the shuffle boundary: identity pins + allocation ceilings =="
@@ -74,9 +75,11 @@ echo "== stream lanes (race, count=5) =="
 # schedule-sensitive: one -race pass is not enough to trust them.
 go test -race -count=5 ./internal/stream/
 
-echo "== chaos flap determinism (count=50) =="
-# The transition log must follow the seed, never Go's map order.
+echo "== chaos flap + ha.Group transcript determinism (count=50) =="
+# The transition log and the group's delivery order must follow the seed,
+# never Go's map order.
 go test -count=50 -run 'TestFlapDeterminismAndUnflap' ./internal/chaos/
+go test -count=50 -run 'TestGroupTranscriptMatchesParent' ./internal/ha/
 
 sh scripts/coverage.sh
 

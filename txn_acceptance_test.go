@@ -92,16 +92,16 @@ func TestTxnAcceptanceGauntlet(t *testing.T) {
 					case wave == 3:
 						_ = s.Split("k02")
 					case wave == 11:
-						leader := s.GroupLeader(0)
+						leader := s.Group(0).Leader()
 						rest := make([]int, 0, 2)
 						for id := 0; id < 3; id++ {
 							if id != leader {
 								rest = append(rest, id)
 							}
 						}
-						s.PartitionGroup(0, []int{leader}, rest)
+						s.Group(0).Partition([]int{leader}, rest)
 					case wave == 14:
-						s.HealGroup(0)
+						s.Group(0).Heal()
 						_ = s.Recover()
 					case wave == 18:
 						_ = s.Merge("k02")
