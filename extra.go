@@ -17,25 +17,23 @@ func Distinct[T comparable](d *Dataset[T], codec Codec[T], parts int) *Dataset[T
 		parts = d.Partitions()
 	}
 	codec = codec.forShuffle()
+	hash := shuffle.KeyHash[T]()
 	emit := func(row core.Row, w shuffle.Writer) error {
-		seen := map[T]struct{}{}
-		var unique []T
+		seen := shuffle.NewKeyTable(hash)
 		for _, t := range row.([]T) {
-			if _, dup := seen[t]; !dup {
-				seen[t] = struct{}{}
-				unique = append(unique, t)
-			}
+			seen.ID(t)
 		}
+		unique := seen.Keys()
 		return writeByKey(w, len(unique),
 			func(dst []byte, i int) []byte { return codec.Append(dst, unique[i]) },
 			func(dst []byte, _ int) []byte { return dst })
 	}
 	return shuffleOf(d.ctx, d.plan, core.ShuffleDep{Partitions: parts}, emit, func(recs shuffle.Records) []T {
-		g := newKeyGroups()
+		var seen shuffle.ByteKeyTable
 		var out []T
 		arena := serde.NewArena(recs.Bytes())
 		for r := 0; r < recs.Len(); r++ {
-			if _, first := g.group(recs.Key(r)); first {
+			if _, added := seen.ID(recs.Key(r)); added {
 				out = append(out, codec.decodeIn(arena, recs.Key(r)))
 			}
 		}

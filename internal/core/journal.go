@@ -188,12 +188,12 @@ func (e *Engine) journalStage(p *Plan, st *shuffleState, tc trace.TraceContext) 
 		owners[i] = strconv.Itoa(int(o))
 	}
 	st.mu.Unlock()
-	rec := fmt.Sprintf("stage %d %d %s", e.fingerprintOf(p.id), p.id, strings.Join(owners, ","))
+	rec := journalRecord{kind: "stage", fp: e.fingerprintOf(p.id), planID: p.id, owners: strings.Join(owners, ",")}
 	var err error
 	if cj, ok := j.(CtxJournal); ok && tc.Valid() {
-		err = cj.AppendCtx([]byte(rec), tc)
+		err = cj.AppendCtx(rec.encode(), tc)
 	} else {
-		err = j.Append([]byte(rec))
+		err = j.Append(rec.encode())
 	}
 	if err != nil {
 		e.Reg.Counter("journal_append_failures").Inc()
@@ -209,10 +209,51 @@ func (e *Engine) journalCheckpoint(p *Plan) {
 	plans := map[int]*Plan{}
 	fps := map[int]uint64{}
 	collectPlans(p, plans, fps)
-	rec := fmt.Sprintf("ckpt %d %d", fps[p.id], p.id)
-	if err := j.Append([]byte(rec)); err != nil {
+	rec := journalRecord{kind: "ckpt", fp: fps[p.id], planID: p.id}
+	if err := j.Append(rec.encode()); err != nil {
 		e.Reg.Counter("journal_append_failures").Inc()
 	}
+}
+
+// journalRecord is one coordinator journal record: a completed stage, with
+// the owner node of each map partition, or a completed checkpoint. Both
+// name the plan by id and by the fingerprint of the job shape around it.
+type journalRecord struct {
+	kind   string // "stage" or "ckpt"
+	fp     uint64
+	planID int
+	owners string // stage only: comma-separated node ids, one per map partition
+}
+
+// encode is the record's journal form: "stage <fp> <plan> <owners>" or
+// "ckpt <fp> <plan>".
+func (r journalRecord) encode() []byte {
+	if r.kind == "stage" {
+		return fmt.Appendf(nil, "stage %d %d %s", r.fp, r.planID, r.owners)
+	}
+	return fmt.Appendf(nil, "ckpt %d %d", r.fp, r.planID)
+}
+
+// parseJournalRecord reads a replayed record, or reports false for one
+// recovery has no use for: too few fields, numbers that do not parse, a
+// stage without exactly one owner list, or a kind it does not know.
+func parseJournalRecord(raw []byte) (journalRecord, bool) {
+	fields := strings.Fields(string(raw))
+	if len(fields) < 3 {
+		return journalRecord{}, false
+	}
+	fp, err1 := strconv.ParseUint(fields[1], 10, 64)
+	planID, err2 := strconv.Atoi(fields[2])
+	rec := journalRecord{kind: fields[0], fp: fp, planID: planID}
+	switch {
+	case err1 != nil || err2 != nil:
+		return journalRecord{}, false
+	case rec.kind == "stage" && len(fields) == 4:
+		rec.owners = fields[3]
+	case rec.kind != "ckpt":
+		return journalRecord{}, false
+	}
+	return rec, true
 }
 
 // recoverCoordinator is the restarted driver coming back up: if a crash
@@ -248,30 +289,26 @@ func (e *Engine) recoverCoordinator(p *Plan) {
 	resumed := map[int]bool{}
 	restarted := map[int]bool{}
 	ckpts := map[int]bool{}
-	for _, rec := range recs {
-		fields := strings.Fields(string(rec))
-		if len(fields) < 3 {
+	for _, raw := range recs {
+		rec, ok := parseJournalRecord(raw)
+		if !ok {
 			continue
 		}
-		fp, err1 := strconv.ParseUint(fields[1], 10, 64)
-		planID, err2 := strconv.Atoi(fields[2])
-		if err1 != nil || err2 != nil {
-			continue
-		}
+		planID := rec.planID
 		pl := plans[planID]
-		if pl == nil || fps[planID] != fp {
+		if pl == nil || fps[planID] != rec.fp {
 			continue // a different job's record; not ours to resume
 		}
-		switch fields[0] {
+		switch rec.kind {
 		case "ckpt":
 			if pl.checkpoint != nil {
 				ckpts[planID] = true
 			}
 		case "stage":
-			if len(fields) != 4 || pl.kind != kindShuffled {
+			if pl.kind != kindShuffled {
 				continue
 			}
-			st, ok := e.rebuildStage(pl, fields[3])
+			st, ok := e.rebuildStage(pl, rec.owners)
 			if ok {
 				e.mu.Lock()
 				e.shuffles[planID] = st

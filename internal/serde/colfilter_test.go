@@ -185,11 +185,15 @@ func TestFilterCorruptColumns(t *testing.T) {
 
 // allocated returns the heap bytes f allocates.
 func allocated(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	least := uint64(math.MaxUint64)
+	for range 3 { // the least of three: TotalAlloc also counts other goroutines
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
 
 // Six-byte columns whose header claims 2^28 rows: the decoders must turn

@@ -1,0 +1,194 @@
+package shuffle
+
+import (
+	"fmt"
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/rng"
+)
+
+// keyStream is a seeded stream over n distinct byte keys (the empty key
+// among them): each arrives once, then they come back shuffled, with runs
+// of the same key that take the last-key shortcut.
+func keyStream(gen *rng.RNG, n int) []string {
+	distinct := map[string]bool{"": true}
+	keys := []string{""}
+	for len(keys) < n {
+		k := make([]byte, gen.Intn(13))
+		for i := range k {
+			k[i] = byte(gen.Intn(4)) // a small alphabet: keys share prefixes
+		}
+		if !distinct[string(k)] {
+			distinct[string(k)] = true
+			keys = append(keys, string(k))
+		}
+	}
+	out := slices.Clone(keys)
+	for i := 0; i < 2*n; i++ {
+		k := keys[gen.Intn(n)]
+		for r := gen.Intn(3); r >= 0; r-- {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// checkAgainstMap runs stream through id and through a Go map: both must
+// number every key alike, and say alike whether it is new.
+func checkAgainstMap[K comparable](t testing.TB, name string, stream []K, id func(K) (int32, bool), keys func() []K) {
+	t.Helper()
+	want := map[K]int32{}
+	var order []K
+	for j, k := range stream {
+		w, seen := want[k]
+		if !seen {
+			w = int32(len(want))
+			want[k] = w
+			order = append(order, k)
+		}
+		if got, added := id(k); got != w || added == seen {
+			t.Fatalf("%s: key %d (%v) got id %d added %t, want %d added %t", name, j, k, got, added, w, !seen)
+		}
+	}
+	if !slices.Equal(keys(), order) {
+		t.Fatalf("%s: keys differ from the order of first arrival", name)
+	}
+}
+
+// TestKeyTableMatchesMap: both faces of the table number keys exactly as a
+// Go map does, whatever the seed: every table here draws its own, a
+// constant hash puts every key in one probe chain, and a nil hash takes
+// the map fallback. Ids never depend on the hash.
+func TestKeyTableMatchesMap(t *testing.T) {
+	gen := rng.New(1)
+	for _, n := range []int{1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 1023, 1024, 1025} { // growth boundaries
+		strs := keyStream(gen, n)
+		var b ByteKeyTable
+		checkAgainstMap(t, fmt.Sprintf("bytes, %d keys", n), strs, func(k string) (int32, bool) { return b.ID([]byte(k)) }, func() []string {
+			var out []string
+			for _, k := range b.Keys() {
+				out = append(out, string(k))
+			}
+			return out
+		})
+		for id, k := range b.Keys() {
+			if got, ok := b.Find(k); !ok || got != int32(id) {
+				t.Fatalf("Find(%q) = %d, %t; want %d", k, got, ok, id)
+			}
+		}
+		if _, ok := b.Find([]byte("absent: longer than any key")); ok {
+			t.Fatal("Find reports a key that was never added")
+		}
+		for name, hash := range map[string]func(string) uint64{
+			"seeded":    KeyHash[string](),
+			"one chain": func(string) uint64 { return 0 },
+			"top slots": func(s string) uint64 { return ^uint64(len(s) % 3) }, // chains that wrap past the last slot
+			"map":       nil,
+		} {
+			tab := NewKeyTable(hash)
+			checkAgainstMap(t, fmt.Sprintf("%s, %d keys", name, n), strs, tab.ID, tab.Keys)
+		}
+	}
+	gen = rng.New(2)
+	ints := make([]int64, 20000)
+	for i := range ints {
+		ints[i] = gen.Int63n(3000) - 1500
+	}
+	tab := NewKeyTable(KeyHash[int64]())
+	checkAgainstMap(t, "int64", ints, tab.ID, tab.Keys)
+	bytes8 := []uint8{0, 255, 1, 0, 7, 255, 128}
+	tab8 := NewKeyTable(KeyHash[uint8]())
+	checkAgainstMap(t, "uint8", bytes8, tab8.ID, tab8.Keys)
+}
+
+// TestKeyTableHitDoesNotAllocate: looking up a key already in the table
+// allocates nothing, on either face.
+func TestKeyTableHitDoesNotAllocate(t *testing.T) {
+	var b ByteKeyTable
+	strs := NewKeyTable(KeyHash[string]())
+	ints := NewKeyTable(KeyHash[int64]())
+	keys, names := make([][]byte, 1000), make([]string, 1000)
+	for i := range keys {
+		names[i] = fmt.Sprintf("key-%d", i)
+		keys[i] = []byte(names[i])
+		b.ID(keys[i])
+		strs.ID(names[i])
+		ints.ID(int64(i))
+	}
+	for name, lookup := range map[string]func(i int){
+		"ByteKeyTable.ID":   func(i int) { b.ID(keys[i]) },
+		"ByteKeyTable.Find": func(i int) { b.Find(keys[i]) },
+		"KeyTable[string]":  func(i int) { strs.ID(names[i]) },
+		"KeyTable[int64]":   func(i int) { ints.ID(int64(i)) },
+	} {
+		i := 0
+		if n := testing.AllocsPerRun(100, func() { lookup(i * 7 % len(keys)); i++ }); n != 0 {
+			t.Errorf("%s: %v allocations on a hit, want 0", name, n)
+		}
+	}
+}
+
+// FuzzKeyTable: keys cut from the fuzz bytes number alike through both
+// faces and a Go map.
+func FuzzKeyTable(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x03abc\x03abc\x00\x00\x01a\x03abc"))
+	f.Add([]byte("\x02ab\x02ab\x02ac\x01a\x01a\x02ab\x04abcd"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var stream []string
+		for len(data) > 0 {
+			n := min(int(data[0]%12), len(data)-1)
+			stream = append(stream, string(data[1:1+n]))
+			data = data[1+n:]
+		}
+		var b ByteKeyTable
+		checkAgainstMap(t, "bytes", stream, func(k string) (int32, bool) { return b.ID([]byte(k)) }, func() []string {
+			var out []string
+			for _, k := range b.Keys() {
+				out = append(out, string(k))
+			}
+			return out
+		})
+		tab := NewKeyTable(func(s string) uint64 { return uint64(len(s)) << 60 }) // long shared chains
+		checkAgainstMap(t, "strings", stream, tab.ID, tab.Keys)
+	})
+}
+
+// FuzzKeyOrder: distinct keys cut from the fuzz bytes — one starting at
+// every offset, its length taken from the byte before it, so most are
+// short enough for the radix path — come out in sort.Strings' order.
+func FuzzKeyOrder(f *testing.F) {
+	f.Add([]byte("a"))
+	f.Add([]byte("\x08abcdefgh\x09abcdefghi\x00\x01a\x02a\x00"))
+	seed := make([]byte, 200)
+	for i := range seed {
+		seed[i] = byte(i * 37)
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		seen := map[string]bool{}
+		var keys [][]byte
+		var strs []string
+		for i, b := range data {
+			k := data[i+1 : min(i+1+int(b%10), len(data))]
+			if !seen[string(k)] {
+				seen[string(k)] = true
+				keys, strs = append(keys, k), append(strs, string(k))
+			}
+		}
+		want := slices.Clone(strs)
+		sort.Strings(want)
+		for j, i := range KeyOrder(keys) {
+			if string(keys[i]) != want[j] {
+				t.Fatalf("[]byte keys: position %d holds %q, want %q", j, keys[i], want[j])
+			}
+		}
+		for j, i := range KeyOrder(strs) {
+			if strs[i] != want[j] {
+				t.Fatalf("string keys: position %d holds %q, want %q", j, strs[i], want[j])
+			}
+		}
+	})
+}

@@ -332,9 +332,15 @@ func keyPrefix[K ~string | ~[]byte](key K) uint64 {
 }
 
 // KeyOrder returns 0..len(keys)-1 arranged so that the keys ascend
-// bytewise, the order sort.Strings gives their string forms. Like the sort
-// writer it compares cached 8-byte prefixes and reads a key only on a tie.
+// bytewise, the order sort.Strings gives their string forms. Short keys
+// are radix sorted; otherwise, like the sort writer, it compares cached
+// 8-byte prefixes and reads a key only on a tie.
 func KeyOrder[K ~string | ~[]byte](keys []K) []int32 {
+	if len(keys) >= radixMin {
+		if order, ok := radixOrder(keys); ok {
+			return order
+		}
+	}
 	prefix, order := make([]uint64, len(keys)), make([]int32, len(keys))
 	for i, key := range keys {
 		prefix[i], order[i] = keyPrefix(key), int32(i)
@@ -352,6 +358,59 @@ func KeyOrder[K ~string | ~[]byte](keys []K) []int32 {
 		return 0
 	})
 	return order
+}
+
+// radixMin is the fewest keys KeyOrder radix sorts: below it, clearing the
+// digit counts costs more than comparing.
+const radixMin = 64
+
+// radixOrder is KeyOrder for keys of at most 8 bytes, or false if a key is
+// longer. Such a key orders as its zero-padded 8 bytes, then its length
+// ("a" before "a\x00"), so a stable LSD sort by length and then by byte 7
+// down to byte 0 orders them, skipping every digit all keys share.
+func radixOrder[K ~string | ~[]byte](keys []K) ([]int32, bool) {
+	var counts [9][256]int32 // by digit, as digit numbers them
+	for _, key := range keys {
+		if len(key) > 8 {
+			return nil, false
+		}
+		for d := range counts {
+			counts[d][digit(key, d)]++
+		}
+	}
+	order, spare := make([]int32, len(keys)), make([]int32, len(keys))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	for d := 8; d >= 0; d-- {
+		c := &counts[d]
+		if slices.Contains(c[:], int32(len(keys))) {
+			continue
+		}
+		var at int32
+		for v, n := range c {
+			c[v], at = at, at+n
+		}
+		for _, i := range order {
+			v := digit(keys[i], d)
+			spare[c[v]] = i
+			c[v]++
+		}
+		order, spare = spare, order
+	}
+	return order, true
+}
+
+// digit d of a key of at most 8 bytes: byte d, 0 past the key's end, and
+// the key's length for d == 8.
+func digit[K ~string | ~[]byte](key K, d int) byte {
+	switch {
+	case d == 8:
+		return byte(len(key))
+	case d < len(key):
+		return key[d]
+	}
+	return 0
 }
 
 // WriteRecords writes n records to w in index order. key and value append

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -469,34 +471,56 @@ func TestWriteRecordsReservesThenWrites(t *testing.T) {
 	}
 }
 
-// TestKeyOrder: the order is sort.Strings' for both key forms, and neither
-// form pays a copy per comparison (two allocations: prefixes and order).
+// TestKeyOrder: the order is sort.Strings' for both key forms, on the
+// comparison path (keys past 8 bytes) and the radix path (short keys, the
+// trailing-zero ties included), and each path allocates at most twice:
+// prefixes and order, or order and its spare.
 func TestKeyOrder(t *testing.T) {
-	var keys [][]byte
+	var long []string
 	for _, r := range identityInput(9) {
-		keys = append(keys, r.k)
+		long = append(long, string(r.k))
 	}
-	strs := make([]string, len(keys))
-	for i, k := range keys {
-		strs[i] = string(k)
+	short := []string{""}
+	for n := 0; n < 8; n++ {
+		short = append(short, "a"+strings.Repeat("\x00", n))
 	}
-	want := append([]string(nil), strs...)
-	sort.Strings(want)
-	for j, i := range KeyOrder(keys) {
-		if string(keys[i]) != want[j] {
-			t.Fatalf("[]byte keys: position %d holds %q, want %q", j, keys[i], want[j])
+	for _, n := range []int{1, 2, 3} {
+		for i := 0; i < 1<<(2*n); i++ {
+			var k []byte
+			for j := 0; j < n; j++ {
+				k = append(k, "abcd"[i>>(2*j)&3])
+			}
+			if string(k) != "a" {
+				short = append(short, string(k))
+			}
 		}
 	}
-	for j, i := range KeyOrder(strs) {
-		if strs[i] != want[j] {
-			t.Fatalf("string keys: position %d holds %q, want %q", j, strs[i], want[j])
+	if len(short) < radixMin {
+		t.Fatalf("%d short keys: below the radix cutoff", len(short))
+	}
+	for name, strs := range map[string][]string{"long": long, "short": short} {
+		keys := make([][]byte, len(strs))
+		for i, s := range strs {
+			keys[i] = []byte(s)
 		}
-	}
-	if n := testing.AllocsPerRun(5, func() { KeyOrder(keys) }); n > 2 {
-		t.Errorf("KeyOrder over []byte keys: %v allocations, want 2", n)
-	}
-	if n := testing.AllocsPerRun(5, func() { KeyOrder(strs) }); n > 2 {
-		t.Errorf("KeyOrder over string keys: %v allocations, want 2", n)
+		want := slices.Clone(strs)
+		sort.Strings(want)
+		for j, i := range KeyOrder(keys) {
+			if string(keys[i]) != want[j] {
+				t.Fatalf("%s []byte keys: position %d holds %q, want %q", name, j, keys[i], want[j])
+			}
+		}
+		for j, i := range KeyOrder(strs) {
+			if strs[i] != want[j] {
+				t.Fatalf("%s string keys: position %d holds %q, want %q", name, j, strs[i], want[j])
+			}
+		}
+		if n := testing.AllocsPerRun(5, func() { KeyOrder(keys) }); n > 2 {
+			t.Errorf("KeyOrder over %s []byte keys: %v allocations, want 2", name, n)
+		}
+		if n := testing.AllocsPerRun(5, func() { KeyOrder(strs) }); n > 2 {
+			t.Errorf("KeyOrder over %s string keys: %v allocations, want 2", name, n)
+		}
 	}
 }
 

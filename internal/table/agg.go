@@ -170,21 +170,21 @@ var negZero = math.Copysign(0, -1)
 // slots: one hash lookup per input and no allocation unless the group is
 // new. Groups are numbered in order of first appearance.
 type aggTable struct {
-	plans    []aggPlan
-	keyIndex           // composite key -> group number
-	slots    []aggSlot // group g owns slots[g*len(plans):][:len(plans)]
+	plans []aggPlan
+	index shuffle.ByteKeyTable // composite key -> group number
+	slots []aggSlot            // group g owns slots[g*len(plans):][:len(plans)]
 }
 
 // group returns the slots of key's group, adding the group if it is new.
 func (t *aggTable) group(key []byte) []aggSlot {
 	n := len(t.plans)
-	g := t.id(key)
-	if g*n == len(t.slots) {
+	g, added := t.index.ID(key)
+	if added {
 		for range t.plans {
 			t.slots = append(t.slots, aggSlot{f: negZero})
 		}
 	}
-	return t.slots[g*n : (g+1)*n]
+	return t.slots[int(g)*n:][:n]
 }
 
 // fold folds row i of b into dst: the state of the single-row group {i},
@@ -346,20 +346,19 @@ func readScalar(b []byte, typ Type, s *aggSlot) (rest []byte, err error) {
 // — in ascending key order, which is the order a map-side combiner flushes
 // its groups in.
 func (t *aggTable) emit(w shuffle.Writer) error {
-	order, n := shuffle.KeyOrder(t.keys), len(t.plans)
+	keys, n := t.index.Keys(), len(t.plans)
+	order := shuffle.KeyOrder(keys)
 	return shuffle.WriteRecords(w, len(order),
-		func(dst []byte, i int) []byte { return append(dst, t.keys[order[i]]...) },
+		func(dst []byte, i int) []byte { return append(dst, keys[order[i]]...) },
 		func(dst []byte, i int) []byte { return appendState(dst, t.plans, t.slots[int(order[i])*n:][:n]) })
 }
 
 // batch renders one output row per group, in order of first appearance:
 // the key columns decoded from the composite key, then each spec's value.
 func (t *aggTable) batch(out Schema, nKeys int) *Batch {
-	n := len(t.plans)
-	b := newBatch(out, len(t.keys))
-	var key []byte
-	for g := range t.keys {
-		key = append(key[:0], t.keys[g]...)
+	n, keys := len(t.plans), t.index.Keys()
+	b := newBatch(out, len(keys))
+	for g, key := range keys {
 		if err := decodeCompositeKey(b.Cols[:nKeys], out, key); err != nil {
 			panic(fmt.Sprintf("table: group key decode: %v", err))
 		}
@@ -367,7 +366,7 @@ func (t *aggTable) batch(out Schema, nKeys int) *Batch {
 			t.plans[i].render(&b.Cols[nKeys+i], &t.slots[g*n+i])
 		}
 	}
-	b.n = len(t.keys)
+	b.n = len(keys)
 	return b
 }
 

@@ -247,32 +247,3 @@ func appendEqualityKey(dst []byte, typ Type, v *Vector, i int) []byte {
 		return append(dst, v.Strings[i]...)
 	}
 }
-
-// keyIndex numbers distinct byte keys in order of first appearance; the key
-// strings are interned in one arena. A key equal to the one before it (clustered input, such as a
-// join's output grouped on the join key) skips the hash lookup.
-type keyIndex struct {
-	ids   map[string]int
-	keys  []string // number -> key
-	arena serde.Arena
-	last  int
-}
-
-// id returns key's number, giving it the next one if the key is new.
-func (x *keyIndex) id(key []byte) int {
-	if x.last < len(x.keys) && x.keys[x.last] == string(key) {
-		return x.last
-	}
-	id, ok := x.ids[string(key)] // no allocation: the conversion is only a lookup
-	if !ok {
-		if x.ids == nil {
-			x.ids = map[string]int{}
-		}
-		id = len(x.keys)
-		k := x.arena.String(key)
-		x.ids[k] = id
-		x.keys = append(x.keys, k)
-	}
-	x.last = id
-	return id
-}

@@ -38,11 +38,11 @@ func (t *Table) BroadcastJoin(right *Table, leftCol, rightCol string) (*Table, e
 		build.rows.n += b.n
 		for i := 0; i < b.n; i++ {
 			scratch = appendEqualityKey(scratch[:0], keyType, &b.Cols[ri], i)
-			g := build.index.id(scratch)
-			if g == len(build.lists.head) {
+			g, added := build.index.ID(scratch)
+			if added {
 				build.lists.grow()
 			}
-			build.lists.add(g)
+			build.lists.add(int(g))
 			scratch = b.appendRow(scratch[:0], right.schema, i)
 			size += int64(len(scratch))
 		}
@@ -55,7 +55,7 @@ func (t *Table) BroadcastJoin(right *Table, leftCol, rightCol string) (*Table, e
 		var key []byte
 		for i := 0; i < b.n; i++ {
 			key = appendEqualityKey(key[:0], keyType, &b.Cols[li], i)
-			if g, ok := build.index.ids[string(key)]; ok {
+			if g, ok := build.index.Find(key); ok {
 				for r := build.lists.head[g]; r >= 0; r = build.lists.next[r] {
 					lidx, ridx = append(lidx, int32(i)), append(ridx, r)
 				}
@@ -69,7 +69,7 @@ func (t *Table) BroadcastJoin(right *Table, leftCol, rightCol string) (*Table, e
 // number of each join key, and each group's rows.
 type buildSide struct {
 	rows  *Batch
-	index keyIndex
+	index shuffle.ByteKeyTable
 	lists chains
 }
 

@@ -399,10 +399,10 @@ func (t *Table) HashJoin(right *Table, leftCol, rightCol string, parts int) (*Ta
 			}
 			lefts, rights := newBatch(leftSchema, nl), newBatch(rightSchema, recs.Len()-nl)
 			var lrows, rrows chains
-			var index keyIndex
+			var index shuffle.ByteKeyTable
 			for r := 0; r < recs.Len(); r++ {
-				g := index.id(recs.Key(r))
-				if g == len(lrows.head) {
+				g, added := index.ID(recs.Key(r))
+				if added {
 					lrows.grow()
 					rrows.grow()
 				}
@@ -411,17 +411,17 @@ func (t *Table) HashJoin(right *Table, leftCol, rightCol string, parts int) (*Ta
 				if value[0] == 'L' {
 					side, schema, rows = lefts, leftSchema, &lrows
 				}
-				rows.add(g)
+				rows.add(int(g))
 				if err := side.decodeRow(schema, value[1:]); err != nil {
 					panic(fmt.Sprintf("table: join decode: %v", err))
 				}
 			}
 			total := 0
-			for g := range index.keys {
+			for g := range index.Keys() {
 				total += lrows.size(g) * rrows.size(g)
 			}
 			lidx, ridx := make([]int32, 0, total), make([]int32, 0, total)
-			for g := range index.keys {
+			for g := range index.Keys() {
 				for l := lrows.head[g]; l >= 0; l = lrows.next[l] {
 					for r := rrows.head[g]; r >= 0; r = rrows.next[r] {
 						lidx, ridx = append(lidx, l), append(ridx, r)

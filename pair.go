@@ -1,6 +1,8 @@
 package hpbdc
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/serde"
 	"repro/internal/shuffle"
@@ -85,30 +87,6 @@ func writeByKey(w shuffle.Writer, n int, key, value func(dst []byte, i int) []by
 		func(dst []byte, j int) []byte { return value(dst, int(order[j])) })
 }
 
-// keyGroups numbers the distinct keys of a reduce partition in order of
-// first arrival; a key's identity is its encoded bytes.
-type keyGroups struct {
-	index map[string]int32
-	keys  [][]byte
-}
-
-func newKeyGroups() *keyGroups { return &keyGroups{index: map[string]int32{}} }
-
-// group returns key's group number and whether this is its first record.
-func (g *keyGroups) group(key []byte) (int32, bool) {
-	i, ok := g.index[string(key)] // no allocation: the conversion is only a lookup
-	if !ok {
-		i = int32(len(g.keys))
-		g.index[string(key)] = i
-		g.keys = append(g.keys, key)
-	}
-	return i, !ok
-}
-
-// ascending returns the group numbers in ascending key order, which keeps
-// reduce output deterministic.
-func (g *keyGroups) ascending() []int32 { return shuffle.KeyOrder(g.keys) }
-
 // ReduceByKey shuffles pairs into `parts` partitions and merges values
 // with equal keys using `merge` (associative and commutative). Each map
 // task folds its partition in K/V space first and encodes one record per
@@ -118,36 +96,38 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Co
 		parts = d.Partitions()
 	}
 	kc, vc = kc.forShuffle(), vc.forShuffle()
+	hash := shuffle.KeyHash[K]()
 	emit := func(row core.Row, w shuffle.Writer) error {
-		index := map[K]int32{}
-		var slots []Pair[K, V] // one per distinct key, values merged in arrival order
+		index := shuffle.NewKeyTable(hash)
+		var vals []V // one per distinct key, merged in arrival order
 		for _, p := range row.([]Pair[K, V]) {
-			if i, ok := index[p.Key]; ok {
-				slots[i].Value = merge(slots[i].Value, p.Value)
+			if i, added := index.ID(p.Key); added { // vals grows as the keys do
+				vals = append(slices.Grow(vals, cap(index.Keys())-len(vals)), p.Value)
 			} else {
-				index[p.Key] = int32(len(slots))
-				slots = append(slots, p)
+				vals[i] = merge(vals[i], p.Value)
 			}
 		}
-		return writeByKey(w, len(slots),
-			func(dst []byte, i int) []byte { return kc.Append(dst, slots[i].Key) },
-			func(dst []byte, i int) []byte { return vc.Append(dst, slots[i].Value) })
+		keys := index.Keys()
+		return writeByKey(w, len(vals),
+			func(dst []byte, i int) []byte { return kc.Append(dst, keys[i]) },
+			func(dst []byte, i int) []byte { return vc.Append(dst, vals[i]) })
 	}
 	return shuffleOf(d.ctx, d.plan, core.ShuffleDep{Partitions: parts}, emit, func(recs shuffle.Records) []Pair[K, V] {
-		g := newKeyGroups()
+		var index shuffle.ByteKeyTable
 		var vals []V
 		arena := serde.NewArena(0)        // what survives the merge is not known ahead
 		for r := 0; r < recs.Len(); r++ { // arrival order: float sums depend on it
 			v := vc.decodeIn(arena, recs.Value(r))
-			if i, first := g.group(recs.Key(r)); first {
+			if i, added := index.ID(recs.Key(r)); added {
 				vals = append(vals, v)
 			} else {
 				vals[i] = merge(vals[i], v)
 			}
 		}
 		out := make([]Pair[K, V], 0, len(vals))
-		for _, i := range g.ascending() {
-			out = append(out, Pair[K, V]{Key: kc.decodeIn(arena, g.keys[i]), Value: vals[i]})
+		keys := index.Keys()
+		for _, i := range shuffle.KeyOrder(keys) {
+			out = append(out, Pair[K, V]{Key: kc.decodeIn(arena, keys[i]), Value: vals[i]})
 		}
 		return out
 	})
@@ -162,19 +142,20 @@ func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Cod
 	}
 	kc, vc = kc.forShuffle(), vc.forShuffle()
 	return shuffleOf(d.ctx, d.plan, core.ShuffleDep{Partitions: parts}, emitPairs(kc, vc), func(recs shuffle.Records) []Pair[K, []V] {
-		g := newKeyGroups()
+		var index shuffle.ByteKeyTable
 		var groups [][]V
 		arena := serde.NewArena(recs.Bytes())
 		for r := 0; r < recs.Len(); r++ {
-			i, first := g.group(recs.Key(r))
-			if first {
+			i, added := index.ID(recs.Key(r))
+			if added {
 				groups = append(groups, nil)
 			}
 			groups[i] = append(groups[i], vc.decodeIn(arena, recs.Value(r)))
 		}
 		out := make([]Pair[K, []V], 0, len(groups))
-		for _, i := range g.ascending() {
-			out = append(out, Pair[K, []V]{Key: kc.decodeIn(arena, g.keys[i]), Value: groups[i]})
+		keys := index.Keys()
+		for _, i := range shuffle.KeyOrder(keys) {
+			out = append(out, Pair[K, []V]{Key: kc.decodeIn(arena, keys[i]), Value: groups[i]})
 		}
 		return out
 	})
@@ -216,11 +197,11 @@ func Join[K comparable, V, W any](a *Dataset[Pair[K, V]], b *Dataset[Pair[K, W]]
 	both := a.ctx.engine.NewUnion(left, right)
 	return shuffleOf(a.ctx, both, core.ShuffleDep{Partitions: parts}, emitSource, func(recs shuffle.Records) []Pair[K, Joined[V, W]] {
 		type sides struct{ lefts, rights [][]byte }
-		g := newKeyGroups()
+		var index shuffle.ByteKeyTable
 		var groups []sides
 		for r := 0; r < recs.Len(); r++ {
-			i, first := g.group(recs.Key(r))
-			if first {
+			i, added := index.ID(recs.Key(r))
+			if added {
 				groups = append(groups, sides{})
 			}
 			if value := recs.Value(r); value[0] == leftTag {
@@ -231,8 +212,9 @@ func Join[K comparable, V, W any](a *Dataset[Pair[K, V]], b *Dataset[Pair[K, W]]
 		}
 		var out []Pair[K, Joined[V, W]]
 		arena := serde.NewArena(0) // every match decodes again: nothing to size it from
-		for _, i := range g.ascending() {
-			key := kc.decodeIn(arena, g.keys[i])
+		keys := index.Keys()
+		for _, i := range shuffle.KeyOrder(keys) {
+			key := kc.decodeIn(arena, keys[i])
 			for _, l := range groups[i].lefts {
 				for _, r := range groups[i].rights {
 					out = append(out, Pair[K, Joined[V, W]]{

@@ -57,9 +57,11 @@ echo "== batches and the shuffle boundary: identity pins + allocation ceilings =
 # order to what the row-at-a-time operators and the per-row shuffle
 # contract produced; the ceilings (no -race: it changes allocation counts)
 # keep per-row boxing and per-record shuffle allocations from coming back.
-go test -count=1 -run 'Identity|TestBatchesAreReadOnly|TestVectorizedFilter|TestActualsCount' ./internal/table ./internal/query
-go test -count=1 -run 'WireIdentity|TestShuffleOutputOrderPinned' .
-go test -count=1 -run 'TestSortWriterByteIdentity|TestWritersCopyScratch|TestKeyOrder' ./internal/shuffle
+# -count=5: each process draws its own key-table hash seeds, and every run
+# must still match the pins byte for byte.
+go test -count=5 -run 'Identity|TestBatchesAreReadOnly|TestVectorizedFilter|TestActualsCount' ./internal/table ./internal/query
+go test -count=5 -run 'WireIdentity|TestShuffleOutputOrderPinned' .
+go test -count=1 -run 'TestSortWriterByteIdentity|TestWritersCopyScratch|TestKeyOrder|TestKeyTable|FuzzKeyOrder' ./internal/shuffle
 go test -count=1 -run 'AllocCeiling|AllocBudget' ./internal/table
 go test -count=1 -run 'AllocBudget|TestNoPerElementAllocations' .
 

@@ -8,6 +8,8 @@ package hpbdc
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -211,4 +213,26 @@ func TestReduceByKeyAllocBudget(t *testing.T) {
 	if per > 0.1 {
 		t.Errorf("%.3f allocations per record, budget 0.1", per)
 	}
+}
+
+// TestFloatKeyWireIdentity pins the map-side fold's == semantics for float
+// keys: +0 and -0 fold together under whichever arrived first, and every
+// NaN is a key of its own. The pins were recorded before the fold moved off
+// a Go map.
+func TestFloatKeyWireIdentity(t *testing.T) {
+	edge := []float64{0, math.Copysign(0, -1), math.NaN(), 1, math.NaN(), math.Copysign(0, -1), math.NaN(), 1}
+	source := func(c *Context) *Dataset[float64] {
+		return SourceFunc(c, 2, func(part int) []float64 {
+			out := slices.Clone(edge)
+			if part == 1 {
+				slices.Reverse(out)
+			}
+			return out
+		})
+	}
+	c := New(Config{Racks: 1, NodesPerRack: 2, Seed: 42})
+	pairs := Map(source(c), func(f float64) Pair[float64, int64] { return Pair[float64, int64]{f, 1} })
+	checkWirePin(t, wirePinOf(t, c, ReduceByKey(pairs, Float64Codec, Int64Codec, 2, func(a, b int64) int64 { return a + b })), wirePin{sizes: "[1 3]", records: 10, wire: 110, spilled: 0, print: 0x3178eadb4ab07ab2})
+	c = New(Config{Racks: 1, NodesPerRack: 2, Seed: 42})
+	checkWirePin(t, wirePinOf(t, c, Distinct(source(c), Float64Codec, 2)), wirePin{sizes: "[1 3]", records: 10, wire: 100, spilled: 0, print: 0x3cd1f1fbded41be0})
 }
