@@ -209,7 +209,10 @@ func appliedSum(c *Cluster, n int, seed uint64, ticks int) string {
 
 // TestAppliedSequencesMatchParent pins what every node applies, and in
 // which order, to the commit before log views were shared: the constants
-// were recorded there.
+// were recorded there. hardened-5 was re-recorded when a follower whose
+// log holds a snapshot's last entry began installing the snapshot (Raft
+// §7) instead of ignoring it: its schedule, seed 1005, reaches that path
+// twice. With that path reverted it matches the old constant.
 func TestAppliedSequencesMatchParent(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -217,7 +220,7 @@ func TestAppliedSequencesMatchParent(t *testing.T) {
 		n    int
 		want string
 	}{
-		{"hardened-5", NewHardenedCluster(5, 77), 5, "fa36d05c475dd642741dd463ddf998ea90c0672a0a6d0d118e58580b6bcc527d"},
+		{"hardened-5", NewHardenedCluster(5, 77), 5, "27c454770e3575b9fb45d73d2f2229bd343c1fff7ac1ae2b1f37dab3908f8c0b"},
 		{"vanilla-3", NewCluster(3, 78), 3, "94ca84e7c56a64ef1d63808c3e39c9666b096b60537af41fde0832ede4c8e55d"},
 	} {
 		if got := appliedSum(tc.c, tc.n, 1000+uint64(tc.n), 2000); got != tc.want {

@@ -711,23 +711,24 @@ func (n *Node) handleSnap(m *Message, out []Message) []Message {
 	n.leader = m.From
 	n.backoff = 0
 	n.resetElectionTimeout()
-	if m.SnapIndex > n.lastIndex() {
-		// Replace our whole log with the snapshot.
+	if m.SnapIndex > n.offset {
+		// Raft §7: a log holding the snapshot's last entry keeps the suffix
+		// after it, in a fresh array; any other log is replaced whole.
+		if t, ok := n.termAt(m.SnapIndex); ok && t == m.SnapTerm {
+			n.entries = slices.Clone(n.entries[m.SnapIndex-n.offset:])
+		} else {
+			n.entries = nil
+		}
 		n.m.snapshotsInstalled.Inc()
-		n.entries = nil
-		n.offset = m.SnapIndex
-		n.snapTerm = m.SnapTerm
-		n.snapData = m.SnapData
-		if m.SnapIndex > n.commit {
-			n.commit = m.SnapIndex
-		}
-		if m.SnapIndex > n.applied {
-			n.applied = m.SnapIndex
-		}
+		n.offset, n.snapTerm, n.snapData = m.SnapIndex, m.SnapTerm, m.SnapData
+		n.commit = max(n.commit, m.SnapIndex)
+		n.applied = max(n.applied, m.SnapIndex)
 	}
+	// Ack the snapshot or our own, committed offset, never a possibly
+	// conflicting tail that the leader would count toward a quorum.
 	return append(out, Message{
 		Type: MsgAppResp, From: n.cfg.ID, To: m.From, Term: n.term,
-		Success: true, Index: n.lastIndex(),
+		Success: true, Index: n.offset,
 	})
 }
 
@@ -790,7 +791,9 @@ func (n *Node) Compact(index uint64, snapshot []byte) error {
 		return nil // already compacted
 	}
 	t, _ := n.termAt(index)
-	n.entries = append([]Entry(nil), n.entries[index-n.offset:]...)
+	// A fresh array, so views already handed out stay valid, sized to the
+	// log before compaction: the next cycle refills it without regrowing.
+	n.entries = append(make([]Entry, 0, len(n.entries)), n.entries[index-n.offset:]...)
 	n.offset = index
 	n.snapTerm = t
 	n.snapData = snapshot

@@ -255,8 +255,9 @@ func (m *nameMachine) Apply(cmd []byte) []byte {
 	}
 }
 
-func (m *nameMachine) Snapshot() []byte    { return m.st.snapshot() }
-func (m *nameMachine) Restore(snap []byte) { m.st.restore(snap) }
+func (m *nameMachine) Snapshot() []byte                 { return m.AppendSnapshot(nil) }
+func (m *nameMachine) AppendSnapshot(dst []byte) []byte { return m.st.appendSnapshot(dst) }
+func (m *nameMachine) Restore(snap []byte)              { m.st.restore(snap) }
 
 func encodeMoves(plan []moveRef) []byte {
 	buf := []byte{errOK}

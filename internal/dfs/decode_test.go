@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
+	"repro/internal/ha/hatest"
 	"repro/internal/topology"
 )
 
@@ -95,6 +97,8 @@ func FuzzDecodeMoves(f *testing.F) {
 	})
 }
 
+func emptyMachine() *nameMachine { return &nameMachine{st: emptyState()} }
+
 // FuzzNameStateRestore: whatever the namenode restores, its snapshot
 // restores to the same snapshot.
 func FuzzNameStateRestore(f *testing.F) {
@@ -102,18 +106,28 @@ func FuzzNameStateRestore(f *testing.F) {
 	for i := 0; i < 3; i++ {
 		writeFile(f, d, fmt.Sprintf("/f%d", i), bytes.Repeat([]byte{byte(i)}, 40))
 	}
-	snap := d.meta.(*localMeta).st.snapshot()
+	snap := d.meta.(*localMeta).st.appendSnapshot(nil)
 	f.Add(snap)
 	f.Add(snap[:len(snap)-5])
 	f.Add(cat(stateHeader, bomb))
 	f.Add(cat(stateHeader, u32(0), u32(0), bomb))
 	f.Fuzz(func(t *testing.T, snap []byte) {
-		once := emptyState()
-		once.restore(snap)
-		again := emptyState()
-		again.restore(once.snapshot())
-		if a, b := once.snapshot(), again.snapshot(); !bytes.Equal(a, b) {
-			t.Fatalf("restore is not a fixed point:\n% x\n% x", a, b)
-		}
+		hatest.Check(t, emptyMachine, snap)
+	})
+}
+
+// FuzzNameMachineApply: any three commands, on a namenode that starts
+// empty. A restored one may name nodes outside its topology, so it gets
+// no commands.
+func FuzzNameMachineApply(f *testing.F) {
+	create := binary.BigEndian.AppendUint32(appendStr([]byte{opCreate}, "/f"), 2)
+	seal := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(appendStr([]byte{opSeal}, "/f"), 0), 40)
+	node1 := binary.BigEndian.AppendUint64(nil, 1)
+	f.Add(create, seal, appendStr([]byte{opDelete}, "/f"))
+	f.Add(create, seal, append([]byte{opSetAlive}, append(node1, 0)...))
+	f.Add(seal, append([]byte{opDecommission}, node1...), []byte{opRereplicate})
+	f.Add(create, seal, binary.BigEndian.AppendUint64([]byte{opBalance}, math.Float64bits(0.05)))
+	f.Fuzz(func(t *testing.T, a, b, c []byte) {
+		hatest.Check(t, emptyMachine, nil, a, b, c)
 	})
 }

@@ -420,10 +420,10 @@ func (st *nameState) balance(slack float64) []moveRef {
 	return plan
 }
 
-// snapshot serializes the full metadata, including the placement RNG
-// state, so a restored replica continues the exact placement sequence.
-func (st *nameState) snapshot() []byte {
-	var buf []byte
+// appendSnapshot appends the full metadata to buf, including the
+// placement RNG state, so a restored replica continues the exact
+// placement sequence.
+func (st *nameState) appendSnapshot(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(st.nextBlock))
 	for _, s := range st.rand.State() {
 		buf = binary.BigEndian.AppendUint64(buf, s)

@@ -231,20 +231,19 @@ func (r *regSM) Apply(cmd []byte) []byte {
 	return nil
 }
 
-func (r *regSM) Snapshot() []byte {
+func (r *regSM) Snapshot() []byte { return r.AppendSnapshot(nil) }
+
+func (r *regSM) AppendSnapshot(dst []byte) []byte {
 	keys := make([]string, 0, len(r.m))
 	for k := range r.m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var b strings.Builder
 	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte(0)
-		b.WriteString(r.m[k])
-		b.WriteByte(0)
+		dst = append(append(append(dst, k...), 0), r.m[k]...)
+		dst = append(dst, 0)
 	}
-	return []byte(b.String())
+	return dst
 }
 
 func (r *regSM) Restore(snap []byte) {

@@ -56,7 +56,7 @@ func TestCompactionStoresWhatTheMemberWouldBuild(t *testing.T) {
 		g.mu.Lock()
 		defer g.mu.Unlock()
 		for i, rep := range g.reps {
-			own[i][rep.applied] = rep.snapshot()
+			own[i][rep.applied] = rep.snapshot(nil)
 			off, snap := g.net.Node(i).Snapshot()
 			if want, ok := own[i][off]; ok && off != lastOff[i] {
 				if !bytes.Equal(snap, want) {
@@ -143,9 +143,9 @@ func TestCompactionSharedSnapshotIsNeverWritten(t *testing.T) {
 	settle(g, 20)
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	want := g.reps[g.net.Leader()].snapshot()
+	want := g.reps[g.net.Leader()].snapshot(nil)
 	for i, rep := range g.reps {
-		if !bytes.Equal(rep.snapshot(), want) {
+		if !bytes.Equal(rep.snapshot(nil), want) {
 			t.Errorf("member %d diverged from the leader after revival from a shared snapshot", i)
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"repro/internal/ha/hatest"
 )
 
 // Decoders read counts from bytes that arrive in snapshots and log
@@ -80,17 +82,17 @@ func FuzzReplicaRestore(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	snap := g.reps[0].snapshot()
+	snap := g.reps[0].snapshot(nil)
 	f.Add(snap)
 	f.Add(snap[:len(snap)-3])
 	f.Add(append(make([]byte, 12), bomb...))
 	f.Fuzz(func(t *testing.T, snap []byte) {
 		r := blobReplica()
 		r.restore(snap)
-		once := r.snapshot()
+		once := r.snapshot(nil)
 		again := blobReplica()
 		again.restore(once)
-		if twice := again.snapshot(); !bytes.Equal(once, twice) {
+		if twice := again.snapshot(nil); !bytes.Equal(once, twice) {
 			t.Fatalf("restore is not a fixed point:\n% x\n% x", once, twice)
 		}
 	})
@@ -105,11 +107,6 @@ func FuzzJournalRestore(f *testing.F) {
 	f.Add(j.Snapshot()[:9])
 	f.Add(bomb)
 	f.Fuzz(func(t *testing.T, snap []byte) {
-		var once, again JournalMachine
-		once.Restore(snap)
-		again.Restore(once.Snapshot())
-		if !bytes.Equal(once.Snapshot(), again.Snapshot()) {
-			t.Fatalf("restore of % x is not a fixed point", snap)
-		}
+		hatest.Check(t, func() *JournalMachine { return &JournalMachine{} }, snap, []byte("one more"))
 	})
 }

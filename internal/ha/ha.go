@@ -39,10 +39,22 @@ import (
 // replica shares and nothing ever writes: a machine may keep views of
 // them (and answer with one) but must not modify them. The response is
 // read-only too, for the group and for the client.
+//
+// A machine that also implements SnapshotAppender (every one in this
+// module does) is appended straight into the group's compaction buffer,
+// so each byte of state is copied once; one with only Snapshot is copied
+// once more. That buffer is reserved at the last build's length plus
+// slack, and the log it compacts keeps its array size (Node.Compact).
 type StateMachine interface {
 	Apply(cmd []byte) []byte
 	Snapshot() []byte
 	Restore(snap []byte)
+}
+
+// SnapshotAppender is the copy-free Snapshot: AppendSnapshot appends
+// exactly Snapshot's bytes to dst, never writing dst[:len(dst)].
+type SnapshotAppender interface {
+	AppendSnapshot(dst []byte) []byte
 }
 
 // Config configures a replicated group.
@@ -279,7 +291,8 @@ func (g *Group) applyCommittedLocked(id int) {
 // member just misses and builds its own.
 func (g *Group) snapshotLocked(rep *replica) []byte {
 	if g.snap == nil || g.snapAt != rep.applied {
-		g.snapAt, g.snap = rep.applied, rep.snapshot()
+		hint := len(g.snap) + len(g.snap)/16 + 64
+		g.snapAt, g.snap = rep.applied, slices.Clip(rep.snapshot(make([]byte, 0, hint)))
 		g.m.snapsBuilt.Inc()
 		g.m.snapBytes.Add(int64(len(g.snap)))
 	}
@@ -559,21 +572,22 @@ func (r *replica) machine(name string) StateMachine {
 	return sm
 }
 
-// snapshot serializes the replica into one exactly sized buffer: dedup
-// session state plus every machine's snapshot in sorted-name order.
-func (r *replica) snapshot() []byte {
-	snaps := make([][]byte, len(r.names))
-	size := 8 + 4 + len(r.lastResp) + 4
-	for i, name := range r.names {
-		snaps[i] = r.machines[name].Snapshot()
-		size += 4 + len(name) + 4 + len(snaps[i])
-	}
-	buf := binary.BigEndian.AppendUint64(make([]byte, 0, size), r.lastSeq)
+// snapshot appends the replica's serialization to buf: dedup session
+// state plus every machine's snapshot in sorted-name order, each machine
+// appended in place behind a length prefix filled in once it is known.
+func (r *replica) snapshot(buf []byte) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, r.lastSeq)
 	buf = appendBytes(buf, r.lastResp)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(r.names)))
-	for i, name := range r.names {
-		buf = appendBytes(buf, []byte(name))
-		buf = appendBytes(buf, snaps[i])
+	for _, name := range r.names {
+		buf = append(appendBytes(buf, []byte(name)), 0, 0, 0, 0)
+		at, sm := len(buf), r.machines[name]
+		if a, ok := sm.(SnapshotAppender); ok {
+			buf = a.AppendSnapshot(buf)
+		} else {
+			buf = append(buf, sm.Snapshot()...)
+		}
+		binary.BigEndian.PutUint32(buf[at-4:], uint32(len(buf)-at))
 	}
 	return buf
 }

@@ -26,8 +26,11 @@ func (j *JournalMachine) Apply(cmd []byte) []byte {
 }
 
 // Snapshot serializes every record.
-func (j *JournalMachine) Snapshot() []byte {
-	buf := binary.BigEndian.AppendUint32(nil, uint32(len(j.recs)))
+func (j *JournalMachine) Snapshot() []byte { return j.AppendSnapshot(nil) }
+
+// AppendSnapshot appends Snapshot's bytes to dst.
+func (j *JournalMachine) AppendSnapshot(dst []byte) []byte {
+	buf := binary.BigEndian.AppendUint32(dst, uint32(len(j.recs)))
 	for _, rec := range j.recs {
 		buf = appendBytes(buf, rec)
 	}

@@ -16,8 +16,12 @@ import (
 // crashes, revivals, partitions and one-way link cuts, and returns a
 // SHA-256 over everything the group's delivery order decides: every
 // response, the tick count, each member's term, known leader, applied
-// index and stored snapshot, and the ha_* counters.
+// index and stored snapshot, and the ha_* counters. It panics once the
+// network has run maxRounds delivery rounds: a script needs a few
+// thousand, and a leader and follower trading appends and snapshots
+// forever inside one drain never come back otherwise.
 func groupTranscript(members int, vanilla bool, seed uint64) string {
+	const maxRounds = 1 << 20
 	reg := metrics.NewRegistry()
 	g := NewGroup(Config{
 		Members: members, Seed: seed, CompactEvery: 8, MaxOpTicks: 60,
@@ -25,6 +29,13 @@ func groupTranscript(members int, vanilla bool, seed uint64) string {
 		Machines: map[string]func() StateMachine{"a": newAddSM, "b": newAddSM},
 		Dynamic:  func(string) StateMachine { return &addSM{} },
 	})
+	apply := g.net.AfterRound
+	g.net.AfterRound = func(id int) {
+		if g.net.Rounds > maxRounds {
+			panic(fmt.Sprintf("groupTranscript(%d, %v, %d): no quiet network after %d delivery rounds", members, vanilla, seed, maxRounds))
+		}
+		apply(id)
+	}
 	r := rng.New(seed)
 	h := sha256.New()
 	u64 := func(v uint64) { h.Write(binary.BigEndian.AppendUint64(nil, v)) }
@@ -85,9 +96,13 @@ func groupTranscript(members int, vanilla bool, seed uint64) string {
 }
 
 // TestGroupTranscriptMatchesParent pins ha.Group's own delivery order —
-// the same seed gives a byte-identical transcript — to the commit before
-// the group moved onto consensus.Cluster: the constants were recorded
-// there.
+// the same seed gives a byte-identical transcript. The constants were
+// recorded on the commit before the group moved onto consensus.Cluster,
+// and three were re-recorded when a follower whose log holds a snapshot's
+// last entry began installing the snapshot and keeping only the suffix
+// (Raft §7) instead of ignoring it: seed 103 vanilla reaches that path
+// twice, seed 105 three times hardened and three times vanilla. With
+// that path reverted, all four match the old constants.
 func TestGroupTranscriptMatchesParent(t *testing.T) {
 	for _, tc := range []struct {
 		members int
@@ -95,13 +110,23 @@ func TestGroupTranscriptMatchesParent(t *testing.T) {
 		want    string
 	}{
 		{3, false, "1a679ceba3e7bd1139bd775fb980a3763c523c274d88ae919d76d00da6fdd83d"},
-		{3, true, "b9b75834f3029792f131e6819156f1e870c3ffbb831918b33e27ba6388868ddf"},
-		{5, false, "ce1cdb5bde3b466867ff46ef3637fc0d9b78670ff7f3b00f729c3b6bf6c4517f"},
-		{5, true, "f656a5db27805dd6194319e7529c899a3874ad2617fc03adc25ca395a14ffaad"},
+		{3, true, "89091c2511b05464da1635ec7686c075b75b5ec8388adcdb18f90151ba9e0eaf"},
+		{5, false, "4a82c19292391680aed8b1d3e9bbbda538b9f1e60e383c32000d4945bbf34b9f"},
+		{5, true, "2fdff212af02d6359c86cbca452fa0f8a866c06c5f7d32974455e1c61d52be55"},
 	} {
 		name := fmt.Sprintf("members=%d vanilla=%v", tc.members, tc.vanilla)
 		if got := groupTranscript(tc.members, tc.vanilla, 100+uint64(tc.members)); got != tc.want {
 			t.Errorf("%s: transcript = %s, want %s", name, got, tc.want)
 		}
+	}
+}
+
+// Seed 95 drives a vanilla 5-member follower with a conflicting tail into
+// an InstallSnapshot at an index its log already reaches. Before the
+// follower dropped that tail it acked its whole log, and it and the leader
+// traded appends, rejections and snapshots forever inside one drain.
+func TestGroupTranscriptSnapshotOverConflictingTail(t *testing.T) {
+	if got := groupTranscript(5, true, 95); len(got) != 64 {
+		t.Fatalf("transcript = %q", got)
 	}
 }

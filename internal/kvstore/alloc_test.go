@@ -3,6 +3,7 @@ package kvstore
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/rng"
@@ -132,4 +133,22 @@ func TestTxnMachineBeginAllocCeiling(t *testing.T) {
 func TestShardedTxnMixAllocCeiling(t *testing.T) {
 	x := newTxnMix(t)
 	requireAllocs(t, "Txn+Put+Get at the benchmark's shape", 75, func() { x.iter(t) })
+}
+
+// Bytes per iteration: 10.1 KB here (10.7 KB in BenchmarkShardedTxnMix)
+// once machines append their snapshots into the replica's buffer and the
+// compacted log keeps its array size. The parent read 16.2 KB (17.6 KB),
+// each snapshot being copied twice.
+func TestShardedTxnMixByteCeiling(t *testing.T) {
+	const runs = 1000
+	x := newTxnMix(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		x.iter(t)
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 12<<10 {
+		t.Errorf("Txn+Put+Get at the benchmark's shape: %d bytes per iteration, ceiling %d", got, 12<<10)
+	}
 }

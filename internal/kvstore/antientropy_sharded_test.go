@@ -41,7 +41,7 @@ func TestAntiEntropyRepairsStrayCells(t *testing.T) {
 		t.Fatalf("locate: %v", err)
 	}
 	stray := []kvPair{{key: "zebra", rval: rval{val: []byte("stray-newer"), ver: s.nextVersion()}}}
-	if _, _, err := s.propose(s.groupOf(left.ID), rangeName(left.ID), encRmMigrate(stray)); err != nil {
+	if _, _, err := s.proposeRange(left.ID, encRmMigrate(stray)); err != nil {
 		t.Fatalf("inject stray: %v", err)
 	}
 

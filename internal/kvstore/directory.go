@@ -135,7 +135,7 @@ func (m *dirMachine) Apply(cmd []byte) []byte {
 			return []byte{rspConflict}
 		}
 		i := m.rangeIdx(old)
-		if i < 0 || m.touched(old) {
+		if i < 0 || m.touched(old) || m.groups == 0 { // a restored directory may know no groups
 			return []byte{rspConflict}
 		}
 		r := m.ranges[i]
@@ -162,7 +162,7 @@ func (m *dirMachine) Apply(cmd []byte) []byte {
 			return []byte{rspOK}
 		}
 		oi := m.rangeIdx(p.Old)
-		if oi < 0 {
+		if oi < 0 || m.groups == 0 {
 			return []byte{rspConflict}
 		}
 		oldEnd := m.ranges[oi].End
@@ -295,8 +295,10 @@ func (m *dirMachine) pendingChanges() []pendingChange {
 
 func (m *dirMachine) epochVal() uint64 { return m.epoch }
 
-func (m *dirMachine) Snapshot() []byte {
-	buf := wAppendU32(nil, uint32(m.groups))
+func (m *dirMachine) Snapshot() []byte { return m.AppendSnapshot(nil) }
+
+func (m *dirMachine) AppendSnapshot(dst []byte) []byte {
+	buf := wAppendU32(dst, uint32(m.groups))
 	buf = wAppendU64(buf, m.nextID)
 	buf = wAppendU64(buf, m.epoch)
 	buf = wAppendU32(buf, uint32(len(m.ranges)))

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/ha"
+	"repro/internal/ha/hatest"
 )
 
 // The replicated machines decode bytes that came out of a Raft log or a
@@ -30,18 +30,11 @@ func eachFrame(data []byte, fn func(cmd []byte)) {
 	}
 }
 
-// checkRangeRoundTrip asserts Restore(Snapshot(m)) re-snapshots to the
-// same bytes, and that the snapshot buffer was sized exactly.
-func checkRangeRoundTrip(t *testing.T, m *rangeMachine) {
+// checkSizedExactly asserts that m's own snapshot buffer is sized exactly.
+func checkSizedExactly(t *testing.T, m *rangeMachine) {
 	t.Helper()
-	snap := m.Snapshot()
-	if len(snap) != cap(snap) {
+	if snap := m.Snapshot(); len(snap) != cap(snap) {
 		t.Fatalf("snapshot buffer: len %d, cap %d; want sized exactly", len(snap), cap(snap))
-	}
-	r := newRangeMachine()
-	r.Restore(snap)
-	if again := r.Snapshot(); !bytes.Equal(again, snap) {
-		t.Fatalf("Restore(Snapshot(m)) re-snapshots differently:\n% x\n% x", snap, again)
 	}
 }
 
@@ -50,12 +43,15 @@ func checkRangeRoundTrip(t *testing.T, m *rangeMachine) {
 // by Restore(Snapshot()) before every frame. All three must give the same
 // responses and end in the same snapshot: replicas answer with shared
 // status slices and keep views of their commands and snapshots, and none
-// of that may show. It returns the first machine; after, if not nil,
+// of that may show. The same commands then go through the snapshot
+// conformance check. It returns the first machine; after, if not nil,
 // inspects it following each frame.
-func applyOnReplicas[M ha.StateMachine](t *testing.T, data []byte, fresh func() M, after func(m M, cmd []byte)) M {
+func applyOnReplicas[M hatest.Machine](t *testing.T, data []byte, fresh func() M, after func(m M, cmd []byte)) M {
 	t.Helper()
+	var cmds [][]byte
 	m, twin, rebuilt := fresh(), fresh(), fresh()
 	eachFrame(data, func(cmd []byte) {
+		cmds = append(cmds, cmd)
 		resp := m.Apply(cmd)
 		if len(resp) == 0 {
 			t.Fatalf("Apply(% x) returned no status", cmd)
@@ -85,6 +81,7 @@ func applyOnReplicas[M ha.StateMachine](t *testing.T, data []byte, fresh func() 
 			t.Fatalf("shared status response %d was written: now % x", code, resp)
 		}
 	}
+	hatest.Check(t, fresh, nil, cmds...)
 	return m
 }
 
@@ -106,7 +103,7 @@ func FuzzRangeMachineApply(f *testing.F) {
 				t.Fatalf("done remembers txn %d below the watermark %d", id, m.closed)
 			}
 		}
-		checkRangeRoundTrip(t, m)
+		checkSizedExactly(t, m)
 	})
 }
 
@@ -122,10 +119,7 @@ func FuzzRangeMachineRestore(f *testing.F) {
 	f.Add(m.Snapshot())
 	f.Add(m.Snapshot()[:20])
 	f.Fuzz(func(t *testing.T, snap []byte) {
-		m := newRangeMachine()
-		m.Restore(snap)
-		m.Apply(encRmGet("b", true))
-		checkRangeRoundTrip(t, m)
+		checkSizedExactly(t, hatest.Check(t, newRangeMachine, snap, encRmGet("b", true)))
 	})
 }
 
@@ -144,6 +138,30 @@ func FuzzTxnMachineApply(f *testing.F) {
 			}
 			low = now
 		})
+	})
+}
+
+func FuzzDirMachineApply(f *testing.F) {
+	f.Add(frames(encDirInit(2, []string{"g", "p"}), encDirSplitReserve(1, "k"), encDirU64(dirOpSplitCommit, 3),
+		encDirU64(dirOpSplitFinish, 3), encDirU64(dirOpMergeReserve, 0), encDirU64(dirOpMergeCommit, 0),
+		encDirU64(dirOpMergeFinish, 0)))
+	f.Add(frames(encDirInit(3, nil), encDirSplitReserve(0, "m"), encDirU64(dirOpSplitAbort, 1),
+		encDirU64(dirOpMergeReserve, 0), encDirU64(dirOpMergeAbort, 0), encDirInit(1, []string{"a"})))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		applyOnReplicas(t, data, newDirMachine, nil)
+	})
+}
+
+func FuzzDirMachineRestore(f *testing.F) {
+	m := newDirMachine()
+	f.Add(m.Snapshot())
+	m.Apply(encDirInit(2, []string{"g", "p"}))
+	m.Apply(encDirSplitReserve(1, "k"))
+	m.Apply(encDirU64(dirOpMergeReserve, 0))
+	f.Add(m.Snapshot())
+	f.Add(m.Snapshot()[:30])
+	f.Fuzz(func(t *testing.T, snap []byte) {
+		hatest.Check(t, newDirMachine, snap, encDirU64(dirOpSplitCommit, 3), encDirSplitReserve(0, "c"))
 	})
 }
 

@@ -467,10 +467,12 @@ func (m *rangeMachine) liveKeys() []string {
 }
 
 // Snapshot/Restore: deterministic serialization in sorted order, so all
-// replicas produce identical snapshots for identical state. The buffer
-// is sized exactly and filled straight from the cached key order.
+// replicas produce identical snapshots for identical state. The bytes
+// are sized up front and filled straight from the cached key order.
 
-func (m *rangeMachine) Snapshot() []byte {
+func (m *rangeMachine) Snapshot() []byte { return m.AppendSnapshot(nil) }
+
+func (m *rangeMachine) AppendSnapshot(dst []byte) []byte {
 	cells, lockKeys, doneIDs := m.sorted(), sortedKeys(m.locks), sortedKeys(m.done)
 	size := 4 + len(m.lo) + 4 + len(m.hi) + 2 + 4 + len(m.fence) + 4 + 4 + 8 + 4 + 9*len(doneIDs)
 	for _, c := range cells {
@@ -482,7 +484,10 @@ func (m *rangeMachine) Snapshot() []byte {
 	for _, k := range lockKeys {
 		size += 4 + len(k) + 8
 	}
-	buf := wAppendStr(make([]byte, 0, size), m.lo)
+	if dst == nil {
+		dst = make([]byte, 0, size) // Snapshot's own copy, sized exactly
+	}
+	buf := wAppendStr(slices.Grow(dst, size), m.lo)
 	buf = wAppendStr(buf, m.hi)
 	buf = wAppendBool(buf, m.init)
 	buf = wAppendBool(buf, m.fenced)

@@ -88,6 +88,7 @@ type Sharded struct {
 	dirty     bool   // dirty-read fault injection
 	crashNext string // one-shot coordinator crash point
 	cost      time.Duration
+	names     []string // range machine names by id (machineName)
 	// ranges is the directory cache. refreshDir (on rspMoved) replaces it
 	// wholesale and nothing writes an element: readers share the slice.
 	ranges []RangeInfo
@@ -138,17 +139,29 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 	// Adopt bounds on every initial range machine so bounds checks hold
 	// from the first op.
 	for _, r := range s.rangesSnapshot() {
-		if _, _, err := s.propose(r.Group, rangeName(r.ID), encRmAdopt(r.Start, r.End, nil)); err != nil {
+		if _, _, err := s.proposeRange(r.ID, encRmAdopt(r.Start, r.End, nil)); err != nil {
 			panic(fmt.Sprintf("kvstore: range %d adopt failed: %v", r.ID, err))
 		}
 	}
 	return s
 }
 
-func rangeName(id uint64) string { return "range-" + strconv.FormatUint(id, 10) }
+// machineName returns range id's machine name, minted once (ids are dense).
+func (s *Sharded) machineName(id uint64) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for uint64(len(s.names)) <= id {
+		s.names = append(s.names, "range-"+strconv.Itoa(len(s.names)))
+	}
+	return s.names[id]
+}
 
 // groupOf maps a range id to its hosting Raft group.
 func (s *Sharded) groupOf(id uint64) int { return int(id % uint64(s.cfg.Groups)) }
+
+func (s *Sharded) proposeRange(id uint64, cmd []byte) ([]byte, time.Duration, error) {
+	return s.propose(s.groupOf(id), s.machineName(id), cmd)
+}
 
 // propose submits one replicated command and charges its virtual cost.
 func (s *Sharded) propose(group int, machine string, cmd []byte) ([]byte, time.Duration, error) {
@@ -297,7 +310,7 @@ func (s *Sharded) keyOp(ctx context.Context, op, key string, cmd func() []byte) 
 		if err != nil {
 			return nil, err
 		}
-		resp, c, err := s.propose(s.groupOf(r.ID), rangeName(r.ID), cmd())
+		resp, c, err := s.proposeRange(r.ID, cmd())
 		if err != nil {
 			return nil, fmt.Errorf("kvstore: %s %q: %w", op, key, err)
 		}
@@ -444,7 +457,7 @@ func (s *Sharded) rangeSize(r RangeInfo) (int, error) {
 
 // queryRange runs fn against the leader's replica of one range machine.
 func (s *Sharded) queryRange(id uint64, fn func(*rangeMachine)) error {
-	return s.groups[s.groupOf(id)].Query(rangeName(id), func(sm ha.StateMachine) error {
+	return s.groups[s.groupOf(id)].Query(s.machineName(id), func(sm ha.StateMachine) error {
 		fn(sm.(*rangeMachine))
 		return nil
 	})

@@ -54,10 +54,9 @@ func (s *Sharded) Split(key string) error {
 // completeSplit drives a reserved split to completion; every step is
 // idempotent so recovery can re-enter at any point.
 func (s *Sharded) completeSplit(p pendingChange) error {
-	oldName, newName := rangeName(p.Old), rangeName(p.New)
 	if !p.Committed {
 		// Fence [key, +inf) on the source and collect the moving cells.
-		resp, _, err := s.propose(s.groupOf(p.Old), oldName, encRmFreeze(p.Key))
+		resp, _, err := s.proposeRange(p.Old, encRmFreeze(p.Key))
 		if err != nil {
 			return fmt.Errorf("kvstore: split freeze: %w", err)
 		}
@@ -81,7 +80,7 @@ func (s *Sharded) completeSplit(p pendingChange) error {
 				oldHi = r.End
 			}
 		}
-		if _, _, err := s.propose(s.groupOf(p.New), newName, encRmAdopt(p.Key, oldHi, pairs)); err != nil {
+		if _, _, err := s.proposeRange(p.New, encRmAdopt(p.Key, oldHi, pairs)); err != nil {
 			return fmt.Errorf("kvstore: split adopt: %w", err)
 		}
 		if s.takeCrash("split-copy") {
@@ -98,7 +97,7 @@ func (s *Sharded) completeSplit(p pendingChange) error {
 	}
 	// Routing switched: drop the moved span from the source (also lifts
 	// its fence by shrinking hi to the split key) and retire the record.
-	if _, _, err := s.propose(s.groupOf(p.Old), oldName, encRmTrim(p.Key)); err != nil {
+	if _, _, err := s.proposeRange(p.Old, encRmTrim(p.Key)); err != nil {
 		return fmt.Errorf("kvstore: split trim: %w", err)
 	}
 	if _, _, err := s.propose(0, dirMachineName, encDirU64(dirOpSplitFinish, p.New)); err != nil {
@@ -136,7 +135,6 @@ func (s *Sharded) Merge(key string) error {
 
 // completeMerge drives a reserved merge to completion (idempotent).
 func (s *Sharded) completeMerge(p pendingChange) error {
-	leftName, rightName := rangeName(p.Old), rangeName(p.Right)
 	// The absorbed range's lower bound rides the pending record (p.Key);
 	// the other bounds come from the routing table, which still lists
 	// both halves until commit. Refresh so the lookup is never stale.
@@ -156,7 +154,7 @@ func (s *Sharded) completeMerge(p pendingChange) error {
 	}
 	if !p.Committed {
 		// Fence the entire right range and collect its cells.
-		resp, _, err := s.propose(s.groupOf(p.Right), rightName, encRmFreeze(p.Key))
+		resp, _, err := s.proposeRange(p.Right, encRmFreeze(p.Key))
 		if err != nil {
 			return fmt.Errorf("kvstore: merge freeze: %w", err)
 		}
@@ -169,7 +167,7 @@ func (s *Sharded) completeMerge(p pendingChange) error {
 		d := &wdec{buf: resp[1:]}
 		pairs := decodePairs(d)
 		// Extend the left range's bounds and install the copied cells.
-		if _, _, err := s.propose(s.groupOf(p.Old), leftName, encRmAdopt(leftLo, rightHi, pairs)); err != nil {
+		if _, _, err := s.proposeRange(p.Old, encRmAdopt(leftLo, rightHi, pairs)); err != nil {
 			return fmt.Errorf("kvstore: merge adopt: %w", err)
 		}
 		if _, _, err := s.propose(0, dirMachineName, encDirU64(dirOpMergeCommit, p.Old)); err != nil {
@@ -180,7 +178,7 @@ func (s *Sharded) completeMerge(p pendingChange) error {
 	// it owning the empty span [lo, lo) — every future op gets rspMoved.
 	// (p.Key is never "", because the absorbed range always has a left
 	// neighbor, so the trim can't accidentally widen hi to +inf.)
-	if _, _, err := s.propose(s.groupOf(p.Right), rightName, encRmTrim(p.Key)); err != nil {
+	if _, _, err := s.proposeRange(p.Right, encRmTrim(p.Key)); err != nil {
 		return fmt.Errorf("kvstore: merge retire: %w", err)
 	}
 	if _, _, err := s.propose(0, dirMachineName, encDirU64(dirOpMergeFinish, p.Old)); err != nil {
@@ -269,7 +267,7 @@ func (s *Sharded) AntiEntropy() (moved, trimmed int, err error) {
 		}
 		var delivered []kvPair
 		for _, oid := range sortedKeys(byOwner) {
-			if _, _, perr := s.propose(s.groupOf(oid), rangeName(oid), encRmMigrate(byOwner[oid])); perr != nil {
+			if _, _, perr := s.proposeRange(oid, encRmMigrate(byOwner[oid])); perr != nil {
 				return moved, trimmed, perr
 			}
 			moved += len(byOwner[oid])
@@ -281,7 +279,7 @@ func (s *Sharded) AntiEntropy() (moved, trimmed int, err error) {
 		// Trim only what we delivered, guarded by version: a newer cell
 		// that raced in since the query survives.
 		slices.SortFunc(delivered, func(a, b kvPair) int { return strings.Compare(a.key, b.key) })
-		resp, _, perr := s.propose(s.groupOf(r.ID), rangeName(r.ID), encRmTrimKeys(delivered))
+		resp, _, perr := s.proposeRange(r.ID, encRmTrimKeys(delivered))
 		if perr != nil {
 			return moved, trimmed, perr
 		}

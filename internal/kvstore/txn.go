@@ -150,7 +150,7 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 	readVals := make(map[string][]byte, len(reads))
 	for i, p := range parts {
 		rid, prepared := p.rid, partIDs[:i]
-		resp, c, err := s.propose(s.groupOf(rid), rangeName(rid), encRmPrepare(id, closed, s.dirtyReads(), p.lockKeys, p.readKeys))
+		resp, c, err := s.proposeRange(rid, encRmPrepare(id, closed, s.dirtyReads(), p.lockKeys, p.readKeys))
 		if err != nil {
 			// Unknown outcome: this range may hold our locks.
 			s.Reg.Counter("txn_orphaned").Inc()
@@ -229,7 +229,7 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 	// here leave a committed record that recovery re-drives.
 	for _, p := range parts {
 		rid := p.rid
-		resp, _, err := s.propose(s.groupOf(rid), rangeName(rid), encRmApply(id, closed, ver, p.writes))
+		resp, _, err := s.proposeRange(rid, encRmApply(id, closed, ver, p.writes))
 		if err != nil || resp[0] != rspOK {
 			s.Reg.Counter("txn_orphaned").Inc()
 			return nil, fmt.Errorf("kvstore: txn %d apply range %d: %w", id, rid, ErrTxnOrphaned)
@@ -255,7 +255,7 @@ func (s *Sharded) abortTxn(id, closed uint64, prepared []uint64) {
 		return // unreachable record or already committed: recovery's job
 	}
 	for _, rid := range prepared {
-		if _, _, err := s.propose(s.groupOf(rid), rangeName(rid), encRmAbort(id, closed)); err != nil {
+		if _, _, err := s.proposeRange(rid, encRmAbort(id, closed)); err != nil {
 			return
 		}
 	}
@@ -331,7 +331,7 @@ func (s *Sharded) RecoverTxns() (TxnRecovery, error) {
 // and retires it. Recovery ran no begin, so it sends no watermark (0).
 func (s *Sharded) finishAbort(rec txnRecSnap) error {
 	for _, rid := range rec.Parts {
-		if _, _, err := s.propose(s.groupOf(rid), rangeName(rid), encRmAbort(rec.ID, 0)); err != nil {
+		if _, _, err := s.proposeRange(rid, encRmAbort(rec.ID, 0)); err != nil {
 			return fmt.Errorf("kvstore: recover txn %d abort range %d: %w", rec.ID, rid, err)
 		}
 	}
@@ -359,7 +359,7 @@ func (s *Sharded) resumeTxn(rec txnRecSnap) error {
 	// Apply to every recorded participant — including read-only ones,
 	// whose locks must be released too.
 	for _, rid := range rec.Parts {
-		resp, _, err := s.propose(s.groupOf(rid), rangeName(rid), encRmApply(rec.ID, 0, rec.Ver, byRange[rid]))
+		resp, _, err := s.proposeRange(rid, encRmApply(rec.ID, 0, rec.Ver, byRange[rid]))
 		if err != nil {
 			return fmt.Errorf("kvstore: resume txn %d range %d: %w", rec.ID, rid, err)
 		}

@@ -159,9 +159,11 @@ func (m *txnMachine) snapshotRecs() []txnRecSnap {
 
 func (m *txnMachine) recordCount() int { return len(m.recs) }
 
-func (m *txnMachine) Snapshot() []byte {
+func (m *txnMachine) Snapshot() []byte { return m.AppendSnapshot(nil) }
+
+func (m *txnMachine) AppendSnapshot(dst []byte) []byte {
 	recs := m.snapshotRecs()
-	buf := wAppendU32(wAppendU64(nil, m.next), uint32(len(recs)))
+	buf := wAppendU32(wAppendU64(dst, m.next), uint32(len(recs)))
 	for _, r := range recs {
 		buf = wAppendU64(buf, r.ID)
 		buf = append(buf, r.Status)

@@ -213,11 +213,11 @@ func TestStalePutRetriesUnderFreshVersion(t *testing.T) {
 	stale := s.nextVersion() // a put draws its version, then stalls
 	mustTxn(t, s, "aa", "zz", "txn")
 	r := s.Ranges()[0]
-	resp, _, err := s.propose(r.Group, rangeName(r.ID), encRmPut("aa", []byte("late"), stale))
+	resp, _, err := s.propose(r.Group, s.machineName(r.ID), encRmPut("aa", []byte("late"), stale))
 	if err != nil || resp[0] != rspStale {
 		t.Fatalf("put below the cell's version = (% x, %v), want rspStale", resp, err)
 	}
-	if resp, _, _ := s.propose(r.Group, rangeName(r.ID), encRmDel("aa", stale)); resp[0] != rspStale {
+	if resp, _, _ := s.propose(r.Group, s.machineName(r.ID), encRmDel("aa", stale)); resp[0] != rspStale {
 		t.Fatalf("delete below the cell's version = % x, want rspStale", resp)
 	}
 	if v, _ := mustGet(t, s, "aa"); v != "txn" {
@@ -312,7 +312,7 @@ func TestWatermarkSurvivesSnapshotRebuildAndSplit(t *testing.T) {
 		})
 		// A straggler prepare of a long-retired transaction is refused by
 		// whichever member leads now.
-		resp, _, err := s.propose(0, rangeName(r.ID), encRmPrepare(7, 7, false, []string{r.Start}, nil))
+		resp, _, err := s.propose(0, s.machineName(r.ID), encRmPrepare(7, 7, false, []string{r.Start}, nil))
 		if err != nil || resp[0] != rspAborted {
 			t.Errorf("late prepare on range %d = (% x, %v), want rspAborted", r.ID, resp, err)
 		}
