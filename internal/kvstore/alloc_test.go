@@ -6,7 +6,9 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/netsim"
 	"repro/internal/rng"
+	"repro/internal/topology"
 )
 
 // txnMix is the kv_txn benchmark's shape without bench/: 1 024 keys over
@@ -151,4 +153,45 @@ func TestShardedTxnMixByteCeiling(t *testing.T) {
 	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 12<<10 {
 		t.Errorf("Txn+Put+Get at the benchmark's shape: %d bytes per iteration, ceiling %d", got, 12<<10)
 	}
+}
+
+// TestRingGetPutAllocCeiling pins the quorum ring's Get/Put on a
+// preloaded 8-node RDMA store: each allocates only its defensive copy of
+// the value, and a Get of a missing key allocates nothing. With
+// map-and-append preference lists, heap-held responses and sort.Slice
+// the same calls took 10 (Get), 9 (Put) and 9 (missing Get).
+func TestRingGetPutAllocCeiling(t *testing.T) {
+	s, err := New(Config{Fabric: netsim.NewFabric(topology.TwoTier(2, 4, 2), netsim.RDMA40G), N: 3, R: 2, W: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 1000)
+	val := make([]byte, 256)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%d", i)
+		for range 2 { // the second put fills the overwritten-version maps
+			if _, err := s.Put(topology.NodeID(i%8), keys[i], val); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	i := 0
+	requireAllocs(t, "Get of a present key", 1, func() {
+		i++
+		if _, _, err := s.Get(topology.NodeID(i%8), keys[i%len(keys)]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	requireAllocs(t, "Put", 1, func() {
+		i++
+		if _, err := s.Put(topology.NodeID(i%8), keys[i%len(keys)], val); err != nil {
+			t.Fatal(err)
+		}
+	})
+	requireAllocs(t, "Get of a missing key", 0, func() {
+		i++
+		if _, _, err := s.Get(topology.NodeID(i%8), "missing"); err != ErrNotFound {
+			t.Fatal(err)
+		}
+	})
 }

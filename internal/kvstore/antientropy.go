@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/topology"
@@ -36,22 +37,19 @@ func (s *Store) AntiEntropy() (written, removed int) {
 
 	for _, k := range keys {
 		v := newest[k]
-		prefs := s.ring.preferenceList(k, s.cfg.N)
-		want := map[topology.NodeID]bool{}
-		for _, n := range prefs {
-			want[n] = true
-		}
+		prefs := s.ring.preferenceList(k)
 		for id, rp := range s.replica {
 			node := topology.NodeID(id)
+			want := slices.Contains(prefs, node)
 			rp.mu.Lock()
 			cur, has := rp.data[k]
 			switch {
-			case want[node] && (!has || cur.version < v.version):
-				if s.isAliveLocked(node) {
+			case want && (!has || cur.version < v.version):
+				if s.alive[node].Load() {
 					rp.data[k] = v
 					written++
 				}
-			case !want[node] && has:
+			case !want && has:
 				delete(rp.data, k)
 				removed++
 			}
@@ -65,12 +63,4 @@ func (s *Store) AntiEntropy() (written, removed int) {
 		s.Reg.Counter("anti_entropy_removals").Add(int64(removed))
 	}
 	return written, removed
-}
-
-// isAliveLocked is isAlive without taking s.mu twice in the sweep's inner
-// loop; the alive flags only flip via Fail/RecoverNode.
-func (s *Store) isAliveLocked(n topology.NodeID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.alive[n]
 }

@@ -22,7 +22,7 @@ func TestAntiEntropyRestoresFullReplication(t *testing.T) {
 	s := antiEntropyStore(t)
 	// Write while one preference-list node is down: the key lands on a
 	// sloppy successor instead.
-	prefs := s.ring.preferenceList("k1", 3)
+	prefs := s.ring.preferenceList("k1")
 	victim := prefs[1]
 	_ = s.FailNode(victim)
 	if _, err := s.Put(0, "k1", []byte("v")); err != nil {
@@ -35,7 +35,7 @@ func TestAntiEntropyRestoresFullReplication(t *testing.T) {
 	// Now the key must live on exactly its 3 preference nodes.
 	holders := 0
 	for id, rp := range s.replica {
-		if _, ok := rp.get("k1"); ok {
+		if _, ok := rp.get("k1", false); ok {
 			holders++
 			found := false
 			for _, p := range prefs {
@@ -58,7 +58,7 @@ func TestAntiEntropyPushesNewestVersion(t *testing.T) {
 	if _, err := s.Put(0, "k2", []byte("new")); err != nil {
 		t.Fatal(err)
 	}
-	prefs := s.ring.preferenceList("k2", 3)
+	prefs := s.ring.preferenceList("k2")
 	// Manually roll one replica back.
 	stale := prefs[2]
 	s.replica[stale].mu.Lock()
@@ -69,7 +69,7 @@ func TestAntiEntropyPushesNewestVersion(t *testing.T) {
 	if written == 0 {
 		t.Fatal("anti-entropy repaired nothing")
 	}
-	got, ok := s.replica[stale].get("k2")
+	got, ok := s.replica[stale].get("k2", false)
 	if !ok || string(got.value) != "new" {
 		t.Fatalf("stale replica holds %q after anti-entropy", got.value)
 	}
@@ -94,7 +94,7 @@ func TestAntiEntropySkipsDeadTargets(t *testing.T) {
 	if _, err := s.Put(0, "k3", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	prefs := s.ring.preferenceList("k3", 3)
+	prefs := s.ring.preferenceList("k3")
 	victim := prefs[0]
 	_ = s.FailNode(victim)
 	// Remove the dead node's copy to create a gap it cannot fill.
@@ -102,13 +102,13 @@ func TestAntiEntropySkipsDeadTargets(t *testing.T) {
 	delete(s.replica[victim].data, "k3")
 	s.replica[victim].mu.Unlock()
 	s.AntiEntropy()
-	if _, ok := s.replica[victim].get("k3"); ok {
+	if _, ok := s.replica[victim].get("k3", false); ok {
 		t.Fatal("anti-entropy wrote to a dead node")
 	}
 	// After recovery, another pass completes the repair.
 	_ = s.RecoverNode(victim)
 	s.AntiEntropy()
-	if _, ok := s.replica[victim].get("k3"); !ok {
+	if _, ok := s.replica[victim].get("k3", false); !ok {
 		t.Fatal("anti-entropy did not repair recovered node")
 	}
 }

@@ -9,7 +9,7 @@ package kvstore
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 
 	"repro/internal/topology"
@@ -22,8 +22,13 @@ var ErrNoReplicas = errors.New("kvstore: no eligible replicas on ring")
 
 // ring is a consistent-hash ring with virtual nodes. Immutable after build.
 type ring struct {
-	points []ringPoint // sorted by hash
-	nodes  int
+	hashes []uint64          // point hashes, ascending
+	owner  []topology.NodeID // physical node of each point
+	width  int               // preference-list length
+	// walk[i*width:(i+1)*width] is the first width distinct physical
+	// nodes clockwise from point i: a preference list is one binary
+	// search and a subslice.
+	walk []topology.NodeID
 }
 
 type ringPoint struct {
@@ -31,72 +36,81 @@ type ringPoint struct {
 	node topology.NodeID
 }
 
-// newRing places vnodes virtual points per physical node.
-func newRing(nodes, vnodes int) *ring {
-	r := &ring{nodes: nodes}
-	for n := 0; n < nodes; n++ {
+// newRing places vnodes virtual points per physical node and precomputes
+// each point's preference list of n replicas (at most nodes).
+func newRing(nodes, vnodes, n int) *ring {
+	var points []ringPoint
+	for node := 0; node < nodes; node++ {
 		for v := 0; v < vnodes; v++ {
-			r.points = append(r.points, ringPoint{
-				hash: hashString(fmt.Sprintf("node-%d-vnode-%d", n, v)),
-				node: topology.NodeID(n),
+			points = append(points, ringPoint{
+				hash: hashString(fmt.Sprintf("node-%d-vnode-%d", node, v)),
+				node: topology.NodeID(node),
 			})
 		}
 	}
-	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
+	sort.Slice(points, func(i, j int) bool { return points[i].hash < points[j].hash })
+	w := min(n, nodes)
+	r := &ring{width: w, walk: make([]topology.NodeID, 0, len(points)*w)}
+	for _, p := range points {
+		r.hashes, r.owner = append(r.hashes, p.hash), append(r.owner, p.node)
+	}
+	for i := range points {
+		for j := i; len(r.walk) < (i+1)*r.width; j++ {
+			if node := r.owner[j%len(points)]; !slices.Contains(r.walk[i*r.width:], node) {
+				r.walk = append(r.walk, node)
+			}
+		}
+	}
 	return r
 }
 
+// hashString is FNV-1a over s followed by the SplitMix64 finalizer; FNV
+// alone clusters badly on the short, similar strings vnode labels are
+// made of.
 func hashString(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	return mix(h.Sum64())
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return mix(h)
 }
 
-// mix is the SplitMix64 finalizer; FNV alone clusters badly on the short,
-// similar strings vnode labels are made of.
+// mix is the SplitMix64 finalizer.
 func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
 
-// preferenceList returns the first n distinct physical nodes clockwise from
-// key's hash — the replica set in ring order.
-func (r *ring) preferenceList(key string, n int) []topology.NodeID {
-	if n > r.nodes {
-		n = r.nodes
+// start returns the first point at or clockwise after key's hash.
+func (r *ring) start(key string) int {
+	i, _ := slices.BinarySearch(r.hashes, hashString(key))
+	if i == len(r.hashes) {
+		return 0
 	}
-	h := hashString(key)
-	idx := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	seen := map[topology.NodeID]bool{}
-	var out []topology.NodeID
-	for i := 0; len(out) < n && i < len(r.points); i++ {
-		p := r.points[(idx+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, p.node)
-		}
-	}
-	return out
+	return i
 }
 
-// successors returns up to n distinct physical nodes clockwise from the
-// preference list's end, excluding the given set — the hinted-handoff
-// targets. When n > 0 and every physical node is excluded it returns
-// ErrNoReplicas so the caller can surface the exhausted ring instead of
-// quietly operating on fewer replicas than requested.
-func (r *ring) successors(key string, exclude map[topology.NodeID]bool, n int) ([]topology.NodeID, error) {
-	h := hashString(key)
-	idx := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	seen := map[topology.NodeID]bool{}
+// preferenceList returns the first width distinct physical nodes clockwise
+// from key's hash — the replica set in ring order. The slice is the ring's
+// own: callers must not modify it.
+func (r *ring) preferenceList(key string) []topology.NodeID {
+	i := r.start(key) * r.width
+	return r.walk[i : i+r.width : i+r.width]
+}
+
+// successors returns up to n distinct physical nodes clockwise from key's
+// hash for which skip is false — the hinted-handoff targets. It walks the
+// points one by one, which only a write with a dead replica pays for.
+// When n > 0 and every physical node is skipped it returns ErrNoReplicas
+// so the caller can surface the exhausted ring instead of quietly
+// operating on fewer replicas than requested.
+func (r *ring) successors(key string, n int, skip func(topology.NodeID) bool) ([]topology.NodeID, error) {
 	var out []topology.NodeID
-	for i := 0; len(out) < n && i < len(r.points); i++ {
-		p := r.points[(idx+i)%len(r.points)]
-		if exclude[p.node] || seen[p.node] {
-			continue
+	for i, start := 0, r.start(key); len(out) < n && i < len(r.owner); i++ {
+		if node := r.owner[(start+i)%len(r.owner)]; !skip(node) && !slices.Contains(out, node) {
+			out = append(out, node)
 		}
-		seen[p.node] = true
-		out = append(out, p.node)
 	}
 	if n > 0 && len(out) == 0 {
 		return nil, ErrNoReplicas

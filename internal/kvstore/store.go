@@ -3,8 +3,9 @@ package kvstore
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -48,18 +49,17 @@ type replica struct {
 	prev map[string]versioned
 }
 
-func (rp *replica) get(key string) (versioned, bool) {
+// get returns key's current version or, when stale is set and the
+// replica retains one, the version it overwrote.
+func (rp *replica) get(key string, stale bool) (versioned, bool) {
 	rp.mu.RLock()
 	defer rp.mu.RUnlock()
+	if stale {
+		if v, ok := rp.prev[key]; ok {
+			return v, true
+		}
+	}
 	v, ok := rp.data[key]
-	return v, ok
-}
-
-// getPrev returns the last overwritten version of key, if any.
-func (rp *replica) getPrev(key string) (versioned, bool) {
-	rp.mu.RLock()
-	defer rp.mu.RUnlock()
-	v, ok := rp.prev[key]
 	return v, ok
 }
 
@@ -89,14 +89,17 @@ type Store struct {
 	ring    *ring
 	replica []*replica
 
-	mu    sync.Mutex // guards alive, hints, clock, stale
-	alive []bool
+	alive []atomic.Bool
+	clock atomic.Int64 // coordinator version clock
+	stale atomic.Bool  // fault injection: serve overwritten versions (SetStaleReads)
+
+	mu    sync.Mutex                 // guards hints
 	hints map[topology.NodeID][]hint // held-by-node -> hints it carries
-	clock int64
-	stale bool // fault injection: serve overwritten versions (SetStaleReads)
 
 	// Metrics observed by the experiments.
-	Reg *metrics.Registry
+	Reg            *metrics.Registry
+	getLat, putLat *metrics.Histogram // get_latency_ns, put_latency_ns
+	readRepairs    *metrics.Counter
 }
 
 // New builds a store across every node of the fabric's topology.
@@ -125,16 +128,18 @@ func New(cfg Config) (*Store, error) {
 	}
 	s := &Store{
 		cfg:     cfg,
-		ring:    newRing(size, cfg.VNodes),
+		ring:    newRing(size, cfg.VNodes, cfg.N),
 		replica: make([]*replica, size),
-		alive:   make([]bool, size),
+		alive:   make([]atomic.Bool, size),
 		hints:   map[topology.NodeID][]hint{},
 		Reg:     metrics.NewRegistry(),
 	}
 	for i := range s.replica {
 		s.replica[i] = &replica{data: map[string]versioned{}, prev: map[string]versioned{}}
-		s.alive[i] = true
+		s.alive[i].Store(true)
 	}
+	s.getLat, s.putLat = s.Reg.Histogram("get_latency_ns"), s.Reg.Histogram("put_latency_ns")
+	s.readRepairs = s.Reg.Counter("read_repairs")
 	return s, nil
 }
 
@@ -144,35 +149,14 @@ func New(cfg Config) (*Store, error) {
 // linearizability checker's self-test can prove it has teeth — a
 // sequential put/put/get under stale reads yields a history with no
 // sequential witness.
-func (s *Store) SetStaleReads(enabled bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stale = enabled
-}
-
-func (s *Store) staleReads() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stale
-}
+func (s *Store) SetStaleReads(enabled bool) { s.stale.Store(enabled) }
 
 // Config returns the effective configuration.
 func (s *Store) Config() Config { return s.cfg }
 
 // nextVersion issues a monotonically increasing version (a Lamport-style
 // coordinator clock; sufficient because all coordinators share a process).
-func (s *Store) nextVersion() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.clock++
-	return s.clock
-}
-
-func (s *Store) isAlive(n topology.NodeID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.alive[n]
-}
+func (s *Store) nextVersion() int64 { return s.clock.Add(1) }
 
 // Put writes key=value from the given coordinator node. It returns the
 // simulated client latency: the W-th fastest replica acknowledgement
@@ -187,40 +171,39 @@ func (s *Store) Delete(coordinator topology.NodeID, key string) (time.Duration, 
 }
 
 func (s *Store) write(coordinator topology.NodeID, key string, v versioned) (time.Duration, error) {
-	prefs := s.ring.preferenceList(key, s.cfg.N)
-	var acks []time.Duration
+	prefs := s.ring.preferenceList(key)
+	var buf [8]time.Duration // spills to the heap only when N > 8
+	acks := buf[:0]
 	var deadTargets []topology.NodeID
 	for _, n := range prefs {
-		if s.isAlive(n) {
+		if s.alive[n].Load() {
 			s.replica[n].put(key, v)
 			acks = append(acks, s.rtt(coordinator, n, int64(len(v.value))))
 		} else {
 			deadTargets = append(deadTargets, n)
 		}
 	}
-	// Hinted handoff: sloppy quorum via ring successors. An exhausted
-	// ring (ErrNoReplicas) means no handoff target exists outside the
-	// preference list; the quorum check below then decides the outcome
-	// with that cause attached rather than a silently shrunken quorum.
+	// Hinted handoff: sloppy quorum via the first live ring successors
+	// outside the preference list. An exhausted ring (ErrNoReplicas)
+	// means no live handoff target exists; the quorum check below then
+	// decides the outcome with that cause attached rather than a
+	// silently shrunken quorum.
 	var handoffErr error
 	if len(deadTargets) > 0 {
-		exclude := map[topology.NodeID]bool{}
-		for _, n := range prefs {
-			exclude[n] = true
-		}
-		succ, err := s.ring.successors(key, exclude, len(deadTargets))
+		succ, err := s.ring.successors(key, len(deadTargets), func(n topology.NodeID) bool {
+			return !s.alive[n].Load() || slices.Contains(prefs, n)
+		})
 		if err != nil {
 			handoffErr = err
 			s.Reg.Counter("handoff_no_replicas").Inc()
 		}
 		for i, holder := range succ {
-			if i >= len(deadTargets) || !s.isAlive(holder) {
-				continue
-			}
 			s.mu.Lock()
 			s.hints[holder] = append(s.hints[holder], hint{key: key, v: v, for_: deadTargets[i]})
 			s.mu.Unlock()
-			s.replica[holder].put(key, v) // sloppy replica also serves reads
+			// Get reads only the preference list: the sloppy copy counts
+			// toward W and reaches its owner by hint delivery.
+			s.replica[holder].put(key, v)
 			acks = append(acks, s.rtt(coordinator, holder, int64(len(v.value))))
 			s.Reg.Counter("hinted_handoffs").Inc()
 		}
@@ -232,9 +215,9 @@ func (s *Store) write(coordinator topology.NodeID, key string, v versioned) (tim
 		}
 		return 0, fmt.Errorf("%w: %d/%d write acks", ErrQuorumFailed, len(acks), s.cfg.W)
 	}
-	sort.Slice(acks, func(i, j int) bool { return acks[i] < acks[j] })
+	insertionSort(acks, func(a, b time.Duration) bool { return a < b })
 	lat := acks[s.cfg.W-1]
-	s.Reg.Histogram("put_latency_ns").ObserveDuration(lat)
+	s.putLat.ObserveDuration(lat)
 	return lat, nil
 }
 
@@ -250,27 +233,20 @@ func (s *Store) write(coordinator topology.NodeID, key string, v versioned) (tim
 // expose. The linearizability checker (internal/check) verifies exactly
 // this property against captured histories.
 func (s *Store) Get(coordinator topology.NodeID, key string) ([]byte, time.Duration, error) {
-	stale := s.staleReads()
-	prefs := s.ring.preferenceList(key, s.cfg.N)
+	stale := s.stale.Load()
 	type resp struct {
 		node topology.NodeID
 		v    versioned
 		ok   bool
 		lat  time.Duration
 	}
-	var resps []resp
-	for _, n := range prefs {
-		if !s.isAlive(n) {
+	var buf [8]resp // spills to the heap only when N > 8
+	resps := buf[:0]
+	for _, n := range s.ring.preferenceList(key) {
+		if !s.alive[n].Load() {
 			continue
 		}
-		v, ok := s.replica[n].get(key)
-		if stale {
-			// Fault injection: serve the overwritten version if the
-			// replica retains one (see SetStaleReads).
-			if pv, pok := s.replica[n].getPrev(key); pok {
-				v, ok = pv, true
-			}
-		}
+		v, ok := s.replica[n].get(key, stale)
 		sz := int64(64)
 		if ok {
 			sz += int64(len(v.value))
@@ -282,7 +258,7 @@ func (s *Store) Get(coordinator topology.NodeID, key string) ([]byte, time.Durat
 		return nil, 0, fmt.Errorf("%w: %d/%d read responses", ErrQuorumFailed, len(resps), s.cfg.R)
 	}
 	// Contact the R fastest replicas (closest-first fan-out).
-	sort.Slice(resps, func(i, j int) bool { return resps[i].lat < resps[j].lat })
+	insertionSort(resps, func(a, b resp) bool { return a.lat < b.lat })
 	contacted := resps[:s.cfg.R]
 	lat := contacted[s.cfg.R-1].lat
 
@@ -302,15 +278,26 @@ func (s *Store) Get(coordinator topology.NodeID, key string) ([]byte, time.Durat
 		for _, r := range resps {
 			if !r.ok || r.v.version < newest.version {
 				s.replica[r.node].put(key, newest)
-				s.Reg.Counter("read_repairs").Inc()
+				s.readRepairs.Inc()
 			}
 		}
 	}
-	s.Reg.Histogram("get_latency_ns").ObserveDuration(lat)
+	s.getLat.ObserveDuration(lat)
 	if !found || newest.tombstone {
 		return nil, lat, ErrNotFound
 	}
 	return append([]byte(nil), newest.value...), lat, nil
+}
+
+// insertionSort orders xs stably by less. For up to 12 elements it is
+// exactly what sort.Slice does (pdqsort insertion-sorts short slices), so
+// ties keep the order sort.Slice gave them, without its reflection.
+func insertionSort[T any](xs []T, less func(a, b T) bool) {
+	for i := 1; i < len(xs); i++ {
+		for j := i; j > 0 && less(xs[j], xs[j-1]); j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
+	}
 }
 
 // rtt models one request/response exchange between coordinator and replica.
@@ -326,9 +313,7 @@ func (s *Store) FailNode(n topology.NodeID) error {
 	if int(n) < 0 || int(n) >= len(s.alive) {
 		return ErrUnknownNode
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.alive[n] = false
+	s.alive[n].Store(false)
 	return nil
 }
 
@@ -337,8 +322,8 @@ func (s *Store) RecoverNode(n topology.NodeID) error {
 	if int(n) < 0 || int(n) >= len(s.alive) {
 		return ErrUnknownNode
 	}
+	s.alive[n].Store(true)
 	s.mu.Lock()
-	s.alive[n] = true
 	// Collect hints destined for n from every holder.
 	var deliver []hint
 	for holder, hs := range s.hints {
@@ -376,7 +361,7 @@ func (s *Store) PendingHints() int {
 func (s *Store) ReplicaCount(key string) int {
 	count := 0
 	for _, rp := range s.replica {
-		if _, ok := rp.get(key); ok {
+		if _, ok := rp.get(key, false); ok {
 			count++
 		}
 	}

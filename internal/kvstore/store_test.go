@@ -3,6 +3,7 @@ package kvstore
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -85,7 +86,7 @@ func TestReadYourWritesWithQuorumOverlap(t *testing.T) {
 	// R+W > N guarantees the read quorum intersects the write quorum even
 	// when a replica is down.
 	s := newStore(t, 3, 2, 2)
-	prefs := s.ring.preferenceList("key-under-test", 3)
+	prefs := s.ring.preferenceList("key-under-test")
 	if err := s.FailNode(prefs[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestQuorumFailure(t *testing.T) {
 
 func TestHintedHandoffAndDelivery(t *testing.T) {
 	s := newStore(t, 3, 1, 2) // 8 nodes, so a successor exists for handoff
-	prefs := s.ring.preferenceList("hh-key", 3)
+	prefs := s.ring.preferenceList("hh-key")
 	victim := prefs[0]
 	_ = s.FailNode(victim)
 	if _, err := s.Put(0, "hh-key", []byte("v")); err != nil {
@@ -133,7 +134,7 @@ func TestHintedHandoffAndDelivery(t *testing.T) {
 		t.Fatal("hints not delivered on recovery")
 	}
 	// The recovered node must now hold the value.
-	v, ok := s.replica[victim].get("hh-key")
+	v, ok := s.replica[victim].get("hh-key", false)
 	if !ok || string(v.value) != "v" {
 		t.Fatal("recovered node missing hinted write")
 	}
@@ -144,7 +145,7 @@ func TestHintedHandoffAndDelivery(t *testing.T) {
 
 func TestReadRepair(t *testing.T) {
 	s := newStore(t, 3, 3, 2)
-	prefs := s.ring.preferenceList("rr-key", 3)
+	prefs := s.ring.preferenceList("rr-key")
 	// Write v1 everywhere, then manually roll one replica back to simulate
 	// a stale copy.
 	if _, err := s.Put(0, "rr-key", []byte("v2")); err != nil {
@@ -162,7 +163,7 @@ func TestReadRepair(t *testing.T) {
 	if s.Reg.Counter("read_repairs").Value() == 0 {
 		t.Fatal("read repair not performed")
 	}
-	got, _ := s.replica[stale].get("rr-key")
+	got, _ := s.replica[stale].get("rr-key", false)
 	if string(got.value) != "v2" {
 		t.Fatal("stale replica not repaired")
 	}
@@ -203,9 +204,9 @@ func TestInvalidQuorumRejected(t *testing.T) {
 }
 
 func TestPreferenceListProperties(t *testing.T) {
-	r := newRing(10, 64)
+	r := newRing(10, 64, 3)
 	f := func(key string) bool {
-		prefs := r.preferenceList(key, 3)
+		prefs := r.preferenceList(key)
 		if len(prefs) != 3 {
 			return false
 		}
@@ -217,7 +218,7 @@ func TestPreferenceListProperties(t *testing.T) {
 			seen[n] = true
 		}
 		// Deterministic.
-		again := r.preferenceList(key, 3)
+		again := r.preferenceList(key)
 		for i := range prefs {
 			if prefs[i] != again[i] {
 				return false
@@ -231,13 +232,13 @@ func TestPreferenceListProperties(t *testing.T) {
 }
 
 func TestRingBalance(t *testing.T) {
-	r := newRing(8, 128)
+	r := newRing(8, 128, 1)
 	counts := make([]int, 8)
 	gen := rng.New(5)
 	const keys = 20000
 	for i := 0; i < keys; i++ {
 		k := fmt.Sprintf("key-%d-%d", i, gen.Uint64())
-		counts[r.preferenceList(k, 1)[0]]++
+		counts[r.preferenceList(k)[0]]++
 	}
 	for n, c := range counts {
 		frac := float64(c) / keys
@@ -290,36 +291,121 @@ func TestFailUnknownNode(t *testing.T) {
 	}
 }
 
-func BenchmarkPut(b *testing.B) {
+// TestConcurrentFaultToggles runs clients against a store whose liveness
+// and stale-read flags flip underneath them: only quorum failures and
+// misses may surface, every read returns a value some put wrote, and
+// once every node is back, one anti-entropy pass leaves each key on
+// exactly N replicas.
+func TestConcurrentFaultToggles(t *testing.T) {
+	s := newStore(t, 3, 2, 2)
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("toggle-%d", i)
+		if _, err := s.Put(0, keys[i], []byte(keys[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	var toggler sync.WaitGroup
+	toggler.Add(1)
+	go func() {
+		defer toggler.Done()
+		r := rng.New(99)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			n := topology.NodeID(r.Intn(8))
+			switch r.Intn(3) {
+			case 0:
+				_ = s.FailNode(n)
+			case 1:
+				_ = s.RecoverNode(n)
+			default:
+				s.SetStaleReads(r.Intn(2) == 0)
+			}
+			runtime.Gosched()
+		}
+	}()
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			r := rng.New(uint64(c))
+			for i := 0; i < 2000; i++ {
+				key := keys[r.Intn(len(keys))]
+				var v []byte
+				var err error
+				if r.Intn(2) == 0 {
+					_, err = s.Put(topology.NodeID(c), key, []byte(key))
+				} else if v, _, err = s.Get(topology.NodeID(c), key); err == nil && string(v) != key {
+					err = fmt.Errorf("get %s = %q", key, v)
+				}
+				if err != nil && !errors.Is(err, ErrQuorumFailed) && !errors.Is(err, ErrNotFound) {
+					errs <- err
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(stop)
+	toggler.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for n := 0; n < 8; n++ {
+		_ = s.RecoverNode(topology.NodeID(n))
+	}
+	s.SetStaleReads(false)
+	s.AntiEntropy()
+	for _, k := range keys {
+		if got := s.ReplicaCount(k); got != 3 {
+			t.Errorf("%s on %d replicas after recovery and anti-entropy, want 3", k, got)
+		}
+	}
+}
+
+// benchStore is an 8-node RDMA store preloaded with 10 000 keys of 256 B,
+// the kv_mix value size; the keys are built once so that the benchmarks
+// time Get and Put, not fmt.
+func benchStore(b *testing.B) (*Store, []string, []byte) {
 	fab := netsim.NewFabric(topology.TwoTier(2, 4, 2), netsim.RDMA40G)
 	s, err := New(Config{Fabric: fab, N: 3, R: 2, W: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
-	val := make([]byte, 128)
+	keys := make([]string, 10000)
+	val := make([]byte, 256)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("bench-%d", i)
+		if _, err := s.Put(0, keys[i], val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
+	return s, keys, val
+}
+
+func BenchmarkPut(b *testing.B) {
+	s, keys, val := benchStore(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Put(topology.NodeID(i%8), fmt.Sprintf("bench-%d", i%100000), val); err != nil {
+		if _, err := s.Put(topology.NodeID(i%8), keys[i%len(keys)], val); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkGet(b *testing.B) {
-	fab := netsim.NewFabric(topology.TwoTier(2, 4, 2), netsim.RDMA40G)
-	s, err := New(Config{Fabric: fab, N: 3, R: 2, W: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	val := make([]byte, 128)
-	for i := 0; i < 10000; i++ {
-		if _, err := s.Put(0, fmt.Sprintf("bench-%d", i), val); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
+	s, keys, _ := benchStore(b)
 	for i := 0; i < b.N; i++ {
-		if _, _, err := s.Get(topology.NodeID(i%8), fmt.Sprintf("bench-%d", i%10000)); err != nil {
+		if _, _, err := s.Get(topology.NodeID(i%8), keys[i%len(keys)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -43,11 +43,17 @@ echo "== log compaction + txn watermark (race, count=3) =="
 # compaction snapshots. No wall clock, so -count=3 on two cores is cheap.
 go test -race -count=3 -run 'TestWatermark|TestCompaction' ./internal/kvstore ./internal/ha
 
+echo "== quorum ring under fault toggles (race, count=3) =="
+# Liveness, the stale-read flag and the version clock are atomics that
+# Get/Put read without a lock while FailNode/RecoverNode flip them.
+go test -race -count=3 -run 'TestConcurrent' ./internal/kvstore
+
 echo "== shared log views (race, count=3) + allocation ceilings =="
 # Raft hands out views of its log instead of copies: the aliasing tests
 # hold them across truncation, compaction and a seeded fault schedule.
-# The ceilings pin what one proposal may allocate, layer by layer; they
-# run without -race, which changes allocation counts.
+# The ceilings pin what one proposal may allocate, layer by layer, and
+# what a quorum-ring Get/Put may; they run without -race, which changes
+# allocation counts.
 go test -race -count=3 -run 'Survives|TestHandedOut|TestDrainedMailbox|TestAppliedSequences|TestClusterIgnoresUnknownIDs' ./internal/consensus/
 go test -race -count=3 -run 'TestGroupTranscriptMatchesParent' ./internal/ha/
 go test -count=1 -run 'AllocCeiling|ByteCeiling' ./internal/ha ./internal/kvstore
