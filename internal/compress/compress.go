@@ -176,24 +176,22 @@ func (LZ) Compress(src []byte) []byte {
 	return appendLiterals(out, src[litStart:])
 }
 
-// Decompress implements Codec.
+// Decompress implements Codec, into an output sized by lzDecodedLen.
 func (LZ) Decompress(src []byte) ([]byte, error) {
-	out := make([]byte, 0, len(src)*2)
+	size, err := lzDecodedLen(src)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, size)
 	i := 0
 	for i < len(src) {
 		tag := src[i]
 		i++
 		if tag < 0x80 {
 			n := int(tag) + 1
-			if i+n > len(src) {
-				return nil, fmt.Errorf("%w: literal overruns input", ErrCorrupt)
-			}
 			out = append(out, src[i:i+n]...)
 			i += n
 			continue
-		}
-		if i+2 > len(src) {
-			return nil, fmt.Errorf("%w: match missing offset", ErrCorrupt)
 		}
 		length := int(tag-0x80) + lzMinMatch
 		off := int(src[i]) | int(src[i+1])<<8
@@ -211,6 +209,22 @@ func (LZ) Decompress(src []byte) ([]byte, error) {
 		}
 	}
 	return out, nil
+}
+
+// lzDecodedLen returns how many bytes src's tokens decode to, from the tags
+// alone, or ErrCorrupt if a token runs past the end of src.
+func lzDecodedLen(src []byte) (int, error) {
+	size := 0
+	for i := 0; i < len(src); {
+		n, step := int(src[i])+1, int(src[i])+2 // a literal: its tag and n bytes
+		if src[i] >= 0x80 {
+			n, step = int(src[i]-0x80)+lzMinMatch, 3 // a match: its tag and offset
+		}
+		if size, i = size+n, i+step; i > len(src) {
+			return 0, fmt.Errorf("%w: token overruns input", ErrCorrupt)
+		}
+	}
+	return size, nil
 }
 
 // Flate wraps compress/flate at the given level — the "heavy" point in the

@@ -33,6 +33,9 @@ func FuzzRoundTrip(f *testing.F) {
 			if !bytes.Equal(dec, data) {
 				t.Fatalf("%s: round trip changed %d bytes to %d", c.Name(), len(data), len(dec))
 			}
+			if _, ok := c.(LZ); ok && cap(dec) != len(dec) {
+				t.Fatalf("lz: decoded %d bytes into a %d-byte buffer, want it sized exactly", len(dec), cap(dec))
+			}
 		}
 	})
 }
@@ -42,7 +45,14 @@ func FuzzDecompress(f *testing.F) {
 	f.Add([]byte{0xff, 0x00, 0x10})
 	f.Add(LZ{}.Compress([]byte("seed the corpus with a valid stream")))
 	f.Add(RLE{}.Compress(bytes.Repeat([]byte("ab"), 64)))
+	f.Add([]byte{0x02, 'a', 'b', 'c', 0x05})            // ends in a bare literal tag
+	f.Add([]byte{0x03, 'a', 'b', 'c', 'd', 0x85, 0x04}) // a match tag with one offset byte
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The LZ pre-scan sizes no more than its tokens could produce: at
+		// most lzMaxMatch bytes from every 3-byte match.
+		if n, err := lzDecodedLen(data); err == nil && 3*n > lzMaxMatch*len(data) {
+			t.Fatalf("lz: %d input bytes sized as %d output bytes", len(data), n)
+		}
 		for _, c := range fuzzCodecs() {
 			out, err := c.Decompress(data)
 			if err != nil {

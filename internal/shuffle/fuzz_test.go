@@ -4,12 +4,75 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/compress"
 	"repro/internal/serde"
 )
+
+// FuzzSortWriter: records cut from the fuzz bytes — a length byte, then a
+// key of that many bytes mod 13, straddling the 8-byte prefix the run sort
+// keys on, and a value naming the record's arrival — come out of the sort
+// writer exactly as referenceSort frames them: blocks and Stats, under a
+// hash and a range partitioner, with 0, 1 and many spills, with and
+// without an order-sensitive combiner, uncompressed and LZ.
+func FuzzSortWriter(f *testing.F) {
+	f.Add([]byte("\x01a\x02a\x00\x01a\x03a\x00\x00\x00\x01a\x02a\x00")) // "a" vs "a\x00", duplicates
+	f.Add([]byte("\x08abcdefgh\x09abcdefgh1\x09abcdefgh\x00\x0cabcdefgh2xyz\x09abcdefgh1\x08abcdefgh\x00"))
+	var tricky []byte // keys sharing long prefixes, every length 0 to 12, each several times
+	for rep := 0; rep < 6; rep++ {
+		for n := 0; n <= 12; n++ {
+			tricky = append(tricky, byte(n))
+			tricky = append(tricky, "abcdefghijkl"[:n]...)
+			if n > 0 {
+				tricky[len(tricky)-1] += byte(rep % 3)
+			}
+		}
+	}
+	f.Add(tricky)
+	concat := func(a, b []byte) []byte { return append(append([]byte(nil), a...), b...) }
+	rp := NewRangePartitioner([][]byte{[]byte("a\x00"), []byte("abcdefgh1"), []byte("k")})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var input []kv
+		var total int64
+		for len(data) > 0 {
+			n := min(int(data[0]%13), len(data)-1)
+			input = append(input, kv{k: data[1 : 1+n], v: []byte{byte(len(input) >> 8), byte(len(input))}})
+			total += int64(n + 2)
+			data = data[1+n:]
+		}
+		for _, part := range []Config{{Partitions: 3}, {Partitions: rp.Partitions(), Partitioner: rp.Partition}} {
+			for _, threshold := range []int64{0, total/2 + 1, max(1, total/8)} {
+				for _, combiner := range []func(a, b []byte) []byte{nil, concat} {
+					for _, codec := range []compress.Codec{compress.None{}, compress.LZ{}} {
+						cfg := part
+						cfg.SpillThreshold, cfg.Combiner, cfg.Codec = threshold, combiner, codec
+						w, err := NewSortWriter(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, r := range input {
+							if err := w.Write(r.k, r.v); err != nil {
+								t.Fatal(err)
+							}
+						}
+						blocks, stats, err := w.Close()
+						if err != nil {
+							t.Fatal(err)
+						}
+						wantBlocks, wantStats := referenceSort(cfg, input)
+						if !reflect.DeepEqual(stats, wantStats) || !reflect.DeepEqual(blocks, wantBlocks) {
+							t.Fatalf("%d records, threshold %d, combiner %t, %s: writer and reference differ\nstats %+v\n want %+v",
+								len(input), threshold, combiner != nil, codec.Name(), stats, wantStats)
+						}
+					}
+				}
+			}
+		}
+	})
+}
 
 // FuzzReadBlocks feeds arbitrary bytes to ReadBlocks as the data of two
 // blocks for one partition, flagged sorted or not, with a record count that

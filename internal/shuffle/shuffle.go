@@ -302,10 +302,8 @@ func (w *hashWriter) Close() ([]Block, Stats, error) {
 // off, the value right behind it — beside everything the sort compares, so
 // ordering a run neither calls the partitioner nor, usually, reads the key.
 type sortEntry struct {
-	prefix     uint64 // first 8 key bytes, big-endian, zero-padded
-	off        int
-	klen, vlen int
-	part       int
+	prefix                uint64 // first 8 key bytes, big-endian, zero-padded
+	off, klen, vlen, part uint32
 }
 
 // sortRun is one spill's worth of records: key‖value bytes back to back in
@@ -314,6 +312,9 @@ type sortRun struct {
 	arena   []byte
 	entries []sortEntry
 }
+
+// runFits reports whether n more bytes keep a run's arena 32-bit addressable.
+func runFits(used, n int) bool { return uint64(used)+uint64(n) <= math.MaxUint32 }
 
 func (r *sortRun) key(e sortEntry) []byte { return r.arena[e.off : e.off+e.klen] }
 
@@ -443,6 +444,53 @@ func compareEntries(ra *sortRun, a sortEntry, rb *sortRun, b sortEntry) int {
 	return bytes.Compare(ra.key(a), rb.key(b))
 }
 
+// sort orders the run by (partition, key), equal keys in arrival order:
+// stable counting passes over the prefix bytes, least significant first,
+// then over the partition, skipping any digit every entry shares; then a
+// stable comparison of the keys in each group whose partition and prefix tie.
+func (r *sortRun) sort(parts int) {
+	es, spare := r.entries, make([]sortEntry, len(r.entries))
+	var counts [8][256]int // by prefix byte, least significant first
+	byPart := make([]int, parts)
+	for _, e := range es {
+		for d := range counts {
+			counts[d][byte(e.prefix>>(8*d))]++
+		}
+		byPart[e.part]++
+	}
+	for d := 0; d <= 8; d++ { // digit 8 is the partition
+		c := byPart
+		if d < 8 {
+			c = counts[d][:]
+		}
+		if slices.Contains(c, len(es)) {
+			continue // one value holds every entry: the pass would move nothing
+		}
+		at := 0
+		for v, k := range c {
+			c[v], at = at, at+k
+		}
+		for _, e := range es {
+			v := int(e.part)
+			if d < 8 {
+				v = int(byte(e.prefix >> (8 * d)))
+			}
+			spare[c[v]] = e
+			c[v]++
+		}
+		es, spare = spare, es
+	}
+	for i, j := 0, 1; j <= len(es); j++ {
+		if j == len(es) || es[j].prefix != es[i].prefix || es[j].part != es[i].part {
+			if j-i > 1 {
+				slices.SortStableFunc(es[i:j], func(a, b sortEntry) int { return bytes.Compare(r.key(a), r.key(b)) })
+			}
+			i = j
+		}
+	}
+	r.entries = es
+}
+
 // sortWriter copies each record once into the current run's arena, sorts
 // every spill run by (partition, key) with equal keys in arrival order, and
 // merges the runs at close — the Spark "sort shuffle" design. Output blocks
@@ -487,15 +535,21 @@ func (w *sortWriter) Write(key, value []byte) error {
 	if w.closed {
 		return ErrClosed
 	}
+	prev, combine := w.combine[string(key)]
+	if combine {
+		value = w.cfg.Combiner(prev, value)
+	}
+	if n := len(key) + len(value); !runFits(0, n) {
+		return fmt.Errorf("shuffle: %d-byte record: a sort run holds at most %d bytes", n, uint64(math.MaxUint32))
+	}
 	w.stats.RecordsIn++
-	if w.combine != nil {
-		if prev, ok := w.combine[string(key)]; ok {
-			w.combine[string(key)] = w.cfg.Combiner(prev, value)
-		} else {
-			w.combine[string(key)] = append([]byte(nil), value...)
-			w.buffered += int64(len(key) + len(value))
-		}
-	} else {
+	switch {
+	case combine:
+		w.combine[string(key)] = value
+	case w.combine != nil:
+		w.combine[string(key)] = append([]byte(nil), value...)
+		w.buffered += int64(len(key) + len(value))
+	default:
 		w.add(key, value)
 		w.buffered += int64(len(key) + len(value))
 	}
@@ -505,12 +559,16 @@ func (w *sortWriter) Write(key, value []byte) error {
 	return nil
 }
 
-// add copies one record into the current run and partitions it.
+// add copies one record into the current run, first ending a run too full for it.
 func (w *sortWriter) add(key, value []byte) {
+	if !runFits(len(w.cur.arena), len(key)+len(value)) {
+		w.endRun()
+		w.stats.Spills++
+	}
 	p := w.cfg.Partitioner(key)
 	w.cur.entries = append(grow(w.cur.entries, 1), sortEntry{
 		prefix: keyPrefix(key),
-		off:    len(w.cur.arena), klen: len(key), vlen: len(value), part: p,
+		off:    uint32(len(w.cur.arena)), klen: uint32(len(key)), vlen: uint32(len(value)), part: uint32(p),
 	})
 	w.cur.arena = append(append(grow(w.cur.arena, len(key)+len(value)), key...), value...)
 	w.stats.PartitionRecords[p]++
@@ -534,24 +592,22 @@ func (w *sortWriter) sealRun() bool {
 		w.add([]byte(k), v)
 	}
 	clear(w.combine)
-	run := &w.cur
-	if len(run.entries) == 0 {
+	if len(w.cur.entries) == 0 {
 		return false
 	}
-	slices.SortFunc(run.entries, func(a, b sortEntry) int {
-		if c := compareEntries(run, a, run, b); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.off, b.off)
-	})
-	w.runs = append(w.runs, w.cur)
-	w.cur = sortRun{}
+	w.endRun()
 	return true
+}
+
+// endRun sorts the current run and files it with the finished ones.
+func (w *sortWriter) endRun() {
+	w.cur.sort(w.cfg.Partitions)
+	w.runs = append(w.runs, w.cur)
+	w.cur, w.buffered = sortRun{}, 0
 }
 
 func (w *sortWriter) spill() {
 	if w.sealRun() {
-		w.buffered = 0
 		w.stats.Spills++
 	}
 }

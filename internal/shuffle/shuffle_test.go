@@ -3,6 +3,7 @@ package shuffle
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"sort"
@@ -336,12 +337,16 @@ func benchRecords(seed uint64, n int) (keys [][]byte, val []byte) {
 	return keys, bytes.Repeat([]byte("v"), 90)
 }
 
+// benchWrite times writers taking keys with val each, sized up front by
+// Reserve as WriteRecords sizes them in the engine.
 func benchWrite(b *testing.B, mk func(Config) (Writer, error), cfg Config, keys [][]byte, val []byte) {
+	size := int64(len(keys) * (len(keys[0]) + len(val)))
 	b.ReportAllocs()
-	b.SetBytes(int64(len(keys) * (len(keys[0]) + len(val))))
+	b.SetBytes(size)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w, _ := mk(cfg)
+		w.Reserve(len(keys), size)
 		for _, k := range keys {
 			_ = w.Write(k, val)
 		}
@@ -467,6 +472,24 @@ func TestWriteRecordsReservesThenWrites(t *testing.T) {
 		}
 		if got, _, _ := batch.Close(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s writer: WriteRecords wrote different blocks", name)
+		}
+	}
+}
+
+// TestRunFits: a run's arena may grow to exactly 2^32-1 bytes, the last
+// offset sortEntry addresses, and not one byte past it — from empty (a
+// record Write refuses) or from nearly full (one that ends the run).
+func TestRunFits(t *testing.T) {
+	const limit = math.MaxUint32
+	for _, c := range []struct {
+		used, n int
+		want    bool
+	}{
+		{0, 0, true}, {0, limit, true}, {0, limit + 1, false},
+		{limit - 100, 100, true}, {limit - 100, 101, false}, {limit, 0, true}, {limit, 1, false},
+	} {
+		if got := runFits(c.used, c.n); got != c.want {
+			t.Errorf("runFits(%d, %d) = %t, want %t", c.used, c.n, got, c.want)
 		}
 	}
 }

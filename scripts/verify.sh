@@ -67,7 +67,7 @@ echo "== batches and the shuffle boundary: identity pins + allocation ceilings =
 # must still match the pins byte for byte.
 go test -count=5 -run 'Identity|TestBatchesAreReadOnly|TestVectorizedFilter|TestActualsCount' ./internal/table ./internal/query
 go test -count=5 -run 'WireIdentity|TestShuffleOutputOrderPinned' .
-go test -count=1 -run 'TestSortWriterByteIdentity|TestWritersCopyScratch|TestKeyOrder|TestKeyTable|FuzzKeyOrder' ./internal/shuffle
+go test -count=1 -run 'TestSortWriterByteIdentity|TestWritersCopyScratch|TestKeyOrder|TestKeyTable|FuzzKeyOrder|FuzzSortWriter|AllocCeiling' ./internal/shuffle
 go test -count=1 -run 'AllocCeiling|AllocBudget' ./internal/table
 go test -count=1 -run 'AllocBudget|TestNoPerElementAllocations' .
 
