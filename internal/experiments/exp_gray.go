@@ -217,6 +217,9 @@ func newRegSM() ha.StateMachine { return &regSM{m: map[string]string{}} }
 
 func (r *regSM) Apply(cmd []byte) []byte {
 	parts := strings.SplitN(string(cmd), "\x00", 3)
+	if len(parts) < 2 || (parts[0] == "p" && len(parts) < 3) {
+		return nil // no key, or a put without a value
+	}
 	switch parts[0] {
 	case "p":
 		r.m[parts[1]] = parts[2]
@@ -233,6 +236,8 @@ func (r *regSM) Apply(cmd []byte) []byte {
 
 func (r *regSM) Snapshot() []byte { return r.AppendSnapshot(nil) }
 
+// AppendSnapshot writes each key, then its value, in key order, each ended
+// by a NUL, escaped by regEscape so that none holds a NUL.
 func (r *regSM) AppendSnapshot(dst []byte) []byte {
 	keys := make([]string, 0, len(r.m))
 	for k := range r.m {
@@ -240,17 +245,23 @@ func (r *regSM) AppendSnapshot(dst []byte) []byte {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		dst = append(append(append(dst, k...), 0), r.m[k]...)
+		dst = append(append(append(dst, regEscape.Replace(k)...), 0), regEscape.Replace(r.m[k])...)
 		dst = append(dst, 0)
 	}
 	return dst
 }
 
+// regEscape writes NUL as \x01\x01 and \x01 as \x01\x02; regUnescape undoes it.
+var (
+	regEscape   = strings.NewReplacer("\x00", "\x01\x01", "\x01", "\x01\x02")
+	regUnescape = strings.NewReplacer("\x01\x01", "\x00", "\x01\x02", "\x01")
+)
+
 func (r *regSM) Restore(snap []byte) {
 	r.m = map[string]string{}
 	parts := strings.Split(string(snap), "\x00")
 	for i := 0; i+1 < len(parts); i += 2 {
-		r.m[parts[i]] = parts[i+1]
+		r.m[regUnescape.Replace(parts[i])] = regUnescape.Replace(parts[i+1])
 	}
 }
 

@@ -228,6 +228,29 @@ func planSeed(rows0, parts0, rows1, parts1 int, selfJoin bool) []byte {
 		0, 1, 0, 0, 3) // top 3 by the second column, descending
 }
 
+// joinAggSeed composes a corpus entry of the join → project → GROUP BY
+// shape: (int64, string, float64) tables joined on pair (0: a = qa, 2: the
+// float columns c = qc), projected to b, c, qb, qc without renaming, and
+// grouped as agg says — a key byte per projected column (0 = key), then
+// for each other column an include byte (1) and an operator byte (0 Min,
+// 1 Max, 2 Sum, 3 Avg) — with no sort. Fewer rows on the left than on the
+// right makes the optimized join a shuffle join, more a broadcast one.
+func joinAggSeed(rows0, parts0, rows1, parts1 int, pair byte, agg ...byte) []byte {
+	seed := []byte{1, 0, 0, 0, 1, 0, 0, 0} // both schemas
+	for _, n := range []int{rows0, rows1} {
+		seed = append(seed, byte(n))
+		for i := 0; i < 3*n; i++ {
+			seed = append(seed, byte(i*7))
+		}
+	}
+	seed = append(seed, byte(parts0-1), byte(parts1-1),
+		2,       // two steps:
+		2, pair, // join,
+		1, 1, 0, 0, 1, 0, 0, 1, // project b, c, qb, qc;
+		0) // group
+	return append(append(seed, agg...), 1)
+}
+
 // FuzzPlanEquivalence generates random schemas, rows and logical plans
 // and checks three-way agreement: optimizer-on output == optimizer-off
 // output == the naive reference evaluator, as multisets (ordered when
@@ -243,6 +266,13 @@ func FuzzPlanEquivalence(f *testing.F) {
 	f.Add(planSeed(1, 4, 2, 1, false))
 	f.Add(planSeed(24, 1, 12, 4, false))
 	f.Add(planSeed(5, 3, 0, 2, true))
+	// Float SUM and AVG over a join → project → GROUP BY, which the
+	// optimizer folds without building the join: keys from the left (b),
+	// both sides (b, qb), the right (qb) and the float join column (c).
+	f.Add(joinAggSeed(5, 2, 12, 3, 2, 0, 1, 1, 1, 1, 2, 0, 1, 3))
+	f.Add(joinAggSeed(20, 3, 6, 2, 0, 0, 1, 0, 1, 1, 3, 1, 2))
+	f.Add(joinAggSeed(3, 4, 9, 1, 2, 1, 1, 0, 1, 1, 0, 1, 2, 1, 3))
+	f.Add(joinAggSeed(24, 4, 12, 2, 2, 1, 0, 1, 1, 0, 0, 1, 2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &fuzzGen{data: data}
 		s0 := g.schema("")

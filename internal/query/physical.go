@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -172,10 +173,16 @@ func (c *compiler) counted(n *Node, build func() (*table.Table, error)) func() (
 		if err != nil {
 			return nil, err
 		}
-		rows := make([]atomic.Int64, t.Partitions())
-		n.rows = rows
-		return t.Peek(func(part, count int) { rows[part].Store(int64(count)) }), nil
+		return t.Peek(n.slots(t.Partitions())), nil
 	}
+}
+
+// slots gives n one actual-row slot per partition and returns the function
+// that stores a partition's count in its slot.
+func (n *Node) slots(parts int) func(part, count int) {
+	rows := make([]atomic.Int64, parts)
+	n.rows = rows
+	return func(part, count int) { rows[part].Store(int64(count)) }
 }
 
 func (c *compiler) est(l *Logical) float64 {
@@ -313,12 +320,36 @@ func (c *compiler) compile(l *Logical) (*Node, table.Schema, error) {
 			Est:      c.est(l),
 			Children: []*Node{child},
 		}
+		// Optimized, an aggregate over a join, or over a project of one that
+		// renames nothing, folds the join's matches instead of building it.
+		join, over := child, l.Input
+		if over.Op == OpProject && slices.Equal(over.Cols, over.Aliases) {
+			join, over = child.Children[0], over.Input
+		}
+		fused := c.opts.Optimize && over.Op == OpJoin
 		n.exec = c.counted(n, func() (*table.Table, error) {
-			t, err := child.exec()
+			if !fused {
+				t, err := child.exec()
+				if err != nil {
+					return nil, err
+				}
+				return t.GroupBy(keys...).Agg(parts, aggs...)
+			}
+			lt, err := join.Children[0].exec()
 			if err != nil {
 				return nil, err
 			}
-			return t.GroupBy(keys...).Agg(parts, aggs...)
+			rt, err := join.Children[1].exec()
+			if err != nil {
+				return nil, err
+			}
+			joinParts, outParts := parts, parts
+			if join.Kind == "join[broadcast]" {
+				joinParts, outParts = 0, lt.Partitions()
+			}
+			g := lt.JoinGroupBy(rt, over.LeftCol, over.RightCol, joinParts, join.slots(outParts), keys...)
+			child.rows = join.rows // a project passes every match on
+			return g.Agg(parts, aggs...)
 		})
 		return n, schema, nil
 	case OpSort:

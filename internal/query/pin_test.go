@@ -118,6 +118,26 @@ func TestStarSuiteIdentity(t *testing.T) {
 	}
 }
 
+// TestStarExplainIdentity pins what EXPLAIN prints for the eight star
+// queries, optimized and executed — tree, kinds, details, est and actual —
+// to the hash of the parent's text, recorded when every join still built
+// its joined batch. E-SQL prints these lines.
+func TestStarExplainIdentity(t *testing.T) {
+	env := query.NewEnv(testEngine(), nil)
+	if err := query.RegisterStar(env, query.GenStar(42, 4000, 400, 80, 48), 4); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var text string
+	for _, q := range query.StarQueries() {
+		plan, _ := runSQL(t, env, q.SQL, query.Options{Optimize: true, Parts: 4, BroadcastRows: 1000})
+		text += plan.Explain()
+	}
+	if h.Write([]byte(text)); h.Sum64() != 0xd8b7d351fd72ebd4 {
+		t.Fatalf("EXPLAIN hash %#x, parent's 0xd8b7d351fd72ebd4:\n%s", h.Sum64(), text)
+	}
+}
+
 // floatEdgeEnv registers two small tables whose float columns hold NaN,
 // both zeros and both infinities next to ordinary values.
 func floatEdgeEnv(t *testing.T) *query.Env {

@@ -3,6 +3,7 @@ package table
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/serde"
@@ -58,11 +59,33 @@ func (a Agg) name() string {
 type Grouped struct {
 	t    *Table
 	keys []string
+	// Set by JoinGroupBy: the input is t joined with right, which join
+	// plans; peek sees each join partition's match count.
+	right *Table
+	join  func(joinOut) (*core.Plan, error)
+	peek  func(part, pairs int)
 }
 
 // GroupBy starts a grouped aggregation on the named key columns.
 func (t *Table) GroupBy(keys ...string) *Grouped {
 	return &Grouped{t: t, keys: keys}
+}
+
+// JoinGroupBy starts a grouped aggregation over t inner-joined with right
+// on t.leftCol == right.rightCol — HashJoin's join with parts partitions,
+// or BroadcastJoin's with parts 0 — that never builds the joined batch:
+// each join partition folds its matches straight into the aggregate's
+// map-side table, in the joined batch's order, so every result is
+// GroupBy(keys...).Agg over the join's to the bit. peek, if not nil, is
+// told each join partition's match count, as a Peek on the join would be.
+func (t *Table) JoinGroupBy(right *Table, leftCol, rightCol string, parts int, peek func(part, pairs int), keys ...string) *Grouped {
+	join := func(out joinOut) (*core.Plan, error) {
+		if parts > 0 {
+			return t.hashJoin(right, leftCol, rightCol, parts, out)
+		}
+		return t.broadcastJoin(right, leftCol, rightCol, out)
+	}
+	return &Grouped{t: t, keys: keys, right: right, join: join, peek: peek}
 }
 
 // aggPlan is the resolved execution info per spec.
@@ -73,38 +96,39 @@ type aggPlan struct {
 }
 
 // Agg executes the grouped aggregation in three steps: each map task
-// pre-aggregates its partition into typed per-group slots (aggTable), the
+// pre-aggregates its partition — or, after JoinGroupBy, its join
+// partition's matches — into typed per-group slots (aggTable), the
 // shuffle carries one (composite key, appendState bytes) record per group
 // per map task, and each reduce task merges the records it fetched into
 // slots of the same kind and renders one row per group.
 func (g *Grouped) Agg(parts int, aggs ...Agg) (*Table, error) {
-	t := g.t
+	t, schema := g.t, g.t.schema
+	if g.right != nil {
+		schema = JoinSchema(t.schema, g.right.schema)
+	}
 	if len(aggs) == 0 {
 		return nil, fmt.Errorf("table: GroupBy.Agg needs at least one aggregate")
-	}
-	if parts <= 0 {
-		parts = t.Partitions()
 	}
 	keyIdx := make([]int, len(g.keys))
 	outCols := make([]Col, 0, len(g.keys)+len(aggs))
 	for i, k := range g.keys {
-		j, err := t.schema.MustIndex(k)
+		j, err := schema.MustIndex(k)
 		if err != nil {
 			return nil, err
 		}
 		keyIdx[i] = j
-		outCols = append(outCols, t.schema.Cols[j])
+		outCols = append(outCols, schema.Cols[j])
 	}
 	plans := make([]aggPlan, len(aggs))
 	for i, a := range aggs {
 		p := aggPlan{spec: a, colIdx: -1, typ: Int64}
 		if a.Op != Count {
-			j, err := t.schema.MustIndex(a.Col)
+			j, err := schema.MustIndex(a.Col)
 			if err != nil {
 				return nil, err
 			}
 			p.colIdx = j
-			p.typ = t.schema.Cols[j].Type
+			p.typ = schema.Cols[j].Type
 			if a.Op != Min && a.Op != Max && p.typ == String {
 				return nil, fmt.Errorf("table: %s over string column %q", a.Op, a.Col)
 			}
@@ -120,26 +144,71 @@ func (g *Grouped) Agg(parts int, aggs ...Agg) (*Table, error) {
 		plans[i] = p
 	}
 	outSchema := Schema{Cols: outCols}
-	schema := t.schema
 
-	plan := t.eng.NewShuffled(t.plan, core.ShuffleDep{
-		Partitions: parts,
-		Emit: func(row core.Row, w shuffle.Writer) error {
-			b := row.(*Batch)
-			tab := &aggTable{plans: plans}
-			var key []byte
-			for i := 0; i < b.n; i++ {
+	// fold pre-aggregates the rows each yields as (l, r) pairs and counts
+	// them. A left row's pairs come one after another, so when every key is
+	// a left column they share one group lookup.
+	fold := func(left, right []Vector, each func(yield func(l, r int32))) (*aggTable, int) {
+		tab, rows, leftKeys := &aggTable{plans: plans}, 0, !slices.ContainsFunc(keyIdx, func(j int) bool { return j >= len(left) })
+		var key []byte
+		var slots []aggSlot
+		cl, cr := -1, 0
+		col := func(j int) (*Vector, int) { // input column j's vector and the row's index in it
+			switch {
+			case j < 0: // Count's
+				return nil, 0
+			case j < len(left):
+				return &left[j], cl
+			}
+			return &right[j-len(left)], cr
+		}
+		each(func(l, r int32) {
+			lookup := !leftKeys || int(l) != cl
+			cl, cr, rows = int(l), int(r), rows+1
+			if lookup {
 				key = key[:0]
 				for _, j := range keyIdx { // self-delimiting encodings: the concatenation is unambiguous and ordered
-					key = appendSortableKey(key, schema.Cols[j].Type, &b.Cols[j], i, false)
+					v, i := col(j)
+					key = appendSortableKey(key, schema.Cols[j].Type, v, i, false)
 				}
-				slots := tab.group(key)
-				for k := range plans {
-					plans[k].fold(&slots[k], b, i)
-				}
+				slots = tab.group(key)
 			}
-			return tab.emit(w)
-		},
+			for k := range plans {
+				v, i := col(plans[k].colIdx)
+				plans[k].fold(&slots[k], v, i)
+			}
+		})
+		return tab, rows
+	}
+	input, partial := t.plan, func(row core.Row) *aggTable {
+		b := row.(*Batch)
+		tab, _ := fold(b.Cols, nil, func(yield func(l, r int32)) {
+			for i := int32(0); int(i) < b.n; i++ {
+				yield(i, 0)
+			}
+		})
+		return tab
+	}
+	if g.join != nil {
+		var err error
+		input, err = g.join(func(ctx *core.TaskContext, left, right *Batch, _ int, each func(func(l, r int32))) core.Row {
+			tab, pairs := fold(left.Cols, right.Cols, each)
+			if g.peek != nil {
+				g.peek(ctx.Partition, pairs)
+			}
+			return tab
+		})
+		if err != nil {
+			return nil, err
+		}
+		partial = func(row core.Row) *aggTable { return row.(*aggTable) }
+	}
+	if parts <= 0 {
+		parts = input.Partitions()
+	}
+	plan := t.eng.NewShuffled(input, core.ShuffleDep{
+		Partitions: parts,
+		Emit:       func(row core.Row, w shuffle.Writer) error { return partial(row).emit(w) },
 		Post: func(_ *core.TaskContext, recs shuffle.Records) []core.Row {
 			tab := &aggTable{plans: plans}
 			for r := 0; r < recs.Len(); r++ { // arrival order: float sums depend on it
@@ -187,21 +256,21 @@ func (t *aggTable) group(key []byte) []aggSlot {
 	return t.slots[int(g)*n:][:n]
 }
 
-// fold folds row i of b into dst: the state of the single-row group {i},
-// read straight from the aggregated column, merged in.
-func (p *aggPlan) fold(dst *aggSlot, b *Batch, i int) {
+// fold folds value i of the aggregated column v (nil for Count) into dst:
+// the state of the single-row group {i} merged in.
+func (p *aggPlan) fold(dst *aggSlot, v *Vector, i int) {
 	src := aggSlot{n: 1}
 	switch {
 	case p.spec.Op == Count:
 	case p.typ == Int64:
-		src.i = b.Cols[p.colIdx].Ints[i]
+		src.i = v.Ints[i]
 		if p.spec.Op == Avg {
 			src.f = float64(src.i)
 		}
 	case p.typ == Float64:
-		src.f = b.Cols[p.colIdx].Floats[i]
+		src.f = v.Floats[i]
 	default:
-		src.s = b.Cols[p.colIdx].Strings[i]
+		src.s = v.Strings[i]
 	}
 	p.merge(dst, src)
 }

@@ -316,7 +316,11 @@ func FuzzAggMerge(f *testing.F) {
 		tab, b := &aggTable{plans: plans}, batchFromRows(schema, rows, 0, 1)
 		for r := range rows {
 			for i := range plans {
-				plans[i].fold(&tab.group(nil)[i], b, r)
+				var v *Vector
+				if plans[i].colIdx >= 0 {
+					v = &b.Cols[plans[i].colIdx]
+				}
+				plans[i].fold(&tab.group(nil)[i], v, r)
 			}
 		}
 		return appendState(nil, plans, tab.group(nil))

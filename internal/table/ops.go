@@ -16,6 +16,17 @@ import (
 // memory — the query optimizer picks it when table statistics say a
 // dimension is small.
 func (t *Table) BroadcastJoin(right *Table, leftCol, rightCol string) (*Table, error) {
+	plan, err := t.broadcastJoin(right, leftCol, rightCol, gather)
+	if err != nil {
+		return nil, err
+	}
+	return &Table{eng: t.eng, plan: plan, schema: JoinSchema(t.schema, right.schema)}, nil
+}
+
+// broadcastJoin builds and broadcasts right; out makes each left
+// partition's row from the matches its probe finds, its row count standing
+// in for theirs.
+func (t *Table) broadcastJoin(right *Table, leftCol, rightCol string, out joinOut) (*core.Plan, error) {
 	li, ri, err := joinCols(t.schema, right.schema, leftCol, rightCol)
 	if err != nil {
 		return nil, err
@@ -49,19 +60,20 @@ func (t *Table) BroadcastJoin(right *Table, leftCol, rightCol string) (*Table, e
 	}
 	bcast := t.eng.Broadcast(build, size)
 
-	return t.derive(JoinSchema(t.schema, right.schema), func(_ *core.TaskContext, b *Batch) *Batch {
-		build := bcast.Value().(*buildSide)
-		lidx, ridx := make([]int32, 0, b.n), make([]int32, 0, b.n)
-		var key []byte
-		for i := 0; i < b.n; i++ {
-			key = appendEqualityKey(key[:0], keyType, &b.Cols[li], i)
-			if g, ok := build.index.Find(key); ok {
-				for r := build.lists.head[g]; r >= 0; r = build.lists.next[r] {
-					lidx, ridx = append(lidx, int32(i)), append(ridx, r)
+	schema := t.schema
+	return t.eng.NewNarrow(t.plan, func(ctx *core.TaskContext, rows []core.Row) []core.Row {
+		b, build := batchOf(schema, rows), bcast.Value().(*buildSide)
+		return []core.Row{out(ctx, b, build.rows, b.n, func(yield func(l, r int32)) {
+			var key []byte
+			for i := 0; i < b.n; i++ {
+				key = appendEqualityKey(key[:0], keyType, &b.Cols[li], i)
+				if g, ok := build.index.Find(key); ok {
+					for r := build.lists.head[g]; r >= 0; r = build.lists.next[r] {
+						yield(int32(i), r)
+					}
 				}
 			}
-		}
-		return &Batch{n: len(lidx), Cols: append(b.gather(lidx), build.rows.gather(ridx)...)}
+		})}
 	}), nil
 }
 

@@ -357,10 +357,32 @@ func (c *chains) size(g int) (n int) {
 	return n
 }
 
+// joinOut makes a join partition's one output row from its matches: each
+// yields them in the joined batch's order — join group, left row, right
+// row — and there are pairs of them. gather builds the joined batch; an
+// aggregate over the join folds them instead (JoinGroupBy).
+type joinOut func(ctx *core.TaskContext, left, right *Batch, pairs int, each func(yield func(l, r int32))) core.Row
+
+func gather(_ *core.TaskContext, left, right *Batch, pairs int, each func(yield func(l, r int32))) core.Row {
+	lidx, ridx := make([]int32, 0, pairs), make([]int32, 0, pairs)
+	each(func(l, r int32) { lidx, ridx = append(lidx, l), append(ridx, r) })
+	return &Batch{n: len(lidx), Cols: append(left.gather(lidx), right.gather(ridx)...)}
+}
+
 // HashJoin inner-joins t with right on t.leftCol == right.rightCol. The
 // result schema is t's columns followed by right's columns; name
 // collisions on the right gain a "right_" prefix.
 func (t *Table) HashJoin(right *Table, leftCol, rightCol string, parts int) (*Table, error) {
+	plan, err := t.hashJoin(right, leftCol, rightCol, parts, gather)
+	if err != nil {
+		return nil, err
+	}
+	return &Table{eng: t.eng, plan: plan, schema: JoinSchema(t.schema, right.schema)}, nil
+}
+
+// hashJoin shuffles both sides by join key; out makes each reduce
+// partition's row from its matches.
+func (t *Table) hashJoin(right *Table, leftCol, rightCol string, parts int, out joinOut) (*core.Plan, error) {
 	li, ri, err := joinCols(t.schema, right.schema, leftCol, rightCol)
 	if err != nil {
 		return nil, err
@@ -385,10 +407,10 @@ func (t *Table) HashJoin(right *Table, leftCol, rightCol string, parts int) (*Ta
 		})
 	}
 	both := t.eng.NewUnion(tagged(t, li, 'L'), tagged(right, ri, 'R'))
-	plan := t.eng.NewShuffled(both, core.ShuffleDep{
+	return t.eng.NewShuffled(both, core.ShuffleDep{
 		Partitions: parts,
 		Emit:       func(row core.Row, w shuffle.Writer) error { return row.(func(shuffle.Writer) error)(w) },
-		Post: func(_ *core.TaskContext, recs shuffle.Records) []core.Row {
+		Post: func(ctx *core.TaskContext, recs shuffle.Records) []core.Row {
 			// Decode every row once into its side's builder and thread it
 			// onto its key's list; keys keep the order they arrived in.
 			nl := 0
@@ -420,18 +442,17 @@ func (t *Table) HashJoin(right *Table, leftCol, rightCol string, parts int) (*Ta
 			for g := range index.Keys() {
 				total += lrows.size(g) * rrows.size(g)
 			}
-			lidx, ridx := make([]int32, 0, total), make([]int32, 0, total)
-			for g := range index.Keys() {
-				for l := lrows.head[g]; l >= 0; l = lrows.next[l] {
-					for r := rrows.head[g]; r >= 0; r = rrows.next[r] {
-						lidx, ridx = append(lidx, l), append(ridx, r)
+			return []core.Row{out(ctx, lefts, rights, total, func(yield func(l, r int32)) {
+				for g := range index.Keys() {
+					for l := lrows.head[g]; l >= 0; l = lrows.next[l] {
+						for r := rrows.head[g]; r >= 0; r = rrows.next[r] {
+							yield(l, r)
+						}
 					}
 				}
-			}
-			return []core.Row{&Batch{n: len(lidx), Cols: append(lefts.gather(lidx), rights.gather(ridx)...)}}
+			})}
 		},
-	})
-	return &Table{eng: t.eng, plan: plan, schema: JoinSchema(leftSchema, rightSchema)}, nil
+	}), nil
 }
 
 // ---------------------------------------------------------------------------

@@ -57,6 +57,8 @@ echo "== shared log views (race, count=3) + allocation ceilings =="
 go test -race -count=3 -run 'Survives|TestHandedOut|TestDrainedMailbox|TestAppliedSequences|TestClusterIgnoresUnknownIDs' ./internal/consensus/
 go test -race -count=3 -run 'TestGroupTranscriptMatchesParent' ./internal/ha/
 go test -count=1 -run 'AllocCeiling|ByteCeiling' ./internal/ha ./internal/kvstore
+# E-GRAY's register machine: its seeds hold NUL and the escape byte.
+go test -count=1 -run 'FuzzRegSM' ./internal/experiments
 
 echo "== batches and the shuffle boundary: identity pins + allocation ceilings =="
 # The pins hold wire bytes, counters, split points, partition sizes and row
@@ -64,8 +66,9 @@ echo "== batches and the shuffle boundary: identity pins + allocation ceilings =
 # contract produced; the ceilings (no -race: it changes allocation counts)
 # keep per-row boxing and per-record shuffle allocations from coming back.
 # -count=5: each process draws its own key-table hash seeds, and every run
-# must still match the pins byte for byte.
-go test -count=5 -run 'Identity|TestBatchesAreReadOnly|TestVectorizedFilter|TestActualsCount' ./internal/table ./internal/query
+# must still match the pins byte for byte — the fused join-aggregate against
+# the join it never builds included.
+go test -count=5 -run 'Identity|TestBatchesAreReadOnly|TestVectorizedFilter|TestActualsCount|FuzzPlanEquivalence|TestJoinAgg' ./internal/table ./internal/query
 go test -count=5 -run 'WireIdentity|TestShuffleOutputOrderPinned' .
 go test -count=1 -run 'TestSortWriterByteIdentity|TestWritersCopyScratch|TestKeyOrder|TestKeyTable|FuzzKeyOrder|FuzzSortWriter|AllocCeiling' ./internal/shuffle
 go test -count=1 -run 'AllocCeiling|AllocBudget' ./internal/table
