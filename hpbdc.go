@@ -25,7 +25,6 @@ package hpbdc
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/cluster"
@@ -70,9 +69,6 @@ type Config struct {
 	// Speculation enables backup launches for straggler tasks; the first
 	// copy to finish wins. See core.Config.Speculation.
 	Speculation bool
-	// JobDeadline bounds each job; past it the job aborts cleanly with
-	// core.ErrDeadlineExceeded and a partial report can still be cut.
-	JobDeadline time.Duration
 	// Chaos, when non-nil, replays the fault schedule against the whole
 	// context (executors, DFS, network fabric, per-node task faults) as
 	// the engine advances virtual time. Runs are reproducible from
@@ -171,7 +167,6 @@ func New(cfg Config) *Context {
 		TaskFailProb:     cfg.TaskFailProb,
 		Seed:             cfg.Seed,
 		Speculation:      cfg.Speculation,
-		JobDeadline:      cfg.JobDeadline,
 	})
 	// With HA the namenode state machine and the coordinator journal share
 	// one replicated group; without it the namenode is embedded and the

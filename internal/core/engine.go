@@ -121,9 +121,6 @@ type Config struct {
 	// and failures are reported to it; nodes it refuses are skipped
 	// unless that would leave nothing to run on.
 	Breaker NodeBreaker
-	// JobDeadline bounds each RunCtx call; past it the job aborts cleanly
-	// with ErrDeadlineExceeded. Default 0 (none).
-	JobDeadline time.Duration
 	// Chaos, when non-nil, has Tick called once per job attempt and once
 	// per scheduling wave from the driver thread (see ChaosTicker).
 	Chaos ChaosTicker
@@ -265,15 +262,11 @@ func (e *Engine) Run(p *Plan) ([][]Row, error) {
 	return e.RunCtx(context.Background(), p)
 }
 
-// RunCtx is Run bounded by a context: cancellation (or the configured
-// JobDeadline) stops retries promptly and the job aborts cleanly, leaving
-// the metrics registry consistent so a partial report can still be cut.
+// RunCtx is Run bounded by a context: cancellation stops retries promptly
+// and the job aborts cleanly, leaving the metrics registry consistent so a
+// partial report can still be cut. Past the context's deadline the error
+// is ErrDeadlineExceeded.
 func (e *Engine) RunCtx(ctx context.Context, p *Plan) ([][]Row, error) {
-	if e.cfg.JobDeadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.cfg.JobDeadline)
-		defer cancel()
-	}
 	e.setJobPlans(p)
 	// The job root span opens a fresh trace; stages (and through them
 	// tasks, fetches, journal appends) parent under it via the context,
@@ -349,9 +342,9 @@ func (e *Engine) abortErr(ctxErr, lastErr error) error {
 	if errors.Is(ctxErr, context.DeadlineExceeded) {
 		e.Reg.Counter("jobs_deadline_aborted").Inc()
 		if lastErr != nil {
-			return fmt.Errorf("%w after %v (last failure: %v)", ErrDeadlineExceeded, e.cfg.JobDeadline, lastErr)
+			return fmt.Errorf("%w (last failure: %v)", ErrDeadlineExceeded, lastErr)
 		}
-		return fmt.Errorf("%w after %v", ErrDeadlineExceeded, e.cfg.JobDeadline)
+		return ErrDeadlineExceeded
 	}
 	return ctxErr
 }

@@ -67,14 +67,16 @@ func TestSpeculativeBackupWinsForStraggler(t *testing.T) {
 }
 
 func TestJobDeadlineAbortsCleanly(t *testing.T) {
-	e := testEngine(t, 4, Config{JobDeadline: 15 * time.Millisecond})
+	e := testEngine(t, 4, Config{})
 	for _, n := range e.Cluster().LiveNodes() {
 		if err := e.Cluster().SetSlowdown(n, 200*time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	_, err := e.Run(sliceSource(e, ints(100), 8))
+	_, err := e.RunCtx(ctx, sliceSource(e, ints(100), 8))
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)

@@ -93,8 +93,8 @@ func FuzzRangeMachineApply(f *testing.F) {
 	f.Add(frames(encRmAdopt("a", "m", pairs), encRmPrepare(7, 7, false, []string{"a", "b"}, []string{"b"}),
 		encRmApply(7, 7, 5, writes), encRmPrepare(9, 9, true, []string{"c"}, nil), encRmAbort(9, 9),
 		encRmPrepare(8, 8, false, []string{"d"}, nil), encRmApply(7, 0, 6, writes)))
-	f.Add(frames(encRmAdopt("", "", pairs), encRmFreeze("k"), encRmTrim("k"), encRmMigrate(pairs),
-		encRmTrimKeys(pairs), encRmPut("zz", nil, 2)))
+	f.Add(frames(encRmAdopt("", "", pairs), encRmFreeze("k"), encRmTrim("k"), retiredMigrate(pairs),
+		retiredTrimKeys(pairs), encRmPut("zz", nil, 2)))
 	f.Add([]byte{3, rmOpAbort, 0, 0, 1, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := applyOnReplicas(t, data, newRangeMachine, nil)
@@ -175,7 +175,6 @@ func TestSingleKeyEncodersSizeExactly(t *testing.T) {
 		encRmPrepare(7, 6, true, []string{"a", "bb"}, []string{"bb"}), encRmPrepare(7, 6, false, nil, nil),
 		encRmApply(7, 6, 5, writes), encRmApply(7, 6, 5, nil), encRmAbort(7, 6),
 		encRmAdopt("a", "m", pairs), encRmAdopt("", "", nil), encRmFreeze("k"), encRmTrim("k"),
-		encRmMigrate(pairs), encRmMigrate(nil), encRmTrimKeys(pairs), encRmTrimKeys(nil),
 		encTxBegin(1, []uint64{0, 1}, writes), encTxBegin(1, nil, nil), encTxCommit(1, 10), encTxAbort(1), encTxDone(1),
 	} {
 		if len(cmd) != cap(cmd) {

@@ -15,10 +15,12 @@ import (
 // The golden streams pin the range and txn machines to the behaviour of
 // the commit before they decoded in place: the constants below were
 // recorded there, so a response or snapshot byte that differs is a
-// behaviour change, whatever the current code thinks is right.
+// behaviour change, whatever the current code thinks is right. The range
+// sum was re-recorded once, when opcodes 0x0a and 0x0b were retired: it
+// equals the old machine's stream with only those two arms removed.
 const (
 	goldenFrames   = 3000
-	goldenRangeSum = "f4ad882369267de0e3f02c31415e2586eff14b5e6b46513c925345eb8ddb4017"
+	goldenRangeSum = "b57aa4671e624bb4813aa2c115328b5a0152365896fda8b7a176c474b075695d"
 	goldenTxnSum   = "10b9e03859f0ac449ff9a53624ad9f7396404eacf8eb56f513948dd4524f5b9e"
 )
 
@@ -97,9 +99,24 @@ func goldenRangeCmd(r *rng.RNG, i int) []byte {
 	case x < 95:
 		return encRmTrim("k22")
 	case x < 98:
-		return encRmMigrate(goldenPairs(r))
+		return retiredMigrate(goldenPairs(r))
 	}
-	return encRmTrimKeys(goldenPairs(r))
+	return retiredTrimKeys(goldenPairs(r))
+}
+
+// retiredMigrate and retiredTrimKeys build the frames of the two opcodes
+// the sharded repair sweep used to send: 0x0a carried pairs to upsert,
+// 0x0b (key, maxVer) pairs to drop. The range machine now refuses both,
+// and the streams and seeds that carried them still do, so a refusal
+// that starts to mutate state is caught.
+func retiredMigrate(pairs []kvPair) []byte { return appendPairs([]byte{0x0a}, pairs) }
+
+func retiredTrimKeys(pairs []kvPair) []byte {
+	b := wAppendU32([]byte{0x0b}, uint32(len(pairs)))
+	for _, p := range pairs {
+		b = wAppendU64(wAppendStr(b, p.key), p.ver)
+	}
+	return b
 }
 
 // goldenTxnCmd draws one well-formed txn-table command. Ids slide

@@ -22,17 +22,17 @@ import (
 // Range command opcodes (first byte of every Apply payload). closed is
 // the txn table's closedBelow as of the transaction's begin.
 const (
-	rmOpPut      = 0x01 // key, ver, val
-	rmOpGet      = 0x02 // key, dirty
-	rmOpDel      = 0x03 // key, ver
-	rmOpPrepare  = 0x04 // txn, closed, dirty, lockKeys, readKeys
-	rmOpApply    = 0x05 // txn, closed, ver, writes
-	rmOpAbort    = 0x06 // txn, closed
-	rmOpAdopt    = 0x07 // lo, hi, pairs — set bounds + LWW upsert
-	rmOpFreeze   = 0x08 // from — fence [from, +inf), return its pairs
-	rmOpTrim     = 0x09 // from — delete [from, +inf), shrink hi
-	rmOpMigrate  = 0x0a // pairs — LWW upsert (anti-entropy repair)
-	rmOpTrimKeys = 0x0b // (key, maxVer) list — conditional delete
+	rmOpPut     = 0x01 // key, ver, val
+	rmOpGet     = 0x02 // key, dirty
+	rmOpDel     = 0x03 // key, ver
+	rmOpPrepare = 0x04 // txn, closed, dirty, lockKeys, readKeys
+	rmOpApply   = 0x05 // txn, closed, ver, writes
+	rmOpAbort   = 0x06 // txn, closed
+	rmOpAdopt   = 0x07 // lo, hi, pairs — set bounds + LWW upsert
+	rmOpFreeze  = 0x08 // from — fence [from, +inf), return its pairs
+	rmOpTrim    = 0x09 // from — delete [from, +inf), shrink hi
+	// 0x0a and 0x0b are retired: Apply refuses them. Do not reuse them,
+	// or a replayed old log would mean something new.
 )
 
 // Response status codes, shared by the range, directory and txn
@@ -68,7 +68,7 @@ const (
 )
 
 // rval is one versioned cell. dead marks a tombstone: versioned
-// deletions must round-trip through freeze/migrate or a merged range
+// deletions must round-trip through freeze/adopt or a merged range
 // could resurrect a deleted key from a stale live copy.
 type rval struct {
 	val  []byte
@@ -174,17 +174,6 @@ func (m *rangeMachine) upsert(key []byte, v rval) bool {
 	return true
 }
 
-// install upserts migrated cells and answers how many were newer.
-func (m *rangeMachine) install(pairs []kvPair) []byte {
-	installed := uint32(0)
-	for _, p := range pairs {
-		if m.upsert([]byte(p.key), p.rval) {
-			installed++
-		}
-	}
-	return okCount(installed)
-}
-
 func (m *rangeMachine) Apply(cmd []byte) []byte {
 	d := &wdec{buf: cmd}
 	op := d.u8()
@@ -253,7 +242,13 @@ func (m *rangeMachine) Apply(cmd []byte) []byte {
 			return status[rspConflict]
 		}
 		m.lo, m.hi, m.init = lo, hi, true
-		return m.install(pairs)
+		installed := uint32(0)
+		for _, p := range pairs {
+			if m.upsert([]byte(p.key), p.rval) {
+				installed++
+			}
+		}
+		return okCount(installed)
 
 	case rmOpFreeze:
 		from := d.str()
@@ -289,30 +284,6 @@ func (m *rangeMachine) Apply(cmd []byte) []byte {
 			m.fenced, m.fence = false, ""
 		}
 		return okCount(n)
-
-	case rmOpMigrate:
-		pairs := decodePairs(d)
-		if d.err {
-			return status[rspConflict]
-		}
-		return m.install(pairs)
-
-	case rmOpTrimKeys:
-		n := int(d.u32())
-		removed := uint32(0)
-		for i := 0; i < n && !d.err; i++ {
-			key := d.str()
-			maxVer := d.u64()
-			if d.err {
-				break
-			}
-			if cur := m.data[key]; cur != nil && cur.ver <= maxVer {
-				delete(m.data, key)
-				m.order = nil
-				removed++
-			}
-		}
-		return okCount(removed)
 	}
 	return status[rspConflict]
 }
@@ -439,32 +410,7 @@ func (m *rangeMachine) pairsFrom(from string) []kvPair {
 // Query-side accessors (called under the group mutex via ha.Query; must
 // not mutate).
 
-func (m *rangeMachine) allPairs() []kvPair { return m.pairsFrom("") }
-
 func (m *rangeMachine) lockCount() int { return len(m.locks) }
-
-// liveSize counts live (non-tombstone) keys — the size signal for
-// load-driven split/merge.
-func (m *rangeMachine) liveSize() int {
-	n := 0
-	for _, v := range m.data {
-		if !v.dead {
-			n++
-		}
-	}
-	return n
-}
-
-// liveKeys returns the sorted live keys (split-point selection).
-func (m *rangeMachine) liveKeys() []string {
-	keys := make([]string, 0, len(m.data))
-	for _, c := range m.sorted() {
-		if !c.dead {
-			keys = append(keys, c.key)
-		}
-	}
-	return keys
-}
 
 // Snapshot/Restore: deterministic serialization in sorted order, so all
 // replicas produce identical snapshots for identical state. The bytes
@@ -592,20 +538,6 @@ func encRmAdopt(lo, hi string, pairs []kvPair) []byte {
 
 func encRmFreeze(from string) []byte { return wAppendStr(frame(rmOpFreeze, 5+len(from)), from) }
 func encRmTrim(from string) []byte   { return wAppendStr(frame(rmOpTrim, 5+len(from)), from) }
-
-func encRmMigrate(pairs []kvPair) []byte {
-	return appendPairs(frame(rmOpMigrate, 1+listLen(pairs, pairLen)), pairs)
-}
-
-func encRmTrimKeys(pairs []kvPair) []byte {
-	size := 1 + listLen(pairs, func(p kvPair) int { return 4 + len(p.key) + 8 })
-	b := wAppendU32(frame(rmOpTrimKeys, size), uint32(len(pairs)))
-	for _, p := range pairs {
-		b = wAppendStr(b, p.key)
-		b = wAppendU64(b, p.ver)
-	}
-	return b
-}
 
 // Shared sub-encodings.
 

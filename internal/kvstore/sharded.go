@@ -70,9 +70,6 @@ type ShardedConfig struct {
 	// costs ProposeCost + ticks*TickCost. Defaults 120µs and 25µs.
 	ProposeCost time.Duration
 	TickCost    time.Duration
-	// MaxOpTicks caps the consensus ticks one proposal may consume
-	// before the outcome is declared unknown (passed to ha.Config).
-	MaxOpTicks int
 }
 
 // Sharded is the range-sharded, transactional KV store.
@@ -117,10 +114,9 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 	dynamic := func(string) ha.StateMachine { return newRangeMachine() }
 	for g := 0; g < cfg.Groups; g++ {
 		hc := ha.Config{
-			Seed:       cfg.Seed + uint64(g)*0x9e3779b97f4a7c15,
-			Dynamic:    dynamic,
-			MaxOpTicks: cfg.MaxOpTicks,
-			Metrics:    s.Reg, // ha_* counters summed across groups
+			Seed:    cfg.Seed + uint64(g)*0x9e3779b97f4a7c15,
+			Dynamic: dynamic,
+			Metrics: s.Reg, // ha_* counters summed across groups
 		}
 		if g == 0 {
 			hc.Machines = map[string]func() ha.StateMachine{
@@ -445,13 +441,6 @@ func (s *Sharded) PendingTxnRecords() (int, error) {
 		n = sm.(*txnMachine).recordCount()
 		return nil
 	})
-	return n, err
-}
-
-// rangeSize returns a range's live key count.
-func (s *Sharded) rangeSize(r RangeInfo) (int, error) {
-	n := 0
-	err := s.queryRange(r.ID, func(m *rangeMachine) { n = m.liveSize() })
 	return n, err
 }
 

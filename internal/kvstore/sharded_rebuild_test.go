@@ -8,6 +8,7 @@ package kvstore
 // an operation.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -264,7 +265,7 @@ func TestMachinesRejectMalformedCommands(t *testing.T) {
 		nil, {}, {0xff},
 		{rmOpPut}, {rmOpDel}, {rmOpGet}, {rmOpPrepare}, {rmOpApply},
 		{rmOpAbort}, {rmOpAdopt}, {rmOpFreeze}, {rmOpTrim},
-		{rmOpMigrate},
+		{0x0a}, {0x0b},
 		encRmPut("k", []byte("v"), 1)[:3],
 	}
 	for _, cmd := range cmds {
@@ -274,6 +275,22 @@ func TestMachinesRejectMalformedCommands(t *testing.T) {
 	}
 	if len(rm.data) != 0 || len(rm.locks) != 0 {
 		t.Fatal("malformed commands mutated range state")
+	}
+	// The retired repair opcodes are refused even when well formed: a
+	// newer cell offered by 0x0a is not installed and a cell 0x0b names
+	// at its version is not dropped.
+	rm.Apply(encRmPut("a", []byte("v"), 3))
+	rm.Apply(encRmDel("b", 4))
+	before := rm.Snapshot()
+	offered := []kvPair{{key: "a", rval: rval{val: []byte("newer"), ver: 9}}, {key: "c", rval: rval{val: []byte("v"), ver: 9}}}
+	named := []kvPair{{key: "a", rval: rval{ver: 3}}, {key: "b", rval: rval{ver: 4}}}
+	for _, cmd := range [][]byte{retiredMigrate(offered), retiredTrimKeys(named)} {
+		if resp := rm.Apply(cmd); len(resp) != 1 || resp[0] != rspConflict {
+			t.Fatalf("rangeMachine.Apply(% x) = % x, want rspConflict", cmd, resp)
+		}
+	}
+	if after := rm.Snapshot(); !bytes.Equal(after, before) {
+		t.Fatalf("retired opcodes changed the snapshot:\n% x\nwant\n% x", after, before)
 	}
 	for _, cmd := range [][]byte{nil, {0xee},
 		encDirSplitReserve(1, "k")[:2], encDirU64(dirOpMergeReserve, 1)[:3]} {
@@ -289,33 +306,6 @@ func TestMachinesRejectMalformedCommands(t *testing.T) {
 	}
 	if tm.recordCount() != 0 {
 		t.Fatal("malformed commands created txn records")
-	}
-}
-
-// TestMaybeSplitMergeEdgeCases covers the size-policy boundaries the
-// main policy test does not reach: a single range cannot merge, an
-// empty plane never splits, and both policies leave routing intact.
-func TestMaybeSplitMergeEdgeCases(t *testing.T) {
-	s := newTestSharded(t, ShardedConfig{Seed: 12})
-	if did, err := s.MaybeMerge(100); did || err != nil {
-		t.Fatalf("MaybeMerge on single range = (%v, %v), want (false, nil)", did, err)
-	}
-	if did, err := s.MaybeSplit(2); did || err != nil {
-		t.Fatalf("MaybeSplit on empty plane = (%v, %v), want (false, nil)", did, err)
-	}
-	for i := 0; i < 6; i++ {
-		mustPut(t, s, fmt.Sprintf("k%02d", i), "v")
-	}
-	if did, err := s.MaybeSplit(4); !did || err != nil {
-		t.Fatalf("MaybeSplit past threshold = (%v, %v), want (true, nil)", did, err)
-	}
-	if did, err := s.MaybeMerge(100); !did || err != nil {
-		t.Fatalf("MaybeMerge under threshold = (%v, %v), want (true, nil)", did, err)
-	}
-	for i := 0; i < 6; i++ {
-		if v, _ := mustGet(t, s, fmt.Sprintf("k%02d", i)); v != "v" {
-			t.Fatalf("k%02d = %q after policy churn, want v", i, v)
-		}
 	}
 }
 

@@ -274,34 +274,3 @@ func TestShardedDeterministicVirtualCost(t *testing.T) {
 		t.Fatal("virtual cost did not accumulate")
 	}
 }
-
-func TestMaybeSplitAndMergePolicies(t *testing.T) {
-	s := newTestSharded(t, ShardedConfig{})
-	for i := 0; i < 24; i++ {
-		mustPut(t, s, fmt.Sprintf("k%02d", i), "v")
-	}
-	did, err := s.MaybeSplit(16)
-	if err != nil || !did {
-		t.Fatalf("MaybeSplit = (%v, %v), want (true, nil)", did, err)
-	}
-	if got := s.RangeCount(); got != 2 {
-		t.Fatalf("RangeCount = %d, want 2", got)
-	}
-	// Below threshold: no further split.
-	if did, _ := s.MaybeSplit(100); did {
-		t.Fatal("MaybeSplit split below threshold")
-	}
-	// Shrink the data, merge back.
-	for i := 0; i < 20; i++ {
-		if err := s.Delete(context.Background(), fmt.Sprintf("k%02d", i)); err != nil {
-			t.Fatalf("Delete: %v", err)
-		}
-	}
-	did, err = s.MaybeMerge(8)
-	if err != nil || !did {
-		t.Fatalf("MaybeMerge = (%v, %v), want (true, nil)", did, err)
-	}
-	if got := s.RangeCount(); got != 1 {
-		t.Fatalf("RangeCount after merge = %d, want 1", got)
-	}
-}

@@ -17,8 +17,6 @@ package kvstore
 import (
 	"errors"
 	"fmt"
-	"slices"
-	"strings"
 
 	"repro/internal/ha"
 )
@@ -223,143 +221,4 @@ func (s *Sharded) RecoverRanges() (int, error) {
 		}
 	}
 	return n, nil
-}
-
-// AntiEntropy is the sharded plane's repair sweep: complete interrupted
-// topology changes, then migrate any out-of-bounds residue (stale cells
-// left by crashed migrations or misrouted repairs) to its owning range
-// and trim it from the non-owner — newest version wins, tombstones
-// travel like writes, and a second sweep over a quiet store is a no-op.
-// Returns (cells migrated, cells trimmed).
-func (s *Sharded) AntiEntropy() (moved, trimmed int, err error) {
-	if _, err := s.RecoverRanges(); err != nil {
-		return 0, 0, err
-	}
-	if err := s.refreshDir(); err != nil {
-		return 0, 0, err
-	}
-	for _, r := range s.rangesSnapshot() {
-		var pairs []kvPair
-		if qerr := s.queryRange(r.ID, func(m *rangeMachine) { pairs = m.allPairs() }); qerr != nil {
-			return moved, trimmed, qerr
-		}
-		var stray []kvPair
-		for _, p := range pairs {
-			if p.key < r.Start || (r.End != "" && p.key >= r.End) {
-				stray = append(stray, p)
-			}
-		}
-		if len(stray) == 0 {
-			continue
-		}
-		// Route each stray cell to its current owner; skip anything that
-		// turns out to be owned here after all (bounds moved mid-sweep).
-		byOwner := map[uint64][]kvPair{}
-		for _, p := range stray {
-			owner, lerr := s.locate(p.key)
-			if lerr != nil {
-				return moved, trimmed, lerr
-			}
-			if owner.ID == r.ID {
-				continue
-			}
-			byOwner[owner.ID] = append(byOwner[owner.ID], p)
-		}
-		var delivered []kvPair
-		for _, oid := range sortedKeys(byOwner) {
-			if _, _, perr := s.proposeRange(oid, encRmMigrate(byOwner[oid])); perr != nil {
-				return moved, trimmed, perr
-			}
-			moved += len(byOwner[oid])
-			delivered = append(delivered, byOwner[oid]...)
-		}
-		if len(delivered) == 0 {
-			continue
-		}
-		// Trim only what we delivered, guarded by version: a newer cell
-		// that raced in since the query survives.
-		slices.SortFunc(delivered, func(a, b kvPair) int { return strings.Compare(a.key, b.key) })
-		resp, _, perr := s.proposeRange(r.ID, encRmTrimKeys(delivered))
-		if perr != nil {
-			return moved, trimmed, perr
-		}
-		d := &wdec{buf: resp[1:]}
-		trimmed += int(d.u32())
-	}
-	s.Reg.Counter("antientropy_moved").Add(int64(moved))
-	s.Reg.Counter("antientropy_trimmed").Add(int64(trimmed))
-	return moved, trimmed, nil
-}
-
-// MaybeSplit splits the largest range at its median live key when it
-// holds at least threshold live keys — the size-driven split policy.
-// Returns whether a split happened.
-func (s *Sharded) MaybeSplit(threshold int) (bool, error) {
-	if threshold < 2 {
-		threshold = 2
-	}
-	var best RangeInfo
-	bestSize := -1
-	for _, r := range s.rangesSnapshot() {
-		n, err := s.rangeSize(r)
-		if err != nil {
-			return false, err
-		}
-		if n > bestSize {
-			best, bestSize = r, n
-		}
-	}
-	if bestSize < threshold {
-		return false, nil
-	}
-	var keys []string
-	if err := s.queryRange(best.ID, func(m *rangeMachine) { keys = m.liveKeys() }); err != nil {
-		return false, err
-	}
-	mid := keys[len(keys)/2]
-	if mid == best.Start {
-		return false, nil // degenerate: all live keys at the boundary
-	}
-	if err := s.Split(mid); err != nil {
-		if errors.Is(err, ErrRangeBusy) {
-			return false, nil
-		}
-		return false, err
-	}
-	return true, nil
-}
-
-// MaybeMerge merges the smallest adjacent pair of ranges when their
-// combined live size is at most threshold — the load-driven merge
-// policy. Returns whether a merge happened.
-func (s *Sharded) MaybeMerge(threshold int) (bool, error) {
-	rs := s.rangesSnapshot()
-	if len(rs) < 2 {
-		return false, nil
-	}
-	sizes := make([]int, len(rs))
-	for i, r := range rs {
-		n, err := s.rangeSize(r)
-		if err != nil {
-			return false, err
-		}
-		sizes[i] = n
-	}
-	bestIdx, bestSum := -1, threshold+1
-	for i := 0; i+1 < len(rs); i++ {
-		if sum := sizes[i] + sizes[i+1]; sum < bestSum {
-			bestIdx, bestSum = i, sum
-		}
-	}
-	if bestIdx < 0 {
-		return false, nil
-	}
-	// Merge keyed by any key of the left range; its Start routes there.
-	if err := s.Merge(rs[bestIdx].Start); err != nil {
-		if errors.Is(err, ErrRangeBusy) {
-			return false, nil
-		}
-		return false, err
-	}
-	return true, nil
 }

@@ -148,7 +148,7 @@ func TestTxnPartitionSpanningCommitPoint(t *testing.T) {
 	// Partition the control group's leader away right before the commit
 	// proposal: the coordinator cannot learn the outcome (ErrTxnOrphaned)
 	// and recovery after heal must resolve it deterministically.
-	s := newTestSharded(t, ShardedConfig{InitialSplits: []string{"m"}, MaxOpTicks: 120, MaxOpAttempts: 4})
+	s := newTestSharded(t, ShardedConfig{InitialSplits: []string{"m"}, MaxOpAttempts: 4})
 	mustPut(t, s, "aa", "old")
 	mustPut(t, s, "zz", "old")
 

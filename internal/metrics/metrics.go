@@ -280,24 +280,22 @@ func (s HistogramSnapshot) String() string {
 // call NewRegistry. Lookup creates metrics on first use, so instrumented
 // code never needs registration boilerplate.
 type Registry struct {
-	mu            sync.Mutex
-	counters      map[string]*Counter
-	gauges        map[string]*Gauge
-	histograms    map[string]*Histogram
-	counterVecs   map[string]*CounterVec
-	gaugeVecs     map[string]*GaugeVec
-	histogramVecs map[string]*HistogramVec
+	mu          sync.Mutex
+	counters    map[string]*Counter
+	gauges      map[string]*Gauge
+	histograms  map[string]*Histogram
+	counterVecs map[string]*CounterVec
+	gaugeVecs   map[string]*GaugeVec
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:      map[string]*Counter{},
-		gauges:        map[string]*Gauge{},
-		histograms:    map[string]*Histogram{},
-		counterVecs:   map[string]*CounterVec{},
-		gaugeVecs:     map[string]*GaugeVec{},
-		histogramVecs: map[string]*HistogramVec{},
+		counters:    map[string]*Counter{},
+		gauges:      map[string]*Gauge{},
+		histograms:  map[string]*Histogram{},
+		counterVecs: map[string]*CounterVec{},
+		gaugeVecs:   map[string]*GaugeVec{},
 	}
 }
 
@@ -365,9 +363,6 @@ func (r *Registry) Names() []string {
 		add(n)
 	}
 	for n := range r.gaugeVecs {
-		add(n)
-	}
-	for n := range r.histogramVecs {
 		add(n)
 	}
 	sort.Strings(names)
@@ -439,10 +434,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, v := range r.gaugeVecs {
 		gaugeVecs = append(gaugeVecs, v)
 	}
-	histogramVecs := make([]*HistogramVec, 0, len(r.histogramVecs))
-	for _, v := range r.histogramVecs {
-		histogramVecs = append(histogramVecs, v)
-	}
 	r.mu.Unlock()
 
 	var snap Snapshot
@@ -464,11 +455,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for n, h := range histograms {
 		snap.Histograms = append(snap.Histograms, HistogramSample{Name: n, HistogramSnapshot: h.Snapshot()})
-	}
-	for _, v := range histogramVecs {
-		v.Each(func(labels []Label, h *Histogram) {
-			snap.Histograms = append(snap.Histograms, HistogramSample{Name: v.name, Labels: labels, HistogramSnapshot: h.Snapshot()})
-		})
 	}
 	sort.Slice(snap.Counters, func(i, j int) bool {
 		return sampleLess(snap.Counters[i].Name, snap.Counters[i].Labels, snap.Counters[j].Name, snap.Counters[j].Labels)

@@ -7,7 +7,7 @@ import (
 	"sync"
 )
 
-// Metric vectors: families of counters/gauges/histograms keyed by a small,
+// Metric vectors: families of counters/gauges keyed by a small,
 // fixed set of label keys (e.g. shuffle_partition_bytes{shuffle,partition}).
 // Children are created on first use. Vectors are nil-receiver safe the same
 // way the scalar types are: With on a nil vector returns a nil child, whose
@@ -144,35 +144,6 @@ func (v *GaugeVec) Each(fn func(labels []Label, g *Gauge)) {
 	v.v.each(fn)
 }
 
-// HistogramVec is a family of histograms sharing a name and label keys.
-type HistogramVec struct {
-	name string
-	keys []string
-	v    vec[Histogram]
-}
-
-func newHistogramVec(name string, keys []string) *HistogramVec {
-	hv := &HistogramVec{name: name, keys: keys}
-	hv.v = vec[Histogram]{name: name, keys: keys, children: map[string]*Histogram{}, newM: NewHistogram}
-	return hv
-}
-
-// With returns the child histogram for the given label values. Nil-safe.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	return v.v.with(values)
-}
-
-// Each visits every child with its labels, ordered by label values.
-func (v *HistogramVec) Each(fn func(labels []Label, h *Histogram)) {
-	if v == nil {
-		return
-	}
-	v.v.each(fn)
-}
-
 // CounterVec returns the counter vector with the given name, creating it
 // with the given label keys if needed. Re-requesting an existing vector
 // with different keys panics: that is a programming error, and silently
@@ -199,21 +170,6 @@ func (r *Registry) GaugeVec(name string, keys ...string) *GaugeVec {
 	if !ok {
 		v = newGaugeVec(name, append([]string(nil), keys...))
 		r.gaugeVecs[name] = v
-		return v
-	}
-	mustMatchKeys(name, v.keys, keys)
-	return v
-}
-
-// HistogramVec returns the histogram vector with the given name, creating
-// it if needed.
-func (r *Registry) HistogramVec(name string, keys ...string) *HistogramVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.histogramVecs[name]
-	if !ok {
-		v = newHistogramVec(name, append([]string(nil), keys...))
-		r.histogramVecs[name] = v
 		return v
 	}
 	mustMatchKeys(name, v.keys, keys)

@@ -34,8 +34,6 @@ type JobSpec struct {
 	Tasks   []TaskSpec
 	// Queue routes the job under the Capacity policy.
 	Queue string
-	// Weight scales the job's fair share (default 1).
-	Weight float64
 }
 
 // Config configures a simulation run.
@@ -177,8 +175,8 @@ func (FIFO) Pick(s *State, node topology.NodeID) (int, int) {
 	return -1, -1
 }
 
-// Fair offers each slot to the job with the smallest running/weight ratio —
-// weighted max-min fair sharing of slots.
+// Fair offers each slot to the job with the fewest running tasks — max-min
+// fair sharing of slots.
 type Fair struct{}
 
 // Name implements Policy.
@@ -188,10 +186,8 @@ func fairOrder(s *State) []int {
 	candidates := s.Jobs()
 	sort.Slice(candidates, func(a, b int) bool {
 		ja, jb := s.jobs[candidates[a]], s.jobs[candidates[b]]
-		ra := float64(ja.running) / weight(ja)
-		rb := float64(jb.running) / weight(jb)
-		if ra != rb {
-			return ra < rb
+		if ja.running != jb.running {
+			return ja.running < jb.running
 		}
 		if ja.spec.Arrival != jb.spec.Arrival {
 			return ja.spec.Arrival < jb.spec.Arrival
@@ -199,13 +195,6 @@ func fairOrder(s *State) []int {
 		return ja.pos < jb.pos
 	})
 	return candidates
-}
-
-func weight(j *jobState) float64 {
-	if j.spec.Weight > 0 {
-		return j.spec.Weight
-	}
-	return 1
 }
 
 // Pick implements Policy.

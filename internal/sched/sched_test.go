@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 	"time"
 
@@ -196,6 +198,38 @@ func TestDeterministic(t *testing.T) {
 	b := Run(Config{Topology: top, SlotsPerNode: 2, Policy: Delay{}}, jobs)
 	if a.Makespan != b.Makespan || a.NodeLocal != b.NodeLocal {
 		t.Fatal("same inputs produced different schedules")
+	}
+}
+
+// TestRunMatchesParent pins every policy's schedule to the commit its
+// constant was recorded on: makespan, each job's completion and the
+// locality counts. TestDeterministic only asks two runs to agree; this
+// one fails when a change moves any placement.
+func TestRunMatchesParent(t *testing.T) {
+	top := topology.TwoTier(2, 2, 1)
+	jobs := localityJobs(top, 6, rng.New(13))
+	for _, c := range []struct {
+		policy Policy
+		want   uint64
+	}{
+		{FIFO{}, 0x3ea04ed5bdad4b53},
+		{Fair{}, 0xbcdd53aebddcdf3e},
+		{Capacity{}, 0x3ea04ed5bdad4b53},
+		{Delay{}, 0x5a82c47420e46866},
+	} {
+		res := Run(Config{Topology: top, SlotsPerNode: 2, Policy: c.policy}, jobs)
+		h := fnv.New64a()
+		word := func(v int64) { _, _ = h.Write(binary.LittleEndian.AppendUint64(nil, uint64(v))) }
+		word(int64(res.Makespan))
+		for _, jt := range res.JobCompletion {
+			word(int64(jt))
+		}
+		for _, n := range []int{res.NodeLocal, res.RackLocal, res.RemoteRun, res.NoPreference} {
+			word(int64(n))
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s: digest %#x, want %#x", c.policy.Name(), got, c.want)
+		}
 	}
 }
 

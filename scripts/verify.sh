@@ -48,6 +48,11 @@ echo "== quorum ring under fault toggles (race, count=3) =="
 # Get/Put read without a lock while FailNode/RecoverNode flip them.
 go test -race -count=3 -run 'TestConcurrent' ./internal/kvstore
 
+echo "== split/merge racing writes (race, count=3) =="
+# The only test that races Split/Merge against concurrent Puts: every
+# acked write readable and no lock left after Recover.
+go test -race -count=3 -run 'TestAntiEntropyRacesSplitMergeNoLostVersions' ./internal/kvstore
+
 echo "== shared log views (race, count=3) + allocation ceilings =="
 # Raft hands out views of its log instead of copies: the aliasing tests
 # hold them across truncation, compaction and a seeded fault schedule.
@@ -94,6 +99,12 @@ echo "== chaos flap + ha.Group transcript determinism (count=50) =="
 go test -count=50 -run 'TestFlapDeterminismAndUnflap' ./internal/chaos/
 go test -count=50 -run 'TestGroupTranscriptMatchesParent|TestGroupTranscriptSnapshotOverConflictingTail' ./internal/ha/
 go test -count=50 -run 'TestSnapshotOver' ./internal/consensus/
+
+echo "== scheduler + network model pins (count=50) =="
+# Every scheduling policy's result and every transport's Cost/Simulate
+# output hashed against constants recorded before the last change to them.
+go test -count=50 -run 'TestRunMatchesParent' ./internal/sched/
+go test -count=50 -run 'TestModelMatchesParent' ./internal/netsim/
 
 sh scripts/coverage.sh
 
