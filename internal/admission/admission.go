@@ -3,8 +3,8 @@
 // admission edge, CoDel-style load shedding that drops on queue *sojourn
 // time* rather than queue length (with priority tiers: the lowest tier
 // sheds first), client-side retry budgets, virtual-deadline propagation
-// through contexts, and per-downstream circuit breakers that compose with
-// the dataflow engine's three-strike node quarantine.
+// through contexts, and per-coordinator circuit breakers that let the
+// simulator route around a failing node.
 //
 // Everything here is driven by a caller-supplied virtual clock (a
 // time.Duration from the run epoch), the same convention the netsim cost
@@ -30,8 +30,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // Typed admission failures. Callers use errors.Is to distinguish a cheap
@@ -169,9 +167,6 @@ type Config struct {
 	// MaxQueue hard-caps the total queued requests across tenants
 	// (the backstop behind the sojourn controller). Default 4096.
 	MaxQueue int
-	// Reg receives admission counters (admission_admitted,
-	// admission_shed{reason}, admission_queue_depth); nil disables.
-	Reg *metrics.Registry
 }
 
 // Controller is the admission edge: per-tenant token buckets, one
@@ -193,10 +188,6 @@ type Controller struct {
 	dropNext   time.Duration
 	dropCount  int
 	dropping   bool
-
-	admitted *metrics.Counter
-	shed     *metrics.CounterVec // admission_shed{reason}
-	depth    *metrics.Gauge
 }
 
 // NewController builds a controller; see Config for defaults.
@@ -224,11 +215,6 @@ func NewController(cfg Config) *Controller {
 			c.buckets[i] = NewTokenBucket(t.Rate, t.Burst)
 		}
 	}
-	if cfg.Reg != nil {
-		c.admitted = cfg.Reg.Counter("admission_admitted")
-		c.shed = cfg.Reg.CounterVec("admission_shed", "reason")
-		c.depth = cfg.Reg.Gauge("admission_queue_depth")
-	}
 	return c
 }
 
@@ -247,11 +233,9 @@ func (c *Controller) Offer(now time.Duration, req Request) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.buckets[req.Tenant].Allow(now, req.Cost) {
-		c.shed.With("quota").Inc()
 		return ErrQuotaExceeded
 	}
 	if c.queued >= c.cfg.MaxQueue {
-		c.shed.With("full").Inc()
 		return ErrQueueFull
 	}
 	w := c.cfg.Tenants[req.Tenant].Weight
@@ -263,7 +247,6 @@ func (c *Controller) Offer(now time.Duration, req Request) error {
 	c.vfin[req.Tenant] = req.vfin
 	c.queues[req.Tenant] = append(c.queues[req.Tenant], req)
 	c.queued++
-	c.depth.Set(int64(c.queued))
 	return nil
 }
 
@@ -287,12 +270,10 @@ func (c *Controller) Next(now time.Duration) (req Request, shed []Request, ok bo
 		if c.codelDrop(now, now-head.Arrive) {
 			victim := c.lowestPriorityTenant()
 			shed = append(shed, c.popHead(victim))
-			c.shed.With("sojourn").Inc()
 			continue
 		}
 		c.vtime = head.vfin
 		c.popHead(t)
-		c.admitted.Inc()
 		return head, shed, true
 	}
 }
@@ -352,7 +333,6 @@ func (c *Controller) popHead(t int) Request {
 	req := c.queues[t][0]
 	c.queues[t] = c.queues[t][1:]
 	c.queued--
-	c.depth.Set(int64(c.queued))
 	return req
 }
 

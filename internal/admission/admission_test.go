@@ -286,32 +286,3 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatalf("opens = %d, want 2", b.Opens())
 	}
 }
-
-func TestBreakerSet(t *testing.T) {
-	s := NewBreakerSet(BreakerConfig{Threshold: 2, CooldownTicks: 3})
-	for i := 0; i < 2; i++ {
-		s.ReportFailure(4)
-	}
-	if s.Allow(4) {
-		t.Fatal("node 4 admitted after trip")
-	}
-	if !s.Allow(7) {
-		t.Fatal("unrelated node refused")
-	}
-	if s.NodeState(4) != BreakerOpen {
-		t.Fatalf("node 4 state = %v", s.NodeState(4))
-	}
-	for i := 0; i < 3; i++ {
-		s.Tick()
-	}
-	if !s.Allow(4) {
-		t.Fatal("cooled-down node refused the probe")
-	}
-	s.ReportSuccess(4)
-	if s.NodeState(4) != BreakerClosed {
-		t.Fatal("probe success did not close")
-	}
-	if s.Opens() != 1 {
-		t.Fatalf("opens = %d, want 1", s.Opens())
-	}
-}

@@ -1,19 +1,13 @@
-// Circuit breakers for per-node downstream calls. Two granularities:
-// Breaker is a single virtual-time breaker (the overload simulator keeps
-// one per KV coordinator node); BreakerSet is a wave-ticked per-node set
-// implementing the dataflow engine's core.NodeBreaker hook, where it
-// composes with the three-strike quarantine — the breaker reacts within
-// a wave and recovers through half-open probes, while quarantine is the
-// slower wave-count sentence for repeat offenders. Both layers consult
-// the same success/failure stream, so a node that trips the breaker and
-// keeps failing its probes accumulates quarantine strikes too.
+// Circuit breakers for per-node downstream calls. Breaker is a
+// virtual-time breaker; the overload simulator keeps one per KV
+// coordinator node and routes around the ones that are open, so a node
+// that keeps refusing calls stops taking traffic within a few failures
+// and is probed back into service once its cooldown expires.
 package admission
 
 import (
 	"sync"
 	"time"
-
-	"repro/internal/topology"
 )
 
 // BreakerState is the classic three-state breaker lifecycle.
@@ -41,18 +35,14 @@ func (s BreakerState) String() string {
 	}
 }
 
-// BreakerConfig configures a Breaker or BreakerSet.
+// BreakerConfig configures a Breaker.
 type BreakerConfig struct {
 	// Threshold is how many consecutive failures trip the breaker.
 	// Default 5.
 	Threshold int
-	// Cooldown is how long an open breaker refuses calls before
-	// half-opening (virtual time for Breaker; ignored by BreakerSet,
-	// which uses CooldownTicks). Default 100ms.
+	// Cooldown is how long, in virtual time, an open breaker refuses
+	// calls before half-opening. Default 100ms.
 	Cooldown time.Duration
-	// CooldownTicks is the BreakerSet cooldown in Tick calls (scheduling
-	// waves). Default 8, matching the engine's QuarantineWaves default.
-	CooldownTicks int64
 }
 
 func (c *BreakerConfig) fill() {
@@ -61,9 +51,6 @@ func (c *BreakerConfig) fill() {
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 100 * time.Millisecond
-	}
-	if c.CooldownTicks <= 0 {
-		c.CooldownTicks = 8
 	}
 }
 
@@ -156,121 +143,4 @@ func (b *Breaker) Opens() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.opens
-}
-
-// BreakerSet is a per-node breaker set paced by Tick calls (the engine
-// ticks it once per scheduling wave). It implements core.NodeBreaker:
-// placement skips nodes whose breaker is open, task outcomes feed the
-// breakers, and the engine's quarantine remains the outer, slower layer.
-// Safe for concurrent use.
-type BreakerSet struct {
-	mu    sync.Mutex
-	cfg   BreakerConfig
-	tick  int64
-	nodes map[topology.NodeID]*nodeBreaker
-	opens int64
-}
-
-type nodeBreaker struct {
-	state   BreakerState
-	fails   int
-	until   int64 // open expiry tick
-	probing bool
-}
-
-// NewBreakerSet builds an empty set; node breakers materialize on first
-// report.
-func NewBreakerSet(cfg BreakerConfig) *BreakerSet {
-	cfg.fill()
-	return &BreakerSet{cfg: cfg, nodes: map[topology.NodeID]*nodeBreaker{}}
-}
-
-// Tick advances breaker time by one scheduling wave.
-func (s *BreakerSet) Tick() {
-	s.mu.Lock()
-	s.tick++
-	s.mu.Unlock()
-}
-
-func (s *BreakerSet) node(n topology.NodeID) *nodeBreaker {
-	nb := s.nodes[n]
-	if nb == nil {
-		nb = &nodeBreaker{}
-		s.nodes[n] = nb
-	}
-	return nb
-}
-
-// Allow implements core.NodeBreaker: whether placement may use node n.
-func (s *BreakerSet) Allow(n topology.NodeID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	nb := s.node(n)
-	switch nb.state {
-	case BreakerOpen:
-		if s.tick < nb.until {
-			return false
-		}
-		nb.state = BreakerHalfOpen
-		nb.probing = false
-		fallthrough
-	case BreakerHalfOpen:
-		if nb.probing {
-			return false
-		}
-		nb.probing = true
-		return true
-	default:
-		return true
-	}
-}
-
-// ReportSuccess implements core.NodeBreaker.
-func (s *BreakerSet) ReportSuccess(n topology.NodeID) {
-	s.mu.Lock()
-	nb := s.node(n)
-	nb.state = BreakerClosed
-	nb.fails = 0
-	nb.probing = false
-	s.mu.Unlock()
-}
-
-// ReportFailure implements core.NodeBreaker.
-func (s *BreakerSet) ReportFailure(n topology.NodeID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	nb := s.node(n)
-	if nb.state == BreakerHalfOpen {
-		s.tripLocked(nb)
-		return
-	}
-	nb.fails++
-	if nb.state == BreakerClosed && nb.fails >= s.cfg.Threshold {
-		s.tripLocked(nb)
-	}
-}
-
-func (s *BreakerSet) tripLocked(nb *nodeBreaker) {
-	nb.state = BreakerOpen
-	nb.until = s.tick + s.cfg.CooldownTicks
-	nb.fails = 0
-	nb.probing = false
-	s.opens++
-}
-
-// Opens returns how many node breakers have tripped in total.
-func (s *BreakerSet) Opens() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.opens
-}
-
-// NodeState returns node n's breaker state (closed for unseen nodes).
-func (s *BreakerSet) NodeState(n topology.NodeID) BreakerState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if nb := s.nodes[n]; nb != nil {
-		return nb.state
-	}
-	return BreakerClosed
 }

@@ -3,10 +3,9 @@ package admission
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/topology"
 )
 
 // waitGoroutines polls until the goroutine count returns to (or below)
@@ -26,8 +25,8 @@ func waitGoroutines(t *testing.T, baseline int) {
 }
 
 // TestAdmissionConcurrent hammers the shared-state components (token
-// buckets, controller, retry budget, breaker set) from many goroutines
-// under -race, then verifies every goroutine drains.
+// buckets, controller, retry budget, per-node breakers) from many
+// goroutines under -race, then verifies every goroutine drains.
 func TestAdmissionConcurrent(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
@@ -39,7 +38,13 @@ func TestAdmissionConcurrent(t *testing.T) {
 		MaxQueue: 128,
 	})
 	budget := NewRetryBudget(0.1)
-	breakers := NewBreakerSet(BreakerConfig{Threshold: 3})
+	// One breaker per node, as admission.Sim keeps per coordinator. They
+	// share one virtual clock that workers advance as they go.
+	breakers := make([]*Breaker, 4)
+	for i := range breakers {
+		breakers[i] = NewBreaker(BreakerConfig{Threshold: 3})
+	}
+	var clock atomic.Int64
 	bucket := NewTokenBucket(10000, 100)
 
 	const workers = 8
@@ -58,18 +63,19 @@ func TestAdmissionConcurrent(t *testing.T) {
 				}
 				if i%3 == 0 {
 					if req, _, ok := c.Next(now); ok {
-						node := topology.NodeID(req.Index % 4)
-						if breakers.Allow(node) {
+						b := breakers[req.Index%4]
+						at := time.Duration(clock.Load())
+						if b.Allow(at) {
 							if req.Index%17 == 0 {
-								breakers.ReportFailure(node)
+								b.Failure(at)
 							} else {
-								breakers.ReportSuccess(node)
+								b.Success()
 							}
 						}
 					}
 				}
 				if i%50 == 0 {
-					breakers.Tick()
+					clock.Add(int64(20 * time.Millisecond))
 					_ = c.Depth()
 					_ = budget.Suppressed()
 				}

@@ -83,8 +83,6 @@ type SimConfig struct {
 
 	// WindowWidth is the latency-trajectory window (default 250ms).
 	WindowWidth time.Duration
-	// Reg receives the admission counters when Admission is set.
-	Reg *metrics.Registry
 }
 
 func (c *SimConfig) fill() {
@@ -222,11 +220,7 @@ func NewSim(cfg SimConfig) *Sim {
 		s.gens[i] = workload.NewArrivalGen(i, t, cfg.Seed)
 	}
 	if cfg.Admission != nil {
-		ac := *cfg.Admission
-		if ac.Reg == nil {
-			ac.Reg = cfg.Reg
-		}
-		s.ctrl = NewController(ac)
+		s.ctrl = NewController(*cfg.Admission)
 	}
 	if cfg.RetryRatio > 0 {
 		s.budget = NewRetryBudget(cfg.RetryRatio)

@@ -162,23 +162,28 @@ func TestSimFlatPastSaturation(t *testing.T) {
 	}
 }
 
-func TestSimBreakerRoutesAroundBadNode(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	defer waitSimGoroutines(t, baseline)
+// badNodeConfig is a defended run at half load over four coordinators,
+// one of which (node 2) refuses every call; badCalls counts its calls.
+func badNodeConfig(badCalls *int64) SimConfig {
 	const bad = topology.NodeID(2)
-	var badCalls int64
-	serve := func(ctx context.Context, op workload.Op, coord topology.NodeID) (time.Duration, error) {
+	cfg := overloadConfig(0.5, true, 11)
+	cfg.Nodes = 4
+	cfg.Serve = func(ctx context.Context, op workload.Op, coord topology.NodeID) (time.Duration, error) {
 		if coord == bad {
-			badCalls++
+			*badCalls++
 			return 5 * time.Millisecond, fmt.Errorf("node %d: connection refused", coord)
 		}
 		return time.Millisecond, nil
 	}
-	cfg := overloadConfig(0.5, true, 11)
-	cfg.Nodes = 4
-	cfg.Serve = serve
 	cfg.Breaker = BreakerConfig{Threshold: 3, Cooldown: 200 * time.Millisecond}
-	res := NewSim(cfg).Run()
+	return cfg
+}
+
+func TestSimBreakerRoutesAroundBadNode(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	defer waitSimGoroutines(t, baseline)
+	var badCalls int64
+	res := NewSim(badNodeConfig(&badCalls)).Run()
 	if res.BreakerOpens == 0 {
 		t.Fatal("failing node never tripped its breaker")
 	}

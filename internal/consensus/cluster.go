@@ -59,10 +59,7 @@ func newCluster(n int, seed uint64, hardened bool) *Cluster {
 		applied: make([][]Entry, n),
 	}
 	for i := range c.nodes {
-		c.nodes[i] = NewNode(Config{
-			ID: i, Peers: peers, Seed: seed,
-			PreVote: hardened, CheckQuorum: hardened,
-		})
+		c.nodes[i] = NewNode(Config{ID: i, Peers: peers, Seed: seed, Hardened: hardened})
 	}
 	c.AfterRound = c.record
 	return c

@@ -89,31 +89,38 @@ type Message struct {
 	SnapData            []byte
 }
 
+// Protocol timing, in ticks, and the replication batch size.
+const (
+	// electionTicks is the base election timeout E. A node times out
+	// after E plus a random draw below E·(1+b), where b counts its
+	// consecutive failed campaigns (at most 5, and always 0 unless
+	// hardened): timeouts fall in [E, 2E) for vanilla Raft and in
+	// [E, 7E) with backoff.
+	electionTicks = 10
+	// heartbeatTicks is the leader heartbeat interval.
+	heartbeatTicks = 1
+	// maxEntriesPerApp bounds the entries one AppendEntries carries.
+	maxEntriesPerApp = 64
+)
+
 // Config configures a node.
 type Config struct {
 	// ID is this node's identity; Peers lists every member including self.
 	ID    int
 	Peers []int
-	// ElectionTicks is the base election timeout in ticks (randomized to
-	// [ElectionTicks, 2*ElectionTicks)). Default 10.
-	ElectionTicks int
-	// HeartbeatTicks is the leader heartbeat interval. Default 1.
-	HeartbeatTicks int
 	// Seed drives election timeout randomization.
 	Seed uint64
-	// MaxEntriesPerApp bounds entries per AppendEntries. Default 64.
-	MaxEntriesPerApp int
-	// PreVote enables the two-phase election probe (§9.6): campaign for
-	// real only after a quorum signals it would grant the vote. Stops
-	// partially-isolated nodes from inflating terms. Default off to keep
-	// vanilla Raft available as the experimental control.
-	PreVote bool
-	// CheckQuorum makes a leader step down after a full election timeout
-	// without contact from a quorum (it may be serving stale reads on the
-	// minority side of a partial partition), and makes followers ignore
-	// vote requests while they have a live leader (the §9.6 lease), so a
-	// rejoining node cannot depose a healthy leader. Default off.
-	CheckQuorum bool
+	// Hardened enables the liveness hardening (§9.6). PreVote: campaign
+	// for real only after a quorum signals it would grant the vote, which
+	// stops partially-isolated nodes from inflating terms. CheckQuorum: a
+	// leader steps down after a full election timeout without contact
+	// from a quorum (it may be serving stale reads on the minority side of
+	// a partial partition), and followers ignore vote requests while they
+	// have a live leader (the lease), so a rejoining node cannot depose a
+	// healthy leader. Failed campaigns also widen the election timeout.
+	// Default off to keep vanilla Raft available as the experimental
+	// control.
+	Hardened bool
 	// Metrics, when non-nil, receives protocol counters (elections,
 	// leaderships won, entries committed, snapshots, compactions) and a
 	// raft_term gauge. Counters are per-node; give each node its own
@@ -176,15 +183,6 @@ type Node struct {
 
 // NewNode builds a follower with an empty log.
 func NewNode(cfg Config) *Node {
-	if cfg.ElectionTicks <= 0 {
-		cfg.ElectionTicks = 10
-	}
-	if cfg.HeartbeatTicks <= 0 {
-		cfg.HeartbeatTicks = 1
-	}
-	if cfg.MaxEntriesPerApp <= 0 {
-		cfg.MaxEntriesPerApp = 64
-	}
 	n := &Node{
 		cfg:      cfg,
 		votedFor: -1,
@@ -267,12 +265,12 @@ func (n *Node) resetElectionTimeout() {
 	// Randomized exponential backoff: each consecutive failed campaign
 	// widens the timeout spread, de-synchronizing dueling candidates under
 	// flapping links. backoff stays 0 unless hardening is enabled, so the
-	// vanilla control keeps the classic [ET, 2ET) window.
-	spread := n.cfg.ElectionTicks * (1 + n.backoff)
-	if max := 6 * n.cfg.ElectionTicks; spread > max {
+	// vanilla control keeps the classic [E, 2E) window.
+	spread := electionTicks * (1 + n.backoff)
+	if max := 6 * electionTicks; spread > max {
 		spread = max
 	}
-	n.electionTimeout = n.cfg.ElectionTicks + n.rand.Intn(spread)
+	n.electionTimeout = electionTicks + n.rand.Intn(spread)
 }
 
 // Tick advances logical time by one unit and appends the messages to send
@@ -284,7 +282,7 @@ func (n *Node) Tick(out []Message) []Message {
 	switch n.state {
 	case Leader:
 		n.leaderElapsed++
-		if n.cfg.CheckQuorum && n.leaderElapsed >= n.cfg.ElectionTicks {
+		if n.cfg.Hardened && n.leaderElapsed >= electionTicks {
 			n.leaderElapsed = 0
 			if !n.quorumActive() {
 				// Cut off from the majority: stop serving (possibly stale)
@@ -295,7 +293,7 @@ func (n *Node) Tick(out []Message) []Message {
 				return out
 			}
 		}
-		if n.elapsed >= n.cfg.HeartbeatTicks {
+		if n.elapsed >= heartbeatTicks {
 			n.elapsed = 0
 			return n.broadcastAppend(out)
 		}
@@ -323,12 +321,10 @@ func (n *Node) quorumActive() bool {
 // campaign is the election-timeout path: grow the backoff window, then
 // either probe via PreVote or (vanilla) campaign for real immediately.
 func (n *Node) campaign(out []Message) []Message {
-	if n.cfg.PreVote || n.cfg.CheckQuorum {
+	if n.cfg.Hardened {
 		if n.backoff < 5 {
 			n.backoff++
 		}
-	}
-	if n.cfg.PreVote {
 		return n.startPreVote(out)
 	}
 	return n.startElection(false, out)
@@ -461,7 +457,7 @@ func (n *Node) appendTo(p int) Message {
 	return Message{
 		Type: MsgApp, From: n.cfg.ID, To: p, Term: n.term,
 		PrevIndex: prev, PrevTerm: prevTerm,
-		Entries: n.entriesFrom(next, n.cfg.MaxEntriesPerApp),
+		Entries: n.entriesFrom(next, maxEntriesPerApp),
 		Commit:  n.commit,
 	}
 }
@@ -471,13 +467,13 @@ func (n *Node) appendTo(p int) Message {
 // when cut off), or it heard from one within the last election timeout.
 // Force (deliberate leadership transfer) always pierces the lease.
 func (n *Node) leaseActive(force bool) bool {
-	if force || !n.cfg.CheckQuorum {
+	if force || !n.cfg.Hardened {
 		return false
 	}
 	if n.state == Leader {
 		return true
 	}
-	return n.state == Follower && n.leader >= 0 && n.elapsed < n.cfg.ElectionTicks
+	return n.state == Follower && n.leader >= 0 && n.elapsed < electionTicks
 }
 
 // Step processes one inbound message and appends the messages to send to

@@ -53,19 +53,21 @@ func (f *fetchError) Error() string {
 // reproducible. Satisfied by *chaos.Controller.
 type ChaosTicker interface{ Tick() }
 
-// NodeBreaker is a per-node circuit breaker the engine consults at task
-// placement, composing with the three-strike quarantine as a faster
-// inner layer: the breaker reacts to consecutive failures within a wave
-// and recovers through half-open probes, while quarantine is the slower
-// wave-count sentence for repeat offenders. Both observe the same task
-// outcome stream. Tick is called once per scheduling wave from the
-// driver thread. Satisfied by *admission.BreakerSet.
-type NodeBreaker interface {
-	Allow(topology.NodeID) bool
-	ReportSuccess(topology.NodeID)
-	ReportFailure(topology.NodeID)
-	Tick()
-}
+// Recovery and graceful-degradation constants.
+const (
+	// maxStageRetries bounds whole-job recovery rounds after fetch
+	// failures.
+	maxStageRetries = 8
+	// speculationK is the straggler multiple over the median completed
+	// task duration (matches the obs straggler detector).
+	speculationK = 2
+	// quarantineThreshold is how many task failures in a row a node may
+	// accumulate before placement stops using it.
+	quarantineThreshold = 3
+	// quarantineWaves is how many scheduling waves a quarantined node sits
+	// out before being given another chance.
+	quarantineWaves = 8
+)
 
 // Config tunes the engine.
 type Config struct {
@@ -82,9 +84,6 @@ type Config struct {
 	ForceSortShuffle bool
 	// MaxTaskRetries bounds per-partition retry attempts. Default 4.
 	MaxTaskRetries int
-	// MaxStageRetries bounds whole-job recovery rounds after fetch
-	// failures. Default 8.
-	MaxStageRetries int
 	// TaskFailProb injects transient task failures with this probability
 	// (fault-tolerance experiments). Default 0.
 	TaskFailProb float64
@@ -92,14 +91,11 @@ type Config struct {
 	Seed uint64
 	// Speculation enables backup launches for straggler tasks: once half a
 	// wave has finished, any task running longer than
-	// max(SpeculationK×median, SpeculationMin) gets a second copy on
+	// max(speculationK×median, SpeculationMin) gets a second copy on
 	// another node and the first copy to succeed wins. Default off —
 	// speculative timing is inherently racy, so deterministic-replay runs
 	// leave it disabled.
 	Speculation bool
-	// SpeculationK is the straggler multiple over the median completed
-	// task duration. Default 2 (matches the obs straggler detector).
-	SpeculationK float64
 	// SpeculationMin is the floor below which tasks are never considered
 	// stragglers. Default 5ms.
 	SpeculationMin time.Duration
@@ -109,18 +105,6 @@ type Config struct {
 	RetryBackoff time.Duration
 	// MaxRetryBackoff caps the exponential growth. Default 50ms.
 	MaxRetryBackoff time.Duration
-	// QuarantineThreshold is how many task failures in a row a node may
-	// accumulate before placement stops using it. Default 3; negative
-	// disables quarantining.
-	QuarantineThreshold int
-	// QuarantineWaves is how many scheduling waves a quarantined node sits
-	// out before being given another chance. Default 8.
-	QuarantineWaves int
-	// Breaker, when non-nil, is the per-node circuit breaker consulted at
-	// placement alongside quarantine (see NodeBreaker). Task successes
-	// and failures are reported to it; nodes it refuses are skipped
-	// unless that would leave nothing to run on.
-	Breaker NodeBreaker
 	// Chaos, when non-nil, has Tick called once per job attempt and once
 	// per scheduling wave from the driver thread (see ChaosTicker).
 	Chaos ChaosTicker
@@ -197,12 +181,6 @@ func NewEngine(cfg Config) *Engine {
 	if cfg.MaxTaskRetries <= 0 {
 		cfg.MaxTaskRetries = 4
 	}
-	if cfg.MaxStageRetries <= 0 {
-		cfg.MaxStageRetries = 8
-	}
-	if cfg.SpeculationK <= 0 {
-		cfg.SpeculationK = 2
-	}
 	if cfg.SpeculationMin <= 0 {
 		cfg.SpeculationMin = 5 * time.Millisecond
 	}
@@ -211,12 +189,6 @@ func NewEngine(cfg Config) *Engine {
 	}
 	if cfg.MaxRetryBackoff <= 0 {
 		cfg.MaxRetryBackoff = 50 * time.Millisecond
-	}
-	if cfg.QuarantineThreshold == 0 {
-		cfg.QuarantineThreshold = 3
-	}
-	if cfg.QuarantineWaves <= 0 {
-		cfg.QuarantineWaves = 8
 	}
 	return &Engine{
 		cfg:             cfg,
@@ -286,7 +258,7 @@ func (e *Engine) RunCtx(ctx context.Context, p *Plan) ([][]Row, error) {
 // brackets it.
 func (e *Engine) runJob(ctx context.Context, p *Plan) ([][]Row, error) {
 	var lastErr error
-	for attempt := 0; attempt <= e.cfg.MaxStageRetries; attempt++ {
+	for attempt := 0; attempt <= maxStageRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, e.abortErr(err, lastErr)
 		}
@@ -697,15 +669,12 @@ func (e *Engine) runTasks(ctx context.Context, stage string, parts []int, prefs 
 // success clears it entirely ("proven healthy").
 func (e *Engine) tickWave() {
 	e.tickChaos()
-	if e.cfg.Breaker != nil {
-		e.cfg.Breaker.Tick()
-	}
 	e.mu.Lock()
 	e.wave++
 	for n, till := range e.quarantinedTill {
 		if e.wave >= till {
 			delete(e.quarantinedTill, n)
-			e.nodeFails[n] = e.cfg.QuarantineThreshold - 1
+			e.nodeFails[n] = quarantineThreshold - 1
 			e.Reg.Counter("quarantine_releases").Inc()
 		}
 	}
@@ -714,26 +683,20 @@ func (e *Engine) tickWave() {
 }
 
 // placementNodes returns the live nodes eligible for task placement:
-// quarantined and breaker-refused nodes are excluded unless that would
-// leave nothing to run on (degrade gracefully, never wedge the job).
+// quarantined nodes are excluded unless that would leave nothing to run
+// on (degrade gracefully, never wedge the job).
 func (e *Engine) placementNodes() []topology.NodeID {
 	live := e.cfg.Cluster.LiveNodes()
-	breaker := e.cfg.Breaker
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.quarantinedTill) == 0 && breaker == nil {
+	if len(e.quarantinedTill) == 0 {
 		return live
 	}
 	eligible := make([]topology.NodeID, 0, len(live))
 	for _, n := range live {
-		if _, q := e.quarantinedTill[n]; q {
-			continue
+		if _, q := e.quarantinedTill[n]; !q {
+			eligible = append(eligible, n)
 		}
-		if breaker != nil && !breaker.Allow(n) {
-			e.Reg.Counter("breaker_skips").Inc()
-			continue
-		}
-		eligible = append(eligible, n)
 	}
 	if len(eligible) == 0 {
 		return live
@@ -969,7 +932,7 @@ func (e *Engine) runWave(ctx context.Context, stage string, stageTC trace.TraceC
 }
 
 // speculate launches one backup copy for each straggler: a task still
-// running past max(SpeculationK×median, SpeculationMin) once at least
+// running past max(speculationK×median, SpeculationMin) once at least
 // half the wave (and at least two tasks) have finished. The backup goes
 // to the next live node after the primary; whichever copy succeeds first
 // wins, and the task only fails if every copy fails.
@@ -980,7 +943,7 @@ func (e *Engine) speculate(states []*taskState, durations []time.Duration, live 
 	}
 	sorted := append([]time.Duration(nil), durations...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	threshold := time.Duration(e.cfg.SpeculationK * float64(sorted[len(sorted)/2]))
+	threshold := time.Duration(speculationK * float64(sorted[len(sorted)/2]))
 	if threshold < e.cfg.SpeculationMin {
 		threshold = e.cfg.SpeculationMin
 	}
@@ -1008,12 +971,8 @@ func (e *Engine) speculate(states []*taskState, durations []time.Duration, live 
 	}
 }
 
-// recordTaskSuccess clears a node's failure strikes and closes its
-// breaker.
+// recordTaskSuccess clears a node's failure strikes.
 func (e *Engine) recordTaskSuccess(n topology.NodeID) {
-	if e.cfg.Breaker != nil {
-		e.cfg.Breaker.ReportSuccess(n)
-	}
 	e.mu.Lock()
 	if e.nodeFails[n] != 0 {
 		e.nodeFails[n] = 0
@@ -1022,23 +981,16 @@ func (e *Engine) recordTaskSuccess(n topology.NodeID) {
 }
 
 // recordTaskFailure adds a strike against a node; crossing the threshold
-// quarantines it from placement for QuarantineWaves waves. The breaker
-// sees the same failure and may trip sooner — it is the faster layer.
+// quarantines it from placement for quarantineWaves waves.
 func (e *Engine) recordTaskFailure(n topology.NodeID) {
-	if e.cfg.Breaker != nil {
-		e.cfg.Breaker.ReportFailure(n)
-	}
-	if e.cfg.QuarantineThreshold < 0 {
-		return
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, q := e.quarantinedTill[n]; q {
 		return
 	}
 	e.nodeFails[n]++
-	if e.nodeFails[n] >= e.cfg.QuarantineThreshold {
-		e.quarantinedTill[n] = e.wave + int64(e.cfg.QuarantineWaves)
+	if e.nodeFails[n] >= quarantineThreshold {
+		e.quarantinedTill[n] = e.wave + quarantineWaves
 		e.Reg.Counter("quarantined_nodes").Inc()
 	}
 }

@@ -62,21 +62,25 @@ func (p *Policy) fill() {
 	}
 }
 
+// The modeled service.
+const (
+	// sloUtil is the utilization above which a step counts as an SLO
+	// violation (queueing delay blows up past it).
+	sloUtil = 0.9
+	// baseLatency is the unloaded per-request latency, which the
+	// SLO-driven policy's latency model scales (SLOTargetP99).
+	baseLatency = 2 * time.Millisecond
+)
+
 // Config configures a simulation.
 type Config struct {
 	// PerNodeCapacity is the request rate one node sustains; required.
 	PerNodeCapacity float64
-	// SLOUtil is the utilization above which a step counts as an SLO
-	// violation (queueing delay blows up past it). Default 0.9.
-	SLOUtil float64
 	// Policy is the autoscaler.
 	Policy Policy
 	// SpotPreemptProb is the per-step, per-node probability of losing a
 	// node to a spot reclaim.
 	SpotPreemptProb float64
-	// BaseLatency is the unloaded per-request latency of the modeled
-	// service, used by the SLO-driven policy (SLOTargetP99). Default 2ms.
-	BaseLatency time.Duration
 	// Seed drives preemption and latency-jitter randomness.
 	Seed uint64
 }
@@ -87,7 +91,7 @@ type Result struct {
 	NodeSteps int64
 	// AvgUtil is the mean utilization over steps (capped at 1 per step).
 	AvgUtil float64
-	// Violations counts steps where utilization exceeded SLOUtil.
+	// Violations counts steps where utilization exceeded sloUtil.
 	Violations int
 	// ViolationFrac = Violations / steps.
 	ViolationFrac float64
@@ -111,13 +115,7 @@ func Simulate(trace []workload.LoadPoint, cfg Config) Result {
 	if cfg.PerNodeCapacity <= 0 {
 		panic("elastic: PerNodeCapacity must be positive")
 	}
-	if cfg.SLOUtil <= 0 {
-		cfg.SLOUtil = 0.9
-	}
 	cfg.Policy.fill()
-	if cfg.BaseLatency <= 0 {
-		cfg.BaseLatency = 2 * time.Millisecond
-	}
 	r := rng.New(cfg.Seed)
 	// One trace step is one virtual second; the latency histogram
 	// windows at the same width so each step reads its own window's p99.
@@ -162,7 +160,7 @@ func Simulate(trace []workload.LoadPoint, cfg Config) Result {
 		res.UtilSeries = append(res.UtilSeries, recorded)
 		res.NodeSeries = append(res.NodeSeries, active)
 		res.AvgUtil += recorded
-		if util > cfg.SLOUtil {
+		if util > sloUtil {
 			res.Violations++
 		}
 		res.NodeSteps += int64(active)
@@ -175,7 +173,7 @@ func Simulate(trace []workload.LoadPoint, cfg Config) Result {
 		// histogram reflect the whole run.
 		var p99 time.Duration
 		if cfg.Policy.SLOTargetP99 > 0 {
-			p99 = observeStepLatency(hist, r, step, util, cfg.BaseLatency)
+			p99 = observeStepLatency(hist, r, step, util)
 			res.P99Series = append(res.P99Series, p99)
 		}
 
@@ -253,16 +251,16 @@ func Simulate(trace []workload.LoadPoint, cfg Config) Result {
 
 // observeStepLatency models one step of request latency on a fleet at
 // the given utilization and returns the step window's p99. The model is
-// the M/M/1 queueing curve lat = base/(1-rho) with rho capped at 0.98
-// (past saturation the backlog term below takes over), plus a linear
-// backlog penalty once offered load exceeds capacity, sampled with
-// seeded uniform jitter so the window has a distribution rather than a
-// point.
-func observeStepLatency(hist *metrics.WindowedHistogram, r *rng.RNG, step int, util float64, base time.Duration) time.Duration {
+// the M/M/1 queueing curve lat = baseLatency/(1-rho) with rho capped at
+// 0.98 (past saturation the backlog term below takes over), plus a
+// linear backlog penalty once offered load exceeds capacity, sampled
+// with seeded uniform jitter so the window has a distribution rather
+// than a point.
+func observeStepLatency(hist *metrics.WindowedHistogram, r *rng.RNG, step int, util float64) time.Duration {
 	rho := math.Min(util, 0.98)
-	lat := float64(base) / (1 - rho)
+	lat := float64(baseLatency) / (1 - rho)
 	if util > 1 {
-		lat += float64(base) * (util - 1) * 25
+		lat += float64(baseLatency) * (util - 1) * 25
 	}
 	at := time.Duration(step) * time.Second
 	const samples = 24

@@ -10,7 +10,7 @@
 // long as its group has a quorum — and multi-key atomicity comes from
 // the 2PC coordinator in txn.go whose commit point is itself a
 // replicated record. Latency is modeled in virtual time: each proposal
-// costs ProposeCost plus TickCost per consensus tick it consumed, which
+// costs proposeCost plus tickCost per consensus tick it consumed, which
 // keeps runs deterministic and lets admission budgets (context virtual
 // deadlines) propagate into the transactional path.
 package kvstore
@@ -66,11 +66,14 @@ type ShardedConfig struct {
 	MaxOpAttempts int
 	// MaxTxnAttempts bounds a transaction's conflict retries. Default 8.
 	MaxTxnAttempts int
-	// ProposeCost and TickCost model virtual latency: each proposal
-	// costs ProposeCost + ticks*TickCost. Defaults 120µs and 25µs.
-	ProposeCost time.Duration
-	TickCost    time.Duration
 }
+
+// The virtual latency model: each proposal costs proposeCost plus
+// tickCost per consensus tick it consumed.
+const (
+	proposeCost = 120 * time.Microsecond
+	tickCost    = 25 * time.Microsecond
+)
 
 // Sharded is the range-sharded, transactional KV store.
 type Sharded struct {
@@ -102,12 +105,6 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 	}
 	if cfg.MaxTxnAttempts <= 0 {
 		cfg.MaxTxnAttempts = 8
-	}
-	if cfg.ProposeCost <= 0 {
-		cfg.ProposeCost = 120 * time.Microsecond
-	}
-	if cfg.TickCost <= 0 {
-		cfg.TickCost = 25 * time.Microsecond
 	}
 	sort.Strings(cfg.InitialSplits)
 	s := &Sharded{cfg: cfg, Reg: metrics.NewRegistry()}
@@ -164,7 +161,7 @@ func (s *Sharded) propose(group int, machine string, cmd []byte) ([]byte, time.D
 	g := s.groups[group]
 	before := g.Ticks()
 	resp, err := g.Propose(machine, cmd)
-	vcost := s.cfg.ProposeCost + time.Duration(g.Ticks()-before)*s.cfg.TickCost
+	vcost := proposeCost + time.Duration(g.Ticks()-before)*tickCost
 	s.mu.Lock()
 	s.cost += vcost
 	s.mu.Unlock()

@@ -36,15 +36,18 @@ type JobSpec struct {
 	Queue string
 }
 
+// rackPenalty multiplies task duration when the task runs rack-local to
+// its preferred nodes rather than on one of them.
+const rackPenalty = 1.15
+
 // Config configures a simulation run.
 type Config struct {
 	Topology     *topology.Topology
 	SlotsPerNode int
 	Policy       Policy
-	// RackPenalty and RemotePenalty multiply task duration when the task
-	// runs rack-local / remote from its preferred nodes.
-	// Defaults: 1.15 and 1.6.
-	RackPenalty   float64
+	// RemotePenalty multiplies task duration when the task runs off the
+	// racks of its preferred nodes (rackPenalty when it runs rack-local).
+	// Default 1.6.
 	RemotePenalty float64
 	// Metrics, when non-nil, receives per-task counters labeled by policy
 	// and locality (sched_tasks_by_locality) plus a task-duration
@@ -325,9 +328,6 @@ func Run(cfg Config, jobs []JobSpec) Result {
 	if cfg.Policy == nil {
 		cfg.Policy = FIFO{}
 	}
-	if cfg.RackPenalty <= 0 {
-		cfg.RackPenalty = 1.15
-	}
 	if cfg.RemotePenalty <= 0 {
 		cfg.RemotePenalty = 1.6
 	}
@@ -392,7 +392,7 @@ func Run(cfg Config, jobs []JobSpec) Result {
 						case topology.LocalRack:
 							res.RackLocal++
 							locName = "rack"
-							dur = time.Duration(float64(dur) * cfg.RackPenalty)
+							dur = time.Duration(float64(dur) * rackPenalty)
 						default:
 							res.RemoteRun++
 							locName = "remote"

@@ -100,11 +100,16 @@ go test -count=50 -run 'TestFlapDeterminismAndUnflap' ./internal/chaos/
 go test -count=50 -run 'TestGroupTranscriptMatchesParent|TestGroupTranscriptSnapshotOverConflictingTail' ./internal/ha/
 go test -count=50 -run 'TestSnapshotOver' ./internal/consensus/
 
-echo "== scheduler + network model pins (count=50) =="
-# Every scheduling policy's result and every transport's Cost/Simulate
-# output hashed against constants recorded before the last change to them.
+echo "== scheduler, network model, overload, autoscaler + generator pins (count=50) =="
+# Every scheduling policy's result, every transport's Cost/Simulate output,
+# admission.Sim's defended/control/bad-node runs, E11's autoscaler runs and
+# the seeded workload generators, hashed against constants recorded before
+# the last change to them.
 go test -count=50 -run 'TestRunMatchesParent' ./internal/sched/
 go test -count=50 -run 'TestModelMatchesParent' ./internal/netsim/
+go test -count=50 -run 'TestSimMatchesParent' ./internal/admission/
+go test -count=50 -run 'TestSimulateMatchesParent' ./internal/elastic/
+go test -count=50 -run 'TestGeneratorsMatchParent' ./internal/workload/
 
 sh scripts/coverage.sh
 
