@@ -348,6 +348,8 @@ type Runner struct {
 	last   *Checkpoint // latest committed checkpoint (genesis at start)
 	wmHigh time.Duration
 	runTC  trace.TraceContext // run-root span; checkpoints and recoveries parent under it
+	stages [][]message        // per lane: events staged since the last push
+	next   int64              // the next source offset that is a boundary
 }
 
 // NewRunner builds a runner over a fresh pipeline.
@@ -439,11 +441,11 @@ func (r *Runner) RunCtx(ctx context.Context) ([]Result, error) {
 }
 
 // gate reports whether the run may process another record: real
-// cancellation and deadline from ctx, plus the virtual budget (if any)
-// measured against how far the run's event time has advanced.
-func (r *Runner) gate(ctx context.Context, budget time.Duration, budgeted bool) error {
+// cancellation and deadline from ctx (done is ctx.Done()), plus the
+// virtual budget (if any) measured against how far event time advanced.
+func (r *Runner) gate(ctx context.Context, done <-chan struct{}, budget time.Duration, budgeted bool) error {
 	select {
-	case <-ctx.Done():
+	case <-done:
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			return ErrRunDeadline
 		}
@@ -456,21 +458,35 @@ func (r *Runner) gate(ctx context.Context, budget time.Duration, budgeted bool) 
 	return nil
 }
 
+// run is the only producer on its pipeline: it stages events per lane,
+// stamped when their stage opened, and pushes the stages before every
+// watermark, barrier, Tick, fault, recovery and abort, at end of source and
+// when one fills its lane's bound: each lane sees the order Send would give.
 func (r *Runner) run(ctx context.Context) ([]Result, error) {
 	budget, budgeted := admission.Budget(ctx)
+	done := ctx.Done()
+	r.stages = make([][]message, r.p.Workers())
+	r.next = r.nextBoundary()
 	for {
-		if err := r.gate(ctx, budget, budgeted); err != nil {
+		if err := r.gate(ctx, done, budget, budgeted); err != nil {
+			_ = r.flush() // the results are discarded; only the counters see these
 			r.p.Reg.Counter("stream_run_aborted").Inc()
 			r.p.Close()
 			return nil, err
 		}
 		if r.faults.Load() {
+			if err := r.flush(); err != nil {
+				return nil, err
+			}
 			if err := r.applyPending(); err != nil {
 				return nil, err
 			}
 		}
 		ev, ok := r.src.Next()
 		if !ok {
+			if err := r.flush(); err != nil {
+				return nil, err
+			}
 			if len(r.dead) > 0 {
 				if err := r.recoverNow(); err != nil {
 					return nil, err
@@ -479,13 +495,28 @@ func (r *Runner) run(ctx context.Context) ([]Result, error) {
 			}
 			break
 		}
-		off := r.src.Offset()
 		if ev.EventTime > r.wmHigh {
 			r.wmHigh = ev.EventTime
 		}
-		if err := r.p.Send(ev); err != nil {
+		i := r.p.in.route(ev.Key)
+		m := message{ev: ev, watermark: -1}
+		if s := r.stages[i]; len(s) > 0 {
+			m.ingest = s[0].ingest
+		} else {
+			m.ingest = max(time.Since(epoch), 1)
+		}
+		r.stages[i] = append(r.stages[i], m)
+		off := r.src.Offset()
+		if off < r.next && len(r.stages[i]) < r.p.in.ls[i].bound {
+			continue
+		}
+		if err := r.flush(); err != nil {
 			return nil, err
 		}
+		if off < r.next {
+			continue
+		}
+		r.next = r.nextBoundary()
 		if off%int64(r.cfg.WatermarkEvery) == 0 {
 			if wm := r.wmHigh - r.cfg.WatermarkLag; wm > 0 {
 				if err := r.p.Advance(wm); err != nil {
@@ -505,6 +536,31 @@ func (r *Runner) run(ctx context.Context) ([]Result, error) {
 		}
 	}
 	return r.p.Close(), nil
+}
+
+// flush pushes every lane's stage.
+func (r *Runner) flush() error {
+	for i, s := range r.stages {
+		if len(s) > 0 {
+			if err := r.p.in.ls[i].push(s...); err != nil {
+				return err
+			}
+			r.stages[i] = s[:0]
+		}
+	}
+	return nil
+}
+
+// nextBoundary is the first offset past the source's cursor that is due a
+// watermark, a barrier or a Tick.
+func (r *Runner) nextBoundary() int64 {
+	off, next := r.src.Offset(), int64(math.MaxInt64)
+	for _, every := range []int{r.cfg.WatermarkEvery, r.cfg.CheckpointEvery, r.cfg.TickEvery} {
+		if every > 0 {
+			next = min(next, (off/int64(every)+1)*int64(every))
+		}
+	}
+	return next
 }
 
 // applyPending applies chaos faults queued by CrashWorker/RestoreWorker
@@ -547,6 +603,7 @@ func (r *Runner) recoverNow() error {
 		return err
 	}
 	r.wmHigh = r.last.Watermark
+	r.next = r.nextBoundary()
 	r.dead = map[int]bool{}
 	r.p.Reg.Counter("recovery_replayed_events").Add(replayed)
 	end(map[string]string{"replayed": fmt.Sprint(replayed)})

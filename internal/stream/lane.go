@@ -1,11 +1,12 @@
 // Swap-buffer lanes: the ingest and control plane Pipeline and Sessionizer
 // share. Each key partition has one lane and one worker goroutine.
-// Producers append to the lane's pending slice under the lane's mutex; the
-// worker takes the whole slice at once and hands back its previous, now
-// empty one. A handoff costs the producer one uncontended lock pair per
-// event and the worker one per batch, and a batch is as long as the worker
-// was behind: an idle worker is woken by the first event, a busy one finds
-// all that arrived meanwhile. See DESIGN.md "Stream ingest lanes".
+// Producers append runs of messages (one event per Send, a staged run per
+// Runner push) to the lane's pending slice under its mutex; the worker
+// takes the whole slice and hands back its previous, now empty one. A
+// handoff costs the producer one uncontended lock pair per run and the
+// worker one per batch, and a batch is as long as the worker was behind:
+// an idle worker is woken by the first run, a busy one finds all that
+// arrived meanwhile. See DESIGN.md "Stream ingest lanes".
 package stream
 
 import (
@@ -24,7 +25,7 @@ import (
 type message struct {
 	ev        Event
 	watermark time.Duration // >= 0 means watermark message, ev ignored
-	ingest    time.Duration // sampled events: push time since epoch; 0 = unsampled
+	ingest    time.Duration // staging time since epoch; push keeps it on sampled events only
 	ctl       *control      // non-nil: control-plane message
 }
 
@@ -60,26 +61,40 @@ func newLane(bound int) *lane {
 	return l
 }
 
-// push appends m, blocking while the lane is full; that wait is the
-// backpressure, and a sampled event's stamp is taken before it so sojourn
-// includes it. Push after close returns ErrClosed, checked under the same
-// lock as the append, so a push can never land behind the worker's exit.
-func (l *lane) push(m message) error {
+// push appends ms in order, split across waits while the lane is full, so
+// len(pending) never exceeds the bound; that wait is the backpressure. A
+// sampled event (1st, 65th, ... per lane) keeps its staging stamp or is
+// stamped now, before any wait; the others' stamps are cleared. Push after
+// close returns ErrClosed, checked under the lock of each append, so a
+// push can never land behind the worker's exit.
+func (l *lane) push(ms ...message) error {
 	l.mu.Lock()
-	if m.isEvent() {
-		if l.events%sojournSample == 0 {
-			m.ingest = max(time.Since(epoch), 1)
+	for i := range ms {
+		if m := &ms[i]; m.isEvent() {
+			if l.events%sojournSample != 0 {
+				m.ingest = 0
+			} else if m.ingest == 0 {
+				m.ingest = max(time.Since(epoch), 1)
+			}
+			l.events++
 		}
-		l.events++
 	}
-	for len(l.pending) >= l.bound && !l.closed {
+	for len(l.pending)+len(ms) > l.bound && !l.closed {
+		if n := l.bound - len(l.pending); n > 0 {
+			l.pending, ms = append(l.pending, ms[:n]...), ms[n:]
+			l.notEmpty.Signal() // a spurious wake-up costs the worker one check
+		}
 		l.notFull.Wait()
 	}
 	if l.closed {
 		l.mu.Unlock()
 		return ErrClosed
 	}
-	l.pending = append(l.pending, m)
+	if len(ms) == 1 { // every Send: a bulk copy of one would cost a runtime call
+		l.pending = append(l.pending, ms[0])
+	} else {
+		l.pending = append(l.pending, ms...)
+	}
 	if l.parked {
 		l.parked = false
 		l.notEmpty.Signal()
@@ -162,8 +177,10 @@ func hashKey(k string) uint32 {
 	return h
 }
 
+func (g *lanes) route(key string) int { return int(hashKey(key)) % len(g.ls) }
+
 func (g *lanes) send(ev Event) error {
-	return g.ls[int(hashKey(ev.Key))%len(g.ls)].push(message{ev: ev, watermark: -1})
+	return g.ls[g.route(ev.Key)].push(message{ev: ev, watermark: -1})
 }
 
 // advance broadcasts a watermark; negative ones are clamped to zero (they

@@ -3,6 +3,7 @@ package stream_test
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -14,7 +15,8 @@ import (
 // stream, driven with the same watermark and barrier cadence through
 // every Buffer x Workers combination, must produce exactly the reference
 // panes (and sessions), and — for a given worker count — byte-identical
-// per-worker snapshots at the same barrier offsets whatever the Buffer.
+// per-worker snapshots at the same barrier offsets whatever the Buffer,
+// whether Send delivers each event or a Runner stages them.
 func TestBatchingInvisibleAcrossBufferAndWorkers(t *testing.T) {
 	const (
 		n         = 6000
@@ -74,9 +76,11 @@ func TestBatchingInvisibleAcrossBufferAndWorkers(t *testing.T) {
 		for _, buffer := range []int{1, 2, 64, 0} {
 			name := fmt.Sprintf("workers=%d buffer=%d", workers, buffer)
 
-			p := stream.New(stream.Config{Workers: workers, Buffer: buffer, Window: window})
+			cfg := stream.Config{Workers: workers, Buffer: buffer, Window: window}
+			p := stream.New(cfg)
 			snaps := drive(p)
-			if d := check.DiffWindows(name, p.Close(), evs, window, 0); !d.OK {
+			panes := p.Close()
+			if d := check.DiffWindows(name, panes, evs, window, 0); !d.OK {
 				t.Errorf("%s %v", d, d.Details)
 			}
 			if late := p.Reg.Counter("late_dropped").Value(); late != 0 {
@@ -86,6 +90,31 @@ func TestBatchingInvisibleAcrossBufferAndWorkers(t *testing.T) {
 				paneSnaps = snaps
 			}
 			sameSnaps(name+" panes", snaps, paneSnaps)
+
+			// A Runner on the same cadence stages events and pushes them
+			// in runs; it must give the same panes and the same bytes at
+			// every barrier. Its Tick runs right after its own barrier at
+			// that offset, so a checkpoint taken there snapshots that cut.
+			r := stream.NewRunner(stream.RunConfig{
+				Pipeline: cfg, CheckpointEvery: ckptEvery, WatermarkEvery: wmEvery,
+				WatermarkLag: lag, TickEvery: ckptEvery,
+			}, stream.NewSliceSource(evs))
+			snaps = nil
+			r.OnTick(func() {
+				ck, err := r.Pipeline().TriggerCheckpoint(0, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				snaps = append(snaps, ck.States)
+			})
+			got, err := r.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, panes) {
+				t.Errorf("%s: the Runner fired %d panes that differ from the %d Send gave", name, len(got), len(panes))
+			}
+			sameSnaps(name+" runner", snaps, paneSnaps)
 
 			s := stream.NewSessionizer(stream.SessionConfig{Gap: gap, Workers: workers, Buffer: buffer})
 			snaps = drive(s)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -55,6 +56,82 @@ func TestLanePerProducerFIFOAndBound(t *testing.T) {
 	}
 }
 
+// The batch path: producers push runs of 1 to 2 x bound messages, so
+// most runs do not fit and are split. Every producer's messages must come
+// out in its own order, no taken batch may exceed the bound, and nothing
+// may be lost.
+func TestLaneBatchPushKeepsBoundAndOrder(t *testing.T) {
+	const producers, perProducer = 4, 5000
+	for _, bound := range []int{1, 2, 64} {
+		l := newLane(bound)
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				key := fmt.Sprint(p)
+				run := make([]message, 0, 2*bound)
+				for i, size := 0, 1; i < perProducer; size = size%(2*bound) + 1 {
+					run = run[:0]
+					for ; len(run) < size && i < perProducer; i++ {
+						run = append(run, message{ev: Event{Key: key, Value: float64(i)}, watermark: -1})
+					}
+					if err := l.push(run...); err != nil {
+						t.Errorf("push: %v", err)
+						return
+					}
+				}
+			}(p)
+		}
+		go func() {
+			wg.Wait()
+			l.close()
+		}()
+		next := map[string]float64{}
+		for batch := l.take(nil); len(batch) > 0; batch = l.take(batch) {
+			if len(batch) > bound {
+				t.Fatalf("bound %d: took a batch of %d", bound, len(batch))
+			}
+			for _, m := range batch {
+				if m.ev.Value != next[m.ev.Key] {
+					t.Fatalf("bound %d: producer %s delivered %v, want %v", bound, m.ev.Key, m.ev.Value, next[m.ev.Key])
+				}
+				next[m.ev.Key]++
+			}
+		}
+		for p := 0; p < producers; p++ {
+			if got := next[fmt.Sprint(p)]; got != perProducer {
+				t.Fatalf("bound %d: producer %d delivered %v of %d", bound, p, got, perProducer)
+			}
+		}
+
+		// A batch push blocked on a full lane is released by close with
+		// ErrClosed, having delivered only what fit. Once the lane holds
+		// that much, the push has released the lock: it is waiting.
+		l = newLane(bound)
+		blocked := make(chan error, 1)
+		go func() { blocked <- l.push(make([]message, 2*bound)...) }()
+		for pending := 0; pending < bound; {
+			runtime.Gosched()
+			l.mu.Lock()
+			pending = len(l.pending)
+			l.mu.Unlock()
+		}
+		select {
+		case err := <-blocked:
+			t.Fatalf("bound %d: batch push into a full lane returned %v", bound, err)
+		default:
+		}
+		l.close()
+		if err := <-blocked; !errors.Is(err, ErrClosed) {
+			t.Fatalf("bound %d: blocked batch push after close: %v, want ErrClosed", bound, err)
+		}
+		if batch := l.take(nil); len(batch) != bound {
+			t.Fatalf("bound %d: close left %d messages pending, want the %d that fit", bound, len(batch), bound)
+		}
+	}
+}
+
 // A producer blocked on a full lane must be released by close, with
 // ErrClosed, and what was pending must still reach the worker.
 func TestLaneCloseReleasesBlockedProducer(t *testing.T) {
@@ -101,6 +178,40 @@ func TestSojournSampledFromFirstEvent(t *testing.T) {
 	}
 	if n := p.Reg.Counter("events_processed").Value(); n != 640 {
 		t.Fatalf("events_processed = %d, want 640", n)
+	}
+}
+
+// sleepySource sleeps once, before handing out the event at offset at.
+type sleepySource struct {
+	*SliceSource
+	at  int64
+	nap time.Duration
+}
+
+func (s *sleepySource) Next() (Event, bool) {
+	if s.Offset() == s.at {
+		time.Sleep(s.nap)
+	}
+	return s.SliceSource.Next()
+}
+
+// The Runner stages events before it pushes them, and a sampled event's
+// sojourn must count that wait: here the lane's first event (sampled) sits
+// in its stage while the source sleeps. Only a lower bound is checked, so
+// a slow machine cannot fail it.
+func TestSojournIncludesStaging(t *testing.T) {
+	const nap = 5 * time.Millisecond
+	evs := make([]Event, 10)
+	for i := range evs {
+		evs[i] = Event{Key: "k", Value: 1, EventTime: time.Duration(i) * time.Millisecond}
+	}
+	r := NewRunner(RunConfig{Pipeline: Config{Workers: 1, Window: time.Second}},
+		&sleepySource{SliceSource: NewSliceSource(evs), at: 1, nap: nap})
+	if _, err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := time.Duration(r.Metrics().Histogram("sojourn_ns").Max()); got < nap {
+		t.Fatalf("sojourn_ns max = %v, want >= %v: the stamp was taken at push, not at staging", got, nap)
 	}
 }
 

@@ -86,9 +86,11 @@ type pipeState struct {
 	// window fires as a whole.
 	windows map[time.Duration]map[string]*paneAgg
 	// minStart is the earliest open window start (maxWatermark when no
-	// pane is open). It is derived from windows and never serialized; it
-	// lets a watermark that closes nothing return without a scan.
+	// pane is open). It is derived from windows and, like spare, never
+	// serialized; it lets a watermark that closes nothing return at once.
 	minStart time.Duration
+	// spare is a fired window's map, cleared for the next to open on.
+	spare map[string]*paneAgg
 }
 
 func newPipeState() *pipeState {
@@ -99,7 +101,9 @@ func newPipeState() *pipeState {
 func (st *pipeState) window(start time.Duration) map[string]*paneAgg {
 	win := st.windows[start]
 	if win == nil {
-		win = map[string]*paneAgg{}
+		if win, st.spare = st.spare, nil; win == nil {
+			win = map[string]*paneAgg{}
+		}
 		st.windows[start] = win
 		st.minStart = min(st.minStart, start)
 	}
@@ -295,6 +299,8 @@ func (w *windower) advance(wm time.Duration) {
 			})
 		}
 		delete(st.windows, start)
+		clear(win)
+		st.spare = win
 	}
 	st.seq += int64(len(out))
 	w.p.results.deliver(w.worker, st.seq, out)

@@ -90,6 +90,9 @@ echo "== stream lanes (race, count=5) =="
 # Lane handoff, Close races and crash-inside-a-batch recovery are
 # schedule-sensitive: one -race pass is not enough to trust them.
 go test -race -count=5 ./internal/stream/
+# The Runner stages events and pushes them to the lanes in runs: batch
+# pushes, Close races and crash recovery once more, three times over.
+go test -race -count=3 -run 'TestRunner|TestLane|TestCrashInsideBatch|TestBatchingInvisible|TestPipelineCloseRace' ./internal/stream
 
 echo "== chaos flap + ha.Group transcript determinism (count=50) =="
 # The transition log and the group's delivery order must follow the seed,
@@ -100,16 +103,17 @@ go test -count=50 -run 'TestFlapDeterminismAndUnflap' ./internal/chaos/
 go test -count=50 -run 'TestGroupTranscriptMatchesParent|TestGroupTranscriptSnapshotOverConflictingTail' ./internal/ha/
 go test -count=50 -run 'TestSnapshotOver' ./internal/consensus/
 
-echo "== scheduler, network model, overload, autoscaler + generator pins (count=50) =="
+echo "== scheduler, network model, overload, autoscaler, generator + stream runner pins (count=50) =="
 # Every scheduling policy's result, every transport's Cost/Simulate output,
-# admission.Sim's defended/control/bad-node runs, E11's autoscaler runs and
-# the seeded workload generators, hashed against constants recorded before
-# the last change to them.
+# admission.Sim's defended/control/bad-node runs, E11's autoscaler runs,
+# the seeded workload generators and the checkpointed stream Runner, hashed
+# against constants recorded before the last change to them.
 go test -count=50 -run 'TestRunMatchesParent' ./internal/sched/
 go test -count=50 -run 'TestModelMatchesParent' ./internal/netsim/
 go test -count=50 -run 'TestSimMatchesParent' ./internal/admission/
 go test -count=50 -run 'TestSimulateMatchesParent' ./internal/elastic/
 go test -count=50 -run 'TestGeneratorsMatchParent' ./internal/workload/
+go test -count=50 -run 'TestRunnerMatchesParent' ./internal/stream/
 
 sh scripts/coverage.sh
 
