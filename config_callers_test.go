@@ -21,7 +21,6 @@ var configSeams = map[string]string{
 	"admission.BreakerConfig.Cooldown":  "breaker tests shorten the cooldown; admission.Sim runs the default",
 	"admission.BreakerConfig.Threshold": "breaker tests lower the trip count; admission.Sim runs the default",
 	"admission.SimConfig.Breaker":       "TestSimBreakerRoutesAroundBadNode tunes the coordinator breakers",
-	"core.Config.Chaos":                 "a chaos test plugs its ticker in at construction; programs call SetChaos",
 	"core.Config.MaxRetryBackoff":       "a chaos test caps the retry backoff",
 	"core.Config.MaxTaskRetries":        "engine, query and table tests raise the per-partition retry budget",
 	"core.Config.RetryBackoff":          "query and table tests turn retry backoff off; chaos tests lengthen it",

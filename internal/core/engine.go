@@ -73,8 +73,6 @@ const (
 type Config struct {
 	// Cluster supplies executors, topology and the network fabric; required.
 	Cluster *cluster.Cluster
-	// DFS is used for checkpoints; optional.
-	DFS *dfs.DFS
 	// Codec compresses shuffle blocks. Default compress.None.
 	Codec compress.Codec
 	// SpillThreshold is the shuffle writer spill level. Default 4 MiB.
@@ -105,12 +103,6 @@ type Config struct {
 	RetryBackoff time.Duration
 	// MaxRetryBackoff caps the exponential growth. Default 50ms.
 	MaxRetryBackoff time.Duration
-	// Chaos, when non-nil, has Tick called once per job attempt and once
-	// per scheduling wave from the driver thread (see ChaosTicker).
-	Chaos ChaosTicker
-	// Journal, when non-nil, records completed stages and checkpoints so a
-	// coordinator crash (CrashCoordinator) resumes instead of recomputing.
-	Journal Journal
 }
 
 // shuffleState tracks the materialized map outputs of one shuffled plan.
@@ -137,6 +129,9 @@ type Engine struct {
 	ckptDone map[int]bool
 	rand     *rng.RNG
 	tracer   *trace.Recorder
+	chaos    ChaosTicker // SetChaos: ticked per job attempt and per wave
+	journal  Journal     // SetJournal: lets a coordinator crash resume
+	fs       *dfs.DFS    // SetDFS: holds checkpoints
 
 	// Coordinator-crash state: exec outlives a crash (executors keep their
 	// map outputs); everything keyed off e.shuffles/caches/ckptDone is
@@ -327,7 +322,7 @@ func (e *Engine) abortErr(ctxErr, lastErr error) error {
 // call SetChaos before submitting jobs.
 func (e *Engine) SetChaos(t ChaosTicker) {
 	e.mu.Lock()
-	e.cfg.Chaos = t
+	e.chaos = t
 	e.mu.Unlock()
 }
 
@@ -335,7 +330,7 @@ func (e *Engine) SetChaos(t ChaosTicker) {
 // driver thread so chaos runs replay deterministically.
 func (e *Engine) tickChaos() {
 	e.mu.Lock()
-	t := e.cfg.Chaos
+	t := e.chaos
 	e.mu.Unlock()
 	if t != nil {
 		t.Tick()
@@ -1129,7 +1124,7 @@ func (e *Engine) readShuffle(p *Plan, ctx *TaskContext) ([]Row, error) {
 // a successful checkpoint, recovery reads the files instead of recomputing
 // lineage. enc/dec serialize rows.
 func (e *Engine) Checkpoint(p *Plan, path string, enc func(Row) []byte, dec func([]byte) Row) error {
-	if e.cfg.DFS == nil {
+	if e.fs == nil {
 		return errors.New("core: engine has no DFS configured for checkpoints")
 	}
 	if enc == nil || dec == nil {
@@ -1140,7 +1135,7 @@ func (e *Engine) Checkpoint(p *Plan, path string, enc func(Row) []byte, dec func
 		return err
 	}
 	for i, rows := range parts {
-		w, err := e.cfg.DFS.Create(checkpointFile(path, i))
+		w, err := e.fs.Create(checkpointFile(path, i))
 		if err != nil {
 			return err
 		}
@@ -1168,7 +1163,7 @@ func checkpointFile(path string, part int) string {
 }
 
 func (e *Engine) readCheckpoint(p *Plan, part int) ([]Row, error) {
-	r, err := e.cfg.DFS.Open(checkpointFile(p.checkpoint.path, part), -1)
+	r, err := e.fs.Open(checkpointFile(p.checkpoint.path, part), -1)
 	if err != nil {
 		return nil, err
 	}

@@ -134,7 +134,8 @@ func TestPartitionBlocksFetchesUntilHeal(t *testing.T) {
 	top := topology.Single(4)
 	fab := netsim.NewFabric(top, netsim.RDMA40G)
 	cl := cluster.New(cluster.Config{Fabric: fab, SlotsPerNode: 2})
-	e := NewEngine(Config{Cluster: cl, Chaos: &partitionTicker{fab: fab}})
+	e := NewEngine(Config{Cluster: cl})
+	e.SetChaos(&partitionTicker{fab: fab})
 	lines := []string{
 		"the quick brown fox",
 		"the lazy dog",

@@ -91,7 +91,7 @@ func TestNoLiveNodesFailsCleanly(t *testing.T) {
 func TestCheckpointWithoutDFSFails(t *testing.T) {
 	// Engine built with no DFS must reject checkpoints, not panic.
 	e := testEngine(t, 2, Config{})
-	e.cfg.DFS = nil
+	e.fs = nil
 	p := sliceSource(e, ints(4), 2)
 	enc := func(r Row) []byte { return serde.EncodeInt64(int64(r.(int))) }
 	dec := func(b []byte) Row { v, _ := serde.DecodeInt64(b); return int(v) }

@@ -24,10 +24,9 @@ func testEngine(t *testing.T, nodes int, cfg Config) *Engine {
 	}
 	fab := netsim.NewFabric(top, netsim.RDMA40G)
 	cfg.Cluster = cluster.New(cluster.Config{Fabric: fab, SlotsPerNode: 2})
-	if cfg.DFS == nil {
-		cfg.DFS = dfs.New(dfs.Config{BlockSize: 1 << 16, Replication: 2, Topology: top, Seed: 1})
-	}
-	return NewEngine(cfg)
+	e := NewEngine(cfg)
+	e.SetDFS(dfs.New(dfs.Config{BlockSize: 1 << 16, Replication: 2, Topology: top, Seed: 1}))
+	return e
 }
 
 // perRow is the Emit of a dependency whose rows are single elements: one

@@ -42,7 +42,7 @@ type CtxJournal interface {
 // replicated journal and the engine are built in host-specific order).
 func (e *Engine) SetJournal(j Journal) {
 	e.mu.Lock()
-	e.cfg.Journal = j
+	e.journal = j
 	e.mu.Unlock()
 }
 
@@ -50,14 +50,14 @@ func (e *Engine) SetJournal(j Journal) {
 // hosts that must build the engine before the (replicated) DFS.
 func (e *Engine) SetDFS(d *dfs.DFS) {
 	e.mu.Lock()
-	e.cfg.DFS = d
+	e.fs = d
 	e.mu.Unlock()
 }
 
 func (e *Engine) journalRef() Journal {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.cfg.Journal
+	return e.journal
 }
 
 // CrashCoordinator simulates the driver process dying: all volatile
@@ -273,7 +273,7 @@ func (e *Engine) recoverCoordinator(p *Plan) {
 	e.shuffles = map[int]*shuffleState{}
 	e.caches = map[int][][]Row{}
 	e.ckptDone = map[int]bool{}
-	journal := e.cfg.Journal
+	journal := e.journal
 	plans := e.jobPlans
 	fps := e.jobFPs
 	e.mu.Unlock()

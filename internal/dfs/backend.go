@@ -5,83 +5,117 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 
 	"repro/internal/ha"
 	"repro/internal/topology"
 )
 
-// metaBackend is the namenode as seen by the DFS data plane: every
-// metadata mutation and read goes through it. localMeta embeds the
-// state directly (the classic single-namenode layout); raftMeta
-// proposes each mutation as a command on a replicated group, so the
-// block map survives any single namenode crash.
+// metaBackend is where the namenode's commands run. Both backends apply
+// them to a nameMachine: localMeta to one in-process, under a mutex (the
+// classic single-namenode layout); raftMeta to one on every member of a
+// replicated group, so the block map survives any single namenode crash.
 type metaBackend interface {
-	create(path string, repl int) error
-	seal(path string, hint topology.NodeID, length int64) (BlockID, []topology.NodeID, error)
-	deleteFile(path string) ([]blockRef, error)
-	setAlive(n topology.NodeID, alive bool) error
-	rereplicate() ([]moveRef, error)
-	decommission(n topology.NodeID) ([]moveRef, error)
-	balance(slack float64) ([]moveRef, error)
+	// propose applies one command and returns its response.
+	propose(cmd []byte) ([]byte, error)
 	// view runs fn against a current metadata replica. fn must only
 	// read, and must not retain st past the call.
 	view(fn func(st *nameState)) error
 }
 
-// localMeta is the in-process namenode: one nameState under a mutex.
+// localMeta is the in-process namenode.
 type localMeta struct {
 	mu sync.Mutex
-	st *nameState
+	m  nameMachine
 }
 
-func (l *localMeta) create(path string, repl int) error {
+func (l *localMeta) propose(cmd []byte) ([]byte, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.st.create(path, repl)
-}
-
-func (l *localMeta) seal(path string, hint topology.NodeID, length int64) (BlockID, []topology.NodeID, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.st.seal(path, hint, length)
-}
-
-func (l *localMeta) deleteFile(path string) ([]blockRef, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.st.deleteFile(path)
-}
-
-func (l *localMeta) setAlive(n topology.NodeID, alive bool) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.st.setAlive(n, alive)
-}
-
-func (l *localMeta) rereplicate() ([]moveRef, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.st.rereplicate(), nil
-}
-
-func (l *localMeta) decommission(n topology.NodeID) ([]moveRef, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.st.decommission(n)
-}
-
-func (l *localMeta) balance(slack float64) ([]moveRef, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.st.balance(slack), nil
+	return l.m.Apply(cmd), nil
 }
 
 func (l *localMeta) view(fn func(st *nameState)) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	fn(l.st)
+	fn(l.m.st)
 	return nil
+}
+
+// raftMeta proposes every command on a replicated group; reads run
+// against the current leader's replica.
+type raftMeta struct {
+	g *ha.Group
+}
+
+func (r *raftMeta) propose(cmd []byte) ([]byte, error) { return r.g.Propose(MachineName, cmd) }
+
+func (r *raftMeta) view(fn func(st *nameState)) error {
+	return r.g.Query(MachineName, func(sm ha.StateMachine) error {
+		fn(sm.(*nameMachine).st)
+		return nil
+	})
+}
+
+// namenode is the data plane's client of either backend: each mutation
+// is encoded as one command, proposed, and its response decoded.
+type namenode struct {
+	metaBackend
+}
+
+// call proposes cmd and splits the response into payload and error.
+func (n namenode) call(cmd []byte) ([]byte, error) {
+	resp, err := n.propose(cmd)
+	if err != nil {
+		return nil, err
+	}
+	return decodeResp(resp)
+}
+
+func (n namenode) create(path string, repl int) error {
+	_, err := n.call(binary.BigEndian.AppendUint32(ha.AppendString([]byte{opCreate}, path), uint32(repl)))
+	return err
+}
+
+func (n namenode) seal(path string, hint topology.NodeID, length int64) (BlockID, []topology.NodeID, error) {
+	cmd := binary.BigEndian.AppendUint64(ha.AppendString([]byte{opSeal}, path), uint64(int64(hint)))
+	payload, err := n.call(binary.BigEndian.AppendUint64(cmd, uint64(length)))
+	if err != nil {
+		return 0, nil, err
+	}
+	return decodeSealed(payload)
+}
+
+func (n namenode) deleteFile(path string) ([]blockRef, error) {
+	payload, err := n.call(ha.AppendString([]byte{opDelete}, path))
+	if err != nil {
+		return nil, err
+	}
+	return decodeFreed(payload)
+}
+
+func (n namenode) setAlive(node topology.NodeID, alive bool) error {
+	_, err := n.call(ha.AppendBool(binary.BigEndian.AppendUint64([]byte{opSetAlive}, uint64(int64(node))), alive))
+	return err
+}
+
+func (n namenode) rereplicate() ([]moveRef, error) { return n.moves([]byte{opRereplicate}) }
+
+func (n namenode) decommission(node topology.NodeID) ([]moveRef, error) {
+	return n.moves(binary.BigEndian.AppendUint64([]byte{opDecommission}, uint64(int64(node))))
+}
+
+func (n namenode) balance(slack float64) ([]moveRef, error) {
+	return n.moves(binary.BigEndian.AppendUint64([]byte{opBalance}, math.Float64bits(slack)))
+}
+
+func (n namenode) moves(cmd []byte) ([]moveRef, error) {
+	payload, err := n.call(cmd)
+	if err != nil {
+		return nil, err
+	}
+	return decodeMoves(payload)
 }
 
 // MachineName is the name under which the namenode state machine is
@@ -98,7 +132,7 @@ func NameMachine(cfg Config) func() ha.StateMachine {
 }
 
 // nameMachine adapts nameState to the ha.StateMachine contract:
-// commands are opcode-tagged encodings of the metaBackend mutations and
+// commands are opcode-tagged encodings of the namenode mutations and
 // responses carry either the result or a sentinel error code.
 type nameMachine struct {
 	st *nameState
@@ -125,26 +159,27 @@ const (
 	errOther
 )
 
+// sentinels maps each sentinel error code to its error.
+var sentinels = [...]error{errExists: ErrExists, errNotFound: ErrNotFound, errNoLiveNode: ErrNoLiveNode, errNodeUnknown: ErrNodeUnknown}
+
 func encodeErr(err error) []byte {
-	switch {
-	case err == nil:
+	if err == nil {
 		return []byte{errOK}
-	case errors.Is(err, ErrExists):
-		return append([]byte{errExists}, err.Error()...)
-	case errors.Is(err, ErrNotFound):
-		return append([]byte{errNotFound}, err.Error()...)
-	case errors.Is(err, ErrNoLiveNode):
-		return append([]byte{errNoLiveNode}, err.Error()...)
-	case errors.Is(err, ErrNodeUnknown):
-		return append([]byte{errNodeUnknown}, err.Error()...)
-	default:
-		return append([]byte{errOther}, err.Error()...)
 	}
+	code := byte(errOther)
+	for c, s := range sentinels {
+		if s != nil && errors.Is(err, s) {
+			code = byte(c)
+			break
+		}
+	}
+	return append([]byte{code}, err.Error()...)
 }
 
 // decodeResp splits a response into its payload and error. The detail
-// string travels with the code so redirected clients see the same
-// message a local caller would.
+// string travels with the code, so the caller sees the machine's message:
+// the sentinel itself when the detail is its text, else the sentinel
+// wrapping the rest of the detail.
 func decodeResp(resp []byte) ([]byte, error) {
 	if len(resp) == 0 {
 		return nil, errors.New("dfs: empty namenode response")
@@ -154,90 +189,62 @@ func decodeResp(resp []byte) ([]byte, error) {
 		return rest, nil
 	}
 	detail := string(rest)
-	switch code {
-	case errExists:
-		return nil, fmt.Errorf("%w: %s", ErrExists, trimSentinel(detail, ErrExists))
-	case errNotFound:
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, trimSentinel(detail, ErrNotFound))
-	case errNoLiveNode:
-		return nil, fmt.Errorf("%w: %s", ErrNoLiveNode, trimSentinel(detail, ErrNoLiveNode))
-	case errNodeUnknown:
-		return nil, ErrNodeUnknown
-	default:
+	if int(code) >= len(sentinels) || sentinels[code] == nil {
 		return nil, errors.New(detail)
 	}
-}
-
-// trimSentinel strips the sentinel's own text from a detail message so
-// re-wrapping with %w does not duplicate it.
-func trimSentinel(detail string, sentinel error) string {
-	prefix := sentinel.Error() + ": "
-	if len(detail) >= len(prefix) && detail[:len(prefix)] == prefix {
-		return detail[len(prefix):]
+	s := sentinels[code]
+	if detail == s.Error() {
+		return nil, s
 	}
-	return detail
+	return nil, fmt.Errorf("%w: %s", s, strings.TrimPrefix(detail, s.Error()+": "))
 }
 
 func (m *nameMachine) Apply(cmd []byte) []byte {
-	d := &mreader{buf: cmd}
-	switch op := d.u8(); op {
+	d := ha.NewDecoder(cmd)
+	switch op := d.U8(); op {
 	case opCreate:
-		path := d.str()
-		repl := int(d.u32())
-		if d.err != nil {
-			return encodeErr(d.err)
+		path, repl := d.String(), int(d.U32())
+		if d.Err() != nil {
+			return encodeErr(d.Err())
 		}
 		return encodeErr(m.st.create(path, repl))
 	case opSeal:
-		path := d.str()
-		hint := topology.NodeID(int64(d.u64()))
-		length := int64(d.u64())
-		if d.err != nil {
-			return encodeErr(d.err)
+		path, hint, length := d.String(), topology.NodeID(int64(d.U64())), int64(d.U64())
+		if d.Err() != nil {
+			return encodeErr(d.Err())
 		}
 		id, replicas, err := m.st.seal(path, hint, length)
 		if err != nil {
 			return encodeErr(err)
 		}
-		buf := []byte{errOK}
-		buf = binary.BigEndian.AppendUint64(buf, uint64(id))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(replicas)))
-		for _, r := range replicas {
-			buf = binary.BigEndian.AppendUint64(buf, uint64(r))
-		}
-		return buf
+		buf := binary.BigEndian.AppendUint64([]byte{errOK}, uint64(id))
+		return appendNodes(buf, replicas)
 	case opDelete:
-		path := d.str()
-		if d.err != nil {
-			return encodeErr(d.err)
+		path := d.String()
+		if d.Err() != nil {
+			return encodeErr(d.Err())
 		}
 		freed, err := m.st.deleteFile(path)
 		if err != nil {
 			return encodeErr(err)
 		}
-		buf := []byte{errOK}
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(freed)))
+		buf := binary.BigEndian.AppendUint32([]byte{errOK}, uint32(len(freed)))
 		for _, ref := range freed {
-			buf = binary.BigEndian.AppendUint64(buf, uint64(ref.id))
-			buf = binary.BigEndian.AppendUint32(buf, uint32(len(ref.replicas)))
-			for _, r := range ref.replicas {
-				buf = binary.BigEndian.AppendUint64(buf, uint64(r))
-			}
+			buf = appendNodes(binary.BigEndian.AppendUint64(buf, uint64(ref.id)), ref.replicas)
 		}
 		return buf
 	case opSetAlive:
-		n := topology.NodeID(int64(d.u64()))
-		alive := d.u8() == 1
-		if d.err != nil {
-			return encodeErr(d.err)
+		n, alive := topology.NodeID(int64(d.U64())), d.Bool()
+		if d.Err() != nil {
+			return encodeErr(d.Err())
 		}
 		return encodeErr(m.st.setAlive(n, alive))
 	case opRereplicate:
 		return encodeMoves(m.st.rereplicate())
 	case opDecommission:
-		n := topology.NodeID(int64(d.u64()))
-		if d.err != nil {
-			return encodeErr(d.err)
+		n := topology.NodeID(int64(d.U64()))
+		if d.Err() != nil {
+			return encodeErr(d.Err())
 		}
 		plan, err := m.st.decommission(n)
 		if err != nil {
@@ -245,9 +252,9 @@ func (m *nameMachine) Apply(cmd []byte) []byte {
 		}
 		return encodeMoves(plan)
 	case opBalance:
-		slack := math.Float64frombits(d.u64())
-		if d.err != nil {
-			return encodeErr(d.err)
+		slack := math.Float64frombits(d.U64())
+		if d.Err() != nil {
+			return encodeErr(d.Err())
 		}
 		return encodeMoves(m.st.balance(slack))
 	default:
@@ -259,9 +266,27 @@ func (m *nameMachine) Snapshot() []byte                 { return m.AppendSnapsho
 func (m *nameMachine) AppendSnapshot(dst []byte) []byte { return m.st.appendSnapshot(dst) }
 func (m *nameMachine) Restore(snap []byte)              { m.st.restore(snap) }
 
+// appendNodes appends a counted list of node ids.
+func appendNodes(buf []byte, nodes []topology.NodeID) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(nodes)))
+	for _, n := range nodes {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(n))
+	}
+	return buf
+}
+
+// decodeNodes reads a counted list of node ids.
+func decodeNodes(d *ha.Decoder) []topology.NodeID {
+	n := d.Count(8)
+	nodes := make([]topology.NodeID, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		nodes = append(nodes, topology.NodeID(int64(d.U64())))
+	}
+	return nodes
+}
+
 func encodeMoves(plan []moveRef) []byte {
-	buf := []byte{errOK}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(plan)))
+	buf := binary.BigEndian.AppendUint32([]byte{errOK}, uint32(len(plan)))
 	for _, mv := range plan {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(mv.id))
 		buf = binary.BigEndian.AppendUint64(buf, uint64(mv.src))
@@ -272,142 +297,41 @@ func encodeMoves(plan []moveRef) []byte {
 }
 
 func decodeMoves(payload []byte) ([]moveRef, error) {
-	d := &mreader{buf: payload}
-	n := d.count(32)
+	d := ha.NewDecoder(payload)
+	n := d.Count(32)
 	plan := make([]moveRef, 0, n)
-	for i := 0; i < n; i++ {
-		mv := moveRef{
-			id:  BlockID(d.u64()),
-			src: topology.NodeID(int64(d.u64())),
-			dst: topology.NodeID(int64(d.u64())),
-		}
-		mv.length = int64(d.u64())
-		if d.err != nil {
-			return nil, d.err
-		}
-		plan = append(plan, mv)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		plan = append(plan, moveRef{
+			id:     BlockID(d.U64()),
+			src:    topology.NodeID(int64(d.U64())),
+			dst:    topology.NodeID(int64(d.U64())),
+			length: int64(d.U64()),
+		})
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	return plan, nil
 }
 
-// raftMeta proposes every metadata mutation as a command on a
-// replicated group; reads run against the current leader's replica.
-type raftMeta struct {
-	g *ha.Group
-}
-
-func (r *raftMeta) propose(cmd []byte) ([]byte, error) {
-	resp, err := r.g.Propose(MachineName, cmd)
-	if err != nil {
-		return nil, err
-	}
-	return decodeResp(resp)
-}
-
-func (r *raftMeta) create(path string, repl int) error {
-	cmd := appendStr([]byte{opCreate}, path)
-	cmd = binary.BigEndian.AppendUint32(cmd, uint32(repl))
-	_, err := r.propose(cmd)
-	return err
-}
-
-func (r *raftMeta) seal(path string, hint topology.NodeID, length int64) (BlockID, []topology.NodeID, error) {
-	cmd := appendStr([]byte{opSeal}, path)
-	cmd = binary.BigEndian.AppendUint64(cmd, uint64(int64(hint)))
-	cmd = binary.BigEndian.AppendUint64(cmd, uint64(length))
-	payload, err := r.propose(cmd)
-	if err != nil {
-		return 0, nil, err
-	}
-	return decodeSealed(payload)
-}
-
 func decodeSealed(payload []byte) (BlockID, []topology.NodeID, error) {
-	d := &mreader{buf: payload}
-	id := BlockID(d.u64())
-	n := d.count(8)
-	replicas := make([]topology.NodeID, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		replicas = append(replicas, topology.NodeID(int64(d.u64())))
-	}
-	if d.err != nil {
-		return 0, nil, d.err
+	d := ha.NewDecoder(payload)
+	id, replicas := BlockID(d.U64()), decodeNodes(d)
+	if d.Err() != nil {
+		return 0, nil, d.Err()
 	}
 	return id, replicas, nil
 }
 
-func (r *raftMeta) deleteFile(path string) ([]blockRef, error) {
-	payload, err := r.propose(appendStr([]byte{opDelete}, path))
-	if err != nil {
-		return nil, err
-	}
-	return decodeFreed(payload)
-}
-
 func decodeFreed(payload []byte) ([]blockRef, error) {
-	d := &mreader{buf: payload}
-	n := d.count(12)
+	d := ha.NewDecoder(payload)
+	n := d.Count(12)
 	freed := make([]blockRef, 0, n)
-	for i := 0; i < n; i++ {
-		ref := blockRef{id: BlockID(d.u64())}
-		m := d.count(8)
-		for j := 0; j < m && d.err == nil; j++ {
-			ref.replicas = append(ref.replicas, topology.NodeID(int64(d.u64())))
-		}
-		if d.err != nil {
-			return nil, d.err
-		}
-		freed = append(freed, ref)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		freed = append(freed, blockRef{id: BlockID(d.U64()), replicas: decodeNodes(d)})
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	return freed, nil
-}
-
-func (r *raftMeta) setAlive(n topology.NodeID, alive bool) error {
-	cmd := binary.BigEndian.AppendUint64([]byte{opSetAlive}, uint64(int64(n)))
-	if alive {
-		cmd = append(cmd, 1)
-	} else {
-		cmd = append(cmd, 0)
-	}
-	_, err := r.propose(cmd)
-	return err
-}
-
-func (r *raftMeta) rereplicate() ([]moveRef, error) {
-	payload, err := r.propose([]byte{opRereplicate})
-	if err != nil {
-		return nil, err
-	}
-	return decodeMoves(payload)
-}
-
-func (r *raftMeta) decommission(n topology.NodeID) ([]moveRef, error) {
-	cmd := binary.BigEndian.AppendUint64([]byte{opDecommission}, uint64(int64(n)))
-	payload, err := r.propose(cmd)
-	if err != nil {
-		return nil, err
-	}
-	return decodeMoves(payload)
-}
-
-func (r *raftMeta) balance(slack float64) ([]moveRef, error) {
-	cmd := binary.BigEndian.AppendUint64([]byte{opBalance}, math.Float64bits(slack))
-	payload, err := r.propose(cmd)
-	if err != nil {
-		return nil, err
-	}
-	return decodeMoves(payload)
-}
-
-func (r *raftMeta) view(fn func(st *nameState)) error {
-	return r.g.Query(MachineName, func(sm ha.StateMachine) error {
-		fn(sm.(*nameMachine).st)
-		return nil
-	})
 }

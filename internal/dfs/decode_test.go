@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/ha"
 	"repro/internal/ha/hatest"
 	"repro/internal/topology"
 )
@@ -106,7 +107,7 @@ func FuzzNameStateRestore(f *testing.F) {
 	for i := 0; i < 3; i++ {
 		writeFile(f, d, fmt.Sprintf("/f%d", i), bytes.Repeat([]byte{byte(i)}, 40))
 	}
-	snap := d.meta.(*localMeta).st.appendSnapshot(nil)
+	snap := d.meta.metaBackend.(*localMeta).m.st.appendSnapshot(nil)
 	f.Add(snap)
 	f.Add(snap[:len(snap)-5])
 	f.Add(cat(stateHeader, bomb))
@@ -120,10 +121,10 @@ func FuzzNameStateRestore(f *testing.F) {
 // empty. A restored one may name nodes outside its topology, so it gets
 // no commands.
 func FuzzNameMachineApply(f *testing.F) {
-	create := binary.BigEndian.AppendUint32(appendStr([]byte{opCreate}, "/f"), 2)
-	seal := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(appendStr([]byte{opSeal}, "/f"), 0), 40)
+	create := binary.BigEndian.AppendUint32(ha.AppendString([]byte{opCreate}, "/f"), 2)
+	seal := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(ha.AppendString([]byte{opSeal}, "/f"), 0), 40)
 	node1 := binary.BigEndian.AppendUint64(nil, 1)
-	f.Add(create, seal, appendStr([]byte{opDelete}, "/f"))
+	f.Add(create, seal, ha.AppendString([]byte{opDelete}, "/f"))
 	f.Add(create, seal, append([]byte{opSetAlive}, append(node1, 0)...))
 	f.Add(seal, append([]byte{opDecommission}, node1...), []byte{opRereplicate})
 	f.Add(create, seal, binary.BigEndian.AppendUint64([]byte{opBalance}, math.Float64bits(0.05)))

@@ -6,13 +6,13 @@
 // BlockLocations for locality, and the recovery experiments kill nodes and
 // re-replicate.
 //
-// The namenode metadata lives behind a backend interface: New embeds it
-// in-process (one namenode, the availability gap real HDFS had before
-// QJM-based HA), while NewReplicated runs it as a deterministic state
-// machine on a Raft group from internal/ha, so a namenode-leader crash
-// fails over without losing the block map. The datanode layer — block
-// stores plus CRC32 per-replica checksums with read-repair — is
-// identical in both modes.
+// The namenode metadata is a deterministic state machine, and every
+// mutation reaches it as an encoded command. New applies the commands to
+// one machine in-process (one namenode, the availability gap real HDFS
+// had before QJM-based HA), while NewReplicated proposes them to a Raft
+// group from internal/ha, so a namenode-leader crash fails over without
+// losing the block map. The datanode layer — block stores plus CRC32
+// per-replica checksums with read-repair — is identical in both modes.
 //
 // Data is held in memory because the experiments measure placement,
 // locality and recovery behaviour — structural properties — rather than
@@ -116,7 +116,7 @@ type dfsMetrics struct {
 type DFS struct {
 	mu    sync.RWMutex // guards the datanode stores and checksums
 	cfg   Config
-	meta  metaBackend
+	meta  namenode
 	nodes []*datanode
 	m     dfsMetrics
 }
@@ -150,7 +150,7 @@ func (d *DFS) Instrument(reg *metrics.Registry) {
 // (single, unreplicated) namenode.
 func New(cfg Config) *DFS {
 	cfg = cfg.withDefaults()
-	return newDFS(cfg, &localMeta{st: newNameState(cfg)})
+	return newDFS(cfg, &localMeta{m: nameMachine{st: newNameState(cfg)}})
 }
 
 // NewReplicated creates a filesystem whose namenode metadata is
@@ -166,7 +166,7 @@ func NewReplicated(cfg Config, g *ha.Group) *DFS {
 func newDFS(cfg Config, meta metaBackend) *DFS {
 	d := &DFS{
 		cfg:   cfg,
-		meta:  meta,
+		meta:  namenode{meta},
 		nodes: make([]*datanode, cfg.Topology.Size()),
 	}
 	for i := range d.nodes {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/ha"
 	"repro/internal/rng"
 	"repro/internal/topology"
 )
@@ -430,11 +431,7 @@ func (st *nameState) appendSnapshot(buf []byte) []byte {
 	}
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(st.alive)))
 	for _, a := range st.alive {
-		if a {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
+		buf = ha.AppendBool(buf, a)
 	}
 	paths := make([]string, 0, len(st.files))
 	for p := range st.files {
@@ -444,7 +441,7 @@ func (st *nameState) appendSnapshot(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(paths)))
 	for _, p := range paths {
 		f := st.files[p]
-		buf = appendStr(buf, p)
+		buf = ha.AppendString(buf, p)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(f.repl))
 		buf = binary.BigEndian.AppendUint64(buf, uint64(f.size))
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(f.blocks)))
@@ -461,120 +458,45 @@ func (st *nameState) appendSnapshot(buf []byte) []byte {
 	for _, id := range ids {
 		bm := st.blocks[id]
 		buf = binary.BigEndian.AppendUint64(buf, uint64(id))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(bm.length))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(bm.replicas)))
-		for _, r := range bm.replicas {
-			buf = binary.BigEndian.AppendUint64(buf, uint64(r))
-		}
+		buf = appendNodes(binary.BigEndian.AppendUint64(buf, uint64(bm.length)), bm.replicas)
 	}
 	return buf
 }
 
 // restore replaces the metadata from a snapshot.
 func (st *nameState) restore(snap []byte) {
-	d := &mreader{buf: snap}
-	st.nextBlock = BlockID(d.u64())
+	d := ha.NewDecoder(snap)
+	st.nextBlock = BlockID(d.U64())
 	var rs [4]uint64
 	for i := range rs {
-		rs[i] = d.u64()
+		rs[i] = d.U64()
 	}
 	st.rand.SetState(rs)
-	st.alive = make([]bool, d.count(1))
+	st.alive = make([]bool, d.Count(1))
 	for i := range st.alive {
-		st.alive[i] = d.u8() == 1
+		st.alive[i] = d.Bool()
 	}
 	st.files = map[string]*fileMeta{}
-	nf := d.count(20) // path length, repl, size, block count
-	for i := 0; i < nf && d.err == nil; i++ {
-		f := &fileMeta{path: d.str()}
-		f.repl = int(d.u32())
-		f.size = int64(d.u64())
-		nb := d.count(8)
-		for j := 0; j < nb && d.err == nil; j++ {
-			f.blocks = append(f.blocks, BlockID(d.u64()))
+	nf := d.Count(20) // path length, repl, size, block count
+	for i := 0; i < nf && d.Err() == nil; i++ {
+		f := &fileMeta{path: d.String()}
+		f.repl = int(d.U32())
+		f.size = int64(d.U64())
+		nb := d.Count(8)
+		for j := 0; j < nb && d.Err() == nil; j++ {
+			f.blocks = append(f.blocks, BlockID(d.U64()))
 		}
 		st.files[f.path] = f
 	}
 	st.blocks = map[BlockID]*blockMeta{}
-	nb := d.count(20) // id, length, replica count
-	for i := 0; i < nb && d.err == nil; i++ {
-		bm := &blockMeta{id: BlockID(d.u64())}
-		bm.length = int64(d.u64())
-		nr := d.count(8)
-		for j := 0; j < nr && d.err == nil; j++ {
-			bm.replicas = append(bm.replicas, topology.NodeID(d.u64()))
+	nb := d.Count(20) // id, length, replica count
+	for i := 0; i < nb && d.Err() == nil; i++ {
+		bm := &blockMeta{id: BlockID(d.U64())}
+		bm.length = int64(d.U64())
+		nr := d.Count(8)
+		for j := 0; j < nr && d.Err() == nil; j++ {
+			bm.replicas = append(bm.replicas, topology.NodeID(d.U64()))
 		}
 		st.blocks[bm.id] = bm
 	}
-}
-
-func appendStr(buf []byte, s string) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s)))
-	return append(buf, s...)
-}
-
-// mreader reads the metadata wire format; the first error sticks.
-type mreader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *mreader) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("dfs: truncated metadata encoding at offset %d", d.off)
-	}
-}
-
-func (d *mreader) u8() byte {
-	if d.err != nil || d.off+1 > len(d.buf) {
-		d.fail()
-		return 0
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v
-}
-
-func (d *mreader) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.buf) {
-		d.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *mreader) u64() uint64 {
-	if d.err != nil || d.off+8 > len(d.buf) {
-		d.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
-}
-
-// count reads an element count, failing (and returning 0) when the bytes
-// left cannot hold that many elements of at least size bytes each: a
-// corrupt count must never size an allocation.
-func (d *mreader) count(size int) int {
-	n := int(d.u32())
-	if d.err == nil && n > (len(d.buf)-d.off)/size {
-		d.fail()
-		return 0
-	}
-	return n
-}
-
-func (d *mreader) str() string {
-	n := int(d.u32())
-	if d.err != nil || d.off+n > len(d.buf) {
-		d.fail()
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+n])
-	d.off += n
-	return s
 }

@@ -167,3 +167,60 @@ func TestReplicatedRecoveryOps(t *testing.T) {
 		t.Fatal("contents differ after kill + failover + rereplicate")
 	}
 }
+
+// TestReplicatedErrorsMatchLocal: every namenode error path returns the
+// same text, and the same sentinel, whether the namenode is embedded or
+// replicated.
+func TestReplicatedErrorsMatchLocal(t *testing.T) {
+	cfg := Config{Topology: topology.TwoTier(2, 3, 4), BlockSize: 1 << 10, Replication: 3, Seed: 77}
+	for _, tc := range []struct {
+		name     string
+		sentinel error // nil: the error has no sentinel
+		op       func(d *DFS) error
+	}{
+		{"duplicate create", ErrExists, func(d *DFS) error {
+			if _, err := d.Create("/a"); err != nil {
+				return nil
+			}
+			_, err := d.Create("/a")
+			return err
+		}},
+		{"missing delete", ErrNotFound, func(d *DFS) error { return d.Delete("/missing") }},
+		{"all nodes dead", ErrNoLiveNode, func(d *DFS) error {
+			for n := 0; n < cfg.Topology.Size(); n++ {
+				if err := d.KillNode(topology.NodeID(n)); err != nil {
+					return nil
+				}
+			}
+			w, err := d.Create("/dead")
+			if err != nil {
+				return nil
+			}
+			if _, err := w.Write([]byte("x")); err != nil {
+				return nil
+			}
+			return w.Close()
+		}},
+		{"unknown node", ErrNodeUnknown, func(d *DFS) error { return d.KillNode(99) }},
+		{"decommission twice", nil, func(d *DFS) error {
+			if _, err := d.Decommission(1); err != nil {
+				return nil
+			}
+			_, err := d.Decommission(1)
+			return err
+		}},
+	} {
+		repl, _ := replicatedFS(t, 77)
+		local, replicated := tc.op(New(cfg)), tc.op(repl)
+		if local == nil || replicated == nil {
+			t.Errorf("%s: local %v, replicated %v; want both to fail", tc.name, local, replicated)
+			continue
+		}
+		if local.Error() != replicated.Error() {
+			t.Errorf("%s: local %q, replicated %q", tc.name, local, replicated)
+		}
+		if tc.sentinel != nil && (!errors.Is(local, tc.sentinel) || !errors.Is(replicated, tc.sentinel)) {
+			t.Errorf("%s: local %v, replicated %v; want both to wrap %v", tc.name, local, replicated, tc.sentinel)
+		}
+	}
+}

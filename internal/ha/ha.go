@@ -18,6 +18,7 @@ package ha
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -577,10 +578,10 @@ func (r *replica) machine(name string) StateMachine {
 // appended in place behind a length prefix filled in once it is known.
 func (r *replica) snapshot(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, r.lastSeq)
-	buf = appendBytes(buf, r.lastResp)
+	buf = AppendBytes(buf, r.lastResp)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(r.names)))
 	for _, name := range r.names {
-		buf = append(appendBytes(buf, []byte(name)), 0, 0, 0, 0)
+		buf = append(AppendString(buf, name), 0, 0, 0, 0)
 		at, sm := len(buf), r.machines[name]
 		if a, ok := sm.(SnapshotAppender); ok {
 			buf = a.AppendSnapshot(buf)
@@ -594,18 +595,15 @@ func (r *replica) snapshot(buf []byte) []byte {
 
 // restore replaces the replica's state from a snapshot.
 func (r *replica) restore(snap []byte) {
-	d := &decoder{buf: snap}
-	r.lastSeq = d.u64()
-	r.lastResp = d.bytes()
-	n := d.count(8) // a machine is at least two length prefixes
-	for i := 0; i < n && d.err == nil; i++ {
-		name := string(d.bytes())
-		smSnap := d.bytes()
-		if d.err != nil {
-			break
-		}
-		if sm := r.machine(name); sm != nil {
-			sm.Restore(smSnap)
+	d := NewDecoder(snap)
+	r.lastSeq = d.U64()
+	r.lastResp = d.Bytes()
+	n := d.Count(8) // a machine is at least two length prefixes
+	for i := 0; i < n && d.Err() == nil; i++ {
+		if name, smSnap := d.String(), d.Bytes(); d.Err() == nil {
+			if sm := r.machine(name); sm != nil {
+				sm.Restore(smSnap)
+			}
 		}
 	}
 }
@@ -614,80 +612,105 @@ func (r *replica) restore(snap []byte) {
 
 func encodeEnvelope(seq uint64, machine string, payload []byte) []byte {
 	buf := binary.BigEndian.AppendUint64(make([]byte, 0, 8+4+len(machine)+len(payload)), seq)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(machine)))
-	return append(append(buf, machine...), payload...)
+	return append(AppendString(buf, machine), payload...)
 }
 
 // decodeEnvelope splits an envelope into views of cmd.
 func decodeEnvelope(cmd []byte) (seq uint64, machine, payload []byte, err error) {
-	d := &decoder{buf: cmd}
-	seq = d.u64()
-	machine = d.bytes()
-	if d.err != nil {
-		return 0, nil, nil, d.err
+	d := NewDecoder(cmd)
+	if seq, machine = d.U64(), d.Bytes(); d.Err() != nil {
+		return 0, nil, nil, d.Err()
 	}
-	return seq, machine, d.buf[d.off:], nil
+	return seq, machine, d.Rest(), nil
 }
 
-// appendBytes appends a length-prefixed byte string.
-func appendBytes(buf, b []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))
-	return append(buf, b...)
+// ErrTruncated is a Decoder's one error: input shorter than it claims.
+var ErrTruncated = errors.New("ha: truncated encoding")
+
+// AppendBytes appends b behind its u32 length.
+func AppendBytes(buf, b []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(buf, uint32(len(b))), b...)
 }
 
-// decoder reads the length-prefixed binary format; the first error
-// sticks and zero values flow out, so callers check err once.
-type decoder struct {
+// AppendString appends s behind its u32 length.
+func AppendString(buf []byte, s string) []byte {
+	return append(binary.BigEndian.AppendUint32(buf, uint32(len(s))), s...)
+}
+
+// AppendBool appends v as one byte, 1 or 0.
+func AppendBool(buf []byte, v bool) []byte {
+	if v {
+		return append(buf, 1)
+	}
+	return append(buf, 0)
+}
+
+// Decoder reads the wire format of the replicated machines: big-endian
+// fixed-width integers, a bool as one byte, byte strings behind a u32
+// length. Its error is sticky: after the first short read every accessor
+// returns a zero value and consumes nothing, so callers check Err once. A
+// copy of a Decoder reads on from the same place, on its own.
+type Decoder struct {
 	buf []byte
-	off int
 	err error
 }
 
-func (d *decoder) u64() uint64 {
-	if d.err != nil || d.off+8 > len(d.buf) {
-		d.fail()
+func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
+
+func (d *Decoder) Err() error     { return d.err }
+func (d *Decoder) Rest() []byte   { return d.buf } // the bytes not read yet
+func (d *Decoder) Bool() bool     { return d.U8() == 1 }
+func (d *Decoder) String() string { return string(d.Bytes()) }
+
+func (d *Decoder) U8() byte {
+	if d.err != nil || len(d.buf) < 1 {
+		d.err = ErrTruncated
 		return 0
 	}
-	v := binary.BigEndian.Uint64(d.buf[d.off:])
-	d.off += 8
+	v := d.buf[0]
+	d.buf = d.buf[1:]
 	return v
 }
 
-func (d *decoder) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.buf) {
-		d.fail()
+func (d *Decoder) U32() uint32 {
+	if d.err != nil || len(d.buf) < 4 {
+		d.err = ErrTruncated
 		return 0
 	}
-	v := binary.BigEndian.Uint32(d.buf[d.off:])
-	d.off += 4
+	v := binary.BigEndian.Uint32(d.buf)
+	d.buf = d.buf[4:]
 	return v
 }
 
-// count reads an element count, failing (and returning 0) when the bytes
-// left cannot hold that many elements of at least size bytes each: a
-// corrupt count must never size an allocation.
-func (d *decoder) count(size int) int {
-	n := int(d.u32())
-	if d.err == nil && n > (len(d.buf)-d.off)/size {
-		d.fail()
+func (d *Decoder) U64() uint64 {
+	if d.err != nil || len(d.buf) < 8 {
+		d.err = ErrTruncated
+		return 0
+	}
+	v := binary.BigEndian.Uint64(d.buf)
+	d.buf = d.buf[8:]
+	return v
+}
+
+// Count reads an element count and fails (returning 0) when the bytes left
+// cannot hold that many elements of size bytes: it never sizes an allocation.
+func (d *Decoder) Count(size int) int {
+	n := int(d.U32())
+	if d.err == nil && n > len(d.buf)/size {
+		d.err = ErrTruncated
 		return 0
 	}
 	return n
 }
 
-func (d *decoder) bytes() []byte {
-	n := int(d.u32())
-	if d.err != nil || d.off+n > len(d.buf) {
-		d.fail()
+// Bytes reads a byte string as a view, capped so appends cannot overwrite.
+func (d *Decoder) Bytes() []byte {
+	n := int(d.U32())
+	if d.err != nil || len(d.buf) < n {
+		d.err = ErrTruncated
 		return nil
 	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("ha: truncated encoding at offset %d", d.off)
-	}
+	v := d.buf[:n:n]
+	d.buf = d.buf[n:]
+	return v
 }

@@ -14,20 +14,27 @@ type Machine interface {
 	Restore(snap []byte)
 }
 
-// Check restores snap (unless nil) into a fresh machine and applies cmds,
-// neither of which may panic, and returns the machine. Of the state reached,
+// Check restores snap (unless nil) into two fresh replicas and applies
+// cmds to both, none of which may panic; the replicas must answer alike and
+// end in the same snapshot. It returns the first. Of the state reached,
 // snapshot → restore → snapshot must be a fixed point, and AppendSnapshot
 // must append Snapshot's bytes behind an untouched prefix, with or without room.
 func Check[M Machine](t testing.TB, fresh func() M, snap []byte, cmds ...[]byte) M {
 	t.Helper()
-	m, again := fresh(), fresh()
+	m, twin, again := fresh(), fresh(), fresh()
 	if snap != nil {
 		m.Restore(snap)
+		twin.Restore(snap)
 	}
 	for _, cmd := range cmds {
-		m.Apply(cmd)
+		if resp, got := m.Apply(cmd), twin.Apply(cmd); !bytes.Equal(got, resp) {
+			t.Fatalf("Apply(% x): a second replica answered % x, the first % x", cmd, got, resp)
+		}
 	}
 	once := m.Snapshot()
+	if other := twin.Snapshot(); !bytes.Equal(other, once) {
+		t.Fatalf("replicas of one command sequence snapshot differently:\n% x\n% x", once, other)
+	}
 	if again.Restore(once); !bytes.Equal(again.Snapshot(), once) {
 		t.Fatalf("snapshot → restore → snapshot is not a fixed point:\n% x\n% x", once, again.Snapshot())
 	}

@@ -1,6 +1,7 @@
 package ha
 
 import (
+	"bytes"
 	"encoding/binary"
 
 	"repro/internal/trace"
@@ -32,24 +33,20 @@ func (j *JournalMachine) Snapshot() []byte { return j.AppendSnapshot(nil) }
 func (j *JournalMachine) AppendSnapshot(dst []byte) []byte {
 	buf := binary.BigEndian.AppendUint32(dst, uint32(len(j.recs)))
 	for _, rec := range j.recs {
-		buf = appendBytes(buf, rec)
+		buf = AppendBytes(buf, rec)
 	}
 	return buf
 }
 
 // Restore replaces the log from a snapshot.
 func (j *JournalMachine) Restore(snap []byte) {
-	d := &decoder{buf: snap}
-	n := d.count(4) // each record is at least its length prefix
+	d := NewDecoder(snap)
+	n := d.Count(4) // each record is at least its length prefix
 	recs := make([][]byte, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		b := d.bytes()
-		if d.err != nil {
-			break
+	for i := 0; i < n && d.Err() == nil; i++ {
+		if b := d.Bytes(); d.Err() == nil {
+			recs = append(recs, bytes.Clone(b))
 		}
-		rec := make([]byte, len(b))
-		copy(rec, b)
-		recs = append(recs, rec)
 	}
 	j.recs = recs
 }

@@ -17,8 +17,11 @@
 package kvstore
 
 import (
+	"encoding/binary"
 	"slices"
 	"strings"
+
+	"repro/internal/ha"
 )
 
 const (
@@ -101,13 +104,13 @@ func (m *dirMachine) touched(id uint64) bool {
 }
 
 func (m *dirMachine) Apply(cmd []byte) []byte {
-	d := &wdec{buf: cmd}
-	op := d.u8()
+	d := ha.NewDecoder(cmd)
+	op := d.U8()
 	switch op {
 	case dirOpInit:
-		groups := int(d.u32())
+		groups := int(d.U32())
 		splits := decodeStrs(d)
-		if d.err || groups <= 0 {
+		if d.Err() != nil || groups <= 0 {
 			return []byte{rspConflict}
 		}
 		if m.epoch > 0 {
@@ -129,9 +132,9 @@ func (m *dirMachine) Apply(cmd []byte) []byte {
 		return []byte{rspOK}
 
 	case dirOpSplitReserve:
-		old := d.u64()
-		key := d.str()
-		if d.err {
+		old := d.U64()
+		key := d.String()
+		if d.Err() != nil {
 			return []byte{rspConflict}
 		}
 		i := m.rangeIdx(old)
@@ -145,12 +148,12 @@ func (m *dirMachine) Apply(cmd []byte) []byte {
 		newID := m.nextID
 		m.nextID++
 		m.pend = append(m.pend, pendingChange{Split: true, Old: old, New: newID, Key: key})
-		b := wAppendU64([]byte{rspOK}, newID)
-		return wAppendU32(b, uint32(newID)%uint32(m.groups))
+		b := binary.BigEndian.AppendUint64([]byte{rspOK}, newID)
+		return binary.BigEndian.AppendUint32(b, uint32(newID)%uint32(m.groups))
 
 	case dirOpSplitCommit:
-		id := d.u64()
-		if d.err {
+		id := d.U64()
+		if d.Err() != nil {
 			return []byte{rspConflict}
 		}
 		pi := m.pendIdx(func(p pendingChange) bool { return p.Split && p.New == id })
@@ -176,8 +179,8 @@ func (m *dirMachine) Apply(cmd []byte) []byte {
 		return []byte{rspOK}
 
 	case dirOpSplitFinish:
-		id := d.u64()
-		if d.err {
+		id := d.U64()
+		if d.Err() != nil {
 			return []byte{rspConflict}
 		}
 		pi := m.pendIdx(func(p pendingChange) bool { return p.Split && p.New == id })
@@ -191,8 +194,8 @@ func (m *dirMachine) Apply(cmd []byte) []byte {
 		return []byte{rspOK}
 
 	case dirOpSplitAbort:
-		id := d.u64()
-		if d.err {
+		id := d.U64()
+		if d.Err() != nil {
 			return []byte{rspConflict}
 		}
 		pi := m.pendIdx(func(p pendingChange) bool { return p.Split && p.New == id })
@@ -206,8 +209,8 @@ func (m *dirMachine) Apply(cmd []byte) []byte {
 		return []byte{rspOK}
 
 	case dirOpMergeReserve:
-		left := d.u64()
-		if d.err {
+		left := d.U64()
+		if d.Err() != nil {
 			return []byte{rspConflict}
 		}
 		li := m.rangeIdx(left)
@@ -222,13 +225,13 @@ func (m *dirMachine) Apply(cmd []byte) []byte {
 		// range leaves the routing table, but recovery still needs the
 		// bound to retire its machine.
 		m.pend = append(m.pend, pendingChange{Old: left, Right: right.ID, Key: right.Start})
-		b := wAppendU64([]byte{rspOK}, right.ID)
-		b = wAppendU32(b, uint32(right.Group))
-		return wAppendStr(b, right.Start)
+		b := binary.BigEndian.AppendUint64([]byte{rspOK}, right.ID)
+		b = binary.BigEndian.AppendUint32(b, uint32(right.Group))
+		return ha.AppendString(b, right.Start)
 
 	case dirOpMergeCommit:
-		left := d.u64()
-		if d.err {
+		left := d.U64()
+		if d.Err() != nil {
 			return []byte{rspConflict}
 		}
 		pi := m.pendIdx(func(p pendingChange) bool { return !p.Split && p.Old == left })
@@ -251,8 +254,8 @@ func (m *dirMachine) Apply(cmd []byte) []byte {
 		return []byte{rspOK}
 
 	case dirOpMergeFinish:
-		left := d.u64()
-		if d.err {
+		left := d.U64()
+		if d.Err() != nil {
 			return []byte{rspConflict}
 		}
 		pi := m.pendIdx(func(p pendingChange) bool { return !p.Split && p.Old == left })
@@ -266,8 +269,8 @@ func (m *dirMachine) Apply(cmd []byte) []byte {
 		return []byte{rspOK}
 
 	case dirOpMergeAbort:
-		left := d.u64()
-		if d.err {
+		left := d.U64()
+		if d.Err() != nil {
 			return []byte{rspConflict}
 		}
 		pi := m.pendIdx(func(p pendingChange) bool { return !p.Split && p.Old == left })
@@ -298,46 +301,46 @@ func (m *dirMachine) epochVal() uint64 { return m.epoch }
 func (m *dirMachine) Snapshot() []byte { return m.AppendSnapshot(nil) }
 
 func (m *dirMachine) AppendSnapshot(dst []byte) []byte {
-	buf := wAppendU32(dst, uint32(m.groups))
-	buf = wAppendU64(buf, m.nextID)
-	buf = wAppendU64(buf, m.epoch)
-	buf = wAppendU32(buf, uint32(len(m.ranges)))
+	buf := binary.BigEndian.AppendUint32(dst, uint32(m.groups))
+	buf = binary.BigEndian.AppendUint64(buf, m.nextID)
+	buf = binary.BigEndian.AppendUint64(buf, m.epoch)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.ranges)))
 	for _, r := range m.ranges {
-		buf = wAppendU64(buf, r.ID)
-		buf = wAppendStr(buf, r.Start)
-		buf = wAppendStr(buf, r.End)
-		buf = wAppendU32(buf, uint32(r.Group))
+		buf = binary.BigEndian.AppendUint64(buf, r.ID)
+		buf = ha.AppendString(buf, r.Start)
+		buf = ha.AppendString(buf, r.End)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(r.Group))
 	}
-	buf = wAppendU32(buf, uint32(len(m.pend)))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.pend)))
 	for _, p := range m.pend {
-		buf = wAppendBool(buf, p.Split)
-		buf = wAppendU64(buf, p.Old)
-		buf = wAppendU64(buf, p.Right)
-		buf = wAppendU64(buf, p.New)
-		buf = wAppendStr(buf, p.Key)
-		buf = wAppendBool(buf, p.Committed)
+		buf = ha.AppendBool(buf, p.Split)
+		buf = binary.BigEndian.AppendUint64(buf, p.Old)
+		buf = binary.BigEndian.AppendUint64(buf, p.Right)
+		buf = binary.BigEndian.AppendUint64(buf, p.New)
+		buf = ha.AppendString(buf, p.Key)
+		buf = ha.AppendBool(buf, p.Committed)
 	}
 	return buf
 }
 
 func (m *dirMachine) Restore(snap []byte) {
-	d := &wdec{buf: snap}
-	m.groups = int(d.u32())
-	m.nextID = d.u64()
-	m.epoch = d.u64()
+	d := ha.NewDecoder(snap)
+	m.groups = int(d.U32())
+	m.nextID = d.U64()
+	m.epoch = d.U64()
 	m.ranges = nil
 	m.pend = nil
-	n := int(d.u32())
-	for i := 0; i < n && !d.err; i++ {
-		r := RangeInfo{ID: d.u64(), Start: d.str(), End: d.str()}
-		r.Group = int(d.u32())
+	n := int(d.U32())
+	for i := 0; i < n && d.Err() == nil; i++ {
+		r := RangeInfo{ID: d.U64(), Start: d.String(), End: d.String()}
+		r.Group = int(d.U32())
 		m.ranges = append(m.ranges, r)
 	}
-	n = int(d.u32())
-	for i := 0; i < n && !d.err; i++ {
-		p := pendingChange{Split: d.boolv(), Old: d.u64(), Right: d.u64(), New: d.u64()}
-		p.Key = d.str()
-		p.Committed = d.boolv()
+	n = int(d.U32())
+	for i := 0; i < n && d.Err() == nil; i++ {
+		p := pendingChange{Split: d.Bool(), Old: d.U64(), Right: d.U64(), New: d.U64()}
+		p.Key = d.String()
+		p.Committed = d.Bool()
 		m.pend = append(m.pend, p)
 	}
 }
@@ -345,13 +348,13 @@ func (m *dirMachine) Restore(snap []byte) {
 // Command encoders.
 
 func encDirInit(groups int, splits []string) []byte {
-	b := wAppendU32([]byte{dirOpInit}, uint32(groups))
+	b := binary.BigEndian.AppendUint32([]byte{dirOpInit}, uint32(groups))
 	return appendStrs(b, splits)
 }
 
 func encDirSplitReserve(old uint64, key string) []byte {
-	b := wAppendU64([]byte{dirOpSplitReserve}, old)
-	return wAppendStr(b, key)
+	b := binary.BigEndian.AppendUint64([]byte{dirOpSplitReserve}, old)
+	return ha.AppendString(b, key)
 }
 
-func encDirU64(op byte, id uint64) []byte { return wAppendU64([]byte{op}, id) }
+func encDirU64(op byte, id uint64) []byte { return binary.BigEndian.AppendUint64([]byte{op}, id) }

@@ -17,11 +17,14 @@ import (
 // recorded there, so a response or snapshot byte that differs is a
 // behaviour change, whatever the current code thinks is right. The range
 // sum was re-recorded once, when opcodes 0x0a and 0x0b were retired: it
-// equals the old machine's stream with only those two arms removed.
+// equals the old machine's stream with only those two arms removed. The
+// directory sum was recorded on the commit before the replicated machines
+// shared one decoder.
 const (
 	goldenFrames   = 3000
 	goldenRangeSum = "b57aa4671e624bb4813aa2c115328b5a0152365896fda8b7a176c474b075695d"
 	goldenTxnSum   = "10b9e03859f0ac449ff9a53624ad9f7396404eacf8eb56f513948dd4524f5b9e"
+	goldenDirSum   = "ecd1edc51d119737f03f4d52bd72cc36554fc2140eb4423938f2aa8b2bcf88c1"
 )
 
 // mangle returns cmd as is, truncated, or with one bit flipped.
@@ -112,9 +115,9 @@ func goldenRangeCmd(r *rng.RNG, i int) []byte {
 func retiredMigrate(pairs []kvPair) []byte { return appendPairs([]byte{0x0a}, pairs) }
 
 func retiredTrimKeys(pairs []kvPair) []byte {
-	b := wAppendU32([]byte{0x0b}, uint32(len(pairs)))
+	b := binary.BigEndian.AppendUint32([]byte{0x0b}, uint32(len(pairs)))
 	for _, p := range pairs {
-		b = wAppendU64(wAppendStr(b, p.key), p.ver)
+		b = binary.BigEndian.AppendUint64(ha.AppendString(b, p.key), p.ver)
 	}
 	return b
 }
@@ -142,6 +145,40 @@ func goldenTxnCmd(r *rng.RNG, i int) []byte {
 		return encTxAbort(id)
 	}
 	return encTxDone(id)
+}
+
+// goldenDirCmd draws one well-formed directory command against m.
+// Reserves mostly name a live range and the later phases mostly a pending
+// change; the rest name any id up to m's next one, stale or unknown.
+func goldenDirCmd(m *dirMachine, r *rng.RNG) []byte {
+	id := uint64(r.Intn(int(m.nextID) + 2))
+	if len(m.ranges) > 0 && r.Intn(4) != 0 {
+		id = m.ranges[r.Intn(len(m.ranges))].ID
+	}
+	pending := id
+	if n := len(m.pend); n > 0 && r.Intn(4) != 0 {
+		if p := m.pend[r.Intn(n)]; p.Split {
+			pending = p.New
+		} else {
+			pending = p.Old
+		}
+	}
+	switch x := r.Intn(100); {
+	case x < 3:
+		var splits []string
+		for _, k := range []string{"k06", "k12", "k18"} {
+			if r.Intn(2) == 0 {
+				splits = append(splits, k)
+			}
+		}
+		return encDirInit(1+r.Intn(3), splits)
+	case x < 25:
+		return encDirSplitReserve(id, goldenKey(r))
+	case x < 37:
+		return encDirU64(dirOpMergeReserve, id)
+	}
+	ops := []byte{dirOpSplitCommit, dirOpSplitFinish, dirOpSplitAbort, dirOpMergeCommit, dirOpMergeFinish, dirOpMergeAbort}
+	return encDirU64(ops[r.Intn(len(ops))], pending)
 }
 
 // goldenSum drives the frames through machines from fresh and hashes
@@ -178,6 +215,27 @@ func TestGoldenRangeMachineStream(t *testing.T) {
 	}
 	if got := goldenSum(fresh, 19, goldenRangeCmd); got != goldenRangeSum {
 		t.Fatalf("range machine stream checksum = %s, want %s (recorded on the parent commit)", got, goldenRangeSum)
+	}
+}
+
+// TestGoldenDirMachineStream starts each 250-frame machine from the last
+// one's snapshot, so the directory's restore runs too. Commands are drawn
+// against the machine's own state, which the checksum covers as well.
+func TestGoldenDirMachineStream(t *testing.T) {
+	var last *dirMachine
+	fresh := func() ha.StateMachine {
+		m := newDirMachine()
+		if last == nil {
+			m.Apply(encDirInit(2, []string{"k08", "k16"}))
+		} else {
+			m.Restore(last.Snapshot())
+		}
+		last = m
+		return m
+	}
+	cmd := func(r *rng.RNG, _ int) []byte { return goldenDirCmd(last, r) }
+	if got := goldenSum(fresh, 29, cmd); got != goldenDirSum {
+		t.Fatalf("dir machine stream checksum = %s, want %s (recorded on the parent commit)", got, goldenDirSum)
 	}
 }
 

@@ -14,9 +14,12 @@
 package kvstore
 
 import (
+	"encoding/binary"
 	"maps"
 	"slices"
 	"strings"
+
+	"repro/internal/ha"
 )
 
 // Range command opcodes (first byte of every Apply payload). closed is
@@ -53,8 +56,8 @@ const (
 // are built fresh, in one allocation.
 var status = [...][]byte{{rspOK}, {rspMoved}, {rspLocked}, {rspConflict}, {rspAborted}, {rspCommitted}, {rspStale}}
 
-func statusU64(code byte, v uint64) []byte { return wAppendU64(frame(code, 9), v) }
-func okCount(n uint32) []byte              { return wAppendU32(frame(rspOK, 5), n) }
+func statusU64(code byte, v uint64) []byte { return binary.BigEndian.AppendUint64(frame(code, 9), v) }
+func okCount(n uint32) []byte              { return binary.BigEndian.AppendUint32(frame(rspOK, 5), n) }
 
 // frame starts a command or response of exactly size bytes with its
 // first byte, the opcode or status.
@@ -175,17 +178,17 @@ func (m *rangeMachine) upsert(key []byte, v rval) bool {
 }
 
 func (m *rangeMachine) Apply(cmd []byte) []byte {
-	d := &wdec{buf: cmd}
-	op := d.u8()
+	d := ha.NewDecoder(cmd)
+	op := d.U8()
 	switch op {
 	case rmOpPut, rmOpDel:
-		key := d.blob()
-		ver := d.u64()
+		key := d.Bytes()
+		ver := d.U64()
 		var val []byte
 		if op == rmOpPut {
-			val = d.blob()
+			val = d.Bytes()
 		}
-		if d.err {
+		if d.Err() != nil {
 			return status[rspConflict]
 		}
 		if !m.owns(key) {
@@ -202,9 +205,9 @@ func (m *rangeMachine) Apply(cmd []byte) []byte {
 		return status[rspOK]
 
 	case rmOpGet:
-		key := d.blob()
-		dirty := d.boolv()
-		if d.err {
+		key := d.Bytes()
+		dirty := d.Bool()
+		if d.Err() != nil {
 			return status[rspConflict]
 		}
 		if !m.owns(key) {
@@ -221,8 +224,8 @@ func (m *rangeMachine) Apply(cmd []byte) []byte {
 	case rmOpApply:
 		return m.applyCommit(d)
 	case rmOpAbort:
-		txn, closed := d.u64(), d.u64()
-		if d.err {
+		txn, closed := d.U64(), d.U64()
+		if d.Err() != nil {
 			return status[rspConflict]
 		}
 		if !m.finished(txn, closed) {
@@ -236,9 +239,9 @@ func (m *rangeMachine) Apply(cmd []byte) []byte {
 		return status[rspOK]
 
 	case rmOpAdopt:
-		lo, hi := d.str(), d.str()
+		lo, hi := d.String(), d.String()
 		pairs := decodePairs(d)
-		if d.err {
+		if d.Err() != nil {
 			return status[rspConflict]
 		}
 		m.lo, m.hi, m.init = lo, hi, true
@@ -251,8 +254,8 @@ func (m *rangeMachine) Apply(cmd []byte) []byte {
 		return okCount(installed)
 
 	case rmOpFreeze:
-		from := d.str()
-		if d.err {
+		from := d.String()
+		if d.Err() != nil {
 			return status[rspConflict]
 		}
 		if m.fenced && m.fence != from {
@@ -267,8 +270,8 @@ func (m *rangeMachine) Apply(cmd []byte) []byte {
 		return appendPairs([]byte{rspOK}, m.pairsFrom(from))
 
 	case rmOpTrim:
-		from := d.str()
-		if d.err {
+		from := d.String()
+		if d.Err() != nil {
 			return status[rspConflict]
 		}
 		n := uint32(0)
@@ -294,12 +297,12 @@ func (m *rangeMachine) Apply(cmd []byte) []byte {
 // construction and contention resolves by coordinator retry. The whole
 // command is validated before any state changes; the key lists are then
 // walked where they lie.
-func (m *rangeMachine) applyPrepare(d *wdec) []byte {
-	txn, closed := d.u64(), d.u64()
-	dirty := d.boolv()
-	nLock, lockKeys := d.list(false)
-	nRead, readKeys := d.list(false)
-	if d.err {
+func (m *rangeMachine) applyPrepare(d *ha.Decoder) []byte {
+	txn, closed := d.U64(), d.U64()
+	dirty := d.Bool()
+	nLock, lockKeys := list(d, false)
+	nRead, readKeys := list(d, false)
+	if d.Err() != nil {
 		return status[rspConflict]
 	}
 	if m.finished(txn, closed) {
@@ -314,7 +317,7 @@ func (m *rangeMachine) applyPrepare(d *wdec) []byte {
 		return status[rspCommitted]
 	}
 	for w, i := lockKeys, 0; i < nLock; i++ {
-		k := w.blob()
+		k := w.Bytes()
 		if !m.owns(k) {
 			return status[rspMoved]
 		}
@@ -323,7 +326,7 @@ func (m *rangeMachine) applyPrepare(d *wdec) []byte {
 		}
 	}
 	for w, i := lockKeys, 0; i < nLock; i++ {
-		k := w.blob()
+		k := w.Bytes()
 		if c := m.data[string(k)]; c != nil {
 			m.locks[c.key] = txn
 		} else {
@@ -332,12 +335,12 @@ func (m *rangeMachine) applyPrepare(d *wdec) []byte {
 	}
 	size := 1 + 4
 	for w, i := readKeys, 0; i < nRead; i++ {
-		val, _ := m.read(w.blob(), dirty)
+		val, _ := m.read(w.Bytes(), dirty)
 		size += readLen(val)
 	}
-	resp := wAppendU32(frame(rspOK, size), uint32(nRead))
+	resp := binary.BigEndian.AppendUint32(frame(rspOK, size), uint32(nRead))
 	for w, i := readKeys, 0; i < nRead; i++ {
-		val, found := m.read(w.blob(), dirty)
+		val, found := m.read(w.Bytes(), dirty)
 		resp = appendRead(resp, val, found)
 	}
 	return resp
@@ -345,18 +348,18 @@ func (m *rangeMachine) applyPrepare(d *wdec) []byte {
 
 // applyCommit installs a committed txn's writes at the commit version
 // and releases its locks. Idempotent: recovery may replay it.
-func (m *rangeMachine) applyCommit(d *wdec) []byte {
-	txn, closed := d.u64(), d.u64()
-	ver := d.u64()
-	n, w := d.list(true)
-	if d.err {
+func (m *rangeMachine) applyCommit(d *ha.Decoder) []byte {
+	txn, closed := d.U64(), d.U64()
+	ver := d.U64()
+	n, w := list(d, true)
+	if d.Err() != nil {
 		return status[rspConflict]
 	}
 	if m.finished(txn, closed) || m.done[txn] == txnApplied {
 		return status[rspOK]
 	}
 	for ; n > 0; n-- {
-		key, del, val := w.blob(), w.boolv(), w.blob()
+		key, del, val := w.Bytes(), w.Bool(), w.Bytes()
 		m.upsert(key, rval{val: val, ver: ver, dead: del})
 	}
 	m.releaseLocks(txn)
@@ -392,8 +395,10 @@ func (m *rangeMachine) read(key []byte, dirty bool) (val []byte, found bool) {
 
 // appendRead renders one read as found+value, readLen bytes of it: the
 // body of a get response and each element of a prepare's.
-func appendRead(b, val []byte, found bool) []byte { return wAppendBlob(wAppendBool(b, found), val) }
-func readLen(val []byte) int                      { return 1 + 4 + len(val) }
+func appendRead(b, val []byte, found bool) []byte {
+	return ha.AppendBytes(ha.AppendBool(b, found), val)
+}
+func readLen(val []byte) int { return 1 + 4 + len(val) }
 
 // pairsFrom returns the cells (tombstones included) at or above from,
 // in sorted key order.
@@ -433,64 +438,64 @@ func (m *rangeMachine) AppendSnapshot(dst []byte) []byte {
 	if dst == nil {
 		dst = make([]byte, 0, size) // Snapshot's own copy, sized exactly
 	}
-	buf := wAppendStr(slices.Grow(dst, size), m.lo)
-	buf = wAppendStr(buf, m.hi)
-	buf = wAppendBool(buf, m.init)
-	buf = wAppendBool(buf, m.fenced)
-	buf = wAppendStr(buf, m.fence)
-	buf = wAppendU32(buf, uint32(len(cells)))
+	buf := ha.AppendString(slices.Grow(dst, size), m.lo)
+	buf = ha.AppendString(buf, m.hi)
+	buf = ha.AppendBool(buf, m.init)
+	buf = ha.AppendBool(buf, m.fenced)
+	buf = ha.AppendString(buf, m.fence)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(cells)))
 	for _, c := range cells {
 		buf = appendPair(buf, c.kvPair)
-		buf = wAppendBool(buf, c.hasOld)
+		buf = ha.AppendBool(buf, c.hasOld)
 		if c.hasOld {
 			buf = appendRval(buf, c.old)
 		}
 	}
-	buf = wAppendU32(buf, uint32(len(lockKeys)))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(lockKeys)))
 	for _, k := range lockKeys {
-		buf = wAppendStr(buf, k)
-		buf = wAppendU64(buf, m.locks[k])
+		buf = ha.AppendString(buf, k)
+		buf = binary.BigEndian.AppendUint64(buf, m.locks[k])
 	}
-	buf = wAppendU64(buf, m.closed)
-	buf = wAppendU32(buf, uint32(len(doneIDs)))
+	buf = binary.BigEndian.AppendUint64(buf, m.closed)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(doneIDs)))
 	for _, id := range doneIDs {
-		buf = wAppendU64(buf, id)
+		buf = binary.BigEndian.AppendUint64(buf, id)
 		buf = append(buf, m.done[id])
 	}
 	return buf
 }
 
 func (m *rangeMachine) Restore(snap []byte) {
-	d := &wdec{buf: snap}
-	m.lo = d.str()
-	m.hi = d.str()
-	m.init = d.boolv()
-	m.fenced = d.boolv()
-	m.fence = d.str()
+	d := ha.NewDecoder(snap)
+	m.lo = d.String()
+	m.hi = d.String()
+	m.init = d.Bool()
+	m.fenced = d.Bool()
+	m.fence = d.String()
 	m.data, m.order = map[string]*cell{}, nil
 	m.locks = map[string]uint64{}
 	m.done = map[uint64]byte{}
-	n := int(d.u32())
-	for i := 0; i < n && !d.err; i++ {
+	n := int(d.U32())
+	for i := 0; i < n && d.Err() == nil; i++ {
 		c := &cell{kvPair: decodePair(d)}
-		if c.hasOld = d.boolv(); c.hasOld {
+		if c.hasOld = d.Bool(); c.hasOld {
 			c.old = decodeRval(d)
 		}
-		if d.err {
+		if d.Err() != nil {
 			break
 		}
 		m.data[c.key] = c
 	}
-	n = int(d.u32())
-	for i := 0; i < n && !d.err; i++ {
-		k := d.str()
-		m.locks[k] = d.u64()
+	n = int(d.U32())
+	for i := 0; i < n && d.Err() == nil; i++ {
+		k := d.String()
+		m.locks[k] = d.U64()
 	}
-	m.closed = d.u64()
-	n = int(d.u32())
-	for i := 0; i < n && !d.err; i++ {
-		id := d.u64()
-		m.done[id] = d.u8()
+	m.closed = d.U64()
+	n = int(d.U32())
+	for i := 0; i < n && d.Err() == nil; i++ {
+		id := d.U64()
+		m.done[id] = d.U8()
 	}
 }
 
@@ -498,46 +503,46 @@ func (m *rangeMachine) Restore(snap []byte) {
 // one allocation per command.
 
 func encRmPut(key string, val []byte, ver uint64) []byte {
-	b := wAppendStr(frame(rmOpPut, 17+len(key)+len(val)), key)
-	b = wAppendU64(b, ver)
-	return wAppendBlob(b, val)
+	b := ha.AppendString(frame(rmOpPut, 17+len(key)+len(val)), key)
+	b = binary.BigEndian.AppendUint64(b, ver)
+	return ha.AppendBytes(b, val)
 }
 
 func encRmGet(key string, dirty bool) []byte {
-	return wAppendBool(wAppendStr(frame(rmOpGet, 6+len(key)), key), dirty)
+	return ha.AppendBool(ha.AppendString(frame(rmOpGet, 6+len(key)), key), dirty)
 }
 
 func encRmDel(key string, ver uint64) []byte {
-	return wAppendU64(wAppendStr(frame(rmOpDel, 13+len(key)), key), ver)
+	return binary.BigEndian.AppendUint64(ha.AppendString(frame(rmOpDel, 13+len(key)), key), ver)
 }
 
 func encRmPrepare(txn, closed uint64, dirty bool, lockKeys, readKeys []string) []byte {
-	b := wAppendU64(frame(rmOpPrepare, 18+listLen(lockKeys, strLen)+listLen(readKeys, strLen)), txn)
-	b = wAppendU64(b, closed)
-	b = wAppendBool(b, dirty)
+	b := binary.BigEndian.AppendUint64(frame(rmOpPrepare, 18+listLen(lockKeys, strLen)+listLen(readKeys, strLen)), txn)
+	b = binary.BigEndian.AppendUint64(b, closed)
+	b = ha.AppendBool(b, dirty)
 	b = appendStrs(b, lockKeys)
 	return appendStrs(b, readKeys)
 }
 
 func encRmApply(txn, closed, ver uint64, writes []rmWrite) []byte {
-	b := wAppendU64(frame(rmOpApply, 25+listLen(writes, writeLen)), txn)
-	b = wAppendU64(b, closed)
-	b = wAppendU64(b, ver)
+	b := binary.BigEndian.AppendUint64(frame(rmOpApply, 25+listLen(writes, writeLen)), txn)
+	b = binary.BigEndian.AppendUint64(b, closed)
+	b = binary.BigEndian.AppendUint64(b, ver)
 	return appendWrites(b, writes)
 }
 
 func encRmAbort(txn, closed uint64) []byte {
-	return wAppendU64(wAppendU64(frame(rmOpAbort, 17), txn), closed)
+	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(frame(rmOpAbort, 17), txn), closed)
 }
 
 func encRmAdopt(lo, hi string, pairs []kvPair) []byte {
-	b := wAppendStr(frame(rmOpAdopt, 9+len(lo)+len(hi)+listLen(pairs, pairLen)), lo)
-	b = wAppendStr(b, hi)
+	b := ha.AppendString(frame(rmOpAdopt, 9+len(lo)+len(hi)+listLen(pairs, pairLen)), lo)
+	b = ha.AppendString(b, hi)
 	return appendPairs(b, pairs)
 }
 
-func encRmFreeze(from string) []byte { return wAppendStr(frame(rmOpFreeze, 5+len(from)), from) }
-func encRmTrim(from string) []byte   { return wAppendStr(frame(rmOpTrim, 5+len(from)), from) }
+func encRmFreeze(from string) []byte { return ha.AppendString(frame(rmOpFreeze, 5+len(from)), from) }
+func encRmTrim(from string) []byte   { return ha.AppendString(frame(rmOpTrim, 5+len(from)), from) }
 
 // Shared sub-encodings.
 
@@ -556,30 +561,30 @@ func listLen[T any](xs []T, each func(T) int) int {
 }
 
 func appendRval(b []byte, v rval) []byte {
-	return wAppendBlob(wAppendBool(wAppendU64(b, v.ver), v.dead), v.val)
+	return ha.AppendBytes(ha.AppendBool(binary.BigEndian.AppendUint64(b, v.ver), v.dead), v.val)
 }
 
 // Calls in a composite literal run left to right: ver, dead, val.
-func decodeRval(d *wdec) rval { return rval{ver: d.u64(), dead: d.boolv(), val: d.blob()} }
+func decodeRval(d *ha.Decoder) rval { return rval{ver: d.U64(), dead: d.Bool(), val: d.Bytes()} }
 
-func appendPair(b []byte, p kvPair) []byte { return appendRval(wAppendStr(b, p.key), p.rval) }
+func appendPair(b []byte, p kvPair) []byte { return appendRval(ha.AppendString(b, p.key), p.rval) }
 
-func decodePair(d *wdec) kvPair { return kvPair{key: d.str(), rval: decodeRval(d)} }
+func decodePair(d *ha.Decoder) kvPair { return kvPair{key: d.String(), rval: decodeRval(d)} }
 
 func appendPairs(b []byte, pairs []kvPair) []byte {
-	b = wAppendU32(b, uint32(len(pairs)))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(pairs)))
 	for _, p := range pairs {
 		b = appendPair(b, p)
 	}
 	return b
 }
 
-func decodePairs(d *wdec) []kvPair {
-	n := int(d.u32())
+func decodePairs(d *ha.Decoder) []kvPair {
+	n := int(d.U32())
 	var pairs []kvPair
-	for i := 0; i < n && !d.err; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		p := decodePair(d)
-		if d.err {
+		if d.Err() != nil {
 			break
 		}
 		pairs = append(pairs, p)
@@ -588,40 +593,40 @@ func decodePairs(d *wdec) []kvPair {
 }
 
 func appendStrs(b []byte, ss []string) []byte {
-	b = wAppendU32(b, uint32(len(ss)))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(ss)))
 	for _, s := range ss {
-		b = wAppendStr(b, s)
+		b = ha.AppendString(b, s)
 	}
 	return b
 }
 
-func decodeStrs(d *wdec) []string {
-	n := int(d.u32())
+func decodeStrs(d *ha.Decoder) []string {
+	n := int(d.U32())
 	var ss []string
-	for i := 0; i < n && !d.err; i++ {
-		ss = append(ss, d.str())
+	for i := 0; i < n && d.Err() == nil; i++ {
+		ss = append(ss, d.String())
 	}
 	return ss
 }
 
 func appendWrites(b []byte, ws []rmWrite) []byte {
-	b = wAppendU32(b, uint32(len(ws)))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(ws)))
 	for _, w := range ws {
-		b = wAppendStr(b, w.Key)
-		b = wAppendBool(b, w.Del)
-		b = wAppendBlob(b, w.Val)
+		b = ha.AppendString(b, w.Key)
+		b = ha.AppendBool(b, w.Del)
+		b = ha.AppendBytes(b, w.Val)
 	}
 	return b
 }
 
-func decodeWrites(d *wdec) []rmWrite {
-	n := int(d.u32())
+func decodeWrites(d *ha.Decoder) []rmWrite {
+	n := int(d.U32())
 	var ws []rmWrite
-	for i := 0; i < n && !d.err; i++ {
-		w := rmWrite{Key: d.str()}
-		w.Del = d.boolv()
-		w.Val = d.blob()
-		if d.err {
+	for i := 0; i < n && d.Err() == nil; i++ {
+		w := rmWrite{Key: d.String()}
+		w.Del = d.Bool()
+		w.Val = d.Bytes()
+		if d.Err() != nil {
 			break
 		}
 		ws = append(ws, w)

@@ -348,10 +348,10 @@ func (s *Sharded) Get(ctx context.Context, key string) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	d := &wdec{buf: resp}
-	found := d.boolv()
+	d := ha.NewDecoder(resp)
+	found := d.Bool()
 	s.Reg.Counter("sharded_gets").Inc()
-	return d.blob(), found, nil
+	return d.Bytes(), found, nil
 }
 
 // Delete removes key (a versioned tombstone, so deletions survive

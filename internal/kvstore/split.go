@@ -40,8 +40,8 @@ func (s *Sharded) Split(key string) error {
 	if resp[0] != rspOK {
 		return fmt.Errorf("kvstore: split at %q: %w", key, ErrRangeBusy)
 	}
-	d := &wdec{buf: resp[1:]}
-	p := pendingChange{Split: true, Old: r.ID, New: d.u64(), Key: key}
+	d := ha.NewDecoder(resp[1:])
+	p := pendingChange{Split: true, Old: r.ID, New: d.U64(), Key: key}
 	if s.takeCrash("split") {
 		s.Reg.Counter("range_change_orphaned").Inc()
 		return ErrTxnOrphaned
@@ -65,7 +65,7 @@ func (s *Sharded) completeSplit(p pendingChange) error {
 			}
 			return ErrRangeBusy
 		}
-		d := &wdec{buf: resp[1:]}
+		d := ha.NewDecoder(resp[1:])
 		pairs := decodePairs(d)
 		// Old bounds of the source tell the new range its upper bound;
 		// refresh first so the lookup never sees a stale cache.
@@ -119,10 +119,10 @@ func (s *Sharded) Merge(key string) error {
 	if resp[0] != rspOK {
 		return fmt.Errorf("kvstore: merge at %q: %w", key, ErrRangeBusy)
 	}
-	d := &wdec{buf: resp[1:]}
-	rightID := d.u64()
-	d.u32() // right group (derivable; kept in the response for tooling)
-	rightLo := d.str()
+	d := ha.NewDecoder(resp[1:])
+	rightID := d.U64()
+	d.U32() // right group (derivable; kept in the response for tooling)
+	rightLo := d.String()
 	p := pendingChange{Old: left.ID, Right: rightID, Key: rightLo}
 	if s.takeCrash("merge") {
 		s.Reg.Counter("range_change_orphaned").Inc()
@@ -162,7 +162,7 @@ func (s *Sharded) completeMerge(p pendingChange) error {
 			}
 			return ErrRangeBusy
 		}
-		d := &wdec{buf: resp[1:]}
+		d := ha.NewDecoder(resp[1:])
 		pairs := decodePairs(d)
 		// Extend the left range's bounds and install the copied cells.
 		if _, _, err := s.proposeRange(p.Old, encRmAdopt(leftLo, rightHi, pairs)); err != nil {

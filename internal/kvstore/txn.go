@@ -128,7 +128,7 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 		return nil, fmt.Errorf("kvstore: txn %d begin: %w", id, ErrTxnOrphaned)
 	}
 	// The table's closedBelow rides on this transaction's range commands.
-	closed := (&wdec{buf: resp[1:]}).u64()
+	closed := ha.NewDecoder(resp[1:]).U64()
 	if resp[0] == rspAborted {
 		// A later id began first, closing this one: retry under a fresh id.
 		return nil, errRetryTxn
@@ -158,9 +158,9 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 		}
 		switch resp[0] {
 		case rspOK:
-			d := &wdec{buf: resp[1:]}
-			for _, k := range p.readKeys[:min(int(d.u32()), len(p.readKeys))] {
-				if found, val := d.boolv(), d.blob(); found && !d.err {
+			d := ha.NewDecoder(resp[1:])
+			for _, k := range p.readKeys[:min(int(d.U32()), len(p.readKeys))] {
+				if found, val := d.Bool(), d.Bytes(); found && d.Err() == nil {
 					readVals[k] = val
 				}
 			}
@@ -299,8 +299,8 @@ func (s *Sharded) RecoverTxns() (TxnRecovery, error) {
 			}
 			if resp[0] == rspCommitted {
 				// The coordinator committed between our scan and now.
-				d := &wdec{buf: resp[1:]}
-				rec.Ver = d.u64()
+				d := ha.NewDecoder(resp[1:])
+				rec.Ver = d.U64()
 				if err := s.resumeTxn(rec); err != nil {
 					return out, err
 				}

@@ -14,6 +14,12 @@
 // range commands.
 package kvstore
 
+import (
+	"encoding/binary"
+
+	"repro/internal/ha"
+)
+
 // Transaction record opcodes.
 const (
 	txOpBegin  = 0x01 // id, participant range ids, writes; answers closedBelow
@@ -40,14 +46,14 @@ type txnRec struct {
 }
 
 // txnBody reads past a participant list and write set and returns the
-// bytes that held them; d.err tells whether they were well formed.
-func txnBody(d *wdec) []byte {
-	body := d.buf
-	for n := int(d.u32()); n > 0 && !d.err; n-- {
-		d.u64()
+// bytes that held them; d.Err() tells whether they were well formed.
+func txnBody(d *ha.Decoder) []byte {
+	body := d.Rest()
+	for n := int(d.U32()); n > 0 && d.Err() == nil; n-- {
+		d.U64()
 	}
-	d.list(true)
-	return body[:len(body)-len(d.buf)]
+	list(d, true)
+	return body[:len(body)-len(d.Rest())]
 }
 
 // txnRecSnap is the query-side copy handed to recovery.
@@ -75,13 +81,13 @@ func (m *txnMachine) closedBelow() uint64 {
 func newTxnMachine() *txnMachine { return &txnMachine{recs: map[uint64]*txnRec{}} }
 
 func (m *txnMachine) Apply(cmd []byte) []byte {
-	d := &wdec{buf: cmd}
-	op := d.u8()
-	id := d.u64()
+	d := ha.NewDecoder(cmd)
+	op := d.U8()
+	id := d.U64()
 	switch op {
 	case txOpBegin:
 		body := txnBody(d)
-		if d.err {
+		if d.Err() != nil {
 			return status[rspConflict]
 		}
 		if _, ok := m.recs[id]; !ok {
@@ -96,8 +102,8 @@ func (m *txnMachine) Apply(cmd []byte) []byte {
 		return statusU64(rspOK, m.closedBelow())
 
 	case txOpCommit:
-		ver := d.u64()
-		if d.err {
+		ver := d.U64()
+		if d.Err() != nil {
 			return status[rspConflict]
 		}
 		rec, ok := m.recs[id]
@@ -116,7 +122,7 @@ func (m *txnMachine) Apply(cmd []byte) []byte {
 		return status[rspOK]
 
 	case txOpAbort:
-		if d.err {
+		if d.Err() != nil {
 			return status[rspConflict]
 		}
 		rec, ok := m.recs[id]
@@ -133,7 +139,7 @@ func (m *txnMachine) Apply(cmd []byte) []byte {
 		return status[rspOK]
 
 	case txOpDone:
-		if d.err {
+		if d.Err() != nil {
 			return status[rspConflict]
 		}
 		delete(m.recs, id)
@@ -148,7 +154,7 @@ func (m *txnMachine) snapshotRecs() []txnRecSnap {
 	out := make([]txnRecSnap, 0, len(m.recs))
 	for _, id := range sortedKeys(m.recs) {
 		r := m.recs[id]
-		d := &wdec{buf: r.body}
+		d := ha.NewDecoder(r.body)
 		out = append(out, txnRecSnap{
 			ID: id, Status: r.status, Ver: r.ver,
 			Parts: decodeU64s(d), Writes: decodeWrites(d),
@@ -163,11 +169,11 @@ func (m *txnMachine) Snapshot() []byte { return m.AppendSnapshot(nil) }
 
 func (m *txnMachine) AppendSnapshot(dst []byte) []byte {
 	recs := m.snapshotRecs()
-	buf := wAppendU32(wAppendU64(dst, m.next), uint32(len(recs)))
+	buf := binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(dst, m.next), uint32(len(recs)))
 	for _, r := range recs {
-		buf = wAppendU64(buf, r.ID)
+		buf = binary.BigEndian.AppendUint64(buf, r.ID)
 		buf = append(buf, r.Status)
-		buf = wAppendU64(buf, r.Ver)
+		buf = binary.BigEndian.AppendUint64(buf, r.Ver)
 		buf = appendU64s(buf, r.Parts)
 		buf = appendWrites(buf, r.Writes)
 	}
@@ -175,15 +181,15 @@ func (m *txnMachine) AppendSnapshot(dst []byte) []byte {
 }
 
 func (m *txnMachine) Restore(snap []byte) {
-	d := &wdec{buf: snap}
+	d := ha.NewDecoder(snap)
 	m.recs = map[uint64]*txnRec{}
-	m.next = d.u64()
-	n := int(d.u32())
-	for i := 0; i < n && !d.err; i++ {
-		id := d.u64()
-		rec := &txnRec{status: d.u8(), ver: d.u64()}
+	m.next = d.U64()
+	n := int(d.U32())
+	for i := 0; i < n && d.Err() == nil; i++ {
+		id := d.U64()
+		rec := &txnRec{status: d.U8(), ver: d.U64()}
 		rec.body = txnBody(d)
-		if d.err {
+		if d.Err() != nil {
 			break
 		}
 		m.recs[id] = rec
@@ -193,31 +199,31 @@ func (m *txnMachine) Restore(snap []byte) {
 // Command encoders.
 
 func encTxBegin(id uint64, parts []uint64, writes []rmWrite) []byte {
-	b := wAppendU64(frame(txOpBegin, 13+8*len(parts)+listLen(writes, writeLen)), id)
+	b := binary.BigEndian.AppendUint64(frame(txOpBegin, 13+8*len(parts)+listLen(writes, writeLen)), id)
 	b = appendU64s(b, parts)
 	return appendWrites(b, writes)
 }
 
 func encTxCommit(id, ver uint64) []byte {
-	return wAppendU64(wAppendU64(frame(txOpCommit, 17), id), ver)
+	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(frame(txOpCommit, 17), id), ver)
 }
 
-func encTxAbort(id uint64) []byte { return wAppendU64(frame(txOpAbort, 9), id) }
-func encTxDone(id uint64) []byte  { return wAppendU64(frame(txOpDone, 9), id) }
+func encTxAbort(id uint64) []byte { return binary.BigEndian.AppendUint64(frame(txOpAbort, 9), id) }
+func encTxDone(id uint64) []byte  { return binary.BigEndian.AppendUint64(frame(txOpDone, 9), id) }
 
 func appendU64s(b []byte, vs []uint64) []byte {
-	b = wAppendU32(b, uint32(len(vs)))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(vs)))
 	for _, v := range vs {
-		b = wAppendU64(b, v)
+		b = binary.BigEndian.AppendUint64(b, v)
 	}
 	return b
 }
 
-func decodeU64s(d *wdec) []uint64 {
-	n := int(d.u32())
+func decodeU64s(d *ha.Decoder) []uint64 {
+	n := int(d.U32())
 	var vs []uint64
-	for i := 0; i < n && !d.err; i++ {
-		vs = append(vs, d.u64())
+	for i := 0; i < n && d.Err() == nil; i++ {
+		vs = append(vs, d.U64())
 	}
 	return vs
 }

@@ -147,7 +147,7 @@ func TestWatermarkRangeTreatsLowerIdsAsFinished(t *testing.T) {
 
 func TestWatermarkTableRefusesLateBegin(t *testing.T) {
 	m := newTxnMachine()
-	closed := func(r []byte) uint64 { return (&wdec{buf: r[1:]}).u64() }
+	closed := func(r []byte) uint64 { return ha.NewDecoder(r[1:]).U64() }
 	if r := m.Apply(encTxBegin(5, nil, nil)); r[0] != rspOK || closed(r) != 5 {
 		t.Fatalf("begin 5 = % x, want OK closedBelow 5", r)
 	}

@@ -103,7 +103,7 @@ go test -count=50 -run 'TestFlapDeterminismAndUnflap' ./internal/chaos/
 go test -count=50 -run 'TestGroupTranscriptMatchesParent|TestGroupTranscriptSnapshotOverConflictingTail' ./internal/ha/
 go test -count=50 -run 'TestSnapshotOver' ./internal/consensus/
 
-echo "== scheduler, network model, overload, autoscaler, generator + stream runner pins (count=50) =="
+echo "== scheduler, network model, overload, autoscaler, generator, stream runner + replicated machine pins (count=50) =="
 # Every scheduling policy's result, every transport's Cost/Simulate output,
 # admission.Sim's defended/control/bad-node runs, E11's autoscaler runs,
 # the seeded workload generators and the checkpointed stream Runner, hashed
@@ -114,6 +114,13 @@ go test -count=50 -run 'TestSimMatchesParent' ./internal/admission/
 go test -count=50 -run 'TestSimulateMatchesParent' ./internal/elastic/
 go test -count=50 -run 'TestGeneratorsMatchParent' ./internal/workload/
 go test -count=50 -run 'TestRunnerMatchesParent' ./internal/stream/
+# The replicated machines' one decoder: the namenode's command stream and
+# the range directory's, hashed against constants from before the decoders
+# were merged; both namenode modes must fail alike, and a corrupt count
+# must not size an allocation.
+go test -count=50 -run 'TestNameMachineMatchesParent' ./internal/dfs/
+go test -count=50 -run 'TestGoldenDirMachineStream' ./internal/kvstore/
+go test -count=1 -run 'TestReplicatedErrorsMatchLocal|TestCountBombsRejectedBeforeAllocating' ./internal/dfs/ ./internal/ha/
 
 sh scripts/coverage.sh
 
