@@ -787,9 +787,10 @@ func (n *Node) Compact(index uint64, snapshot []byte) error {
 		return nil // already compacted
 	}
 	t, _ := n.termAt(index)
-	// A fresh array, so views already handed out stay valid, sized to the
-	// log before compaction: the next cycle refills it without regrowing.
-	n.entries = append(make([]Entry, 0, len(n.entries)), n.entries[index-n.offset:]...)
+	// A fresh array, so views already handed out stay valid, with the old
+	// array's capacity: a cycle longer than the last refills it without
+	// regrowing.
+	n.entries = append(make([]Entry, 0, cap(n.entries)), n.entries[index-n.offset:]...)
 	n.offset = index
 	n.snapTerm = t
 	n.snapData = snapshot

@@ -3,6 +3,7 @@ package ha
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/metrics"
@@ -148,5 +149,103 @@ func TestCompactionSharedSnapshotIsNeverWritten(t *testing.T) {
 		if !bytes.Equal(rep.snapshot(nil), want) {
 			t.Errorf("member %d diverged from the leader after revival from a shared snapshot", i)
 		}
+	}
+}
+
+// bigSM holds a fixed 64 KB of state; each command overwrites the 1 KB
+// slot its first byte names. Its snapshot is always the whole state.
+type bigSM struct{ state []byte }
+
+func newBigSM() StateMachine { return &bigSM{state: make([]byte, 64<<10)} }
+
+func (s *bigSM) Apply(cmd []byte) []byte { copy(s.state[int(cmd[0]%64)<<10:], cmd); return nil }
+func (s *bigSM) Snapshot() []byte        { return slices.Clone(s.state) }
+func (s *bigSM) Restore(snap []byte)     { copy(s.state, snap) }
+
+// A member snapshots once the entry bytes it applied since its last
+// compaction reach its stored snapshot's size: a group whose state is far
+// larger than its commands builds at most about one snapshot byte per
+// log byte, not one snapshot per CompactEvery entries.
+func TestCompactionBuildsAtMostASnapshotBytePerLogByte(t *testing.T) {
+	reg := metrics.NewRegistry()
+	g := NewGroup(Config{Seed: 42, Metrics: reg, Machines: map[string]func() StateMachine{"big": newBigSM}})
+	proposed := 0
+	cmd := make([]byte, 100)
+	for v := range 3000 {
+		cmd[0] = byte(v)
+		if _, err := g.Propose("big", cmd); err != nil {
+			t.Fatalf("Propose: %v", err)
+		}
+		proposed += len(cmd)
+	}
+	built, snapBytes := reg.Counter("ha_snapshots_built").Value(), reg.Counter("ha_snapshot_bytes").Value()
+	if limit := 2*int64(proposed) + 64<<10 + 64; built < 2 || snapBytes > limit {
+		t.Errorf("%d snapshots, %d bytes built for %d command bytes; want at least 2 and at most %d bytes",
+			built, snapBytes, proposed, limit)
+	}
+}
+
+// A machine whose snapshot is smaller than a few commands compacts on the
+// entry floor alone: after every CompactEvery+1 applied entries.
+func TestCompactionKeepsTheEntryFloorForTinyState(t *testing.T) {
+	reg := metrics.NewRegistry()
+	g := addGroup(t, Config{CompactEvery: 8, Metrics: reg})
+	const n = 90
+	for range n {
+		if _, err := g.Propose("add", encAdd(1)); err != nil {
+			t.Fatalf("Propose: %v", err)
+		}
+	}
+	settle(g, 20)
+	g.mu.Lock()
+	for id, rep := range g.reps {
+		if l := g.net.Node(id).LogLen(); l > 8 {
+			t.Errorf("member %d (applied %d) keeps %d live entries, more than CompactEvery", id, rep.applied, l)
+		}
+	}
+	g.mu.Unlock()
+	if got, want := reg.Counter("ha_compactions").Value(), int64(g.Members()*(n/9)); got < want {
+		t.Errorf("ha_compactions = %d after %d commands, want at least %d", got, n, want)
+	}
+}
+
+// A vanilla leader cut off from every peer keeps its leadership and takes
+// proposals it can never commit. Its live log outgrows CompactEvery while
+// it applies nothing new, so there is nothing to compact: the compaction
+// counters may move only in a round that moves some member's offset.
+func TestCompactionCountsOnlyCompactionsThatHappen(t *testing.T) {
+	reg := metrics.NewRegistry()
+	g := addGroup(t, Config{CompactEvery: 8, DisableHardening: true, Metrics: reg})
+	for range 20 {
+		if _, err := g.Propose("add", encAdd(1)); err != nil {
+			t.Fatalf("Propose: %v", err)
+		}
+	}
+	settle(g, 20)
+	g.mu.Lock()
+	lead := g.net.Leader()
+	g.net.Partition([]int{lead})
+	for v := range 12 {
+		if !g.net.Propose(encodeEnvelope(1000+uint64(v), "add", encAdd(1))) {
+			t.Fatalf("proposal %d to the cut-off leader %d was refused", v, lead)
+		}
+	}
+	held := g.net.Node(lead).LogLen()
+	g.mu.Unlock()
+	if held <= 8 {
+		t.Fatalf("the cut-off leader holds %d live entries; test needs retuning", held)
+	}
+	compactions, built := reg.Counter("ha_compactions"), reg.Counter("ha_snapshots_built")
+	for tick := range 50 {
+		offs, _ := stored(g)
+		c, b := compactions.Value(), built.Value()
+		settle(g, 1)
+		if now, _ := stored(g); slices.Equal(offs, now) && (compactions.Value() != c || built.Value() != b) {
+			t.Fatalf("tick %d: offsets stay %v, but ha_compactions %d -> %d and ha_snapshots_built %d -> %d",
+				tick, offs, c, compactions.Value(), b, built.Value())
+		}
+	}
+	if g.Leader() != lead {
+		t.Fatalf("leader %d lost its leadership; the test needs it to keep proposing", lead)
 	}
 }

@@ -76,8 +76,10 @@ type Config struct {
 	// This is what lets a sharded data plane mint per-range state
 	// machines ("range-7") on demand over a fixed set of Raft groups.
 	Dynamic func(name string) StateMachine
-	// CompactEvery compacts a member's log (recording a state-machine
-	// snapshot) whenever its live length exceeds this. Default 128.
+	// CompactEvery is the entry floor of log compaction: a member
+	// compacts its log (recording a state-machine snapshot) once its live
+	// length exceeds this and the entry bytes it applied since its last
+	// compaction reach the length of the snapshot it stores. Default 128.
 	CompactEvery int
 	// MaxOpTicks bounds how many virtual ticks one Propose or Query may
 	// spend waiting out elections before giving up. Default 500.
@@ -119,6 +121,7 @@ type replica struct {
 	applied  uint64                         // log index of the last applied entry
 	lastSeq  uint64                         // highest command sequence applied
 	lastResp []byte                         // response of lastSeq
+	logBytes int                            // entry bytes applied since the stored snapshot
 }
 
 // Group is a replicated-state-machine group. Safe for concurrent use:
@@ -262,14 +265,18 @@ func (g *Group) tickLocked() {
 
 // applyCommittedLocked is the network's AfterRound: it feeds live member
 // id's newly committed entries (or an installed snapshot) into its
-// replica, then compacts a long log.
+// replica, then compacts a long log. A member compacts once it has
+// applied as many entry bytes as its stored snapshot holds (the Raft
+// dissertation's §5.1.3 rule), so building snapshots costs about one
+// byte per log byte however large the state is; CompactEvery is the
+// entry floor, and a member that applied nothing new keeps its snapshot.
 func (g *Group) applyCommittedLocked(id int) {
 	n, rep := g.net.Node(id), g.reps[id]
 	if off, snap := n.Snapshot(); off > rep.applied {
 		// The log below off was compacted away and a snapshot installed:
 		// replace the replica state wholesale.
 		rep.restore(snap)
-		rep.applied = off
+		rep.applied, rep.logBytes = off, 0
 		g.m.snapRestores.Inc()
 	}
 	for _, e := range n.CommittedEntries() {
@@ -278,9 +285,12 @@ func (g *Group) applyCommittedLocked(id int) {
 		}
 		rep.apply(e.Data)
 		rep.applied = e.Index
+		rep.logBytes += len(e.Data)
 	}
-	if n.LogLen() > g.cfg.CompactEvery {
-		_ = n.Compact(rep.applied, g.snapshotLocked(rep))
+	off, snap := n.Snapshot()
+	if n.LogLen() > g.cfg.CompactEvery && rep.applied > off && rep.logBytes >= len(snap) &&
+		n.Compact(rep.applied, g.snapshotLocked(rep)) == nil {
+		rep.logBytes = 0
 		g.m.compactions.Inc()
 	}
 }
@@ -495,6 +505,7 @@ func (g *Group) ReviveMember(id int) error {
 	for _, e := range n.CommittedSince(rep.applied) {
 		rep.apply(e.Data)
 		rep.applied = e.Index
+		rep.logBytes += len(e.Data)
 	}
 	g.reps[id] = rep
 	g.net.Restart(id)

@@ -40,8 +40,13 @@ go test -race -count=20 -run 'TestEFTShapes' ./internal/experiments/
 
 echo "== log compaction + txn watermark (race, count=3) =="
 # Count-based protocol tests: bounded finished-txn table, shared
-# compaction snapshots. No wall clock, so -count=3 on two cores is cheap.
+# compaction snapshots, the byte rule (a member snapshots once it has
+# applied as many log bytes as its last snapshot holds) and counters that
+# move only with an offset. No wall clock, so -count=3 on two cores is cheap.
 go test -race -count=3 -run 'TestWatermark|TestCompaction' ./internal/kvstore ./internal/ha
+# The byte rule's regression pins without -race, repeated: no compaction
+# counted while nothing moves, and kv_txn's bytes per iteration.
+go test -count=20 -run 'TestCompactionCountsOnlyCompactionsThatHappen|TestShardedTxnMixByteCeiling' ./internal/ha ./internal/kvstore
 
 echo "== quorum ring under fault toggles (race, count=3) =="
 # Liveness, the stale-read flag and the version clock are atomics that
