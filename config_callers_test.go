@@ -26,7 +26,6 @@ var configSeams = map[string]string{
 	"core.Config.RetryBackoff":          "query and table tests turn retry backoff off; chaos tests lengthen it",
 	"core.Config.SpeculationMin":        "chaos tests lower the straggler floor",
 	"gossip.Config":                     "the package is imported by nothing; seed tests bind it",
-	"ha.Config.CompactEvery":            "compaction, journal and transcript tests lower the compaction entry floor",
 	"ha.Config.DisableHardening":        "transcript and gray-failure tests run the vanilla-Raft control",
 	"ha.Config.MaxOpTicks":              "transcript and gray-failure tests bound the ticks one proposal may take",
 	"hpbdc.Config.ForceSortShuffle":     "public API: the E2 ablation switch, passed on to core.Config",

@@ -255,11 +255,6 @@ func (c *Context) Report(job string) *obs.Report {
 // was set. Useful for asserting Done() after a run and for manual ticks.
 func (c *Context) Chaos() *chaos.Controller { return c.chaos }
 
-// ControlPlane exposes the replicated control-plane group, or nil unless
-// Config.HA was set. Useful for crashing/reviving members and reading
-// failover metrics in tests and experiments.
-func (c *Context) ControlPlane() *ha.Group { return c.group }
-
 // Cluster exposes the executor cluster (failure injection, capacity).
 func (c *Context) Cluster() *cluster.Cluster { return c.cluster }
 

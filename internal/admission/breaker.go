@@ -24,17 +24,6 @@ const (
 	BreakerHalfOpen
 )
 
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
 // BreakerConfig configures a Breaker.
 type BreakerConfig struct {
 	// Threshold is how many consecutive failures trip the breaker.

@@ -82,9 +82,6 @@ func New(cfg Config) *Cluster {
 // Fabric returns the cluster's network fabric.
 func (c *Cluster) Fabric() *netsim.Fabric { return c.fabric }
 
-// Topology returns the cluster's topology.
-func (c *Cluster) Topology() *topology.Topology { return c.fabric.Topology() }
-
 // Size returns the node count.
 func (c *Cluster) Size() int { return len(c.nodes) }
 
@@ -101,9 +98,6 @@ func (c *Cluster) Node(id topology.NodeID) (*Node, error) {
 	}
 	return c.nodes[id], nil
 }
-
-// ID returns the node's identity.
-func (n *Node) ID() topology.NodeID { return n.id }
 
 // Alive reports whether the node is up.
 func (n *Node) Alive() bool {

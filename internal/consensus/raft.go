@@ -25,17 +25,6 @@ const (
 	Leader
 )
 
-func (s StateType) String() string {
-	switch s {
-	case Follower:
-		return "follower"
-	case Candidate:
-		return "candidate"
-	default:
-		return "leader"
-	}
-}
-
 // Entry is one log slot.
 type Entry struct {
 	Term  uint64

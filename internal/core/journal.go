@@ -23,19 +23,13 @@ var errCoordCrashed = errors.New("core: coordinator crashed")
 // instead of recomputing everything. Implemented by ha.Journal for a
 // Raft-replicated log; tests use an in-memory one.
 type Journal interface {
-	// Append durably adds one record.
-	Append(rec []byte) error
+	// Append durably adds one record. tc is the causal trace context of
+	// the stage being recorded (zero when there is none): ha.Journal
+	// threads it onto the Raft proposal so the consensus round appears in
+	// the job's cross-node timeline.
+	Append(rec []byte, tc trace.TraceContext) error
 	// Replay returns every record in append order.
 	Replay() ([][]byte, error)
-}
-
-// CtxJournal is optionally implemented by journals that can carry the
-// causal trace context of the stage whose completion is being recorded
-// — ha.Journal threads it onto the underlying Raft proposal so the
-// consensus round appears in the job's cross-node timeline. Journals
-// without it get plain Append.
-type CtxJournal interface {
-	AppendCtx(rec []byte, tc trace.TraceContext) error
 }
 
 // SetJournal attaches a progress journal after construction (the
@@ -189,13 +183,7 @@ func (e *Engine) journalStage(p *Plan, st *shuffleState, tc trace.TraceContext) 
 	}
 	st.mu.Unlock()
 	rec := journalRecord{kind: "stage", fp: e.fingerprintOf(p.id), planID: p.id, owners: strings.Join(owners, ",")}
-	var err error
-	if cj, ok := j.(CtxJournal); ok && tc.Valid() {
-		err = cj.AppendCtx(rec.encode(), tc)
-	} else {
-		err = j.Append(rec.encode())
-	}
-	if err != nil {
+	if err := j.Append(rec.encode(), tc); err != nil {
 		e.Reg.Counter("journal_append_failures").Inc()
 	}
 }
@@ -210,7 +198,7 @@ func (e *Engine) journalCheckpoint(p *Plan) {
 	fps := map[int]uint64{}
 	collectPlans(p, plans, fps)
 	rec := journalRecord{kind: "ckpt", fp: fps[p.id], planID: p.id}
-	if err := j.Append(rec.encode()); err != nil {
+	if err := j.Append(rec.encode(), trace.TraceContext{}); err != nil {
 		e.Reg.Counter("journal_append_failures").Inc()
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/serde"
 	"repro/internal/shuffle"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 // memJournal is an in-process Journal for tests; production uses the
@@ -17,7 +18,7 @@ type memJournal struct {
 	recs [][]byte
 }
 
-func (j *memJournal) Append(rec []byte) error {
+func (j *memJournal) Append(rec []byte, _ trace.TraceContext) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.recs = append(j.recs, append([]byte(nil), rec...))

@@ -175,9 +175,6 @@ func newDFS(cfg Config, meta metaBackend) *DFS {
 	return d
 }
 
-// BlockSize returns the configured split size.
-func (d *DFS) BlockSize() int64 { return d.cfg.BlockSize }
-
 // Create opens a new file for writing with the default replication and no
 // placement hint.
 func (d *DFS) Create(path string) (*Writer, error) {

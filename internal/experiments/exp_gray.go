@@ -16,8 +16,10 @@ import (
 )
 
 const (
-	grayNodes   = 5
-	grayHorizon = 300
+	// GrayNodes and GrayHorizon size every gray run: a 5-node cluster
+	// probed once a tick for 300 ticks.
+	GrayNodes   = 5
+	GrayHorizon = 300
 
 	// Defended bounds: the hardened cluster may lose at most this much
 	// availability while a connected majority exists (one step-down plus
@@ -33,8 +35,15 @@ const (
 	grayCtlUnavail   = 10
 )
 
-// graySchedules are the asymmetric fault shapes the sweep covers, sized
-// for a 5-node cluster with the leader rigged to node 0.
+// GraySchedule is one named fault shape of the gray-failure sweep.
+type GraySchedule struct {
+	Name  string
+	Sched chaos.Schedule
+}
+
+// GraySchedules are the asymmetric fault shapes the sweep covers, sized
+// for a 5-node cluster with the leader rigged to node 0. The avail BENCH
+// family replays the same three.
 //
 //   - one-way: nodes 0-3 stop reaching node 4 (it still sends) — the
 //     inbound-isolated node whose escaping campaigns livelock vanilla Raft.
@@ -44,23 +53,39 @@ const (
 //   - flap: every directed link flips with p=0.25 per tick for 100 ticks —
 //     the flapping-NIC shape; randomized election backoff keeps the
 //     defended cluster from synchronized re-election storms.
-func graySchedules() []struct{ name, text string } {
-	return []struct{ name, text string }{
+func GraySchedules() []GraySchedule {
+	var out []GraySchedule
+	for _, gs := range []struct{ name, text string }{
 		{"one-way", "4 link-cut 0-3 4\n154 link-heal 0-3 4\n"},
 		{"partial", "4 partial-partition 0|2-4\n154 heal\n"},
 		{"flap", "4 flap 0-4 0-4 0.25\n104 unflap 0-4 0-4\n105 heal\n"},
+	} {
+		sched, err := chaos.Parse(gs.text)
+		if err != nil {
+			panic(fmt.Sprintf("E-GRAY: %s: %v", gs.name, err))
+		}
+		out = append(out, GraySchedule{gs.name, sched})
 	}
+	return out
 }
 
-// grayRun drives one cluster through a gray schedule, probing with one
-// commit-confirmed proposal per tick, and returns the availability report
-// plus the term growth and step-down counts.
-func grayRun(hardened bool, sched chaos.Schedule, seed uint64) (check.AvailReport, uint64, uint64) {
+// GrayResult is one gray run: the availability report, MaxTerm growth
+// from boot, step-downs, and how many probes committed in how many
+// delivery rounds in total.
+type GrayResult struct {
+	Avail                check.AvailReport
+	TermDelta, StepDowns uint64
+	Committed, Rounds    int64
+}
+
+// GrayRun drives one cluster through a gray schedule, probing with one
+// commit-confirmed proposal per tick.
+func GrayRun(hardened bool, sched chaos.Schedule, seed uint64) GrayResult {
 	var c *consensus.Cluster
 	if hardened {
-		c = consensus.NewHardenedCluster(grayNodes, seed)
+		c = consensus.NewHardenedCluster(GrayNodes, seed)
 	} else {
-		c = consensus.NewCluster(grayNodes, seed)
+		c = consensus.NewCluster(GrayNodes, seed)
 	}
 	if l := c.RunUntilLeader(400); l < 0 {
 		panic("E-GRAY: no boot leader")
@@ -69,17 +94,23 @@ func grayRun(hardened bool, sched chaos.Schedule, seed uint64) (check.AvailRepor
 		panic("E-GRAY: could not rig leader to node 0")
 	}
 	reg := metrics.NewRegistry()
-	ctl := chaos.New(sched, seed, chaos.Targets{Nodes: grayNodes, Consensus: c}, reg)
+	ctl := chaos.New(sched, seed, chaos.Targets{Nodes: GrayNodes, Consensus: c}, reg)
 	boot := c.MaxTerm()
 
-	pts := make([]check.AvailPoint, 0, grayHorizon)
-	for tick := int64(1); tick <= grayHorizon; tick++ {
+	var res GrayResult
+	pts := make([]check.AvailPoint, 0, GrayHorizon)
+	for tick := int64(1); tick <= GrayHorizon; tick++ {
 		ctl.AdvanceTo(tick)
 		c.Tick()
-		_, ok := c.ProposeAndCountRounds([]byte{byte(tick), byte(tick >> 8)})
+		rounds, ok := c.ProposeAndCountRounds([]byte{byte(tick), byte(tick >> 8)})
+		if ok {
+			res.Committed++
+			res.Rounds += int64(rounds)
+		}
 		pts = append(pts, check.AvailPoint{T: tick, OK: ok, MajorityConnected: c.HasConnectedMajority()})
 	}
-	return check.Availability(pts), c.MaxTerm() - boot, c.StepDowns()
+	res.Avail, res.TermDelta, res.StepDowns = check.Availability(pts), c.MaxTerm()-boot, c.StepDowns()
+	return res
 }
 
 // EGRAYGrayFailures measures gray-failure tolerance: asymmetric faults
@@ -103,14 +134,10 @@ func EGRAYGrayFailures(p Params) *Table {
 
 	var entries []chaosEntry
 	if p.Chaos != "" {
-		entries = customChaos(t.ID, p.Chaos, grayNodes)
+		entries = customChaos(t.ID, p.Chaos, GrayNodes)
 	} else {
-		for _, gs := range graySchedules() {
-			sched, err := chaos.Parse(gs.text)
-			if err != nil {
-				panic(fmt.Sprintf("E-GRAY: %s: %v", gs.name, err))
-			}
-			entries = append(entries, chaosEntry{gs.name, sched})
+		for _, gs := range GraySchedules() {
+			entries = append(entries, chaosEntry{gs.Name, gs.Sched})
 		}
 	}
 	seeds := pick(p.Scale, []uint64{7}, []uint64{1, 7, 42})
@@ -122,7 +149,8 @@ func EGRAYGrayFailures(p Params) *Table {
 		for _, seed := range seeds {
 			for _, mode := range []string{"control", "defended"} {
 				hardened := mode == "defended"
-				rep, termDelta, stepdowns := grayRun(hardened, e.sched, seed)
+				run := GrayRun(hardened, e.sched, seed)
+				rep, termDelta, stepdowns := run.Avail, run.TermDelta, run.StepDowns
 				job := fmt.Sprintf("E-GRAY/%s/seed-%d/%s", e.name, seed, mode)
 
 				var diff check.Diff
@@ -268,9 +296,13 @@ func (r *regSM) Restore(snap []byte) {
 // grayRegKV adapts the ha.Group register to the check.QuorumKV surface.
 type grayRegKV struct{ g *ha.Group }
 
+// newGrayRegKV builds the register's group. It compacts every 8 entries,
+// so while the deposed leader is cut off inbound the other two compact
+// past it, and the heal catches it up with an InstallSnapshot: this is
+// how a -small run reaches snapshot install (scripts/reach.sh checks it).
 func newGrayRegKV(seed uint64) (grayRegKV, *ha.Group) {
 	g := ha.NewGroup(ha.Config{
-		Members: 3, Seed: seed,
+		Members: 3, Seed: seed, CompactEvery: 8,
 		Machines: map[string]func() ha.StateMachine{"reg": newRegSM},
 	})
 	return grayRegKV{g: g}, g

@@ -126,31 +126,39 @@ func ovlQuotas(tenants []workload.TenantSpec, capacity float64) []admission.Tena
 	return qs
 }
 
-// ovlConfig assembles a SimConfig for one sweep point. Every control
-// knob derives from the measured mean service latency, so the experiment
-// self-scales to whatever the fabric actually costs.
-func ovlConfig(c *ovlCluster, mult float64, capacity float64, mean, dur time.Duration, admissionOn bool, seed uint64) admission.SimConfig {
-	cfg := admission.SimConfig{
-		Tenants:     ovlTenants(mult * capacity),
+// OverloadConfig assembles a defended sweep point against a quorum store
+// at the offered rate (ops/sec). Every control knob derives from the
+// measured mean service latency, so the run self-scales to whatever the
+// fabric actually costs. The kv BENCH family runs it at twice capacity.
+func OverloadConfig(store *kvstore.Store, nodes int, offered, capacity float64, mean, dur time.Duration, seed uint64) admission.SimConfig {
+	c := &ovlCluster{store: store, nodes: nodes}
+	tenants := ovlTenants(offered)
+	return admission.SimConfig{
+		Tenants:     tenants,
 		Duration:    dur,
 		Seed:        seed,
-		Nodes:       c.nodes,
+		Nodes:       nodes,
 		Deadline:    50 * mean,
 		MaxAttempts: 3,
 		Backoff:     5 * mean,
+		RetryRatio:  0.1,
 		WindowWidth: dur / 8,
-	}
-	if admissionOn {
-		cfg.Serve = c.serveCtx
-		cfg.Admission = &admission.Config{
-			Tenants:  ovlQuotas(cfg.Tenants, capacity),
+		Serve:       c.serveCtx,
+		Admission: &admission.Config{
+			Tenants:  ovlQuotas(tenants, capacity),
 			Target:   4 * mean,
 			Interval: 40 * mean,
 			MaxQueue: 256,
-		}
-		cfg.RetryRatio = 0.1
-	} else {
-		cfg.Serve = c.serveLegacy
+		},
+	}
+}
+
+// ovlConfig is one sweep point on c: OverloadConfig, or with admission
+// off the undefended legacy path with no retry budget.
+func ovlConfig(c *ovlCluster, mult float64, capacity float64, mean, dur time.Duration, admissionOn bool, seed uint64) admission.SimConfig {
+	cfg := OverloadConfig(c.store, c.nodes, mult*capacity, capacity, mean, dur, seed)
+	if !admissionOn {
+		cfg.Serve, cfg.Admission, cfg.RetryRatio = c.serveLegacy, nil, 0
 	}
 	return cfg
 }

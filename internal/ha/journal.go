@@ -65,17 +65,10 @@ func NewJournal(g *Group, machine string) *Journal {
 	return &Journal{g: g, machine: machine}
 }
 
-// Append replicates one record.
-func (j *Journal) Append(rec []byte) error {
-	_, err := j.g.Propose(j.machine, rec)
-	return err
-}
-
-// AppendCtx replicates one record with the caller's trace context
-// threaded onto the Raft proposal, satisfying core.CtxJournal: the
-// stage-completion commit shows up in the job's timeline as a consensus
-// span under the stage that journaled it.
-func (j *Journal) AppendCtx(rec []byte, tc trace.TraceContext) error {
+// Append replicates one record, with tc threaded onto the Raft proposal
+// so the commit shows up in the job's timeline as a consensus span under
+// the stage that journaled it.
+func (j *Journal) Append(rec []byte, tc trace.TraceContext) error {
 	_, err := j.g.ProposeCtx(j.machine, rec, tc)
 	return err
 }

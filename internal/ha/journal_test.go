@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 func journalGroup(t *testing.T, cfg Config) (*Group, *Journal) {
@@ -23,7 +24,7 @@ func TestJournalAppendReplay(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		rec := fmt.Sprintf("stage %d done", i)
 		want = append(want, rec)
-		if err := j.Append([]byte(rec)); err != nil {
+		if err := j.Append([]byte(rec), trace.TraceContext{}); err != nil {
 			t.Fatalf("Append(%q): %v", rec, err)
 		}
 	}
@@ -44,7 +45,7 @@ func TestJournalAppendReplay(t *testing.T) {
 func TestJournalSurvivesLeaderCrash(t *testing.T) {
 	g, j := journalGroup(t, Config{})
 	for i := 0; i < 3; i++ {
-		if err := j.Append([]byte(fmt.Sprintf("rec %d", i))); err != nil {
+		if err := j.Append([]byte(fmt.Sprintf("rec %d", i)), trace.TraceContext{}); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -52,7 +53,7 @@ func TestJournalSurvivesLeaderCrash(t *testing.T) {
 		t.Fatalf("CrashMember: %v", err)
 	}
 	for i := 3; i < 5; i++ {
-		if err := j.Append([]byte(fmt.Sprintf("rec %d", i))); err != nil {
+		if err := j.Append([]byte(fmt.Sprintf("rec %d", i)), trace.TraceContext{}); err != nil {
 			t.Fatalf("Append after leader crash: %v", err)
 		}
 	}
@@ -92,7 +93,7 @@ func TestJournalCompactionKeepsHistory(t *testing.T) {
 	reg := metrics.NewRegistry()
 	g, j := journalGroup(t, Config{CompactEvery: 8, Metrics: reg})
 	for i := 0; i < 30; i++ {
-		if err := j.Append([]byte(fmt.Sprintf("rec %d", i))); err != nil {
+		if err := j.Append([]byte(fmt.Sprintf("rec %d", i)), trace.TraceContext{}); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}

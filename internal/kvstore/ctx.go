@@ -77,19 +77,3 @@ func (s *Store) PutCtx(ctx context.Context, coordinator topology.NodeID, key str
 	}
 	return lat, err
 }
-
-// DeleteCtx is Delete with cancellation and virtual-deadline
-// propagation; overruns carry the same write ambiguity as PutCtx.
-func (s *Store) DeleteCtx(ctx context.Context, coordinator topology.NodeID, key string) (time.Duration, error) {
-	budget, has, err := ctxGate(ctx)
-	if err != nil {
-		s.Reg.Counter("deadline_exceeded").Inc()
-		return 0, err
-	}
-	lat, err := s.Delete(coordinator, key)
-	if has && lat > budget {
-		s.Reg.Counter("deadline_exceeded").Inc()
-		return budget, ErrDeadlineExceeded
-	}
-	return lat, err
-}

@@ -19,7 +19,7 @@ func TestCtxOpsPassThrough(t *testing.T) {
 	if err != nil || string(v) != "v" {
 		t.Fatalf("GetCtx = %q, %v", v, err)
 	}
-	if _, err := s.DeleteCtx(ctx, 0, "k"); err != nil {
+	if _, err := s.Delete(0, "k"); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.GetCtx(ctx, 1, "k"); !errors.Is(err, ErrNotFound) {
@@ -66,18 +66,6 @@ func TestCtxDeadline(t *testing.T) {
 	ample := admission.WithBudget(context.Background(), time.Second)
 	if _, _, err := s.GetCtx(ample, 0, "k"); err != nil {
 		t.Fatalf("ample budget: %v", err)
-	}
-
-	// DeleteCtx carries the same contract: expired budget is O(1)
-	// rejection, an overrun is ambiguous but here durable.
-	if _, err := s.DeleteCtx(dead, 0, "k"); !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("expired-budget delete: %v", err)
-	}
-	if _, err := s.DeleteCtx(tiny, 0, "k"); !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("tiny-budget delete: %v", err)
-	}
-	if _, _, err := s.Get(0, "k"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("ambiguous delete not durable: %v", err)
 	}
 
 	// Cancellation maps to context.Canceled, distinct from deadline.

@@ -296,8 +296,6 @@ func (m *dirMachine) pendingChanges() []pendingChange {
 	return append([]pendingChange(nil), m.pend...)
 }
 
-func (m *dirMachine) epochVal() uint64 { return m.epoch }
-
 func (m *dirMachine) Snapshot() []byte { return m.AppendSnapshot(nil) }
 
 func (m *dirMachine) AppendSnapshot(dst []byte) []byte {

@@ -221,7 +221,7 @@ func TestDirectoryEpochAdvancesOnTopologyChange(t *testing.T) {
 	epoch := func() uint64 {
 		var e uint64
 		if err := s.groups[0].Query(dirMachineName, func(sm ha.StateMachine) error {
-			e = sm.(*dirMachine).epochVal()
+			e = sm.(*dirMachine).epoch
 			return nil
 		}); err != nil {
 			t.Fatalf("dir query: %v", err)

@@ -68,14 +68,6 @@ func (w *WindowedHistogram) ObserveDuration(at, d time.Duration) {
 	w.Observe(at, int64(d))
 }
 
-// Width returns the window width.
-func (w *WindowedHistogram) Width() time.Duration {
-	if w == nil {
-		return 0
-	}
-	return w.width
-}
-
 // WindowSample is one window of the trajectory: its start offset, how
 // many observations landed in it, and their distribution summary.
 type WindowSample struct {

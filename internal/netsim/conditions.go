@@ -143,13 +143,6 @@ func (f *Fabric) Heal() {
 	}
 }
 
-// Partitioned reports whether a partition or any directed cut is currently
-// in effect.
-func (f *Fabric) Partitioned() bool {
-	c := f.cond.Load()
-	return c != nil && (c.groupOf != nil || len(c.cut) > 0)
-}
-
 // Reachable reports whether src can currently transfer to dst. Same-node
 // transfers are always reachable (local memory never partitions away).
 // Reachability is directed: a one-way cut blocks src->dst while dst->src
@@ -192,12 +185,6 @@ func (f *Fabric) SetNodeDegrade(n topology.NodeID, factor float64) {
 		c.degrade[n] = factor
 	}
 	f.cond.Store(c)
-}
-
-// ClearConditions drops every partition, link cut and degradation,
-// restoring the clean fabric.
-func (f *Fabric) ClearConditions() {
-	f.cond.Store(&conditions{})
 }
 
 // degradeFactor returns the slowdown multiplier for a src->dst transfer:

@@ -30,15 +30,15 @@ import (
 	"hash"
 	"hash/fnv"
 	"sort"
+	"strings"
 	"time"
 
 	hpbdc "repro"
 	"repro/internal/admission"
-	"repro/internal/chaos"
 	"repro/internal/check"
 	"repro/internal/cluster"
-	"repro/internal/consensus"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/kvstore"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -266,7 +266,7 @@ func runKV(r *Result, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	ovl := admission.NewSim(overloadSimConfig(ovlStore, nodes, capacity, mean, seed)).Run()
+	ovl := admission.NewSim(experiments.OverloadConfig(ovlStore, nodes, 2*capacity, capacity, mean, kvOverload, seed)).Run()
 	r.addWindows(ovl.Windows, virtual)
 	r.Shape["overload_offered"] = ovl.Offered
 	r.Shape["overload_goodput"] = ovl.Goodput
@@ -334,64 +334,6 @@ func runKV(r *Result, seed uint64) error {
 	r.Metrics["txn_p99_ns"] = float64(txnTotal.P99)
 	r.Metrics["txn_virtual_elapsed_ns"] = float64(sh.VirtualCost())
 	return nil
-}
-
-// overloadSimConfig assembles the kv family's fixed overload run: three
-// equal-weight YCSB tenants at twice the measured capacity, quotas at
-// 95% of capacity, CoDel and deadline knobs scaled off the measured
-// mean service latency (the same sizing rule E-OVL uses).
-func overloadSimConfig(store *kvstore.Store, nodes int, capacity float64, mean time.Duration, seed uint64) admission.SimConfig {
-	tenants := make([]workload.TenantSpec, 3)
-	for i, m := range []string{"A", "B", "C"} {
-		rf, _ := workload.YCSBMix(m)
-		tenants[i] = workload.TenantSpec{
-			ID:         "ycsb-" + m,
-			RatePerSec: 2 * capacity / 3,
-			Weight:     1,
-			Priority:   i,
-			ReadFrac:   rf,
-			Keys:       kvKeys,
-			Skew:       kvSkew,
-			ValueSize:  kvValueSize,
-		}
-	}
-	ids := make([]string, len(tenants))
-	weights := make([]float64, len(tenants))
-	prios := make([]int, len(tenants))
-	for i, t := range tenants {
-		ids[i], weights[i], prios[i] = t.ID, t.Weight, t.Priority
-	}
-	quotas := admission.QuotasFor(ids, weights, prios, 0.95*capacity)
-	for i := range quotas {
-		quotas[i].Burst = quotas[i].Rate * 0.02
-	}
-	return admission.SimConfig{
-		Tenants:     tenants,
-		Duration:    kvOverload,
-		Seed:        seed,
-		Nodes:       nodes,
-		Deadline:    50 * mean,
-		MaxAttempts: 3,
-		Backoff:     5 * mean,
-		RetryRatio:  0.1,
-		WindowWidth: kvOverload / 8,
-		Admission: &admission.Config{
-			Tenants:  quotas,
-			Target:   4 * mean,
-			Interval: 40 * mean,
-			MaxQueue: 256,
-		},
-		Serve: func(ctx context.Context, op workload.Op, coord topology.NodeID) (time.Duration, error) {
-			if op.Kind == workload.OpPut {
-				return store.PutCtx(ctx, coord, op.Key, op.Value)
-			}
-			_, lat, err := store.GetCtx(ctx, coord, op.Key)
-			if err == kvstore.ErrNotFound {
-				err = nil
-			}
-			return lat, err
-		},
-	}
 }
 
 // ---- shuffle ---------------------------------------------------------------
@@ -660,7 +602,7 @@ func runQuery(r *Result, seed uint64) error {
 
 // ---- avail -----------------------------------------------------------------
 
-// runAvail replays the gray-failure availability sweep as a trajectory:
+// runAvail replays E-GRAY's runs (experiments.GrayRun) as a trajectory:
 // three asymmetric fault schedules (one-way inbound isolation, a
 // non-transitive partial partition, link flapping) against a 5-node Raft
 // cluster, control (vanilla) vs defended (PreVote + CheckQuorum +
@@ -671,75 +613,37 @@ func runQuery(r *Result, seed uint64) error {
 // regression (say, a PreVote bug reintroducing term inflation) moves the
 // committed file the same way a lost record moves the shuffle checksum.
 func runAvail(r *Result, seed uint64) error {
-	const nodes = 5
-	const horizon = 300
 	// One virtual tick is modeled as 1ms for window bookkeeping.
 	const tickNs = int64(time.Millisecond)
 
-	schedules := []struct{ name, text string }{
-		{"one_way", "4 link-cut 0-3 4\n154 link-heal 0-3 4\n"},
-		{"partial", "4 partial-partition 0|2-4\n154 heal\n"},
-		{"flap", "4 flap 0-4 0-4 0.25\n104 unflap 0-4 0-4\n105 heal\n"},
-	}
-
-	r.setParams(map[string]any{"nodes": nodes, "horizon": horizon})
+	r.setParams(map[string]any{"nodes": experiments.GrayNodes, "horizon": experiments.GrayHorizon})
 	var offset, totalProbes, totalFailed int64
-	for _, sc := range schedules {
-		sched, err := chaos.Parse(sc.text)
-		if err != nil {
-			return fmt.Errorf("%s: %w", sc.name, err)
-		}
+	for _, gs := range experiments.GraySchedules() {
 		for _, mode := range []string{"control", "defended"} {
-			var c *consensus.Cluster
-			if mode == "defended" {
-				c = consensus.NewHardenedCluster(nodes, seed)
-			} else {
-				c = consensus.NewCluster(nodes, seed)
-			}
-			if l := c.RunUntilLeader(400); l < 0 {
-				return fmt.Errorf("%s/%s: no boot leader", sc.name, mode)
-			}
-			if !c.TransferLeadership(0, 80) {
-				return fmt.Errorf("%s/%s: could not rig leader", sc.name, mode)
-			}
-			ctl := chaos.New(sched, seed, chaos.Targets{Nodes: nodes, Consensus: c}, nil)
-			boot := c.MaxTerm()
-
-			pts := make([]check.AvailPoint, 0, horizon)
-			var ok, commitRounds int64
-			for tick := int64(1); tick <= horizon; tick++ {
-				ctl.AdvanceTo(tick)
-				c.Tick()
-				rounds, committed := c.ProposeAndCountRounds([]byte{byte(tick), byte(tick >> 8)})
-				if committed {
-					ok++
-					commitRounds += int64(rounds)
-				}
-				pts = append(pts, check.AvailPoint{T: tick, OK: committed, MajorityConnected: c.HasConnectedMajority()})
-			}
-			rep := check.Availability(pts)
+			run := experiments.GrayRun(mode == "defended", gs.Sched, seed)
+			rep := run.Avail
 			totalProbes += int64(rep.Probes)
 			totalFailed += int64(rep.Failed)
 
-			key := sc.name + "_" + mode
+			key := strings.ReplaceAll(gs.Name, "-", "_") + "_" + mode
 			r.Shape[key+"_failed"] = int64(rep.Failed)
 			r.Shape[key+"_windows"] = int64(rep.Windows)
 			r.Shape[key+"_longest"] = rep.Longest
 			r.Shape[key+"_unavail"] = rep.Total
-			r.Shape[key+"_term_delta"] = int64(c.MaxTerm() - boot)
-			r.Shape[key+"_stepdowns"] = int64(c.StepDowns())
+			r.Shape[key+"_term_delta"] = int64(run.TermDelta)
+			r.Shape[key+"_stepdowns"] = int64(run.StepDowns)
 
 			meanRounds := int64(0)
-			if ok > 0 {
-				meanRounds = commitRounds / ok
+			if run.Committed > 0 {
+				meanRounds = run.Rounds / run.Committed
 			}
 			r.Windows = append(r.Windows, Window{
 				StartNs: offset,
 				Count:   int64(rep.Probes),
-				PerSec:  float64(ok) / (float64(horizon*tickNs) / float64(time.Second)),
+				PerSec:  float64(run.Committed) / (float64(experiments.GrayHorizon*tickNs) / float64(time.Second)),
 				MeanNs:  float64(meanRounds),
 			})
-			offset += horizon * tickNs
+			offset += experiments.GrayHorizon * tickNs
 		}
 	}
 	r.Shape["probes"] = totalProbes

@@ -20,26 +20,6 @@ const (
 	OpLimit
 )
 
-func (o Op) String() string {
-	switch o {
-	case OpScan:
-		return "Scan"
-	case OpFilter:
-		return "Filter"
-	case OpProject:
-		return "Project"
-	case OpJoin:
-		return "Join"
-	case OpAgg:
-		return "Aggregate"
-	case OpSort:
-		return "Sort"
-	case OpLimit:
-		return "Limit"
-	}
-	return "?"
-}
-
 // Logical is one node of a logical query plan. It is deliberately a
 // plain exported struct: the optimizer rewrites it, the differential
 // oracle in internal/check re-evaluates it naively, and the fuzzer

@@ -115,15 +115,6 @@ func (e *Env) Tables() []string {
 	return out
 }
 
-// Stats returns a registered table's statistics.
-func (e *Env) Stats(name string) (*Stats, error) {
-	s, ok := e.tables[name]
-	if !ok {
-		return nil, fmt.Errorf("query: unknown table %q", name)
-	}
-	return s.stats, nil
-}
-
 // ---------------------------------------------------------------------------
 // Cardinality estimation
 

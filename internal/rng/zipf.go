@@ -49,6 +49,3 @@ func (z *Zipf) Next() int {
 	}
 	return lo
 }
-
-// N returns the size of the sampled domain.
-func (z *Zipf) N() int { return z.n }

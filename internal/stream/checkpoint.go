@@ -422,9 +422,7 @@ func (r *Runner) Run() ([]Result, error) {
 // context deadline, or a virtual admission budget (admission.WithBudget)
 // that the stream's event-time progress has exhausted, aborts with
 // ErrRunDeadline. Aborting closes the pipeline so its worker goroutines
-// never outlive the run; partial results are discarded — callers who
-// want a graceful drain at a deadline should wrap the source in a
-// DeadlineSource instead.
+// never outlive the run; partial results are discarded.
 func (r *Runner) RunCtx(ctx context.Context) ([]Result, error) {
 	// One Run = one trace: the run-root span on the coordinator track is
 	// what checkpoint barriers (and through them worker snapshots) and

@@ -88,70 +88,3 @@ func TestRunCtxCancelPassesThrough(t *testing.T) {
 	}
 	waitStreamGoroutines(t, baseline)
 }
-
-func TestDeadlineSourceGracefulDrain(t *testing.T) {
-	inner := NewGeneratorSource(5, 6000, 16, time.Millisecond, 0)
-	src := NewDeadlineSource(inner, time.Second)
-	res, err := deadlineRunner(src).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !src.Tripped() {
-		t.Fatal("budget never tripped on a 6s stream")
-	}
-	if len(res) == 0 {
-		t.Fatal("graceful drain discarded all results")
-	}
-	// Only the in-budget prefix was read; the over-budget event was left
-	// unread (offsets stay honest for replay).
-	if off := inner.Offset(); off != 1001 {
-		t.Fatalf("inner offset = %d, want 1001 (events 0..1000 fit a 1s budget at 1ms steps)", off)
-	}
-	for _, w := range res {
-		if w.WindowStart > time.Second {
-			t.Fatalf("result window at %v past the 1s budget", w.WindowStart)
-		}
-	}
-}
-
-func TestDeadlineSourceUnlimitedAndReplay(t *testing.T) {
-	// budget <= 0 is a no-op wrapper.
-	plain, err := deadlineRunner(NewGeneratorSource(5, 3000, 16, time.Millisecond, 4*time.Millisecond)).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrapped, err := deadlineRunner(NewDeadlineSource(
-		NewGeneratorSource(5, 3000, 16, time.Millisecond, 4*time.Millisecond), 0)).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain) == 0 || len(plain) != len(wrapped) {
-		t.Fatalf("unlimited DeadlineSource diverged: %d vs %d results", len(wrapped), len(plain))
-	}
-
-	// A crash forces recovery to rewind through the wrapper; the replayed
-	// run must still drain exactly at the budget.
-	src := NewDeadlineSource(NewGeneratorSource(5, 6000, 16, time.Millisecond, 0), time.Second)
-	r := deadlineRunner(src)
-	tick := 0
-	r.OnTick(func() {
-		tick++
-		if tick == 2 {
-			_ = r.CrashWorker(1)
-		}
-		if tick == 4 {
-			_ = r.RestoreWorker(1)
-		}
-	})
-	r.cfg.TickEvery = 200
-	res, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !src.Tripped() {
-		t.Fatal("budget never tripped after replay")
-	}
-	if len(res) == 0 {
-		t.Fatal("no results after crash + budget drain")
-	}
-}

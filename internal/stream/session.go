@@ -83,9 +83,6 @@ func NewSessionizer(cfg SessionConfig) *Sessionizer {
 	return s
 }
 
-// Workers returns the keyed parallelism.
-func (s *Sessionizer) Workers() int { return len(s.in.ls) }
-
 // Send routes one event to its key's worker.
 func (s *Sessionizer) Send(ev Event) error { return s.in.send(ev) }
 
@@ -112,9 +109,6 @@ func (s *Sessionizer) Close() []SessionResult {
 func (s *Sessionizer) TriggerCheckpoint(offset int64, wm time.Duration) (*Checkpoint, error) {
 	return s.in.checkpoint(offset, wm, trace.TraceContext{})
 }
-
-// GenesisCheckpoint is the empty checkpoint a run implicitly starts from.
-func (s *Sessionizer) GenesisCheckpoint() *Checkpoint { return s.in.genesis() }
 
 // CrashWorker drops one worker's open sessions and stops it processing
 // until RestoreFrom; see Pipeline.CrashWorker.

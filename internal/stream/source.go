@@ -89,51 +89,6 @@ func (g *GeneratorSource) SeekTo(off int64) error {
 	return nil
 }
 
-// DeadlineSource caps an inner source at an event-time budget: once the
-// next event's time passes the budget, the source reports exhaustion and
-// rewinds the unread event, so the run drains gracefully with every
-// in-budget event processed exactly once. This is the graceful
-// counterpart to Runner.RunCtx's hard abort. Replay after a recovery
-// rewind re-trips at the same event, keeping runs deterministic.
-type DeadlineSource struct {
-	src     Source
-	budget  time.Duration
-	tripped bool
-}
-
-// NewDeadlineSource wraps src with an event-time budget; budget <= 0
-// means unlimited.
-func NewDeadlineSource(src Source, budget time.Duration) *DeadlineSource {
-	return &DeadlineSource{src: src, budget: budget}
-}
-
-// Next returns the next event, or false once the inner source is dry or
-// the budget is exceeded.
-func (d *DeadlineSource) Next() (Event, bool) {
-	ev, ok := d.src.Next()
-	if !ok {
-		return Event{}, false
-	}
-	if d.budget > 0 && ev.EventTime > d.budget {
-		d.tripped = true
-		// Leave the over-budget event unread so offsets stay honest for
-		// checkpoints and replay.
-		_ = d.src.SeekTo(d.src.Offset() - 1)
-		return Event{}, false
-	}
-	return ev, true
-}
-
-// Offset returns the offset of the next unread event.
-func (d *DeadlineSource) Offset() int64 { return d.src.Offset() }
-
-// SeekTo moves the cursor; used by recovery to replay from a checkpoint.
-func (d *DeadlineSource) SeekTo(off int64) error { return d.src.SeekTo(off) }
-
-// Tripped reports whether the budget ever cut the stream short (as
-// opposed to the inner source running dry on its own).
-func (d *DeadlineSource) Tripped() bool { return d.tripped }
-
 // SliceSource replays a fixed event slice; handy for tests and for
 // feeding captured traces through the fault-tolerant runner.
 type SliceSource struct {

@@ -97,31 +97,8 @@ func zone[T cmp.Ordered](vals []T) (least, greatest any) {
 	return mn, mx
 }
 
-// Schema returns the table's schema.
-func (c *ColumnarTable) Schema() Schema { return c.schema }
-
 // Partitions returns the partition count.
 func (c *ColumnarTable) Partitions() int { return len(c.parts) }
-
-// RowCount returns the total stored rows.
-func (c *ColumnarTable) RowCount() int {
-	n := 0
-	for _, p := range c.parts {
-		n += p.rows
-	}
-	return n
-}
-
-// EncodedBytes returns the total encoded size across partitions.
-func (c *ColumnarTable) EncodedBytes() int64 {
-	var n int64
-	for _, p := range c.parts {
-		for _, col := range p.cols {
-			n += int64(len(col))
-		}
-	}
-	return n
-}
 
 // ColPredicate is one pushed-down single-column predicate.
 type ColPredicate struct {

@@ -87,8 +87,25 @@ func ycsbTenants() []TenantSpec {
 	return out
 }
 
+// digestYCSBTenants merges the tenants' generators into one time-ordered
+// trace over [0, 500ms), the earliest next arrival first and the lower
+// tenant index on a tie.
 func digestYCSBTenants(h hash.Hash64) {
-	for _, a := range MultiTenantArrivals(ycsbTenants(), 500*time.Millisecond, 8) {
+	var gens []*ArrivalGen
+	for i, t := range ycsbTenants() {
+		gens = append(gens, NewArrivalGen(i, t, 8))
+	}
+	for {
+		best := -1
+		for i, g := range gens {
+			if g.Peek() < 500*time.Millisecond && (best < 0 || g.Peek() < gens[best].Peek()) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return
+		}
+		a := gens[best].Next()
 		word(h, uint64(a.At))
 		word(h, uint64(a.Tenant))
 		op(h, a.Op)

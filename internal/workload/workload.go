@@ -306,34 +306,6 @@ func (g *ArrivalGen) Next() Arrival {
 	return Arrival{At: at, Tenant: g.tenant, Op: op}
 }
 
-// MultiTenantArrivals materializes the merged, time-ordered arrival
-// trace of all tenants over [0, duration) — the open-loop equivalent of
-// KVOps for million-client multi-tenant serving. Rates are fixed at
-// their configured values; simulators that need mid-run bursts drive
-// ArrivalGen directly.
-func MultiTenantArrivals(tenants []TenantSpec, duration time.Duration, seed uint64) []Arrival {
-	gens := make([]*ArrivalGen, len(tenants))
-	for i, t := range tenants {
-		gens[i] = NewArrivalGen(i, t, seed)
-	}
-	var out []Arrival
-	for {
-		best := -1
-		for i, g := range gens {
-			if g.Peek() >= duration {
-				continue
-			}
-			if best < 0 || g.Peek() < gens[best].Peek() {
-				best = i
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		out = append(out, gens[best].Next())
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Graphs
 

@@ -331,48 +331,6 @@ func TestArrivalGenRateAndFactor(t *testing.T) {
 	}
 }
 
-func TestMultiTenantArrivals(t *testing.T) {
-	rfA, _ := YCSBMix("A")
-	rfC, ok := YCSBMix("C")
-	if !ok || rfA != 0.5 || rfC != 1.0 {
-		t.Fatalf("YCSB mixes wrong: A=%v C=%v", rfA, rfC)
-	}
-	if _, ok := YCSBMix("Z"); ok {
-		t.Fatal("unknown mix accepted")
-	}
-	tenants := []TenantSpec{
-		{ID: "alpha", RatePerSec: 500, ReadFrac: rfA, Keys: 32},
-		{ID: "beta", RatePerSec: 250, ReadFrac: rfC, Keys: 32},
-	}
-	trace := MultiTenantArrivals(tenants, time.Second, 21)
-	if len(trace) < 600 || len(trace) > 900 {
-		t.Fatalf("trace length %d for 750/s over 1s", len(trace))
-	}
-	counts := map[int]int{}
-	writes := map[int]int{}
-	for i, a := range trace {
-		if i > 0 && a.At < trace[i-1].At {
-			t.Fatalf("merged trace out of order at %d", i)
-		}
-		if a.At >= time.Second {
-			t.Fatalf("arrival %v past the horizon", a.At)
-		}
-		counts[a.Tenant]++
-		if a.Op.Kind == OpPut {
-			writes[a.Tenant]++
-		}
-	}
-	if counts[0] < counts[1] {
-		t.Fatalf("rate 500 tenant produced fewer arrivals (%d) than rate 250 (%d)", counts[0], counts[1])
-	}
-	if writes[1] != 0 {
-		t.Fatalf("read-only YCSB-C tenant issued %d writes", writes[1])
-	}
-	if writes[0] == 0 {
-		t.Fatal("YCSB-A tenant issued no writes")
-	}
-}
-
 func TestTxnOpsDeterministicAndDistinct(t *testing.T) {
 	spec := TxnSpec{N: 50, Keys: 64, Span: 3, Skew: 0.9, ValueSize: 16, Seed: 5}
 	a := TxnOps(spec)

@@ -129,6 +129,11 @@ go test -count=1 -run 'TestReplicatedErrorsMatchLocal|TestCountBombsRejectedBefo
 
 sh scripts/coverage.sh
 
+echo "== reachability: REACH.txt lists exactly what no binary runs =="
+# Coverage-built binaries driven by every experiment, example, BENCH family
+# and bench workload; about 30 s on two cores (most of it the builds).
+sh scripts/reach.sh -check
+
 if [ "${FUZZ:-0}" = "1" ]; then
     echo "== fuzz smoke (FUZZ=1) =="
     # Every Fuzz target in the module, 3s each (about a minute), found by
