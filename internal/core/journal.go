@@ -1,13 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
-	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/dfs"
+	"repro/internal/ha"
 	"repro/internal/shuffle"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -176,14 +175,11 @@ func (e *Engine) journalStage(p *Plan, st *shuffleState, tc trace.TraceContext) 
 	if j == nil {
 		return
 	}
+	fp := e.fingerprintOf(p.id)
 	st.mu.Lock()
-	owners := make([]string, len(st.owner))
-	for i, o := range st.owner {
-		owners[i] = strconv.Itoa(int(o))
-	}
+	rec := journalRecord{kind: recStage, fp: fp, planID: p.id, owners: st.owner}.encode()
 	st.mu.Unlock()
-	rec := journalRecord{kind: "stage", fp: e.fingerprintOf(p.id), planID: p.id, owners: strings.Join(owners, ",")}
-	if err := j.Append(rec.encode(), tc); err != nil {
+	if err := j.Append(rec, tc); err != nil {
 		e.Reg.Counter("journal_append_failures").Inc()
 	}
 }
@@ -197,7 +193,7 @@ func (e *Engine) journalCheckpoint(p *Plan) {
 	plans := map[int]*Plan{}
 	fps := map[int]uint64{}
 	collectPlans(p, plans, fps)
-	rec := journalRecord{kind: "ckpt", fp: fps[p.id], planID: p.id}
+	rec := journalRecord{kind: recCkpt, fp: fps[p.id], planID: p.id}
 	if err := j.Append(rec.encode(), trace.TraceContext{}); err != nil {
 		e.Reg.Counter("journal_append_failures").Inc()
 	}
@@ -207,38 +203,39 @@ func (e *Engine) journalCheckpoint(p *Plan) {
 // the owner node of each map partition, or a completed checkpoint. Both
 // name the plan by id and by the fingerprint of the job shape around it.
 type journalRecord struct {
-	kind   string // "stage" or "ckpt"
+	kind   byte // recStage or recCkpt
 	fp     uint64
 	planID int
-	owners string // stage only: comma-separated node ids, one per map partition
+	owners []topology.NodeID // stage only: one per map partition
 }
 
-// encode is the record's journal form: "stage <fp> <plan> <owners>" or
-// "ckpt <fp> <plan>".
+const (
+	recStage byte = 's'
+	recCkpt  byte = 'c'
+)
+
+// encode is the record's journal form: the kind byte, the fingerprint,
+// the plan id, and the owner count and each owner.
 func (r journalRecord) encode() []byte {
-	if r.kind == "stage" {
-		return fmt.Appendf(nil, "stage %d %d %s", r.fp, r.planID, r.owners)
+	b := binary.BigEndian.AppendUint64([]byte{r.kind}, r.fp)
+	b = binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(b, uint32(r.planID)), uint32(len(r.owners)))
+	for _, o := range r.owners {
+		b = binary.BigEndian.AppendUint32(b, uint32(o))
 	}
-	return fmt.Appendf(nil, "ckpt %d %d", r.fp, r.planID)
+	return b
 }
 
-// parseJournalRecord reads a replayed record, or reports false for one
-// recovery has no use for: too few fields, numbers that do not parse, a
-// stage without exactly one owner list, or a kind it does not know.
-func parseJournalRecord(raw []byte) (journalRecord, bool) {
-	fields := strings.Fields(string(raw))
-	if len(fields) < 3 {
-		return journalRecord{}, false
+// decodeJournalRecord reads a replayed record, or reports false for one
+// recovery has no use for: a kind it does not know, or bytes short of or
+// beyond the record.
+func decodeJournalRecord(raw []byte) (journalRecord, bool) {
+	d := ha.NewDecoder(raw)
+	rec := journalRecord{kind: d.U8(), fp: d.U64(), planID: int(d.U32())}
+	rec.owners = make([]topology.NodeID, d.Count(4))
+	for i := range rec.owners {
+		rec.owners[i] = topology.NodeID(d.U32())
 	}
-	fp, err1 := strconv.ParseUint(fields[1], 10, 64)
-	planID, err2 := strconv.Atoi(fields[2])
-	rec := journalRecord{kind: fields[0], fp: fp, planID: planID}
-	switch {
-	case err1 != nil || err2 != nil:
-		return journalRecord{}, false
-	case rec.kind == "stage" && len(fields) == 4:
-		rec.owners = fields[3]
-	case rec.kind != "ckpt":
+	if d.Err() != nil || len(d.Rest()) > 0 || (rec.kind != recStage && rec.kind != recCkpt) {
 		return journalRecord{}, false
 	}
 	return rec, true
@@ -278,7 +275,7 @@ func (e *Engine) recoverCoordinator(p *Plan) {
 	restarted := map[int]bool{}
 	ckpts := map[int]bool{}
 	for _, raw := range recs {
-		rec, ok := parseJournalRecord(raw)
+		rec, ok := decodeJournalRecord(raw)
 		if !ok {
 			continue
 		}
@@ -288,11 +285,11 @@ func (e *Engine) recoverCoordinator(p *Plan) {
 			continue // a different job's record; not ours to resume
 		}
 		switch rec.kind {
-		case "ckpt":
+		case recCkpt:
 			if pl.checkpoint != nil {
 				ckpts[planID] = true
 			}
-		case "stage":
+		case recStage:
 			if pl.kind != kindShuffled {
 				continue
 			}
@@ -320,23 +317,17 @@ func (e *Engine) recoverCoordinator(p *Plan) {
 // rebuildStage reconstructs one stage's shuffle metadata from a journal
 // record's owner list plus the executor-held blocks, verifying every
 // owner is alive and every map partition's output is still present.
-func (e *Engine) rebuildStage(p *Plan, ownerList string) (*shuffleState, bool) {
-	parts := strings.Split(ownerList, ",")
-	if len(parts) != p.parent.parts {
+func (e *Engine) rebuildStage(p *Plan, owners []topology.NodeID) (*shuffleState, bool) {
+	if len(owners) != p.parent.parts {
 		return nil, false
 	}
 	st := &shuffleState{
 		dep:     p.dep,
-		done:    make([]bool, len(parts)),
-		owner:   make([]topology.NodeID, len(parts)),
-		outputs: make([][]shuffle.Block, len(parts)),
+		done:    make([]bool, len(owners)),
+		owner:   owners,
+		outputs: make([][]shuffle.Block, len(owners)),
 	}
-	for i, s := range parts {
-		o, err := strconv.Atoi(s)
-		if err != nil {
-			return nil, false
-		}
-		owner := topology.NodeID(o)
+	for i, owner := range owners {
 		if n, err := e.cfg.Cluster.Node(owner); err != nil || !n.Alive() {
 			return nil, false
 		}
@@ -344,7 +335,6 @@ func (e *Engine) rebuildStage(p *Plan, ownerList string) (*shuffleState, bool) {
 		if blocks == nil {
 			return nil, false
 		}
-		st.owner[i] = owner
 		st.outputs[i] = blocks
 		st.done[i] = true
 	}

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -220,33 +223,64 @@ func TestForeignJournalRecordsIgnored(t *testing.T) {
 	}
 }
 
-// FuzzParseJournalRecord: replayed bytes are outside input to the parser.
-// It never panics, and a record it accepts is written back in the writer's
-// format and read again as the same record.
+// FuzzParseJournalRecord: replayed bytes are outside input to the decoder.
+// It never panics, and a record it accepts is written back as the same
+// bytes.
 func FuzzParseJournalRecord(f *testing.F) {
-	for _, seed := range []string{
-		"stage 1469598103934665603 4 0,3,1",
-		"ckpt 42 7",
-		"ckpt 42 7 trailing",
-		"stage 1 2",
-		"stage 1 2 0 extra",
-		"stage 18446744073709551616 1 0",
-		"stage -1 1 0",
-		" \tstage  9\n+3 1,,2 ",
-		"ckpt 1 -5",
-		"other 1 2 3",
-		"",
+	stage := func(owners ...topology.NodeID) []byte {
+		return journalRecord{kind: recStage, fp: 1469598103934665603, planID: 4, owners: owners}.encode()
+	}
+	ckpt := journalRecord{kind: recCkpt, fp: 42, planID: 7}.encode()
+	for _, seed := range [][]byte{
+		stage(0, 3, 1),
+		ckpt,
+		append(ckpt, 0),
+		stage()[:13],
+		append(stage(0), 0),
+		append(stage()[:13], ownerBomb...),
+		stage(),
+		ckpt[:5],
+		append([]byte{'x'}, ckpt[1:]...),
+		stage(1<<32 - 1),
+		{},
+		stage(0, 1)[:21],
 	} {
-		f.Add([]byte(seed))
+		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		rec, ok := parseJournalRecord(raw)
+		rec, ok := decodeJournalRecord(raw)
 		if !ok {
 			return
 		}
-		again, ok := parseJournalRecord(rec.encode())
-		if !ok || again != rec {
-			t.Fatalf("%q parsed as %+v, written as %q, read back as %+v (ok %t)", raw, rec, rec.encode(), again, ok)
+		if again := rec.encode(); !bytes.Equal(again, raw) {
+			t.Fatalf("% x decoded as %+v, written back as % x", raw, rec, again)
 		}
 	})
+}
+
+// ownerBomb is an owner count of 2^32-1 in four bytes: the decoder must
+// refuse it before it sizes the owner list.
+var ownerBomb = []byte{0xff, 0xff, 0xff, 0xff}
+
+func TestCountBombsRejectedBeforeAllocating(t *testing.T) {
+	raw := append(journalRecord{kind: recStage, fp: 1, planID: 2}.encode()[:13], ownerBomb...)
+	ok := true
+	if got := leastAllocated(func() { _, ok = decodeJournalRecord(raw) }); got >= 4<<10 || ok {
+		t.Errorf("owner count: accepted %t, allocated %d bytes", ok, got)
+	}
+}
+
+// leastAllocated is the fewest bytes the process allocated over five runs
+// of f: the count is process-wide, and goroutines an earlier test left
+// running may allocate during any one run.
+func leastAllocated(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }

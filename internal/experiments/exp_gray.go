@@ -1,10 +1,10 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/chaos"
@@ -234,27 +234,42 @@ func EGRAYGrayFailures(p Params) *Table {
 // errGrayNotFound classifies "read observed an absent key".
 var errGrayNotFound = errors.New("gray register: not found")
 
-// regSM is a replicated string register map. Commands are
-// op\x00key[\x00value]; a get returns "1"+value or "0", so reads route
-// through the Raft log and the capture is linearizable by construction —
-// the check then validates the exactly-once envelope and failover
-// behaviour under the cuts.
+// regSM is a replicated string register map. A command is an op byte,
+// 'p', 'g' or 'd', then the key and (for a put) the value, each behind its
+// length (regCmd); a get returns "1"+value or "0", so reads route through
+// the Raft log and the capture is linearizable by construction — the
+// check then validates the exactly-once envelope and failover behaviour
+// under the cuts.
 type regSM struct{ m map[string]string }
 
 func newRegSM() ha.StateMachine { return &regSM{m: map[string]string{}} }
 
+// regCmd is the register command op applied to fields.
+func regCmd(op byte, fields ...string) []byte {
+	cmd := []byte{op}
+	for _, f := range fields {
+		cmd = ha.AppendString(cmd, f)
+	}
+	return cmd
+}
+
 func (r *regSM) Apply(cmd []byte) []byte {
-	parts := strings.SplitN(string(cmd), "\x00", 3)
-	if len(parts) < 2 || (parts[0] == "p" && len(parts) < 3) {
+	d := ha.NewDecoder(cmd)
+	op, key := d.U8(), d.String()
+	value := ""
+	if op == 'p' {
+		value = d.String()
+	}
+	if d.Err() != nil {
 		return nil // no key, or a put without a value
 	}
-	switch parts[0] {
-	case "p":
-		r.m[parts[1]] = parts[2]
-	case "d":
-		delete(r.m, parts[1])
-	case "g":
-		if v, ok := r.m[parts[1]]; ok {
+	switch op {
+	case 'p':
+		r.m[key] = value
+	case 'd':
+		delete(r.m, key)
+	case 'g':
+		if v, ok := r.m[key]; ok {
 			return append([]byte("1"), v...)
 		}
 		return []byte("0")
@@ -264,32 +279,28 @@ func (r *regSM) Apply(cmd []byte) []byte {
 
 func (r *regSM) Snapshot() []byte { return r.AppendSnapshot(nil) }
 
-// AppendSnapshot writes each key, then its value, in key order, each ended
-// by a NUL, escaped by regEscape so that none holds a NUL.
+// AppendSnapshot writes the key count, then each key and its value in key
+// order.
 func (r *regSM) AppendSnapshot(dst []byte) []byte {
 	keys := make([]string, 0, len(r.m))
 	for k := range r.m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(keys)))
 	for _, k := range keys {
-		dst = append(append(append(dst, regEscape.Replace(k)...), 0), regEscape.Replace(r.m[k])...)
-		dst = append(dst, 0)
+		dst = ha.AppendString(ha.AppendString(dst, k), r.m[k])
 	}
 	return dst
 }
 
-// regEscape writes NUL as \x01\x01 and \x01 as \x01\x02; regUnescape undoes it.
-var (
-	regEscape   = strings.NewReplacer("\x00", "\x01\x01", "\x01", "\x01\x02")
-	regUnescape = strings.NewReplacer("\x01\x01", "\x00", "\x01\x02", "\x01")
-)
-
 func (r *regSM) Restore(snap []byte) {
 	r.m = map[string]string{}
-	parts := strings.Split(string(snap), "\x00")
-	for i := 0; i+1 < len(parts); i += 2 {
-		r.m[regUnescape.Replace(parts[i])] = regUnescape.Replace(parts[i+1])
+	d := ha.NewDecoder(snap)
+	for n := d.Count(4 + 4); n > 0 && d.Err() == nil; n-- {
+		if k, v := d.String(), d.String(); d.Err() == nil {
+			r.m[k] = v
+		}
 	}
 }
 
@@ -309,12 +320,12 @@ func newGrayRegKV(seed uint64) (grayRegKV, *ha.Group) {
 }
 
 func (k grayRegKV) Put(_ topology.NodeID, key string, value []byte) (time.Duration, error) {
-	_, err := k.g.Propose("reg", []byte("p\x00"+key+"\x00"+string(value)))
+	_, err := k.g.Propose("reg", regCmd('p', key, string(value)))
 	return 0, err
 }
 
 func (k grayRegKV) Get(_ topology.NodeID, key string) ([]byte, time.Duration, error) {
-	resp, err := k.g.Propose("reg", []byte("g\x00"+key))
+	resp, err := k.g.Propose("reg", regCmd('g', key))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -325,6 +336,6 @@ func (k grayRegKV) Get(_ topology.NodeID, key string) ([]byte, time.Duration, er
 }
 
 func (k grayRegKV) Delete(_ topology.NodeID, key string) (time.Duration, error) {
-	_, err := k.g.Propose("reg", []byte("d\x00"+key))
+	_, err := k.g.Propose("reg", regCmd('d', key))
 	return 0, err
 }

@@ -656,11 +656,13 @@ func AppendBool(buf []byte, v bool) []byte {
 	return append(buf, 0)
 }
 
-// Decoder reads the wire format of the replicated machines: big-endian
-// fixed-width integers, a bool as one byte, byte strings behind a u32
-// length. Its error is sticky: after the first short read every accessor
-// returns a zero value and consumes nothing, so callers check Err once. A
-// copy of a Decoder reads on from the same place, on its own.
+// Decoder reads the one wire format of every snapshot and record the
+// program persists (the replicated machines, stream checkpoints, the
+// coordinator journal): big-endian fixed-width integers, a bool as one
+// byte, byte strings behind a u32 length. Its error is sticky: after the
+// first short read every accessor returns a zero value and consumes
+// nothing, so callers check Err once. A copy of a Decoder reads on from
+// the same place, on its own.
 type Decoder struct {
 	buf []byte
 	err error

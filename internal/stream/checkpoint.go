@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/admission"
+	"repro/internal/ha"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -71,43 +72,14 @@ type Checkpoint struct {
 // Snapshots cross the worker/coordinator boundary as flat byte blobs, the
 // same way they would cross a process boundary to durable storage: the
 // encoding both isolates the snapshot from later mutation and makes the
-// checkpoint_bytes metric honest. Panes are sorted before encoding so a
-// given state always produces identical bytes.
+// checkpoint_bytes metric honest. It is the replicated machines' format
+// (big-endian integers, strings behind a u32 length, read back only by
+// ha.Decoder). Panes are sorted before encoding so a given state always
+// produces identical bytes.
 
-func appendU64(b []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(b, v)
-}
-
-// snapReader takes values off a snapshot blob. The first short read sticks
-// in err and every later read returns zero, so decoders check err once per
-// record; counts inside a blob are never trusted beyond the bytes left.
-type snapReader struct {
-	b   []byte
-	err error
-}
-
-var errTruncated = errors.New("stream: truncated snapshot")
-
-func (r *snapReader) u64() uint64 {
-	if r.err != nil || len(r.b) < 8 {
-		r.err = errTruncated
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *snapReader) str() string {
-	n := r.u64()
-	if r.err != nil || uint64(len(r.b)) < n {
-		r.err = errTruncated
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
+// paneSize is the encoded size of a pane with an empty key: start, key
+// length, sum, count.
+const paneSize = 8 + 4 + 8 + 8
 
 func (st *pipeState) encode() []byte {
 	type pane struct {
@@ -116,9 +88,11 @@ func (st *pipeState) encode() []byte {
 		agg   *paneAgg
 	}
 	var panes []pane
+	size := 8 + 8 + 4
 	for start, win := range st.windows {
 		for key, agg := range win {
 			panes = append(panes, pane{start, key, agg})
+			size += paneSize + len(key)
 		}
 	}
 	sort.Slice(panes, func(i, j int) bool {
@@ -127,33 +101,29 @@ func (st *pipeState) encode() []byte {
 		}
 		return panes[i].key < panes[j].key
 	})
-	b := make([]byte, 0, 24+len(panes)*40)
-	b = appendU64(b, uint64(st.watermark))
-	b = appendU64(b, uint64(st.seq))
-	b = appendU64(b, uint64(len(panes)))
+	b := binary.BigEndian.AppendUint64(make([]byte, 0, size), uint64(st.watermark))
+	b = binary.BigEndian.AppendUint64(b, uint64(st.seq))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(panes)))
 	for _, p := range panes {
-		b = appendU64(b, uint64(p.start))
-		b = appendU64(b, uint64(len(p.key)))
-		b = append(b, p.key...)
-		b = appendU64(b, math.Float64bits(p.agg.sum))
-		b = appendU64(b, uint64(p.agg.count))
+		b = ha.AppendString(binary.BigEndian.AppendUint64(b, uint64(p.start)), p.key)
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(p.agg.sum))
+		b = binary.BigEndian.AppendUint64(b, uint64(p.agg.count))
 	}
 	return b
 }
 
 func decodePipeState(b []byte) (*pipeState, error) {
-	r := snapReader{b: b}
+	d := ha.NewDecoder(b)
 	st := newPipeState()
-	st.watermark = time.Duration(r.u64())
-	st.seq = int64(r.u64())
-	for n := r.u64(); n > 0 && r.err == nil; n-- {
-		start := time.Duration(r.u64())
-		key := r.str()
-		sum := math.Float64frombits(r.u64())
-		st.window(start)[key] = &paneAgg{sum: sum, count: int64(r.u64())}
+	st.watermark = time.Duration(d.U64())
+	st.seq = int64(d.U64())
+	for n := d.Count(paneSize); n > 0 && d.Err() == nil; n-- {
+		start, key := time.Duration(d.U64()), d.String()
+		sum := math.Float64frombits(d.U64())
+		st.window(start)[key] = &paneAgg{sum: sum, count: int64(d.U64())}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	return st, nil
 }

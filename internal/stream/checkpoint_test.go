@@ -2,7 +2,9 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -59,6 +61,44 @@ func TestSessStateEncodeRoundTrip(t *testing.T) {
 	}
 }
 
+// A count inside a blob claims 2^32-1 elements in four bytes; the decoder
+// must refuse it before it sizes anything. Both follow a watermark and a
+// sequence number; sessionBomb's sits behind one empty key.
+var (
+	paneBomb    = append(make([]byte, 16), 0xff, 0xff, 0xff, 0xff)
+	sessionBomb = append(make([]byte, 16), 0, 0, 0, 1, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff)
+)
+
+func TestCountBombsRejectedBeforeAllocating(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"pane count", func() error { _, err := decodePipeState(paneBomb); return err }},
+		{"sessions per key", func() error { _, err := decodeSessState(sessionBomb); return err }},
+	} {
+		var err error
+		if got := leastAllocated(func() { err = tc.decode() }); got >= 4<<10 || err == nil {
+			t.Errorf("%s: error %v, allocated %d bytes", tc.name, err, got)
+		}
+	}
+}
+
+// leastAllocated is the fewest bytes the process allocated over five runs
+// of f: the count is process-wide, and goroutines an earlier test left
+// running may allocate during any one run.
+func leastAllocated(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
 // fuzzDecode is the property both snapshot decoders must meet on any
 // bytes: no panic, and what decodes re-encodes to a fixed point
 // (decode(encode(s)) encodes to the same bytes). Counts inside the blob
@@ -67,8 +107,8 @@ func TestSessStateEncodeRoundTrip(t *testing.T) {
 func fuzzDecode[S interface{ encode() []byte }](f *testing.F, seed []byte, decode func([]byte) (S, error)) {
 	f.Add(seed)
 	f.Add(seed[:len(seed)-5])
-	f.Add(appendU64(appendU64(appendU64(nil, 1), 2), 1<<60))
-	f.Add(appendU64(appendU64(appendU64(appendU64(appendU64(nil, 1), 2), 1), 0), 1<<60))
+	f.Add(paneBomb)
+	f.Add(sessionBomb)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		st, err := decode(b)
 		if err != nil {

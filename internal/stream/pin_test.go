@@ -59,10 +59,10 @@ func TestRunnerMatchesParent(t *testing.T) {
 		faults func(r *Runner) func()
 		want   uint64
 	}{
-		{"fault-free", nil, 0x8b5947867359999a},
-		{"crash-restore", crashAt(5, 12, 2), 0x17316177f45abaa6},
-		{"crash-no-restore", crashAt(20, 0, 0, 3), 0x0da12f843df22ac3},
-		{"crash-restore-between-ticks", midRun, 0x175cd73a1a551b42},
+		{"fault-free", nil, 0x48c862ace2892de7},
+		{"crash-restore", crashAt(5, 12, 2), 0x7c899869fa82ae43},
+		{"crash-no-restore", crashAt(20, 0, 0, 3), 0x65aa34a38b6ec378},
+		{"crash-restore-between-ticks", midRun, 0xe0e6888146cf087f},
 	} {
 		for _, buffer := range []int{8, 0} {
 			if got := runnerDigest(t, buffer, c.faults); got != c.want {
@@ -86,7 +86,7 @@ func (s *hookSource) Next() (Event, bool) {
 func runnerDigest(t *testing.T, buffer int, faults func(r *Runner) func()) uint64 {
 	t.Helper()
 	h := fnv.New64a()
-	word := func(v uint64) { _, _ = h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+	word := func(v uint64) { _, _ = h.Write(binary.BigEndian.AppendUint64(nil, v)) }
 	bytes := func(b []byte) { word(uint64(len(b))); _, _ = h.Write(b) }
 
 	src := NewGeneratorSource(31, 6007, 24, time.Millisecond, 4*time.Millisecond)

@@ -1,10 +1,12 @@
 package stream
 
 import (
+	"encoding/binary"
 	"math"
 	"sort"
 	"time"
 
+	"repro/internal/ha"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -194,52 +196,54 @@ func (o *sessioner) advance(wm time.Duration) {
 	o.fired = out
 }
 
+// sessionSize is one session's encoded size: start, end, sum, count.
+const sessionSize = 4 * 8
+
 // encode serializes a session worker's state; keys and sessions are
 // sorted so identical state yields identical bytes.
 func (st *sessState) encode() []byte {
 	keys := make([]string, 0, len(st.open))
-	for k := range st.open {
+	size := 8 + 8 + 4
+	for k, sess := range st.open {
 		keys = append(keys, k)
+		size += 4 + len(k) + 4 + len(sess)*sessionSize
 	}
 	sort.Strings(keys)
-	b := make([]byte, 0, 24)
-	b = appendU64(b, uint64(st.watermark))
-	b = appendU64(b, uint64(st.seq))
-	b = appendU64(b, uint64(len(keys)))
+	b := binary.BigEndian.AppendUint64(make([]byte, 0, size), uint64(st.watermark))
+	b = binary.BigEndian.AppendUint64(b, uint64(st.seq))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(keys)))
 	for _, k := range keys {
 		sess := append([]*session(nil), st.open[k]...)
 		sort.Slice(sess, func(i, j int) bool { return sess[i].start < sess[j].start })
-		b = appendU64(b, uint64(len(k)))
-		b = append(b, k...)
-		b = appendU64(b, uint64(len(sess)))
+		b = binary.BigEndian.AppendUint32(ha.AppendString(b, k), uint32(len(sess)))
 		for _, x := range sess {
-			b = appendU64(b, uint64(x.start))
-			b = appendU64(b, uint64(x.end))
-			b = appendU64(b, math.Float64bits(x.sum))
-			b = appendU64(b, uint64(x.count))
+			b = binary.BigEndian.AppendUint64(b, uint64(x.start))
+			b = binary.BigEndian.AppendUint64(b, uint64(x.end))
+			b = binary.BigEndian.AppendUint64(b, math.Float64bits(x.sum))
+			b = binary.BigEndian.AppendUint64(b, uint64(x.count))
 		}
 	}
 	return b
 }
 
 func decodeSessState(b []byte) (*sessState, error) {
-	r := snapReader{b: b}
+	d := ha.NewDecoder(b)
 	st := newSessState()
-	st.watermark = time.Duration(r.u64())
-	st.seq = int64(r.u64())
-	for nKeys := r.u64(); nKeys > 0 && r.err == nil; nKeys-- {
-		key := r.str()
+	st.watermark = time.Duration(d.U64())
+	st.seq = int64(d.U64())
+	for nKeys := d.Count(4 + 4); nKeys > 0 && d.Err() == nil; nKeys-- {
+		key := d.String()
 		var sess []*session
-		for n := r.u64(); n > 0 && r.err == nil; n-- {
-			x := &session{start: time.Duration(r.u64()), end: time.Duration(r.u64())}
-			x.sum = math.Float64frombits(r.u64())
-			x.count = int64(r.u64())
+		for n := d.Count(sessionSize); n > 0 && d.Err() == nil; n-- {
+			x := &session{start: time.Duration(d.U64()), end: time.Duration(d.U64())}
+			x.sum = math.Float64frombits(d.U64())
+			x.count = int64(d.U64())
 			sess = append(sess, x)
 		}
 		st.open[key] = sess
 	}
-	if r.err != nil {
-		return nil, r.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	return st, nil
 }

@@ -67,7 +67,7 @@ echo "== shared log views (race, count=3) + allocation ceilings =="
 go test -race -count=3 -run 'Survives|TestHandedOut|TestDrainedMailbox|TestAppliedSequences|TestClusterIgnoresUnknownIDs' ./internal/consensus/
 go test -race -count=3 -run 'TestGroupTranscriptMatchesParent' ./internal/ha/
 go test -count=1 -run 'AllocCeiling|ByteCeiling' ./internal/ha ./internal/kvstore
-# E-GRAY's register machine: its seeds hold NUL and the escape byte.
+# E-GRAY's register machine: its seeds put and get keys and values with NUL in them.
 go test -count=1 -run 'FuzzRegSM' ./internal/experiments
 
 echo "== batches and the shuffle boundary: identity pins + allocation ceilings =="
