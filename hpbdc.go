@@ -197,13 +197,11 @@ func New(cfg Config) *Context {
 	c := &Context{top: top, fabric: fabric, cluster: cl, fs: fs, engine: eng, group: group, seed: cfg.Seed}
 	if len(cfg.Chaos) > 0 {
 		targets := chaos.Targets{
-			Nodes:       top.Size(),
-			Compute:     cl,
-			Storage:     fs,
-			Network:     fabric,
-			Faults:      eng,
-			Coordinator: eng,
-			Corrupt:     fs,
+			Nodes:   top.Size(),
+			Compute: cl,
+			Storage: fs,
+			Network: fabric,
+			Engine:  eng,
 		}
 		if group != nil {
 			targets.Namenode = group

@@ -1,9 +1,8 @@
 // Package chaos is a deterministic, seed-driven fault scheduler. A
-// declarative Schedule of events — node crash/revive, network partition
-// and link degradation, per-node slowdown (stragglers), membership
-// message loss, transient task faults — is applied against a set of
-// Targets (executor cluster, network fabric, DFS, SWIM membership, Raft
-// consensus) as virtual time advances.
+// declarative Schedule of fault events (crashes, partitions, stragglers,
+// gray link faults, control-plane, stream, overload and transaction
+// faults) is applied against a set of Targets as virtual time advances.
+// Each fault kind is one entry of the kinds table.
 //
 // Virtual time is a plain counter the host system advances at its own
 // deterministic points: the dataflow engine ticks once per scheduling
@@ -15,7 +14,9 @@
 package chaos
 
 import (
+	"cmp"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -34,10 +35,13 @@ type ComputeTarget interface {
 }
 
 // StorageTarget is the DFS surface (implemented by *dfs.DFS): a crashed
-// machine loses its replicas until revival or re-replication.
+// machine loses its replicas until revival or re-replication, and
+// CorruptBlock flips bits in one stored replica, exercising checksum
+// verification and read-repair.
 type StorageTarget interface {
 	KillNode(topology.NodeID) error
 	ReviveNode(topology.NodeID) error
+	CorruptBlock(topology.NodeID) error
 }
 
 // NetworkTarget is the fabric surface (implemented by *netsim.Fabric).
@@ -53,13 +57,6 @@ type NetworkTarget interface {
 	HealLink(src, dst topology.NodeID)
 }
 
-// MembershipTarget is the SWIM surface (implemented by *gossip.Cluster).
-type MembershipTarget interface {
-	Crash(id int)
-	Revive(id int)
-	SetLossProb(p float64)
-}
-
 // ConsensusTarget is the Raft surface (implemented by
 // *consensus.Cluster). CutLink/HealLink mirror the fabric's directed
 // reachability layer onto the consensus message transport.
@@ -72,10 +69,13 @@ type ConsensusTarget interface {
 	HealLink(from, to int)
 }
 
-// FaultInjector receives per-node transient task fault probabilities
-// (implemented by *core.Engine).
-type FaultInjector interface {
+// EngineTarget is the batch-engine surface (implemented by
+// *core.Engine): per-node transient task fault probabilities, and
+// CrashCoordinator, which discards the driver's volatile state at its
+// next recovery point so the progress journal takes over.
+type EngineTarget interface {
 	SetNodeFailProb(topology.NodeID, float64)
+	CrashCoordinator()
 }
 
 // NamenodeTarget is the replicated control-plane surface (implemented
@@ -85,19 +85,6 @@ type FaultInjector interface {
 type NamenodeTarget interface {
 	CrashMember(id int) error
 	ReviveMember(id int) error
-}
-
-// CoordinatorTarget is the job-coordinator surface (implemented by
-// *core.Engine): CrashCoordinator discards the driver's volatile state
-// at its next recovery point and the progress journal takes over.
-type CoordinatorTarget interface {
-	CrashCoordinator()
-}
-
-// BlockCorrupter flips bits in one stored DFS replica (implemented by
-// *dfs.DFS), exercising checksum verification and read-repair.
-type BlockCorrupter interface {
-	CorruptBlock(topology.NodeID) error
 }
 
 // StreamTarget is the stream-engine surface (implemented by
@@ -143,20 +130,17 @@ type TxnTarget interface {
 type Targets struct {
 	// Nodes is the cluster size, used to resolve wildcard ("*") event
 	// nodes. Required only when the schedule contains wildcards.
-	Nodes       int
-	Compute     ComputeTarget
-	Storage     StorageTarget
-	Network     NetworkTarget
-	Membership  MembershipTarget
-	Consensus   ConsensusTarget
-	Faults      FaultInjector
-	Stream      StreamTarget
-	KV          KVTarget
-	Namenode    NamenodeTarget
-	Coordinator CoordinatorTarget
-	Corrupt     BlockCorrupter
-	Overload    OverloadTarget
-	Txn         TxnTarget
+	Nodes     int
+	Compute   ComputeTarget
+	Storage   StorageTarget
+	Network   NetworkTarget
+	Consensus ConsensusTarget
+	Engine    EngineTarget
+	Stream    StreamTarget
+	KV        KVTarget
+	Namenode  NamenodeTarget
+	Overload  OverloadTarget
+	Txn       TxnTarget
 }
 
 // Controller replays a schedule against its targets as virtual time
@@ -207,28 +191,6 @@ func (c *Controller) SetTracer(r *trace.Recorder) {
 	c.mu.Unlock()
 }
 
-// trackOf maps an event to the timeline track it annotates.
-func trackOf(e Event) string {
-	switch e.Kind {
-	case Partition, Heal, Drop, Undrop, PartialPartition, LinkCut, LinkHeal, Flap, Unflap:
-		return "network"
-	case StreamCrash, StreamRestore:
-		return fmt.Sprintf("stream-worker-%02d", int(e.Node))
-	case NNCrash, NNRevive:
-		return "ha"
-	case CoordCrash:
-		return "driver"
-	case Burst, Unburst:
-		return "clients"
-	case TxnCrash, TxnRecover:
-		return "txn"
-	case TenantFlood, Unflood:
-		return fmt.Sprintf("tenant-%02d", int(e.Node))
-	default:
-		return fmt.Sprintf("node-%02d", int(e.Node))
-	}
-}
-
 // New builds a controller over a schedule. Wildcard event nodes are
 // resolved immediately from seed (see WildcardNode), so two controllers
 // built from the same (schedule, seed) apply identical events. reg
@@ -249,26 +211,19 @@ func New(sched Schedule, seed uint64, targets Targets, reg *metrics.Registry) *C
 	return c
 }
 
-// resolveWildcards replaces WildcardNode targets with seeded picks. An
-// "undo" kind (revive/unslow/unflaky/undegrade) wildcard reuses the node
-// of the most recent resolved wildcard of its starting kind, so
-// crash/revive pairs stay paired.
+// resolveWildcards replaces WildcardNode targets with seeded picks. A
+// wildcard of a kind that undoes another (revive, unslow, ...) reuses the
+// node of the most recent resolved wildcard of that kind, so crash/revive
+// pairs stay paired.
 func resolveWildcards(sched Schedule, seed uint64, nodes int) Schedule {
 	r := rng.New(seed)
 	last := map[Kind]topology.NodeID{}
-	undoOf := map[Kind]Kind{
-		Revive:        Crash,
-		Unslow:        Slow,
-		Unflaky:       Flaky,
-		Undegrade:     Degrade,
-		StreamRestore: StreamCrash,
-	}
 	out := append(Schedule(nil), sched...)
 	for i := range out {
 		if out[i].Node != WildcardNode {
 			continue
 		}
-		if start, ok := undoOf[out[i].Kind]; ok {
+		if start := kinds[out[i].Kind].undoes; start != "" {
 			if n, ok := last[start]; ok {
 				out[i].Node = n
 				continue
@@ -346,51 +301,37 @@ func (c *Controller) flapTickLocked() {
 				}
 				f.state[key] = want
 				c.flapToggles.Inc()
-				if want {
-					c.cutPair(s, d)
-				} else {
-					c.healPair(s, d)
-				}
+				c.setLink(want, s, d)
 			}
 		}
 	}
 }
 
-// cutPair / healPair apply one directed link transition to every wired
+// setLink cuts (cut) or heals one directed link on every wired
 // gray-capable target.
-func (c *Controller) cutPair(s, d topology.NodeID) {
-	if c.targets.Network != nil {
-		c.targets.Network.CutLink(s, d)
+func (c *Controller) setLink(cut bool, s, d topology.NodeID) {
+	if n := c.targets.Network; n != nil {
+		if cut {
+			n.CutLink(s, d)
+		} else {
+			n.HealLink(s, d)
+		}
 	}
-	if c.targets.Consensus != nil {
-		c.targets.Consensus.CutLink(int(s), int(d))
-	}
-}
-
-func (c *Controller) healPair(s, d topology.NodeID) {
-	if c.targets.Network != nil {
-		c.targets.Network.HealLink(s, d)
-	}
-	if c.targets.Consensus != nil {
-		c.targets.Consensus.HealLink(int(s), int(d))
-	}
-}
-
-func (c *Controller) cutPairs(srcs, dsts []topology.NodeID) {
-	for _, s := range srcs {
-		for _, d := range dsts {
-			if s != d {
-				c.cutPair(s, d)
-			}
+	if r := c.targets.Consensus; r != nil {
+		if cut {
+			r.CutLink(int(s), int(d))
+		} else {
+			r.HealLink(int(s), int(d))
 		}
 	}
 }
 
-func (c *Controller) healPairs(srcs, dsts []topology.NodeID) {
+// setLinks applies setLink to every src->dst pair but self-links.
+func (c *Controller) setLinks(cut bool, srcs, dsts []topology.NodeID) {
 	for _, s := range srcs {
 		for _, d := range dsts {
 			if s != d {
-				c.healPair(s, d)
+				c.setLink(cut, s, d)
 			}
 		}
 	}
@@ -426,191 +367,19 @@ func (c *Controller) Done() bool {
 	return c.idx >= len(c.sched)
 }
 
-// apply fires one event against every wired target.
+// apply fires one event against every wired target, counts it and marks
+// it on its timeline track.
 func (c *Controller) apply(e Event) {
-	t := c.targets
-	switch e.Kind {
-	case Crash:
-		if t.Compute != nil {
-			_ = t.Compute.Kill(e.Node)
-		}
-		if t.Storage != nil {
-			_ = t.Storage.KillNode(e.Node)
-		}
-		if t.Membership != nil {
-			t.Membership.Crash(int(e.Node))
-		}
-		if t.Consensus != nil {
-			t.Consensus.Crash(int(e.Node))
-		}
-		if t.KV != nil {
-			_ = t.KV.FailNode(e.Node)
-		}
-	case Revive:
-		if t.Compute != nil {
-			_ = t.Compute.Revive(e.Node)
-		}
-		if t.Storage != nil {
-			_ = t.Storage.ReviveNode(e.Node)
-		}
-		if t.Membership != nil {
-			t.Membership.Revive(int(e.Node))
-		}
-		if t.Consensus != nil {
-			t.Consensus.Restart(int(e.Node))
-		}
-		if t.KV != nil {
-			_ = t.KV.RecoverNode(e.Node)
-		}
-	case Partition:
-		if t.Network != nil {
-			_ = t.Network.SetPartition(e.Group...)
-		}
-		if t.Consensus != nil {
-			groups := make([][]int, len(e.Group))
-			for i, g := range e.Group {
-				groups[i] = make([]int, len(g))
-				for j, n := range g {
-					groups[i][j] = int(n)
-				}
-			}
-			t.Consensus.Partition(groups...)
-		}
-	case PartialPartition:
-		// Non-transitive partial partition: every cross-group link is cut
-		// (both directions) but, unlike Partition, nodes OUTSIDE the listed
-		// groups still reach everyone — connectivity stops being transitive.
-		for i := range e.Group {
-			for j := i + 1; j < len(e.Group); j++ {
-				c.cutPairs(e.Group[i], e.Group[j])
-				c.cutPairs(e.Group[j], e.Group[i])
-			}
-		}
-	case LinkCut:
-		c.cutPairs(e.Group[0], e.Group[1])
-	case LinkHeal:
-		c.healPairs(e.Group[0], e.Group[1])
-	case Flap:
-		c.flaps = append(c.flaps, &flapState{
-			srcs:  e.Group[0],
-			dsts:  e.Group[1],
-			p:     e.Value,
-			r:     rng.New(c.seed ^ (uint64(c.idx)+1)*0x9e3779b97f4a7c15),
-			state: map[[2]int]bool{},
-		})
-	case Unflap:
-		kept := c.flaps[:0]
-		for _, f := range c.flaps {
-			if nodesEqual(f.srcs, e.Group[0]) && nodesEqual(f.dsts, e.Group[1]) {
-				// Heal whatever the coin currently holds cut, in roll order
-				// (srcs x dsts): ranging over the state map would make the
-				// transition log follow Go's map order, not the seed.
-				for _, src := range f.srcs {
-					for _, dst := range f.dsts {
-						if f.state[[2]int{int(src), int(dst)}] {
-							c.healPair(src, dst)
-						}
-					}
-				}
-				continue
-			}
-			kept = append(kept, f)
-		}
-		c.flaps = kept
-	case Heal:
-		if t.Network != nil {
-			t.Network.Heal()
-		}
-		if t.Consensus != nil {
-			t.Consensus.Heal()
-		}
-		// Heal is total: drop any active flap coins too, so a trailing
-		// "T heal" leaves the run with a fully clean fabric.
-		c.flaps = nil
-		c.heals.Inc()
-	case Slow:
-		if t.Compute != nil {
-			_ = t.Compute.SetSlowdown(e.Node, e.Delay)
-		}
-	case Unslow:
-		if t.Compute != nil {
-			_ = t.Compute.SetSlowdown(e.Node, 0)
-		}
-	case Flaky:
-		if t.Faults != nil {
-			t.Faults.SetNodeFailProb(e.Node, e.Value)
-		}
-	case Unflaky:
-		if t.Faults != nil {
-			t.Faults.SetNodeFailProb(e.Node, 0)
-		}
-	case Drop:
-		if t.Membership != nil {
-			t.Membership.SetLossProb(e.Value)
-		}
-	case Undrop:
-		if t.Membership != nil {
-			t.Membership.SetLossProb(0)
-		}
-	case Degrade:
-		if t.Network != nil {
-			t.Network.SetNodeDegrade(e.Node, e.Value)
-		}
-	case Undegrade:
-		if t.Network != nil {
-			t.Network.SetNodeDegrade(e.Node, 1)
-		}
-	case StreamCrash:
-		if t.Stream != nil {
-			_ = t.Stream.CrashWorker(int(e.Node))
-		}
-	case StreamRestore:
-		if t.Stream != nil {
-			_ = t.Stream.RestoreWorker(int(e.Node))
-		}
-	case NNCrash:
-		if t.Namenode != nil {
-			_ = t.Namenode.CrashMember(memberID(e.Node))
-		}
-	case NNRevive:
-		if t.Namenode != nil {
-			_ = t.Namenode.ReviveMember(memberID(e.Node))
-		}
-	case CoordCrash:
-		if t.Coordinator != nil {
-			t.Coordinator.CrashCoordinator()
-		}
-	case CorruptBlock:
-		if t.Corrupt != nil {
-			_ = t.Corrupt.CorruptBlock(e.Node)
-		}
-	case Burst:
-		if t.Overload != nil {
-			t.Overload.SetBurst(e.Value)
-		}
-	case Unburst:
-		if t.Overload != nil {
-			t.Overload.SetBurst(1)
-		}
-	case TenantFlood:
-		if t.Overload != nil {
-			t.Overload.SetTenantFlood(int(e.Node), e.Value)
-		}
-	case Unflood:
-		if t.Overload != nil {
-			t.Overload.SetTenantFlood(int(e.Node), 1)
-		}
-	case TxnCrash:
-		if t.Txn != nil {
-			_ = t.Txn.OrphanNext(e.Point)
-		}
-	case TxnRecover:
-		if t.Txn != nil {
-			_ = t.Txn.Recover()
-		}
+	k := kinds[e.Kind]
+	if k.fire != nil {
+		k.fire(c, c.targets, e)
+	}
+	track := cmp.Or(k.track, "node-")
+	if strings.HasSuffix(track, "-") {
+		track = fmt.Sprintf("%s%02d", track, int(e.Node))
 	}
 	c.applied.With(string(e.Kind)).Inc()
-	c.tracer.Instant(fmt.Sprintf("chaos %s", e.Kind), "chaos", trackOf(e), map[string]string{
+	c.tracer.Instant(fmt.Sprintf("chaos %s", e.Kind), "chaos", track, map[string]string{
 		"kind":  string(e.Kind),
 		"vtime": fmt.Sprint(e.At),
 	})

@@ -188,7 +188,7 @@ func FuzzParseSchedule(f *testing.F) {
 		"3 partition 0-3|4-7\n5 heal\n",
 		"1 slow 1 40ms\n13 unslow 1\n",
 		"7 flaky 2 0.8\n12 unflaky 2\n",
-		"8 drop 0.25\n11 undrop\n",
+		"1 burst +Inf\n1 flaky 1 1.5\n",
 		"9 degrade 5 4\n10 undegrade 5\n",
 		"7 stream-crash 2\n9 stream-restore 2\n",
 		"2 nn-crash leader\n9 nn-revive leader\n",

@@ -2,11 +2,8 @@ package chaos
 
 import (
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/topology"
 )
 
 // TestParseRejectsBadLines is the table-driven parser contract: every
@@ -28,8 +25,12 @@ func TestParseRejectsBadLines(t *testing.T) {
 		{"corrupt-block missing node", "2 corrupt-block", "line 1", "corrupt-block wants"},
 		{"slow missing duration", "1 slow 1", "line 1", "slow wants"},
 		{"slow bad duration", "1 slow 1 fast", "line 1", "bad duration"},
-		{"drop out of range", "1 drop 1.5", "line 1", "bad probability"},
+		{"drop is gone", "1 drop 0.5", "line 1", "unknown event kind"},
 		{"flaky negative", "1 flaky 1 -0.5", "line 1", "bad value"},
+		{"flaky above one", "1 flaky 1 1.5", "line 1", "bad value"},
+		{"flaky NaN", "1 flaky 1 NaN", "line 1", "bad value"},
+		{"flap NaN", "1 flap 0 1 NaN", "line 1", "bad value"},
+		{"burst infinite", "1 burst +Inf", "line 1", "bad value"},
 		{"partition one group", "1 partition 0-3", "line 1", "at least two groups"},
 	}
 	for _, tc := range cases {
@@ -47,30 +48,6 @@ func TestParseRejectsBadLines(t *testing.T) {
 	}
 }
 
-// haTargets fakes the control-plane surfaces the new kinds drive.
-type haTargets struct {
-	log []string
-}
-
-func (f *haTargets) CrashMember(id int) error {
-	f.log = append(f.log, "nn-crash", strconv.Itoa(id))
-	return nil
-}
-
-func (f *haTargets) ReviveMember(id int) error {
-	f.log = append(f.log, "nn-revive", strconv.Itoa(id))
-	return nil
-}
-
-func (f *haTargets) CrashCoordinator() {
-	f.log = append(f.log, "coord-crash")
-}
-
-func (f *haTargets) CorruptBlock(n topology.NodeID) error {
-	f.log = append(f.log, "corrupt-block", nodeString(n))
-	return nil
-}
-
 func TestControlPlaneEventKinds(t *testing.T) {
 	text := "2 nn-crash leader\n3 corrupt-block 4\n5 coord-crash\n7 nn-revive leader\n8 nn-crash 1\n"
 	sched, err := Parse(text)
@@ -85,8 +62,8 @@ func TestControlPlaneEventKinds(t *testing.T) {
 	if !reflect.DeepEqual(sched, s2) {
 		t.Fatalf("round trip mismatch:\n%v\nvs\n%v", sched, s2)
 	}
-	f := &haTargets{}
-	c := New(sched, 1, Targets{Namenode: f, Coordinator: f, Corrupt: f}, nil)
+	f := &fakeTargets{}
+	c := New(sched, 1, Targets{Namenode: f, Engine: f, Storage: f}, nil)
 	c.AdvanceTo(10)
 	want := []string{
 		"nn-crash", "-1", // leader resolves to -1 for ha.Group

@@ -3,138 +3,79 @@ package chaos
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
-	"time"
-
-	"repro/internal/topology"
 )
+
+// presets are the canned schedules in the text format Parse reads, with
+// {victim} (node n/2), {last} (node n-1), {others} (nodes 0..n-2) and
+// {halves} (0..n/2-1 | n/2..n-1) filled in for a cluster of n nodes.
+var presets = map[string]string{
+	"crash":     "2 crash {victim}\n8 revive {victim}",
+	"partition": "2 partition {halves}\n6 heal",
+	"straggler": "1 slow {last} 25ms\n12 unslow {last}",
+	"flaky":     "1 flaky {victim} 0.8\n10 unflaky {victim}",
+	"mixed": `1 slow {last} 20ms
+2 flaky {victim} 0.9
+3 crash 1
+4 partition {halves}
+6 heal
+8 revive 1
+10 unflaky {victim}
+14 unslow {last}`,
+	"stream":      "4 stream-crash {victim}\n10 stream-restore {victim}",
+	"nn-crash":    "2 nn-crash leader\n4 nn-revive leader",
+	"coord-crash": "4 coord-crash",
+	"ha":          "2 nn-crash leader\n4 coord-crash\n5 nn-revive leader",
+	// Traffic burst + tenant flood + a per-node slowdown on the serving
+	// path. The slow node is modelled with degrade (a fabric cost
+	// multiplier) rather than slow, because the KV quorum path is
+	// network-bound: every rtt through the victim rises 4x, which is what
+	// a saturated server looks like to its clients.
+	"overload": `2 burst 3
+4 tenant-flood 0 5
+5 degrade {victim} 4
+8 undegrade {victim}
+9 unflood 0
+10 unburst`,
+	// Coordinator crashes bracketing the 2PC commit point, each followed
+	// by a recovery pass: the pre-commit orphan must resolve as an abort,
+	// the post-commit one as a resumed apply.
+	"txn": "2 txn-crash before-commit\n4 txn-recover\n6 txn-crash commit\n8 txn-recover",
+	// A one-way cut toward the last node (it can still send: the
+	// inbound-isolation shape), then a flapping window on the same links,
+	// then a non-transitive partial partition, and a total heal so the
+	// run finishes clean.
+	"gray": `2 link-cut {others} {last}
+8 link-heal {others} {last}
+10 flap {others} {last} 0.3
+16 unflap {others} {last}
+18 partial-partition 0|{last}
+24 heal`,
+}
 
 // Preset builds a named canned schedule sized for a cluster of n nodes.
 // Presets are what the CLI -chaos flag and scripts/chaos.sh use; every
 // preset leaves the cluster fully healthy once its last event fires, so a
-// job that outlives the schedule can always finish. Known names: crash,
-// partition, straggler, flaky, mixed — plus "stream", which targets the
-// stream engine (stream-crash/stream-restore of one worker), and the
-// control-plane presets "nn-crash" (kill + revive the namenode leader),
-// "coord-crash" (kill the job coordinator) and "ha" (both),
-// "overload" (traffic burst + tenant flood + per-node slowdown against
-// the admission layer), "txn" (transaction-coordinator crashes
-// bracketing the 2PC commit point, each followed by recovery), and
-// "gray" (directed link cuts, link flapping, and a non-transitive
-// partial partition — the asymmetric faults E-GRAY sweeps). Those are
-// kept out of PresetNames so the compute-preset sweeps (EFT, chaos.sh)
-// skip them; E-SFT/E-HA/E-OVL/E-TXN use them.
+// job that outlives the schedule can always finish. PresetNames lists the
+// compute presets (crash, partition, straggler, flaky, mixed) the EFT and
+// chaos.sh sweeps run; the others target one subsystem and are used by
+// its experiment: "stream" (E-SFT), "nn-crash", "coord-crash" and "ha"
+// (E-HA), "overload" (E-OVL), "txn" (E-TXN) and "gray" (E-GRAY).
 func Preset(name string, n int) (Schedule, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("chaos: preset needs >= 2 nodes, got %d", n)
 	}
-	victim := topology.NodeID(n / 2)
-	last := topology.NodeID(n - 1)
-	half := firstHalf(n)
-	rest := secondHalf(n)
-	switch name {
-	case "crash":
-		return Schedule{
-			{At: 2, Kind: Crash, Node: victim},
-			{At: 8, Kind: Revive, Node: victim},
-		}, nil
-	case "partition":
-		return Schedule{
-			{At: 2, Kind: Partition, Group: [][]topology.NodeID{half, rest}},
-			{At: 6, Kind: Heal},
-		}, nil
-	case "straggler":
-		return Schedule{
-			{At: 1, Kind: Slow, Node: last, Delay: 25 * time.Millisecond},
-			{At: 12, Kind: Unslow, Node: last},
-		}, nil
-	case "flaky":
-		return Schedule{
-			{At: 1, Kind: Flaky, Node: victim, Value: 0.8},
-			{At: 10, Kind: Unflaky, Node: victim},
-		}, nil
-	case "stream":
-		return Schedule{
-			{At: 4, Kind: StreamCrash, Node: victim},
-			{At: 10, Kind: StreamRestore, Node: victim},
-		}, nil
-	case "nn-crash":
-		return Schedule{
-			{At: 2, Kind: NNCrash, Node: LeaderNode},
-			{At: 4, Kind: NNRevive, Node: LeaderNode},
-		}, nil
-	case "coord-crash":
-		return Schedule{
-			{At: 4, Kind: CoordCrash},
-		}, nil
-	case "ha":
-		return Schedule{
-			{At: 2, Kind: NNCrash, Node: LeaderNode},
-			{At: 4, Kind: CoordCrash},
-			{At: 5, Kind: NNRevive, Node: LeaderNode},
-		}, nil
-	case "overload":
-		// Traffic burst + tenant flood + a per-node slowdown on the
-		// serving path. The slow node is modelled with degrade (a fabric
-		// cost multiplier) rather than the compute Slow kind, because the
-		// KV quorum path is network-bound: every rtt through the victim
-		// rises 4x, which is what a saturated server looks like to its
-		// clients. Kept out of PresetNames like stream/ha so compute
-		// sweeps skip it; E-OVL and the overload acceptance test use it.
-		return Schedule{
-			{At: 2, Kind: Burst, Value: 3},
-			{At: 4, Kind: TenantFlood, Node: 0, Value: 5},
-			{At: 5, Kind: Degrade, Node: victim, Value: 4},
-			{At: 8, Kind: Undegrade, Node: victim},
-			{At: 9, Kind: Unflood, Node: 0},
-			{At: 10, Kind: Unburst},
-		}, nil
-	case "txn":
-		// Coordinator crashes bracketing the 2PC commit point, each
-		// followed by a recovery pass: the pre-commit orphan must resolve
-		// as an abort, the post-commit one as a resumed apply. Kept out of
-		// PresetNames like stream/ha/overload so compute sweeps skip it;
-		// E-TXN and the txn acceptance test use it.
-		return Schedule{
-			{At: 2, Kind: TxnCrash, Point: "before-commit"},
-			{At: 4, Kind: TxnRecover},
-			{At: 6, Kind: TxnCrash, Point: "commit"},
-			{At: 8, Kind: TxnRecover},
-		}, nil
-	case "gray":
-		// Gray-failure sampler: a one-way cut toward the last node (it can
-		// still send — the inbound-isolation shape), then a short flapping
-		// window on the same links, then a non-transitive partial partition,
-		// with a total heal at the end so the run finishes clean. Kept out
-		// of PresetNames like stream/ha/overload/txn so compute sweeps skip
-		// it; E-GRAY, the gray acceptance test and the -gray CLI flags use
-		// it.
-		others := make([]topology.NodeID, 0, n-1)
-		for i := 0; i < n-1; i++ {
-			others = append(others, topology.NodeID(i))
-		}
-		return Schedule{
-			{At: 2, Kind: LinkCut, Group: [][]topology.NodeID{others, {last}}},
-			{At: 8, Kind: LinkHeal, Group: [][]topology.NodeID{others, {last}}},
-			{At: 10, Kind: Flap, Group: [][]topology.NodeID{others, {last}}, Value: 0.3},
-			{At: 16, Kind: Unflap, Group: [][]topology.NodeID{others, {last}}},
-			{At: 18, Kind: PartialPartition, Group: [][]topology.NodeID{{0}, {last}}},
-			{At: 24, Kind: Heal},
-		}, nil
-	case "mixed":
-		return Schedule{
-			{At: 1, Kind: Slow, Node: last, Delay: 20 * time.Millisecond},
-			{At: 2, Kind: Flaky, Node: victim, Value: 0.9},
-			{At: 3, Kind: Crash, Node: topology.NodeID(1)},
-			{At: 4, Kind: Partition, Group: [][]topology.NodeID{half, rest}},
-			{At: 6, Kind: Heal},
-			{At: 8, Kind: Revive, Node: topology.NodeID(1)},
-			{At: 10, Kind: Unflaky, Node: victim},
-			{At: 14, Kind: Unslow, Node: last},
-		}, nil
-	default:
+	text, ok := presets[name]
+	if !ok {
 		return nil, fmt.Errorf("chaos: unknown preset %q (want %s)", name, strings.Join(PresetNames(), ", "))
 	}
+	return Parse(strings.NewReplacer(
+		"{victim}", strconv.Itoa(n/2),
+		"{last}", strconv.Itoa(n-1),
+		"{others}", fmt.Sprintf("0-%d", n-2),
+		"{halves}", fmt.Sprintf("0-%d|%d-%d", n/2-1, n/2, n-1),
+	).Replace(text))
 }
 
 // PresetNames lists the available presets, sorted.
@@ -154,20 +95,4 @@ func Load(spec string, nodes int) (Schedule, error) {
 		}
 	}
 	return Parse(spec)
-}
-
-func firstHalf(n int) []topology.NodeID {
-	out := make([]topology.NodeID, 0, n/2)
-	for i := 0; i < n/2; i++ {
-		out = append(out, topology.NodeID(i))
-	}
-	return out
-}
-
-func secondHalf(n int) []topology.NodeID {
-	out := make([]topology.NodeID, 0, n-n/2)
-	for i := n / 2; i < n; i++ {
-		out = append(out, topology.NodeID(i))
-	}
-	return out
 }

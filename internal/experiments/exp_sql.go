@@ -175,7 +175,7 @@ func ESQLPlanner(p Params) *Table {
 	if err != nil {
 		panic(err)
 	}
-	ctl := chaos.New(sched, 11, chaos.Targets{Nodes: 8, Compute: eng.Cluster(), Faults: eng}, eng.Reg)
+	ctl := chaos.New(sched, 11, chaos.Targets{Nodes: 8, Compute: eng.Cluster(), Engine: eng}, eng.Reg)
 	eng.SetChaos(ctl)
 	q := query.StarQueries()[3]
 	plan, err := chaosEnv.SQL(q.SQL, query.Options{Optimize: true, Parts: parts, BroadcastRows: broadcastRows})

@@ -136,14 +136,7 @@ sh scripts/reach.sh -check
 
 if [ "${FUZZ:-0}" = "1" ]; then
     echo "== fuzz smoke (FUZZ=1) =="
-    # Every Fuzz target in the module, 3s each (about a minute), found by
-    # asking the packages rather than kept by hand; the checked-in corpora
-    # under testdata/fuzz run on every plain `go test`.
-    for pkg in $(go list ./...); do
-        for target in $(go test -list '^Fuzz' "$pkg" | grep '^Fuzz' || true); do
-            go test -fuzz="^${target}\$" -fuzztime=3s -run '^$' "$pkg"
-        done
-    done
+    sh scripts/fuzz.sh
 fi
 
 if [ "${CHAOS:-0}" = "1" ]; then
