@@ -1,11 +1,14 @@
 // Package check is the correctness backbone of the repo: sequential
 // single-node reference oracles for every distributed engine (dataflow,
 // shuffle, streaming windows and sessions, PageRank, parameter-server
-// SGD) and a porcupine-style linearizability checker for the quorum KV
-// store. Chaos sweeps and experiments end with an oracle diff recorded
-// in a Harness, so "the run survived faults" always means "the run
-// survived faults AND produced provably correct output". See DESIGN.md
-// "Correctness checking".
+// SGD) and two history oracles for the KV stores — linearizability per
+// key for the quorum ring (CheckOps) and strict serializability for the
+// sharded store (CheckTxns). Both decide through one witness search and
+// capture their histories on one wave driver. Chaos sweeps and
+// experiments end with an oracle diff recorded in a Harness, so "the
+// run survived faults" always means "the run survived faults AND
+// produced provably correct output". See DESIGN.md "Correctness
+// checking".
 package check
 
 import (

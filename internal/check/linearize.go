@@ -1,10 +1,9 @@
 // Porcupine-style linearizability checking for the quorum KV store.
 // Concurrent clients record invoke/return-stamped operations into a
 // History; the checker partitions the history by key (keys of a KV map
-// are independent registers) and searches each key's operations for a
-// valid sequential witness under the register model, using the
-// Wing & Gong algorithm with the (linearized-set, register-state)
-// memoization of Lowe/porcupine.
+// are independent registers, and linearizability is compositional) and
+// decides each key's operations as a history of one-key transactions
+// with witness, the Wing & Gong search CheckTxns runs (txn.go).
 package check
 
 import (
@@ -126,6 +125,16 @@ func (o Outcome) String() string {
 	return fmt.Sprintf("NOT linearizable: key %q: %s", o.BadKey, o.Detail)
 }
 
+// Diff records the verdict as the oracle comparison name: Compared is
+// the operation count and a failure's one detail is String().
+func (o Outcome) Diff(name string) Diff {
+	d := Diff{Name: name, OK: o.OK, Compared: o.Ops}
+	if !o.OK {
+		d.Details = []string{o.String()}
+	}
+	return d
+}
+
 // Linearizable checks h against the per-key register model.
 func Linearizable(h *History) Outcome { return CheckOps(h.Ops()) }
 
@@ -156,122 +165,33 @@ func CheckOps(ops []Op) Outcome {
 	return out
 }
 
-// regState is the sequential register value during the witness search.
-type regState struct {
-	value string
-	found bool
-}
-
-// checkKey searches one key's operations for a sequential witness.
+// checkKey decides one key's operations with the search CheckTxns runs,
+// each operation a one-key transaction.
 func checkKey(ops []Op) (string, bool) {
 	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Invoke < ops[j].Invoke })
-	n := len(ops)
-	// preds[i] lists operations that must precede i in any witness.
-	preds := make([][]int, n)
-	required := 0
-	for i := range ops {
-		if ops[i].Return != InfTime {
-			required++
-		}
-		for j := range ops {
-			if j != i && ops[j].Return < ops[i].Invoke {
-				preds[i] = append(preds[i], j)
-			}
-		}
+	txns := make([]TxnOp, len(ops))
+	for i, op := range ops {
+		txns[i] = op.txn()
 	}
-
-	words := (n + 63) / 64
-	chosen := make([]uint64, words)
-	has := func(i int) bool { return chosen[i/64]&(1<<(i%64)) != 0 }
-	set := func(i int) { chosen[i/64] |= 1 << (i % 64) }
-	unset := func(i int) { chosen[i/64] &^= 1 << (i % 64) }
-
-	visited := map[string]struct{}{}
-	memoKey := func(st regState) string {
-		b := make([]byte, 0, words*8+len(st.value)+2)
-		for _, w := range chosen {
-			for s := 0; s < 64; s += 8 {
-				b = append(b, byte(w>>s))
-			}
-		}
-		if st.found {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		return string(append(b, st.value...))
-	}
-
-	bestDepth := 0
-	var dfs func(st regState, done int) bool
-	dfs = func(st regState, done int) bool {
-		if done > bestDepth {
-			bestDepth = done
-		}
-		if done == required {
-			return true
-		}
-		mk := memoKey(st)
-		if _, seen := visited[mk]; seen {
-			return false
-		}
-		visited[mk] = struct{}{}
-		for i := 0; i < n; i++ {
-			if has(i) {
-				continue
-			}
-			eligible := true
-			for _, j := range preds[i] {
-				if !has(j) {
-					eligible = false
-					break
-				}
-			}
-			if !eligible {
-				continue
-			}
-			next := st
-			switch ops[i].Kind {
-			case OpWrite:
-				next = regState{value: ops[i].Value, found: true}
-			case OpDelete:
-				next = regState{}
-			case OpRead:
-				if ops[i].Found != st.found || (st.found && ops[i].Value != st.value) {
-					continue // this read cannot fire in the current state
-				}
-			}
-			nd := done
-			if ops[i].Return != InfTime {
-				nd++
-			}
-			set(i)
-			if dfs(next, nd) {
-				return true
-			}
-			unset(i)
-		}
-		return false
-	}
-	if dfs(regState{}, 0) {
+	longest, ok := witness(txns)
+	if ok {
 		return "", true
 	}
 	return fmt.Sprintf("no sequential witness over %d ops (longest valid prefix: %d ops); first ops: %s",
-		n, bestDepth, sampleOps(ops)), false
+		len(ops), longest, sample(ops)), false
 }
 
-// sampleOps renders up to four operations for failure diagnostics.
-func sampleOps(ops []Op) string {
-	s := ""
-	for i, op := range ops {
-		if i == 4 {
-			s += ", ..."
-			break
-		}
-		if i > 0 {
-			s += ", "
-		}
-		s += op.String()
+// txn is o as a one-key transaction: a read becomes one TxnRead, a write
+// one TxnWrite and a delete one TxnWrite with Del set.
+func (o Op) txn() TxnOp {
+	t := TxnOp{Client: o.Client, Invoke: o.Invoke, Return: o.Return}
+	switch o.Kind {
+	case OpRead:
+		t.Reads = []TxnRead{{Key: o.Key, Value: o.Value, Found: o.Found}}
+	case OpWrite:
+		t.Writes = []TxnWrite{{Key: o.Key, Value: o.Value}}
+	default:
+		t.Writes = []TxnWrite{{Key: o.Key, Del: true}}
 	}
-	return s
+	return t
 }

@@ -91,7 +91,8 @@ func (o TxnOp) String() string {
 // real time — A before B whenever A.Return < B.Invoke — and (b) starts
 // from an empty store and gives every read exactly the value of the
 // latest preceding write to its key (or absent after none or a delete).
-// Transactions with Return=InfTime are pending and may be omitted.
+// Transactions with Return=InfTime are pending and may be omitted. The
+// caller's slice is left as it is.
 func CheckTxns(ops []TxnOp) Outcome {
 	keys := map[string]struct{}{}
 	for _, op := range ops {
@@ -102,20 +103,33 @@ func CheckTxns(ops []TxnOp) Outcome {
 			keys[w.Key] = struct{}{}
 		}
 	}
+	sorted := append([]TxnOp(nil), ops...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Invoke < sorted[j].Invoke })
 	out := Outcome{OK: true, Ops: len(ops), Keys: len(keys)}
-	if detail, ok := checkTxnOrder(ops); !ok {
-		return Outcome{OK: false, Ops: len(ops), Keys: len(keys), Detail: detail}
+	if longest, ok := witness(sorted); !ok {
+		out.OK = false
+		out.Detail = fmt.Sprintf("no serial witness over %d txns (longest valid prefix: %d); first txns: %s",
+			len(sorted), longest, sample(sorted))
 	}
 	return out
 }
 
-// checkTxnOrder runs the witness search over the whole history. The
-// state is the full store image (every key's register), serialized into
-// the memo key alongside the chosen-set bitmask, the direct analogue of
-// checkKey's (linearized-set, register-state) memoization.
-func checkTxnOrder(ops []TxnOp) (string, bool) {
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Invoke < ops[j].Invoke })
+// regState is one key's register value during the witness search.
+type regState struct {
+	value string
+	found bool
+}
+
+// witness is the one Wing & Gong search behind both checkers: it looks
+// for a serial order of ops, which the caller has sorted by Invoke, that
+// respects real time and gives every read the value of the latest
+// preceding write to its key, starting from an empty store. Pending ops
+// may be left out. The memo key is the chosen-set bitmask plus the store
+// image, the (linearized-set, state) memoization of Lowe/porcupine.
+// longest is the most completed ops any explored order placed.
+func witness(ops []TxnOp) (longest int, ok bool) {
 	n := len(ops)
+	// preds[i] lists operations that must precede i in any witness.
 	preds := make([][]int, n)
 	required := 0
 	for i := range ops {
@@ -129,21 +143,16 @@ func checkTxnOrder(ops []TxnOp) (string, bool) {
 		}
 	}
 
-	words := (n + 63) / 64
-	chosen := make([]uint64, words)
-	has := func(i int) bool { return chosen[i/64]&(1<<(i%64)) != 0 }
-	set := func(i int) { chosen[i/64] |= 1 << (i % 64) }
-	unset := func(i int) { chosen[i/64] &^= 1 << (i % 64) }
+	chosen := make([]byte, (n+7)/8)
+	has := func(i int) bool { return chosen[i/8]&(1<<(i%8)) != 0 }
+	set := func(i int) { chosen[i/8] |= 1 << (i % 8) }
+	unset := func(i int) { chosen[i/8] &^= 1 << (i % 8) }
 
 	state := map[string]regState{}
 	visited := map[string]struct{}{}
 	memoKey := func() string {
 		var b strings.Builder
-		for _, w := range chosen {
-			for s := 0; s < 64; s += 8 {
-				b.WriteByte(byte(w >> s))
-			}
-		}
+		b.Write(chosen)
 		ks := make([]string, 0, len(state))
 		for k := range state {
 			ks = append(ks, k)
@@ -173,12 +182,9 @@ func checkTxnOrder(ops []TxnOp) (string, bool) {
 		return true
 	}
 
-	bestDepth := 0
 	var dfs func(done int) bool
 	dfs = func(done int) bool {
-		if done > bestDepth {
-			bestDepth = done
-		}
+		longest = max(longest, done)
 		if done == required {
 			return true
 		}
@@ -228,25 +234,19 @@ func checkTxnOrder(ops []TxnOp) (string, bool) {
 		}
 		return false
 	}
-	if dfs(0) {
-		return "", true
-	}
-	return fmt.Sprintf("no serial witness over %d txns (longest valid prefix: %d); first txns: %s",
-		n, bestDepth, sampleTxns(ops)), false
+	ok = dfs(0)
+	return longest, ok
 }
 
-// sampleTxns renders up to four transactions for failure diagnostics.
-func sampleTxns(ops []TxnOp) string {
-	s := ""
+// sample renders up to four operations for failure diagnostics.
+func sample[T fmt.Stringer](ops []T) string {
+	parts := make([]string, 0, 5)
 	for i, op := range ops {
 		if i == 4 {
-			s += ", ..."
+			parts = append(parts, "...")
 			break
 		}
-		if i > 0 {
-			s += ", "
-		}
-		s += op.String()
+		parts = append(parts, op.String())
 	}
-	return s
+	return strings.Join(parts, ", ")
 }

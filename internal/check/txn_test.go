@@ -2,6 +2,7 @@ package check
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/kvstore"
@@ -79,6 +80,21 @@ func TestCheckTxnsPendingMayCommitOrAbort(t *testing.T) {
 	ops[1].Reads[0] = TxnRead{Key: "x", Found: false}
 	if out := CheckTxns(ops); !out.OK {
 		t.Fatalf("pending write omitted but rejected: %s", out.Detail)
+	}
+}
+
+func TestCheckTxnsLeavesCallerOrder(t *testing.T) {
+	// Out of Invoke order on purpose: the read returns after the write.
+	ops := []TxnOp{
+		{Client: 1, Reads: []TxnRead{{Key: "x", Value: "1", Found: true}}, Invoke: 3, Return: 4},
+		{Client: 0, Writes: []TxnWrite{{Key: "x", Value: "1"}}, Invoke: 1, Return: 2},
+	}
+	want := fmt.Sprint(ops)
+	if out := CheckTxns(ops); !out.OK {
+		t.Fatalf("serial history rejected: %s", out.Detail)
+	}
+	if got := fmt.Sprint(ops); got != want {
+		t.Fatalf("CheckTxns reordered its input:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -1,9 +1,10 @@
 // Concurrent transactional history capture for the sharded KV plane.
-// Same wave discipline as CaptureHistory: every client issues one
-// operation per wave, the wave drains, then the BetweenWaves hook runs —
-// chaos transitions (crashes, partitions, splits) never race an
+// It runs on CaptureHistory's wave driver (kv.go): every client issues
+// one operation per wave, the wave drains, then the BetweenWaves hook
+// runs — chaos transitions (crashes, partitions, splits) never race an
 // in-flight operation, and the barriers bound concurrency so the
-// whole-history witness search in CheckTxns stays tractable.
+// whole-history witness search in CheckTxns stays tractable. Only the
+// draw and the operation body are this file's.
 package check
 
 import (
@@ -55,12 +56,6 @@ type TxnCaptureConfig struct {
 // error guarantees no effect, and otherwise recorded as pending
 // (Return=InfTime) with their reads dropped — the client never saw them.
 func CaptureTxnHistory(kv TxnKV, cfg TxnCaptureConfig) []TxnOp {
-	if cfg.Clients <= 0 {
-		cfg.Clients = 4
-	}
-	if cfg.Waves <= 0 {
-		cfg.Waves = 25
-	}
 	if cfg.Keys <= 0 {
 		cfg.Keys = 8
 	}
@@ -83,93 +78,79 @@ func CaptureTxnHistory(kv TxnKV, cfg TxnCaptureConfig) []TxnOp {
 		mu.Unlock()
 	}
 
-	rngs := make([]*rng.RNG, cfg.Clients)
-	for c := range rngs {
-		rngs[c] = rng.New(cfg.Seed + uint64(c)*0x9e3779b97f4a7c15)
-	}
 	ctx := context.Background()
-	for wave := 0; wave < cfg.Waves; wave++ {
-		var wg sync.WaitGroup
-		for c := 0; c < cfg.Clients; c++ {
-			r := rngs[c]
-			roll := r.Float64()
-			key := fmt.Sprintf("k%02d", r.Intn(cfg.Keys))
-			// Pre-draw the transaction's key set so the rng stream stays
-			// deterministic regardless of which branch runs.
-			tkeys := make([]string, 0, cfg.TxnKeys)
-			seen := map[string]bool{}
-			for len(tkeys) < cfg.TxnKeys && len(seen) < cfg.Keys {
-				k := fmt.Sprintf("k%02d", r.Intn(cfg.Keys))
-				if !seen[k] {
-					seen[k] = true
-					tkeys = append(tkeys, k)
-				}
+	waves(cfg.Clients, cfg.Waves, cfg.Seed, cfg.BetweenWaves, func(r *rng.RNG, c, wave int) func() {
+		roll := r.Float64()
+		key := fmt.Sprintf("k%02d", r.Intn(cfg.Keys))
+		// Pre-draw the transaction's key set so the rng stream stays
+		// deterministic regardless of which branch runs.
+		tkeys := make([]string, 0, cfg.TxnKeys)
+		seen := map[string]bool{}
+		for len(tkeys) < cfg.TxnKeys && len(seen) < cfg.Keys {
+			k := fmt.Sprintf("k%02d", r.Intn(cfg.Keys))
+			if !seen[k] {
+				seen[k] = true
+				tkeys = append(tkeys, k)
 			}
-			wg.Add(1)
-			go func(c, wave int) {
-				defer wg.Done()
-				switch {
-				case roll < cfg.ReadFraction:
-					inv := h.Stamp()
-					val, found, err := kv.Get(ctx, key)
-					ret := h.Stamp()
-					if err != nil {
-						return // failed read: observed nothing
-					}
-					record(TxnOp{
-						Client: c,
-						Reads:  []TxnRead{{Key: key, Value: string(val), Found: found}},
-						Invoke: inv, Return: ret,
-					})
-				case roll < cfg.ReadFraction+cfg.TxnFraction:
-					value := fmt.Sprintf("c%d.w%d", c, wave)
-					writes := make(map[string][]byte, len(tkeys))
-					for _, k := range tkeys {
-						writes[k] = []byte(value)
-					}
-					inv := h.Stamp()
-					got, err := kv.Txn(ctx, tkeys, writes)
-					ret := h.Stamp()
-					op := TxnOp{Client: c, Invoke: inv, Return: ret}
-					for _, k := range tkeys {
-						op.Writes = append(op.Writes, TxnWrite{Key: k, Value: value})
-					}
-					if err != nil {
-						if cfg.NoEffect(err) {
-							return
-						}
-						op.Return = InfTime // ambiguous: may have committed
-						record(op)
-						return
-					}
-					for _, k := range tkeys {
-						v, found := got[k]
-						op.Reads = append(op.Reads, TxnRead{Key: k, Value: string(v), Found: found})
-					}
-					record(op)
-				default:
-					value := fmt.Sprintf("c%d.w%d", c, wave)
-					inv := h.Stamp()
-					err := kv.Put(ctx, key, []byte(value))
-					ret := h.Stamp()
-					if err != nil && cfg.NoEffect(err) {
-						return
-					}
-					if err != nil {
-						ret = InfTime
-					}
-					record(TxnOp{
-						Client: c,
-						Writes: []TxnWrite{{Key: key, Value: value}},
-						Invoke: inv, Return: ret,
-					})
+		}
+		return func() {
+			switch {
+			case roll < cfg.ReadFraction:
+				inv := h.Stamp()
+				val, found, err := kv.Get(ctx, key)
+				ret := h.Stamp()
+				if err != nil {
+					return // failed read: observed nothing
 				}
-			}(c, wave)
+				record(TxnOp{
+					Client: c,
+					Reads:  []TxnRead{{Key: key, Value: string(val), Found: found}},
+					Invoke: inv, Return: ret,
+				})
+			case roll < cfg.ReadFraction+cfg.TxnFraction:
+				value := fmt.Sprintf("c%d.w%d", c, wave)
+				writes := make(map[string][]byte, len(tkeys))
+				for _, k := range tkeys {
+					writes[k] = []byte(value)
+				}
+				inv := h.Stamp()
+				got, err := kv.Txn(ctx, tkeys, writes)
+				ret := h.Stamp()
+				op := TxnOp{Client: c, Invoke: inv, Return: ret}
+				for _, k := range tkeys {
+					op.Writes = append(op.Writes, TxnWrite{Key: k, Value: value})
+				}
+				if err != nil {
+					if cfg.NoEffect(err) {
+						return
+					}
+					op.Return = InfTime // ambiguous: may have committed
+					record(op)
+					return
+				}
+				for _, k := range tkeys {
+					v, found := got[k]
+					op.Reads = append(op.Reads, TxnRead{Key: k, Value: string(v), Found: found})
+				}
+				record(op)
+			default:
+				value := fmt.Sprintf("c%d.w%d", c, wave)
+				inv := h.Stamp()
+				err := kv.Put(ctx, key, []byte(value))
+				ret := h.Stamp()
+				if err != nil && cfg.NoEffect(err) {
+					return
+				}
+				if err != nil {
+					ret = InfTime
+				}
+				record(TxnOp{
+					Client: c,
+					Writes: []TxnWrite{{Key: key, Value: value}},
+					Invoke: inv, Return: ret,
+				})
+			}
 		}
-		wg.Wait()
-		if cfg.BetweenWaves != nil {
-			cfg.BetweenWaves(wave)
-		}
-	}
+	})
 	return out
 }

@@ -217,11 +217,7 @@ func EGRAYGrayFailures(p Params) *Table {
 		})
 		verdict := check.Linearizable(h)
 		job := fmt.Sprintf("E-GRAY/ha-register/seed-%d", seed)
-		diff := check.Diff{Name: job, OK: verdict.OK, Compared: verdict.Ops}
-		if !verdict.OK {
-			diff.Details = []string{verdict.String()}
-		}
-		diff = t.recordCheck(diff)
+		diff := t.recordCheck(verdict.Diff(job))
 		t.AddRow("ha-register", "defended", fmt.Sprintf("%d", seed),
 			fmt.Sprintf("%d", verdict.Ops), "-", "-", "-", "-",
 			"-", fmt.Sprintf("%d", g.StepDowns()), verdictCell(diff))

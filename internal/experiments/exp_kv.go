@@ -62,12 +62,7 @@ func E5KVQuorum(p Params) *Table {
 				Seed:       uint64(rw[0]*10 + rw[1]),
 				IsNotFound: func(err error) bool { return err == kvstore.ErrNotFound },
 			})
-			verdict := check.Linearizable(h)
-			diff := check.Diff{Name: name, OK: verdict.OK, Compared: verdict.Ops}
-			if !verdict.OK {
-				diff.Details = []string{verdict.String()}
-			}
-			t.recordCheck(diff)
+			diff := t.recordCheck(check.Linearizable(h).Diff(name))
 
 			t.AddRow(
 				fmt.Sprintf("%d", rw[0]), fmt.Sprintf("%d", rw[1]),

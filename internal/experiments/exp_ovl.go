@@ -214,12 +214,7 @@ func EOVLOverload(p Params) *Table {
 			Seed:       uint64(100 + 10*mult),
 			IsNotFound: func(err error) bool { return err == kvstore.ErrNotFound },
 		})
-		verdict := check.Linearizable(h)
-		diff := check.Diff{Name: fmt.Sprintf("E-OVL/%s/admission", label), OK: verdict.OK, Compared: verdict.Ops}
-		if !verdict.OK {
-			diff.Details = []string{verdict.String()}
-		}
-		t.recordCheck(diff)
+		diff := t.recordCheck(check.Linearizable(h).Diff(fmt.Sprintf("E-OVL/%s/admission", label)))
 		addRow(label, "admission", res, verdictCell(diff))
 
 		// Control run: same arrivals, no defense stack.
@@ -248,12 +243,7 @@ func EOVLOverload(p Params) *Table {
 		Seed:       777,
 		IsNotFound: func(err error) bool { return err == kvstore.ErrNotFound },
 	})
-	verdict := check.Linearizable(h)
-	diff := check.Diff{Name: "E-OVL/1.0x/chaos", OK: verdict.OK, Compared: verdict.Ops}
-	if !verdict.OK {
-		diff.Details = []string{verdict.String()}
-	}
-	t.recordCheck(diff)
+	diff := t.recordCheck(check.Linearizable(h).Diff("E-OVL/1.0x/chaos"))
 	addRow("1.0x", "adm+chaos", res, verdictCell(diff))
 
 	return t

@@ -53,6 +53,11 @@ echo "== quorum ring under fault toggles (race, count=3) =="
 # Get/Put read without a lock while FailNode/RecoverNode flip them.
 go test -race -count=3 -run 'TestConcurrent' ./internal/kvstore
 
+echo "== history captures' wave driver (race, count=3) =="
+# Draws on the driver goroutine, operations concurrent: the one place in
+# internal/check where goroutines share the History and the store.
+go test -race -count=3 -run 'TestCapture' ./internal/check
+
 echo "== split/merge racing writes (race, count=3) =="
 # The only test that races Split/Merge against concurrent Puts: every
 # acked write readable and no lock left after Recover.
@@ -108,7 +113,7 @@ go test -count=50 -run 'TestFlapDeterminismAndUnflap' ./internal/chaos/
 go test -count=50 -run 'TestGroupTranscriptMatchesParent|TestGroupTranscriptSnapshotOverConflictingTail' ./internal/ha/
 go test -count=50 -run 'TestSnapshotOver' ./internal/consensus/
 
-echo "== scheduler, network model, overload, autoscaler, generator, stream runner + replicated machine pins (count=50) =="
+echo "== scheduler, network model, overload, autoscaler, generator, stream runner, KV oracle + replicated machine pins (count=50) =="
 # Every scheduling policy's result, every transport's Cost/Simulate output,
 # admission.Sim's defended/control/bad-node runs, E11's autoscaler runs,
 # the seeded workload generators and the checkpointed stream Runner, hashed
@@ -119,6 +124,10 @@ go test -count=50 -run 'TestSimMatchesParent' ./internal/admission/
 go test -count=50 -run 'TestSimulateMatchesParent' ./internal/elastic/
 go test -count=50 -run 'TestGeneratorsMatchParent' ./internal/workload/
 go test -count=50 -run 'TestRunnerMatchesParent' ./internal/stream/
+# The KV oracles' one witness search and one wave driver: CheckOps verdicts
+# and Detail text over seeded random register histories, and every rng
+# draw both history captures make.
+go test -count=50 -run 'TestCheckOpsOutcomesPinned|TestCaptureDrawsPinned' ./internal/check/
 # The replicated machines' one decoder: the namenode's command stream and
 # the range directory's, hashed against constants from before the decoders
 # were merged; both namenode modes must fail alike, and a corrupt count
