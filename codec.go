@@ -8,7 +8,10 @@ import (
 )
 
 // Codec serializes values of type T for shuffles and checkpoints. Encode
-// and Decode must be inverses. For SortByKey, the key codec must be
+// and Decode must be inverses, and an encoding must depend on the value
+// alone and only read it: a sort shuffle encodes a value again when it
+// frames it, and speculative copies of a task encode one value at once.
+// For SortByKey, the key codec must be
 // order-preserving: byte-wise comparison of encodings must match the
 // intended ordering (StringCodec and Uint64SortableCodec are; Int64Codec's
 // varints are not).
@@ -17,7 +20,7 @@ type Codec[T any] struct {
 	Decode func([]byte) T
 	// Append, optional, appends v's encoding — the bytes Encode returns —
 	// to dst. Shuffles encode through it into one reused buffer; a codec
-	// without it pays Encode's allocation for every value.
+	// without it pays Encode's allocation for every encoding.
 	Append func(dst []byte, v T) []byte
 	// decodeIn, set by codecs whose values can share memory, is Decode
 	// with the result cut from arena instead of allocated.

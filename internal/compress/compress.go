@@ -21,7 +21,8 @@ var ErrCorrupt = errors.New("compress: corrupt input")
 type Codec interface {
 	// Name identifies the codec in reports.
 	Name() string
-	// Compress returns the compressed form of src.
+	// Compress returns the compressed form of src in memory of its own:
+	// the caller may reuse src once it returns.
 	Compress(src []byte) []byte
 	// Decompress inverts Compress.
 	Decompress(src []byte) ([]byte, error)
@@ -145,7 +146,10 @@ func load32(b []byte, i int) uint32 {
 // literal run of tag+1 bytes. Tag >= 0x80: match of (tag-0x80)+4 bytes at
 // 2-byte little-endian offset back.
 func (LZ) Compress(src []byte) []byte {
-	out := make([]byte, 0, len(src)/2+16)
+	// Sized once, at the all-literal length no output exceeds: a match
+	// covers at least 4 bytes in 3, which pays for the one literal tag it
+	// may add by splitting a run.
+	out := make([]byte, 0, len(src)+(len(src)+127)/128)
 	// Each slot holds the last sequence with its hash and where it began
 	// (position+1, 0 = none), so a candidate is checked without going back
 	// to src.

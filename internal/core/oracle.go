@@ -98,8 +98,6 @@ type refWriter struct {
 	parts [][]shuffle.Record
 }
 
-func (w *refWriter) Reserve(int, int64) {}
-
 func (w *refWriter) Write(key, value []byte) error {
 	p := w.route(key)
 	w.parts[p] = append(w.parts[p], shuffle.Record{Key: bytes.Clone(key), Value: bytes.Clone(value)})

@@ -43,9 +43,9 @@ type ShuffleDep struct {
 	Partitions int
 	// Emit writes one parent row's records to w; required. The map task
 	// calls it once per row, so a row that is a whole batch is encoded in
-	// one call: size the writer with Reserve, then Write each record from
-	// scratch Emit owns and reuses — the writer copies what it is handed.
-	// Emit must not keep w.
+	// one call, through shuffle.WriteRecords: its callbacks must encode a
+	// record the same way until the task closes w, which is after the
+	// task's last Emit. Emit must not keep w.
 	Emit func(row Row, w shuffle.Writer) error
 	// Post converts one reduce partition's records into output rows;
 	// required. Records arrive key-sorted when Sorted is set. The view is

@@ -108,10 +108,16 @@ func (r *Reader) Read() (Record, error) {
 // AppendRecord appends one record to dst in Writer's framing — the
 // in-memory form of Writer.Write for callers that own the buffer.
 func AppendRecord(dst, key, value []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(key)))
-	dst = binary.AppendUvarint(dst, uint64(len(value)))
+	dst = AppendHeader(dst, len(key), len(value))
 	dst = append(dst, key...)
 	return append(dst, value...)
+}
+
+// AppendHeader appends the lengths that open a record's frame, for callers
+// that append the key and value themselves.
+func AppendHeader(dst []byte, klen, vlen int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(klen))
+	return binary.AppendUvarint(dst, uint64(vlen))
 }
 
 // FramedLen returns how many bytes AppendRecord adds for a key and value

@@ -7,51 +7,104 @@ package shuffle
 
 import (
 	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/serde"
 )
 
-// TestSortWriterAllocCeiling holds BenchmarkSortWriterRange's map task — a
-// Reserved, single-run, range-partitioned Close — to a fixed number of
-// allocations, the same at 12 500 records as at 25 000. Per record it may
-// allocate its copy in the arena, 48 bytes of entries (the run's and the
-// radix sort's spare), the framed blocks (the partition streams and the
-// codec's copy of them) and 4 bytes of page rounding. It reads 29
-// allocations and 355.3 B per record; sorting 40-byte entries in place,
-// with no spare and no partition counts, made 27 and 347.1 B.
-func TestSortWriterAllocCeiling(t *testing.T) {
+// sortTask is what BenchmarkSortWriterRange's map task — 25 000 100-byte
+// records, range-partitioned into one run — allocates when write feeds it.
+type sortTask struct {
+	allocs        [2]float64 // at half and at all of the records
+	perRec        float64    // bytes per record
+	klen, vlen    int
+	framed, entry float64 // one record's frame and sortEntry, in bytes
+	reused        float64 // the reused partition buffer, per record: the largest partition's share of a frame
+}
+
+func measureSortTask(t *testing.T, write func(w Writer, keys [][]byte, val []byte) error) sortTask {
 	keys, val := benchRecords(1, 25000)
 	cfg := rangeConfig()
-	write := func(keys [][]byte) func() {
+	var st Stats
+	task := func(keys [][]byte) func() {
 		return func() {
 			w, _ := NewSortWriter(cfg)
-			w.Reserve(len(keys), int64(len(keys)*(len(keys[0])+len(val))))
-			for _, k := range keys {
-				if err := w.Write(k, val); err != nil {
-					t.Fatal(err)
-				}
+			if err := write(w, keys, val); err != nil {
+				t.Fatal(err)
 			}
-			if _, st, err := w.Close(); err != nil || st.Spills != 0 {
+			var err error
+			if _, st, err = w.Close(); err != nil || st.Spills != 0 {
 				t.Fatalf("%d spills, %v: the task is meant to be one run", st.Spills, err)
 			}
 		}
 	}
-	for _, n := range []int{len(keys) / 2, len(keys)} {
-		if allocs := testing.AllocsPerRun(5, write(keys[:n])); allocs > 29 {
-			t.Errorf("%d records: %v allocations, ceiling 29", n, allocs)
-		}
-	}
+	var m sortTask
+	// The whole task first: while a fresh process's heap is still growing,
+	// the first runs it measures take one allocation more.
+	m.allocs[1] = testing.AllocsPerRun(5, task(keys))
+	m.allocs[0] = testing.AllocsPerRun(5, task(keys[:len(keys)/2]))
 	const runs = 5
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range runs {
-		write(keys)()
+		task(keys)()
 	}
 	runtime.ReadMemStats(&after)
-	perRec := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(len(keys))
-	framed := serde.FramedLen(len(keys[0]), len(val))
-	if ceiling := float64(len(keys[0]) + len(val) + 48 + 2*framed + 4); perRec > ceiling {
-		t.Errorf("%.1f bytes per record, ceiling %.0f", perRec, ceiling)
+	n := float64(len(keys))
+	m.perRec = float64(after.TotalAlloc-before.TotalAlloc) / runs / n
+	m.klen, m.vlen = len(keys[0]), len(val)
+	m.framed = float64(serde.FramedLen(m.klen, m.vlen))
+	m.entry = float64(unsafe.Sizeof(sortEntry{}))
+	m.reused = float64(slices.Max(st.PartitionBytes)) / n
+	t.Logf("%v / %v allocations, %.1f B per record", m.allocs[0], m.allocs[1], m.perRec)
+	return m
+}
+
+// TestSortWriterAllocCeiling holds a Write loop into BenchmarkSortWriterRange's
+// map task to its allocations and bytes. Per record it may allocate its key
+// and value in the arena and its entry, both doubled as they fill with no
+// size hint to go by (at this size they allocate 2.15 times what they hold;
+// allowed 2.25), the radix sort's spare entry, one framed copy (the codec's)
+// and the reused partition buffer's share, plus 4 bytes of page rounding.
+// Each doubling is one allocation: 47 at 12 500 records, 48 at 25 000. It
+// reads 430.4 B per record; with a Reserve sizing the run, a fresh buffer
+// per partition and 24-byte entries it read 29 allocations and 355.3 B.
+func TestSortWriterAllocCeiling(t *testing.T) {
+	m := measureSortTask(t, func(w Writer, keys [][]byte, val []byte) error {
+		for _, k := range keys {
+			if err := w.Write(k, val); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	for i, ceiling := range []float64{47, 48} {
+		if m.allocs[i] > ceiling {
+			t.Errorf("%v allocations, ceiling %v", m.allocs[i], ceiling)
+		}
+	}
+	held := float64(m.klen+m.vlen) + m.entry
+	if ceiling := 2.25*held + m.entry + m.framed + m.reused + 4; m.perRec > ceiling {
+		t.Errorf("%.1f bytes per record, ceiling %.1f", m.perRec, ceiling)
+	}
+}
+
+// TestSortWriterBatchAllocCeiling is the same task written as the engine
+// writes it, through WriteRecords: the run, sized from the batch, keeps the
+// key and not the value, and Close frames the value straight from the
+// batch. Per record it may allocate its key, its entry and the spare, one
+// framed copy and the reused buffer's share, plus 4 bytes of page
+// rounding, in a fixed number of allocations. It reads 26 and 190.8 B.
+func TestSortWriterBatchAllocCeiling(t *testing.T) {
+	m := measureSortTask(t, writeBatch)
+	for _, allocs := range m.allocs {
+		if allocs > 26 {
+			t.Errorf("%v allocations, ceiling 26", allocs)
+		}
+	}
+	if ceiling := float64(m.klen) + 2*m.entry + m.framed + m.reused + 4; m.perRec > ceiling {
+		t.Errorf("%.1f bytes per record, ceiling %.1f", m.perRec, ceiling)
 	}
 }

@@ -17,7 +17,8 @@ import (
 // keys on, and a value naming the record's arrival — come out of the sort
 // writer exactly as referenceSort frames them: blocks and Stats, under a
 // hash and a range partitioner, with 0, 1 and many spills, with and
-// without an order-sensitive combiner, uncompressed and LZ.
+// without an order-sensitive combiner, uncompressed and LZ, written by a
+// Write loop or by WriteRecords in chunks of 1, 5 or all records.
 func FuzzSortWriter(f *testing.F) {
 	f.Add([]byte("\x01a\x02a\x00\x01a\x03a\x00\x00\x00\x01a\x02a\x00")) // "a" vs "a\x00", duplicates
 	f.Add([]byte("\x08abcdefgh\x09abcdefgh1\x09abcdefgh\x00\x0cabcdefgh2xyz\x09abcdefgh1\x08abcdefgh\x00"))
@@ -49,23 +50,23 @@ func FuzzSortWriter(f *testing.F) {
 					for _, codec := range []compress.Codec{compress.None{}, compress.LZ{}} {
 						cfg := part
 						cfg.SpillThreshold, cfg.Combiner, cfg.Codec = threshold, combiner, codec
-						w, err := NewSortWriter(cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for _, r := range input {
-							if err := w.Write(r.k, r.v); err != nil {
+						wantBlocks, wantStats := referenceSort(cfg, input)
+						for _, chunk := range []int{0, 1, 5, max(1, len(input))} {
+							w, err := NewSortWriter(cfg)
+							if err != nil {
 								t.Fatal(err)
 							}
-						}
-						blocks, stats, err := w.Close()
-						if err != nil {
-							t.Fatal(err)
-						}
-						wantBlocks, wantStats := referenceSort(cfg, input)
-						if !reflect.DeepEqual(stats, wantStats) || !reflect.DeepEqual(blocks, wantBlocks) {
-							t.Fatalf("%d records, threshold %d, combiner %t, %s: writer and reference differ\nstats %+v\n want %+v",
-								len(input), threshold, combiner != nil, codec.Name(), stats, wantStats)
+							if err := writeChunks(w, input, chunk); err != nil {
+								t.Fatal(err)
+							}
+							blocks, stats, err := w.Close()
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !reflect.DeepEqual(stats, wantStats) || !reflect.DeepEqual(blocks, wantBlocks) {
+								t.Fatalf("%d records in chunks of %d, threshold %d, combiner %t, %s: writer and reference differ\nstats %+v\n want %+v",
+									len(input), chunk, threshold, combiner != nil, codec.Name(), stats, wantStats)
+							}
 						}
 					}
 				}

@@ -111,6 +111,30 @@ func identityInput(seed uint64) []kv {
 	return in
 }
 
+// writeChunks writes input to w through WriteRecords, chunk records per
+// call, or through a Write loop when chunk is 0.
+func writeChunks(w Writer, input []kv, chunk int) error {
+	if chunk == 0 {
+		for _, r := range input {
+			if err := w.Write(r.k, r.v); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for len(input) > 0 {
+		c := input[:min(chunk, len(input))]
+		err := WriteRecords(w, len(c),
+			func(dst []byte, i int) []byte { return append(dst, c[i].k...) },
+			func(dst []byte, i int) []byte { return append(dst, c[i].v...) })
+		if err != nil {
+			return err
+		}
+		input = input[len(c):]
+	}
+	return nil
+}
+
 func TestSortWriterByteIdentity(t *testing.T) {
 	input := identityInput(7)
 	var total int64
@@ -135,43 +159,44 @@ func TestSortWriterByteIdentity(t *testing.T) {
 					cfg := part.cfg
 					cfg.SpillThreshold, cfg.Combiner, cfg.Codec = spill.threshold, combiner, codec
 					name := fmt.Sprintf("%s/%s/combiner=%t/%s", part.name, spill.name, combiner != nil, codec.Name())
-					// A size hint — none, exact, or wrong and repeated — moves
-					// no byte, no spill and no run boundary.
-					for _, reserve := range []string{"", "/reserve=exact", "/reserve=wild"} {
-						t.Run(name+reserve, func(t *testing.T) {
-							w, err := NewSortWriter(cfg)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if reserve == "/reserve=exact" {
-								w.Reserve(len(input), total)
-							}
-							for i, r := range input {
-								if reserve == "/reserve=wild" && i%97 == 0 {
-									w.Reserve([]int{1 << 20, 3, 0, -1}[i/97%4], []int64{1 << 40, 1, 1 << 20, 5}[i/97%4])
-								}
-								if err := w.Write(r.k, r.v); err != nil {
-									t.Fatal(err)
-								}
-							}
-							blocks, stats, err := w.Close()
-							if err != nil {
-								t.Fatal(err)
-							}
+					// A Write loop, and WriteRecords batches that frame their
+					// values at Close and size the run from each call's first
+					// record: once for the whole input (reserve=exact), or
+					// per chunk of 1 and of 7 records (reserve=wild), so a
+					// spill falls inside a batch. None moves a byte, a
+					// spill or a run boundary.
+					for _, batched := range []struct {
+						name   string
+						chunks []int
+					}{{"", []int{0}}, {"/reserve=exact", []int{len(input)}}, {"/reserve=wild", []int{1, 7}}} {
+						t.Run(name+batched.name, func(t *testing.T) {
 							wantBlocks, wantStats := referenceSort(cfg, input)
 							if combiner == nil && spill.threshold > 0 && wantStats.Spills == 0 {
 								t.Fatal("case meant to spill did not")
 							}
-							if !reflect.DeepEqual(stats, wantStats) {
-								t.Fatalf("stats\n got %+v\nwant %+v", stats, wantStats)
-							}
-							if len(blocks) != len(wantBlocks) {
-								t.Fatalf("%d blocks, want %d", len(blocks), len(wantBlocks))
-							}
-							for i, b := range blocks {
-								if !reflect.DeepEqual(b, wantBlocks[i]) {
-									t.Fatalf("block %d (partition %d) differs from the reference: %d records / %d raw bytes, want %d / %d",
-										i, b.Partition, b.Records, b.RawBytes, wantBlocks[i].Records, wantBlocks[i].RawBytes)
+							for _, chunk := range batched.chunks {
+								w, err := NewSortWriter(cfg)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if err := writeChunks(w, input, chunk); err != nil {
+									t.Fatal(err)
+								}
+								blocks, stats, err := w.Close()
+								if err != nil {
+									t.Fatal(err)
+								}
+								if !reflect.DeepEqual(stats, wantStats) {
+									t.Fatalf("chunks of %d: stats\n got %+v\nwant %+v", chunk, stats, wantStats)
+								}
+								if len(blocks) != len(wantBlocks) {
+									t.Fatalf("chunks of %d: %d blocks, want %d", chunk, len(blocks), len(wantBlocks))
+								}
+								for i, b := range blocks {
+									if !reflect.DeepEqual(b, wantBlocks[i]) {
+										t.Fatalf("chunks of %d: block %d (partition %d) differs from the reference: %d records / %d raw bytes, want %d / %d",
+											chunk, i, b.Partition, b.Records, b.RawBytes, wantBlocks[i].Records, wantBlocks[i].RawBytes)
+									}
 								}
 							}
 						})

@@ -100,10 +100,6 @@ type Stats struct {
 
 // Writer receives a map task's records and produces per-partition blocks.
 type Writer interface {
-	// Reserve hints that records more records of bytes key and value bytes
-	// in all are coming. It sizes buffers and nothing else: what is written
-	// and where the writer spills do not depend on it.
-	Reserve(records int, bytes int64)
 	// Write adds one record, copying key and value before it returns: the
 	// caller may reuse both buffers for the next record.
 	Write(key, value []byte) error
@@ -154,26 +150,24 @@ func newStats(cfg *Config) Stats {
 	}
 }
 
-// sealBlocks compresses each non-empty partition stream into a block and
-// folds its size into st; st.PartitionRecords must already hold the counts.
-func sealBlocks(cfg *Config, raws [][]byte, sorted bool, st *Stats) []Block {
-	var blocks []Block
-	for p, raw := range raws {
-		if len(raw) == 0 {
-			continue
-		}
-		data := cfg.Codec.Compress(raw)
-		n := st.PartitionRecords[p]
-		st.RecordsOut += n
-		st.RawBytes += int64(len(raw))
-		st.WireBytes += int64(len(data))
-		st.PartitionBytes[p] = int64(len(raw))
-		blocks = append(blocks, Block{
-			Partition: p, Data: data, Records: n,
-			RawBytes: int64(len(raw)), Sorted: sorted,
-		})
+// seal compresses partition p's record stream raw into a block appended to
+// blocks and folds its size into st; st.PartitionRecords must already hold
+// the count. An empty stream makes no block. The codec returns a copy, so
+// the caller may reuse raw.
+func seal(cfg *Config, blocks []Block, p int, raw []byte, sorted bool, st *Stats) []Block {
+	if len(raw) == 0 {
+		return blocks
 	}
-	return blocks
+	data := cfg.Codec.Compress(raw)
+	n := st.PartitionRecords[p]
+	st.RecordsOut += n
+	st.RawBytes += int64(len(raw))
+	st.WireBytes += int64(len(data))
+	st.PartitionBytes[p] = int64(len(raw))
+	return append(blocks, Block{
+		Partition: p, Data: data, Records: n,
+		RawBytes: int64(len(raw)), Sorted: sorted,
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -210,10 +204,6 @@ func NewHashWriter(cfg Config) (Writer, error) {
 	}
 	return w, nil
 }
-
-// Reserve does nothing: how a batch spreads over the partitions' buffers is
-// not known before it is partitioned.
-func (w *hashWriter) Reserve(int, int64) {}
 
 func (w *hashWriter) Write(key, value []byte) error {
 	if w.closed {
@@ -290,7 +280,10 @@ func (w *hashWriter) Close() ([]Block, Stats, error) {
 			w.bufs[p] = bytes.Join(append(segs, w.bufs[p]), nil)
 		}
 	}
-	blocks := sealBlocks(&w.cfg, w.bufs, false, &w.stats)
+	var blocks []Block
+	for p, raw := range w.bufs {
+		blocks = seal(&w.cfg, blocks, p, raw, false, &w.stats)
+	}
 	w.bufs, w.segments = nil, nil
 	return blocks, w.stats, nil
 }
@@ -298,16 +291,18 @@ func (w *hashWriter) Close() ([]Block, Stats, error) {
 // ---------------------------------------------------------------------------
 // Sort shuffle
 
-// sortEntry locates one buffered record in its run's arena — the key at
-// off, the value right behind it — beside everything the sort compares, so
-// ordering a run neither calls the partitioner nor, usually, reads the key.
+// sortEntry locates one buffered record — its key in the run's arena at
+// off; its value right behind the key, or record idx of a WriteRecords
+// batch — beside everything the sort compares, so ordering a run neither
+// calls the partitioner nor, usually, reads the key.
 type sortEntry struct {
 	prefix                uint64 // first 8 key bytes, big-endian, zero-padded
 	off, klen, vlen, part uint32
+	batch, idx            uint32 // batch 0: the value is in the arena; else the writer's batches[batch-1]
 }
 
-// sortRun is one spill's worth of records: key‖value bytes back to back in
-// arena, one entry each.
+// sortRun is one spill's worth of records: each record's key, and the value
+// of a Write, back to back in arena, one entry each.
 type sortRun struct {
 	arena   []byte
 	entries []sortEntry
@@ -316,12 +311,30 @@ type sortRun struct {
 // runFits reports whether n more bytes keep a run's arena 32-bit addressable.
 func runFits(used, n int) bool { return uint64(used)+uint64(n) <= math.MaxUint32 }
 
+// checkSize refuses a record too large for any run.
+func checkSize(klen, vlen int) error {
+	if n := klen + vlen; !runFits(0, n) {
+		return fmt.Errorf("shuffle: %d-byte record: a sort run holds at most %d bytes", n, uint64(math.MaxUint32))
+	}
+	return nil
+}
+
 func (r *sortRun) key(e sortEntry) []byte { return r.arena[e.off : e.off+e.klen] }
 
-// frame appends e's record to dst in the block format.
-func (r *sortRun) frame(dst []byte, e sortEntry) []byte {
-	kv := r.arena[e.off : e.off+e.klen+e.vlen]
-	return serde.AppendRecord(dst, kv[:e.klen], kv[e.klen:])
+// frame appends e's record to dst in the block format, taking a batch
+// record's value from its batch's callback, which must append as many bytes
+// as it did when the record was written.
+func (r *sortRun) frame(dst []byte, e sortEntry, batches []func(dst []byte, i int) []byte) ([]byte, error) {
+	kv := r.arena[e.off:]
+	dst = append(serde.AppendHeader(dst, int(e.klen), int(e.vlen)), kv[:e.klen]...)
+	if e.batch == 0 {
+		return append(dst, kv[e.klen:e.klen+e.vlen]...), nil
+	}
+	n := len(dst)
+	if dst = batches[e.batch-1](dst, int(e.idx)); len(dst)-n != int(e.vlen) {
+		return nil, fmt.Errorf("shuffle: batch record %d: value of %d bytes at Close, %d when written", e.idx, len(dst)-n, e.vlen)
+	}
+	return dst, nil
 }
 
 // keyPrefix returns the first 8 bytes of key, zero-padded, as a big-endian
@@ -414,18 +427,24 @@ func digit[K ~string | ~[]byte](key K, d int) byte {
 	return 0
 }
 
-// WriteRecords writes n records to w in index order. key and value append
-// record i's key and value to the scratch they are handed, which is reused
-// from record to record; the first record sizes the writer for all n.
+// WriteRecords writes n records to w in index order: key and value append
+// record i's key and value to the dst they are handed. A sort writer
+// without a combiner keeps each record's key and a handle on the batch, and
+// its Close calls value again to frame the value straight into the output.
+// So until w's Close returns, the callbacks must return the same bytes for
+// a record each time they are called, and must only read what they encode:
+// speculative copies of a task write one batch through writers of their
+// own at once. Any other writer copies each record out of one reused
+// scratch buffer, like a Write loop.
 func WriteRecords(w Writer, n int, key, value func(dst []byte, i int) []byte) error {
+	if sw, ok := w.(*sortWriter); ok && sw.combine == nil && uint64(n) <= math.MaxUint32 {
+		return sw.writeBatch(n, key, value)
+	}
 	var buf []byte
 	for i := 0; i < n; i++ {
 		buf = key(buf[:0], i)
 		klen := len(buf)
 		buf = value(buf, i)
-		if i == 0 {
-			w.Reserve(n, int64(n)*int64(len(buf)))
-		}
 		if err := w.Write(buf[:klen], buf[klen:]); err != nil {
 			return err
 		}
@@ -491,17 +510,20 @@ func (r *sortRun) sort(parts int) {
 	r.entries = es
 }
 
-// sortWriter copies each record once into the current run's arena, sorts
-// every spill run by (partition, key) with equal keys in arrival order, and
-// merges the runs at close — the Spark "sort shuffle" design. Output blocks
-// are key-sorted, which lets downstream merges stream.
+// sortWriter buffers each record's key, and the value of a Write, in the
+// current run's arena, sorts every spill run by (partition, key) with equal
+// keys in arrival order, and merges the runs at close into the framed
+// output — the Spark "sort shuffle" design. Output blocks are key-sorted,
+// which lets downstream merges stream.
 type sortWriter struct {
 	cfg      Config
 	cur      sortRun
-	buffered int64
+	buffered int64     // key and value bytes of the current run, batch values included
 	runs     []sortRun // each sorted by (partition, key)
 	combine  map[string][]byte
-	stats    Stats // PartitionBytes is kept current so Close can size its output
+	batches  []func(dst []byte, i int) []byte // the value callback of each WriteRecords call
+	scratch  []byte                           // writeBatch's encoding of the record at hand
+	stats    Stats                            // PartitionBytes is kept current so Close can size its output
 	closed   bool
 }
 
@@ -517,20 +539,6 @@ func NewSortWriter(cfg Config) (Writer, error) {
 	return w, nil
 }
 
-// Reserve grows the current run for what is coming, or for as much of it as
-// the run takes before it is sealed at the spill threshold.
-func (w *sortWriter) Reserve(records int, bytes int64) {
-	if w.combine != nil || records <= 0 || bytes <= 0 {
-		return
-	}
-	per := (bytes + int64(records) - 1) / int64(records)
-	if room := w.cfg.SpillThreshold - w.buffered + per; bytes > room { // the record that crosses the threshold is still this run's
-		records, bytes = int(room/per), room
-	}
-	w.cur.entries = slices.Grow(w.cur.entries, records)
-	w.cur.arena = slices.Grow(w.cur.arena, int(bytes))
-}
-
 func (w *sortWriter) Write(key, value []byte) error {
 	if w.closed {
 		return ErrClosed
@@ -539,8 +547,8 @@ func (w *sortWriter) Write(key, value []byte) error {
 	if combine {
 		value = w.cfg.Combiner(prev, value)
 	}
-	if n := len(key) + len(value); !runFits(0, n) {
-		return fmt.Errorf("shuffle: %d-byte record: a sort run holds at most %d bytes", n, uint64(math.MaxUint32))
+	if err := checkSize(len(key), len(value)); err != nil {
+		return err
 	}
 	w.stats.RecordsIn++
 	switch {
@@ -550,7 +558,7 @@ func (w *sortWriter) Write(key, value []byte) error {
 		w.combine[string(key)] = append([]byte(nil), value...)
 		w.buffered += int64(len(key) + len(value))
 	default:
-		w.add(key, value)
+		w.add(key, value, 0, 0)
 		w.buffered += int64(len(key) + len(value))
 	}
 	if w.buffered >= w.cfg.SpillThreshold {
@@ -559,9 +567,56 @@ func (w *sortWriter) Write(key, value []byte) error {
 	return nil
 }
 
-// add copies one record into the current run, first ending a run too full for it.
-func (w *sortWriter) add(key, value []byte) {
-	if !runFits(len(w.cur.arena), len(key)+len(value)) {
+// writeBatch is WriteRecords for a sort writer without a combiner: each
+// record is encoded into scratch to learn its key and lengths, and only the
+// key is kept. It spills where a Write loop over the same records would.
+func (w *sortWriter) writeBatch(n int, key, value func(dst []byte, i int) []byte) error {
+	if w.closed {
+		return ErrClosed
+	}
+	w.batches = append(w.batches, value)
+	batch := uint32(len(w.batches))
+	for i := 0; i < n; i++ {
+		buf := key(w.scratch[:0], i)
+		klen := len(buf)
+		buf = value(buf, i)
+		w.scratch = buf
+		if err := checkSize(klen, len(buf)-klen); err != nil {
+			return err
+		}
+		if i == 0 || len(w.cur.entries) == 0 {
+			w.reserve(n-i, klen, len(buf)-klen)
+		}
+		w.stats.RecordsIn++
+		w.add(buf[:klen], buf[klen:], batch, uint32(i))
+		w.buffered += int64(len(buf))
+		if w.buffered >= w.cfg.SpillThreshold {
+			w.spill()
+		}
+	}
+	return nil
+}
+
+// reserve grows the current run for n more batch records sized like one of
+// klen key and vlen value bytes, or for as many as it takes before the spill
+// threshold seals it. It sizes buffers and nothing else.
+func (w *sortWriter) reserve(n, klen, vlen int) {
+	if fit := (w.cfg.SpillThreshold-w.buffered)/int64(max(1, klen+vlen)) + 1; int64(n) > fit { // the record that crosses the threshold is still this run's
+		n = int(fit)
+	}
+	w.cur.entries = slices.Grow(w.cur.entries, n)
+	w.cur.arena = slices.Grow(w.cur.arena, n*klen)
+}
+
+// add files one record in the current run, first ending a run whose arena
+// it would overflow. The arena takes the key, and the value too unless
+// batch names the WriteRecords call that can give it again as record idx.
+func (w *sortWriter) add(key, value []byte, batch, idx uint32) {
+	kept := value
+	if batch != 0 {
+		kept = nil
+	}
+	if !runFits(len(w.cur.arena), len(key)+len(kept)) {
 		w.endRun()
 		w.stats.Spills++
 	}
@@ -569,8 +624,9 @@ func (w *sortWriter) add(key, value []byte) {
 	w.cur.entries = append(grow(w.cur.entries, 1), sortEntry{
 		prefix: keyPrefix(key),
 		off:    uint32(len(w.cur.arena)), klen: uint32(len(key)), vlen: uint32(len(value)), part: uint32(p),
+		batch: batch, idx: idx,
 	})
-	w.cur.arena = append(append(grow(w.cur.arena, len(key)+len(value)), key...), value...)
+	w.cur.arena = append(append(grow(w.cur.arena, len(key)+len(kept)), key...), kept...)
 	w.stats.PartitionRecords[p]++
 	w.stats.PartitionBytes[p] += int64(serde.FramedLen(len(key), len(value)))
 }
@@ -589,7 +645,7 @@ func grow[T any](s []T, n int) []T {
 // whether there were any.
 func (w *sortWriter) sealRun() bool {
 	for k, v := range w.combine {
-		w.add([]byte(k), v)
+		w.add([]byte(k), v, 0, 0)
 	}
 	clear(w.combine)
 	if len(w.cur.entries) == 0 {
@@ -618,38 +674,40 @@ func (w *sortWriter) Close() ([]Block, Stats, error) {
 	}
 	w.closed = true
 	w.sealRun()
-	raws := make([][]byte, w.cfg.Partitions)
-	for p, n := range w.stats.PartitionBytes {
-		raws[p] = make([]byte, 0, n)
-	}
-	if len(w.runs) == 1 {
-		run := &w.runs[0]
-		for _, e := range run.entries {
-			raws[e.part] = run.frame(raws[e.part], e)
-		}
-	} else {
-		// K-way merge of the sorted runs; equal records go to the lowest run.
-		heads := make([]int, len(w.runs))
-		for {
-			best := -1
-			for r := range w.runs {
-				run := &w.runs[r]
-				if heads[r] < len(run.entries) && (best < 0 || compareEntries(run,
-					run.entries[heads[r]], &w.runs[best], w.runs[best].entries[heads[best]]) < 0) {
-					best = r
-				}
+	runs, batches := w.runs, w.batches
+	w.runs, w.batches, w.scratch = nil, nil, nil
+	// K-way merge of the sorted runs; equal records go to the lowest run.
+	// Records leave in partition order, so one buffer, sized for the
+	// largest partition, frames each partition in turn.
+	buf := make([]byte, 0, slices.Max(w.stats.PartitionBytes))
+	var blocks []Block
+	part := uint32(0)
+	heads := make([]int, len(runs))
+	for {
+		best := -1
+		for r := range runs {
+			run := &runs[r]
+			if heads[r] < len(run.entries) && (best < 0 || compareEntries(run,
+				run.entries[heads[r]], &runs[best], runs[best].entries[heads[best]]) < 0) {
+				best = r
 			}
-			if best < 0 {
-				break
-			}
-			run := &w.runs[best]
-			e := run.entries[heads[best]]
-			heads[best]++
-			raws[e.part] = run.frame(raws[e.part], e)
+		}
+		if best < 0 {
+			break
+		}
+		run := &runs[best]
+		e := run.entries[heads[best]]
+		heads[best]++
+		if e.part != part {
+			blocks = seal(&w.cfg, blocks, int(part), buf, true, &w.stats)
+			buf, part = buf[:0], e.part
+		}
+		var err error
+		if buf, err = run.frame(buf, e, batches); err != nil {
+			return nil, w.stats, err
 		}
 	}
-	w.runs = nil
-	return sealBlocks(&w.cfg, raws, true, &w.stats), w.stats, nil
+	return seal(&w.cfg, blocks, int(part), buf, true, &w.stats), w.stats, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -686,8 +744,9 @@ func (r Records) Len() int   { return len(r.refs) }
 func (r Records) Bytes() int { return r.bytes }
 
 // Key returns record i's key.
-func (r Records) Key(i int) []byte {
-	e := r.refs[i]
+func (r Records) Key(i int) []byte { return r.key(r.refs[i]) }
+
+func (r Records) key(e recordRef) []byte {
 	return r.bufs[e.buf][e.off : e.off+e.klen : e.off+e.klen]
 }
 
@@ -712,9 +771,10 @@ func RecordsOf(recs []Record) Records {
 
 // ReadRecords decodes the records of the given blocks (all for the same
 // reduce partition) in place over each freshly decompressed block; no
-// record aliases Block.Data. When every block is sorted, the view is a
-// k-way merge preserving global key order; otherwise records appear in
-// block order. Block.Records only pre-sizes the index.
+// record aliases Block.Data. When every block is sorted, the blocks are
+// merged as they are decoded, so the view's one index is in global key
+// order; otherwise records appear in block order. Block.Records only
+// pre-sizes the index.
 func ReadRecords(codec compress.Codec, blocks []Block) (Records, error) {
 	if codec == nil {
 		codec = compress.None{}
@@ -734,49 +794,83 @@ func ReadRecords(codec compress.Codec, blocks []Block) (Records, error) {
 		hint += max(0, min(b.Records, len(raw)/2)) // a framed record is at least 2 bytes
 		merge = merge && b.Sorted
 	}
-	refs := make([]recordRef, 0, hint)
-	ends := make([]int, len(blocks)) // block i is refs[ends[i-1]:ends[i]]
-	for i, raw := range out.bufs {
-		for rest := raw; len(rest) > 0; {
-			rec, tail, err := serde.Next(rest)
-			if err != nil {
-				return Records{}, fmt.Errorf("shuffle: block %d: %w", i, err)
-			}
-			klen, vlen := len(rec.Key), len(rec.Value)
-			refs = append(refs, recordRef{uint32(i), uint32(len(raw) - len(tail) - klen - vlen), uint32(klen), uint32(vlen)})
-			out.bytes += klen + vlen
-			rest = tail
-		}
-		ends[i] = len(refs)
-	}
-	out.refs = refs
+	out.refs = make([]recordRef, 0, hint)
 	if !merge {
+		for i, raw := range out.bufs {
+			for rest := raw; len(rest) > 0; {
+				ref, tail, err := decodeRef(i, raw, rest)
+				if err != nil {
+					return Records{}, err
+				}
+				out.refs = append(out.refs, ref)
+				out.bytes += int(ref.klen) + int(ref.vlen)
+				rest = tail
+			}
+		}
 		return out, nil
 	}
-	// Merge the sorted blocks; equal keys go to the lowest block.
-	heads := append([]int{0}, ends[:len(ends)-1]...)
-	prefix := make([]uint64, len(heads)) // keyPrefix of each block's head record
-	for i, h := range heads {
-		if h < ends[i] {
-			prefix[i] = keyPrefix(out.Key(h))
+	// Merge the sorted blocks, decoding each block's next record as its head
+	// is taken; equal keys go to the lowest block.
+	heads := make([]mergeHead, len(blocks))
+	for i := range heads {
+		if err := heads[i].next(i, out.bufs[i], out.bufs[i]); err != nil {
+			return Records{}, err
 		}
 	}
-	merged := make([]recordRef, 0, len(refs))
-	for len(merged) < len(refs) {
+	for {
 		best := -1
-		for i, h := range heads {
-			if h < ends[i] && (best < 0 || prefix[i] < prefix[best] ||
-				prefix[i] == prefix[best] && bytes.Compare(out.Key(h), out.Key(heads[best])) < 0) {
+		for i := range heads {
+			h := &heads[i]
+			if h.ok && (best < 0 || h.prefix < heads[best].prefix ||
+				h.prefix == heads[best].prefix && bytes.Compare(out.key(h.ref), out.key(heads[best].ref)) < 0) {
 				best = i
 			}
 		}
-		merged = append(merged, refs[heads[best]])
-		if heads[best]++; heads[best] < ends[best] {
-			prefix[best] = keyPrefix(out.Key(heads[best]))
+		if best < 0 {
+			return out, nil
+		}
+		h := &heads[best]
+		out.refs = append(out.refs, h.ref)
+		out.bytes += int(h.ref.klen) + int(h.ref.vlen)
+		if err := h.next(best, out.bufs[best], h.rest); err != nil {
+			return Records{}, err
 		}
 	}
-	out.refs = merged
-	return out, nil
+}
+
+// decodeRef indexes the first record of rest, a suffix of block i's buffer
+// buf, and returns what follows it.
+func decodeRef(i int, buf, rest []byte) (recordRef, []byte, error) {
+	rec, tail, err := serde.Next(rest)
+	if err != nil {
+		return recordRef{}, nil, fmt.Errorf("shuffle: block %d: %w", i, err)
+	}
+	klen, vlen := len(rec.Key), len(rec.Value)
+	return recordRef{uint32(i), uint32(len(buf) - len(tail) - klen - vlen), uint32(klen), uint32(vlen)}, tail, nil
+}
+
+// mergeHead is one sorted block's place in ReadRecords' merge: its first
+// record not yet taken, that record's key prefix, and the bytes behind it.
+type mergeHead struct {
+	ref    recordRef
+	prefix uint64
+	rest   []byte
+	ok     bool // ref is a record; false once the block is used up
+}
+
+// next decodes the head from rest, the undecoded suffix of block i's
+// buffer buf.
+func (h *mergeHead) next(i int, buf, rest []byte) error {
+	if h.ok = len(rest) > 0; !h.ok {
+		return nil
+	}
+	ref, tail, err := decodeRef(i, buf, rest)
+	if err != nil {
+		return err
+	}
+	h.ref, h.rest = ref, tail
+	h.prefix = keyPrefix(buf[ref.off : ref.off+ref.klen])
+	return nil
 }
 
 // ReadBlocks is ReadRecords with every record materialised, for callers

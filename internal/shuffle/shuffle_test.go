@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -337,19 +338,22 @@ func benchRecords(seed uint64, n int) (keys [][]byte, val []byte) {
 	return keys, bytes.Repeat([]byte("v"), 90)
 }
 
-// benchWrite times writers taking keys with val each, sized up front by
-// Reserve as WriteRecords sizes them in the engine.
+// writeBatch writes keys with val each in one WriteRecords call, as the
+// engine hands a writer a partition's batch.
+func writeBatch(w Writer, keys [][]byte, val []byte) error {
+	return WriteRecords(w, len(keys),
+		func(dst []byte, i int) []byte { return append(dst, keys[i]...) },
+		func(dst []byte, _ int) []byte { return append(dst, val...) })
+}
+
+// benchWrite times writers taking keys with val each in one batch.
 func benchWrite(b *testing.B, mk func(Config) (Writer, error), cfg Config, keys [][]byte, val []byte) {
-	size := int64(len(keys) * (len(keys[0]) + len(val)))
 	b.ReportAllocs()
-	b.SetBytes(size)
+	b.SetBytes(int64(len(keys) * (len(keys[0]) + len(val))))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w, _ := mk(cfg)
-		w.Reserve(len(keys), size)
-		for _, k := range keys {
-			_ = w.Write(k, val)
-		}
+		_ = writeBatch(w, keys, val)
 		_, _, _ = w.Close()
 	}
 }
@@ -452,10 +456,11 @@ func TestWritersCopyScratch(t *testing.T) {
 	}
 }
 
-// TestWriteRecordsReservesThenWrites: WriteRecords hands the writer the same
-// records a Write loop does, through one scratch buffer, after one Reserve
-// sized from the first record.
-func TestWriteRecordsReservesThenWrites(t *testing.T) {
+// TestWriteRecordsMatchesWriteLoop: WriteRecords hands each writer the
+// same records a Write loop does, whether it copies them out of one scratch
+// buffer (the hash writer) or frames their values from the batch at Close
+// (the sort writer).
+func TestWriteRecordsMatchesWriteLoop(t *testing.T) {
 	input := identityInput(5)
 	for name, mk := range writers(Config{}) {
 		loop, _ := mk(Config{Partitions: 4})
@@ -474,6 +479,112 @@ func TestWriteRecordsReservesThenWrites(t *testing.T) {
 			t.Errorf("%s writer: WriteRecords wrote different blocks", name)
 		}
 	}
+}
+
+// TestSortWriterBatchNotAliased: blocks a sort writer framed from a batch
+// are its own. Once Close has returned, overwriting the batch's keys and
+// values and the scratch its value callback encodes through changes no
+// block.
+func TestSortWriterBatchNotAliased(t *testing.T) {
+	for _, codec := range []compress.Codec{compress.None{}, compress.LZ{}} {
+		input := identityInput(13)
+		var flat []byte // every value, back to back: the batch's source bytes
+		for _, r := range input {
+			flat = append(flat, r.v...)
+		}
+		vals := make([][]byte, len(input))
+		for i, off := 0, 0; i < len(input); i++ {
+			vals[i], off = flat[off:off+len(input[i].v)], off+len(input[i].v)
+		}
+		var scratch []byte // the value callback encodes here first
+		cfg := Config{Partitions: 3, Codec: codec, SpillThreshold: 2048}
+		want, _ := referenceSort(cfg, input)
+		w, _ := NewSortWriter(cfg)
+		err := WriteRecords(w, len(input),
+			func(dst []byte, i int) []byte { return append(dst, input[i].k...) },
+			func(dst []byte, i int) []byte {
+				scratch = append(scratch[:0], vals[i]...)
+				return append(dst, scratch...)
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks, _, err := w.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range append([][]byte{flat, scratch[:cap(scratch)]}, keysOf(input)...) {
+			for i := range b {
+				b[i] = 0xEE
+			}
+		}
+		if !reflect.DeepEqual(blocks, want) {
+			t.Errorf("%s: overwriting the batch after Close changed its blocks", codec.Name())
+		}
+	}
+}
+
+func keysOf(input []kv) [][]byte {
+	keys := make([][]byte, len(input))
+	for i, r := range input {
+		keys[i] = r.k
+	}
+	return keys
+}
+
+// TestSortWriterBatchValueMustNotChange: a value callback that returns a
+// different length at Close than when its record was written breaks the
+// frame the run sized, and Close says so rather than writing a block.
+func TestSortWriterBatchValueMustNotChange(t *testing.T) {
+	w, _ := NewSortWriter(Config{Partitions: 2})
+	calls := 0
+	err := WriteRecords(w, 3,
+		func(dst []byte, i int) []byte { return append(dst, byte('a'+i)) },
+		func(dst []byte, _ int) []byte { calls++; return append(dst, make([]byte, calls)...) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blocks, _, err := w.Close(); err == nil {
+		t.Fatalf("Close framed %d blocks from values that changed length", len(blocks))
+	}
+}
+
+// TestSortWritersShareBatch: speculative copies of a map task write the
+// same batch through sort writers of their own at the same time, each
+// framing values from it at Close. Under -race this checks the batch path
+// only reads the batch; every copy's blocks match a lone writer's.
+func TestSortWritersShareBatch(t *testing.T) {
+	keys, val := benchRecords(3, 5000)
+	cfg := rangeConfig()
+	cfg.SpillThreshold = 64 << 10 // several runs, merged at Close
+	lone, _ := NewSortWriter(cfg)
+	if err := writeBatch(lone, keys, val); err != nil {
+		t.Fatal(err)
+	}
+	want, wantStats, err := lone.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantStats.Spills == 0 {
+		t.Fatal("the task is meant to spill")
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w, _ := NewSortWriter(cfg)
+			if err := writeBatch(w, keys, val); err != nil {
+				t.Error(err)
+				return
+			}
+			got, stats, err := w.Close()
+			if err != nil || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(stats, wantStats) {
+				t.Errorf("copy %d: blocks differ from a lone writer's (%v)", c, err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestRunFits: a run's arena may grow to exactly 2^32-1 bytes, the last

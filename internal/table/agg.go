@@ -413,7 +413,8 @@ func readScalar(b []byte, typ Type, s *aggSlot) (rest []byte, err error) {
 
 // emit writes one shuffle record per group — composite key, encoded state
 // — in ascending key order, which is the order a map-side combiner flushes
-// its groups in.
+// its groups in. Nothing folds into t once emit is called, so its
+// callbacks encode a group alike until the writer is closed.
 func (t *aggTable) emit(w shuffle.Writer) error {
 	keys, n := t.index.Keys(), len(t.plans)
 	order := shuffle.KeyOrder(keys)

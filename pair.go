@@ -52,7 +52,8 @@ func shuffleOf[U any](c *Context, parent *core.Plan, dep core.ShuffleDep, emit f
 }
 
 // writePairs writes every pair as one record, in batch order. Both codecs
-// append into scratch the writer copies from.
+// only read the batch, which no one writes until the map task has closed
+// w, so they encode a record alike each time WriteRecords asks.
 func writePairs[K comparable, V any](w shuffle.Writer, in []Pair[K, V], kc Codec[K], vc Codec[V]) error {
 	return shuffle.WriteRecords(w, len(in),
 		func(dst []byte, i int) []byte { return kc.Append(dst, in[i].Key) },
@@ -72,7 +73,9 @@ type recordSource func(w shuffle.Writer) error
 func emitSource(row core.Row, w shuffle.Writer) error { return row.(recordSource)(w) }
 
 // writeByKey writes n records in ascending key order — the order a map-side
-// combiner flushes in. key and value append record i's encodings to dst.
+// combiner flushes in. key and value append record i's encodings to dst,
+// and must encode it alike until w is closed (see shuffle.WriteRecords):
+// the keys are encoded once, into an arena this call owns.
 func writeByKey(w shuffle.Writer, n int, key, value func(dst []byte, i int) []byte) error {
 	var arena []byte
 	keys := make([][]byte, n)

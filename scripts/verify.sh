@@ -85,7 +85,10 @@ echo "== batches and the shuffle boundary: identity pins + allocation ceilings =
 # the join it never builds included.
 go test -count=5 -run 'Identity|TestBatchesAreReadOnly|TestVectorizedFilter|TestActualsCount|FuzzPlanEquivalence|TestJoinAgg' ./internal/table ./internal/query
 go test -count=5 -run 'WireIdentity|TestShuffleOutputOrderPinned' .
-go test -count=1 -run 'TestSortWriterByteIdentity|TestWritersCopyScratch|TestKeyOrder|TestKeyTable|FuzzKeyOrder|FuzzSortWriter|AllocCeiling' ./internal/shuffle
+go test -count=1 -run 'TestSortWriterByteIdentity|TestWritersCopyScratch|TestWriteRecordsMatchesWriteLoop|TestSortWriterBatch|TestKeyOrder|TestKeyTable|FuzzKeyOrder|FuzzSortWriter|AllocCeiling' ./internal/shuffle
+# A sort writer frames values from the batch at Close: speculative copies of
+# a task read one batch at once.
+go test -race -count=10 -run 'TestSortWritersShareBatch' ./internal/shuffle
 go test -count=1 -run 'AllocCeiling|AllocBudget' ./internal/table
 go test -count=1 -run 'AllocBudget|TestNoPerElementAllocations' .
 
