@@ -362,6 +362,10 @@ func (g *Group) responseLocked(seq uint64) ([]byte, bool) {
 // through each newly discovered leader (the sequence envelope makes the
 // retries idempotent). It returns the machine's Apply response.
 //
+// Propose copies payload into the command's envelope before it proposes
+// anything, and every replica, re-proposal and snapshot works from that
+// copy: once Propose returns, the caller may reuse or overwrite payload.
+//
 // An error means the command did not observably commit within the tick
 // budget — typically a lost quorum. The command may still commit later
 // if the quorum returns; callers treat the operation's outcome as

@@ -279,3 +279,106 @@ func TestUnknownMachineRejected(t *testing.T) {
 		t.Fatal("Query of unknown machine succeeded")
 	}
 }
+
+// keepSM keeps a view of every command it applies and answers with it:
+// the most a machine may hold on to (StateMachine).
+type keepSM struct{ cmds [][]byte }
+
+func (s *keepSM) Apply(cmd []byte) []byte { s.cmds = append(s.cmds, cmd); return cmd }
+
+func (s *keepSM) Snapshot() []byte {
+	var b []byte
+	for _, c := range s.cmds {
+		b = AppendBytes(b, c)
+	}
+	return b
+}
+
+func (s *keepSM) Restore(snap []byte) {
+	s.cmds = nil
+	for d := NewDecoder(snap); len(d.Rest()) > 0 && d.Err() == nil; {
+		s.cmds = append(s.cmds, d.Bytes())
+	}
+}
+
+// reuseRun proposes 48 commands through one buffer across two leader
+// crashes, their revivals and a partition that makes Propose re-propose
+// to a new leader, compacting every few entries. With overwrite it fills
+// the buffer with garbage after each Propose returns. It returns every
+// response, read at the end, then each member's snapshot, and how many
+// failovers and redirects the script caused.
+func reuseRun(t *testing.T, overwrite bool) (out []byte, failovers, redirects int64) {
+	t.Helper()
+	reg := metrics.NewRegistry()
+	g := addGroup(t, Config{CompactEvery: 4, Metrics: reg, Machines: map[string]func() StateMachine{
+		"keep": func() StateMachine { return &keepSM{} },
+	}})
+	buf := make([]byte, 32)
+	var resps [][]byte
+	for step := 0; step < 48; step++ {
+		switch step {
+		case 10, 40:
+			if err := g.CrashMember(-1); err != nil {
+				t.Fatal(err)
+			}
+		case 20, 44:
+			if err := g.ReviveMember(-1); err != nil {
+				t.Fatal(err)
+			}
+		case 30:
+			lead := g.Leader()
+			var rest []int
+			for id := 0; id < g.Members(); id++ {
+				if id != lead {
+					rest = append(rest, id)
+				}
+			}
+			g.Partition([]int{lead}, rest)
+		case 36:
+			g.Heal()
+		}
+		payload := buf[:8+step%24]
+		for i := range payload {
+			payload[i] = byte(step + i)
+		}
+		resp, err := g.Propose("keep", payload)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		resps = append(resps, resp)
+		if overwrite {
+			for i := range buf {
+				buf[i] = 0xff
+			}
+		}
+	}
+	settle(g, 40)
+	for _, r := range resps {
+		out = AppendBytes(out, r)
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for id, rep := range g.reps {
+		if rep == nil {
+			t.Fatalf("member %d still down", id)
+		}
+		out = AppendBytes(out, rep.machines["keep"].Snapshot())
+	}
+	return out, reg.Counter("ha_failovers").Value(), reg.Counter("ha_redirects").Value()
+}
+
+// TestProposeDoesNotRetainPayload pins the contract the sharded
+// coordinator's reused command buffers rely on: Propose copies the
+// payload before it returns, on a re-proposal through a new leader and
+// into every replica's log, snapshot and response. Overwriting the buffer
+// after each call changes nothing any member or caller sees.
+func TestProposeDoesNotRetainPayload(t *testing.T) {
+	want, failovers, redirects := reuseRun(t, false)
+	got, _, _ := reuseRun(t, true)
+	if string(got) != string(want) {
+		t.Fatal("overwriting the payload after Propose changed a response or a replica")
+	}
+	if failovers < 2 || redirects < 1 {
+		t.Fatalf("the script caused %d failovers and %d redirects, want >= 2 and >= 1", failovers, redirects)
+	}
+}

@@ -82,13 +82,13 @@ func applyOnReplicas[M hatest.Machine](t *testing.T, data []byte, fresh func() M
 func FuzzRangeMachineApply(f *testing.F) {
 	pairs := []kvPair{{key: "b", rval: rval{val: []byte("vb"), ver: 3}}, {key: "x", rval: rval{ver: 4, dead: true}}}
 	writes := []rmWrite{{Key: "a", Val: []byte("w")}, {Key: "b", Del: true}}
-	f.Add(frames(encRmAdopt("", "", nil), encRmPut("a", []byte("v"), 1), encRmPut("a", []byte("v2"), 2),
-		encRmGet("a", false), encRmGet("a", true), encRmDel("a", 9)))
-	f.Add(frames(encRmAdopt("a", "m", pairs), encRmPrepare(7, 7, false, []string{"a", "b"}, []string{"b"}),
-		encRmApply(7, 7, 5, writes), encRmPrepare(9, 9, true, []string{"c"}, nil), encRmAbort(9, 9),
-		encRmPrepare(8, 8, false, []string{"d"}, nil), encRmApply(7, 0, 6, writes)))
-	f.Add(frames(encRmAdopt("", "", pairs), encRmFreeze("k"), encRmTrim("k"), retiredMigrate(pairs),
-		retiredTrimKeys(pairs), encRmPut("zz", nil, 2)))
+	f.Add(frames(encRmAdopt(nil, "", "", nil), encRmPut(nil, "a", []byte("v"), 1), encRmPut(nil, "a", []byte("v2"), 2),
+		encRmGet(nil, "a", false), encRmGet(nil, "a", true), encRmDel(nil, "a", 9)))
+	f.Add(frames(encRmAdopt(nil, "a", "m", pairs), encRmPrepare(nil, 7, 7, false, []string{"a", "b"}, []string{"b"}),
+		encRmApply(nil, 7, 7, 5, writes), encRmPrepare(nil, 9, 9, true, []string{"c"}, nil), encRmAbort(nil, 9, 9),
+		encRmPrepare(nil, 8, 8, false, []string{"d"}, nil), encRmApply(nil, 7, 0, 6, writes)))
+	f.Add(frames(encRmAdopt(nil, "", "", pairs), encRmFreeze(nil, "k"), encRmTrim(nil, "k"), retiredMigrate(pairs),
+		retiredTrimKeys(pairs), encRmPut(nil, "zz", nil, 2)))
 	f.Add([]byte{3, rmOpAbort, 0, 0, 1, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := applyOnReplicas(t, data, newRangeMachine, nil)
@@ -104,24 +104,24 @@ func FuzzRangeMachineApply(f *testing.F) {
 func FuzzRangeMachineRestore(f *testing.F) {
 	m := newRangeMachine()
 	f.Add(m.Snapshot())
-	m.Apply(encRmAdopt("a", "q", []kvPair{{key: "b", rval: rval{val: []byte("vb"), ver: 3}}}))
-	m.Apply(encRmPut("b", []byte("newer"), 4))
-	m.Apply(encRmDel("c", 5))
-	m.Apply(encRmPrepare(7, 6, false, []string{"d", "e"}, nil))
-	m.Apply(encRmAbort(6, 6))
-	m.Apply(encRmFreeze("k"))
+	m.Apply(encRmAdopt(nil, "a", "q", []kvPair{{key: "b", rval: rval{val: []byte("vb"), ver: 3}}}))
+	m.Apply(encRmPut(nil, "b", []byte("newer"), 4))
+	m.Apply(encRmDel(nil, "c", 5))
+	m.Apply(encRmPrepare(nil, 7, 6, false, []string{"d", "e"}, nil))
+	m.Apply(encRmAbort(nil, 6, 6))
+	m.Apply(encRmFreeze(nil, "k"))
 	f.Add(m.Snapshot())
 	f.Add(m.Snapshot()[:20])
 	f.Fuzz(func(t *testing.T, snap []byte) {
-		checkSizedExactly(t, hatest.Check(t, newRangeMachine, snap, encRmGet("b", true)))
+		checkSizedExactly(t, hatest.Check(t, newRangeMachine, snap, encRmGet(nil, "b", true)))
 	})
 }
 
 func FuzzTxnMachineApply(f *testing.F) {
 	writes := []rmWrite{{Key: "a", Val: []byte("w")}, {Key: "b", Del: true}}
-	f.Add(frames(encTxBegin(1, []uint64{0, 1}, writes), encTxCommit(1, 10), encTxAbort(1), encTxDone(1)))
-	f.Add(frames(encTxBegin(5, []uint64{2}, nil), encTxBegin(3, nil, nil), encTxAbort(5), encTxCommit(5, 2),
-		encTxBegin(6, nil, writes), encTxDone(5), encTxBegin(5, nil, nil)))
+	f.Add(frames(encTxBegin(nil, 1, []uint64{0, 1}, writes), encTxCommit(nil, 1, 10), encTxAbort(nil, 1), encTxDone(nil, 1)))
+	f.Add(frames(encTxBegin(nil, 5, []uint64{2}, nil), encTxBegin(nil, 3, nil, nil), encTxAbort(nil, 5), encTxCommit(nil, 5, 2),
+		encTxBegin(nil, 6, nil, writes), encTxDone(nil, 5), encTxBegin(nil, 5, nil, nil)))
 	f.Add([]byte{2, txOpBegin, 0, 9, txOpDone, 0, 0, 0, 0, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var low uint64
@@ -165,11 +165,11 @@ func TestSingleKeyEncodersSizeExactly(t *testing.T) {
 	pairs := []kvPair{{key: "b", rval: rval{val: []byte("vb"), ver: 3}}, {key: "x", rval: rval{ver: 4, dead: true}}}
 	writes := []rmWrite{{Key: "a", Val: []byte("w")}, {Key: "bb", Del: true}}
 	for _, cmd := range [][]byte{
-		encRmPut("key", []byte("value"), 7), encRmPut("", nil, 0), encRmGet("key", true), encRmDel("key", 9),
-		encRmPrepare(7, 6, true, []string{"a", "bb"}, []string{"bb"}), encRmPrepare(7, 6, false, nil, nil),
-		encRmApply(7, 6, 5, writes), encRmApply(7, 6, 5, nil), encRmAbort(7, 6),
-		encRmAdopt("a", "m", pairs), encRmAdopt("", "", nil), encRmFreeze("k"), encRmTrim("k"),
-		encTxBegin(1, []uint64{0, 1}, writes), encTxBegin(1, nil, nil), encTxCommit(1, 10), encTxAbort(1), encTxDone(1),
+		encRmPut(nil, "key", []byte("value"), 7), encRmPut(nil, "", nil, 0), encRmGet(nil, "key", true), encRmDel(nil, "key", 9),
+		encRmPrepare(nil, 7, 6, true, []string{"a", "bb"}, []string{"bb"}), encRmPrepare(nil, 7, 6, false, nil, nil),
+		encRmApply(nil, 7, 6, 5, writes), encRmApply(nil, 7, 6, 5, nil), encRmAbort(nil, 7, 6),
+		encRmAdopt(nil, "a", "m", pairs), encRmAdopt(nil, "", "", nil), encRmFreeze(nil, "k"), encRmTrim(nil, "k"),
+		encTxBegin(nil, 1, []uint64{0, 1}, writes), encTxBegin(nil, 1, nil, nil), encTxCommit(nil, 1, 10), encTxAbort(nil, 1), encTxDone(nil, 1),
 	} {
 		if len(cmd) != cap(cmd) {
 			t.Errorf("command % x: len %d, cap %d; want sized exactly", cmd, len(cmd), cap(cmd))

@@ -84,23 +84,23 @@ func goldenRangeCmd(r *rng.RNG, i int) []byte {
 	txn, closed, ver := uint64(4+i/5+r.Intn(6)), uint64(i/5), uint64(2*i+r.Intn(12))
 	switch x := r.Intn(100); {
 	case x < 22:
-		return encRmPut(goldenKey(r), goldenVal(r), ver)
+		return encRmPut(nil, goldenKey(r), goldenVal(r), ver)
 	case x < 40:
-		return encRmGet(goldenKey(r), r.Intn(4) == 0)
+		return encRmGet(nil, goldenKey(r), r.Intn(4) == 0)
 	case x < 47:
-		return encRmDel(goldenKey(r), ver)
+		return encRmDel(nil, goldenKey(r), ver)
 	case x < 65:
-		return encRmPrepare(txn, closed, r.Intn(5) == 0, goldenKeys(r, 3), goldenKeys(r, 3))
+		return encRmPrepare(nil, txn, closed, r.Intn(5) == 0, goldenKeys(r, 3), goldenKeys(r, 3))
 	case x < 80:
-		return encRmApply(txn, closed, ver, goldenWrites(r))
+		return encRmApply(nil, txn, closed, ver, goldenWrites(r))
 	case x < 88:
-		return encRmAbort(txn, closed)
+		return encRmAbort(nil, txn, closed)
 	case x < 91:
-		return encRmAdopt("k02", "k22", goldenPairs(r))
+		return encRmAdopt(nil, "k02", "k22", goldenPairs(r))
 	case x < 93:
-		return encRmFreeze(goldenKey(r))
+		return encRmFreeze(nil, goldenKey(r))
 	case x < 95:
-		return encRmTrim("k22")
+		return encRmTrim(nil, "k22")
 	case x < 98:
 		return retiredMigrate(goldenPairs(r))
 	}
@@ -128,23 +128,23 @@ func retiredTrimKeys(pairs []kvPair) []byte {
 func goldenTxnCmd(r *rng.RNG, i int) []byte {
 	id := uint64(8 + i/6 + r.Intn(5))
 	if i%3 == 0 {
-		return encTxDone(uint64(i / 6))
+		return encTxDone(nil, uint64(i/6))
 	}
 	switch x := r.Intn(100); {
 	case x < 8:
-		return encTxBegin(id-uint64(r.Intn(9)), nil, goldenWrites(r))
+		return encTxBegin(nil, id-uint64(r.Intn(9)), nil, goldenWrites(r))
 	case x < 35:
 		var parts []uint64
 		for n := r.Intn(4); n > 0; n-- {
 			parts = append(parts, uint64(r.Intn(8)))
 		}
-		return encTxBegin(id, parts, goldenWrites(r))
+		return encTxBegin(nil, id, parts, goldenWrites(r))
 	case x < 55:
-		return encTxCommit(id, uint64(i))
+		return encTxCommit(nil, id, uint64(i))
 	case x < 70:
-		return encTxAbort(id)
+		return encTxAbort(nil, id)
 	}
-	return encTxDone(id)
+	return encTxDone(nil, id)
 }
 
 // goldenDirCmd draws one well-formed directory command against m.
@@ -210,7 +210,7 @@ func hashBlob(h hash.Hash, b []byte) {
 func TestGoldenRangeMachineStream(t *testing.T) {
 	fresh := func() ha.StateMachine {
 		m := newRangeMachine()
-		m.Apply(encRmAdopt("k02", "k22", nil))
+		m.Apply(encRmAdopt(nil, "k02", "k22", nil))
 		return m
 	}
 	if got := goldenSum(fresh, 19, goldenRangeCmd); got != goldenRangeSum {

@@ -56,12 +56,22 @@ const (
 // are built fresh, in one allocation.
 var status = [...][]byte{{rspOK}, {rspMoved}, {rspLocked}, {rspConflict}, {rspAborted}, {rspCommitted}, {rspStale}}
 
-func statusU64(code byte, v uint64) []byte { return binary.BigEndian.AppendUint64(frame(code, 9), v) }
-func okCount(n uint32) []byte              { return binary.BigEndian.AppendUint32(frame(rspOK, 5), n) }
+func statusU64(code byte, v uint64) []byte {
+	return binary.BigEndian.AppendUint64(frame(nil, code, 9), v)
+}
 
-// frame starts a command or response of exactly size bytes with its
-// first byte, the opcode or status.
-func frame(first byte, size int) []byte { return append(make([]byte, 0, size), first) }
+func okCount(n uint32) []byte { return binary.BigEndian.AppendUint32(frame(nil, rspOK, 5), n) }
+
+// frame starts a command or response of size bytes with its first byte,
+// the opcode or status. It writes from the start of b's array when that
+// holds size bytes and into a fresh array of exactly size bytes when it
+// does not: responses, and commands built without a buffer, pass nil.
+func frame(b []byte, first byte, size int) []byte {
+	if cap(b) < size {
+		b = make([]byte, 0, size)
+	}
+	return append(b[:0], first)
+}
 
 // Transaction terminal states recorded per range (dedup + late-message
 // guard: a prepare arriving after recovery aborted the txn is refused).
@@ -217,7 +227,7 @@ func (m *rangeMachine) Apply(cmd []byte) []byte {
 			return status[rspLocked]
 		}
 		val, found := m.read(key, dirty)
-		return appendRead(frame(rspOK, 1+readLen(val)), val, found)
+		return appendRead(frame(nil, rspOK, 1+readLen(val)), val, found)
 
 	case rmOpPrepare:
 		return m.applyPrepare(d)
@@ -338,7 +348,7 @@ func (m *rangeMachine) applyPrepare(d *ha.Decoder) []byte {
 		val, _ := m.read(w.Bytes(), dirty)
 		size += readLen(val)
 	}
-	resp := binary.BigEndian.AppendUint32(frame(rspOK, size), uint32(nRead))
+	resp := binary.BigEndian.AppendUint32(frame(nil, rspOK, size), uint32(nRead))
 	for w, i := readKeys, 0; i < nRead; i++ {
 		val, found := m.read(w.Bytes(), dirty)
 		resp = appendRead(resp, val, found)
@@ -499,50 +509,59 @@ func (m *rangeMachine) Restore(snap []byte) {
 	}
 }
 
-// Command encoders (coordinator side). Each sizes its buffer exactly:
-// one allocation per command.
+// Command encoders (coordinator side). Each writes its command into the
+// caller's buffer b when it fits (see frame) and returns it. ha.Group
+// copies a payload into its envelope before Propose returns, so the
+// coordinator encodes every command of an operation into one array on
+// its stack and the envelope is the one allocation a proposal keeps.
+// A nil b, or one too small, costs one exactly-sized allocation.
 
-func encRmPut(key string, val []byte, ver uint64) []byte {
-	b := ha.AppendString(frame(rmOpPut, 17+len(key)+len(val)), key)
+func encRmPut(b []byte, key string, val []byte, ver uint64) []byte {
+	b = ha.AppendString(frame(b, rmOpPut, 17+len(key)+len(val)), key)
 	b = binary.BigEndian.AppendUint64(b, ver)
 	return ha.AppendBytes(b, val)
 }
 
-func encRmGet(key string, dirty bool) []byte {
-	return ha.AppendBool(ha.AppendString(frame(rmOpGet, 6+len(key)), key), dirty)
+func encRmGet(b []byte, key string, dirty bool) []byte {
+	return ha.AppendBool(ha.AppendString(frame(b, rmOpGet, 6+len(key)), key), dirty)
 }
 
-func encRmDel(key string, ver uint64) []byte {
-	return binary.BigEndian.AppendUint64(ha.AppendString(frame(rmOpDel, 13+len(key)), key), ver)
+func encRmDel(b []byte, key string, ver uint64) []byte {
+	return binary.BigEndian.AppendUint64(ha.AppendString(frame(b, rmOpDel, 13+len(key)), key), ver)
 }
 
-func encRmPrepare(txn, closed uint64, dirty bool, lockKeys, readKeys []string) []byte {
-	b := binary.BigEndian.AppendUint64(frame(rmOpPrepare, 18+listLen(lockKeys, strLen)+listLen(readKeys, strLen)), txn)
+func encRmPrepare(b []byte, txn, closed uint64, dirty bool, lockKeys, readKeys []string) []byte {
+	b = binary.BigEndian.AppendUint64(frame(b, rmOpPrepare, 18+listLen(lockKeys, strLen)+listLen(readKeys, strLen)), txn)
 	b = binary.BigEndian.AppendUint64(b, closed)
 	b = ha.AppendBool(b, dirty)
 	b = appendStrs(b, lockKeys)
 	return appendStrs(b, readKeys)
 }
 
-func encRmApply(txn, closed, ver uint64, writes []rmWrite) []byte {
-	b := binary.BigEndian.AppendUint64(frame(rmOpApply, 25+listLen(writes, writeLen)), txn)
+func encRmApply(b []byte, txn, closed, ver uint64, writes []rmWrite) []byte {
+	b = binary.BigEndian.AppendUint64(frame(b, rmOpApply, 25+listLen(writes, writeLen)), txn)
 	b = binary.BigEndian.AppendUint64(b, closed)
 	b = binary.BigEndian.AppendUint64(b, ver)
 	return appendWrites(b, writes)
 }
 
-func encRmAbort(txn, closed uint64) []byte {
-	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(frame(rmOpAbort, 17), txn), closed)
+func encRmAbort(b []byte, txn, closed uint64) []byte {
+	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(frame(b, rmOpAbort, 17), txn), closed)
 }
 
-func encRmAdopt(lo, hi string, pairs []kvPair) []byte {
-	b := ha.AppendString(frame(rmOpAdopt, 9+len(lo)+len(hi)+listLen(pairs, pairLen)), lo)
+func encRmAdopt(b []byte, lo, hi string, pairs []kvPair) []byte {
+	b = ha.AppendString(frame(b, rmOpAdopt, 9+len(lo)+len(hi)+listLen(pairs, pairLen)), lo)
 	b = ha.AppendString(b, hi)
 	return appendPairs(b, pairs)
 }
 
-func encRmFreeze(from string) []byte { return ha.AppendString(frame(rmOpFreeze, 5+len(from)), from) }
-func encRmTrim(from string) []byte   { return ha.AppendString(frame(rmOpTrim, 5+len(from)), from) }
+func encRmFreeze(b []byte, from string) []byte {
+	return ha.AppendString(frame(b, rmOpFreeze, 5+len(from)), from)
+}
+
+func encRmTrim(b []byte, from string) []byte {
+	return ha.AppendString(frame(b, rmOpTrim, 5+len(from)), from)
+}
 
 // Shared sub-encodings.
 

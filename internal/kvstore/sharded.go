@@ -75,6 +75,11 @@ const (
 	tickCost    = 25 * time.Microsecond
 )
 
+// cmdBuf is the stack array an operation encodes its commands into, one
+// after another (see frame). It holds a Put of a 64-byte value and a
+// 4-key Txn's begin record; a larger command gets its own allocation.
+type cmdBuf [512]byte
+
 // Sharded is the range-sharded, transactional KV store.
 type Sharded struct {
 	cfg    ShardedConfig
@@ -132,7 +137,7 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 	// Adopt bounds on every initial range machine so bounds checks hold
 	// from the first op.
 	for _, r := range s.rangesSnapshot() {
-		if _, _, err := s.proposeRange(r.ID, encRmAdopt(r.Start, r.End, nil)); err != nil {
+		if _, _, err := s.proposeRange(r.ID, encRmAdopt(nil, r.Start, r.End, nil)); err != nil {
 			panic(fmt.Sprintf("kvstore: range %d adopt failed: %v", r.ID, err))
 		}
 	}
@@ -245,20 +250,24 @@ func (s *Sharded) RangeCount() int {
 // a cache miss (mid-change window).
 func (s *Sharded) locate(key string) (RangeInfo, error) {
 	for attempt := 0; attempt < 2; attempt++ {
-		rs := s.rangesSnapshot()
-		// Last range with Start <= key; ranges are sorted by Start.
-		i := sort.Search(len(rs), func(i int) bool { return rs[i].Start > key }) - 1
-		if i >= 0 {
-			r := rs[i]
-			if r.End == "" || key < r.End {
-				return r, nil
-			}
+		if r, ok := owner(s.rangesSnapshot(), key); ok {
+			return r, nil
 		}
 		if err := s.refreshDir(); err != nil {
 			return RangeInfo{}, err
 		}
 	}
 	return RangeInfo{}, fmt.Errorf("kvstore: no range owns key %q", key)
+}
+
+// owner returns the range of rs, a routing table, that owns key.
+func owner(rs []RangeInfo, key string) (RangeInfo, bool) {
+	// Last range with Start <= key; ranges are sorted by Start.
+	i := sort.Search(len(rs), func(i int) bool { return rs[i].Start > key }) - 1
+	if i >= 0 && (rs[i].End == "" || key < rs[i].End) {
+		return rs[i], true
+	}
+	return RangeInfo{}, false
 }
 
 // opBudget tracks an operation's remaining virtual deadline budget.
@@ -287,12 +296,17 @@ func (b *opBudget) charge(c time.Duration) error {
 
 func (b *opBudget) exhausted() bool { return b.has && b.remaining <= 0 }
 
+// keyOpNames names keyOp's opcodes in its errors.
+var keyOpNames = [...]string{rmOpPut: "put", rmOpGet: "get", rmOpDel: "delete"}
+
 // Single-key operations. Each is one replicated command on the owning
 // range, retried up to MaxOpAttempts through directory refreshes
 // (rspMoved), transaction locks (rspLocked) and lost version races
-// (rspStale). cmd encodes one attempt, so each carries a fresh version.
-// Returns the response after its status byte.
-func (s *Sharded) keyOp(ctx context.Context, op, key string, cmd func() []byte) ([]byte, error) {
+// (rspStale). op is rmOpPut, rmOpGet or rmOpDel; every attempt is encoded
+// afresh into one stack array, so a put or delete carries a fresh version
+// each time. Returns the response after its status byte.
+func (s *Sharded) keyOp(ctx context.Context, op byte, key string, val []byte, dirty bool) ([]byte, error) {
+	var buf cmdBuf
 	b, err := newOpBudget(ctx)
 	if err != nil {
 		s.Reg.Counter("deadline_exceeded").Inc()
@@ -303,9 +317,18 @@ func (s *Sharded) keyOp(ctx context.Context, op, key string, cmd func() []byte) 
 		if err != nil {
 			return nil, err
 		}
-		resp, c, err := s.proposeRange(r.ID, cmd())
+		var cmd []byte
+		switch op {
+		case rmOpPut:
+			cmd = encRmPut(buf[:], key, val, s.nextVersion())
+		case rmOpDel:
+			cmd = encRmDel(buf[:], key, s.nextVersion())
+		default:
+			cmd = encRmGet(buf[:], key, dirty)
+		}
+		resp, c, err := s.proposeRange(r.ID, cmd)
 		if err != nil {
-			return nil, fmt.Errorf("kvstore: %s %q: %w", op, key, err)
+			return nil, fmt.Errorf("kvstore: %s %q: %w", keyOpNames[op], key, err)
 		}
 		if cerr := b.charge(c); cerr != nil {
 			s.Reg.Counter("deadline_exceeded").Inc()
@@ -324,17 +347,17 @@ func (s *Sharded) keyOp(ctx context.Context, op, key string, cmd func() []byte) 
 		case rspStale:
 			s.Reg.Counter("sharded_stale_retries").Inc()
 		default:
-			return nil, fmt.Errorf("kvstore: %s %q: unexpected status %d", op, key, resp[0])
+			return nil, fmt.Errorf("kvstore: %s %q: unexpected status %d", keyOpNames[op], key, resp[0])
 		}
 	}
-	return nil, fmt.Errorf("kvstore: %s %q: %w", op, key, ErrKeyLocked)
+	return nil, fmt.Errorf("kvstore: %s %q: %w", keyOpNames[op], key, ErrKeyLocked)
 }
 
 // Put writes key=value. An ErrDeadlineExceeded return may still have
 // applied (the command committed before the budget check, mirroring
 // PutCtx on the quorum store); ErrKeyLocked guarantees no effect.
 func (s *Sharded) Put(ctx context.Context, key string, value []byte) error {
-	_, err := s.keyOp(ctx, "put", key, func() []byte { return encRmPut(key, value, s.nextVersion()) })
+	_, err := s.keyOp(ctx, rmOpPut, key, value, false)
 	if err == nil {
 		s.Reg.Counter("sharded_puts").Inc()
 	}
@@ -343,8 +366,7 @@ func (s *Sharded) Put(ctx context.Context, key string, value []byte) error {
 
 // Get reads key. Absent keys return found=false with a nil error.
 func (s *Sharded) Get(ctx context.Context, key string) ([]byte, bool, error) {
-	dirty := s.dirtyReads()
-	resp, err := s.keyOp(ctx, "get", key, func() []byte { return encRmGet(key, dirty) })
+	resp, err := s.keyOp(ctx, rmOpGet, key, nil, s.dirtyReads())
 	if err != nil {
 		return nil, false, err
 	}
@@ -357,7 +379,7 @@ func (s *Sharded) Get(ctx context.Context, key string) ([]byte, bool, error) {
 // Delete removes key (a versioned tombstone, so deletions survive
 // migration and anti-entropy like any other write).
 func (s *Sharded) Delete(ctx context.Context, key string) error {
-	_, err := s.keyOp(ctx, "delete", key, func() []byte { return encRmDel(key, s.nextVersion()) })
+	_, err := s.keyOp(ctx, rmOpDel, key, nil, false)
 	if err == nil {
 		s.Reg.Counter("sharded_deletes").Inc()
 	}

@@ -188,10 +188,10 @@ func TestRecoverFinishesCrashedAbort(t *testing.T) {
 	// Inject the half-aborted record directly into the replicated table:
 	// begin then abort, with no participant aborts and no tDone.
 	const id = 9001
-	if resp, _, err := s.propose(0, txnMachineName, encTxBegin(id, parts, writes)); err != nil || resp[0] != rspOK {
+	if resp, _, err := s.propose(0, txnMachineName, encTxBegin(nil, id, parts, writes)); err != nil || resp[0] != rspOK {
 		t.Fatalf("inject begin = (%v, %v)", resp, err)
 	}
-	if resp, _, err := s.propose(0, txnMachineName, encTxAbort(id)); err != nil || resp[0] != rspOK {
+	if resp, _, err := s.propose(0, txnMachineName, encTxAbort(nil, id)); err != nil || resp[0] != rspOK {
 		t.Fatalf("inject abort = (%v, %v)", resp, err)
 	}
 	if n, err := s.PendingTxnRecords(); err != nil || n != 1 {
@@ -256,7 +256,7 @@ func TestDirectoryEpochAdvancesOnTopologyChange(t *testing.T) {
 // the one input a state machine can never refuse to run.
 func TestMachinesRejectMalformedCommands(t *testing.T) {
 	rm := newRangeMachine()
-	rm.Apply(encRmAdopt("", "", nil)) // init empty-bounds owner
+	rm.Apply(encRmAdopt(nil, "", "", nil)) // init empty-bounds owner
 	dm := newDirMachine()
 	dm.Apply(encDirInit(1, nil))
 	tm := newTxnMachine()
@@ -266,7 +266,7 @@ func TestMachinesRejectMalformedCommands(t *testing.T) {
 		{rmOpPut}, {rmOpDel}, {rmOpGet}, {rmOpPrepare}, {rmOpApply},
 		{rmOpAbort}, {rmOpAdopt}, {rmOpFreeze}, {rmOpTrim},
 		{0x0a}, {0x0b},
-		encRmPut("k", []byte("v"), 1)[:3],
+		encRmPut(nil, "k", []byte("v"), 1)[:3],
 	}
 	for _, cmd := range cmds {
 		if resp := rm.Apply(cmd); len(resp) == 0 || resp[0] != rspConflict {
@@ -279,8 +279,8 @@ func TestMachinesRejectMalformedCommands(t *testing.T) {
 	// The retired repair opcodes are refused even when well formed: a
 	// newer cell offered by 0x0a is not installed and a cell 0x0b names
 	// at its version is not dropped.
-	rm.Apply(encRmPut("a", []byte("v"), 3))
-	rm.Apply(encRmDel("b", 4))
+	rm.Apply(encRmPut(nil, "a", []byte("v"), 3))
+	rm.Apply(encRmDel(nil, "b", 4))
 	before := rm.Snapshot()
 	offered := []kvPair{{key: "a", rval: rval{val: []byte("newer"), ver: 9}}, {key: "c", rval: rval{val: []byte("v"), ver: 9}}}
 	named := []kvPair{{key: "a", rval: rval{ver: 3}}, {key: "b", rval: rval{ver: 4}}}
@@ -299,7 +299,7 @@ func TestMachinesRejectMalformedCommands(t *testing.T) {
 		}
 	}
 	for _, cmd := range [][]byte{nil, {0xee},
-		encTxBegin(1, []uint64{1}, nil)[:2], encTxAbort(1)[:3]} {
+		encTxBegin(nil, 1, []uint64{1}, nil)[:2], encTxAbort(nil, 1)[:3]} {
 		if resp := tm.Apply(cmd); len(resp) == 0 || resp[0] != rspConflict {
 			t.Fatalf("txnMachine.Apply(% x) = % x, want rspConflict", cmd, resp)
 		}

@@ -54,7 +54,7 @@ func (s *Sharded) Split(key string) error {
 func (s *Sharded) completeSplit(p pendingChange) error {
 	if !p.Committed {
 		// Fence [key, +inf) on the source and collect the moving cells.
-		resp, _, err := s.proposeRange(p.Old, encRmFreeze(p.Key))
+		resp, _, err := s.proposeRange(p.Old, encRmFreeze(nil, p.Key))
 		if err != nil {
 			return fmt.Errorf("kvstore: split freeze: %w", err)
 		}
@@ -78,7 +78,7 @@ func (s *Sharded) completeSplit(p pendingChange) error {
 				oldHi = r.End
 			}
 		}
-		if _, _, err := s.proposeRange(p.New, encRmAdopt(p.Key, oldHi, pairs)); err != nil {
+		if _, _, err := s.proposeRange(p.New, encRmAdopt(nil, p.Key, oldHi, pairs)); err != nil {
 			return fmt.Errorf("kvstore: split adopt: %w", err)
 		}
 		if s.takeCrash("split-copy") {
@@ -95,7 +95,7 @@ func (s *Sharded) completeSplit(p pendingChange) error {
 	}
 	// Routing switched: drop the moved span from the source (also lifts
 	// its fence by shrinking hi to the split key) and retire the record.
-	if _, _, err := s.proposeRange(p.Old, encRmTrim(p.Key)); err != nil {
+	if _, _, err := s.proposeRange(p.Old, encRmTrim(nil, p.Key)); err != nil {
 		return fmt.Errorf("kvstore: split trim: %w", err)
 	}
 	if _, _, err := s.propose(0, dirMachineName, encDirU64(dirOpSplitFinish, p.New)); err != nil {
@@ -152,7 +152,7 @@ func (s *Sharded) completeMerge(p pendingChange) error {
 	}
 	if !p.Committed {
 		// Fence the entire right range and collect its cells.
-		resp, _, err := s.proposeRange(p.Right, encRmFreeze(p.Key))
+		resp, _, err := s.proposeRange(p.Right, encRmFreeze(nil, p.Key))
 		if err != nil {
 			return fmt.Errorf("kvstore: merge freeze: %w", err)
 		}
@@ -165,7 +165,7 @@ func (s *Sharded) completeMerge(p pendingChange) error {
 		d := ha.NewDecoder(resp[1:])
 		pairs := decodePairs(d)
 		// Extend the left range's bounds and install the copied cells.
-		if _, _, err := s.proposeRange(p.Old, encRmAdopt(leftLo, rightHi, pairs)); err != nil {
+		if _, _, err := s.proposeRange(p.Old, encRmAdopt(nil, leftLo, rightHi, pairs)); err != nil {
 			return fmt.Errorf("kvstore: merge adopt: %w", err)
 		}
 		if _, _, err := s.propose(0, dirMachineName, encDirU64(dirOpMergeCommit, p.Old)); err != nil {
@@ -176,7 +176,7 @@ func (s *Sharded) completeMerge(p pendingChange) error {
 	// it owning the empty span [lo, lo) — every future op gets rspMoved.
 	// (p.Key is never "", because the absorbed range always has a left
 	// neighbor, so the trim can't accidentally widen hi to +inf.)
-	if _, _, err := s.proposeRange(p.Right, encRmTrim(p.Key)); err != nil {
+	if _, _, err := s.proposeRange(p.Right, encRmTrim(nil, p.Key)); err != nil {
 		return fmt.Errorf("kvstore: merge retire: %w", err)
 	}
 	if _, _, err := s.propose(0, dirMachineName, encDirU64(dirOpMergeFinish, p.Old)); err != nil {

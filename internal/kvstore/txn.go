@@ -70,36 +70,78 @@ func (s *Sharded) Txn(ctx context.Context, reads []string, writes map[string][]b
 }
 
 // partition routes the transaction's keys into per-range parts, in
-// ascending range-id order (the order every coordinator prepares in).
-func (s *Sharded) partition(reads []string, writes map[string][]byte) ([]txnPart, error) {
-	keys := append(make([]string, 0, len(reads)+len(writes)), reads...)
+// ascending range-id order (the order every coordinator prepares in). ids
+// lists the parts' range ids, and flat holds the writes in the same order:
+// it is the begin record's write set, and each part's writes is its run.
+//
+// A range owns one key interval, so a part's lock keys are one run of the
+// sorted unique keys and its read keys one run of the sorted read set: one
+// table lookup routes a whole part. Every part is routed through the same
+// directory snapshot, so no range gets two parts, and partition allocates
+// four arrays whatever the key count: the keys (whose spare tail holds the
+// read set), the parts, ids and flat.
+func (s *Sharded) partition(reads []string, writes map[string][]byte) (parts []txnPart, ids []uint64, flat []rmWrite, err error) {
+	n := len(reads) + len(writes)
+	buf := make([]string, n+len(reads))
+	keys := append(buf[:0:n], reads...)
 	for k := range writes {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
 	keys = slices.Compact(keys)
-	readSet := slices.Clone(reads)
+	readSet := buf[n:]
+	copy(readSet, reads)
 	slices.Sort(readSet)
-	var parts []txnPart
-	for _, k := range keys {
-		r, err := s.locate(k)
-		if err != nil {
-			return nil, err
+	readSet = slices.Compact(readSet)
+
+	parts = make([]txnPart, 0, len(keys))
+	for attempt := 0; ; attempt++ {
+		var unrouted []string
+		if parts, unrouted = routeRuns(parts[:0], s.rangesSnapshot(), keys, readSet); len(unrouted) == 0 {
+			break
 		}
-		i := slices.IndexFunc(parts, func(p txnPart) bool { return p.rid == r.ID })
-		if i < 0 {
-			i, parts = len(parts), append(parts, txnPart{rid: r.ID})
+		if attempt == 1 {
+			return nil, nil, nil, fmt.Errorf("kvstore: no range owns key %q", unrouted[0])
 		}
-		p := &parts[i]
-		p.lockKeys = append(p.lockKeys, k)
-		if _, read := slices.BinarySearch(readSet, k); read {
-			p.readKeys = append(p.readKeys, k)
-		}
-		if v, ok := writes[k]; ok {
-			p.writes = append(p.writes, rmWrite{Key: k, Val: v, Del: v == nil})
+		if err := s.refreshDir(); err != nil {
+			return nil, nil, nil, err
 		}
 	}
 	slices.SortFunc(parts, func(a, b txnPart) int { return cmp.Compare(a.rid, b.rid) })
+
+	ids = make([]uint64, len(parts))
+	flat = make([]rmWrite, 0, len(writes))
+	for i := range parts {
+		p, from := &parts[i], len(flat)
+		ids[i] = p.rid
+		for _, k := range p.lockKeys {
+			if v, ok := writes[k]; ok {
+				flat = append(flat, rmWrite{Key: k, Val: v, Del: v == nil})
+			}
+		}
+		p.writes = flat[from:]
+	}
+	return parts, ids, flat, nil
+}
+
+// routeRuns appends to parts one part per range of rs that owns some of
+// keys, in key order: its run of keys and its run of readSet, a sorted
+// subset of keys. It stops at the first key no range of rs owns and
+// returns the keys from there on.
+func routeRuns(parts []txnPart, rs []RangeInfo, keys, readSet []string) ([]txnPart, []string) {
+	for len(keys) > 0 {
+		r, ok := owner(rs, keys[0])
+		if !ok {
+			return parts, keys
+		}
+		nk, nr := len(keys), len(readSet)
+		if r.End != "" {
+			nk, _ = slices.BinarySearch(keys, r.End)
+			nr, _ = slices.BinarySearch(readSet, r.End)
+		}
+		parts = append(parts, txnPart{rid: r.ID, lockKeys: keys[:nk:nk], readKeys: readSet[:nr:nr]})
+		keys, readSet = keys[nk:], readSet[nr:]
+	}
 	return parts, nil
 }
 
@@ -108,20 +150,17 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 		s.Reg.Counter("deadline_exceeded").Inc()
 		return nil, ErrDeadlineExceeded
 	}
-	parts, err := s.partition(reads, writes)
+	parts, partIDs, flatWrites, err := s.partition(reads, writes)
 	if err != nil {
 		return nil, err
 	}
-	partIDs := make([]uint64, len(parts))
-	flatWrites := make([]rmWrite, 0, len(writes))
-	for i, p := range parts {
-		partIDs[i] = p.rid
-		flatWrites = append(flatWrites, p.writes...)
-	}
 	id := s.nextTxnID()
+	// Every command of this attempt is encoded into buf in turn: Propose
+	// has copied each into its envelope by the time it returns.
+	var buf cmdBuf
 
 	// 1. Replicate the transaction record.
-	resp, c, err := s.propose(0, txnMachineName, encTxBegin(id, partIDs, flatWrites))
+	resp, c, err := s.propose(0, txnMachineName, encTxBegin(buf[:], id, partIDs, flatWrites))
 	if err != nil {
 		// The record may or may not exist; either way nothing is locked
 		// and nothing can commit it — recovery retires it as aborted.
@@ -137,7 +176,7 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 		return nil, fmt.Errorf("kvstore: txn %d begin: status %d", id, resp[0])
 	}
 	if cerr := b.charge(c); cerr != nil {
-		s.abortTxn(id, closed, nil)
+		s.abortTxn(buf[:], id, closed, nil)
 		s.Reg.Counter("deadline_exceeded").Inc()
 		return nil, cerr
 	}
@@ -150,7 +189,7 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 	readVals := make(map[string][]byte, len(reads))
 	for i, p := range parts {
 		rid, prepared := p.rid, partIDs[:i]
-		resp, c, err := s.proposeRange(rid, encRmPrepare(id, closed, s.dirtyReads(), p.lockKeys, p.readKeys))
+		resp, c, err := s.proposeRange(rid, encRmPrepare(buf[:], id, closed, s.dirtyReads(), p.lockKeys, p.readKeys))
 		if err != nil {
 			// Unknown outcome: this range may hold our locks.
 			s.Reg.Counter("txn_orphaned").Inc()
@@ -166,11 +205,11 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 			}
 		case rspConflict, rspLocked:
 			s.Reg.Counter("txn_conflicts").Inc()
-			s.abortTxn(id, closed, prepared)
+			s.abortTxn(buf[:], id, closed, prepared)
 			return nil, errRetryTxn
 		case rspMoved:
 			s.Reg.Counter("txn_moved").Inc()
-			s.abortTxn(id, closed, prepared)
+			s.abortTxn(buf[:], id, closed, prepared)
 			if err := s.refreshDir(); err != nil {
 				return nil, err
 			}
@@ -180,11 +219,11 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 			// are already released by its rAbort pass.
 			return nil, ErrTxnAborted
 		default:
-			s.abortTxn(id, closed, prepared)
+			s.abortTxn(buf[:], id, closed, prepared)
 			return nil, fmt.Errorf("kvstore: txn %d prepare range %d: status %d", id, rid, resp[0])
 		}
 		if cerr := b.charge(c); cerr != nil {
-			s.abortTxn(id, closed, partIDs[:i+1])
+			s.abortTxn(buf[:], id, closed, partIDs[:i+1])
 			s.Reg.Counter("deadline_exceeded").Inc()
 			return nil, cerr
 		}
@@ -199,7 +238,7 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 	}
 	if b.exhausted() {
 		// Last budget check before the point of no return: abort clean.
-		s.abortTxn(id, closed, partIDs)
+		s.abortTxn(buf[:], id, closed, partIDs)
 		s.Reg.Counter("deadline_exceeded").Inc()
 		return nil, ErrDeadlineExceeded
 	}
@@ -207,7 +246,7 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 	// 3. Commit point: one replicated record flips the transaction from
 	// abortable to unabortable.
 	ver := s.nextVersion()
-	resp, c, err = s.propose(0, txnMachineName, encTxCommit(id, ver))
+	resp, c, err = s.propose(0, txnMachineName, encTxCommit(buf[:], id, ver))
 	if err != nil {
 		// The commit record may or may not be in the log — the classic
 		// "partition spanning the commit point". Only recovery, reading
@@ -229,7 +268,7 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 	// here leave a committed record that recovery re-drives.
 	for _, p := range parts {
 		rid := p.rid
-		resp, _, err := s.proposeRange(rid, encRmApply(id, closed, ver, p.writes))
+		resp, _, err := s.proposeRange(rid, encRmApply(buf[:], id, closed, ver, p.writes))
 		if err != nil || resp[0] != rspOK {
 			s.Reg.Counter("txn_orphaned").Inc()
 			return nil, fmt.Errorf("kvstore: txn %d apply range %d: %w", id, rid, ErrTxnOrphaned)
@@ -239,7 +278,7 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 			return nil, ErrTxnOrphaned
 		}
 	}
-	if _, _, err := s.propose(0, txnMachineName, encTxDone(id)); err != nil {
+	if _, _, err := s.propose(0, txnMachineName, encTxDone(buf[:], id)); err != nil {
 		// Effects are fully applied; the lingering record is retired by
 		// the next recovery pass. The transaction still succeeded.
 		s.Reg.Counter("txn_done_deferred").Inc()
@@ -250,16 +289,17 @@ func (s *Sharded) tryTxn(b *opBudget, reads []string, writes map[string][]byte) 
 // abortTxn cleanly aborts an attempt: mark the record aborted, release
 // locks on every prepared range and, once all acknowledged, retire the
 // record. Errors are ignored — recovery finishes what this pass could not.
-func (s *Sharded) abortTxn(id, closed uint64, prepared []uint64) {
-	if resp, _, err := s.propose(0, txnMachineName, encTxAbort(id)); err != nil || resp[0] == rspCommitted {
+// Its commands are encoded into buf, the attempt's own.
+func (s *Sharded) abortTxn(buf []byte, id, closed uint64, prepared []uint64) {
+	if resp, _, err := s.propose(0, txnMachineName, encTxAbort(buf, id)); err != nil || resp[0] == rspCommitted {
 		return // unreachable record or already committed: recovery's job
 	}
 	for _, rid := range prepared {
-		if _, _, err := s.proposeRange(rid, encRmAbort(id, closed)); err != nil {
+		if _, _, err := s.proposeRange(rid, encRmAbort(buf, id, closed)); err != nil {
 			return
 		}
 	}
-	s.propose(0, txnMachineName, encTxDone(id)) //nolint:errcheck
+	s.propose(0, txnMachineName, encTxDone(buf, id)) //nolint:errcheck
 	s.Reg.Counter("txn_aborted").Inc()
 }
 
@@ -293,7 +333,7 @@ func (s *Sharded) RecoverTxns() (TxnRecovery, error) {
 			// Abort-first: replicating the abort decision closes the
 			// race with a live coordinator — its tMarkCommit afterwards
 			// gets rspAborted and it gives up.
-			resp, _, err := s.propose(0, txnMachineName, encTxAbort(rec.ID))
+			resp, _, err := s.propose(0, txnMachineName, encTxAbort(nil, rec.ID))
 			if err != nil {
 				return out, fmt.Errorf("kvstore: recover txn %d: %w", rec.ID, err)
 			}
@@ -330,12 +370,13 @@ func (s *Sharded) RecoverTxns() (TxnRecovery, error) {
 // finishAbort releases an aborted record's locks on every participant
 // and retires it. Recovery ran no begin, so it sends no watermark (0).
 func (s *Sharded) finishAbort(rec txnRecSnap) error {
+	var buf cmdBuf
 	for _, rid := range rec.Parts {
-		if _, _, err := s.proposeRange(rid, encRmAbort(rec.ID, 0)); err != nil {
+		if _, _, err := s.proposeRange(rid, encRmAbort(buf[:], rec.ID, 0)); err != nil {
 			return fmt.Errorf("kvstore: recover txn %d abort range %d: %w", rec.ID, rid, err)
 		}
 	}
-	if _, _, err := s.propose(0, txnMachineName, encTxDone(rec.ID)); err != nil {
+	if _, _, err := s.propose(0, txnMachineName, encTxDone(buf[:], rec.ID)); err != nil {
 		return err
 	}
 	s.Reg.Counter("txn_recovered_aborted").Inc()
@@ -358,8 +399,9 @@ func (s *Sharded) resumeTxn(rec txnRecSnap) error {
 	}
 	// Apply to every recorded participant — including read-only ones,
 	// whose locks must be released too.
+	var buf cmdBuf
 	for _, rid := range rec.Parts {
-		resp, _, err := s.proposeRange(rid, encRmApply(rec.ID, 0, rec.Ver, byRange[rid]))
+		resp, _, err := s.proposeRange(rid, encRmApply(buf[:], rec.ID, 0, rec.Ver, byRange[rid]))
 		if err != nil {
 			return fmt.Errorf("kvstore: resume txn %d range %d: %w", rec.ID, rid, err)
 		}
@@ -367,7 +409,7 @@ func (s *Sharded) resumeTxn(rec txnRecSnap) error {
 			return fmt.Errorf("kvstore: resume txn %d range %d: status %d", rec.ID, rid, resp[0])
 		}
 	}
-	if _, _, err := s.propose(0, txnMachineName, encTxDone(rec.ID)); err != nil {
+	if _, _, err := s.propose(0, txnMachineName, encTxDone(buf[:], rec.ID)); err != nil {
 		return err
 	}
 	s.Reg.Counter("txn_recovered_resumed").Inc()

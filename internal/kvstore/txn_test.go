@@ -1,9 +1,13 @@
 package kvstore
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -263,4 +267,238 @@ func TestTxnReadOnlyAndConflictRetry(t *testing.T) {
 	if n, _ := s.PendingTxnRecords(); n != 0 {
 		t.Fatalf("records after read-only txn = %d, want 0", n)
 	}
+}
+
+// TestTxnConcurrentCoordinators runs coordinators on several goroutines,
+// each encoding its commands into its own stack array: writers set both
+// keys of a pair that spans two ranges to one tag, readers must see both
+// keys carry the same tag, and single-key ops run alongside. Afterwards
+// no lock and no transaction record is left.
+func TestTxnConcurrentCoordinators(t *testing.T) {
+	s := newTestSharded(t, ShardedConfig{InitialSplits: []string{"m"}, MaxTxnAttempts: 64})
+	pairs := [][2]string{{"a1", "z1"}, {"b2", "y2"}}
+	for _, p := range pairs {
+		if _, err := s.Txn(bg(), nil, map[string][]byte{p[0]: []byte("init"), p[1]: []byte("init")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				p := pairs[(g+i)%len(pairs)]
+				if g%2 == 0 {
+					tag := []byte(fmt.Sprintf("g%d-%d", g, i))
+					if _, err := s.Txn(bg(), nil, map[string][]byte{p[0]: tag, p[1]: tag}); err != nil && !errors.Is(err, ErrTxnConflict) {
+						errs <- err
+						return
+					}
+					continue
+				}
+				got, err := s.Txn(bg(), []string{p[0], p[1]}, nil)
+				if errors.Is(err, ErrTxnConflict) {
+					continue
+				}
+				if err != nil || string(got[p[0]]) != string(got[p[1]]) {
+					errs <- fmt.Errorf("read %q: %q, err %v", p, got, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 30; i++ {
+			k := fmt.Sprintf("c%d", i%5)
+			if err := s.Put(bg(), k, []byte(k)); err != nil {
+				errs <- err
+				return
+			}
+			if v, _, err := s.Get(bg(), k); err != nil || string(v) != k {
+				errs <- fmt.Errorf("get %s: %q, err %v", k, v, err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n, err := s.LockCount(); err != nil || n != 0 {
+		t.Fatalf("locks = (%d, %v), want 0", n, err)
+	}
+	if n, err := s.PendingTxnRecords(); err != nil || n != 0 {
+		t.Fatalf("pending records = (%d, %v), want 0", n, err)
+	}
+}
+
+// partitionPerKey is the routing partition replaced: one directory lookup
+// per key, each key appended to its range's part, parts sorted by range
+// id, and the begin record's ids and write set flattened from the parts.
+// FuzzPartitionMatchesPerKey holds partition to it.
+func partitionPerKey(s *Sharded, reads []string, writes map[string][]byte) ([]txnPart, []uint64, []rmWrite, error) {
+	keys := append(make([]string, 0, len(reads)+len(writes)), reads...)
+	for k := range writes {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	readSet := slices.Clone(reads)
+	slices.Sort(readSet)
+	var parts []txnPart
+	for _, k := range keys {
+		r, err := s.locate(k)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		i := slices.IndexFunc(parts, func(p txnPart) bool { return p.rid == r.ID })
+		if i < 0 {
+			i, parts = len(parts), append(parts, txnPart{rid: r.ID})
+		}
+		p := &parts[i]
+		p.lockKeys = append(p.lockKeys, k)
+		if _, read := slices.BinarySearch(readSet, k); read {
+			p.readKeys = append(p.readKeys, k)
+		}
+		if v, ok := writes[k]; ok {
+			p.writes = append(p.writes, rmWrite{Key: k, Val: v, Del: v == nil})
+		}
+	}
+	slices.SortFunc(parts, func(a, b txnPart) int { return cmp.Compare(a.rid, b.rid) })
+	ids := make([]uint64, len(parts))
+	flat := make([]rmWrite, 0, len(writes))
+	for i, p := range parts {
+		ids[i] = p.rid
+		flat = append(flat, p.writes...)
+	}
+	return parts, ids, flat, nil
+}
+
+// partitionKeys are the keys and split points of the transaction tests
+// above, and the empty key, which sorts below every split.
+var partitionKeys = []string{"", "a1", "aa", "acct-a", "k01", "k04", "k05", "k06", "k08", "k09", "k1", "m", "missing", "z1", "zcct-b", "zz"}
+
+// partitionCase decodes a fuzz input: a split count and that many split
+// keys, a flag byte, a merge key and then (op, key) pairs, op 0 a read,
+// 1 a write, 2 a nil write, 3 a read and a write. Flag bit 0 merges the
+// range holding the merge key with its right neighbour; bit 1 makes the
+// lowest split with Split after start-up, so the new range's id is above
+// its right neighbour's. Every index is taken modulo its table, so any
+// input decodes.
+func partitionCase(data []byte) (cfg ShardedConfig, late, merge string, reads []string, writes map[string][]byte) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	key := func() string { return partitionKeys[int(next())%len(partitionKeys)] }
+	cfg = ShardedConfig{Seed: 3, Groups: 2}
+	for n := next() % 5; n > 0; n-- {
+		if k := key(); k != "" && !slices.Contains(cfg.InitialSplits, k) {
+			cfg.InitialSplits = append(cfg.InitialSplits, k)
+		}
+	}
+	flags, mergeKey := next(), key()
+	if flags&2 != 0 && len(cfg.InitialSplits) > 0 {
+		late = slices.Min(cfg.InitialSplits)
+		cfg.InitialSplits = slices.DeleteFunc(cfg.InitialSplits, func(k string) bool { return k == late })
+	}
+	if flags&1 != 0 {
+		merge = mergeKey
+	}
+	writes = map[string][]byte{}
+	for len(data) >= 2 {
+		op, k := next()%4, key()
+		if op == 0 || op == 3 {
+			reads = append(reads, k)
+		}
+		switch op {
+		case 1, 3:
+			writes[k] = []byte("v-" + k)
+		case 2:
+			writes[k] = nil
+		}
+	}
+	return cfg, late, merge, reads, writes
+}
+
+func encodePartitionCase(splits []string, flags byte, merge string, ops ...any) []byte {
+	idx := func(k string) byte { return byte(slices.Index(partitionKeys, k)) }
+	b := []byte{byte(len(splits))}
+	for _, k := range splits {
+		b = append(b, idx(k))
+	}
+	b = append(b, flags, idx(merge))
+	for i := 0; i+1 < len(ops); i += 2 {
+		b = append(b, byte(ops[i].(int)), idx(ops[i+1].(string)))
+	}
+	return b
+}
+
+func writesEqual(a, b []rmWrite) bool {
+	return slices.EqualFunc(a, b, func(x, y rmWrite) bool {
+		return x.Key == y.Key && x.Del == y.Del && bytes.Equal(x.Val, y.Val) && (x.Val == nil) == (y.Val == nil)
+	})
+}
+
+// FuzzPartitionMatchesPerKey holds the run-at-a-time partition to the
+// per-key one it replaced, on directories with splits, a split made after
+// start-up and a merge: the same parts in the same order, the same range
+// ids and the same flattened write set, which each part's writes must
+// tile in order.
+func FuzzPartitionMatchesPerKey(f *testing.F) {
+	const read, write, del, both = 0, 1, 2, 3
+	f.Add(encodePartitionCase([]string{"m"}, 0, "", both, "acct-a", both, "zcct-b"))
+	f.Add(encodePartitionCase([]string{"m"}, 0, "", read, "missing", write, "acct-a", del, "acct-a"))
+	f.Add(encodePartitionCase([]string{"m"}, 0, "", read, "a1", read, "z1", read, "a1"))
+	f.Add(encodePartitionCase([]string{"k05", "k08"}, 2, "", del, "k04", write, "k06", write, "k09", read, "k08"))
+	f.Add(encodePartitionCase([]string{"aa", "k05", "m"}, 3, "k04", both, "", read, "aa", write, "k05", both, "zz", read, "k05"))
+	f.Add(encodePartitionCase([]string{"k1", "m", "z1"}, 1, "m", write, "k1", read, "m", del, "zz", read, "k01"))
+	f.Add(encodePartitionCase(nil, 0, ""))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, late, merge, reads, writes := partitionCase(data)
+		s := NewSharded(cfg)
+		if late != "" {
+			if err := s.Split(late); err != nil {
+				t.Fatalf("Split(%q): %v", late, err)
+			}
+		}
+		if merge != "" && s.RangeCount() > 1 {
+			if r, err := s.locate(merge); err == nil && r.End != "" {
+				if err := s.Merge(merge); err != nil {
+					t.Fatalf("Merge(%q): %v", merge, err)
+				}
+			}
+		}
+		parts, ids, flat, err := s.partition(reads, writes)
+		wantParts, wantIDs, wantFlat, wantErr := partitionPerKey(s, reads, writes)
+		if err != nil || wantErr != nil {
+			t.Fatalf("partition: %v; per key: %v", err, wantErr)
+		}
+		if !slices.Equal(ids, wantIDs) {
+			t.Fatalf("ranges %v, per key %v (reads %q, writes %q, table %+v)", ids, wantIDs, reads, writes, s.Ranges())
+		}
+		if !writesEqual(flat, wantFlat) {
+			t.Fatalf("write set %+v, per key %+v", flat, wantFlat)
+		}
+		var tiled []rmWrite
+		for i, p := range parts {
+			w := wantParts[i]
+			if p.rid != w.rid || !slices.Equal(p.lockKeys, w.lockKeys) || !slices.Equal(p.readKeys, w.readKeys) || !writesEqual(p.writes, w.writes) {
+				t.Fatalf("part %d: %+v, per key %+v", i, p, w)
+			}
+			tiled = append(tiled, p.writes...)
+		}
+		if !writesEqual(tiled, flat) {
+			t.Fatalf("parts' writes %+v do not tile the write set %+v", tiled, flat)
+		}
+	})
 }

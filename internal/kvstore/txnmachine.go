@@ -196,20 +196,26 @@ func (m *txnMachine) Restore(snap []byte) {
 	}
 }
 
-// Command encoders.
+// Command encoders: each writes into b when it fits, as the range
+// machine's do (frame).
 
-func encTxBegin(id uint64, parts []uint64, writes []rmWrite) []byte {
-	b := binary.BigEndian.AppendUint64(frame(txOpBegin, 13+8*len(parts)+listLen(writes, writeLen)), id)
+func encTxBegin(b []byte, id uint64, parts []uint64, writes []rmWrite) []byte {
+	b = binary.BigEndian.AppendUint64(frame(b, txOpBegin, 13+8*len(parts)+listLen(writes, writeLen)), id)
 	b = appendU64s(b, parts)
 	return appendWrites(b, writes)
 }
 
-func encTxCommit(id, ver uint64) []byte {
-	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(frame(txOpCommit, 17), id), ver)
+func encTxCommit(b []byte, id, ver uint64) []byte {
+	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(frame(b, txOpCommit, 17), id), ver)
 }
 
-func encTxAbort(id uint64) []byte { return binary.BigEndian.AppendUint64(frame(txOpAbort, 9), id) }
-func encTxDone(id uint64) []byte  { return binary.BigEndian.AppendUint64(frame(txOpDone, 9), id) }
+func encTxAbort(b []byte, id uint64) []byte {
+	return binary.BigEndian.AppendUint64(frame(b, txOpAbort, 9), id)
+}
+
+func encTxDone(b []byte, id uint64) []byte {
+	return binary.BigEndian.AppendUint64(frame(b, txOpDone, 9), id)
+}
 
 func appendU64s(b []byte, vs []uint64) []byte {
 	b = binary.BigEndian.AppendUint32(b, uint32(len(vs)))

@@ -94,19 +94,19 @@ func TestWatermarkBoundsRangeState(t *testing.T) {
 
 func TestWatermarkRangeTreatsLowerIdsAsFinished(t *testing.T) {
 	m := newRangeMachine()
-	m.Apply(encRmAdopt("", "", nil))
+	m.Apply(encRmAdopt(nil, "", "", nil))
 	w := func(k, v string) []rmWrite { return []rmWrite{{Key: k, Val: []byte(v)}} }
-	if r := m.Apply(encRmPrepare(7, 7, false, []string{"a"}, nil)); r[0] != rspOK {
+	if r := m.Apply(encRmPrepare(nil, 7, 7, false, []string{"a"}, nil)); r[0] != rspOK {
 		t.Fatalf("prepare 7 = %d", r[0])
 	}
-	if r := m.Apply(encRmApply(7, 7, 1, w("a", "seven"))); r[0] != rspOK {
+	if r := m.Apply(encRmApply(nil, 7, 7, 1, w("a", "seven"))); r[0] != rspOK {
 		t.Fatalf("apply 7 = %d", r[0])
 	}
 	if m.done[7] != txnApplied {
 		t.Fatal("txn 7 not remembered while at the watermark")
 	}
 	// Txn 9's begin saw 7 and 8 retired: its commands carry closed = 9.
-	if r := m.Apply(encRmPrepare(9, 9, false, []string{"b"}, nil)); r[0] != rspOK {
+	if r := m.Apply(encRmPrepare(nil, 9, 9, false, []string{"b"}, nil)); r[0] != rspOK {
 		t.Fatalf("prepare 9 = %d", r[0])
 	}
 	if m.closed != 9 || len(m.done) != 0 {
@@ -115,16 +115,16 @@ func TestWatermarkRangeTreatsLowerIdsAsFinished(t *testing.T) {
 	before := m.Snapshot()
 	// A late prepare of retired txn 8 (its own, older closed value) must
 	// not lock anything, and replays of 7 must change nothing.
-	if r := m.Apply(encRmPrepare(8, 8, false, []string{"c"}, []string{"a"})); r[0] != rspAborted {
+	if r := m.Apply(encRmPrepare(nil, 8, 8, false, []string{"c"}, []string{"a"})); r[0] != rspAborted {
 		t.Fatalf("prepare below watermark = %d, want rspAborted", r[0])
 	}
-	if r := m.Apply(encRmApply(7, 7, 5, w("a", "replayed"))); r[0] != rspOK {
+	if r := m.Apply(encRmApply(nil, 7, 7, 5, w("a", "replayed"))); r[0] != rspOK {
 		t.Fatalf("replayed apply below watermark = %d, want rspOK", r[0])
 	}
-	if r := m.Apply(encRmAbort(7, 7)); r[0] != rspOK {
+	if r := m.Apply(encRmAbort(nil, 7, 7)); r[0] != rspOK {
 		t.Fatalf("replayed abort below watermark = %d, want rspOK", r[0])
 	}
-	if r := m.Apply(encRmAbort(8, 0)); r[0] != rspOK {
+	if r := m.Apply(encRmAbort(nil, 8, 0)); r[0] != rspOK {
 		t.Fatalf("abort below watermark = %d, want rspOK", r[0])
 	}
 	if !bytes.Equal(before, m.Snapshot()) {
@@ -136,11 +136,11 @@ func TestWatermarkRangeTreatsLowerIdsAsFinished(t *testing.T) {
 	// An abort that was lost when its record was retired and commits only
 	// now, below the watermark, still frees the lock it was sent to free.
 	m.locks["stuck"] = 4
-	if r := m.Apply(encRmAbort(4, 4)); r[0] != rspOK || m.lockCount() != 1 || len(m.done) != 0 {
+	if r := m.Apply(encRmAbort(nil, 4, 4)); r[0] != rspOK || m.lockCount() != 1 || len(m.done) != 0 {
 		t.Fatalf("late abort of 4 = %d, locks %v, done %v; want OK, lock freed, nothing remembered", r[0], m.locks, m.done)
 	}
 	// A malformed command must not move the watermark either.
-	if r := m.Apply(encRmAbort(50, 50)[:12]); r[0] != rspConflict || m.closed != 9 {
+	if r := m.Apply(encRmAbort(nil, 50, 50)[:12]); r[0] != rspConflict || m.closed != 9 {
 		t.Fatalf("truncated abort = %d, watermark %d", r[0], m.closed)
 	}
 }
@@ -148,25 +148,25 @@ func TestWatermarkRangeTreatsLowerIdsAsFinished(t *testing.T) {
 func TestWatermarkTableRefusesLateBegin(t *testing.T) {
 	m := newTxnMachine()
 	closed := func(r []byte) uint64 { return ha.NewDecoder(r[1:]).U64() }
-	if r := m.Apply(encTxBegin(5, nil, nil)); r[0] != rspOK || closed(r) != 5 {
+	if r := m.Apply(encTxBegin(nil, 5, nil, nil)); r[0] != rspOK || closed(r) != 5 {
 		t.Fatalf("begin 5 = % x, want OK closedBelow 5", r)
 	}
-	if r := m.Apply(encTxBegin(8, nil, nil)); r[0] != rspOK || closed(r) != 5 {
+	if r := m.Apply(encTxBegin(nil, 8, nil, nil)); r[0] != rspOK || closed(r) != 5 {
 		t.Fatalf("begin 8 = % x, want OK closedBelow 5 (5 still live)", r)
 	}
-	if r := m.Apply(encTxBegin(6, nil, nil)); r[0] != rspOK || closed(r) != 5 {
+	if r := m.Apply(encTxBegin(nil, 6, nil, nil)); r[0] != rspOK || closed(r) != 5 {
 		t.Fatalf("begin 6 between live ids = % x, want OK", r)
 	}
-	if r := m.Apply(encTxBegin(3, nil, nil)); r[0] != rspAborted || closed(r) != 5 {
+	if r := m.Apply(encTxBegin(nil, 3, nil, nil)); r[0] != rspAborted || closed(r) != 5 {
 		t.Fatalf("begin 3 below a live id = % x, want refused with 5", r)
 	}
-	m.Apply(encTxDone(5))
-	m.Apply(encTxDone(6))
-	if r := m.Apply(encTxBegin(8, nil, nil)); r[0] != rspOK || closed(r) != 8 {
+	m.Apply(encTxDone(nil, 5))
+	m.Apply(encTxDone(nil, 6))
+	if r := m.Apply(encTxBegin(nil, 8, nil, nil)); r[0] != rspOK || closed(r) != 8 {
 		t.Fatalf("re-begin of live 8 = % x, want OK closedBelow 8", r)
 	}
-	m.Apply(encTxDone(8))
-	if r := m.Apply(encTxBegin(8, nil, nil)); r[0] != rspAborted || closed(r) != 9 || m.recordCount() != 0 {
+	m.Apply(encTxDone(nil, 8))
+	if r := m.Apply(encTxBegin(nil, 8, nil, nil)); r[0] != rspAborted || closed(r) != 9 || m.recordCount() != 0 {
 		t.Fatalf("begin of retired 8 = % x with %d records, want refused with 9 and none", r, m.recordCount())
 	}
 	restored := newTxnMachine()
@@ -213,11 +213,11 @@ func TestStalePutRetriesUnderFreshVersion(t *testing.T) {
 	stale := s.nextVersion() // a put draws its version, then stalls
 	mustTxn(t, s, "aa", "zz", "txn")
 	r := s.Ranges()[0]
-	resp, _, err := s.propose(r.Group, s.machineName(r.ID), encRmPut("aa", []byte("late"), stale))
+	resp, _, err := s.propose(r.Group, s.machineName(r.ID), encRmPut(nil, "aa", []byte("late"), stale))
 	if err != nil || resp[0] != rspStale {
 		t.Fatalf("put below the cell's version = (% x, %v), want rspStale", resp, err)
 	}
-	if resp, _, _ := s.propose(r.Group, s.machineName(r.ID), encRmDel("aa", stale)); resp[0] != rspStale {
+	if resp, _, _ := s.propose(r.Group, s.machineName(r.ID), encRmDel(nil, "aa", stale)); resp[0] != rspStale {
 		t.Fatalf("delete below the cell's version = % x, want rspStale", resp)
 	}
 	if v, _ := mustGet(t, s, "aa"); v != "txn" {
@@ -312,7 +312,7 @@ func TestWatermarkSurvivesSnapshotRebuildAndSplit(t *testing.T) {
 		})
 		// A straggler prepare of a long-retired transaction is refused by
 		// whichever member leads now.
-		resp, _, err := s.propose(0, s.machineName(r.ID), encRmPrepare(7, 7, false, []string{r.Start}, nil))
+		resp, _, err := s.propose(0, s.machineName(r.ID), encRmPrepare(nil, 7, 7, false, []string{r.Start}, nil))
 		if err != nil || resp[0] != rspAborted {
 			t.Errorf("late prepare on range %d = (% x, %v), want rspAborted", r.ID, resp, err)
 		}

@@ -45,8 +45,14 @@ echo "== log compaction + txn watermark (race, count=3) =="
 # move only with an offset. No wall clock, so -count=3 on two cores is cheap.
 go test -race -count=3 -run 'TestWatermark|TestCompaction' ./internal/kvstore ./internal/ha
 # The byte rule's regression pins without -race, repeated: no compaction
-# counted while nothing moves, and kv_txn's bytes per iteration.
-go test -count=20 -run 'TestCompactionCountsOnlyCompactionsThatHappen|TestShardedTxnMixByteCeiling' ./internal/ha ./internal/kvstore
+# counted while nothing moves, kv_txn's bytes per iteration, and the sharded
+# coordinator's command stream (results, virtual cost, compactions, final
+# machine snapshots) hashed against constants from before its commands were
+# encoded into stack buffers.
+go test -count=20 -run 'TestCompactionCountsOnlyCompactionsThatHappen|TestShardedTxnMixByteCeiling|TestShardedCommandStreamPinned' ./internal/ha ./internal/kvstore
+# Concurrent coordinators each encode their commands into their own stack
+# array, which Propose copies before returning.
+go test -race -count=3 -run 'TestTxn|TestShardedCommandStreamPinned' ./internal/kvstore
 
 echo "== quorum ring under fault toggles (race, count=3) =="
 # Liveness, the stale-read flag and the version clock are atomics that
