@@ -1,6 +1,7 @@
 package query_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/check"
@@ -36,13 +37,20 @@ func (g *fuzzGen) intn(n int) int {
 
 // Small value domains force key collisions, empty filter results and
 // duplicate join keys. Floats are multiples of 0.25 so sums are exact
-// in any combination order.
+// in any combination order; the bytes 255 and 254 give NaN and −0.
 func (g *fuzzGen) value(typ table.Type) any {
 	switch typ {
 	case table.Int64:
 		return int64(g.intn(13) - 4)
 	case table.Float64:
-		return float64(g.intn(25)-8) * 0.25
+		switch b := g.byte(); b {
+		case 255:
+			return math.NaN()
+		case 254:
+			return math.Copysign(0, -1)
+		default:
+			return float64(int(b)%25-8) * 0.25
+		}
 	default:
 		return string(rune('a' + g.intn(4)))
 	}
@@ -251,6 +259,18 @@ func joinAggSeed(rows0, parts0, rows1, parts1 int, pair byte, agg ...byte) []byt
 	return append(append(seed, agg...), 1)
 }
 
+// topKSeed composes a corpus entry of the ORDER BY … LIMIT shape: t0 is
+// (a int64, b float64) holding the given (a, b) value byte pairs in parts
+// partitions, and the plan keeps the first k rows by b, descending, with no
+// other step. A b byte of 255 is NaN, 254 is −0.
+func topKSeed(parts, k int, values ...byte) []byte {
+	seed := append([]byte{0, 0, 1, 0, 0, 0, byte(len(values) / 2)}, values...)
+	return append(seed, 0, byte(parts-1), 0, // t1 empty, in one partition
+		0,                   // no step,
+		1,                   // no aggregate;
+		0, 1, 0, 0, byte(k)) // top k by b, descending
+}
+
 // FuzzPlanEquivalence generates random schemas, rows and logical plans
 // and checks three-way agreement: optimizer-on output == optimizer-off
 // output == the naive reference evaluator, as multisets (ordered when
@@ -273,6 +293,14 @@ func FuzzPlanEquivalence(f *testing.F) {
 	f.Add(joinAggSeed(20, 3, 6, 2, 0, 0, 1, 0, 1, 1, 3, 1, 2))
 	f.Add(joinAggSeed(3, 4, 9, 1, 2, 1, 1, 0, 1, 1, 0, 1, 2, 1, 3))
 	f.Add(joinAggSeed(24, 4, 12, 2, 2, 1, 0, 1, 1, 0, 0, 1, 2))
+	// ORDER BY … LIMIT, which the optimizer runs as one top-k: k = 0; k = 8
+	// over four partitions of at most 3 rows; k = 8 of 20 rows in two
+	// partitions whose sort column holds 3 NaN, 0.25, 2 +0 and 6 −0, so the
+	// cut falls among the −0 rows, after every +0.
+	f.Add(topKSeed(3, 0, 1, 9, 2, 20, 3, 9, 4, 1))
+	f.Add(topKSeed(4, 8, 1, 9, 2, 20, 3, 9, 4, 1, 5, 30, 6, 9, 7, 2, 8, 11, 9, 24, 10, 9))
+	f.Add(topKSeed(2, 8, 1, 255, 2, 254, 3, 8, 4, 254, 5, 7, 6, 255, 7, 254, 8, 9, 9, 6, 1, 254,
+		2, 8, 3, 254, 4, 255, 5, 6, 6, 254, 7, 7, 8, 5, 9, 4, 10, 3, 11, 2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &fuzzGen{data: data}
 		s0 := g.schema("")

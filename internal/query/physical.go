@@ -33,7 +33,7 @@ const (
 // Node is one physical operator with its cost estimate and, after
 // execution, the observed row count.
 type Node struct {
-	Kind     string // "scan", "filter", "project", "join[broadcast]", "join[shuffle]", "agg", "sort", "limit"
+	Kind     string // "scan", "filter", "project", "join[broadcast]", "join[shuffle]", "agg", "sort", "topk", "limit"
 	Detail   string
 	Est      float64
 	Children []*Node
@@ -353,43 +353,11 @@ func (c *compiler) compile(l *Logical) (*Node, table.Schema, error) {
 		})
 		return n, schema, nil
 	case OpSort:
-		child, childSchema, err := c.compile(l.Input)
-		if err != nil {
-			return nil, table.Schema{}, err
-		}
-		inWant, err := l.Input.OutSchema(c.env.Schema)
-		if err != nil {
-			return nil, table.Schema{}, err
-		}
-		// Sort on the primary column, breaking ties on every remaining
-		// column ascending: a total order over distinct rows, so the
-		// oracle can compare ordered output deterministically.
-		cols := []string{l.SortCol}
-		desc := []bool{l.Desc}
-		for _, col := range inWant.Names() {
-			if col != l.SortCol {
-				cols = append(cols, col)
-				desc = append(desc, false)
-			}
-		}
-		parts := c.opts.Parts
-		dir := "asc"
-		if l.Desc {
-			dir = "desc"
-		}
-		n := &Node{Kind: "sort", Detail: fmt.Sprintf("%s %s", l.SortCol, dir), Est: c.est(l), Children: []*Node{child}}
-		n.exec = c.counted(n, func() (*table.Table, error) {
-			t, err := child.exec()
-			if err != nil {
-				return nil, err
-			}
-			if t, err = conform(t, inWant, childSchema); err != nil {
-				return nil, err
-			}
-			return t.OrderByCols(cols, desc, parts)
-		})
-		return n, schema, nil
+		return c.compileSort(l, nil)
 	case OpLimit:
+		if c.opts.Optimize {
+			return c.compileSort(l.Input, l)
+		}
 		child, childSchema, err := c.compile(l.Input)
 		if err != nil {
 			return nil, table.Schema{}, err
@@ -406,6 +374,56 @@ func (c *compiler) compile(l *Logical) (*Node, table.Schema, error) {
 		return n, childSchema, nil
 	}
 	return nil, table.Schema{}, fmt.Errorf("query: unknown operator %d", l.Op)
+}
+
+// compileSort compiles an OpSort into a global sort or, given the OpLimit
+// above it, into one "topk" node that keeps the first limit.N rows of the
+// same order (table.TopK) in place of both.
+func (c *compiler) compileSort(l, limit *Logical) (*Node, table.Schema, error) {
+	child, childSchema, err := c.compile(l.Input)
+	if err != nil {
+		return nil, table.Schema{}, err
+	}
+	inWant, err := l.Input.OutSchema(c.env.Schema)
+	if err != nil {
+		return nil, table.Schema{}, err
+	}
+	// Sort on the primary column, breaking ties on every remaining
+	// column ascending: a total order over distinct rows, so the
+	// oracle can compare ordered output deterministically.
+	cols := []string{l.SortCol}
+	desc := []bool{l.Desc}
+	for _, col := range inWant.Names() {
+		if col != l.SortCol {
+			cols = append(cols, col)
+			desc = append(desc, false)
+		}
+	}
+	parts := c.opts.Parts
+	dir := "asc"
+	if l.Desc {
+		dir = "desc"
+	}
+	n := &Node{Kind: "sort", Detail: fmt.Sprintf("%s %s", l.SortCol, dir), Est: c.est(l), Children: []*Node{child}}
+	k := -1
+	if limit != nil {
+		k = limit.N
+		n.Kind, n.Detail, n.Est = "topk", fmt.Sprintf("%s limit %d", n.Detail, k), c.est(limit)
+	}
+	n.exec = c.counted(n, func() (*table.Table, error) {
+		t, err := child.exec()
+		if err != nil {
+			return nil, err
+		}
+		if t, err = conform(t, inWant, childSchema); err != nil {
+			return nil, err
+		}
+		if k >= 0 {
+			return t.TopK(cols, desc, k)
+		}
+		return t.OrderByCols(cols, desc, parts)
+	})
+	return n, inWant, nil
 }
 
 // conform projects t down to want's columns when the compiled child

@@ -1,7 +1,9 @@
 package table
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/shuffle"
@@ -90,16 +92,61 @@ type buildSide struct {
 // all ascending). Concatenating the result's partitions in order yields
 // the sorted relation. Because a full column list gives a total order
 // over distinct rows, OrderByCols with every column listed is
-// deterministic — the form the query layer uses under LIMIT.
+// deterministic — the form the query layer uses. With more than one
+// output partition a sampling job computes the input once to find the
+// range split points before the shuffle computes it again; with one there
+// are no split points to find, and the input is computed once.
 func (t *Table) OrderByCols(cols []string, desc []bool, parts int) (*Table, error) {
+	key, err := t.sortKey(cols, desc)
+	if err != nil {
+		return nil, err
+	}
+	if parts <= 0 {
+		parts = t.Partitions()
+	}
+	return t.sortBy(key, parts)
+}
+
+// TopK returns the first k rows of the order OrderByCols(cols, desc, _)
+// gives, in that order, in one partition. Each partition keeps its first k
+// rows under the same composite key with a bounded max-heap, one sorted
+// shuffle into a single partition orders those at most k × Partitions()
+// candidates, and Head cuts them to k: no sampling job, and only the
+// candidates cross the shuffle. Rows whose keys tie keep OrderByCols'
+// relative order, input partition then input position.
+func (t *Table) TopK(cols []string, desc []bool, k int) (*Table, error) {
+	if k < 0 {
+		return nil, fmt.Errorf("table: TopK(%d)", k)
+	}
+	key, err := t.sortKey(cols, desc)
+	if err != nil {
+		return nil, err
+	}
+	cand := t.derive(t.schema, func(_ *core.TaskContext, b *Batch) *Batch {
+		if b.n <= k {
+			return b
+		}
+		return &Batch{n: k, Cols: b.gather(firstK(b, k, key))}
+	})
+	sorted, err := cand.sortBy(key, 1)
+	if err != nil {
+		return nil, err
+	}
+	return sorted.Head(k)
+}
+
+// sortKey resolves an OrderByCols column list into the function that
+// appends row i's composite sortable key: each listed column's
+// appendSortableKey form in order, inverted where desc says.
+func (t *Table) sortKey(cols []string, desc []bool) (func(dst []byte, b *Batch, i int) []byte, error) {
 	if len(cols) == 0 {
-		return nil, fmt.Errorf("table: OrderByCols needs at least one column")
+		return nil, fmt.Errorf("table: a sort needs at least one column")
 	}
 	if desc == nil {
 		desc = make([]bool, len(cols))
 	}
 	if len(desc) != len(cols) {
-		return nil, fmt.Errorf("table: OrderByCols got %d desc flags for %d columns", len(desc), len(cols))
+		return nil, fmt.Errorf("table: a sort got %d desc flags for %d columns", len(desc), len(cols))
 	}
 	idx := make([]int, len(cols))
 	for i, c := range cols {
@@ -109,36 +156,41 @@ func (t *Table) OrderByCols(cols []string, desc []bool, parts int) (*Table, erro
 		}
 		idx[i] = j
 	}
-	if parts <= 0 {
-		parts = t.Partitions()
-	}
 	schema := t.schema
-	appendKey := func(dst []byte, b *Batch, i int) []byte {
+	return func(dst []byte, b *Batch, i int) []byte {
 		for k, j := range idx {
 			dst = appendSortableKey(dst, schema.Cols[j].Type, &b.Cols[j], i, desc[k])
 		}
 		return dst
-	}
+	}, nil
+}
 
-	// Sampling job for range split points.
-	sample := t.eng.NewNarrow(t.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
-		b := batchOf(schema, rows)
-		stride := b.n/32 + 1
-		var out []core.Row
-		for i := 0; i < b.n; i += stride {
-			out = append(out, appendKey(nil, b, i))
+// sortBy range-shuffles t into parts partitions ordered by key, sampling
+// the input for split points when there is more than one.
+func (t *Table) sortBy(key func(dst []byte, b *Batch, i int) []byte, parts int) (*Table, error) {
+	schema := t.schema
+	var splits [][]byte
+	if parts > 1 {
+		sample := t.eng.NewNarrow(t.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
+			b := batchOf(schema, rows)
+			stride := b.n/32 + 1
+			var out []core.Row
+			for i := 0; i < b.n; i += stride {
+				out = append(out, key(nil, b, i))
+			}
+			return out
+		})
+		raw, err := t.eng.Collect(sample)
+		if err != nil {
+			return nil, err
 		}
-		return out
-	})
-	raw, err := t.eng.Collect(sample)
-	if err != nil {
-		return nil, err
+		keys := make([][]byte, len(raw))
+		for i, r := range raw {
+			keys[i] = r.([]byte)
+		}
+		splits = shuffle.SplitPoints(keys, parts)
 	}
-	keys := make([][]byte, len(raw))
-	for i, r := range raw {
-		keys[i] = r.([]byte)
-	}
-	rp := shuffle.NewRangePartitioner(shuffle.SplitPoints(keys, parts))
+	rp := shuffle.NewRangePartitioner(splits)
 
 	plan := t.eng.NewShuffled(t.plan, core.ShuffleDep{
 		Partitions:  rp.Partitions(),
@@ -147,7 +199,7 @@ func (t *Table) OrderByCols(cols []string, desc []bool, parts int) (*Table, erro
 		Emit: func(row core.Row, w shuffle.Writer) error {
 			b := row.(*Batch)
 			return shuffle.WriteRecords(w, b.n,
-				func(dst []byte, i int) []byte { return appendKey(dst, b, i) },
+				func(dst []byte, i int) []byte { return key(dst, b, i) },
 				func(dst []byte, i int) []byte { return b.appendRow(dst, schema, i) })
 		},
 		Post: func(_ *core.TaskContext, recs shuffle.Records) []core.Row {
@@ -161,6 +213,61 @@ func (t *Table) OrderByCols(cols []string, desc []bool, parts int) (*Table, erro
 		},
 	})
 	return &Table{eng: t.eng, plan: plan, schema: schema}, nil
+}
+
+// firstK returns, in ascending row order, the positions of b's first k
+// rows (k < b.Len()) under key, ties going to the earlier row. A max-heap
+// holds the k smallest (key, row) pairs seen so far; a later row enters
+// only with a key below the root's, since its row number is larger.
+func firstK(b *Batch, k int, key func(dst []byte, b *Batch, i int) []byte) []int32 {
+	if k == 0 {
+		return nil
+	}
+	type kept struct {
+		key []byte
+		row int32
+	}
+	greater := func(x, y *kept) bool {
+		c := bytes.Compare(x.key, y.key)
+		return c > 0 || c == 0 && x.row > y.row
+	}
+	h := make([]kept, k)
+	for i := range h {
+		h[i] = kept{key(nil, b, i), int32(i)}
+		for j := i; j > 0 && greater(&h[j], &h[(j-1)/2]); j = (j - 1) / 2 {
+			h[j], h[(j-1)/2] = h[(j-1)/2], h[j]
+		}
+	}
+	var scratch []byte
+	for i := k; i < b.n; i++ {
+		scratch = key(scratch[:0], b, i)
+		if bytes.Compare(scratch, h[0].key) >= 0 {
+			continue
+		}
+		// Replace the root and sift it down; the old root's buffer takes
+		// the new key, the scratch buffer keeps its own.
+		h[0].key, h[0].row = append(h[0].key[:0], scratch...), int32(i)
+		for j := 0; ; {
+			c := 2*j + 1
+			if c >= k {
+				break
+			}
+			if c+1 < k && greater(&h[c+1], &h[c]) {
+				c++
+			}
+			if !greater(&h[c], &h[j]) {
+				break
+			}
+			h[j], h[c] = h[c], h[j]
+			j = c
+		}
+	}
+	rows := make([]int32, k)
+	for i := range h {
+		rows[i] = h[i].row
+	}
+	slices.Sort(rows)
+	return rows
 }
 
 // Head keeps at most n rows per partition (the partition-local half of

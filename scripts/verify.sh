@@ -96,6 +96,12 @@ go test -count=1 -run 'TestSortWriterByteIdentity|TestWritersCopyScratch|TestWri
 # a task read one batch at once.
 go test -race -count=10 -run 'TestSortWritersShareBatch' ./internal/shuffle
 go test -count=1 -run 'AllocCeiling|AllocBudget' ./internal/table
+# ORDER BY … LIMIT runs as one top-k: the star suite's results, counters
+# and EXPLAIN, TopK against OrderByCols then Head, and the one-partition
+# sort that runs no sampling job, repeated; partitions pick their
+# candidates concurrently, so TopK also runs under -race.
+go test -count=20 -run 'TestStarSuiteIdentity|TestStarExplainIdentity|TestTopK|TestOrderByOnePartition' ./internal/query ./internal/table
+go test -race -count=3 -run TestTopK ./internal/table
 go test -count=1 -run 'AllocBudget|TestNoPerElementAllocations' .
 
 echo "== histogram quantiles under concurrent writers (count=200) =="
