@@ -1,34 +1,37 @@
 package query
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/table"
 )
 
 // optimize rewrites a logical plan: filters pushed toward scans, star
-// joins reordered cheapest-dimension-first. The rewritten plan is
-// validated against the original's output schema; any failure falls
-// back to the unrewritten plan, so optimization can only change cost,
-// never results.
-func (e *Env) optimize(lp *Logical) *Logical {
-	resolver := e.Schema
-	orig, err := lp.OutSchema(resolver)
+// joins reordered cheapest-dimension-first, projections narrowed to the
+// columns read above them. It returns the columns each scan of the
+// rewritten plan must decode. The rewritten plan is validated against
+// the original's output schema; any failure falls back to the
+// unrewritten plan with every scan decoding every column, so
+// optimization can only change cost, never results.
+func (e *Env) optimize(lp *Logical) (*Logical, map[*Logical][]string) {
+	orig, err := lp.OutSchema(e.Schema)
 	if err != nil {
-		return lp
+		return lp, nil
 	}
 	rw := e.pushFilters(lp.clone(), nil)
 	rw = e.reorderJoins(rw)
-	rw = e.narrowProjects(rw, orig.Names(), true)
-	got, err := rw.OutSchema(resolver)
-	if err != nil {
-		return lp
+	needs := map[*Logical][]string{}
+	if err := e.demand(rw, orig.Names(), true, needs); err != nil {
+		return lp, nil
 	}
-	if !sameSchema(orig, got) {
-		return lp
+	got, err := rw.OutSchema(e.Schema)
+	if err != nil || !sameSchema(orig, got) {
+		return lp, nil
 	}
-	return rw
+	return rw, needs
 }
 
 func sameSchema(a, b table.Schema) bool {
@@ -120,15 +123,15 @@ func (e *Env) pushFilters(l *Logical, pending []*Expr) *Logical {
 			l.Right = e.pushFilters(l.Right, nil)
 			return wrap(l, pending)
 		}
+		out := table.JoinSchema(left, right)
 		var toLeft, toRight, stuck []*Expr
 		for _, c := range pending {
-			if side, ok := joinSide(c, left, right); ok {
-				if side == 0 {
-					toLeft = append(toLeft, c)
-				} else {
-					toRight = append(toRight, stripRightPrefix(c, left, right))
-				}
-			} else {
+			switch side, rc := joinSide(c, out, right); side {
+			case 0:
+				toLeft = append(toLeft, c)
+			case 1:
+				toRight = append(toRight, rc)
+			default:
 				stuck = append(stuck, c)
 			}
 		}
@@ -139,55 +142,27 @@ func (e *Env) pushFilters(l *Logical, pending []*Expr) *Logical {
 	return wrap(l, pending)
 }
 
-// joinSide classifies a conjunct against a join's inputs: 0 if every
-// column resolves in the left schema, 1 if every column resolves in
-// the right schema under the join's output naming ("right_"-prefixed
-// on collision), not-ok otherwise.
-func joinSide(c *Expr, left, right table.Schema) (int, bool) {
-	inLeft, inRight := true, true
-	for _, col := range c.Cols() {
-		if left.Index(col) < 0 {
-			inLeft = false
+// joinSide looks every column of c up in out, the join's output schema
+// (table.JoinSchema of its inputs), and returns 0 if all come from the left
+// input, 1 and c renamed to the right input's column names if all come from
+// right, and -1 otherwise.
+func joinSide(c *Expr, out, right table.Schema) (int, *Expr) {
+	nLeft := len(out.Cols) - len(right.Cols)
+	side, rename := 0, map[string]string{}
+	for k, col := range c.Cols() {
+		i, s := out.Index(col), 0
+		if i >= nLeft {
+			s, rename[col] = 1, right.Cols[i-nLeft].Name
 		}
-		if rightSource(col, left, right) == "" {
-			inRight = false
+		if i < 0 || (k > 0 && s != side) {
+			return -1, nil
 		}
+		side = s
 	}
-	if inLeft {
-		return 0, true
+	if side == 1 {
+		return 1, c.renamed(rename)
 	}
-	if inRight {
-		return 1, true
-	}
-	return 0, false
-}
-
-// rightSource maps a join-output column name back to the right input's
-// column name, or "" if it does not come from the right side.
-func rightSource(col string, left, right table.Schema) string {
-	if strings.HasPrefix(col, "right_") {
-		base := strings.TrimPrefix(col, "right_")
-		if left.Index(base) >= 0 && right.Index(base) >= 0 {
-			return base
-		}
-	}
-	if left.Index(col) < 0 && right.Index(col) >= 0 {
-		return col
-	}
-	return ""
-}
-
-func stripRightPrefix(c *Expr, left, right table.Schema) *Expr {
-	m := map[string]string{}
-	for _, col := range c.Cols() {
-		if src := rightSource(col, left, right); src != "" && src != col {
-			m[col] = src
-		}
-	}
-	if len(m) == 0 {
-		return c
-	}
-	return c.renamed(m)
+	return 0, c
 }
 
 // reorderJoins rewrites left-deep star-join chains so the smallest
@@ -195,7 +170,7 @@ func stripRightPrefix(c *Expr, left, right table.Schema) *Expr {
 // result. Only chains whose probe columns all come from the base fact
 // input are eligible — those joins commute. A projection restoring the
 // original column order is added on top, and any rewrite that changes
-// the output name set is abandoned.
+// a name table.JoinSchema gives a build side's column is abandoned.
 func (e *Env) reorderJoins(l *Logical) *Logical {
 	if l == nil {
 		return nil
@@ -205,28 +180,17 @@ func (e *Env) reorderJoins(l *Logical) *Logical {
 		l.Right = e.reorderJoins(l.Right)
 		return l
 	}
-	// Collect the left-deep chain.
+	// Collect the left-deep chain in join order.
 	type link struct {
 		right             *Logical
 		leftCol, rightCol string
 	}
 	var chain []link
 	cur := l
-	for cur.Op == OpJoin {
-		chain = append(chain, link{cur.Right, cur.LeftCol, cur.RightCol})
-		cur = cur.Input
-	}
-	reverse := func(in []link) []link {
-		out := make([]link, len(in))
-		for i, ln := range in {
-			out[len(in)-1-i] = ln
-		}
-		return out
+	for ; cur.Op == OpJoin; cur = cur.Input {
+		chain = append([]link{{e.reorderJoins(cur.Right), cur.LeftCol, cur.RightCol}}, chain...)
 	}
 	base := e.reorderJoins(cur)
-	for i := range chain {
-		chain[i].right = e.reorderJoins(chain[i].right)
-	}
 	rebuild := func(order []link) *Logical {
 		out := base
 		for _, ln := range order {
@@ -234,30 +198,48 @@ func (e *Env) reorderJoins(l *Logical) *Logical {
 		}
 		return out
 	}
+	orig := rebuild(chain)
 	if len(chain) < 2 {
-		return rebuild(reverse(chain))
+		return orig
 	}
 	baseSchema, err := base.OutSchema(e.Schema)
 	if err != nil {
-		return rebuild(reverse(chain))
+		return orig
 	}
 	for _, ln := range chain {
 		if baseSchema.Index(ln.leftCol) < 0 {
-			return rebuild(reverse(chain)) // probe col from an earlier join: order is load-bearing
+			return orig // probe col from an earlier join: order is load-bearing
 		}
 	}
-	origSchema, err := rebuild(reverse(chain)).OutSchema(e.Schema)
+	origSchema, err := orig.OutSchema(e.Schema)
 	if err != nil {
-		return rebuild(reverse(chain))
+		return orig
 	}
-	ordered := reverse(chain)
+	// sideNames maps each build side to the names its columns get when the
+	// links join base in order. A prefix chosen on collision depends on
+	// what joined before, so a reorder that moves one would hand the name
+	// to another side's column.
+	sideNames := func(order []link) map[*Logical][]string {
+		out, names := baseSchema, map[*Logical][]string{}
+		for _, ln := range order {
+			rs, _ := ln.right.OutSchema(e.Schema) // resolves: origSchema did
+			n := len(out.Cols)
+			out = table.JoinSchema(out, rs)
+			names[ln.right] = out.Names()[n:]
+		}
+		return names
+	}
+	ordered := slices.Clone(chain)
 	sort.SliceStable(ordered, func(i, j int) bool {
 		return e.chainEst(ordered[i].right) < e.chainEst(ordered[j].right)
 	})
+	if !maps.EqualFunc(sideNames(chain), sideNames(ordered), slices.Equal[[]string]) {
+		return orig
+	}
 	rw := rebuild(ordered)
 	rwSchema, err := rw.OutSchema(e.Schema)
-	if err != nil || !sameNameSet(origSchema, rwSchema) {
-		return rebuild(reverse(chain))
+	if err != nil {
+		return orig
 	}
 	if sameSchema(origSchema, rwSchema) {
 		return rw
@@ -274,23 +256,41 @@ func (e *Env) chainEst(l *Logical) float64 {
 	return est.rows
 }
 
-// narrowProjects drops projection items nothing above consumes — the
-// projection-pruning half of pushdown. demanded lists the output
-// columns the parent reads; the root keeps its full output. In-place
-// on an already-cloned tree.
-func (e *Env) narrowProjects(l *Logical, demanded []string, root bool) *Logical {
+// demand is the optimizer's one column-demand pass, top-down. demanded
+// lists the output columns l's parent reads; the root keeps its full
+// output. It narrows every projection below the root to the items read
+// above it and records in needs the columns each scan must decode. In
+// place on an already-cloned tree.
+func (e *Env) demand(l *Logical, demanded []string, root bool, needs map[*Logical][]string) error {
 	switch l.Op {
 	case OpScan:
-		return l
+		schema, err := e.Schema(l.TableName)
+		if err != nil {
+			return err
+		}
+		var cols []string
+		for _, c := range schema.Cols {
+			if slices.Contains(demanded, c.Name) {
+				cols = append(cols, c.Name)
+			}
+		}
+		needs[l] = cols
+		return nil
+	case OpFilter:
+		// A filter fused into its scan runs its single-column conjuncts on
+		// the encoded columns; only multi-column conjunct inputs are decoded.
+		next := demanded
+		for _, conj := range l.Pred.conjuncts() {
+			if cols := conj.Cols(); l.Input.Op != OpScan || len(cols) != 1 {
+				next = appendMissing(next, cols)
+			}
+		}
+		return e.demand(l.Input, next, false, needs)
 	case OpProject:
 		if !root {
-			set := map[string]bool{}
-			for _, d := range demanded {
-				set[d] = true
-			}
 			var cols, aliases []string
 			for i, a := range l.Aliases {
-				if set[a] {
+				if slices.Contains(demanded, a) {
 					cols = append(cols, l.Cols[i])
 					aliases = append(aliases, a)
 				}
@@ -302,33 +302,50 @@ func (e *Env) narrowProjects(l *Logical, demanded []string, root bool) *Logical 
 			}
 			l.Cols, l.Aliases = cols, aliases
 		}
-		l.Input = e.narrowProjects(l.Input, appendMissing(nil, l.Cols), false)
-		return l
-	case OpFilter:
-		next := appendMissing(demanded, l.Pred.Cols())
-		l.Input = e.narrowProjects(l.Input, next, false)
-		return l
+		return e.demand(l.Input, appendMissing(nil, l.Cols), false, needs)
 	case OpJoin:
-		left, lerr := l.Input.OutSchema(e.Schema)
-		right, rerr := l.Right.OutSchema(e.Schema)
-		if lerr != nil || rerr != nil {
-			return l
+		left, err := l.Input.OutSchema(e.Schema)
+		if err != nil {
+			return err
 		}
-		var toLeft, toRight []string
-		for _, d := range demanded {
-			if left.Index(d) >= 0 {
-				toLeft = append(toLeft, d)
-			} else if src := rightSource(d, left, right); src != "" {
-				toRight = append(toRight, src)
-				if src != d {
-					// "right_x" exists only while the left side also emits x.
-					toLeft = append(toLeft, src)
-				}
+		right, err := l.Right.OutSchema(e.Schema)
+		if err != nil {
+			return err
+		}
+		out := table.JoinSchema(left, right)
+		keep := make([]bool, len(out.Cols))
+		var mark func(i int)
+		mark = func(i int) {
+			if i < 0 || keep[i] {
+				return
+			}
+			keep[i] = true
+			if i < len(left.Cols) {
+				return
+			}
+			// A right column keeps a prefixed name only while every name it
+			// collided with on the way is still emitted.
+			for name := right.Cols[i-len(left.Cols)].Name; name != out.Cols[i].Name; name = collided(name) {
+				mark(out.Index(name))
 			}
 		}
-		l.Input = e.narrowProjects(l.Input, appendMissing(toLeft, []string{l.LeftCol}), false)
-		l.Right = e.narrowProjects(l.Right, appendMissing(toRight, []string{l.RightCol}), false)
-		return l
+		for _, d := range demanded {
+			mark(out.Index(d))
+		}
+		toLeft, toRight := []string{l.LeftCol}, []string{l.RightCol}
+		for i, kept := range keep {
+			switch {
+			case !kept:
+			case i < len(left.Cols):
+				toLeft = append(toLeft, left.Cols[i].Name)
+			default:
+				toRight = append(toRight, right.Cols[i-len(left.Cols)].Name)
+			}
+		}
+		if err := e.demand(l.Input, toLeft, false, needs); err != nil {
+			return err
+		}
+		return e.demand(l.Right, toRight, false, needs)
 	case OpAgg:
 		next := append([]string(nil), l.Keys...)
 		for _, a := range l.Aggs {
@@ -336,35 +353,42 @@ func (e *Env) narrowProjects(l *Logical, demanded []string, root bool) *Logical 
 				next = appendMissing(next, []string{a.Col})
 			}
 		}
-		l.Input = e.narrowProjects(l.Input, next, false)
-		return l
+		return e.demand(l.Input, next, false, needs)
 	case OpSort:
-		// The compiled sort tiebreaks on every input column, so it
-		// consumes its whole input schema.
-		if in, err := l.Input.OutSchema(e.Schema); err == nil {
-			l.Input = e.narrowProjects(l.Input, in.Names(), false)
+		// The compiled sort breaks ties on every input column, so it reads
+		// its whole input schema.
+		in, err := l.Input.OutSchema(e.Schema)
+		if err != nil {
+			return err
 		}
-		return l
+		return e.demand(l.Input, in.Names(), false, needs)
 	case OpLimit:
-		l.Input = e.narrowProjects(l.Input, demanded, root)
-		return l
+		return e.demand(l.Input, demanded, root, needs)
 	}
-	return l
+	return fmt.Errorf("query: unknown operator %d", l.Op)
 }
 
-func sameNameSet(a, b table.Schema) bool {
-	if len(a.Cols) != len(b.Cols) {
-		return false
-	}
-	set := map[string]int{}
-	for _, c := range a.Cols {
-		set[c.Name]++
-	}
-	for _, c := range b.Cols {
-		set[c.Name]--
-		if set[c.Name] < 0 {
-			return false
+// collided is the name table.JoinSchema gives a right column called name
+// when the name is taken.
+func collided(name string) string {
+	one := table.Schema{Cols: []table.Col{{Name: name}}}
+	return table.JoinSchema(one, one).Cols[1].Name
+}
+
+func appendMissing(dst []string, add []string) []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, s := range dst {
+		if !seen[s] {
+			seen[s] = true
+			out = append(out, s)
 		}
 	}
-	return true
+	for _, s := range add {
+		if !seen[s] {
+			seen[s] = true
+			out = append(out, s)
+		}
+	}
+	return out
 }

@@ -85,19 +85,9 @@ func (e *Env) Build(lp *Logical, opts Options) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := lp
+	run, needs := lp, map[*Logical][]string(nil)
 	if opts.Optimize {
-		run = e.optimize(lp)
-	}
-	needs := map[*Logical][]string{}
-	if opts.Optimize {
-		runSchema, err := run.OutSchema(e.Schema)
-		if err != nil {
-			return nil, err
-		}
-		if err := e.scanNeeds(run, runSchema.Names(), needs); err != nil {
-			return nil, err
-		}
+		run, needs = e.optimize(lp)
 	}
 	c := &compiler{env: e, opts: opts, needs: needs}
 	node, schema, err := c.compile(run)
@@ -550,113 +540,4 @@ func (c *compiler) compileScan(l *Logical, pred *Expr) (*Node, table.Schema, err
 		return t, nil
 	})
 	return n, outSchema, nil
-}
-
-// scanNeeds computes, for every scan in the plan, the column set the
-// operators above actually consume — the projection-pushdown analysis.
-// demanded is the list of output columns the parent needs, in the
-// scan's (or node's) output naming.
-func (e *Env) scanNeeds(l *Logical, demanded []string, out map[*Logical][]string) error {
-	switch l.Op {
-	case OpScan:
-		schema, err := e.Schema(l.TableName)
-		if err != nil {
-			return err
-		}
-		set := map[string]bool{}
-		for _, d := range demanded {
-			set[d] = true
-		}
-		var cols []string
-		for _, c := range schema.Cols {
-			if set[c.Name] {
-				cols = append(cols, c.Name)
-			}
-		}
-		out[l] = cols
-		return nil
-	case OpFilter:
-		// A filter fused into a scan pushes its single-column conjuncts
-		// onto the encoded columns; only residual (multi-column) conjunct
-		// inputs must be decoded.
-		next := appendMissing(demanded, nil)
-		for _, conj := range l.Pred.conjuncts() {
-			cols := conj.Cols()
-			if l.Input.Op == OpScan && len(cols) == 1 {
-				continue
-			}
-			next = appendMissing(next, cols)
-		}
-		return e.scanNeeds(l.Input, next, out)
-	case OpProject:
-		// A projection consumes exactly its source columns — narrowing
-		// projections to what parents demand is the optimizer's job
-		// (narrowProjects), not this analysis's.
-		return e.scanNeeds(l.Input, appendMissing(nil, l.Cols), out)
-	case OpJoin:
-		left, err := l.Input.OutSchema(e.Schema)
-		if err != nil {
-			return err
-		}
-		right, err := l.Right.OutSchema(e.Schema)
-		if err != nil {
-			return err
-		}
-		var toLeft, toRight []string
-		for _, d := range demanded {
-			if left.Index(d) >= 0 {
-				toLeft = append(toLeft, d)
-			} else if src := rightSource(d, left, right); src != "" {
-				toRight = append(toRight, src)
-				if src != d {
-					// "right_x" is only named that because the left side also
-					// emits x; keep x on the left so the prefix survives.
-					toLeft = append(toLeft, src)
-				}
-			}
-		}
-		toLeft = appendMissing(toLeft, []string{l.LeftCol})
-		toRight = appendMissing(toRight, []string{l.RightCol})
-		if err := e.scanNeeds(l.Input, toLeft, out); err != nil {
-			return err
-		}
-		return e.scanNeeds(l.Right, toRight, out)
-	case OpAgg:
-		next := append([]string(nil), l.Keys...)
-		for _, a := range l.Aggs {
-			if a.Op != table.Count {
-				next = appendMissing(next, []string{a.Col})
-			}
-		}
-		return e.scanNeeds(l.Input, appendMissing(nil, next), out)
-	case OpSort:
-		// The compiled sort breaks ties on every input column, so a sort
-		// demands its whole input schema.
-		in, err := l.Input.OutSchema(e.Schema)
-		if err != nil {
-			return err
-		}
-		return e.scanNeeds(l.Input, in.Names(), out)
-	case OpLimit:
-		return e.scanNeeds(l.Input, demanded, out)
-	}
-	return fmt.Errorf("query: unknown operator %d", l.Op)
-}
-
-func appendMissing(dst []string, add []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range dst {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	for _, s := range add {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
 }

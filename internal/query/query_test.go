@@ -78,6 +78,42 @@ func TestJoinStrategySelection(t *testing.T) {
 	}
 }
 
+// TestJoinNamesStayUniqueThroughChains joins three (k, v) tables on k, so
+// c's columns collide with a's and with b's prefixed ones and take a second
+// prefix. Every query must answer as the reference evaluator does, with the
+// optimizer on and off, whether c is smaller than b (a reorder candidate)
+// or larger.
+func TestJoinNamesStayUniqueThroughChains(t *testing.T) {
+	schema := table.Schema{Cols: []table.Col{{Name: "k", Type: table.Int64}, {Name: "v", Type: table.Int64}}}
+	rel := func(n, base int) []table.Row {
+		var rows []table.Row
+		for i := 0; i < n; i++ {
+			rows = append(rows, table.Row{int64(i % 4), int64(base + i)})
+		}
+		return rows
+	}
+	const from = " FROM a JOIN b ON k = k JOIN c ON k = k"
+	for _, sizes := range [][2]int{{12, 6}, {6, 12}} {
+		env := query.NewEnv(testEngine(), nil)
+		for _, r := range []struct {
+			name string
+			rows []table.Row
+		}{{"a", rel(8, 0)}, {"b", rel(sizes[0], 100)}, {"c", rel(sizes[1], 200)}} {
+			if err := env.Register(r.name, schema, r.rows, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, sql := range []string{"SELECT *" + from, "SELECT right_right_v" + from, "SELECT right_right_k, v" + from} {
+			for _, optimize := range []bool{false, true} {
+				plan, rows := runSQL(t, env, sql, query.Options{Optimize: optimize})
+				if d := check.DiffQueryEnv(sql, rows, plan.Logical, env); !d.OK {
+					t.Errorf("sizes %v optimize=%v: %s\n%s", sizes, optimize, d, plan.Explain())
+				}
+			}
+		}
+	}
+}
+
 // TestPushdownReducesDecode asserts the obs counters show predicate +
 // projection pushdown decoding fewer bytes and rows than the naive
 // plan for the same query.

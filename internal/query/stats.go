@@ -190,7 +190,7 @@ func toFloat(v any) (float64, bool) {
 }
 
 // estimatePlan walks the logical tree computing row-count estimates.
-// It mirrors OutSchema's column naming so post-join and post-project
+// It names columns as OutSchema does so post-join and post-project
 // references resolve.
 func (e *Env) estimatePlan(l *Logical) (estimate, error) {
 	switch l.Op {
@@ -240,17 +240,25 @@ func (e *Env) estimatePlan(l *Logical) (estimate, error) {
 			d = float64(cs.Distinct)
 		}
 		rows := left.rows * right.rows / d
-		cols := make(map[string]ColStats, len(left.cols)+len(right.cols))
-		for k, v := range left.cols {
-			cols[k] = v
+		ls, err := l.Input.OutSchema(e.Schema)
+		if err != nil {
+			return estimate{}, err
 		}
-		// Right column names may be prefixed on collision; re-derive from
-		// the schema convention: a right column collides iff present left.
-		for k, v := range right.cols {
-			if _, collides := left.cols[k]; collides {
-				cols["right_"+k] = v
-			} else {
-				cols[k] = v
+		rs, err := l.Right.OutSchema(e.Schema)
+		if err != nil {
+			return estimate{}, err
+		}
+		// Each output column's stats are its source's, named as
+		// table.JoinSchema names it.
+		out := table.JoinSchema(ls, rs)
+		cols := make(map[string]ColStats, len(out.Cols))
+		for i, c := range out.Cols {
+			src, from := c.Name, left.cols
+			if i >= len(ls.Cols) {
+				src, from = rs.Cols[i-len(ls.Cols)].Name, right.cols
+			}
+			if v, ok := from[src]; ok {
+				cols[c.Name] = v
 			}
 		}
 		return estimate{rows: rows, cols: capDistinct(cols, rows)}, nil

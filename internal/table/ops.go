@@ -13,8 +13,7 @@ import (
 // without shuffling t: the right side is collected at the driver, built
 // into a hash map, broadcast to every executor (charging the fabric for
 // the transfer), and each left partition probes it map-side. The output
-// schema matches HashJoin: t's columns then right's, with "right_"
-// prefixes on collisions. Correct only when the right side fits in
+// schema matches HashJoin's, JoinSchema(t's, right's). Correct only when the right side fits in
 // memory — the query optimizer picks it when table statistics say a
 // dimension is small.
 func (t *Table) BroadcastJoin(right *Table, leftCol, rightCol string) (*Table, error) {

@@ -300,13 +300,15 @@ func (t *Table) WithColumn(name string, typ Type, f func(Row) any) (*Table, erro
 // ---------------------------------------------------------------------------
 // Join
 
-// JoinSchema is the output schema of both joins: the left columns followed
-// by the right columns; name collisions on the right gain a "right_" prefix.
+// JoinSchema is the output schema of both joins, and the one place join
+// outputs are named: the left columns followed by the right columns, a
+// right column whose name is taken gaining a "right_" prefix until it is
+// unique (right_right_k when the left side already carries k and right_k).
 func JoinSchema(left, right Schema) Schema {
 	cols := append([]Col(nil), left.Cols...)
 	for _, c := range right.Cols {
 		name := c.Name
-		if (Schema{Cols: cols}).Index(name) >= 0 {
+		for (Schema{Cols: cols}).Index(name) >= 0 {
 			name = "right_" + name
 		}
 		cols = append(cols, Col{Name: name, Type: c.Type})
@@ -370,8 +372,7 @@ func gather(_ *core.TaskContext, left, right *Batch, pairs int, each func(yield 
 }
 
 // HashJoin inner-joins t with right on t.leftCol == right.rightCol. The
-// result schema is t's columns followed by right's columns; name
-// collisions on the right gain a "right_" prefix.
+// result schema is JoinSchema(t's, right's).
 func (t *Table) HashJoin(right *Table, leftCol, rightCol string, parts int) (*Table, error) {
 	plan, err := t.hashJoin(right, leftCol, rightCol, parts, gather)
 	if err != nil {

@@ -268,6 +268,42 @@ func TestGroupByRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestJoinSchemaNamesUnique: a right column re-prefixes until its name is
+// unique, whether it collides with a left column, with one the left side
+// already carries prefixed, or with an earlier right column.
+func TestJoinSchemaNamesUnique(t *testing.T) {
+	schema := func(names ...string) Schema {
+		var s Schema
+		for _, n := range names {
+			s.Cols = append(s.Cols, Col{Name: n, Type: Int64})
+		}
+		return s
+	}
+	cases := []struct {
+		left, right Schema
+		want        string
+	}{
+		{schema("k", "v"), schema("k", "v"), "[k v right_k right_v]"},
+		{schema("k", "v", "right_k", "right_v"), schema("k", "v"), "[k v right_k right_v right_right_k right_right_v]"},
+		{schema("x", "right_x"), schema("right_x", "x"), "[x right_x right_right_x right_right_right_x]"},
+		{schema("x"), schema("x", "right_x"), "[x right_x right_right_x]"},
+		{schema("a"), schema("b"), "[a b]"},
+	}
+	for _, c := range cases {
+		got := JoinSchema(c.left, c.right)
+		seen := map[string]bool{}
+		for _, n := range got.Names() {
+			if seen[n] {
+				t.Errorf("JoinSchema(%v, %v) names %q twice: %v", c.left.Names(), c.right.Names(), n, got.Names())
+			}
+			seen[n] = true
+		}
+		if fmt.Sprint(got.Names()) != c.want {
+			t.Errorf("JoinSchema(%v, %v) = %v, want %s", c.left.Names(), c.right.Names(), got.Names(), c.want)
+		}
+	}
+}
+
 func TestHashJoin(t *testing.T) {
 	eng := testEngine()
 	users, _ := FromSlice(eng, Schema{Cols: []Col{

@@ -99,8 +99,9 @@ go test -count=1 -run 'AllocCeiling|AllocBudget' ./internal/table
 # ORDER BY … LIMIT runs as one top-k: the star suite's results, counters
 # and EXPLAIN, TopK against OrderByCols then Head, and the one-partition
 # sort that runs no sampling job, repeated; partitions pick their
-# candidates concurrently, so TopK also runs under -race.
-go test -count=20 -run 'TestStarSuiteIdentity|TestStarExplainIdentity|TestTopK|TestOrderByOnePartition' ./internal/query ./internal/table
+# candidates concurrently, so TopK also runs under -race. The plan-shape
+# pin and the chained join-name answers ride along.
+go test -count=20 -run 'TestStarSuiteIdentity|TestStarExplainIdentity|TestTopK|TestOrderByOnePartition|TestPlanShapesPinned|TestJoinNamesStayUnique' ./internal/query ./internal/table
 go test -race -count=3 -run TestTopK ./internal/table
 go test -count=1 -run 'AllocBudget|TestNoPerElementAllocations' .
 
