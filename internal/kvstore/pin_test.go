@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash"
 	"slices"
@@ -173,5 +174,101 @@ func TestShardedCommandStreamPinned(t *testing.T) {
 				t.Errorf("seed %d: the mix never moved %s", tc.seed, c)
 			}
 		}
+	}
+}
+
+// rangeChangeCases drives split and merge through every way they can
+// stop short and then runs RecoverRanges, hashing what each case leaves:
+// the errors and counts returned, every key's value, Ranges(), every
+// machine's snapshot (the dir machine's and each range's bounds among
+// them), VirtualCost and the range-change counters. A live lock comes
+// from a Txn orphaned before its commit point.
+func rangeChangeCases(t *testing.T) string {
+	t.Helper()
+	h := sha256.New()
+	u64 := func(v uint64) { h.Write(binary.BigEndian.AppendUint64(nil, v)) }
+	str := func(s string) { u64(uint64(len(s))); h.Write([]byte(s)) }
+	errText := func(err error) {
+		if err != nil {
+			str(err.Error())
+		} else {
+			u64(0)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		merge  bool   // merge the two initial ranges; else split at k10
+		crash  string // armed before the change, "" for none
+		locked string // key an orphaned Txn holds a lock on, "" for none
+	}{
+		{"split", false, "split", ""},
+		{"split-copy", false, "split-copy", ""},
+		{"split-commit", false, "split-commit", ""},
+		{"merge", true, "merge", ""},
+		{"split-busy", false, "", "k15"},
+		{"merge-busy", true, "", "k15"},
+		{"split-busy-recovery", false, "split", "k15"},
+		{"merge-busy-recovery", true, "merge", "k15"},
+	} {
+		cfg := ShardedConfig{Seed: 42, Groups: 2, MaxOpAttempts: 4}
+		if tc.merge {
+			cfg.InitialSplits = []string{"k10"}
+		}
+		s := NewSharded(cfg)
+		for i := 0; i < 20; i++ {
+			mustPut(t, s, fmt.Sprintf("k%02d", i), fmt.Sprintf("v%d", i))
+		}
+		if tc.locked != "" {
+			orphanTxn(t, s, "before-commit", nil, map[string][]byte{tc.locked: []byte("locked")})
+		}
+		if tc.crash != "" {
+			if err := s.OrphanNext(tc.crash); err != nil {
+				t.Fatal(err)
+			}
+		}
+		str(tc.name)
+		var err error
+		if tc.merge {
+			err = s.Merge("k05")
+		} else {
+			err = s.Split("k10")
+		}
+		if want := map[bool]error{false: ErrRangeBusy, true: ErrTxnOrphaned}[tc.crash != ""]; !errors.Is(err, want) {
+			t.Fatalf("%s: change = %v, want %v", tc.name, err, want)
+		}
+		errText(err)
+		n, err := s.RecoverRanges()
+		if err != nil || n != map[bool]int{false: 0, true: 1}[tc.crash != ""] {
+			t.Fatalf("%s: RecoverRanges = (%d, %v)", tc.name, n, err)
+		}
+		u64(uint64(n))
+		for i := 0; i < 20; i++ {
+			v, found, err := s.Get(context.Background(), fmt.Sprintf("k%02d", i))
+			errText(err)
+			u64(map[bool]uint64{false: 0, true: 1}[found])
+			str(string(v))
+		}
+		for _, r := range s.Ranges() {
+			u64(r.ID)
+			str(r.Start)
+			str(r.End)
+			u64(uint64(r.Group))
+		}
+		hashMachines(t, s, h)
+		u64(uint64(s.VirtualCost()))
+		for _, c := range []string{"range_splits", "range_merges", "range_change_orphaned", "range_changes_recovered"} {
+			u64(uint64(s.Reg.Counter(c).Value()))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestRangeChangesPinned pins split and merge completion and recovery:
+// the constant was recorded on the commit before the two completion
+// paths became one driver, which was to change none of these outcomes.
+func TestRangeChangesPinned(t *testing.T) {
+	const want = "261bf88844ec10789899226f75a5c52e45d342c13eacc39668f2ee8ed9da76e5"
+	if got := rangeChangeCases(t); got != want {
+		t.Errorf("range change digest %s, want %s", got, want)
 	}
 }
