@@ -47,8 +47,8 @@ type StorageTarget interface {
 // NetworkTarget is the fabric surface (implemented by *netsim.Fabric).
 // CutLink/HealLink act on the directed reachability layer (gray faults);
 // SetPartition rejects overlapping groups with an error, which the
-// controller discards like every other target error (a bad partition spec
-// is caught by schedule tests, not at injection time).
+// controller discards like every other target error. Parse refuses such
+// groups, so only a hand-built Event can reach that error.
 type NetworkTarget interface {
 	SetPartition(groups ...[]topology.NodeID) error
 	Heal()
@@ -116,9 +116,9 @@ type OverloadTarget interface {
 // TxnTarget is the sharded transactional plane surface (implemented by
 // *kvstore.Sharded): OrphanNext arms a one-shot coordinator crash at a
 // named protocol point (begin, prepare, before-commit, commit, apply,
-// split, split-copy, split-commit, merge), and Recover drives every
-// orphaned transaction and half-done topology change to its
-// deterministic resolution from replicated state.
+// split, split-copy, split-commit, merge, merge-copy, merge-commit), and
+// Recover drives every orphaned transaction and half-done topology change
+// to its deterministic resolution from replicated state.
 type TxnTarget interface {
 	OrphanNext(point string) error
 	Recover() error

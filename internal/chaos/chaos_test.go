@@ -63,6 +63,29 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseRejectsOverlappingGroups: a node named in two groups would cut
+// differently on the fabric (which refuses the spec) and on the consensus
+// transport (where the last group wins), so Parse refuses it for both
+// kinds that take groups. A node repeated inside one group is legal.
+func TestParseRejectsOverlappingGroups(t *testing.T) {
+	for _, bad := range []string{
+		"1 partition 0-2|2-4",
+		"1 partition 0,1|2|1",
+		"1 partial-partition 0-3|3",
+	} {
+		if _, err := Parse(bad); err == nil || !strings.Contains(err.Error(), "disjoint") {
+			t.Errorf("Parse(%q) = %v, want a disjoint-groups error", bad, err)
+		}
+	}
+	s, err := Parse("1 partition 0,0,1|2-3\n")
+	if err != nil {
+		t.Fatalf("repeat within one group refused: %v", err)
+	}
+	if got := groupsString(s[0].Group, "|"); got != "0,0,1|2,3" {
+		t.Fatalf("groups = %s, want 0,0,1|2,3", got)
+	}
+}
+
 // fakeTargets records the call sequence so tests can compare replays.
 type fakeTargets struct{ log []string }
 

@@ -275,13 +275,23 @@ func parseNodeList(part string) ([]topology.NodeID, error) {
 }
 
 // parseGroups reads "0-3|4-7" or "0,2|1,3" style partition specs: groups
-// separated by '|', each a comma list of ids or lo-hi ranges.
+// separated by '|', each a comma list of ids or lo-hi ranges. The groups
+// must be disjoint: a node named in two of them is refused, as the fabric
+// and the consensus transport would each read it differently. A node
+// repeated within one group is harmless.
 func parseGroups(spec string) ([][]topology.NodeID, error) {
 	var groups [][]topology.NodeID
-	for _, part := range strings.Split(spec, "|") {
+	owner := map[topology.NodeID]int{}
+	for i, part := range strings.Split(spec, "|") {
 		g, err := parseNodeList(part)
 		if err != nil {
 			return nil, fmt.Errorf("%v in %q", err, spec)
+		}
+		for _, n := range g {
+			if prev, ok := owner[n]; ok && prev != i {
+				return nil, fmt.Errorf("node %d in groups %d and %d of %q: groups must be disjoint", n, prev, i, spec)
+			}
+			owner[n] = i
 		}
 		groups = append(groups, g)
 	}

@@ -108,7 +108,6 @@ type Config struct {
 // shuffleState tracks the materialized map outputs of one shuffled plan.
 type shuffleState struct {
 	mu      sync.Mutex
-	dep     *ShuffleDep
 	done    []bool
 	owner   []topology.NodeID
 	outputs [][]shuffle.Block // per map partition
@@ -473,7 +472,6 @@ func (e *Engine) shuffleStateFor(p *Plan) *shuffleState {
 	if !ok {
 		n := p.parent.parts
 		st = &shuffleState{
-			dep:     p.dep,
 			done:    make([]bool, n),
 			owner:   make([]topology.NodeID, n),
 			outputs: make([][]shuffle.Block, n),

@@ -322,7 +322,6 @@ func (e *Engine) rebuildStage(p *Plan, owners []topology.NodeID) (*shuffleState,
 		return nil, false
 	}
 	st := &shuffleState{
-		dep:     p.dep,
 		done:    make([]bool, len(owners)),
 		owner:   owners,
 		outputs: make([][]shuffle.Block, len(owners)),

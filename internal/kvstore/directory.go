@@ -63,6 +63,15 @@ type pendingChange struct {
 	Committed bool   // routing switched; only cleanup remains
 }
 
+// dirID is the range id the directory's commit, finish and abort
+// commands name a change by: a split's new range, a merge's left range.
+func (p pendingChange) dirID() uint64 {
+	if p.Split {
+		return p.New
+	}
+	return p.Old
+}
+
 type dirMachine struct {
 	groups int
 	nextID uint64
@@ -76,15 +85,6 @@ func newDirMachine() *dirMachine { return &dirMachine{} }
 func (m *dirMachine) rangeIdx(id uint64) int {
 	for i, r := range m.ranges {
 		if r.ID == id {
-			return i
-		}
-	}
-	return -1
-}
-
-func (m *dirMachine) pendIdx(match func(pendingChange) bool) int {
-	for i, p := range m.pend {
-		if match(p) {
 			return i
 		}
 	}
@@ -151,63 +151,6 @@ func (m *dirMachine) Apply(cmd []byte) []byte {
 		b := binary.BigEndian.AppendUint64([]byte{rspOK}, newID)
 		return binary.BigEndian.AppendUint32(b, uint32(newID)%uint32(m.groups))
 
-	case dirOpSplitCommit:
-		id := d.U64()
-		if d.Err() != nil {
-			return []byte{rspConflict}
-		}
-		pi := m.pendIdx(func(p pendingChange) bool { return p.Split && p.New == id })
-		if pi < 0 {
-			return []byte{rspOK} // already finished elsewhere
-		}
-		p := &m.pend[pi]
-		if p.Committed {
-			return []byte{rspOK}
-		}
-		oi := m.rangeIdx(p.Old)
-		if oi < 0 || m.groups == 0 {
-			return []byte{rspConflict}
-		}
-		oldEnd := m.ranges[oi].End
-		m.ranges[oi].End = p.Key
-		m.ranges = append(m.ranges, RangeInfo{
-			ID: p.New, Start: p.Key, End: oldEnd, Group: int(p.New % uint64(m.groups)),
-		})
-		slices.SortFunc(m.ranges, func(a, b RangeInfo) int { return strings.Compare(a.Start, b.Start) })
-		p.Committed = true
-		m.epoch++
-		return []byte{rspOK}
-
-	case dirOpSplitFinish:
-		id := d.U64()
-		if d.Err() != nil {
-			return []byte{rspConflict}
-		}
-		pi := m.pendIdx(func(p pendingChange) bool { return p.Split && p.New == id })
-		if pi < 0 {
-			return []byte{rspOK}
-		}
-		if !m.pend[pi].Committed {
-			return []byte{rspConflict} // finish before commit is a protocol bug
-		}
-		m.pend = append(m.pend[:pi], m.pend[pi+1:]...)
-		return []byte{rspOK}
-
-	case dirOpSplitAbort:
-		id := d.U64()
-		if d.Err() != nil {
-			return []byte{rspConflict}
-		}
-		pi := m.pendIdx(func(p pendingChange) bool { return p.Split && p.New == id })
-		if pi < 0 {
-			return []byte{rspOK}
-		}
-		if m.pend[pi].Committed {
-			return []byte{rspConflict} // routing already switched; must roll forward
-		}
-		m.pend = append(m.pend[:pi], m.pend[pi+1:]...)
-		return []byte{rspOK}
-
 	case dirOpMergeReserve:
 		left := d.U64()
 		if d.Err() != nil {
@@ -229,58 +172,50 @@ func (m *dirMachine) Apply(cmd []byte) []byte {
 		b = binary.BigEndian.AppendUint32(b, uint32(right.Group))
 		return ha.AppendString(b, right.Start)
 
-	case dirOpMergeCommit:
-		left := d.U64()
+	case dirOpSplitCommit, dirOpSplitFinish, dirOpSplitAbort,
+		dirOpMergeCommit, dirOpMergeFinish, dirOpMergeAbort:
+		id := d.U64()
 		if d.Err() != nil {
 			return []byte{rspConflict}
 		}
-		pi := m.pendIdx(func(p pendingChange) bool { return !p.Split && p.Old == left })
+		split := op <= dirOpSplitAbort
+		pi := slices.IndexFunc(m.pend, func(p pendingChange) bool { return p.Split == split && p.dirID() == id })
 		if pi < 0 {
-			return []byte{rspOK}
+			return []byte{rspOK} // already finished elsewhere
 		}
 		p := &m.pend[pi]
+		if op != dirOpSplitCommit && op != dirOpMergeCommit {
+			// Finish only after commit; abort only before it, since once
+			// routing has switched the change must roll forward.
+			if p.Committed != (op == dirOpSplitFinish || op == dirOpMergeFinish) {
+				return []byte{rspConflict}
+			}
+			m.pend = append(m.pend[:pi], m.pend[pi+1:]...)
+			return []byte{rspOK}
+		}
 		if p.Committed {
 			return []byte{rspOK}
 		}
-		li := m.rangeIdx(p.Old)
-		ri := m.rangeIdx(p.Right)
-		if li < 0 || ri < 0 {
-			return []byte{rspConflict}
+		oi := m.rangeIdx(p.Old)
+		if split {
+			if oi < 0 || m.groups == 0 {
+				return []byte{rspConflict}
+			}
+			m.ranges = append(m.ranges, RangeInfo{
+				ID: p.New, Start: p.Key, End: m.ranges[oi].End, Group: int(p.New % uint64(m.groups)),
+			})
+			m.ranges[oi].End = p.Key
+			slices.SortFunc(m.ranges, func(a, b RangeInfo) int { return strings.Compare(a.Start, b.Start) })
+		} else {
+			ri := m.rangeIdx(p.Right)
+			if oi < 0 || ri < 0 {
+				return []byte{rspConflict}
+			}
+			m.ranges[oi].End = m.ranges[ri].End
+			m.ranges = append(m.ranges[:ri], m.ranges[ri+1:]...)
 		}
-		m.ranges[li].End = m.ranges[ri].End
-		m.ranges = append(m.ranges[:ri], m.ranges[ri+1:]...)
 		p.Committed = true
 		m.epoch++
-		return []byte{rspOK}
-
-	case dirOpMergeFinish:
-		left := d.U64()
-		if d.Err() != nil {
-			return []byte{rspConflict}
-		}
-		pi := m.pendIdx(func(p pendingChange) bool { return !p.Split && p.Old == left })
-		if pi < 0 {
-			return []byte{rspOK}
-		}
-		if !m.pend[pi].Committed {
-			return []byte{rspConflict}
-		}
-		m.pend = append(m.pend[:pi], m.pend[pi+1:]...)
-		return []byte{rspOK}
-
-	case dirOpMergeAbort:
-		left := d.U64()
-		if d.Err() != nil {
-			return []byte{rspConflict}
-		}
-		pi := m.pendIdx(func(p pendingChange) bool { return !p.Split && p.Old == left })
-		if pi < 0 {
-			return []byte{rspOK}
-		}
-		if m.pend[pi].Committed {
-			return []byte{rspConflict}
-		}
-		m.pend = append(m.pend[:pi], m.pend[pi+1:]...)
 		return []byte{rspOK}
 	}
 	return []byte{rspConflict}

@@ -392,7 +392,8 @@ func (s *Sharded) Delete(ctx context.Context, key string) error {
 var validCrashPoints = map[string]bool{
 	"begin": true, "prepare": true, "before-commit": true,
 	"commit": true, "apply": true,
-	"split": true, "split-copy": true, "split-commit": true, "merge": true,
+	"split": true, "split-copy": true, "split-commit": true,
+	"merge": true, "merge-copy": true, "merge-commit": true,
 }
 
 // OrphanNext arms a one-shot coordinator crash at the named protocol
@@ -400,7 +401,8 @@ var validCrashPoints = map[string]bool{
 // ErrTxnOrphaned with its replicated state left exactly as a real
 // coordinator crash would, for RecoverTxns/RecoverRanges to resolve.
 // Points: begin, prepare, before-commit, commit, apply (transactions);
-// split, split-copy, split-commit, merge (topology changes).
+// split, split-copy, split-commit, merge, merge-copy, merge-commit
+// (topology changes: after the reserve, after the copy, after the commit).
 func (s *Sharded) OrphanNext(point string) error {
 	if !validCrashPoints[point] {
 		return fmt.Errorf("kvstore: unknown crash point %q", point)

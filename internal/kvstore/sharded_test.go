@@ -164,26 +164,43 @@ func TestShardedSplitCrashPointsRecover(t *testing.T) {
 }
 
 func TestShardedMergeCrashRecovers(t *testing.T) {
-	s := newTestSharded(t, ShardedConfig{InitialSplits: []string{"m"}})
-	mustPut(t, s, "alpha", "1")
-	mustPut(t, s, "omega", "2")
-	if err := s.OrphanNext("merge"); err != nil {
-		t.Fatalf("OrphanNext: %v", err)
-	}
-	if err := s.Merge("alpha"); !errors.Is(err, ErrTxnOrphaned) {
-		t.Fatalf("Merge with armed crash = %v, want ErrTxnOrphaned", err)
-	}
-	if _, err := s.RecoverRanges(); err != nil {
-		t.Fatalf("RecoverRanges: %v", err)
-	}
-	if got := s.RangeCount(); got != 1 {
-		t.Fatalf("RangeCount after recovered merge = %d, want 1", got)
-	}
-	if v, _ := mustGet(t, s, "alpha"); v != "1" {
-		t.Fatalf("alpha = %q, want 1", v)
-	}
-	if v, _ := mustGet(t, s, "omega"); v != "2" {
-		t.Fatalf("omega = %q, want 2", v)
+	for _, point := range []string{"merge", "merge-copy", "merge-commit"} {
+		t.Run(point, func(t *testing.T) {
+			s := newTestSharded(t, ShardedConfig{InitialSplits: []string{"m"}})
+			mustPut(t, s, "alpha", "1")
+			mustPut(t, s, "omega", "2")
+			if err := s.OrphanNext(point); err != nil {
+				t.Fatalf("OrphanNext: %v", err)
+			}
+			if err := s.Merge("alpha"); !errors.Is(err, ErrTxnOrphaned) {
+				t.Fatalf("Merge with armed crash = %v, want ErrTxnOrphaned", err)
+			}
+			n, err := s.RecoverRanges()
+			if err != nil {
+				t.Fatalf("RecoverRanges: %v", err)
+			}
+			if n != 1 {
+				t.Fatalf("RecoverRanges resolved %d changes, want 1", n)
+			}
+			if got := s.RangeCount(); got != 1 {
+				t.Fatalf("RangeCount after recovered merge = %d, want 1", got)
+			}
+			if v, _ := mustGet(t, s, "alpha"); v != "1" {
+				t.Fatalf("alpha = %q, want 1", v)
+			}
+			if v, _ := mustGet(t, s, "omega"); v != "2" {
+				t.Fatalf("omega = %q, want 2", v)
+			}
+			// And the plane accepts writes on both sides of the old boundary.
+			mustPut(t, s, "alpha", "post")
+			mustPut(t, s, "omega", "post")
+			if n, _ := s.RecoverRanges(); n != 0 {
+				t.Fatalf("second RecoverRanges resolved %d, want 0", n)
+			}
+			if got := s.Reg.Counter("range_merges").Value(); got != 1 {
+				t.Fatalf("range_merges = %d, want 1", got)
+			}
+		})
 	}
 }
 

@@ -7,11 +7,10 @@
 //
 // Splits and merges are fenced against transactions, not the other way
 // around: freezing a span with live locks is refused (ErrRangeBusy) and
-// the change aborts at the reserve stage, while a transaction touching
-// a frozen span gets rspMoved and retries through the directory. A
-// split racing an in-flight transaction therefore always resolves —
-// one of them backs off, neither blocks, and no key is ever owned by
-// zero or two ranges.
+// the reserved change aborts, while a transaction touching a frozen span
+// gets rspMoved and retries through the directory. A split racing an
+// in-flight transaction therefore always resolves — one of them backs
+// off, neither blocks, and no key is ever owned by zero or two ranges.
 package kvstore
 
 import (
@@ -42,67 +41,10 @@ func (s *Sharded) Split(key string) error {
 	}
 	d := ha.NewDecoder(resp[1:])
 	p := pendingChange{Split: true, Old: r.ID, New: d.U64(), Key: key}
-	if s.takeCrash("split") {
-		s.Reg.Counter("range_change_orphaned").Inc()
+	if s.orphaned("split") {
 		return ErrTxnOrphaned
 	}
-	return s.completeSplit(p)
-}
-
-// completeSplit drives a reserved split to completion; every step is
-// idempotent so recovery can re-enter at any point.
-func (s *Sharded) completeSplit(p pendingChange) error {
-	if !p.Committed {
-		// Fence [key, +inf) on the source and collect the moving cells.
-		resp, _, err := s.proposeRange(p.Old, encRmFreeze(nil, p.Key))
-		if err != nil {
-			return fmt.Errorf("kvstore: split freeze: %w", err)
-		}
-		if resp[0] == rspConflict {
-			// Live locks in the span: abort the reservation cleanly.
-			if _, _, err := s.propose(0, dirMachineName, encDirU64(dirOpSplitAbort, p.New)); err != nil {
-				return err
-			}
-			return ErrRangeBusy
-		}
-		d := ha.NewDecoder(resp[1:])
-		pairs := decodePairs(d)
-		// Old bounds of the source tell the new range its upper bound;
-		// refresh first so the lookup never sees a stale cache.
-		if err := s.refreshDir(); err != nil {
-			return err
-		}
-		var oldHi string
-		for _, r := range s.rangesSnapshot() {
-			if r.ID == p.Old {
-				oldHi = r.End
-			}
-		}
-		if _, _, err := s.proposeRange(p.New, encRmAdopt(nil, p.Key, oldHi, pairs)); err != nil {
-			return fmt.Errorf("kvstore: split adopt: %w", err)
-		}
-		if s.takeCrash("split-copy") {
-			s.Reg.Counter("range_change_orphaned").Inc()
-			return ErrTxnOrphaned
-		}
-		if _, _, err := s.propose(0, dirMachineName, encDirU64(dirOpSplitCommit, p.New)); err != nil {
-			return fmt.Errorf("kvstore: split commit: %w", err)
-		}
-		if s.takeCrash("split-commit") {
-			s.Reg.Counter("range_change_orphaned").Inc()
-			return ErrTxnOrphaned
-		}
-	}
-	// Routing switched: drop the moved span from the source (also lifts
-	// its fence by shrinking hi to the split key) and retire the record.
-	if _, _, err := s.proposeRange(p.Old, encRmTrim(nil, p.Key)); err != nil {
-		return fmt.Errorf("kvstore: split trim: %w", err)
-	}
-	if _, _, err := s.propose(0, dirMachineName, encDirU64(dirOpSplitFinish, p.New)); err != nil {
-		return err
-	}
-	s.Reg.Counter("range_splits").Inc()
-	return s.refreshDir()
+	return s.completeChange(p)
 }
 
 // Merge absorbs the range to the right of the range containing key:
@@ -124,71 +66,99 @@ func (s *Sharded) Merge(key string) error {
 	d.U32() // right group (derivable; kept in the response for tooling)
 	rightLo := d.String()
 	p := pendingChange{Old: left.ID, Right: rightID, Key: rightLo}
-	if s.takeCrash("merge") {
-		s.Reg.Counter("range_change_orphaned").Inc()
+	if s.orphaned("merge") {
 		return ErrTxnOrphaned
 	}
-	return s.completeMerge(p)
+	return s.completeChange(p)
 }
 
-// completeMerge drives a reserved merge to completion (idempotent).
-func (s *Sharded) completeMerge(p pendingChange) error {
-	// The absorbed range's lower bound rides the pending record (p.Key);
-	// the other bounds come from the routing table, which still lists
-	// both halves until commit. Refresh so the lookup is never stale.
-	if !p.Committed {
-		if err := s.refreshDir(); err != nil {
-			return err
-		}
+// completeChange drives a reserved split or merge to completion. Either
+// kind moves the span [p.Key, +inf) from a source range to a destination
+// range: a split from p.Old to the new p.New, a merge from the absorbed
+// p.Right to the surviving p.Old. The source is fenced and its cells
+// adopted by the destination, routing commits, then the source is
+// trimmed and the record retired. Every step is idempotent, so recovery
+// can re-enter at any point.
+func (s *Sharded) completeChange(p pendingChange) error {
+	kind, src, dst := "merge", p.Right, p.Old
+	commit, finish, abort := byte(dirOpMergeCommit), byte(dirOpMergeFinish), byte(dirOpMergeAbort)
+	if p.Split {
+		kind, src, dst = "split", p.Old, p.New
+		commit, finish, abort = dirOpSplitCommit, dirOpSplitFinish, dirOpSplitAbort
 	}
-	var leftLo, rightHi string
-	for _, r := range s.rangesSnapshot() {
-		switch r.ID {
-		case p.Old:
-			leftLo = r.Start
-		case p.Right:
-			rightHi = r.End
-		}
+	dir := func(op byte) error {
+		_, _, err := s.propose(0, dirMachineName, encDirU64(op, p.dirID()))
+		return err
 	}
 	if !p.Committed {
-		// Fence the entire right range and collect its cells.
-		resp, _, err := s.proposeRange(p.Right, encRmFreeze(nil, p.Key))
+		resp, _, err := s.proposeRange(src, encRmFreeze(nil, p.Key))
 		if err != nil {
-			return fmt.Errorf("kvstore: merge freeze: %w", err)
+			return fmt.Errorf("kvstore: %s freeze: %w", kind, err)
 		}
 		if resp[0] == rspConflict {
-			if _, _, err := s.propose(0, dirMachineName, encDirU64(dirOpMergeAbort, p.Old)); err != nil {
+			// Live locks in the span: abort the reservation cleanly.
+			if err := dir(abort); err != nil {
 				return err
 			}
 			return ErrRangeBusy
 		}
-		d := ha.NewDecoder(resp[1:])
-		pairs := decodePairs(d)
-		// Extend the left range's bounds and install the copied cells.
-		if _, _, err := s.proposeRange(p.Old, encRmAdopt(nil, leftLo, rightHi, pairs)); err != nil {
-			return fmt.Errorf("kvstore: merge adopt: %w", err)
+		pairs := decodePairs(ha.NewDecoder(resp[1:]))
+		// The destination spans from its own lower bound (p.Key for a
+		// split's range, not yet routed) to the source's upper bound;
+		// both still stand in the routing table until commit. Refresh
+		// so the lookup never sees a stale cache.
+		if err := s.refreshDir(); err != nil {
+			return err
 		}
-		if _, _, err := s.propose(0, dirMachineName, encDirU64(dirOpMergeCommit, p.Old)); err != nil {
-			return fmt.Errorf("kvstore: merge commit: %w", err)
+		lo, hi := p.Key, ""
+		for _, r := range s.rangesSnapshot() {
+			if r.ID == dst {
+				lo = r.Start
+			}
+			if r.ID == src {
+				hi = r.End
+			}
+		}
+		if _, _, err := s.proposeRange(dst, encRmAdopt(nil, lo, hi, pairs)); err != nil {
+			return fmt.Errorf("kvstore: %s adopt: %w", kind, err)
+		}
+		if s.orphaned(kind + "-copy") {
+			return ErrTxnOrphaned
+		}
+		if err := dir(commit); err != nil {
+			return fmt.Errorf("kvstore: %s commit: %w", kind, err)
+		}
+		if s.orphaned(kind + "-commit") {
+			return ErrTxnOrphaned
 		}
 	}
-	// Retire the absorbed machine: trim from its own lower bound leaves
-	// it owning the empty span [lo, lo) — every future op gets rspMoved.
-	// (p.Key is never "", because the absorbed range always has a left
-	// neighbor, so the trim can't accidentally widen hi to +inf.)
-	if _, _, err := s.proposeRange(p.Right, encRmTrim(nil, p.Key)); err != nil {
-		return fmt.Errorf("kvstore: merge retire: %w", err)
+	// Routing switched: drop the moved span from the source, which also
+	// lifts its fence by shrinking hi to p.Key. A merged-away source keeps
+	// the empty span [p.Key, p.Key), so every later op gets rspMoved; p.Key
+	// is never "" there, as an absorbed range always has a left neighbor.
+	if _, _, err := s.proposeRange(src, encRmTrim(nil, p.Key)); err != nil {
+		return fmt.Errorf("kvstore: %s trim: %w", kind, err)
 	}
-	if _, _, err := s.propose(0, dirMachineName, encDirU64(dirOpMergeFinish, p.Old)); err != nil {
+	if err := dir(finish); err != nil {
 		return err
 	}
-	s.Reg.Counter("range_merges").Inc()
+	s.Reg.Counter("range_" + kind + "s").Inc()
 	return s.refreshDir()
 }
 
+// orphaned consumes the armed crash point if it is point, counting the
+// range change it leaves behind for RecoverRanges.
+func (s *Sharded) orphaned(point string) bool {
+	if !s.takeCrash(point) {
+		return false
+	}
+	s.Reg.Counter("range_change_orphaned").Inc()
+	return true
+}
+
 // RecoverRanges completes every interrupted split/merge recorded in the
-// directory. Changes still blocked by live locks abort cleanly (splits)
-// or stay pending for the next pass. Returns how many changes resolved.
+// directory; one not yet committed whose span still holds live locks
+// aborts cleanly instead. Returns how many changes resolved.
 func (s *Sharded) RecoverRanges() (int, error) {
 	var pend []pendingChange
 	err := s.groups[0].Query(dirMachineName, func(sm ha.StateMachine) error {
@@ -203,18 +173,12 @@ func (s *Sharded) RecoverRanges() (int, error) {
 	}
 	n := 0
 	for _, p := range pend {
-		var derr error
-		if p.Split {
-			derr = s.completeSplit(p)
-		} else {
-			derr = s.completeMerge(p)
-		}
-		switch {
+		switch derr := s.completeChange(p); {
 		case derr == nil:
 			s.Reg.Counter("range_changes_recovered").Inc()
 			n++
 		case errors.Is(derr, ErrRangeBusy):
-			// Aborted (split) or deferred — not a failure.
+			// Aborted — not a failure.
 			n++
 		default:
 			return n, derr

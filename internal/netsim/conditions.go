@@ -28,7 +28,7 @@ type conditions struct {
 	degrade map[topology.NodeID]float64
 }
 
-func (c *conditions) clone(size int) *conditions {
+func (c *conditions) clone() *conditions {
 	out := &conditions{}
 	if c != nil && c.groupOf != nil {
 		out.groupOf = append([]int(nil), c.groupOf...)
@@ -45,7 +45,6 @@ func (c *conditions) clone(size int) *conditions {
 			out.degrade[k] = v
 		}
 	}
-	_ = size
 	return out
 }
 
@@ -69,7 +68,7 @@ func (f *Fabric) SetPartition(groups ...[]topology.NodeID) error {
 			seen[n] = gi
 		}
 	}
-	c := f.cond.Load().clone(size)
+	c := f.cond.Load().clone()
 	c.groupOf = make([]int, size)
 	for i := range c.groupOf {
 		c.groupOf[i] = -1
@@ -99,7 +98,7 @@ func (f *Fabric) CutLink(src, dst topology.NodeID) {
 	if src == dst {
 		return
 	}
-	c := f.cond.Load().clone(f.top.Size())
+	c := f.cond.Load().clone()
 	if c.cut == nil {
 		c.cut = map[linkKey]bool{}
 	}
@@ -117,7 +116,7 @@ func (f *Fabric) HealLink(src, dst topology.NodeID) {
 	if c == nil || !c.cut[linkKey{src, dst}] {
 		return
 	}
-	n := c.clone(f.top.Size())
+	n := c.clone()
 	delete(n.cut, linkKey{src, dst})
 	if len(n.cut) == 0 {
 		n.cut = nil
@@ -131,7 +130,7 @@ func (f *Fabric) HealLink(src, dst topology.NodeID) {
 // Heal removes any partition and every directed link cut, leaving
 // degradation factors in place.
 func (f *Fabric) Heal() {
-	c := f.cond.Load().clone(f.top.Size())
+	c := f.cond.Load().clone()
 	if c.groupOf == nil && c.cut == nil {
 		return // nothing to heal; keep the heal counter honest
 	}
@@ -172,7 +171,7 @@ func (f *Fabric) Reachable(src, dst topology.NodeID) bool {
 // factor (a straggler link, a flapping NIC, an overloaded ToR port).
 // factor <= 1 clears the degradation.
 func (f *Fabric) SetNodeDegrade(n topology.NodeID, factor float64) {
-	c := f.cond.Load().clone(f.top.Size())
+	c := f.cond.Load().clone()
 	if factor <= 1 {
 		delete(c.degrade, n)
 		if len(c.degrade) == 0 {

@@ -82,29 +82,6 @@ func (l *Logical) Limit(n int) *Logical {
 	return &Logical{Op: OpLimit, Input: l, N: n}
 }
 
-// aggName mirrors table.Agg naming: As, or "count" / "<op>_<col>".
-func aggName(a table.Agg) string {
-	if a.As != "" {
-		return a.As
-	}
-	if a.Op == table.Count {
-		return "count"
-	}
-	return fmt.Sprintf("%s_%s", a.Op, a.Col)
-}
-
-// aggOutType mirrors internal/table's aggregate result typing.
-func aggOutType(a table.Agg, in table.Type) table.Type {
-	switch a.Op {
-	case table.Count:
-		return table.Int64
-	case table.Avg:
-		return table.Float64
-	default:
-		return in
-	}
-}
-
 // OutSchema computes the plan's output schema against a resolver for
 // base-table schemas, validating column references along the way. The
 // differential oracle and the planner share it so both agree on shape.
@@ -195,7 +172,7 @@ func (l *Logical) OutSchema(base func(name string) (table.Schema, error)) (table
 					return table.Schema{}, fmt.Errorf("query: %s over string column %q", a.Op, a.Col)
 				}
 			}
-			cols = append(cols, table.Col{Name: aggName(a), Type: aggOutType(a, inType)})
+			cols = append(cols, table.Col{Name: a.Name(), Type: a.OutType(inType)})
 		}
 		seen := map[string]bool{}
 		for _, c := range cols {

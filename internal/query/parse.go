@@ -449,7 +449,7 @@ func applySelect(lp *Logical, items []selectItem, groupKeys []string) (*Logical,
 	aliases := make([]string, len(items))
 	for i, it := range items {
 		if it.isAgg {
-			cols[i] = aggName(it.agg)
+			cols[i] = it.agg.Name()
 			aliases[i] = cols[i]
 		} else {
 			cols[i] = it.col

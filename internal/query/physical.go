@@ -299,9 +299,9 @@ func (c *compiler) compile(l *Logical) (*Node, table.Schema, error) {
 		var details []string
 		for _, a := range l.Aggs {
 			if a.Op == table.Count {
-				details = append(details, "count(*) AS "+aggName(a))
+				details = append(details, "count(*) AS "+a.Name())
 			} else {
-				details = append(details, fmt.Sprintf("%s(%s) AS %s", a.Op, a.Col, aggName(a)))
+				details = append(details, fmt.Sprintf("%s(%s) AS %s", a.Op, a.Col, a.Name()))
 			}
 		}
 		n := &Node{

@@ -289,7 +289,7 @@ func (e *Env) estimatePlan(l *Logical) (estimate, error) {
 			}
 		}
 		for _, a := range l.Aggs {
-			cols[aggName(a)] = ColStats{Distinct: int64(groups)}
+			cols[a.Name()] = ColStats{Distinct: int64(groups)}
 		}
 		return estimate{rows: groups, cols: cols}, nil
 	case OpSort:

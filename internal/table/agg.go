@@ -45,7 +45,8 @@ type Agg struct {
 	As  string
 }
 
-func (a Agg) name() string {
+// Name is the aggregate's output column: As, or "count" / "<op>_<col>".
+func (a Agg) Name() string {
 	if a.As != "" {
 		return a.As
 	}
@@ -53,6 +54,19 @@ func (a Agg) name() string {
 		return "count"
 	}
 	return fmt.Sprintf("%s_%s", a.Op, a.Col)
+}
+
+// OutType is the aggregate's output type over an input column of type
+// in: Count is Int64, Avg is Float64, and Sum, Min and Max keep in.
+func (a Agg) OutType(in Type) Type {
+	switch a.Op {
+	case Count:
+		return Int64
+	case Avg:
+		return Float64
+	default:
+		return in
+	}
 }
 
 // Grouped is a group-by builder; call Agg to produce the result table.
@@ -133,14 +147,7 @@ func (g *Grouped) Agg(parts int, aggs ...Agg) (*Table, error) {
 				return nil, fmt.Errorf("table: %s over string column %q", a.Op, a.Col)
 			}
 		}
-		outType := Int64
-		switch a.Op {
-		case Sum, Min, Max:
-			outType = p.typ
-		case Avg:
-			outType = Float64
-		}
-		outCols = append(outCols, Col{Name: a.name(), Type: outType})
+		outCols = append(outCols, Col{Name: a.Name(), Type: a.OutType(p.typ)})
 		plans[i] = p
 	}
 	outSchema := Schema{Cols: outCols}

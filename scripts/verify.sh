@@ -54,6 +54,13 @@ go test -count=20 -run 'TestCompactionCountsOnlyCompactionsThatHappen|TestSharde
 # array, which Propose copies before returning.
 go test -race -count=3 -run 'TestTxn|TestShardedCommandStreamPinned' ./internal/kvstore
 
+echo "== split and merge: one completion driver (count=20, race count=3) =="
+# Split and merge run through one driver and one directory case: every
+# crash point of both kinds and the ErrRangeBusy refusals, recovered and
+# hashed against a constant from before the two drivers were merged.
+go test -count=20 -run 'TestRangeChangesPinned|TestShardedMergeCrashRecovers' ./internal/kvstore
+go test -race -count=3 -run 'TestShardedSplit|TestShardedMerge|TestTxnSplitRacing' ./internal/kvstore
+
 echo "== quorum ring under fault toggles (race, count=3) =="
 # Liveness, the stale-read flag and the version clock are atomics that
 # Get/Put read without a lock while FailNode/RecoverNode flip them.
