@@ -160,6 +160,8 @@ type Controller struct {
 	flaps []*flapState
 
 	applied     *metrics.CounterVec // chaos_events_applied{kind}
+	refused     *metrics.CounterVec // chaos_events_refused{kind}
+	err         error               // the first refusal, for Err
 	heals       *metrics.Counter    // partition_heals
 	flapToggles *metrics.Counter    // chaos_flap_toggles
 	vtime       *metrics.Gauge      // chaos_vtime
@@ -194,8 +196,8 @@ func (c *Controller) SetTracer(r *trace.Recorder) {
 // New builds a controller over a schedule. Wildcard event nodes are
 // resolved immediately from seed (see WildcardNode), so two controllers
 // built from the same (schedule, seed) apply identical events. reg
-// receives chaos_events_applied{kind}, partition_heals and chaos_vtime;
-// nil disables counting.
+// receives chaos_events_applied{kind}, chaos_events_refused{kind},
+// partition_heals and chaos_vtime; nil disables counting.
 func New(sched Schedule, seed uint64, targets Targets, reg *metrics.Registry) *Controller {
 	c := &Controller{
 		sched:   resolveWildcards(sched.sorted(), seed, targets.Nodes),
@@ -204,6 +206,7 @@ func New(sched Schedule, seed uint64, targets Targets, reg *metrics.Registry) *C
 	}
 	if reg != nil {
 		c.applied = reg.CounterVec("chaos_events_applied", "kind")
+		c.refused = reg.CounterVec("chaos_events_refused", "kind")
 		c.heals = reg.Counter("partition_heals")
 		c.flapToggles = reg.Counter("chaos_flap_toggles")
 		c.vtime = reg.Gauge("chaos_vtime")
@@ -367,12 +370,29 @@ func (c *Controller) Done() bool {
 	return c.idx >= len(c.sched)
 }
 
+// Err returns the first event a target refused, or nil.
+func (c *Controller) Err() error {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
+}
+
 // apply fires one event against every wired target, counts it and marks
-// it on its timeline track.
+// it on its timeline track; an event a target refused is counted refused
+// and kept for Err if it is the first.
 func (c *Controller) apply(e Event) {
 	k := kinds[e.Kind]
 	if k.fire != nil {
-		k.fire(c, c.targets, e)
+		if err := k.fire(c, c.targets, e); err != nil {
+			c.refused.With(string(e.Kind)).Inc()
+			if c.err == nil {
+				c.err = fmt.Errorf("chaos: %s refused: %w", strings.TrimSpace(Schedule{e}.String()), err)
+			}
+			return
+		}
 	}
 	track := cmp.Or(k.track, "node-")
 	if strings.HasSuffix(track, "-") {

@@ -22,7 +22,9 @@ type kind struct {
 	// node's executor track (node-NN), and a name ending in '-' gets the
 	// event's node index appended the same way.
 	track string
-	fire  func(c *Controller, t Targets, e Event)
+	// fire applies the event to every wired target. An error is a target
+	// refusing it: the controller counts the event refused, not applied.
+	fire func(c *Controller, t Targets, e Event) error
 }
 
 // form is one argument shape of the text format: the usage shown in
@@ -115,7 +117,7 @@ func positive(v float64) bool    { return v > 0 }
 func positiveProbability(v float64) bool { return v > 0 && v <= 1 }
 
 var kinds = map[Kind]kind{
-	Crash: {form: nodeForm, fire: func(_ *Controller, t Targets, e Event) {
+	Crash: {form: nodeForm, fire: func(_ *Controller, t Targets, e Event) error {
 		if t.Compute != nil {
 			_ = t.Compute.Kill(e.Node)
 		}
@@ -128,8 +130,9 @@ var kinds = map[Kind]kind{
 		if t.KV != nil {
 			_ = t.KV.FailNode(e.Node)
 		}
+		return nil
 	}},
-	Revive: {form: nodeForm, undoes: Crash, fire: func(_ *Controller, t Targets, e Event) {
+	Revive: {form: nodeForm, undoes: Crash, fire: func(_ *Controller, t Targets, e Event) error {
 		if t.Compute != nil {
 			_ = t.Compute.Revive(e.Node)
 		}
@@ -142,8 +145,9 @@ var kinds = map[Kind]kind{
 		if t.KV != nil {
 			_ = t.KV.RecoverNode(e.Node)
 		}
+		return nil
 	}},
-	Partition: {form: groupsForm, track: "network", fire: func(_ *Controller, t Targets, e Event) {
+	Partition: {form: groupsForm, track: "network", fire: func(_ *Controller, t Targets, e Event) error {
 		if t.Network != nil {
 			_ = t.Network.SetPartition(e.Group...)
 		}
@@ -157,10 +161,11 @@ var kinds = map[Kind]kind{
 			}
 			t.Consensus.Partition(groups...)
 		}
+		return nil
 	}},
 	// Heal is total: it drops any active flap coins too, so a trailing
 	// "T heal" leaves the run with a fully clean fabric.
-	Heal: {track: "network", fire: func(c *Controller, t Targets, _ Event) {
+	Heal: {track: "network", fire: func(c *Controller, t Targets, _ Event) error {
 		if t.Network != nil {
 			t.Network.Heal()
 		}
@@ -169,25 +174,29 @@ var kinds = map[Kind]kind{
 		}
 		c.flaps = nil
 		c.heals.Inc()
+		return nil
 	}},
 	// Non-transitive: every cross-group link is cut both ways but, unlike
 	// Partition, nodes outside the listed groups still reach everyone.
-	PartialPartition: {form: groupsForm, track: "network", fire: func(c *Controller, _ Targets, e Event) {
+	PartialPartition: {form: groupsForm, track: "network", fire: func(c *Controller, _ Targets, e Event) error {
 		for i := range e.Group {
 			for j := i + 1; j < len(e.Group); j++ {
 				c.setLinks(true, e.Group[i], e.Group[j])
 				c.setLinks(true, e.Group[j], e.Group[i])
 			}
 		}
+		return nil
 	}},
-	LinkCut: {form: linkForm, track: "network", fire: func(c *Controller, _ Targets, e Event) {
+	LinkCut: {form: linkForm, track: "network", fire: func(c *Controller, _ Targets, e Event) error {
 		c.setLinks(true, e.Group[0], e.Group[1])
+		return nil
 	}},
-	LinkHeal: {form: linkForm, track: "network", fire: func(c *Controller, _ Targets, e Event) {
+	LinkHeal: {form: linkForm, track: "network", fire: func(c *Controller, _ Targets, e Event) error {
 		c.setLinks(false, e.Group[0], e.Group[1])
+		return nil
 	}},
 	Flap: {form: withValue(linkForm, "flap probability", positiveProbability), track: "network",
-		fire: func(c *Controller, _ Targets, e Event) {
+		fire: func(c *Controller, _ Targets, e Event) error {
 			c.flaps = append(c.flaps, &flapState{
 				srcs:  e.Group[0],
 				dsts:  e.Group[1],
@@ -195,8 +204,9 @@ var kinds = map[Kind]kind{
 				r:     rng.New(c.seed ^ (uint64(c.idx)+1)*0x9e3779b97f4a7c15),
 				state: map[[2]int]bool{},
 			})
+			return nil
 		}},
-	Unflap: {form: linkForm, track: "network", fire: func(c *Controller, _ Targets, e Event) {
+	Unflap: {form: linkForm, track: "network", fire: func(c *Controller, _ Targets, e Event) error {
 		kept := c.flaps[:0]
 		for _, f := range c.flaps {
 			if !nodesEqual(f.srcs, e.Group[0]) || !nodesEqual(f.dsts, e.Group[1]) {
@@ -215,6 +225,7 @@ var kinds = map[Kind]kind{
 			}
 		}
 		c.flaps = kept
+		return nil
 	}},
 	Slow: {form: form{"<node> <duration>", 2, func(e *Event, args []string) error {
 		if err := readNode(e, args); err != nil {
@@ -227,100 +238,119 @@ var kinds = map[Kind]kind{
 		e.Delay = d
 		return nil
 	}, func(e Event) string { return nodeString(e.Node) + " " + e.Delay.String() }},
-		fire: func(_ *Controller, t Targets, e Event) {
+		fire: func(_ *Controller, t Targets, e Event) error {
 			if t.Compute != nil {
 				_ = t.Compute.SetSlowdown(e.Node, e.Delay)
 			}
+			return nil
 		}},
-	Unslow: {form: nodeForm, undoes: Slow, fire: func(_ *Controller, t Targets, e Event) {
+	Unslow: {form: nodeForm, undoes: Slow, fire: func(_ *Controller, t Targets, e Event) error {
 		if t.Compute != nil {
 			_ = t.Compute.SetSlowdown(e.Node, 0)
 		}
+		return nil
 	}},
-	Flaky: {form: withValue(nodeForm, "probability", probability), fire: func(_ *Controller, t Targets, e Event) {
+	Flaky: {form: withValue(nodeForm, "probability", probability), fire: func(_ *Controller, t Targets, e Event) error {
 		if t.Engine != nil {
 			t.Engine.SetNodeFailProb(e.Node, e.Value)
 		}
+		return nil
 	}},
-	Unflaky: {form: nodeForm, undoes: Flaky, fire: func(_ *Controller, t Targets, e Event) {
+	Unflaky: {form: nodeForm, undoes: Flaky, fire: func(_ *Controller, t Targets, e Event) error {
 		if t.Engine != nil {
 			t.Engine.SetNodeFailProb(e.Node, 0)
 		}
+		return nil
 	}},
-	Degrade: {form: withValue(nodeForm, "factor", nonNegative), fire: func(_ *Controller, t Targets, e Event) {
+	Degrade: {form: withValue(nodeForm, "factor", nonNegative), fire: func(_ *Controller, t Targets, e Event) error {
 		if t.Network != nil {
 			t.Network.SetNodeDegrade(e.Node, e.Value)
 		}
+		return nil
 	}},
-	Undegrade: {form: nodeForm, undoes: Degrade, fire: func(_ *Controller, t Targets, e Event) {
+	Undegrade: {form: nodeForm, undoes: Degrade, fire: func(_ *Controller, t Targets, e Event) error {
 		if t.Network != nil {
 			t.Network.SetNodeDegrade(e.Node, 1)
 		}
+		return nil
 	}},
-	StreamCrash: {form: workerForm, track: "stream-worker-", fire: func(_ *Controller, t Targets, e Event) {
+	StreamCrash: {form: workerForm, track: "stream-worker-", fire: func(_ *Controller, t Targets, e Event) error {
 		if t.Stream != nil {
 			_ = t.Stream.CrashWorker(int(e.Node))
 		}
+		return nil
 	}},
-	StreamRestore: {form: workerForm, undoes: StreamCrash, track: "stream-worker-", fire: func(_ *Controller, t Targets, e Event) {
+	StreamRestore: {form: workerForm, undoes: StreamCrash, track: "stream-worker-", fire: func(_ *Controller, t Targets, e Event) error {
 		if t.Stream != nil {
 			_ = t.Stream.RestoreWorker(int(e.Node))
 		}
+		return nil
 	}},
-	NNCrash: {form: memberForm, track: "ha", fire: func(_ *Controller, t Targets, e Event) {
+	NNCrash: {form: memberForm, track: "ha", fire: func(_ *Controller, t Targets, e Event) error {
 		if t.Namenode != nil {
 			_ = t.Namenode.CrashMember(memberID(e.Node))
 		}
+		return nil
 	}},
-	NNRevive: {form: memberForm, track: "ha", fire: func(_ *Controller, t Targets, e Event) {
+	NNRevive: {form: memberForm, track: "ha", fire: func(_ *Controller, t Targets, e Event) error {
 		if t.Namenode != nil {
 			_ = t.Namenode.ReviveMember(memberID(e.Node))
 		}
+		return nil
 	}},
-	CoordCrash: {track: "driver", fire: func(_ *Controller, t Targets, _ Event) {
+	CoordCrash: {track: "driver", fire: func(_ *Controller, t Targets, _ Event) error {
 		if t.Engine != nil {
 			t.Engine.CrashCoordinator()
 		}
+		return nil
 	}},
-	CorruptBlock: {form: nodeForm, fire: func(_ *Controller, t Targets, e Event) {
+	CorruptBlock: {form: nodeForm, fire: func(_ *Controller, t Targets, e Event) error {
 		if t.Storage != nil {
 			_ = t.Storage.CorruptBlock(e.Node)
 		}
+		return nil
 	}},
-	Burst: {form: withValue(form{}, "factor", positive), track: "clients", fire: func(_ *Controller, t Targets, e Event) {
+	Burst: {form: withValue(form{}, "factor", positive), track: "clients", fire: func(_ *Controller, t Targets, e Event) error {
 		if t.Overload != nil {
 			t.Overload.SetBurst(e.Value)
 		}
+		return nil
 	}},
-	Unburst: {track: "clients", fire: func(_ *Controller, t Targets, _ Event) {
+	Unburst: {track: "clients", fire: func(_ *Controller, t Targets, _ Event) error {
 		if t.Overload != nil {
 			t.Overload.SetBurst(1)
 		}
+		return nil
 	}},
-	TenantFlood: {form: withValue(tenantForm, "factor", positive), track: "tenant-", fire: func(_ *Controller, t Targets, e Event) {
+	TenantFlood: {form: withValue(tenantForm, "factor", positive), track: "tenant-", fire: func(_ *Controller, t Targets, e Event) error {
 		if t.Overload != nil {
 			t.Overload.SetTenantFlood(int(e.Node), e.Value)
 		}
+		return nil
 	}},
-	Unflood: {form: tenantForm, track: "tenant-", fire: func(_ *Controller, t Targets, e Event) {
+	Unflood: {form: tenantForm, track: "tenant-", fire: func(_ *Controller, t Targets, e Event) error {
 		if t.Overload != nil {
 			t.Overload.SetTenantFlood(int(e.Node), 1)
 		}
+		return nil
 	}},
-	// Point names are validated by the target (kvstore.Sharded rejects
-	// unknown ones); the parser only requires one token.
+	// Point names are validated by the target (kvstore.Sharded refuses
+	// unknown ones, and the controller counts the event refused); the
+	// parser only requires one token.
 	TxnCrash: {form: form{"<point>", 1, func(e *Event, args []string) error {
 		e.Point = args[0]
 		return nil
 	}, func(e Event) string { return e.Point }},
-		track: "txn", fire: func(_ *Controller, t Targets, e Event) {
-			if t.Txn != nil {
-				_ = t.Txn.OrphanNext(e.Point)
+		track: "txn", fire: func(_ *Controller, t Targets, e Event) error {
+			if t.Txn == nil {
+				return nil
 			}
+			return t.Txn.OrphanNext(e.Point)
 		}},
-	TxnRecover: {track: "txn", fire: func(_ *Controller, t Targets, _ Event) {
-		if t.Txn != nil {
-			_ = t.Txn.Recover()
+	TxnRecover: {track: "txn", fire: func(_ *Controller, t Targets, _ Event) error {
+		if t.Txn == nil {
+			return nil
 		}
+		return t.Txn.Recover()
 	}},
 }

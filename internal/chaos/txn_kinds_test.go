@@ -4,6 +4,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/kvstore"
+	"repro/internal/metrics"
 )
 
 func (f *fakeTargets) OrphanNext(point string) error {
@@ -66,5 +69,36 @@ func TestTxnPresetHiddenFromComputeSweeps(t *testing.T) {
 	}
 	if !strings.Contains(sched.String(), "txn-crash before-commit") {
 		t.Fatalf("preset text missing crash point:\n%s", sched.String())
+	}
+}
+
+// TestTxnCrashPointRefusedByStore: the parser takes any point name and
+// kvstore.Sharded alone knows the valid ones, so a misspelled point is
+// counted refused, with the store's error kept, and a valid one applied.
+func TestTxnCrashPointRefusedByStore(t *testing.T) {
+	for _, tc := range []struct {
+		text    string
+		refused bool
+	}{
+		{"1 txn-crash splt-copy", true},
+		{"1 txn-crash split-copy", false},
+	} {
+		sched, err := Parse(tc.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := metrics.NewRegistry()
+		c := New(sched, 1, Targets{Txn: kvstore.NewSharded(kvstore.ShardedConfig{Seed: 1})}, reg)
+		c.AdvanceTo(2)
+		count := func(name string) int64 { return reg.CounterVec(name, "kind").With(string(TxnCrash)).Value() }
+		applied, refused := count("chaos_events_applied"), count("chaos_events_refused")
+		switch err := c.Err(); {
+		case !tc.refused && (err != nil || applied != 1 || refused != 0):
+			t.Errorf("%q: applied %d, refused %d, error %v; want applied", tc.text, applied, refused, err)
+		case tc.refused && (err == nil || applied != 0 || refused != 1):
+			t.Errorf("%q: applied %d, refused %d, error %v; want refused", tc.text, applied, refused, err)
+		case tc.refused && !strings.Contains(err.Error(), tc.text+" refused: kvstore: unknown crash point"):
+			t.Errorf("%q: error %q names neither the event nor the store's reason", tc.text, err)
+		}
 	}
 }

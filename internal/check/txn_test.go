@@ -1,8 +1,12 @@
 package check
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/kvstore"
@@ -142,5 +146,95 @@ func TestCaptureTxnHistoryDirtyReadsCaught(t *testing.T) {
 	}
 	if !caught {
 		t.Fatal("dirty-read injection never produced a non-serializable history")
+	}
+}
+
+// faultyTxnKV is a serial in-memory store that fails chosen draws, so that
+// every error branch of CaptureTxnHistory runs on every run, whatever the
+// goroutine timing: a Get of k00 fails; a Txn or Put from client 0 fails
+// with no effect, and one from client 1 fails after it took effect, which
+// the capture must record as pending.
+type faultyTxnKV struct {
+	mu    sync.Mutex
+	data  map[string]string
+	fails [3]atomic.Int64 // failed gets, no-effect and ambiguous writes
+}
+
+var errNoEffect, errAmbiguous = errors.New("no effect"), errors.New("ambiguous")
+
+func (f *faultyTxnKV) Get(_ context.Context, key string) ([]byte, bool, error) {
+	if key == "k00" {
+		f.fails[0].Add(1)
+		return nil, false, errNoEffect
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	v, ok := f.data[key]
+	return []byte(v), ok, nil
+}
+
+func (f *faultyTxnKV) Put(ctx context.Context, key string, value []byte) error {
+	_, err := f.Txn(ctx, nil, map[string][]byte{key: value})
+	return err
+}
+
+// Txn writes values named c<client>.w<wave>, which say whose draw it is.
+func (f *faultyTxnKV) Txn(_ context.Context, reads []string, writes map[string][]byte) (map[string][]byte, error) {
+	var client string
+	for _, v := range writes {
+		client, _, _ = strings.Cut(string(v), ".")
+	}
+	if client == "c0" {
+		f.fails[1].Add(1)
+		return nil, errNoEffect
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	got := map[string][]byte{}
+	for _, k := range reads {
+		if v, ok := f.data[k]; ok {
+			got[k] = []byte(v)
+		}
+	}
+	for k, v := range writes {
+		f.data[k] = string(v)
+	}
+	if client == "c1" {
+		f.fails[2].Add(1)
+		return nil, errAmbiguous
+	}
+	return got, nil
+}
+
+func TestCaptureTxnHistoryFailedDraws(t *testing.T) {
+	kv := &faultyTxnKV{data: map[string]string{}}
+	ops := CaptureTxnHistory(kv, TxnCaptureConfig{
+		Clients: 3, Waves: 20, Keys: 3, Seed: 5,
+		NoEffect: func(err error) bool { return errors.Is(err, errNoEffect) },
+	})
+	for i := range kv.fails {
+		if kv.fails[i].Load() == 0 {
+			t.Fatalf("failure kind %d never drawn: the test no longer covers its branch", i)
+		}
+	}
+	pending := 0
+	for _, op := range ops {
+		switch {
+		case op.Client == 0 && len(op.Writes) > 0:
+			t.Errorf("no-effect write recorded: %v", op)
+		case len(op.Reads) == 1 && op.Reads[0].Key == "k00" && len(op.Writes) == 0:
+			t.Errorf("failed get recorded: %v", op)
+		case op.Client == 1 && len(op.Writes) > 0:
+			if op.Return != InfTime || len(op.Reads) > 0 {
+				t.Errorf("ambiguous write not recorded as pending without reads: %v", op)
+			}
+			pending++
+		}
+	}
+	if pending != int(kv.fails[2].Load()) {
+		t.Errorf("%d pending writes recorded, %d ambiguous failures", pending, kv.fails[2].Load())
+	}
+	if out := CheckTxns(ops); !out.OK {
+		t.Errorf("history of a serial store rejected: %s", out.Detail)
 	}
 }

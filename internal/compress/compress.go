@@ -11,6 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 )
 
 // ErrCorrupt is returned when compressed input fails validation.
@@ -21,10 +23,11 @@ var ErrCorrupt = errors.New("compress: corrupt input")
 type Codec interface {
 	// Name identifies the codec in reports.
 	Name() string
-	// Compress returns the compressed form of src in memory of its own:
-	// the caller may reuse src once it returns.
+	// Compress returns the compressed form of src in memory of its own,
+	// which the caller then owns: Compress keeps no reference to it or to
+	// src, so the caller may reuse src once it returns.
 	Compress(src []byte) []byte
-	// Decompress inverts Compress.
+	// Decompress inverts Compress, into memory the caller owns.
 	Decompress(src []byte) ([]byte, error)
 }
 
@@ -145,11 +148,23 @@ func load32(b []byte, i int) uint32 {
 // Compress implements Codec. Format: tag byte per token. Tag < 0x80:
 // literal run of tag+1 bytes. Tag >= 0x80: match of (tag-0x80)+4 bytes at
 // 2-byte little-endian offset back.
+//
+// The tokens go to a pooled scratch buffer, grown once to the all-literal
+// length no output exceeds (a match covers at least 4 bytes in 3, which
+// pays for the one literal tag it may add by splitting a run); the block
+// returned is an exact-length copy, so a kept block holds no spare room.
 func (LZ) Compress(src []byte) []byte {
-	// Sized once, at the all-literal length no output exceeds: a match
-	// covers at least 4 bytes in 3, which pays for the one literal tag it
-	// may add by splitting a run.
-	out := make([]byte, 0, len(src)+(len(src)+127)/128)
+	scratch := lzScratch.Get().(*[]byte)
+	defer lzScratch.Put(scratch)
+	*scratch = lzEncode(slices.Grow((*scratch)[:0], len(src)+(len(src)+127)/128), src)
+	return append(make([]byte, 0, len(*scratch)), *scratch...)
+}
+
+// lzScratch holds LZ.Compress's token buffers between calls.
+var lzScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// lzEncode appends src's tokens to out.
+func lzEncode(out, src []byte) []byte {
 	// Each slot holds the last sequence with its hash and where it began
 	// (position+1, 0 = none), so a candidate is checked without going back
 	// to src.
