@@ -37,7 +37,8 @@ type ComputeTarget interface {
 // StorageTarget is the DFS surface (implemented by *dfs.DFS): a crashed
 // machine loses its replicas until revival or re-replication, and
 // CorruptBlock flips bits in one stored replica, exercising checksum
-// verification and read-repair.
+// verification and read-repair; a node that stores no block refuses it,
+// and the controller counts the event refused.
 type StorageTarget interface {
 	KillNode(topology.NodeID) error
 	ReviveNode(topology.NodeID) error
@@ -46,9 +47,10 @@ type StorageTarget interface {
 
 // NetworkTarget is the fabric surface (implemented by *netsim.Fabric).
 // CutLink/HealLink act on the directed reachability layer (gray faults);
-// SetPartition rejects overlapping groups with an error, which the
-// controller discards like every other target error. Parse refuses such
-// groups, so only a hand-built Event can reach that error.
+// SetPartition rejects overlapping groups with an error: the controller
+// counts the event refused and leaves the consensus target unpartitioned.
+// Parse refuses such groups, so only a hand-built Event can reach that
+// error.
 type NetworkTarget interface {
 	SetPartition(groups ...[]topology.NodeID) error
 	Heal()

@@ -147,9 +147,13 @@ var kinds = map[Kind]kind{
 		}
 		return nil
 	}},
+	// A partition the fabric refuses is not applied to Raft either: the
+	// two layers never disagree about who reaches whom.
 	Partition: {form: groupsForm, track: "network", fire: func(_ *Controller, t Targets, e Event) error {
 		if t.Network != nil {
-			_ = t.Network.SetPartition(e.Group...)
+			if err := t.Network.SetPartition(e.Group...); err != nil {
+				return err
+			}
 		}
 		if t.Consensus != nil {
 			groups := make([][]int, len(e.Group))
@@ -305,10 +309,10 @@ var kinds = map[Kind]kind{
 		return nil
 	}},
 	CorruptBlock: {form: nodeForm, fire: func(_ *Controller, t Targets, e Event) error {
-		if t.Storage != nil {
-			_ = t.Storage.CorruptBlock(e.Node)
+		if t.Storage == nil {
+			return nil
 		}
-		return nil
+		return t.Storage.CorruptBlock(e.Node)
 	}},
 	Burst: {form: withValue(form{}, "factor", positive), track: "clients", fire: func(_ *Controller, t Targets, e Event) error {
 		if t.Overload != nil {

@@ -3,6 +3,7 @@ package shuffle
 import (
 	"bytes"
 	"hash/maphash"
+	"math"
 	"math/rand/v2"
 	"slices"
 )
@@ -145,21 +146,25 @@ func (t *KeyTable[K]) ID(k K) (int32, bool) {
 // before it next grows, which a slice kept in step with it can size from.
 func (t *KeyTable[K]) Keys() []K { return t.keys }
 
-// ByteKeyTable numbers byte keys, copying each new key into one arena. A
-// key equal to the one looked up before it (clustered input, such as a
-// join's output grouped on the join key) skips the hash. The zero value is
-// ready to use.
+// ByteKeyTable numbers byte keys, copying each new key into one arena that
+// grows by doubling; a key is kept as its span of the arena, not as a slice
+// header of its own. A key equal to the one looked up before it (clustered
+// input, such as a join's output grouped on the join key) skips the hash.
+// The zero value is ready to use.
 type ByteKeyTable struct {
-	slots[[]byte] // keys cut from arena
-	arena         []byte
-	seed          maphash.Seed
-	last          int32
+	slots[span]
+	arena []byte
+	seed  maphash.Seed
+	last  int32
 }
+
+// span is a key's place in a ByteKeyTable's arena.
+type span struct{ off, end uint32 }
 
 // ID returns key's number and whether key is new, giving it the next
 // number if it is. It does not allocate unless the key is new.
 func (t *ByteKeyTable) ID(key []byte) (int32, bool) {
-	if int(t.last) < len(t.keys) && bytes.Equal(t.keys[t.last], key) {
+	if int(t.last) < len(t.keys) && bytes.Equal(t.Key(t.last), key) {
 		return t.last, false
 	}
 	if t.ids == nil {
@@ -169,11 +174,15 @@ func (t *ByteKeyTable) ID(key []byte) (int32, bool) {
 	h := maphash.Bytes(t.seed, key)
 	id, i := t.find(key, h)
 	if id < 0 {
-		if len(t.arena)+len(key) > cap(t.arena) { // a new chunk: keys cut from the old one stay valid
-			t.arena = make([]byte, 0, max(2*cap(t.arena), len(key), 256))
+		off := len(t.arena)
+		if off+len(key) > math.MaxUint32 {
+			panic("shuffle: ByteKeyTable holds more than 4 GiB of keys")
+		}
+		if off+len(key) > cap(t.arena) { // the old array stays as it was: keys read from it keep their bytes
+			t.arena = append(make([]byte, 0, max(2*cap(t.arena), off+len(key), 256)), t.arena...)
 		}
 		t.arena = append(t.arena, key...)
-		t.last = t.add(i, h, t.arena[len(t.arena)-len(key):len(t.arena):len(t.arena)])
+		t.last = t.add(i, h, span{uint32(off), uint32(len(t.arena))})
 		return t.last, true
 	}
 	t.last = id
@@ -194,12 +203,27 @@ func (t *ByteKeyTable) Find(key []byte) (int32, bool) {
 func (t *ByteKeyTable) find(key []byte, h uint64) (int32, int) {
 	i := t.home(h)
 	for ; t.ids[i] != 0; i = t.next(i) {
-		if id := t.ids[i] - 1; t.hashes[id] == h && bytes.Equal(t.keys[id], key) {
+		if id := t.ids[i] - 1; t.hashes[id] == h && bytes.Equal(t.Key(id), key) {
 			return id, i
 		}
 	}
 	return -1, i
 }
 
-// Keys returns the keys by number; they are the table's, not the caller's.
-func (t *ByteKeyTable) Keys() [][]byte { return t.keys }
+// Key returns the key numbered id. The bytes are the table's, not the
+// caller's, and stay as they are after the table grows.
+func (t *ByteKeyTable) Key(id int32) []byte {
+	s := t.keys[id]
+	return t.arena[s.off:s.end:s.end]
+}
+
+// Len returns how many keys the table holds.
+func (t *ByteKeyTable) Len() int { return len(t.keys) }
+
+// Cap returns how many keys the table holds before it next grows, which a
+// vector by key number kept in step with it can size from.
+func (t *ByteKeyTable) Cap() int { return cap(t.keys) }
+
+// Order returns the key numbers arranged so that the keys ascend bytewise
+// (KeyOrder's order).
+func (t *ByteKeyTable) Order() []int32 { return KeyOrder(len(t.keys), t.Key) }

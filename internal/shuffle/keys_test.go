@@ -57,30 +57,64 @@ func checkAgainstMap[K comparable](t testing.TB, name string, stream []K, id fun
 	}
 }
 
+// checkByteTable runs stream through a fresh ByteKeyTable and a Go map,
+// as checkAgainstMap does, and checks the table's own view of what it
+// holds: Len, Key and Find by number, and Order against sort.Strings. Each
+// key is read back as it is added, and every one read must still hold its
+// bytes at the end, however often the arena grew in between.
+func checkByteTable(t testing.TB, name string, stream []string) {
+	t.Helper()
+	var b ByteKeyTable
+	var read [][]byte // by id, as read just after the key was added
+	checkAgainstMap(t, name, stream, func(k string) (int32, bool) {
+		id, added := b.ID([]byte(k))
+		if added {
+			read = append(read, b.Key(id))
+		}
+		return id, added
+	}, func() []string {
+		out := make([]string, b.Len())
+		for id := range out {
+			out[id] = string(b.Key(int32(id)))
+		}
+		return out
+	})
+	want := make([]string, 0, b.Len())
+	for id, k := range read {
+		if string(b.Key(int32(id))) != string(k) {
+			t.Fatalf("%s: key %d read as %q when added, %q now", name, id, k, b.Key(int32(id)))
+		}
+		if got, ok := b.Find(k); !ok || got != int32(id) {
+			t.Fatalf("%s: Find(%q) = %d, %t; want %d", name, k, got, ok, id)
+		}
+		want = append(want, string(k))
+	}
+	if _, ok := b.Find([]byte("absent: longer than any key")); ok {
+		t.Fatalf("%s: Find reports a key that was never added", name)
+	}
+	sort.Strings(want)
+	order := b.Order()
+	if len(order) != len(want) {
+		t.Fatalf("%s: Order has %d ids, want %d", name, len(order), len(want))
+	}
+	for j, id := range order {
+		if string(b.Key(id)) != want[j] {
+			t.Fatalf("%s: Order position %d holds %q, want %q", name, j, b.Key(id), want[j])
+		}
+	}
+}
+
 // TestKeyTableMatchesMap: both faces of the table number keys exactly as a
 // Go map does, whatever the seed: every table here draws its own, a
 // constant hash puts every key in one probe chain, and a nil hash takes
-// the map fallback. Ids never depend on the hash.
+// the map fallback. Ids never depend on the hash. The byte face also
+// reads every key back, by number and in order, across the growth of its
+// slots and of its arena.
 func TestKeyTableMatchesMap(t *testing.T) {
 	gen := rng.New(1)
 	for _, n := range []int{1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 1023, 1024, 1025} { // growth boundaries
 		strs := keyStream(gen, n)
-		var b ByteKeyTable
-		checkAgainstMap(t, fmt.Sprintf("bytes, %d keys", n), strs, func(k string) (int32, bool) { return b.ID([]byte(k)) }, func() []string {
-			var out []string
-			for _, k := range b.Keys() {
-				out = append(out, string(k))
-			}
-			return out
-		})
-		for id, k := range b.Keys() {
-			if got, ok := b.Find(k); !ok || got != int32(id) {
-				t.Fatalf("Find(%q) = %d, %t; want %d", k, got, ok, id)
-			}
-		}
-		if _, ok := b.Find([]byte("absent: longer than any key")); ok {
-			t.Fatal("Find reports a key that was never added")
-		}
+		checkByteTable(t, fmt.Sprintf("bytes, %d keys", n), strs)
 		for name, hash := range map[string]func(string) uint64{
 			"seeded":    KeyHash[string](),
 			"one chain": func(string) uint64 { return 0 },
@@ -101,6 +135,23 @@ func TestKeyTableMatchesMap(t *testing.T) {
 	bytes8 := []uint8{0, 255, 1, 0, 7, 255, 128}
 	tab8 := NewKeyTable(KeyHash[uint8]())
 	checkAgainstMap(t, "uint8", bytes8, tab8.ID, tab8.Keys)
+
+	// The arena starts at 256 bytes and doubles: distinct keys of one
+	// length that fill it exactly (all 256 one-byte keys), fall short of
+	// or run past each boundary up to 4 KiB, and keys longer than the
+	// arena it would double to.
+	for _, size := range []int{1, 7, 8, 9, 255, 256, 257, 600} {
+		var stream []string
+		for i := 0; len(stream)*size <= 4096 && (size > 1 || i < 256); i++ {
+			k := make([]byte, size) // i big-endian in its last bytes
+			for j, v := size-1, i; j >= 0 && v > 0; j, v = j-1, v>>8 {
+				k[j] = byte(v)
+			}
+			stream = append(stream, string(k))
+		}
+		stream = append(stream, stream...) // every key again: hits read the arena the keys ended in
+		checkByteTable(t, fmt.Sprintf("%d-byte keys", size), stream)
+	}
 }
 
 // TestKeyTableHitDoesNotAllocate: looking up a key already in the table
@@ -131,7 +182,8 @@ func TestKeyTableHitDoesNotAllocate(t *testing.T) {
 }
 
 // FuzzKeyTable: keys cut from the fuzz bytes number alike through both
-// faces and a Go map.
+// faces and a Go map, and the byte face reads them back by number and in
+// sort.Strings' order.
 func FuzzKeyTable(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x03abc\x03abc\x00\x00\x01a\x03abc"))
@@ -143,14 +195,7 @@ func FuzzKeyTable(f *testing.F) {
 			stream = append(stream, string(data[1:1+n]))
 			data = data[1+n:]
 		}
-		var b ByteKeyTable
-		checkAgainstMap(t, "bytes", stream, func(k string) (int32, bool) { return b.ID([]byte(k)) }, func() []string {
-			var out []string
-			for _, k := range b.Keys() {
-				out = append(out, string(k))
-			}
-			return out
-		})
+		checkByteTable(t, "bytes", stream)
 		tab := NewKeyTable(func(s string) uint64 { return uint64(len(s)) << 60 }) // long shared chains
 		checkAgainstMap(t, "strings", stream, tab.ID, tab.Keys)
 	})
@@ -180,12 +225,12 @@ func FuzzKeyOrder(f *testing.F) {
 		}
 		want := slices.Clone(strs)
 		sort.Strings(want)
-		for j, i := range KeyOrder(keys) {
+		for j, i := range KeyOrder(len(keys), func(i int32) []byte { return keys[i] }) {
 			if string(keys[i]) != want[j] {
 				t.Fatalf("[]byte keys: position %d holds %q, want %q", j, keys[i], want[j])
 			}
 		}
-		for j, i := range KeyOrder(strs) {
+		for j, i := range KeyOrder(len(strs), func(i int32) string { return strs[i] }) {
 			if strs[i] != want[j] {
 				t.Fatalf("string keys: position %d holds %q, want %q", j, strs[i], want[j])
 			}

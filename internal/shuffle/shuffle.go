@@ -377,25 +377,27 @@ func keyPrefix[K ~string | ~[]byte](key K) uint64 {
 	return binary.BigEndian.Uint64(b[:])
 }
 
-// KeyOrder returns 0..len(keys)-1 arranged so that the keys ascend
-// bytewise, the order sort.Strings gives their string forms. Short keys
-// are radix sorted; otherwise, like the sort writer, it compares cached
-// 8-byte prefixes and reads a key only on a tie.
-func KeyOrder[K ~string | ~[]byte](keys []K) []int32 {
-	if len(keys) >= radixMin {
-		if order, ok := radixOrder(keys); ok {
+// KeyOrder returns 0..n-1 arranged so that the keys ascend bytewise, the
+// order sort.Strings gives their string forms; key(i) gives key i, the
+// same bytes on every call. Short keys are radix sorted; otherwise, like
+// the sort writer, it compares cached 8-byte prefixes and reads a key only
+// on a tie.
+func KeyOrder[K ~string | ~[]byte](n int, key func(i int32) K) []int32 {
+	if n >= radixMin {
+		if order, ok := radixOrder(n, key); ok {
 			return order
 		}
 	}
-	prefix, order := make([]uint64, len(keys)), make([]int32, len(keys))
-	for i, key := range keys {
-		prefix[i], order[i] = keyPrefix(key), int32(i)
+	prefix, order := make([]uint64, n), make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+		prefix[i] = keyPrefix(key(order[i]))
 	}
 	slices.SortFunc(order, func(a, b int32) int {
 		if c := cmp.Compare(prefix[a], prefix[b]); c != 0 {
 			return c
 		}
-		switch ka, kb := keys[a], keys[b]; { // no copy: the conversions only feed comparisons
+		switch ka, kb := key(a), key(b); { // no copy: the conversions only feed comparisons
 		case string(ka) < string(kb):
 			return -1
 		case string(ka) > string(kb):
@@ -414,23 +416,24 @@ const radixMin = 64
 // longer. Such a key orders as its zero-padded 8 bytes, then its length
 // ("a" before "a\x00"), so a stable LSD sort by length and then by byte 7
 // down to byte 0 orders them, skipping every digit all keys share.
-func radixOrder[K ~string | ~[]byte](keys []K) ([]int32, bool) {
+func radixOrder[K ~string | ~[]byte](n int, key func(i int32) K) ([]int32, bool) {
 	var counts [9][256]int32 // by digit, as digit numbers them
-	for _, key := range keys {
-		if len(key) > 8 {
+	for i := range int32(n) {
+		k := key(i)
+		if len(k) > 8 {
 			return nil, false
 		}
 		for d := range counts {
-			counts[d][digit(key, d)]++
+			counts[d][digit(k, d)]++
 		}
 	}
-	order, spare := make([]int32, len(keys)), make([]int32, len(keys))
+	order, spare := make([]int32, n), make([]int32, n)
 	for i := range order {
 		order[i] = int32(i)
 	}
 	for d := 8; d >= 0; d-- {
 		c := &counts[d]
-		if slices.Contains(c[:], int32(len(keys))) {
+		if slices.Contains(c[:], int32(n)) {
 			continue
 		}
 		var at int32
@@ -438,7 +441,7 @@ func radixOrder[K ~string | ~[]byte](keys []K) ([]int32, bool) {
 			c[v], at = at, at+n
 		}
 		for _, i := range order {
-			v := digit(keys[i], d)
+			v := digit(key(i), d)
 			spare[c[v]] = i
 			c[v]++
 		}

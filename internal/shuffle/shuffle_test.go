@@ -646,20 +646,22 @@ func TestKeyOrder(t *testing.T) {
 		}
 		want := slices.Clone(strs)
 		sort.Strings(want)
-		for j, i := range KeyOrder(keys) {
+		byteKey := func(i int32) []byte { return keys[i] }
+		strKey := func(i int32) string { return strs[i] }
+		for j, i := range KeyOrder(len(keys), byteKey) {
 			if string(keys[i]) != want[j] {
 				t.Fatalf("%s []byte keys: position %d holds %q, want %q", name, j, keys[i], want[j])
 			}
 		}
-		for j, i := range KeyOrder(strs) {
+		for j, i := range KeyOrder(len(strs), strKey) {
 			if strs[i] != want[j] {
 				t.Fatalf("%s string keys: position %d holds %q, want %q", name, j, strs[i], want[j])
 			}
 		}
-		if n := testing.AllocsPerRun(5, func() { KeyOrder(keys) }); n > 2 {
+		if n := testing.AllocsPerRun(5, func() { KeyOrder(len(keys), byteKey) }); n > 2 {
 			t.Errorf("KeyOrder over %s []byte keys: %v allocations, want 2", name, n)
 		}
-		if n := testing.AllocsPerRun(5, func() { KeyOrder(strs) }); n > 2 {
+		if n := testing.AllocsPerRun(5, func() { KeyOrder(len(strs), strKey) }); n > 2 {
 			t.Errorf("KeyOrder over %s string keys: %v allocations, want 2", name, n)
 		}
 	}

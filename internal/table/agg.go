@@ -1,9 +1,11 @@
 package table
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/serde"
@@ -107,6 +109,9 @@ type aggPlan struct {
 	spec   Agg
 	colIdx int  // -1 for Count
 	typ    Type // column type (Int64 for Count)
+	// Where its state fields sit in a group's stretch of an aggTable's
+	// vectors (newAggLayout).
+	n, v, seen int
 }
 
 // Agg executes the grouped aggregation in three steps: each map task
@@ -150,16 +155,15 @@ func (g *Grouped) Agg(parts int, aggs ...Agg) (*Table, error) {
 		outCols = append(outCols, Col{Name: a.Name(), Type: a.OutType(p.typ)})
 		plans[i] = p
 	}
-	outSchema := Schema{Cols: outCols}
+	outSchema, layout := Schema{Cols: outCols}, newAggLayout(plans)
 
 	// fold pre-aggregates the rows each yields as (l, r) pairs and counts
 	// them. A left row's pairs come one after another, so when every key is
 	// a left column they share one group lookup.
 	fold := func(left, right []Vector, each func(yield func(l, r int32))) (*aggTable, int) {
-		tab, rows, leftKeys := &aggTable{plans: plans}, 0, !slices.ContainsFunc(keyIdx, func(j int) bool { return j >= len(left) })
+		tab, rows, leftKeys := &aggTable{aggLayout: layout}, 0, !slices.ContainsFunc(keyIdx, func(j int) bool { return j >= len(left) })
 		var key []byte
-		var slots []aggSlot
-		cl, cr := -1, 0
+		grp, cl, cr := 0, -1, 0
 		col := func(j int) (*Vector, int) { // input column j's vector and the row's index in it
 			switch {
 			case j < 0: // Count's
@@ -178,11 +182,11 @@ func (g *Grouped) Agg(parts int, aggs ...Agg) (*Table, error) {
 					v, i := col(j)
 					key = appendSortableKey(key, schema.Cols[j].Type, v, i, false)
 				}
-				slots = tab.group(key)
+				grp = tab.group(key)
 			}
 			for k := range plans {
 				v, i := col(plans[k].colIdx)
-				plans[k].fold(&slots[k], v, i)
+				tab.fold(k, grp, v, i)
 			}
 		})
 		return tab, rows
@@ -217,9 +221,9 @@ func (g *Grouped) Agg(parts int, aggs ...Agg) (*Table, error) {
 		Partitions: parts,
 		Emit:       func(row core.Row, w shuffle.Writer) error { return partial(row).emit(w) },
 		Post: func(_ *core.TaskContext, recs shuffle.Records) []core.Row {
-			tab := &aggTable{plans: plans}
+			tab := &aggTable{aggLayout: layout}
 			for r := 0; r < recs.Len(); r++ { // arrival order: float sums depend on it
-				if err := mergeEncoded(plans, tab.group(recs.Key(r)), recs.Value(r)); err != nil {
+				if err := tab.mergeEncoded(tab.group(recs.Key(r)), recs.Value(r)); err != nil {
 					panic(fmt.Sprintf("table: agg state decode: %v", err))
 				}
 			}
@@ -229,162 +233,235 @@ func (g *Grouped) Agg(parts int, aggs ...Agg) (*Table, error) {
 	return &Table{eng: t.eng, plan: plan, schema: outSchema}, nil
 }
 
-// aggSlot is one (group, spec) partial aggregate. Which fields a spec uses
-// follows from its operator and column type.
-type aggSlot struct {
-	i int64   // Sum/Min/Max over Int64
-	f float64 // Sum/Min/Max over Float64; Avg's sum
-	n int64   // Count; Avg's row count; Min/Max: 0 until a value is present
-	s string  // Min/Max over String
-}
-
 // negZero is the additive identity that keeps a sum of only -0.0 at -0.0,
 // as folding the values into each other without a starting zero would.
 var negZero = math.Copysign(0, -1)
 
-// aggTable folds rows or encoded partial states into typed per-group
-// slots: one hash lookup per input and no allocation unless the group is
-// new. Groups are numbered in order of first appearance.
-type aggTable struct {
-	plans []aggPlan
-	index shuffle.ByteKeyTable // composite key -> group number
-	slots []aggSlot            // group g owns slots[g*len(plans):][:len(plans)]
+// aggLayout is the resolved aggregate list and the number of state fields
+// a group holds in each of an aggTable's typed vectors.
+type aggLayout struct {
+	plans                        []aggPlan
+	nInts, nFloats, nSeen, nStrs int
 }
 
-// group returns the slots of key's group, adding the group if it is new.
-func (t *aggTable) group(key []byte) []aggSlot {
-	n := len(t.plans)
-	g, added := t.index.ID(key)
-	if added {
-		for range t.plans {
-			t.slots = append(t.slots, aggSlot{f: negZero})
-		}
-	}
-	return t.slots[int(g)*n:][:n]
-}
-
-// fold folds value i of the aggregated column v (nil for Count) into dst:
-// the state of the single-row group {i} merged in.
-func (p *aggPlan) fold(dst *aggSlot, v *Vector, i int) {
-	src := aggSlot{n: 1}
-	switch {
-	case p.spec.Op == Count:
-	case p.typ == Int64:
-		src.i = v.Ints[i]
-		if p.spec.Op == Avg {
-			src.f = float64(src.i)
-		}
-	case p.typ == Float64:
-		src.f = v.Floats[i]
-	default:
-		src.s = v.Strings[i]
-	}
-	p.merge(dst, src)
-}
-
-// merge folds the partial state src into dst.
-func (p *aggPlan) merge(dst *aggSlot, src aggSlot) {
-	switch p.spec.Op {
-	case Count:
-		dst.n += src.n
-	case Sum:
-		dst.i += src.i
-		dst.f += src.f
-	case Avg:
-		dst.f += src.f
-		dst.n += src.n
-	case Min, Max:
-		if src.n == 0 {
-			return
-		}
-		if dst.n != 0 {
-			var less, greater bool
-			switch p.typ {
-			case Int64:
-				less, greater = src.i < dst.i, src.i > dst.i
-			case Float64: // the sort key's total order: NaN and the zeros have a place in it
-				so, do := serde.SortableFloat64Bits(src.f), serde.SortableFloat64Bits(dst.f)
-				less, greater = so < do, so > do
-			default:
-				less, greater = src.s < dst.s, src.s > dst.s
-			}
-			if (p.spec.Op == Min && !less) || (p.spec.Op == Max && !greater) {
-				return
-			}
-		}
-		*dst = src
-	}
-}
-
-// render appends the slot's output value to the aggregate's output column.
-func (p *aggPlan) render(v *Vector, s *aggSlot) {
-	switch {
-	case p.spec.Op == Count:
-		v.Ints = append(v.Ints, s.n)
-	case p.spec.Op == Avg && s.n == 0:
-		v.Floats = append(v.Floats, math.NaN())
-	case p.spec.Op == Avg:
-		v.Floats = append(v.Floats, s.f/float64(s.n))
-	case p.typ == Int64:
-		v.Ints = append(v.Ints, s.i)
-	case p.typ == Float64:
-		v.Floats = append(v.Floats, s.f)
-	default:
-		v.Strings = append(v.Strings, s.s)
-	}
-}
-
-// appendState serializes one group's slots, spec by spec: Count a varint;
-// Sum a varint (Int64) or the 8 fixed bytes of the float's bits; Avg the
-// sum's 8 bytes then the count varint; Min/Max a presence byte followed,
-// when 1, by the value as a varint, 8 fixed bytes, or varint length + bytes.
-func appendState(dst []byte, plans []aggPlan, slots []aggSlot) []byte {
-	for i, p := range plans {
-		s := &slots[i]
+// newAggLayout places each aggregate's state fields, and only those it
+// uses, in a group's stretch of the typed vectors (plan.n, .v, .seen):
+//
+//	Count                n in ints: the row count
+//	Sum                  v in ints or floats, by column type
+//	Avg                  v in floats (the sum), n in ints (the row count)
+//	Min, Max             v in ints, floats or strs, by column type; seen
+func newAggLayout(plans []aggPlan) *aggLayout {
+	l := &aggLayout{plans: plans}
+	next := func(n *int) int { *n++; return *n - 1 }
+	for k := range plans {
+		p := &plans[k]
 		switch p.spec.Op {
 		case Count:
-			dst = serde.AppendInt64(dst, s.n)
-		case Sum:
-			dst = appendScalar(dst, p.typ, s)
+			p.n = next(&l.nInts)
 		case Avg:
-			dst = serde.AppendUint64(dst, math.Float64bits(s.f))
-			dst = serde.AppendInt64(dst, s.n)
+			p.v, p.n = next(&l.nFloats), next(&l.nInts)
+		default:
+			switch p.typ {
+			case Int64:
+				p.v = next(&l.nInts)
+			case Float64:
+				p.v = next(&l.nFloats)
+			default:
+				p.v = next(&l.nStrs)
+			}
+			if p.spec.Op != Sum {
+				p.seen = next(&l.nSeen)
+			}
+		}
+	}
+	return l
+}
+
+// aggTable folds rows or encoded partial states into per-group states held
+// group after group in typed vectors, each grown in step with the key
+// table: one hash lookup per input and no allocation unless the group is
+// new. Groups are numbered in order of first appearance. Only strs, for
+// Min and Max over strings, holds pointers.
+type aggTable struct {
+	*aggLayout
+	index  shuffle.ByteKeyTable // composite key -> group number
+	ints   []int64              // group g's fields: ints[g*nInts:][:nInts], and so on
+	floats []float64
+	seen   []bool // Min, Max: a value is present
+	strs   []string
+}
+
+// Field i of group g in each vector.
+func (t *aggTable) int64At(g, i int) *int64     { return &t.ints[g*t.nInts+i] }
+func (t *aggTable) float64At(g, i int) *float64 { return &t.floats[g*t.nFloats+i] }
+func (t *aggTable) seenAt(g, i int) *bool       { return &t.seen[g*t.nSeen+i] }
+func (t *aggTable) stringAt(g, i int) *string   { return &t.strs[g*t.nStrs+i] }
+
+// group returns key's group number, adding the group if it is new.
+func (t *aggTable) group(key []byte) int {
+	g, added := t.index.ID(key)
+	if added {
+		room := t.index.Cap()
+		t.ints = extend(t.ints, t.nInts, 0, room)
+		t.floats = extend(t.floats, t.nFloats, negZero, room)
+		t.seen = extend(t.seen, t.nSeen, false, room)
+		t.strs = extend(t.strs, t.nStrs, "", room)
+	}
+	return int(g)
+}
+
+// extend appends width copies of x to v, one more group's fields; when v
+// is full it first grows to room groups.
+func extend[T any](v []T, width int, x T, room int) []T {
+	if len(v)+width > cap(v) {
+		v = slices.Grow(v, room*width-len(v))
+	}
+	for range width {
+		v = append(v, x)
+	}
+	return v
+}
+
+// fold folds value i of the aggregated column v (nil for Count) into group
+// g's state of aggregate k: the state of the single-row group {i} merged in.
+func (t *aggTable) fold(k, g int, v *Vector, i int) {
+	p := &t.plans[k]
+	switch {
+	case p.spec.Op == Count:
+		*t.int64At(g, p.n)++
+	case p.spec.Op == Avg:
+		var x float64
+		if p.typ == Int64 {
+			x = float64(v.Ints[i])
+		} else {
+			x = v.Floats[i]
+		}
+		*t.float64At(g, p.v) += x
+		*t.int64At(g, p.n)++
+	case p.typ == Int64:
+		t.mergeInt(p, g, v.Ints[i])
+	case p.typ == Float64:
+		t.mergeFloat(p, g, v.Floats[i])
+	default:
+		if x, s := v.Strings[i], t.stringAt(g, p.v); t.wins(p, g, strings.Compare(x, *s)) {
+			*s = x
+		}
+	}
+}
+
+// mergeInt folds x into p's Sum, Min or Max over Int64 in group g.
+func (t *aggTable) mergeInt(p *aggPlan, g int, x int64) {
+	if s := t.int64At(g, p.v); p.spec.Op == Sum {
+		*s += x
+	} else if t.wins(p, g, cmp.Compare(x, *s)) {
+		*s = x
+	}
+}
+
+// mergeFloat folds x into p's Sum, Min or Max over Float64 in group g.
+// Min and Max use the sort key's total order: NaN and the zeros have a
+// place in it.
+func (t *aggTable) mergeFloat(p *aggPlan, g int, x float64) {
+	if s := t.float64At(g, p.v); p.spec.Op == Sum {
+		*s += x
+	} else if t.wins(p, g, cmp.Compare(serde.SortableFloat64Bits(x), serde.SortableFloat64Bits(*s))) {
+		*s = x
+	}
+}
+
+// wins reports whether a value that compares c with the value of p's Min
+// or Max in group g (c < 0: less) takes its place, as it does when no
+// value is present yet. Either way a value is present afterwards.
+func (t *aggTable) wins(p *aggPlan, g int, c int) bool {
+	if seen := t.seenAt(g, p.seen); !*seen {
+		*seen = true
+		return true
+	}
+	return (p.spec.Op == Min && c < 0) || (p.spec.Op == Max && c > 0)
+}
+
+// render appends group g's value of aggregate k to the output column v.
+func (t *aggTable) render(k, g int, v *Vector) {
+	p := &t.plans[k]
+	switch {
+	case p.spec.Op == Count:
+		v.Ints = append(v.Ints, *t.int64At(g, p.n))
+	case p.spec.Op == Avg:
+		if n := *t.int64At(g, p.n); n == 0 {
+			v.Floats = append(v.Floats, math.NaN())
+		} else {
+			v.Floats = append(v.Floats, *t.float64At(g, p.v)/float64(n))
+		}
+	case p.typ == Int64:
+		v.Ints = append(v.Ints, *t.int64At(g, p.v))
+	case p.typ == Float64:
+		v.Floats = append(v.Floats, *t.float64At(g, p.v))
+	default:
+		v.Strings = append(v.Strings, *t.stringAt(g, p.v))
+	}
+}
+
+// appendState serializes group g's state, aggregate by aggregate: Count a
+// varint; Sum a varint (Int64) or the 8 fixed bytes of the float's bits;
+// Avg the sum's 8 bytes then the count varint; Min/Max a presence byte
+// followed, when 1, by the value as a varint, 8 fixed bytes, or varint
+// length + bytes.
+func (t *aggTable) appendState(dst []byte, g int) []byte {
+	for k := range t.plans {
+		p := &t.plans[k]
+		switch p.spec.Op {
+		case Count:
+			dst = serde.AppendInt64(dst, *t.int64At(g, p.n))
+		case Avg:
+			dst = serde.AppendUint64(dst, math.Float64bits(*t.float64At(g, p.v)))
+			dst = serde.AppendInt64(dst, *t.int64At(g, p.n))
 		case Min, Max:
-			if s.n == 0 {
+			if !*t.seenAt(g, p.seen) {
 				dst = append(dst, 0)
 				continue
 			}
-			dst = appendScalar(append(dst, 1), p.typ, s)
+			dst = t.appendValue(append(dst, 1), p, g)
+		default:
+			dst = t.appendValue(dst, p, g)
 		}
 	}
 	return dst
 }
 
-func appendScalar(dst []byte, typ Type, s *aggSlot) []byte {
-	switch typ {
+// appendValue appends p's value in group g: a Sum, Min or Max.
+func (t *aggTable) appendValue(dst []byte, p *aggPlan, g int) []byte {
+	switch p.typ {
 	case Int64:
-		return serde.AppendInt64(dst, s.i)
+		return serde.AppendInt64(dst, *t.int64At(g, p.v))
 	case Float64:
-		return serde.AppendUint64(dst, math.Float64bits(s.f))
+		return serde.AppendUint64(dst, math.Float64bits(*t.float64At(g, p.v)))
 	default:
-		return append(serde.AppendInt64(dst, int64(len(s.s))), s.s...)
+		s := *t.stringAt(g, p.v)
+		return append(serde.AppendInt64(dst, int64(len(s))), s...)
 	}
 }
 
-// mergeEncoded folds one appendState encoding into slots.
-func mergeEncoded(plans []aggPlan, slots []aggSlot, b []byte) error {
-	for i := range plans {
-		p := &plans[i]
-		var src aggSlot
+// mergeEncoded folds one appendState encoding into group g. On an error
+// the group may hold part of the encoding.
+func (t *aggTable) mergeEncoded(g int, b []byte) error {
+	for k := range t.plans {
+		p := &t.plans[k]
 		var err error
 		switch p.spec.Op {
 		case Count:
-			src.n, b, err = readInt(b)
-		case Sum:
-			b, err = readScalar(b, p.typ, &src)
+			var n int64
+			if n, b, err = readInt(b); err == nil {
+				*t.int64At(g, p.n) += n
+			}
 		case Avg:
-			if src.f, b, err = readFloat(b); err == nil {
-				src.n, b, err = readInt(b)
+			var sum float64
+			var n int64
+			if sum, b, err = readFloat(b); err == nil {
+				if n, b, err = readInt(b); err == nil {
+					*t.float64At(g, p.v) += sum
+					*t.int64At(g, p.n) += n
+				}
 			}
 		case Min, Max:
 			if len(b) == 0 {
@@ -392,30 +469,52 @@ func mergeEncoded(plans []aggPlan, slots []aggSlot, b []byte) error {
 			}
 			present := b[0]
 			if b = b[1:]; present != 0 {
-				src.n = 1
-				b, err = readScalar(b, p.typ, &src)
+				b, err = t.mergeValue(p, g, b)
 			}
+		default:
+			b, err = t.mergeValue(p, g, b)
 		}
 		if err != nil {
 			return err
 		}
-		p.merge(&slots[i], src)
 	}
 	return nil
 }
 
-func readScalar(b []byte, typ Type, s *aggSlot) (rest []byte, err error) {
-	switch typ {
+// mergeValue reads one appendValue encoding from b and folds it into p's
+// Sum, Min or Max in group g. A string is copied only when it wins.
+func (t *aggTable) mergeValue(p *aggPlan, g int, b []byte) (rest []byte, err error) {
+	switch p.typ {
 	case Int64:
-		s.i, rest, err = readInt(b)
+		var x int64
+		if x, rest, err = readInt(b); err == nil {
+			t.mergeInt(p, g, x)
+		}
 	case Float64:
-		s.f, rest, err = readFloat(b)
+		var x float64
+		if x, rest, err = readFloat(b); err == nil {
+			t.mergeFloat(p, g, x)
+		}
 	default:
-		var str []byte
-		str, rest, err = readBytes(b)
-		s.s = string(str)
+		var x []byte
+		if x, rest, err = readBytes(b); err == nil {
+			if s := t.stringAt(g, p.v); t.wins(p, g, compareBytes(x, *s)) {
+				*s = string(x)
+			}
+		}
 	}
 	return rest, err
+}
+
+// compareBytes is strings.Compare(string(b), s) without copying b.
+func compareBytes(b []byte, s string) int {
+	switch {
+	case string(b) < s:
+		return -1
+	case string(b) > s:
+		return 1
+	}
+	return 0
 }
 
 // emit writes one shuffle record per group — composite key, encoded state
@@ -423,27 +522,27 @@ func readScalar(b []byte, typ Type, s *aggSlot) (rest []byte, err error) {
 // its groups in. Nothing folds into t once emit is called, so its
 // callbacks encode a group alike until the writer is closed.
 func (t *aggTable) emit(w shuffle.Writer) error {
-	keys, n := t.index.Keys(), len(t.plans)
-	order := shuffle.KeyOrder(keys)
+	order := t.index.Order()
 	return shuffle.WriteRecords(w, len(order),
-		func(dst []byte, i int) []byte { return append(dst, keys[order[i]]...) },
-		func(dst []byte, i int) []byte { return appendState(dst, t.plans, t.slots[int(order[i])*n:][:n]) })
+		func(dst []byte, i int) []byte { return append(dst, t.index.Key(order[i])...) },
+		func(dst []byte, i int) []byte { return t.appendState(dst, int(order[i])) })
 }
 
 // batch renders one output row per group, in order of first appearance:
-// the key columns decoded from the composite key, then each spec's value.
+// the key columns decoded from the composite key, then each aggregate's
+// value.
 func (t *aggTable) batch(out Schema, nKeys int) *Batch {
-	n, keys := len(t.plans), t.index.Keys()
-	b := newBatch(out, len(keys))
-	for g, key := range keys {
-		if err := decodeCompositeKey(b.Cols[:nKeys], out, key); err != nil {
+	n := t.index.Len()
+	b := newBatch(out, n)
+	for g := range n {
+		if err := decodeCompositeKey(b.Cols[:nKeys], out, t.index.Key(int32(g))); err != nil {
 			panic(fmt.Sprintf("table: group key decode: %v", err))
 		}
-		for i := range t.plans {
-			t.plans[i].render(&b.Cols[nKeys+i], &t.slots[g*n+i])
+		for k := range t.plans {
+			t.render(k, g, &b.Cols[nKeys+k])
 		}
 	}
-	b.n = len(keys)
+	b.n = n
 	return b
 }
 

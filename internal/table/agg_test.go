@@ -169,9 +169,9 @@ func TestGroupedAggMatchesNaiveFold(t *testing.T) {
 
 func TestAvgOfNothingIsNaN(t *testing.T) {
 	plans := []aggPlan{{spec: Agg{Op: Avg, Col: "vf"}, colIdx: 4, typ: Float64}}
-	tab := &aggTable{plans: plans}
+	tab := &aggTable{aggLayout: newAggLayout(plans)}
 	var out Vector
-	if plans[0].render(&out, &tab.group(nil)[0]); !math.IsNaN(out.Floats[0]) {
+	if tab.render(0, tab.group(nil), &out); !math.IsNaN(out.Floats[0]) {
 		t.Fatalf("avg over zero rows = %v, want NaN", out.Floats[0])
 	}
 }
@@ -312,18 +312,19 @@ func FuzzAggMerge(f *testing.F) {
 		}
 		plans = append(plans, p)
 	}
+	layout := newAggLayout(plans)
 	state := func(rows []Row) []byte {
-		tab, b := &aggTable{plans: plans}, batchFromRows(schema, rows, 0, 1)
+		tab, b := &aggTable{aggLayout: layout}, batchFromRows(schema, rows, 0, 1)
 		for r := range rows {
 			for i := range plans {
 				var v *Vector
 				if plans[i].colIdx >= 0 {
 					v = &b.Cols[plans[i].colIdx]
 				}
-				plans[i].fold(&tab.group(nil)[i], v, r)
+				tab.fold(i, tab.group(nil), v, r)
 			}
 		}
-		return appendState(nil, plans, tab.group(nil))
+		return tab.appendState(nil, tab.group(nil))
 	}
 	f.Add(state(aggTestRows(5, 1, 1)))
 	f.Add(state(nil))
@@ -332,11 +333,11 @@ func FuzzAggMerge(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		merged := func(b []byte) ([]byte, error) {
-			tab := &aggTable{plans: plans}
-			if err := mergeEncoded(plans, tab.group(nil), b); err != nil {
+			tab := &aggTable{aggLayout: layout}
+			if err := tab.mergeEncoded(tab.group(nil), b); err != nil {
 				return nil, err
 			}
-			return appendState(nil, plans, tab.group(nil)), nil
+			return tab.appendState(nil, tab.group(nil)), nil
 		}
 		enc, err := merged(b)
 		if err != nil {

@@ -52,7 +52,7 @@ func (t *Table) broadcastJoin(right *Table, leftCol, rightCol string, out joinOu
 			scratch = appendEqualityKey(scratch[:0], keyType, &b.Cols[ri], i)
 			g, added := build.index.ID(scratch)
 			if added {
-				build.lists.grow()
+				build.lists.grow(build.index.Cap())
 			}
 			build.lists.add(int(g))
 			scratch = b.appendRow(scratch[:0], right.schema, i)

@@ -11,6 +11,7 @@ package table
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/shuffle"
@@ -335,8 +336,12 @@ func joinCols(left, right Schema, leftCol, rightCol string) (li, ri int, err err
 // for none), next links a row to the following row of its group.
 type chains struct{ head, tail, next []int32 }
 
-// grow adds an empty group, numbered len(head).
-func (c *chains) grow() { c.head, c.tail = append(c.head, -1), append(c.tail, -1) }
+// grow adds an empty group, numbered len(head); when full, head and tail
+// first grow to room groups (the key table's Cap, so they double with it).
+func (c *chains) grow(room int) {
+	c.head = append(slices.Grow(c.head, room-len(c.head)), -1)
+	c.tail = append(slices.Grow(c.tail, room-len(c.tail)), -1)
+}
 
 // add appends the side's next row — rows are numbered in the order they
 // are added — to group g's list.
@@ -426,8 +431,8 @@ func (t *Table) hashJoin(right *Table, leftCol, rightCol string, parts int, out 
 			for r := 0; r < recs.Len(); r++ {
 				g, added := index.ID(recs.Key(r))
 				if added {
-					lrows.grow()
-					rrows.grow()
+					lrows.grow(index.Cap())
+					rrows.grow(index.Cap())
 				}
 				value := recs.Value(r)
 				side, schema, rows := rights, rightSchema, &rrows
@@ -440,11 +445,11 @@ func (t *Table) hashJoin(right *Table, leftCol, rightCol string, parts int, out 
 				}
 			}
 			total := 0
-			for g := range index.Keys() {
+			for g := range index.Len() {
 				total += lrows.size(g) * rrows.size(g)
 			}
 			return []core.Row{out(ctx, lefts, rights, total, func(yield func(l, r int32)) {
-				for g := range index.Keys() {
+				for g := range index.Len() {
 					for l := lrows.head[g]; l >= 0; l = lrows.next[l] {
 						for r := rrows.head[g]; r >= 0; r = rrows.next[r] {
 							yield(l, r)

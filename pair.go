@@ -75,18 +75,23 @@ func emitSource(row core.Row, w shuffle.Writer) error { return row.(recordSource
 // writeByKey writes n records in ascending key order — the order a map-side
 // combiner flushes in. key and value append record i's encodings to dst,
 // and must encode it alike until w is closed (see shuffle.WriteRecords):
-// the keys are encoded once, into an arena this call owns.
+// the keys are encoded once, end to end into an arena this call owns.
 func writeByKey(w shuffle.Writer, n int, key, value func(dst []byte, i int) []byte) error {
 	var arena []byte
-	keys := make([][]byte, n)
-	for i := range keys { // a key cut before arena grew stays in the old array, which nothing writes again
-		start := len(arena)
+	ends := make([]int, n) // key i is arena[ends[i-1]:ends[i]]
+	for i := range ends {
 		arena = key(arena, i)
-		keys[i] = arena[start:]
+		ends[i] = len(arena)
 	}
-	order := shuffle.KeyOrder(keys)
+	keyOf := func(i int32) []byte {
+		if i == 0 {
+			return arena[:ends[0]]
+		}
+		return arena[ends[i-1]:ends[i]]
+	}
+	order := shuffle.KeyOrder(n, keyOf)
 	return shuffle.WriteRecords(w, n,
-		func(dst []byte, j int) []byte { return append(dst, keys[order[j]]...) },
+		func(dst []byte, j int) []byte { return append(dst, keyOf(order[j])...) },
 		func(dst []byte, j int) []byte { return value(dst, int(order[j])) })
 }
 
@@ -121,16 +126,15 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Co
 		arena := serde.NewArena(0)        // what survives the merge is not known ahead
 		for r := 0; r < recs.Len(); r++ { // arrival order: float sums depend on it
 			v := vc.decodeIn(arena, recs.Value(r))
-			if i, added := index.ID(recs.Key(r)); added {
-				vals = append(vals, v)
+			if i, added := index.ID(recs.Key(r)); added { // vals grows as the keys do
+				vals = append(slices.Grow(vals, index.Cap()-len(vals)), v)
 			} else {
 				vals[i] = merge(vals[i], v)
 			}
 		}
 		out := make([]Pair[K, V], 0, len(vals))
-		keys := index.Keys()
-		for _, i := range shuffle.KeyOrder(keys) {
-			out = append(out, Pair[K, V]{Key: kc.decodeIn(arena, keys[i]), Value: vals[i]})
+		for _, i := range index.Order() {
+			out = append(out, Pair[K, V]{Key: kc.decodeIn(arena, index.Key(i)), Value: vals[i]})
 		}
 		return out
 	})
@@ -151,14 +155,13 @@ func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Cod
 		for r := 0; r < recs.Len(); r++ {
 			i, added := index.ID(recs.Key(r))
 			if added {
-				groups = append(groups, nil)
+				groups = append(slices.Grow(groups, index.Cap()-len(groups)), nil)
 			}
 			groups[i] = append(groups[i], vc.decodeIn(arena, recs.Value(r)))
 		}
 		out := make([]Pair[K, []V], 0, len(groups))
-		keys := index.Keys()
-		for _, i := range shuffle.KeyOrder(keys) {
-			out = append(out, Pair[K, []V]{Key: kc.decodeIn(arena, keys[i]), Value: groups[i]})
+		for _, i := range index.Order() {
+			out = append(out, Pair[K, []V]{Key: kc.decodeIn(arena, index.Key(i)), Value: groups[i]})
 		}
 		return out
 	})
@@ -205,7 +208,7 @@ func Join[K comparable, V, W any](a *Dataset[Pair[K, V]], b *Dataset[Pair[K, W]]
 		for r := 0; r < recs.Len(); r++ {
 			i, added := index.ID(recs.Key(r))
 			if added {
-				groups = append(groups, sides{})
+				groups = append(slices.Grow(groups, index.Cap()-len(groups)), sides{})
 			}
 			if value := recs.Value(r); value[0] == leftTag {
 				groups[i].lefts = append(groups[i].lefts, value[1:])
@@ -215,9 +218,8 @@ func Join[K comparable, V, W any](a *Dataset[Pair[K, V]], b *Dataset[Pair[K, W]]
 		}
 		var out []Pair[K, Joined[V, W]]
 		arena := serde.NewArena(0) // every match decodes again: nothing to size it from
-		keys := index.Keys()
-		for _, i := range shuffle.KeyOrder(keys) {
-			key := kc.decodeIn(arena, keys[i])
+		for _, i := range index.Order() {
+			key := kc.decodeIn(arena, index.Key(i))
 			for _, l := range groups[i].lefts {
 				for _, r := range groups[i].rights {
 					out = append(out, Pair[K, Joined[V, W]]{

@@ -115,6 +115,14 @@ go test -count=20 -run 'TestBlocksHoldNoSpareRoom|TestBlockWriteByteCeiling|Test
 go test -count=20 -run 'WireIdentity|TestShuffleOutputOrderPinned' .
 go test -race -count=3 ./internal/shuffle ./internal/compress
 go test -count=1 -run 'AllocCeiling|AllocBudget' ./internal/table
+# Group tables keep each key as a span of one arena and each aggregate's
+# state in typed vectors: the bytes a grouping allocates per group, the key
+# table against a Go map and sort.Strings across its arena's growth, and
+# both packages under the race detector (join probes read one table from
+# many goroutines).
+go test -count=20 -run 'TestAggTableByteCeiling' ./internal/table
+go test -count=20 -run 'TestKeyTableMatchesMap|FuzzKeyTable|TestKeyOrder' ./internal/shuffle
+go test -race -count=3 ./internal/shuffle ./internal/table
 # ORDER BY … LIMIT runs as one top-k: the star suite's results, counters
 # and EXPLAIN, TopK against OrderByCols then Head, and the one-partition
 # sort that runs no sampling job, repeated; partitions pick their
