@@ -23,22 +23,83 @@ type Dataset[T any] struct {
 func (d *Dataset[T]) Context() *Context { return d.ctx }
 
 // Plan exposes the underlying logical plan. Its partitions hold at most
-// one row each, the partition's []T batch (see batchOf), so engine-level
-// row operations (core.Engine.Count, Checkpoint) see batches, not
-// elements: use the Dataset methods for those.
+// one row each: the partition's []T batch, or within a task a stream
+// (elems). A job's results are batches, since result tasks settle
+// streams, so engine-level row operations (core.Engine.Count, Checkpoint)
+// see batches, not elements: use the Dataset methods for those.
 func (d *Dataset[T]) Plan() *core.Plan { return d.plan }
 
 // Partitions returns the dataset's partition count.
 func (d *Dataset[T]) Partitions() int { return d.plan.Partitions() }
 
-// batchOf returns a partition's elements. Every plan of the typed layer
-// has zero or one row per partition, and that row is the partition's whole
-// []T batch: elements are never boxed one by one. A batch is read-only to
+// Every plan of the typed layer has zero or one row per partition, and
+// that row is the whole partition: elements are never boxed one by one.
+// The row is a batch ([]T) or a stream (elems[T]). A batch is read-only to
 // everyone once handed on — it may be the user's own slice or a cached
 // partition — so operators build fresh outputs and actions return copies.
+
+// elems is a stream: the partition an element-wise step (Map, Filter,
+// FlatMap) hands on instead of a batch. each runs the chain of steps fused
+// since the nearest real batch over that batch, passing each element to
+// yield in order. Each call runs every user function of the chain again,
+// so a consumer reads a stream at most once per task computation; one that
+// must index or re-read the elements builds a batch (batchOf).
+type elems[T any] interface {
+	each(yield func(T))
+	size() int // how many elements each yields, or -1 past a Filter or FlatMap
+}
+
+// fused is the stream of one step over a partition, rows: chain turns the
+// step's consumer into what takes rows' elements one at a time.
+type fused[T, U any] struct {
+	rows  []core.Row
+	chain func(yield func(U)) func(T)
+	n     int
+}
+
+func (s *fused[T, U]) each(yield func(U)) { eachOf(s.rows, s.chain(yield)) }
+func (s *fused[T, U]) size() int          { return s.n }
+
+// Settle builds the stream's batch: what a result task hands the driver
+// and what the engine caches, not the chain (see core.Lazy).
+func (s *fused[T, U]) Settle() core.Row { return batchOf[U]([]core.Row{s}) }
+
+// eachOf passes a partition's elements to yield in order, reading a
+// stream once.
+func eachOf[T any](rows []core.Row, yield func(T)) {
+	for _, row := range rows {
+		if s, ok := row.(elems[T]); ok {
+			s.each(yield)
+			continue
+		}
+		for _, t := range row.([]T) {
+			yield(t)
+		}
+	}
+}
+
+// lenOf is how many elements a partition holds, or -1 for a stream that
+// knows only once it has run.
+func lenOf[T any](rows []core.Row) int {
+	if len(rows) == 0 {
+		return 0
+	}
+	if s, ok := rows[0].(elems[T]); ok {
+		return s.size()
+	}
+	return len(rows[0].([]T))
+}
+
+// batchOf returns a partition's elements as a slice: the batch itself, or
+// one built from the stream for a consumer that needs a slice.
 func batchOf[T any](rows []core.Row) []T {
 	if len(rows) == 0 {
 		return nil
+	}
+	if s, ok := rows[0].(elems[T]); ok {
+		out := make([]T, 0, max(s.size(), 0))
+		s.each(func(t T) { out = append(out, t) })
+		return out
 	}
 	return rows[0].([]T)
 }
@@ -75,38 +136,48 @@ func SourceFunc[T any](c *Context, parts int, fn func(part int) []T) *Dataset[T]
 	return sourceOf(c, parts, func(_ *core.TaskContext, part int) []T { return fn(part) }, nil)
 }
 
+// step adds an element-wise step over d. chain turns the step's consumer,
+// yield, into what takes d's elements one at a time; onePerElement says
+// the step yields exactly one element for each it takes (Map). The step's
+// partition is a stream over d's: chained steps and the consumer after
+// them run as one loop over the nearest real batch, and no batch is built
+// between.
+func step[T, U any](d *Dataset[T], onePerElement bool, chain func(yield func(U)) func(T)) *Dataset[U] {
+	return &Dataset[U]{ctx: d.ctx, plan: d.ctx.engine.NewNarrow(d.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
+		n := -1
+		if onePerElement {
+			n = lenOf[T](rows)
+		}
+		return []core.Row{&fused[T, U]{rows: rows, chain: chain, n: n}}
+	})}
+}
+
 // Map applies f to every element.
 func Map[T, U any](d *Dataset[T], f func(T) U) *Dataset[U] {
-	return MapPartitions(d, func(_ int, in []T) []U {
-		out := make([]U, len(in))
-		for i, t := range in {
-			out[i] = f(t)
-		}
-		return out
+	return step(d, true, func(yield func(U)) func(T) {
+		return func(t T) { yield(f(t)) }
 	})
 }
 
 // FlatMap applies f and flattens the results.
 func FlatMap[T, U any](d *Dataset[T], f func(T) []U) *Dataset[U] {
-	return MapPartitions(d, func(_ int, in []T) []U {
-		var out []U
-		for _, t := range in {
-			out = append(out, f(t)...)
+	return step(d, false, func(yield func(U)) func(T) {
+		return func(t T) {
+			for _, u := range f(t) {
+				yield(u)
+			}
 		}
-		return out
 	})
 }
 
 // Filter keeps elements where f is true.
 func (d *Dataset[T]) Filter(f func(T) bool) *Dataset[T] {
-	return MapPartitions(d, func(_ int, in []T) []T {
-		var out []T
-		for _, t := range in {
+	return step(d, false, func(yield func(T)) func(T) {
+		return func(t T) {
 			if f(t) {
-				out = append(out, t)
+				yield(t)
 			}
 		}
-		return out
 	})
 }
 
@@ -120,8 +191,9 @@ func MapPartitions[T, U any](d *Dataset[T], f func(part int, rows []T) []U) *Dat
 	})}
 }
 
-// narrowOf adds a narrow step over d's batches; fn returns the step's rows
-// (one batch, or the recordSource a shuffle is about to drain).
+// narrowOf adds a narrow step over d's batches, built from a stream where
+// d hands one on; fn returns the step's rows (one batch, or the
+// recordSource a shuffle is about to drain).
 func narrowOf[T any](d *Dataset[T], fn func(ctx *core.TaskContext, in []T) []core.Row) *core.Plan {
 	return d.ctx.engine.NewNarrow(d.plan, func(ctx *core.TaskContext, rows []core.Row) []core.Row {
 		return fn(ctx, batchOf[T](rows))
@@ -138,7 +210,8 @@ func Union[T any](a *Dataset[T], more ...*Dataset[T]) *Dataset[T] {
 }
 
 // Cache memoizes computed partitions in memory for reuse across jobs. The
-// cached slices are what later jobs' operators read, never copies.
+// cached slices are what later jobs' operators read, never copies; a
+// stream is cached as the batch it yields, so no later job runs its chain.
 func (d *Dataset[T]) Cache() *Dataset[T] {
 	d.plan.Cache()
 	return d
@@ -204,16 +277,17 @@ func (d *Dataset[T]) Reduce(f func(T, T) T) (T, error) {
 	var zero T
 	// Per-partition partial reduce runs in parallel; the driver folds the
 	// partials.
-	partials := MapPartitions(d, func(_ int, rows []T) []T {
-		if len(rows) == 0 {
-			return nil
-		}
-		acc := rows[0]
-		for _, r := range rows[1:] {
-			acc = f(acc, r)
-		}
-		return []T{acc}
-	})
+	partials := &Dataset[T]{ctx: d.ctx, plan: d.ctx.engine.NewNarrow(d.plan, func(_ *core.TaskContext, rows []core.Row) []core.Row {
+		var acc []T // the partition's partial, once it has one
+		eachOf(rows, func(t T) {
+			if len(acc) == 0 {
+				acc = append(acc, t)
+			} else {
+				acc[0] = f(acc[0], t)
+			}
+		})
+		return []core.Row{acc}
+	})}
 	vals, err := partials.Collect()
 	if err != nil {
 		return zero, err
@@ -263,21 +337,21 @@ func (d *Dataset[T]) Checkpoint(path string, codec Codec[T]) error {
 // It is an action.
 func SaveAsTextFile(d *Dataset[string], prefix string) error {
 	fs := d.ctx.fs
-	sink := narrowOf(d, func(ctx *core.TaskContext, lines []string) []core.Row {
+	sink := d.ctx.engine.NewNarrow(d.plan, func(ctx *core.TaskContext, rows []core.Row) []core.Row {
 		path := fmt.Sprintf("%s/part-%05d", prefix, ctx.Partition)
 		_ = fs.Delete(path) // idempotence under task retry
 		w, err := fs.CreateWith(path, 0, ctx.Node)
 		if err != nil {
 			panic(fmt.Sprintf("hpbdc: SaveAsTextFile: %v", err))
 		}
-		for _, line := range lines {
+		eachOf(rows, func(line string) {
 			if _, err := io.WriteString(w, line); err != nil {
 				panic(err)
 			}
 			if _, err := w.Write([]byte{'\n'}); err != nil {
 				panic(err)
 			}
-		}
+		})
 		if err := w.Close(); err != nil {
 			panic(err)
 		}

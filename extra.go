@@ -20,9 +20,7 @@ func Distinct[T comparable](d *Dataset[T], codec Codec[T], parts int) *Dataset[T
 	hash := shuffle.KeyHash[T]()
 	emit := func(row core.Row, w shuffle.Writer) error {
 		seen := shuffle.NewKeyTable(hash)
-		for _, t := range row.([]T) {
-			seen.ID(t)
-		}
+		eachOf([]core.Row{row}, func(t T) { seen.ID(t) })
 		unique := seen.Keys()
 		return writeByKey(w, len(unique),
 			func(dst []byte, i int) []byte { return codec.Append(dst, unique[i]) },

@@ -243,16 +243,16 @@ var kinds = map[Kind]kind{
 		return nil
 	}, func(e Event) string { return nodeString(e.Node) + " " + e.Delay.String() }},
 		fire: func(_ *Controller, t Targets, e Event) error {
-			if t.Compute != nil {
-				_ = t.Compute.SetSlowdown(e.Node, e.Delay)
+			if t.Compute == nil {
+				return nil
 			}
-			return nil
+			return t.Compute.SetSlowdown(e.Node, e.Delay)
 		}},
 	Unslow: {form: nodeForm, undoes: Slow, fire: func(_ *Controller, t Targets, e Event) error {
-		if t.Compute != nil {
-			_ = t.Compute.SetSlowdown(e.Node, 0)
+		if t.Compute == nil {
+			return nil
 		}
-		return nil
+		return t.Compute.SetSlowdown(e.Node, 0)
 	}},
 	Flaky: {form: withValue(nodeForm, "probability", probability), fire: func(_ *Controller, t Targets, e Event) error {
 		if t.Engine != nil {
@@ -279,16 +279,16 @@ var kinds = map[Kind]kind{
 		return nil
 	}},
 	StreamCrash: {form: workerForm, track: "stream-worker-", fire: func(_ *Controller, t Targets, e Event) error {
-		if t.Stream != nil {
-			_ = t.Stream.CrashWorker(int(e.Node))
+		if t.Stream == nil {
+			return nil
 		}
-		return nil
+		return t.Stream.CrashWorker(int(e.Node))
 	}},
 	StreamRestore: {form: workerForm, undoes: StreamCrash, track: "stream-worker-", fire: func(_ *Controller, t Targets, e Event) error {
-		if t.Stream != nil {
-			_ = t.Stream.RestoreWorker(int(e.Node))
+		if t.Stream == nil {
+			return nil
 		}
-		return nil
+		return t.Stream.RestoreWorker(int(e.Node))
 	}},
 	NNCrash: {form: memberForm, track: "ha", fire: func(_ *Controller, t Targets, e Event) error {
 		if t.Namenode != nil {

@@ -5,13 +5,15 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/topology"
 )
 
 // refusingTargets records calls like pinCalls, but its fabric refuses
-// every partition and its storage every corruption.
+// every partition, its storage every corruption, its compute every
+// slowdown and its stream every worker crash and restore.
 type refusingTargets struct{ *pinCalls }
 
 var errRefused = errors.New("refused by the fake target")
@@ -26,8 +28,24 @@ func (f refusingTargets) CorruptBlock(n topology.NodeID) error {
 	return errRefused
 }
 
-// TestTargetRefusalsCounted: a partition the fabric refuses and a
-// corruption the storage refuses are counted refused, not applied, and
+func (f refusingTargets) SetSlowdown(n topology.NodeID, d time.Duration) error {
+	f.rec("compute.SetSlowdown", n, d)
+	return errRefused
+}
+
+func (f refusingTargets) CrashWorker(id int) error {
+	f.rec("stream.CrashWorker", id)
+	return errRefused
+}
+
+func (f refusingTargets) RestoreWorker(id int) error {
+	f.rec("stream.RestoreWorker", id)
+	return errRefused
+}
+
+// TestTargetRefusalsCounted: a partition the fabric refuses, a corruption
+// the storage refuses, a slowdown the compute target refuses and a worker
+// crash or restore the stream refuses are counted refused, not applied, and
 // Controller.Err keeps the first refusal; a refused partition never
 // reaches Raft, so the fabric and the consensus layer cannot disagree.
 func TestTargetRefusalsCounted(t *testing.T) {
@@ -38,6 +56,10 @@ func TestTargetRefusalsCounted(t *testing.T) {
 	}{
 		{Partition, "1 partition 0,1|2,3", []string{"network.SetPartition [[0 1] [2 3]]"}},
 		{CorruptBlock, "1 corrupt-block 4", []string{"storage.CorruptBlock 4"}},
+		{Slow, "1 slow 3 5ms", []string{"compute.SetSlowdown 3 5ms"}},
+		{Unslow, "1 unslow 3", []string{"compute.SetSlowdown 3 0s"}},
+		{StreamCrash, "1 stream-crash 2", []string{"stream.CrashWorker 2"}},
+		{StreamRestore, "1 stream-restore 2", []string{"stream.RestoreWorker 2"}},
 	} {
 		sched, err := Parse(tc.text)
 		if err != nil {
@@ -45,7 +67,8 @@ func TestTargetRefusalsCounted(t *testing.T) {
 		}
 		f := &pinCalls{}
 		targets := pinTargets(f)
-		targets.Network, targets.Storage = refusingTargets{f}, refusingTargets{f}
+		refusing := refusingTargets{f}
+		targets.Network, targets.Storage, targets.Compute, targets.Stream = refusing, refusing, refusing, refusing
 		reg := metrics.NewRegistry()
 		c := New(sched, 1, targets, reg)
 		c.AdvanceTo(2)

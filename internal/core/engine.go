@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -567,7 +568,8 @@ func (e *Engine) newWriter(dep *ShuffleDep) (shuffle.Writer, error) {
 	return shuffle.NewHashWriter(cfg)
 }
 
-// runResult executes the final stage, returning partition rows.
+// runResult executes the final stage, returning partition rows, Lazy ones
+// settled.
 func (e *Engine) runResult(ctx context.Context, p *Plan) ([][]Row, error) {
 	out := make([][]Row, p.parts)
 	parts := make([]int, p.parts)
@@ -575,7 +577,11 @@ func (e *Engine) runResult(ctx context.Context, p *Plan) ([][]Row, error) {
 		parts[i] = i
 	}
 	_, err := e.runTasks(ctx, fmt.Sprintf("result s%d", p.id), parts, e.prefsOf(p), func(tc *TaskContext) (any, error) {
-		return e.computePartition(p, tc)
+		rows, err := e.computePartition(p, tc)
+		if err != nil {
+			return nil, err
+		}
+		return settle(rows), nil // a lazy row's user code runs in the task
 	}, func(part int, _ topology.NodeID, effect any) {
 		out[part] = effect.([]Row)
 	})
@@ -1041,8 +1047,7 @@ func (e *Engine) computePartition(p *Plan, ctx *TaskContext) ([]Row, error) {
 			return nil, err
 		}
 	}
-	e.storeCache(p, ctx.Partition, rows)
-	return rows, nil
+	return e.storeCache(p, ctx.Partition, rows), nil
 }
 
 func (e *Engine) cachedPartition(p *Plan, part int) ([]Row, bool) {
@@ -1058,10 +1063,16 @@ func (e *Engine) cachedPartition(p *Plan, part int) ([]Row, bool) {
 	return parts[part], true
 }
 
-func (e *Engine) storeCache(p *Plan, part int, rows []Row) {
+// storeCache retains a cached plan's partition, lazy rows settled first,
+// and returns the rows the task reads on: the retained ones.
+func (e *Engine) storeCache(p *Plan, part int, rows []Row) []Row {
 	if !p.cache {
-		return
+		return rows
 	}
+	if rows == nil {
+		rows = []Row{} // distinguish "cached empty" from "not cached"
+	}
+	rows = settle(rows)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	parts, ok := e.caches[p.id]
@@ -1069,10 +1080,24 @@ func (e *Engine) storeCache(p *Plan, part int, rows []Row) {
 		parts = make([][]Row, p.parts)
 		e.caches[p.id] = parts
 	}
-	if rows == nil {
-		rows = []Row{} // distinguish "cached empty" from "not cached"
-	}
 	parts[part] = rows
+	return rows
+}
+
+// settle returns rows with each Lazy row replaced by what it yields. It
+// copies rows before the first replacement: rows may be a slice another
+// plan holds.
+func settle(rows []Row) []Row {
+	cloned := false
+	for i, row := range rows {
+		if l, ok := row.(Lazy); ok {
+			if !cloned {
+				rows, cloned = slices.Clone(rows), true
+			}
+			rows[i] = l.Settle()
+		}
+	}
+	return rows
 }
 
 // readShuffle fetches and decodes one reduce partition of shuffled plan p.

@@ -25,12 +25,13 @@ import (
 )
 
 // Reference computes every output partition of p sequentially. The
-// result has p.Partitions() entries, aligned with CollectPartitions.
+// result has p.Partitions() entries, aligned with CollectPartitions, and
+// holds no Lazy row, as Run's does not.
 func Reference(p *Plan) [][]Row {
 	e := &refEval{shuffles: map[int][]shuffle.Records{}}
 	out := make([][]Row, p.parts)
 	for i := 0; i < p.parts; i++ {
-		out[i] = e.partition(p, i)
+		out[i] = settle(e.partition(p, i))
 	}
 	return out
 }

@@ -19,6 +19,16 @@ import (
 // public hpbdc package layers generics on top.
 type Row = any
 
+// Lazy is a row that computes its contents when read, such as the typed
+// layer's stream of a partition through its element-wise steps. The engine
+// settles a lazy row before caching it, so a cached partition holds what
+// the row yields, not a computation every later job would run again, and
+// a result task settles its rows, so the row's code runs in the task —
+// retried on a panic like any other — and a job returns no Lazy row.
+type Lazy interface {
+	Settle() Row
+}
+
 // TaskContext is passed to user compute closures.
 type TaskContext struct {
 	// Node is where the task is running.
@@ -157,7 +167,8 @@ func (e *Engine) NewShuffled(parent *Plan, dep ShuffleDep) *Plan {
 }
 
 // Cache marks the plan's partitions for in-memory memoization: the first
-// computation of each partition is retained and reused by later jobs.
+// computation of each partition is retained, Lazy rows settled, and reused
+// by later jobs.
 func (p *Plan) Cache() *Plan {
 	p.cache = true
 	return p

@@ -3,6 +3,7 @@ package ha
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -51,8 +52,15 @@ func TestCountBombsRejectedBeforeAllocating(t *testing.T) {
 			return len(name)
 		}},
 	} {
+		// The least of five calls: TotalAlloc is process-wide, so another
+		// goroutine's allocations may land in any one of them, while a
+		// decoder that sizes the bomb allocates it on every call.
 		var n int
-		if got := allocated(func() { n = tc.decode() }); got >= 4<<10 || n != 0 {
+		got := uint64(math.MaxUint64)
+		for range 5 {
+			got = min(got, allocated(func() { n = tc.decode() }))
+		}
+		if got >= 4<<10 || n != 0 {
 			t.Errorf("%s: decoded %d elements, allocated %d bytes", tc.name, n, got)
 		}
 	}

@@ -43,8 +43,8 @@ func Values[K comparable, V any](d *Dataset[Pair[K, V]]) *Dataset[V] {
 }
 
 // shuffleOf adds a shuffle boundary over parent. emit writes the records of
-// one parent row — a partition's whole batch — and post turns one reduce
-// partition's records into its batch.
+// one parent row — a partition's whole batch or stream — and post turns
+// one reduce partition's records into its batch.
 func shuffleOf[U any](c *Context, parent *core.Plan, dep core.ShuffleDep, emit func(row core.Row, w shuffle.Writer) error, post func(recs shuffle.Records) []U) *Dataset[U] {
 	dep.Emit = emit
 	dep.Post = func(_ *core.TaskContext, recs shuffle.Records) []core.Row { return []core.Row{post(recs)} }
@@ -60,9 +60,12 @@ func writePairs[K comparable, V any](w shuffle.Writer, in []Pair[K, V], kc Codec
 		func(dst []byte, i int) []byte { return vc.Append(dst, in[i].Value) })
 }
 
-// emitPairs is the emit of a shuffle whose parent's batches are pairs.
+// emitPairs is the emit of a shuffle whose parent's partitions are pairs.
+// A stream is built into a batch: WriteRecords re-reads values by index.
 func emitPairs[K comparable, V any](kc Codec[K], vc Codec[V]) func(core.Row, shuffle.Writer) error {
-	return func(row core.Row, w shuffle.Writer) error { return writePairs(w, row.([]Pair[K, V]), kc, vc) }
+	return func(row core.Row, w shuffle.Writer) error {
+		return writePairs(w, batchOf[Pair[K, V]]([]core.Row{row}), kc, vc)
+	}
 }
 
 // recordSource is a row that writes its own records: what a narrow step
@@ -97,8 +100,9 @@ func writeByKey(w shuffle.Writer, n int, key, value func(dst []byte, i int) []by
 
 // ReduceByKey shuffles pairs into `parts` partitions and merges values
 // with equal keys using `merge` (associative and commutative). Each map
-// task folds its partition in K/V space first and encodes one record per
-// distinct key, so highly repetitive keys move once.
+// task folds its partition in K/V space first, reading a stream as its
+// steps produce it, and encodes one record per distinct key, so highly
+// repetitive keys move once.
 func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Codec[V], parts int, merge func(V, V) V) *Dataset[Pair[K, V]] {
 	if parts <= 0 {
 		parts = d.Partitions()
@@ -108,13 +112,13 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Co
 	emit := func(row core.Row, w shuffle.Writer) error {
 		index := shuffle.NewKeyTable(hash)
 		var vals []V // one per distinct key, merged in arrival order
-		for _, p := range row.([]Pair[K, V]) {
+		eachOf([]core.Row{row}, func(p Pair[K, V]) {
 			if i, added := index.ID(p.Key); added { // vals grows as the keys do
 				vals = append(slices.Grow(vals, cap(index.Keys())-len(vals)), p.Value)
 			} else {
 				vals[i] = merge(vals[i], p.Value)
 			}
-		}
+		})
 		keys := index.Keys()
 		return writeByKey(w, len(vals),
 			func(dst []byte, i int) []byte { return kc.Append(dst, keys[i]) },
@@ -248,17 +252,13 @@ func BroadcastJoin[K comparable, V, W any](large *Dataset[Pair[K, V]], small *Da
 		index[p.Key] = append(index[p.Key], p.Value)
 	}
 	handle := large.ctx.engine.Broadcast(index, smallBytes)
-	joined := FlatMap(large, func(p Pair[K, V]) []Pair[K, Joined[V, W]] {
+	joined := step(large, false, func(yield func(Pair[K, Joined[V, W]])) func(Pair[K, V]) {
 		m := handle.Value().(map[K][]W)
-		matches := m[p.Key]
-		out := make([]Pair[K, Joined[V, W]], 0, len(matches))
-		for _, w := range matches {
-			out = append(out, Pair[K, Joined[V, W]]{
-				Key:   p.Key,
-				Value: Joined[V, W]{Left: p.Value, Right: w},
-			})
+		return func(p Pair[K, V]) {
+			for _, w := range m[p.Key] {
+				yield(Pair[K, Joined[V, W]]{Key: p.Key, Value: Joined[V, W]{Left: p.Value, Right: w}})
+			}
 		}
-		return out
 	})
 	return joined, nil
 }

@@ -4,7 +4,7 @@ import "repro/internal/core"
 
 // ReferenceCollect evaluates the dataset's plan with the sequential
 // single-node reference oracle (core.Reference) and returns all elements
-// in partition order, copied out of the plan's batches. It shares the job
+// in partition order, in a slice the caller owns. It shares the job
 // spec — the functions captured in the plan, the typed layer's own emit
 // and post functions (ReduceByKey's fold) included — with the
 // distributed engine but none of its execution machinery (stages, tasks,

@@ -131,6 +131,15 @@ go test -race -count=3 ./internal/shuffle ./internal/table
 go test -count=20 -run 'TestStarSuiteIdentity|TestStarExplainIdentity|TestTopK|TestOrderByOnePartition|TestPlanShapesPinned|TestJoinNamesStayUnique' ./internal/query ./internal/table
 go test -race -count=3 -run TestTopK ./internal/table
 go test -count=1 -run 'AllocBudget|TestNoPerElementAllocations' .
+# Map, Filter and FlatMap hand their consumer a stream, not a batch: every
+# user function once per element per task computation, whoever reads the
+# chain; Cache and Checkpoint after a consumer was derived; every operator,
+# fused chains included, against the oracle and a plain loop; the bytes a
+# Map -> ReduceByKey job may allocate (no -race: it changes what escapes);
+# a panic in a job's last step fails its task. Then the root package under
+# the race detector, where result tasks settle streams into batches.
+go test -count=20 -run 'TestUserFunctionsRunOncePerElement|TestCacheAndCheckpointAfterConsumerDerived|TestOperatorsMatchReferenceAndPlainLoop|TestMapReduceByKeyByteCeiling|TestStepPanicFailsItsTask' .
+go test -race -count=3 .
 
 echo "== histogram quantiles under concurrent writers (count=200) =="
 go test -count=200 -run 'TestQuantileMonotonic' ./internal/metrics/

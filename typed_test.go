@@ -175,6 +175,17 @@ func TestOperatorsMatchReferenceAndPlainLoop(t *testing.T) {
 				return out
 			})
 			checkExact(t, "Filter", d.Filter(odd), filtered)
+			// Three steps fused into one stream over d's batch.
+			checkExact(t, "Map-Filter-FlatMap", FlatMap(Map(d, triple).Filter(even), split),
+				perPart(in, func(_ int, xs []int64) []int64 {
+					var out []int64
+					for _, x := range xs {
+						if y := triple(x); even(y) {
+							out = append(out, split(y)...)
+						}
+					}
+					return out
+				}))
 			sizes := func(part int, xs []int64) []int { return []int{part, len(xs)} }
 			checkExact(t, "MapPartitions", MapPartitions(d, sizes), perPart(in, sizes))
 			checkExact(t, "Sample", d.Sample(0.4, 11), perPart(in, func(part int, xs []int64) []int64 {
