@@ -23,8 +23,9 @@ type Codec[T any] struct {
 	// without it pays Encode's allocation for every encoding.
 	Append func(dst []byte, v T) []byte
 	// decodeIn, set by codecs whose values can share memory, is Decode
-	// with the result cut from arena instead of allocated.
-	decodeIn func(arena *serde.Arena, b []byte) T
+	// with the result made of b's bytes instead of a copy of them. A shuffle
+	// calls it only on bytes nothing writes again (serde.Frozen).
+	decodeIn func(b []byte) T
 }
 
 // forShuffle fills in what a shuffle calls and the codec left out, so the
@@ -34,23 +35,25 @@ func (c Codec[T]) forShuffle() Codec[T] {
 		c.Append = func(dst []byte, v T) []byte { return append(dst, c.Encode(v)...) }
 	}
 	if c.decodeIn == nil {
-		c.decodeIn = func(_ *serde.Arena, b []byte) T { return c.Decode(b) }
+		c.decodeIn = c.Decode
 	}
 	return c
 }
 
-// StringCodec encodes strings as raw bytes (order-preserving). The strings
-// a shuffle decodes are cut from one arena per reduce partition, so
-// keeping one of them keeps its whole partition's strings in memory; clone
-// a string that is to outlive its partition.
+// StringCodec encodes strings as raw bytes (order-preserving). A shuffle
+// decodes its strings in place, as the bytes of the reduce partition's
+// decompressed blocks or key table, which nothing writes again. Keeping
+// one keeps its whole block alive, neighbours and length prefixes
+// included; clone a string that is to outlive its partition.
 var StringCodec = Codec[string]{
 	Encode:   func(s string) []byte { return []byte(s) },
 	Decode:   func(b []byte) string { return string(b) },
 	Append:   func(dst []byte, s string) []byte { return append(dst, s...) },
-	decodeIn: (*serde.Arena).String,
+	decodeIn: serde.Frozen,
 }
 
-// BytesCodec passes byte slices through (order-preserving).
+// BytesCodec passes byte slices through (order-preserving). A shuffle
+// still copies what it decodes: the caller may write a []byte it is handed.
 var BytesCodec = Codec[[]byte]{
 	Encode: func(b []byte) []byte { return b },
 	Decode: func(b []byte) []byte { return append([]byte(nil), b...) },

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rng"
-	"repro/internal/serde"
 	"repro/internal/shuffle"
 )
 
@@ -29,10 +28,9 @@ func Distinct[T comparable](d *Dataset[T], codec Codec[T], parts int) *Dataset[T
 	return shuffleOf(d.ctx, d.plan, core.ShuffleDep{Partitions: parts}, emit, func(recs shuffle.Records) []T {
 		var seen shuffle.ByteKeyTable
 		var out []T
-		arena := serde.NewArena(recs.Bytes())
 		for r := 0; r < recs.Len(); r++ {
 			if _, added := seen.ID(recs.Key(r)); added {
-				out = append(out, codec.decodeIn(arena, recs.Key(r)))
+				out = append(out, codec.decodeIn(recs.Key(r)))
 			}
 		}
 		return out
@@ -81,9 +79,8 @@ func Repartition[T any](d *Dataset[T], codec Codec[T], parts int) *Dataset[T] {
 	})
 	return shuffleOf(d.ctx, indexed, core.ShuffleDep{Partitions: parts}, emitSource, func(recs shuffle.Records) []T {
 		out := make([]T, recs.Len())
-		arena := serde.NewArena(recs.Bytes())
 		for i := range out {
-			out[i] = codec.decodeIn(arena, recs.Value(i))
+			out[i] = codec.decodeIn(recs.Value(i))
 		}
 		return out
 	})

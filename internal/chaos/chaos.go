@@ -27,7 +27,8 @@ import (
 )
 
 // ComputeTarget is the executor-cluster surface chaos drives
-// (implemented by *cluster.Cluster).
+// (implemented by *cluster.Cluster). Kill and Revive refuse only an
+// unknown node: killing a dead node or reviving a live one is a no-op.
 type ComputeTarget interface {
 	Kill(topology.NodeID) error
 	Revive(topology.NodeID) error
@@ -101,7 +102,8 @@ type StreamTarget interface {
 // KVTarget is the quorum KV store surface (implemented by
 // *kvstore.Store): a crashed node stops serving reads and writes (its
 // share of the ring rides on hinted handoff) until recovery delivers
-// the hints held for it.
+// the hints held for it. FailNode and RecoverNode refuse only an unknown
+// node: failing a failed node or recovering a live one is not a refusal.
 type KVTarget interface {
 	FailNode(topology.NodeID) error
 	RecoverNode(topology.NodeID) error

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -117,9 +118,13 @@ func positive(v float64) bool    { return v > 0 }
 func positiveProbability(v float64) bool { return v > 0 && v <= 1 }
 
 var kinds = map[Kind]kind{
+	// Crash and revive reach every target, then return what compute and KV
+	// refused (an unknown node only). The DFS's refusals are not counted: a
+	// replicated namenode can fail a call for the group's state alone.
 	Crash: {form: nodeForm, fire: func(_ *Controller, t Targets, e Event) error {
+		var errs []error
 		if t.Compute != nil {
-			_ = t.Compute.Kill(e.Node)
+			errs = append(errs, t.Compute.Kill(e.Node))
 		}
 		if t.Storage != nil {
 			_ = t.Storage.KillNode(e.Node)
@@ -128,13 +133,14 @@ var kinds = map[Kind]kind{
 			t.Consensus.Crash(int(e.Node))
 		}
 		if t.KV != nil {
-			_ = t.KV.FailNode(e.Node)
+			errs = append(errs, t.KV.FailNode(e.Node))
 		}
-		return nil
+		return errors.Join(errs...)
 	}},
 	Revive: {form: nodeForm, undoes: Crash, fire: func(_ *Controller, t Targets, e Event) error {
+		var errs []error
 		if t.Compute != nil {
-			_ = t.Compute.Revive(e.Node)
+			errs = append(errs, t.Compute.Revive(e.Node))
 		}
 		if t.Storage != nil {
 			_ = t.Storage.ReviveNode(e.Node)
@@ -143,9 +149,9 @@ var kinds = map[Kind]kind{
 			t.Consensus.Restart(int(e.Node))
 		}
 		if t.KV != nil {
-			_ = t.KV.RecoverNode(e.Node)
+			errs = append(errs, t.KV.RecoverNode(e.Node))
 		}
-		return nil
+		return errors.Join(errs...)
 	}},
 	// A partition the fabric refuses is not applied to Raft either: the
 	// two layers never disagree about who reaches whom.

@@ -112,7 +112,8 @@ func (n *Node) TasksRun() int64 { return n.tasksRun.Load() }
 // Kill marks the node dead and advances its epoch: tasks currently running
 // there complete their computation but their results are discarded (the
 // future reports ErrNodeDead), exactly as a real executor loss would lose
-// task output.
+// task output. Killing a dead node changes nothing; only an unknown node
+// is an error.
 func (c *Cluster) Kill(id topology.NodeID) error {
 	n, err := c.Node(id)
 	if err != nil {
@@ -120,13 +121,17 @@ func (c *Cluster) Kill(id topology.NodeID) error {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if !n.alive {
+		return nil
+	}
 	n.alive = false
 	n.epoch++
 	c.Reg.Counter("nodes_killed").Inc()
 	return nil
 }
 
-// Revive brings a dead node back (fresh epoch, empty slots).
+// Revive brings a dead node back (fresh epoch, empty slots). Reviving a
+// live node changes nothing; only an unknown node is an error.
 func (c *Cluster) Revive(id topology.NodeID) error {
 	n, err := c.Node(id)
 	if err != nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -95,17 +96,27 @@ func E2Shuffle(p Params) *Table {
 
 // E3TeraSort runs weak-scaling TeraSort: fixed records per node, growing
 // node counts; reports wall time, simulated network time and efficiency.
+// Each row's output is checked: the partitions, concatenated, must be
+// globally sorted and hold exactly the pairs TeraGen generated.
 func E3TeraSort(p Params) *Table {
 	t := &Table{
 		ID:    "E3",
 		Title: "TeraSort weak scaling (fixed records per node)",
-		Note:  "sort-based shuffle, range partitioning from sampled splits",
-		Cols:  []string{"nodes", "records", "wall", "net(sim)", "rec/s", "efficiency"},
+		Note: "sort-based shuffle, range partitioning from sampled splits; single-host harness: " +
+			"per-record throughput staying flat as data and nodes grow is ideal weak scaling — the drop " +
+			"at high node counts is shuffle fan-in overhead (n^2 blocks); oracle: the partitions, " +
+			"concatenated, are sorted by key and hold TeraGen's (key, value) pairs as a multiset",
+		Cols: []string{"nodes", "records", "wall", "net(sim)", "rec/s", "rel-throughput", "oracle"},
 	}
-	t.Cols = []string{"nodes", "records", "wall", "net(sim)", "rec/s", "rel-throughput"}
-	t.Note += "; single-host harness: per-record throughput staying flat as data " +
-		"and nodes grow is ideal weak scaling — the drop at high node counts is " +
-		"shuffle fan-in overhead (n^2 blocks)"
+	type pair = hpbdc.Pair[string, string]
+	teraPairs := func(part, n int) []pair {
+		recs := workload.TeraGen(n, uint64(part)+100)
+		out := make([]pair, len(recs))
+		for i, r := range recs {
+			out[i] = pair{Key: string(r.Key), Value: string(r.Value)}
+		}
+		return out
+	}
 	perNode := pick(p.Scale, 4_000, 40_000)
 	var baseRate float64
 	for _, nodes := range []int{2, 4, 8, 16} {
@@ -120,14 +131,7 @@ func E3TeraSort(p Params) *Table {
 		})
 		records := perNode * nodes
 		parts := nodes * 2
-		gen := hpbdc.SourceFunc(ctx, parts, func(part int) []hpbdc.Pair[string, string] {
-			recs := workload.TeraGen(records/parts, uint64(part)+100)
-			out := make([]hpbdc.Pair[string, string], len(recs))
-			for i, r := range recs {
-				out[i] = hpbdc.Pair[string, string]{Key: string(r.Key), Value: string(r.Value)}
-			}
-			return out
-		})
+		gen := hpbdc.SourceFunc(ctx, parts, func(part int) []pair { return teraPairs(part, records/parts) })
 		start := time.Now()
 		sorted, err := hpbdc.SortByKey(gen, hpbdc.StringCodec, hpbdc.StringCodec, parts, 64)
 		if err != nil {
@@ -138,17 +142,18 @@ func E3TeraSort(p Params) *Table {
 			panic(err)
 		}
 		wall := time.Since(start)
-		n := 0
-		prev := ""
-		for _, part := range out {
-			for _, p := range part {
-				if p.Key < prev {
-					panic("E3: output not sorted")
-				}
-				prev = p.Key
-				n++
-			}
+		var got, want []pair
+		for part := range out {
+			got = append(got, out[part]...)
+			want = append(want, teraPairs(part, records/parts)...)
 		}
+		// TeraGen keys are 10 bytes, so key+value encodes a pair unambiguously.
+		diff := check.DiffMultiset(fmt.Sprintf("E3/%dnodes", nodes), got, want, func(p pair) string { return p.Key + p.Value })
+		if !slices.IsSortedFunc(got, func(a, b pair) int { return strings.Compare(a.Key, b.Key) }) {
+			diff.OK, diff.Details = false, append(diff.Details, "partitions, concatenated, not sorted by key")
+		}
+		t.recordCheck(diff)
+		n := len(got)
 		rate := float64(n) / wall.Seconds()
 		if baseRate == 0 {
 			baseRate = rate
@@ -161,6 +166,7 @@ func E3TeraSort(p Params) *Table {
 			ctx.Engine().NetTime().Round(time.Millisecond).String(),
 			fmt.Sprintf("%.0f", rate),
 			fmt.Sprintf("%.2f", eff),
+			verdictCell(diff),
 		)
 		if nodes == 8 {
 			// One representative report keeps the table readable.

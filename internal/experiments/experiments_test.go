@@ -82,17 +82,20 @@ func TestE3Shapes(t *testing.T) {
 	table := runAndCheck(t, E3TeraSort)
 	// Weak scaling, asserted on record counts rather than throughput:
 	// each row doubles the node count at fixed records per node, so the
-	// sorted output must double too (the experiment itself panics if the
-	// output is unsorted). Wall-clock relative throughput varies with
-	// host load and is reported, not asserted.
-	if len(table.Rows) != 4 {
-		t.Fatalf("rows = %d", len(table.Rows))
+	// sorted output must double too, and every row's oracle (sorted, and
+	// TeraGen's pairs) must hold. Wall-clock relative throughput varies
+	// with host load and is reported, not asserted.
+	if len(table.Rows) != 4 || len(table.Checks) != 4 {
+		t.Fatalf("rows = %d, checks = %d", len(table.Rows), len(table.Checks))
 	}
 	prev := 0.0
 	for i, row := range table.Rows {
 		n := parse(t, row[1])
 		if i > 0 && n != 2*prev {
 			t.Fatalf("row %d sorted %v records, want double the previous %v", i, n, prev)
+		}
+		if !table.Checks[i].OK || row[6] != "ok" {
+			t.Fatalf("row %d: %v", i, table.Checks[i])
 		}
 		prev = n
 	}

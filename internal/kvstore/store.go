@@ -309,6 +309,7 @@ func (s *Store) rtt(a, b topology.NodeID, bytes int64) time.Duration {
 }
 
 // FailNode marks a node down. Subsequent operations route around it.
+// Failing a failed node changes nothing; only an unknown node is an error.
 func (s *Store) FailNode(n topology.NodeID) error {
 	if int(n) < 0 || int(n) >= len(s.alive) {
 		return ErrUnknownNode
@@ -318,6 +319,8 @@ func (s *Store) FailNode(n topology.NodeID) error {
 }
 
 // RecoverNode revives a node and delivers any hints held for it.
+// Recovering a live node only delivers any hints still held for it; only
+// an unknown node is an error.
 func (s *Store) RecoverNode(n topology.NodeID) error {
 	if int(n) < 0 || int(n) >= len(s.alive) {
 		return ErrUnknownNode

@@ -11,7 +11,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"strings"
+	"unsafe"
 )
 
 // ErrCorrupt is returned when a stream fails structural validation.
@@ -150,32 +150,11 @@ func Next(buf []byte) (rec Record, rest []byte, err error) {
 	return Record{Key: body[:kl:kl], Value: body[kl:end:end]}, body[end:], nil
 }
 
-// Arena cuts decoded strings from shared append-only buffers, so a
-// partition's strings cost one allocation per buffer and none of their own.
-// A full buffer is left to the strings cut from it and a larger one started;
-// a string that is kept keeps the buffer it was cut from alive. The zero
-// Arena is ready to use.
-type Arena struct {
-	buf  strings.Builder
-	next int // least size of the next buffer
-}
-
-// NewArena returns an arena whose first buffer holds n bytes. It is
-// allocated when the first string is cut: an arena nothing cuts from costs
-// nothing.
-func NewArena(n int) *Arena { return &Arena{next: n} }
-
-// String returns a copy of b cut from the arena.
-func (a *Arena) String(b []byte) string {
-	if a.buf.Cap()-a.buf.Len() < len(b) {
-		n := max(len(b), a.next, 2*a.buf.Cap(), 1<<10)
-		a.buf, a.next = strings.Builder{}, 0
-		a.buf.Grow(n)
-	}
-	a.buf.Write(b)
-	all := a.buf.String()
-	return all[len(all)-len(b):]
-}
+// Frozen returns b's bytes as a string without copying them. The caller
+// promises that nothing writes those bytes again while the string, or one
+// cut from it, lives: Go assumes a string never changes. A kept string
+// keeps b's whole backing array alive.
+func Frozen(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // AppendUint64 appends v in little-endian fixed width.
 func AppendUint64(dst []byte, v uint64) []byte {

@@ -211,7 +211,8 @@ func (t *ByteKeyTable) find(key []byte, h uint64) (int32, int) {
 }
 
 // Key returns the key numbered id. The bytes are the table's, not the
-// caller's, and stay as they are after the table grows.
+// caller's, and the table never writes them again, after it grows too, so
+// they may become a string in place (serde.Frozen).
 func (t *ByteKeyTable) Key(id int32) []byte {
 	s := t.keys[id]
 	return t.arena[s.off:s.end:s.end]

@@ -783,18 +783,16 @@ type recordRef struct{ buf, off, klen, vlen uint32 }
 // the decompressed block buffers and an index into them, in reading order.
 // A view is read-only and belongs to whoever it was handed to: the engine
 // builds a fresh one for every read, retried and recomputed tasks
-// included, and never writes one. Key and Value return capacity-clipped
-// slices of the buffers; a kept slice keeps its block's buffer alive.
+// included, and never writes one, so its bytes may become strings in
+// place (serde.Frozen). Key and Value return capacity-clipped slices of
+// the buffers; a kept slice keeps its block's buffer alive.
 type Records struct {
-	bufs  [][]byte
-	refs  []recordRef
-	bytes int
+	bufs [][]byte
+	refs []recordRef
 }
 
-// Len returns the number of records, Bytes the size of their keys and
-// values together.
-func (r Records) Len() int   { return len(r.refs) }
-func (r Records) Bytes() int { return r.bytes }
+// Len returns the number of records.
+func (r Records) Len() int { return len(r.refs) }
 
 // Key returns record i's key.
 func (r Records) Key(i int) []byte { return r.key(r.refs[i]) }
@@ -818,7 +816,7 @@ func RecordsOf(recs []Record) Records {
 		out.refs = append(out.refs, recordRef{off: uint32(len(buf)), klen: uint32(len(rec.Key)), vlen: uint32(len(rec.Value))})
 		buf = append(append(buf, rec.Key...), rec.Value...)
 	}
-	out.bufs, out.bytes = [][]byte{buf}, len(buf)
+	out.bufs = [][]byte{buf}
 	return out
 }
 
@@ -856,7 +854,6 @@ func ReadRecords(codec compress.Codec, blocks []Block) (Records, error) {
 					return Records{}, err
 				}
 				out.refs = append(out.refs, ref)
-				out.bytes += int(ref.klen) + int(ref.vlen)
 				rest = tail
 			}
 		}
@@ -884,7 +881,6 @@ func ReadRecords(codec compress.Codec, blocks []Block) (Records, error) {
 		}
 		h := &heads[best]
 		out.refs = append(out.refs, h.ref)
-		out.bytes += int(h.ref.klen) + int(h.ref.vlen)
 		if err := h.next(best, out.bufs[best], h.rest); err != nil {
 			return Records{}, err
 		}

@@ -24,9 +24,8 @@ type Vector struct {
 // which share its vectors. Whoever needs other contents allocates new
 // vectors; nobody appends to or writes into one it was handed.
 type Batch struct {
-	n     int
-	Cols  []Vector
-	arena serde.Arena // backs the strings decodeRow appended
+	n    int
+	Cols []Vector
 }
 
 // Len returns the number of rows.
@@ -149,8 +148,10 @@ func (b *Batch) appendRow(dst []byte, s Schema, i int) []byte {
 	return dst
 }
 
-// decodeRow inverts appendRow, appending the row to b. A record that fails
-// part-way leaves b as it was: every vector keeps the batch's length.
+// decodeRow inverts appendRow, appending the row to b. Its strings are
+// rec's bytes, not copies (serde.Frozen): rec is a reduce side's view of
+// its records, which nothing writes again. A record that fails part-way
+// leaves b as it was: every vector keeps the batch's length.
 func (b *Batch) decodeRow(s Schema, rec []byte) error {
 	for k, c := range s.Cols {
 		v := &b.Cols[k]
@@ -167,7 +168,7 @@ func (b *Batch) decodeRow(s Schema, rec []byte) error {
 		default:
 			var x []byte
 			x, rec, err = readBytes(rec)
-			v.Strings = append(v.Strings, b.arena.String(x))
+			v.Strings = append(v.Strings, serde.Frozen(x))
 		}
 		if err != nil {
 			for j := 0; j <= k; j++ { // drop the half-appended row

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"repro/internal/core"
-	"repro/internal/serde"
 	"repro/internal/shuffle"
 )
 
@@ -127,9 +126,8 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Co
 	return shuffleOf(d.ctx, d.plan, core.ShuffleDep{Partitions: parts}, emit, func(recs shuffle.Records) []Pair[K, V] {
 		var index shuffle.ByteKeyTable
 		var vals []V
-		arena := serde.NewArena(0)        // what survives the merge is not known ahead
 		for r := 0; r < recs.Len(); r++ { // arrival order: float sums depend on it
-			v := vc.decodeIn(arena, recs.Value(r))
+			v := vc.decodeIn(recs.Value(r))
 			if i, added := index.ID(recs.Key(r)); added { // vals grows as the keys do
 				vals = append(slices.Grow(vals, index.Cap()-len(vals)), v)
 			} else {
@@ -138,7 +136,7 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Co
 		}
 		out := make([]Pair[K, V], 0, len(vals))
 		for _, i := range index.Order() {
-			out = append(out, Pair[K, V]{Key: kc.decodeIn(arena, index.Key(i)), Value: vals[i]})
+			out = append(out, Pair[K, V]{Key: kc.decodeIn(index.Key(i)), Value: vals[i]})
 		}
 		return out
 	})
@@ -155,17 +153,16 @@ func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Cod
 	return shuffleOf(d.ctx, d.plan, core.ShuffleDep{Partitions: parts}, emitPairs(kc, vc), func(recs shuffle.Records) []Pair[K, []V] {
 		var index shuffle.ByteKeyTable
 		var groups [][]V
-		arena := serde.NewArena(recs.Bytes())
 		for r := 0; r < recs.Len(); r++ {
 			i, added := index.ID(recs.Key(r))
 			if added {
 				groups = append(slices.Grow(groups, index.Cap()-len(groups)), nil)
 			}
-			groups[i] = append(groups[i], vc.decodeIn(arena, recs.Value(r)))
+			groups[i] = append(groups[i], vc.decodeIn(recs.Value(r)))
 		}
 		out := make([]Pair[K, []V], 0, len(groups))
 		for _, i := range index.Order() {
-			out = append(out, Pair[K, []V]{Key: kc.decodeIn(arena, index.Key(i)), Value: groups[i]})
+			out = append(out, Pair[K, []V]{Key: kc.decodeIn(index.Key(i)), Value: groups[i]})
 		}
 		return out
 	})
@@ -221,14 +218,13 @@ func Join[K comparable, V, W any](a *Dataset[Pair[K, V]], b *Dataset[Pair[K, W]]
 			}
 		}
 		var out []Pair[K, Joined[V, W]]
-		arena := serde.NewArena(0) // every match decodes again: nothing to size it from
 		for _, i := range index.Order() {
-			key := kc.decodeIn(arena, index.Key(i))
+			key := kc.decodeIn(index.Key(i))
 			for _, l := range groups[i].lefts {
 				for _, r := range groups[i].rights {
 					out = append(out, Pair[K, Joined[V, W]]{
 						Key:   key,
-						Value: Joined[V, W]{Left: vc.decodeIn(arena, l), Right: wc.decodeIn(arena, r)},
+						Value: Joined[V, W]{Left: vc.decodeIn(l), Right: wc.decodeIn(r)},
 					})
 				}
 			}
@@ -295,9 +291,8 @@ func SortByKey[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Code
 	dep := core.ShuffleDep{Partitions: rp.Partitions(), Partitioner: rp.Partition, Sorted: true}
 	return shuffleOf(d.ctx, d.plan, dep, emitPairs(kc, vc), func(recs shuffle.Records) []Pair[K, V] {
 		out := make([]Pair[K, V], recs.Len())
-		arena := serde.NewArena(recs.Bytes())
 		for i := range out {
-			out[i] = Pair[K, V]{Key: kc.decodeIn(arena, recs.Key(i)), Value: vc.decodeIn(arena, recs.Value(i))}
+			out[i] = Pair[K, V]{Key: kc.decodeIn(recs.Key(i)), Value: vc.decodeIn(recs.Value(i))}
 		}
 		return out
 	}), nil

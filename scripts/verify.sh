@@ -140,6 +140,23 @@ go test -count=1 -run 'AllocBudget|TestNoPerElementAllocations' .
 # the race detector, where result tasks settle streams into batches.
 go test -count=20 -run 'TestUserFunctionsRunOncePerElement|TestCacheAndCheckpointAfterConsumerDerived|TestOperatorsMatchReferenceAndPlainLoop|TestMapReduceByKeyByteCeiling|TestStepPanicFailsItsTask' .
 go test -race -count=3 .
+# A reduce side's strings are the bytes of its decompressed blocks, not
+# copies (serde.Frozen): strings kept from one job still read as their
+# input says after twenty more jobs, at every decode site and under both
+# codecs, with and without the race detector; and the sort's bytes per
+# record stay within the budget that cut earned.
+go test -count=20 -run 'TestInPlaceStringsStayPut' . ./internal/table
+go test -race -count=3 -run 'TestInPlaceStringsStayPut' . ./internal/table
+go test -count=20 -run 'TestSortByKeyAllocBudget' .
+# serde.Frozen is the module's one use of unsafe: no other non-test file
+# may import it.
+unsafe_users=$(find . \( -path ./.git -o -path ./.bench_build -o -path ./internal/serde \) -prune -o \
+    -name '*.go' ! -name '*_test.go' -print | xargs grep -l '"unsafe"' || true)
+if [ -n "$unsafe_users" ]; then
+    echo "unsafe imported outside internal/serde:" >&2
+    echo "$unsafe_users" >&2
+    exit 1
+fi
 
 echo "== histogram quantiles under concurrent writers (count=200) =="
 go test -count=200 -run 'TestQuantileMonotonic' ./internal/metrics/
