@@ -14,11 +14,12 @@ import (
 
 // FuzzSortWriter: records cut from the fuzz bytes — a length byte, then a
 // key of that many bytes mod 13, straddling the 8-byte prefix the run sort
-// keys on, and a value naming the record's arrival — come out of the sort
-// writer exactly as referenceSort frames them: blocks and Stats, under a
-// hash and a range partitioner, with 0, 1 and many spills, with and
-// without an order-sensitive combiner, uncompressed and LZ, written by a
-// Write loop or by WriteRecords in chunks of 1, 5 or all records.
+// keys on, and a value naming the record's arrival — come out of each
+// writer exactly as its reference (referenceSort, referenceHash) frames
+// them: blocks and Stats, under a hash and a range partitioner, with 0, 1
+// and many spills, with and without an order-sensitive combiner,
+// uncompressed and LZ, written by a Write loop or by WriteRecords in chunks
+// of 1, 5 or all records.
 func FuzzSortWriter(f *testing.F) {
 	f.Add([]byte("\x01a\x02a\x00\x01a\x03a\x00\x00\x00\x01a\x02a\x00")) // "a" vs "a\x00", duplicates
 	f.Add([]byte("\x08abcdefgh\x09abcdefgh1\x09abcdefgh\x00\x0cabcdefgh2xyz\x09abcdefgh1\x08abcdefgh\x00"))
@@ -50,22 +51,24 @@ func FuzzSortWriter(f *testing.F) {
 					for _, codec := range []compress.Codec{compress.None{}, compress.LZ{}} {
 						cfg := part
 						cfg.SpillThreshold, cfg.Combiner, cfg.Codec = threshold, combiner, codec
-						wantBlocks, wantStats := referenceSort(cfg, input)
-						for _, chunk := range []int{0, 1, 5, max(1, len(input))} {
-							w, err := NewSortWriter(cfg)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if err := writeChunks(w, input, chunk); err != nil {
-								t.Fatal(err)
-							}
-							blocks, stats, err := w.Close()
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !reflect.DeepEqual(stats, wantStats) || !reflect.DeepEqual(blocks, wantBlocks) {
-								t.Fatalf("%d records in chunks of %d, threshold %d, combiner %t, %s: writer and reference differ\nstats %+v\n want %+v",
-									len(input), chunk, threshold, combiner != nil, codec.Name(), stats, wantStats)
+						for _, wr := range pinned {
+							wantBlocks, wantStats := wr.ref(cfg, input)
+							for _, chunk := range []int{0, 1, 5, max(1, len(input))} {
+								w, err := wr.mk(cfg)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if err := writeChunks(w, input, chunk); err != nil {
+									t.Fatal(err)
+								}
+								blocks, stats, err := w.Close()
+								if err != nil {
+									t.Fatal(err)
+								}
+								if !reflect.DeepEqual(stats, wantStats) || !reflect.DeepEqual(blocks, wantBlocks) {
+									t.Fatalf("%s writer, %d records in chunks of %d, threshold %d, combiner %t, %s: writer and reference differ\nstats %+v\n want %+v",
+										wr.name, len(input), chunk, threshold, combiner != nil, codec.Name(), stats, wantStats)
+								}
 							}
 						}
 					}

@@ -69,6 +69,68 @@ func referenceSort(cfg Config, input []kv) ([]Block, Stats) {
 		_ = serde.NewWriter(&bufs[p]).Write(r.k, r.v)
 		st.PartitionRecords[p]++
 	}
+	return referenceBlocks(cfg, bufs, true, &st), st
+}
+
+// referenceHash is the hash writer's contract written the slow way: each
+// partition's records in arrival order; with a combiner, each partition's
+// combined records in ascending key order, flushed whenever the bytes of
+// new keys reach the threshold (a spill) and at Close (not one).
+func referenceHash(cfg Config, input []kv) ([]Block, Stats) {
+	_ = cfg.fill()
+	st := Stats{
+		RecordsIn:        len(input),
+		PartitionRecords: make([]int, cfg.Partitions),
+		PartitionBytes:   make([]int64, cfg.Partitions),
+	}
+	bufs := make([]bytes.Buffer, cfg.Partitions)
+	frame := func(p int, k, v []byte) {
+		_ = serde.NewWriter(&bufs[p]).Write(k, v)
+		st.PartitionRecords[p]++
+	}
+	combined := make([]map[string][]byte, cfg.Partitions) // combiner state by partition
+	var buffered int64
+	flush := func() { // the first call makes the empty maps
+		for p, m := range combined {
+			keys := make([]string, 0, len(m))
+			for k := range m {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				frame(p, []byte(k), m[k])
+			}
+			combined[p] = map[string][]byte{}
+		}
+		buffered = 0
+	}
+	flush()
+	for _, r := range input {
+		p := cfg.Partitioner(r.k)
+		prev, seen := combined[p][string(r.k)]
+		switch {
+		case cfg.Combiner == nil:
+			frame(p, r.k, r.v)
+			buffered += int64(len(r.k) + len(r.v))
+		case seen:
+			combined[p][string(r.k)] = cfg.Combiner(prev, r.v)
+		default:
+			combined[p][string(r.k)] = r.v
+			buffered += int64(len(r.k) + len(r.v))
+		}
+		if buffered >= cfg.SpillThreshold {
+			flush()
+			st.Spills++
+		}
+	}
+	flush()
+	return referenceBlocks(cfg, bufs, false, &st), st
+}
+
+// referenceBlocks compresses each partition's non-empty record stream into
+// a block and folds its size into st, whose PartitionRecords already hold
+// the counts.
+func referenceBlocks(cfg Config, bufs []bytes.Buffer, sorted bool, st *Stats) []Block {
 	var blocks []Block
 	for p := range bufs {
 		raw := bufs[p].Bytes()
@@ -80,10 +142,17 @@ func referenceSort(cfg Config, input []kv) ([]Block, Stats) {
 		st.RawBytes += int64(len(raw))
 		st.WireBytes += int64(len(data))
 		st.PartitionBytes[p] = int64(len(raw))
-		blocks = append(blocks, Block{Partition: p, Data: data, Records: st.PartitionRecords[p], RawBytes: int64(len(raw)), Sorted: true})
+		blocks = append(blocks, Block{Partition: p, Data: data, Records: st.PartitionRecords[p], RawBytes: int64(len(raw)), Sorted: sorted})
 	}
-	return blocks, st
+	return blocks
 }
+
+// pinned pairs each writer with the reference that pins its bytes.
+var pinned = []struct {
+	name string
+	mk   func(Config) (Writer, error)
+	ref  func(Config, []kv) ([]Block, Stats)
+}{{"sort", NewSortWriter, referenceSort}, {"hash", NewHashWriter, referenceHash}}
 
 // identityInput mixes seeded records over a small key space (duplicates in
 // and across runs) with the keys a cached 8-byte prefix cannot tell apart:
@@ -170,32 +239,34 @@ func TestSortWriterByteIdentity(t *testing.T) {
 						chunks []int
 					}{{"", []int{0}}, {"/reserve=exact", []int{len(input)}}, {"/reserve=wild", []int{1, 7}}} {
 						t.Run(name+batched.name, func(t *testing.T) {
-							wantBlocks, wantStats := referenceSort(cfg, input)
-							if combiner == nil && spill.threshold > 0 && wantStats.Spills == 0 {
-								t.Fatal("case meant to spill did not")
-							}
-							for _, chunk := range batched.chunks {
-								w, err := NewSortWriter(cfg)
-								if err != nil {
-									t.Fatal(err)
+							for _, wr := range pinned {
+								wantBlocks, wantStats := wr.ref(cfg, input)
+								if combiner == nil && spill.threshold > 0 && wantStats.Spills == 0 {
+									t.Fatal("case meant to spill did not")
 								}
-								if err := writeChunks(w, input, chunk); err != nil {
-									t.Fatal(err)
-								}
-								blocks, stats, err := w.Close()
-								if err != nil {
-									t.Fatal(err)
-								}
-								if !reflect.DeepEqual(stats, wantStats) {
-									t.Fatalf("chunks of %d: stats\n got %+v\nwant %+v", chunk, stats, wantStats)
-								}
-								if len(blocks) != len(wantBlocks) {
-									t.Fatalf("chunks of %d: %d blocks, want %d", chunk, len(blocks), len(wantBlocks))
-								}
-								for i, b := range blocks {
-									if !reflect.DeepEqual(b, wantBlocks[i]) {
-										t.Fatalf("chunks of %d: block %d (partition %d) differs from the reference: %d records / %d raw bytes, want %d / %d",
-											chunk, i, b.Partition, b.Records, b.RawBytes, wantBlocks[i].Records, wantBlocks[i].RawBytes)
+								for _, chunk := range batched.chunks {
+									w, err := wr.mk(cfg)
+									if err != nil {
+										t.Fatal(err)
+									}
+									if err := writeChunks(w, input, chunk); err != nil {
+										t.Fatal(err)
+									}
+									blocks, stats, err := w.Close()
+									if err != nil {
+										t.Fatal(err)
+									}
+									if !reflect.DeepEqual(stats, wantStats) {
+										t.Fatalf("%s writer, chunks of %d: stats\n got %+v\nwant %+v", wr.name, chunk, stats, wantStats)
+									}
+									if len(blocks) != len(wantBlocks) {
+										t.Fatalf("%s writer, chunks of %d: %d blocks, want %d", wr.name, chunk, len(blocks), len(wantBlocks))
+									}
+									for i, b := range blocks {
+										if !reflect.DeepEqual(b, wantBlocks[i]) {
+											t.Fatalf("%s writer, chunks of %d: block %d (partition %d) differs from the reference: %d records / %d raw bytes, want %d / %d",
+												wr.name, chunk, i, b.Partition, b.Records, b.RawBytes, wantBlocks[i].Records, wantBlocks[i].RawBytes)
+										}
 									}
 								}
 							}
