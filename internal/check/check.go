@@ -47,6 +47,18 @@ func (d Diff) String() string {
 // maxDetails bounds how many mismatches a Diff records.
 const maxDetails = 8
 
+// maxQuote bounds how many bytes of one element a mismatch detail quotes.
+const maxQuote = 32
+
+// quote renders an encoded element for a mismatch detail: %q of at most
+// its first maxQuote bytes, then how many bytes were cut.
+func quote(s string) string {
+	if len(s) <= maxQuote {
+		return strconv.Quote(s)
+	}
+	return fmt.Sprintf("%q+%dB", s[:maxQuote], len(s)-maxQuote)
+}
+
 // DiffMultiset compares got against want as multisets under encode: the
 // same elements with the same multiplicities, in any order. This is the
 // right comparison for unsorted shuffle output, where the engine's
@@ -63,7 +75,7 @@ func DiffMultiset[T any](name string, got, want []T, encode func(T) string) Diff
 	var bad []string
 	for k, c := range counts {
 		if c != 0 {
-			bad = append(bad, fmt.Sprintf("%q: got %+d vs reference", k, -c))
+			bad = append(bad, fmt.Sprintf("%s: got %+d vs reference", quote(k), -c))
 		}
 	}
 	if len(bad) > 0 {
@@ -97,7 +109,7 @@ func DiffOrdered[T any](name string, got, want []T, encode func(T) string) Diff 
 		g, w := encode(got[i]), encode(want[i])
 		if g != w {
 			d.OK = false
-			d.Details = append(d.Details, fmt.Sprintf("[%d]: %q vs %q", i, g, w))
+			d.Details = append(d.Details, fmt.Sprintf("[%d]: %s vs %s", i, quote(g), quote(w)))
 			if len(d.Details) >= maxDetails {
 				d.Details = append(d.Details, "...")
 				break

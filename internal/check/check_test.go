@@ -1,9 +1,12 @@
 package check
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 func TestDiffMultisetOK(t *testing.T) {
@@ -79,6 +82,48 @@ func TestDiffOrderedDetailCap(t *testing.T) {
 	d := DiffOrdered("o", got, want, intString)
 	if d.OK || len(d.Details) > maxDetails+1 {
 		t.Fatalf("OK=%v details=%d", d.OK, len(d.Details))
+	}
+}
+
+// TestDiffDetailsBounded: mismatched elements of 200-odd bytes are quoted
+// by their first maxQuote bytes and a count of the rest, so a failing
+// comparison prints a bounded verdict that still names the first element
+// that differs.
+func TestDiffDetailsBounded(t *testing.T) {
+	gen := rng.New(1)
+	type pair struct{ k, v []byte }
+	random := func() pair {
+		p := pair{make([]byte, 100), make([]byte, 100)}
+		gen.Bytes(p.k)
+		gen.Bytes(p.v)
+		return p
+	}
+	enc := func(p pair) string { return string(p.k) + "=" + string(p.v) }
+	var got, want []pair
+	for range 20 {
+		got, want = append(got, random()), append(want, random())
+	}
+	cut := func(p pair) string { return strconv.Quote(enc(p)[:maxQuote]) + "+169B" }
+	ordered := DiffOrdered("o", got, want, enc)
+	if first := ordered.Details[0]; first != "[0]: "+cut(got[0])+" vs "+cut(want[0]) {
+		t.Errorf("first ordered detail %q does not name element 0", first)
+	}
+	multiset := DiffMultiset("m", got, want, enc)
+	named := false
+	for _, p := range append(got, want...) {
+		named = named || strings.HasPrefix(multiset.Details[0], cut(p)+": got ")
+	}
+	if !named {
+		t.Errorf("first multiset detail %q names no element", multiset.Details[0])
+	}
+	for _, d := range []Diff{ordered, multiset} {
+		if d.OK {
+			t.Fatalf("%s: differing elements compared equal", d.Name)
+		}
+		// A quoted byte takes at most 4 characters.
+		if n := len(d.String()); n > (maxDetails+1)*(2*(4*maxQuote+8)+24) {
+			t.Errorf("%s: %d-character verdict", d.Name, n)
+		}
 	}
 }
 

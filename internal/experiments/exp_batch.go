@@ -16,41 +16,43 @@ import (
 )
 
 // E2Shuffle compares hash vs sort shuffle writers across codecs and spill
-// regimes: write+read throughput, wire bytes, spill counts.
+// regimes: write+read throughput, wire bytes, spill counts. Each row's
+// output is checked against the map task's input.
 func E2Shuffle(p Params) *Table {
 	t := &Table{
 		ID:    "E2",
 		Title: "Shuffle throughput: hash vs sort writer, by codec and spill regime",
-		Note:  "single map task, 16 reduce partitions, ~70-byte log records",
-		Cols:  []string{"writer", "codec", "records", "spills", "wire-bytes", "write+read MB/s"},
+		Note: "single map task, 16 reduce partitions, ~70-byte log records; oracle: each partition read " +
+			"back holds the records the input routes to it, in stable key order for sort, as a multiset for hash",
+		Cols: []string{"writer", "codec", "records", "spills", "wire-bytes", "write+read MB/s", "oracle"},
 	}
 	records := pick(p.Scale, 20_000, 200_000)
 	// Keys are random (they drive partitioning); values are log-like text
 	// so the codec ablation runs in the compressible regime real shuffle
 	// payloads live in (TeraGen's random values would be incompressible).
 	keys := workload.TeraGen(records, 42)
-	type rec struct{ key, value []byte }
-	gen := make([]rec, records)
+	gen := make([]shuffle.Record, records)
 	for i := range gen {
-		gen[i] = rec{
-			key:   keys[i].Key,
-			value: []byte(fmt.Sprintf("level=info user=%05d action=click page=/item/%04d ok", i%10000, i%500)),
+		gen[i] = shuffle.Record{
+			Key:   keys[i].Key,
+			Value: []byte(fmt.Sprintf("level=info user=%05d action=click page=/item/%04d ok", i%10000, i%500)),
 		}
 	}
 	type writerKind struct {
-		name string
-		mk   func(shuffle.Config) (shuffle.Writer, error)
+		name   string
+		mk     func(shuffle.Config) (shuffle.Writer, error)
+		sorted bool
 	}
 	writers := []writerKind{
-		{"hash", shuffle.NewHashWriter},
-		{"sort", shuffle.NewSortWriter},
+		{"hash", shuffle.NewHashWriter, false},
+		{"sort", shuffle.NewSortWriter, true},
 	}
 	codecs := []compress.Codec{compress.None{}, compress.LZ{}}
 	for _, wk := range writers {
 		for _, codec := range codecs {
 			var totalBytes int64
 			for _, r := range gen {
-				totalBytes += int64(len(r.key) + len(r.value))
+				totalBytes += int64(len(r.Key) + len(r.Value))
 			}
 			cfg := shuffle.Config{
 				Partitions:     16,
@@ -63,7 +65,7 @@ func E2Shuffle(p Params) *Table {
 				panic(err)
 			}
 			for _, r := range gen {
-				if err := w.Write(r.key, r.value); err != nil {
+				if err := w.Write(r.Key, r.Value); err != nil {
 					panic(err)
 				}
 			}
@@ -71,24 +73,22 @@ func E2Shuffle(p Params) *Table {
 			if err != nil {
 				panic(err)
 			}
-			read := 0
+			got := make([][]shuffle.Record, cfg.Partitions)
 			for _, b := range blocks {
-				recs, err := shuffle.ReadBlocks(codec, []shuffle.Block{b})
-				if err != nil {
+				if got[b.Partition], err = shuffle.ReadBlocks(codec, []shuffle.Block{b}); err != nil {
 					panic(err)
 				}
-				read += len(recs)
 			}
 			elapsed := time.Since(start)
-			if read != records {
-				panic(fmt.Sprintf("E2: read %d of %d records", read, records))
-			}
+			diff := t.recordCheck(check.DiffShuffle(fmt.Sprintf("E2/%s/%s", wk.name, codec.Name()),
+				got, [][]shuffle.Record{gen}, cfg.Partitions, nil, wk.sorted))
 			mbs := float64(totalBytes) / 1e6 / elapsed.Seconds()
 			t.AddRow(wk.name, codec.Name(),
 				fmt.Sprintf("%d", records),
 				fmt.Sprintf("%d", stats.Spills),
 				fmt.Sprintf("%d", stats.WireBytes),
-				fmt.Sprintf("%.0f", mbs))
+				fmt.Sprintf("%.0f", mbs),
+				verdictCell(diff))
 		}
 	}
 	return t

@@ -67,8 +67,13 @@ func TestE1Shapes(t *testing.T) {
 
 func TestE2Shapes(t *testing.T) {
 	table := runAndCheck(t, E2Shuffle)
-	if len(table.Rows) != 4 {
-		t.Fatalf("rows = %d", len(table.Rows))
+	if len(table.Rows) != 4 || len(table.Checks) != 4 {
+		t.Fatalf("rows = %d, checks = %d", len(table.Rows), len(table.Checks))
+	}
+	for i, row := range table.Rows {
+		if !table.Checks[i].OK || row[6] != "ok" {
+			t.Fatalf("row %d: %v", i, table.Checks[i])
+		}
 	}
 	// LZ rows must move fewer wire bytes than None rows.
 	noneWire := parse(t, table.Rows[0][4])

@@ -121,7 +121,8 @@ type Config struct {
 	// (simulated: spilled runs stay in memory but are segmented and, for
 	// the sort writer, pre-sorted like on-disk runs). Default 4 MiB.
 	SpillThreshold int64
-	// Combiner, if non-nil, merges values with equal keys map-side.
+	// Combiner, if non-nil, merges values with equal keys map-side: the
+	// constructors put a combiner in front of the writer.
 	Combiner func(a, b []byte) []byte
 }
 
@@ -180,17 +181,95 @@ func seal(cfg *Config, blocks []Block, p int, raw []byte, sorted bool, st *Stats
 }
 
 // ---------------------------------------------------------------------------
+// Map-side combining
+
+// combiner is the writer NewHashWriter and NewSortWriter return for a
+// Config with a Combiner: it numbers keys in a table and merges each value
+// into its key's, and whenever the bytes of new keys reach the spill
+// threshold (a spill) and at Close it writes one record per key, in
+// ascending key order, to the writer behind it. That writer never spills
+// on its own, so a sort writer sorts one run whose stable sort is the merge
+// of the spilled runs, ties to the earliest, and a hash writer appends each
+// partition's keys in order, spill after spill.
+type combiner struct {
+	w          Writer
+	merge      func(a, b []byte) []byte
+	threshold  int64
+	keys       ByteKeyTable
+	vals       [][]byte // by key number
+	buffered   int64    // key and value bytes of the keys in the table
+	in, spills int
+	closed     bool
+}
+
+// newWriter fills cfg and builds a writer with mk, behind a combiner when
+// cfg has a Combiner.
+func newWriter(cfg Config, mk func(Config) Writer) (Writer, error) {
+	if err := cfg.fill(); err != nil {
+		return nil, err
+	}
+	if cfg.Combiner == nil {
+		return mk(cfg), nil
+	}
+	c := &combiner{merge: cfg.Combiner, threshold: cfg.SpillThreshold}
+	cfg.Combiner, cfg.SpillThreshold = nil, math.MaxInt64
+	c.w = mk(cfg)
+	return c, nil
+}
+
+func (c *combiner) Write(key, value []byte) error {
+	if c.closed {
+		return ErrClosed
+	}
+	c.in++
+	if id, isNew := c.keys.ID(key); !isNew {
+		c.vals[id] = c.merge(c.vals[id], value)
+		return nil
+	}
+	c.vals = append(c.vals, append([]byte(nil), value...))
+	if c.buffered += int64(len(key) + len(value)); c.buffered >= c.threshold {
+		c.spills++
+		return c.flush()
+	}
+	return nil
+}
+
+// flush writes the table's records to the writer behind, which copies
+// them, and empties the table.
+func (c *combiner) flush() error {
+	for _, id := range c.keys.Order() {
+		if err := c.w.Write(c.keys.Key(id), c.vals[id]); err != nil {
+			return err
+		}
+	}
+	c.keys, c.vals, c.buffered = ByteKeyTable{}, c.vals[:0], 0
+	return nil
+}
+
+func (c *combiner) Close() ([]Block, Stats, error) {
+	var err error
+	if !c.closed {
+		c.closed, err = true, c.flush()
+	}
+	blocks, st, cerr := c.w.Close()
+	st.RecordsIn, st.Spills = c.in, st.Spills+c.spills
+	if err != nil {
+		return nil, st, err
+	}
+	return blocks, st, cerr
+}
+
+// ---------------------------------------------------------------------------
 // Hash shuffle
 
 // hashWriter appends framed records to one buffer per partition, which
-// becomes that partition's block at Close. A spill, simulated, flushes the
-// combiner and is counted; the buffers stay where they are, since a spilled
-// run read back at Close would give the same bytes in the same order.
-// Output blocks are unsorted.
+// becomes that partition's block at Close. A spill, simulated, is only
+// counted: the buffers stay where they are, since a spilled run read back
+// at Close would give the same bytes in the same order. Output blocks are
+// unsorted.
 type hashWriter struct {
 	cfg      Config
 	bufs     [][]byte
-	combine  []map[string][]byte // per-partition combiner state
 	buffered int64
 	stats    Stats
 	closed   bool
@@ -198,21 +277,9 @@ type hashWriter struct {
 
 // NewHashWriter returns a hash-shuffle writer.
 func NewHashWriter(cfg Config) (Writer, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
-	w := &hashWriter{
-		cfg:   cfg,
-		bufs:  make([][]byte, cfg.Partitions),
-		stats: newStats(&cfg),
-	}
-	if cfg.Combiner != nil {
-		w.combine = make([]map[string][]byte, cfg.Partitions)
-		for i := range w.combine {
-			w.combine[i] = map[string][]byte{}
-		}
-	}
-	return w, nil
+	return newWriter(cfg, func(cfg Config) Writer {
+		return &hashWriter{cfg: cfg, bufs: make([][]byte, cfg.Partitions), stats: newStats(&cfg)}
+	})
 }
 
 func (w *hashWriter) Write(key, value []byte) error {
@@ -221,20 +288,11 @@ func (w *hashWriter) Write(key, value []byte) error {
 	}
 	w.stats.RecordsIn++
 	p := w.cfg.Partitioner(key)
-	if w.combine != nil {
-		m := w.combine[p]
-		if prev, ok := m[string(key)]; ok {
-			m[string(key)] = w.cfg.Combiner(prev, value)
-		} else {
-			m[string(key)] = append([]byte(nil), value...)
-			w.buffered += int64(len(key) + len(value))
-		}
-	} else {
-		w.emit(p, key, value)
-		w.buffered += int64(len(key) + len(value))
-	}
-	if w.buffered >= w.cfg.SpillThreshold {
-		w.spill()
+	w.bufs[p] = serde.AppendRecord(grow(w.bufs[p], serde.FramedLen(len(key), len(value))), key, value)
+	w.stats.PartitionRecords[p]++
+	if w.buffered += int64(len(key) + len(value)); w.buffered >= w.cfg.SpillThreshold {
+		w.buffered = 0
+		w.stats.Spills++
 	}
 	return nil
 }
@@ -257,61 +315,11 @@ func (w *hashWriter) presize(n, framed int) {
 	}
 }
 
-// reserve makes room for n more bytes in a partition buffer: exactly n in
-// one that has none yet, so that it can become a block as it is, and by
-// grow's doubling in one that has, so that many batches cost amortized
-// copies; seal trims what doubling leaves spare.
-func reserve(buf []byte, n int) []byte {
-	if cap(buf) == 0 {
-		return make([]byte, 0, n)
-	}
-	return grow(buf, n)
-}
-
-// emit frames one record into partition p's buffer.
-func (w *hashWriter) emit(p int, key, value []byte) {
-	w.bufs[p] = serde.AppendRecord(grow(w.bufs[p], serde.FramedLen(len(key), len(value))), key, value)
-	w.stats.PartitionRecords[p]++
-}
-
-// spill flushes the combiner and counts the spill.
-func (w *hashWriter) spill() {
-	w.flushCombiner()
-	w.buffered = 0
-	w.stats.Spills++
-}
-
-// flushCombiner drains combiner maps into the per-partition buffers, each
-// grown once for its map's records.
-func (w *hashWriter) flushCombiner() {
-	if w.combine == nil {
-		return
-	}
-	for p, m := range w.combine {
-		if len(m) == 0 {
-			continue
-		}
-		keys := make([]string, 0, len(m))
-		need := 0
-		for k, v := range m {
-			keys = append(keys, k)
-			need += serde.FramedLen(len(k), len(v))
-		}
-		w.bufs[p] = reserve(w.bufs[p], need)
-		sort.Strings(keys) // determinism
-		for _, k := range keys {
-			w.emit(p, []byte(k), m[k])
-		}
-		w.combine[p] = map[string][]byte{}
-	}
-}
-
 func (w *hashWriter) Close() ([]Block, Stats, error) {
 	if w.closed {
 		return nil, w.stats, ErrClosed
 	}
 	w.closed = true
-	w.flushCombiner()
 	var blocks []Block
 	for p, raw := range w.bufs {
 		blocks = seal(&w.cfg, blocks, p, raw, false, &w.stats)
@@ -417,7 +425,7 @@ const radixMin = 64
 // ("a" before "a\x00"), so a stable LSD sort by length and then by byte 7
 // down to byte 0 orders them, skipping every digit all keys share.
 func radixOrder[K ~string | ~[]byte](n int, key func(i int32) K) ([]int32, bool) {
-	var counts [9][256]int32 // by digit, as digit numbers them
+	var counts [9][256]int // by digit, as digit numbers them
 	for i := range int32(n) {
 		k := key(i)
 		if len(k) > 8 {
@@ -432,22 +440,31 @@ func radixOrder[K ~string | ~[]byte](n int, key func(i int32) K) ([]int32, bool)
 		order[i] = int32(i)
 	}
 	for d := 8; d >= 0; d-- {
-		c := &counts[d]
-		if slices.Contains(c[:], int32(n)) {
-			continue
-		}
-		var at int32
-		for v, n := range c {
-			c[v], at = at, at+n
-		}
-		for _, i := range order {
-			v := digit(key(i), d)
-			spare[c[v]] = i
-			c[v]++
-		}
-		order, spare = spare, order
+		order, spare = countPass(order, spare, counts[d][:], func(i *int32) int { return int(digit(key(*i), d)) })
 	}
 	return order, true
+}
+
+// countPass is one pass of a stable counting sort: it moves es into spare
+// by digit, given c, how many elements take each digit value, and returns
+// the two swapped; unless one value holds every element, when the pass
+// would move nothing and it returns them as they were. c is left as
+// scratch. It is the sort writer's hot loop: kept small enough to inline,
+// digit with it, and handed each element by pointer, not by copy.
+func countPass[T any](es, spare []T, c []int, digit func(*T) int) ([]T, []T) {
+	at := 0
+	for v, k := range c {
+		if k == len(es) {
+			return es, spare
+		}
+		c[v], at = at, at+k
+	}
+	for i := range es {
+		v := digit(&es[i])
+		spare[c[v]] = es[i]
+		c[v]++
+	}
+	return spare, es
 }
 
 // digit d of a key of at most 8 bytes: byte d, 0 past the key's end, and
@@ -463,17 +480,17 @@ func digit[K ~string | ~[]byte](key K, d int) byte {
 }
 
 // WriteRecords writes n records to w in index order: key and value append
-// record i's key and value to the dst they are handed. A sort writer
-// without a combiner keeps each record's key and a handle on the batch, and
-// its Close calls value again to frame the value straight into the output.
-// So until w's Close returns, the callbacks must return the same bytes for
-// a record each time they are called, and must only read what they encode:
-// speculative copies of a task write one batch through writers of their
-// own at once. Any other writer copies each record out of one reused
-// scratch buffer, like a Write loop; a hash writer without a combiner first
-// sizes its partition buffers from the batch (presize).
+// record i's key and value to the dst they are handed. A sort writer keeps
+// each record's key and a handle on the batch, and its Close calls value
+// again to frame the value straight into the output. So until w's Close
+// returns, the callbacks must return the same bytes for a record each time
+// they are called, and must only read what they encode: speculative copies
+// of a task write one batch through writers of their own at once. Any other
+// writer copies each record out of one reused scratch buffer, like a Write
+// loop; a hash writer first sizes its partition buffers from the batch
+// (presize).
 func WriteRecords(w Writer, n int, key, value func(dst []byte, i int) []byte) error {
-	if sw, ok := w.(*sortWriter); ok && sw.combine == nil && uint64(n) <= math.MaxUint32 {
+	if sw, ok := w.(*sortWriter); ok && uint64(n) <= math.MaxUint32 {
 		return sw.writeBatch(n, key, value)
 	}
 	hw, _ := w.(*hashWriter)
@@ -482,7 +499,7 @@ func WriteRecords(w Writer, n int, key, value func(dst []byte, i int) []byte) er
 		buf = key(buf[:0], i)
 		klen := len(buf)
 		buf = value(buf, i)
-		if i == 0 && hw != nil && hw.combine == nil {
+		if i == 0 && hw != nil {
 			hw.presize(n, serde.FramedLen(klen, len(buf)-klen))
 		}
 		if err := w.Write(buf[:klen], buf[klen:]); err != nil {
@@ -517,28 +534,10 @@ func (r *sortRun) sort(parts int) {
 		}
 		byPart[e.part]++
 	}
-	for d := 0; d <= 8; d++ { // digit 8 is the partition
-		c := byPart
-		if d < 8 {
-			c = counts[d][:]
-		}
-		if slices.Contains(c, len(es)) {
-			continue // one value holds every entry: the pass would move nothing
-		}
-		at := 0
-		for v, k := range c {
-			c[v], at = at, at+k
-		}
-		for _, e := range es {
-			v := int(e.part)
-			if d < 8 {
-				v = int(byte(e.prefix >> (8 * d)))
-			}
-			spare[c[v]] = e
-			c[v]++
-		}
-		es, spare = spare, es
+	for d := range counts {
+		es, spare = countPass(es, spare, counts[d][:], func(e *sortEntry) int { return int(byte(e.prefix >> (8 * d))) })
 	}
+	es, _ = countPass(es, spare, byPart, func(e *sortEntry) int { return int(e.part) })
 	for i, j := 0, 1; j <= len(es); j++ {
 		if j == len(es) || es[j].prefix != es[i].prefix || es[j].part != es[i].part {
 			if j-i > 1 {
@@ -558,9 +557,8 @@ func (r *sortRun) sort(parts int) {
 type sortWriter struct {
 	cfg      Config
 	cur      sortRun
-	buffered int64     // key and value bytes of the current run, batch values included
-	runs     []sortRun // each sorted by (partition, key)
-	combine  map[string][]byte
+	buffered int64                            // key and value bytes of the current run, batch values included
+	runs     []sortRun                        // each sorted by (partition, key)
 	batches  []func(dst []byte, i int) []byte // the value callback of each WriteRecords call
 	scratch  []byte                           // writeBatch's encoding of the record at hand
 	stats    Stats                            // PartitionBytes is kept current so Close can size its output
@@ -569,45 +567,25 @@ type sortWriter struct {
 
 // NewSortWriter returns a sort-shuffle writer.
 func NewSortWriter(cfg Config) (Writer, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
-	w := &sortWriter{cfg: cfg, stats: newStats(&cfg)}
-	if cfg.Combiner != nil {
-		w.combine = map[string][]byte{}
-	}
-	return w, nil
+	return newWriter(cfg, func(cfg Config) Writer { return &sortWriter{cfg: cfg, stats: newStats(&cfg)} })
 }
 
 func (w *sortWriter) Write(key, value []byte) error {
 	if w.closed {
 		return ErrClosed
 	}
-	prev, combine := w.combine[string(key)]
-	if combine {
-		value = w.cfg.Combiner(prev, value)
-	}
 	if err := checkSize(len(key), len(value)); err != nil {
 		return err
 	}
 	w.stats.RecordsIn++
-	switch {
-	case combine:
-		w.combine[string(key)] = value
-	case w.combine != nil:
-		w.combine[string(key)] = append([]byte(nil), value...)
-		w.buffered += int64(len(key) + len(value))
-	default:
-		w.add(key, value, 0, 0)
-		w.buffered += int64(len(key) + len(value))
-	}
-	if w.buffered >= w.cfg.SpillThreshold {
+	w.add(key, value, 0, 0)
+	if w.buffered += int64(len(key) + len(value)); w.buffered >= w.cfg.SpillThreshold {
 		w.spill()
 	}
 	return nil
 }
 
-// writeBatch is WriteRecords for a sort writer without a combiner: each
+// writeBatch is WriteRecords for a sort writer: each
 // record is encoded into scratch to learn its key and lengths, and only the
 // key is kept. It spills where a Write loop over the same records would.
 func (w *sortWriter) writeBatch(n int, key, value func(dst []byte, i int) []byte) error {
@@ -629,8 +607,7 @@ func (w *sortWriter) writeBatch(n int, key, value func(dst []byte, i int) []byte
 		}
 		w.stats.RecordsIn++
 		w.add(buf[:klen], buf[klen:], batch, uint32(i))
-		w.buffered += int64(len(buf))
-		if w.buffered >= w.cfg.SpillThreshold {
+		if w.buffered += int64(len(buf)); w.buffered >= w.cfg.SpillThreshold {
 			w.spill()
 		}
 	}
@@ -657,8 +634,7 @@ func (w *sortWriter) add(key, value []byte, batch, idx uint32) {
 		kept = nil
 	}
 	if !runFits(len(w.cur.arena), len(key)+len(kept)) {
-		w.endRun()
-		w.stats.Spills++
+		w.spill()
 	}
 	p := w.cfg.Partitioner(key)
 	w.cur.entries = append(grow(w.cur.entries, 1), sortEntry{
@@ -681,20 +657,6 @@ func grow[T any](s []T, n int) []T {
 	return slices.Grow(s, max(n, cap(s)))
 }
 
-// sealRun sorts the buffered records into a finished run and reports
-// whether there were any.
-func (w *sortWriter) sealRun() bool {
-	for k, v := range w.combine {
-		w.add([]byte(k), v, 0, 0)
-	}
-	clear(w.combine)
-	if len(w.cur.entries) == 0 {
-		return false
-	}
-	w.endRun()
-	return true
-}
-
 // endRun sorts the current run and files it with the finished ones.
 func (w *sortWriter) endRun() {
 	w.cur.sort(w.cfg.Partitions)
@@ -702,10 +664,10 @@ func (w *sortWriter) endRun() {
 	w.cur, w.buffered = sortRun{}, 0
 }
 
+// spill ends the current run and counts the spill.
 func (w *sortWriter) spill() {
-	if w.sealRun() {
-		w.stats.Spills++
-	}
+	w.endRun()
+	w.stats.Spills++
 }
 
 func (w *sortWriter) Close() ([]Block, Stats, error) {
@@ -713,7 +675,9 @@ func (w *sortWriter) Close() ([]Block, Stats, error) {
 		return nil, w.stats, ErrClosed
 	}
 	w.closed = true
-	w.sealRun()
+	if len(w.cur.entries) > 0 {
+		w.endRun()
+	}
 	runs, batches := w.runs, w.batches
 	w.runs, w.batches, w.scratch = nil, nil, nil
 	// K-way merge of the sorted runs; equal records go to the lowest run.
