@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 
 	"repro/internal/core"
+	"repro/internal/group"
 	"repro/internal/rng"
 	"repro/internal/shuffle"
 )
@@ -16,9 +17,8 @@ func Distinct[T comparable](d *Dataset[T], codec Codec[T], parts int) *Dataset[T
 		parts = d.Partitions()
 	}
 	codec = codec.forShuffle()
-	hash := shuffle.KeyHash[T]()
 	emit := func(row core.Row, w shuffle.Writer) error {
-		seen := shuffle.NewKeyTable(hash)
+		var seen group.KeyTable[T]
 		eachOf([]core.Row{row}, func(t T) { seen.ID(t) })
 		unique := seen.Keys()
 		return writeByKey(w, len(unique),
@@ -26,7 +26,7 @@ func Distinct[T comparable](d *Dataset[T], codec Codec[T], parts int) *Dataset[T
 			func(dst []byte, _ int) []byte { return dst })
 	}
 	return shuffleOf(d.ctx, d.plan, core.ShuffleDep{Partitions: parts}, emit, func(recs shuffle.Records) []T {
-		var seen shuffle.ByteKeyTable
+		var seen group.ByteKeyTable
 		var out []T
 		for r := 0; r < recs.Len(); r++ {
 			if _, added := seen.ID(recs.Key(r)); added {

@@ -51,7 +51,9 @@ func DiffShuffle(name string, got [][]shuffle.Record, inputs [][]shuffle.Record,
 		total.Details = append(total.Details, fmt.Sprintf("partition count %d vs %d", len(got), len(want)))
 		return total
 	}
-	enc := func(r shuffle.Record) string { return fmt.Sprintf("%q=%q", r.Key, r.Value) }
+	// Raw bytes, quoted once by the Diff; the key's length in front keeps
+	// the encoding injective.
+	enc := func(r shuffle.Record) string { return fmt.Sprintf("%d:%s=%s", len(r.Key), r.Key, r.Value) }
 	for p := range got {
 		var d Diff
 		sub := fmt.Sprintf("%s[p%d]", name, p)
@@ -64,11 +66,10 @@ func DiffShuffle(name string, got [][]shuffle.Record, inputs [][]shuffle.Record,
 		if !d.OK {
 			total.OK = false
 			total.Details = append(total.Details, d.Details...)
-			if len(total.Details) > maxDetails {
-				total.Details = total.Details[:maxDetails]
-				return total
-			}
 		}
+	}
+	if len(total.Details) > maxDetails {
+		total.Details = total.Details[:maxDetails]
 	}
 	return total
 }

@@ -2,9 +2,12 @@ package check
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/compress"
+	"repro/internal/rng"
 	"repro/internal/shuffle"
 )
 
@@ -108,6 +111,52 @@ func TestDiffShuffleCatchesTampering(t *testing.T) {
 	// Partition-count mismatch.
 	if d := DiffShuffle("shape", got[:1], inputs, parts, nil, false); d.OK {
 		t.Fatal("partition count mismatch not detected")
+	}
+
+	// 100-byte random records over many partitions, the first of each
+	// partition dropped: every partition is counted, though the details
+	// fill up long before the last, and a detail names a dropped record by
+	// its first 16 key bytes.
+	const many = 8
+	gen := rng.New(3)
+	random := make([][]shuffle.Record, 3)
+	for task := range random {
+		for range 200 {
+			b := make([]byte, 100)
+			for i := range b {
+				b[i] = byte(gen.Intn(256))
+			}
+			random[task] = append(random[task], shuffle.Record{Key: b[:50], Value: b[50:]})
+		}
+	}
+	for _, sorted := range []bool{false, true} {
+		got := ReferenceShuffle(random, many, nil, sorted)
+		var dropped []shuffle.Record
+		kept := 0
+		for p := range got {
+			dropped, got[p] = append(dropped, got[p][0]), got[p][1:]
+			kept += len(got[p])
+		}
+		d := DiffShuffle("random", got, random, many, nil, sorted)
+		if d.OK || d.Compared != kept {
+			t.Fatalf("sorted=%t: OK=%t, %d compared, want a failure with %d compared", sorted, d.OK, d.Compared, kept)
+		}
+		named := false
+		for _, detail := range d.Details {
+			for i := range detail { // every quoted element in the detail
+				q, err := strconv.QuotedPrefix(detail[i:])
+				if err != nil {
+					continue
+				}
+				raw, _ := strconv.Unquote(q)
+				for _, r := range dropped {
+					named = named || strings.Contains(raw, string(r.Key[:16]))
+				}
+			}
+		}
+		if !named {
+			t.Fatalf("sorted=%t: no detail shows 16 key bytes of a dropped record: %s", sorted, d)
+		}
 	}
 }
 

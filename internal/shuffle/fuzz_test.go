@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -164,6 +165,43 @@ func FuzzReadBlocks(f *testing.F) {
 		for i, r := range got {
 			if w := expect[i]; !bytes.Equal(r.Key, w.Key) || !bytes.Equal(r.Value, w.Value) {
 				t.Fatalf("record %d = %q/%q, want %q/%q", i, r.Key, r.Value, w.Key, w.Value)
+			}
+		}
+	})
+}
+
+// FuzzKeyOrder: distinct keys cut from the fuzz bytes — one starting at
+// every offset, its length taken from the byte before it, so most are
+// short enough for the radix path — come out in sort.Strings' order.
+func FuzzKeyOrder(f *testing.F) {
+	f.Add([]byte("a"))
+	f.Add([]byte("\x08abcdefgh\x09abcdefghi\x00\x01a\x02a\x00"))
+	seed := make([]byte, 200)
+	for i := range seed {
+		seed[i] = byte(i * 37)
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		seen := map[string]bool{}
+		var keys [][]byte
+		var strs []string
+		for i, b := range data {
+			k := data[i+1 : min(i+1+int(b%10), len(data))]
+			if !seen[string(k)] {
+				seen[string(k)] = true
+				keys, strs = append(keys, k), append(strs, string(k))
+			}
+		}
+		want := slices.Clone(strs)
+		sort.Strings(want)
+		for j, i := range KeyOrder(len(keys), func(i int32) []byte { return keys[i] }) {
+			if string(keys[i]) != want[j] {
+				t.Fatalf("[]byte keys: position %d holds %q, want %q", j, keys[i], want[j])
+			}
+		}
+		for j, i := range KeyOrder(len(strs), func(i int32) string { return strs[i] }) {
+			if strs[i] != want[j] {
+				t.Fatalf("string keys: position %d holds %q, want %q", j, strs[i], want[j])
 			}
 		}
 	})

@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"repro/internal/compress"
+	"repro/internal/group"
 	"repro/internal/serde"
 )
 
@@ -195,7 +196,7 @@ type combiner struct {
 	w          Writer
 	merge      func(a, b []byte) []byte
 	threshold  int64
-	keys       ByteKeyTable
+	keys       group.ByteKeyTable
 	vals       [][]byte // by key number
 	buffered   int64    // key and value bytes of the keys in the table
 	in, spills int
@@ -237,12 +238,12 @@ func (c *combiner) Write(key, value []byte) error {
 // flush writes the table's records to the writer behind, which copies
 // them, and empties the table.
 func (c *combiner) flush() error {
-	for _, id := range c.keys.Order() {
+	for _, id := range KeyOrder(c.keys.Len(), c.keys.Key) {
 		if err := c.w.Write(c.keys.Key(id), c.vals[id]); err != nil {
 			return err
 		}
 	}
-	c.keys, c.vals, c.buffered = ByteKeyTable{}, c.vals[:0], 0
+	c.keys, c.vals, c.buffered = group.ByteKeyTable{}, c.vals[:0], 0
 	return nil
 }
 

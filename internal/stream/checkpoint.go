@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,6 +21,7 @@ import (
 	"repro/internal/admission"
 	"repro/internal/ha"
 	"repro/internal/metrics"
+	"repro/internal/shuffle"
 	"repro/internal/trace"
 )
 
@@ -74,40 +74,31 @@ type Checkpoint struct {
 // encoding both isolates the snapshot from later mutation and makes the
 // checkpoint_bytes metric honest. It is the replicated machines' format
 // (big-endian integers, strings behind a u32 length, read back only by
-// ha.Decoder). Panes are sorted before encoding so a given state always
-// produces identical bytes.
+// ha.Decoder). Panes are encoded by window start, then key, so a given
+// state always produces identical bytes.
 
 // paneSize is the encoded size of a pane with an empty key: start, key
 // length, sum, count.
 const paneSize = 8 + 4 + 8 + 8
 
 func (st *pipeState) encode() []byte {
-	type pane struct {
-		start time.Duration
-		key   string
-		agg   *paneAgg
-	}
-	var panes []pane
-	size := 8 + 8 + 4
-	for start, win := range st.windows {
-		for key, agg := range win {
-			panes = append(panes, pane{start, key, agg})
+	size, n := 8+8+4, 0
+	for _, win := range st.open {
+		for _, key := range win.keys.Keys() {
 			size += paneSize + len(key)
 		}
+		n += len(win.panes)
 	}
-	sort.Slice(panes, func(i, j int) bool {
-		if panes[i].start != panes[j].start {
-			return panes[i].start < panes[j].start
-		}
-		return panes[i].key < panes[j].key
-	})
 	b := binary.BigEndian.AppendUint64(make([]byte, 0, size), uint64(st.watermark))
 	b = binary.BigEndian.AppendUint64(b, uint64(st.seq))
-	b = binary.BigEndian.AppendUint32(b, uint32(len(panes)))
-	for _, p := range panes {
-		b = ha.AppendString(binary.BigEndian.AppendUint64(b, uint64(p.start)), p.key)
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(p.agg.sum))
-		b = binary.BigEndian.AppendUint64(b, uint64(p.agg.count))
+	b = binary.BigEndian.AppendUint32(b, uint32(n))
+	for _, win := range st.open {
+		keys := win.keys.Keys()
+		for _, id := range shuffle.KeyOrder(len(keys), func(i int32) string { return keys[i] }) {
+			b = ha.AppendString(binary.BigEndian.AppendUint64(b, uint64(win.start)), keys[id])
+			b = binary.BigEndian.AppendUint64(b, math.Float64bits(win.panes[id].sum))
+			b = binary.BigEndian.AppendUint64(b, uint64(win.panes[id].count))
+		}
 	}
 	return b
 }
@@ -120,7 +111,7 @@ func decodePipeState(b []byte) (*pipeState, error) {
 	for n := d.Count(paneSize); n > 0 && d.Err() == nil; n-- {
 		start, key := time.Duration(d.U64()), d.String()
 		sum := math.Float64frombits(d.U64())
-		st.window(start)[key] = &paneAgg{sum: sum, count: int64(d.U64())}
+		*st.pane(start, key) = paneAgg{sum: sum, count: int64(d.U64())}
 	}
 	if d.Err() != nil {
 		return nil, d.Err()

@@ -15,10 +15,13 @@
 package stream
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sort"
 	"time"
 
+	"repro/internal/group"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -75,39 +78,54 @@ type paneAgg struct {
 	count int64
 }
 
-// pipeState is one worker's volatile state: the open panes, the watermark
-// high-water, and the output sequence number of the last pane this worker
-// fired (the exactly-once cursor the sink dedups against).
+// window is one open window: its keys numbered in order of first arrival
+// and a pane per key number.
+type window struct {
+	start time.Duration
+	keys  group.KeyTable[string]
+	panes []paneAgg // by key number
+}
+
+// pipeState is one worker's volatile state: the open windows, the
+// watermark high-water, and the output sequence number of the last pane
+// this worker fired (the exactly-once cursor the sink dedups against).
 type pipeState struct {
 	watermark time.Duration
 	seq       int64
-	// windows holds the open panes by window start, then key: an event
-	// costs one small integer lookup and one plain string lookup, and a
-	// window fires as a whole.
-	windows map[time.Duration]map[string]*paneAgg
-	// minStart is the earliest open window start (maxWatermark when no
-	// pane is open). It is derived from windows and, like spare, never
-	// serialized; it lets a watermark that closes nothing return at once.
-	minStart time.Duration
-	// spare is a fired window's map, cleared for the next to open on.
-	spare map[string]*paneAgg
+	open      []*window // sorted by start
+	// free holds fired windows, emptied, for the next to open on; last is
+	// the window that took the last pane. Neither is serialized.
+	free []*window
+	last *window
 }
 
-func newPipeState() *pipeState {
-	return &pipeState{windows: map[time.Duration]map[string]*paneAgg{}, minStart: maxWatermark}
-}
+func newPipeState() *pipeState { return &pipeState{} }
 
-// window returns the open window starting at start, opening it if needed.
-func (st *pipeState) window(start time.Duration) map[string]*paneAgg {
-	win := st.windows[start]
-	if win == nil {
-		if win, st.spare = st.spare, nil; win == nil {
-			win = map[string]*paneAgg{}
+// pane returns key's pane in the window starting at start, opening both if
+// needed. Events mostly follow the one before into its window, so that
+// window is tried before a search.
+func (st *pipeState) pane(start time.Duration, key string) *paneAgg {
+	win := st.last
+	if win == nil || win.start != start {
+		i, found := slices.BinarySearchFunc(st.open, start, func(w *window, t time.Duration) int { return cmp.Compare(w.start, t) })
+		if found {
+			win = st.open[i]
+		} else {
+			if n := len(st.free); n > 0 {
+				win, st.free = st.free[n-1], st.free[:n-1]
+			} else {
+				win = &window{}
+			}
+			win.start = start
+			st.open = slices.Insert(st.open, i, win)
 		}
-		st.windows[start] = win
-		st.minStart = min(st.minStart, start)
+		st.last = win
 	}
-	return win
+	id, added := win.keys.ID(key)
+	if added {
+		win.panes = append(win.panes, paneAgg{})
+	}
+	return &win.panes[id]
 }
 
 // Pipeline is a running streaming job. Create with New, feed with Send and
@@ -190,8 +208,7 @@ type windower struct {
 	sojourn         *metrics.Histogram
 	late, processed *metrics.Counter
 
-	slab     []paneAgg // new panes are carved from here
-	fired    []Result  // one firing's results, reused
+	fired    []Result // one firing's results, reused
 	spinSink int
 }
 
@@ -252,25 +269,15 @@ func (w *windower) add(start time.Duration, ev *Event) bool {
 	if start+w.p.cfg.Window+w.p.cfg.AllowedLateness <= st.watermark {
 		return false
 	}
-	win := st.window(start)
-	agg := win[ev.Key]
-	if agg == nil {
-		if len(w.slab) == 0 {
-			w.slab = make([]paneAgg, 256)
-		}
-		agg, w.slab = &w.slab[0], w.slab[1:]
-		win[ev.Key] = agg
-	}
+	agg := st.pane(start, ev.Key)
 	agg.sum += ev.Value
 	agg.count++
 	return true
 }
 
-// advance fires the panes whose lateness horizon wm passed; each carries
-// the worker's next output sequence number. Within one firing the map
-// iteration order is random, but the sink dedups whole rolled-back
-// firings by sequence count, so replay correctness does not depend on
-// intra-firing order (see DESIGN.md).
+// advance fires the panes whose lateness horizon wm passed, windows in
+// start order and each window's panes in order of first arrival; each
+// carries the worker's next output sequence number.
 func (w *windower) advance(wm time.Duration) {
 	st := w.st
 	if wm <= st.watermark {
@@ -279,29 +286,29 @@ func (w *windower) advance(wm time.Duration) {
 	st.watermark = wm
 	// A pane fires once start+Window+AllowedLateness <= wm.
 	horizon := wm - w.p.cfg.Window - w.p.cfg.AllowedLateness
-	if st.minStart > horizon {
+	n := 0
+	for n < len(st.open) && st.open[n].start <= horizon {
+		n++
+	}
+	if n == 0 {
 		return
 	}
 	out := w.fired[:0]
-	st.minStart = maxWatermark
-	for start, win := range st.windows {
-		if start > horizon {
-			st.minStart = min(st.minStart, start)
-			continue
-		}
-		for key, agg := range win {
+	for _, win := range st.open[:n] {
+		for id, key := range win.keys.Keys() {
 			out = append(out, Result{
-				WindowStart: start,
-				WindowEnd:   start + w.p.cfg.Window,
+				WindowStart: win.start,
+				WindowEnd:   win.start + w.p.cfg.Window,
 				Key:         key,
-				Sum:         agg.sum,
-				Count:       agg.count,
+				Sum:         win.panes[id].sum,
+				Count:       win.panes[id].count,
 			})
 		}
-		delete(st.windows, start)
-		clear(win)
-		st.spare = win
+		win.keys.Reset()
+		win.panes = win.panes[:0]
 	}
+	st.free = append(st.free, st.open[:n]...)
+	st.open, st.last = slices.Delete(st.open, 0, n), nil
 	st.seq += int64(len(out))
 	w.p.results.deliver(w.worker, st.seq, out)
 	w.fired = out

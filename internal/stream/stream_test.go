@@ -2,9 +2,11 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/rng"
 	"repro/internal/workload"
 )
 
@@ -216,6 +218,41 @@ func TestSojournLatencyLowerWithBackpressureAtOverload(t *testing.T) {
 	if unbounded < 2*bounded {
 		t.Fatalf("unbounded p99 %v not clearly above bounded p99 %v",
 			time.Duration(unbounded), time.Duration(bounded))
+	}
+}
+
+// TestFiringOrderRepeats: a worker fires the same events in the same order
+// on every run (windows by start, each window's panes in order of first
+// arrival), not in Go's map order: two fresh single-worker pipelines fed
+// alike deliver equal sequences to the sink, before Close sorts them.
+func TestFiringOrderRepeats(t *testing.T) {
+	keys, gen := benchKeys(64), rng.New(7)
+	evs := make([]Event, 3000)
+	for i := range evs { // out of order by up to 50 ms
+		evs[i] = Event{Key: keys[gen.Intn(len(keys))], Value: float64(i), EventTime: time.Duration(i+gen.Intn(50)) * time.Millisecond}
+	}
+	fire := func(cfg Config) []Result {
+		p := New(cfg)
+		for i, ev := range evs {
+			send(t, p, ev.Key, ev.Value, ev.EventTime)
+			if i%100 == 99 {
+				if err := p.Advance(time.Duration(i-50) * time.Millisecond); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		p.in.close()
+		return p.results.snapshot()
+	}
+	for _, cfg := range []Config{
+		{Workers: 1, Window: 100 * time.Millisecond},
+		{Workers: 1, Window: 100 * time.Millisecond, Slide: 25 * time.Millisecond},
+	} {
+		for run := range 5 {
+			if a, b := fire(cfg), fire(cfg); !slices.Equal(a, b) {
+				t.Fatalf("slide %v, run %d: two pipelines fired the same events in different orders", cfg.Slide, run)
+			}
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/group"
 	"repro/internal/serde"
 	"repro/internal/shuffle"
 )
@@ -285,8 +286,8 @@ func newAggLayout(plans []aggPlan) *aggLayout {
 // Min and Max over strings, holds pointers.
 type aggTable struct {
 	*aggLayout
-	index  shuffle.ByteKeyTable // composite key -> group number
-	ints   []int64              // group g's fields: ints[g*nInts:][:nInts], and so on
+	index  group.ByteKeyTable // composite key -> group number
+	ints   []int64            // group g's fields: ints[g*nInts:][:nInts], and so on
 	floats []float64
 	seen   []bool // Min, Max: a value is present
 	strs   []string
@@ -522,7 +523,7 @@ func compareBytes(b []byte, s string) int {
 // its groups in. Nothing folds into t once emit is called, so its
 // callbacks encode a group alike until the writer is closed.
 func (t *aggTable) emit(w shuffle.Writer) error {
-	order := t.index.Order()
+	order := shuffle.KeyOrder(t.index.Len(), t.index.Key)
 	return shuffle.WriteRecords(w, len(order),
 		func(dst []byte, i int) []byte { return append(dst, t.index.Key(order[i])...) },
 		func(dst []byte, i int) []byte { return t.appendState(dst, int(order[i])) })

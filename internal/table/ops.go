@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/group"
 	"repro/internal/shuffle"
 )
 
@@ -82,7 +83,7 @@ func (t *Table) broadcastJoin(right *Table, leftCol, rightCol string, out joinOu
 // number of each join key, and each group's rows.
 type buildSide struct {
 	rows  *Batch
-	index shuffle.ByteKeyTable
+	index group.ByteKeyTable
 	lists chains
 }
 

@@ -14,6 +14,7 @@ import (
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/group"
 	"repro/internal/shuffle"
 )
 
@@ -427,7 +428,7 @@ func (t *Table) hashJoin(right *Table, leftCol, rightCol string, parts int, out 
 			}
 			lefts, rights := newBatch(leftSchema, nl), newBatch(rightSchema, recs.Len()-nl)
 			var lrows, rrows chains
-			var index shuffle.ByteKeyTable
+			var index group.ByteKeyTable
 			for r := 0; r < recs.Len(); r++ {
 				g, added := index.ID(recs.Key(r))
 				if added {

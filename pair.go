@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/group"
 	"repro/internal/shuffle"
 )
 
@@ -107,9 +108,8 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Co
 		parts = d.Partitions()
 	}
 	kc, vc = kc.forShuffle(), vc.forShuffle()
-	hash := shuffle.KeyHash[K]()
 	emit := func(row core.Row, w shuffle.Writer) error {
-		index := shuffle.NewKeyTable(hash)
+		var index group.KeyTable[K]
 		var vals []V // one per distinct key, merged in arrival order
 		eachOf([]core.Row{row}, func(p Pair[K, V]) {
 			if i, added := index.ID(p.Key); added { // vals grows as the keys do
@@ -124,7 +124,7 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Co
 			func(dst []byte, i int) []byte { return vc.Append(dst, vals[i]) })
 	}
 	return shuffleOf(d.ctx, d.plan, core.ShuffleDep{Partitions: parts}, emit, func(recs shuffle.Records) []Pair[K, V] {
-		var index shuffle.ByteKeyTable
+		var index group.ByteKeyTable
 		var vals []V
 		for r := 0; r < recs.Len(); r++ { // arrival order: float sums depend on it
 			v := vc.decodeIn(recs.Value(r))
@@ -135,7 +135,7 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Co
 			}
 		}
 		out := make([]Pair[K, V], 0, len(vals))
-		for _, i := range index.Order() {
+		for _, i := range shuffle.KeyOrder(index.Len(), index.Key) {
 			out = append(out, Pair[K, V]{Key: kc.decodeIn(index.Key(i)), Value: vals[i]})
 		}
 		return out
@@ -151,7 +151,7 @@ func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Cod
 	}
 	kc, vc = kc.forShuffle(), vc.forShuffle()
 	return shuffleOf(d.ctx, d.plan, core.ShuffleDep{Partitions: parts}, emitPairs(kc, vc), func(recs shuffle.Records) []Pair[K, []V] {
-		var index shuffle.ByteKeyTable
+		var index group.ByteKeyTable
 		var groups [][]V
 		for r := 0; r < recs.Len(); r++ {
 			i, added := index.ID(recs.Key(r))
@@ -161,7 +161,7 @@ func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]], kc Codec[K], vc Cod
 			groups[i] = append(groups[i], vc.decodeIn(recs.Value(r)))
 		}
 		out := make([]Pair[K, []V], 0, len(groups))
-		for _, i := range index.Order() {
+		for _, i := range shuffle.KeyOrder(index.Len(), index.Key) {
 			out = append(out, Pair[K, []V]{Key: kc.decodeIn(index.Key(i)), Value: groups[i]})
 		}
 		return out
@@ -204,7 +204,7 @@ func Join[K comparable, V, W any](a *Dataset[Pair[K, V]], b *Dataset[Pair[K, W]]
 	both := a.ctx.engine.NewUnion(left, right)
 	return shuffleOf(a.ctx, both, core.ShuffleDep{Partitions: parts}, emitSource, func(recs shuffle.Records) []Pair[K, Joined[V, W]] {
 		type sides struct{ lefts, rights [][]byte }
-		var index shuffle.ByteKeyTable
+		var index group.ByteKeyTable
 		var groups []sides
 		for r := 0; r < recs.Len(); r++ {
 			i, added := index.ID(recs.Key(r))
@@ -218,7 +218,7 @@ func Join[K comparable, V, W any](a *Dataset[Pair[K, V]], b *Dataset[Pair[K, W]]
 			}
 		}
 		var out []Pair[K, Joined[V, W]]
-		for _, i := range index.Order() {
+		for _, i := range shuffle.KeyOrder(index.Len(), index.Key) {
 			key := kc.decodeIn(index.Key(i))
 			for _, l := range groups[i].lefts {
 				for _, r := range groups[i].rights {

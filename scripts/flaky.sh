@@ -15,6 +15,6 @@ set -eu
 cd "$(dirname "$0")/.."
 
 go test -p 1 -count="${COUNT:-20}" -cpu "${CPUS:-1,2,4}" "$@" \
-    . ./internal/core/ ./internal/shuffle/ ./internal/table/ ./internal/experiments/ ./internal/perf/ \
+    . ./internal/core/ ./internal/group/ ./internal/shuffle/ ./internal/table/ ./internal/experiments/ ./internal/perf/ \
     ./internal/consensus/ ./internal/ha/ ./internal/kvstore/
 echo "flaky: OK"

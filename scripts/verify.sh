@@ -102,7 +102,8 @@ echo "== batches and the shuffle boundary: identity pins + allocation ceilings =
 # the join it never builds included.
 go test -count=5 -run 'Identity|TestBatchesAreReadOnly|TestVectorizedFilter|TestActualsCount|FuzzPlanEquivalence|TestJoinAgg' ./internal/table ./internal/query
 go test -count=5 -run 'WireIdentity|TestShuffleOutputOrderPinned' .
-go test -count=1 -run 'TestSortWriterByteIdentity|TestWritersCopyScratch|TestWriteRecordsMatchesWriteLoop|TestSortWriterBatch|TestKeyOrder|TestKeyTable|FuzzKeyOrder|FuzzSortWriter|AllocCeiling' ./internal/shuffle
+go test -count=1 -run 'TestSortWriterByteIdentity|TestWritersCopyScratch|TestWriteRecordsMatchesWriteLoop|TestSortWriterBatch|TestKeyOrder|FuzzKeyOrder|FuzzSortWriter|AllocCeiling' ./internal/shuffle
+go test -count=1 -run 'TestKeyTable|FuzzKeyTable' ./internal/group
 # A sort writer frames values from the batch at Close: speculative copies of
 # a task read one batch at once.
 go test -race -count=10 -run 'TestSortWritersShareBatch' ./internal/shuffle
@@ -117,12 +118,13 @@ go test -race -count=3 ./internal/shuffle ./internal/compress
 go test -count=1 -run 'AllocCeiling|AllocBudget' ./internal/table
 # Group tables keep each key as a span of one arena and each aggregate's
 # state in typed vectors: the bytes a grouping allocates per group, the key
-# table against a Go map and sort.Strings across its arena's growth, and
-# both packages under the race detector (join probes read one table from
-# many goroutines).
+# tables against a Go map across their arena's growth, KeyOrder against
+# sort.Strings, and the packages under the race detector (join probes read
+# one table from many goroutines).
 go test -count=20 -run 'TestAggTableByteCeiling' ./internal/table
-go test -count=20 -run 'TestKeyTableMatchesMap|FuzzKeyTable|TestKeyOrder' ./internal/shuffle
-go test -race -count=3 ./internal/shuffle ./internal/table
+go test -count=20 -run 'TestKeyTableMatchesMap|FuzzKeyTable' ./internal/group
+go test -count=20 -run 'TestKeyOrder|FuzzKeyOrder' ./internal/shuffle
+go test -race -count=3 ./internal/group ./internal/shuffle ./internal/table
 # ORDER BY … LIMIT runs as one top-k: the star suite's results, counters
 # and EXPLAIN, TopK against OrderByCols then Head, and the one-partition
 # sort that runs no sampling job, repeated; partitions pick their
@@ -172,6 +174,9 @@ go test -race -count=5 ./internal/stream/
 # The Runner stages events and pushes them to the lanes in runs: batch
 # pushes, Close races and crash recovery once more, three times over.
 go test -race -count=3 -run 'TestRunner|TestLane|TestCrashInsideBatch|TestBatchingInvisible|TestPipelineCloseRace' ./internal/stream
+# A worker fires windows by start and each window's panes in order of
+# first arrival, never in Go's map order: two pipelines fed alike fire alike.
+go test -count=20 -run 'TestFiringOrderRepeats' ./internal/stream
 
 echo "== chaos flap + ha.Group transcript determinism (count=50) =="
 # The transition log and the group's delivery order must follow the seed,
