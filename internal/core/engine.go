@@ -107,6 +107,8 @@ type Config struct {
 }
 
 // shuffleState tracks the materialized map outputs of one shuffled plan.
+// outputs are the blocks their owners' executors hold; done is the
+// driver's registration of them, which a coordinator crash clears.
 type shuffleState struct {
 	mu      sync.Mutex
 	done    []bool
@@ -133,13 +135,11 @@ type Engine struct {
 	journal  Journal     // SetJournal: lets a coordinator crash resume
 	fs       *dfs.DFS    // SetDFS: holds checkpoints
 
-	// Coordinator-crash state: exec outlives a crash (executors keep their
-	// map outputs); everything keyed off e.shuffles/caches/ckptDone is
-	// volatile driver memory and is wiped by recoverCoordinator.
-	exec         *executorStore
+	// coordCrashed marks the driver dead until recoverCoordinator wipes
+	// its volatile memory: caches, ckptDone and which map outputs each
+	// shuffle has (shuffleState.done). The blocks themselves stay, as
+	// executors keep their map outputs across a driver crash.
 	coordCrashed bool
-	jobPlans     map[int]*Plan
-	jobFPs       map[int]uint64
 
 	// Graceful-degradation state, all driven from the driver thread.
 	wave            int64                       // scheduling-wave counter
@@ -191,7 +191,6 @@ func NewEngine(cfg Config) *Engine {
 		shuffles:        map[int]*shuffleState{},
 		caches:          map[int][][]Row{},
 		ckptDone:        map[int]bool{},
-		exec:            newExecutorStore(),
 		rand:            rng.New(cfg.Seed),
 		nodeFails:       map[topology.NodeID]int{},
 		quarantinedTill: map[topology.NodeID]int64{},
@@ -234,7 +233,6 @@ func (e *Engine) Run(p *Plan) ([][]Row, error) {
 // partial report can still be cut. Past the context's deadline the error
 // is ErrDeadlineExceeded.
 func (e *Engine) RunCtx(ctx context.Context, p *Plan) ([][]Row, error) {
-	e.setJobPlans(p)
 	// The job root span opens a fresh trace; stages (and through them
 	// tasks, fetches, journal appends) parent under it via the context,
 	// so one RunCtx = one cross-node trace id.
@@ -393,7 +391,6 @@ func (e *Engine) invalidateMapOutput(planID, mapPart int) {
 	if mapPart >= 0 && mapPart < len(st.done) {
 		st.done[mapPart] = false
 		st.outputs[mapPart] = nil
-		e.exec.drop(planID, mapPart)
 	}
 	// Also drop every output owned by now-dead nodes; one fetch failure
 	// usually means the node lost all its blocks.
@@ -402,7 +399,6 @@ func (e *Engine) invalidateMapOutput(planID, mapPart int) {
 			if n, err := e.cfg.Cluster.Node(owner); err == nil && !n.Alive() {
 				st.done[i] = false
 				st.outputs[i] = nil
-				e.exec.drop(planID, i)
 			}
 		}
 	}
@@ -533,9 +529,6 @@ func (e *Engine) runMapStage(ctx context.Context, p *Plan) error {
 		for reducePart, n := range out.stats.PartitionRecords {
 			partRecords.With(shuffleID, strconv.Itoa(reducePart)).Add(int64(n))
 		}
-		// The blocks live with the executor (they survive a coordinator
-		// crash); st is the driver's volatile view of them.
-		e.exec.put(p.id, part, p.parent.parts, out.blocks)
 		st.mu.Lock()
 		st.outputs[part] = out.blocks
 		st.owner[part] = node
@@ -543,7 +536,7 @@ func (e *Engine) runMapStage(ctx context.Context, p *Plan) error {
 		st.mu.Unlock()
 	})
 	if err == nil {
-		e.journalStage(p, st, stageTC)
+		e.journalDone(p, st, stageTC)
 	}
 	return err
 }
@@ -1177,7 +1170,7 @@ func (e *Engine) Checkpoint(p *Plan, path string, enc func(Row) []byte, dec func
 	e.ckptDone[p.id] = true
 	e.mu.Unlock()
 	e.Reg.Counter("checkpoints_written").Inc()
-	e.journalCheckpoint(p)
+	e.journalDone(p, nil, trace.TraceContext{})
 	return nil
 }
 

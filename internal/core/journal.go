@@ -3,11 +3,10 @@ package core
 import (
 	"encoding/binary"
 	"errors"
-	"sync"
+	"slices"
 
 	"repro/internal/dfs"
 	"repro/internal/ha"
-	"repro/internal/shuffle"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
@@ -54,10 +53,10 @@ func (e *Engine) journalRef() Journal {
 }
 
 // CrashCoordinator simulates the driver process dying: all volatile
-// coordinator state — the shuffle-output registry, partition caches,
-// checkpoint memos — is discarded at the next recovery point, and the
-// job resumes from whatever the journal and the executor-held map
-// outputs preserve. The chaos coord-crash fault calls this.
+// coordinator state — which map outputs each shuffle has, partition
+// caches, checkpoint memos — is discarded at the next recovery point, and
+// the job resumes from whatever the journal and the map outputs the
+// executors still hold preserve. The chaos coord-crash fault calls this.
 func (e *Engine) CrashCoordinator() {
 	e.mu.Lock()
 	e.coordCrashed = true
@@ -68,48 +67,6 @@ func (e *Engine) coordDown() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.coordCrashed
-}
-
-// executorStore models map outputs held by executor processes: shuffle
-// blocks live with the workers that produced them and survive a
-// coordinator crash (the Spark executor / MapOutputTracker split). Only
-// node death removes them.
-type executorStore struct {
-	mu     sync.Mutex
-	blocks map[int][][]shuffle.Block // planID -> map partition -> blocks
-}
-
-func newExecutorStore() *executorStore {
-	return &executorStore{blocks: map[int][][]shuffle.Block{}}
-}
-
-func (s *executorStore) put(planID, mapPart, parts int, blocks []shuffle.Block) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.blocks[planID]
-	if !ok {
-		m = make([][]shuffle.Block, parts)
-		s.blocks[planID] = m
-	}
-	m[mapPart] = blocks
-}
-
-func (s *executorStore) get(planID, mapPart int) []shuffle.Block {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.blocks[planID]
-	if m == nil || mapPart < 0 || mapPart >= len(m) {
-		return nil
-	}
-	return m[mapPart]
-}
-
-func (s *executorStore) drop(planID, mapPart int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m := s.blocks[planID]; m != nil && mapPart >= 0 && mapPart < len(m) {
-		m[mapPart] = nil
-	}
 }
 
 // collectPlans walks p's subtree, indexing every plan by id and
@@ -148,60 +105,31 @@ func collectPlans(p *Plan, plans map[int]*Plan, fps map[int]uint64) uint64 {
 	return h
 }
 
-// setJobPlans records the current job's plan index and fingerprints;
-// runMapStage and recovery read them from the driver thread.
-func (e *Engine) setJobPlans(p *Plan) {
-	plans := map[int]*Plan{}
-	fps := map[int]uint64{}
-	collectPlans(p, plans, fps)
-	e.mu.Lock()
-	e.jobPlans = plans
-	e.jobFPs = fps
-	e.mu.Unlock()
-}
-
-func (e *Engine) fingerprintOf(planID int) uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.jobFPs[planID]
-}
-
-// journalStage appends a stage-completion record: the plan fingerprint,
-// plan id, and the owner node of each map partition. Journaling is
-// best-effort — a failed append (e.g. the control-plane quorum is
-// briefly lost) degrades recovery, not the running job.
-func (e *Engine) journalStage(p *Plan, st *shuffleState, tc trace.TraceContext) {
+// journalDone appends a record that p completed: its map stage, with the
+// owner of each map partition in st, or, when st is nil, its checkpoint.
+// The record carries the fingerprint of p's own subtree, whichever job is
+// running. Journaling is best-effort — a failed append (e.g. the
+// control-plane quorum is briefly lost) degrades recovery, not the
+// running job.
+func (e *Engine) journalDone(p *Plan, st *shuffleState, tc trace.TraceContext) {
 	j := e.journalRef()
 	if j == nil {
 		return
 	}
-	fp := e.fingerprintOf(p.id)
-	st.mu.Lock()
-	rec := journalRecord{kind: recStage, fp: fp, planID: p.id, owners: st.owner}.encode()
-	st.mu.Unlock()
-	if err := j.Append(rec, tc); err != nil {
-		e.Reg.Counter("journal_append_failures").Inc()
+	rec := journalRecord{kind: recCkpt, fp: collectPlans(p, map[int]*Plan{}, map[int]uint64{}), planID: p.id}
+	if st != nil {
+		st.mu.Lock()
+		rec.kind, rec.owners = recStage, slices.Clone(st.owner)
+		st.mu.Unlock()
 	}
-}
-
-// journalCheckpoint appends a checkpoint-completion record.
-func (e *Engine) journalCheckpoint(p *Plan) {
-	j := e.journalRef()
-	if j == nil {
-		return
-	}
-	plans := map[int]*Plan{}
-	fps := map[int]uint64{}
-	collectPlans(p, plans, fps)
-	rec := journalRecord{kind: recCkpt, fp: fps[p.id], planID: p.id}
-	if err := j.Append(rec.encode(), trace.TraceContext{}); err != nil {
+	if err := j.Append(rec.encode(), tc); err != nil {
 		e.Reg.Counter("journal_append_failures").Inc()
 	}
 }
 
 // journalRecord is one coordinator journal record: a completed stage, with
 // the owner node of each map partition, or a completed checkpoint. Both
-// name the plan by id and by the fingerprint of the job shape around it.
+// name the plan by id and by the fingerprint of its subtree.
 type journalRecord struct {
 	kind   byte // recStage or recCkpt
 	fp     uint64
@@ -242,11 +170,12 @@ func decodeJournalRecord(raw []byte) (journalRecord, bool) {
 }
 
 // recoverCoordinator is the restarted driver coming back up: if a crash
-// is pending it wipes all volatile coordinator state, then replays the
-// journal and rebuilds shuffle-output metadata for every completed
-// stage whose fingerprint matches the current job, whose owners are
-// still alive and whose blocks the executors still hold. Such stages
-// are resumed (coord_stages_resumed); journaled stages that fail
+// is pending it wipes all volatile coordinator state — the registration
+// of every shuffle's map outputs, not the blocks the executors hold —
+// then indexes p's plan graph, replays the journal and re-registers every
+// completed stage whose fingerprint matches its plan in p, whose owners
+// are still alive and whose blocks are all still held. Such stages are
+// resumed (coord_stages_resumed); journaled stages that fail
 // verification are recomputed from lineage (coord_stages_restarted).
 func (e *Engine) recoverCoordinator(p *Plan) {
 	e.mu.Lock()
@@ -255,12 +184,14 @@ func (e *Engine) recoverCoordinator(p *Plan) {
 		return
 	}
 	e.coordCrashed = false
-	e.shuffles = map[int]*shuffleState{}
+	for _, st := range e.shuffles {
+		st.mu.Lock()
+		clear(st.done)
+		st.mu.Unlock()
+	}
 	e.caches = map[int][][]Row{}
 	e.ckptDone = map[int]bool{}
 	journal := e.journal
-	plans := e.jobPlans
-	fps := e.jobFPs
 	e.mu.Unlock()
 	e.Reg.Counter("coord_crashes").Inc()
 	if journal == nil {
@@ -271,6 +202,9 @@ func (e *Engine) recoverCoordinator(p *Plan) {
 		e.Reg.Counter("journal_replay_failures").Inc()
 		return
 	}
+	plans := map[int]*Plan{}
+	fps := map[int]uint64{}
+	collectPlans(p, plans, fps)
 	resumed := map[int]bool{}
 	restarted := map[int]bool{}
 	ckpts := map[int]bool{}
@@ -293,11 +227,7 @@ func (e *Engine) recoverCoordinator(p *Plan) {
 			if pl.kind != kindShuffled {
 				continue
 			}
-			st, ok := e.rebuildStage(pl, rec.owners)
-			if ok {
-				e.mu.Lock()
-				e.shuffles[planID] = st
-				e.mu.Unlock()
+			if e.rebuildStage(pl, rec.owners) {
 				resumed[planID] = true
 				delete(restarted, planID)
 			} else if !resumed[planID] {
@@ -314,28 +244,34 @@ func (e *Engine) recoverCoordinator(p *Plan) {
 	e.Reg.Counter("coord_stages_restarted").Add(int64(len(restarted)))
 }
 
-// rebuildStage reconstructs one stage's shuffle metadata from a journal
-// record's owner list plus the executor-held blocks, verifying every
-// owner is alive and every map partition's output is still present.
-func (e *Engine) rebuildStage(p *Plan, owners []topology.NodeID) (*shuffleState, bool) {
+// rebuildStage re-registers one stage's map outputs in place from a
+// journal record's owner list, after verifying every owner is alive and
+// every map partition's blocks are still held.
+func (e *Engine) rebuildStage(p *Plan, owners []topology.NodeID) bool {
 	if len(owners) != p.parent.parts {
-		return nil, false
+		return false
 	}
-	st := &shuffleState{
-		done:    make([]bool, len(owners)),
-		owner:   owners,
-		outputs: make([][]shuffle.Block, len(owners)),
-	}
-	for i, owner := range owners {
+	for _, owner := range owners {
 		if n, err := e.cfg.Cluster.Node(owner); err != nil || !n.Alive() {
-			return nil, false
+			return false
 		}
-		blocks := e.exec.get(p.id, i)
+	}
+	e.mu.Lock()
+	st := e.shuffles[p.id]
+	e.mu.Unlock()
+	if st == nil {
+		return false
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, blocks := range st.outputs {
 		if blocks == nil {
-			return nil, false
+			return false
 		}
-		st.outputs[i] = blocks
+	}
+	copy(st.owner, owners)
+	for i := range st.done {
 		st.done[i] = true
 	}
-	return st, true
+	return true
 }
