@@ -46,7 +46,8 @@ func TestUsageErrors(t *testing.T) {
 }
 
 // TestOverridesReachTheirExperiment is the README's E-HA invocation: one
-// seed-5 row under the given schedule, its oracle check folded by -check.
+// seed-5 row under the given schedule, its oracle check and its schedule's
+// check folded by -check.
 func TestOverridesReachTheirExperiment(t *testing.T) {
 	code, stdout, stderr := bench("-small", "-run", "E-HA", "-seed", "5", "-chaos", "2 nn-crash leader", "-check")
 	if code != 0 {
@@ -61,20 +62,20 @@ func TestOverridesReachTheirExperiment(t *testing.T) {
 	if len(rows) != 1 || strings.Fields(rows[0])[1] != "5" {
 		t.Fatalf("want one custom row under seed 5, got %q", rows)
 	}
-	if !strings.Contains(stdout, "check: 1 oracle comparisons, all ok") {
-		t.Fatalf("-check did not fold the table's one verdict:\n%s", stdout)
+	if !strings.Contains(stdout, "check: 2 oracle comparisons, all ok") {
+		t.Fatalf("-check did not fold the table's two verdicts:\n%s", stdout)
 	}
 }
 
-// TestCheckFoldsPrintedTables: E-TXN records one verdict per row, and
-// -check reports exactly those.
+// TestCheckFoldsPrintedTables: E-TXN records one verdict per row, plus
+// one on the chaos-preset row's schedule, and -check reports exactly those.
 func TestCheckFoldsPrintedTables(t *testing.T) {
 	code, stdout, stderr := bench("-small", "-run", "E-TXN", "-check")
 	if code != 0 {
 		t.Fatalf("exit %d\n%s%s", code, stdout, stderr)
 	}
-	if !strings.Contains(stdout, "check: 7 oracle comparisons, all ok") {
-		t.Fatalf("want 7 comparisons:\n%s", stdout)
+	if !strings.Contains(stdout, "check: 8 oracle comparisons, all ok") {
+		t.Fatalf("want 8 comparisons:\n%s", stdout)
 	}
 }
 

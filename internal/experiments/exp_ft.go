@@ -108,6 +108,7 @@ func EFTChaos(p Params) *Table {
 			}
 			job := fmt.Sprintf("EFT/%s/spec-%s", e.name, mode)
 			wall, ctx, diff := run(job, e.sched, speculation)
+			t.recordFaults(job, ctx.Chaos())
 			reg := ctx.Metrics()
 			t.AddRow(e.name, mode,
 				wall.Round(time.Millisecond).String(),

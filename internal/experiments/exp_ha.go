@@ -97,6 +97,7 @@ func EHAControlPlane(p Params) *Table {
 		for _, seed := range seeds {
 			job := fmt.Sprintf("E-HA/%s/seed-%d", name, seed)
 			wall, ctx, diff := run(job, sched, seed)
+			t.recordFaults(job, ctx.Chaos())
 			reg := ctx.Metrics()
 			ticks := "-"
 			if h := reg.Histogram("ha_failover_ticks"); h.Count() > 0 {

@@ -244,6 +244,7 @@ func EOVLOverload(p Params) *Table {
 		IsNotFound: func(err error) bool { return err == kvstore.ErrNotFound },
 	})
 	diff := t.recordCheck(check.Linearizable(h).Diff("E-OVL/1.0x/chaos"))
+	t.recordFaults("E-OVL/1.0x/chaos", ctl)
 	addRow("1.0x", "adm+chaos", res, verdictCell(diff))
 
 	return t

@@ -64,7 +64,7 @@ func ESFTStream(p Params) *Table {
 		entries = customChaos(t.ID, p.Chaos, workers)
 	}
 
-	run := func(interval int, sched chaos.Schedule) ([]stream.Result, *stream.Runner, time.Duration) {
+	run := func(interval int, sched chaos.Schedule) ([]stream.Result, *stream.Runner, *chaos.Controller, time.Duration) {
 		rec := trace.New()
 		src := stream.NewGeneratorSource(seed, events, 32, time.Millisecond, 4*time.Millisecond)
 		r := stream.NewRunner(stream.RunConfig{
@@ -78,8 +78,9 @@ func ESFTStream(p Params) *Table {
 			WatermarkLag:    5 * time.Millisecond,
 			TickEvery:       int(events / 32),
 		}, src)
+		var ctl *chaos.Controller
 		if len(sched) > 0 {
-			ctl := chaos.New(sched, seed, chaos.Targets{Nodes: workers, Stream: r}, r.Metrics())
+			ctl = chaos.New(sched, seed, chaos.Targets{Nodes: workers, Stream: r}, r.Metrics())
 			r.OnTick(ctl.Tick)
 		}
 		start := time.Now()
@@ -87,13 +88,13 @@ func ESFTStream(p Params) *Table {
 		if err != nil {
 			panic(fmt.Sprintf("E-SFT: %v", err))
 		}
-		return out, r, time.Since(start)
+		return out, r, ctl, time.Since(start)
 	}
 
 	// The clean reference: no checkpoints, no faults. Its own output is
 	// oracle-checked too — "identical to clean" proves nothing if the
 	// clean run itself was wrong.
-	baseline, baseRunner, cleanWall := run(0, nil)
+	baseline, baseRunner, _, cleanWall := run(0, nil)
 	cleanDiff := oracle("E-SFT/clean", baseline, baseRunner)
 	p.Obs.publish("E-SFT/clean", baseRunner.Metrics(), baseRunner.Tracer())
 
@@ -104,7 +105,7 @@ func ESFTStream(p Params) *Table {
 					"0", "0", "0", "0", "yes", verdictCell(cleanDiff))
 				continue
 			}
-			out, r, wall := run(interval, e.sched)
+			out, r, ctl, wall := run(interval, e.sched)
 			reg := r.Metrics()
 			identical := "yes"
 			if !reflect.DeepEqual(out, baseline) {
@@ -112,6 +113,9 @@ func ESFTStream(p Params) *Table {
 			}
 			job := fmt.Sprintf("E-SFT/ckpt-%d/crashes-%s", interval, e.name)
 			diff := oracle(job, out, r)
+			if ctl != nil {
+				t.recordFaults(job, ctl)
+			}
 			t.AddRow(
 				fmt.Sprintf("%d", interval),
 				e.name,

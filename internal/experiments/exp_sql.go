@@ -186,7 +186,9 @@ func ESQLPlanner(p Params) *Table {
 	if err != nil {
 		panic(fmt.Sprintf("E-SQL/chaos: %v", err))
 	}
-	diff := t.recordCheck(check.DiffQueryEnv("E-SQL/"+q.ID+"/chaos-crash", rows, plan.Logical, chaosEnv))
+	job := "E-SQL/" + q.ID + "/chaos-crash"
+	diff := t.recordCheck(check.DiffQueryEnv(job, rows, plan.Logical, chaosEnv))
+	t.recordFaults(job, ctl)
 	t.AddRow(q.ID+"/chaos-crash",
 		fmt.Sprintf("%d", len(rows)),
 		joinKinds(plan),

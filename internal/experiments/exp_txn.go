@@ -209,5 +209,6 @@ func ETXNTransactions(p Params) *Table {
 		BetweenWaves: func(wave int) { ctl.Tick() },
 	})
 	score("chaos-preset", sh, ops, true, ctl.Done())
+	t.recordFaults("E-TXN/chaos-preset", ctl)
 	return t
 }

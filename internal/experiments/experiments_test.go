@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/check"
 )
 
 // The experiment suite is itself code under test: every experiment must
@@ -254,13 +256,17 @@ func TestEFTShapes(t *testing.T) {
 			t.Fatalf("row %v failed the oracle diff", row)
 		}
 	}
-	// The diffs also land in the table for hpbdc-bench -check.
-	if len(table.Checks) != len(table.Rows) {
-		t.Fatalf("table recorded %d verdicts for %d rows", len(table.Checks), len(table.Rows))
+	// The diffs also land in the table for hpbdc-bench -check: one per
+	// row, and one per faulted row on its schedule, which fired.
+	if want := 2*len(table.Rows) - 1; len(table.Checks) != want {
+		t.Fatalf("table recorded %d verdicts for %d rows, want %d", len(table.Checks), len(table.Rows), want)
 	}
 	for _, d := range table.Checks {
 		if !d.OK {
 			t.Fatalf("recorded verdict: %s", d)
+		}
+		if strings.HasSuffix(d.Name, "/faults") && d.Compared == 0 {
+			t.Fatalf("%s: no event fired", d.Name)
 		}
 	}
 }
@@ -547,8 +553,9 @@ func TestParamsOverride(t *testing.T) {
 }
 
 // TestExperimentsShareNoState runs two check-recording experiments at
-// once: each table's Checks must be exactly its own verdicts, in row
-// order — what a process-wide harness could not give.
+// once: each table's Checks must be exactly its own verdicts, its rows'
+// in row order — what a process-wide harness could not give. A faulted
+// row's verdict on its schedule follows the row's own.
 func TestExperimentsShareNoState(t *testing.T) {
 	runs := []struct {
 		run    func(Params) *Table
@@ -569,13 +576,19 @@ func TestExperimentsShareNoState(t *testing.T) {
 	wg.Wait()
 	for _, r := range runs {
 		table := checkTable(t, r.table)
-		if len(table.Checks) != len(table.Rows) {
-			t.Fatalf("%s: %d checks for %d rows", table.ID, len(table.Checks), len(table.Rows))
-		}
-		for i, d := range table.Checks {
+		var rowChecks []check.Diff
+		for _, d := range table.Checks {
 			if !strings.HasPrefix(d.Name, r.prefix) {
 				t.Fatalf("%s recorded a foreign check %q", table.ID, d.Name)
 			}
+			if !strings.HasSuffix(d.Name, "/faults") {
+				rowChecks = append(rowChecks, d)
+			}
+		}
+		if len(rowChecks) != len(table.Rows) {
+			t.Fatalf("%s: %d checks for %d rows", table.ID, len(rowChecks), len(table.Rows))
+		}
+		for i, d := range rowChecks {
 			if got := table.Rows[i][len(table.Cols)-1]; got != verdictCell(d) {
 				t.Fatalf("%s row %d shows %q, its check says %q", table.ID, i, got, verdictCell(d))
 			}
