@@ -17,6 +17,12 @@ fi
 echo "== go vet =="
 go vet ./...
 
+echo "== standard-library API no newer than the go line (both modules) =="
+# The local toolchain builds and vets a package or function newer than
+# go.mod's go line; this names each import of one and each use of a
+# package-level one (methods are out of scope), file:line.
+sh scripts/api.sh
+
 echo "== go build =="
 go build ./...
 
@@ -38,8 +44,8 @@ echo "== go test -race (every package) =="
 # and in experiments, which the list this replaces left out.
 go test -race ./...
 
-echo "== speculative loser is fenced (race, count=20) =="
-go test -race -count=20 -run 'TestSpeculativeLoserIsFenced|TestPostOwnsItsRecordsView' ./internal/core/
+echo "== speculative loser is fenced, concurrent jobs journal their own stages (race, count=20) =="
+go test -race -count=20 -run 'TestSpeculativeLoserIsFenced|TestPostOwnsItsRecordsView|TestConcurrentJobsJournalTheirOwnStages' ./internal/core/
 go test -race -count=20 -run 'TestEFTShapes' ./internal/experiments/
 
 echo "== log compaction + txn watermark (race, count=3) =="
