@@ -107,8 +107,9 @@ type Config struct {
 }
 
 // shuffleState tracks the materialized map outputs of one shuffled plan.
-// outputs are the blocks their owners' executors hold; done is the
-// driver's registration of them, which a coordinator crash clears.
+// outputs are the blocks their owners' executors hold, nil where an
+// output was dropped or never written; done is the driver's registration
+// of them, which a coordinator crash clears.
 type shuffleState struct {
 	mu      sync.Mutex
 	done    []bool
@@ -528,6 +529,11 @@ func (e *Engine) runMapStage(ctx context.Context, p *Plan) error {
 		}
 		for reducePart, n := range out.stats.PartitionRecords {
 			partRecords.With(shuffleID, strconv.Itoa(reducePart)).Add(int64(n))
+		}
+		if out.blocks == nil {
+			// nil marks a dropped output (rebuildStage refuses it); a task
+			// that wrote no block holds an empty one.
+			out.blocks = []shuffle.Block{}
 		}
 		st.mu.Lock()
 		st.outputs[part] = out.blocks

@@ -227,6 +227,32 @@ func TestDroppedMapOutputNotResumed(t *testing.T) {
 	}
 }
 
+// TestEmptyMapOutputResumed runs a two-line word count over four map
+// partitions, so two map tasks write no blocks: an output held but empty
+// is not a dropped one, and the stage resumes after a crash.
+func TestEmptyMapOutputResumed(t *testing.T) {
+	e := testEngine(t, 4, Config{Seed: 7})
+	e.SetJournal(&memJournal{})
+	p := wordCountPlan(e, journalLines[:2], 4, 3)
+	want := wordCounts(t, e, p)
+	e.CrashCoordinator()
+	got := wordCounts(t, e, p)
+	if len(got) != len(want) {
+		t.Fatalf("rerun result size %d, want %d", len(got), len(want))
+	}
+	for w, c := range want {
+		if got[w] != c {
+			t.Errorf("word %q: count %d, want %d", w, got[w], c)
+		}
+	}
+	if n := e.Reg.Counter("coord_stages_resumed").Value(); n != 1 {
+		t.Errorf("coord_stages_resumed = %d, want 1", n)
+	}
+	if n := e.Reg.Counter("coord_stages_restarted").Value(); n != 0 {
+		t.Errorf("coord_stages_restarted = %d, want 0", n)
+	}
+}
+
 func TestConcurrentJobsJournalTheirOwnStages(t *testing.T) {
 	e := testEngine(t, 4, Config{Seed: 7})
 	e.SetJournal(&memJournal{})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/graph"
 	"repro/internal/ml"
 	"repro/internal/workload"
@@ -19,24 +20,29 @@ func E8PageRank(p Params) *Table {
 		Note:  fmt.Sprintf("2^%d vertices, edge factor 8, 10 iterations", scale),
 		Cols:  []string{"workers", "wall", "speedup", "efficiency", "messages"},
 	}
-	t.Cols = []string{"workers", "partitioning", "wall", "modeled-speedup", "efficiency"}
+	t.Cols = []string{"workers", "partitioning", "wall", "modeled-speedup", "efficiency", "oracle"}
 	t.Note += "; speedup is TotalWork/CriticalWork — the partitioning-limited " +
 		"parallelism the BSP schedule admits (host-core independent); the " +
-		"contiguous-vs-hashed ablation shows hub skew binding the critical path"
+		"contiguous-vs-hashed ablation shows hub skew binding the critical path" +
+		"; oracle: each run's ranks against the sequential check.ReferencePageRank, 1e-9 relative"
+	const damping, iters = 0.85, 10
+	n := int64(1) << scale
 	edges := workload.RMAT(scale, 8, 21)
-	g := graph.FromEdges(1<<scale, edges)
+	g := graph.FromEdges(n, edges)
 	for _, part := range []graph.Partitioning{graph.Contiguous, graph.Hashed} {
 		for _, workers := range []int{1, 2, 4, 8} {
 			start := time.Now()
-			res := g.PageRankWith(0.85, 10, graph.RunConfig{Workers: workers, Partitioning: part})
+			res := g.PageRankWith(damping, iters, graph.RunConfig{Workers: workers, Partitioning: part})
 			wall := time.Since(start)
 			speedup := res.ModeledSpeedup()
+			diff := t.recordCheck(check.DiffPageRank(fmt.Sprintf("E8/%s-%dw", part, workers), res.State, n, edges, damping, iters, 1e-9))
 			t.AddRow(
 				fmt.Sprintf("%d", workers),
 				part.String(),
 				wall.Round(time.Millisecond).String(),
 				fmt.Sprintf("%.2fx", speedup),
 				fmt.Sprintf("%.2f", speedup/float64(workers)),
+				verdictCell(diff),
 			)
 		}
 	}

@@ -149,6 +149,14 @@ func TestE6Shapes(t *testing.T) {
 
 func TestE8Shapes(t *testing.T) {
 	table := runAndCheck(t, E8PageRank)
+	if len(table.Checks) != len(table.Rows) {
+		t.Fatalf("%d checks for %d runs", len(table.Checks), len(table.Rows))
+	}
+	for _, d := range table.Checks {
+		if !d.OK || d.Compared != 1<<12 {
+			t.Fatalf("%s", d)
+		}
+	}
 	s1 := parse(t, table.Rows[0][3])
 	s8contig := parse(t, table.Rows[3][3])
 	s8hashed := parse(t, table.Rows[7][3])

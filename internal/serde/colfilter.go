@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Encoding-aware column scans. These are the primitives the query layer's
@@ -38,11 +39,12 @@ func columnHeader(b []byte) (tag byte, n uint64, rest []byte, err error) {
 	return b[0], n, b[1+sz:], nil
 }
 
-// intColumnHeader is columnHeader for an int column, and the point where a
-// row count read from the input becomes one a caller may size its output
-// from: a plain or delta column spends at least one byte on every row, so
-// its body bounds n; an RLE column may expand, so its runs are walked —
-// without allocating — and must add up to exactly n.
+// intColumnHeader is columnHeader for a numeric column, and the point
+// where a row count read from the input becomes one a caller may size its
+// output from: a plain or delta column spends at least one byte on every
+// row and a fixed one eight, so its body bounds n; an RLE or packed column
+// may expand, so its runs or block frames are walked — without allocating
+// — and must cover exactly n rows.
 func intColumnHeader(b []byte) (tag byte, n uint64, rest []byte, err error) {
 	tag, n, rest, err = columnHeader(b)
 	if err != nil {
@@ -53,6 +55,10 @@ func intColumnHeader(b []byte) (tag byte, n uint64, rest []byte, err error) {
 		if n > uint64(len(rest)) {
 			return 0, 0, nil, ErrCorrupt
 		}
+	case encFixed64:
+		if n > uint64(len(rest))/8 {
+			return 0, 0, nil, ErrCorrupt
+		}
 	case encRLEInt:
 		runs := rest
 		for at := uint64(0); at < n; {
@@ -61,6 +67,15 @@ func intColumnHeader(b []byte) (tag byte, n uint64, rest []byte, err error) {
 				return 0, 0, nil, err
 			}
 			runs, at = after, at+run
+		}
+	case encPackedInt, encPackedDelta:
+		blocks := rest
+		for at := uint64(0); at < n; at += packBlock {
+			_, after, err := packedFrame(blocks, tag, int(min(packBlock, n-at)))
+			if err != nil {
+				return 0, 0, nil, err
+			}
+			blocks = after
 		}
 	default:
 		return 0, 0, nil, fmt.Errorf("%w: unknown int encoding %d", ErrCorrupt, tag)
@@ -117,111 +132,271 @@ func rleRun(b []byte, at, n uint64) (v int64, run uint64, rest []byte, err error
 	return v, run, b[used+sz:], nil
 }
 
-// FilterIntColumn evaluates keep over an encoded int column and returns
-// the selection vector. RLE runs are evaluated once per run.
-func FilterIntColumn(b []byte, keep func(int64) bool) ([]bool, FilterStats, error) {
+// frame is one block of a packed column: k values of w bits each in the
+// first size bytes of data (the rest of the column follows them), each to
+// be added to lo; first is a packed-delta block's first value less the
+// previous block's.
+type frame struct {
+	first, lo int64
+	w         uint
+	k, size   int
+	data      []byte
+}
+
+// packedFrame takes the block of cnt rows off the front of a packed
+// column's body: for encPackedDelta a zigzag varint first, then for both a
+// zigzag varint lo, a width byte w ≤ 64 and (k*w+7)/8 bytes, where k is cnt
+// for encPackedInt and cnt-1 deltas for encPackedDelta.
+func packedFrame(b []byte, tag byte, cnt int) (f frame, rest []byte, err error) {
+	f.k = cnt
+	if tag == encPackedDelta {
+		first, used, err := Int64(b)
+		if err != nil {
+			return f, nil, err
+		}
+		f.first, f.k, b = first, cnt-1, b[used:]
+	}
+	lo, used, err := Int64(b)
+	if err != nil || used >= len(b) || b[used] > 64 {
+		return f, nil, ErrCorrupt
+	}
+	f.lo, f.w, b = lo, uint(b[used]), b[used+1:]
+	f.size = (f.k*int(f.w) + 7) / 8
+	if f.size > len(b) {
+		return f, nil, ErrCorrupt
+	}
+	f.data = b
+	return f, b[f.size:], nil
+}
+
+// unpack writes f's k values into dst, with no branch per value: each is
+// cut from the 9-byte window at its first bit's byte. A window may run
+// past the packed bits into the rest of the column, whose bits the mask
+// drops; a block too near the column's end is first copied into a
+// zero-padded buffer.
+func unpack(dst []int64, f frame) {
+	src := f.data
+	if len(src) < f.size+9 {
+		var pad [packBlock*8 + 9]byte
+		copy(pad[:], src[:f.size])
+		src = pad[:]
+	}
+	w, lo := f.w, f.lo
+	mask := ^uint64(0) >> (64 - w) // a shift by 64 is 0: w == 0 masks every bit off
+	at := uint(0)
+	for i := range dst[:f.k] {
+		k, s := at>>3, at&7
+		v := binary.LittleEndian.Uint64(src[k:])>>s | uint64(src[k+8])<<1<<(63-s)
+		dst[i] = int64(v&mask) + lo
+		at += w
+	}
+}
+
+// numReader yields an encoded numeric column's values, int64s or float
+// bit patterns, a block of up to packBlock rows at a time, whatever its
+// encoding.
+type numReader struct {
+	tag     byte
+	n, at   uint64 // rows, rows yielded
+	b       []byte // unread body
+	prev    int64  // encDeltaInt: the last value; encPackedDelta: the last block's first
+	run     int64  // encRLEInt: the current run's value,
+	left    uint64 // its rows not yet yielded,
+	runsEnd uint64 // and the rows the runs read so far cover
+}
+
+func newNumReader(b []byte) (numReader, error) {
+	tag, n, rest, err := intColumnHeader(b)
+	return numReader{tag: tag, n: n, b: rest}, err
+}
+
+// next decodes the next block into vals and returns its length; a nil vals
+// passes over the block, building nothing where the encoding allows it.
+func (r *numReader) next(vals *[packBlock]int64) (int, error) {
+	cnt := int(min(packBlock, r.n-r.at))
+	r.at += uint64(cnt)
+	switch r.tag {
+	case encPlainInt, encDeltaInt:
+		for i := 0; i < cnt; i++ {
+			v, used, err := Int64(r.b)
+			if err != nil {
+				return 0, err
+			}
+			r.b = r.b[used:]
+			if r.tag == encDeltaInt {
+				r.prev += v
+				v = r.prev
+			}
+			if vals != nil {
+				vals[i] = v
+			}
+		}
+	case encFixed64:
+		if vals != nil {
+			for i := range vals[:cnt] {
+				vals[i] = int64(binary.LittleEndian.Uint64(r.b[8*i:]))
+			}
+		}
+		r.b = r.b[8*cnt:]
+	case encRLEInt:
+		for i := 0; i < cnt; {
+			if r.left == 0 {
+				v, run, rest, err := rleRun(r.b, r.runsEnd, r.n)
+				if err != nil {
+					return 0, err
+				}
+				r.b, r.run, r.left, r.runsEnd = rest, v, run, r.runsEnd+run
+			}
+			k := int(min(r.left, uint64(cnt-i)))
+			if vals != nil {
+				for j := range vals[i : i+k] {
+					vals[i+j] = r.run
+				}
+			}
+			i, r.left = i+k, r.left-uint64(k)
+		}
+	case encPackedInt, encPackedDelta:
+		f, rest, err := packedFrame(r.b, r.tag, cnt)
+		if err != nil {
+			return 0, err
+		}
+		r.b, r.prev = rest, r.prev+f.first
+		if vals == nil {
+			break
+		}
+		if r.tag == encPackedInt {
+			unpack(vals[:], f)
+			break
+		}
+		vals[0] = r.prev
+		unpack(vals[1:], f)
+		for i := 1; i < cnt; i++ {
+			vals[i] += vals[i-1]
+		}
+	}
+	return cnt, nil
+}
+
+// convert writes src, int64s or float bit patterns, into dst as T.
+func convert[T int64 | float64](dst []T, src []int64) {
+	switch d := any(dst).(type) {
+	case []int64:
+		copy(d, src)
+	case []float64:
+		for i := range d {
+			d[i] = math.Float64frombits(uint64(src[i]))
+		}
+	}
+}
+
+// filterNums evaluates keep over an encoded numeric column and returns the
+// selection vector: once per RLE run, otherwise once per row, on each
+// block decoded whole.
+func filterNums[T int64 | float64](b []byte, keep func(T) bool) ([]bool, FilterStats, error) {
 	var st FilterStats
-	tag, n, b, err := intColumnHeader(b)
+	r, err := newNumReader(b)
 	if err != nil {
 		return nil, st, err
 	}
-	sel := make([]bool, n)
-	st.Rows = int(n)
-	switch tag {
-	case encPlainInt, encDeltaInt:
-		prev := int64(0)
-		for i := range sel {
-			v, used, err := Int64(b)
+	sel := make([]bool, r.n)
+	st.Rows = int(r.n)
+	var (
+		vals  [packBlock]int64
+		typed [packBlock]T
+	)
+	if r.tag == encRLEInt {
+		for at := uint64(0); at < r.n; {
+			v, run, rest, err := rleRun(r.b, at, r.n)
 			if err != nil {
 				return nil, st, err
 			}
-			b = b[used:]
-			if tag == encDeltaInt {
-				prev += v
-				v = prev
-			}
-			sel[i] = keep(v)
-		}
-		st.PredEvals = len(sel)
-	case encRLEInt:
-		for at := uint64(0); at < n; {
-			v, run, rest, err := rleRun(b, at, n)
-			if err != nil {
-				return nil, st, err
-			}
-			b = rest
+			r.b = rest
 			st.PredEvals++
-			if keep(v) {
+			vals[0] = v
+			convert(typed[:1], vals[:1])
+			if keep(typed[0]) {
 				for k := at; k < at+run; k++ {
 					sel[k] = true
 				}
 			}
 			at += run
 		}
+		return sel, st, nil
 	}
+	for start := 0; start < len(sel); start += packBlock {
+		k, err := r.next(&vals)
+		if err != nil {
+			return nil, st, err
+		}
+		convert(typed[:k], vals[:k])
+		for i, v := range typed[:k] {
+			sel[start+i] = keep(v)
+		}
+	}
+	st.PredEvals = len(sel)
 	return sel, st, nil
 }
 
-// selectInts decodes the positions of an encoded int column that sel marks
-// (nil = every position; otherwise sel must have the column's length), in
-// position order, into a slice sized from the selection count. conv maps a
-// stored value to its T. RLE runs with no selected position cost nothing
-// per value.
-func selectInts[T int64 | float64](b []byte, sel []bool, conv func(int64) T) ([]T, error) {
-	tag, n, b, err := intColumnHeader(b)
+// FilterIntColumn evaluates keep over an encoded int column and returns
+// the selection vector. RLE runs are evaluated once per run.
+func FilterIntColumn(b []byte, keep func(int64) bool) ([]bool, FilterStats, error) {
+	return filterNums(b, keep)
+}
+
+// selectInts decodes the positions of an encoded numeric column that sel
+// marks (nil = every position; otherwise sel must have the column's
+// length), in position order, into a slice sized from the selection count.
+// A block with no selected position is passed over: a packed, fixed or RLE
+// block costs nothing per value then.
+func selectInts[T int64 | float64](b []byte, sel []bool) ([]T, error) {
+	r, err := newNumReader(b)
 	if err != nil {
 		return nil, err
 	}
-	count, err := selectionCount(sel, n)
+	count, err := selectionCount(sel, r.n)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]T, 0, count)
-	switch tag {
-	case encPlainInt, encDeltaInt:
-		prev := int64(0)
-		for i := uint64(0); i < n; i++ {
-			v, used, err := Int64(b)
-			if err != nil {
-				return nil, err
-			}
-			b = b[used:]
-			if tag == encDeltaInt {
-				prev += v
-				v = prev
-			}
-			if sel == nil || sel[i] {
-				out = append(out, conv(v))
+	out := make([]T, count)
+	var vals [packBlock]int64
+	at := 0
+	for start := uint64(0); start < r.n; start += packBlock {
+		var blk []bool
+		if sel != nil {
+			blk = sel[start:min(start+packBlock, r.n)]
+			if !slices.Contains(blk, true) {
+				if _, err := r.next(nil); err != nil {
+					return nil, err
+				}
+				continue
 			}
 		}
-	case encRLEInt:
-		for at := uint64(0); at < n; {
-			v, run, rest, err := rleRun(b, at, n)
-			if err != nil {
-				return nil, err
-			}
-			b = rest
-			cv := conv(v)
-			for k := at; k < at+run; k++ {
-				if sel == nil || sel[k] {
-					out = append(out, cv)
+		k, err := r.next(&vals)
+		if err != nil {
+			return nil, err
+		}
+		if blk != nil {
+			k = 0
+			for i, s := range blk {
+				vals[k] = vals[i]
+				if s {
+					k++
 				}
 			}
-			at += run
 		}
+		convert(out[at:at+k], vals[:k])
+		at += k
 	}
 	return out, nil
 }
 
 // SelectIntColumn decodes only the selected positions of an encoded int
 // column (nil sel = all), in position order.
-func SelectIntColumn(b []byte, sel []bool) ([]int64, error) {
-	return selectInts(b, sel, func(v int64) int64 { return v })
-}
+func SelectIntColumn(b []byte, sel []bool) ([]int64, error) { return selectInts[int64](b, sel) }
 
-// FloatColumn is a chunk of float64 values, stored as the IEEE-754 bit
-// patterns in an IntColumn (repeated values RLE-compress; the adaptive
-// int encodings do the rest). NaNs round-trip bit-exactly.
+// FloatColumn is a chunk of float64 values, stored as their IEEE-754 bit
+// patterns: eight bytes apiece, or RLE when repeated values make that
+// smaller. NaNs round-trip bit-exactly.
 type FloatColumn []float64
 
 // Encode serializes the column.
@@ -230,25 +405,30 @@ func (c FloatColumn) Encode() []byte {
 	for i, v := range c {
 		ints[i] = int64(math.Float64bits(v))
 	}
-	return ints.Encode()
+	out := make([]byte, 0, 1+binary.MaxVarintLen64+8*len(c))
+	out = append(out, encFixed64)
+	out = binary.AppendUvarint(out, uint64(len(c)))
+	for _, v := range ints {
+		out = binary.LittleEndian.AppendUint64(out, uint64(v))
+	}
+	if rle := ints.encodeRLE(); len(rle) < len(out) {
+		return rle
+	}
+	return out
 }
 
-func floatOfBits(v int64) float64 { return math.Float64frombits(uint64(v)) }
-
 // DecodeFloatColumn inverts FloatColumn.Encode.
-func DecodeFloatColumn(b []byte) (FloatColumn, error) { return selectInts(b, nil, floatOfBits) }
+func DecodeFloatColumn(b []byte) (FloatColumn, error) { return selectInts[float64](b, nil) }
 
 // FilterFloatColumn evaluates keep over an encoded float column,
 // RLE-aware like FilterIntColumn.
 func FilterFloatColumn(b []byte, keep func(float64) bool) ([]bool, FilterStats, error) {
-	return FilterIntColumn(b, func(v int64) bool { return keep(floatOfBits(v)) })
+	return filterNums(b, keep)
 }
 
 // SelectFloatColumn decodes only the selected positions of an encoded
 // float column (nil sel = all), straight into floats.
-func SelectFloatColumn(b []byte, sel []bool) ([]float64, error) {
-	return selectInts(b, sel, floatOfBits)
-}
+func SelectFloatColumn(b []byte, sel []bool) ([]float64, error) { return selectInts[float64](b, sel) }
 
 // columnString takes one length-prefixed string's bytes off the front of b.
 func columnString(b []byte) (s, rest []byte, err error) {

@@ -209,6 +209,12 @@ var rowCountBombs = []struct {
 		func(b []byte) error { _, err := DecodeIntColumn(b); return err }},
 	{"plain string", []byte{encPlainStr, 0x80, 0x80, 0x80, 0x80, 0x01},
 		func(b []byte) error { _, err := DecodeStringColumn(b); return err }},
+	{"packed int", []byte{encPackedInt, 0x80, 0x80, 0x80, 0x80, 0x01},
+		func(b []byte) error { _, err := SelectIntColumn(b, nil); return err }},
+	{"packed delta", []byte{encPackedDelta, 0x80, 0x80, 0x80, 0x80, 0x01},
+		func(b []byte) error { _, _, err := FilterIntColumn(b, func(int64) bool { return true }); return err }},
+	{"fixed float", []byte{encFixed64, 0x80, 0x80, 0x80, 0x80, 0x01},
+		func(b []byte) error { _, err := DecodeFloatColumn(b); return err }},
 	{"unknown tag", []byte{0x09, 0x80, 0x80, 0x80, 0x80, 0x01},
 		func(b []byte) error { _, _, err := FilterIntColumn(b, func(int64) bool { return true }); return err }},
 }
@@ -232,5 +238,79 @@ func TestRowCountBombsRejectedBeforeAllocating(t *testing.T) {
 	var err error
 	if got := allocated(func() { _, err = DecodeFloatColumn(rle) }); !errors.Is(err, ErrCorrupt) || got >= 4<<10 {
 		t.Errorf("short RLE: err = %v after allocating %d bytes", err, got)
+	}
+}
+
+// TestSelectSkipsEmptyBlocks selects from columns of every numeric
+// encoding with selections that leave whole blocks of packBlock rows
+// empty — the first, the last, every other one, all but one row — and
+// holds each to a full decode followed by a plain loop.
+func TestSelectSkipsEmptyBlocks(t *testing.T) {
+	const n = 5*packBlock + 17
+	ints := make(IntColumn, n)
+	for i := range ints {
+		ints[i] = int64(i*i*31%5000) - 700
+	}
+	sorted, runs, floats := make(IntColumn, n), make(IntColumn, n), make(FloatColumn, n)
+	for i := range sorted {
+		sorted[i] = 1<<40 + int64(i)*3
+		runs[i] = int64(i / 100)
+		floats[i] = float64(ints[i]) * 0.25
+	}
+	floatRuns := make(FloatColumn, n)
+	for i, v := range runs {
+		floatRuns[i] = float64(v) / 3
+	}
+	columns := map[string][]byte{
+		"plain":        ints.encodePlain(),
+		"rle":          runs.encodeRLE(),
+		"packed":       ints.encodePacked(encPackedInt),
+		"packed delta": sorted.encodePacked(encPackedDelta),
+		"fixed":        floats.Encode(),
+		"float rle":    floatRuns.Encode(),
+	}
+	for name, tag := range map[string]byte{"fixed": encFixed64, "float rle": encRLEInt} {
+		if columns[name][0] != tag {
+			t.Fatalf("%s column has tag %d, want %d", name, columns[name][0], tag)
+		}
+	}
+	selections := map[string]func(i int) bool{
+		"first block only":  func(i int) bool { return i < packBlock },
+		"last block only":   func(i int) bool { return i >= 5*packBlock },
+		"every other block": func(i int) bool { return i/packBlock%2 == 1 && i%3 != 0 },
+		"one row":           func(i int) bool { return i == 3*packBlock+5 },
+		"none":              func(int) bool { return false },
+		"block edges":       func(i int) bool { return i%packBlock == 0 || i%packBlock == packBlock-1 },
+		"all but one block": func(i int) bool { return i/packBlock != 2 },
+		"every row":         func(int) bool { return true },
+	}
+	for cname, enc := range columns {
+		full, err := DecodeIntColumn(enc)
+		if err != nil || len(full) != n {
+			t.Fatalf("%s: decoded %d rows, err %v", cname, len(full), err)
+		}
+		for sname, pick := range selections {
+			sel := make([]bool, n)
+			for i := range sel {
+				sel[i] = pick(i)
+			}
+			want := applySel(full, sel)
+			got, err := SelectIntColumn(enc, sel)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", cname, sname, err)
+			}
+			gotF, err := SelectFloatColumn(enc, sel)
+			if err != nil {
+				t.Fatalf("%s, %s: floats: %v", cname, sname, err)
+			}
+			if len(got) != len(want) || len(gotF) != len(want) {
+				t.Fatalf("%s, %s: selected %d ints and %d floats, want %d", cname, sname, len(got), len(gotF), len(want))
+			}
+			for i, v := range want {
+				if got[i] != v || math.Float64bits(gotF[i]) != uint64(v) {
+					t.Fatalf("%s, %s: [%d] = %d / %v, want %d", cname, sname, i, got[i], gotF[i], v)
+				}
+			}
+		}
 	}
 }

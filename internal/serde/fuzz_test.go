@@ -77,6 +77,9 @@ func FuzzIntColumnDecode(f *testing.F) {
 	f.Add([]byte{encRLEInt, 0xff, 0xff, 0xff, 0xff, 0x7f})  // huge row count
 	f.Add([]byte{encDeltaInt, 0x02, 0x02})                  // truncated deltas
 	f.Add([]byte{0x09, 0x01})                               // unknown tag
+	for _, seed := range packedSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		col, err := DecodeIntColumn(data)
 		if err != nil {
@@ -142,6 +145,9 @@ func FuzzSelectColumns(f *testing.F) {
 	f.Add(FloatColumn{1.5, 1.5, 1.5, -2, 0}.Encode(), []byte{1})
 	f.Add(StringColumn{"a", "b", "c"}.Encode(), []byte{1, 1, 0})
 	f.Add(StringColumn{"x", "x", "x", "x", "y", "y"}.Encode(), []byte{0, 1})
+	for _, seed := range packedSeeds() {
+		f.Add(seed, []byte{1, 0, 0, 1, 0})
+	}
 	for _, bomb := range rowCountBombs {
 		f.Add(bomb.data, []byte{1})
 	}
@@ -247,4 +253,29 @@ func FuzzSelectColumns(f *testing.F) {
 			}
 		}
 	})
+}
+
+// packedSeeds are one column of each numeric encoding that has no seed
+// above it: packed values, packed deltas, fixed floats, a width-0 block
+// and a 64-bit-wide one, each over more than one block.
+func packedSeeds() [][]byte {
+	vals, strided, same, wide := make(IntColumn, 100), make(IntColumn, 100), make(IntColumn, 70), make(IntColumn, 70)
+	floats := make(FloatColumn, 70)
+	for i := range vals {
+		vals[i] = int64(i*i*37%4000) - 9
+		strided[i] = 1_000_000 + int64(i)*4 + int64(i/64)
+	}
+	for i := range same {
+		same[i] = 5
+		wide[i] = math.MinInt64 + int64(i)
+		floats[i] = float64(i*i%40000) * 0.25
+	}
+	wide[3] = math.MaxInt64
+	return [][]byte{
+		vals.encodePacked(encPackedInt),
+		strided.encodePacked(encPackedDelta),
+		floats.Encode(),
+		same.encodePacked(encPackedInt),
+		wide.encodePacked(encPackedInt),
+	}
 }

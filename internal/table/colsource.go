@@ -11,14 +11,14 @@ import (
 )
 
 // ColumnarTable is a relation stored column-encoded: each partition
-// holds one adaptively encoded chunk per column (dict/RLE/delta, see
-// internal/serde) plus a zone map (per-column min/max). It is the
-// storage format the query layer's predicate and projection pushdown
-// compile onto: a scan can prune whole partitions from the zone map
-// before touching a byte, filter predicate columns against their
-// encoded form (one predicate evaluation per RLE run or dictionary
-// entry), and decode only the selected positions of only the needed
-// columns.
+// holds one adaptively encoded chunk per column (dictionary, RLE,
+// bit-packed or fixed-width; see internal/serde) plus a zone map
+// (per-column min/max). It is the storage format the query layer's
+// predicate and projection pushdown compile onto: a scan can prune whole
+// partitions from the zone map before touching a byte, filter predicate
+// columns against their encoded form (one predicate evaluation per RLE
+// run or dictionary entry), and decode only the selected positions of
+// only the needed columns.
 type ColumnarTable struct {
 	schema Schema
 	parts  []colPart

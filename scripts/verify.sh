@@ -45,7 +45,7 @@ echo "== go test -race (every package) =="
 go test -race ./...
 
 echo "== speculative loser is fenced, concurrent jobs journal their own stages (race, count=20) =="
-go test -race -count=20 -run 'TestSpeculativeLoserIsFenced|TestPostOwnsItsRecordsView|TestConcurrentJobsJournalTheirOwnStages' ./internal/core/
+go test -race -count=20 -run 'TestSpeculativeLoserIsFenced|TestPostOwnsItsRecordsView|TestConcurrentJobsJournalTheirOwnStages|TestEmptyMapOutputResumed' ./internal/core/
 go test -race -count=20 -run 'TestEFTShapes' ./internal/experiments/
 
 echo "== log compaction + txn watermark (race, count=3) =="
@@ -165,6 +165,12 @@ if [ -n "$unsafe_users" ]; then
     echo "$unsafe_users" >&2
     exit 1
 fi
+
+echo "== numeric columns: packed and fixed encodings, block skipping =="
+# Int columns pack 64-value blocks, float columns are fixed-width: selections
+# that leave whole blocks empty against a full decode and a plain loop, the
+# chooser's pick per column shape, and both packings at every width.
+go test -count=1 -run 'TestSelectSkipsEmptyBlocks|TestNumericChooserPicks|TestPackedRoundTripProperty' ./internal/serde
 
 echo "== histogram quantiles under concurrent writers (count=200) =="
 go test -count=200 -run 'TestQuantileMonotonic' ./internal/metrics/
