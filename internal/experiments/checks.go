@@ -26,6 +26,20 @@ func (t *Table) recordFaults(job string, ctl *chaos.Controller) {
 	t.recordCheck(d)
 }
 
+// finishFaults fires what is left of sched once the row's job is done,
+// advancing ctl to the schedule's last tick, and records the verdict on
+// every event: how far a job's own ticks carry the schedule depends on
+// its timing (retries, speculation), and a fault that never fires is
+// neither checked nor exercised.
+func (t *Table) finishFaults(job string, ctl *chaos.Controller, sched chaos.Schedule) {
+	var end int64
+	for _, e := range sched {
+		end = max(end, e.At)
+	}
+	ctl.AdvanceTo(end)
+	t.recordFaults(job, ctl)
+}
+
 // verdictCell renders a Diff as a table cell.
 func verdictCell(d check.Diff) string {
 	if d.OK {

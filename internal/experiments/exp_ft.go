@@ -38,7 +38,7 @@ func EFTChaos(p Params) *Table {
 	t := &Table{
 		ID:    "EFT",
 		Title: "Fault tolerance: chaos schedules vs recovery machinery",
-		Note:  fmt.Sprintf("8 nodes, shuffled wordcount, seed %d; wall is relative to a clean run; oracle compares output to the sequential reference", seed),
+		Note:  fmt.Sprintf("8 nodes, shuffled wordcount, seed %d; wall is relative to a clean run; chaos-events fired during the job, the rest of the schedule after it; oracle compares output to the sequential reference", seed),
 		Cols: []string{"schedule", "spec", "wall", "vs-clean", "retries",
 			"spec-wins", "quarantined", "blocked-fetch", "chaos-events", "oracle"},
 	}
@@ -108,7 +108,6 @@ func EFTChaos(p Params) *Table {
 			}
 			job := fmt.Sprintf("EFT/%s/spec-%s", e.name, mode)
 			wall, ctx, diff := run(job, e.sched, speculation)
-			t.recordFaults(job, ctx.Chaos())
 			reg := ctx.Metrics()
 			t.AddRow(e.name, mode,
 				wall.Round(time.Millisecond).String(),
@@ -122,6 +121,7 @@ func EFTChaos(p Params) *Table {
 			if speculation {
 				p.Obs.observe(t, job, ctx)
 			}
+			t.finishFaults(job, ctx.Chaos(), e.sched)
 		}
 	}
 	return t

@@ -97,7 +97,6 @@ func EHAControlPlane(p Params) *Table {
 		for _, seed := range seeds {
 			job := fmt.Sprintf("E-HA/%s/seed-%d", name, seed)
 			wall, ctx, diff := run(job, sched, seed)
-			t.recordFaults(job, ctx.Chaos())
 			reg := ctx.Metrics()
 			ticks := "-"
 			if h := reg.Histogram("ha_failover_ticks"); h.Count() > 0 {
@@ -115,6 +114,7 @@ func EHAControlPlane(p Params) *Table {
 			if name == entries[len(entries)-1].name && seed == seeds[len(seeds)-1] {
 				p.Obs.observe(t, job, ctx)
 			}
+			t.finishFaults(job, ctx.Chaos(), sched)
 		}
 	}
 	return t

@@ -181,6 +181,14 @@ func TestE9Shapes(t *testing.T) {
 
 func TestE10Shapes(t *testing.T) {
 	table := runAndCheck(t, E10ParamServer)
+	if len(table.Checks) != len(table.Rows) {
+		t.Fatalf("%d checks for %d modes", len(table.Checks), len(table.Rows))
+	}
+	for i, d := range table.Checks {
+		if !d.OK || d.Compared != 2 || table.Rows[i][5] != "ok" {
+			t.Fatalf("%s: %s", table.Rows[i][0], d)
+		}
+	}
 	for _, row := range table.Rows {
 		if acc := parse(t, row[4]); acc < 0.85 {
 			t.Fatalf("%s accuracy %v below 0.85", row[0], acc)

@@ -84,123 +84,186 @@ func (l *Logical) Limit(n int) *Logical {
 
 // OutSchema computes the plan's output schema against a resolver for
 // base-table schemas, validating column references along the way. The
-// differential oracle and the planner share it so both agree on shape.
+// differential oracle and the planner share it so both agree on shape:
+// it is derive's schema half, walked without statistics.
 func (l *Logical) OutSchema(base func(name string) (table.Schema, error)) (table.Schema, error) {
+	d, err := l.walk(func(name string) (derived, error) {
+		s, err := base(name)
+		return derived{schema: s}, err
+	})
+	return d.schema, err
+}
+
+// derived is what the planner knows of one plan node's output: its schema
+// and, when table statistics are at hand, its estimated row count and the
+// statistics of each output column by position (stats[i] describes
+// schema.Cols[i]; nil without statistics).
+type derived struct {
+	schema table.Schema
+	rows   float64
+	stats  []ColStats
+}
+
+// walk derives l's whole tree bottom-up, resolving each scan's table
+// through base.
+func (l *Logical) walk(base func(name string) (derived, error)) (derived, error) {
+	var in, right derived
+	var err error
+	switch {
+	case l.Op == OpScan:
+		in, err = base(l.TableName)
+	case l.Input != nil:
+		in, err = l.Input.walk(base)
+		if err == nil && l.Op == OpJoin && l.Right != nil {
+			right, err = l.Right.walk(base)
+		}
+	}
+	if err != nil {
+		return derived{}, err
+	}
+	return derive(l, in, right)
+}
+
+// derive is the planner's one pass over the operators: it computes l's
+// output schema and estimate from in and right, the derivations of
+// l.Input and l.Right (a scan's in is its table's), and validates l's
+// column references against them. Callers supply the inputs however they
+// walk the tree — walk recursively, compile bottom-up as it recurses — so
+// no node's derivation re-walks its inputs. Statistics that do not change
+// are shared with the input, never written.
+func derive(l *Logical, in, right derived) (derived, error) {
 	switch l.Op {
 	case OpScan:
-		return base(l.TableName)
+		return in, nil
 	case OpFilter:
-		in, err := l.Input.OutSchema(base)
-		if err != nil {
-			return table.Schema{}, err
-		}
 		for _, c := range l.Pred.Cols() {
-			if in.Index(c) < 0 {
-				return table.Schema{}, fmt.Errorf("query: filter references unknown column %q", c)
+			if in.schema.Index(c) < 0 {
+				return derived{}, fmt.Errorf("query: filter references unknown column %q", c)
 			}
 		}
-		return in, nil
+		rows := in.rows * in.selectivity(l.Pred)
+		return derived{schema: in.schema, rows: rows, stats: capped(rows, in.stats)}, nil
 	case OpProject:
-		in, err := l.Input.OutSchema(base)
-		if err != nil {
-			return table.Schema{}, err
-		}
 		if len(l.Cols) == 0 || len(l.Cols) != len(l.Aliases) {
-			return table.Schema{}, fmt.Errorf("query: project has %d cols, %d aliases", len(l.Cols), len(l.Aliases))
+			return derived{}, fmt.Errorf("query: project has %d cols, %d aliases", len(l.Cols), len(l.Aliases))
 		}
 		cols := make([]table.Col, len(l.Cols))
-		seen := map[string]bool{}
+		out := derived{rows: in.rows}
+		if in.stats != nil {
+			out.stats = make([]ColStats, len(l.Cols))
+		}
 		for i, c := range l.Cols {
-			j, err := in.MustIndex(c)
+			j, err := in.schema.MustIndex(c)
 			if err != nil {
-				return table.Schema{}, err
+				return derived{}, err
 			}
-			if seen[l.Aliases[i]] {
-				return table.Schema{}, fmt.Errorf("query: duplicate output column %q", l.Aliases[i])
+			if (table.Schema{Cols: cols[:i]}).Index(l.Aliases[i]) >= 0 {
+				return derived{}, fmt.Errorf("query: duplicate output column %q", l.Aliases[i])
 			}
-			seen[l.Aliases[i]] = true
-			cols[i] = table.Col{Name: l.Aliases[i], Type: in.Cols[j].Type}
+			cols[i] = table.Col{Name: l.Aliases[i], Type: in.schema.Cols[j].Type}
+			if out.stats != nil {
+				out.stats[i] = in.stats[j]
+			}
 		}
-		return table.Schema{Cols: cols}, nil
+		out.schema = table.Schema{Cols: cols}
+		return out, nil
 	case OpJoin:
-		left, err := l.Input.OutSchema(base)
+		li, err := in.schema.MustIndex(l.LeftCol)
 		if err != nil {
-			return table.Schema{}, err
+			return derived{}, fmt.Errorf("query: join left column: %w", err)
 		}
-		right, err := l.Right.OutSchema(base)
+		ri, err := right.schema.MustIndex(l.RightCol)
 		if err != nil {
-			return table.Schema{}, err
+			return derived{}, fmt.Errorf("query: join right column: %w", err)
 		}
-		li, err := left.MustIndex(l.LeftCol)
-		if err != nil {
-			return table.Schema{}, fmt.Errorf("query: join left column: %w", err)
+		if in.schema.Cols[li].Type != right.schema.Cols[ri].Type {
+			return derived{}, fmt.Errorf("query: join column types differ: %v vs %v",
+				in.schema.Cols[li].Type, right.schema.Cols[ri].Type)
 		}
-		ri, err := right.MustIndex(l.RightCol)
-		if err != nil {
-			return table.Schema{}, fmt.Errorf("query: join right column: %w", err)
+		d := 1.0
+		if in.stats != nil && float64(in.stats[li].Distinct) > d {
+			d = float64(in.stats[li].Distinct)
 		}
-		if left.Cols[li].Type != right.Cols[ri].Type {
-			return table.Schema{}, fmt.Errorf("query: join column types differ: %v vs %v",
-				left.Cols[li].Type, right.Cols[ri].Type)
+		if right.stats != nil && float64(right.stats[ri].Distinct) > d {
+			d = float64(right.stats[ri].Distinct)
 		}
-		return table.JoinSchema(left, right), nil
+		rows := in.rows * right.rows / d
+		// Each output column keeps its source's stats: the inputs' stats,
+		// concatenated, line up with table.JoinSchema's columns.
+		return derived{schema: table.JoinSchema(in.schema, right.schema), rows: rows, stats: capped(rows, in.stats, right.stats)}, nil
 	case OpAgg:
-		in, err := l.Input.OutSchema(base)
-		if err != nil {
-			return table.Schema{}, err
-		}
 		if len(l.Aggs) == 0 {
-			return table.Schema{}, fmt.Errorf("query: aggregate with no aggregate functions")
+			return derived{}, fmt.Errorf("query: aggregate with no aggregate functions")
 		}
 		cols := make([]table.Col, 0, len(l.Keys)+len(l.Aggs))
+		var stats []ColStats
+		if in.stats != nil {
+			stats = make([]ColStats, 0, len(l.Keys)+len(l.Aggs))
+		}
+		groups := 1.0
 		for _, k := range l.Keys {
-			j, err := in.MustIndex(k)
+			j, err := in.schema.MustIndex(k)
 			if err != nil {
-				return table.Schema{}, fmt.Errorf("query: group key: %w", err)
+				return derived{}, fmt.Errorf("query: group key: %w", err)
 			}
-			cols = append(cols, in.Cols[j])
+			cols = append(cols, in.schema.Cols[j])
+			if stats != nil {
+				if cs := in.stats[j]; cs.Distinct > 0 {
+					groups *= float64(cs.Distinct)
+				}
+				stats = append(stats, in.stats[j])
+			}
+		}
+		if groups > in.rows {
+			groups = in.rows
+		}
+		if len(l.Keys) == 0 {
+			groups = 1
+			if in.rows == 0 {
+				groups = 0
+			}
 		}
 		for _, a := range l.Aggs {
 			inType := table.Int64
 			if a.Op != table.Count {
-				j, err := in.MustIndex(a.Col)
+				j, err := in.schema.MustIndex(a.Col)
 				if err != nil {
-					return table.Schema{}, fmt.Errorf("query: aggregate input: %w", err)
+					return derived{}, fmt.Errorf("query: aggregate input: %w", err)
 				}
-				inType = in.Cols[j].Type
+				inType = in.schema.Cols[j].Type
 				if inType == table.String && a.Op != table.Min && a.Op != table.Max {
-					return table.Schema{}, fmt.Errorf("query: %s over string column %q", a.Op, a.Col)
+					return derived{}, fmt.Errorf("query: %s over string column %q", a.Op, a.Col)
 				}
 			}
 			cols = append(cols, table.Col{Name: a.Name(), Type: a.OutType(inType)})
-		}
-		seen := map[string]bool{}
-		for _, c := range cols {
-			if seen[c.Name] {
-				return table.Schema{}, fmt.Errorf("query: duplicate aggregate output column %q", c.Name)
+			if stats != nil {
+				stats = append(stats, ColStats{Distinct: int64(groups)})
 			}
-			seen[c.Name] = true
 		}
-		return table.Schema{Cols: cols}, nil
+		for i, c := range cols {
+			if (table.Schema{Cols: cols[:i]}).Index(c.Name) >= 0 {
+				return derived{}, fmt.Errorf("query: duplicate aggregate output column %q", c.Name)
+			}
+		}
+		return derived{schema: table.Schema{Cols: cols}, rows: groups, stats: stats}, nil
 	case OpSort:
-		in, err := l.Input.OutSchema(base)
-		if err != nil {
-			return table.Schema{}, err
-		}
-		if in.Index(l.SortCol) < 0 {
-			return table.Schema{}, fmt.Errorf("query: sort references unknown column %q", l.SortCol)
+		if in.schema.Index(l.SortCol) < 0 {
+			return derived{}, fmt.Errorf("query: sort references unknown column %q", l.SortCol)
 		}
 		return in, nil
 	case OpLimit:
 		if l.N < 0 {
-			return table.Schema{}, fmt.Errorf("query: LIMIT %d", l.N)
+			return derived{}, fmt.Errorf("query: LIMIT %d", l.N)
 		}
-		if l.Input.Op != OpSort {
-			return table.Schema{}, fmt.Errorf("query: LIMIT requires ORDER BY directly below it")
+		if l.Input == nil || l.Input.Op != OpSort {
+			return derived{}, fmt.Errorf("query: LIMIT requires ORDER BY directly below it")
 		}
-		return l.Input.OutSchema(base)
+		if float64(l.N) < in.rows {
+			in.rows = float64(l.N)
+		}
+		return in, nil
 	}
-	return table.Schema{}, fmt.Errorf("query: unknown operator %d", l.Op)
+	return derived{}, fmt.Errorf("query: unknown operator %d", l.Op)
 }
 
 // Ordered reports whether the plan's output has a defined total order

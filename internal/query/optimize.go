@@ -12,23 +12,15 @@ import (
 // optimize rewrites a logical plan: filters pushed toward scans, star
 // joins reordered cheapest-dimension-first, projections narrowed to the
 // columns read above them. It returns the columns each scan of the
-// rewritten plan must decode. The rewritten plan is validated against
-// the original's output schema; any failure falls back to the
-// unrewritten plan with every scan decoding every column, so
+// rewritten plan must decode, or nil needs if demand failed; Build falls
+// back to the unrewritten plan, every scan decoding every column, unless
+// the rewritten one compiles to the original's output schema, so
 // optimization can only change cost, never results.
-func (e *Env) optimize(lp *Logical) (*Logical, map[*Logical][]string) {
-	orig, err := lp.OutSchema(e.Schema)
-	if err != nil {
-		return lp, nil
-	}
+func (e *Env) optimize(lp *Logical, want table.Schema) (*Logical, map[*Logical][]string) {
 	rw := e.pushFilters(lp.clone(), nil)
 	rw = e.reorderJoins(rw)
 	needs := map[*Logical][]string{}
-	if err := e.demand(rw, orig.Names(), true, needs); err != nil {
-		return lp, nil
-	}
-	got, err := rw.OutSchema(e.Schema)
-	if err != nil || !sameSchema(orig, got) {
+	if err := e.demand(rw, want.Names(), true, needs); err != nil {
 		return lp, nil
 	}
 	return rw, needs
@@ -116,17 +108,17 @@ func (e *Env) pushFilters(l *Logical, pending []*Expr) *Logical {
 		l.Input = e.pushFilters(l.Input, push)
 		return wrap(l, stuck)
 	case OpJoin:
-		left, lerr := l.Input.OutSchema(e.Schema)
-		right, rerr := l.Right.OutSchema(e.Schema)
+		left, lerr := e.derive(l.Input)
+		right, rerr := e.derive(l.Right)
 		if lerr != nil || rerr != nil {
 			l.Input = e.pushFilters(l.Input, nil)
 			l.Right = e.pushFilters(l.Right, nil)
 			return wrap(l, pending)
 		}
-		out := table.JoinSchema(left, right)
+		out := table.JoinSchema(left.schema, right.schema)
 		var toLeft, toRight, stuck []*Expr
 		for _, c := range pending {
-			switch side, rc := joinSide(c, out, right); side {
+			switch side, rc := joinSide(c, out, right.schema); side {
 			case 0:
 				toLeft = append(toLeft, c)
 			case 1:
@@ -182,19 +174,20 @@ func (e *Env) reorderJoins(l *Logical) *Logical {
 	}
 	// Collect the left-deep chain in join order.
 	type link struct {
-		right             *Logical
-		leftCol, rightCol string
+		join  *Logical // the chain's join node, for its columns
+		right *Logical // its build side, joins reordered
+		d     derived  // the build side's derivation
 	}
 	var chain []link
 	cur := l
 	for ; cur.Op == OpJoin; cur = cur.Input {
-		chain = append([]link{{e.reorderJoins(cur.Right), cur.LeftCol, cur.RightCol}}, chain...)
+		chain = append([]link{{join: cur, right: e.reorderJoins(cur.Right)}}, chain...)
 	}
 	base := e.reorderJoins(cur)
 	rebuild := func(order []link) *Logical {
 		out := base
 		for _, ln := range order {
-			out = out.Join(ln.right, ln.leftCol, ln.rightCol)
+			out = out.Join(ln.right, ln.join.LeftCol, ln.join.RightCol)
 		}
 		return out
 	}
@@ -202,66 +195,60 @@ func (e *Env) reorderJoins(l *Logical) *Logical {
 	if len(chain) < 2 {
 		return orig
 	}
-	baseSchema, err := base.OutSchema(e.Schema)
+	bd, err := e.derive(base)
 	if err != nil {
 		return orig
 	}
-	for _, ln := range chain {
-		if baseSchema.Index(ln.leftCol) < 0 {
+	for i, ln := range chain {
+		if bd.schema.Index(ln.join.LeftCol) < 0 {
 			return orig // probe col from an earlier join: order is load-bearing
 		}
+		if chain[i].d, err = e.derive(ln.right); err != nil {
+			return orig
+		}
 	}
-	origSchema, err := orig.OutSchema(e.Schema)
+	// joined derives the links joining base in order, and the names each
+	// build side's columns get there. A prefix chosen on collision depends
+	// on what joined before, so a reorder that moves one would hand the
+	// name to another side's column.
+	joined := func(order []link) (derived, map[*Logical][]string, error) {
+		out, names := bd, map[*Logical][]string{}
+		for _, ln := range order {
+			n := len(out.schema.Cols)
+			var err error
+			if out, err = derive(ln.join, out, ln.d); err != nil {
+				return derived{}, nil, err
+			}
+			names[ln.right] = out.schema.Names()[n:]
+		}
+		return out, names, nil
+	}
+	origOut, origNames, err := joined(chain)
 	if err != nil {
 		return orig
 	}
-	// sideNames maps each build side to the names its columns get when the
-	// links join base in order. A prefix chosen on collision depends on
-	// what joined before, so a reorder that moves one would hand the name
-	// to another side's column.
-	sideNames := func(order []link) map[*Logical][]string {
-		out, names := baseSchema, map[*Logical][]string{}
-		for _, ln := range order {
-			rs, _ := ln.right.OutSchema(e.Schema) // resolves: origSchema did
-			n := len(out.Cols)
-			out = table.JoinSchema(out, rs)
-			names[ln.right] = out.Names()[n:]
-		}
-		return names
-	}
 	ordered := slices.Clone(chain)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		return e.chainEst(ordered[i].right) < e.chainEst(ordered[j].right)
-	})
-	if !maps.EqualFunc(sideNames(chain), sideNames(ordered), slices.Equal[[]string]) {
+	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].d.rows < ordered[j].d.rows })
+	rwOut, rwNames, err := joined(ordered)
+	if err != nil || !maps.EqualFunc(origNames, rwNames, slices.Equal[[]string]) {
 		return orig
 	}
 	rw := rebuild(ordered)
-	rwSchema, err := rw.OutSchema(e.Schema)
-	if err != nil {
-		return orig
-	}
-	if sameSchema(origSchema, rwSchema) {
+	if sameSchema(origOut.schema, rwOut.schema) {
 		return rw
 	}
-	names := origSchema.Names()
+	names := origOut.schema.Names()
 	return rw.Project(names, names)
-}
-
-func (e *Env) chainEst(l *Logical) float64 {
-	est, err := e.estimatePlan(l)
-	if err != nil {
-		return 0
-	}
-	return est.rows
 }
 
 // demand is the optimizer's one column-demand pass, top-down. demanded
 // lists the output columns l's parent reads; the root keeps its full
 // output. It narrows every projection below the root to the items read
 // above it and records in needs the columns each scan must decode. In
-// place on an already-cloned tree.
+// place on an already-cloned tree: a join or sort derives its inputs
+// before demand narrows them, and reads those derivations only then.
 func (e *Env) demand(l *Logical, demanded []string, root bool, needs map[*Logical][]string) error {
+	var next, toRight []string
 	switch l.Op {
 	case OpScan:
 		schema, err := e.Schema(l.TableName)
@@ -279,13 +266,12 @@ func (e *Env) demand(l *Logical, demanded []string, root bool, needs map[*Logica
 	case OpFilter:
 		// A filter fused into its scan runs its single-column conjuncts on
 		// the encoded columns; only multi-column conjunct inputs are decoded.
-		next := demanded
+		next = demanded
 		for _, conj := range l.Pred.conjuncts() {
 			if cols := conj.Cols(); l.Input.Op != OpScan || len(cols) != 1 {
 				next = appendMissing(next, cols)
 			}
 		}
-		return e.demand(l.Input, next, false, needs)
 	case OpProject:
 		if !root {
 			var cols, aliases []string
@@ -302,16 +288,17 @@ func (e *Env) demand(l *Logical, demanded []string, root bool, needs map[*Logica
 			}
 			l.Cols, l.Aliases = cols, aliases
 		}
-		return e.demand(l.Input, appendMissing(nil, l.Cols), false, needs)
+		next = appendMissing(nil, l.Cols)
 	case OpJoin:
-		left, err := l.Input.OutSchema(e.Schema)
+		ld, err := e.derive(l.Input)
 		if err != nil {
 			return err
 		}
-		right, err := l.Right.OutSchema(e.Schema)
+		rd, err := e.derive(l.Right)
 		if err != nil {
 			return err
 		}
+		left, right := ld.schema, rd.schema
 		out := table.JoinSchema(left, right)
 		keep := make([]bool, len(out.Cols))
 		var mark func(i int)
@@ -332,40 +319,40 @@ func (e *Env) demand(l *Logical, demanded []string, root bool, needs map[*Logica
 		for _, d := range demanded {
 			mark(out.Index(d))
 		}
-		toLeft, toRight := []string{l.LeftCol}, []string{l.RightCol}
+		next, toRight = []string{l.LeftCol}, []string{l.RightCol}
 		for i, kept := range keep {
 			switch {
 			case !kept:
 			case i < len(left.Cols):
-				toLeft = append(toLeft, left.Cols[i].Name)
+				next = append(next, left.Cols[i].Name)
 			default:
 				toRight = append(toRight, right.Cols[i-len(left.Cols)].Name)
 			}
 		}
-		if err := e.demand(l.Input, toLeft, false, needs); err != nil {
-			return err
-		}
-		return e.demand(l.Right, toRight, false, needs)
 	case OpAgg:
-		next := append([]string(nil), l.Keys...)
+		next = append([]string(nil), l.Keys...)
 		for _, a := range l.Aggs {
 			if a.Op != table.Count {
 				next = appendMissing(next, []string{a.Col})
 			}
 		}
-		return e.demand(l.Input, next, false, needs)
 	case OpSort:
 		// The compiled sort breaks ties on every input column, so it reads
 		// its whole input schema.
-		in, err := l.Input.OutSchema(e.Schema)
+		in, err := e.derive(l.Input)
 		if err != nil {
 			return err
 		}
-		return e.demand(l.Input, in.Names(), false, needs)
+		next = in.schema.Names()
 	case OpLimit:
-		return e.demand(l.Input, demanded, root, needs)
+		next = demanded
+	default:
+		return fmt.Errorf("query: unknown operator %d", l.Op)
 	}
-	return fmt.Errorf("query: unknown operator %d", l.Op)
+	if err := e.demand(l.Input, next, root && l.Op == OpLimit, needs); err != nil || l.Op != OpJoin {
+		return err
+	}
+	return e.demand(l.Right, toRight, false, needs)
 }
 
 // collided is the name table.JoinSchema gives a right column called name

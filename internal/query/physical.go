@@ -42,6 +42,12 @@ type Node struct {
 	// produced; nil until the node has been compiled onto the engine.
 	rows []atomic.Int64
 	exec func() (*table.Table, error)
+	// schema is the columns the node's table actually has: a pruned scan
+	// emits fewer than the logical schema, and residual filter columns can
+	// ride along. Every name still resolves the logical references above
+	// (pruning never drops a demanded column), and Build restores the
+	// exact output schema at the root.
+	schema table.Schema
 }
 
 // Actual returns the rows observed flowing out of this operator in the
@@ -81,28 +87,35 @@ func (e *Env) Build(lp *Logical, opts Options) (*Plan, error) {
 	if opts.Parts == 0 {
 		opts.Parts = DefaultParts
 	}
-	want, err := lp.OutSchema(e.Schema)
+	top, err := e.derive(lp)
 	if err != nil {
 		return nil, err
 	}
+	want := top.schema
 	run, needs := lp, map[*Logical][]string(nil)
 	if opts.Optimize {
-		run, needs = e.optimize(lp)
+		run, needs = e.optimize(lp, want)
 	}
 	c := &compiler{env: e, opts: opts, needs: needs}
-	node, schema, err := c.compile(run)
+	node, got, err := c.compile(run)
+	if run != lp && (err != nil || !sameSchema(got.schema, want)) {
+		// The rewrite broke the plan: compile the original instead.
+		run, c.needs = lp, nil
+		node, _, err = c.compile(run)
+	}
 	if err != nil {
 		return nil, err
 	}
 	// Restore the original output schema if rewrites left extra columns
 	// or a different order behind.
-	if !sameSchema(schema, want) {
+	if !sameSchema(node.schema, want) {
 		inner := node
 		node = &Node{
 			Kind:     "project",
 			Detail:   "restore output " + strings.Join(want.Names(), ", "),
 			Est:      inner.Est,
 			Children: []*Node{inner},
+			schema:   want,
 		}
 		node.exec = c.counted(node, func() (*table.Table, error) {
 			t, err := inner.exec()
@@ -175,41 +188,43 @@ func (n *Node) slots(parts int) func(part, count int) {
 	return func(part, count int) { rows[part].Store(int64(count)) }
 }
 
-func (c *compiler) est(l *Logical) float64 {
-	est, err := c.env.estimatePlan(l)
+// inputs compiles l's inputs (Right only for a join) and derives l from
+// their derivations.
+func (c *compiler) inputs(l *Logical) (in, right *Node, d derived, err error) {
+	in, ind, err := c.compile(l.Input)
 	if err != nil {
-		return 0
+		return nil, nil, derived{}, err
 	}
-	return est.rows
+	var rd derived
+	if l.Op == OpJoin {
+		if right, rd, err = c.compile(l.Right); err != nil {
+			return nil, nil, derived{}, err
+		}
+	}
+	d, err = derive(l, ind, rd)
+	return in, right, d, err
 }
 
-func (c *compiler) compile(l *Logical) (*Node, table.Schema, error) {
-	schema, err := l.OutSchema(c.env.Schema)
-	if err != nil {
-		return nil, table.Schema{}, err
-	}
-	// compile returns the schema the compiled table ACTUALLY has — a
-	// pruned scan emits fewer columns than the logical schema, and
-	// residual filter columns can ride along. Every returned name still
-	// resolves the logical references above (pruning never drops a
-	// demanded column), and Build restores the exact output schema at
-	// the root.
+// compile returns l's physical node and l's derivation. Each node is
+// derived once, from its inputs' derivations, as compile returns from
+// them; the node's Est is its derivation's row estimate.
+func (c *compiler) compile(l *Logical) (*Node, derived, error) {
 	switch l.Op {
 	case OpScan:
 		return c.compileScan(l, nil)
 	case OpFilter:
 		if c.opts.Optimize && l.Input.Op == OpScan {
-			return c.compileScan(l.Input, l.Pred)
+			return c.compileScan(l.Input, l)
 		}
-		child, childSchema, err := c.compile(l.Input)
+		child, _, d, err := c.inputs(l)
 		if err != nil {
-			return nil, table.Schema{}, err
+			return nil, derived{}, err
 		}
-		sel, err := l.Pred.BindBatch(childSchema)
+		sel, err := l.Pred.BindBatch(child.schema)
 		if err != nil {
-			return nil, table.Schema{}, err
+			return nil, derived{}, err
 		}
-		n := &Node{Kind: "filter", Detail: l.Pred.String(), Est: c.est(l), Children: []*Node{child}}
+		n := &Node{Kind: "filter", Detail: l.Pred.String(), Est: d.rows, Children: []*Node{child}, schema: child.schema}
 		n.exec = c.counted(n, func() (*table.Table, error) {
 			t, err := child.exec()
 			if err != nil {
@@ -217,16 +232,16 @@ func (c *compiler) compile(l *Logical) (*Node, table.Schema, error) {
 			}
 			return t.Filter(sel), nil
 		})
-		return n, childSchema, nil
+		return n, d, nil
 	case OpProject:
-		child, _, err := c.compile(l.Input)
+		child, _, d, err := c.inputs(l)
 		if err != nil {
-			return nil, table.Schema{}, err
+			return nil, derived{}, err
 		}
 		seen := map[string]bool{}
 		for _, col := range l.Cols {
 			if seen[col] {
-				return nil, table.Schema{}, fmt.Errorf("query: column %q selected twice", col)
+				return nil, derived{}, fmt.Errorf("query: column %q selected twice", col)
 			}
 			seen[col] = true
 		}
@@ -237,7 +252,7 @@ func (c *compiler) compile(l *Logical) (*Node, table.Schema, error) {
 			}
 		}
 		cols := append([]string(nil), l.Cols...)
-		n := &Node{Kind: "project", Detail: strings.Join(schema.Names(), ", "), Est: c.est(l), Children: []*Node{child}}
+		n := &Node{Kind: "project", Detail: strings.Join(d.schema.Names(), ", "), Est: d.rows, Children: []*Node{child}, schema: d.schema}
 		n.exec = c.counted(n, func() (*table.Table, error) {
 			t, err := child.exec()
 			if err != nil {
@@ -252,18 +267,13 @@ func (c *compiler) compile(l *Logical) (*Node, table.Schema, error) {
 			}
 			return t.Renamed(rename)
 		})
-		return n, schema, nil
+		return n, d, nil
 	case OpJoin:
-		left, leftSchema, err := c.compile(l.Input)
+		left, right, d, err := c.inputs(l)
 		if err != nil {
-			return nil, table.Schema{}, err
+			return nil, derived{}, err
 		}
-		right, rightSchema, err := c.compile(l.Right)
-		if err != nil {
-			return nil, table.Schema{}, err
-		}
-		estLeft, estRight := c.est(l.Input), c.est(l.Right)
-		broadcast := c.opts.Optimize && estRight <= float64(c.opts.BroadcastRows) && estRight <= estLeft
+		broadcast := c.opts.Optimize && right.Est <= float64(c.opts.BroadcastRows) && right.Est <= left.Est
 		kind := "join[shuffle]"
 		if broadcast {
 			kind = "join[broadcast]"
@@ -272,8 +282,9 @@ func (c *compiler) compile(l *Logical) (*Node, table.Schema, error) {
 		n := &Node{
 			Kind:     kind,
 			Detail:   fmt.Sprintf("%s = %s", leftCol, rightCol),
-			Est:      c.est(l),
+			Est:      d.rows,
 			Children: []*Node{left, right},
+			schema:   table.JoinSchema(left.schema, right.schema),
 		}
 		n.exec = c.counted(n, func() (*table.Table, error) {
 			lt, err := left.exec()
@@ -289,11 +300,11 @@ func (c *compiler) compile(l *Logical) (*Node, table.Schema, error) {
 			}
 			return lt.HashJoin(rt, leftCol, rightCol, parts)
 		})
-		return n, table.JoinSchema(leftSchema, rightSchema), nil
+		return n, d, nil
 	case OpAgg:
-		child, _, err := c.compile(l.Input)
+		child, _, d, err := c.inputs(l)
 		if err != nil {
-			return nil, table.Schema{}, err
+			return nil, derived{}, err
 		}
 		keys, aggs, parts := append([]string(nil), l.Keys...), append([]table.Agg(nil), l.Aggs...), c.opts.Parts
 		var details []string
@@ -307,8 +318,9 @@ func (c *compiler) compile(l *Logical) (*Node, table.Schema, error) {
 		n := &Node{
 			Kind:     "agg",
 			Detail:   fmt.Sprintf("keys=[%s] %s", strings.Join(keys, ", "), strings.Join(details, ", ")),
-			Est:      c.est(l),
+			Est:      d.rows,
 			Children: []*Node{child},
+			schema:   d.schema,
 		}
 		// Optimized, an aggregate over a join, or over a project of one that
 		// renames nothing, folds the join's matches instead of building it.
@@ -341,19 +353,19 @@ func (c *compiler) compile(l *Logical) (*Node, table.Schema, error) {
 			child.rows = join.rows // a project passes every match on
 			return g.Agg(parts, aggs...)
 		})
-		return n, schema, nil
+		return n, d, nil
 	case OpSort:
 		return c.compileSort(l, nil)
 	case OpLimit:
 		if c.opts.Optimize {
 			return c.compileSort(l.Input, l)
 		}
-		child, childSchema, err := c.compile(l.Input)
+		child, _, d, err := c.inputs(l)
 		if err != nil {
-			return nil, table.Schema{}, err
+			return nil, derived{}, err
 		}
 		limit := l.N
-		n := &Node{Kind: "limit", Detail: fmt.Sprintf("%d", limit), Est: c.est(l), Children: []*Node{child}}
+		n := &Node{Kind: "limit", Detail: fmt.Sprintf("%d", limit), Est: d.rows, Children: []*Node{child}, schema: child.schema}
 		n.exec = c.counted(n, func() (*table.Table, error) {
 			t, err := child.exec()
 			if err != nil {
@@ -361,23 +373,20 @@ func (c *compiler) compile(l *Logical) (*Node, table.Schema, error) {
 			}
 			return t.Head(limit)
 		})
-		return n, childSchema, nil
+		return n, d, nil
 	}
-	return nil, table.Schema{}, fmt.Errorf("query: unknown operator %d", l.Op)
+	return nil, derived{}, fmt.Errorf("query: unknown operator %d", l.Op)
 }
 
 // compileSort compiles an OpSort into a global sort or, given the OpLimit
 // above it, into one "topk" node that keeps the first limit.N rows of the
 // same order (table.TopK) in place of both.
-func (c *compiler) compileSort(l, limit *Logical) (*Node, table.Schema, error) {
-	child, childSchema, err := c.compile(l.Input)
+func (c *compiler) compileSort(l, limit *Logical) (*Node, derived, error) {
+	child, _, d, err := c.inputs(l)
 	if err != nil {
-		return nil, table.Schema{}, err
+		return nil, derived{}, err
 	}
-	inWant, err := l.Input.OutSchema(c.env.Schema)
-	if err != nil {
-		return nil, table.Schema{}, err
-	}
+	inWant := d.schema // a sort passes its input's schema on
 	// Sort on the primary column, breaking ties on every remaining
 	// column ascending: a total order over distinct rows, so the
 	// oracle can compare ordered output deterministically.
@@ -394,18 +403,21 @@ func (c *compiler) compileSort(l, limit *Logical) (*Node, table.Schema, error) {
 	if l.Desc {
 		dir = "desc"
 	}
-	n := &Node{Kind: "sort", Detail: fmt.Sprintf("%s %s", l.SortCol, dir), Est: c.est(l), Children: []*Node{child}}
+	n := &Node{Kind: "sort", Detail: fmt.Sprintf("%s %s", l.SortCol, dir), Est: d.rows, Children: []*Node{child}, schema: inWant}
 	k := -1
 	if limit != nil {
+		if d, err = derive(limit, d, derived{}); err != nil {
+			return nil, derived{}, err
+		}
 		k = limit.N
-		n.Kind, n.Detail, n.Est = "topk", fmt.Sprintf("%s limit %d", n.Detail, k), c.est(limit)
+		n.Kind, n.Detail, n.Est = "topk", fmt.Sprintf("%s limit %d", n.Detail, k), d.rows
 	}
 	n.exec = c.counted(n, func() (*table.Table, error) {
 		t, err := child.exec()
 		if err != nil {
 			return nil, err
 		}
-		if t, err = conform(t, inWant, childSchema); err != nil {
+		if t, err = conform(t, inWant, child.schema); err != nil {
 			return nil, err
 		}
 		if k >= 0 {
@@ -413,7 +425,7 @@ func (c *compiler) compileSort(l, limit *Logical) (*Node, table.Schema, error) {
 		}
 		return t.OrderByCols(cols, desc, parts)
 	})
-	return n, inWant, nil
+	return n, d, nil
 }
 
 // conform projects t down to want's columns when the compiled child
@@ -429,18 +441,25 @@ func conform(t *table.Table, want, got table.Schema) (*table.Table, error) {
 // conjuncts run against the encoded columns (zone maps pruning whole
 // partitions, RLE runs and dictionary entries evaluated once), the
 // rest stays as a residual row filter, and only the needed columns are
-// decoded.
-func (c *compiler) compileScan(l *Logical, pred *Expr) (*Node, table.Schema, error) {
+// decoded. filter, when set, is the OpFilter node above l.
+func (c *compiler) compileScan(l, filter *Logical) (*Node, derived, error) {
 	src, ok := c.env.tables[l.TableName]
 	if !ok {
-		return nil, table.Schema{}, fmt.Errorf("query: unknown table %q", l.TableName)
+		return nil, derived{}, fmt.Errorf("query: unknown table %q", l.TableName)
 	}
-	schema := src.schema
+	schema, d, pred := src.schema, src.derived, (*Expr)(nil)
+	if filter != nil {
+		var err error
+		if d, err = derive(filter, d, derived{}); err != nil {
+			return nil, derived{}, err
+		}
+		pred = filter.Pred
+	}
 
 	var colPreds []table.ColPredicate
 	var residual []*Expr
 	if _, err := pred.BindBatch(schema); err != nil {
-		return nil, table.Schema{}, err
+		return nil, derived{}, err
 	}
 	for _, conj := range pred.conjuncts() {
 		cols := conj.Cols()
@@ -450,7 +469,7 @@ func (c *compiler) compileScan(l *Logical, pred *Expr) (*Node, table.Schema, err
 		}
 		idx, err := schema.MustIndex(cols[0])
 		if err != nil {
-			return nil, table.Schema{}, err
+			return nil, derived{}, err
 		}
 		typ := schema.Cols[idx].Type
 		cp := table.ColPredicate{Col: idx}
@@ -506,7 +525,7 @@ func (c *compiler) compileScan(l *Logical, pred *Expr) (*Node, table.Schema, err
 	if residualPred != nil {
 		var err error
 		if residualSel, err = residualPred.BindBatch(outSchema); err != nil {
-			return nil, table.Schema{}, err
+			return nil, derived{}, err
 		}
 	}
 
@@ -523,11 +542,7 @@ func (c *compiler) compileScan(l *Logical, pred *Expr) (*Node, table.Schema, err
 	if residualPred != nil {
 		detail += " residual=(" + residualPred.String() + ")"
 	}
-	est := c.est(l)
-	if pred != nil {
-		est = c.est(&Logical{Op: OpFilter, Input: l, Pred: pred})
-	}
-	n := &Node{Kind: "scan", Detail: detail, Est: est}
+	n := &Node{Kind: "scan", Detail: detail, Est: d.rows, schema: outSchema}
 	env := c.env
 	n.exec = c.counted(n, func() (*table.Table, error) {
 		t, err := src.data.Scan(env.Eng, colPreds, neededIdx, env.Reg)
@@ -539,5 +554,5 @@ func (c *compiler) compileScan(l *Logical, pred *Expr) (*Node, table.Schema, err
 		}
 		return t, nil
 	})
-	return n, outSchema, nil
+	return n, d, nil
 }

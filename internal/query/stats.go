@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -49,12 +50,12 @@ func Analyze(schema table.Schema, rows []table.Row) *Stats {
 }
 
 // source is one registered base table: columnar storage for the
-// engine, raw rows for the differential oracle, stats for the planner.
+// engine, raw rows for the differential oracle, and what a scan of it
+// derives (schema, row count, column stats) for the planner.
 type source struct {
-	schema table.Schema
-	data   *table.ColumnarTable
-	rows   []table.Row
-	stats  *Stats
+	derived
+	data *table.ColumnarTable
+	rows []table.Row
 }
 
 // Env is the query environment: an engine to run on, a metrics
@@ -84,17 +85,31 @@ func (e *Env) Register(name string, schema table.Schema, rows []table.Row, parts
 	if err != nil {
 		return fmt.Errorf("query: register %q: %w", name, err)
 	}
-	e.tables[name] = &source{schema: schema, data: data, rows: rows, stats: Analyze(schema, rows)}
+	st := Analyze(schema, rows)
+	cols := make([]ColStats, len(schema.Cols))
+	for i, c := range schema.Cols {
+		cols[i] = st.Cols[c.Name]
+	}
+	e.tables[name] = &source{derived: derived{schema: schema, rows: float64(st.Rows), stats: cols}, data: data, rows: rows}
 	return nil
 }
 
-// Schema returns a registered table's schema.
-func (e *Env) Schema(name string) (table.Schema, error) {
+// table is a registered table's derivation, the input of a scan of it.
+func (e *Env) table(name string) (derived, error) {
 	s, ok := e.tables[name]
 	if !ok {
-		return table.Schema{}, fmt.Errorf("query: unknown table %q", name)
+		return derived{}, fmt.Errorf("query: unknown table %q", name)
 	}
-	return s.schema, nil
+	return s.derived, nil
+}
+
+// derive walks l's whole tree against the catalog, statistics included.
+func (e *Env) derive(l *Logical) (derived, error) { return l.walk(e.table) }
+
+// Schema returns a registered table's schema.
+func (e *Env) Schema(name string) (table.Schema, error) {
+	d, err := e.table(name)
+	return d.schema, err
 }
 
 // Rows returns a registered table's raw rows (the oracle's input).
@@ -118,31 +133,25 @@ func (e *Env) Tables() []string {
 // ---------------------------------------------------------------------------
 // Cardinality estimation
 
-// estimate is the planner's guess about one plan node's output: a row
-// count plus per-output-column stats for downstream selectivity math.
-type estimate struct {
-	rows float64
-	cols map[string]ColStats
-}
-
 const defaultSelectivity = 1.0 / 3
 
 // selectivity estimates the fraction of rows a predicate keeps.
-func (est *estimate) selectivity(e *Expr) float64 {
+func (d derived) selectivity(e *Expr) float64 {
 	if e == nil {
 		return 1
 	}
 	switch e.Kind {
 	case ExprAnd:
-		return est.selectivity(e.Left) * est.selectivity(e.Right)
+		return d.selectivity(e.Left) * d.selectivity(e.Right)
 	case ExprOr:
-		a, b := est.selectivity(e.Left), est.selectivity(e.Right)
+		a, b := d.selectivity(e.Left), d.selectivity(e.Right)
 		return a + b - a*b
 	}
-	cs, ok := est.cols[e.Col]
-	if !ok || cs.Distinct == 0 {
+	i := d.schema.Index(e.Col)
+	if i < 0 || d.stats == nil || d.stats[i].Distinct == 0 {
 		return defaultSelectivity
 	}
+	cs := d.stats[i]
 	switch e.Cmp {
 	case Eq:
 		return 1 / float64(cs.Distinct)
@@ -189,136 +198,19 @@ func toFloat(v any) (float64, bool) {
 	return 0, false
 }
 
-// estimatePlan walks the logical tree computing row-count estimates.
-// It names columns as OutSchema does so post-join and post-project
-// references resolve.
-func (e *Env) estimatePlan(l *Logical) (estimate, error) {
-	switch l.Op {
-	case OpScan:
-		src, ok := e.tables[l.TableName]
-		if !ok {
-			return estimate{}, fmt.Errorf("query: unknown table %q", l.TableName)
-		}
-		cols := make(map[string]ColStats, len(src.stats.Cols))
-		for k, v := range src.stats.Cols {
-			cols[k] = v
-		}
-		return estimate{rows: float64(src.stats.Rows), cols: cols}, nil
-	case OpFilter:
-		in, err := e.estimatePlan(l.Input)
-		if err != nil {
-			return estimate{}, err
-		}
-		out := estimate{rows: in.rows * in.selectivity(l.Pred), cols: capDistinct(in.cols, in.rows*in.selectivity(l.Pred))}
-		return out, nil
-	case OpProject:
-		in, err := e.estimatePlan(l.Input)
-		if err != nil {
-			return estimate{}, err
-		}
-		cols := make(map[string]ColStats, len(l.Cols))
-		for i, c := range l.Cols {
-			if cs, ok := in.cols[c]; ok {
-				cols[l.Aliases[i]] = cs
-			}
-		}
-		return estimate{rows: in.rows, cols: cols}, nil
-	case OpJoin:
-		left, err := e.estimatePlan(l.Input)
-		if err != nil {
-			return estimate{}, err
-		}
-		right, err := e.estimatePlan(l.Right)
-		if err != nil {
-			return estimate{}, err
-		}
-		d := 1.0
-		if cs, ok := left.cols[l.LeftCol]; ok && float64(cs.Distinct) > d {
-			d = float64(cs.Distinct)
-		}
-		if cs, ok := right.cols[l.RightCol]; ok && float64(cs.Distinct) > d {
-			d = float64(cs.Distinct)
-		}
-		rows := left.rows * right.rows / d
-		ls, err := l.Input.OutSchema(e.Schema)
-		if err != nil {
-			return estimate{}, err
-		}
-		rs, err := l.Right.OutSchema(e.Schema)
-		if err != nil {
-			return estimate{}, err
-		}
-		// Each output column's stats are its source's, named as
-		// table.JoinSchema names it.
-		out := table.JoinSchema(ls, rs)
-		cols := make(map[string]ColStats, len(out.Cols))
-		for i, c := range out.Cols {
-			src, from := c.Name, left.cols
-			if i >= len(ls.Cols) {
-				src, from = rs.Cols[i-len(ls.Cols)].Name, right.cols
-			}
-			if v, ok := from[src]; ok {
-				cols[c.Name] = v
-			}
-		}
-		return estimate{rows: rows, cols: capDistinct(cols, rows)}, nil
-	case OpAgg:
-		in, err := e.estimatePlan(l.Input)
-		if err != nil {
-			return estimate{}, err
-		}
-		groups := 1.0
-		for _, k := range l.Keys {
-			if cs, ok := in.cols[k]; ok && cs.Distinct > 0 {
-				groups *= float64(cs.Distinct)
-			}
-		}
-		if groups > in.rows {
-			groups = in.rows
-		}
-		if len(l.Keys) == 0 {
-			groups = 1
-			if in.rows == 0 {
-				groups = 0
-			}
-		}
-		cols := make(map[string]ColStats, len(l.Keys)+len(l.Aggs))
-		for _, k := range l.Keys {
-			if cs, ok := in.cols[k]; ok {
-				cols[k] = cs
-			}
-		}
-		for _, a := range l.Aggs {
-			cols[a.Name()] = ColStats{Distinct: int64(groups)}
-		}
-		return estimate{rows: groups, cols: cols}, nil
-	case OpSort:
-		return e.estimatePlan(l.Input)
-	case OpLimit:
-		in, err := e.estimatePlan(l.Input)
-		if err != nil {
-			return estimate{}, err
-		}
-		if float64(l.N) < in.rows {
-			in.rows = float64(l.N)
-		}
-		return in, nil
+// capped concatenates stats into a fresh slice with every distinct count
+// bounded by the row estimate; without statistics it is nil.
+func capped(rows float64, stats ...[]ColStats) []ColStats {
+	if stats[0] == nil {
+		return nil
 	}
-	return estimate{}, fmt.Errorf("query: unknown operator %d", l.Op)
-}
-
-// capDistinct bounds every column's distinct count by the row estimate.
-func capDistinct(cols map[string]ColStats, rows float64) map[string]ColStats {
-	out := make(map[string]ColStats, len(cols))
 	cap := int64(rows)
 	if rows > 0 && cap == 0 {
 		cap = 1
 	}
-	for k, v := range cols {
-		if v.Distinct > cap {
-			v.Distinct = cap
-		}
-		out[k] = v
+	out := slices.Concat(stats...)
+	for i := range out {
+		out[i].Distinct = min(out[i].Distinct, cap)
 	}
 	return out
 }

@@ -307,7 +307,7 @@ func (t *Table) WithColumn(name string, typ Type, f func(Row) any) (*Table, erro
 // right column whose name is taken gaining a "right_" prefix until it is
 // unique (right_right_k when the left side already carries k and right_k).
 func JoinSchema(left, right Schema) Schema {
-	cols := append([]Col(nil), left.Cols...)
+	cols := append(make([]Col, 0, len(left.Cols)+len(right.Cols)), left.Cols...)
 	for _, c := range right.Cols {
 		name := c.Name
 		for (Schema{Cols: cols}).Index(name) >= 0 {

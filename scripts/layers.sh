@@ -4,13 +4,14 @@
 #   scripts/layers.sh [-rev R] -w W
 #
 # W is a BENCHMARK.json workload; each runs the root-module Go benchmark
-# shaped like it (stream_window has none yet):
+# shaped like it:
 #
-#   sql_star     ./internal/query    BenchmarkSQLStar/all
-#   agg_combine  .                   BenchmarkReduceByKey
-#   sort_wide    .                   BenchmarkSortByKey
-#   kv_txn       ./internal/kvstore  BenchmarkShardedTxnMix
-#   kv_mix       ./internal/kvstore  BenchmarkPut and BenchmarkGet
+#   sql_star       ./internal/query    BenchmarkSQLStar/all
+#   agg_combine    .                   BenchmarkReduceByKey
+#   sort_wide      .                   BenchmarkSortByKey
+#   kv_txn         ./internal/kvstore  BenchmarkShardedTxnMix
+#   kv_mix         ./internal/kvstore  BenchmarkPut and BenchmarkGet
+#   stream_window  ./internal/stream   BenchmarkRunnerWindow (one event an iteration)
 #
 # With -rev the benchmark builds from revision R in a git worktree in a
 # temporary directory, removed on exit, as scripts/pair.sh does; without,
@@ -60,6 +61,7 @@ agg_combine) set -- . '^BenchmarkReduceByKey$' 150 20 ;;
 sort_wide) set -- . '^BenchmarkSortByKey$' 200 20 ;;
 kv_txn) set -- ./internal/kvstore '^BenchmarkShardedTxnMix$' 60000 10000 ;;
 kv_mix) set -- ./internal/kvstore '^(BenchmarkPut|BenchmarkGet)$' 500000 100000 ;;
+stream_window) set -- ./internal/stream '^BenchmarkRunnerWindow$' 10000000 2000000 ;;
 *) echo "layers: no benchmark for workload $w" >&2; exit 2 ;;
 esac
 pkg=$1 pattern=$2 cpuN=$3 memN=$4
