@@ -301,6 +301,11 @@ func evalAgg(lp *query.Logical, tables map[string]QueryInput) ([]table.Row, erro
 		g, ok := groups[ks]
 		if !ok {
 			g = &group{key: key, cells: make([]aggCell, len(lp.Aggs))}
+			for i := range g.cells {
+				// -0, not +0, is the identity that keeps a float sum of only
+				// -0 at -0, as the engine's fold does.
+				g.cells[i].sumF = math.Copysign(0, -1)
+			}
 			groups[ks] = g
 			order = append(order, ks)
 		}

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/query"
@@ -60,6 +61,24 @@ func TestReferenceQueryJoinAggSort(t *testing.T) {
 		if FormatRow(rows[i]) != FormatRow(want[i]) {
 			t.Fatalf("row %d = %v, want %v", i, rows[i], want[i])
 		}
+	}
+}
+
+// TestReferenceSumOfNegativeZero: a float SUM or AVG over only -0 is -0,
+// the engine's answer; starting the sum at +0 answered +0.
+func TestReferenceSumOfNegativeZero(t *testing.T) {
+	in := map[string]QueryInput{"t": {
+		Schema: table.Schema{Cols: []table.Col{{Name: "k", Type: table.Int64}, {Name: "x", Type: table.Float64}}},
+		Rows:   []table.Row{{int64(1), math.Copysign(0, -1)}, {int64(2), math.Copysign(0, -1)}, {int64(2), 0.0}},
+	}}
+	lp := query.Scan("t").GroupBy([]string{"k"},
+		table.Agg{Op: table.Sum, Col: "x", As: "s"}, table.Agg{Op: table.Avg, Col: "x", As: "a"})
+	_, rows, err := ReferenceQuery(lp, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := FormatRow(rows[0]) + " " + FormatRow(rows[1]); got != "1|-0|-0 2|0|0" {
+		t.Fatalf("rows %s, want 1|-0|-0 2|0|0", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -261,13 +262,15 @@ func E9Recovery(p Params) *Table {
 	t := &Table{
 		ID:    "E9",
 		Title: "Fault recovery: lineage recomputation vs checkpoint restore",
-		Note:  "kill 2 of 8 executors after first run; re-run the job",
-		Cols:  []string{"variant", "first-run", "recovery-run", "tasks-rerun", "recovery/first"},
+		Note:  "kill 2 of 8 executors after first run; re-run the job; oracle: both runs' counts against the sequential reference",
+		Cols:  []string{"variant", "first-run", "recovery-run", "tasks-rerun", "recovery/first", "oracle"},
 	}
 	lines := pick(p.Scale, 1_000, 10_000)
 	corpus := workload.Text(lines, 10, 500, 0.9, 3)
 
-	run := func(job string, checkpoint bool) (time.Duration, time.Duration, int64) {
+	type count = hpbdc.Pair[string, int64]
+	encodeCount := func(c count) string { return fmt.Sprintf("%s=%d", c.Key, c.Value) }
+	run := func(job string, checkpoint bool) (time.Duration, time.Duration, int64, bool) {
 		ctx := hpbdc.New(hpbdc.Config{Racks: 2, NodesPerRack: 4, Seed: 9, EnableTracing: true})
 		words := hpbdc.FlatMap(hpbdc.Parallelize(ctx, corpus, 16), strings.Fields)
 		pairs := hpbdc.KeyBy(words, func(w string) string { return w })
@@ -275,11 +278,14 @@ func E9Recovery(p Params) *Table {
 		counts := hpbdc.ReduceByKey(ones, hpbdc.StringCodec, hpbdc.Int64Codec, 8,
 			func(a, b int64) int64 { return a + b })
 
+		want := hpbdc.ReferenceCollect(counts)
 		start := time.Now()
-		if _, err := counts.Collect(); err != nil {
+		rows, err := counts.Collect()
+		if err != nil {
 			panic(err)
 		}
 		first := time.Since(start)
+		ok := t.recordCheck(check.DiffMultiset(job+"/first", rows, want, encodeCount)).OK
 		if checkpoint {
 			codec := hpbdc.Codec[hpbdc.Pair[string, int64]]{
 				Encode: func(p hpbdc.Pair[string, int64]) []byte {
@@ -298,25 +304,28 @@ func E9Recovery(p Params) *Table {
 			}
 		}
 		tasksBefore := ctx.Engine().Reg.Counter("tasks_launched").Value()
-		_ = ctx.Cluster().Kill(topology.NodeID(1))
-		_ = ctx.Cluster().Kill(topology.NodeID(5))
+		if err := errors.Join(ctx.Cluster().Kill(topology.NodeID(1)), ctx.Cluster().Kill(topology.NodeID(5))); err != nil {
+			panic(err)
+		}
 		start = time.Now()
-		if _, err := counts.Collect(); err != nil {
+		if rows, err = counts.Collect(); err != nil {
 			panic(err)
 		}
 		recovery := time.Since(start)
+		ok = t.recordCheck(check.DiffMultiset(job+"/recovery", rows, want, encodeCount)).OK && ok
 		rerun := ctx.Engine().Reg.Counter("tasks_launched").Value() - tasksBefore
 		p.Obs.observe(t, job, ctx)
-		return first, recovery, rerun
+		return first, recovery, rerun, ok
 	}
 
 	for _, variant := range []string{"lineage", "checkpoint"} {
-		first, rec, rerun := run("E9/"+variant, variant == "checkpoint")
+		first, rec, rerun, ok := run("E9/"+variant, variant == "checkpoint")
 		t.AddRow(variant,
 			first.Round(time.Millisecond).String(),
 			rec.Round(time.Millisecond).String(),
 			fmt.Sprintf("%d", rerun),
-			fmt.Sprintf("%.2fx", float64(rec)/float64(first)))
+			fmt.Sprintf("%.2fx", float64(rec)/float64(first)),
+			verdictCell(check.Diff{OK: ok}))
 	}
 	return t
 }

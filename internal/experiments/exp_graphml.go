@@ -57,7 +57,10 @@ func E10ParamServer(p Params) *Table {
 		Title: "Parameter server: BSP vs ASP vs SSP under transient stragglers",
 		Note: "logistic regression, 8 workers, 10% of steps hiccup for 1ms" +
 			"; oracle: each mode's final loss and accuracy against the lockstep " +
-			"check.ReferenceSGD, 0.05 absolute (runs differ from it by under 0.001 loss, 0.004 accuracy)",
+			"check.ReferenceSGD, per mode at least twice the widest gap in 100 runs per scale, plain and -race " +
+			"(runs differ from it by up to 0.0003 loss and 0.0013 accuracy in bsp, 0.0004 and 0.0028 in ssp, " +
+			"0.0052 and 0.0098 in asp); asp keeps 0.05, as its spread leaves no 2x margin below the 0.0015 " +
+			"loss that dropping one worker's gradient costs",
 		Cols: []string{"mode", "wall", "sync-wait", "final-loss", "accuracy", "oracle"},
 	}
 	n := pick(p.Scale, 4_000, 20_000)
@@ -73,11 +76,14 @@ func E10ParamServer(p Params) *Table {
 		HiccupDelay:     time.Millisecond,
 		Seed:            3,
 	}
-	for _, mode := range []ml.Mode{ml.BSP, ml.ASP, ml.SSP} {
-		cfg := base
+	for _, m := range []struct {
+		mode      ml.Mode
+		loss, acc float64 // tolerances
+	}{{ml.BSP, 0.0006, 0.003}, {ml.ASP, 0.05, 0.05}, {ml.SSP, 0.0009, 0.006}} {
+		cfg, mode := base, m.mode
 		cfg.Mode = mode
 		res := ml.Train(data, cfg)
-		diff := t.recordCheck(check.DiffSGD("E10/"+mode.String(), res, data, cfg, 0.05, 0.05))
+		diff := t.recordCheck(check.DiffSGD("E10/"+mode.String(), res, data, cfg, m.loss, m.acc))
 		t.AddRow(mode.String(),
 			res.WallTime.Round(time.Millisecond).String(),
 			res.WaitTime.Round(time.Millisecond).String(),

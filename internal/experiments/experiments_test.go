@@ -172,6 +172,21 @@ func TestE8Shapes(t *testing.T) {
 
 func TestE9Shapes(t *testing.T) {
 	table := runAndCheck(t, E9Recovery)
+	// Each variant's first run and recovery run must return the
+	// failure-free answer: lineage recompute and checkpoint restore alike.
+	if len(table.Checks) != 4 {
+		t.Fatalf("%d checks, want 4", len(table.Checks))
+	}
+	for _, d := range table.Checks {
+		if !d.OK || d.Compared == 0 {
+			t.Fatalf("%s", d)
+		}
+	}
+	for _, row := range table.Rows {
+		if row[5] != "ok" {
+			t.Fatalf("%s: oracle %s", row[0], row[5])
+		}
+	}
 	lineageTasks := parse(t, table.Rows[0][3])
 	ckptTasks := parse(t, table.Rows[1][3])
 	if ckptTasks >= lineageTasks {

@@ -17,7 +17,7 @@ import (
 // node's schema and its row estimate in two recursive passes, rerun from
 // scratch at almost every node, the suite took 2 224 allocations.
 func TestPlanStarAllocCeiling(t *testing.T) {
-	const ceiling = 1362
+	const ceiling = 1228
 	env := query.NewEnv(testEngine(), nil)
 	if err := query.RegisterStar(env, query.GenStar(42, 40_000, 4_000, 200, 365), 4); err != nil {
 		t.Fatal(err)

@@ -11,31 +11,16 @@ import (
 
 // optimize rewrites a logical plan: filters pushed toward scans, star
 // joins reordered cheapest-dimension-first, projections narrowed to the
-// columns read above them. It returns the columns each scan of the
-// rewritten plan must decode, or nil needs if demand failed; Build falls
-// back to the unrewritten plan, every scan decoding every column, unless
-// the rewritten one compiles to the original's output schema, so
-// optimization can only change cost, never results.
-func (e *Env) optimize(lp *Logical, want table.Schema) (*Logical, map[*Logical][]string) {
-	rw := e.pushFilters(lp.clone(), nil)
-	rw = e.reorderJoins(rw)
-	needs := map[*Logical][]string{}
-	if err := e.demand(rw, want.Names(), true, needs); err != nil {
-		return lp, nil
+// columns read above them and inserted above the scans they prune. It
+// returns lp itself if demand failed; Build falls back to lp unless the
+// rewritten plan compiles to lp's output schema, so optimization can only
+// change cost, never results.
+func (e *Env) optimize(lp *Logical) *Logical {
+	rw, err := e.demand(e.reorderJoins(e.pushFilters(lp.clone(), nil)), nil)
+	if err != nil {
+		return lp
 	}
-	return rw, needs
-}
-
-func sameSchema(a, b table.Schema) bool {
-	if len(a.Cols) != len(b.Cols) {
-		return false
-	}
-	for i := range a.Cols {
-		if a.Cols[i] != b.Cols[i] {
-			return false
-		}
-	}
-	return true
+	return rw
 }
 
 // pushFilters pushes the pending conjuncts (plus any Filter nodes met
@@ -108,17 +93,17 @@ func (e *Env) pushFilters(l *Logical, pending []*Expr) *Logical {
 		l.Input = e.pushFilters(l.Input, push)
 		return wrap(l, stuck)
 	case OpJoin:
-		left, lerr := e.derive(l.Input)
-		right, rerr := e.derive(l.Right)
+		left, lerr := l.Input.OutSchema(e.Schema)
+		right, rerr := l.Right.OutSchema(e.Schema)
 		if lerr != nil || rerr != nil {
 			l.Input = e.pushFilters(l.Input, nil)
 			l.Right = e.pushFilters(l.Right, nil)
 			return wrap(l, pending)
 		}
-		out := table.JoinSchema(left.schema, right.schema)
+		out := table.JoinSchema(left, right)
 		var toLeft, toRight, stuck []*Expr
 		for _, c := range pending {
-			switch side, rc := joinSide(c, out, right.schema); side {
+			switch side, rc := joinSide(c, out, right); side {
 			case 0:
 				toLeft = append(toLeft, c)
 			case 1:
@@ -234,7 +219,7 @@ func (e *Env) reorderJoins(l *Logical) *Logical {
 		return orig
 	}
 	rw := rebuild(ordered)
-	if sameSchema(origOut.schema, rwOut.schema) {
+	if slices.Equal(origOut.schema.Cols, rwOut.schema.Cols) {
 		return rw
 	}
 	names := origOut.schema.Names()
@@ -242,38 +227,34 @@ func (e *Env) reorderJoins(l *Logical) *Logical {
 }
 
 // demand is the optimizer's one column-demand pass, top-down. demanded
-// lists the output columns l's parent reads; the root keeps its full
-// output. It narrows every projection below the root to the items read
-// above it and records in needs the columns each scan must decode. In
-// place on an already-cloned tree: a join or sort derives its inputs
-// before demand narrows them, and reads those derivations only then.
-func (e *Env) demand(l *Logical, demanded []string, root bool, needs map[*Logical][]string) error {
+// lists the output columns l's parent reads; nil means all of them. It
+// narrows every projection to the items read above it, inserts above each
+// scan it prunes (above the scan's filter, if it has one) a projection of
+// the columns read above, which compile fuses into the scan, and returns
+// l's replacement. In place on an already-cloned tree: a join reads its
+// inputs' schemas before demand narrows them.
+func (e *Env) demand(l *Logical, demanded []string) (*Logical, error) {
 	var next, toRight []string
 	switch l.Op {
 	case OpScan:
-		schema, err := e.Schema(l.TableName)
-		if err != nil {
-			return err
-		}
-		var cols []string
-		for _, c := range schema.Cols {
-			if slices.Contains(demanded, c.Name) {
-				cols = append(cols, c.Name)
-			}
-		}
-		needs[l] = cols
-		return nil
+		return e.prune(l, l, demanded, nil)
 	case OpFilter:
-		// A filter fused into its scan runs its single-column conjuncts on
-		// the encoded columns; only multi-column conjunct inputs are decoded.
-		next = demanded
-		for _, conj := range l.Pred.conjuncts() {
-			if cols := conj.Cols(); l.Input.Op != OpScan || len(cols) != 1 {
-				next = appendMissing(next, cols)
+		if l.Input.Op == OpScan {
+			// A filter fused into its scan runs its single-column conjuncts on
+			// the encoded columns; only multi-column conjunct inputs are decoded.
+			var multi []string
+			for _, conj := range l.Pred.conjuncts() {
+				if cols := conj.Cols(); len(cols) > 1 {
+					multi = append(multi, cols...)
+				}
 			}
+			return e.prune(l, l.Input, demanded, multi)
+		}
+		if next = demanded; demanded != nil {
+			next = appendMissing(demanded, l.Pred.Cols())
 		}
 	case OpProject:
-		if !root {
+		if demanded != nil {
 			var cols, aliases []string
 			for i, a := range l.Aliases {
 				if slices.Contains(demanded, a) {
@@ -288,17 +269,19 @@ func (e *Env) demand(l *Logical, demanded []string, root bool, needs map[*Logica
 			}
 			l.Cols, l.Aliases = cols, aliases
 		}
-		next = appendMissing(nil, l.Cols)
+		next = l.Cols
 	case OpJoin:
-		ld, err := e.derive(l.Input)
-		if err != nil {
-			return err
+		if demanded == nil {
+			break // all of both inputs
 		}
-		rd, err := e.derive(l.Right)
+		left, err := l.Input.OutSchema(e.Schema)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		left, right := ld.schema, rd.schema
+		right, err := l.Right.OutSchema(e.Schema)
+		if err != nil {
+			return nil, err
+		}
 		out := table.JoinSchema(left, right)
 		keep := make([]bool, len(out.Cols))
 		var mark func(i int)
@@ -330,7 +313,7 @@ func (e *Env) demand(l *Logical, demanded []string, root bool, needs map[*Logica
 			}
 		}
 	case OpAgg:
-		next = append([]string(nil), l.Keys...)
+		next = appendMissing([]string{}, l.Keys) // not nil: a global count reads no column
 		for _, a := range l.Aggs {
 			if a.Op != table.Count {
 				next = appendMissing(next, []string{a.Col})
@@ -338,21 +321,44 @@ func (e *Env) demand(l *Logical, demanded []string, root bool, needs map[*Logica
 		}
 	case OpSort:
 		// The compiled sort breaks ties on every input column, so it reads
-		// its whole input schema.
-		in, err := e.derive(l.Input)
-		if err != nil {
-			return err
-		}
-		next = in.schema.Names()
+		// its whole input.
 	case OpLimit:
 		next = demanded
 	default:
-		return fmt.Errorf("query: unknown operator %d", l.Op)
+		return nil, fmt.Errorf("query: unknown operator %d", l.Op)
 	}
-	if err := e.demand(l.Input, next, root && l.Op == OpLimit, needs); err != nil || l.Op != OpJoin {
-		return err
+	var err error
+	if l.Input, err = e.demand(l.Input, next); err != nil || l.Op != OpJoin {
+		return l, err
 	}
-	return e.demand(l.Right, toRight, false, needs)
+	l.Right, err = e.demand(l.Right, toRight)
+	return l, err
+}
+
+// prune puts top, scan or the filter over it, under a projection of the
+// demanded columns in table order; if none is demanded, of the first of
+// extra, the multi-column conjuncts' inputs. It inserts none of no column
+// or of every column: the scan then decodes them all.
+func (e *Env) prune(top, scan *Logical, demanded, extra []string) (*Logical, error) {
+	schema, err := e.Schema(scan.TableName)
+	if err != nil || demanded == nil {
+		return top, err
+	}
+	var keep, first []string
+	for _, c := range schema.Cols {
+		if slices.Contains(demanded, c.Name) {
+			keep = append(keep, c.Name)
+		} else if first == nil && slices.Contains(extra, c.Name) {
+			first = []string{c.Name}
+		}
+	}
+	if len(keep) == 0 {
+		keep = first
+	}
+	if len(keep) == 0 || len(keep) == len(schema.Cols) {
+		return top, nil
+	}
+	return top.Project(keep, nil), nil
 }
 
 // collided is the name table.JoinSchema gives a right column called name
@@ -362,20 +368,14 @@ func collided(name string) string {
 	return table.JoinSchema(one, one).Cols[1].Name
 }
 
-func appendMissing(dst []string, add []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range dst {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
+// appendMissing returns dst followed by the names of add it lacks, without
+// writing into dst's array.
+func appendMissing(dst, add []string) []string {
+	dst = slices.Clip(dst)
 	for _, s := range add {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
+		if !slices.Contains(dst, s) {
+			dst = append(dst, s)
 		}
 	}
-	return out
+	return dst
 }

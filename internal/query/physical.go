@@ -42,12 +42,6 @@ type Node struct {
 	// produced; nil until the node has been compiled onto the engine.
 	rows []atomic.Int64
 	exec func() (*table.Table, error)
-	// schema is the columns the node's table actually has: a pruned scan
-	// emits fewer than the logical schema, and residual filter columns can
-	// ride along. Every name still resolves the logical references above
-	// (pruning never drops a demanded column), and Build restores the
-	// exact output schema at the root.
-	schema table.Schema
 }
 
 // Actual returns the rows observed flowing out of this operator in the
@@ -87,43 +81,23 @@ func (e *Env) Build(lp *Logical, opts Options) (*Plan, error) {
 	if opts.Parts == 0 {
 		opts.Parts = DefaultParts
 	}
-	top, err := e.derive(lp)
+	want, err := lp.OutSchema(e.Schema)
 	if err != nil {
 		return nil, err
 	}
-	want := top.schema
-	run, needs := lp, map[*Logical][]string(nil)
+	run := lp
 	if opts.Optimize {
-		run, needs = e.optimize(lp, want)
+		run = e.optimize(lp)
 	}
-	c := &compiler{env: e, opts: opts, needs: needs}
+	c := &compiler{env: e, opts: opts}
 	node, got, err := c.compile(run)
-	if run != lp && (err != nil || !sameSchema(got.schema, want)) {
+	if run != lp && (err != nil || !slices.Equal(got.schema.Cols, want.Cols)) {
 		// The rewrite broke the plan: compile the original instead.
-		run, c.needs = lp, nil
+		run = lp
 		node, _, err = c.compile(run)
 	}
 	if err != nil {
 		return nil, err
-	}
-	// Restore the original output schema if rewrites left extra columns
-	// or a different order behind.
-	if !sameSchema(node.schema, want) {
-		inner := node
-		node = &Node{
-			Kind:     "project",
-			Detail:   "restore output " + strings.Join(want.Names(), ", "),
-			Est:      inner.Est,
-			Children: []*Node{inner},
-			schema:   want,
-		}
-		node.exec = c.counted(node, func() (*table.Table, error) {
-			t, err := inner.exec()
-			if err != nil {
-				return nil, err
-			}
-			return t.Select(want.Names()...)
-		})
 	}
 	limit := -1
 	if run.Op == OpLimit {
@@ -161,9 +135,8 @@ func (p *Plan) Execute() ([]table.Row, error) {
 func (p *Plan) Ordered() bool { return p.Logical.Ordered() }
 
 type compiler struct {
-	env   *Env
-	opts  Options
-	needs map[*Logical][]string
+	env  *Env
+	opts Options
 }
 
 // counted wraps a node's table so the row count of every partition
@@ -211,20 +184,20 @@ func (c *compiler) inputs(l *Logical) (in, right *Node, d derived, err error) {
 func (c *compiler) compile(l *Logical) (*Node, derived, error) {
 	switch l.Op {
 	case OpScan:
-		return c.compileScan(l, nil)
+		return c.compileScan(l, nil, nil)
 	case OpFilter:
 		if c.opts.Optimize && l.Input.Op == OpScan {
-			return c.compileScan(l.Input, l)
+			return c.compileScan(l.Input, l, nil)
 		}
 		child, _, d, err := c.inputs(l)
 		if err != nil {
 			return nil, derived{}, err
 		}
-		sel, err := l.Pred.BindBatch(child.schema)
+		sel, err := l.Pred.BindBatch(d.schema)
 		if err != nil {
 			return nil, derived{}, err
 		}
-		n := &Node{Kind: "filter", Detail: l.Pred.String(), Est: d.rows, Children: []*Node{child}, schema: child.schema}
+		n := &Node{Kind: "filter", Detail: l.Pred.String(), Est: d.rows, Children: []*Node{child}}
 		n.exec = c.counted(n, func() (*table.Table, error) {
 			t, err := child.exec()
 			if err != nil {
@@ -234,6 +207,9 @@ func (c *compiler) compile(l *Logical) (*Node, derived, error) {
 		})
 		return n, d, nil
 	case OpProject:
+		if scan, filter := c.pruning(l); scan != nil {
+			return c.compileScan(scan, filter, l)
+		}
 		child, _, d, err := c.inputs(l)
 		if err != nil {
 			return nil, derived{}, err
@@ -252,7 +228,7 @@ func (c *compiler) compile(l *Logical) (*Node, derived, error) {
 			}
 		}
 		cols := append([]string(nil), l.Cols...)
-		n := &Node{Kind: "project", Detail: strings.Join(d.schema.Names(), ", "), Est: d.rows, Children: []*Node{child}, schema: d.schema}
+		n := &Node{Kind: "project", Detail: strings.Join(d.schema.Names(), ", "), Est: d.rows, Children: []*Node{child}}
 		n.exec = c.counted(n, func() (*table.Table, error) {
 			t, err := child.exec()
 			if err != nil {
@@ -284,7 +260,6 @@ func (c *compiler) compile(l *Logical) (*Node, derived, error) {
 			Detail:   fmt.Sprintf("%s = %s", leftCol, rightCol),
 			Est:      d.rows,
 			Children: []*Node{left, right},
-			schema:   table.JoinSchema(left.schema, right.schema),
 		}
 		n.exec = c.counted(n, func() (*table.Table, error) {
 			lt, err := left.exec()
@@ -320,12 +295,11 @@ func (c *compiler) compile(l *Logical) (*Node, derived, error) {
 			Detail:   fmt.Sprintf("keys=[%s] %s", strings.Join(keys, ", "), strings.Join(details, ", ")),
 			Est:      d.rows,
 			Children: []*Node{child},
-			schema:   d.schema,
 		}
 		// Optimized, an aggregate over a join, or over a project of one that
 		// renames nothing, folds the join's matches instead of building it.
 		join, over := child, l.Input
-		if over.Op == OpProject && slices.Equal(over.Cols, over.Aliases) {
+		if over.Op == OpProject && over.Input.Op == OpJoin && slices.Equal(over.Cols, over.Aliases) {
 			join, over = child.Children[0], over.Input
 		}
 		fused := c.opts.Optimize && over.Op == OpJoin
@@ -365,7 +339,7 @@ func (c *compiler) compile(l *Logical) (*Node, derived, error) {
 			return nil, derived{}, err
 		}
 		limit := l.N
-		n := &Node{Kind: "limit", Detail: fmt.Sprintf("%d", limit), Est: d.rows, Children: []*Node{child}, schema: child.schema}
+		n := &Node{Kind: "limit", Detail: fmt.Sprintf("%d", limit), Est: d.rows, Children: []*Node{child}}
 		n.exec = c.counted(n, func() (*table.Table, error) {
 			t, err := child.exec()
 			if err != nil {
@@ -386,13 +360,12 @@ func (c *compiler) compileSort(l, limit *Logical) (*Node, derived, error) {
 	if err != nil {
 		return nil, derived{}, err
 	}
-	inWant := d.schema // a sort passes its input's schema on
 	// Sort on the primary column, breaking ties on every remaining
 	// column ascending: a total order over distinct rows, so the
 	// oracle can compare ordered output deterministically.
 	cols := []string{l.SortCol}
 	desc := []bool{l.Desc}
-	for _, col := range inWant.Names() {
+	for _, col := range d.schema.Names() {
 		if col != l.SortCol {
 			cols = append(cols, col)
 			desc = append(desc, false)
@@ -403,7 +376,7 @@ func (c *compiler) compileSort(l, limit *Logical) (*Node, derived, error) {
 	if l.Desc {
 		dir = "desc"
 	}
-	n := &Node{Kind: "sort", Detail: fmt.Sprintf("%s %s", l.SortCol, dir), Est: d.rows, Children: []*Node{child}, schema: inWant}
+	n := &Node{Kind: "sort", Detail: fmt.Sprintf("%s %s", l.SortCol, dir), Est: d.rows, Children: []*Node{child}}
 	k := -1
 	if limit != nil {
 		if d, err = derive(limit, d, derived{}); err != nil {
@@ -417,9 +390,6 @@ func (c *compiler) compileSort(l, limit *Logical) (*Node, derived, error) {
 		if err != nil {
 			return nil, err
 		}
-		if t, err = conform(t, inWant, child.schema); err != nil {
-			return nil, err
-		}
 		if k >= 0 {
 			return t.TopK(cols, desc, k)
 		}
@@ -428,32 +398,52 @@ func (c *compiler) compileSort(l, limit *Logical) (*Node, derived, error) {
 	return n, d, nil
 }
 
-// conform projects t down to want's columns when the compiled child
-// carries extras (residual-filter columns kept by a pruned scan).
-func conform(t *table.Table, want, got table.Schema) (*table.Table, error) {
-	if sameSchema(want, got) {
-		return t, nil
+// pruning returns the scan, and the filter over it if any, that project l
+// prunes: optimized, a projection of a strict subset of a scan's columns in
+// table order, renaming none, directly over the scan or over its filter —
+// the shape demand inserts — compiles into the scan.
+func (c *compiler) pruning(l *Logical) (scan, filter *Logical) {
+	scan = l.Input
+	if scan.Op == OpFilter {
+		filter, scan = scan, scan.Input
 	}
-	return t.Select(want.Names()...)
+	src, ok := c.env.tables[scan.TableName]
+	if !c.opts.Optimize || scan.Op != OpScan || !ok || len(l.Cols) >= len(src.schema.Cols) || !slices.Equal(l.Cols, l.Aliases) {
+		return nil, nil
+	}
+	for i, col := range l.Cols {
+		if j := src.schema.Index(col); j < 0 || i > 0 && j <= src.schema.Index(l.Cols[i-1]) {
+			return nil, nil
+		}
+	}
+	return scan, filter
 }
 
-// compileScan fuses a filter into a columnar scan: single-column
-// conjuncts run against the encoded columns (zone maps pruning whole
-// partitions, RLE runs and dictionary entries evaluated once), the
-// rest stays as a residual row filter, and only the needed columns are
-// decoded. filter, when set, is the OpFilter node above l.
-func (c *compiler) compileScan(l, filter *Logical) (*Node, derived, error) {
+// compileScan fuses a filter and a projection into a columnar scan:
+// single-column conjuncts run against the encoded columns (zone maps
+// pruning whole partitions, RLE runs and dictionary entries evaluated
+// once), the rest stays as a residual row filter, and only the projected
+// columns and the residual's inputs are decoded. filter, when set, is the
+// OpFilter node above l, and project, when set, the projection above
+// filter or l.
+func (c *compiler) compileScan(l, filter, project *Logical) (*Node, derived, error) {
 	src, ok := c.env.tables[l.TableName]
 	if !ok {
 		return nil, derived{}, fmt.Errorf("query: unknown table %q", l.TableName)
 	}
-	schema, d, pred := src.schema, src.derived, (*Expr)(nil)
+	schema, d, pred, needed := src.schema, src.derived, (*Expr)(nil), src.schema.Names()
+	var err error
 	if filter != nil {
-		var err error
 		if d, err = derive(filter, d, derived{}); err != nil {
 			return nil, derived{}, err
 		}
 		pred = filter.Pred
+	}
+	if project != nil {
+		if d, err = derive(project, d, derived{}); err != nil {
+			return nil, derived{}, err
+		}
+		needed = project.Cols
 	}
 
 	var colPreds []table.ColPredicate
@@ -491,25 +481,12 @@ func (c *compiler) compileScan(l, filter *Logical) (*Node, derived, error) {
 		colPreds = append(colPreds, cp)
 	}
 
-	// Columns the scan must materialize: what the plan above demands
-	// plus residual filter inputs. Pushed predicate columns filter on
-	// the encoded form and need no decode unless also demanded.
-	needed := c.needs[l]
-	if needed == nil {
-		needed = schema.Names()
-	}
-	needSet := map[string]bool{}
-	for _, n := range needed {
-		needSet[n] = true
-	}
-	scanCols := append([]string(nil), needed...)
+	// Columns the scan must materialize: the projected ones plus residual
+	// filter inputs. Pushed predicate columns filter on the encoded form
+	// and need no decode unless also projected.
+	scanCols := needed
 	for _, conj := range residual {
-		for _, col := range conj.Cols() {
-			if !needSet[col] {
-				needSet[col] = true
-				scanCols = append(scanCols, col)
-			}
-		}
+		scanCols = appendMissing(scanCols, conj.Cols())
 	}
 	sort.SliceStable(scanCols, func(i, j int) bool { return schema.Index(scanCols[i]) < schema.Index(scanCols[j]) })
 	neededIdx := make([]int, len(scanCols))
@@ -542,7 +519,7 @@ func (c *compiler) compileScan(l, filter *Logical) (*Node, derived, error) {
 	if residualPred != nil {
 		detail += " residual=(" + residualPred.String() + ")"
 	}
-	n := &Node{Kind: "scan", Detail: detail, Est: d.rows, schema: outSchema}
+	n := &Node{Kind: "scan", Detail: detail, Est: d.rows}
 	env := c.env
 	n.exec = c.counted(n, func() (*table.Table, error) {
 		t, err := src.data.Scan(env.Eng, colPreds, neededIdx, env.Reg)
@@ -551,6 +528,9 @@ func (c *compiler) compileScan(l, filter *Logical) (*Node, derived, error) {
 		}
 		if residualSel != nil {
 			t = t.Filter(residualSel)
+		}
+		if len(scanCols) > len(needed) {
+			return t.Select(needed...)
 		}
 		return t, nil
 	})

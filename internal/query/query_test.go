@@ -139,6 +139,37 @@ func TestPushdownReducesDecode(t *testing.T) {
 	}
 }
 
+// TestResidualColumnsStayOutOfShuffle: a shuffle join over a scan whose
+// multi-column residual filter reads units and amount, which nothing above
+// the join reads. Pruning inserts a projection above the filter, so only
+// cust_id crosses the join's shuffle (7 349 bytes); when a scan passed its
+// residual's inputs on with the columns demanded of it, 19 328 bytes did.
+func TestResidualColumnsStayOutOfShuffle(t *testing.T) {
+	env := starEnv(t, 2000)
+	lp := query.Scan("sales").
+		Where(query.Or(query.Cmp("units", query.Lt, int64(4)), query.Cmp("amount", query.Gt, 5000.0))).
+		Join(query.Scan("customer"), "cust_id", "cust_id").
+		GroupBy([]string{"cust_region"}, table.Agg{Op: table.Count})
+	plan, err := env.Build(lp, query.Options{Optimize: true, Parts: 4, BroadcastRows: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := plan.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := check.DiffQueryEnv("residual", rows, lp, env); !d.OK {
+		t.Fatalf("%s\n%s", d, plan.Explain())
+	}
+	if joins := plan.FindNodes("join[shuffle]"); len(joins) != 1 {
+		t.Fatalf("want one shuffle join:\n%s", plan.Explain())
+	}
+	const parent = 19328
+	if got := env.Reg.Counter("shuffle_wire_bytes").Value(); got >= parent {
+		t.Fatalf("shuffled %d bytes, %d when the residual's inputs crossed the join\n%s", got, parent, plan.Explain())
+	}
+}
+
 // TestZonePruning: a range predicate on a clustered column prunes
 // whole partitions via zone maps.
 func TestZonePruning(t *testing.T) {

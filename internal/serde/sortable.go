@@ -66,15 +66,19 @@ func FromSortableFloat64Key(b []byte) (float64, error) {
 // and the string ends with 0x00 0x01. (Standard "escape and terminate"
 // encoding used by ordered key-value stores.)
 func SortableStringKey(s string) []byte {
-	out := make([]byte, 0, len(s)+2)
+	return AppendSortableStringKey(make([]byte, 0, len(s)+2), s)
+}
+
+// AppendSortableStringKey appends SortableStringKey(s) to dst.
+func AppendSortableStringKey(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if s[i] == 0x00 {
-			out = append(out, 0x00, 0xFF)
+			dst = append(dst, 0x00, 0xFF)
 		} else {
-			out = append(out, s[i])
+			dst = append(dst, s[i])
 		}
 	}
-	return append(out, 0x00, 0x01)
+	return append(dst, 0x00, 0x01)
 }
 
 // FromSortableStringKey decodes the next SortableStringKey from b,

@@ -217,16 +217,7 @@ func appendSortableKey(dst []byte, typ Type, v *Vector, i int, desc bool) []byte
 	case Float64:
 		dst = append(dst, serde.SortableFloat64Key(v.Floats[i])...)
 	default:
-		// serde.SortableStringKey, written in place: 0x00 escaped as
-		// 0x00 0xFF, terminated by 0x00 0x01.
-		for s, i := v.Strings[i], 0; i < len(s); i++ {
-			if s[i] == 0x00 {
-				dst = append(dst, 0x00, 0xFF)
-			} else {
-				dst = append(dst, s[i])
-			}
-		}
-		dst = append(dst, 0x00, 0x01)
+		dst = serde.AppendSortableStringKey(dst, v.Strings[i])
 	}
 	if desc {
 		for i := start; i < len(dst); i++ {

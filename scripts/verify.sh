@@ -105,8 +105,9 @@ echo "== batches and the shuffle boundary: identity pins + allocation ceilings =
 # keep per-row boxing and per-record shuffle allocations from coming back.
 # -count=5: each process draws its own key-table hash seeds, and every run
 # must still match the pins byte for byte — the fused join-aggregate against
-# the join it never builds included.
-go test -count=5 -run 'Identity|TestBatchesAreReadOnly|TestVectorizedFilter|TestActualsCount|FuzzPlanEquivalence|TestJoinAgg' ./internal/table ./internal/query
+# the join it never builds included — and so must every optimized plan's
+# shape, planning allocations and chained join names.
+go test -count=5 -run 'Identity|TestBatchesAreReadOnly|TestVectorizedFilter|TestActualsCount|FuzzPlanEquivalence|TestJoinAgg|TestPlanShapesPinned|TestPlanStarAllocCeiling|TestJoinNamesStayUniqueThroughChains' ./internal/table ./internal/query
 go test -count=5 -run 'WireIdentity|TestShuffleOutputOrderPinned' .
 go test -count=1 -run 'TestSortWriterByteIdentity|TestWritersCopyScratch|TestWriteRecordsMatchesWriteLoop|TestSortWriterBatch|TestKeyOrder|FuzzKeyOrder|FuzzSortWriter|AllocCeiling' ./internal/shuffle
 go test -count=1 -run 'TestKeyTable|FuzzKeyTable' ./internal/group
