@@ -1,7 +1,7 @@
-// Package group is the one grouping table behind every keyed fold in the
-// module: the root package's map-side folds and reduce sides, the table
-// layer's aggregates and joins, the shuffle writer's combiner and the
-// stream windower's panes. A table's zero value is ready to use.
+// Package group is the one grouping table behind every keyed fold: the root
+// package's map-side folds and reduce sides, the table layer's aggregates
+// and joins (typed keys where read from a column), the shuffle writer's
+// combiner and the stream windower's panes. A zero table is ready to use.
 package group
 
 import (
@@ -15,10 +15,10 @@ import (
 // The key tables number distinct keys in order of first arrival: emission
 // order, wire bytes, float merge order, stream firing order and
 // shuffle.KeyOrder's input all follow the ids, so no id may depend on the
-// hash or its seed. KeyTable is the face for typed keys (map-side folds and
-// stream windows), ByteKeyTable the face for encoded keys (reduce sides and
-// the table layer). A caller that needs the keys in order sorts the ids
-// with shuffle.KeyOrder(t.Len(), t.Key).
+// hash or its seed. KeyTable is the face for typed keys (map-side folds,
+// stream windows, the table layer's column keys), ByteKeyTable the face for
+// encoded keys (reduce sides, the table layer's composite keys and shuffle
+// join); sort its ids into key order with shuffle.KeyOrder(t.Len(), t.Key).
 
 // slots is the open-addressing core both faces share: a power-of-two array
 // of id+1 (0 is empty) probed linearly, and each id's hash and key beside
@@ -144,6 +144,23 @@ func (t *KeyTable[K]) ID(k K) (int32, bool) {
 	return t.add(i, h, k), true
 }
 
+// Find returns k's number without adding it; it only reads the table, so
+// any number of goroutines may call it at once.
+func (t *KeyTable[K]) Find(k K) (int32, bool) {
+	if t.ids == nil { // empty, or numbered through the map
+		if id, ok := t.other[k]; ok {
+			return id, true
+		}
+		return -1, false
+	}
+	for i := t.home(t.hash(k)); t.ids[i] != 0; i = t.next(i) {
+		if id := t.ids[i] - 1; t.keys[id] == k {
+			return id, true
+		}
+	}
+	return -1, false
+}
+
 // Reset empties the table and keeps its room and its hash, so a table
 // refilled with as many keys allocates nothing.
 func (t *KeyTable[K]) Reset() {
@@ -198,16 +215,6 @@ func (t *ByteKeyTable) ID(key []byte) (int32, bool) {
 	}
 	t.last = id
 	return id, false
-}
-
-// Find returns key's number without adding it; it only reads the table, so
-// any number of goroutines may call it at once.
-func (t *ByteKeyTable) Find(key []byte) (int32, bool) {
-	if t.ids == nil {
-		return -1, false
-	}
-	id, _ := t.find(key, maphash.Bytes(t.seed, key))
-	return id, id >= 0
 }
 
 // find returns key's number, or -1 and the empty slot where it would go.

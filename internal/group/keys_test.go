@@ -57,9 +57,39 @@ func checkAgainstMap[K comparable](t testing.TB, name string, stream []K, id fun
 	}
 }
 
+// checkFind checks KeyTable.Find against what tab holds: every key is
+// found under the number ID gave it (a NaN, never equal, is never found),
+// absent keys and every key of a zero-value table are not, and no lookup
+// adds a key.
+func checkFind[K comparable](t testing.TB, name string, tab *KeyTable[K], absent ...K) {
+	t.Helper()
+	var zero KeyTable[K]
+	n := len(tab.Keys())
+	for id, k := range tab.Keys() {
+		want := int32(id)
+		if k != k {
+			want = -1
+		}
+		if got, ok := tab.Find(k); got != want || ok != (want >= 0) {
+			t.Fatalf("%s: Find(%v) = %d, %t; want %d", name, k, got, ok, want)
+		}
+		if got, ok := zero.Find(k); got != -1 || ok {
+			t.Fatalf("%s: a zero-value table finds %v at %d", name, k, got)
+		}
+	}
+	for _, k := range absent {
+		if got, ok := tab.Find(k); got != -1 || ok {
+			t.Fatalf("%s: Find(%v) = %d, %t for a key never added", name, k, got, ok)
+		}
+	}
+	if len(tab.Keys()) != n || len(zero.Keys()) != 0 {
+		t.Fatalf("%s: Find added a key", name)
+	}
+}
+
 // checkByteTable runs stream through a fresh ByteKeyTable and a Go map,
 // as checkAgainstMap does, and checks the table's own view of what it
-// holds: Len, Key and Find by number. Each key is read back as it is
+// holds: Len and Key by number. Each key is read back as it is
 // added, and every one read must still hold its bytes at the end, however
 // often the arena grew in between.
 func checkByteTable(t testing.TB, name string, stream []string) {
@@ -83,12 +113,6 @@ func checkByteTable(t testing.TB, name string, stream []string) {
 		if string(b.Key(int32(id))) != string(k) {
 			t.Fatalf("%s: key %d read as %q when added, %q now", name, id, k, b.Key(int32(id)))
 		}
-		if got, ok := b.Find(k); !ok || got != int32(id) {
-			t.Fatalf("%s: Find(%q) = %d, %t; want %d", name, k, got, ok, id)
-		}
-	}
-	if _, ok := b.Find([]byte("absent: longer than any key")); ok {
-		t.Fatalf("%s: Find reports a key that was never added", name)
 	}
 }
 
@@ -96,8 +120,9 @@ func checkByteTable(t testing.TB, name string, stream []string) {
 // Go map does, whatever the seed: every table here draws its own, and a
 // constant hash puts every key in one probe chain. Ids never depend on the
 // hash. Floats keep the map's == semantics (±0 one key, NaN a new key each
-// time). The byte face also reads every key back, by number, across the
-// growth of its slots and of its arena.
+// time). KeyTable finds every key it holds without adding one. The byte
+// face also reads every key back, by number, across the growth of its
+// slots and of its arena.
 func TestKeyTableMatchesMap(t *testing.T) {
 	gen := rng.New(1)
 	for _, n := range []int{1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 1023, 1024, 1025} { // growth boundaries
@@ -110,6 +135,7 @@ func TestKeyTableMatchesMap(t *testing.T) {
 		} {
 			tab := &KeyTable[string]{hash: hash}
 			checkAgainstMap(t, fmt.Sprintf("%s, %d keys", name, n), strs, tab.ID, tab.Keys)
+			checkFind(t, fmt.Sprintf("%s, %d keys", name, n), tab, "absent: longer than any key", "\x04")
 		}
 	}
 	gen = rng.New(2)
@@ -119,16 +145,20 @@ func TestKeyTableMatchesMap(t *testing.T) {
 	}
 	var tab KeyTable[int64]
 	checkAgainstMap(t, "int64", ints, tab.ID, tab.Keys)
+	checkFind(t, "int64", &tab, 1500, -1501, math.MinInt64, math.MaxInt64)
 	bytes8 := []uint8{0, 255, 1, 0, 7, 255, 128}
 	var tab8 KeyTable[uint8]
 	checkAgainstMap(t, "uint8", bytes8, tab8.ID, tab8.Keys)
+	checkFind(t, "uint8", &tab8, 2, 254)
 	floats := []float64{0, math.Copysign(0, -1), math.NaN(), 1.5, math.NaN(), -1.5, 0, math.Inf(1), 1.5, math.Inf(-1)}
 	for i := 0; i < 3000; i++ {
 		floats = append(floats, float64(gen.Int63n(500))/4)
 	}
 	var tabf KeyTable[float64]
 	checkAgainstMap(t, "float64", floats, tabf.ID, tabf.Keys)
+	checkFind(t, "float64", &tabf, 0.1, math.NaN())
 	tabf.Reset()
+	checkFind(t, "float64 after Reset", &tabf, 0, 1.5, math.Inf(1))
 	checkAgainstMap(t, "float64 after Reset", floats, tabf.ID, tabf.Keys)
 
 	// The arena starts at 256 bytes and doubles: distinct keys of one
@@ -150,7 +180,7 @@ func TestKeyTableMatchesMap(t *testing.T) {
 }
 
 // TestKeyTableHitDoesNotAllocate: looking up a key already in the table
-// allocates nothing, on either face.
+// allocates nothing, on either face, and neither does KeyTable.Find.
 func TestKeyTableHitDoesNotAllocate(t *testing.T) {
 	var b ByteKeyTable
 	var strs KeyTable[string]
@@ -164,10 +194,11 @@ func TestKeyTableHitDoesNotAllocate(t *testing.T) {
 		ints.ID(int64(i))
 	}
 	for name, lookup := range map[string]func(i int){
-		"ByteKeyTable.ID":   func(i int) { b.ID(keys[i]) },
-		"ByteKeyTable.Find": func(i int) { b.Find(keys[i]) },
-		"KeyTable[string]":  func(i int) { strs.ID(names[i]) },
-		"KeyTable[int64]":   func(i int) { ints.ID(int64(i)) },
+		"ByteKeyTable.ID":       func(i int) { b.ID(keys[i]) },
+		"KeyTable[string]":      func(i int) { strs.ID(names[i]) },
+		"KeyTable[string].Find": func(i int) { strs.Find(names[i]) },
+		"KeyTable[int64]":       func(i int) { ints.ID(int64(i)) },
+		"KeyTable[int64].Find":  func(i int) { ints.Find(int64(i)) },
 	} {
 		i := 0
 		if n := testing.AllocsPerRun(100, func() { lookup(i * 7 % len(keys)); i++ }); n != 0 {
@@ -177,7 +208,8 @@ func TestKeyTableHitDoesNotAllocate(t *testing.T) {
 }
 
 // FuzzKeyTable: keys cut from the fuzz bytes number alike through both
-// faces and a Go map, and the byte face reads them back by number.
+// faces and a Go map, KeyTable finds them, and the byte face reads them
+// back by number.
 func FuzzKeyTable(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x03abc\x03abc\x00\x00\x01a\x03abc"))
@@ -192,5 +224,6 @@ func FuzzKeyTable(f *testing.F) {
 		checkByteTable(t, "bytes", stream)
 		tab := KeyTable[string]{hash: func(s string) uint64 { return uint64(len(s)) << 60 }} // long shared chains
 		checkAgainstMap(t, "strings", stream, tab.ID, tab.Keys)
+		checkFind(t, "strings", &tab, "absent: longer than any key")
 	})
 }

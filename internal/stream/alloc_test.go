@@ -12,8 +12,9 @@ import (
 
 // TestWindowerSteadyStateAllocs holds a warm tumbling window over known
 // keys to one allocation per window: the sink's copy of the fired panes.
-// The window that opens takes the map the fired one left, so no map is
-// allocated; the pane slab's refill, one per 32 windows here, rounds away.
+// The window that opens is a fired one off pipeState.free, its key table
+// reset and its pane vector cut to empty, both keeping their room, so
+// neither grows again.
 func TestWindowerSteadyStateAllocs(t *testing.T) {
 	const window, keys = time.Second, 8
 	p := New(Config{Workers: 1, Window: window})

@@ -163,6 +163,9 @@ func (g *Grouped) Agg(parts int, aggs ...Agg) (*Table, error) {
 	// a left column they share one group lookup.
 	fold := func(left, right []Vector, each func(yield func(l, r int32))) (*aggTable, int) {
 		tab, rows, leftKeys := &aggTable{aggLayout: layout}, 0, !slices.ContainsFunc(keyIdx, func(j int) bool { return j >= len(left) })
+		if len(keyIdx) == 1 {
+			tab.col = &colKeys{typ: schema.Cols[keyIdx[0]].Type}
+		}
 		var key []byte
 		grp, cl, cr := 0, -1, 0
 		col := func(j int) (*Vector, int) { // input column j's vector and the row's index in it
@@ -177,7 +180,10 @@ func (g *Grouped) Agg(parts int, aggs ...Agg) (*Table, error) {
 		each(func(l, r int32) {
 			lookup := !leftKeys || int(l) != cl
 			cl, cr, rows = int(l), int(r), rows+1
-			if lookup {
+			switch {
+			case lookup && tab.col != nil:
+				grp = tab.add(tab.col.id(col(keyIdx[0])))
+			case lookup:
 				key = key[:0]
 				for _, j := range keyIdx { // self-delimiting encodings: the concatenation is unambiguous and ordered
 					v, i := col(j)
@@ -287,6 +293,7 @@ func newAggLayout(plans []aggPlan) *aggLayout {
 type aggTable struct {
 	*aggLayout
 	index  group.ByteKeyTable // composite key -> group number
+	col    *colKeys           // or, on the map side of a one-column key, its value
 	ints   []int64            // group g's fields: ints[g*nInts:][:nInts], and so on
 	floats []float64
 	seen   []bool // Min, Max: a value is present
@@ -300,16 +307,26 @@ func (t *aggTable) seenAt(g, i int) *bool       { return &t.seen[g*t.nSeen+i] }
 func (t *aggTable) stringAt(g, i int) *string   { return &t.strs[g*t.nStrs+i] }
 
 // group returns key's group number, adding the group if it is new.
-func (t *aggTable) group(key []byte) int {
-	g, added := t.index.ID(key)
+func (t *aggTable) group(key []byte) int { return t.add(t.index.ID(key)) }
+
+// add returns group g, a key's number, giving it state if the key is new.
+func (t *aggTable) add(g int32, added bool) int {
 	if added {
-		room := t.index.Cap()
-		t.ints = extend(t.ints, t.nInts, 0, room)
-		t.floats = extend(t.floats, t.nFloats, negZero, room)
-		t.seen = extend(t.seen, t.nSeen, false, room)
-		t.strs = extend(t.strs, t.nStrs, "", room)
+		t.grow()
 	}
 	return int(g)
+}
+
+// grow gives the newest group its state; full vectors grow to room groups.
+func (t *aggTable) grow() {
+	room := t.index.Cap()
+	if t.col != nil {
+		room = t.col.room()
+	}
+	t.ints = extend(t.ints, t.nInts, 0, room)
+	t.floats = extend(t.floats, t.nFloats, negZero, room)
+	t.seen = extend(t.seen, t.nSeen, false, room)
+	t.strs = extend(t.strs, t.nStrs, "", room)
 }
 
 // extend appends width copies of x to v, one more group's fields; when v
@@ -519,13 +536,18 @@ func compareBytes(b []byte, s string) int {
 }
 
 // emit writes one shuffle record per group — composite key, encoded state
-// — in ascending key order, which is the order a map-side combiner flushes
-// its groups in. Nothing folds into t once emit is called, so its
-// callbacks encode a group alike until the writer is closed.
+// — in ascending key order, the order a map-side combiner flushes its
+// groups in (a one-column key is encoded here). Nothing folds into t once
+// emit is called, so its callbacks encode a group alike until the writer
+// is closed.
 func (t *aggTable) emit(w shuffle.Writer) error {
-	order := shuffle.KeyOrder(t.index.Len(), t.index.Key)
+	n, key := t.index.Len(), t.index.Key
+	if t.col != nil {
+		n, key = t.col.sortable()
+	}
+	order := shuffle.KeyOrder(n, key)
 	return shuffle.WriteRecords(w, len(order),
-		func(dst []byte, i int) []byte { return append(dst, t.index.Key(order[i])...) },
+		func(dst []byte, i int) []byte { return append(dst, key(order[i])...) },
 		func(dst []byte, i int) []byte { return t.appendState(dst, int(order[i])) })
 }
 

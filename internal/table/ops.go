@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repro/internal/core"
-	"repro/internal/group"
 	"repro/internal/shuffle"
 )
 
@@ -39,8 +38,7 @@ func (t *Table) broadcastJoin(right *Table, leftCol, rightCol string, out joinOu
 	}
 	// The build side: the right partitions' vectors end to end, each row
 	// threaded onto its key's list in that order.
-	keyType := t.schema.Cols[li].Type
-	build := &buildSide{rows: newBatch(right.schema, 0)}
+	build := &buildSide{rows: newBatch(right.schema, 0), index: colKeys{typ: t.schema.Cols[li].Type}}
 	var size int64
 	var scratch []byte
 	for _, b := range parts {
@@ -50,10 +48,9 @@ func (t *Table) broadcastJoin(right *Table, leftCol, rightCol string, out joinOu
 		}
 		build.rows.n += b.n
 		for i := 0; i < b.n; i++ {
-			scratch = appendEqualityKey(scratch[:0], keyType, &b.Cols[ri], i)
-			g, added := build.index.ID(scratch)
+			g, added := build.index.id(&b.Cols[ri], i)
 			if added {
-				build.lists.grow(build.index.Cap())
+				build.lists.grow(build.index.room())
 			}
 			build.lists.add(int(g))
 			scratch = b.appendRow(scratch[:0], right.schema, i)
@@ -66,10 +63,8 @@ func (t *Table) broadcastJoin(right *Table, leftCol, rightCol string, out joinOu
 	return t.eng.NewNarrow(t.plan, func(ctx *core.TaskContext, rows []core.Row) []core.Row {
 		b, build := batchOf(schema, rows), bcast.Value().(*buildSide)
 		return []core.Row{out(ctx, b, build.rows, b.n, func(yield func(l, r int32)) {
-			var key []byte
 			for i := 0; i < b.n; i++ {
-				key = appendEqualityKey(key[:0], keyType, &b.Cols[li], i)
-				if g, ok := build.index.Find(key); ok {
+				if g, ok := build.index.find(&b.Cols[li], i); ok {
 					for r := build.lists.head[g]; r >= 0; r = build.lists.next[r] {
 						yield(int32(i), r)
 					}
@@ -83,7 +78,7 @@ func (t *Table) broadcastJoin(right *Table, leftCol, rightCol string, out joinOu
 // number of each join key, and each group's rows.
 type buildSide struct {
 	rows  *Batch
-	index group.ByteKeyTable
+	index colKeys
 	lists chains
 }
 

@@ -124,11 +124,12 @@ go test -count=20 -run 'WireIdentity|TestShuffleOutputOrderPinned' .
 go test -race -count=3 ./internal/shuffle ./internal/compress
 go test -count=1 -run 'AllocCeiling|AllocBudget' ./internal/table
 # Group tables keep each key as a span of one arena and each aggregate's
-# state in typed vectors: the bytes a grouping allocates per group, the key
-# tables against a Go map across their arena's growth, KeyOrder against
+# state in typed vectors: the bytes a grouping allocates per group, column
+# keys numbered by type against their byte encodings, the key tables
+# against a Go map across their arena's growth, KeyOrder against
 # sort.Strings, and the packages under the race detector (join probes read
 # one table from many goroutines).
-go test -count=20 -run 'TestAggTableByteCeiling' ./internal/table
+go test -count=20 -run 'TestAggTableByteCeiling|TestColumnKeysMatchByteKeys' ./internal/table
 go test -count=20 -run 'TestKeyTableMatchesMap|FuzzKeyTable' ./internal/group
 go test -count=20 -run 'TestKeyOrder|FuzzKeyOrder' ./internal/shuffle
 go test -race -count=3 ./internal/group ./internal/shuffle ./internal/table
