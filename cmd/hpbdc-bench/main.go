@@ -133,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *checkFlag {
 		fmt.Fprintln(stdout, harness.Summary())
 		if harness.Len() == 0 {
-			fmt.Fprintln(stderr, "-check: no oracle comparisons ran (include E2, E3, E4, E8, E9, E10, EFT, E-SFT, E-HA, E-OVL, E-TXN, E-GRAY, E-SQL or E5 in -run)")
+			fmt.Fprintln(stderr, "-check: no oracle comparisons ran (include E2, E3, E4, E7, E8, E9, E10, EFT, E-SFT, E-HA, E-OVL, E-TXN, E-GRAY, E-SQL or E5 in -run)")
 			return 1
 		}
 		if !harness.OK() {

@@ -86,7 +86,7 @@ func TestCheckWithoutOracle(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
-	for _, id := range []string{"E2", "E3", "E4", "E8", "E9", "E10", "EFT", "E-SFT", "E-HA", "E-OVL", "E-TXN", "E-GRAY", "E-SQL", "E5"} {
+	for _, id := range []string{"E2", "E3", "E4", "E7", "E8", "E9", "E10", "EFT", "E-SFT", "E-HA", "E-OVL", "E-TXN", "E-GRAY", "E-SQL", "E5"} {
 		if !strings.Contains(stderr, id) {
 			t.Fatalf("hint %q omits %s", stderr, id)
 		}

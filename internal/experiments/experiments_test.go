@@ -269,8 +269,14 @@ func TestE7Runs(t *testing.T) {
 		t.Skip("pacing-based experiment")
 	}
 	table := runAndCheck(t, E7Stream)
-	if len(table.Rows) != 6 {
-		t.Fatalf("rows = %d", len(table.Rows))
+	if len(table.Rows) != 6 || len(table.Checks) != 6 {
+		t.Fatalf("rows = %d, checks = %d", len(table.Rows), len(table.Checks))
+	}
+	// Every run's panes must equal the reference fold of the events sent.
+	for _, row := range table.Rows {
+		if row[len(row)-1] != "ok" {
+			t.Fatalf("row %v failed the oracle diff", row)
+		}
 	}
 }
 

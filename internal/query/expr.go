@@ -141,13 +141,12 @@ func (e *Expr) conjuncts() []*Expr {
 
 // conjoin rebuilds an AND tree from factors (nil when empty).
 func conjoin(es []*Expr) *Expr {
-	var out *Expr
-	for _, e := range es {
-		if out == nil {
-			out = e
-		} else {
-			out = And(out, e)
-		}
+	if len(es) == 0 {
+		return nil
+	}
+	out := es[0]
+	for _, e := range es[1:] {
+		out = And(out, e)
 	}
 	return out
 }

@@ -83,15 +83,21 @@ func (l *Logical) Limit(n int) *Logical {
 }
 
 // OutSchema computes the plan's output schema against a resolver for
-// base-table schemas, validating column references along the way. The
-// differential oracle and the planner share it so both agree on shape:
-// it is derive's schema half, walked without statistics.
+// base-table schemas, validating column references along the way. It is
+// derive's schema half, walked without statistics: the differential oracle
+// calls it, and Build's walk is the same one, so both agree on shape.
 func (l *Logical) OutSchema(base func(name string) (table.Schema, error)) (table.Schema, error) {
-	d, err := l.walk(func(name string) (derived, error) {
+	d, err := l.walk(schemaOnly(base))
+	return d.schema, err
+}
+
+// schemaOnly resolves a scan's table to its schema through base: a walk
+// through it derives no statistics.
+func schemaOnly(base func(name string) (table.Schema, error)) func(string) (derived, error) {
+	return func(name string) (derived, error) {
 		s, err := base(name)
 		return derived{schema: s}, err
-	})
-	return d.schema, err
+	}
 }
 
 // derived is what the planner knows of one plan node's output: its schema
@@ -107,21 +113,31 @@ type derived struct {
 // walk derives l's whole tree bottom-up, resolving each scan's table
 // through base.
 func (l *Logical) walk(base func(name string) (derived, error)) (derived, error) {
+	return shapes(nil).walk(l, base)
+}
+
+// walk is Logical.walk that also records in s, unless s is nil, the shape
+// of every join it derives.
+func (s shapes) walk(l *Logical, base func(name string) (derived, error)) (derived, error) {
 	var in, right derived
 	var err error
 	switch {
 	case l.Op == OpScan:
 		in, err = base(l.TableName)
 	case l.Input != nil:
-		in, err = l.Input.walk(base)
+		in, err = s.walk(l.Input, base)
 		if err == nil && l.Op == OpJoin && l.Right != nil {
-			right, err = l.Right.walk(base)
+			right, err = s.walk(l.Right, base)
 		}
 	}
 	if err != nil {
 		return derived{}, err
 	}
-	return derive(l, in, right)
+	d, err := derive(l, in, right)
+	if err == nil && s != nil && l.Op == OpJoin {
+		s[l] = shape{out: d.schema, right: right.schema}
+	}
+	return d, err
 }
 
 // derive is the planner's one pass over the operators: it computes l's
@@ -214,9 +230,7 @@ func derive(l *Logical, in, right derived) (derived, error) {
 				stats = append(stats, in.stats[j])
 			}
 		}
-		if groups > in.rows {
-			groups = in.rows
-		}
+		groups = min(groups, in.rows)
 		if len(l.Keys) == 0 {
 			groups = 1
 			if in.rows == 0 {
@@ -258,9 +272,7 @@ func derive(l *Logical, in, right derived) (derived, error) {
 		if l.Input == nil || l.Input.Op != OpSort {
 			return derived{}, fmt.Errorf("query: LIMIT requires ORDER BY directly below it")
 		}
-		if float64(l.N) < in.rows {
-			in.rows = float64(l.N)
-		}
+		in.rows = min(in.rows, float64(l.N))
 		return in, nil
 	}
 	return derived{}, fmt.Errorf("query: unknown operator %d", l.Op)

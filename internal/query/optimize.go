@@ -9,23 +9,36 @@ import (
 	"repro/internal/table"
 )
 
-// optimize rewrites a logical plan: filters pushed toward scans, star
-// joins reordered cheapest-dimension-first, projections narrowed to the
-// columns read above them and inserted above the scans they prune. It
-// returns lp itself if demand failed; Build falls back to lp unless the
-// rewritten plan compiles to lp's output schema, so optimization can only
-// change cost, never results.
-func (e *Env) optimize(lp *Logical) *Logical {
-	rw, err := e.demand(e.reorderJoins(e.pushFilters(lp.clone(), nil)), nil)
-	if err != nil {
-		return lp
+// optimize rewrites a logical plan in place: filters pushed toward scans,
+// star joins reordered cheapest-dimension-first, projections narrowed to the
+// columns read above them and inserted above the scans they prune. s holds
+// the shape of each of lp's joins, as Build's walk derived them. A pass that
+// fails to derive the plan it rewrites is an error, never a fallback: a plan
+// that runs is the plan the optimizer built.
+func (e *Env) optimize(lp *Logical, s shapes) (*Logical, error) {
+	rw, _, err := e.reorderJoins(s.pushFilters(lp, nil), false, s)
+	if err == nil {
+		rw, err = e.demand(rw, nil, s)
 	}
-	return rw
+	if err != nil {
+		return nil, fmt.Errorf("query: optimizer rewrite does not derive: %w", err)
+	}
+	return rw, nil
 }
+
+// shape is what the passes read of a join's names: its output schema and
+// its build side's, whose columns out's last ones are named from (the probe
+// side's keep their names, first in out).
+type shape struct{ out, right table.Schema }
+
+// shapes holds, for one Build, the shape of every join of the plan the last
+// pass returned: each pass records the joins it derives, and the next reads
+// a join's shape there rather than walking its inputs again.
+type shapes map[*Logical]shape
 
 // pushFilters pushes the pending conjuncts (plus any Filter nodes met
 // on the way) as close to the scans as possible.
-func (e *Env) pushFilters(l *Logical, pending []*Expr) *Logical {
+func (s shapes) pushFilters(l *Logical, pending []*Expr) *Logical {
 	wrap := func(node *Logical, stuck []*Expr) *Logical {
 		if len(stuck) == 0 {
 			return node
@@ -34,16 +47,16 @@ func (e *Env) pushFilters(l *Logical, pending []*Expr) *Logical {
 	}
 	switch l.Op {
 	case OpFilter:
-		return e.pushFilters(l.Input, append(append([]*Expr(nil), pending...), l.Pred.conjuncts()...))
+		return s.pushFilters(l.Input, append(append([]*Expr(nil), pending...), l.Pred.conjuncts()...))
 	case OpScan:
 		return wrap(l, pending)
 	case OpSort:
-		l.Input = e.pushFilters(l.Input, pending)
+		l.Input = s.pushFilters(l.Input, pending)
 		return l
 	case OpLimit:
 		// A filter above LIMIT changes which rows survive the cap; never
 		// push through it.
-		l.Input = e.pushFilters(l.Input, nil)
+		l.Input = s.pushFilters(l.Input, nil)
 		return wrap(l, pending)
 	case OpProject:
 		// A conjunct referencing only aliased pass-through columns moves
@@ -52,58 +65,24 @@ func (e *Env) pushFilters(l *Logical, pending []*Expr) *Logical {
 		for i, c := range l.Cols {
 			toSource[l.Aliases[i]] = c
 		}
-		var push, stuck []*Expr
-		for _, c := range pending {
-			ok := true
-			for _, col := range c.Cols() {
-				if _, mapped := toSource[col]; !mapped {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				push = append(push, c.renamed(toSource))
-			} else {
-				stuck = append(stuck, c)
-			}
+		push, stuck := split(pending, func(col string) bool { _, ok := toSource[col]; return ok })
+		for i, c := range push {
+			push[i] = c.renamed(toSource)
 		}
-		l.Input = e.pushFilters(l.Input, push)
+		l.Input = s.pushFilters(l.Input, push)
 		return wrap(l, stuck)
 	case OpAgg:
 		// Conjuncts over group keys commute with aggregation.
-		keys := map[string]bool{}
-		for _, k := range l.Keys {
-			keys[k] = true
-		}
-		var push, stuck []*Expr
-		for _, c := range pending {
-			ok := true
-			for _, col := range c.Cols() {
-				if !keys[col] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				push = append(push, c)
-			} else {
-				stuck = append(stuck, c)
-			}
-		}
-		l.Input = e.pushFilters(l.Input, push)
+		push, stuck := split(pending, func(col string) bool { return slices.Contains(l.Keys, col) })
+		l.Input = s.pushFilters(l.Input, push)
 		return wrap(l, stuck)
 	case OpJoin:
-		left, lerr := l.Input.OutSchema(e.Schema)
-		right, rerr := l.Right.OutSchema(e.Schema)
-		if lerr != nil || rerr != nil {
-			l.Input = e.pushFilters(l.Input, nil)
-			l.Right = e.pushFilters(l.Right, nil)
-			return wrap(l, pending)
-		}
-		out := table.JoinSchema(left, right)
+		// Filters change no schema, so the join's shape is still the one
+		// Build's walk recorded.
+		sh := s[l]
 		var toLeft, toRight, stuck []*Expr
 		for _, c := range pending {
-			switch side, rc := joinSide(c, out, right); side {
+			switch side, rc := joinSide(c, sh.out, sh.right); side {
 			case 0:
 				toLeft = append(toLeft, c)
 			case 1:
@@ -112,11 +91,24 @@ func (e *Env) pushFilters(l *Logical, pending []*Expr) *Logical {
 				stuck = append(stuck, c)
 			}
 		}
-		l.Input = e.pushFilters(l.Input, toLeft)
-		l.Right = e.pushFilters(l.Right, toRight)
+		l.Input = s.pushFilters(l.Input, toLeft)
+		l.Right = s.pushFilters(l.Right, toRight)
 		return wrap(l, stuck)
 	}
 	return wrap(l, pending)
+}
+
+// split parts conjuncts into those whose every column passes ok and the
+// rest.
+func split(conjuncts []*Expr, ok func(col string) bool) (pass, rest []*Expr) {
+	for _, c := range conjuncts {
+		if slices.ContainsFunc(c.Cols(), func(col string) bool { return !ok(col) }) {
+			rest = append(rest, c)
+		} else {
+			pass = append(pass, c)
+		}
+	}
+	return pass, rest
 }
 
 // joinSide looks every column of c up in out, the join's output schema
@@ -148,82 +140,98 @@ func joinSide(c *Expr, out, right table.Schema) (int, *Expr) {
 // input are eligible — those joins commute. A projection restoring the
 // original column order is added on top, and any rewrite that changes
 // a name table.JoinSchema gives a build side's column is abandoned.
-func (e *Env) reorderJoins(l *Logical) *Logical {
-	if l == nil {
-		return nil
-	}
+//
+// It returns l's replacement and, if need is set, l's derivation with
+// statistics, derived from its inputs' as it returns from them; a chain of
+// two or more joins needs its base's and build sides'. It records in s the
+// shape of each join it builds; a join it keeps keeps the shape s has.
+func (e *Env) reorderJoins(l *Logical, need bool, s shapes) (*Logical, derived, error) {
 	if l.Op != OpJoin {
-		l.Input = e.reorderJoins(l.Input)
-		l.Right = e.reorderJoins(l.Right)
-		return l
+		var in derived
+		var err error
+		if l.Op != OpScan {
+			l.Input, in, err = e.reorderJoins(l.Input, need, s)
+		} else if need {
+			in, err = e.table(l.TableName)
+		}
+		if err == nil && need {
+			in, err = derive(l, in, derived{})
+		}
+		return l, in, err
 	}
 	// Collect the left-deep chain in join order.
 	type link struct {
-		join  *Logical // the chain's join node, for its columns
-		right *Logical // its build side, joins reordered
-		d     derived  // the build side's derivation
+		join *Logical // the chain's join node
+		d    derived  // its build side's derivation
 	}
 	var chain []link
 	cur := l
 	for ; cur.Op == OpJoin; cur = cur.Input {
-		chain = append([]link{{join: cur, right: e.reorderJoins(cur.Right)}}, chain...)
+		chain = append(chain, link{join: cur})
 	}
-	base := e.reorderJoins(cur)
-	rebuild := func(order []link) *Logical {
-		out := base
-		for _, ln := range order {
-			out = out.Join(ln.right, ln.join.LeftCol, ln.join.RightCol)
-		}
-		return out
-	}
-	orig := rebuild(chain)
-	if len(chain) < 2 {
-		return orig
-	}
-	bd, err := e.derive(base)
+	slices.Reverse(chain)
+	try := len(chain) > 1
+	base, bd, err := e.reorderJoins(cur, need || try, s)
 	if err != nil {
-		return orig
+		return nil, derived{}, err
 	}
+	chain[0].join.Input = base
 	for i, ln := range chain {
-		if bd.schema.Index(ln.join.LeftCol) < 0 {
-			return orig // probe col from an earlier join: order is load-bearing
+		if ln.join.Right, chain[i].d, err = e.reorderJoins(ln.join.Right, need || try, s); err != nil {
+			return nil, derived{}, err
 		}
-		if chain[i].d, err = e.derive(ln.right); err != nil {
-			return orig
-		}
+		// A probe column from an earlier join makes the order load-bearing.
+		try = try && bd.schema.Index(ln.join.LeftCol) >= 0
 	}
-	// joined derives the links joining base in order, and the names each
-	// build side's columns get there. A prefix chosen on collision depends
-	// on what joined before, so a reorder that moves one would hand the
-	// name to another side's column.
-	joined := func(order []link) (derived, map[*Logical][]string, error) {
-		out, names := bd, map[*Logical][]string{}
+	if !need && !try {
+		return l, derived{}, nil
+	}
+	// joined derives the links joining base in order: steps[i] is the
+	// derivation after the first i. It also returns the names each build
+	// side's columns get there. A prefix chosen on collision depends on
+	// what joined before, so a reorder that moves one would hand the name
+	// to another side's column.
+	joined := func(order []link) ([]derived, map[*Logical][]string, error) {
+		steps, names := []derived{bd}, map[*Logical][]string{}
 		for _, ln := range order {
-			n := len(out.schema.Cols)
-			var err error
-			if out, err = derive(ln.join, out, ln.d); err != nil {
-				return derived{}, nil, err
+			prev := steps[len(steps)-1]
+			d, err := derive(ln.join, prev, ln.d)
+			if err != nil {
+				return nil, nil, err
 			}
-			names[ln.right] = out.schema.Names()[n:]
+			steps, names[ln.join] = append(steps, d), d.schema.Names()[len(prev.schema.Cols):]
 		}
-		return out, names, nil
+		return steps, names, nil
 	}
-	origOut, origNames, err := joined(chain)
+	steps, names, err := joined(chain)
 	if err != nil {
-		return orig
+		return nil, derived{}, err
 	}
+	orig := steps[len(chain)]
 	ordered := slices.Clone(chain)
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].d.rows < ordered[j].d.rows })
-	rwOut, rwNames, err := joined(ordered)
-	if err != nil || !maps.EqualFunc(origNames, rwNames, slices.Equal[[]string]) {
-		return orig
+	if !try || slices.EqualFunc(chain, ordered, func(a, b link) bool { return a.join == b.join }) {
+		return l, orig, nil
 	}
-	rw := rebuild(ordered)
-	if slices.Equal(origOut.schema.Cols, rwOut.schema.Cols) {
-		return rw
+	rwSteps, rwNames, err := joined(ordered)
+	if err != nil || !maps.EqualFunc(names, rwNames, slices.Equal[[]string]) {
+		return l, orig, err
 	}
-	names := origOut.schema.Names()
-	return rw.Project(names, names)
+	rw := base
+	for i, ln := range ordered {
+		rw = rw.Join(ln.join.Right, ln.join.LeftCol, ln.join.RightCol)
+		s[rw] = shape{out: rwSteps[i+1].schema, right: ln.d.schema}
+	}
+	d := rwSteps[len(ordered)]
+	if slices.Equal(orig.schema.Cols, d.schema.Cols) {
+		return rw, d, nil
+	}
+	cols := orig.schema.Names()
+	rw = rw.Project(cols, cols)
+	if need {
+		d, err = derive(rw, d, derived{})
+	}
+	return rw, d, err
 }
 
 // demand is the optimizer's one column-demand pass, top-down. demanded
@@ -232,8 +240,8 @@ func (e *Env) reorderJoins(l *Logical) *Logical {
 // scan it prunes (above the scan's filter, if it has one) a projection of
 // the columns read above, which compile fuses into the scan, and returns
 // l's replacement. In place on an already-cloned tree: a join reads its
-// inputs' schemas before demand narrows them.
-func (e *Env) demand(l *Logical, demanded []string) (*Logical, error) {
+// shape in s, recorded before demand narrows its inputs.
+func (e *Env) demand(l *Logical, demanded []string, s shapes) (*Logical, error) {
 	var next, toRight []string
 	switch l.Op {
 	case OpScan:
@@ -274,15 +282,8 @@ func (e *Env) demand(l *Logical, demanded []string) (*Logical, error) {
 		if demanded == nil {
 			break // all of both inputs
 		}
-		left, err := l.Input.OutSchema(e.Schema)
-		if err != nil {
-			return nil, err
-		}
-		right, err := l.Right.OutSchema(e.Schema)
-		if err != nil {
-			return nil, err
-		}
-		out := table.JoinSchema(left, right)
+		out, right := s[l].out, s[l].right
+		nLeft := len(out.Cols) - len(right.Cols)
 		keep := make([]bool, len(out.Cols))
 		var mark func(i int)
 		mark = func(i int) {
@@ -290,12 +291,12 @@ func (e *Env) demand(l *Logical, demanded []string) (*Logical, error) {
 				return
 			}
 			keep[i] = true
-			if i < len(left.Cols) {
+			if i < nLeft {
 				return
 			}
 			// A right column keeps a prefixed name only while every name it
 			// collided with on the way is still emitted.
-			for name := right.Cols[i-len(left.Cols)].Name; name != out.Cols[i].Name; name = collided(name) {
+			for name := right.Cols[i-nLeft].Name; name != out.Cols[i].Name; name = collided(name) {
 				mark(out.Index(name))
 			}
 		}
@@ -306,10 +307,10 @@ func (e *Env) demand(l *Logical, demanded []string) (*Logical, error) {
 		for i, kept := range keep {
 			switch {
 			case !kept:
-			case i < len(left.Cols):
-				next = append(next, left.Cols[i].Name)
+			case i < nLeft:
+				next = append(next, out.Cols[i].Name)
 			default:
-				toRight = append(toRight, right.Cols[i-len(left.Cols)].Name)
+				toRight = append(toRight, right.Cols[i-nLeft].Name)
 			}
 		}
 	case OpAgg:
@@ -328,10 +329,10 @@ func (e *Env) demand(l *Logical, demanded []string) (*Logical, error) {
 		return nil, fmt.Errorf("query: unknown operator %d", l.Op)
 	}
 	var err error
-	if l.Input, err = e.demand(l.Input, next); err != nil || l.Op != OpJoin {
+	if l.Input, err = e.demand(l.Input, next, s); err != nil || l.Op != OpJoin {
 		return l, err
 	}
-	l.Right, err = e.demand(l.Right, toRight)
+	l.Right, err = e.demand(l.Right, toRight, s)
 	return l, err
 }
 

@@ -18,6 +18,7 @@ type Options struct {
 	Optimize bool
 	// BroadcastRows is the largest estimated build side broadcast
 	// instead of shuffled (0 = DefaultBroadcastRows).
+	// A negative value broadcasts none: every join shuffles both sides.
 	BroadcastRows int64
 	// Parts is the shuffle fan-out for joins, aggregates and sorts
 	// (0 = DefaultParts).
@@ -66,7 +67,6 @@ type Plan struct {
 	Logical *Logical // the original (pre-rewrite) logical plan
 	Opts    Options
 
-	env   *Env
 	limit int // driver-side row cap; -1 none
 }
 
@@ -81,29 +81,36 @@ func (e *Env) Build(lp *Logical, opts Options) (*Plan, error) {
 	if opts.Parts == 0 {
 		opts.Parts = DefaultParts
 	}
-	want, err := lp.OutSchema(e.Schema)
-	if err != nil {
-		return nil, err
-	}
-	run := lp
+	// One validating walk derives the query's schema and, optimized, the
+	// shape of each join, which the rewrite's first pass reads.
+	run, s := lp, shapes(nil)
 	if opts.Optimize {
-		run = e.optimize(lp)
+		run, s = lp.clone(), shapes{}
 	}
-	c := &compiler{env: e, opts: opts}
-	node, got, err := c.compile(run)
-	if run != lp && (err != nil || !slices.Equal(got.schema.Cols, want.Cols)) {
-		// The rewrite broke the plan: compile the original instead.
-		run = lp
-		node, _, err = c.compile(run)
-	}
+	want, err := s.walk(run, schemaOnly(e.Schema))
 	if err != nil {
 		return nil, err
+	}
+	if opts.Optimize {
+		if run, err = e.optimize(run, s); err != nil {
+			return nil, err
+		}
+	}
+	node, got, err := (&compiler{env: e, opts: opts}).compile(run)
+	switch {
+	case err != nil && opts.Optimize:
+		return nil, fmt.Errorf("query: compiling the optimized plan: %w", err)
+	case err != nil:
+		return nil, err
+	case !slices.Equal(got.schema.Cols, want.schema.Cols):
+		return nil, fmt.Errorf("query: optimized plan yields columns (%s), the query (%s)",
+			strings.Join(got.schema.Names(), ", "), strings.Join(want.schema.Names(), ", "))
 	}
 	limit := -1
 	if run.Op == OpLimit {
 		limit = run.N
 	}
-	return &Plan{Root: node, Schema: want, Logical: lp, Opts: opts, env: e, limit: limit}, nil
+	return &Plan{Root: node, Schema: want.schema, Logical: lp, Opts: opts, limit: limit}, nil
 }
 
 // Execute runs the plan and returns the result rows. Per-node actual
@@ -165,14 +172,12 @@ func (n *Node) slots(parts int) func(part, count int) {
 // their derivations.
 func (c *compiler) inputs(l *Logical) (in, right *Node, d derived, err error) {
 	in, ind, err := c.compile(l.Input)
+	var rd derived
+	if err == nil && l.Op == OpJoin {
+		right, rd, err = c.compile(l.Right)
+	}
 	if err != nil {
 		return nil, nil, derived{}, err
-	}
-	var rd derived
-	if l.Op == OpJoin {
-		if right, rd, err = c.compile(l.Right); err != nil {
-			return nil, nil, derived{}, err
-		}
 	}
 	d, err = derive(l, ind, rd)
 	return in, right, d, err
@@ -214,15 +219,11 @@ func (c *compiler) compile(l *Logical) (*Node, derived, error) {
 		if err != nil {
 			return nil, derived{}, err
 		}
-		seen := map[string]bool{}
-		for _, col := range l.Cols {
-			if seen[col] {
-				return nil, derived{}, fmt.Errorf("query: column %q selected twice", col)
-			}
-			seen[col] = true
-		}
 		rename := map[string]string{}
 		for i, col := range l.Cols {
+			if slices.Contains(l.Cols[:i], col) {
+				return nil, derived{}, fmt.Errorf("query: column %q selected twice", col)
+			}
 			if l.Aliases[i] != col {
 				rename[col] = l.Aliases[i]
 			}
@@ -434,23 +435,19 @@ func (c *compiler) compileScan(l, filter, project *Logical) (*Node, derived, err
 	schema, d, pred, needed := src.schema, src.derived, (*Expr)(nil), src.schema.Names()
 	var err error
 	if filter != nil {
-		if d, err = derive(filter, d, derived{}); err != nil {
-			return nil, derived{}, err
-		}
+		d, err = derive(filter, d, derived{})
 		pred = filter.Pred
 	}
-	if project != nil {
-		if d, err = derive(project, d, derived{}); err != nil {
-			return nil, derived{}, err
-		}
+	if project != nil && err == nil {
+		d, err = derive(project, d, derived{})
 		needed = project.Cols
+	}
+	if err != nil {
+		return nil, derived{}, err
 	}
 
 	var colPreds []table.ColPredicate
 	var residual []*Expr
-	if _, err := pred.BindBatch(schema); err != nil {
-		return nil, derived{}, err
-	}
 	for _, conj := range pred.conjuncts() {
 		cols := conj.Cols()
 		if !c.opts.Optimize || len(cols) != 1 {
@@ -500,7 +497,6 @@ func (c *compiler) compileScan(l, filter, project *Logical) (*Node, derived, err
 	residualPred := conjoin(residual)
 	var residualSel func(*table.Batch, []bool)
 	if residualPred != nil {
-		var err error
 		if residualSel, err = residualPred.BindBatch(outSchema); err != nil {
 			return nil, derived{}, err
 		}

@@ -103,9 +103,6 @@ func (e *Env) table(name string) (derived, error) {
 	return s.derived, nil
 }
 
-// derive walks l's whole tree against the catalog, statistics included.
-func (e *Env) derive(l *Logical) (derived, error) { return l.walk(e.table) }
-
 // Schema returns a registered table's schema.
 func (e *Env) Schema(name string) (table.Schema, error) {
 	d, err := e.table(name)
@@ -165,20 +162,14 @@ func (d derived) selectivity(e *Expr) float64 {
 
 // rangeFraction interpolates a range predicate against [min, max] for
 // numeric columns; strings fall back to the default selectivity.
-func rangeFraction(op CmpOp, min, max, val any) float64 {
-	lo, okLo := toFloat(min)
-	hi, okHi := toFloat(max)
+func rangeFraction(op CmpOp, minVal, maxVal, val any) float64 {
+	lo, okLo := toFloat(minVal)
+	hi, okHi := toFloat(maxVal)
 	v, okV := toFloat(val)
 	if !okLo || !okHi || !okV || hi <= lo {
 		return defaultSelectivity
 	}
-	frac := (v - lo) / (hi - lo) // fraction below v
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
+	frac := min(max((v-lo)/(hi-lo), 0), 1) // fraction below v
 	if op == Gt || op == Ge {
 		frac = 1 - frac
 	}

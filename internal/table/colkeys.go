@@ -45,22 +45,29 @@ func (c *colKeys) room() int { return cap(c.nums.Keys()) + cap(c.strs.Keys()) }
 
 // sortable encodes each key once, as appendSortableKey does, into one
 // buffer, and returns shuffle.KeyOrder's arguments: key count and accessor.
+// Strings keep an end offset per key; a number's key is 8 bytes wide, so
+// key g sits at buf[8g:].
 func (c *colKeys) sortable() (int, func(g int32) []byte) {
-	n, size := len(c.nums.Keys())+len(c.strs.Keys()), 8*len(c.nums.Keys())
-	for _, s := range c.strs.Keys() {
-		size += len(s) + 2 // the terminator; a 0x00 byte takes one more
-	}
-	buf, offs := make([]byte, 0, size), make([]int, n+1)
-	for g := range n {
-		switch c.typ {
-		case Int64:
-			buf = append(buf, serde.SortableInt64Key(int64(c.nums.Keys()[g]))...)
-		case Float64:
-			buf = append(buf, serde.SortableFloat64Key(math.Float64frombits(c.nums.Keys()[g]))...)
-		default:
-			buf = serde.AppendSortableStringKey(buf, c.strs.Keys()[g])
+	if c.typ == String {
+		strs, size := c.strs.Keys(), 0
+		for _, s := range strs {
+			size += len(s) + 2 // the terminator; a 0x00 byte takes one more
 		}
-		offs[g+1] = len(buf)
+		buf, offs := make([]byte, 0, size), make([]int, len(strs)+1)
+		for g, s := range strs {
+			buf = serde.AppendSortableStringKey(buf, s)
+			offs[g+1] = len(buf)
+		}
+		return len(strs), func(g int32) []byte { return buf[offs[g]:offs[g+1]:offs[g+1]] }
 	}
-	return n, func(g int32) []byte { return buf[offs[g]:offs[g+1]:offs[g+1]] }
+	nums := c.nums.Keys()
+	buf := make([]byte, 0, 8*len(nums))
+	for _, k := range nums {
+		if c.typ == Int64 {
+			buf = append(buf, serde.SortableInt64Key(int64(k))...)
+		} else {
+			buf = append(buf, serde.SortableFloat64Key(math.Float64frombits(k))...)
+		}
+	}
+	return len(nums), func(g int32) []byte { return buf[8*g : 8*g+8 : 8*g+8] }
 }

@@ -107,7 +107,7 @@ echo "== batches and the shuffle boundary: identity pins + allocation ceilings =
 # must still match the pins byte for byte — the fused join-aggregate against
 # the join it never builds included — and so must every optimized plan's
 # shape, planning allocations and chained join names.
-go test -count=5 -run 'Identity|TestBatchesAreReadOnly|TestVectorizedFilter|TestActualsCount|FuzzPlanEquivalence|TestJoinAgg|TestPlanShapesPinned|TestPlanStarAllocCeiling|TestJoinNamesStayUniqueThroughChains' ./internal/table ./internal/query
+go test -count=5 -run 'Identity|TestBatchesAreReadOnly|TestVectorizedFilter|TestActualsCount|FuzzPlanEquivalence|TestJoinAgg|TestPlanShapesPinned|TestPlanStarAllocCeiling|TestPlanChainAllocsGrowLinearly|TestJoinNamesStayUniqueThroughChains' ./internal/table ./internal/query
 go test -count=5 -run 'WireIdentity|TestShuffleOutputOrderPinned' .
 go test -count=1 -run 'TestSortWriterByteIdentity|TestWritersCopyScratch|TestWriteRecordsMatchesWriteLoop|TestSortWriterBatch|TestKeyOrder|FuzzKeyOrder|FuzzSortWriter|AllocCeiling' ./internal/shuffle
 go test -count=1 -run 'TestKeyTable|FuzzKeyTable' ./internal/group
